@@ -15,34 +15,20 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
-	"testing"
 	"time"
 
 	"focus"
-	"focus/internal/align"
 	"focus/internal/assembly"
-	"focus/internal/coarsen"
 	"focus/internal/debruijn"
 	"focus/internal/dist"
-	"focus/internal/dna"
 	"focus/internal/eval"
-	"focus/internal/graph"
 	"focus/internal/greedyasm"
-	"focus/internal/hybrid"
 	"focus/internal/metrics"
-	"focus/internal/overlap"
 	"focus/internal/partition"
 	"focus/internal/simulate"
 	"focus/internal/taxonomy"
@@ -61,7 +47,7 @@ type harness struct {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig4|fig5|table2|fig6|table3|fig7|baselines|graphbench|alignbench|overlapbench|phasebench|wirebench|all")
+		exp        = flag.String("exp", "all", "experiment: table1|fig4|fig5|table2|fig6|table3|fig7|baselines|all")
 		scale      = flag.Float64("scale", 0.35, "data set scale factor (1.0 = ~140kb communities)")
 		coverage   = flag.Float64("coverage", 8, "read coverage")
 		runs       = flag.Int("runs", 3, "repetitions for timed runs (Fig. 4)")
@@ -126,741 +112,6 @@ func main() {
 	run("table3", h.table3)
 	run("fig7", h.fig7)
 	run("baselines", h.baselines)
-	run("graphbench", h.graphbench)
-	run("alignbench", h.alignbench)
-	run("overlapbench", h.overlapbench)
-	run("phasebench", h.phasebench)
-	run("wirebench", h.wirebench)
-}
-
-// bestOf3 runs f three times and returns the result with the lowest
-// ns/op (minimum-of-runs, the usual estimator on a noisy shared host).
-func bestOf3(f func(*testing.B)) testing.BenchmarkResult {
-	best := testing.Benchmark(f)
-	for i := 0; i < 2; i++ {
-		if r := testing.Benchmark(f); r.NsPerOp() < best.NsPerOp() {
-			best = r
-		}
-	}
-	return best
-}
-
-// countConn counts the bytes actually crossing a worker connection (both
-// directions), attached server-side via Options.WrapConn.
-type countConn struct {
-	net.Conn
-	n *int64
-}
-
-func (c countConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	atomic.AddInt64(c.n, int64(n))
-	return n, err
-}
-
-func (c countConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	atomic.AddInt64(c.n, int64(n))
-	return n, err
-}
-
-// wirebench quantifies the PR-4 binary wire protocol against net/rpc's
-// gob on D1-D3: steady-state body bytes per phase (all k partition
-// subgraphs + an alignment job), encode+decode time, and end-to-end
-// distributed-assembly bytes and wall time counted on the actual worker
-// connections. Results land in BENCH_wire.json. Gob is measured in steady
-// state (persistent encoder/decoder pair, type descriptors already sent),
-// which is exactly what a long-lived net/rpc connection pays.
-func (h *harness) wirebench() error {
-	type row struct {
-		Name    string  `json:"name"`
-		DataSet string  `json:"data_set"`
-		Unit    string  `json:"unit"`
-		Gob     int64   `json:"gob"`
-		Wire    int64   `json:"wire"`
-		Ratio   float64 `json:"gob_over_wire"`
-	}
-	var rows []row
-	add := func(name, ds, unit string, gobV, wireV int64) {
-		r := row{name, ds, unit, gobV, wireV, float64(gobV) / float64(wireV)}
-		rows = append(rows, r)
-		fmt.Printf("  %-22s %-4s %14d gob %14d wire  %6.2fx  (%s)\n", name, ds, gobV, wireV, r.Ratio, unit)
-	}
-
-	const k = 16
-	fmt.Println("Wire protocol — binary codec vs gob (steady state)")
-	for id := 1; id <= 3; id++ {
-		s, err := h.prepare(id)
-		if err != nil {
-			return err
-		}
-		ds := fmt.Sprintf("D%d", id)
-		dg, err := assembly.BuildDiGraph(s.Hyb, s.Records)
-		if err != nil {
-			return err
-		}
-		pres, _, err := s.PartitionHybrid(k, 8, 1)
-		if err != nil {
-			return err
-		}
-		labels := pres.Labels()
-		subs := assembly.Subgraphs(dg, labels, k, 0)
-		phaseArgs := make([]*assembly.PhaseArgs, k)
-		for t := range subs {
-			phaseArgs[t] = &assembly.PhaseArgs{Sub: subs[t], Cfg: s.Cfg.Assembly}
-		}
-		nAlign := len(s.Reads)
-		if nAlign > 128 {
-			nAlign = 128
-		}
-		alignArgs := &overlap.AlignPairArgs{Cfg: s.Cfg.Overlap}
-		for i := 0; i < nAlign; i++ {
-			alignArgs.RefIDs = append(alignArgs.RefIDs, int32(i))
-			alignArgs.RefSeqs = append(alignArgs.RefSeqs, s.Reads[i].Seq)
-			alignArgs.QueryIDs = append(alignArgs.QueryIDs, int32(i))
-			alignArgs.QuerySeqs = append(alignArgs.QuerySeqs, s.Reads[i].Seq)
-		}
-
-		// Steady-state bytes and encode+decode time. The gob pair shares
-		// one buffer pipe: descriptors cross once, then each op is encode
-		// + decode of the same payloads the RPC layer ships.
-		measure := func(name string, values []interface{}, fresh func() interface{}) error {
-			var pipe bytes.Buffer
-			enc := gob.NewEncoder(&pipe)
-			dec := gob.NewDecoder(&pipe)
-			for _, v := range values { // warm: ship type descriptors
-				if err := enc.Encode(v); err != nil {
-					return err
-				}
-				if err := dec.Decode(fresh()); err != nil {
-					return err
-				}
-			}
-			pipe.Reset()
-			for _, v := range values {
-				if err := enc.Encode(v); err != nil {
-					return err
-				}
-			}
-			gobBytes := int64(pipe.Len())
-			var wireBytes int64
-			for _, v := range values {
-				wireBytes += int64(len(v.(dist.Wire).AppendTo(nil)))
-			}
-			add(name+"_bytes", ds, "bytes/phase", gobBytes, wireBytes)
-
-			// Best of three runs per side: the benchmark host is a busy
-			// shared single CPU, and the minimum is the least-noisy
-			// estimate of the true cost.
-			gobR := bestOf3(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, v := range values {
-						if err := enc.Encode(v); err != nil {
-							b.Fatal(err)
-						}
-						if err := dec.Decode(fresh()); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			var staging []byte
-			wireR := bestOf3(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, v := range values {
-						staging = v.(dist.Wire).AppendTo(staging[:0])
-						if err := fresh().(dist.Wire).DecodeFrom(staging); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-			add(name+"_encdec", ds, "ns/phase", gobR.NsPerOp(), wireR.NsPerOp())
-			add(name+"_allocs", ds, "allocs/phase", gobR.AllocsPerOp(), wireR.AllocsPerOp())
-			return nil
-		}
-
-		phaseVals := make([]interface{}, k)
-		for t := range phaseArgs {
-			phaseVals[t] = phaseArgs[t]
-		}
-		if err := measure("phase", phaseVals, func() interface{} { return &assembly.PhaseArgs{} }); err != nil {
-			return err
-		}
-		if err := measure("align", []interface{}{alignArgs}, func() interface{} { return &overlap.AlignPairArgs{} }); err != nil {
-			return err
-		}
-
-		// End to end: a full distributed assembly, bytes counted on the
-		// worker connections themselves (server side, under the codec).
-		e2e := func(codec dist.Codec) (int64, time.Duration, error) {
-			var total int64
-			opt := dist.DefaultOptions()
-			opt.Codec = codec
-			opt.WrapConn = func(worker int, conn net.Conn) net.Conn { return countConn{conn, &total} }
-			pool, err := dist.NewLocalPoolOpts(4, assembly.NewService, opt)
-			if err != nil {
-				return 0, 0, err
-			}
-			defer pool.Close()
-			t0 := time.Now()
-			if _, err := s.Assemble(pool, k, 4, 1); err != nil {
-				return 0, 0, err
-			}
-			return atomic.LoadInt64(&total), time.Since(t0), nil
-		}
-		gobBytes, gobTime, err := e2e(dist.CodecGob)
-		if err != nil {
-			return err
-		}
-		wireBytes, wireTime, err := e2e(dist.CodecBinary)
-		if err != nil {
-			return err
-		}
-		add("e2e_bytes", ds, "bytes/run", gobBytes, wireBytes)
-		add("e2e_time", ds, "ns/run", gobTime.Nanoseconds(), wireTime.Nanoseconds())
-	}
-
-	f, err := os.Create("BENCH_wire.json")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// graphbench micro-benchmarks the graph-core stages (overlap-graph build,
-// coarsening, hybrid layout, partitioning) serial vs parallel and writes
-// the results as machine-readable BENCH_graph.json next to the text
-// output. "serial" pins every worker knob to 1; "parallel" uses the
-// defaults (GOMAXPROCS-sized pools, Procs=8 for partitioning).
-func (h *harness) graphbench() error {
-	s, err := h.prepare(2)
-	if err != nil {
-		return err
-	}
-	type row struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		BytesPerOp  int64  `json:"b_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-	}
-	var rows []row
-	bench := func(name string, f func(b *testing.B)) {
-		r := bestOf3(f)
-		rows = append(rows, row{name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()})
-		fmt.Printf("  %-26s %12d ns/op %12d B/op %9d allocs/op\n",
-			name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-
-	fmt.Println("Graph core — serial vs parallel (D2)")
-	newBuilder := func() *graph.Builder {
-		b := graph.NewBuilder(len(s.Reads))
-		for _, r := range s.Records {
-			_ = b.AddEdge(int(r.A), int(r.B), int64(r.Len))
-		}
-		return b
-	}
-	bld := newBuilder()
-	bench("graph_build_map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bld.BuildMapMerge()
-		}
-	})
-	bench("graph_build_serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bld.BuildPar(1)
-		}
-	})
-	bench("graph_build_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bld.BuildPar(0)
-		}
-	})
-
-	coarsenWith := func(workers int) *graph.Set {
-		copt := s.Cfg.Coarsen
-		copt.Workers = workers
-		return coarsen.Multilevel(s.G0, copt)
-	}
-	bench("coarsen_serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = coarsenWith(1)
-		}
-	})
-	bench("coarsen_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = coarsenWith(0)
-		}
-	})
-
-	hybridWith := func(workers int) *hybrid.Hybrid {
-		hcfg := s.Cfg.Hybrid
-		hcfg.Workers = workers
-		hb, err := hybrid.Build(s.MSet, s.Reads, s.Records, hcfg)
-		if err != nil {
-			panic(err)
-		}
-		return hb
-	}
-	bench("hybrid_serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = hybridWith(1)
-		}
-	})
-	bench("hybrid_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = hybridWith(0)
-		}
-	})
-
-	partitionWith := func(procs int) {
-		opt := partition.DefaultOptions(16)
-		opt.Procs = procs
-		if _, err := partition.PartitionSet(s.Hyb.Set, opt); err != nil {
-			panic(err)
-		}
-	}
-	bench("partition_serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			partitionWith(1)
-		}
-	})
-	bench("partition_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			partitionWith(8)
-		}
-	})
-
-	combined := func(workers, procs int) {
-		mset := coarsenWith(workers)
-		hcfg := s.Cfg.Hybrid
-		hcfg.Workers = workers
-		hb, err := hybrid.Build(mset, s.Reads, s.Records, hcfg)
-		if err != nil {
-			panic(err)
-		}
-		opt := partition.DefaultOptions(16)
-		opt.Procs = procs
-		if _, err := partition.PartitionSet(hb.Set, opt); err != nil {
-			panic(err)
-		}
-	}
-	bench("combined_serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			combined(1, 1)
-		}
-	})
-	bench("combined_parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			combined(0, 8)
-		}
-	})
-
-	f, err := os.Create("BENCH_graph.json")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// alignbench times the banded-NW kernels head to head on the overlap
-// stage's hot-path geometry (100bp window, ~5 substitutions, band 6, and
-// a 90bp suffix-prefix overlap through the full classification path) and
-// writes BENCH_align.json. Samples alternate between the kernels
-// round-robin before taking the per-kernel minimum, so drift in host
-// load biases the comparison as little as possible.
-func (h *harness) alignbench() error {
-	rng := rand.New(rand.NewSource(42))
-	bases := []byte("ACGT")
-	seq := func(n int) []byte {
-		s := make([]byte, n)
-		for i := range s {
-			s[i] = bases[rng.Intn(4)]
-		}
-		return s
-	}
-	pa := seq(100)
-	pb := append([]byte(nil), pa...)
-	for i := 0; i < 5; i++ {
-		pb[rng.Intn(len(pb))] = bases[rng.Intn(4)]
-	}
-	oa := seq(150)
-	ob := append(append([]byte(nil), oa[60:]...), seq(60)...)
-	for i := 0; i < 4; i++ {
-		ob[rng.Intn(90)] = bases[rng.Intn(4)]
-	}
-
-	type row struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		BytesPerOp  int64  `json:"b_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-	}
-	kernelProbe := func(k align.Kernel) func(b *testing.B) {
-		return func(b *testing.B) {
-			var scr align.Scratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = scr.BandedNWKernel(pa, pb, 6, align.DefaultScoring, k)
-			}
-		}
-	}
-	overlapProbe := func(k align.Kernel) func(b *testing.B) {
-		cfg := align.DefaultConfig()
-		cfg.Kernel = k
-		return func(b *testing.B) {
-			var scr align.Scratch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, _ = scr.OverlapOnDiagonal(oa, ob, 60, cfg)
-			}
-		}
-	}
-	probes := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"nw_scalar", kernelProbe(align.KernelScalar)},
-		{"nw_bitparallel", kernelProbe(align.KernelBitParallel)},
-		{"overlap_scalar", overlapProbe(align.KernelScalar)},
-		{"overlap_bitparallel", overlapProbe(align.KernelBitParallel)},
-	}
-	fmt.Println("Alignment kernels — scalar vs bit-parallel (100bp, band 6)")
-	best := make([]testing.BenchmarkResult, len(probes))
-	for round := 0; round < 5; round++ {
-		for i, p := range probes {
-			r := testing.Benchmark(p.fn)
-			if round == 0 || r.NsPerOp() < best[i].NsPerOp() {
-				best[i] = r
-			}
-		}
-	}
-	var rows []row
-	for i, p := range probes {
-		r := best[i]
-		rows = append(rows, row{p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()})
-		fmt.Printf("  %-26s %12d ns/op %12d B/op %9d allocs/op\n",
-			p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-	fmt.Printf("  nw speedup:      %.2fx\n", float64(rows[0].NsPerOp)/float64(rows[1].NsPerOp))
-	fmt.Printf("  overlap speedup: %.2fx\n", float64(rows[2].NsPerOp)/float64(rows[3].NsPerOp))
-
-	f, err := os.Create("BENCH_align.json")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// overlapbench times candidate generation and end-to-end overlap
-// discovery for the k-mer-table probe engine vs the sparse-matrix SpGEMM
-// engine on a repeat-heavy read set (a high-copy interspersed repeat
-// whose seeds all cross the MaxOccur threshold), the workload where
-// per-seed masked binary-search probes dominate the table path. Both
-// engines are checked to produce identical surviving-candidate totals
-// and identical overlap records before anything is timed, so the
-// comparison is apples-to-apples by construction. Samples alternate
-// between the engines round-robin before taking the per-probe minimum
-// (same discipline as alignbench), and a spmat serial-vs-parallel pair
-// feeds the governor regression gate in scripts/bench.sh. Results land
-// in BENCH_overlap.json.
-func (h *harness) overlapbench() error {
-	// Repeat-heavy data set: 96 copies of a 600 bp repeat interspersed
-	// with 600 bp of unique sequence, tiled into error-free 100 bp reads
-	// at 2.5x coverage, probed with dense seeding (Step=1, the all-k-mer
-	// regime of the SpGEMM literature). Every repeat k-mer occurs far above MaxOccur=64
-	// even when the reads are split across 3 subsets. (Kept identical to
-	// repeatHeavyReads in the overlap package's benchmarks.)
-	rng := rand.New(rand.NewSource(11))
-	bases := []byte("ACGT")
-	seq := func(n int) []byte {
-		s := make([]byte, n)
-		for i := range s {
-			s[i] = bases[rng.Intn(4)]
-		}
-		return s
-	}
-	repeat := seq(600)
-	var genome []byte
-	for i := 0; i < 96; i++ {
-		genome = append(genome, seq(600)...)
-		genome = append(genome, repeat...)
-	}
-	var reads []dna.Read
-	for pos := 0; pos+100 <= len(genome); pos += 40 {
-		reads = append(reads, dna.Read{ID: "r", Seq: append([]byte(nil), genome[pos:pos+100]...)})
-	}
-	const subsets = 3
-
-	probeCfg := overlap.DefaultConfig()
-	probeCfg.Step = 1
-	spmatCfg := probeCfg
-	spmatCfg.Engine = overlap.EngineSpGEMM
-
-	// Equivalence gate before timing: identical candidate totals and
-	// byte-identical records, or the numbers below are meaningless.
-	nProbe, err := overlap.CountCandidates(reads, subsets, probeCfg)
-	if err != nil {
-		return err
-	}
-	nSpmat, err := overlap.CountCandidates(reads, subsets, spmatCfg)
-	if err != nil {
-		return err
-	}
-	if nProbe != nSpmat || nProbe == 0 {
-		return fmt.Errorf("overlapbench: candidate totals diverge: probe=%d spmat=%d", nProbe, nSpmat)
-	}
-	recProbe, err := overlap.FindOverlaps(reads, subsets, probeCfg)
-	if err != nil {
-		return err
-	}
-	recSpmat, err := overlap.FindOverlaps(reads, subsets, spmatCfg)
-	if err != nil {
-		return err
-	}
-	if len(recProbe) != len(recSpmat) {
-		return fmt.Errorf("overlapbench: record counts diverge: probe=%d spmat=%d", len(recProbe), len(recSpmat))
-	}
-	for i := range recProbe {
-		if recProbe[i] != recSpmat[i] {
-			return fmt.Errorf("overlapbench: record %d diverges between engines", i)
-		}
-	}
-	fmt.Printf("Overlap engines — k-mer-table probe vs SpGEMM (%d reads, %d subsets, %d candidates, %d records)\n",
-		len(reads), subsets, nProbe, len(recProbe))
-
-	candgen := func(cfg overlap.Config) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := overlap.CountCandidates(reads, subsets, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	e2e := func(cfg overlap.Config) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := overlap.FindOverlaps(reads, subsets, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	spmatSerial := spmatCfg
-	spmatSerial.Workers = 1
-	probes := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"overlap_candgen_kmertable", candgen(probeCfg)},
-		{"overlap_candgen_spmat", candgen(spmatCfg)},
-		{"overlap_e2e_kmertable", e2e(probeCfg)},
-		{"overlap_e2e_spmat", e2e(spmatCfg)},
-		{"overlap_spmat_serial", candgen(spmatSerial)},
-		{"overlap_spmat_parallel", candgen(spmatCfg)},
-	}
-	best := make([]testing.BenchmarkResult, len(probes))
-	for round := 0; round < 5; round++ {
-		for i, p := range probes {
-			r := testing.Benchmark(p.fn)
-			if round == 0 || r.NsPerOp() < best[i].NsPerOp() {
-				best[i] = r
-			}
-		}
-	}
-	type row struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		BytesPerOp  int64  `json:"b_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-	}
-	var rows []row
-	for i, p := range probes {
-		r := best[i]
-		rows = append(rows, row{p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()})
-		fmt.Printf("  %-26s %12d ns/op %12d B/op %9d allocs/op\n",
-			p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-	fmt.Printf("  candgen speedup: %.2fx\n", float64(rows[0].NsPerOp)/float64(rows[1].NsPerOp))
-	fmt.Printf("  e2e speedup:     %.2fx\n", float64(rows[2].NsPerOp)/float64(rows[3].NsPerOp))
-
-	f, err := os.Create("BENCH_overlap.json")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
-
-// phasebench contrasts the graph-cleaning scan engines — the reference
-// map walker vs the CSR kernels with the masked-product transitive
-// reduction — on a dense synthetic subgraph, gated on byte-identical
-// removals before any timing. Writes BENCH_phase.json.
-func (h *harness) phasebench() error {
-	// Dense transitive-heavy subgraph: 3000 nodes tiled 10 bp apart along
-	// one genome, each overlapping its next 20 successors with exact
-	// composing diagonals (Diag(v,v+i) + Diag(v+i,v+j) == Diag(v,v+j)), so
-	// nearly every edge is transitively implied and the masked product
-	// does real accumulator work on every row. Containment and error
-	// scans run on the same graph to time their CSR paths on dense
-	// adjacency.
-	const (
-		nNodes = 3000
-		deg    = 20
-		step   = 10
-		ctgLen = 300
-	)
-	rng := rand.New(rand.NewSource(17))
-	bases := []byte("ACGT")
-	genome := make([]byte, nNodes*step+ctgLen)
-	for i := range genome {
-		genome[i] = bases[rng.Intn(4)]
-	}
-	sub := &assembly.Subgraph{}
-	for v := 0; v < nNodes; v++ {
-		sub.Nodes = append(sub.Nodes, assembly.WireNode{
-			ID:     int32(v),
-			Weight: int64(1 + rng.Intn(30)),
-			Contig: genome[v*step : v*step+ctgLen],
-		})
-		sub.Local = append(sub.Local, int32(v))
-	}
-	for v := 0; v < nNodes; v++ {
-		for j := 1; j <= deg && v+j < nNodes; j++ {
-			sub.Edges = append(sub.Edges, assembly.Edge{
-				From: int32(v), To: int32(v + j),
-				Diag: int32(j * step), Len: int32(ctgLen - j*step), Ident: 1,
-			})
-		}
-	}
-
-	mapCfg := assembly.DefaultConfig()
-	mapCfg.Engine = assembly.PhaseEngineMap
-	csrCfg := assembly.DefaultConfig()
-	csrCfg.Engine = assembly.PhaseEngineCSR
-
-	// Equivalence gate before timing: every scan must return deeply equal
-	// removals from both engines at several worker counts, or the numbers
-	// below are meaningless.
-	wantT := assembly.TransitiveEdges(sub, mapCfg)
-	wantC := assembly.ContainmentScan(sub, mapCfg)
-	wantE := assembly.ErrorScan(sub, mapCfg)
-	for _, w := range []int{0, 1, 2, 8} {
-		wCfg := csrCfg
-		wCfg.Workers = w
-		if got := assembly.TransitiveEdges(sub, wCfg); !reflect.DeepEqual(got, wantT) {
-			return fmt.Errorf("phasebench: TransitiveEdges diverges at workers=%d", w)
-		}
-		if got := assembly.ContainmentScan(sub, wCfg); !reflect.DeepEqual(got, wantC) {
-			return fmt.Errorf("phasebench: ContainmentScan diverges at workers=%d", w)
-		}
-		if got := assembly.ErrorScan(sub, wCfg); !reflect.DeepEqual(got, wantE) {
-			return fmt.Errorf("phasebench: ErrorScan diverges at workers=%d", w)
-		}
-	}
-	fmt.Printf("Phase engines — map walker vs CSR kernels (%d nodes, %d edges, %d transitive)\n",
-		len(sub.Nodes), len(sub.Edges), len(wantT))
-
-	bench := func(f func() int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f()
-			}
-		}
-	}
-	trans := func(cfg assembly.Config) func(b *testing.B) {
-		return bench(func() int { return len(assembly.TransitiveEdges(sub, cfg)) })
-	}
-	contain := func(cfg assembly.Config) func(b *testing.B) {
-		return bench(func() int { return len(assembly.ContainmentScan(sub, cfg).Edges) })
-	}
-	errs := func(cfg assembly.Config) func(b *testing.B) {
-		return bench(func() int { return len(assembly.ErrorScan(sub, cfg).Nodes) })
-	}
-	allThree := func(cfg assembly.Config) func(b *testing.B) {
-		return bench(func() int {
-			n := len(assembly.TransitiveEdges(sub, cfg))
-			n += len(assembly.ContainmentScan(sub, cfg).Edges)
-			return n + len(assembly.ErrorScan(sub, cfg).Nodes)
-		})
-	}
-	serialCfg := csrCfg
-	serialCfg.Workers = 1
-	probes := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		{"phase_transitive_map", trans(mapCfg)},
-		{"phase_transitive_csr", trans(csrCfg)},
-		{"phase_containment_map", contain(mapCfg)},
-		{"phase_containment_csr", contain(csrCfg)},
-		{"phase_errors_map", errs(mapCfg)},
-		{"phase_errors_csr", errs(csrCfg)},
-		{"phase_serial", allThree(serialCfg)},
-		{"phase_parallel", allThree(csrCfg)},
-	}
-	best := make([]testing.BenchmarkResult, len(probes))
-	for round := 0; round < 5; round++ {
-		for i, p := range probes {
-			r := testing.Benchmark(p.fn)
-			if round == 0 || r.NsPerOp() < best[i].NsPerOp() {
-				best[i] = r
-			}
-		}
-	}
-	type row struct {
-		Name        string `json:"name"`
-		NsPerOp     int64  `json:"ns_per_op"`
-		BytesPerOp  int64  `json:"b_per_op"`
-		AllocsPerOp int64  `json:"allocs_per_op"`
-	}
-	var rows []row
-	for i, p := range probes {
-		r := best[i]
-		rows = append(rows, row{p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()})
-		fmt.Printf("  %-26s %12d ns/op %12d B/op %9d allocs/op\n",
-			p.name, r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp())
-	}
-	fmt.Printf("  transitive speedup:  %.2fx\n", float64(rows[0].NsPerOp)/float64(rows[1].NsPerOp))
-	fmt.Printf("  containment speedup: %.2fx\n", float64(rows[2].NsPerOp)/float64(rows[3].NsPerOp))
-	fmt.Printf("  errors speedup:      %.2fx\n", float64(rows[4].NsPerOp)/float64(rows[5].NsPerOp))
-
-	f, err := os.Create("BENCH_phase.json")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // baselines contrasts Focus with the de Bruijn baseline on the same read

@@ -2,8 +2,13 @@ package focus
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"focus/internal/assembly"
@@ -162,14 +167,82 @@ func TestCheckpointResumeThroughFacade(t *testing.T) {
 	}
 }
 
+// stageBuilders returns the three exported stage builders over the same
+// reads, each reduced to a func of the config: local overlap, overlap on
+// a two-worker pool, and records precomputed with recCfg.
+func stageBuilders(t *testing.T, reads []Read, recCfg Config) map[string]func(Config) (*Stages, error) {
+	t.Helper()
+	pool, err := dist.NewLocalPool(2, assembly.NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pool.Close() })
+	base := &Stages{} // stays empty when recCfg itself fails to build
+	if s, err := BuildStages(reads, recCfg); err == nil {
+		base = s
+	}
+	return map[string]func(Config) (*Stages, error){
+		"BuildStages":       func(cfg Config) (*Stages, error) { return BuildStages(reads, cfg) },
+		"BuildStagesOnPool": func(cfg Config) (*Stages, error) { return BuildStagesOnPool(reads, cfg, pool) },
+		"BuildStagesFromRecords": func(cfg Config) (*Stages, error) {
+			return BuildStagesFromRecords(reads, base.Records, len(base.Reads), cfg)
+		},
+	}
+}
+
+// pollCancelCtx cancels itself on its nth Err poll. The stage builder
+// polls Err exactly once before each stage and preprocessing never looks
+// at the context, so n=2 lands the cancel deterministically between the
+// preprocess and overlap stages.
+type pollCancelCtx struct {
+	context.Context
+	polls  atomic.Int32
+	n      int32
+	cancel func()
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestBuildStagesCancelBetweenStages: a cancel that lands between two
+// stages stops all three builders at the same boundary with the caller's
+// typed cause.
+func TestBuildStagesCancelBetweenStages(t *testing.T) {
+	reads, _ := simReads(t, 3000, 4, 304)
+	cause := fmt.Errorf("cancel after preprocess: %w", context.Canceled)
+	var msgs []string
+	for name, build := range stageBuilders(t, reads, testConfig()) {
+		parent, cancel := context.WithCancelCause(context.Background())
+		cfg := testConfig()
+		cfg.Context = &pollCancelCtx{Context: parent, n: 2, cancel: func() { cancel(cause) }}
+		_, err := build(cfg)
+		cancel(nil)
+		if !errors.Is(err, cause) || !IsInterrupted(err) {
+			t.Fatalf("%s: err = %v, want the cancellation cause", name, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	for _, m := range msgs[1:] {
+		if m != msgs[0] {
+			t.Fatalf("builders disagree on the cancellation error: %q", msgs)
+		}
+	}
+}
+
 // TestBuildStagesErrorPaths covers facade validation.
 func TestBuildStagesErrorPaths(t *testing.T) {
 	// Preprocessing drops everything -> error.
 	cfg := testConfig()
 	cfg.Preprocess.MinLen = 10_000
 	reads, _ := simReads(t, 3000, 4, 303)
-	if _, err := BuildStages(reads, cfg); err == nil {
-		t.Error("empty post-preprocess read set accepted")
+	for name, build := range stageBuilders(t, reads, cfg) {
+		if _, err := build(cfg); err == nil || !strings.Contains(err.Error(), "preprocess: no reads survived") {
+			t.Errorf("%s: empty post-preprocess read set: err = %v", name, err)
+		}
 	}
 	// Invalid record count in BuildStagesFromRecords.
 	if _, err := BuildStagesFromRecords(reads, nil, 7, testConfig()); err == nil {

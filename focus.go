@@ -4,14 +4,12 @@
 // (IEEE IPDPSW 2017).
 //
 // The pipeline mirrors the paper: read preprocessing, k-mer seeded
-// pairwise overlap alignment over a per-subset seed index (a packed
-// k-mer table by default; the paper's suffix array remains selectable
-// via Config.Overlap.Indexing), overlap graph
-// construction, multilevel coarsening by heavy-edge matching, hybrid
-// graph construction from best-representative read clusters, multilevel
-// graph partitioning (greedy growing + Kernighan–Lin + global k-way
-// refinement), and distributed graph trimming/traversal on an RPC
-// master/worker pool, ending in contigs.
+// pairwise overlap alignment over a per-subset packed k-mer seed index,
+// overlap graph construction, multilevel coarsening by heavy-edge
+// matching, hybrid graph construction from best-representative read
+// clusters, multilevel graph partitioning (greedy growing +
+// Kernighan–Lin + global k-way refinement), and distributed graph
+// trimming/traversal on an RPC master/worker pool, ending in contigs.
 //
 // The one-call entry point is Assemble; BuildStages exposes the
 // intermediate artifacts (overlap graph, multilevel set, hybrid graph)
@@ -46,48 +44,6 @@ type Stats = assembly.Stats
 
 // TrimStats report what distributed graph trimming removed.
 type TrimStats = assembly.TrimStats
-
-// Indexing selects the overlap-stage seed index (re-exported so API users
-// outside the module can set Config.Overlap.Indexing).
-type Indexing = overlap.Indexing
-
-const (
-	// IndexKmerTable is the default packed k-mer seed index (fastest).
-	IndexKmerTable = overlap.IndexKmerTable
-	// IndexSuffixArray selects the paper's Larsson–Sadakane suffix array.
-	IndexSuffixArray = overlap.IndexSuffixArray
-)
-
-// Engine selects the overlap-stage candidate-generation engine
-// (re-exported so API users outside the module can set
-// Config.Overlap.Engine). All engines produce byte-identical overlap
-// records.
-type Engine = overlap.Engine
-
-const (
-	// EngineSeedIndex is the default per-probe seed-index engine (the
-	// structure is picked by Config.Overlap.Indexing).
-	EngineSeedIndex = overlap.EngineSeedIndex
-	// EngineSpGEMM derives candidate pairs as a masked sparse
-	// matrix product over the read-by-k-mer matrix (internal/spmat) —
-	// faster candidate generation on repeat-heavy inputs.
-	EngineSpGEMM = overlap.EngineSpGEMM
-)
-
-// PhaseEngine selects the graph-cleaning scan implementation
-// (re-exported so API users outside the module can set
-// Config.Assembly.Engine). Both engines return byte-identical removals.
-type PhaseEngine = assembly.PhaseEngine
-
-const (
-	// PhaseEngineCSR is the default engine: scans run over a flat CSR
-	// adjacency view with the transitive-reduction pass phrased as a
-	// masked sparse product, row-blocked across the par governor.
-	PhaseEngineCSR = assembly.PhaseEngineCSR
-	// PhaseEngineMap is the reference map-walking engine the CSR
-	// kernels are property-tested against.
-	PhaseEngineMap = assembly.PhaseEngineMap
-)
 
 // Config bundles the per-stage configurations.
 type Config struct {
@@ -275,64 +231,9 @@ type Stages struct {
 // With Config.Context set, every stage is cancellation-bounded and the
 // first canceled stage aborts the build with the context's cause.
 func BuildStages(raw []Read, cfg Config) (*Stages, error) {
-	cfg = cfg.applyGraphWorkers()
-	ctx := cfg.Context
-	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}}
-	step := func(name string, f func() error) error {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return fmt.Errorf("focus: %s: %w", name, cerr)
-		}
-		t0 := time.Now()
-		err := f()
-		s.Timings[name] = time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("focus: %s: %w", name, err)
-		}
-		return nil
-	}
-	if err := step("preprocess", func() error {
-		var err error
-		s.Reads, s.PreStats, err = preprocess.Run(raw, cfg.Preprocess)
-		if err == nil && len(s.Reads) == 0 {
-			err = fmt.Errorf("no reads survived preprocessing")
-		}
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := step("overlap", func() error {
-		subsets := cfg.Subsets
-		if subsets <= 0 {
-			subsets = 1
-		}
-		var err error
-		s.Records, err = overlap.FindOverlapsCtx(ctx, s.Reads, subsets, cfg.Overlap)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := step("graph", func() error {
-		var err error
-		s.G0, err = overlap.BuildGraphParCtx(ctx, len(s.Reads), s.Records, cfg.GraphWorkers)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := step("coarsen", func() error {
-		var err error
-		s.MSet, err = coarsen.MultilevelCtx(ctx, s.G0, cfg.Coarsen)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := step("hybrid", func() error {
-		var err error
-		s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return buildStages(raw, cfg, func(ctx context.Context, reads []Read) ([]overlap.Record, error) {
+		return overlap.FindOverlapsCtx(ctx, reads, cfg.subsets(), cfg.Overlap)
+	})
 }
 
 // BuildStagesOnPool is BuildStages with the read-alignment stage
@@ -340,48 +241,9 @@ func BuildStages(raw []Read, cfg Config) (*Stages, error) {
 // different processors), instead of local goroutines. Results are
 // identical to BuildStages for the same configuration.
 func BuildStagesOnPool(raw []Read, cfg Config, pool *dist.Pool) (*Stages, error) {
-	cfg = cfg.applyGraphWorkers()
-	ctx := cfg.Context
-	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}}
-	t0 := time.Now()
-	var err error
-	s.Reads, s.PreStats, err = preprocess.Run(raw, cfg.Preprocess)
-	s.Timings["preprocess"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: preprocess: %w", err)
-	}
-	if len(s.Reads) == 0 {
-		return nil, fmt.Errorf("focus: preprocess: no reads survived")
-	}
-	subsets := cfg.Subsets
-	if subsets <= 0 {
-		subsets = 1
-	}
-	t0 = time.Now()
-	s.Records, err = overlap.FindOverlapsDistributedCtx(ctx, pool, s.Reads, subsets, cfg.Overlap)
-	s.Timings["overlap"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: overlap: %w", err)
-	}
-	t0 = time.Now()
-	s.G0, err = overlap.BuildGraphParCtx(ctx, len(s.Reads), s.Records, cfg.GraphWorkers)
-	s.Timings["graph"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: graph: %w", err)
-	}
-	t0 = time.Now()
-	s.MSet, err = coarsen.MultilevelCtx(ctx, s.G0, cfg.Coarsen)
-	s.Timings["coarsen"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: coarsen: %w", err)
-	}
-	t0 = time.Now()
-	s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
-	s.Timings["hybrid"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: hybrid: %w", err)
-	}
-	return s, nil
+	return buildStages(raw, cfg, func(ctx context.Context, reads []Read) ([]overlap.Record, error) {
+		return overlap.FindOverlapsDistributedCtx(ctx, pool, reads, cfg.subsets(), cfg.Overlap)
+	})
 }
 
 // BuildStagesFromRecords is BuildStages with the overlap-detection stage
@@ -389,39 +251,71 @@ func BuildStagesOnPool(raw []Read, cfg Config, pool *dist.Pool) (*Stages, error)
 // loaded via graphio.ReadRecords. Preprocessing is deterministic, so the
 // records saved from one run apply to a later run over the same input and
 // config; numReads (from the record file) is validated against the
-// preprocessed read count.
+// preprocessed read count (that check is all Timings["overlap"] covers).
 func BuildStagesFromRecords(raw []Read, records []overlap.Record, numReads int, cfg Config) (*Stages, error) {
+	return buildStages(raw, cfg, func(_ context.Context, reads []Read) ([]overlap.Record, error) {
+		if len(reads) != numReads {
+			return nil, fmt.Errorf("record file was built for %d reads, preprocessing produced %d (input or config changed)", numReads, len(reads))
+		}
+		return records, nil
+	})
+}
+
+// subsets is Config.Subsets with the zero value read as one subset.
+func (cfg Config) subsets() int {
+	if cfg.Subsets <= 0 {
+		return 1
+	}
+	return cfg.Subsets
+}
+
+// buildStages is the one stage sequence behind the exported builders;
+// they differ only in findOverlaps, which yields the overlap records of
+// the preprocessed reads. Every stage is timed under its name in
+// Stages.Timings, and the context is checked before each stage, so a
+// cancel that lands inside a context-unaware stage (preprocess) still
+// stops the build at the next boundary.
+func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, reads []Read) ([]overlap.Record, error)) (*Stages, error) {
 	cfg = cfg.applyGraphWorkers()
 	ctx := cfg.Context
 	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}}
-	t0 := time.Now()
-	var err error
-	s.Reads, s.PreStats, err = preprocess.Run(raw, cfg.Preprocess)
-	s.Timings["preprocess"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: preprocess: %w", err)
-	}
-	if len(s.Reads) != numReads {
-		return nil, fmt.Errorf("focus: record file was built for %d reads, preprocessing produced %d (input or config changed)", numReads, len(s.Reads))
-	}
-	s.Records = records
-	t0 = time.Now()
-	s.G0, err = overlap.BuildGraphParCtx(ctx, len(s.Reads), s.Records, cfg.GraphWorkers)
-	s.Timings["graph"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: graph: %w", err)
-	}
-	t0 = time.Now()
-	s.MSet, err = coarsen.MultilevelCtx(ctx, s.G0, cfg.Coarsen)
-	s.Timings["coarsen"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: coarsen: %w", err)
-	}
-	t0 = time.Now()
-	s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
-	s.Timings["hybrid"] = time.Since(t0)
-	if err != nil {
-		return nil, fmt.Errorf("focus: hybrid: %w", err)
+	for _, st := range []struct {
+		name string
+		run  func() error
+	}{
+		{"preprocess", func() (err error) {
+			s.Reads, s.PreStats, err = preprocess.Run(raw, cfg.Preprocess)
+			if err == nil && len(s.Reads) == 0 {
+				err = errors.New("no reads survived preprocessing")
+			}
+			return err
+		}},
+		{"overlap", func() (err error) {
+			s.Records, err = findOverlaps(ctx, s.Reads)
+			return err
+		}},
+		{"graph", func() (err error) {
+			s.G0, err = overlap.BuildGraphParCtx(ctx, len(s.Reads), s.Records, cfg.GraphWorkers)
+			return err
+		}},
+		{"coarsen", func() (err error) {
+			s.MSet, err = coarsen.MultilevelCtx(ctx, s.G0, cfg.Coarsen)
+			return err
+		}},
+		{"hybrid", func() (err error) {
+			s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
+			return err
+		}},
+	} {
+		err := ctxErr(ctx)
+		if err == nil {
+			t0 := time.Now()
+			err = st.run()
+			s.Timings[st.name] = time.Since(t0)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("focus: %s: %w", st.name, err)
+		}
 	}
 	return s, nil
 }

@@ -36,34 +36,6 @@ package align
 
 import "math/bits"
 
-// Kernel selects the banded-NW implementation. All kernels produce
-// identical Alignments; this is purely a speed knob.
-type Kernel uint8
-
-const (
-	// KernelAuto (the default) uses the bit-parallel kernel whenever the
-	// band and scoring are eligible, the scalar DP otherwise.
-	KernelAuto Kernel = iota
-	// KernelScalar forces the cell-by-cell scalar DP.
-	KernelScalar
-	// KernelBitParallel prefers the bit-parallel kernel (same behavior as
-	// KernelAuto; named for explicit configuration and benchmarks).
-	KernelBitParallel
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelScalar:
-		return "scalar"
-	case KernelBitParallel:
-		return "bit-parallel"
-	}
-	return "kernel(?)"
-}
-
 const (
 	// bpMaxBand bounds the band half-width: W = 2*band+1 <= 15 lanes, so
 	// a whole row fits in two uint64 words.

@@ -25,20 +25,20 @@ func BenchmarkBandedNWBitParallel(bb *testing.B) {
 		var scr Scratch
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
-			_ = scr.BandedNWKernel(a, b, 6, DefaultScoring, KernelScalar)
+			_ = scr.scalarNW(a, b, 6, DefaultScoring)
 		}
 	})
 	bb.Run("bitparallel", func(bb *testing.B) {
 		var scr Scratch
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
-			_ = scr.BandedNWKernel(a, b, 6, DefaultScoring, KernelBitParallel)
+			_ = scr.BandedNW(a, b, 6, DefaultScoring)
 		}
 	})
 }
 
 // BenchmarkOverlapKernel measures the full OverlapOnDiagonal path (window
-// computation + kernel + classification) under both kernels.
+// computation + kernel + classification).
 func BenchmarkOverlapKernel(bb *testing.B) {
 	rng := rand.New(rand.NewSource(99))
 	a := randSeq(rng, 150)
@@ -47,15 +47,10 @@ func BenchmarkOverlapKernel(bb *testing.B) {
 	for i := 0; i < 4; i++ {
 		b[rng.Intn(90)] = "ACGT"[rng.Intn(4)]
 	}
-	for _, k := range []Kernel{KernelScalar, KernelBitParallel} {
-		cfg := DefaultConfig()
-		cfg.Kernel = k
-		bb.Run(k.String(), func(bb *testing.B) {
-			var scr Scratch
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				_, _ = scr.OverlapOnDiagonal(a, b, 60, cfg)
-			}
-		})
+	cfg := DefaultConfig()
+	var scr Scratch
+	bb.ReportAllocs()
+	for i := 0; i < bb.N; i++ {
+		_, _ = scr.OverlapOnDiagonal(a, b, 60, cfg)
 	}
 }

@@ -43,18 +43,32 @@ func mutate(rng *rand.Rand, alpha, s []byte, rate float64) []byte {
 
 func checkPair(t *testing.T, scr, ref *Scratch, a, b []byte, band int, sc Scoring) {
 	t.Helper()
-	want := ref.bandedNWScalarFull(a, b, band, sc)
-	got := scr.BandedNWKernel(a, b, band, sc, KernelBitParallel)
+	want := ref.scalarNW(a, b, band, sc)
+	got := scr.BandedNW(a, b, band, sc)
 	if got != want {
 		t.Fatalf("bit-parallel diverged (band=%d scoring=%+v len=%d/%d):\n got %+v\nwant %+v\n a=%q\n b=%q",
 			band, sc, len(a), len(b), got, want, a, b)
 	}
 }
 
-// bandedNWScalarFull is the scalar kernel behind the public dispatch
-// (band widening + empty-input handling), bypassing kernel selection.
-func (scr *Scratch) bandedNWScalarFull(a, b []byte, band int, sc Scoring) Alignment {
-	return scr.BandedNWKernel(a, b, band, sc, KernelScalar)
+// scalarNW is the oracle: bandedNWScalar called directly, with BandedNW's
+// preconditions (band widened to the length difference, both inputs
+// non-empty) established here so kernel selection is bypassed entirely.
+func (scr *Scratch) scalarNW(a, b []byte, band int, sc Scoring) Alignment {
+	if band < 0 {
+		band = 0
+	}
+	d := len(a) - len(b)
+	if d < 0 {
+		d = -d
+	}
+	if d > band {
+		band = d
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return Alignment{Score: (len(a) + len(b)) * sc.Gap, Columns: len(a) + len(b)}
+	}
+	return scr.bandedNWScalar(a, b, band, sc)
 }
 
 // TestBitParallelMatchesScalarRandom: the bit-parallel kernel reproduces
@@ -145,20 +159,17 @@ func TestBitParallelBandEdges(t *testing.T) {
 	}
 }
 
-// TestBitParallelOverlapOnDiagonal: full overlap classification is
-// identical across kernels, including accept/reject decisions near the
-// thresholds.
+// TestBitParallelOverlapOnDiagonal: OverlapOnDiagonal reports exactly the
+// scalar DP's alignment of the overlap window, including accept/reject
+// decisions near the thresholds.
 func TestBitParallelOverlapOnDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var scalar, bitp Scratch
-	cfgS := DefaultConfig()
-	cfgS.Kernel = KernelScalar
-	cfgB := DefaultConfig()
-	cfgB.Kernel = KernelBitParallel
+	cfg := DefaultConfig()
 	// Loosen thresholds so random unrelated pairs also produce accepted
 	// records with interesting kinds.
 	for _, minLen := range []int{5, 50} {
-		cfgS.MinLength, cfgB.MinLength = minLen, minLen
+		cfg.MinLength = minLen
 		for trial := 0; trial < 2000; trial++ {
 			alpha := bpAlphabets[rng.Intn(len(bpAlphabets))]
 			a := randSeqFrom(rng, alpha, 20+rng.Intn(200))
@@ -167,11 +178,30 @@ func TestBitParallelOverlapOnDiagonal(t *testing.T) {
 				continue
 			}
 			diag := rng.Intn(len(a)+len(b)) - len(b)
-			ovS, okS := scalar.OverlapOnDiagonal(a, b, diag, cfgS)
-			ovB, okB := bitp.OverlapOnDiagonal(a, b, diag, cfgB)
-			if okS != okB || ovS != ovB {
-				t.Fatalf("overlap diverged at diag=%d: scalar (%+v,%v) vs bit-parallel (%+v,%v)",
-					diag, ovS, okS, ovB, okB)
+			ov, ok := bitp.OverlapOnDiagonal(a, b, diag, cfg)
+
+			aLo, bLo := diag, 0
+			if aLo < 0 {
+				aLo, bLo = 0, -diag
+			}
+			aHi := len(a)
+			if end := diag + len(b); end < aHi {
+				aHi = end
+			}
+			bHi := aHi - diag
+			if aHi <= aLo || bHi <= bLo {
+				if ok {
+					t.Fatalf("diag=%d: empty window accepted: %+v", diag, ov)
+				}
+				continue
+			}
+			want := scalar.scalarNW(a[aLo:aHi], b[bLo:bHi], cfg.Band, cfg.Scoring)
+			wantOK := want.Columns >= cfg.MinLength && want.Identity() >= cfg.MinIdentity
+			if ok != wantOK {
+				t.Fatalf("diag=%d: accepted=%v, scalar DP says %v (%+v)", diag, ok, wantOK, want)
+			}
+			if ok && (ov.Length != want.Columns || ov.Score != want.Score || ov.Identity != want.Identity() || ov.Diag != diag) {
+				t.Fatalf("diag=%d: overlap %+v diverged from scalar alignment %+v", diag, ov, want)
 			}
 		}
 	}
@@ -190,7 +220,7 @@ func TestBitParallelNoFallbackOnDefaultScoring(t *testing.T) {
 			continue
 		}
 		for band := 0; band <= bpMaxBand; band++ {
-			scr.BandedNWKernel(a, b, band, DefaultScoring, KernelBitParallel)
+			scr.BandedNW(a, b, band, DefaultScoring)
 		}
 	}
 	if scr.bpFallbacks != 0 {
@@ -205,9 +235,9 @@ func TestBitParallelZeroAlloc(t *testing.T) {
 	var scr Scratch
 	a := randSeqFrom(rng, bpAlphabets[1], 150)
 	b := mutate(rng, bpAlphabets[1], a, 0.05)
-	scr.BandedNWKernel(a, b, 6, DefaultScoring, KernelBitParallel) // warm buffers
+	scr.BandedNW(a, b, 6, DefaultScoring) // warm buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		scr.BandedNWKernel(a, b, 6, DefaultScoring, KernelBitParallel)
+		scr.BandedNW(a, b, 6, DefaultScoring)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state bit-parallel BandedNW allocates %.1f/op, want 0", allocs)
@@ -233,8 +263,8 @@ func FuzzBitParallelNW(f *testing.F) {
 			return
 		}
 		var scr, ref Scratch
-		want := ref.BandedNWKernel(a, b, band, sc, KernelScalar)
-		got := scr.BandedNWKernel(a, b, band, sc, KernelBitParallel)
+		want := ref.scalarNW(a, b, band, sc)
+		got := scr.BandedNW(a, b, band, sc)
 		if got != want {
 			t.Fatalf("kernel divergence: got %+v want %+v (band=%d sc=%+v a=%q b=%q)",
 				got, want, band, sc, a, b)

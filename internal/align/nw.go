@@ -93,19 +93,11 @@ func BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 
 // BandedNW is the buffer-reusing variant of the package-level BandedNW:
 // identical results, but the DP buffers are borrowed from the Scratch, so
-// steady-state calls allocate nothing. The kernel is selected
-// automatically (KernelAuto): the bit-parallel kernel when the band and
-// scoring are eligible, the scalar DP otherwise — both produce identical
-// Alignments.
+// steady-state calls allocate nothing. The kernel is chosen from the
+// input: the bit-parallel kernel when the band and scoring fit its 8-bit
+// lanes (bpEligible), the scalar DP otherwise — both produce identical
+// Alignments (score, matches, columns — bit-for-bit).
 func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
-	return scr.BandedNWKernel(a, b, band, sc, KernelAuto)
-}
-
-// BandedNWKernel is BandedNW with an explicit kernel choice. All kernels
-// return identical Alignments (score, matches, columns — bit-for-bit);
-// the choice is purely a speed knob, and ineligible inputs silently use
-// the scalar kernel.
-func (scr *Scratch) BandedNWKernel(a, b []byte, band int, sc Scoring, k Kernel) Alignment {
 	if band < 0 {
 		band = 0
 	}
@@ -120,7 +112,7 @@ func (scr *Scratch) BandedNWKernel(a, b []byte, band int, sc Scoring, k Kernel) 
 		// Pure gap alignment.
 		return Alignment{Score: (n + m) * sc.Gap, Matches: 0, Columns: n + m}
 	}
-	if k != KernelScalar && bpEligible(band, sc) {
+	if bpEligible(band, sc) {
 		if aln, ok := scr.bandedNWBit(a, b, band, sc); ok {
 			return aln
 		}

@@ -54,10 +54,6 @@ type Config struct {
 	MinIdentity float64 // minimum identity (paper: 0.90)
 	Band        int     // NW band half-width
 	Scoring     Scoring
-	// Kernel selects the banded-NW implementation (KernelAuto by
-	// default). Purely a speed knob: every kernel produces identical
-	// overlap records.
-	Kernel Kernel
 }
 
 // DefaultConfig mirrors the thresholds the paper used in §VI.A.
@@ -92,7 +88,7 @@ func (scr *Scratch) OverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overla
 	if aHi <= aLo || bHi <= bLo {
 		return Overlap{}, false
 	}
-	aln := scr.BandedNWKernel(a[aLo:aHi], b[bLo:bHi], cfg.Band, cfg.Scoring, cfg.Kernel)
+	aln := scr.BandedNW(a[aLo:aHi], b[bLo:bHi], cfg.Band, cfg.Scoring)
 	ov := Overlap{
 		Length:   aln.Columns,
 		Identity: aln.Identity(),

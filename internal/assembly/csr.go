@@ -7,13 +7,12 @@ import (
 	"focus/internal/spmat"
 )
 
-// This file is the CSR phase engine's data layer (DESIGN.md §15): a flat
+// This file is the cleaning scans' data layer (DESIGN.md §14): a flat
 // compressed-sparse-row view of one Subgraph shared by the transitive,
-// containment and error scans, replacing the per-call map[int32][]Edge
-// views of the map engine. Arcs are packed 12-byte records over dense
+// containment and error scans. Arcs are packed 12-byte records over dense
 // local indices; within each node's arc range the live (non-containment)
 // arcs come first, so the live-neighbour subsets the scans hammer are
-// zero-cost subslices instead of a second map. All buffers live in pooled
+// zero-cost subslices. All buffers live in pooled
 // scratch and amortize across phase calls — one subgraph scan performs
 // O(1) allocations regardless of size.
 
@@ -120,7 +119,7 @@ func (x *idIndex) get(id int32) int32 {
 
 // blockStage is one row block's staged output; blocks are assembled in
 // index order after the parallel scan, keeping results independent of the
-// worker count (the same contract as the spmat product).
+// worker count.
 type blockStage struct {
 	pairs []EdgePair
 	nodes []int32
@@ -231,8 +230,7 @@ func growArcs(buf []csrArc, n int) []csrArc {
 // halves to scatter (viewOut/viewIn; the live boundaries come free).
 // Node indices are assigned in first-encounter order over sub.Nodes,
 // sub.Local, then edge endpoints, so ids absent from sub.Nodes (legal in
-// arbitrary wire subgraphs) still resolve — with zero attributes, exactly
-// like a map miss in the map engine.
+// arbitrary wire subgraphs) still resolve, with zero attributes.
 func (ps *phaseScratch) buildCSR(sub *Subgraph, parts viewParts) *edgeCSR {
 	c := &ps.csr
 	c.ids = c.ids[:0]

@@ -66,7 +66,7 @@ type Driver struct {
 	costs  *metrics.CostModel
 	wd     *WatchdogConfig
 
-	// reg is the optional operational-metrics sink (DESIGN.md §16): fault
+	// reg is the optional operational-metrics sink (DESIGN.md §15): fault
 	// counters and per-phase latency histograms. Nil (the default) costs a
 	// nil check per event; never wire-encoded (it lives outside Config).
 	reg *metrics.Registry

@@ -1,25 +1,6 @@
 package assembly
 
-import (
-	"slices"
-
-	"focus/internal/align"
-)
-
-// PhaseEngine selects the implementation of the per-subgraph cleaning
-// scans (TransitiveEdges, ContainmentScan, ErrorScan). Both engines are
-// byte-identical on every input; the map engine is the historical
-// reference kept as the equivalence oracle for tests and benchmarks.
-type PhaseEngine uint8
-
-const (
-	// PhaseEngineCSR (the default) runs the scans on a flat CSR adjacency
-	// view, parallelized by row blocks over the par governor, with
-	// transitive reduction as a masked sparse product (DESIGN.md §15).
-	PhaseEngineCSR PhaseEngine = iota
-	// PhaseEngineMap is the original serial map-based implementation.
-	PhaseEngineMap
-)
+import "slices"
 
 // Config bounds the trimming phases. Defaults follow the paper: false
 // positive edges are contig overlaps shorter than 50 bp (§V.B); dead-end
@@ -47,9 +28,6 @@ type Config struct {
 	// their workers once and later phases send only the removals applied
 	// since (closer to the paper's MPI ranks, and cheaper on the wire).
 	Stateful bool
-	// Engine selects the scan implementation (identical results; see
-	// PhaseEngine). The zero value is the CSR engine.
-	Engine PhaseEngine
 	// Workers bounds the row-block fan-out of the CSR scans inside one
 	// subgraph (<= 0 auto: the par governor sizes the pool from the local
 	// node count and GOMAXPROCS). Purely a throughput knob — scan output
@@ -90,10 +68,9 @@ type Subgraph struct {
 // EdgePair identifies a directed edge on the wire.
 type EdgePair struct{ From, To int32 }
 
-// viewParts selects which halves of a view a scan needs; building only
-// the consumed half keeps the oracle path honest about its costs (the
-// transitive scan reads out-adjacency only — its in-half would be pure
-// wasted allocation).
+// viewParts selects which adjacency halves a view or CSR build
+// materialises (the transitive scan reads out-adjacency only — its
+// in-half would be pure wasted work).
 type viewParts uint8
 
 const (
@@ -102,7 +79,8 @@ const (
 	viewLive // precompute the non-containment subsets (liveOut/liveIn)
 )
 
-// view is a worker-local indexed form of a Subgraph (the map engine).
+// view is a worker-local map-indexed form of a Subgraph: path extraction
+// and variant calling walk it; the cleaning scans use the edgeCSR.
 type view struct {
 	sub     *Subgraph
 	part    map[int32]int32
@@ -190,51 +168,6 @@ func (v *view) liveOut(id int32) []Edge { return v.lout[id] }
 
 func (v *view) liveIn(id int32) []Edge { return v.lin[id] }
 
-// TransitiveEdges finds edges of local nodes that are transitive
-// (paper §V.A, after Myers' string graph construction): v->x is removable
-// when some v->w and w->x exist whose placements compose to v->x within
-// DiagTolerance.
-func TransitiveEdges(sub *Subgraph, cfg Config) []EdgePair {
-	if cfg.Engine == PhaseEngineMap {
-		return transitiveEdgesMap(sub, cfg)
-	}
-	return transitiveEdgesCSR(sub, cfg)
-}
-
-func transitiveEdgesMap(sub *Subgraph, cfg Config) []EdgePair {
-	v := newView(sub, viewOut|viewLive)
-	var out []EdgePair
-	for _, id := range sub.Local {
-		outs := v.liveOut(id)
-		if len(outs) < 2 {
-			continue
-		}
-		// Index direct successors.
-		direct := make(map[int32]Edge, len(outs))
-		for _, e := range outs {
-			direct[e.To] = e
-		}
-		for _, evw := range outs {
-			for _, ewx := range v.liveOut(evw.To) {
-				evx, ok := direct[ewx.To]
-				if !ok || ewx.To == id {
-					continue
-				}
-				want := evw.Diag + ewx.Diag
-				d := evx.Diag - want
-				if d < 0 {
-					d = -d
-				}
-				if int(d) <= cfg.DiagTolerance {
-					out = append(out, EdgePair{From: id, To: evx.To})
-				}
-			}
-		}
-	}
-	var keys []uint64
-	return dedupePairs(out, &keys)
-}
-
 // packPair folds an EdgePair into one uint64 whose unsigned order equals
 // the (From, To) signed lexicographic order (the sign bit is flipped into
 // a bias), so dedupePairs can sort raw integers instead of structs.
@@ -293,188 +226,6 @@ func dedupeNodes(ns []int32) []int32 {
 type Removal struct {
 	Nodes []int32
 	Edges []EdgePair
-}
-
-// ContainmentScan verifies every edge incident to a local node by aligning
-// the two contigs on the recorded placement (paper §V.B). Contigs
-// contained in a neighbour are recorded for removal; edges whose verified
-// overlap is shorter than MinEdgeOverlap or below MinEdgeIdentity are
-// false positives and recorded for removal.
-func ContainmentScan(sub *Subgraph, cfg Config) Removal {
-	if cfg.Engine == PhaseEngineMap {
-		return containmentScanMap(sub, cfg)
-	}
-	return containmentScanCSR(sub, cfg)
-}
-
-func containmentScanMap(sub *Subgraph, cfg Config) Removal {
-	v := newView(sub, viewOut|viewIn)
-	var rm Removal
-	nodeSet := map[int32]bool{}
-	check := func(e Edge) {
-		a, b := v.contig[e.From], v.contig[e.To]
-		acfg := align.Config{
-			MinLength:   cfg.MinEdgeOverlap,
-			MinIdentity: cfg.MinEdgeIdentity,
-			Band:        cfg.Band,
-			Scoring:     align.DefaultScoring,
-		}
-		ov, ok := align.OverlapOnDiagonal(a, b, int(e.Diag), acfg)
-		if !ok {
-			rm.Edges = append(rm.Edges, EdgePair{From: e.From, To: e.To})
-			return
-		}
-		var contained int32 = -1
-		switch ov.Kind {
-		case align.KindAContainsB:
-			contained = e.To
-		case align.KindBContainsA:
-			contained = e.From
-		}
-		if contained >= 0 && v.isLocal[contained] && !nodeSet[contained] {
-			nodeSet[contained] = true
-			rm.Nodes = append(rm.Nodes, contained)
-		}
-	}
-	for _, id := range sub.Local {
-		for _, e := range v.out[id] {
-			check(e)
-		}
-		for _, e := range v.in[id] {
-			if !v.isLocal[e.From] { // avoid double work for local-local
-				check(e)
-			}
-		}
-	}
-	var keys []uint64
-	rm.Edges = dedupePairs(rm.Edges, &keys)
-	slices.Sort(rm.Nodes)
-	return rm
-}
-
-// ErrorScan finds short dead-end paths and bubbles among local nodes
-// (paper §V.C, following Velvet's tips-and-bubbles trimming).
-func ErrorScan(sub *Subgraph, cfg Config) Removal {
-	if cfg.Engine == PhaseEngineMap {
-		return errorScanMap(sub, cfg)
-	}
-	return errorScanCSR(sub, cfg)
-}
-
-func errorScanMap(sub *Subgraph, cfg Config) Removal {
-	v := newView(sub, viewOut|viewIn|viewLive)
-	var rm Removal
-	mark := map[int32]bool{}
-
-	// Dead ends: from a local source (no in-edges) walk forward through a
-	// unique-successor/unique-predecessor chain; if it attaches to a
-	// junction within MaxTipNodes, spans < MinTipLen bases AND is the
-	// minority branch at that junction (a strictly heavier sibling edge
-	// exists), the chain is a tip. The minority condition keeps
-	// legitimate chain heads, which are also in-degree-0. Mirror for
-	// sinks.
-	walk := func(start int32, fwd bool) {
-		chain := []int32{start}
-		span := len(v.contig[start])
-		cur := start
-		for len(chain) <= cfg.MaxTipNodes {
-			var next []Edge
-			if fwd {
-				next = v.liveOut(cur)
-			} else {
-				next = v.liveIn(cur)
-			}
-			if len(next) != 1 {
-				return // branches or terminates without attachment
-			}
-			conn := next[0]
-			var nb int32
-			if fwd {
-				nb = conn.To
-			} else {
-				nb = conn.From
-			}
-			// Attachment test: the neighbour continues the main graph if
-			// it has other incoming (fwd) / outgoing (bwd) edges.
-			var back []Edge
-			if fwd {
-				back = v.liveIn(nb)
-			} else {
-				back = v.liveOut(nb)
-			}
-			if len(back) > 1 {
-				dominated := false
-				for _, e := range back {
-					if e != conn && e.Len > conn.Len {
-						dominated = true
-						break
-					}
-				}
-				if dominated && span < cfg.MinTipLen {
-					for _, id := range chain {
-						if !mark[id] {
-							mark[id] = true
-							rm.Nodes = append(rm.Nodes, id)
-						}
-					}
-				}
-				return
-			}
-			chain = append(chain, nb)
-			span += len(v.contig[nb]) // upper bound on added span
-			cur = nb
-		}
-	}
-	for _, id := range sub.Local {
-		if len(v.liveIn(id)) == 0 && len(v.liveOut(id)) == 1 {
-			walk(id, true)
-		}
-		if len(v.liveOut(id)) == 0 && len(v.liveIn(id)) == 1 {
-			walk(id, false)
-		}
-	}
-
-	// Bubbles: local v with unique predecessor u and unique successor w;
-	// if some sibling x shares exactly (u, w), the pair is a bubble and
-	// the branch with lower read weight (tie: shorter contig, then higher
-	// id) is removed. The rule is deterministic, so two partitions seeing
-	// the same bubble record the same victim.
-	loses := func(a, b int32) bool {
-		if v.weight[a] != v.weight[b] {
-			return v.weight[a] < v.weight[b]
-		}
-		if len(v.contig[a]) != len(v.contig[b]) {
-			return len(v.contig[a]) < len(v.contig[b])
-		}
-		return a > b
-	}
-	for _, id := range sub.Local {
-		ins, outs := v.liveIn(id), v.liveOut(id)
-		if len(ins) != 1 || len(outs) != 1 {
-			continue
-		}
-		u, w := ins[0].From, outs[0].To
-		for _, sib := range v.liveOut(u) {
-			x := sib.To
-			if x == id {
-				continue
-			}
-			xi, xo := v.liveIn(x), v.liveOut(x)
-			if len(xi) != 1 || len(xo) != 1 || xo[0].To != w {
-				continue
-			}
-			victim := id
-			if loses(x, id) {
-				victim = x
-			}
-			if !mark[victim] {
-				mark[victim] = true
-				rm.Nodes = append(rm.Nodes, victim)
-			}
-		}
-	}
-	slices.Sort(rm.Nodes)
-	return rm
 }
 
 // ExtractPaths performs the partition-local maximal path extraction of

@@ -3,24 +3,23 @@ package assembly
 import (
 	"focus/internal/align"
 	"focus/internal/par"
-	"focus/internal/spmat"
 )
 
-// The CSR phase engine (DESIGN.md §15): the three cleaning scans
-// reformulated over the pooled edgeCSR view and parallelized by row
-// blocks over the par governor. Every kernel stages its emissions per
-// fixed-grain block and assembles the blocks in index order, and every
-// scan's final output is sorted and deduplicated — so results are
-// byte-identical to the map engine at any worker count (pinned by the
-// equivalence property suite and FuzzPhaseEngines).
+// The three cleaning scans (DESIGN.md §14) run over the pooled edgeCSR
+// view, parallelized by row blocks over the par governor. Every kernel
+// stages its emissions per fixed-grain block and assembles the blocks in
+// index order, and every scan's final output is sorted and deduplicated —
+// so results are identical at any worker count, and byte-identical to
+// the serial map-walking oracle kept in phases_equiv_test.go (pinned by
+// the equivalence property suite and FuzzPhaseEngines).
 //
 // Transitive reduction follows Guidi et al.'s sparse-matrix formulation
 // (Parallel String Graph Construction and Transitive Reduction): for each
 // local row v the direct successors' diagonals — the sparse row Diag(v,·)
 // of A — are stamped into a generation-cleared dense/hash accumulator
-// (spmat.StampAccum, the BELLA-style switch shared with the overlap
-// product), then the two-hop products Diag(v,w)+Diag(w,x) of A·A are
-// compared against the mask A under DiagTolerance.
+// (spmat.StampAccum, a BELLA-style switch), then the two-hop products
+// Diag(v,w)+Diag(w,x) of A·A are compared against the mask A under
+// DiagTolerance.
 
 // Per-scan fan-out constants: blockRows is the staging grain (fixed, so
 // block contents never depend on the worker count); grainRows is the
@@ -38,7 +37,11 @@ const (
 	errGrainRows = 1024
 )
 
-func transitiveEdgesCSR(sub *Subgraph, cfg Config) []EdgePair {
+// TransitiveEdges finds edges of local nodes that are transitive
+// (paper §V.A, after Myers' string graph construction): v->x is removable
+// when some v->w and w->x exist whose placements compose to v->x within
+// DiagTolerance.
+func TransitiveEdges(sub *Subgraph, cfg Config) []EdgePair {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut)
@@ -58,10 +61,10 @@ func transitiveEdgesCSR(sub *Subgraph, cfg Config) []EdgePair {
 			if len(outs) < 2 {
 				continue
 			}
-			// Stamp the mask row Diag(v,·); last write wins like the map
-			// engine's successor index.
+			// Stamp the mask row Diag(v,·); last write wins for duplicate
+			// v->x edges.
 			acc := &rs.acc
-			acc.Reset(n, len(outs), spmat.AccAuto)
+			acc.Reset(n, len(outs))
 			for _, a := range outs {
 				acc.Set(a.to, a.diag)
 			}
@@ -91,7 +94,7 @@ func transitiveEdgesCSR(sub *Subgraph, cfg Config) []EdgePair {
 
 // mergePairs concatenates the staged pairs in block order into a fresh
 // result slice (staging memory returns to the pool) and deduplicates.
-// Empty scans return nil, matching the map engine on the wire.
+// Empty scans return nil (nil and empty differ on the wire).
 func (ps *phaseScratch) mergePairs(stage []blockStage) []EdgePair {
 	total := 0
 	for i := range stage {
@@ -124,7 +127,12 @@ func mergeNodes(stage []blockStage) []int32 {
 	return dedupeNodes(out)
 }
 
-func containmentScanCSR(sub *Subgraph, cfg Config) Removal {
+// ContainmentScan verifies every edge incident to a local node by aligning
+// the two contigs on the recorded placement (paper §V.B). Contigs
+// contained in a neighbour are recorded for removal; edges whose verified
+// overlap is shorter than MinEdgeOverlap or below MinEdgeIdentity are
+// false positives and recorded for removal.
+func ContainmentScan(sub *Subgraph, cfg Config) Removal {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut|viewIn)
@@ -175,7 +183,9 @@ func containmentScanCSR(sub *Subgraph, cfg Config) Removal {
 	return Removal{Nodes: mergeNodes(stage), Edges: ps.mergePairs(stage)}
 }
 
-func errorScanCSR(sub *Subgraph, cfg Config) Removal {
+// ErrorScan finds short dead-end paths and bubbles among local nodes
+// (paper §V.C, following Velvet's tips-and-bubbles trimming).
+func ErrorScan(sub *Subgraph, cfg Config) Removal {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut|viewIn)
@@ -185,8 +195,9 @@ func errorScanCSR(sub *Subgraph, cfg Config) Removal {
 	stage := ps.stageBlocks(nb)
 	ps.workerSlots(w)
 
-	// Bubble victim rule, identical to the map engine (lower read weight,
-	// tie: shorter contig, then higher node id).
+	// Bubble victim rule: the branch with lower read weight (tie: shorter
+	// contig, then higher node id) is removed. The rule is deterministic,
+	// so two partitions seeing the same bubble record the same victim.
 	loses := func(a, b int32) bool {
 		if c.weight[a] != c.weight[b] {
 			return c.weight[a] < c.weight[b]
@@ -196,14 +207,18 @@ func errorScanCSR(sub *Subgraph, cfg Config) Removal {
 		}
 		return c.ids[a] > c.ids[b]
 	}
-	// Dead-end walk (paper §V.C). Chains are staged per block; the
-	// cross-block duplicates a shared `mark` map used to absorb are
-	// handled by the final sort+dedupe instead, so blocks stay
-	// independent. The `e.to != cur` test below is equivalent to the map
-	// engine's Edge-value comparison e != conn: cur's single live
-	// out-edge (in-edge on the mirrored walk) is conn itself, so any
-	// other live back-arc from cur would imply a second cur->nb edge and
-	// the walk would already have branched.
+	// Dead-end walk (paper §V.C): from a local source (no in-edges) walk
+	// forward through a unique-successor/unique-predecessor chain; if it
+	// attaches to a junction within MaxTipNodes, spans < MinTipLen bases
+	// AND is the minority branch at that junction (a strictly heavier
+	// sibling edge exists), the chain is a tip. The minority condition
+	// keeps legitimate chain heads, which are also in-degree-0. Mirrored
+	// for sinks. Chains are staged per block and cross-block duplicates
+	// fall to the final sort+dedupe, so blocks stay independent. The
+	// `e.to != cur` test below excludes conn itself: cur's single live
+	// out-edge (in-edge on the mirrored walk) is conn, so any other live
+	// back-arc from cur would imply a second cur->nb edge and the walk
+	// would already have branched.
 	walk := func(rs *rowScratch, st *blockStage, start int32, fwd bool) {
 		chain := append(rs.chain[:0], start)
 		defer func() { rs.chain = chain }()

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -78,7 +79,7 @@ func randomPhaseConfig(rng *rand.Rand) Config {
 	return cfg
 }
 
-// TestPhaseEnginesEquivalence pins the CSR engine to the map oracle:
+// TestPhaseEnginesEquivalence pins the CSR scans to the map oracle:
 // on randomized subgraphs, TransitiveEdges, ContainmentScan and ErrorScan
 // must return deeply equal results (including nil-vs-empty) at workers
 // 1, 2 and 8.
@@ -86,29 +87,14 @@ func TestPhaseEnginesEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 250; iter++ {
 		sub := randomPhaseSubgraph(rng)
-		mapCfg := randomPhaseConfig(rng)
-		mapCfg.Engine = PhaseEngineMap
-		wantT := TransitiveEdges(sub, mapCfg)
-		wantC := ContainmentScan(sub, mapCfg)
-		wantE := ErrorScan(sub, mapCfg)
-		for _, w := range []int{1, 2, 8} {
-			csrCfg := mapCfg
-			csrCfg.Engine = PhaseEngineCSR
-			csrCfg.Workers = w
-			if got := TransitiveEdges(sub, csrCfg); !reflect.DeepEqual(got, wantT) {
-				t.Fatalf("iter %d workers %d: TransitiveEdges diverged\ncsr %v\nmap %v", iter, w, got, wantT)
-			}
-			if got := ContainmentScan(sub, csrCfg); !reflect.DeepEqual(got, wantC) {
-				t.Fatalf("iter %d workers %d: ContainmentScan diverged\ncsr %+v\nmap %+v", iter, w, got, wantC)
-			}
-			if got := ErrorScan(sub, csrCfg); !reflect.DeepEqual(got, wantE) {
-				t.Fatalf("iter %d workers %d: ErrorScan diverged\ncsr %+v\nmap %+v", iter, w, got, wantE)
-			}
-		}
+		cfg := randomPhaseConfig(rng)
+		t.Run(fmt.Sprintf("iter%d", iter), func(t *testing.T) {
+			checkScansMatchOracle(t, sub, cfg, 1, 2, 8)
+		})
 	}
 }
 
-// TestPhaseEnginesDegenerate pins the engines on edge-case subgraphs the
+// TestPhaseEnginesDegenerate pins the scans on edge-case subgraphs the
 // randomized generator rarely hits exactly: empty everything, edges with
 // no nodes, all-containment adjacency.
 func TestPhaseEnginesDegenerate(t *testing.T) {
@@ -126,18 +112,9 @@ func TestPhaseEnginesDegenerate(t *testing.T) {
 		},
 	}
 	for i, sub := range subs {
-		mapCfg := DefaultConfig()
-		mapCfg.Engine = PhaseEngineMap
-		csrCfg := DefaultConfig()
-		if got, want := TransitiveEdges(sub, csrCfg), TransitiveEdges(sub, mapCfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("sub %d: TransitiveEdges csr %v map %v", i, got, want)
-		}
-		if got, want := ContainmentScan(sub, csrCfg), ContainmentScan(sub, mapCfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("sub %d: ContainmentScan csr %+v map %+v", i, got, want)
-		}
-		if got, want := ErrorScan(sub, csrCfg), ErrorScan(sub, mapCfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("sub %d: ErrorScan csr %+v map %+v", i, got, want)
-		}
+		t.Run(fmt.Sprintf("sub%d", i), func(t *testing.T) {
+			checkScansMatchOracle(t, sub, DefaultConfig(), 0)
+		})
 	}
 }
 

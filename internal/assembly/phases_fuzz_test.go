@@ -1,9 +1,6 @@
 package assembly
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // decodePhaseFuzzSub deterministically expands arbitrary bytes into a
 // bounded Subgraph plus scan config. The decoder is total (any input
@@ -75,10 +72,10 @@ func decodePhaseFuzzSub(data []byte) (*Subgraph, Config) {
 	return sub, cfg
 }
 
-// FuzzPhaseEngines throws arbitrary subgraphs at both phase engines and
-// requires deeply equal scan results at workers 1, 2 and 8 — the CSR
-// kernels must match the map oracle on any input, not just well-formed
-// assembler subgraphs.
+// FuzzPhaseEngines throws arbitrary subgraphs at the CSR scans and the
+// map oracle and requires deeply equal results at workers 1, 2 and 8 —
+// the CSR kernels must match the oracle on any input, not just
+// well-formed assembler subgraphs.
 func FuzzPhaseEngines(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x04\x08\x02\x20\x30\x10\x06unique-window-bytes\x00\x02\x04\x06" +
@@ -87,24 +84,6 @@ func FuzzPhaseEngines(f *testing.F) {
 		"\x00\x01\x05\x40\x01\x01\x00\x05\x40\x00\x02\x03\x0a\x30\x02\x03\x03\x00\x00\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sub, cfg := decodePhaseFuzzSub(data)
-		mapCfg := cfg
-		mapCfg.Engine = PhaseEngineMap
-		wantT := TransitiveEdges(sub, mapCfg)
-		wantC := ContainmentScan(sub, mapCfg)
-		wantE := ErrorScan(sub, mapCfg)
-		for _, w := range []int{1, 2, 8} {
-			csrCfg := cfg
-			csrCfg.Engine = PhaseEngineCSR
-			csrCfg.Workers = w
-			if got := TransitiveEdges(sub, csrCfg); !reflect.DeepEqual(got, wantT) {
-				t.Fatalf("workers %d: TransitiveEdges diverged\ncsr %v\nmap %v", w, got, wantT)
-			}
-			if got := ContainmentScan(sub, csrCfg); !reflect.DeepEqual(got, wantC) {
-				t.Fatalf("workers %d: ContainmentScan diverged\ncsr %+v\nmap %+v", w, got, wantC)
-			}
-			if got := ErrorScan(sub, csrCfg); !reflect.DeepEqual(got, wantE) {
-				t.Fatalf("workers %d: ErrorScan diverged\ncsr %+v\nmap %+v", w, got, wantE)
-			}
-		}
+		checkScansMatchOracle(t, sub, cfg, 1, 2, 8)
 	})
 }

@@ -82,7 +82,6 @@ func appendConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.MinTipLen))
 	dst = dist.AppendVarint(dst, int64(c.RPCRetries))
 	dst = dist.AppendBool(dst, c.Stateful)
-	dst = append(dst, byte(c.Engine))
 	return dist.AppendVarint(dst, int64(c.Workers))
 }
 
@@ -95,7 +94,6 @@ func decodeConfig(rd *dist.WireReader, c *Config) {
 	c.MinTipLen = int(rd.Varint())
 	c.RPCRetries = int(rd.Varint())
 	c.Stateful = rd.Bool()
-	c.Engine = PhaseEngine(rd.Byte())
 	c.Workers = int(rd.Varint())
 }
 

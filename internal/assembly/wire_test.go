@@ -154,7 +154,6 @@ func randConfig(rng *rand.Rand) Config {
 		Band: rng.Intn(100), DiagTolerance: rng.Intn(100),
 		MaxTipNodes: rng.Intn(10), MinTipLen: rng.Intn(1000),
 		RPCRetries: rng.Intn(5), Stateful: rng.Intn(2) == 0,
-		Engine:  PhaseEngine(rng.Intn(2)),
 		Workers: rng.Intn(16),
 	}
 }

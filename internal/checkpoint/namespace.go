@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Namespace ownership (DESIGN.md §16). Two runs sharing one checkpoint
+// Namespace ownership (DESIGN.md §15). Two runs sharing one checkpoint
 // directory would silently interleave their ckpt-* frames: each run's
 // Write overwrites the other's sequence numbers, and a resume would load
 // whichever graph happened to land last — byte-identical to *neither*

@@ -32,9 +32,12 @@ import (
 //	  response: uvarint seq · string method · string error · flag · body
 //	flag: 0 = no body · 1 = Wire body · 2 = gob body
 //
-// Handshake: the client opens with the 8-byte magic "FWB1?rpc"; a
-// wire-aware server consumes it and answers "FWB1!rpc", after which both
-// sides speak frames. The server sniffs the first 8 bytes of every
+// Handshake: the client opens with the 8-byte magic "FWB2?rpc"; a
+// wire-aware server consumes it and answers "FWB2!rpc", after which both
+// sides speak frames. The digit is the wire-schema version: it is bumped
+// whenever any Wire message's encoding changes, so a peer built for
+// another schema is never acked (it looks like a gob-only peer) instead
+// of mis-decoding shifted fields. The server sniffs the first 8 bytes of every
 // accepted connection, so one listener serves binary and gob clients
 // simultaneously (Peek — nothing is consumed on the gob path). A client
 // in CodecAuto mode that gets no ack within the handshake timeout (an old
@@ -42,8 +45,8 @@ import (
 // prefix) closes the attempt and redials with the gob codec; the
 // downgrade is remembered per worker so reconnects skip the probe.
 const (
-	wireMagicReq = "FWB1?rpc"
-	wireMagicAck = "FWB1!rpc"
+	wireMagicReq = "FWB2?rpc"
+	wireMagicAck = "FWB2!rpc"
 )
 
 // maxWireFrame bounds a frame payload (defense against corrupt length

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Fleet sharing (DESIGN.md §16): a resident master multiplexes many
+// Fleet sharing (DESIGN.md §15): a resident master multiplexes many
 // concurrent assembly jobs onto one worker fleet. Each job gets a View —
 // a restricted Pool handle that schedules only onto its member workers,
 // keeps its own completion counter (so one job's watchdog cannot read

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -362,6 +363,47 @@ func TestWireServerSniffsBothCodecs(t *testing.T) {
 			t.Fatalf("%s WireEcho reply %+v", tc.name, wr)
 		}
 		p.Close()
+	}
+}
+
+// TestWireStaleMagicNotAcked: a client built for the previous wire schema
+// (it opens with "FWB1?rpc") must not be acked — its Config encodings
+// differ, so it has to fail the handshake (and fall back to gob under
+// CodecAuto) rather than have shifted bytes decoded. The current magic on
+// the same listener is acked, so the check is not vacuous.
+func TestWireStaleMagicNotAcked(t *testing.T) {
+	srv, err := NewServer(MixedService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Shutdown(time.Second)
+
+	open := func(magic string) (string, error) {
+		conn, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, magic); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		var ack [len(wireMagicAck)]byte
+		n, err := io.ReadFull(conn, ack[:])
+		return string(ack[:n]), err
+	}
+	if got, err := open(wireMagicReq); err != nil || got != wireMagicAck {
+		t.Fatalf("current magic: answer %q, err %v; want %q", got, err, wireMagicAck)
+	}
+	if got, err := open("FWB1?rpc"); err == nil {
+		t.Fatalf("FWB1 opener was answered %q; want no ack", got)
 	}
 }
 

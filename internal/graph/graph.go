@@ -13,7 +13,6 @@ package graph
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"focus/internal/par"
 )
@@ -175,56 +174,6 @@ func (b *Builder) BuildParCtx(ctx context.Context, workers int) (*Graph, error) 
 		return nil, gate.Err()
 	}
 	return g, nil
-}
-
-// BuildMapMerge is the pre-CSR reference implementation of Build: a
-// map-based edge merge followed by per-node sorting. It is retained for
-// equivalence tests and allocation benchmarks against the sort-based
-// pipeline; new code should call Build.
-func (b *Builder) BuildMapMerge() *Graph {
-	type key struct{ u, v int32 }
-	merged := make(map[key]int64, len(b.edges))
-	for _, e := range b.edges {
-		u, v := e.U, e.V
-		if u == v {
-			continue
-		}
-		if u > v {
-			u, v = v, u
-		}
-		merged[key{u, v}] += e.W
-	}
-	adj := make([][]Arc, b.n)
-	deg := make([]int, b.n)
-	for k := range merged {
-		deg[k.u]++
-		deg[k.v]++
-	}
-	for v := range adj {
-		adj[v] = make([]Arc, 0, deg[v])
-	}
-	g := &Graph{nodeWeight: b.nodeWeight}
-	for k, w := range merged {
-		adj[k.u] = append(adj[k.u], Arc{To: int(k.v), W: w})
-		adj[k.v] = append(adj[k.v], Arc{To: int(k.u), W: w})
-		g.totalEdgeW += w
-		g.numEdges++
-	}
-	for _, w := range b.nodeWeight {
-		g.totalNodeW += w
-	}
-	g.offsets = make([]int32, b.n+1)
-	total := 0
-	for v, arcs := range adj {
-		sort.Slice(arcs, func(i, j int) bool { return arcs[i].To < arcs[j].To })
-		total += len(arcs)
-		g.offsets[v+1] = int32(total)
-	}
-	g.arcs = make([]Arc, 0, total)
-	for _, arcs := range adj {
-		g.arcs = append(g.arcs, arcs...)
-	}
-	return g
 }
 
 // FromEdges builds a graph directly from pre-validated edge shards: every

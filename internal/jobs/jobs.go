@@ -1,4 +1,4 @@
-// Package jobs is the multi-tenant resident master (DESIGN.md §16): a
+// Package jobs is the multi-tenant resident master (DESIGN.md §15): a
 // priority job queue with admission control multiplexing many concurrent
 // assembly jobs onto one shared dist worker fleet. Each admitted job runs
 // under its own quota (worker-view width, memory estimate, deadline), its
@@ -83,7 +83,7 @@ type Spec struct {
 }
 
 // State is a job's position in the lifecycle state machine
-// (DESIGN.md §16): Queued → Running → {Done | Failed | Killed}; a
+// (DESIGN.md §15): Queued → Running → {Done | Failed | Killed}; a
 // Resumable terminal job can re-enter the queue via Resume.
 type State int
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Registry is the operational metrics surface of the resident master
-// (DESIGN.md §16): named counters, gauges and latency histograms, all
+// (DESIGN.md §15): named counters, gauges and latency histograms, all
 // lock-free on the hot path and snapshotable as plain JSON for the
 // server's /metrics endpoint — and for the chaos tests, which scrape the
 // snapshot as assertions rather than trusting logs.

@@ -34,22 +34,27 @@ func benchmarkFindOverlaps(b *testing.B, cfg Config) {
 	}
 }
 
-// BenchmarkFindOverlaps contrasts the two seed-index modes on identical
-// inputs (the acceptance gate for the packed k-mer table: >=2x throughput
-// and >=10x lower allocs/op vs the seed suffix-array implementation).
+// BenchmarkFindOverlaps measures the whole overlap stage on the tiling
+// read set.
 func BenchmarkFindOverlaps(b *testing.B) {
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = 4
-			cfg.Indexing = mode
-			benchmarkFindOverlaps(b, cfg)
-		})
-	}
+	cfg := DefaultConfig()
+	cfg.Workers = 4
+	benchmarkFindOverlaps(b, cfg)
+}
+
+// benchIndexes names the production seed index and its oracle for the
+// micro-benchmarks below (the k-mer table's build and probe costs are
+// explained against the suffix array's).
+var benchIndexes = []struct {
+	name  string
+	build func(seqs [][]byte, ids []int32, k int) refIndex
+}{
+	{"kmer-table", func(seqs [][]byte, ids []int32, k int) refIndex { return buildKmerIndex(seqs, ids, k) }},
+	{"suffix-array", func(seqs [][]byte, ids []int32, k int) refIndex { return buildSAIndex(seqs, ids, k) }},
 }
 
 // BenchmarkSeedLookup measures one seed probe (index hit resolution only,
-// steady-state) for each index mode over the same subset.
+// steady-state) for each index over the same subset.
 func BenchmarkSeedLookup(b *testing.B) {
 	reads := benchReads(b, 256)
 	cfg := DefaultConfig()
@@ -71,17 +76,14 @@ func BenchmarkSeedLookup(b *testing.B) {
 			probes = append(probes, km)
 		}
 	}
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := cfg
-			cfg.Indexing = mode
-			ix := buildRefIndex(seqs, ids, cfg)
-			sc := new(scratch)
+	for _, mode := range benchIndexes {
+		b.Run(mode.name, func(b *testing.B) {
+			ix := mode.build(seqs, ids, cfg.K)
 			total := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hits, _ := ix.seedHits(probes[i%len(probes)], cfg.MaxOccur, sc)
+				hits, _ := ix.seedHits(probes[i%len(probes)], cfg.MaxOccur)
 				total += len(hits)
 			}
 			if total == 0 {
@@ -101,14 +103,12 @@ func BenchmarkIndexBuild(b *testing.B) {
 		ids[i] = int32(i)
 		seqs[i] = r.Seq
 	}
-	for _, mode := range []Indexing{IndexKmerTable, IndexSuffixArray} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := cfg
-			cfg.Indexing = mode
+	for _, mode := range benchIndexes {
+		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := buildRefIndex(seqs, ids, cfg); ix.numReads() != len(reads) {
+				if ix := mode.build(seqs, ids, cfg.K); ix.numReads() != len(reads) {
 					b.Fatal("bad index")
 				}
 			}

@@ -41,10 +41,7 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 // AlignPair executes one job (the worker half; assembly.Service exposes
 // it over RPC).
 func AlignPair(args *AlignPairArgs) []Record {
-	if args.Cfg.Engine == EngineSpGEMM {
-		return alignPairSpmat(args)
-	}
-	ref := buildRefIndex(args.RefSeqs, args.RefIDs, args.Cfg)
+	ref := buildKmerIndex(args.RefSeqs, args.RefIDs, args.Cfg.K)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	recs := alignQueries(args.QueryIDs, args.QuerySeqs, ref, args.Cfg, sc)

@@ -1,13 +1,13 @@
 package overlap
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"focus/internal/dna"
-	"focus/internal/spmat"
 )
 
 // rcReadSet builds a randomized read set with the geometries the overlap
@@ -36,21 +36,13 @@ func rcReadSet(seed int64, genomeLen int) []dna.Read {
 	return reads
 }
 
-// TestIndexingEquivalence asserts the acceptance criterion: FindOverlaps
-// returns byte-identical, sorted records across all three engines —
-// suffix array, k-mer table, and the spmat SpGEMM engine (the latter at
-// workers 1/2/8) — on randomized read sets (including reverse-complement
-// pairs and containments), across subset counts and seeding modes.
+// TestIndexingEquivalence pins the production seed index to its oracle:
+// FindOverlaps over the packed k-mer table (at workers 1/2/8) returns
+// byte-identical, sorted records to the same query loop over the
+// suffix-array index, on randomized read sets (including
+// reverse-complement pairs and containments), across subset counts and
+// seeding modes.
 func TestIndexingEquivalence(t *testing.T) {
-	variants := []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"kmer-table", func(c *Config) { c.Indexing = IndexKmerTable }},
-		{"spmat-w1", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 1 }},
-		{"spmat-w2", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 2 }},
-		{"spmat-w8", func(c *Config) { c.Engine = EngineSpGEMM; c.Workers = 8 }},
-	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
@@ -66,28 +58,22 @@ func TestIndexingEquivalence(t *testing.T) {
 				for _, subsets := range []int{1, 3} {
 					cfg := testConfig()
 					tc.mut(&cfg)
-					cfg.Indexing = IndexSuffixArray
-					want, err := FindOverlaps(reads, subsets, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					want, _ := oracleOverlaps(reads, subsets, cfg, false)
 					if len(want) == 0 {
 						t.Fatalf("seed=%d: no overlaps found at all", seed)
 					}
-					for _, v := range variants {
-						vcfg := testConfig()
-						tc.mut(&vcfg)
-						v.set(&vcfg)
-						got, err := FindOverlaps(reads, subsets, vcfg)
+					for _, workers := range []int{1, 2, 8} {
+						cfg.Workers = workers
+						got, err := FindOverlaps(reads, subsets, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if len(got) != len(want) {
-							t.Fatalf("seed=%d subsets=%d: %d records (%s) vs %d (suffix array)", seed, subsets, len(got), v.name, len(want))
+							t.Fatalf("seed=%d subsets=%d workers=%d: %d records vs %d (suffix array)", seed, subsets, workers, len(got), len(want))
 						}
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("seed=%d subsets=%d record %d: %+v (%s) vs %+v (suffix array)", seed, subsets, i, got[i], v.name, want[i])
+								t.Fatalf("seed=%d subsets=%d workers=%d record %d: %+v vs %+v (suffix array)", seed, subsets, workers, i, got[i], want[i])
 							}
 						}
 						if !sort.SliceIsSorted(got, func(i, j int) bool {
@@ -96,7 +82,7 @@ func TestIndexingEquivalence(t *testing.T) {
 							}
 							return got[i].B < got[j].B
 						}) {
-							t.Fatalf("seed=%d (%s): records not sorted", seed, v.name)
+							t.Fatalf("seed=%d workers=%d: records not sorted", seed, workers)
 						}
 					}
 				}
@@ -105,36 +91,53 @@ func TestIndexingEquivalence(t *testing.T) {
 	}
 }
 
-// spmatSeedHits adapts the pruned spmat transpose to probe-level
-// queries so TestSeedHitsEquivalence can compare it against the seed
-// indexes: dictionary binary search, postings from the CSC arrays,
-// masking from the pruning bitmap (the cap was applied at build time).
-func spmatSeedHits(ref *spmat.Transpose, km dna.Kmer) ([]seedHit, bool) {
-	v := uint64(km)
-	lo, hi := 0, len(ref.Keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ref.Keys[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
+// TestCountCandidatesMatchesOracle: the candidate-generation total the
+// end-to-end benchmark times equals the oracle's at any worker count, and
+// counting verifies nothing (no records come back).
+func TestCountCandidatesMatchesOracle(t *testing.T) {
+	for seed := int64(5); seed < 8; seed++ {
+		reads := rcReadSet(seed, 1600)
+		for _, subsets := range []int{1, 3} {
+			for _, mut := range []func(*Config){
+				func(*Config) {},
+				func(c *Config) { c.MaxOccur = 8 },
+				func(c *Config) { c.Seeding = SeedMinimizer },
+			} {
+				cfg := testConfig()
+				mut(&cfg)
+				recs, want := oracleOverlaps(reads, subsets, cfg, true)
+				if want == 0 || len(recs) != 0 {
+					t.Fatalf("seed=%d subsets=%d: oracle counted %d candidates, %d records", seed, subsets, want, len(recs))
+				}
+				for _, workers := range []int{1, 8} {
+					cfg.Workers = workers
+					got, err := CountCandidates(reads, subsets, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("seed=%d subsets=%d workers=%d: %d candidates vs %d (suffix array)", seed, subsets, workers, got, want)
+					}
+				}
+			}
 		}
 	}
-	if lo == len(ref.Keys) || ref.Keys[lo] != v {
-		return nil, false
-	}
-	if ref.IsMasked(lo) {
-		return nil, true
-	}
-	var hits []seedHit
-	for p := ref.ColStart[lo]; p < ref.ColStart[lo+1]; p++ {
-		hits = append(hits, seedHit{read: ref.Rows[p], off: ref.Pos[p]})
-	}
-	return hits, false
 }
 
-// TestSeedHitsEquivalence compares the seed structures of all three
-// engines at the probe level: identical occurrence sets and identical
+// TestFindOverlapsCancel: a pre-canceled context aborts the sweep with
+// the context's cause.
+func TestFindOverlapsCancel(t *testing.T) {
+	reads := rcReadSet(9, 1200)
+	cause := errors.New("overlap test cancel")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if _, err := FindOverlapsCtx(ctx, reads, 3, testConfig()); !errors.Is(err, cause) {
+		t.Fatalf("err=%v, want cause", err)
+	}
+}
+
+// TestSeedHitsEquivalence compares the k-mer table with the suffix-array
+// oracle at the probe level: identical occurrence sets and identical
 // repeat-mask decisions for every k-mer of the indexed reads, including
 // reads containing Ns.
 func TestSeedHitsEquivalence(t *testing.T) {
@@ -157,23 +160,17 @@ func TestSeedHitsEquivalence(t *testing.T) {
 			seqs[i] = s
 			ids[i] = int32(100 + i)
 		}
-		cfg := Config{K: k}
-		kix := buildRefIndex(seqs, ids, cfg)
-		cfg.Indexing = IndexSuffixArray
-		six := buildRefIndex(seqs, ids, cfg)
+		kix := buildKmerIndex(seqs, ids, k)
+		six := buildSAIndex(seqs, ids, k)
 		maxOccur := rng.Intn(4) // 0 = unlimited
-		tix := spmat.BuildFromSeqs(seqs, k).Transpose(maxOccur, 1)
-		sc1, sc2 := new(scratch), new(scratch)
 		probe := func(km dna.Kmer) {
-			h1, m1 := kix.seedHits(km, maxOccur, sc1)
-			h2, m2 := six.seedHits(km, maxOccur, sc2)
-			h3, m3 := spmatSeedHits(tix, km)
-			if m1 != m2 || m1 != m3 {
-				t.Fatalf("trial=%d k=%d km=%s: masked %v (kmer) vs %v (sa) vs %v (spmat)", trial, k, km.String(k), m1, m2, m3)
+			h1, m1 := kix.seedHits(km, maxOccur)
+			h2, m2 := six.seedHits(km, maxOccur)
+			if m1 != m2 {
+				t.Fatalf("trial=%d k=%d km=%s: masked %v (kmer) vs %v (sa)", trial, k, km.String(k), m1, m2)
 			}
 			s1 := append([]seedHit(nil), h1...)
 			s2 := append([]seedHit(nil), h2...)
-			s3 := append([]seedHit(nil), h3...)
 			less := func(s []seedHit) func(i, j int) bool {
 				return func(i, j int) bool {
 					if s[i].read != s[j].read {
@@ -184,13 +181,12 @@ func TestSeedHitsEquivalence(t *testing.T) {
 			}
 			sort.Slice(s1, less(s1))
 			sort.Slice(s2, less(s2))
-			sort.Slice(s3, less(s3))
-			if len(s1) != len(s2) || len(s1) != len(s3) {
-				t.Fatalf("trial=%d k=%d km=%s: %d hits (kmer) vs %d (sa) vs %d (spmat)", trial, k, km.String(k), len(s1), len(s2), len(s3))
+			if len(s1) != len(s2) {
+				t.Fatalf("trial=%d k=%d km=%s: %d hits (kmer) vs %d (sa)", trial, k, km.String(k), len(s1), len(s2))
 			}
 			for i := range s1 {
-				if s1[i] != s2[i] || s1[i] != s3[i] {
-					t.Fatalf("trial=%d km=%s hit %d: %+v vs %+v vs %+v", trial, km.String(k), i, s1[i], s2[i], s3[i])
+				if s1[i] != s2[i] {
+					t.Fatalf("trial=%d km=%s hit %d: %+v vs %+v", trial, km.String(k), i, s1[i], s2[i])
 				}
 			}
 		}
@@ -211,41 +207,8 @@ func TestSeedHitsEquivalence(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsUnknownIndexing covers the new config validation.
-func TestValidateRejectsUnknownIndexing(t *testing.T) {
-	cfg := testConfig()
-	cfg.Indexing = Indexing(9)
-	if _, err := FindOverlaps(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("unknown indexing mode accepted")
-	}
-	if got := cfg.Indexing.String(); got != "Indexing(9)" {
-		t.Errorf("String() = %q", got)
-	}
-	if IndexKmerTable.String() != "kmer-table" || IndexSuffixArray.String() != "suffix-array" {
-		t.Error("mode names changed")
-	}
-}
-
-// TestValidateRejectsUnknownEngine covers the engine config validation.
-func TestValidateRejectsUnknownEngine(t *testing.T) {
-	cfg := testConfig()
-	cfg.Engine = Engine(9)
-	if _, err := FindOverlaps(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := CountCandidates(rcReadSet(1, 500), 1, cfg); err == nil {
-		t.Error("CountCandidates accepted unknown engine")
-	}
-	if got := cfg.Engine.String(); got != "Engine(9)" {
-		t.Errorf("String() = %q", got)
-	}
-	if EngineSeedIndex.String() != "seed-index" || EngineSpGEMM.String() != "spmat" {
-		t.Error("engine names changed")
-	}
-}
-
 // TestRepeatThresholdBoundary pins the shared occurrence-cap semantics
-// (dna.RepeatMasked) at the boundary for every seed structure: a k-mer
+// (dna.RepeatMasked) at the boundary for both seed structures: a k-mer
 // occurring exactly MaxOccur times is kept, one more occurrence masks
 // it, and cap <= 0 never masks.
 func TestRepeatThresholdBoundary(t *testing.T) {
@@ -268,41 +231,25 @@ func TestRepeatThresholdBoundary(t *testing.T) {
 		t.Fatal("dna.RepeatMasked boundary semantics changed")
 	}
 
-	probes := map[string]func(km dna.Kmer, maxOccur int) (int, bool){}
-	kix := buildRefIndex(seqs, ids, Config{K: k})
-	six := buildRefIndex(seqs, ids, Config{K: k, Indexing: IndexSuffixArray})
-	sc := new(scratch)
-	probes["kmer-table"] = func(km dna.Kmer, mo int) (int, bool) {
-		h, m := kix.seedHits(km, mo, sc)
-		return len(h), m
-	}
-	probes["suffix-array"] = func(km dna.Kmer, mo int) (int, bool) {
-		h, m := six.seedHits(km, mo, sc)
-		return len(h), m
-	}
-	probes["spmat"] = func(km dna.Kmer, mo int) (int, bool) {
-		ref := spmat.BuildFromSeqs(seqs, k).Transpose(mo, 1)
-		h, m := spmatSeedHits(ref, km)
-		return len(h), m
-	}
-	names := make([]string, 0, len(probes))
-	for name := range probes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		probe := probes[name]
+	for _, tc := range []struct {
+		name string
+		ix   refIndex
+	}{
+		{"kmer-table", buildKmerIndex(seqs, ids, k)},
+		{"suffix-array", buildSAIndex(seqs, ids, k)},
+	} {
+		probe := func(km dna.Kmer, mo int) (int, bool) {
+			h, m := tc.ix.seedHits(km, mo)
+			return len(h), m
+		}
 		if n, m := probe(aaaa, cap); m || n != cap {
-			t.Errorf("%s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", name, n, m)
+			t.Errorf("%s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", tc.name, n, m)
 		}
 		if _, m := probe(cccc, cap); !m {
-			t.Errorf("%s: over-threshold k-mer kept", name)
+			t.Errorf("%s: over-threshold k-mer kept", tc.name)
 		}
 		if n, m := probe(cccc, 0); m || n != cap+1 {
-			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", name, n, m)
+			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", tc.name, n, m)
 		}
-	}
-	if !strings.Contains(EngineSpGEMM.String(), "spmat") {
-		t.Error("engine naming drifted") // keeps the CLI flag table honest
 	}
 }

@@ -105,10 +105,9 @@ func seedOffsets(sc *scratch, seq []byte, cfg Config) []int {
 }
 
 // forEachSeed invokes fn for every sampled seed k-mer of one query read —
-// the single definition of query-side sampling (Step grid or minimizers)
-// shared by the seed-index probe loop and the spmat matrix builder, so
-// both engines sample provably identical (k-mer, offset) sets. sc stages
-// the minimizer buffers; a cfg.Step <= 0 is treated as 1.
+// the single definition of query-side sampling (Step grid or
+// minimizers). sc stages the minimizer buffers; a cfg.Step <= 0 is
+// treated as 1.
 func forEachSeed(sc *scratch, seq []byte, cfg Config, fn func(km dna.Kmer, off int)) {
 	step := cfg.Step
 	if step <= 0 {

@@ -1,9 +1,9 @@
 // Package overlap implements the Focus parallel read alignment stage
 // (paper §II.B): read subsets are paired, each reference subset is indexed
-// for seed lookup (a packed k-mer table by default, or a suffix array),
-// query reads are decomposed into k-mers, reference reads collecting
-// enough k-mer hits are aligned with banded Needleman–Wunsch, and accepted
-// overlaps are recorded as the edge list of the overlap graph G0.
+// for seed lookup (a sorted packed k-mer table), query reads are
+// decomposed into k-mers, reference reads collecting enough k-mer hits are
+// aligned with banded Needleman–Wunsch, and accepted overlaps are recorded
+// as the edge list of the overlap graph G0.
 //
 // The hot path is allocation-free steady-state: each worker owns a scratch
 // (candidate table, diagonal votes, alignment DP buffers) reused across
@@ -34,66 +34,6 @@ type Record struct {
 	Diag     int32 // offset of B's start in A coordinates
 }
 
-// Indexing selects the seed-lookup structure built over each reference
-// subset.
-type Indexing uint8
-
-const (
-	// IndexKmerTable (the default) is a sorted packed k-mer table:
-	// O(log n) integer binary search per probe, pre-resolved (read,
-	// offset) postings, allocation-free lookups. Fastest for the fixed-k
-	// probes overlap detection issues.
-	IndexKmerTable Indexing = iota
-	// IndexSuffixArray is the Larsson–Sadakane suffix array over the
-	// '#'-separated subset text (the paper's structure). Supports
-	// arbitrary-length patterns; slower per probe (byte comparisons plus
-	// a per-hit position decode).
-	IndexSuffixArray
-)
-
-// String implements fmt.Stringer.
-func (ix Indexing) String() string {
-	switch ix {
-	case IndexKmerTable:
-		return "kmer-table"
-	case IndexSuffixArray:
-		return "suffix-array"
-	}
-	return fmt.Sprintf("Indexing(%d)", uint8(ix))
-}
-
-// Engine selects the candidate-generation strategy of the overlap stage.
-// Both engines feed the same banded-alignment verification and produce
-// byte-identical final records (the cross-engine equivalence suite pins
-// this); they differ in how candidate read pairs are discovered.
-type Engine uint8
-
-const (
-	// EngineSeedIndex (the default) probes a per-subset seed index
-	// (Config.Indexing selects the structure) once per sampled query
-	// k-mer and accumulates hits per candidate read.
-	EngineSeedIndex Engine = iota
-	// EngineSpGEMM builds the read-by-k-mer sparse matrix of each subset
-	// and derives candidates as a masked sparse product A·Aᵀ
-	// (internal/spmat): repeat-heavy columns are pruned once at build
-	// time, per-job dictionary joins replace per-probe binary searches,
-	// and the multiply semiring accumulates hit counts and modal
-	// diagonals in one pass — faster candidate generation on
-	// repeat-heavy inputs (see BENCH_overlap.json).
-	EngineSpGEMM
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineSeedIndex:
-		return "seed-index"
-	case EngineSpGEMM:
-		return "spmat"
-	}
-	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
 // Config controls overlap detection.
 type Config struct {
 	K           int // seed k-mer length
@@ -106,13 +46,6 @@ type Config struct {
 	// (MinimizerW, K)-minimizers instead of every Step-th k-mer.
 	Seeding    Seeding
 	MinimizerW int // minimizer window in k-mers (default 8)
-	// Indexing selects the reference seed index; both modes return
-	// identical overlap records (the k-mer table is faster). Ignored by
-	// EngineSpGEMM, which has its own candidate structure.
-	Indexing Indexing
-	// Engine selects the candidate-generation strategy; all engines
-	// return identical overlap records.
-	Engine Engine
 	// RPCRetries is the per-job failover budget of the distributed mode:
 	// a job failed by a worker at the application level is retried on up
 	// to this many other workers before the error counts. Ignored by the
@@ -130,7 +63,6 @@ func DefaultConfig() Config {
 		MaxOccur:    64,
 		Align:       align.DefaultConfig(),
 		Workers:     0,
-		Indexing:    IndexKmerTable,
 	}
 }
 
@@ -146,9 +78,6 @@ type scratch struct {
 	gen     uint32
 	cands   []candState
 	touched []int32 // local reads first-hit this query, in hit order
-
-	pat    []byte    // saIndex: unpacked probe pattern buffer
-	saHits []seedHit // saIndex: located (read, offset) hits buffer
 
 	minimKms []minimKm // minimizer seeding: per-read k-mer hash buffer
 	seedOffs []int     // minimizer seeding: selected offsets buffer
@@ -208,37 +137,28 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	if cfg.Engine == EngineSpGEMM {
-		recs, _, err := findOverlapsSpmat(ctx, reads, subsets, cfg, false)
-		return recs, err
-	}
-	recs, _, err := findOverlapsProbe(ctx, reads, subsets, cfg, false)
+	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, false)
 	return recs, err
 }
 
 // CountCandidates runs only the candidate-generation half of the overlap
-// stage — seed sampling, index/matrix build, repeat masking, hit
-// accumulation with modal-diagonal consensus, and the MinKmerHits filter;
-// everything up to but excluding alignment verification — and returns the
-// number of candidate pairs the configured engine would verify. All
-// engines produce the same total for the same configuration; the
-// overlapbench harness times this to compare candidate-generation
-// throughput in isolation.
+// stage — seed sampling, index build, repeat masking, hit accumulation
+// with modal-diagonal consensus, and the MinKmerHits filter; everything
+// up to but excluding alignment verification — and returns the number of
+// candidate pairs FindOverlaps would verify. The end-to-end benchmark
+// times this to split the overlap stage into candidate generation and
+// verification.
 func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return 0, err
 	}
-	if cfg.Engine == EngineSpGEMM {
-		_, n, err := findOverlapsSpmat(nil, reads, subsets, cfg, true)
-		return n, err
-	}
-	_, n, err := findOverlapsProbe(nil, reads, subsets, cfg, true)
+	_, n, err := findOverlaps(nil, reads, subsets, cfg, true)
 	return n, err
 }
 
 // splitSubsets assigns reads to contiguous subsets, returning per-subset
 // global-id and sequence slices (shared by the query side of the pair
-// jobs and by the index/matrix builders of both engines).
+// jobs and by the index builders).
 func splitSubsets(reads []dna.Read, subsets int) (subIDs [][]int32, subSeqs [][][]byte) {
 	bounds := make([]int, subsets+1)
 	for i := 0; i <= subsets; i++ {
@@ -259,10 +179,10 @@ func splitSubsets(reads []dna.Read, subsets int) (subIDs [][]int32, subSeqs [][]
 	return subIDs, subSeqs
 }
 
-// findOverlapsProbe is the seed-index engine: one index per reference
-// subset, queries probe it per sampled k-mer. countOnly skips alignment
-// verification and returns only the surviving-candidate total.
-func findOverlapsProbe(ctx context.Context, reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64, error) {
+// findOverlaps builds one seed index per reference subset and probes it
+// per sampled query k-mer. countOnly skips alignment verification and
+// returns only the surviving-candidate total.
+func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
 	// Each subset-pair job indexes/scans a whole subset — heavy enough
 	// that any second job justifies a second worker (grain 1). The
@@ -272,7 +192,7 @@ func findOverlapsProbe(ctx context.Context, reads []dna.Read, subsets int, cfg C
 	subIDs, subSeqs := splitSubsets(reads, subsets)
 
 	// Build one index per subset (reused across pair jobs).
-	indexes := make([]refIndex, subsets)
+	indexes := make([]*kmerIndex, subsets)
 	var iwg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for s := 0; s < subsets; s++ {
@@ -284,7 +204,7 @@ func findOverlapsProbe(ctx context.Context, reads []dna.Read, subsets int, cfg C
 			if gate.Stopped() {
 				return
 			}
-			indexes[s] = buildRefIndex(subSeqs[s], subIDs[s], cfg)
+			indexes[s] = buildKmerIndex(subSeqs[s], subIDs[s], cfg.K)
 		}(s)
 	}
 	iwg.Wait()
@@ -342,12 +262,6 @@ func validate(cfg Config, subsets int) error {
 	if cfg.K <= 0 || cfg.K > dna.MaxK {
 		return fmt.Errorf("overlap: k=%d out of range", cfg.K)
 	}
-	if cfg.Indexing > IndexSuffixArray {
-		return fmt.Errorf("overlap: unknown indexing mode %d", cfg.Indexing)
-	}
-	if cfg.Engine > EngineSpGEMM {
-		return fmt.Errorf("overlap: unknown engine %d", cfg.Engine)
-	}
 	if subsets <= 0 {
 		return fmt.Errorf("overlap: %d subsets", subsets)
 	}
@@ -378,7 +292,7 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 		qseq := querySeqs[qi2]
 		sc.nextQuery()
 		forEachSeed(sc, qseq, cfg, func(km dna.Kmer, off int) {
-			hits, masked := ref.seedHits(km, cfg.MaxOccur, sc)
+			hits, masked := ref.seedHits(km, cfg.MaxOccur)
 			if masked {
 				return // repeat-masked seed
 			}

@@ -64,7 +64,7 @@ func randWireConfig(rng *rand.Rand) Config {
 			Scoring: align.Scoring{Match: rng.Intn(10) - 5, Mismatch: rng.Intn(10) - 5, Gap: rng.Intn(10) - 5},
 		},
 		Workers: rng.Intn(16), Seeding: Seeding(rng.Intn(256)), MinimizerW: rng.Intn(32),
-		Indexing: Indexing(rng.Intn(256)), RPCRetries: rng.Intn(5),
+		RPCRetries: rng.Intn(5),
 	}
 }
 

@@ -4,8 +4,8 @@
 // given the input size and the host's GOMAXPROCS, is a parallel worker
 // pool worth its fan-out cost, and if so how wide should it be?
 //
-// Two rules fall out of the BENCH_graph.json regressions this package
-// exists to fix:
+// Two rules fall out of the measured regressions this package exists to
+// fix:
 //
 //   - Never oversubscribe. Every pool — including explicitly configured
 //     ones — is capped at runtime.GOMAXPROCS(0). A worker count above the
@@ -47,8 +47,8 @@ func Limit(requested int) int {
 // deterministic block-indexed fan-out. The block structure depends only
 // on size and grain — never on the worker count — so a stage that stages
 // its output per block and assembles the blocks in index order produces
-// identical results at any parallelism (the contract the spmat product
-// and its callers rely on). Block b covers items
+// identical results at any parallelism (the contract the assembly
+// cleaning scans rely on). Block b covers items
 // [b*grain, min(size, (b+1)*grain)); the returned count is 0 only when
 // size <= 0.
 func Blocks(size, grain int) int {

@@ -1,13 +1,8 @@
-// Package pq implements an indexed, updatable max-priority queue keyed by
-// dense integer ids. It backs the gain queues of the greedy graph growing
-// algorithm and the D-value queues of the Kernighan–Lin refinement pass
-// (paper §IV.A–B), both of which need O(log n) priority updates addressed
-// by node id.
 package pq
 
-// Max is an indexed max-heap: each item is identified by a non-negative
-// integer id and carries an int64 priority. Ties are broken by smaller id
-// so heap order is deterministic for a given insertion set.
+// Max is the original map-backed indexed max-heap, kept as the oracle
+// TestDenseMirrorsMax drives Dense against: any non-negative id, int64
+// priorities, ties broken by smaller id.
 type Max struct {
 	ids  []int         // heap of ids
 	prio map[int]int64 // id -> priority
@@ -67,16 +62,6 @@ func (q *Max) Update(id int, priority int64) {
 	} else {
 		q.down(i)
 	}
-}
-
-// Peek returns the id with the greatest priority without removing it.
-// ok is false when the queue is empty.
-func (q *Max) Peek() (id int, priority int64, ok bool) {
-	if len(q.ids) == 0 {
-		return 0, 0, false
-	}
-	id = q.ids[0]
-	return id, q.prio[id], true
 }
 
 // Pop removes and returns the id with the greatest priority.

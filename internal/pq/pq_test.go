@@ -8,7 +8,7 @@ import (
 )
 
 func TestEmptyQueue(t *testing.T) {
-	q := NewMax(0)
+	q := NewDense(4)
 	if q.Len() != 0 {
 		t.Errorf("Len = %d", q.Len())
 	}
@@ -24,7 +24,7 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestPushPopOrder(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(10)
 	q.Push(1, 10)
 	q.Push(2, 30)
 	q.Push(3, 20)
@@ -42,7 +42,7 @@ func TestPushPopOrder(t *testing.T) {
 }
 
 func TestTieBreakById(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(10)
 	q.Push(9, 5)
 	q.Push(2, 5)
 	q.Push(7, 5)
@@ -60,7 +60,7 @@ func TestTieBreakById(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(100)
 	q.Push(1, 10)
 	q.Push(2, 20)
 	q.Update(1, 30)
@@ -78,7 +78,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestPushExistingUpdates(t *testing.T) {
-	q := NewMax(2)
+	q := NewDense(2)
 	q.Push(1, 10)
 	q.Push(1, 99)
 	if q.Len() != 1 {
@@ -90,7 +90,7 @@ func TestPushExistingUpdates(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	q := NewMax(4)
+	q := NewDense(10)
 	for i := 0; i < 10; i++ {
 		q.Push(i, int64(i))
 	}
@@ -123,7 +123,7 @@ func TestRemove(t *testing.T) {
 // against a brute-force reference implementation.
 func TestAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	q := NewMax(16)
+	q := NewDense(40)
 	ref := map[int]int64{}
 	refMax := func() (int, int64, bool) {
 		best, bestP, ok := 0, int64(0), false
@@ -171,7 +171,7 @@ func TestAgainstReference(t *testing.T) {
 // TestHeapDrainSorted: popping everything yields non-increasing priorities.
 func TestHeapDrainSorted(t *testing.T) {
 	f := func(prios []int64) bool {
-		q := NewMax(len(prios))
+		q := NewDense(len(prios))
 		for i, p := range prios {
 			q.Push(i, p)
 		}

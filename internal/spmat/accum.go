@@ -1,18 +1,20 @@
+// Package spmat holds the sparse-row accumulator of the masked sparse
+// product that assembly's transitive reduction is formulated as (Guidi et
+// al., "Parallel String Graph Construction and Transitive Reduction").
 package spmat
 
-// StampAccum is a generation-stamped int32→int32 map with the same
-// dense/hash accumulator switch as the masked product (useDense): heavy
-// rows over small key spaces use a directly indexed stamp array with an
-// O(1) generation clear, light rows over wide spaces use open-addressing
-// hashing sized to the row so the working set stays O(row). It backs the
-// assembly transitive-reduction kernel's direct-successor index — the
-// Diag(v,·) diagonal of Guidi et al.'s masked product R = A·A — and is
-// reusable by any row kernel that needs a cheap resettable sparse map.
+// StampAccum is a generation-stamped int32→int32 map with a BELLA-style
+// dense/hash accumulator switch: heavy rows over small key spaces use a
+// directly indexed stamp array with an O(1) generation clear, light rows
+// over wide spaces use open-addressing hashing sized to the row so the
+// working set stays O(row). It backs the assembly transitive-reduction
+// kernel's direct-successor index — the Diag(v,·) diagonal of Guidi et
+// al.'s masked product R = A·A.
 //
-// Like a Multiplier, a StampAccum is owned by exactly one goroutine at a
-// time; buffers grow on demand and amortize across rows. Mode selection
-// cannot change results: Set/Get have identical last-write-wins semantics
-// on both paths.
+// A StampAccum is owned by exactly one goroutine at a time; buffers grow
+// on demand and amortize across rows. Mode selection cannot change
+// results: Set/Get have identical last-write-wins semantics on both
+// paths.
 type StampAccum struct {
 	gen   uint32
 	dense []stampSlot // dense path: indexed directly by key
@@ -28,12 +30,19 @@ type stampSlot struct {
 	val int32
 }
 
-// Reset starts a new row: numKeys is the key space size (dense keys must
-// be in [0, numKeys)), sets is an upper bound on the Set calls of the row
-// (sizes the hash table at ≤50% load), and acc forces a mode for tests
-// (AccAuto applies the heavy-row rule).
-func (a *StampAccum) Reset(numKeys, sets int, acc Acc) {
-	a.isDen = useDense(acc, sets, numKeys)
+// Reset starts a new row: numKeys is the key space size (keys must be in
+// [0, numKeys)) and sets is an upper bound on the Set calls of the row
+// (sizes the hash table at ≤50% load). The heavy-row rule picks the mode:
+// a row whose Set count is a sizable fraction of the key space (or a
+// small key space outright) amortizes the dense stamp array; sparse rows
+// over wide spaces keep the working set at O(sets) via hashing.
+func (a *StampAccum) Reset(numKeys, sets int) {
+	a.reset(numKeys, sets, numKeys <= 4096 || sets >= numKeys/8)
+}
+
+// reset is Reset with the mode forced (the tests drive both paths).
+func (a *StampAccum) reset(numKeys, sets int, dense bool) {
+	a.isDen = dense
 	if a.isDen {
 		// Fresh slots carry generation 0, which is never live (the wrap
 		// handler below skips 0), so growth needs no clearing.

@@ -14,9 +14,9 @@ func TestStampAccumModesAgree(t *testing.T) {
 	for row := 0; row < 400; row++ {
 		numKeys := 1 + rng.Intn(9000) // straddles the 4096 dense cutoff
 		sets := rng.Intn(64)
-		dense.Reset(numKeys, sets, AccDense)
-		hash.Reset(numKeys, sets, AccHash)
-		auto.Reset(numKeys, sets, AccAuto)
+		dense.reset(numKeys, sets, true)
+		hash.reset(numKeys, sets, false)
+		auto.Reset(numKeys, sets)
 		ref := map[int32]int32{}
 		for i := 0; i < sets; i++ {
 			k := int32(rng.Intn(numKeys))
@@ -44,28 +44,28 @@ func TestStampAccumModesAgree(t *testing.T) {
 // mode flip and after the uint32 generation wrap.
 func TestStampAccumRowIsolation(t *testing.T) {
 	var a StampAccum
-	a.Reset(16, 4, AccDense)
+	a.reset(16, 4, true)
 	a.Set(3, 77)
-	a.Reset(16, 4, AccDense)
+	a.reset(16, 4, true)
 	if _, ok := a.Get(3); ok {
 		t.Fatal("dense value leaked across Reset")
 	}
 	a.Set(5, 11)
-	a.Reset(1<<20, 2, AccHash) // wide space, tiny row: hash mode
+	a.reset(1<<20, 2, false) // wide space, tiny row: hash mode
 	if _, ok := a.Get(5); ok {
 		t.Fatal("value leaked across a dense->hash mode flip")
 	}
 	a.Set(5, 12)
-	a.Reset(16, 4, AccDense)
+	a.reset(16, 4, true)
 	if _, ok := a.Get(5); ok {
 		t.Fatal("value leaked across a hash->dense mode flip")
 	}
 
 	// Generation wrap: force gen to the edge and step across it.
 	a.gen = ^uint32(0) - 1
-	a.Reset(16, 4, AccDense)
+	a.reset(16, 4, true)
 	a.Set(7, 1)
-	a.Reset(16, 4, AccDense) // this Reset wraps gen to 0 -> hard clear to 1
+	a.reset(16, 4, true) // this Reset wraps gen to 0 -> hard clear to 1
 	if a.gen != 1 {
 		t.Fatalf("gen after wrap = %d, want 1", a.gen)
 	}

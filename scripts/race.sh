@@ -20,6 +20,11 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 echo "== guard: go vet =="
 go vet ./...
 
+# bench/ is its own module, so root `go build ./...` never compiles it:
+# this is the only gate that catches an API change breaking the benchmark.
+echo "== guard: benchmark module =="
+(cd bench && go vet . && go test .)
+
 echo "== race: tier-1 concurrency-heavy packages =="
 go test -race \
     ./internal/dist/... ./internal/assembly/... ./internal/overlap/... \
@@ -60,8 +65,6 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
-    fuzz ./internal/spmat/ FuzzCSRBuild
-    fuzz ./internal/spmat/ FuzzCandDecode
     fuzz ./internal/jobs/ FuzzJobWire
 fi
 
