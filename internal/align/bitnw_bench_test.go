@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -32,25 +33,49 @@ func BenchmarkBandedNWBitParallel(bb *testing.B) {
 		var scr Scratch
 		bb.ReportAllocs()
 		for i := 0; i < bb.N; i++ {
-			_ = scr.BandedNW(a, b, 6, DefaultScoring)
+			_, _ = scr.bitNW(a, b, 6, DefaultScoring)
 		}
 	})
 }
 
-// BenchmarkOverlapKernel measures the full OverlapOnDiagonal path (window
-// computation + kernel + classification).
-func BenchmarkOverlapKernel(bb *testing.B) {
+// BenchmarkOverlapOnDiagonal times the full verdict (window computation,
+// the two DP-free rules, kernel, classification) by candidate class on
+// 100 bp reads under the paper thresholds: a 40-base window no alignment
+// can carry to MinLength (O(1) reject), a 90-base suffix-prefix window with
+// 0 or 2 substitutions (ungapped optimum, no kernel), with 3 or 8 (one
+// past the limit, and a typical noisy pair: the SWAR kernel), and with one
+// deleted base (the kernel, gapped traceback).
+func BenchmarkOverlapOnDiagonal(bb *testing.B) {
 	rng := rand.New(rand.NewSource(99))
-	a := randSeq(rng, 150)
-	b := append([]byte(nil), a[60:]...)
-	b = append(b, randSeq(rng, 60)...) // 90bp suffix-prefix overlap
-	for i := 0; i < 4; i++ {
-		b[rng.Intn(90)] = "ACGT"[rng.Intn(4)]
-	}
-	cfg := DefaultConfig()
-	var scr Scratch
-	bb.ReportAllocs()
-	for i := 0; i < bb.N; i++ {
-		_, _ = scr.OverlapOnDiagonal(a, b, 60, cfg)
+	genome := randSeq(rng, 200)
+	a := genome[:100]
+	for _, c := range []struct {
+		name     string
+		n        int // window length
+		subs     []int
+		deletion bool
+	}{
+		{name: "short_window", n: 40},
+		{name: "mismatches_0", n: 90},
+		{name: "mismatches_2", n: 90, subs: []int{12, 71}},
+		{name: "mismatches_3", n: 90, subs: []int{12, 40, 71}},
+		{name: "mismatches_8", n: 90, subs: []int{3, 12, 25, 40, 52, 66, 71, 88}},
+		{name: "one_indel", n: 90, deletion: true},
+	} {
+		b := append([]byte(nil), genome[100-c.n:200-c.n]...)
+		for _, p := range c.subs {
+			b[p] = "ACGT"[(strings.IndexByte("ACGT", b[p])+1)%4]
+		}
+		if c.deletion {
+			b = append(b[:45], b[46:]...)
+		}
+		bb.Run(c.name, func(bb *testing.B) {
+			cfg := DefaultConfig()
+			var scr Scratch
+			bb.ReportAllocs()
+			for i := 0; i < bb.N; i++ {
+				_, _ = scr.OverlapOnDiagonal(a, b, 100-c.n, cfg)
+			}
+		})
 	}
 }

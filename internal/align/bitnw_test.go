@@ -41,34 +41,51 @@ func mutate(rng *rand.Rand, alpha, s []byte, rate float64) []byte {
 	return out
 }
 
+// checkPair holds both the production entry point (whatever kernel, or
+// none, it selects) and the pinned bit-parallel kernel to the scalar DP.
 func checkPair(t *testing.T, scr, ref *Scratch, a, b []byte, band int, sc Scoring) {
 	t.Helper()
 	want := ref.scalarNW(a, b, band, sc)
-	got := scr.BandedNW(a, b, band, sc)
-	if got != want {
+	if got := scr.BandedNW(a, b, band, sc); got != want {
+		t.Fatalf("BandedNW diverged (band=%d scoring=%+v len=%d/%d):\n got %+v\nwant %+v\n a=%q\n b=%q",
+			band, sc, len(a), len(b), got, want, a, b)
+	}
+	if got, ok := scr.bitNW(a, b, band, sc); ok && got != want {
 		t.Fatalf("bit-parallel diverged (band=%d scoring=%+v len=%d/%d):\n got %+v\nwant %+v\n a=%q\n b=%q",
 			band, sc, len(a), len(b), got, want, a, b)
 	}
+}
+
+// widenBand establishes BandedNW's band precondition: non-negative and at
+// least the length difference.
+func widenBand(a, b []byte, band int) int {
+	d := len(a) - len(b)
+	if d < 0 {
+		d = -d
+	}
+	return max(band, d, 0)
 }
 
 // scalarNW is the oracle: bandedNWScalar called directly, with BandedNW's
 // preconditions (band widened to the length difference, both inputs
 // non-empty) established here so kernel selection is bypassed entirely.
 func (scr *Scratch) scalarNW(a, b []byte, band int, sc Scoring) Alignment {
-	if band < 0 {
-		band = 0
-	}
-	d := len(a) - len(b)
-	if d < 0 {
-		d = -d
-	}
-	if d > band {
-		band = d
-	}
 	if len(a) == 0 || len(b) == 0 {
 		return Alignment{Score: (len(a) + len(b)) * sc.Gap, Columns: len(a) + len(b)}
 	}
-	return scr.bandedNWScalar(a, b, band, sc)
+	return scr.bandedNWScalar(a, b, widenBand(a, b, band), sc)
+}
+
+// bitNW pins the bit-parallel kernel: bandedNWBit called directly under
+// the same preconditions, so equal-length near-identical inputs — which
+// BandedNW answers without any kernel — still exercise the SWAR path.
+// ok is false outside the kernel's envelope or when a range guard trips.
+func (scr *Scratch) bitNW(a, b []byte, band int, sc Scoring) (Alignment, bool) {
+	band = widenBand(a, b, band)
+	if len(a) == 0 || len(b) == 0 || !bpEligible(band, sc) {
+		return Alignment{}, false
+	}
+	return scr.bandedNWBit(a, b, band, sc)
 }
 
 // TestBitParallelMatchesScalarRandom: the bit-parallel kernel reproduces
@@ -221,6 +238,9 @@ func TestBitParallelNoFallbackOnDefaultScoring(t *testing.T) {
 		}
 		for band := 0; band <= bpMaxBand; band++ {
 			scr.BandedNW(a, b, band, DefaultScoring)
+			if _, ok := scr.bitNW(a, b, band, DefaultScoring); !ok && bpEligible(widenBand(a, b, band), DefaultScoring) {
+				t.Fatalf("pinned bit-parallel kernel bailed (band=%d a=%q b=%q)", band, a, b)
+			}
 		}
 	}
 	if scr.bpFallbacks != 0 {
@@ -235,9 +255,9 @@ func TestBitParallelZeroAlloc(t *testing.T) {
 	var scr Scratch
 	a := randSeqFrom(rng, bpAlphabets[1], 150)
 	b := mutate(rng, bpAlphabets[1], a, 0.05)
-	scr.BandedNW(a, b, 6, DefaultScoring) // warm buffers
+	scr.bitNW(a, b, 6, DefaultScoring) // warm buffers
 	allocs := testing.AllocsPerRun(200, func() {
-		scr.BandedNW(a, b, 6, DefaultScoring)
+		scr.bitNW(a, b, 6, DefaultScoring)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state bit-parallel BandedNW allocates %.1f/op, want 0", allocs)
@@ -263,11 +283,6 @@ func FuzzBitParallelNW(f *testing.F) {
 			return
 		}
 		var scr, ref Scratch
-		want := ref.scalarNW(a, b, band, sc)
-		got := scr.BandedNW(a, b, band, sc)
-		if got != want {
-			t.Fatalf("kernel divergence: got %+v want %+v (band=%d sc=%+v a=%q b=%q)",
-				got, want, band, sc, a, b)
-		}
+		checkPair(t, &scr, &ref, a, b, band, sc)
 	})
 }

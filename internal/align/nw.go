@@ -4,7 +4,11 @@
 // and containments, each scored by alignment length and percent identity.
 package align
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 // Scoring holds the alignment score parameters. The zero value is not
 // usable; use DefaultScoring.
@@ -66,6 +70,13 @@ type Scratch struct {
 	// mid-flight to the scalar path (range-guard trip). Test observability
 	// only; eligible default-scoring inputs never trip the guards.
 	bpFallbacks int
+	// Verdict traffic, test observability only: equal-length calls answered
+	// by the unique-ungapped-optimum rule (BandedNW), windows rejected as
+	// infeasible before any alignment (OverlapOnDiagonal), and calls that
+	// ran a DP kernel.
+	fastUngapped   int
+	fastInfeasible int
+	dpCalls        int
 }
 
 // grow ensures capacity for n DP cells without clearing: every in-band
@@ -94,9 +105,10 @@ func BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 // BandedNW is the buffer-reusing variant of the package-level BandedNW:
 // identical results, but the DP buffers are borrowed from the Scratch, so
 // steady-state calls allocate nothing. The kernel is chosen from the
-// input: the bit-parallel kernel when the band and scoring fit its 8-bit
-// lanes (bpEligible), the scalar DP otherwise — both produce identical
-// Alignments (score, matches, columns — bit-for-bit).
+// input: none when the ungapped alignment is provably the unique optimum
+// (ungappedOptimum), the bit-parallel kernel when the band and scoring fit
+// its 8-bit lanes (bpEligible), the scalar DP otherwise — all three
+// produce identical Alignments (score, matches, columns — bit-for-bit).
 func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 	if band < 0 {
 		band = 0
@@ -112,6 +124,13 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 		// Pure gap alignment.
 		return Alignment{Score: (n + m) * sc.Gap, Matches: 0, Columns: n + m}
 	}
+	if n == m {
+		if aln, ok := ungappedOptimum(a, b, sc); ok {
+			scr.fastUngapped++
+			return aln
+		}
+	}
+	scr.dpCalls++
 	if bpEligible(band, sc) {
 		if aln, ok := scr.bandedNWBit(a, b, band, sc); ok {
 			return aln
@@ -119,6 +138,58 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 		scr.bpFallbacks++
 	}
 	return scr.bandedNWScalar(a, b, band, sc)
+}
+
+// ungappedOptimum answers an equal-length alignment without running a
+// kernel when the gap-free alignment is provably the unique optimum. With
+// n = len(a) = len(b) and m mismatching positions the gap-free alignment
+// scores n*Match - m*(Match-Mismatch). Any other alignment has g >= 1 gaps
+// on each side, hence n-g diagonal columns worth at most Match each, and
+// scores at most (n-g)*Match + 2g*Gap <= (n-1)*Match + 2*Gap (given
+// Match > 0 > Gap and Mismatch < Match). The gap-free score is strictly
+// larger iff m*(Match-Mismatch) < Match - 2*Gap, i.e. m <= lim below (2 for
+// DefaultScoring). A unique optimum is what every kernel's traceback
+// follows whatever its band (the main diagonal is in every band) and
+// tie-break order, so Matches = n-m and Columns = n are exact as well.
+// Scorings outside those sign conditions switch the rule off.
+func ungappedOptimum(a, b []byte, sc Scoring) (Alignment, bool) {
+	delta := sc.Match - sc.Mismatch
+	if sc.Match <= 0 || sc.Gap >= 0 || delta <= 0 {
+		return Alignment{}, false
+	}
+	lim := (sc.Match - 2*sc.Gap - 1) / delta
+	n := len(a)
+	m := mismatchesUpTo(a, b[:n], lim)
+	if m > lim {
+		return Alignment{}, false
+	}
+	return Alignment{Score: n*sc.Match - m*delta, Matches: n - m, Columns: n}, true
+}
+
+// mismatchesUpTo counts the positions where the equal-length a and b
+// differ, eight bytes per compare, giving up (with some count > lim) as
+// soon as the count exceeds lim.
+func mismatchesUpTo(a, b []byte, lim int) int {
+	m, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+		if x == 0 {
+			continue
+		}
+		// Fold each byte's difference bits into its low bit.
+		x |= x >> 4
+		x |= x >> 2
+		x |= x >> 1
+		if m += bits.OnesCount64(x & bpLaneLSB); m > lim {
+			return m
+		}
+	}
+	for ; i < len(a); i++ {
+		if a[i] != b[i] {
+			m++
+		}
+	}
+	return m
 }
 
 // bandedNWScalar is the cell-by-cell scalar DP. band has already been

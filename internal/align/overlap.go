@@ -88,6 +88,19 @@ func (scr *Scratch) OverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overla
 	if aHi <= aLo || bHi <= bLo {
 		return Overlap{}, false
 	}
+	// Infeasible window: both sides of the window have length n, so an
+	// alignment with g gaps per side has n+g columns and at most n-g
+	// matches. Reaching MinLength needs g >= MinLength-n, and the identity
+	// bound (n-g)/(n+g) only falls as g grows, so if it misses MinIdentity
+	// at the smallest such g no alignment of this window can be accepted
+	// (same float64 division and comparison as the check below, so the
+	// verdict is the DP's exactly).
+	n := aHi - aLo
+	g := max(cfg.MinLength-n, 0)
+	if float64(n-g)/float64(n+g) < cfg.MinIdentity {
+		scr.fastInfeasible++
+		return Overlap{}, false
+	}
 	aln := scr.BandedNW(a[aLo:aHi], b[bLo:bHi], cfg.Band, cfg.Scoring)
 	ov := Overlap{
 		Length:   aln.Columns,

@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"log"
-	"sort"
 	"sync"
 
-	"focus/internal/align"
 	"focus/internal/dist"
 	"focus/internal/dna"
 )
@@ -64,34 +62,15 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	bounds := make([]int, subsets+1)
-	for i := 0; i <= subsets; i++ {
-		bounds[i] = i * len(reads) / subsets
-	}
-	slice := func(s int) ([]int32, [][]byte) {
-		ids := make([]int32, 0, bounds[s+1]-bounds[s])
-		seqs := make([][]byte, 0, bounds[s+1]-bounds[s])
-		for i := bounds[s]; i < bounds[s+1]; i++ {
-			ids = append(ids, int32(i))
-			seqs = append(seqs, reads[i].Seq)
-		}
-		return ids, seqs
-	}
-	type pair struct{ q, r int }
-	var jobs []pair
-	for i := 0; i < subsets; i++ {
-		for j := i; j < subsets; j++ {
-			jobs = append(jobs, pair{i, j})
-		}
-	}
+	subIDs, subSeqs := splitSubsets(reads, subsets)
+	jobs := subsetPairs(subsets)
 	replies := make([]interface{}, len(jobs))
 	for i := range replies {
 		replies[i] = &AlignPairReply{}
 	}
 	_, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
-		qIDs, qSeqs := slice(jobs[t].q)
-		rIDs, rSeqs := slice(jobs[t].r)
-		return &AlignPairArgs{RefIDs: rIDs, RefSeqs: rSeqs, QueryIDs: qIDs, QuerySeqs: qSeqs, Cfg: cfg}
+		q, r := jobs[t].q, jobs[t].r
+		return &AlignPairArgs{RefIDs: subIDs[r], RefSeqs: subSeqs[r], QueryIDs: subIDs[q], QuerySeqs: subSeqs[q], Cfg: cfg}
 	}, replies, cfg.RPCRetries)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the
@@ -109,66 +88,9 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		}
 		return nil, err
 	}
-	var lists [][]Record
-	for _, r := range replies {
-		lists = append(lists, r.(*AlignPairReply).Records)
+	lists := make([][]Record, len(replies))
+	for t, r := range replies {
+		lists[t] = r.(*AlignPairReply).Records
 	}
-	return mergeRecords(lists), nil
-}
-
-// recKey identifies one overlap relation: a read pair can legitimately
-// carry several records of different Kind (e.g. a suffix-prefix overlap
-// and a containment), so Kind is part of the identity. Keying on (A, B)
-// alone dropped all but the first Kind seen — which Kind survived depended
-// on job order.
-type recKey struct {
-	a, b int32
-	kind align.Kind
-}
-
-// moreCredible reports whether r should replace cur among records of the
-// same (A, B, Kind): higher identity wins, then longer overlap, then lower
-// diagonal — a deterministic total order independent of arrival order.
-func moreCredible(r, cur Record) bool {
-	if r.Identity != cur.Identity {
-		return r.Identity > cur.Identity
-	}
-	if r.Len != cur.Len {
-		return r.Len > cur.Len
-	}
-	return r.Diag < cur.Diag
-}
-
-// mergeRecords canonicalizes, deduplicates and sorts per-job record
-// lists. Duplicates of the same (A, B, Kind) — cross-subset pairs are
-// aligned by more than one job — collapse to the most credible record.
-func mergeRecords(lists [][]Record) []Record {
-	best := make(map[recKey]int)
-	var out []Record
-	for _, rs := range lists {
-		for _, rec := range rs {
-			key := recKey{rec.A, rec.B, rec.Kind}
-			if i, dup := best[key]; dup {
-				if moreCredible(rec, out[i]) {
-					out[i] = rec
-				}
-				continue
-			}
-			best[key] = len(out)
-			out = append(out, rec)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		if out[i].B != out[j].B {
-			return out[i].B < out[j].B
-		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Diag < out[j].Diag
-	})
-	return out
+	return mergeRecords(jobs, lists)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"focus/internal/align"
 	"focus/internal/dist"
 )
 
@@ -63,41 +62,6 @@ func TestFindOverlapsDistributedValidation(t *testing.T) {
 	}
 	if _, err := FindOverlapsDistributed(pool, nil, 0, testConfig()); err == nil {
 		t.Error("0 subsets accepted")
-	}
-}
-
-// TestMergeRecordsKeepsDistinctKinds is the regression test for the old
-// (A, B)-only dedup key, which dropped every record after the first for a
-// read pair — a pair reported with both a suffix-prefix overlap and a
-// containment lost one of them, and which one depended on job order.
-func TestMergeRecordsKeepsDistinctKinds(t *testing.T) {
-	sp := Record{A: 1, B: 2, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95, Diag: 40}
-	ct := Record{A: 1, B: 2, Kind: align.KindAContainsB, Len: 80, Identity: 0.92, Diag: 10}
-	got := mergeRecords([][]Record{{sp}, {ct}})
-	if len(got) != 2 {
-		t.Fatalf("got %d records, want 2 (distinct Kinds must both survive): %+v", len(got), got)
-	}
-	// And the result is independent of job order.
-	swapped := mergeRecords([][]Record{{ct}, {sp}})
-	if !reflect.DeepEqual(got, swapped) {
-		t.Fatalf("merge depends on job order:\n%+v\nvs\n%+v", got, swapped)
-	}
-}
-
-// TestMergeRecordsPicksMostCredibleDuplicate checks that true duplicates —
-// same (A, B, Kind) seen by two jobs — collapse to the higher-identity
-// record regardless of which job reported first.
-func TestMergeRecordsPicksMostCredibleDuplicate(t *testing.T) {
-	weak := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 55, Identity: 0.91, Diag: 45}
-	strong := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.97, Diag: 40}
-	for _, lists := range [][][]Record{{{weak}, {strong}}, {{strong}, {weak}}} {
-		got := mergeRecords(lists)
-		if len(got) != 1 {
-			t.Fatalf("got %d records, want 1: %+v", len(got), got)
-		}
-		if got[0] != strong {
-			t.Fatalf("kept %+v, want the higher-identity %+v", got[0], strong)
-		}
 	}
 }
 

@@ -12,8 +12,10 @@
 package overlap
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -179,6 +181,22 @@ func splitSubsets(reads []dna.Read, subsets int) (subIDs [][]int32, subSeqs [][]
 	return subIDs, subSeqs
 }
 
+// pairJob is one subset-pair alignment job: the reads of subset q queried
+// against the index of subset r, q <= r.
+type pairJob struct{ q, r int }
+
+// subsetPairs enumerates the jobs in (q, r) order — the order mergeRecords
+// relies on.
+func subsetPairs(subsets int) []pairJob {
+	jobs := make([]pairJob, 0, subsets*(subsets+1)/2)
+	for q := 0; q < subsets; q++ {
+		for r := q; r < subsets; r++ {
+			jobs = append(jobs, pairJob{q, r})
+		}
+	}
+	return jobs
+}
+
 // findOverlaps builds one seed index per reference subset and probes it
 // per sampled query k-mer. countOnly skips alignment verification and
 // returns only the surviving-candidate total.
@@ -213,13 +231,7 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 		return nil, 0, gate.Err()
 	}
 
-	type pair struct{ q, r int }
-	jobs := make([]pair, 0, subsets*(subsets+1)/2)
-	for i := 0; i < subsets; i++ {
-		for j := i; j < subsets; j++ {
-			jobs = append(jobs, pair{i, j})
-		}
-	}
+	jobs := subsetPairs(subsets)
 
 	var candTotal int64
 	results := make([][]Record, len(jobs))
@@ -253,7 +265,8 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 		return nil, 0, gate.Err()
 	}
 
-	return mergeRecords(results), candTotal, nil
+	recs, err := mergeRecords(jobs, results)
+	return recs, candTotal, err
 }
 
 // validate checks the configuration shared by the local and distributed
@@ -269,9 +282,10 @@ func validate(cfg Config, subsets int) error {
 }
 
 // alignQueries aligns the given query reads against the reference index,
-// returning canonicalized records. The returned slice is staged in the
-// scratch and is only valid until the scratch's next job: callers that
-// retain it must copy.
+// returning the job's canonicalized records sorted by (A, B, Kind) with
+// one record per key. The returned slice is staged in the scratch and is
+// only valid until the scratch's next job: callers that retain it must
+// copy.
 func alignQueries(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Config, sc *scratch) []Record {
 	return alignQueriesGate(queryIDs, querySeqs, ref, cfg, sc, nil)
 }
@@ -328,9 +342,6 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 			if c.hits < int32(cfg.MinKmerHits) {
 				continue
 			}
-			// Only emit canonical direction to halve the work; the pair
-			// (g, q) will not be separately attempted because dedup is on
-			// canonical (A,B) anyway, and alignment is symmetric.
 			// Modal diagonal, ties broken toward the smaller diagonal.
 			var diag int32
 			best := int32(-1)
@@ -348,6 +359,12 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 			if !ok {
 				continue
 			}
+			// Records are stored in canonical direction (A < B). In a
+			// same-subset job every read is both query and reference, so a
+			// pair is verified once from each side — with seeds sampled from
+			// a different read each time, hence possibly another modal
+			// diagonal and another verdict — and both attempts land on the
+			// same canonical (A, B); sortDedupe keeps the more credible one.
 			rec := Record{A: qi, B: g, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
 			if rec.A > rec.B {
 				rec = rec.Flip()
@@ -355,7 +372,104 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 			sc.records = append(sc.records, rec)
 		}
 	}
+	sc.records = sortDedupe(sc.records)
 	return sc.records
+}
+
+// compareKey orders records by the identity of an overlap relation: a
+// read pair can legitimately carry several records of different Kind
+// (e.g. a suffix-prefix overlap and a containment), so Kind is part of it.
+func compareKey(x, y Record) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.B, y.B); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Kind, y.Kind)
+}
+
+// moreCredible reports whether r should replace cur among records of the
+// same (A, B, Kind): higher identity wins, then longer overlap, then lower
+// diagonal — a deterministic total order independent of arrival order.
+func moreCredible(r, cur Record) bool {
+	if r.Identity != cur.Identity {
+		return r.Identity > cur.Identity
+	}
+	if r.Len != cur.Len {
+		return r.Len > cur.Len
+	}
+	return r.Diag < cur.Diag
+}
+
+// sortDedupe sorts one job's records by (A, B, Kind), most credible first
+// within a key, and keeps the first record of every key, in place.
+func sortDedupe(recs []Record) []Record {
+	slices.SortFunc(recs, func(x, y Record) int {
+		if c := compareKey(x, y); c != 0 {
+			return c
+		}
+		switch {
+		case moreCredible(x, y):
+			return -1
+		case moreCredible(y, x):
+			return 1
+		}
+		return 0
+	})
+	return slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
+}
+
+// mergeRecords interleaves the per-job record lists (lists[t] belongs to
+// jobs[t], in subsetPairs order) into the stage's output, sorted by
+// (A, B, Kind) with one record per key. No map and no sort are needed:
+// subsets are contiguous id ranges and jobs are (q <= r), so job (q, r)
+// alone produces the pairs with A in subset q and B in subset r — two jobs
+// never share an (A, B), duplicates exist only inside a same-subset job,
+// and alignQueries already sorted and deduplicated every list where the
+// job ran. The jobs of one q therefore hold, for each A of subset q, runs
+// of ascending B in r order, and the groups of ascending q follow each
+// other. Every appended record must extend the output strictly; a list
+// that breaks this (a peer that predates the per-job sort) is an error.
+func mergeRecords(jobs []pairJob, lists [][]Record) ([]Record, error) {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]Record, 0, total)
+	rest := slices.Clone(lists) // unconsumed tail of every list
+	for lo := 0; lo < len(jobs); {
+		hi := lo + 1
+		for hi < len(jobs) && jobs[hi].q == jobs[lo].q {
+			hi++
+		}
+		for {
+			// The smallest A any list of the group still holds.
+			var minA int32
+			found := false
+			for _, l := range rest[lo:hi] {
+				if len(l) > 0 && (!found || l[0].A < minA) {
+					minA, found = l[0].A, true
+				}
+			}
+			if !found {
+				break
+			}
+			for t := lo; t < hi; t++ {
+				l := rest[t]
+				for len(l) > 0 && l[0].A == minA {
+					if n := len(out); n > 0 && compareKey(out[n-1], l[0]) >= 0 {
+						return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", jobs[t].q, jobs[t].r)
+					}
+					out = append(out, l[0])
+					l = l[1:]
+				}
+				rest[t] = l
+			}
+		}
+		lo = hi
+	}
+	return out, nil
 }
 
 // Flip returns the record with A and B exchanged and the geometry

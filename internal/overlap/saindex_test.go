@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"slices"
 	"sort"
 
 	"focus/internal/dna"
@@ -74,13 +75,18 @@ func (ix *saIndex) seedHits(km dna.Kmer, maxOccur int) ([]seedHit, bool) {
 func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64) {
 	subIDs, subSeqs := splitSubsets(reads, subsets)
 	sc := &scratch{countOnly: countOnly}
-	var lists [][]Record
-	for r := 0; r < subsets; r++ {
-		ref := buildSAIndex(subSeqs[r], subIDs[r], cfg.K)
-		for q := 0; q <= r; q++ {
-			recs := alignQueries(subIDs[q], subSeqs[q], ref, cfg, sc)
-			lists = append(lists, append([]Record(nil), recs...))
-		}
+	refs := make([]*saIndex, subsets)
+	for r := range refs {
+		refs[r] = buildSAIndex(subSeqs[r], subIDs[r], cfg.K)
 	}
-	return mergeRecords(lists), sc.candTotal
+	jobs := subsetPairs(subsets)
+	lists := make([][]Record, len(jobs))
+	for t, j := range jobs {
+		lists[t] = slices.Clone(alignQueries(subIDs[j.q], subSeqs[j.q], refs[j.r], cfg, sc))
+	}
+	recs, err := mergeRecords(jobs, lists)
+	if err != nil {
+		panic(err) // lists come straight from alignQueries
+	}
+	return recs, sc.candTotal
 }

@@ -65,6 +65,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
+    fuzz ./internal/align/ FuzzOverlapVerdict
     fuzz ./internal/jobs/ FuzzJobWire
 fi
 
