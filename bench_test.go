@@ -1,9 +1,8 @@
 package focus
 
-// One benchmark per table and figure of the paper's evaluation (§VI),
-// plus ablation benches for the design constants DESIGN.md calls out.
-// cmd/focus-bench prints the corresponding paper-style rows; these
-// benches make the same measurements repeatable under `go test -bench`.
+// Ablation benches for the design constants DESIGN.md calls out, plus the
+// whole-pipeline and variant-calling benches. The paper's tables and
+// figures (§VI) have one runner, cmd/focus-bench.
 
 import (
 	"fmt"
@@ -12,13 +11,10 @@ import (
 
 	"focus/internal/assembly"
 	"focus/internal/coarsen"
-	"focus/internal/debruijn"
 	"focus/internal/dist"
-	"focus/internal/greedyasm"
 	"focus/internal/overlap"
 	"focus/internal/partition"
 	"focus/internal/simulate"
-	"focus/internal/taxonomy"
 )
 
 const (
@@ -68,190 +64,6 @@ func benchSet(b *testing.B, id int) *benchData {
 	d := &benchData{com: com, rs: rs, stages: s}
 	benchCache[id] = d
 	return d
-}
-
-// BenchmarkTable1DataSets measures generating each synthetic data set
-// (community + reads), the Table I workload.
-func BenchmarkTable1DataSets(b *testing.B) {
-	for id := 1; id <= 3; id++ {
-		b.Run(fmt.Sprintf("D%d", id), func(b *testing.B) {
-			spec, err := simulate.PaperDataSet(id, benchScale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var bases int
-			for i := 0; i < b.N; i++ {
-				com, err := simulate.BuildCommunity(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rs, err := simulate.SimulateReads(com, simulate.PaperReadConfig(id, benchCoverage))
-				if err != nil {
-					b.Fatal(err)
-				}
-				bases = rs.TotalBases()
-			}
-			b.ReportMetric(float64(bases), "bases")
-		})
-	}
-}
-
-// BenchmarkFig4PartitionSpeedup measures hybrid-set partitioning (k=16)
-// and reports the projected speedup at each processor count (Fig. 4).
-func BenchmarkFig4PartitionSpeedup(b *testing.B) {
-	d := benchSet(b, 1)
-	for _, procs := range []int{1, 2, 4, 8, 12} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			var speedup float64
-			for i := 0; i < b.N; i++ {
-				res, _, err := d.stages.PartitionHybrid(16, procs, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				base := res.SimulatedMakespan(1)
-				at := res.SimulatedMakespan(procs)
-				if at > 0 {
-					speedup = float64(base) / float64(at)
-				}
-			}
-			b.ReportMetric(speedup, "x-speedup")
-		})
-	}
-}
-
-// BenchmarkFig5HybridVsMultilevel times partitioning of the hybrid graph
-// set vs the full multilevel graph set (Fig. 5).
-func BenchmarkFig5HybridVsMultilevel(b *testing.B) {
-	for id := 1; id <= 3; id++ {
-		d := benchSet(b, id)
-		for _, k := range []int{8, 16} {
-			b.Run(fmt.Sprintf("D%d/hybrid/k=%d", id, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := d.stages.PartitionHybrid(k, k/2, int64(i+1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("D%d/multilevel/k=%d", id, k), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := d.stages.PartitionMultilevel(k, k/2, int64(i+1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable2EdgeCut partitions both ways and reports the edge cuts
-// on the overlap graph (Table II).
-func BenchmarkTable2EdgeCut(b *testing.B) {
-	for id := 1; id <= 3; id++ {
-		d := benchSet(b, id)
-		for _, k := range []int{8, 16} {
-			b.Run(fmt.Sprintf("D%d/k=%d", id, k), func(b *testing.B) {
-				var hybCut, mlCut int64
-				for i := 0; i < b.N; i++ {
-					hres, _, err := d.stages.PartitionHybrid(k, k/2, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mres, _, err := d.stages.PartitionMultilevel(k, k/2, 1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					_, hybCut = d.stages.HybridCuts(hres)
-					mlCut = partition.EdgeCut(d.stages.G0, mres.Labels())
-				}
-				b.ReportMetric(float64(hybCut), "cut-hyb")
-				b.ReportMetric(float64(mlCut), "cut-ovl")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6DistributedAlgorithms times the distributed trimming and
-// traversal phases per partition count and reports the k-worker projected
-// times (Fig. 6).
-func BenchmarkFig6DistributedAlgorithms(b *testing.B) {
-	d := benchSet(b, 1)
-	for _, k := range []int{4, 8, 16} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			pool, err := dist.NewLocalPool(2, assembly.NewService)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Close()
-			var trimNs, travNs float64
-			for i := 0; i < b.N; i++ {
-				res, err := d.stages.Assemble(pool, k, 2, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				trimNs = float64(res.SimTrimTime(k).Nanoseconds())
-				travNs = float64(res.SimTraverseTime(k).Nanoseconds())
-			}
-			b.ReportMetric(trimNs, "trim-ns@k-workers")
-			b.ReportMetric(travNs, "trav-ns@k-workers")
-		})
-	}
-}
-
-// BenchmarkTable3AssemblyStats runs the assembly per partition count and
-// reports N50 / max / contig count (Table III).
-func BenchmarkTable3AssemblyStats(b *testing.B) {
-	d := benchSet(b, 1)
-	for _, k := range []int{4, 16} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			pool, err := dist.NewLocalPool(2, assembly.NewService)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Close()
-			var st Stats
-			for i := 0; i < b.N; i++ {
-				res, err := d.stages.Assemble(pool, k, 2, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = res.Stats
-			}
-			b.ReportMetric(float64(st.N50), "N50-bp")
-			b.ReportMetric(float64(st.MaxContig), "max-bp")
-			b.ReportMetric(float64(st.NumContigs), "contigs")
-		})
-	}
-}
-
-// BenchmarkFig7GenusDistribution measures read classification plus the
-// genus-by-partition cross-tabulation, reporting the phylum cohesion
-// contrast (Fig. 7).
-func BenchmarkFig7GenusDistribution(b *testing.B) {
-	d := benchSet(b, 2)
-	var refs []taxonomy.Reference
-	for _, g := range d.com.Genomes {
-		refs = append(refs, taxonomy.Reference{Name: g.ID, Genus: g.Genus, Phylum: g.Phylum, Seq: g.Seq})
-	}
-	cls, err := taxonomy.NewClassifier(refs, 21)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := d.stages.PartitionHybrid(16, 8, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	labels := d.stages.ReadLabels(res)
-	b.ResetTimer()
-	var same, diff float64
-	for i := 0; i < b.N; i++ {
-		dst, err := taxonomy.GenusDistribution(cls, d.stages.Reads, labels, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		same, diff = dst.PhylumCohesion()
-	}
-	b.ReportMetric(same, "same-phylum-cos")
-	b.ReportMetric(diff, "cross-phylum-cos")
 }
 
 // --- Ablations -----------------------------------------------------------
@@ -416,48 +228,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBaselineDeBruijn contrasts the de Bruijn baseline (the model
-// family the paper positions Focus against) with the Focus overlap-graph
-// pipeline on the same read set, reporting both N50s.
-func BenchmarkBaselineDeBruijn(b *testing.B) {
-	d := benchSet(b, 1)
-	b.Run("debruijn", func(b *testing.B) {
-		var n50 int
-		for i := 0; i < b.N; i++ {
-			contigs, err := debruijn.Assemble(d.stages.Reads, debruijn.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			n50 = assembly.ComputeStats(contigs).N50
-		}
-		b.ReportMetric(float64(n50), "N50-bp")
-	})
-	b.Run("greedy", func(b *testing.B) {
-		var n50 int
-		for i := 0; i < b.N; i++ {
-			contigs := greedyasm.AssembleFromRecords(d.stages.Reads, d.stages.Records, greedyasm.DefaultConfig())
-			n50 = assembly.ComputeStats(contigs).N50
-		}
-		b.ReportMetric(float64(n50), "N50-bp")
-	})
-	b.Run("focus", func(b *testing.B) {
-		pool, err := dist.NewLocalPool(2, assembly.NewService)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		var n50 int
-		for i := 0; i < b.N; i++ {
-			res, err := d.stages.Assemble(pool, 4, 2, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n50 = res.Stats.N50
-		}
-		b.ReportMetric(float64(n50), "N50-bp")
-	})
 }
 
 // BenchmarkVariantCalling measures the distributed variant scan (the

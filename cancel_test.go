@@ -160,7 +160,7 @@ func TestWatchdogThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hang := dist.ChaosConfig{Seed: 19, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 19, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, assembly.NewService, dist.Options{
 		MaxFailures: 1,
 		Logf:        t.Logf,

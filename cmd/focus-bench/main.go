@@ -23,11 +23,11 @@ import (
 	"time"
 
 	"focus"
+	"focus/cmd/focus-bench/internal/debruijn"
+	"focus/cmd/focus-bench/internal/greedyasm"
 	"focus/internal/assembly"
-	"focus/internal/debruijn"
 	"focus/internal/dist"
 	"focus/internal/eval"
-	"focus/internal/greedyasm"
 	"focus/internal/metrics"
 	"focus/internal/partition"
 	"focus/internal/simulate"

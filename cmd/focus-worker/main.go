@@ -7,9 +7,10 @@
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting
 // connections, drains in-flight RPC calls for up to -grace, then closes
-// the remaining connections. The -healthcheck mode probes a running
-// worker's Ping RPC (exit 0 = healthy), for use by process supervisors
-// and container orchestrators.
+// the remaining connections. The -healthcheck mode connects to a running
+// worker the way a master does (wire handshake, then the Ping RPC; exit 0
+// = healthy and of this build's wire version), for use by process
+// supervisors and container orchestrators.
 package main
 
 import (
@@ -27,11 +28,10 @@ import (
 
 func main() {
 	var (
-		listen  = flag.String("listen", "127.0.0.1:7465", "address to listen on")
-		grace   = flag.Duration("grace", 10*time.Second, "in-flight call drain budget on SIGINT/SIGTERM")
-		health  = flag.Bool("healthcheck", false, "probe the worker at -listen with a Ping RPC and exit 0 (healthy) or 1")
-		wireBuf = flag.Int("wire-buf", 0, "per-connection buffered-IO size in bytes (0 = 64 KiB); the codec itself is negotiated per connection (binary wire handshake, gob otherwise)")
-		runTTL  = flag.Duration("run-ttl", 0, "drop stored stateful partitions not touched for this long (a crashed master's state; 0 = keep forever)")
+		listen = flag.String("listen", "127.0.0.1:7465", "address to listen on")
+		grace  = flag.Duration("grace", 10*time.Second, "in-flight call drain budget on SIGINT/SIGTERM")
+		health = flag.Bool("healthcheck", false, "probe the worker at -listen (wire handshake + Ping RPC) and exit 0 (healthy, same wire version) or 1")
+		runTTL = flag.Duration("run-ttl", 0, "drop stored stateful partitions not touched for this long (a crashed master's state; 0 = keep forever)")
 	)
 	flag.Parse()
 
@@ -45,7 +45,7 @@ func main() {
 	}
 
 	svc := &assembly.Service{}
-	srv, err := dist.NewServerOpts(svc, dist.Options{WireBufSize: *wireBuf})
+	srv, err := dist.NewServer(svc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "focus-worker:", err)
 		os.Exit(1)

@@ -102,7 +102,6 @@ func main() {
 		retries   = flag.Int("rpc-retries", 0, "failover retries per task after application-level worker errors (stateless protocols only)")
 		callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
 		maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
-		codec     = flag.String("codec", "auto", "RPC wire codec: auto (binary, falling back to gob per worker), binary (required), or gob")
 		ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
 		ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every Nth phase boundary (with -checkpoint-dir)")
 		resume    = flag.Bool("resume", false, "resume the assembly phases from the newest valid checkpoint in -checkpoint-dir")
@@ -156,16 +155,6 @@ func main() {
 	cfg.Watchdog = assembly.WatchdogConfig{Window: *watchdog}
 	if *ckptDir != "" {
 		resumeHint = fmt.Sprintf("focus: resume with -resume -checkpoint-dir %s", *ckptDir)
-	}
-	switch *codec {
-	case "auto":
-		cfg.Dist.Codec = dist.CodecAuto
-	case "binary":
-		cfg.Dist.Codec = dist.CodecBinary
-	case "gob":
-		cfg.Dist.Codec = dist.CodecGob
-	default:
-		fatal(fmt.Errorf("focus: unknown -codec %q (auto|binary|gob)", *codec))
 	}
 
 	var pool *dist.Pool

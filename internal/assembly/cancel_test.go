@@ -151,7 +151,7 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 	want := healthyBaseline(t, k)
 	defer testutil.NoLeaks(t)
 
-	hang := dist.ChaosConfig{Seed: 11, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
 		MaxFailures: 1, // no CallTimeout: only the watchdog can unstick the run
 		Logf:        t.Logf,
@@ -192,7 +192,7 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 // fallback is for worker-pool exhaustion).
 func TestWatchdogEscalatesToCancel(t *testing.T) {
 	defer testutil.NoLeaks(t)
-	hang := dist.ChaosConfig{Seed: 13, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 13, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
 		MaxFailures: 1,
 		Logf:        t.Logf,
@@ -220,7 +220,7 @@ func TestWatchdogEscalatesToCancel(t *testing.T) {
 // ErrPhaseBudget well before the full run deadline.
 func TestPhaseBudgetExpiry(t *testing.T) {
 	defer testutil.NoLeaks(t)
-	hang := dist.ChaosConfig{Seed: 17, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 17, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
 		MaxFailures: 1,
 		Logf:        t.Logf,

@@ -80,7 +80,7 @@ func TestChaosHungWorkerReschedules(t *testing.T) {
 	want := healthyBaseline(t, k)
 	defer testutil.NoLeaks(t)
 
-	hang := dist.ChaosConfig{Seed: 3, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 3, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
 		CallTimeout: 200 * time.Millisecond,
 		MaxFailures: 1,
@@ -120,7 +120,7 @@ func TestChaosAllWorkersDownFallsBackLocal(t *testing.T) {
 	want := healthyBaseline(t, k)
 	defer testutil.NoLeaks(t)
 
-	hang := dist.ChaosConfig{Seed: 5, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 5, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
 		CallTimeout: 150 * time.Millisecond,
 		MaxFailures: 1,
@@ -166,6 +166,7 @@ func TestChaosSweep(t *testing.T) {
 				defer testutil.NoLeaks(t)
 				cfg := dist.ChaosConfig{
 					Seed:        seed,
+					FirstSafe:   1, // the handshake ack: a worker that cannot connect is not in the pool
 					HangProb:    0.05,
 					HangFor:     2 * time.Second,
 					ResetProb:   0.05,

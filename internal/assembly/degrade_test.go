@@ -106,7 +106,7 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 		MaxFailures: 1,
 		Logf:        t.Logf,
 	}, func(w int) *dist.ChaosConfig {
-		return &dist.ChaosConfig{Seed: 29 + int64(w), HangProb: 1, HangFor: 2 * time.Second}
+		return &dist.ChaosConfig{Seed: 29 + int64(w), FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -385,7 +385,7 @@ func (d *Driver) Close() error {
 	// Members, not 0..Size(): on a view only member workers are reachable
 	// (and only they can hold this run's state).
 	for _, w := range d.Pool.Members() {
-		var ok bool
+		var ok dist.Ack
 		if err := d.Pool.Call(w, "Unload", &UnloadArgs{RunID: d.runID}, &ok); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -23,11 +23,11 @@ func TestRehostAfterPinnedWorkerLoss(t *testing.T) {
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	for firstSafe := 0; firstSafe <= 6; firstSafe++ {
-		t.Run(fmt.Sprintf("firstSafe=%d", firstSafe), func(t *testing.T) {
+	for healthy := 0; healthy <= 6; healthy++ {
+		t.Run(fmt.Sprintf("healthy=%d", healthy), func(t *testing.T) {
 			hang := dist.ChaosConfig{
 				Seed:      11,
-				FirstSafe: firstSafe, // healthy responses before the worker wedges
+				FirstSafe: 1 + healthy, // the handshake ack, then healthy responses before the worker wedges
 				HangProb:  1,
 				HangFor:   2 * time.Second,
 			}
@@ -84,7 +84,7 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 		MaxFailures: 1,
 		Logf:        t.Logf,
 	}, func(w int) *dist.ChaosConfig {
-		return &dist.ChaosConfig{Seed: 13 + int64(w), HangProb: 1, HangFor: 2 * time.Second}
+		return &dist.ChaosConfig{Seed: 13 + int64(w), FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package assembly
 import (
 	"sync"
 
+	"focus/internal/dist"
 	"focus/internal/overlap"
 )
 
@@ -58,7 +59,7 @@ func (s *Service) Paths(args *PhaseArgs, reply *PathsReply) error {
 
 // Ping verifies worker liveness: the pool's reconnect loop and the
 // focus-worker -healthcheck probe call it (dist.HealthCheck).
-func (s *Service) Ping(args *int, reply *bool) error {
+func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 	*reply = true
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"focus/internal/dist"
 )
 
 // The stateless protocol reships each partition's subgraph every phase.
@@ -215,7 +217,7 @@ type UnloadArgs struct{ RunID string }
 
 // Unload drops every stored partition of a run (call when the master is
 // done, to free worker memory).
-func (s *Service) Unload(args *UnloadArgs, reply *bool) error {
+func (s *Service) Unload(args *UnloadArgs, reply *dist.Ack) error {
 	st := s.ensureState()
 	st.mu.Lock()
 	defer st.mu.Unlock()

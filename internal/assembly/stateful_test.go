@@ -58,7 +58,7 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 		t.Error("unloaded run accepted")
 	}
 	// Unload forgets the run.
-	var ok bool
+	var ok dist.Ack
 	if err := svc.Unload(&UnloadArgs{RunID: "r1"}, &ok); err != nil || !ok {
 		t.Fatal(err)
 	}

@@ -7,21 +7,23 @@ import (
 	"focus/internal/dna"
 )
 
-// This file gives every hot RPC payload of the assembly service a
-// hand-written binary encoding (dist.Wire), bypassing gob on the binary
-// codec. The encodings lean on the payloads' structure: node/edge id
-// lists are delta-zigzag varints (partition-sorted ids collapse to ~1
-// byte each), contigs ship 2-bit packed via dna.Pack, and configs are
-// plain varint/float fields. Decoders copy everything they keep — the
-// source buffer is the codec's pooled frame and dies when DecodeFrom
-// returns (see the Wire contract in dist and DESIGN.md §10).
+// This file gives every RPC payload of the assembly service its
+// hand-written binary encoding (dist.Wire). The encodings lean on the
+// payloads' structure: node/edge id lists are delta-zigzag varints
+// (partition-sorted ids collapse to ~1 byte each), contigs ship 2-bit
+// packed via dna.Pack, and configs are plain varint/float fields.
+// Decoders copy everything they keep — the source buffer is the codec's
+// reused frame and dies when DecodeFrom returns (see the Wire contract in
+// dist and DESIGN.md §10).
 //
 // nil and empty slices round-trip distinctly (dist.AppendLen), so decoded
 // values are reflect.DeepEqual to their originals.
+//
+// Any change to the bytes written here is a wire-version change:
+// TestWireSchemaPinned holds them to testdata/wire_v<N>.golden.
 
-// Compile-time interface checks: every RPC body of the service must stay
-// a Wire implementer (a silently dropped method would fall back to gob
-// and quietly lose the wire-size win).
+// Compile-time interface checks: every RPC body of the service is a Wire
+// implementer (the pool refuses to send one that is not).
 var (
 	_ dist.Wire = (*PhaseArgs)(nil)
 	_ dist.Wire = (*VariantArgs)(nil)
@@ -33,6 +35,7 @@ var (
 	_ dist.Wire = (*LoadReply)(nil)
 	_ dist.Wire = (*PhaseArgsStateful)(nil)
 	_ dist.Wire = (*PhaseReplyStateful)(nil)
+	_ dist.Wire = (*UnloadArgs)(nil)
 )
 
 // boundLen rejects decoded element counts larger than the bytes left in
@@ -460,5 +463,17 @@ func (r *PhaseReplyStateful) DecodeFrom(src []byte) error {
 	decodeRemoval(&rd, &r.Removal)
 	r.Paths = decodePaths(&rd)
 	r.Variants = decodeVariants(&rd)
+	return rd.Finish()
+}
+
+// AppendTo implements dist.Wire.
+func (a *UnloadArgs) AppendTo(dst []byte) []byte {
+	return dist.AppendString(dst, a.RunID)
+}
+
+// DecodeFrom implements dist.Wire.
+func (a *UnloadArgs) DecodeFrom(src []byte) error {
+	rd := dist.NewWireReader(src)
+	a.RunID = rd.String()
 	return rd.Finish()
 }

@@ -2,15 +2,23 @@ package assembly
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"focus/internal/align"
 	"focus/internal/dist"
+	"focus/internal/overlap"
 )
 
 // Randomized value generators for the Wire property test. They cover the
@@ -197,8 +205,10 @@ func TestWireRoundTripProperty(t *testing.T) {
 		lr  LoadReply
 		pas PhaseArgsStateful
 		prs PhaseReplyStateful
+		ua  UnloadArgs
 	)
 	for i := 0; i < 100; i++ {
+		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
 		rtWire(t, &PhaseArgs{Sub: randSubgraph(rng), Cfg: randConfig(rng)}, &pa)
 		rtWire(t, &VariantArgs{Sub: randSubgraph(rng), Cfg: randVariantConfig(rng)}, &va)
 		rtWire(t, &EdgeReply{Edges: randEdgePairs(rng)}, &er)
@@ -242,62 +252,55 @@ func TestWireDecodeCorruptFrames(t *testing.T) {
 }
 
 // TestWireCodecEquivalence is the acceptance check for the codec and the
-// parallel extractor: the full trim+traverse+contigs outcome must be
-// identical across pool sizes 1/2/8, gob vs binary codec, and serial vs
-// parallel subgraph extraction.
+// parallel extractor: the full trim+traverse+contigs outcome over the
+// wire must equal the pool-less local run — where no byte is encoded —
+// across pool sizes 1/2/8, serial vs parallel subgraph extraction, and
+// both protocols.
 func TestWireCodecEquivalence(t *testing.T) {
 	const k = 8
-	baseline := func() runOutcome {
-		pool, err := dist.NewLocalPoolOpts(1, NewService, dist.Options{Codec: dist.CodecGob, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer pool.Close()
-		d := chaosPipeline(t, pool, k, false)
-		d.extractWorkers = 1
-		out, err := fullRun(t, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}()
+	baseline, err := fullRun(t, chaosPipeline(t, nil, k, false))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, codec := range []dist.Codec{dist.CodecGob, dist.CodecBinary} {
-			for _, ew := range []int{1, 8} {
-				pool, err := dist.NewLocalPoolOpts(workers, NewService, dist.Options{Codec: codec, Logf: t.Logf})
-				if err != nil {
-					t.Fatal(err)
-				}
-				d := chaosPipeline(t, pool, k, false)
-				d.extractWorkers = ew
-				got, err := fullRun(t, d)
-				pool.Close()
-				if err != nil {
-					t.Fatalf("workers=%d codec=%d extract=%d: %v", workers, codec, ew, err)
-				}
-				if !reflect.DeepEqual(got, baseline) {
-					t.Fatalf("workers=%d codec=%d extract=%d diverged:\ngot  %+v\nwant %+v",
-						workers, codec, ew, got, baseline)
-				}
+		for _, ew := range []int{1, 8} {
+			pool, err := dist.NewLocalPoolOpts(workers, NewService, dist.Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := chaosPipeline(t, pool, k, false)
+			d.extractWorkers = ew
+			got, err := fullRun(t, d)
+			pool.Close()
+			if err != nil {
+				t.Fatalf("workers=%d extract=%d: %v", workers, ew, err)
+			}
+			if d.Degraded() {
+				t.Fatalf("workers=%d extract=%d ran locally, not over the wire", workers, ew)
+			}
+			if !reflect.DeepEqual(got, baseline) {
+				t.Fatalf("workers=%d extract=%d diverged:\ngot  %+v\nwant %+v", workers, ew, got, baseline)
 			}
 		}
 	}
 
-	// The stateful delta protocol must agree across codecs too.
-	for _, codec := range []dist.Codec{dist.CodecGob, dist.CodecBinary} {
-		pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Codec: codec, Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fullRun(t, chaosPipeline(t, pool, k, true))
-		pool.Close()
-		if err != nil {
-			t.Fatalf("stateful codec=%d: %v", codec, err)
-		}
-		if !reflect.DeepEqual(got, baseline) {
-			t.Fatalf("stateful codec=%d diverged:\ngot  %+v\nwant %+v", codec, got, baseline)
-		}
+	// The stateful delta protocol must agree too.
+	pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := chaosPipeline(t, pool, k, true)
+	got, err := fullRun(t, d)
+	pool.Close()
+	if err != nil {
+		t.Fatalf("stateful: %v", err)
+	}
+	if d.Degraded() {
+		t.Fatal("stateful run degraded to local, not over the wire")
+	}
+	if !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("stateful diverged:\ngot  %+v\nwant %+v", got, baseline)
 	}
 }
 
@@ -326,44 +329,131 @@ func TestWireSubgraphsSerialParallel(t *testing.T) {
 	}
 }
 
-// TestWireGobWorkerCrossVersion is the satellite-c mixed-version check: a
-// binary-preferring master (CodecAuto) against an old-style gob-only
-// worker falls back cleanly and the assembly run matches the baseline.
-func TestWireGobWorkerCrossVersion(t *testing.T) {
-	const k = 4
-	want := healthyBaseline(t, k)
-
-	rpcSrv := rpc.NewServer()
-	if err := rpcSrv.RegisterName(dist.ServiceName, NewService()); err != nil {
-		t.Fatal(err)
+// wireSamples returns one fixed, fully-populated value of every message
+// type that crosses the wire, in a fixed order. Every field is non-zero
+// and every slice non-empty, so a field added, dropped, reordered or
+// re-coded changes the bytes.
+func wireSamples() []struct {
+	name string
+	msg  dist.Wire
+} {
+	sub := Subgraph{
+		Part:  3,
+		Local: []int32{10, 11, 15},
+		Nodes: []WireNode{
+			{ID: 10, Part: 3, Weight: 7, Contig: []byte("ACGTTGCA")},
+			{ID: 11, Part: 3, Weight: 2, Contig: []byte("GGNAC#acgt")},
+			{ID: 15, Part: 1, Weight: -4, Contig: []byte{}},
+			{ID: 90, Part: 2, Weight: 1 << 40},
+		},
+		Edges: []Edge{
+			{From: 10, To: 11, Diag: 42, Len: 58, Ident: 0.9375, Contain: false},
+			{From: 10, To: 90, Diag: -3, Len: 61, Ident: 1, Contain: true},
+			{From: 15, To: 10, Diag: 7, Len: 50, Ident: 0.5},
+		},
 	}
+	cfg := Config{MinEdgeOverlap: 50, MinEdgeIdentity: 0.9, Band: 16, DiagTolerance: 8,
+		MaxTipNodes: 3, MinTipLen: 400, RPCRetries: 2, Stateful: true, Workers: 5}
+	vcfg := VariantConfig{MinBranchCov: 4, MaxLenDiff: 6, Band: 24, MinIdentity: 0.8}
+	pairs := []EdgePair{{From: 10, To: 11}, {From: 15, To: 10}, {From: 15, To: 2}}
+	removal := Removal{Nodes: []int32{11, 90, 4}, Edges: pairs[:2]}
+	paths := [][]int32{{10, 11, 90}, {}, {15}}
+	variants := []Variant{{From: 10, To: -1, AlleleA: 11, AlleleB: 15, CovA: 9, CovB: 3,
+		LenA: 120, LenB: 118, Identity: 0.98, Mismatches: 2, Kind: 1, Reconverges: true}}
+	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, MaxOccur: 64,
+		Align:   align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}},
+		Workers: 3, Seeding: 1, MinimizerW: 8, RPCRetries: 1}
+	ack := dist.Ack(true)
+	return []struct {
+		name string
+		msg  dist.Wire
+	}{
+		{"Ack", &ack},
+		{"PhaseArgs", &PhaseArgs{Sub: sub, Cfg: cfg}},
+		{"VariantArgs", &VariantArgs{Sub: sub, Cfg: vcfg}},
+		{"EdgeReply", &EdgeReply{Edges: pairs}},
+		{"RemovalReply", &RemovalReply{Removal: removal}},
+		{"PathsReply", &PathsReply{Paths: paths}},
+		{"VariantsReply", &VariantsReply{Variants: variants}},
+		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Cfg: cfg, Epoch: 12}},
+		{"LoadReply", &LoadReply{Nodes: 4, Edges: 3}},
+		{"PhaseArgsStateful", &PhaseArgsStateful{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,
+			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},
+		{"PhaseReplyStateful", &PhaseReplyStateful{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
+		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
+		{"AlignPairArgs", &overlap.AlignPairArgs{
+			RefIDs: []int32{0, 1}, RefSeqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA")},
+			QueryIDs: []int32{5}, QuerySeqs: [][]byte{[]byte("GTACGTACGG")}, Cfg: ocfg}},
+		{"AlignPairReply", &overlap.AlignPairReply{Records: []overlap.Record{
+			{A: 5, B: 0, Kind: 1, Len: 58, Identity: 0.9375, Diag: 42},
+			{A: 5, B: 1, Kind: 2, Len: 50, Identity: 1, Diag: -7},
+		}}},
+	}
+}
+
+// servedWireVersion learns the wire version the way a peer does: from the
+// ack a worker writes first on every connection, whatever it was sent.
+func servedWireVersion(t *testing.T) int {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go rpcSrv.ServeConn(conn) // plain gob, no handshake sniffing
+	go func() { _ = dist.Serve(lis, &Service{}) }()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	var ack [8]byte
+	if _, err := conn.Write(ack[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		t.Fatalf("reading the worker's ack: %v", err)
+	}
+	if string(ack[:3]) != "FWB" || string(ack[4:]) != "!rpc" {
+		t.Fatalf("worker's first write %q is not a handshake ack", ack[:])
+	}
+	return int(ack[3] - '0')
+}
+
+var blessWire = flag.Bool("bless-wire", false, "write testdata/wire_v<N>.golden for the current wire version if (and only if) it does not exist yet")
+
+// TestWireSchemaPinned pins the bytes of every message against a golden
+// file named for the wire version. The name is the lock: a change to any
+// encoding fails here until dist's wireVersion is bumped, because
+// -bless-wire refuses to overwrite the golden of a version that already
+// has one — a mixed fleet then fails its handshake instead of mis-decoding
+// shifted fields in the middle of a run.
+func TestWireSchemaPinned(t *testing.T) {
+	var got strings.Builder
+	for _, s := range wireSamples() {
+		enc := s.msg.AppendTo(nil)
+		fresh := reflect.New(reflect.TypeOf(s.msg).Elem()).Interface().(dist.Wire)
+		if err := fresh.DecodeFrom(enc); err != nil || !reflect.DeepEqual(fresh, s.msg) {
+			t.Fatalf("%s sample does not round-trip (err %v)", s.name, err)
 		}
-	}()
-
-	pool, err := dist.DialPoolOpts([]string{lis.Addr().String()},
-		dist.Options{HandshakeTimeout: 250 * time.Millisecond, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("CodecAuto dial against gob-only worker: %v", err)
+		fmt.Fprintf(&got, "%s %d %x\n", s.name, len(enc), sha256.Sum256(enc))
 	}
-	defer pool.Close()
-
-	got, err := fullRun(t, chaosPipeline(t, pool, k, false))
-	if err != nil {
-		t.Fatalf("run over gob fallback failed: %v", err)
+	version := servedWireVersion(t)
+	path := filepath.Join("testdata", fmt.Sprintf("wire_v%d.golden", version))
+	want, err := os.ReadFile(path)
+	if os.IsNotExist(err) && *blessWire {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s; delete the previous version's golden", path)
+		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob-fallback run diverged:\ngot  %+v\nwant %+v", got, want)
+	if err != nil {
+		t.Fatalf("no schema pin for wire version %d: %v (go test ./internal/assembly/ -run TestWireSchemaPinned -bless-wire writes it)", version, err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("message encodings differ from %s — peers of wire version %d would mis-decode them.\n"+
+			"Bump wireVersion in internal/dist/codec.go and bless the new version's golden (-bless-wire).\ngot:\n%swant:\n%s",
+			path, version, got.String(), want)
 	}
 }

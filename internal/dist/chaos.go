@@ -24,7 +24,9 @@ type ChaosConfig struct {
 	// function of Seed and the write sequence.
 	Seed int64
 	// FirstSafe exempts the first n writes from injection, letting
-	// connection setup and a configurable healthy prefix complete.
+	// connection setup (the server's first write is its handshake ack;
+	// a pool cannot be built on a worker that never acks) and a
+	// configurable healthy prefix complete.
 	FirstSafe int
 	// HangProb is the probability a write hangs for HangFor (default 10s),
 	// simulating a stuck worker. The hang releases early when the

@@ -2,9 +2,8 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,15 +13,12 @@ import (
 	"time"
 )
 
-// This file is the binary wire protocol of the pool: a framed
-// rpc.ClientCodec / rpc.ServerCodec pair that replaces net/rpc's
-// reflective gob codec on the master↔worker hot path. Payload types that
-// implement Wire (the assembly subgraph/phase/delta types, the overlap
-// AlignPair types) are serialized by their hand-written encoders into a
-// pooled staging buffer — no per-call encoder state, no reflection, zero
-// steady-state allocations in the codec itself; every other type rides a
-// self-contained per-message gob fallback, so Ping, Unload and any future
-// method keep working unchanged.
+// This file is the wire protocol of the pool — the only one: a framed
+// rpc.ClientCodec / rpc.ServerCodec pair under net/rpc's call matching.
+// Every RPC body implements Wire and is serialized by its hand-written
+// encoder into the connection's staging buffer: no per-call encoder
+// state, no reflection, zero steady-state allocations in the codec. A
+// body that does not implement Wire is an error where it is sent.
 //
 // Frame layout (both directions, after the handshake):
 //
@@ -30,24 +26,40 @@ import (
 //	payload:
 //	  request:  uvarint seq · string method · flag · body
 //	  response: uvarint seq · string method · string error · flag · body
-//	flag: 0 = no body · 1 = Wire body · 2 = gob body
+//	flag: 0 = no body · 1 = Wire body
 //
-// Handshake: the client opens with the 8-byte magic "FWB2?rpc"; a
-// wire-aware server consumes it and answers "FWB2!rpc", after which both
-// sides speak frames. The digit is the wire-schema version: it is bumped
-// whenever any Wire message's encoding changes, so a peer built for
-// another schema is never acked (it looks like a gob-only peer) instead
-// of mis-decoding shifted fields. The server sniffs the first 8 bytes of every
-// accepted connection, so one listener serves binary and gob clients
-// simultaneously (Peek — nothing is consumed on the gob path). A client
-// in CodecAuto mode that gets no ack within the handshake timeout (an old
-// gob-only worker blocks on the magic: it reads it as a gob length
-// prefix) closes the attempt and redials with the gob codec; the
-// downgrade is remembered per worker so reconnects skip the probe.
-const (
-	wireMagicReq = "FWB2?rpc"
-	wireMagicAck = "FWB2!rpc"
-)
+// Handshake: 8 bytes each way, "FWB" · '0'+wireVersion · kind · "rpc",
+// kind '?' for the client's request (sent first) and '!' for the server's
+// ack (its first write), both under Options.handshakeTimeout. The server
+// always answers with its own ack and then closes unless the request was
+// its own version's; the client turns an ack of another version into
+// ErrWireVersion and anything else — silence, a closed connection, bytes
+// that are not an ack — into an error naming the ack it expected. A
+// mixed-version fleet therefore fails when it connects, in either
+// direction, never in the middle of a run.
+
+// wireVersion is the version both handshake messages carry. Bump it when
+// any Wire layout changes OR when a worker's answer to the same request
+// changes (a worker that orders AlignPair records differently is as
+// incompatible as one that shifts a field). internal/assembly pins every
+// message's bytes to testdata/wire_v<wireVersion>.golden, so changed
+// bytes cannot be re-blessed without touching this constant.
+const wireVersion = 3
+
+// ErrWireVersion marks a connect that reached a peer speaking another
+// wire version; the wrapping error's text carries both versions.
+var ErrWireVersion = errors.New("dist: wire version mismatch")
+
+const handshakeLen = 8
+
+// handshake returns the handshake message of the given kind ('?' or '!').
+func handshake(kind byte, version int) string {
+	return "FWB" + string([]byte{byte('0' + version), kind}) + "rpc"
+}
+
+// wireBufSize sizes the per-connection buffered reader and is the first
+// growth step of a frame buffer.
+const wireBufSize = 64 << 10
 
 // maxWireFrame bounds a frame payload (defense against corrupt length
 // prefixes, not a protocol limit).
@@ -56,35 +68,27 @@ const maxWireFrame = 1 << 30
 const (
 	flagNoBody byte = iota
 	flagWire
-	flagGob
 )
 
-// wireBufPool recycles codec staging/frame buffers across connections
-// (reconnect churn, short-lived benchmark pools).
-var wireBufPool = sync.Pool{New: func() interface{} { b := make([]byte, 0, 4096); return &b }}
-
-func getWireBuf() []byte  { return (*wireBufPool.Get().(*[]byte))[:0] }
-func putWireBuf(b []byte) { wireBufPool.Put(&b) }
+// getWireBuf returns a fresh staging/frame buffer. A codec keeps its two
+// for the life of the connection (that reuse is what makes the steady
+// state allocation-free) and leaves them to the GC when it closes.
+func getWireBuf() []byte { return make([]byte, 0, 4096) }
 
 // appendBody appends the flag byte and encoded body.
 func appendBody(dst []byte, body interface{}) ([]byte, error) {
 	if body == nil {
 		return append(dst, flagNoBody), nil
 	}
-	if w, ok := body.(Wire); ok {
-		return w.AppendTo(append(dst, flagWire)), nil
+	w, ok := body.(Wire)
+	if !ok {
+		return dst, notWireError(body)
 	}
-	return appendGobBody(append(dst, flagGob), body)
+	return w.AppendTo(append(dst, flagWire)), nil
 }
 
-// appendGobBody is the cold fallback, kept out of appendBody so taking
-// &dst for the encoder does not make the hot path's buffer escape.
-func appendGobBody(dst []byte, body interface{}) ([]byte, error) {
-	sw := sliceWriter{&dst}
-	if err := gob.NewEncoder(sw).Encode(body); err != nil {
-		return dst, err
-	}
-	return dst, nil
+func notWireError(body interface{}) error {
+	return fmt.Errorf("dist: rpc body %T does not implement Wire", body)
 }
 
 // decodeBody decodes a body encoded by appendBody into body (a pointer),
@@ -99,44 +103,45 @@ func decodeBody(flag byte, src []byte, body interface{}) error {
 	case flagWire:
 		w, ok := body.(Wire)
 		if !ok {
-			return fmt.Errorf("dist: wire body for %T, which does not implement Wire", body)
+			return notWireError(body)
 		}
 		return w.DecodeFrom(src)
-	case flagGob:
-		return gob.NewDecoder(bytes.NewReader(src)).Decode(body)
 	}
 	return fmt.Errorf("dist: unknown body flag %d", flag)
 }
 
-// sliceWriter lets a fresh gob encoder append straight into the staging
-// buffer (fallback path only).
-type sliceWriter struct{ b *[]byte }
-
-func (w sliceWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
-	return len(p), nil
-}
-
 // readFrame reads one length-prefixed frame into buf (grown as needed)
-// and returns the payload view.
+// and returns the payload view. The length prefix comes from the peer, so
+// it is not trusted with memory: a frame larger than the buffer is read
+// in steps no larger than what has already arrived (wireBufSize at first),
+// so a peer that declares a huge frame and sends nothing costs one step.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 0, 4096)
 	}
-	hdr := buf[:4] // header scratch inside the pooled buffer: no escape, no alloc
+	hdr := buf[:4] // header scratch inside the frame buffer: no escape, no alloc
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n > maxWireFrame {
-		return buf, nil, fmt.Errorf("dist: wire frame of %d bytes exceeds limit", n)
+	declared := binary.LittleEndian.Uint32(hdr)
+	if declared > maxWireFrame {
+		return buf, nil, fmt.Errorf("dist: wire frame of %d bytes exceeds limit", declared)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	n := int(declared)
+	if cap(buf) >= n {
+		buf = buf[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return buf, nil, err
+		}
+		return buf, buf, nil
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), wireBufSize))
+		buf = append(buf, make([]byte, step)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-step:]); err != nil {
+			return buf, nil, err
+		}
 	}
 	return buf, buf, nil
 }
@@ -171,33 +176,42 @@ type wireClientCodec struct {
 }
 
 // newWireClientCodec performs the client half of the wire handshake on
-// conn within timeout and returns the framed codec. On error the conn is
-// left in an undefined protocol state — the caller must close it (and
-// redial for a gob fallback).
-func newWireClientCodec(conn net.Conn, bufSize int, timeout time.Duration) (rpc.ClientCodec, error) {
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	if _, err := io.WriteString(conn, wireMagicReq); err != nil {
-		return nil, fmt.Errorf("dist: wire handshake write: %w", err)
-	}
-	var ack [len(wireMagicAck)]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		return nil, fmt.Errorf("dist: wire handshake read: %w", err)
-	}
-	if string(ack[:]) != wireMagicAck {
-		return nil, fmt.Errorf("dist: wire handshake: peer answered %q", ack[:])
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
+// conn within timeout and returns the framed codec. On error the caller
+// must close conn.
+func newWireClientCodec(conn net.Conn, timeout time.Duration) (rpc.ClientCodec, error) {
+	if err := clientHandshake(conn, timeout, wireVersion); err != nil {
 		return nil, err
 	}
 	return &wireClientCodec{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, bufSize),
+		br:      bufio.NewReaderSize(conn, wireBufSize),
 		wbuf:    getWireBuf(),
 		rbuf:    getWireBuf(),
 		methods: make(map[string]string, 8),
 	}, nil
+}
+
+// clientHandshake sends the request of the given version (wireVersion
+// outside tests) and checks the peer's ack.
+func clientHandshake(conn net.Conn, timeout time.Duration, version int) error {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	want := handshake('!', version)
+	var ack [handshakeLen]byte
+	_, err := io.WriteString(conn, handshake('?', version))
+	if err == nil {
+		_, err = io.ReadFull(conn, ack[:])
+	}
+	switch got := string(ack[:]); {
+	case err != nil:
+		return fmt.Errorf("dist: wire handshake: expected ack %q (wire version %d): %w", want, version, err)
+	case got[:3] != want[:3] || got[4:] != want[4:]:
+		return fmt.Errorf("dist: wire handshake: expected ack %q (wire version %d), peer answered %q", want, version, got)
+	case got != want:
+		return fmt.Errorf("dist: wire handshake: peer speaks wire version %d, this build speaks %d: %w", int(got[3])-'0', version, ErrWireVersion)
+	}
+	return conn.SetDeadline(time.Time{})
 }
 
 func (c *wireClientCodec) WriteRequest(r *rpc.Request, body interface{}) error {
@@ -238,21 +252,18 @@ func (c *wireClientCodec) ReadResponseBody(body interface{}) error {
 }
 
 func (c *wireClientCodec) Close() error {
-	// The buffers are NOT returned to the pool: rpc.Client calls Close
-	// while its input goroutine may still be inside ReadResponseHeader
-	// (and a sender inside WriteRequest), with no happens-before edge, so
-	// recycling here would hand a buffer to the pool while it is still
-	// being written. Per-call reuse is what keeps the steady state
-	// allocation-free; teardown lets the GC collect them.
+	// The buffers are left to the GC, never recycled: rpc.Client calls
+	// Close while its input goroutine may still be inside
+	// ReadResponseHeader (and a sender inside WriteRequest), with no
+	// happens-before edge.
 	c.closeOnce.Do(func() { c.closeErr = c.conn.Close() })
 	return c.closeErr
 }
 
-// wireServerCodec implements rpc.ServerCodec over frames, with the same
-// in-flight accounting contract as the gob countingCodec: a call counts
-// from its request header being read until its response is written, the
-// window Server.Shutdown's drain respects. srv is nil for in-process
-// (local pool) servers, which have no drain.
+// wireServerCodec implements rpc.ServerCodec over frames and keeps the
+// in-flight accounting Server.Shutdown's drain respects: a call counts
+// from its request header being read until its response is written. srv
+// is nil for in-process (local pool) servers, which have no drain.
 type wireServerCodec struct {
 	conn      io.ReadWriteCloser
 	br        *bufio.Reader
@@ -315,8 +326,7 @@ func (c *wireServerCodec) WriteResponse(r *rpc.Response, body interface{}) error
 	c.wbuf = buf
 	if err != nil {
 		// Encoding the body failed (should not happen: the service built
-		// it); shut the connection down to signal that it did, matching
-		// the gob codec's behaviour.
+		// it); shut the connection down to signal that it did.
 		c.Close()
 		return err
 	}
@@ -330,7 +340,7 @@ func (c *wireServerCodec) WriteResponse(r *rpc.Response, body interface{}) error
 func (c *wireServerCodec) Close() error {
 	// Like the client codec, Close leaves the buffers to the GC: the
 	// WriteResponse error path closes the codec while the read loop may
-	// be inside ReadRequestHeader, so recycling rbuf here would race.
+	// be inside ReadRequestHeader.
 	var err error
 	c.closeOnce.Do(func() {
 		if c.srv != nil {
@@ -341,55 +351,37 @@ func (c *wireServerCodec) Close() error {
 	return err
 }
 
-// sniffWire reports whether the connection behind br opens with the wire
-// magic, consuming it if so (and nothing otherwise).
-func sniffWire(br *bufio.Reader) (bool, error) {
-	b, err := br.Peek(len(wireMagicReq))
-	if err != nil {
-		return false, err
+// serveConn serves one connection on rpcSrv: the server half of the wire
+// handshake within timeout, then frames until the peer hangs up. srv
+// (nullable) receives in-flight accounting and connection-drop
+// notifications.
+func serveConn(rpcSrv *rpc.Server, conn net.Conn, timeout time.Duration, srv *Server) {
+	c := newWireServerCodec(conn, bufio.NewReaderSize(conn, wireBufSize), srv)
+	if err := serverHandshake(conn, c.br, timeout, wireVersion); err != nil {
+		c.Close()
+		return
 	}
-	if string(b) != wireMagicReq {
-		return false, nil
-	}
-	if _, err := br.Discard(len(wireMagicReq)); err != nil {
-		return false, err
-	}
-	return true, nil
+	rpcSrv.ServeCodec(c)
 }
 
-// serveConnSniff serves one connection on rpcSrv, auto-detecting the
-// client's codec: wire-magic openings get the binary codec (after the
-// ack), anything else gets gob. srv (nullable) receives in-flight
-// accounting and connection-drop notifications; wbuf (nullable) is the
-// buffered writer the gob codec should use — pooled by the Server,
-// allocated fresh for in-process connections.
-func serveConnSniff(rpcSrv *rpc.Server, conn net.Conn, bufSize int, srv *Server) {
-	br := bufio.NewReaderSize(conn, bufSize)
-	isWire, err := sniffWire(br)
-	if err != nil {
-		if srv != nil {
-			srv.dropConn(conn)
-		}
-		conn.Close()
-		return
+// serverHandshake reads the client's request and answers with the ack of
+// the given version (wireVersion outside tests) — always, and as the
+// connection's first write, so a client of another version learns which
+// version it reached. Any request but that version's own is then an error
+// (the caller closes).
+func serverHandshake(conn net.Conn, br *bufio.Reader, timeout time.Duration, version int) error {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
 	}
-	if isWire {
-		if _, err := io.WriteString(conn, wireMagicAck); err != nil {
-			if srv != nil {
-				srv.dropConn(conn)
-			}
-			conn.Close()
-			return
-		}
-		rpcSrv.ServeCodec(newWireServerCodec(conn, br, srv))
-		return
+	var req [handshakeLen]byte
+	if _, err := io.ReadFull(br, req[:]); err != nil {
+		return err
 	}
-	var bw *bufio.Writer
-	if srv != nil {
-		bw = srv.getWriter(conn)
-		defer srv.putWriter(bw) // ServeCodec waits out pending responses
-	} else {
-		bw = bufio.NewWriterSize(conn, bufSize)
+	if _, err := io.WriteString(conn, handshake('!', version)); err != nil {
+		return err
 	}
-	rpcSrv.ServeCodec(newCountingCodec(conn, br, bw, srv))
+	if string(req[:]) != handshake('?', version) {
+		return fmt.Errorf("dist: wire handshake: peer opened with %q", req[:])
+	}
+	return conn.SetDeadline(time.Time{})
 }

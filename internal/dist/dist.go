@@ -1,8 +1,9 @@
 // Package dist is the distribution substrate standing in for MPI (the
 // paper ran on an MPI cluster; see DESIGN.md §2 for the substitution
-// rationale). It provides a master/worker pool over net/rpc with two
-// transports: in-process workers connected by net.Pipe (same serialization
-// path, no sockets) and TCP workers for multi-process runs
+// rationale). It provides a master/worker pool over net/rpc's call
+// matching and the framed wire codec of codec.go, with two transports:
+// in-process workers connected by net.Pipe (same handshake and frames, no
+// sockets) and TCP workers for multi-process runs
 // (cmd/focus-worker). The distributed assembly algorithms of paper §V run
 // their per-partition work on these workers.
 //
@@ -51,25 +52,8 @@ var (
 	ErrKicked = errors.New("dist: worker kicked")
 )
 
-// Codec selects the wire encoding of a pool's RPC connections.
-type Codec uint8
-
-const (
-	// CodecAuto opens every connection with the binary wire handshake and
-	// falls back to gob when the peer does not answer it (an old worker
-	// build). The fallback is sticky per worker, so reconnects skip the
-	// probe. This is the default.
-	CodecAuto Codec = iota
-	// CodecBinary requires the binary wire protocol; a failed handshake is
-	// a connect error.
-	CodecBinary
-	// CodecGob forces net/rpc's stock gob codec.
-	CodecGob
-)
-
-// Options configure the pool's fault tolerance and wire protocol. The
-// zero value disables deadlines, uses the default health thresholds, and
-// negotiates the binary codec with gob fallback.
+// Options configure the pool's fault tolerance. The zero value disables
+// deadlines and uses the default health thresholds.
 type Options struct {
 	// CallTimeout is the per-call deadline; 0 disables deadlines
 	// (net/rpc's native behaviour: a hung worker blocks forever).
@@ -90,21 +74,9 @@ type Options struct {
 	// Logf receives eviction/reconnect warnings; nil means log.Printf.
 	Logf func(format string, args ...interface{})
 
-	// Codec selects the wire encoding (see the Codec constants). The zero
-	// value negotiates the binary protocol with gob fallback.
-	Codec Codec
-	// HandshakeTimeout bounds the binary-codec handshake in CodecAuto and
-	// CodecBinary modes. 0 means CallTimeout when that is set and shorter
-	// than the dial timeout, else the dial timeout. An old gob-only worker
-	// never answers the handshake (it blocks mid-message), so in CodecAuto
-	// mode this timeout is what triggers the gob fallback.
-	HandshakeTimeout time.Duration
-	// WireBufSize sizes the per-connection buffered reader and, on the
-	// server, the pooled bufio.Writer of the gob codec. 0 means 64 KiB.
-	WireBufSize int
 	// WrapConn, if set, wraps the server side of every in-process worker
 	// connection (keyed by worker id). Benchmarks use it to count the
-	// bytes a codec actually puts on the wire. It composes with the chaos
+	// bytes the codec actually puts on the wire. It composes with the chaos
 	// transport: WrapConn is applied first, chaos outermost.
 	WrapConn func(worker int, conn net.Conn) net.Conn
 }
@@ -136,19 +108,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// wireBufSize returns the effective buffered-IO size.
-func (o Options) wireBufSize() int {
-	if o.WireBufSize > 0 {
-		return o.WireBufSize
-	}
-	return 64 << 10
-}
-
-// handshakeTimeout returns the effective binary-handshake deadline.
+// handshakeTimeout bounds the wire handshake of a (re)connect:
+// CallTimeout when that is set and shorter than the dial timeout, else
+// the dial timeout.
 func (o Options) handshakeTimeout() time.Duration {
-	if o.HandshakeTimeout > 0 {
-		return o.HandshakeTimeout
-	}
 	if o.CallTimeout > 0 && o.CallTimeout < dialTimeout {
 		return o.CallTimeout
 	}
@@ -167,7 +130,6 @@ type worker struct {
 	client  *rpc.Client
 	fails   int  // consecutive transport failures
 	evicted bool // permanently out of the schedulable set
-	gobOnly bool // sticky CodecAuto downgrade: peer failed the wire handshake
 
 	// In-flight call tracking for the watchdog's stuck-worker detection:
 	// callStart holds the UnixNano start time of the oldest in-flight call
@@ -256,8 +218,8 @@ func (p *Pool) allowed(id int) bool {
 
 // NewLocalPool starts n in-process workers, each hosting its own service
 // instance created by newService, connected through net.Pipe. RPC
-// round-trips go through real gob encoding, exercising the same paths a
-// TCP deployment does.
+// round-trips go through the same handshake and wire frames a TCP
+// deployment uses.
 func NewLocalPool(n int, newService func() interface{}) (*Pool, error) {
 	return NewLocalPoolOpts(n, newService, DefaultOptions())
 }
@@ -297,7 +259,7 @@ func NewLocalChaosPool(n int, newService func() interface{}, opt Options, chaos 
 
 // dialConn opens a raw transport to w: TCP for remote workers, a pipe to
 // a freshly served in-process service instance otherwise. The in-process
-// server sniffs the codec exactly like a TCP focus-worker does.
+// server runs the same handshake a TCP focus-worker does.
 func (p *Pool) dialConn(w *worker) (net.Conn, error) {
 	if w.addr != "" {
 		return net.DialTimeout("tcp", w.addr, dialTimeout)
@@ -314,44 +276,22 @@ func (p *Pool) dialConn(w *worker) (net.Conn, error) {
 	if w.wrap != nil {
 		sc = w.wrap(sc)
 	}
-	go serveConnSniff(srv, sc, p.opt.wireBufSize(), nil)
+	go serveConn(srv, sc, p.opt.handshakeTimeout(), nil)
 	return cliConn, nil
 }
 
-// connectWorker establishes w's connection with the configured codec: the
-// binary wire handshake by default, downgrading (stickily) to gob when
-// the peer does not complete it in CodecAuto mode.
+// connectWorker dials w and completes the wire handshake.
 func (p *Pool) connectWorker(w *worker) (*rpc.Client, error) {
-	codec := p.opt.Codec
-	w.mu.Lock()
-	if codec == CodecAuto && w.gobOnly {
-		codec = CodecGob
-	}
-	w.mu.Unlock()
 	conn, err := p.dialConn(w)
 	if err != nil {
 		return nil, err
 	}
-	if codec == CodecGob {
-		return rpc.NewClient(conn), nil
-	}
-	cc, herr := newWireClientCodec(conn, p.opt.wireBufSize(), p.opt.handshakeTimeout())
-	if herr == nil {
-		return rpc.NewClientWithCodec(cc), nil
-	}
-	conn.Close()
-	if codec == CodecBinary {
-		return nil, fmt.Errorf("dist: worker %d: %w", w.id, herr)
-	}
-	p.opt.Logf("dist: worker %d: wire handshake failed (%v); falling back to gob", w.id, herr)
-	w.mu.Lock()
-	w.gobOnly = true
-	w.mu.Unlock()
-	conn, err = p.dialConn(w)
+	cc, err := newWireClientCodec(conn, p.opt.handshakeTimeout())
 	if err != nil {
-		return nil, err
+		conn.Close()
+		return nil, fmt.Errorf("dist: worker %d: %w", w.id, err)
 	}
-	return rpc.NewClient(conn), nil
+	return rpc.NewClientWithCodec(cc), nil
 }
 
 // DialPool connects to already-running TCP workers.
@@ -577,17 +517,12 @@ func (p *Pool) Go(i int, method string, args, reply interface{}) *rpc.Call {
 	return c.Go(ServiceName+"."+method, args, reply, nil)
 }
 
-// callWorker runs one call on w with the configured deadline and feeds the
-// outcome into the worker's health state.
-func (p *Pool) callWorker(w *worker, method string, args, reply interface{}) error {
-	return p.callWorkerCtx(nil, w, method, args, reply)
-}
-
-// callWorkerCtx is callWorker bounded by an optional context: a canceled
-// (or deadline-expired) ctx severs the in-flight call exactly like a
-// timeout, because a kept connection could still write into the abandoned
-// reply. A nil ctx — or one that can never cancel — costs nothing beyond
-// a nil check on the hot path.
+// callWorkerCtx runs one call on w with the configured deadline and feeds
+// the outcome into the worker's health state. The optional context bounds
+// it further: a canceled (or deadline-expired) ctx severs the in-flight
+// call exactly like a timeout, because a kept connection could still
+// write into the abandoned reply. A nil ctx — or one that can never
+// cancel — costs nothing beyond a nil check on the hot path.
 func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args, reply interface{}) error {
 	var cdone <-chan struct{}
 	if ctx != nil {
@@ -597,6 +532,13 @@ func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args
 			return fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
 		}
 		cdone = ctx.Done()
+	}
+	// A body the codec cannot carry is the caller's bug, not the worker's:
+	// reject it here, before it can count against the connection's health.
+	for _, body := range [2]interface{}{args, reply} {
+		if _, ok := body.(Wire); !ok && body != nil {
+			return fmt.Errorf("dist: %s on worker %d: %w", method, w.id, notWireError(body))
+		}
 	}
 	w.mu.Lock()
 	c := w.client
@@ -763,36 +705,33 @@ func (p *Pool) reconnect(w *worker) (*rpc.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.ping(client); err != nil {
+	timeout := p.opt.CallTimeout
+	if timeout <= 0 {
+		timeout = dialTimeout
+	}
+	if err := ping(client, timeout); err != nil {
 		client.Close()
 		return nil, err
 	}
 	return client, nil
 }
 
-// ping verifies a connection answers within a bounded time. A service
-// without a Ping method still proves liveness by answering with a
-// ServerError.
-func (p *Pool) ping(c *rpc.Client) error {
-	timeout := p.opt.CallTimeout
-	if timeout <= 0 {
-		timeout = dialTimeout
-	}
+// ping verifies a connection answers within timeout. A service without a
+// Ping method still proves liveness by answering with a ServerError.
+func ping(c *rpc.Client, timeout time.Duration) error {
 	done := make(chan error, 1)
 	go func() {
-		var ok bool
-		args := 0
+		var args, ok Ack
 		done <- c.Call(ServiceName+".Ping", &args, &ok)
 	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case err := <-done:
-		var se rpc.ServerError
-		if err == nil || errors.As(err, &se) {
-			return nil
+		if IsTransportError(err) {
+			return err
 		}
-		return err
+		return nil
 	case <-timer.C:
 		return fmt.Errorf("dist: ping: %w", ErrCallTimeout)
 	}
@@ -810,37 +749,24 @@ func (p *Pool) backoff(attempt int) time.Duration {
 	return d/2 + jitter
 }
 
-// HealthCheck dials addr and verifies the worker answers a Ping within
-// timeout. It is the probe behind focus-worker's -healthcheck flag and is
-// usable by external orchestrators.
+// HealthCheck connects to addr exactly as a master does — a one-worker
+// pool's dial and wire handshake, under the pool's connect bounds — and
+// pings it within timeout. It is the probe behind focus-worker's
+// -healthcheck flag and is usable by external orchestrators; a worker of
+// another wire version fails it with ErrWireVersion.
 func HealthCheck(addr string, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = dialTimeout
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	p, err := DialPoolOpts([]string{addr}, Options{CallTimeout: timeout})
 	if err != nil {
+		return fmt.Errorf("dist: healthcheck: %w", err)
+	}
+	defer p.Close()
+	if err := ping(p.workers[0].client, timeout); err != nil {
 		return fmt.Errorf("dist: healthcheck %s: %w", addr, err)
 	}
-	client := rpc.NewClient(conn)
-	defer client.Close()
-	done := make(chan error, 1)
-	go func() {
-		var ok bool
-		args := 0
-		done <- client.Call(ServiceName+".Ping", &args, &ok)
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		var se rpc.ServerError
-		if err == nil || errors.As(err, &se) {
-			return nil
-		}
-		return fmt.Errorf("dist: healthcheck %s: %w", addr, err)
-	case <-timer.C:
-		return fmt.Errorf("dist: healthcheck %s: %w", addr, ErrCallTimeout)
-	}
+	return nil
 }
 
 func (p *Pool) isClosed() bool {

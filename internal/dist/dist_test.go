@@ -21,6 +21,23 @@ type EchoReply struct {
 	S string
 }
 
+func appendEcho(dst []byte, x int, s string) []byte {
+	return AppendString(AppendVarint(dst, int64(x)), s)
+}
+
+func decodeEcho(src []byte, x *int, s *string) error {
+	rd := NewWireReader(src)
+	*x = int(rd.Varint())
+	*s = rd.String()
+	return rd.Finish()
+}
+
+func (a *EchoArgs) AppendTo(dst []byte) []byte  { return appendEcho(dst, a.X, a.S) }
+func (a *EchoArgs) DecodeFrom(src []byte) error { return decodeEcho(src, &a.X, &a.S) }
+
+func (r *EchoReply) AppendTo(dst []byte) []byte  { return appendEcho(dst, r.X, r.S) }
+func (r *EchoReply) DecodeFrom(src []byte) error { return decodeEcho(src, &r.X, &r.S) }
+
 func (e *EchoService) Echo(args *EchoArgs, reply *EchoReply) error {
 	atomic.AddInt64(&e.calls, 1)
 	reply.X = args.X * 2

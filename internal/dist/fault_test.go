@@ -104,7 +104,7 @@ func TestWorkerReconnectsAfterOutage(t *testing.T) {
 // static t%Size assignment hung half the tasks forever here.
 func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	defer testutil.NoLeaks(t)
-	hang := ChaosConfig{Seed: 11, HangProb: 1, HangFor: 2 * time.Second}
+	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
 		Options{CallTimeout: 150 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
 		func(w int) *ChaosConfig {

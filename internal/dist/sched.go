@@ -186,8 +186,8 @@ func (p *Pool) runWorker(ctx context.Context, w *worker, s *sched, method string
 			tk.args = mkArgs(tk.idx)
 		}
 		// Every attempt gets a fresh reply: a late write by an abandoned
-		// (timed-out) call, or gob decoding into a partially-filled value
-		// on retry, must never touch the caller's reply.
+		// (timed-out) call, or a retry decoding over a partially-filled
+		// value, must never touch the caller's reply.
 		fresh := newReply(replies[tk.idx])
 		t0 := time.Now()
 		err := p.callWorkerCtx(ctx, w, method, tk.args, fresh)

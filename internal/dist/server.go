@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -22,8 +20,6 @@ var ErrServerClosed = errors.New("dist: server closed")
 // daemon.
 type Server struct {
 	rpcSrv *rpc.Server
-	opt    Options
-	wpool  sync.Pool // *bufio.Writer, one per live gob connection
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -33,35 +29,13 @@ type Server struct {
 	active int64 // in-flight RPC calls (read but not yet answered)
 }
 
-// NewServer registers service under ServiceName with default options.
+// NewServer registers service under ServiceName.
 func NewServer(service interface{}) (*Server, error) {
-	return NewServerOpts(service, DefaultOptions())
-}
-
-// NewServerOpts is NewServer with explicit options (Options.WireBufSize
-// sizes the per-connection buffered IO; the fault-tolerance fields are
-// client-side and ignored here).
-func NewServerOpts(service interface{}, opt Options) (*Server, error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(ServiceName, service); err != nil {
 		return nil, fmt.Errorf("dist: register: %w", err)
 	}
-	s := &Server{rpcSrv: srv, opt: opt, conns: map[io.ReadWriteCloser]struct{}{}}
-	s.wpool.New = func() interface{} { return bufio.NewWriterSize(nil, s.opt.wireBufSize()) }
-	return s, nil
-}
-
-// getWriter borrows a pooled bufio.Writer reset onto conn; putWriter
-// returns it once the connection's codec is done with it.
-func (s *Server) getWriter(conn io.Writer) *bufio.Writer {
-	bw := s.wpool.Get().(*bufio.Writer)
-	bw.Reset(conn)
-	return bw
-}
-
-func (s *Server) putWriter(bw *bufio.Writer) {
-	bw.Reset(nil) // drop the conn reference while pooled
-	s.wpool.Put(bw)
+	return &Server{rpcSrv: srv, conns: map[io.ReadWriteCloser]struct{}{}}, nil
 }
 
 // Serve accepts RPC connections on lis until lis fails or Shutdown is
@@ -93,7 +67,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		go serveConnSniff(s.rpcSrv, conn, s.opt.wireBufSize(), s)
+		go serveConn(s.rpcSrv, conn, dialTimeout, s)
 	}
 }
 
@@ -126,77 +100,6 @@ func (s *Server) dropConn(c io.ReadWriteCloser) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-}
-
-// countingCodec is net/rpc's gob server codec plus in-flight call
-// accounting: a call is in flight from the moment its request header is
-// read until its response is written, which is exactly the window
-// Shutdown's drain must respect. srv is nil for in-process servers (no
-// drain); reads come through the sniffing bufio.Reader and writes go
-// through the Server's pooled bufio.Writer.
-type countingCodec struct {
-	rwc    io.ReadWriteCloser
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	encBuf *bufio.Writer
-	srv    *Server
-	closed bool
-}
-
-func newCountingCodec(conn io.ReadWriteCloser, br *bufio.Reader, bw *bufio.Writer, srv *Server) *countingCodec {
-	return &countingCodec{
-		rwc:    conn,
-		dec:    gob.NewDecoder(br),
-		enc:    gob.NewEncoder(bw),
-		encBuf: bw,
-		srv:    srv,
-	}
-}
-
-func (c *countingCodec) ReadRequestHeader(r *rpc.Request) error {
-	if err := c.dec.Decode(r); err != nil {
-		return err
-	}
-	if c.srv != nil {
-		atomic.AddInt64(&c.srv.active, 1)
-	}
-	return nil
-}
-
-func (c *countingCodec) ReadRequestBody(body interface{}) error {
-	return c.dec.Decode(body)
-}
-
-func (c *countingCodec) WriteResponse(r *rpc.Response, body interface{}) (err error) {
-	if c.srv != nil {
-		defer atomic.AddInt64(&c.srv.active, -1)
-	}
-	if err = c.enc.Encode(r); err != nil {
-		if c.encBuf.Flush() == nil {
-			// Gob couldn't encode the header. Should not happen, so if it
-			// does, shut down the connection to signal that it did.
-			c.Close()
-		}
-		return
-	}
-	if err = c.enc.Encode(body); err != nil {
-		if c.encBuf.Flush() == nil {
-			c.Close()
-		}
-		return
-	}
-	return c.encBuf.Flush()
-}
-
-func (c *countingCodec) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.srv != nil {
-		c.srv.dropConn(c.rwc)
-	}
-	return c.rwc.Close()
 }
 
 // Serve accepts RPC connections on lis and serves service until lis is

@@ -113,9 +113,6 @@ type WorkerHealth struct {
 	// CallRunningFor is how long the oldest in-flight call has been
 	// running (0 when idle) — the watchdog's stuck-worker signal.
 	CallRunningFor time.Duration `json:"call_running_for_ns"`
-	// GobOnly marks a sticky codec downgrade (peer failed the binary wire
-	// handshake).
-	GobOnly bool `json:"gob_only,omitempty"`
 }
 
 // HealthSnapshot is a point-in-time view of the fleet (or of a view's
@@ -155,7 +152,6 @@ func (p *Pool) Health() HealthSnapshot {
 		}
 		w.mu.Lock()
 		wh.ConsecutiveFails = w.fails
-		wh.GobOnly = w.gobOnly
 		switch {
 		case w.evicted:
 			wh.State = WorkerEvicted

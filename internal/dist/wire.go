@@ -6,19 +6,33 @@ import (
 	"math"
 )
 
-// Wire is the hand-rolled binary encoding contract of the hot RPC payload
-// types. A type implementing Wire bypasses gob entirely on the binary
-// codec: AppendTo serializes the value into the caller's buffer (append
+// Wire is the hand-written binary encoding every RPC body implements:
+// AppendTo serializes the value into the caller's buffer (append
 // semantics, so staging buffers are reusable) and DecodeFrom rebuilds the
-// value from the encoded bytes.
+// value from the encoded bytes. Changing what any implementation writes
+// is a wire-version change (see wireVersion).
 //
-// Ownership/aliasing contract: src is a view into the codec's pooled
+// Ownership/aliasing contract: src is a view into the codec's reused
 // frame buffer and is INVALID after DecodeFrom returns — implementations
 // must copy every byte they keep (sequences, strings, slices). AppendTo
 // must not retain dst. See DESIGN.md §10.
 type Wire interface {
 	AppendTo(dst []byte) []byte
 	DecodeFrom(src []byte) error
+}
+
+// Ack is the one-byte body of the calls that carry no payload in one
+// direction or both: Ping's argument and reply, Unload's reply.
+type Ack bool
+
+// AppendTo implements Wire.
+func (a *Ack) AppendTo(dst []byte) []byte { return AppendBool(dst, bool(*a)) }
+
+// DecodeFrom implements Wire.
+func (a *Ack) DecodeFrom(src []byte) error {
+	rd := NewWireReader(src)
+	*a = Ack(rd.Bool())
+	return rd.Finish()
 }
 
 // Append helpers. All use append semantics so encoders can stage into a

@@ -5,12 +5,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net"
 	"net/rpc"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -135,9 +138,8 @@ func TestWireInt32sDeltaRandom(t *testing.T) {
 	}
 }
 
-// WireEchoArgs/WireEchoReply implement Wire, exercising the flagWire body
-// path end to end; EchoArgs/EchoReply (plain gob structs) exercise the
-// per-message gob fallback inside the binary framing.
+// WireEchoArgs/WireEchoReply carry a delta-coded id list, exercising a
+// non-trivial Wire body end to end.
 type WireEchoArgs struct {
 	IDs []int32
 	Tag string
@@ -172,8 +174,8 @@ func (r *WireEchoReply) DecodeFrom(src []byte) error {
 	return rd.Finish()
 }
 
-// MixedService serves a Wire-typed method, a gob-typed method, and a
-// failing method, covering all three response shapes of the binary codec.
+// MixedService serves two differently-shaped Wire methods and a failing
+// method, covering the body and the bodyless-error response shapes.
 type MixedService struct{}
 
 func (MixedService) WireEcho(args *WireEchoArgs, reply *WireEchoReply) error {
@@ -195,8 +197,7 @@ func (MixedService) Fail(args *EchoArgs, reply *EchoReply) error {
 }
 
 func TestWireCodecRoundTrip(t *testing.T) {
-	p, err := NewLocalPoolOpts(1, func() interface{} { return MixedService{} },
-		Options{Codec: CodecBinary, Logf: t.Logf})
+	p, err := NewLocalPoolOpts(1, func() interface{} { return MixedService{} }, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,28 +205,61 @@ func TestWireCodecRoundTrip(t *testing.T) {
 
 	var wr WireEchoReply
 	if err := p.Call(0, "WireEcho", &WireEchoArgs{IDs: []int32{3, 1, 4}, Tag: "ab"}, &wr); err != nil {
-		t.Fatalf("Wire body call: %v", err)
+		t.Fatalf("WireEcho call: %v", err)
 	}
 	if wr.Sum != 8 || wr.Tag != "abab" {
 		t.Fatalf("WireEcho reply %+v", wr)
 	}
 
-	var gr EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 21, S: "x"}, &gr); err != nil {
-		t.Fatalf("gob-fallback body call: %v", err)
+	var er EchoReply
+	if err := p.Call(0, "Echo", &EchoArgs{X: 21, S: "x"}, &er); err != nil {
+		t.Fatalf("Echo call: %v", err)
 	}
-	if gr.X != 42 || gr.S != "xx" {
-		t.Fatalf("Echo reply %+v", gr)
+	if er.X != 42 || er.S != "xx" {
+		t.Fatalf("Echo reply %+v", er)
 	}
 
 	// Application errors ride the response error string with no body and
 	// must not evict the worker.
-	err = p.Call(0, "Fail", &EchoArgs{}, &gr)
+	err = p.Call(0, "Fail", &EchoArgs{}, &er)
 	if err == nil || err.Error() != "deliberate failure" {
 		t.Fatalf("Fail call error = %v", err)
 	}
 	if n := p.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d after application error", n)
+	}
+}
+
+// plainArgs is an RPC body without a Wire encoding.
+type plainArgs struct{ X int }
+
+// TestWireBodyMustImplementWire: a body that is not a Wire is refused
+// where it is sent, with an error naming its type — in either position,
+// synchronously or through Go — and the refusal is the caller's bug, so
+// it must not cost the worker its connection.
+func TestWireBodyMustImplementWire(t *testing.T) {
+	p, err := NewLocalPoolOpts(1, func() interface{} { return MixedService{} }, Options{MaxFailures: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var er EchoReply
+	var plain plainArgs
+	for name, err := range map[string]error{
+		"args":    p.Call(0, "Echo", &plainArgs{X: 1}, &er),
+		"reply":   p.Call(0, "Echo", &EchoArgs{X: 1}, &plain),
+		"go args": (<-p.Go(0, "Echo", &plainArgs{X: 1}, &er).Done).Error,
+	} {
+		if err == nil || !strings.Contains(err.Error(), "*dist.plainArgs does not implement Wire") {
+			t.Errorf("non-Wire %s: error = %v, want one naming *dist.plainArgs", name, err)
+		}
+	}
+	if n := p.NumHealthy(); n != 1 {
+		t.Fatalf("NumHealthy = %d after refused bodies, want 1", n)
+	}
+	if err := p.Call(0, "Echo", &EchoArgs{X: 2}, &er); err != nil || er.X != 4 {
+		t.Fatalf("call after refused bodies: reply %+v, err %v", er, err)
 	}
 }
 
@@ -290,11 +324,11 @@ func TestWireCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWireShutdownDrain is the satellite-b regression: the binary server
-// codec must keep the same in-flight accounting contract as the gob
-// codec, so Server.Shutdown's grace period still drains active calls.
+// TestWireShutdownDrain: the server codec counts a call as in flight from
+// request header to response write, so Server.Shutdown's grace period
+// drains active calls.
 func TestWireShutdownDrain(t *testing.T) {
-	srv, err := NewServerOpts(SlowService{}, Options{WireBufSize: 8 << 10})
+	srv, err := NewServer(SlowService{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +339,7 @@ func TestWireShutdownDrain(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(lis) }()
 
-	p, err := DialPoolOpts([]string{lis.Addr().String()}, Options{Codec: CodecBinary, Logf: t.Logf})
+	p, err := DialPoolOpts([]string{lis.Addr().String()}, Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,162 +366,223 @@ func TestWireShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestWireServerSniffsBothCodecs drives one sniffing listener from a
-// binary pool and a gob pool at the same time.
-func TestWireServerSniffsBothCodecs(t *testing.T) {
-	srv, err := NewServer(MixedService{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	defer srv.Shutdown(time.Second)
-
-	addr := lis.Addr().String()
-	for _, tc := range []struct {
-		name  string
-		codec Codec
-	}{{"binary", CodecBinary}, {"gob", CodecGob}} {
-		p, err := DialPoolOpts([]string{addr}, Options{Codec: tc.codec, Logf: t.Logf})
-		if err != nil {
-			t.Fatalf("%s dial: %v", tc.name, err)
-		}
-		var wr WireEchoReply
-		if err := p.Call(0, "WireEcho", &WireEchoArgs{IDs: []int32{1, 2}, Tag: "t"}, &wr); err != nil {
-			t.Fatalf("%s WireEcho: %v", tc.name, err)
-		}
-		if wr.Sum != 3 || wr.Tag != "tt" {
-			t.Fatalf("%s WireEcho reply %+v", tc.name, wr)
-		}
-		p.Close()
-	}
-}
-
-// TestWireStaleMagicNotAcked: a client built for the previous wire schema
-// (it opens with "FWB1?rpc") must not be acked — its Config encodings
-// differ, so it has to fail the handshake (and fall back to gob under
-// CodecAuto) rather than have shifted bytes decoded. The current magic on
-// the same listener is acked, so the check is not vacuous.
-func TestWireStaleMagicNotAcked(t *testing.T) {
-	srv, err := NewServer(MixedService{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	defer srv.Shutdown(time.Second)
-
-	open := func(magic string) (string, error) {
-		conn, err := net.Dial("tcp", lis.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		if _, err := io.WriteString(conn, magic); err != nil {
-			t.Fatal(err)
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(300 * time.Millisecond)); err != nil {
-			t.Fatal(err)
-		}
-		var ack [len(wireMagicAck)]byte
-		n, err := io.ReadFull(conn, ack[:])
-		return string(ack[:n]), err
-	}
-	if got, err := open(wireMagicReq); err != nil || got != wireMagicAck {
-		t.Fatalf("current magic: answer %q, err %v; want %q", got, err, wireMagicAck)
-	}
-	if got, err := open("FWB1?rpc"); err == nil {
-		t.Fatalf("FWB1 opener was answered %q; want no ack", got)
-	}
-}
-
-// gobOnlyServer emulates an old worker build: a plain net/rpc gob server
-// with no knowledge of the wire handshake.
-func gobOnlyServer(t *testing.T) (addr string, stop func()) {
+// serveTCP runs a dist.Server for service on a loopback listener.
+func serveTCP(t *testing.T, service interface{}) (addr string) {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(ServiceName, MixedService{}); err != nil {
+	srv, err := NewServer(service)
+	if err != nil {
 		t.Fatal(err)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Shutdown(time.Second) })
+	return lis.Addr().String()
+}
+
+// acceptEach hands every connection accepted on a fresh loopback listener
+// to handle (which owns and closes it).
+func acceptEach(t *testing.T, handle func(net.Conn)) (addr string) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
 	go func() {
 		for {
 			conn, err := lis.Accept()
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			go handle(conn)
 		}
 	}()
-	return lis.Addr().String(), func() { lis.Close() }
+	return lis.Addr().String()
 }
 
-// TestWireGobFallbackSticky: a CodecAuto pool probing an old gob-only
-// worker gets no handshake ack (the peer reads the magic as a gob length
-// prefix and blocks), times out, redials with gob, and remembers the
-// downgrade for reconnects.
-func TestWireGobFallbackSticky(t *testing.T) {
-	addr, stop := gobOnlyServer(t)
-	defer stop()
-	p, err := DialPoolOpts([]string{addr}, Options{HandshakeTimeout: 200 * time.Millisecond, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("CodecAuto dial against gob-only worker: %v", err)
+// wantVersionMismatch checks err is the typed version error, names both
+// versions, and arrived well inside the handshake bound (dialTimeout).
+func wantVersionMismatch(t *testing.T, err error, elapsed time.Duration, peer, mine int) {
+	t.Helper()
+	if !errors.Is(err, ErrWireVersion) {
+		t.Fatalf("error = %v, want ErrWireVersion", err)
 	}
-	defer p.Close()
-	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 4, S: "y"}, &reply); err != nil {
-		t.Fatalf("call after fallback: %v", err)
+	text := fmt.Sprintf("peer speaks wire version %d, this build speaks %d", peer, mine)
+	if !strings.Contains(err.Error(), text) {
+		t.Fatalf("error %q does not say %q", err, text)
 	}
-	if reply.X != 8 || reply.S != "yy" {
-		t.Fatalf("reply %+v", reply)
+	if elapsed > dialTimeout/4 {
+		t.Fatalf("version mismatch took %v to surface (handshake bound %v)", elapsed, dialTimeout)
 	}
-	w := p.workers[0]
-	w.mu.Lock()
-	sticky := w.gobOnly
-	w.mu.Unlock()
-	if !sticky {
-		t.Fatal("fallback not recorded as sticky gobOnly")
-	}
-	// A sticky reconnect goes straight to gob — no handshake timeout wait.
+}
+
+// TestWireVersionNewerServer: this build's pool against a worker one
+// wire version ahead fails at connect with ErrWireVersion — no waiting
+// out a timeout, no retry under another protocol.
+func TestWireVersionNewerServer(t *testing.T) {
+	addr := acceptEach(t, func(conn net.Conn) {
+		defer conn.Close()
+		serverHandshake(conn, bufio.NewReader(conn), time.Second, wireVersion+1)
+	})
 	start := time.Now()
-	client, err := p.connectWorker(w)
-	if err != nil {
-		t.Fatalf("sticky reconnect: %v", err)
-	}
-	client.Close()
-	if el := time.Since(start); el >= 200*time.Millisecond {
-		t.Fatalf("sticky reconnect waited out the handshake timeout (%v)", el)
-	}
-}
-
-// TestWireBinaryRequiredFails: CodecBinary treats a failed handshake as a
-// connect error instead of downgrading.
-func TestWireBinaryRequiredFails(t *testing.T) {
-	addr, stop := gobOnlyServer(t)
-	defer stop()
-	_, err := DialPoolOpts([]string{addr},
-		Options{Codec: CodecBinary, HandshakeTimeout: 150 * time.Millisecond, Logf: t.Logf})
+	p, err := DialPoolOpts([]string{addr}, Options{Logf: t.Logf})
 	if err == nil {
-		t.Fatal("CodecBinary connected to a gob-only worker")
+		p.Close()
+		t.Fatal("connected to a worker of another wire version")
+	}
+	wantVersionMismatch(t, err, time.Since(start), wireVersion+1, wireVersion)
+
+	start = time.Now()
+	err = HealthCheck(addr, 0)
+	wantVersionMismatch(t, err, time.Since(start), wireVersion+1, wireVersion)
+}
+
+// TestWireVersionOlderClient: a master one wire version behind is told
+// which version it reached (the ack is always this build's own) and is
+// then hung up on, so the mismatch is typed on its side too.
+func TestWireVersionOlderClient(t *testing.T) {
+	addr := serveTCP(t, MixedService{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	err = clientHandshake(conn, dialTimeout, wireVersion-1)
+	wantVersionMismatch(t, err, time.Since(start), wireVersion, wireVersion-1)
+
+	conn.SetReadDeadline(time.Now().Add(dialTimeout / 4))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after the mismatched handshake: read %d byte(s), err %v; want the server to close", n, err)
+	}
+	// The same listener serves this version: the check above is not vacuous.
+	if err := HealthCheck(addr, 0); err != nil {
+		t.Fatalf("same-version healthcheck: %v", err)
 	}
 }
 
-// TestWireChaosHungWorkerReschedules re-runs the rescheduling proof under
-// the explicitly-binary codec: FirstSafe lets the handshake ack through,
-// then every response write on worker 0 wedges.
+// TestWireGobClientClosedPromptly: a stock net/rpc (gob) client — a master
+// from before the wire protocol — gets its connection closed as soon as
+// its first request arrives, not a server blocked on a codec it will
+// never parse.
+func TestWireGobClientClosedPromptly(t *testing.T) {
+	conn, err := net.Dial("tcp", serveTCP(t, MixedService{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := rpc.NewClient(conn)
+	defer client.Close()
+	var reply EchoReply
+	call := client.Go(ServiceName+".Echo", &EchoArgs{X: 1}, &reply, nil)
+	select {
+	case <-call.Done:
+		if call.Error == nil {
+			t.Fatal("gob call against the wire server succeeded")
+		}
+	case <-time.After(dialTimeout / 4):
+		t.Fatal("gob client left hanging by the wire server")
+	}
+}
+
+// TestWireSilentPeerFailsWithinBound: a peer that accepts and never
+// answers fails the connect after min(CallTimeout, dialTimeout) with an
+// error naming the handshake that was expected; a client that connects
+// and never speaks is dropped by the server on the same terms.
+func TestWireSilentPeerFailsWithinBound(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	addr := acceptEach(t, func(conn net.Conn) {
+		<-release
+		conn.Close()
+	})
+	const bound = 150 * time.Millisecond
+	start := time.Now()
+	p, err := DialPoolOpts([]string{addr}, Options{CallTimeout: bound, Logf: t.Logf})
+	elapsed := time.Since(start)
+	if err == nil {
+		p.Close()
+		t.Fatal("connected to a silent peer")
+	}
+	if elapsed < bound || elapsed > dialTimeout/2 {
+		t.Fatalf("silent peer failed after %v, want about %v", elapsed, bound)
+	}
+	if want := fmt.Sprintf("expected ack %q (wire version %d)", handshake('!', wireVersion), wireVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the expected handshake %q", err, want)
+	}
+	if errors.Is(err, ErrWireVersion) {
+		t.Fatalf("silence reported as a version mismatch: %v", err)
+	}
+
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	start = time.Now()
+	if err := serverHandshake(srv, bufio.NewReader(srv), bound, wireVersion); err == nil {
+		t.Fatal("server completed a handshake with a silent client")
+	}
+	if elapsed := time.Since(start); elapsed < bound || elapsed > dialTimeout/2 {
+		t.Fatalf("silent client dropped after %v, want about %v", elapsed, bound)
+	}
+}
+
+// TestWireGarbageAckNamed: bytes that are not an ack are reported as what
+// they are, next to what was expected.
+func TestWireGarbageAckNamed(t *testing.T) {
+	addr := acceptEach(t, func(conn net.Conn) {
+		defer conn.Close()
+		io.ReadFull(conn, make([]byte, handshakeLen))
+		io.WriteString(conn, "HTTP/1.1 400")
+	})
+	_, err := DialPoolOpts([]string{addr}, Options{Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), `peer answered "HTTP/1.1"`) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("wire version %d", wireVersion)) || errors.Is(err, ErrWireVersion) {
+		t.Fatalf("garbage ack: error = %v", err)
+	}
+}
+
+// TestWireFrameOversizedHeader: the length prefix is the peer's claim, not
+// a fact — four bytes declaring a ~1 GiB frame followed by EOF must cost
+// one growth step, not the declared size.
+func TestWireFrameOversizedHeader(t *testing.T) {
+	hdr := []byte{0xff, 0xff, 0xff, 0x3f}
+	if n := binary.LittleEndian.Uint32(hdr); n > maxWireFrame || n < maxWireFrame-1 {
+		t.Fatalf("header declares %d bytes; the test wants the largest accepted frame", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buf, payload, err := readFrame(bytes.NewReader(hdr), getWireBuf())
+	runtime.ReadMemStats(&after)
+	if err == nil || payload != nil {
+		t.Fatalf("truncated giant frame: payload %d bytes, err %v", len(payload), err)
+	}
+	if cap(buf) > 2*wireBufSize {
+		t.Fatalf("frame buffer grew to %d bytes on a peer that sent 4", cap(buf))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*wireBufSize {
+		t.Fatalf("readFrame allocated %d bytes on a peer that sent 4", got)
+	}
+
+	// A frame larger than the buffer that does arrive is read whole.
+	big := make([]byte, 5*wireBufSize+17)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	framed := append(binary.LittleEndian.AppendUint32(nil, uint32(len(big))), big...)
+	_, payload, err = readFrame(bytes.NewReader(framed), getWireBuf())
+	if err != nil || !bytes.Equal(payload, big) {
+		t.Fatalf("multi-step frame: %d bytes, err %v", len(payload), err)
+	}
+}
+
+// TestWireChaosHungWorkerReschedules re-runs the rescheduling proof with
+// the handshake in the fault window: FirstSafe lets the ack through, then
+// every response write on worker 0 wedges.
 func TestWireChaosHungWorkerReschedules(t *testing.T) {
 	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
-		Options{Codec: CodecBinary, CallTimeout: 150 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
+		Options{CallTimeout: 150 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
 		func(w int) *ChaosConfig {
 			if w == 0 {
 				return &hang
@@ -519,11 +614,11 @@ func TestWireChaosHungWorkerReschedules(t *testing.T) {
 }
 
 // TestWireChaosLatencyJitter: random per-write delays must not corrupt
-// framing — every call still answers correctly under the binary codec.
+// framing — every call still answers correctly.
 func TestWireChaosLatencyJitter(t *testing.T) {
 	jitter := ChaosConfig{Seed: 3, LatencyProb: 1, MaxLatency: 3 * time.Millisecond}
 	p, err := NewLocalChaosPool(2, func() interface{} { return MixedService{} },
-		Options{Codec: CodecBinary, Logf: t.Logf},
+		Options{Logf: t.Logf},
 		func(w int) *ChaosConfig { return &jitter })
 	if err != nil {
 		t.Fatal(err)

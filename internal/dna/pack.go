@@ -9,7 +9,7 @@ import (
 // per base with an escape plane for bytes outside {A,C,G,T}. The
 // distributed substrate ships read sequences and node contigs with it
 // (see DESIGN.md §10), cutting sequence payloads ~4x versus the
-// 1-byte-per-base encoding gob uses.
+// 1-byte-per-base raw encoding.
 //
 // Layout of one packed sequence:
 //

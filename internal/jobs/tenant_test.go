@@ -46,7 +46,7 @@ func TestMultiTenantChaos(t *testing.T) {
 		Logf:        t.Logf,
 	}, func(w int) *dist.ChaosConfig {
 		if w == 3 {
-			return &dist.ChaosConfig{Seed: 7, HangProb: 1, HangFor: 5 * time.Second}
+			return &dist.ChaosConfig{Seed: 7, FirstSafe: 1, HangProb: 1, HangFor: 5 * time.Second}
 		}
 		return nil
 	})

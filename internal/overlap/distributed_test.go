@@ -77,7 +77,7 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hang := dist.ChaosConfig{Seed: 9, HangProb: 1, HangFor: 2 * time.Second}
+	hang := dist.ChaosConfig{Seed: 9, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	pool, err := dist.NewLocalChaosPool(2, newAlignService, dist.Options{
 		CallTimeout: 150 * time.Millisecond,
 		MaxFailures: 1,

@@ -11,7 +11,7 @@ import (
 // Binary wire encodings (dist.Wire) for the distributed alignment
 // protocol. Read sequences — the bulk of an AlignPair job — ship 2-bit
 // packed (dna.Pack), ids delta-coded; see DESIGN.md §10 and the aliasing
-// contract on dist.Wire (decoders copy, the frame buffer is pooled).
+// contract on dist.Wire (decoders copy, the frame buffer is reused).
 
 var (
 	_ dist.Wire = (*AlignPairArgs)(nil)

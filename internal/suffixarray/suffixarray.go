@@ -1,9 +1,14 @@
 // Package suffixarray implements suffix-array construction with the
 // Larsson–Sadakane "qsufsort" prefix-doubling algorithm (Larsson &
 // Sadakane, Faster Suffix Sorting, TCS 387(3), 2007 — the paper's
-// reference [14]) plus substring lookup by binary search. Focus uses it to
-// index reference read subsets for k-mer seeded overlap detection
-// (paper §II.B).
+// reference [14]) plus substring lookup by binary search — the structure
+// the paper indexes reference read subsets with for k-mer seeded overlap
+// detection (§II.B).
+//
+// Production does not import this package: the overlap stage seeds from
+// the packed k-mer table, and this suffix array is that table's test
+// oracle (internal/overlap/saindex_test.go). scripts/race.sh checks that
+// no binary depends on it.
 package suffixarray
 
 import (

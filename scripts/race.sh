@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# One-command robustness gate: the tier-1 race sweep over the
-# concurrency-heavy packages, the wire-focused chaos suite under race,
-# and a short native-fuzz smoke over every committed fuzz target (seeds
-# plus FUZZTIME of coverage-guided exploration per target).
+# One-command robustness gate: static guards (vet, no gob, no baseline
+# package in a production binary, the benchmark module still compiles),
+# the tier-1 race sweep over the concurrency-heavy packages, the wire
+# suite under race, and a short native-fuzz smoke over every committed
+# fuzz target (seeds plus FUZZTIME of coverage-guided exploration per
+# target).
 #
 #   scripts/race.sh              # full gate (~a few minutes)
 #   FUZZTIME=0 scripts/race.sh   # skip the fuzz smoke (seeds still run
@@ -20,6 +22,24 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 echo "== guard: go vet =="
 go vet ./...
 
+# One wire: the framed codec of internal/dist is the only serialization
+# between master and workers. (Tests reach gob only through a stock
+# net/rpc client, which is what a pre-wire master looks like to a worker.)
+echo "== guard: no production gob =="
+if grep -rl '"encoding/gob"' --include='*.go' . | grep -v _test.go; then
+    echo "race.sh: non-test file imports encoding/gob" >&2
+    exit 1
+fi
+
+# The paper's baseline assemblers live under cmd/focus-bench/internal and
+# the suffix array is a test oracle; no shipped binary may link them.
+echo "== guard: baselines stay out of production =="
+if go list -deps . ./cmd/focus ./cmd/focus-worker ./cmd/focus-serve |
+    grep -E '^focus/.*(debruijn|greedyasm|suffixarray)$'; then
+    echo "race.sh: a production package depends on a baseline/oracle package" >&2
+    exit 1
+fi
+
 # bench/ is its own module, so root `go build ./...` never compiles it:
 # this is the only gate that catches an API change breaking the benchmark.
 echo "== guard: benchmark module =="
@@ -33,7 +53,12 @@ go test -race \
     ./internal/align/... ./internal/par/... ./internal/spmat/... \
     ./internal/jobs/... ./internal/metrics/...
 
-echo "== race: wire chaos sweep =="
+# Wire sweep: version handshake both ways (typed mismatch, gob and silent
+# peers dropped within the bound), un-Wire bodies refused at send, frame
+# growth on untrusted lengths, round-trip/corrupt-frame properties, the
+# schema pin, over-the-wire == local equivalence, and the chaos transport
+# under the handshake.
+echo "== race: wire sweep =="
 go test -race -run Wire ./internal/dist/ ./internal/assembly/ ./internal/overlap/
 
 # Cancellation sweep: cancel-at-arbitrary-points across both protocols,
