@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("cluster sizes: max %d, median %d reads\n", clusterSizes[0], clusterSizes[len(clusterSizes)/2])
 	fmt.Printf("cluster contigs: max %d, median %d bp\n", contigLens[0], contigLens[len(contigLens)/2])
 	fmt.Printf("\nstage timings:\n")
-	for _, stage := range []string{"preprocess", "overlap", "graph", "coarsen", "hybrid"} {
+	for _, stage := range []string{"preprocess", "overlap", "graph", "coarsen", "hybrid", "digraph"} {
 		fmt.Printf("  %-10s %s\n", stage, s.Timings[stage].Round(1e6))
 	}
 

@@ -12,8 +12,8 @@
 // trimming/traversal on an RPC master/worker pool, ending in contigs.
 //
 // The one-call entry point is Assemble; BuildStages exposes the
-// intermediate artifacts (overlap graph, multilevel set, hybrid graph)
-// that the benchmark harness measures individually.
+// intermediate artifacts (overlap graph, multilevel set, hybrid graph,
+// directed hybrid graph) that the benchmark harness measures individually.
 package focus
 
 import (
@@ -224,10 +224,14 @@ type Stages struct {
 	G0       *graph.Graph // the overlap graph
 	MSet     *graph.Set   // multilevel graph set {G0…Gn}
 	Hyb      *hybrid.Hybrid
-	Timings  map[string]time.Duration
+	// DiGraph is the directed hybrid graph as built, the template every
+	// Assemble call clones: Stages never trims it, so it stays valid for
+	// any number of calls, concurrent ones included.
+	DiGraph *assembly.DiGraph
+	Timings map[string]time.Duration
 }
 
-// BuildStages runs the pipeline through hybrid graph construction.
+// BuildStages runs the pipeline through directed hybrid graph construction.
 // With Config.Context set, every stage is cancellation-bounded and the
 // first canceled stage aborts the build with the context's cause.
 func BuildStages(raw []Read, cfg Config) (*Stages, error) {
@@ -304,6 +308,10 @@ func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, 
 		}},
 		{"hybrid", func() (err error) {
 			s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
+			return err
+		}},
+		{"digraph", func() (err error) {
+			s.DiGraph, err = assembly.BuildDiGraph(s.Hyb, s.Records)
 			return err
 		}},
 	} {
@@ -393,8 +401,8 @@ func (r *AssemblyResult) SimTraverseTime(w int) time.Duration {
 
 // Assemble runs distributed trimming and traversal of the hybrid graph on
 // the given worker pool with k partitions, and constructs contigs.
-// The hybrid graph is rebuilt (not reused) so Assemble can be called
-// repeatedly with different k on the same Stages.
+// The driver trims a clone of Stages.DiGraph, so Assemble can be called
+// repeatedly with different k on the same Stages, also concurrently.
 //
 // With Config.Checkpoint.Resume set, the assembly graph, partitioning and
 // already-completed phases are restored from the newest valid checkpoint
@@ -430,10 +438,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		}
 	}
 	if driver == nil {
-		dg, err := assembly.BuildDiGraph(s.Hyb, s.Records)
-		if err != nil {
-			return nil, fmt.Errorf("focus: digraph: %w", err)
-		}
+		dg := s.DiGraph.Clone()
 		if k == 1 {
 			labels = make([]int32, dg.NumNodes())
 		} else {
@@ -443,6 +448,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 			}
 			labels = res.Labels()
 		}
+		var err error
 		driver, err = assembly.NewDriver(pool, dg, labels, k, s.Cfg.Assembly)
 		if err != nil {
 			return nil, err

@@ -57,7 +57,7 @@ func TestBuildStages(t *testing.T) {
 	if s.Hyb.G.NumNodes() >= s.G0.NumNodes() {
 		t.Errorf("hybrid graph not reduced: %d vs %d", s.Hyb.G.NumNodes(), s.G0.NumNodes())
 	}
-	for _, stage := range []string{"preprocess", "overlap", "graph", "coarsen", "hybrid"} {
+	for _, stage := range []string{"preprocess", "overlap", "graph", "coarsen", "hybrid", "digraph"} {
 		if _, ok := s.Timings[stage]; !ok {
 			t.Errorf("missing timing for %s", stage)
 		}

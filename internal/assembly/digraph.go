@@ -7,8 +7,9 @@ package assembly
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"focus/internal/graph"
 	"focus/internal/hybrid"
 	"focus/internal/overlap"
 )
@@ -144,8 +145,21 @@ func (g *DiGraph) liveIn(v int32) []Edge {
 // the read-level overlap records: for every pair of adjacent hybrid nodes
 // the crossing records vote (via the read layout offsets) on the relative
 // contig placement, and the median placement orients the edge.
+//
+// h.G already names every pair that can receive a vote, so the votes are
+// bucketed by h.G's CSR arc slot with a counting sort (identities summed in
+// record order) and Out/In are carved from one arena, each list ascending by
+// neighbour. recs must be the records h was built from: a record that names
+// a read outside h.RepOf, or whose ends lie in hybrid nodes h.G does not
+// join, is an error.
 func BuildDiGraph(h *hybrid.Hybrid, recs []overlap.Record) (*DiGraph, error) {
 	n := len(h.Nodes)
+	if h.G == nil {
+		return nil, fmt.Errorf("assembly: digraph: hybrid has no graph")
+	}
+	if h.G.NumNodes() != n {
+		return nil, fmt.Errorf("assembly: digraph: hybrid graph has %d nodes for %d hybrid nodes", h.G.NumNodes(), n)
+	}
 	g := &DiGraph{
 		Contigs: make([][]byte, n),
 		Weight:  make([]int64, n),
@@ -155,74 +169,157 @@ func BuildDiGraph(h *hybrid.Hybrid, recs []overlap.Record) (*DiGraph, error) {
 	}
 	// Read -> offset in its representative's contig.
 	numReads := len(h.RepOf)
-	readOff := make([]int, numReads)
+	readOff := make([]int32, numReads)
 	for i, node := range h.Nodes {
 		g.Contigs[i] = node.Contig
 		g.Weight[i] = int64(len(node.Members))
 		for j, m := range node.Members {
-			readOff[m] = node.Offsets[j]
+			if m < 0 || m >= numReads {
+				return nil, fmt.Errorf("assembly: digraph: hybrid node %d lists read %d, outside [0,%d)", i, m, numReads)
+			}
+			readOff[m] = int32(node.Offsets[j])
 		}
 	}
 
-	type agg struct {
-		diags  []int
-		idents float64
-		count  int
+	// slotOff[v] is the CSR slot of v's first arc in h.G; the votes of the
+	// pair lo < hi are kept under the slot of the arc lo->hi.
+	slotOff := make([]int32, n+1)
+	for v := 0; v < n; v++ {
+		slotOff[v+1] = slotOff[v] + int32(h.G.Degree(v))
 	}
-	pairs := map[[2]int32]*agg{}
-	for _, r := range recs {
-		ra, rb := int32(h.RepOf[r.A]), int32(h.RepOf[r.B])
+	numSlots := slotOff[n]
+	type vote struct{ slot, diag int32 }
+	var votes []vote
+	voteOff := make([]int32, numSlots+1)
+	idents := make([]float64, numSlots)
+	for ri, r := range recs {
+		if r.A < 0 || int(r.A) >= numReads || r.B < 0 || int(r.B) >= numReads {
+			return nil, fmt.Errorf("assembly: digraph: record %d (%d,%d) names a read outside [0,%d)", ri, r.A, r.B, numReads)
+		}
+		ra, rb := h.RepOf[r.A], h.RepOf[r.B]
 		if ra == rb {
 			continue
 		}
+		if ra < 0 || ra >= n || rb < 0 || rb >= n {
+			return nil, fmt.Errorf("assembly: digraph: record %d maps to hybrid nodes (%d,%d), outside [0,%d)", ri, ra, rb, n)
+		}
 		lo, hi := ra, rb
-		var d int
-		if lo < hi {
-			// Position of hi's contig start in lo's contig coordinates.
-			d = readOff[r.A] + int(r.Diag) - readOff[r.B]
-		} else {
+		// Position of hi's contig start in lo's contig coordinates.
+		d := readOff[r.A] + r.Diag - readOff[r.B]
+		if lo > hi {
 			lo, hi = hi, lo
-			d = readOff[r.B] - int(r.Diag) - readOff[r.A]
+			d = -d
 		}
-		key := [2]int32{lo, hi}
-		a := pairs[key]
-		if a == nil {
-			a = &agg{}
-			pairs[key] = a
+		adj := h.G.Adj(lo)
+		i, found := slices.BinarySearchFunc(adj, hi, func(a graph.Arc, to int) int { return a.To - to })
+		if !found {
+			return nil, fmt.Errorf("assembly: digraph: record %d crosses hybrid nodes %d and %d, which the hybrid graph does not join", ri, lo, hi)
 		}
-		a.diags = append(a.diags, d)
-		a.idents += float64(r.Identity)
-		a.count++
+		slot := slotOff[lo] + int32(i)
+		votes = append(votes, vote{slot, d})
+		voteOff[slot+1]++
+		idents[slot] += float64(r.Identity)
+	}
+	for s := int32(0); s < numSlots; s++ {
+		voteOff[s+1] += voteOff[s]
+	}
+	diags := make([]int32, len(votes))
+	fill := make([]int32, numSlots)
+	for _, v := range votes {
+		diags[voteOff[v.slot]+fill[v.slot]] = v.diag
+		fill[v.slot]++
 	}
 
-	for key, a := range pairs {
-		lo, hi := key[0], key[1]
-		sort.Ints(a.diags)
-		d := a.diags[len(a.diags)/2] // median placement
-		ident := float32(a.idents / float64(a.count))
-		lenLo, lenHi := len(g.Contigs[lo]), len(g.Contigs[hi])
-		var e Edge
-		switch {
-		case d >= 0 && d+lenHi <= lenLo:
-			e = Edge{From: lo, To: hi, Diag: int32(d), Len: int32(lenHi), Ident: ident, Contain: true}
-		case d <= 0 && -d+lenLo <= lenHi:
-			e = Edge{From: hi, To: lo, Diag: int32(-d), Len: int32(lenLo), Ident: ident, Contain: true}
-		case d > 0:
-			e = Edge{From: lo, To: hi, Diag: int32(d), Len: int32(lenLo - d), Ident: ident}
-		default:
-			e = Edge{From: hi, To: lo, Diag: int32(-d), Len: int32(lenHi + d), Ident: ident}
+	// One edge per voted pair, in (lo, hi) order: every list of Out and In
+	// then fills in ascending neighbour order, lower neighbours first.
+	edges := make([]Edge, 0, h.G.NumEdges())
+	outDeg, inDeg := make([]int32, n), make([]int32, n)
+	for lo := 0; lo < n; lo++ {
+		for i, a := range h.G.Adj(lo) {
+			slot := slotOff[lo] + int32(i)
+			ds := diags[voteOff[slot]:voteOff[slot+1]]
+			if len(ds) == 0 {
+				continue // an arc hi->lo, or a pair no record voted on
+			}
+			slices.Sort(ds)
+			d := int(ds[len(ds)/2]) // median placement
+			ident := float32(idents[slot] / float64(len(ds)))
+			e := placeEdge(int32(lo), int32(a.To), d, len(g.Contigs[lo]), len(g.Contigs[a.To]), ident)
+			if e.Len <= 0 {
+				continue // crossing records imply no usable contig overlap
+			}
+			edges = append(edges, e)
+			outDeg[e.From]++
+			inDeg[e.To]++
 		}
-		if e.Len <= 0 {
-			continue // crossing records imply no usable contig overlap
+	}
+	arena := make([]Edge, 2*len(edges))
+	for v, pos := 0, 0; v < n; v++ {
+		// Zero length, capacity fixed: the fill below appends in place and a
+		// later append by a caller reallocates instead of overrunning.
+		if d := int(outDeg[v]); d > 0 {
+			g.Out[v] = arena[pos : pos : pos+d]
+			pos += d
 		}
+		if d := int(inDeg[v]); d > 0 {
+			g.In[v] = arena[pos : pos : pos+d]
+			pos += d
+		}
+	}
+	for _, e := range edges {
 		g.Out[e.From] = append(g.Out[e.From], e)
 		g.In[e.To] = append(g.In[e.To], e)
 	}
-	for v := range g.Out {
-		sort.Slice(g.Out[v], func(i, j int) bool { return g.Out[v][i].To < g.Out[v][j].To })
-		sort.Slice(g.In[v], func(i, j int) bool { return g.In[v][i].From < g.In[v][j].From })
-	}
 	return g, nil
+}
+
+// placeEdge orients the edge between hybrid nodes lo < hi whose contigs are
+// lenLo and lenHi long, given that hi's contig starts d bases into lo's.
+func placeEdge(lo, hi int32, d, lenLo, lenHi int, ident float32) Edge {
+	switch {
+	case d >= 0 && d+lenHi <= lenLo:
+		return Edge{From: lo, To: hi, Diag: int32(d), Len: int32(lenHi), Ident: ident, Contain: true}
+	case d <= 0 && -d+lenLo <= lenHi:
+		return Edge{From: hi, To: lo, Diag: int32(-d), Len: int32(lenLo), Ident: ident, Contain: true}
+	case d > 0:
+		return Edge{From: lo, To: hi, Diag: int32(d), Len: int32(lenLo - d), Ident: ident}
+	default:
+		return Edge{From: hi, To: lo, Diag: int32(-d), Len: int32(lenHi + d), Ident: ident}
+	}
+}
+
+// Clone returns a graph the caller may trim freely without touching g:
+// Weight, Removed and every Out/In list are copied (the lists into one
+// arena); the contigs, which no phase writes, are shared.
+func (g *DiGraph) Clone() *DiGraph {
+	n := len(g.Contigs)
+	c := &DiGraph{
+		Contigs: g.Contigs,
+		Weight:  slices.Clone(g.Weight),
+		Removed: slices.Clone(g.Removed),
+		Out:     make([][]Edge, n),
+		In:      make([][]Edge, n),
+	}
+	total := 0
+	for v := 0; v < n; v++ {
+		total += len(g.Out[v]) + len(g.In[v])
+	}
+	arena := make([]Edge, 0, total)
+	// carve copies a list, keeping nil as nil and fixing the capacity so an
+	// append to the copy cannot reach the next list.
+	carve := func(src []Edge) []Edge {
+		if src == nil {
+			return nil
+		}
+		lo := len(arena)
+		arena = append(arena, src...)
+		return arena[lo:len(arena):len(arena)]
+	}
+	for v := 0; v < n; v++ {
+		c.Out[v] = carve(g.Out[v])
+		c.In[v] = carve(g.In[v])
+	}
+	return c
 }
 
 // Validate checks Out/In symmetry.

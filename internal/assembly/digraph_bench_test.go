@@ -3,6 +3,8 @@ package assembly
 import (
 	"math/rand"
 	"testing"
+
+	"focus/internal/simulate"
 )
 
 // benchGraph builds a synthetic live graph: a long chain with local
@@ -75,4 +77,40 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 			liveSink = len(subs)
 		})
 	}
+}
+
+// BenchmarkBuildDiGraph builds the directed graph of one genome sampled at
+// 30x with sequencing errors (the shape of the benchmark's k-sweep: many
+// records, most inside a cluster, hundreds of hybrid nodes) by the
+// production counting sort and by the map oracle it replaced.
+func BenchmarkBuildDiGraph(b *testing.B) {
+	h, recs := pipelineHybrid(b, sampleReads(b, simulate.SingleGenome("bench", 20000, 1), 1, 30), 2)
+	b.Logf("%d records, %d hybrid nodes", len(recs), len(h.Nodes))
+	b.Run("slots", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := BuildDiGraph(h, recs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			liveSink = len(g.Out)
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			liveSink = len(buildDiGraphMap(h, recs).Out)
+		}
+	})
+	b.Run("clone", func(b *testing.B) {
+		g, err := BuildDiGraph(h, recs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			liveSink = len(g.Clone().Out)
+		}
+	})
 }

@@ -408,7 +408,12 @@ func contractWithWeights(g *Graph, group []int, nw []int64, workers int, gate *p
 		}
 		acc := make([]int64, numGroups)
 		var touched []int32
-		buf := make([]Arc, 0, int(g.offsets[n])/w+16)
+		// A coarse node rarely has more neighbours than a fine one, so
+		// size the output by the fine graph's mean degree rather than by
+		// its arc count (a contraction to few groups would otherwise zero
+		// an arena the size of the fine graph for a small result); append
+		// grows it when the guess is low.
+		buf := make([]Arc, 0, min(len(g.arcs)/w, (ghi-glo)*((len(g.arcs)+n-1)/n))+16)
 		var ne int
 		var wsum int64
 		for c := glo; c < ghi; c++ {

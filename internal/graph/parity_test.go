@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -48,6 +50,65 @@ func TestBuildParWorkerEquivalence(t *testing.T) {
 		for _, w := range []int{2, 8} {
 			if got := b.BuildPar(w); !got.Equal(ref) {
 				t.Fatalf("seed %d: BuildPar(%d) != BuildPar(1)", seed, w)
+			}
+		}
+	}
+}
+
+// sortedEdges draws canonical (U < V) edges sorted by (U, V), parallel
+// copies kept adjacent.
+func sortedEdges(n, edges int, rng *rand.Rand) []Edge {
+	es := make([]Edge, 0, edges)
+	for len(es) < edges {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		es = append(es, Edge{U: min(u, v), V: max(u, v), W: int64(1 + rng.Intn(100))})
+	}
+	slices.SortStableFunc(es, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	return es
+}
+
+func fromSorted(n int, es []Edge) (*Graph, bool) {
+	g, ordered, _ := FromSortedEdgesCtx(nil, n, len(es), func(i int) (int32, int32, int64) { return es[i].U, es[i].V, es[i].W })
+	return g, ordered
+}
+
+// TestFromSortedEdgesMatchesBuilder: the CSR written directly from sorted
+// edges is the Builder's, and any input outside the order contract is
+// declined rather than built wrong.
+func TestFromSortedEdgesMatchesBuilder(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(300 + seed))
+		n := 2 + rng.Intn(300)
+		es := sortedEdges(n, rng.Intn(10*n), rng)
+		b := NewBuilder(n)
+		if err := b.AddEdges(es); err != nil {
+			t.Fatal(err)
+		}
+		got, ordered := fromSorted(n, es)
+		if !ordered || !got.Equal(b.BuildPar(1)) {
+			t.Fatalf("seed %d: ordered=%v, or the graph differs from the Builder's", seed, ordered)
+		}
+		if len(es) < 2 {
+			continue
+		}
+		i := 1 + rng.Intn(len(es)-1)
+		for name, bad := range map[string]Edge{
+			"swapped ends":           {U: es[i].V, V: es[i].U, W: 1},
+			"self-loop":              {U: es[i].U, V: es[i].U, W: 1},
+			"out of range":           {U: es[i].U, V: int32(n), W: 1},
+			"negative":               {U: -1, V: es[i].V, W: 1},
+			"before its predecessor": {U: es[i-1].U, V: es[i-1].V - 1, W: 1},
+		} {
+			if name == "before its predecessor" && bad.V <= bad.U {
+				continue // that would be declined as non-canonical instead
+			}
+			mut := slices.Clone(es)
+			mut[i] = bad
+			if g, ordered := fromSorted(n, mut); ordered || g != nil {
+				t.Fatalf("seed %d: %s edge at %d accepted as ordered", seed, name, i)
 			}
 		}
 	}
@@ -123,6 +184,34 @@ func BenchmarkGraphBuild(b *testing.B) {
 			_ = bld.BuildPar(0)
 		}
 	})
+}
+
+// BenchmarkBuildGraphSorted builds the same canonical sorted edge list by
+// the direct ordered scatter and by the Builder (staging copy included), the
+// two paths overlap.BuildGraph chooses between.
+func BenchmarkBuildGraphSorted(b *testing.B) {
+	const n = 20000
+	es := sortedEdges(n, n*16, rand.New(rand.NewSource(42)))
+	b.Run("ordered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ordered := fromSorted(n, es); !ordered {
+				b.Fatal("sorted edges declined")
+			}
+		}
+	})
+	for _, workers := range []int{1, 0} {
+		b.Run(map[int]string{1: "builder-serial", 0: "builder-parallel"}[workers], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bld := NewBuilder(n)
+				for _, e := range es {
+					_ = bld.AddEdge(int(e.U), int(e.V), e.W)
+				}
+				_ = bld.BuildPar(workers)
+			}
+		})
+	}
 }
 
 // BuildMapMerge is the pre-CSR reference implementation of Build: a

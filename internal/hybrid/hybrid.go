@@ -42,7 +42,8 @@ type Hybrid struct {
 	// crossing overlap lengths), the graph the distributed assembly
 	// algorithms run on.
 	G *graph.Graph
-	// Set is the hybrid graph set {G'0 … G'n} used for partitioning.
+	// Set is the hybrid graph set {G'0 … G'n} used for partitioning; its
+	// level 0 is G itself, not a second contraction.
 	Set *graph.Set
 }
 
@@ -96,11 +97,9 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 		cfg.RequireOverlap = DefaultConfig().RequireOverlap
 	}
 
-	// Incidence of overlap records per G0 node.
-	inc := make([][]int32, len(reads))
-	for ri, r := range recs {
-		inc[r.A] = append(inc[r.A], int32(ri))
-		inc[r.B] = append(inc[r.B], int32(ri))
+	inc, err := buildIncidence(len(reads), recs)
+	if err != nil {
+		return nil, err
 	}
 
 	// assign[v] = current node of level L containing G0 node v.
@@ -132,17 +131,20 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	// graph — is identical at any worker count.
 	workers := par.Limit(cfg.Workers)
 	scratches := make([]*layoutScratch, workers)
-	scratches[0] = newLayoutScratch(n0, reads, recs, inc, cfg)
+	scratches[0] = newLayoutScratch(n0, reads, inc, cfg)
 	type layoutResult struct {
 		node Node
 		ok   bool
 	}
 	var cands [][]int
 	var results []layoutResult
+	var clusters clustering
 	for level := levels - 1; level >= 0; level-- {
-		clusters := clustersAt(assignAt[level], mset.Levels[level].NumNodes())
+		numClusters := mset.Levels[level].NumNodes()
+		clusters.group(assignAt[level], numClusters)
 		cands = cands[:0]
-		for _, members := range clusters {
+		for c := 0; c < numClusters; c++ {
+			members := clusters.of(c)
 			if len(members) == 0 {
 				continue
 			}
@@ -172,7 +174,7 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 			wg.Add(w)
 			for p := 0; p < w; p++ {
 				if scratches[p] == nil {
-					scratches[p] = newLayoutScratch(n0, reads, recs, inc, cfg)
+					scratches[p] = newLayoutScratch(n0, reads, inc, cfg)
 				}
 				go func(sc *layoutScratch) {
 					defer wg.Done()
@@ -215,7 +217,6 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	for i, n := range h.Nodes {
 		nw[i] = int64(len(n.Members))
 	}
-	var err error
 	h.G, err = graph.ContractWithWeightsCtx(ctx, g0, h.RepOf, nw, workers)
 	if err != nil {
 		return nil, err
@@ -232,14 +233,76 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	return h, nil
 }
 
-// clustersAt groups G0 node ids by their node at some level.
-func clustersAt(assign []int, numNodes int) [][]int {
-	out := make([][]int, numNodes)
-	for v, c := range assign {
-		out[c] = append(out[c], v)
-	}
-	return out
+// incident is one end of an overlap record seen from a G0 node: the read at
+// the other end and the signed diagonal, pos(other) = pos(node) + diag.
+type incident struct{ other, diag int32 }
+
+// incidence is the per-node record incidence in one flat array:
+// arcs[off[v]:off[v+1]] are v's incidents in record order, so the layout
+// BFS reads a node's neighbours sequentially.
+type incidence struct {
+	off  []int32
+	arcs []incident
 }
+
+func (inc *incidence) of(v int) []incident { return inc.arcs[inc.off[v]:inc.off[v+1]] }
+
+// buildIncidence counting-sorts both ends of every record by node. The fill
+// runs in record order, which fixes the order of each node's incidents and
+// with it the BFS order of every layout test.
+func buildIncidence(n int, recs []overlap.Record) (*incidence, error) {
+	off := make([]int32, n+1)
+	for ri, r := range recs {
+		if r.A < 0 || int(r.A) >= n || r.B < 0 || int(r.B) >= n {
+			return nil, fmt.Errorf("hybrid: record %d (%d,%d) out of range [0,%d)", ri, r.A, r.B, n)
+		}
+		off[r.A+1]++
+		off[r.B+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	arcs := make([]incident, off[n])
+	cursor := make([]int32, n)
+	copy(cursor, off[:n])
+	for _, r := range recs {
+		arcs[cursor[r.A]] = incident{r.B, r.Diag}
+		cursor[r.A]++
+		arcs[cursor[r.B]] = incident{r.A, -r.Diag}
+		cursor[r.B]++
+	}
+	return &incidence{off: off, arcs: arcs}, nil
+}
+
+// clustering groups G0 node ids by their node at one level, in one flat
+// array whose buffers are reused from level to level.
+type clustering struct {
+	off     []int32
+	members []int
+}
+
+// group counting-sorts the G0 nodes by assign (values in [0,numClusters));
+// each cluster lists its members in ascending id.
+func (cl *clustering) group(assign []int, numClusters int) {
+	cl.off = slices.Grow(cl.off[:0], numClusters+2)[:numClusters+2]
+	clear(cl.off)
+	// off[c+2] counts cluster c, so that after the prefix sum off[c+1] is
+	// c's write cursor and, once filled, c's end.
+	for _, c := range assign {
+		cl.off[c+2]++
+	}
+	for c := 0; c < numClusters; c++ {
+		cl.off[c+2] += cl.off[c+1]
+	}
+	cl.members = slices.Grow(cl.members[:0], len(assign))[:len(assign)]
+	for v, c := range assign {
+		cl.members[cl.off[c+1]] = v
+		cl.off[c+1]++
+	}
+}
+
+// of returns cluster c's members; the view is valid until the next group.
+func (cl *clustering) of(c int) []int { return cl.members[cl.off[c]:cl.off[c+1]] }
 
 // buildHybridSet contracts every multilevel level by the representative
 // assignment to produce the hybrid set and its up-maps.
@@ -302,10 +365,17 @@ func buildHybridSet(ctx context.Context, mset *graph.Set, assignAt [][]int, h *H
 		}
 		groupOf[i] = group
 		// Contract level i by group: weights sum within groups, crossing
-		// edges merge, all on the bounded worker pool.
-		ci, err := graph.ContractCtx(ctx, gi, group, next, workers)
-		if err != nil {
-			return nil, err
+		// edges merge, all on the bounded worker pool. At level 0 every
+		// node's representative qualifies, so group is RepOf and the
+		// contraction is G'0 itself (G0's nodes weigh 1, so the summed
+		// weights are the cluster sizes): h.G is shared, not rebuilt.
+		ci := h.G
+		if i > 0 {
+			var err error
+			ci, err = graph.ContractCtx(ctx, gi, group, next, workers)
+			if err != nil {
+				return nil, err
+			}
 		}
 		set.Levels = append(set.Levels, ci)
 	}
@@ -344,8 +414,7 @@ func buildHybridSet(ctx context.Context, mset *graph.Set, assignAt [][]int, h *H
 // layout tests allocate only their accepted Node results.
 type layoutScratch struct {
 	reads   []dna.Read
-	recs    []overlap.Record
-	inc     [][]int32
+	inc     *incidence
 	cfg     Config
 	inSet   []bool // membership bitmap, reset after each use
 	pos     []int
@@ -360,9 +429,9 @@ type layoutScratch struct {
 // placed is a cluster member at its normalized layout offset.
 type placed struct{ v, off int }
 
-func newLayoutScratch(n int, reads []dna.Read, recs []overlap.Record, inc [][]int32, cfg Config) *layoutScratch {
+func newLayoutScratch(n int, reads []dna.Read, inc *incidence, cfg Config) *layoutScratch {
 	return &layoutScratch{
-		reads: reads, recs: recs, inc: inc, cfg: cfg,
+		reads: reads, inc: inc, cfg: cfg,
 		inSet: make([]bool, n), pos: make([]int, n), visited: make([]bool, n),
 		mark: make([]int64, n),
 	}
@@ -402,21 +471,12 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 	for head < len(queue) && ok {
 		v := queue[head]
 		head++
-		for _, ri := range s.inc[v] {
-			r := s.recs[ri]
-			// Position of B is always pos(A) + Diag.
-			var u int
-			var p int
-			if int(r.A) == v {
-				u = int(r.B)
-				p = s.pos[v] + int(r.Diag)
-			} else {
-				u = int(r.A)
-				p = s.pos[v] - int(r.Diag)
-			}
+		for _, e := range s.inc.of(v) {
+			u := int(e.other)
 			if !s.inSet[u] {
 				continue
 			}
+			p := s.pos[v] + int(e.diag)
 			if s.visited[u] {
 				d := s.pos[u] - p
 				if d < 0 {
@@ -480,13 +540,8 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 		endI := order[i].off + len(s.reads[v].Seq)
 		if i+1 < len(order) && order[i+1].off <= endI-s.cfg.RequireOverlap {
 			s.epoch++
-			for _, ri := range s.inc[v] {
-				r := s.recs[ri]
-				u := int(r.B)
-				if u == v {
-					u = int(r.A)
-				}
-				s.mark[u] = s.epoch
+			for _, e := range s.inc.of(v) {
+				s.mark[e.other] = s.epoch
 			}
 		}
 		for j := i + 1; j < len(order); j++ {

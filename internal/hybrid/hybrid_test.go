@@ -3,6 +3,7 @@ package hybrid
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"focus/internal/coarsen"
@@ -148,6 +149,16 @@ func TestBuildDetectsRepeatConflicts(t *testing.T) {
 	}
 }
 
+// scratchFor is a layout scratch over the incidence of recs.
+func scratchFor(t *testing.T, reads []dna.Read, recs []overlap.Record) *layoutScratch {
+	t.Helper()
+	inc, err := buildIncidence(len(reads), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newLayoutScratch(len(reads), reads, inc, DefaultConfig())
+}
+
 func TestTryLayoutRejectsInconsistentPositions(t *testing.T) {
 	// Two records that disagree about the relative position of reads 0,1.
 	reads := []dna.Read{
@@ -160,17 +171,13 @@ func TestTryLayoutRejectsInconsistentPositions(t *testing.T) {
 		{A: 1, B: 2, Len: 60, Identity: 1, Diag: 40},
 		{A: 0, B: 2, Len: 90, Identity: 1, Diag: 10}, // conflicts: should be 80
 	}
-	inc := make([][]int32, 3)
-	for ri, r := range recs {
-		inc[r.A] = append(inc[r.A], int32(ri))
-		inc[r.B] = append(inc[r.B], int32(ri))
-	}
-	s := newLayoutScratch(3, reads, recs, inc, DefaultConfig())
+	s := scratchFor(t, reads, recs)
 	if _, ok := s.tryLayout([]int{0, 1, 2}, 1); ok {
 		t.Error("inconsistent cluster accepted as linear")
 	}
 	// Consistent version must pass.
 	recs[2].Diag = 80
+	s = scratchFor(t, reads, recs)
 	if _, ok := s.tryLayout([]int{0, 1, 2}, 1); !ok {
 		t.Error("consistent cluster rejected")
 	}
@@ -181,9 +188,7 @@ func TestTryLayoutRejectsDisconnected(t *testing.T) {
 		{ID: "a", Seq: bytes.Repeat([]byte("A"), 100)},
 		{ID: "b", Seq: bytes.Repeat([]byte("C"), 100)},
 	}
-	var recs []overlap.Record
-	inc := make([][]int32, 2)
-	s := newLayoutScratch(2, reads, recs, inc, DefaultConfig())
+	s := scratchFor(t, reads, nil)
 	if _, ok := s.tryLayout([]int{0, 1}, 1); ok {
 		t.Error("disconnected cluster accepted")
 	}
@@ -191,7 +196,7 @@ func TestTryLayoutRejectsDisconnected(t *testing.T) {
 
 func TestTryLayoutSingleton(t *testing.T) {
 	reads := []dna.Read{{ID: "a", Seq: []byte("ACGT")}}
-	s := newLayoutScratch(1, reads, nil, make([][]int32, 1), DefaultConfig())
+	s := scratchFor(t, reads, nil)
 	n, ok := s.tryLayout([]int{0}, 0)
 	if !ok || string(n.Contig) != "ACGT" || n.Level != 0 {
 		t.Errorf("singleton layout = %+v ok=%v", n, ok)
@@ -219,12 +224,7 @@ func TestTryLayoutConsensusFixesErrors(t *testing.T) {
 		{A: 1, B: 2, Len: 70, Identity: 0.98, Diag: 30},
 		{A: 0, B: 2, Len: 40, Identity: 1, Diag: 60},
 	}
-	inc := make([][]int32, 3)
-	for ri, r := range recs {
-		inc[r.A] = append(inc[r.A], int32(ri))
-		inc[r.B] = append(inc[r.B], int32(ri))
-	}
-	s := newLayoutScratch(3, reads, recs, inc, DefaultConfig())
+	s := scratchFor(t, reads, recs)
 	n, ok := s.tryLayout([]int{0, 1, 2}, 1)
 	if !ok {
 		t.Fatal("cluster rejected")
@@ -250,5 +250,12 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(&graph.Set{}, nil, nil, DefaultConfig()); err == nil {
 		t.Error("empty set accepted")
+	}
+	two := []dna.Read{{ID: "a", Seq: []byte("A")}, {ID: "b", Seq: []byte("C")}}
+	for _, r := range []overlap.Record{{A: 0, B: 2}, {A: -1, B: 1}} {
+		_, err := Build(set, two, []overlap.Record{{A: 0, B: 1}, r}, DefaultConfig())
+		if err == nil || !strings.Contains(err.Error(), "record 1 ") {
+			t.Errorf("record %+v naming a read outside the set: err = %v, want an error naming record 1", r, err)
+		}
 	}
 }

@@ -498,22 +498,34 @@ func BuildGraph(numReads int, records []Record) (*graph.Graph, error) {
 	return BuildGraphPar(numReads, records, 0)
 }
 
-// BuildGraphPar is BuildGraph with an explicit worker count for the CSR
-// edge merge (<= 0 means GOMAXPROCS). Output is identical at any count.
+// BuildGraphPar is BuildGraph with an explicit worker count for the
+// Builder fallback's CSR edge merge (<= 0 means GOMAXPROCS). Output is
+// identical at any count.
 func BuildGraphPar(numReads int, records []Record, workers int) (*graph.Graph, error) {
-	b := graph.NewBuilder(numReads)
-	for _, r := range records {
-		if err := b.AddEdge(int(r.A), int(r.B), int64(r.Len)); err != nil {
-			return nil, err
-		}
-	}
-	return b.BuildPar(workers), nil
+	return BuildGraphParCtx(nil, numReads, records, workers)
 }
 
-// BuildGraphParCtx is BuildGraphPar bounded by ctx: the CSR edge merge
-// bails at its next pipeline-stage or chunk boundary on cancel and the
-// context's cause is returned. A nil ctx never cancels.
+// BuildGraphParCtx is BuildGraphPar bounded by ctx: a cancel observed at a
+// scan, pipeline-stage or chunk boundary returns the context's cause. A nil
+// ctx never cancels.
+//
+// Records as the overlap stage emits them — canonical (A < B) and sorted by
+// (A, B, Kind) — are already in CSR order, so G0 is written directly from
+// them (graph.FromSortedEdgesCtx). Records in any other order take the
+// graph.Builder's sort-based merge; the two graphs are graph.Equal.
 func BuildGraphParCtx(ctx context.Context, numReads int, records []Record, workers int) (*graph.Graph, error) {
+	g, ordered, err := graph.FromSortedEdgesCtx(ctx, numReads, len(records), func(i int) (u, v int32, w int64) {
+		r := &records[i]
+		return r.A, r.B, int64(r.Len)
+	})
+	if ordered || err != nil {
+		return g, err
+	}
+	return buildGraphBuilder(ctx, numReads, records, workers)
+}
+
+// buildGraphBuilder builds G0 from records in any order.
+func buildGraphBuilder(ctx context.Context, numReads int, records []Record, workers int) (*graph.Graph, error) {
 	b := graph.NewBuilder(numReads)
 	for _, r := range records {
 		if err := b.AddEdge(int(r.A), int(r.B), int64(r.Len)); err != nil {

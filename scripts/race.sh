@@ -69,6 +69,13 @@ echo "== race: cancellation chaos sweep =="
 go test -race -run 'Cancel|Watchdog|Budget|Kick|Gate|Close|Deadline' \
     ./ ./internal/dist/ ./internal/assembly/ ./internal/par/
 
+# Stage reuse: one Stages swept over k, its directed graph cloned per
+# Assemble and never trimmed, two Assemble calls on it at once (root
+# package again; repeated because only a racing schedule shows a shared
+# write).
+echo "== race: stage reuse sweep =="
+go test -race -count=5 -run 'StagesReuse' ./
+
 # Multi-tenant sweep: the resident master's admission, lifecycle and
 # fault-isolation scenarios (including the headline multi-worker chaos
 # run) under race, alongside the dist/assembly tests they lean on.
