@@ -41,10 +41,12 @@ func BenchmarkBandedNWBitParallel(bb *testing.B) {
 // BenchmarkOverlapOnDiagonal times the full verdict (window computation,
 // the two DP-free rules, kernel, classification) by candidate class on
 // 100 bp reads under the paper thresholds: a 40-base window no alignment
-// can carry to MinLength (O(1) reject), a 90-base suffix-prefix window with
-// 0 or 2 substitutions (ungapped optimum, no kernel), with 3 or 8 (one
-// past the limit, and a typical noisy pair: the SWAR kernel), and with one
-// deleted base (the kernel, gapped traceback).
+// can carry to MinLength (O(1) reject); a 90-base suffix-prefix window with
+// 0 or 2 substitutions (ungapped optimum, no search), with 3, 5 or 8
+// scattered and with 3 adjacent ones (certified by the wavefront search);
+// and with one deleted base — mid-window (too many mismatches to attempt:
+// the kernel, gapped traceback) and 12 bases from the end (attempted,
+// declined, then the kernel: the dearest route).
 func BenchmarkOverlapOnDiagonal(bb *testing.B) {
 	rng := rand.New(rand.NewSource(99))
 	genome := randSeq(rng, 200)
@@ -53,21 +55,24 @@ func BenchmarkOverlapOnDiagonal(bb *testing.B) {
 		name     string
 		n        int // window length
 		subs     []int
-		deletion bool
+		deletion int // position of a deleted base, 0 for none
 	}{
 		{name: "short_window", n: 40},
 		{name: "mismatches_0", n: 90},
 		{name: "mismatches_2", n: 90, subs: []int{12, 71}},
 		{name: "mismatches_3", n: 90, subs: []int{12, 40, 71}},
+		{name: "mismatches_5", n: 90, subs: []int{3, 25, 40, 66, 88}},
 		{name: "mismatches_8", n: 90, subs: []int{3, 12, 25, 40, 52, 66, 71, 88}},
-		{name: "one_indel", n: 90, deletion: true},
+		{name: "adjacent_3", n: 90, subs: []int{40, 41, 42}},
+		{name: "one_indel", n: 90, deletion: 45},
+		{name: "late_indel", n: 90, deletion: 78},
 	} {
 		b := append([]byte(nil), genome[100-c.n:200-c.n]...)
 		for _, p := range c.subs {
 			b[p] = "ACGT"[(strings.IndexByte("ACGT", b[p])+1)%4]
 		}
-		if c.deletion {
-			b = append(b[:45], b[46:]...)
+		if c.deletion > 0 {
+			b = append(b[:c.deletion], b[c.deletion+1:]...)
 		}
 		bb.Run(c.name, func(bb *testing.B) {
 			cfg := DefaultConfig()

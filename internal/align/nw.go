@@ -71,12 +71,16 @@ type Scratch struct {
 	// only; eligible default-scoring inputs never trip the guards.
 	bpFallbacks int
 	// Verdict traffic, test observability only: equal-length calls answered
-	// by the unique-ungapped-optimum rule (BandedNW), windows rejected as
+	// by the ungapped-optimum certificate (BandedNW), windows rejected as
 	// infeasible before any alignment (OverlapOnDiagonal), and calls that
-	// ran a DP kernel.
+	// ran a DP kernel (a declined certificate counts here only).
 	fastUngapped   int
 	fastInfeasible int
 	dpCalls        int
+
+	// Furthest-reaching wavefronts of the ungapped-optimum certificate
+	// (ungappedOptimum): one row per penalty, one column per diagonal.
+	wf []int32
 }
 
 // grow ensures capacity for n DP cells without clearing: every in-band
@@ -105,10 +109,11 @@ func BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 // BandedNW is the buffer-reusing variant of the package-level BandedNW:
 // identical results, but the DP buffers are borrowed from the Scratch, so
 // steady-state calls allocate nothing. The kernel is chosen from the
-// input: none when the ungapped alignment is provably the unique optimum
-// (ungappedOptimum), the bit-parallel kernel when the band and scoring fit
-// its 8-bit lanes (bpEligible), the scalar DP otherwise — all three
-// produce identical Alignments (score, matches, columns — bit-for-bit).
+// input: none when the ungapped alignment is provably the one every kernel
+// would trace (ungappedOptimum), the bit-parallel kernel when the band and
+// scoring fit its 8-bit lanes (bpEligible), the scalar DP otherwise — all
+// three produce identical Alignments (score, matches, columns —
+// bit-for-bit).
 func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 	if band < 0 {
 		band = 0
@@ -125,7 +130,7 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 		return Alignment{Score: (n + m) * sc.Gap, Matches: 0, Columns: n + m}
 	}
 	if n == m {
-		if aln, ok := ungappedOptimum(a, b, sc); ok {
+		if aln, ok := scr.ungappedOptimum(a, b, band, sc); ok {
 			scr.fastUngapped++
 			return aln
 		}
@@ -141,29 +146,110 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 }
 
 // ungappedOptimum answers an equal-length alignment without running a
-// kernel when the gap-free alignment is provably the unique optimum. With
-// n = len(a) = len(b) and m mismatching positions the gap-free alignment
-// scores n*Match - m*(Match-Mismatch). Any other alignment has g >= 1 gaps
-// on each side, hence n-g diagonal columns worth at most Match each, and
-// scores at most (n-g)*Match + 2g*Gap <= (n-1)*Match + 2*Gap (given
-// Match > 0 > Gap and Mismatch < Match). The gap-free score is strictly
-// larger iff m*(Match-Mismatch) < Match - 2*Gap, i.e. m <= lim below (2 for
-// DefaultScoring). A unique optimum is what every kernel's traceback
-// follows whatever its band (the main diagonal is in every band) and
-// tie-break order, so Matches = n-m and Columns = n are exact as well.
-// Scorings outside those sign conditions switch the rule off.
-func ungappedOptimum(a, b []byte, sc Scoring) (Alignment, bool) {
+// kernel when the gap-free alignment is provably the one every kernel
+// traces (DESIGN.md §12.1). With n = len(a) = len(b), an alignment with X
+// mismatch columns and e gap columns (e/2 on each side) scores n*Match less
+// a penalty of X*(Match-Mismatch) + e*(Match-2*Gap)/2; given Match > 0 > Gap
+// and Mismatch < Match both prices are positive and matches are free. The
+// gap-free alignment, m mismatches, is a banded optimum iff no path through
+// the band reaches (n, n) for less than its penalty, the budget — and such
+// a path strays at most (budget-1)/(2*gap column price) diagonals, since it
+// pays a gap column for every diagonal out and back. A furthest-reaching
+// (diagonal-transition) search over the penalties below the budget decides
+// it: wf[s][k] is the last row on diagonal k = j-i reachable for at most s,
+// the furthest of wf[s-1][k], a mismatch step along k and a gap step from
+// k-1 or k+1, extended through matches. (On one diagonal every row before a
+// reachable one is reachable for no more, so clamping a step at the
+// diagonal's end is exact.) If the corner is reached the kernel runs. If
+// not, no main-diagonal cell of any kernel beats the gap-free prefix score
+// — a better path to (i, i) would continue to a better one to (n, n) — and
+// because the diagonal wins ties the traceback walks the main diagonal even
+// when a gapped alignment ties: Score, Matches = n-m, Columns = n are exact.
+// The attempt is made while the budget is at most n/4 in score units (m <=
+// n/8 under DefaultScoring), which keeps it well below one kernel call, or
+// too small for one gap pair; scorings outside the sign conditions switch
+// the rule off.
+func (scr *Scratch) ungappedOptimum(a, b []byte, band int, sc Scoring) (Alignment, bool) {
 	delta := sc.Match - sc.Mismatch
 	if sc.Match <= 0 || sc.Gap >= 0 || delta <= 0 {
 		return Alignment{}, false
 	}
-	lim := (sc.Match - 2*sc.Gap - 1) / delta
 	n := len(a)
-	m := mismatchesUpTo(a, b[:n], lim)
+	b = b[:n]
+	// Penalties in half units, so that one gap column (half of a pair) is
+	// integral: x per mismatch, g per gap column.
+	x, g := 2*delta, sc.Match-2*sc.Gap
+	lim := max(n/(2*x), 2*g/x)
+	m := mismatchesUpTo(a, b, lim)
 	if m > lim {
 		return Alignment{}, false
 	}
-	return Alignment{Score: n*sc.Match - m*delta, Matches: n - m, Columns: n}, true
+	ungapped := Alignment{Score: n*sc.Match - m*delta, Matches: n - m, Columns: n}
+	budget := m * x
+	kmax := min(band, (budget-1)/(2*g))
+	if kmax <= 0 {
+		return ungapped, true // leaving and rejoining the main diagonal already costs the budget
+	}
+	// Rows s = -pad..budget-1 of width 2*kmax+3, diagonal k at column
+	// k+kmax+1: the unreachable rows in front and the unreachable column
+	// each side keep every predecessor read in range. Only the diamond
+	// |k| <= min(s, budget-1-s)/g is ever computed — a path needs |k| gap
+	// columns to get to diagonal k and as many to come back. A cell holds
+	// its row plus wfBase, so that zero (and zero plus one step) reads as
+	// unreachable and one memclr resets the lot.
+	const wfBase = 2
+	w, pad := 2*kmax+3, max(x, g)
+	if need := (pad + budget) * w; cap(scr.wf) < need {
+		scr.wf = make([]int32, need)
+	}
+	wf := scr.wf[:(pad+budget)*w]
+	clear(wf)
+	out, outAt := 0, g                           // out = s/g, next step at s = outAt
+	back, backAt := (budget-1)/g, (budget-1)%g+1 // back = (budget-1-s)/g, next step at s = backAt
+	for s := 0; s < budget; s++ {
+		if s == outAt {
+			out, outAt = out+1, outAt+g
+		}
+		if s == backAt {
+			back, backAt = back-1, backAt+g
+		}
+		at := (pad+s)*w + kmax + 1 // cell (s, 0)
+		reach := min(out, back, kmax)
+		for k := -reach; k <= reach; k++ {
+			c := at + k
+			prev := wf[c-w]
+			i := max(prev, wf[c-x*w]+1, wf[c-g*w-1], wf[c-g*w+1]+1)
+			if s == 0 {
+				i = wfBase // the origin
+			}
+			if i == prev || i < wfBase {
+				wf[c] = prev // nothing new at this penalty: already extended
+				continue
+			}
+			last := n - max(k, 0)
+			r := min(int(i)-wfBase, last)
+			for r < last {
+				if r+8 <= last {
+					d := binary.LittleEndian.Uint64(a[r:]) ^ binary.LittleEndian.Uint64(b[r+k:])
+					if d == 0 {
+						r += 8
+						continue
+					}
+					r += bits.TrailingZeros64(d) >> 3
+					break
+				}
+				if a[r] != b[r+k] {
+					break
+				}
+				r++
+			}
+			wf[c] = int32(r + wfBase)
+		}
+		if int(wf[at]) == n+wfBase {
+			return Alignment{}, false // a gapped alignment scores strictly more
+		}
+	}
+	return ungapped, true
 }
 
 // mismatchesUpTo counts the positions where the equal-length a and b
@@ -184,7 +270,7 @@ func mismatchesUpTo(a, b []byte, lim int) int {
 			return m
 		}
 	}
-	for ; i < len(a); i++ {
+	for ; i < len(a) && m <= lim; i++ {
 		if a[i] != b[i] {
 			m++
 		}

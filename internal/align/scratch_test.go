@@ -67,13 +67,6 @@ func TestScratchBandedNWZeroAlloc(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // BenchmarkBandedNW contrasts the allocating kernel with the
 // scratch-reusing one on a typical overlap window (100 bp, band 6).
 func BenchmarkBandedNW(b *testing.B) {

@@ -53,62 +53,71 @@ var benchIndexes = []struct {
 	{"suffix-array", func(seqs [][]byte, ids []int32, k int) refIndex { return buildSAIndex(seqs, ids, k) }},
 }
 
-// BenchmarkSeedLookup measures one seed probe (index hit resolution only,
-// steady-state) for each index over the same subset.
-func BenchmarkSeedLookup(b *testing.B) {
-	reads := benchReads(b, 256)
-	cfg := DefaultConfig()
-	ids := make([]int32, len(reads))
-	seqs := make([][]byte, len(reads))
+// benchSubset is one reference subset the size the D2 benchmark input
+// builds (12,000 reads over four subsets): 3,000 reads, ~120 k distinct
+// 16-mers, so the key array is well past the L1/L2 caches.
+func benchSubset(b *testing.B) (seqs [][]byte, ids []int32) {
+	reads := benchReads(b, 3000)
+	seqs = make([][]byte, len(reads))
 	for i, r := range reads {
-		ids[i] = int32(i)
 		seqs[i] = r.Seq
 	}
-	// Probe k-mers drawn from the reads themselves so most probes hit.
-	var probes []dna.Kmer
-	for _, r := range reads[:32] {
-		it := dna.NewKmerIter(r.Seq, cfg.K)
-		for {
-			km, _, ok := it.Next()
-			if !ok {
-				break
-			}
-			probes = append(probes, km)
+	return seqs, localIDs(len(seqs))
+}
+
+// BenchmarkSeedLookup measures one seed probe (index hit resolution only,
+// steady-state) for each index over the same subset: "hit" probes every
+// fourth k-mer of every read, as the query loop does at Step 4, in an order
+// that revisits no key soon; "miss" probes k-mers of an unrelated genome.
+func BenchmarkSeedLookup(b *testing.B) {
+	seqs, ids := benchSubset(b)
+	cfg := DefaultConfig()
+	sample := func(seqs [][]byte) (probes []dna.Kmer) {
+		for _, s := range seqs {
+			dna.ForEachKmer(s, cfg.K, func(km dna.Kmer, off int) {
+				if off%cfg.Step == 0 {
+					probes = append(probes, km)
+				}
+			})
 		}
+		return probes
+	}
+	probeSets := []struct {
+		name   string
+		probes []dna.Kmer
+	}{
+		{"hit", sample(seqs)},
+		{"miss", sample([][]byte{randGenome(4321, 100000)})},
 	}
 	for _, mode := range benchIndexes {
-		b.Run(mode.name, func(b *testing.B) {
-			ix := mode.build(seqs, ids, cfg.K)
-			total := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hits, _ := ix.seedHits(probes[i%len(probes)], cfg.MaxOccur)
-				total += len(hits)
-			}
-			if total == 0 {
-				b.Fatal("no hits resolved")
-			}
-		})
+		ix := mode.build(seqs, ids, cfg.K)
+		for _, ps := range probeSets {
+			b.Run(mode.name+"/"+ps.name, func(b *testing.B) {
+				total := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					hits, _ := ix.seedHits(ps.probes[i%len(ps.probes)], cfg.MaxOccur)
+					total += len(hits)
+				}
+				if (total == 0) != (ps.name == "miss") {
+					b.Fatalf("%d hits resolved", total)
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkIndexBuild measures per-subset index construction.
 func BenchmarkIndexBuild(b *testing.B) {
-	reads := benchReads(b, 256)
+	seqs, ids := benchSubset(b)
 	cfg := DefaultConfig()
-	ids := make([]int32, len(reads))
-	seqs := make([][]byte, len(reads))
-	for i, r := range reads {
-		ids[i] = int32(i)
-		seqs[i] = r.Seq
-	}
 	for _, mode := range benchIndexes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := mode.build(seqs, ids, cfg.K); ix.numReads() != len(reads) {
+				if ix := mode.build(seqs, ids, cfg.K); ix.numReads() != len(seqs) {
 					b.Fatal("bad index")
 				}
 			}

@@ -1,6 +1,10 @@
 package overlap
 
-import "focus/internal/dna"
+import (
+	"math/bits"
+
+	"focus/internal/dna"
+)
 
 // seedHit is one occurrence of a seed k-mer in a reference subset:
 // the subset-local read index and the offset of the k-mer within it.
@@ -26,8 +30,9 @@ type refIndex interface {
 
 // kmerIndex is a sorted packed k-mer table: every k-mer of the subset is
 // enumerated once at build time into (kmer, read, offset) entries sorted
-// by the 2-bit packed k-mer value. Probes are a single binary search over
-// a contiguous []uint64 (no byte comparisons, no per-hit position
+// by the 2-bit packed k-mer value. A probe reads one bucket of a directory
+// over the k-mer's top bits and binary-searches the few keys the bucket
+// spans in a contiguous []uint64 (no byte comparisons, no per-hit position
 // decoding), repeat masking is a postings-length check, and lookups
 // allocate nothing. The seq slices are retained (not copied); reads[i] is
 // the global read id of subset-local read i.
@@ -38,7 +43,16 @@ type kmerIndex struct {
 	keys  []uint64  // distinct packed k-mers, sorted ascending
 	start []int32   // len(keys)+1; postings of keys[i] at posts[start[i]:start[i+1]]
 	posts []seedHit // occurrences grouped by k-mer, (read, off)-sorted within a group
+	// Bucket directory: keys whose top bits (key >> dirShift) equal b sit at
+	// keys[dir[b]:dir[b+1]]. One bucket per one to two distinct keys, at
+	// most 2^dirMaxBits, never more bits than a k-mer has.
+	dir      []uint32
+	dirShift uint
 }
+
+// dirMaxBits caps the directory at 2^17 buckets (512 KB): about four keys
+// a bucket on a half-million-key subset.
+const dirMaxBits = 17
 
 type kmerEntry struct {
 	key uint64
@@ -84,6 +98,18 @@ func buildKmerIndex(seqs [][]byte, global []int32, k int) *kmerIndex {
 		ix.posts[i] = entries[i].hit
 	}
 	ix.start = append(ix.start, int32(len(entries)))
+	// A k-mer occupies the low 2k bits (all 64 at k = 32), so the shift is
+	// taken from 2k directly: shifting by 64 yields bucket 0, as it must
+	// for the one-bucket directory of an empty subset.
+	dirBits := min(bits.Len(uint(len(ix.keys))/2), dirMaxBits, 2*k)
+	ix.dirShift = uint(2*k - dirBits)
+	ix.dir = make([]uint32, 1<<dirBits+1)
+	for _, key := range ix.keys { // bucket sizes, one slot up ...
+		ix.dir[key>>ix.dirShift+1]++
+	}
+	for b := 1; b < len(ix.dir); b++ { // ... summed into bucket starts
+		ix.dir[b] += ix.dir[b-1]
+	}
 	return ix
 }
 
@@ -126,8 +152,12 @@ func (ix *kmerIndex) readSeq(local int32) []byte { return ix.seqs[local] }
 
 func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int) ([]seedHit, bool) {
 	v := uint64(km)
-	// Hand-rolled binary search: no closure, provably allocation-free.
-	lo, hi := 0, len(ix.keys)
+	// The k-mer's bucket, then a hand-rolled binary search inside it: no
+	// closure, provably allocation-free. It lands on end when every key of
+	// the bucket is smaller.
+	bucket := ix.dir[v>>ix.dirShift:]
+	lo, hi := int(bucket[0]), int(bucket[1])
+	end := hi
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if ix.keys[mid] < v {
@@ -136,7 +166,7 @@ func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int) ([]seedHit, bool) {
 			hi = mid
 		}
 	}
-	if lo == len(ix.keys) || ix.keys[lo] != v {
+	if lo == end || ix.keys[lo] != v {
 		return nil, false
 	}
 	a, b := ix.start[lo], ix.start[lo+1]

@@ -1,9 +1,12 @@
 package overlap
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -136,6 +139,41 @@ func TestFindOverlapsCancel(t *testing.T) {
 	}
 }
 
+// checkSeedHits holds one probe of the k-mer table to the suffix-array
+// oracle (same occurrence set, same repeat-mask decision) and to a plain
+// binary search over the table's own keys (same postings, same order).
+func checkSeedHits(t *testing.T, kix *kmerIndex, six refIndex, km dna.Kmer, maxOccur int) {
+	t.Helper()
+	k := kix.k
+	h1, m1 := kix.seedHits(km, maxOccur)
+	h2, m2 := six.seedHits(km, maxOccur)
+	if m1 != m2 {
+		t.Fatalf("k=%d km=%s: masked %v (kmer) vs %v (sa)", k, km.String(k), m1, m2)
+	}
+	var plain []seedHit
+	if i := sort.Search(len(kix.keys), func(i int) bool { return kix.keys[i] >= uint64(km) }); i < len(kix.keys) && kix.keys[i] == uint64(km) {
+		if plain = kix.posts[kix.start[i]:kix.start[i+1]]; dna.RepeatMasked(len(plain), maxOccur) {
+			plain = nil
+		}
+	}
+	if !slices.Equal(h1, plain) {
+		t.Fatalf("k=%d km=%s: directory lookup %v, plain binary search %v", k, km.String(k), h1, plain)
+	}
+	s1 := append([]seedHit(nil), h1...)
+	s2 := append([]seedHit(nil), h2...)
+	byReadOff := func(x, y seedHit) int {
+		if x.read != y.read {
+			return int(x.read) - int(y.read)
+		}
+		return int(x.off) - int(y.off)
+	}
+	slices.SortFunc(s1, byReadOff)
+	slices.SortFunc(s2, byReadOff)
+	if !slices.Equal(s1, s2) {
+		t.Fatalf("k=%d km=%s: hits %v (kmer) vs %v (sa)", k, km.String(k), s1, s2)
+	}
+}
+
 // TestSeedHitsEquivalence compares the k-mer table with the suffix-array
 // oracle at the probe level: identical occurrence sets and identical
 // repeat-mask decisions for every k-mer of the indexed reads, including
@@ -163,33 +201,7 @@ func TestSeedHitsEquivalence(t *testing.T) {
 		kix := buildKmerIndex(seqs, ids, k)
 		six := buildSAIndex(seqs, ids, k)
 		maxOccur := rng.Intn(4) // 0 = unlimited
-		probe := func(km dna.Kmer) {
-			h1, m1 := kix.seedHits(km, maxOccur)
-			h2, m2 := six.seedHits(km, maxOccur)
-			if m1 != m2 {
-				t.Fatalf("trial=%d k=%d km=%s: masked %v (kmer) vs %v (sa)", trial, k, km.String(k), m1, m2)
-			}
-			s1 := append([]seedHit(nil), h1...)
-			s2 := append([]seedHit(nil), h2...)
-			less := func(s []seedHit) func(i, j int) bool {
-				return func(i, j int) bool {
-					if s[i].read != s[j].read {
-						return s[i].read < s[j].read
-					}
-					return s[i].off < s[j].off
-				}
-			}
-			sort.Slice(s1, less(s1))
-			sort.Slice(s2, less(s2))
-			if len(s1) != len(s2) {
-				t.Fatalf("trial=%d k=%d km=%s: %d hits (kmer) vs %d (sa)", trial, k, km.String(k), len(s1), len(s2))
-			}
-			for i := range s1 {
-				if s1[i] != s2[i] {
-					t.Fatalf("trial=%d km=%s hit %d: %+v vs %+v", trial, km.String(k), i, s1[i], s2[i])
-				}
-			}
-		}
+		probe := func(km dna.Kmer) { checkSeedHits(t, kix, six, km, maxOccur) }
 		for _, s := range seqs {
 			it := dna.NewKmerIter(s, k)
 			for {
@@ -250,6 +262,128 @@ func TestRepeatThresholdBoundary(t *testing.T) {
 		}
 		if n, m := probe(cccc, 0); m || n != cap+1 {
 			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", tc.name, n, m)
+		}
+	}
+}
+
+// localIDs numbers n subset reads 0..n-1.
+func localIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
+}
+
+// polyT is the largest k-mer, the last key of the last bucket.
+func polyT(k int) dna.Kmer { return dna.Kmer(math.MaxUint64 >> (64 - 2*uint(k))) }
+
+// checkDirectory asserts the bucket directory's invariants: one more entry
+// than buckets, spanning keys exactly, monotone, every key inside the
+// bucket its top bits name.
+func checkDirectory(t *testing.T, ix *kmerIndex) {
+	t.Helper()
+	bits := 2*ix.k - int(ix.dirShift)
+	if bits < 0 || bits > dirMaxBits || len(ix.dir) != 1<<bits+1 {
+		t.Fatalf("k=%d: %d directory entries for a shift of %d", ix.k, len(ix.dir), ix.dirShift)
+	}
+	if ix.dir[0] != 0 || int(ix.dir[len(ix.dir)-1]) != len(ix.keys) || !slices.IsSorted(ix.dir) {
+		t.Fatalf("k=%d: directory does not span the %d keys monotonically", ix.k, len(ix.keys))
+	}
+	for i, key := range ix.keys {
+		if b := key >> ix.dirShift; i < int(ix.dir[b]) || i >= int(ix.dir[b+1]) {
+			t.Fatalf("k=%d: key %d (%#x) outside its bucket %d = [%d,%d)", ix.k, i, key, b, ix.dir[b], ix.dir[b+1])
+		}
+	}
+}
+
+// TestIndexDirectory: for k = 4 (a k-mer has fewer bits than the directory
+// would take), 9, 16 and dna.MaxK (a k-mer fills all 64 key bits), the
+// directory lookup equals the plain binary search and the suffix-array
+// oracle — masking included — on every k-mer of the subset, on the keys of
+// the first and last bucket (poly-A, poly-T) and their absent neighbours,
+// and on random absent k-mers, most of which fall in empty buckets.
+func TestIndexDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	for _, k := range []int{4, 9, 16, dna.MaxK} {
+		seqs := [][]byte{bytes.Repeat([]byte("A"), k+3), bytes.Repeat([]byte("T"), k+3)}
+		for i := 0; i < 12; i++ {
+			s := randGenome(int64(100*k+i), k+rng.Intn(400))
+			s[rng.Intn(len(s))] = 'N'
+			seqs = append(seqs, s)
+		}
+		ids := localIDs(len(seqs))
+		kix, six := buildKmerIndex(seqs, ids, k), buildSAIndex(seqs, ids, k)
+		checkDirectory(t, kix)
+		if k == 4 && kix.dirShift != 0 {
+			t.Fatalf("k=4 with %d distinct keys: shift %d, want one bucket per 4-mer", len(kix.keys), kix.dirShift)
+		}
+		last := polyT(k)
+		for _, maxOccur := range []int{0, 1, 3} {
+			for _, s := range seqs {
+				dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { checkSeedHits(t, kix, six, km, maxOccur) })
+			}
+			for _, km := range []dna.Kmer{0, 1, last - 1, last} {
+				checkSeedHits(t, kix, six, km, maxOccur)
+			}
+			for i := 0; i < 200; i++ {
+				checkSeedHits(t, kix, six, dna.Kmer(rng.Uint64())&last, maxOccur)
+			}
+		}
+		if h, _ := kix.seedHits(0, 0); len(h) < 4 {
+			t.Fatalf("k=%d: poly-A (first bucket) has %d hits, want the read's 4", k, len(h))
+		}
+		if h, _ := kix.seedHits(last, 0); len(h) < 4 {
+			t.Fatalf("k=%d: poly-T (last bucket) has %d hits, want the read's 4", k, len(h))
+		}
+	}
+}
+
+// TestIndexDirectoryDegenerate: an empty subset has a one-bucket directory
+// and finds nothing; a subset whose k-mers all share their leading bases
+// puts every key in one bucket, which is then searched like the whole
+// table was, while probes elsewhere land in empty buckets.
+func TestIndexDirectoryDegenerate(t *testing.T) {
+	for _, k := range []int{4, 16, dna.MaxK} {
+		empty := buildKmerIndex(nil, nil, k)
+		checkDirectory(t, empty)
+		if len(empty.dir) != 2 {
+			t.Fatalf("k=%d: empty subset has %d directory entries", k, len(empty.dir))
+		}
+		for _, km := range []dna.Kmer{0, 1, polyT(k)} {
+			if h, m := empty.seedHits(km, 1); h != nil || m {
+				t.Fatalf("k=%d: empty subset answered %v %v", k, h, m)
+			}
+		}
+	}
+	const k = 16
+	rng := rand.New(rand.NewSource(79))
+	var seqs [][]byte
+	for i := 0; i < 40; i++ { // one k-mer per read: GATTACAGATTA + 4 random bases
+		seqs = append(seqs, append([]byte("GATTACAGATTA"), randGenome(int64(i), 4)...))
+	}
+	ids := localIDs(len(seqs))
+	kix, six := buildKmerIndex(seqs, ids, k), buildSAIndex(seqs, ids, k)
+	checkDirectory(t, kix)
+	full := 0
+	for b := 0; b+1 < len(kix.dir); b++ {
+		if kix.dir[b] != kix.dir[b+1] {
+			full++
+		}
+	}
+	if full != 1 || len(kix.keys) < 8 {
+		t.Fatalf("%d keys in %d buckets, want several keys in exactly one", len(kix.keys), full)
+	}
+	for _, maxOccur := range []int{0, 1} {
+		for _, s := range seqs {
+			dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { checkSeedHits(t, kix, six, km, maxOccur) })
+		}
+		prefix, _ := dna.PackKmer([]byte("GATTACAGATTAAAAA"), k)
+		for i := 0; i < 256; i++ { // the shared bucket: present and absent suffixes
+			checkSeedHits(t, kix, six, prefix+dna.Kmer(i), maxOccur)
+		}
+		for i := 0; i < 100; i++ { // empty buckets
+			checkSeedHits(t, kix, six, dna.Kmer(rng.Uint64()>>32), maxOccur)
 		}
 	}
 }
