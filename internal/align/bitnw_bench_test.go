@@ -39,13 +39,15 @@ func BenchmarkBandedNWBitParallel(bb *testing.B) {
 }
 
 // BenchmarkOverlapOnDiagonal times the full verdict (window computation,
-// the two DP-free rules, kernel, classification) by candidate class on
+// the DP-free rules, kernel, classification) by candidate class on
 // 100 bp reads under the paper thresholds: a 40-base window no alignment
 // can carry to MinLength (O(1) reject); a 90-base suffix-prefix window with
 // 0 or 2 substitutions (ungapped optimum, no search), with 3, 5 or 8
 // scattered and with 3 adjacent ones (certified by the wavefront search);
-// and with one deleted base — mid-window (too many mismatches to attempt:
-// the kernel, gapped traceback) and 12 bases from the end (attempted,
+// with 12 or 20 (a homologous window of another genus: under 90 %
+// identity ungapped, rejected by the identity bound); and with one deleted
+// base — mid-window (ungapped under 90 %, the bound declines, the kernel
+// traces the gap) and 12 bases from the end (certificate attempted,
 // declined, then the kernel: the dearest route).
 func BenchmarkOverlapOnDiagonal(bb *testing.B) {
 	rng := rand.New(rand.NewSource(99))
@@ -63,6 +65,8 @@ func BenchmarkOverlapOnDiagonal(bb *testing.B) {
 		{name: "mismatches_3", n: 90, subs: []int{12, 40, 71}},
 		{name: "mismatches_5", n: 90, subs: []int{3, 25, 40, 66, 88}},
 		{name: "mismatches_8", n: 90, subs: []int{3, 12, 25, 40, 52, 66, 71, 88}},
+		{name: "mismatches_12", n: 90, subs: []int{3, 9, 12, 25, 31, 40, 47, 52, 66, 71, 80, 88}},
+		{name: "mismatches_20", n: 90, subs: []int{1, 3, 9, 12, 18, 25, 29, 31, 37, 40, 44, 47, 52, 58, 63, 66, 71, 77, 80, 88}},
 		{name: "adjacent_3", n: 90, subs: []int{40, 41, 42}},
 		{name: "one_indel", n: 90, deletion: 45},
 		{name: "late_indel", n: 90, deletion: 78},

@@ -72,10 +72,12 @@ type Scratch struct {
 	bpFallbacks int
 	// Verdict traffic, test observability only: equal-length calls answered
 	// by the ungapped-optimum certificate (BandedNW), windows rejected as
-	// infeasible before any alignment (OverlapOnDiagonal), and calls that
-	// ran a DP kernel (a declined certificate counts here only).
+	// infeasible or by the identity bound before any alignment
+	// (OverlapOnDiagonal), and calls that ran a DP kernel (a declined
+	// certificate or bound counts here only).
 	fastUngapped   int
 	fastInfeasible int
+	fastRejected   int
 	dpCalls        int
 
 	// Furthest-reaching wavefronts of the ungapped-optimum certificate
@@ -130,11 +132,26 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 		return Alignment{Score: (n + m) * sc.Gap, Matches: 0, Columns: n + m}
 	}
 	if n == m {
-		if aln, ok := scr.ungappedOptimum(a, b, band, sc); ok {
+		return scr.equalNW(a, b, band, sc, mismatchesUpTo(a, b, certLimit(n, sc)))
+	}
+	return scr.kernelNW(a, b, band, sc)
+}
+
+// equalNW aligns an equal-length pair whose mismatch count m is known
+// exactly up to certLimit (past it, any larger value will do): by the
+// ungapped-optimum certificate where it answers, by a kernel otherwise.
+func (scr *Scratch) equalNW(a, b []byte, band int, sc Scoring, m int) Alignment {
+	if m <= certLimit(len(a), sc) {
+		if aln, ok := scr.ungappedOptimum(a, b, band, sc, m); ok {
 			scr.fastUngapped++
 			return aln
 		}
 	}
+	return scr.kernelNW(a, b, band, sc)
+}
+
+// kernelNW runs a DP kernel: bit-parallel where eligible, scalar otherwise.
+func (scr *Scratch) kernelNW(a, b []byte, band int, sc Scoring) Alignment {
 	scr.dpCalls++
 	if bpEligible(band, sc) {
 		if aln, ok := scr.bandedNWBit(a, b, band, sc); ok {
@@ -143,6 +160,17 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 		scr.bpFallbacks++
 	}
 	return scr.bandedNWScalar(a, b, band, sc)
+}
+
+// certLimit is the most mismatches ungappedOptimum attempts on a window of
+// n, or -1 when the scoring's signs switch the rule off.
+func certLimit(n int, sc Scoring) int {
+	delta := sc.Match - sc.Mismatch
+	if sc.Match <= 0 || sc.Gap >= 0 || delta <= 0 {
+		return -1
+	}
+	x, g := 2*delta, sc.Match-2*sc.Gap
+	return max(n/(2*x), 2*g/x)
 }
 
 // ungappedOptimum answers an equal-length alignment without running a
@@ -165,25 +193,18 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 // — a better path to (i, i) would continue to a better one to (n, n) — and
 // because the diagonal wins ties the traceback walks the main diagonal even
 // when a gapped alignment ties: Score, Matches = n-m, Columns = n are exact.
-// The attempt is made while the budget is at most n/4 in score units (m <=
-// n/8 under DefaultScoring), which keeps it well below one kernel call, or
-// too small for one gap pair; scorings outside the sign conditions switch
-// the rule off.
-func (scr *Scratch) ungappedOptimum(a, b []byte, band int, sc Scoring) (Alignment, bool) {
-	delta := sc.Match - sc.Mismatch
-	if sc.Match <= 0 || sc.Gap >= 0 || delta <= 0 {
-		return Alignment{}, false
-	}
+// The attempt is made (certLimit) while the budget is at most n/4 in score
+// units (m <= n/8 under DefaultScoring), which keeps it well below one
+// kernel call, or too small for one gap pair; scorings outside the sign
+// conditions switch the rule off. The caller counts m, exactly, and holds
+// it to that limit.
+func (scr *Scratch) ungappedOptimum(a, b []byte, band int, sc Scoring, m int) (Alignment, bool) {
 	n := len(a)
 	b = b[:n]
+	delta := sc.Match - sc.Mismatch
 	// Penalties in half units, so that one gap column (half of a pair) is
 	// integral: x per mismatch, g per gap column.
 	x, g := 2*delta, sc.Match-2*sc.Gap
-	lim := max(n/(2*x), 2*g/x)
-	m := mismatchesUpTo(a, b, lim)
-	if m > lim {
-		return Alignment{}, false
-	}
 	ungapped := Alignment{Score: n*sc.Match - m*delta, Matches: n - m, Columns: n}
 	budget := m * x
 	kmax := min(band, (budget-1)/(2*g))

@@ -2,6 +2,7 @@ package align
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,8 +22,8 @@ func overlapWindow(a, b []byte, diag int) (wa, wb []byte) {
 
 // dpOverlapOnDiagonal is the DP-only oracle of the verdict suites:
 // OverlapOnDiagonal's window, thresholds and classification around
-// bandedNWScalar, with neither the infeasible-window reject nor the
-// ungapped-optimum accept.
+// bandedNWScalar, with none of the infeasible-window reject, the identity
+// bound and the ungapped-optimum certificate.
 func (scr *Scratch) dpOverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overlap, bool) {
 	wa, wb := overlapWindow(a, b, diag)
 	if wa == nil {
@@ -458,15 +459,34 @@ func TestCertificateTie(t *testing.T) {
 	}
 }
 
+// routeMix tallies verdicts by the route that answered them.
+type routeMix struct {
+	verdicts, accepted                    int
+	infeasible, bounded, ungapped, kernel int
+	kernelRejected                        int
+	searched, declined, unattempted       int // same-genome windows of more than free mismatches
+}
+
+func (r routeMix) String() string {
+	return fmt.Sprintf("%d verdicts (%d accepted): %d infeasible, %d rejected by the identity bound, %d ungapped, %d DP (%d of them rejected)",
+		r.verdicts, r.accepted, r.infeasible, r.bounded, r.ungapped, r.kernel, r.kernelRejected)
+}
+
 // TestOverlapVerdictsMostlyDPFree: on a simulated D2-analogue read set,
-// with the candidates a seed could support (same genome and strand, at
-// least 20 shared bases, true diagonal), the three counters partition the
-// verdicts, at least 60 % of them need no kernel, and the certificate's
-// search answers at least 55 % of the windows the bare "a gap pair cannot
-// undercut m mismatches" rule would leave to a kernel — so neither shortcut
-// can silently stop firing. The mix is logged per route; the overlap
-// stage's own candidates on the benchmark's D2 input (which add seeds
-// across repeats and conserved loci) are split in EXPERIMENTS.md.
+// over two candidate sets — the pairs a seed could support (same genome and
+// strand, at least 20 shared bases, true diagonal) and homologous pairs
+// (same phylum, another genome, same strand and coordinates: a phylum's
+// genomes derive from one ancestor by substitution only, so the coordinates
+// line up, and outside conserved loci they sit 20 % apart) — the four
+// counters partition the verdicts; on the first set at least 60 % of the
+// verdicts need no kernel and the certificate's search answers at least
+// 55 % of the windows the bare "a gap pair cannot undercut m mismatches"
+// rule would leave to a kernel; over both, at least 80 % of the windows
+// that get past the O(1) reject and the certificate and end rejected are
+// rejected by the identity bound rather than by a kernel. So no shortcut
+// can silently stop firing. The mix is logged per route (go test -v); the
+// overlap stage's own candidates on the benchmark's D2 input are split in
+// EXPERIMENTS.md.
 func TestOverlapVerdictsMostlyDPFree(t *testing.T) {
 	spec, err := simulate.PaperDataSet(2, 0.1)
 	if err != nil {
@@ -475,6 +495,10 @@ func TestOverlapVerdictsMostlyDPFree(t *testing.T) {
 	com, err := simulate.BuildCommunity(spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	phylum := map[string]string{}
+	for _, g := range com.Genomes {
+		phylum[g.ID] = g.Phylum
 	}
 	rcfg := simulate.PaperReadConfig(2, 8)
 	rcfg.AdapterLen = 0
@@ -485,13 +509,16 @@ func TestOverlapVerdictsMostlyDPFree(t *testing.T) {
 	var scr, ref Scratch
 	cfg := DefaultConfig()
 	free, _ := certLims(100, cfg.Scoring)
-	verdicts, accepted := 0, 0
-	var searched, declined, unattempted int // windows of more than free mismatches, by route
+	var same, homologous routeMix
 	for i, oi := range rs.Origins {
 		for j, oj := range rs.Origins {
 			d := oj.Pos - oi.Pos
-			if i == j || oi.GenomeID != oj.GenomeID || oi.Reverse != oj.Reverse || d > 80 || d < -80 {
+			if i == j || phylum[oi.GenomeID] != phylum[oj.GenomeID] || oi.Reverse != oj.Reverse || d > 80 || d < -80 {
 				continue
+			}
+			mix := &homologous
+			if oi.GenomeID == oj.GenomeID {
+				mix = &same
 			}
 			if oi.Reverse {
 				d = -d
@@ -503,39 +530,54 @@ func TestOverlapVerdictsMostlyDPFree(t *testing.T) {
 			if ok != wantOK || got != want {
 				t.Fatalf("reads %d,%d diag %d: got %+v %v, want %+v %v", i, j, d, got, ok, want, wantOK)
 			}
-			verdicts++
-			if ok {
-				accepted++
+			mix.verdicts++
+			switch {
+			case ok:
+				mix.accepted++
+			case scr.dpCalls > before.dpCalls:
+				mix.kernelRejected++
 			}
+			mix.infeasible += scr.fastInfeasible - before.fastInfeasible
+			mix.bounded += scr.fastRejected - before.fastRejected
+			mix.ungapped += scr.fastUngapped - before.fastUngapped
+			mix.kernel += scr.dpCalls - before.dpCalls
 			wa, wb := overlapWindow(a, b, d)
-			if m := hamming(wa, wb); m > free && scr.fastInfeasible == before.fastInfeasible {
+			if m := hamming(wa, wb); mix == &same && m > free && scr.fastInfeasible == before.fastInfeasible && scr.fastRejected == before.fastRejected {
 				_, lim := certLims(len(wa), cfg.Scoring)
 				switch {
 				case scr.fastUngapped > before.fastUngapped:
-					searched++
+					same.searched++
 				case m <= lim:
-					declined++
+					same.declined++
 				default:
-					unattempted++
+					same.unattempted++
 				}
 			}
 		}
 	}
-	if got := scr.fastInfeasible + scr.fastUngapped + scr.dpCalls; got != verdicts {
-		t.Fatalf("counters do not partition the verdicts: %d infeasible + %d ungapped + %d DP != %d", scr.fastInfeasible, scr.fastUngapped, scr.dpCalls, verdicts)
+	verdicts := same.verdicts + homologous.verdicts
+	if got := scr.fastInfeasible + scr.fastRejected + scr.fastUngapped + scr.dpCalls; got != verdicts {
+		t.Fatalf("counters do not partition the verdicts: %d infeasible + %d bound + %d ungapped + %d DP != %d",
+			scr.fastInfeasible, scr.fastRejected, scr.fastUngapped, scr.dpCalls, verdicts)
 	}
-	beyond := searched + declined + unattempted
-	t.Logf("%d verdicts (%d accepted): %d infeasible, %d ungapped, %d DP", verdicts, accepted, scr.fastInfeasible, scr.fastUngapped, scr.dpCalls)
-	t.Logf("%d windows of more than %d mismatches: %d certified by the search, %d declined then DP, %d past the cap straight to DP",
-		beyond, free, searched, declined, unattempted)
-	if verdicts < 1000 || accepted == 0 || beyond == 0 {
-		t.Fatalf("read set yields too few candidates to judge: %d verdicts, %d accepted, %d beyond the free limit", verdicts, accepted, beyond)
+	beyond := same.searched + same.declined + same.unattempted
+	t.Logf("same genome: %v", same)
+	t.Logf("same genome: %d windows of more than %d mismatches: %d certified by the search, %d declined then DP, %d past the cap straight to DP",
+		beyond, free, same.searched, same.declined, same.unattempted)
+	t.Logf("homologous: %v", homologous)
+	if same.verdicts < 1000 || same.accepted == 0 || beyond == 0 || homologous.verdicts < 1000 {
+		t.Fatalf("read set yields too few candidates to judge: %v; %d beyond the free limit; homologous %v", same, beyond, homologous)
 	}
-	if fast := scr.fastUngapped + scr.fastInfeasible; 10*fast < 6*verdicts {
-		t.Fatalf("only %d of %d verdicts were DP-free, want at least 60%%", fast, verdicts)
+	if fast := same.verdicts - same.kernel; 10*fast < 6*same.verdicts {
+		t.Fatalf("only %d of %d same-genome verdicts were DP-free, want at least 60%%", fast, same.verdicts)
 	}
-	if 100*searched < 55*beyond {
-		t.Fatalf("the search certified only %d of %d windows beyond the free limit, want at least 55%%", searched, beyond)
+	if 100*same.searched < 55*beyond {
+		t.Fatalf("the search certified only %d of %d windows beyond the free limit, want at least 55%%", same.searched, beyond)
+	}
+	bounded, kernelRejected := same.bounded+homologous.bounded, same.kernelRejected+homologous.kernelRejected
+	t.Logf("rejected past the O(1) rule and the certificate: %d by the identity bound, %d by a kernel", bounded, kernelRejected)
+	if 100*bounded < 80*(bounded+kernelRejected) {
+		t.Fatalf("the identity bound rejected only %d of %d windows a kernel would reject, want at least 80%%", bounded, bounded+kernelRejected)
 	}
 }
 

@@ -3,6 +3,7 @@ package assembly
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"focus/internal/dist"
+	"focus/internal/overlap"
 )
 
 // FlakyService fails a configurable subset of calls, simulating worker
@@ -135,6 +137,61 @@ func TestDriverHealthyFlakyServicePasses(t *testing.T) {
 	defer pool.Close()
 	if _, err := d.Trim(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAlignPairBadRequestKeepsWorker: a TCP-served worker sent
+// well-formed AlignPair requests it cannot run — k = 0 (which used to panic
+// inside the k-mer enumerator, and net/rpc does not recover a handler:
+// the whole worker process died), k = 33, ids and sequences of different
+// counts — answers each with an error, still answers Ping after each, and
+// then runs a good request.
+func TestAlignPairBadRequestKeepsWorker(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() { _ = dist.Serve(lis, &Service{}) }()
+	pool, err := dist.DialPoolOpts([]string{lis.Addr().String()}, dist.Options{CallTimeout: 10 * time.Second, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(21))
+	seq := make([]byte, 120)
+	for i := range seq {
+		seq[i] = "ACGT"[rng.Intn(4)]
+	}
+	job := func(mut func(*overlap.AlignPairArgs)) *overlap.AlignPairArgs {
+		a := &overlap.AlignPairArgs{
+			RefIDs: []int32{0, 1}, RefSeqs: [][]byte{seq, seq[40:]},
+			QueryIDs: []int32{0, 1}, QuerySeqs: [][]byte{seq, seq[40:]},
+			Cfg: overlap.DefaultConfig(),
+		}
+		mut(a)
+		return a
+	}
+	for _, bad := range []struct {
+		name string
+		mut  func(*overlap.AlignPairArgs)
+	}{
+		{"k=0", func(a *overlap.AlignPairArgs) { a.Cfg.K = 0 }},
+		{"k=33", func(a *overlap.AlignPairArgs) { a.Cfg.K = 33 }},
+		{"ids/sequences", func(a *overlap.AlignPairArgs) { a.QuerySeqs = a.QuerySeqs[:1] }},
+	} {
+		var reply overlap.AlignPairReply
+		if err := pool.Call(0, "AlignPair", job(bad.mut), &reply); err == nil {
+			t.Fatalf("%s: no error, %d records", bad.name, len(reply.Records))
+		}
+		var ack dist.Ack
+		if err := pool.Call(0, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
+			t.Fatalf("after %s: Ping %v %v", bad.name, ack, err)
+		}
+	}
+	var reply overlap.AlignPairReply
+	if err := pool.Call(0, "AlignPair", job(func(*overlap.AlignPairArgs) {}), &reply); err != nil || len(reply.Records) == 0 {
+		t.Fatalf("good request after the bad ones: %d records, %v", len(reply.Records), err)
 	}
 }
 

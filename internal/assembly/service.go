@@ -69,8 +69,9 @@ func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 // both the wire types and the computation; this method just exposes them
 // on the worker service.
 func (s *Service) AlignPair(args *overlap.AlignPairArgs, reply *overlap.AlignPairReply) error {
-	reply.Records = overlap.AlignPair(args)
-	return nil
+	var err error
+	reply.Records, err = overlap.AlignPair(args)
+	return err
 }
 
 // NewService is the factory handed to dist.NewLocalPool.

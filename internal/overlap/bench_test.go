@@ -108,7 +108,9 @@ func BenchmarkSeedLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild measures per-subset index construction.
+// BenchmarkIndexBuild measures per-subset index construction, and the
+// k-mer table's on a low-complexity subset of the same size whose largest
+// bucket holds 20,000 entries (an insertion sort there would be quadratic).
 func BenchmarkIndexBuild(b *testing.B) {
 	seqs, ids := benchSubset(b)
 	cfg := DefaultConfig()
@@ -123,4 +125,13 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		})
 	}
+	b.Run("low-complexity", func(b *testing.B) {
+		seqs := lowComplexitySubset(4000, 5)
+		ids := localIDs(len(seqs))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buildKmerIndex(seqs, ids, cfg.K)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package overlap
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log"
 	"sync"
 
@@ -37,15 +38,36 @@ type AlignPairReply struct{ Records []Record }
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
 // AlignPair executes one job (the worker half; assembly.Service exposes
-// it over RPC).
-func AlignPair(args *AlignPairArgs) []Record {
+// it over RPC). A request the job cannot be run on — a configuration
+// validate refuses, ids and sequences of different counts, or ids that do
+// not form the two runs of a (q <= r) job: each side one ascending run of
+// consecutive ids, the reference run not starting before the query run —
+// is an error, not a worker crash.
+func AlignPair(args *AlignPairArgs) ([]Record, error) {
+	if err := validate(args.Cfg, 1); err != nil {
+		return nil, err
+	}
+	if len(args.RefIDs) != len(args.RefSeqs) || len(args.QueryIDs) != len(args.QuerySeqs) {
+		return nil, fmt.Errorf("overlap: %d reference ids for %d sequences, %d query ids for %d",
+			len(args.RefIDs), len(args.RefSeqs), len(args.QueryIDs), len(args.QuerySeqs))
+	}
+	for _, ids := range [][]int32{args.RefIDs, args.QueryIDs} {
+		for i, id := range ids {
+			if int64(id) != int64(ids[0])+int64(i) {
+				return nil, fmt.Errorf("overlap: id %d at position %d of a run from %d", id, i, ids[0])
+			}
+		}
+	}
+	if len(args.RefIDs) > 0 && len(args.QueryIDs) > 0 && args.RefIDs[0] < args.QueryIDs[0] {
+		return nil, fmt.Errorf("overlap: reference ids from %d precede the query ids from %d", args.RefIDs[0], args.QueryIDs[0])
+	}
 	ref := buildKmerIndex(args.RefSeqs, args.RefIDs, args.Cfg.K)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	recs := alignQueries(args.QueryIDs, args.QuerySeqs, ref, args.Cfg, sc)
 	out := make([]Record, len(recs))
 	copy(out, recs)
-	return out
+	return out, nil
 }
 
 // FindOverlapsDistributed is FindOverlaps with the subset-pair jobs

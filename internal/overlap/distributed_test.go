@@ -1,7 +1,9 @@
 package overlap
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,8 +15,9 @@ import (
 type alignService struct{}
 
 func (s *alignService) AlignPair(args *AlignPairArgs, reply *AlignPairReply) error {
-	reply.Records = AlignPair(args)
-	return nil
+	var err error
+	reply.Records, err = AlignPair(args)
+	return err
 }
 
 func newAlignService() interface{} { return &alignService{} }
@@ -96,6 +99,55 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	}
 }
 
+// TestAlignPairRejectsMalformedJobs: requests no (q <= r) job produces —
+// k out of range, a scoring past maxScore, ids and sequences of different
+// counts, ids that are not one ascending run, a reference run starting
+// before the query run — are errors; the job shapes the drivers do send
+// (one subset against itself or a later one, an empty side) are not.
+func TestAlignPairRejectsMalformedJobs(t *testing.T) {
+	genome := randGenome(153, 400)
+	// The second read drops a base, so its overlaps reach the DP kernel.
+	seqs := [][]byte{genome[:100], append(slices.Clone(genome[50:90]), genome[91:151]...), genome[100:200], genome[150:250]}
+	job := func(mut func(*AlignPairArgs)) *AlignPairArgs {
+		a := &AlignPairArgs{
+			RefIDs: []int32{12, 13}, RefSeqs: seqs[2:],
+			QueryIDs: []int32{10, 11}, QuerySeqs: seqs[:2],
+			Cfg: testConfig(),
+		}
+		mut(a)
+		return a
+	}
+	for name, mut := range map[string]func(*AlignPairArgs){
+		"k=0":              func(a *AlignPairArgs) { a.Cfg.K = 0 },
+		"k=33":             func(a *AlignPairArgs) { a.Cfg.K = 33 },
+		"huge match":       func(a *AlignPairArgs) { a.Cfg.Align.Scoring.Match = 1 << 40 },
+		"huge gap":         func(a *AlignPairArgs) { a.Cfg.Align.Scoring.Gap = -(1 << 40) },
+		"ref ids short":    func(a *AlignPairArgs) { a.RefIDs = a.RefIDs[:1] },
+		"query seqs short": func(a *AlignPairArgs) { a.QuerySeqs = a.QuerySeqs[:1] },
+		"gap in ids":       func(a *AlignPairArgs) { a.RefIDs = []int32{12, 14} },
+		"descending ids":   func(a *AlignPairArgs) { a.QueryIDs = []int32{11, 10} },
+		"wrapping ids":     func(a *AlignPairArgs) { a.QueryIDs = []int32{math.MaxInt32, math.MinInt32} },
+		"refs first":       func(a *AlignPairArgs) { a.RefIDs, a.QueryIDs = a.QueryIDs, a.RefIDs },
+	} {
+		if recs, err := AlignPair(job(mut)); err == nil {
+			t.Errorf("%s: accepted, %d records", name, len(recs))
+		}
+	}
+	for name, mut := range map[string]func(*AlignPairArgs){
+		"later subset": func(*AlignPairArgs) {},
+		"same subset":  func(a *AlignPairArgs) { a.RefIDs, a.RefSeqs = a.QueryIDs, a.QuerySeqs },
+		"no queries":   func(a *AlignPairArgs) { a.QueryIDs, a.QuerySeqs = nil, nil },
+		"no refs":      func(a *AlignPairArgs) { a.RefIDs, a.RefSeqs = nil, nil },
+		"huge band": func(a *AlignPairArgs) {
+			a.RefIDs, a.RefSeqs, a.Cfg.Align.Band = a.QueryIDs, a.QuerySeqs, 1<<40
+		},
+	} {
+		if _, err := AlignPair(job(mut)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestAlignPairDirect(t *testing.T) {
 	genome := randGenome(151, 600)
 	reads := tilingReads(genome, 100, 50)
@@ -105,11 +157,14 @@ func TestAlignPairDirect(t *testing.T) {
 		ids = append(ids, int32(i))
 		seqs = append(seqs, r.Seq)
 	}
-	recs := AlignPair(&AlignPairArgs{
+	recs, err := AlignPair(&AlignPairArgs{
 		RefIDs: ids, RefSeqs: seqs,
 		QueryIDs: ids, QuerySeqs: seqs,
 		Cfg: testConfig(),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Consecutive reads overlap by 50 bp: all must be found.
 	found := map[[2]int32]bool{}
 	for _, r := range recs {

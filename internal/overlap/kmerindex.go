@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"math/bits"
+	"sort"
 
 	"focus/internal/dna"
 )
@@ -29,10 +30,10 @@ type refIndex interface {
 }
 
 // kmerIndex is a sorted packed k-mer table: every k-mer of the subset is
-// enumerated once at build time into (kmer, read, offset) entries sorted
-// by the 2-bit packed k-mer value. A probe reads one bucket of a directory
-// over the k-mer's top bits and binary-searches the few keys the bucket
-// spans in a contiguous []uint64 (no byte comparisons, no per-hit position
+// enumerated at build time into (kmer, read, offset) entries sorted by the
+// 2-bit packed k-mer value. A probe reads one bucket of a directory over
+// the k-mer's top bits and binary-searches the few keys the bucket spans
+// in a contiguous []uint64 (no byte comparisons, no per-hit position
 // decoding), repeat masking is a postings-length check, and lookups
 // allocate nothing. The seq slices are retained (not copied); reads[i] is
 // the global read id of subset-local read i.
@@ -44,8 +45,8 @@ type kmerIndex struct {
 	start []int32   // len(keys)+1; postings of keys[i] at posts[start[i]:start[i+1]]
 	posts []seedHit // occurrences grouped by k-mer, (read, off)-sorted within a group
 	// Bucket directory: keys whose top bits (key >> dirShift) equal b sit at
-	// keys[dir[b]:dir[b+1]]. One bucket per one to two distinct keys, at
-	// most 2^dirMaxBits, never more bits than a k-mer has.
+	// keys[dir[b]:dir[b+1]]. One bucket per one to two k-mers of the
+	// subset, at most 2^dirMaxBits, never more bits than a k-mer has.
 	dir      []uint32
 	dirShift uint
 }
@@ -54,96 +55,115 @@ type kmerIndex struct {
 // a bucket on a half-million-key subset.
 const dirMaxBits = 17
 
-type kmerEntry struct {
-	key uint64
-	hit seedHit
-}
-
+// buildKmerIndex sorts the subset's k-mers by bucket scatter: one
+// enumeration counts the k-mers of every directory bucket, a second
+// scatters (key, hit) pairs to their bucket's slots — in enumeration, that
+// is (read, off), order — and each bucket, a handful of entries, is then
+// sorted by key stably and compacted into keys/start/posts.
 func buildKmerIndex(seqs [][]byte, global []int32, k int) *kmerIndex {
 	ix := &kmerIndex{k: k, reads: global, seqs: seqs}
-	// Upper bound on the entry count (exact for N-free reads).
+	// Upper bound on the k-mer count (exact for N-free reads).
 	bound := 0
 	for _, s := range seqs {
 		if n := len(s) - k + 1; n > 0 {
 			bound += n
 		}
 	}
-	entries := make([]kmerEntry, 0, bound)
-	for r, s := range seqs {
-		r32 := int32(r)
-		dna.ForEachKmer(s, k, func(km dna.Kmer, off int) {
-			entries = append(entries, kmerEntry{key: uint64(km), hit: seedHit{read: r32, off: int32(off)}})
-		})
-	}
-	// LSD radix sort on the packed key: stable, so within equal k-mers the
-	// append order (read asc, offset asc) is preserved. Only ceil(2k/8)
-	// byte passes are needed since a k-mer occupies the low 2k bits; this
-	// is several times faster than comparison sorting at index-build time.
-	entries = radixSortByKey(entries, k)
-	// Compact into distinct keys + grouped postings (exact capacities).
-	distinct := 0
-	for i := range entries {
-		if i == 0 || entries[i].key != entries[i-1].key {
-			distinct++
-		}
-	}
-	ix.keys = make([]uint64, 0, distinct)
-	ix.start = make([]int32, 0, distinct+1)
-	ix.posts = make([]seedHit, len(entries))
-	for i := range entries {
-		if i == 0 || entries[i].key != entries[i-1].key {
-			ix.keys = append(ix.keys, entries[i].key)
-			ix.start = append(ix.start, int32(i))
-		}
-		ix.posts[i] = entries[i].hit
-	}
-	ix.start = append(ix.start, int32(len(entries)))
 	// A k-mer occupies the low 2k bits (all 64 at k = 32), so the shift is
 	// taken from 2k directly: shifting by 64 yields bucket 0, as it must
 	// for the one-bucket directory of an empty subset.
-	dirBits := min(bits.Len(uint(len(ix.keys))/2), dirMaxBits, 2*k)
-	ix.dirShift = uint(2*k - dirBits)
-	ix.dir = make([]uint32, 1<<dirBits+1)
-	for _, key := range ix.keys { // bucket sizes, one slot up ...
-		ix.dir[key>>ix.dirShift+1]++
+	dirBits := min(bits.Len(uint(bound)/2), dirMaxBits, 2*k)
+	shift := uint(2*k - dirBits)
+	nb := 1 << dirBits
+	dir := make([]uint32, nb+1)
+	for _, s := range seqs {
+		dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { dir[uint64(km)>>shift]++ })
 	}
-	for b := 1; b < len(ix.dir); b++ { // ... summed into bucket starts
-		ix.dir[b] += ix.dir[b-1]
+	total := uint32(0)
+	for b := range nb { // bucket sizes into bucket starts
+		dir[b], total = total, total+dir[b]
 	}
+	keys := make([]uint64, total)
+	posts := make([]seedHit, total)
+	for r, s := range seqs {
+		r32 := int32(r)
+		dna.ForEachKmer(s, k, func(km dna.Kmer, off int) {
+			b := uint64(km) >> shift
+			keys[dir[b]], posts[dir[b]] = uint64(km), seedHit{read: r32, off: int32(off)}
+			dir[b]++ // ends as the next bucket's start
+		})
+	}
+	// Sort every bucket by key, turning dir into bucket starts over the
+	// distinct keys as they are counted.
+	lo, distinct := uint32(0), uint32(0)
+	for b := range nb {
+		hi := dir[b]
+		if hi-lo > 1 {
+			sortBucket(keys[lo:hi], posts[lo:hi])
+		}
+		dir[b] = distinct
+		for i := lo; i < hi; i++ {
+			if i == lo || keys[i] != keys[i-1] {
+				distinct++
+			}
+		}
+		lo = hi
+	}
+	dir[nb] = distinct
+	start := make([]int32, 0, distinct+1)
+	d := 0
+	for i, key := range keys {
+		if i == 0 || key != keys[d-1] {
+			keys[d] = key
+			start = append(start, int32(i))
+			d++
+		}
+	}
+	ix.keys, ix.start, ix.posts = keys[:d], append(start, int32(total)), posts
+	ix.dir, ix.dirShift = dir, shift
 	return ix
 }
 
-// radixSortByKey sorts entries ascending by key with a stable LSD radix
-// sort over the low 2k bits (8-bit digits). It returns the sorted slice,
-// which may be the scratch buffer rather than the input.
-func radixSortByKey(entries []kmerEntry, k int) []kmerEntry {
-	if len(entries) < 2 {
-		return entries
+// sortBucket orders one bucket's entries by key, stably: postings of a key
+// keep the (read, off) order the scatter gave them. Buckets hold one or two
+// k-mers on average and take an insertion sort; a larger one (a
+// low-complexity subset can pile thousands into one) sorts by (key, read,
+// off), which is the same order — stable, since (read, off) was the
+// entries' order — in O(s log s).
+func sortBucket(keys []uint64, posts []seedHit) {
+	if len(keys) > 32 {
+		sort.Sort(bucketOrder{keys, posts})
+		return
 	}
-	passes := (2*k + 7) / 8
-	buf := make([]kmerEntry, len(entries))
-	src, dst := entries, buf
-	for p := 0; p < passes; p++ {
-		shift := uint(8 * p)
-		var count [256]int
-		for i := range src {
-			count[(src[i].key>>shift)&0xFF]++
+	for i := 1; i < len(keys); i++ {
+		key, hit := keys[i], posts[i]
+		j := i
+		for ; j > 0 && keys[j-1] > key; j-- {
+			keys[j], posts[j] = keys[j-1], posts[j-1]
 		}
-		if count[src[0].key>>shift&0xFF] == len(src) {
-			continue // all entries share this digit: pass is a no-op
-		}
-		sum := 0
-		for d := range count {
-			count[d], sum = sum, count[d]+sum
-		}
-		for i := range src {
-			d := (src[i].key >> shift) & 0xFF
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
+		keys[j], posts[j] = key, hit
 	}
-	return src
+}
+
+// bucketOrder is sort.Interface over one bucket in (key, read, off) order.
+type bucketOrder struct {
+	keys  []uint64
+	posts []seedHit
+}
+
+func (o bucketOrder) Len() int { return len(o.keys) }
+func (o bucketOrder) Less(i, j int) bool {
+	if o.keys[i] != o.keys[j] {
+		return o.keys[i] < o.keys[j]
+	}
+	if o.posts[i].read != o.posts[j].read {
+		return o.posts[i].read < o.posts[j].read
+	}
+	return o.posts[i].off < o.posts[j].off
+}
+func (o bucketOrder) Swap(i, j int) {
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+	o.posts[i], o.posts[j] = o.posts[j], o.posts[i]
 }
 
 func (ix *kmerIndex) numReads() int              { return len(ix.reads) }

@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -43,8 +44,8 @@ func rcReadSet(seed int64, genomeLen int) []dna.Read {
 // FindOverlaps over the packed k-mer table (at workers 1/2/8) returns
 // byte-identical, sorted records to the same query loop over the
 // suffix-array index, on randomized read sets (including
-// reverse-complement pairs and containments), across subset counts and
-// seeding modes.
+// reverse-complement pairs and containments), across subset counts,
+// seeding modes and seed lengths k = 4, 9, 16 and 32.
 func TestIndexingEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -54,6 +55,9 @@ func TestIndexingEquivalence(t *testing.T) {
 		{"minimizer", func(c *Config) { c.Seeding = SeedMinimizer }},
 		{"maxoccur8", func(c *Config) { c.MaxOccur = 8 }},
 		{"step1", func(c *Config) { c.Step = 1 }},
+		{"k4", func(c *Config) { c.K = 4 }},
+		{"k9", func(c *Config) { c.K = 9 }},
+		{"k32", func(c *Config) { c.K = dna.MaxK }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(60); seed < 64; seed++ {
@@ -177,11 +181,14 @@ func checkSeedHits(t *testing.T, kix *kmerIndex, six refIndex, km dna.Kmer, maxO
 // TestSeedHitsEquivalence compares the k-mer table with the suffix-array
 // oracle at the probe level: identical occurrence sets and identical
 // repeat-mask decisions for every k-mer of the indexed reads, including
-// reads containing Ns.
+// reads containing Ns, at k = 4, 9, 16 and 32 and random k in between.
 func TestSeedHitsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 20; trial++ {
-		k := 4 + rng.Intn(12)
+	for trial := 0; trial < 36; trial++ {
+		k := []int{4, 9, 16, dna.MaxK}[trial%4]
+		if trial >= 16 {
+			k = 4 + rng.Intn(dna.MaxK-3)
+		}
 		numReads := 1 + rng.Intn(12)
 		seqs := make([][]byte, numReads)
 		ids := make([]int32, numReads)
@@ -220,48 +227,48 @@ func TestSeedHitsEquivalence(t *testing.T) {
 }
 
 // TestRepeatThresholdBoundary pins the shared occurrence-cap semantics
-// (dna.RepeatMasked) at the boundary for both seed structures: a k-mer
-// occurring exactly MaxOccur times is kept, one more occurrence masks
-// it, and cap <= 0 never masks.
+// (dna.RepeatMasked) at the boundary for both seed structures, at k = 4,
+// 9, 16 and 32: a k-mer occurring exactly MaxOccur times is kept, one more
+// occurrence masks it, and cap <= 0 never masks.
 func TestRepeatThresholdBoundary(t *testing.T) {
 	const cap = 3
-	k := 4
-	// "AAAA" occurs exactly cap times, "CCCC" cap+1 times, spread over
-	// unique-tail reads so each occurrence is a distinct posting.
-	seqs := [][]byte{
-		[]byte("AAAAGGTT"), []byte("AAAATTGG"), []byte("AAAAGTGT"),
-		[]byte("CCCCGGTT"), []byte("CCCCTTGG"), []byte("CCCCGTGT"), []byte("CCCCTGTG"),
-	}
-	ids := make([]int32, len(seqs))
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	aaaa, _ := dna.PackKmer([]byte("AAAA"), k)
-	cccc, _ := dna.PackKmer([]byte("CCCC"), k)
-
 	if dna.RepeatMasked(cap, cap) || !dna.RepeatMasked(cap+1, cap) || dna.RepeatMasked(1<<20, 0) || dna.RepeatMasked(1<<20, -1) {
 		t.Fatal("dna.RepeatMasked boundary semantics changed")
 	}
-
-	for _, tc := range []struct {
-		name string
-		ix   refIndex
-	}{
-		{"kmer-table", buildKmerIndex(seqs, ids, k)},
-		{"suffix-array", buildSAIndex(seqs, ids, k)},
-	} {
-		probe := func(km dna.Kmer, mo int) (int, bool) {
-			h, m := tc.ix.seedHits(km, mo)
-			return len(h), m
+	for _, k := range []int{4, 9, 16, dna.MaxK} {
+		// Poly-A occurs exactly cap times, poly-C cap+1 times, spread over
+		// unique-tail reads so each occurrence is a distinct posting.
+		polyA, polyC := bytes.Repeat([]byte("A"), k), bytes.Repeat([]byte("C"), k)
+		var seqs [][]byte
+		for _, tail := range []string{"GGTT", "TTGG", "GTGT"} {
+			seqs = append(seqs, append(slices.Clone(polyA), tail...))
 		}
-		if n, m := probe(aaaa, cap); m || n != cap {
-			t.Errorf("%s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", tc.name, n, m)
+		for _, tail := range []string{"GGTT", "TTGG", "GTGT", "TGTG"} {
+			seqs = append(seqs, append(slices.Clone(polyC), tail...))
 		}
-		if _, m := probe(cccc, cap); !m {
-			t.Errorf("%s: over-threshold k-mer kept", tc.name)
-		}
-		if n, m := probe(cccc, 0); m || n != cap+1 {
-			t.Errorf("%s: cap=0 masked (hits=%d masked=%v)", tc.name, n, m)
+		ids := localIDs(len(seqs))
+		aaaa, _ := dna.PackKmer(polyA, k)
+		cccc, _ := dna.PackKmer(polyC, k)
+		for _, tc := range []struct {
+			name string
+			ix   refIndex
+		}{
+			{"kmer-table", buildKmerIndex(seqs, ids, k)},
+			{"suffix-array", buildSAIndex(seqs, ids, k)},
+		} {
+			probe := func(km dna.Kmer, mo int) (int, bool) {
+				h, m := tc.ix.seedHits(km, mo)
+				return len(h), m
+			}
+			if n, m := probe(aaaa, cap); m || n != cap {
+				t.Errorf("k=%d %s: exactly-at-threshold k-mer dropped (hits=%d masked=%v)", k, tc.name, n, m)
+			}
+			if _, m := probe(cccc, cap); !m {
+				t.Errorf("k=%d %s: over-threshold k-mer kept", k, tc.name)
+			}
+			if n, m := probe(cccc, 0); m || n != cap+1 {
+				t.Errorf("k=%d %s: cap=0 masked (hits=%d masked=%v)", k, tc.name, n, m)
+			}
 		}
 	}
 }
@@ -385,5 +392,55 @@ func TestIndexDirectoryDegenerate(t *testing.T) {
 		for i := 0; i < 100; i++ { // empty buckets
 			checkSeedHits(t, kix, six, dna.Kmer(rng.Uint64()>>32), maxOccur)
 		}
+	}
+}
+
+// lowComplexitySubset is a subset whose k-mers (k = 16) mostly share their
+// leading bases: every read is n copies of GATTACAGATTA plus four random
+// bases, so the k-mers at offsets 0, 16, 32, ... of every read fall in one
+// directory bucket, about 256 distinct keys interleaved over thousands of
+// entries, each key's postings spread over many reads and offsets.
+func lowComplexitySubset(reads, n int) [][]byte {
+	rng := rand.New(rand.NewSource(80))
+	seqs := make([][]byte, reads)
+	for i := range seqs {
+		for j := 0; j < n; j++ {
+			seqs[i] = append(seqs[i], "GATTACAGATTA"...)
+			seqs[i] = append(seqs[i], randGenome(rng.Int63(), 4)...)
+		}
+	}
+	return seqs
+}
+
+// TestIndexLowComplexityBucket: a bucket of thousands of entries over
+// interleaved keys (past the insertion-sort cutoff) still comes out sorted
+// by key with every key's postings in (read, off) order, and probes agree
+// with the suffix-array oracle.
+func TestIndexLowComplexityBucket(t *testing.T) {
+	const k = 16
+	seqs := lowComplexitySubset(1000, 3)
+	ids := localIDs(len(seqs))
+	kix, six := buildKmerIndex(seqs, ids, k), buildSAIndex(seqs, ids, k)
+	checkDirectory(t, kix)
+	largest := 0
+	for b := 0; b+1 < len(kix.dir); b++ {
+		lo, hi := kix.dir[b], kix.dir[b+1]
+		largest = max(largest, int(kix.start[hi]-kix.start[lo]))
+	}
+	if largest < 2000 {
+		t.Fatalf("largest bucket holds %d postings, want thousands", largest)
+	}
+	if !slices.IsSorted(kix.keys) {
+		t.Fatal("keys not sorted")
+	}
+	for i := range kix.keys {
+		if ps := kix.posts[kix.start[i]:kix.start[i+1]]; !slices.IsSortedFunc(ps, func(x, y seedHit) int {
+			return cmp.Or(cmp.Compare(x.read, y.read), cmp.Compare(x.off, y.off))
+		}) {
+			t.Fatalf("key %d: postings out of (read, off) order: %v", i, ps)
+		}
+	}
+	for _, s := range seqs[:50] {
+		dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { checkSeedHits(t, kix, six, km, 0) })
 	}
 }

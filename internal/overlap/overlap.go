@@ -85,6 +85,7 @@ type scratch struct {
 	seedOffs []int     // minimizer seeding: selected offsets buffer
 
 	records []Record // per-job output staging (caller copies)
+	counts  []int32  // sortRecords' per-read run bounds
 
 	// countOnly short-circuits the alignment: surviving candidates are
 	// tallied into candTotal instead of verified (CountCandidates).
@@ -269,6 +270,11 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	return recs, candTotal, err
 }
 
+// maxScore bounds |Match|, |Mismatch| and |Gap|: far past any useful
+// scoring, and low enough that no score or penalty sum of the alignment
+// rules overflows.
+const maxScore = 1 << 20
+
 // validate checks the configuration shared by the local and distributed
 // drivers.
 func validate(cfg Config, subsets int) error {
@@ -278,14 +284,21 @@ func validate(cfg Config, subsets int) error {
 	if subsets <= 0 {
 		return fmt.Errorf("overlap: %d subsets", subsets)
 	}
+	for _, v := range []int{cfg.Align.Scoring.Match, cfg.Align.Scoring.Mismatch, cfg.Align.Scoring.Gap} {
+		if v < -maxScore || v > maxScore {
+			return fmt.Errorf("overlap: scoring %+v out of range", cfg.Align.Scoring)
+		}
+	}
 	return nil
 }
 
 // alignQueries aligns the given query reads against the reference index,
 // returning the job's canonicalized records sorted by (A, B, Kind) with
-// one record per key. The returned slice is staged in the scratch and is
-// only valid until the scratch's next job: callers that retain it must
-// copy.
+// one record per key. The query ids must be one ascending run of
+// consecutive ids and no reference id may precede it — the geometry of a
+// (q <= r) subset-pair job — so that every record's A is a query id. The
+// returned slice is staged in the scratch and is only valid until the
+// scratch's next job: callers that retain it must copy.
 func alignQueries(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Config, sc *scratch) []Record {
 	return alignQueriesGate(queryIDs, querySeqs, ref, cfg, sc, nil)
 }
@@ -364,7 +377,7 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 			// pair is verified once from each side — with seeds sampled from
 			// a different read each time, hence possibly another modal
 			// diagonal and another verdict — and both attempts land on the
-			// same canonical (A, B); sortDedupe keeps the more credible one.
+			// same canonical (A, B); sortRecords keeps the more credible one.
 			rec := Record{A: qi, B: g, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
 			if rec.A > rec.B {
 				rec = rec.Flip()
@@ -372,7 +385,58 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 			sc.records = append(sc.records, rec)
 		}
 	}
-	sc.records = sortDedupe(sc.records)
+	if len(queryIDs) == 0 {
+		return sc.records
+	}
+	return sc.sortRecords(queryIDs[0], len(queryIDs))
+}
+
+// sortRecords orders the job's staged records by (A, B, Kind), most
+// credible first within a key, and keeps the first record of every key,
+// in place. Every A is one of the n consecutive query ids from lo
+// (alignQueries), so a counting sort on A — swapping each record into its
+// read's run (American flag sort) — gathers the runs, and an insertion sort
+// orders each run, a read's own overlaps, a few dozen (a longer run, which
+// repeats can make, takes slices.SortFunc). The order is total on distinct
+// records, so neither the swaps nor the sort's choice can show.
+func (sc *scratch) sortRecords(lo int32, n int) []Record {
+	recs := sc.records
+	if cap(sc.counts) < 2*n+1 {
+		sc.counts = make([]int32, 2*n+1)
+	}
+	// start[a] is where read lo+a's run begins, next[a] its first slot not
+	// yet holding a record of that read.
+	start, next := sc.counts[:n+1], sc.counts[n+1:2*n+1]
+	clear(start)
+	for i := range recs {
+		start[recs[i].A-lo+1]++
+	}
+	for a := range n {
+		start[a+1] += start[a]
+	}
+	copy(next, start)
+	for a := range int32(n) {
+		for i := next[a]; i < start[a+1]; i = next[a] {
+			b := recs[i].A - lo
+			if b != a {
+				recs[i], recs[next[b]] = recs[next[b]], recs[i]
+			}
+			next[b]++
+		}
+		if run := recs[start[a]:start[a+1]]; len(run) > 32 {
+			slices.SortFunc(run, recordOrder)
+		} else {
+			for i := 1; i < len(run); i++ {
+				r := run[i]
+				j := i
+				for ; j > 0 && recordOrder(r, run[j-1]) < 0; j-- {
+					run[j] = run[j-1]
+				}
+				run[j] = r
+			}
+		}
+	}
+	sc.records = slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
 	return sc.records
 }
 
@@ -402,22 +466,19 @@ func moreCredible(r, cur Record) bool {
 	return r.Diag < cur.Diag
 }
 
-// sortDedupe sorts one job's records by (A, B, Kind), most credible first
-// within a key, and keeps the first record of every key, in place.
-func sortDedupe(recs []Record) []Record {
-	slices.SortFunc(recs, func(x, y Record) int {
-		if c := compareKey(x, y); c != 0 {
-			return c
-		}
-		switch {
-		case moreCredible(x, y):
-			return -1
-		case moreCredible(y, x):
-			return 1
-		}
-		return 0
-	})
-	return slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
+// recordOrder is the order of a job's output: (A, B, Kind), most credible
+// first within a key. It is total on distinct records.
+func recordOrder(x, y Record) int {
+	if c := compareKey(x, y); c != 0 {
+		return c
+	}
+	switch {
+	case moreCredible(x, y):
+		return -1
+	case moreCredible(y, x):
+		return 1
+	}
+	return 0
 }
 
 // mergeRecords interleaves the per-job record lists (lists[t] belongs to

@@ -98,6 +98,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
     fuzz ./internal/align/ FuzzOverlapVerdict
+    fuzz ./internal/align/ FuzzBandLCS
     fuzz ./internal/jobs/ FuzzJobWire
 fi
 
