@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,7 @@ import (
 // is enabled. Distinct from 1 (failure) and 130 (forced kill).
 const exitResumable = 3
 
-var errSignal = fmt.Errorf("focus: interrupted by signal: %w", context.Canceled)
+var errSignal = fmt.Errorf("interrupted by signal: %w", context.Canceled)
 
 // watchSignals cancels ctx on the first SIGINT/SIGTERM and force-exits on
 // the second (or when the cancel has not unwound within grace). The
@@ -140,10 +141,10 @@ func main() {
 	cfg.Dist.MaxFailures = *maxFails
 	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume, Job: *jobID}
 	if *resume && *ckptDir == "" {
-		fatal(fmt.Errorf("focus: -resume requires -checkpoint-dir"))
+		fatal(errors.New("-resume requires -checkpoint-dir"))
 	}
 	if *jobID != "" && *ckptDir == "" {
-		fatal(fmt.Errorf("focus: -job requires -checkpoint-dir"))
+		fatal(errors.New("-job requires -checkpoint-dir"))
 	}
 	sigCtx, stopSignals := watchSignals(context.Background(), *grace)
 	defer stopSignals()
@@ -290,12 +291,22 @@ func main() {
 	}
 }
 
+// errorLine is err as the command reports it, under the program's name
+// once: the facade's errors already start with it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "focus: ") {
+		msg = "focus: " + msg
+	}
+	return msg
+}
+
 // resumeHint, set once checkpointing is configured, is printed when an
 // interrupted run leaves a resumable checkpoint behind.
 var resumeHint string
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "focus:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	if focus.IsInterrupted(err) {
 		if resumeHint != "" {
 			fmt.Fprintln(os.Stderr, resumeHint)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -233,15 +232,28 @@ func TestBuildStagesCancelBetweenStages(t *testing.T) {
 	}
 }
 
-// TestBuildStagesErrorPaths covers facade validation.
+// TestBuildStagesErrorPaths covers facade validation and pins how its
+// errors read: the facade and the failed stage named once each, whether or
+// not the layer below names itself.
 func TestBuildStagesErrorPaths(t *testing.T) {
 	// Preprocessing drops everything -> error.
 	cfg := testConfig()
 	cfg.Preprocess.MinLen = 10_000
 	reads, _ := simReads(t, 3000, 4, 303)
 	for name, build := range stageBuilders(t, reads, cfg) {
-		if _, err := build(cfg); err == nil || !strings.Contains(err.Error(), "preprocess: no reads survived") {
+		if _, err := build(cfg); err == nil || err.Error() != "focus: preprocess: no reads survived preprocessing" {
 			t.Errorf("%s: empty post-preprocess read set: err = %v", name, err)
+		}
+	}
+	// The overlap layer names itself; the facade does not name it again.
+	cfg = testConfig()
+	cfg.Overlap.K = 0
+	for name, build := range stageBuilders(t, reads, testConfig()) {
+		if name == "BuildStagesFromRecords" {
+			continue // runs no overlap stage
+		}
+		if _, err := build(cfg); err == nil || err.Error() != "focus: overlap: k=0 out of range" {
+			t.Errorf("%s: k=0: err = %v", name, err)
 		}
 	}
 	// Invalid record count in BuildStagesFromRecords.
@@ -258,5 +270,13 @@ func TestBuildStagesErrorPaths(t *testing.T) {
 	}
 	if _, _, err := s.PartitionMultilevel(0, 1, 1); err == nil {
 		t.Error("k=0 accepted")
+	}
+	pool, err := dist.NewLocalPool(2, assembly.NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	if _, err := s.Assemble(pool, 3, 2, 1); err == nil || err.Error() != "focus: partition: k=3 is not a power of two" {
+		t.Errorf("Assemble with 3 partitions: err = %v", err)
 	}
 }

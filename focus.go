@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"focus/internal/assembly"
@@ -322,10 +323,20 @@ func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, 
 			s.Timings[st.name] = time.Since(t0)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("focus: %s: %w", st.name, err)
+			return nil, stageError(st.name, err)
 		}
 	}
 	return s, nil
+}
+
+// stageError names the facade and the failed stage once each: a layer
+// whose errors already carry the stage's name ("overlap: k=0 out of
+// range") is not named again.
+func stageError(stage string, err error) error {
+	if strings.HasPrefix(err.Error(), stage+": ") {
+		return fmt.Errorf("focus: %w", err)
+	}
+	return fmt.Errorf("focus: %s: %w", stage, err)
 }
 
 // PartitionHybrid partitions the hybrid graph set (the paper's
@@ -444,7 +455,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		} else {
 			res, _, err := s.PartitionHybrid(k, procs, seed)
 			if err != nil {
-				return nil, fmt.Errorf("focus: partition: %w", err)
+				return nil, stageError("partition", err)
 			}
 			labels = res.Labels()
 		}

@@ -84,17 +84,22 @@ type KmerIter struct {
 
 // NewKmerIter returns an iterator over the k-mers of seq. It panics if
 // k is out of range (programmer error; k is a configuration constant).
+// It is small enough to inline, so an iterator that does not outlive its
+// caller stays off the heap.
 func NewKmerIter(seq []byte, k int) *KmerIter {
+	return &KmerIter{seq: seq, k: k, mask: kmerMask(k)}
+}
+
+// kmerMask is the mask of a k-mer's 2k bits. It panics if k is out of
+// range.
+func kmerMask(k int) uint64 {
 	if k <= 0 || k > MaxK {
 		panic(fmt.Sprintf("dna: k=%d out of range [1,%d]", k, MaxK))
 	}
-	var mask uint64
 	if k == 32 {
-		mask = ^uint64(0)
-	} else {
-		mask = (1 << (2 * uint(k))) - 1
+		return ^uint64(0)
 	}
-	return &KmerIter{seq: seq, k: k, mask: mask}
+	return (1 << (2 * uint(k))) - 1
 }
 
 // Next returns the next k-mer and the offset of its first base, or
@@ -123,15 +128,7 @@ func (it *KmerIter) Next() (km Kmer, offset int, ok bool) {
 // enumerating a concatenation of '#'-separated reads never yields a k-mer
 // spanning two reads. It performs no allocations.
 func ForEachKmer(seq []byte, k int, fn func(km Kmer, offset int)) {
-	if k <= 0 || k > MaxK {
-		panic(fmt.Sprintf("dna: k=%d out of range [1,%d]", k, MaxK))
-	}
-	var mask uint64
-	if k == 32 {
-		mask = ^uint64(0)
-	} else {
-		mask = (1 << (2 * uint(k))) - 1
-	}
+	mask := kmerMask(k)
 	var cur uint64
 	valid := 0
 	for i := 0; i < len(seq); i++ {

@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"slices"
 	"testing"
 
 	"focus/internal/dna"
@@ -47,59 +48,72 @@ func BenchmarkFindOverlaps(b *testing.B) {
 // explained against the suffix array's).
 var benchIndexes = []struct {
 	name  string
-	build func(seqs [][]byte, ids []int32, k int) refIndex
+	build func(seqs [][]byte, k int) refIndex
 }{
-	{"kmer-table", func(seqs [][]byte, ids []int32, k int) refIndex { return buildKmerIndex(seqs, ids, k) }},
-	{"suffix-array", func(seqs [][]byte, ids []int32, k int) refIndex { return buildSAIndex(seqs, ids, k) }},
+	{"kmer-table", func(seqs [][]byte, k int) refIndex {
+		ix, err := buildKmerIndex(seqs, k)
+		if err != nil {
+			panic(err)
+		}
+		return ix
+	}},
+	{"suffix-array", func(seqs [][]byte, k int) refIndex { return buildSAIndex(seqs, k) }},
 }
 
 // benchSubset is one reference subset the size the D2 benchmark input
 // builds (12,000 reads over four subsets): 3,000 reads, ~120 k distinct
-// 16-mers, so the key array is well past the L1/L2 caches.
-func benchSubset(b *testing.B) (seqs [][]byte, ids []int32) {
+// 16-mers, so the entries are well past the L1/L2 caches.
+func benchSubset(b *testing.B) [][]byte {
 	reads := benchReads(b, 3000)
-	seqs = make([][]byte, len(reads))
+	seqs := make([][]byte, len(reads))
 	for i, r := range reads {
 		seqs[i] = r.Seq
 	}
-	return seqs, localIDs(len(seqs))
+	return seqs
 }
 
-// BenchmarkSeedLookup measures one seed probe (index hit resolution only,
-// steady-state) for each index over the same subset: "hit" probes every
-// fourth k-mer of every read, as the query loop does at Step 4, in an order
-// that revisits no key soon; "miss" probes k-mers of an unrelated genome.
+// BenchmarkSeedLookup measures seed resolution alone, one query's batch
+// per op (steady-state), for each index over the same subset: "hit"
+// batches every fourth k-mer of one read, as the query loop does at Step
+// 4, reads in an order that revisits no key soon; "miss" batches as many
+// k-mers of an unrelated genome.
 func BenchmarkSeedLookup(b *testing.B) {
-	seqs, ids := benchSubset(b)
+	seqs := benchSubset(b)
 	cfg := DefaultConfig()
-	sample := func(seqs [][]byte) (probes []dna.Kmer) {
+	var sc scratch
+	sample := func(seqs [][]byte) (batches [][]probe) {
 		for _, s := range seqs {
-			dna.ForEachKmer(s, cfg.K, func(km dna.Kmer, off int) {
-				if off%cfg.Step == 0 {
-					probes = append(probes, km)
-				}
-			})
+			batches = append(batches, slices.Clone(sampleSeeds(&sc, s, cfg)))
 		}
-		return probes
+		return batches
+	}
+	var unrelated [][]byte
+	for g := randGenome(4321, 100000); len(g) >= 100; g = g[100:] {
+		unrelated = append(unrelated, g[:100])
 	}
 	probeSets := []struct {
-		name   string
-		probes []dna.Kmer
+		name    string
+		batches [][]probe
 	}{
 		{"hit", sample(seqs)},
-		{"miss", sample([][]byte{randGenome(4321, 100000)})},
+		{"miss", sample(unrelated)},
 	}
 	for _, mode := range benchIndexes {
-		ix := mode.build(seqs, ids, cfg.K)
+		ix := mode.build(seqs, cfg.K)
 		for _, ps := range probeSets {
 			b.Run(mode.name+"/"+ps.name, func(b *testing.B) {
-				total := 0
+				total, probes := 0, 0
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					hits, _ := ix.seedHits(ps.probes[i%len(ps.probes)], cfg.MaxOccur)
-					total += len(hits)
+					batch := ps.batches[i%len(ps.batches)]
+					ents := ix.resolve(batch, cfg.MaxOccur)
+					for _, p := range batch {
+						total += len(ents[p.lo:p.hi])
+					}
+					probes += len(batch)
 				}
+				b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 				if (total == 0) != (ps.name == "miss") {
 					b.Fatalf("%d hits resolved", total)
 				}
@@ -108,30 +122,71 @@ func BenchmarkSeedLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryLoop measures the whole per-job loop — sampling, batch
+// resolve, votes, verification and in-order emission — for one 3,000-read
+// query subset against one index over 3,000 tiling reads: "same" queries
+// the index's own subset (a same-subset job: every pair verified from both
+// sides, half the records flipped), "cross" queries a second tiling of the
+// genome shifted by 20 bases (a cross-subset job).
+func BenchmarkQueryLoop(b *testing.B) {
+	genome := randGenome(1234, 40*3000+100)
+	tiling := func(from int, first int32) readSet {
+		var rs readSet
+		for _, r := range tilingReads(genome[from:], 100, 40)[:3000] {
+			rs.ids, rs.seqs = append(rs.ids, first+int32(len(rs.ids))), append(rs.seqs, r.Seq)
+		}
+		return rs
+	}
+	ref := tiling(0, 3000)
+	cfg := DefaultConfig()
+	ix, err := buildKmerIndex(ref.seqs, cfg.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, job := range []struct {
+		name  string
+		query readSet
+	}{{"same", ref}, {"cross", tiling(20, 0)}} {
+		b.Run(job.name, func(b *testing.B) {
+			var sc scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			recs := 0
+			for i := 0; i < b.N; i++ {
+				recs = len(alignQueries(job.query, ref, ix, cfg, &sc))
+			}
+			if recs == 0 {
+				b.Fatal("no overlaps found")
+			}
+			b.ReportMetric(float64(recs), "records/op")
+		})
+	}
+}
+
 // BenchmarkIndexBuild measures per-subset index construction, and the
 // k-mer table's on a low-complexity subset of the same size whose largest
-// bucket holds 20,000 entries (an insertion sort there would be quadratic).
+// bucket holds 20,000 entries (sorted, where the D2 subset's buckets
+// nearly all stay in scatter order).
 func BenchmarkIndexBuild(b *testing.B) {
-	seqs, ids := benchSubset(b)
+	seqs := benchSubset(b)
 	cfg := DefaultConfig()
 	for _, mode := range benchIndexes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if ix := mode.build(seqs, ids, cfg.K); ix.numReads() != len(seqs) {
-					b.Fatal("bad index")
-				}
+				mode.build(seqs, cfg.K)
 			}
 		})
 	}
 	b.Run("low-complexity", func(b *testing.B) {
 		seqs := lowComplexitySubset(4000, 5)
-		ids := localIDs(len(seqs))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buildKmerIndex(seqs, ids, cfg.K)
+			if _, err := buildKmerIndex(seqs, cfg.K); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -61,13 +61,13 @@ func AlignPair(args *AlignPairArgs) ([]Record, error) {
 	if len(args.RefIDs) > 0 && len(args.QueryIDs) > 0 && args.RefIDs[0] < args.QueryIDs[0] {
 		return nil, fmt.Errorf("overlap: reference ids from %d precede the query ids from %d", args.RefIDs[0], args.QueryIDs[0])
 	}
-	ref := buildKmerIndex(args.RefSeqs, args.RefIDs, args.Cfg.K)
+	ix, err := buildKmerIndex(args.RefSeqs, args.Cfg.K)
+	if err != nil {
+		return nil, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	recs := alignQueries(args.QueryIDs, args.QuerySeqs, ref, args.Cfg, sc)
-	out := make([]Record, len(recs))
-	copy(out, recs)
-	return out, nil
+	return alignQueries(readSet{args.QueryIDs, args.QuerySeqs}, readSet{args.RefIDs, args.RefSeqs}, ix, args.Cfg, sc), nil
 }
 
 // FindOverlapsDistributed is FindOverlaps with the subset-pair jobs
@@ -84,7 +84,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	subIDs, subSeqs := splitSubsets(reads, subsets)
+	subs := splitSubsets(reads, subsets)
 	jobs := subsetPairs(subsets)
 	replies := make([]interface{}, len(jobs))
 	for i := range replies {
@@ -92,7 +92,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	}
 	_, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
 		q, r := jobs[t].q, jobs[t].r
-		return &AlignPairArgs{RefIDs: subIDs[r], RefSeqs: subSeqs[r], QueryIDs: subIDs[q], QuerySeqs: subSeqs[q], Cfg: cfg}
+		return &AlignPairArgs{RefIDs: subs[r].ids, RefSeqs: subs[r].seqs, QueryIDs: subs[q].ids, QuerySeqs: subs[q].seqs, Cfg: cfg}
 	}, replies, cfg.RPCRetries)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the

@@ -1,8 +1,11 @@
 package overlap
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"focus/internal/dna"
 )
@@ -14,60 +17,92 @@ type seedHit struct {
 	off  int32
 }
 
-// refIndex is the seed-lookup structure built over one reference read
-// subset. Production code has one implementation, the packed k-mer table;
-// the interface exists so the tests can run the same query loop over the
-// suffix-array oracle (TestIndexingEquivalence).
-type refIndex interface {
-	numReads() int
-	readID(local int32) int32 // global read id
-	readSeq(local int32) []byte
-	// seedHits returns every occurrence of km in the subset. When
-	// maxOccur > 0 and the k-mer occurs more often than that, it returns
-	// masked=true and no hits (repeat masking). The returned slice is
-	// only valid until the next seedHits call on the same index.
-	seedHits(km dna.Kmer, maxOccur int) (hits []seedHit, masked bool)
+// kentry is one k-mer occurrence: the packed key and its posting on one
+// 16-byte line, so the load that finds the key has fetched the posting.
+type kentry struct {
+	key uint64
+	hit seedHit
 }
 
-// kmerIndex is a sorted packed k-mer table: every k-mer of the subset is
-// enumerated at build time into (kmer, read, offset) entries sorted by the
-// 2-bit packed k-mer value. A probe reads one bucket of a directory over
-// the k-mer's top bits and binary-searches the few keys the bucket spans
-// in a contiguous []uint64 (no byte comparisons, no per-hit position
-// decoding), repeat masking is a postings-length check, and lookups
-// allocate nothing. The seq slices are retained (not copied); reads[i] is
-// the global read id of subset-local read i.
+// probe is one sampled query seed. resolve sets [lo, hi) to a range of
+// the entries it returns that holds every occurrence of the seed's k-mer,
+// possibly among entries of other k-mers, which the caller skips; the
+// range is empty when the k-mer is absent or repeat-masked.
+type probe struct {
+	km     uint64
+	off    int32 // offset of the seed in the query read
+	lo, hi uint32
+}
+
+// refIndex resolves one query's seed batch against one reference subset.
+// Production code has one implementation, the packed k-mer table; the
+// interface exists so the tests can run the same query loop over the
+// suffix-array oracle (TestIndexingEquivalence). The loop calls it once
+// per query, never per probe.
+type refIndex interface {
+	// resolve sets every probe's range over the returned entries (see
+	// probe); the occurrences may come in any order. When maxOccur > 0 and
+	// the k-mer occurs more often than that, the range is empty (repeat
+	// masking). The returned slice is only valid until the next resolve
+	// call on the same index.
+	resolve(ps []probe, maxOccur int) []kentry
+}
+
+// kmerIndex is a packed k-mer table: every k-mer occurrence of the subset
+// is one entry, grouped into buckets by the top bits of the 2-bit packed
+// k-mer value. A bucket of up to sortedBucket entries — nearly all of them
+// — stays in scatter, that is (read, off), order and a probe filter-scans
+// it; a larger one is sorted by (key, read, off) and a probe binary-searches
+// its key's run. Either way the repeat mask is the key's occurrence count,
+// and lookups allocate nothing.
 type kmerIndex struct {
-	k     int
-	reads []int32
-	seqs  [][]byte
-	keys  []uint64  // distinct packed k-mers, sorted ascending
-	start []int32   // len(keys)+1; postings of keys[i] at posts[start[i]:start[i+1]]
-	posts []seedHit // occurrences grouped by k-mer, (read, off)-sorted within a group
-	// Bucket directory: keys whose top bits (key >> dirShift) equal b sit at
-	// keys[dir[b]:dir[b+1]]. One bucket per one to two k-mers of the
-	// subset, at most 2^dirMaxBits, never more bits than a k-mer has.
+	k    int
+	ents []kentry
+	// Bucket directory: entries whose top key bits (key >> dirShift) equal
+	// b sit at ents[dir[b]:dir[b+1]]. One bucket per one to two k-mers of
+	// the subset, at most 2^dirMaxBits, never more bits than a k-mer has.
 	dir      []uint32
 	dirShift uint
 }
 
-// dirMaxBits caps the directory at 2^17 buckets (512 KB): about four keys
-// a bucket on a half-million-key subset.
+// dirMaxBits caps the directory at 2^17 buckets (512 KB): about four
+// entries a bucket on a half-million-k-mer subset.
 const dirMaxBits = 17
 
-// buildKmerIndex sorts the subset's k-mers by bucket scatter: one
-// enumeration counts the k-mers of every directory bucket, a second
-// scatters (key, hit) pairs to their bucket's slots — in enumeration, that
-// is (read, off), order — and each bucket, a handful of entries, is then
-// sorted by key stably and compacted into keys/start/posts.
-func buildKmerIndex(seqs [][]byte, global []int32, k int) *kmerIndex {
-	ix := &kmerIndex{k: k, reads: global, seqs: seqs}
-	// Upper bound on the k-mer count (exact for N-free reads).
-	bound := 0
+// sortedBucket is the size past which a bucket is sorted: scanning a few
+// cache lines costs a probe less than the sort costs the build, and a
+// binary search only pays off in the buckets repeats and low-complexity
+// reads pile up.
+const sortedBucket = 32
+
+// maxIndexKmers bounds the k-mers of one subset: directory slots, probe
+// ranges and postings are 32-bit.
+const maxIndexKmers = math.MaxInt32
+
+// indexKmers returns the upper bound on the subset's k-mer count (exact
+// for N-free reads), or an error once it passes maxIndexKmers — before
+// anything is allocated.
+func indexKmers(seqs [][]byte, k int) (int, error) {
+	n := 0
 	for _, s := range seqs {
-		if n := len(s) - k + 1; n > 0 {
-			bound += n
+		if m := len(s) - k + 1; m > 0 {
+			if n += m; n > maxIndexKmers {
+				return 0, fmt.Errorf("overlap: reference subset of %d reads has more than %d k-mers (k=%d), past the index's 32-bit offsets", len(seqs), maxIndexKmers, k)
+			}
 		}
+	}
+	return n, nil
+}
+
+// buildKmerIndex groups the subset's k-mers by bucket scatter: one
+// enumeration counts the k-mers of every directory bucket, a second
+// scatters the entries to their bucket's slots — in enumeration, that is
+// (read, off), order — and the buckets past sortedBucket entries are then
+// sorted.
+func buildKmerIndex(seqs [][]byte, k int) (*kmerIndex, error) {
+	bound, err := indexKmers(seqs, k)
+	if err != nil {
+		return nil, err
 	}
 	// A k-mer occupies the low 2k bits (all 64 at k = 32), so the shift is
 	// taken from 2k directly: shifting by 64 yields bucket 0, as it must
@@ -77,121 +112,96 @@ func buildKmerIndex(seqs [][]byte, global []int32, k int) *kmerIndex {
 	nb := 1 << dirBits
 	dir := make([]uint32, nb+1)
 	for _, s := range seqs {
-		dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { dir[uint64(km)>>shift]++ })
+		for it := dna.NewKmerIter(s, k); ; {
+			km, _, ok := it.Next()
+			if !ok {
+				break
+			}
+			dir[uint64(km)>>shift]++
+		}
 	}
 	total := uint32(0)
 	for b := range nb { // bucket sizes into bucket starts
 		dir[b], total = total, total+dir[b]
 	}
-	keys := make([]uint64, total)
-	posts := make([]seedHit, total)
+	ents := make([]kentry, total)
 	for r, s := range seqs {
-		r32 := int32(r)
-		dna.ForEachKmer(s, k, func(km dna.Kmer, off int) {
+		for it := dna.NewKmerIter(s, k); ; {
+			km, off, ok := it.Next()
+			if !ok {
+				break
+			}
 			b := uint64(km) >> shift
-			keys[dir[b]], posts[dir[b]] = uint64(km), seedHit{read: r32, off: int32(off)}
+			ents[dir[b]] = kentry{key: uint64(km), hit: seedHit{read: int32(r), off: int32(off)}}
 			dir[b]++ // ends as the next bucket's start
-		})
+		}
 	}
-	// Sort every bucket by key, turning dir into bucket starts over the
-	// distinct keys as they are counted.
-	lo, distinct := uint32(0), uint32(0)
+	lo := uint32(0)
 	for b := range nb {
 		hi := dir[b]
-		if hi-lo > 1 {
-			sortBucket(keys[lo:hi], posts[lo:hi])
+		if hi-lo > sortedBucket {
+			// (key, read, off) order: the scatter's order within a key.
+			slices.SortFunc(ents[lo:hi], func(x, y kentry) int {
+				if x.key != y.key {
+					return cmp.Compare(x.key, y.key)
+				}
+				if x.hit.read != y.hit.read {
+					return cmp.Compare(x.hit.read, y.hit.read)
+				}
+				return cmp.Compare(x.hit.off, y.hit.off)
+			})
 		}
-		dir[b] = distinct
-		for i := lo; i < hi; i++ {
-			if i == lo || keys[i] != keys[i-1] {
-				distinct++
+		dir[b], lo = lo, hi
+	}
+	dir[nb] = total
+	return &kmerIndex{k: k, ents: ents, dir: dir, dirShift: shift}, nil
+}
+
+// resolve makes tight passes over the whole batch, so the cache misses of
+// different probes overlap instead of queueing behind each other's votes:
+// first every probe's bucket bounds (one directory line each), then the
+// key's occurrences inside the bucket (the entry lines, postings
+// included) and the repeat-mask decision.
+func (ix *kmerIndex) resolve(ps []probe, maxOccur int) []kentry {
+	dir, ents := ix.dir, ix.ents
+	for i := range ps {
+		b := ps[i].km >> ix.dirShift
+		ps[i].lo, ps[i].hi = dir[b], dir[b+1]
+	}
+	for i := range ps {
+		p := &ps[i]
+		km := p.km
+		lo, hi := p.lo, p.hi
+		n := 0 // occurrences of km; a sorted bucket's counted to one past maxOccur
+		if hi-lo <= sortedBucket {
+			for _, e := range ents[lo:hi] {
+				if e.key == km {
+					n++
+				}
 			}
-		}
-		lo = hi
-	}
-	dir[nb] = distinct
-	start := make([]int32, 0, distinct+1)
-	d := 0
-	for i, key := range keys {
-		if i == 0 || key != keys[d-1] {
-			keys[d] = key
-			start = append(start, int32(i))
-			d++
-		}
-	}
-	ix.keys, ix.start, ix.posts = keys[:d], append(start, int32(total)), posts
-	ix.dir, ix.dirShift = dir, shift
-	return ix
-}
-
-// sortBucket orders one bucket's entries by key, stably: postings of a key
-// keep the (read, off) order the scatter gave them. Buckets hold one or two
-// k-mers on average and take an insertion sort; a larger one (a
-// low-complexity subset can pile thousands into one) sorts by (key, read,
-// off), which is the same order — stable, since (read, off) was the
-// entries' order — in O(s log s).
-func sortBucket(keys []uint64, posts []seedHit) {
-	if len(keys) > 32 {
-		sort.Sort(bucketOrder{keys, posts})
-		return
-	}
-	for i := 1; i < len(keys); i++ {
-		key, hit := keys[i], posts[i]
-		j := i
-		for ; j > 0 && keys[j-1] > key; j-- {
-			keys[j], posts[j] = keys[j-1], posts[j-1]
-		}
-		keys[j], posts[j] = key, hit
-	}
-}
-
-// bucketOrder is sort.Interface over one bucket in (key, read, off) order.
-type bucketOrder struct {
-	keys  []uint64
-	posts []seedHit
-}
-
-func (o bucketOrder) Len() int { return len(o.keys) }
-func (o bucketOrder) Less(i, j int) bool {
-	if o.keys[i] != o.keys[j] {
-		return o.keys[i] < o.keys[j]
-	}
-	if o.posts[i].read != o.posts[j].read {
-		return o.posts[i].read < o.posts[j].read
-	}
-	return o.posts[i].off < o.posts[j].off
-}
-func (o bucketOrder) Swap(i, j int) {
-	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
-	o.posts[i], o.posts[j] = o.posts[j], o.posts[i]
-}
-
-func (ix *kmerIndex) numReads() int              { return len(ix.reads) }
-func (ix *kmerIndex) readID(local int32) int32   { return ix.reads[local] }
-func (ix *kmerIndex) readSeq(local int32) []byte { return ix.seqs[local] }
-
-func (ix *kmerIndex) seedHits(km dna.Kmer, maxOccur int) ([]seedHit, bool) {
-	v := uint64(km)
-	// The k-mer's bucket, then a hand-rolled binary search inside it: no
-	// closure, provably allocation-free. It lands on end when every key of
-	// the bucket is smaller.
-	bucket := ix.dir[v>>ix.dirShift:]
-	lo, hi := int(bucket[0]), int(bucket[1])
-	end := hi
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ix.keys[mid] < v {
-			lo = mid + 1
 		} else {
-			hi = mid
+			for lo < hi { // the key's first entry
+				mid := (lo + hi) >> 1
+				if ents[mid].key < km {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			limit := p.hi
+			if maxOccur > 0 && maxOccur < int(limit-lo) {
+				limit = lo + uint32(maxOccur) + 1
+			}
+			hi = lo
+			for hi < limit && ents[hi].key == km {
+				hi++
+			}
+			n = int(hi - lo)
 		}
+		if n == 0 || dna.RepeatMasked(n, maxOccur) {
+			hi = lo
+		}
+		p.lo, p.hi = lo, hi
 	}
-	if lo == end || ix.keys[lo] != v {
-		return nil, false
-	}
-	a, b := ix.start[lo], ix.start[lo+1]
-	if dna.RepeatMasked(int(b-a), maxOccur) {
-		return nil, true
-	}
-	return ix.posts[a:b], false
+	return ents
 }

@@ -55,31 +55,67 @@ func mergeRecordsOracle(lists [][]Record) []Record {
 	return out
 }
 
+// recordOrder is the order of a job's output: (A, B, Kind), most credible
+// first within a key. It is total on distinct records.
+func recordOrder(x, y Record) int {
+	if c := compareKey(x, y); c != 0 {
+		return c
+	}
+	switch {
+	case moreCredible(x, y):
+		return -1
+	case moreCredible(y, x):
+		return 1
+	}
+	return 0
+}
+
 // sortDedupe is the comparison-sort oracle of the per-job record order
-// (the stage's own sort before the counting sort): sort one job's records
+// (the stage's own sort before in-order emission): sort one job's records
 // by recordOrder and keep the first record of every key, in place.
 func sortDedupe(recs []Record) []Record {
 	slices.SortFunc(recs, recordOrder)
 	return slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
 }
 
-// sortJob runs the production per-job sort on a copy of recs, whose A
-// values lie in the n consecutive query ids from lo.
-func sortJob(recs []Record, lo int32, n int) []Record {
-	sc := &scratch{records: slices.Clone(recs)}
-	return sc.sortRecords(lo, n)
+// emitJob runs a job's emissions through the production path (stage,
+// sortByB per query, jobRecords) on sc. An emission is a verified overlap
+// as the query loop produces it: from the query's point of view (A is the
+// query, B the reference read), not yet canonical. The emissions must come
+// in ascending query order, one per (query, reference read), with query
+// ids among the n consecutive ids from lo: what the loop guarantees.
+func emitJob(sc *scratch, ems []Record, lo int32, n int) []Record {
+	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
+	first := 0
+	for i, em := range ems {
+		if i > 0 && em.A != ems[i-1].A {
+			sortByB(sc.records[first:])
+			first = len(sc.records)
+		}
+		sc.stage(em)
+	}
+	sortByB(sc.records[first:])
+	return sc.jobRecords(lo, n)
+}
+
+// sortJob runs the production per-job emission on a fresh scratch.
+func sortJob(ems []Record, lo int32, n int) []Record {
+	return emitJob(new(scratch), ems, lo, n)
 }
 
 // TestSortDedupeKeepsDistinctKinds: a pair reported with both a
-// suffix-prefix overlap and a containment keeps both, in an order
-// independent of arrival — in the oracle and in the counting sort.
+// suffix-prefix overlap and a containment — one from each side of a
+// same-subset job — keeps both, in an order independent of which side saw
+// which, in the oracle and in the production emission.
 func TestSortDedupeKeepsDistinctKinds(t *testing.T) {
 	sp := Record{A: 1, B: 2, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95, Diag: 40}
 	ct := Record{A: 1, B: 2, Kind: align.KindAContainsB, Len: 80, Identity: 0.92, Diag: 10}
-	for _, in := range [][]Record{{sp, ct}, {ct, sp}} {
-		if got := sortJob(in, 0, 3); !slices.Equal(got, []Record{sp, ct}) {
+	for _, ems := range [][]Record{{sp, ct.Flip()}, {ct, sp.Flip()}} {
+		if got := sortJob(ems, 0, 3); !slices.Equal(got, []Record{sp, ct}) {
 			t.Fatalf("got %+v, want both Kinds in Kind order", got)
 		}
+	}
+	for _, in := range [][]Record{{sp, ct}, {ct, sp}} {
 		if got := sortDedupe(in); !slices.Equal(got, []Record{sp, ct}) {
 			t.Fatalf("oracle: got %+v, want both Kinds in Kind order", got)
 		}
@@ -88,26 +124,76 @@ func TestSortDedupeKeepsDistinctKinds(t *testing.T) {
 
 // TestSortDedupePicksMostCredibleDuplicate: true duplicates — the same
 // (A, B, Kind) verified from both sides in a same-subset job — collapse to
-// the higher-identity record regardless of which attempt came first.
+// the higher-identity record regardless of which side found which.
 func TestSortDedupePicksMostCredibleDuplicate(t *testing.T) {
 	weak := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 55, Identity: 0.91, Diag: 45}
 	strong := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.97, Diag: 40}
-	for _, in := range [][]Record{{weak, strong}, {strong, weak}} {
-		if got := sortJob(in, 2, 4); !slices.Equal(got, []Record{strong}) {
+	for _, ems := range [][]Record{{weak, strong.Flip()}, {strong, weak.Flip()}} {
+		if got := sortJob(ems, 2, 6); !slices.Equal(got, []Record{strong}) {
 			t.Fatalf("kept %+v, want only the higher-identity %+v", got, strong)
 		}
+	}
+	for _, in := range [][]Record{{weak, strong}, {strong, weak}} {
 		if got := sortDedupe(in); !slices.Equal(got, []Record{strong}) {
 			t.Fatalf("oracle kept %+v, want only the higher-identity %+v", got, strong)
 		}
 	}
 }
 
-// TestSortRecordsMatchesOracle: the counting sort equals the comparison
-// sort on randomized jobs — cross-subset jobs and same-subset ones whose
-// records arrive from both sides (flipped, so A is whichever read is
-// smaller), runs from empty to longer than the insertion-sort cutoff, and
-// duplicates that tie on identity, on identity and length, or on every
-// field — and on empty and one-record jobs, one scratch serving every job.
+// randomEmissions draws one job's emissions in loop order: queries lo ..
+// lo+n-1 ascending, each with distinct reference reads in random order —
+// a later subset's for a cross-subset job, the other queries for a
+// same-subset one — from value ranges small enough that pairs verified
+// from both sides, several Kinds per pair and equal-credibility ties are
+// all common.
+func randomEmissions(rng *rand.Rand, lo int32, n int, same bool) []Record {
+	var ems []Record
+	per := []int{0, 1, 2, 10, 40}[rng.Intn(5)]
+	for q := lo; q < lo+int32(n); q++ {
+		var refs []int32
+		if same {
+			for g := lo; g < lo+int32(n); g++ {
+				if g != q {
+					refs = append(refs, g)
+				}
+			}
+		} else {
+			for g := lo + int32(n); g < lo+int32(n)+int32(per)+20; g++ {
+				refs = append(refs, g)
+			}
+		}
+		rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+		for _, g := range refs[:min(len(refs), rng.Intn(per+1))] {
+			ems = append(ems, Record{
+				A: q, B: g,
+				Kind:     align.Kind(1 + rng.Intn(4)),
+				Len:      int32(50 + rng.Intn(2)),
+				Identity: []float32{0.9, 0.95}[rng.Intn(2)],
+				Diag:     int32(rng.Intn(3) - 1),
+			})
+		}
+	}
+	return ems
+}
+
+// canonical returns the emissions as canonical (A < B) records.
+func canonical(ems []Record) []Record {
+	recs := make([]Record, len(ems))
+	for i, em := range ems {
+		if recs[i] = em; em.A > em.B {
+			recs[i] = em.Flip()
+		}
+	}
+	return recs
+}
+
+// TestSortRecordsMatchesOracle: the in-order emission equals the
+// comparison sort on randomized jobs — cross-subset jobs and same-subset
+// ones whose pairs are verified from both sides (flipped, so A is
+// whichever read is smaller), query runs from empty to longer than the
+// insertion-sort cutoff, and duplicates that tie on identity, on identity
+// and length, or on every field — and on empty and one-record jobs, one
+// scratch serving every job.
 func TestSortRecordsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var sc scratch
@@ -115,31 +201,10 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		lo := int32(rng.Intn(50))
 		same := rng.Intn(2) == 0
-		var recs []Record
-		for r := []int{0, 1, 2, 10, 80}[rng.Intn(5)]; r > 0; r-- {
-			q := lo + int32(rng.Intn(n))
-			g := lo + int32(n) + int32(rng.Intn(20)) // a later subset
-			if same {
-				if g = lo + int32(rng.Intn(n)); g == q {
-					continue
-				}
-			}
-			rec := Record{
-				A: q, B: g,
-				Kind:     align.Kind(1 + rng.Intn(4)),
-				Len:      int32(50 + rng.Intn(2)),
-				Identity: []float32{0.9, 0.95}[rng.Intn(2)],
-				Diag:     int32(rng.Intn(3) - 1),
-			}
-			if rec.A > rec.B {
-				rec = rec.Flip()
-			}
-			recs = append(recs, rec)
-		}
-		want := sortDedupe(slices.Clone(recs))
-		sc.records = append(sc.records[:0], recs...)
-		if got := sc.sortRecords(lo, n); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (ids %d..%d, same subset %v):\n got %+v\nwant %+v\n raw %+v", trial, lo, lo+int32(n)-1, same, got, want, recs)
+		ems := randomEmissions(rng, lo, n, same)
+		want := sortDedupe(canonical(ems))
+		if got := emitJob(&sc, ems, lo, n); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (ids %d..%d, same subset %v):\n got %+v\nwant %+v\n raw %+v", trial, lo, lo+int32(n)-1, same, got, want, ems)
 		}
 	}
 }
@@ -177,8 +242,9 @@ func randomJobLists(rng *rand.Rand, numReads, subsets int) ([]pairJob, [][]Recor
 	return jobs, raw
 }
 
-// TestMergeRecordsMatchesMapOracle: the per-job counting sort followed by
-// the linear interleave equals the map-and-sort merge of the raw lists.
+// TestMergeRecordsMatchesMapOracle: the linear interleave of per-job lists
+// sorted and deduplicated (the order TestSortRecordsMatchesOracle pins the
+// emission to) equals the map-and-sort merge of the raw lists.
 func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 2000; trial++ {
@@ -186,9 +252,8 @@ func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 		numReads := rng.Intn(12)
 		jobs, raw := randomJobLists(rng, numReads, subsets)
 		lists := make([][]Record, len(raw))
-		for t, j := range jobs {
-			lo, hi := j.q*numReads/subsets, (j.q+1)*numReads/subsets
-			lists[t] = slices.Clone(sortJob(raw[t], int32(lo), hi-lo))
+		for t := range jobs {
+			lists[t] = sortDedupe(slices.Clone(raw[t]))
 		}
 		got, err := mergeRecords(jobs, lists)
 		if err != nil {
@@ -228,10 +293,13 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 // TestFindOverlapsRecordDigest pins the stage's output on the D2
 // analogue, byte for byte, at seed lengths k = 4, 9, 16 and 32 (one bucket
 // per 4-mer, a directory narrower than the k-mer, the default, a k-mer
-// filling the key), to digests computed at the commit before the DP-free
-// verdicts and the map-free merge (k = 16) and before the identity bound,
-// the counting sort and the scatter-built index (k = 4, 9, 32): none may
-// change a record.
+// filling the key) and at 1, 3 and 4 subsets (every job a same-subset
+// one; uneven subset sizes; the default), to digests computed at the
+// commit before the DP-free verdicts and the map-free merge (4 subsets,
+// k = 16), before the identity bound, the counting sort and the
+// scatter-built index (4 subsets, k = 4, 9, 32) and before the batch
+// resolve and the in-order emission (1 and 3 subsets): none may change a
+// record. (At one subset every 4-mer is repeat-masked: no records.)
 func TestFindOverlapsRecordDigest(t *testing.T) {
 	spec, err := simulate.PaperDataSet(2, 0.1)
 	if err != nil {
@@ -248,17 +316,25 @@ func TestFindOverlapsRecordDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		k    int
-		want string
+		subsets, k int
+		want       string
 	}{
-		{4, "2ae2a4286f697a0e1872a5b1cd748dd88975c0a654fa6081e32f55c5b0024d46"},
-		{9, "f239163f95dcef81c10e81a86a5b09a6ef7c62297e9c636e09c193df0bf64705"},
-		{16, "f5f98bada2449b650a209f4a471fe843985d9022429bfa1bdc23a129ad185673"},
-		{32, "426eb4ad125465f4e00b20667647c3107b726cc51906e5a7009b2fcb61079c17"},
+		{1, 4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{1, 9, "a59aada2def15b2d9885294ebe38a85c303d64c59604dffb8f0be16543c225a6"},
+		{1, 16, "5713d15add8d2abe40fb017b61c9bc3346f35a9036dd40f5dffeb3167dedce61"},
+		{1, 32, "ca31fba133abf9798c831a4ed518fc97e487bb6c0868241f3ec590968e5b963e"},
+		{3, 4, "ed12803f6f1e08838ac944935c4dfad532b59beec8e43656ea634f1b7b72b519"},
+		{3, 9, "49770c029c4726d6c189051aab20ff57fd214305bcdb3c513e808d10a86d3a13"},
+		{3, 16, "168b73e807af64c1b0a5361ba9fbc0e216a5f9dc3e86e08e3b9150f8aec1911e"},
+		{3, 32, "cc8bf60a4cbfae9334a38f71fa0a23b57682360bfd8621cf3a2a72341710e0b9"},
+		{4, 4, "2ae2a4286f697a0e1872a5b1cd748dd88975c0a654fa6081e32f55c5b0024d46"},
+		{4, 9, "f239163f95dcef81c10e81a86a5b09a6ef7c62297e9c636e09c193df0bf64705"},
+		{4, 16, "f5f98bada2449b650a209f4a471fe843985d9022429bfa1bdc23a129ad185673"},
+		{4, 32, "426eb4ad125465f4e00b20667647c3107b726cc51906e5a7009b2fcb61079c17"},
 	} {
 		cfg := testConfig()
 		cfg.K = tc.k
-		recs, err := FindOverlaps(rs.Reads, 4, cfg)
+		recs, err := FindOverlaps(rs.Reads, tc.subsets, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +350,7 @@ func TestFindOverlapsRecordDigest(t *testing.T) {
 			h.Write(buf[:])
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
-			t.Fatalf("k=%d: %d records, digest %s, want %s", tc.k, len(recs), got, tc.want)
+			t.Fatalf("subsets=%d k=%d: %d records, digest %s, want %s", tc.subsets, tc.k, len(recs), got, tc.want)
 		}
 	}
 }

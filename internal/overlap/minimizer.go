@@ -104,28 +104,26 @@ func seedOffsets(sc *scratch, seq []byte, cfg Config) []int {
 	return appendMinimizerOffsets(sc, seq, cfg.K, w)
 }
 
-// forEachSeed invokes fn for every sampled seed k-mer of one query read —
-// the single definition of query-side sampling (Step grid or
-// minimizers). sc stages the minimizer buffers; a cfg.Step <= 0 is
-// treated as 1.
-func forEachSeed(sc *scratch, seq []byte, cfg Config, fn func(km dna.Kmer, off int)) {
+// sampleSeeds fills the scratch's probe batch with every sampled seed
+// k-mer of one query read — the single definition of query-side sampling
+// (Step grid or minimizers) — and returns it. sc stages the minimizer
+// buffers; a cfg.Step <= 0 is treated as 1.
+func sampleSeeds(sc *scratch, seq []byte, cfg Config) []probe {
 	step := cfg.Step
 	if step <= 0 {
 		step = 1
 	}
 	selected := seedOffsets(sc, seq, cfg) // nil for SeedStep
+	ps := sc.probes[:0]
 	si := 0
 	it := dna.NewKmerIter(seq, cfg.K)
 	next := 0
 	for {
 		km, off, ok := it.Next()
-		if !ok {
-			return
+		if !ok || (selected != nil && si == len(selected)) {
+			break
 		}
 		if selected != nil {
-			if si == len(selected) {
-				return
-			}
 			if off != selected[si] {
 				continue
 			}
@@ -134,6 +132,8 @@ func forEachSeed(sc *scratch, seq []byte, cfg Config, fn func(km dna.Kmer, off i
 			continue
 		}
 		next = off + step
-		fn(km, off)
+		ps = append(ps, probe{km: uint64(km), off: int32(off)})
 	}
+	sc.probes = ps
+	return ps
 }

@@ -81,11 +81,17 @@ type scratch struct {
 	cands   []candState
 	touched []int32 // local reads first-hit this query, in hit order
 
+	probes   []probe   // the current query's seed batch
 	minimKms []minimKm // minimizer seeding: per-read k-mer hash buffer
 	seedOffs []int     // minimizer seeding: selected offsets buffer
 
-	records []Record // per-job output staging (caller copies)
-	counts  []int32  // sortRecords' per-read run bounds
+	// Per-job record staging: records whose A is their query, already in
+	// (A, B) order, and records whose A is another, earlier query (a
+	// same-subset job's flipped ones), sorted in place and merged by
+	// jobRecords with its run bounds.
+	records []Record
+	flipped []Record
+	counts  []int32
 
 	// countOnly short-circuits the alignment: surviving candidates are
 	// tallied into candTotal instead of verified (CountCandidates).
@@ -159,17 +165,22 @@ func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	return n, err
 }
 
-// splitSubsets assigns reads to contiguous subsets, returning per-subset
-// global-id and sequence slices (shared by the query side of the pair
-// jobs and by the index builders).
-func splitSubsets(reads []dna.Read, subsets int) (subIDs [][]int32, subSeqs [][][]byte) {
+// readSet is one side of a subset-pair job: the reads' global ids, one
+// ascending run of consecutive ids, and their sequences.
+type readSet struct {
+	ids  []int32
+	seqs [][]byte
+}
+
+// splitSubsets assigns reads to contiguous subsets (shared by the query
+// side of the pair jobs and by the index builders).
+func splitSubsets(reads []dna.Read, subsets int) []readSet {
 	bounds := make([]int, subsets+1)
 	for i := 0; i <= subsets; i++ {
 		bounds[i] = i * len(reads) / subsets
 	}
-	subIDs = make([][]int32, subsets)
-	subSeqs = make([][][]byte, subsets)
-	for s := 0; s < subsets; s++ {
+	subs := make([]readSet, subsets)
+	for s := range subs {
 		n := bounds[s+1] - bounds[s]
 		ids := make([]int32, n)
 		seqs := make([][]byte, n)
@@ -177,9 +188,9 @@ func splitSubsets(reads []dna.Read, subsets int) (subIDs [][]int32, subSeqs [][]
 			ids[i] = int32(bounds[s] + i)
 			seqs[i] = reads[bounds[s]+i].Seq
 		}
-		subIDs[s], subSeqs[s] = ids, seqs
+		subs[s] = readSet{ids, seqs}
 	}
-	return subIDs, subSeqs
+	return subs
 }
 
 // pairJob is one subset-pair alignment job: the reads of subset q queried
@@ -208,10 +219,11 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	// governor also caps explicit counts at GOMAXPROCS.
 	workers := par.Workers(cfg.Workers, subsets*(subsets+1)/2, 1)
 
-	subIDs, subSeqs := splitSubsets(reads, subsets)
+	subs := splitSubsets(reads, subsets)
 
 	// Build one index per subset (reused across pair jobs).
 	indexes := make([]*kmerIndex, subsets)
+	errs := make([]error, subsets)
 	var iwg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for s := 0; s < subsets; s++ {
@@ -223,13 +235,18 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 			if gate.Stopped() {
 				return
 			}
-			indexes[s] = buildKmerIndex(subSeqs[s], subIDs[s], cfg.K)
+			indexes[s], errs[s] = buildKmerIndex(subs[s].seqs, cfg.K)
 		}(s)
 	}
 	iwg.Wait()
 	// A skipped index build leaves a nil index the pair jobs would probe.
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
 	}
 
 	jobs := subsetPairs(subsets)
@@ -249,10 +266,7 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 					continue // keep draining so the feeder never blocks
 				}
 				j := jobs[jid]
-				recs := alignQueriesGate(subIDs[j.q], subSeqs[j.q], indexes[j.r], cfg, sc, gate)
-				out := make([]Record, len(recs))
-				copy(out, recs)
-				results[jid] = out
+				results[jid] = alignQueriesGate(subs[j.q], subs[j.r], indexes[j.r], cfg, sc, gate)
 			}
 			atomic.AddInt64(&candTotal, sc.candTotal)
 		}()
@@ -292,39 +306,48 @@ func validate(cfg Config, subsets int) error {
 	return nil
 }
 
-// alignQueries aligns the given query reads against the reference index,
+// alignQueries aligns the query reads against the reference index,
 // returning the job's canonicalized records sorted by (A, B, Kind) with
-// one record per key. The query ids must be one ascending run of
-// consecutive ids and no reference id may precede it — the geometry of a
-// (q <= r) subset-pair job — so that every record's A is a query id. The
-// returned slice is staged in the scratch and is only valid until the
-// scratch's next job: callers that retain it must copy.
-func alignQueries(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Config, sc *scratch) []Record {
-	return alignQueriesGate(queryIDs, querySeqs, ref, cfg, sc, nil)
+// one record per key. Each side's ids must be one ascending run of
+// consecutive ids and no reference id may precede the query ids — the
+// geometry of a (q <= r) subset-pair job — so that every record's A is a
+// query id. The returned slice is the caller's.
+func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) []Record {
+	return alignQueriesGate(query, ref, ix, cfg, sc, nil)
 }
 
 // alignQueriesGate is the gate-aware core: the gate is polled once per
 // query (a query's seed scan + alignments is the natural grain). A stopped
-// gate returns the partial staging, which the ctx-taking caller discards.
-func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Config, sc *scratch, gate *par.Gate) []Record {
-	if cfg.Step <= 0 {
-		cfg.Step = 1
-	}
-	sc.reset(ref.numReads())
-	sc.records = sc.records[:0]
-	for qi2, qi := range queryIDs {
+// gate returns nil, which the ctx-taking caller discards.
+//
+// A query's seeds are resolved as one batch before any vote is cast, and
+// the votes walk the resolved entries in probe order. That order cannot
+// show: the modal diagonal breaks ties toward the smaller diagonal, and
+// the record order is total.
+func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, gate *par.Gate) []Record {
+	sc.reset(len(ref.seqs))
+	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
+	for qi2, qi := range query.ids {
 		if gate.Stopped() {
-			return sc.records
+			return nil
 		}
-		qseq := querySeqs[qi2]
+		qseq := query.seqs[qi2]
 		sc.nextQuery()
-		forEachSeed(sc, qseq, cfg, func(km dna.Kmer, off int) {
-			hits, masked := ref.seedHits(km, cfg.MaxOccur)
-			if masked {
-				return // repeat-masked seed
+		// In a same-subset job the query is a reference read too; its own
+		// k-mers are no evidence.
+		self := int32(-1)
+		if len(ref.ids) > 0 {
+			if d := int64(qi) - int64(ref.ids[0]); d >= 0 && d < int64(len(ref.ids)) {
+				self = int32(d)
 			}
-			for _, h := range hits {
-				if ref.readID(h.read) == qi {
+		}
+		ps := sampleSeeds(sc, qseq, cfg)
+		ents := ix.resolve(ps, cfg.MaxOccur)
+		for _, p := range ps {
+			for _, e := range ents[p.lo:p.hi] {
+				h := e.hit
+				// A small bucket's other k-mers share the range.
+				if e.key != p.km || h.read == self {
 					continue
 				}
 				c := &sc.cands[h.read]
@@ -336,7 +359,7 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 				}
 				c.hits++
 				// diag: offset of reference read start in query coords.
-				d := int32(off) - h.off
+				d := p.off - h.off
 				voted := false
 				for i := range c.diags {
 					if c.diags[i].d == d {
@@ -349,7 +372,8 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 					c.diags = append(c.diags, diagVote{d: d, n: 1})
 				}
 			}
-		})
+		}
+		first := len(sc.records)
 		for _, local := range sc.touched {
 			c := &sc.cands[local]
 			if c.hits < int32(cfg.MinKmerHits) {
@@ -367,40 +391,68 @@ func alignQueriesGate(queryIDs []int32, querySeqs [][]byte, ref refIndex, cfg Co
 				sc.candTotal++
 				continue
 			}
-			g := ref.readID(local)
-			ov, ok := sc.align.OverlapOnDiagonal(qseq, ref.readSeq(local), int(diag), cfg.Align)
+			ov, ok := sc.align.OverlapOnDiagonal(qseq, ref.seqs[local], int(diag), cfg.Align)
 			if !ok {
 				continue
 			}
-			// Records are stored in canonical direction (A < B). In a
-			// same-subset job every read is both query and reference, so a
-			// pair is verified once from each side — with seeds sampled from
-			// a different read each time, hence possibly another modal
-			// diagonal and another verdict — and both attempts land on the
-			// same canonical (A, B); sortRecords keeps the more credible one.
-			rec := Record{A: qi, B: g, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
-			if rec.A > rec.B {
-				rec = rec.Flip()
-			}
-			sc.records = append(sc.records, rec)
+			sc.stage(Record{A: qi, B: ref.ids[local], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)})
 		}
+		sortByB(sc.records[first:]) // queries run in id order: records stays in (A, B) order
 	}
-	if len(queryIDs) == 0 {
-		return sc.records
+	if len(query.ids) == 0 {
+		return nil
 	}
-	return sc.sortRecords(queryIDs[0], len(queryIDs))
+	return sc.jobRecords(query.ids[0], len(query.ids))
 }
 
-// sortRecords orders the job's staged records by (A, B, Kind), most
-// credible first within a key, and keeps the first record of every key,
-// in place. Every A is one of the n consecutive query ids from lo
-// (alignQueries), so a counting sort on A — swapping each record into its
-// read's run (American flag sort) — gathers the runs, and an insertion sort
-// orders each run, a read's own overlaps, a few dozen (a longer run, which
-// repeats can make, takes slices.SortFunc). The order is total on distinct
-// records, so neither the swaps nor the sort's choice can show.
-func (sc *scratch) sortRecords(lo int32, n int) []Record {
-	recs := sc.records
+// stage appends one verified overlap of a query in canonical direction
+// (A < B): to records when the query is A, to flipped when the reference
+// read precedes it. Only a same-subset job flips: every read is both
+// query and reference there, so a pair is verified once from each side —
+// with seeds sampled from a different read each time, hence possibly
+// another modal diagonal and another verdict — and both attempts land on
+// the same canonical (A, B); jobRecords keeps the more credible one.
+func (sc *scratch) stage(rec Record) {
+	if rec.A > rec.B {
+		sc.flipped = append(sc.flipped, rec.Flip())
+		return
+	}
+	sc.records = append(sc.records, rec)
+}
+
+// sortByB orders records that share their A and have distinct Bs — one
+// query's unflipped records, or one read's run of flipped ones — by B: an
+// insertion sort over a read's own overlaps, a few dozen (a longer run,
+// which repeats can make, takes slices.SortFunc).
+func sortByB(recs []Record) {
+	if len(recs) > 32 {
+		slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.B, y.B) })
+		return
+	}
+	for i := 1; i < len(recs); i++ {
+		r := recs[i]
+		j := i
+		for ; j > 0 && recs[j-1].B > r.B; j-- {
+			recs[j] = recs[j-1]
+		}
+		recs[j] = r
+	}
+}
+
+// jobRecords returns the job's staged records in (A, B, Kind) order with
+// one record per key, the most credible, in a new slice. records is in
+// (A, B) order with distinct keys already, so a job without flipped
+// records — every cross-subset job — returns a copy of it. Every flipped
+// A is one of the n consecutive query ids from lo (it is a reference read
+// preceding its query, and no reference id precedes the query ids), so a
+// counting sort on A — swapping each record into its read's run, in place
+// (American flag sort) — and a sort of each run by B put the flipped
+// records in (A, B) order, and a merge interleaves the two lists.
+func (sc *scratch) jobRecords(lo int32, n int) []Record {
+	recs, fl := sc.records, sc.flipped
+	if len(fl) == 0 {
+		return slices.Clone(recs)
+	}
 	if cap(sc.counts) < 2*n+1 {
 		sc.counts = make([]int32, 2*n+1)
 	}
@@ -408,8 +460,8 @@ func (sc *scratch) sortRecords(lo int32, n int) []Record {
 	// yet holding a record of that read.
 	start, next := sc.counts[:n+1], sc.counts[n+1:2*n+1]
 	clear(start)
-	for i := range recs {
-		start[recs[i].A-lo+1]++
+	for _, r := range fl {
+		start[r.A-lo+1]++
 	}
 	for a := range n {
 		start[a+1] += start[a]
@@ -417,27 +469,49 @@ func (sc *scratch) sortRecords(lo int32, n int) []Record {
 	copy(next, start)
 	for a := range int32(n) {
 		for i := next[a]; i < start[a+1]; i = next[a] {
-			b := recs[i].A - lo
+			b := fl[i].A - lo
 			if b != a {
-				recs[i], recs[next[b]] = recs[next[b]], recs[i]
+				fl[i], fl[next[b]] = fl[next[b]], fl[i]
 			}
 			next[b]++
 		}
-		if run := recs[start[a]:start[a+1]]; len(run) > 32 {
-			slices.SortFunc(run, recordOrder)
-		} else {
-			for i := 1; i < len(run); i++ {
-				r := run[i]
-				j := i
-				for ; j > 0 && recordOrder(r, run[j-1]) < 0; j-- {
-					run[j] = run[j-1]
-				}
-				run[j] = r
-			}
-		}
+		sortByB(fl[start[a]:start[a+1]])
 	}
-	sc.records = slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
-	return sc.records
+	out := make([]Record, mergeRuns(nil, recs, fl))
+	mergeRuns(out, recs, fl)
+	return out
+}
+
+// mergeRuns merges two lists in (A, B, Kind) order, with distinct keys
+// each, into out, keeping moreCredible's winner where both hold a key — a
+// pair verified from both sides — and returns the merged length. A nil
+// out only counts.
+func mergeRuns(out, x, y []Record) int {
+	i, j, w := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		r := x[i]
+		switch c := compareKey(x[i], y[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			r = y[j]
+			j++
+		default:
+			if moreCredible(y[j], r) {
+				r = y[j]
+			}
+			i, j = i+1, j+1
+		}
+		if out != nil {
+			out[w] = r
+		}
+		w++
+	}
+	if out != nil {
+		copy(out[w:], x[i:])
+		copy(out[w+len(x)-i:], y[j:])
+	}
+	return w + len(x) - i + len(y) - j
 }
 
 // compareKey orders records by the identity of an overlap relation: a
@@ -464,21 +538,6 @@ func moreCredible(r, cur Record) bool {
 		return r.Len > cur.Len
 	}
 	return r.Diag < cur.Diag
-}
-
-// recordOrder is the order of a job's output: (A, B, Kind), most credible
-// first within a key. It is total on distinct records.
-func recordOrder(x, y Record) int {
-	if c := compareKey(x, y); c != 0 {
-		return c
-	}
-	switch {
-	case moreCredible(x, y):
-		return -1
-	case moreCredible(y, x):
-		return 1
-	}
-	return 0
 }
 
 // mergeRecords interleaves the per-job record lists (lists[t] belongs to

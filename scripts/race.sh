@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-command robustness gate: static guards (vet, no gob, no baseline
+# One-command robustness gate: static guards (vet, gofmt, no gob, no baseline
 # package in a production binary, the benchmark module still compiles),
 # the tier-1 race sweep over the concurrency-heavy packages, the wire
 # suite under race, and a short native-fuzz smoke over every committed
@@ -21,6 +21,14 @@ export GOMAXPROCS="${GOMAXPROCS:-4}"
 
 echo "== guard: go vet =="
 go vet ./...
+
+echo "== guard: gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 # One wire: the framed codec of internal/dist is the only serialization
 # between master and workers. (Tests reach gob only through a stock
@@ -95,6 +103,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/assembly/ FuzzWireDecoders
     fuzz ./internal/assembly/ FuzzPhaseEngines
     fuzz ./internal/overlap/ FuzzWireDecoders
+    fuzz ./internal/overlap/ FuzzSeedIndex
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
     fuzz ./internal/align/ FuzzOverlapVerdict
