@@ -1,8 +1,7 @@
 package focus
 
-// Benchmarks for the post-assembly stages (scaffolding, polishing,
-// evaluation, QC) and the distributed-alignment mode, rounding out the
-// per-stage harness.
+// Benchmarks for evaluation, classification and the distributed-alignment
+// mode, rounding out the per-stage harness.
 
 import (
 	"testing"
@@ -11,109 +10,35 @@ import (
 	"focus/internal/dist"
 	"focus/internal/eval"
 	"focus/internal/overlap"
-	"focus/internal/polish"
-	"focus/internal/qc"
-	"focus/internal/scaffold"
-	"focus/internal/simulate"
 	"focus/internal/taxonomy"
 )
 
-// pairedFixture builds a paired-end read set plus its assembly once.
-type pairedFixture struct {
-	com     *simulate.Community
-	rs      *simulate.ReadSet
-	contigs [][]byte
-}
-
-var pairedFix *pairedFixture
-
-func benchPaired(b *testing.B) *pairedFixture {
-	b.Helper()
-	benchMu.Lock()
-	defer benchMu.Unlock()
-	if pairedFix != nil {
-		return pairedFix
-	}
-	com, err := simulate.BuildCommunity(simulate.SingleGenome("bench-paired", 15_000, 400))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rs, err := simulate.SimulateReads(com, simulate.ReadConfig{
-		ReadLen: 100, Coverage: 10,
-		ErrorRate5: 0.001, ErrorRate3: 0.01,
-		Seed: 401, Paired: true, InsertMean: 400, InsertSD: 40,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, _, err := Assemble(rs.Reads, DefaultConfig(), 4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pairedFix = &pairedFixture{com: com, rs: rs, contigs: res.Contigs}
-	return pairedFix
-}
-
-// BenchmarkScaffold measures strand dedupe + mate-pair scaffolding.
-func BenchmarkScaffold(b *testing.B) {
-	f := benchPaired(b)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		res, err := scaffold.Build(f.contigs, f.rs.Reads, scaffold.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(res.Scaffolds)
-	}
-	b.ReportMetric(float64(n), "scaffolds")
-}
-
-// BenchmarkPolish measures consensus polishing by read realignment.
-func BenchmarkPolish(b *testing.B) {
-	f := benchPaired(b)
-	kept := scaffold.Dedupe(f.contigs, scaffold.DefaultConfig())
-	sub := make([][]byte, len(kept))
-	for i, ci := range kept {
-		sub[i] = f.contigs[ci]
-	}
-	b.ResetTimer()
-	var corrections int
-	for i := 0; i < b.N; i++ {
-		_, st, err := polish.Polish(sub, f.rs.Reads, polish.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		corrections = st.Corrections
-	}
-	b.ReportMetric(float64(corrections), "corrections")
-}
-
 // BenchmarkEvaluate measures reference-based assembly grading.
 func BenchmarkEvaluate(b *testing.B) {
-	f := benchPaired(b)
-	refs := []eval.Reference{{Name: "g", Seq: f.com.Genomes[0].Seq}}
+	d := benchSet(b, 1)
+	pool, err := dist.NewLocalPool(2, assembly.NewService)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := d.stages.Assemble(pool, 4, 2, 1)
+	pool.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var refs []eval.Reference
+	for _, g := range d.com.Genomes {
+		refs = append(refs, eval.Reference{Name: g.ID, Seq: g.Seq})
+	}
 	b.ResetTimer()
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rep, err := eval.Evaluate(f.contigs, refs, eval.DefaultConfig())
+		rep, err := eval.Evaluate(res.Contigs, refs, eval.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		frac = rep.GenomeFraction
 	}
 	b.ReportMetric(100*frac, "genome-frac-pct")
-}
-
-// BenchmarkQC measures the read QC report.
-func BenchmarkQC(b *testing.B) {
-	f := benchPaired(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := qc.Analyze(f.rs.Reads, qc.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkClassifier measures taxonomy classification throughput.
@@ -156,7 +81,7 @@ func BenchmarkDistributedAlignment(b *testing.B) {
 		}
 		defer pool.Close()
 		for i := 0; i < b.N; i++ {
-			if _, err := overlap.FindOverlapsDistributed(pool, reads, 4, cfg); err != nil {
+			if _, err := overlap.FindOverlapsDistributedCtx(nil, pool, reads, 4, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -75,9 +75,6 @@ func Build(reads []dna.Read, cfg Config) (*Graph, error) {
 	return g, nil
 }
 
-// NumKmers returns the number of surviving k-mers.
-func (g *Graph) NumKmers() int { return len(g.counts) }
-
 // Coverage returns the multiplicity of a k-mer (0 if filtered/absent).
 func (g *Graph) Coverage(km dna.Kmer) int { return int(g.counts[km]) }
 

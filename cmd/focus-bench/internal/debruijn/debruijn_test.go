@@ -34,8 +34,8 @@ func TestBuildCountsKmers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 7 windows but k-mers repeat: ACGT x2, CGTA x2, GTAC x2, TACG x1.
-	if g.NumKmers() != 4 {
-		t.Errorf("NumKmers = %d, want 4", g.NumKmers())
+	if len(g.counts) != 4 {
+		t.Errorf("k-mers = %d, want 4", len(g.counts))
 	}
 	km, _ := dna.PackKmer([]byte("ACGT"), 4)
 	if g.Coverage(km) != 2 {
@@ -106,8 +106,8 @@ func TestUnitigsCoverEveryKmerOnce(t *testing.T) {
 	for _, u := range g.Unitigs() {
 		total += u.Kmers
 	}
-	if total != g.NumKmers() {
-		t.Errorf("unitigs cover %d k-mers, graph has %d", total, g.NumKmers())
+	if total != len(g.counts) {
+		t.Errorf("unitigs cover %d k-mers, graph has %d", total, len(g.counts))
 	}
 }
 
@@ -127,7 +127,7 @@ func TestClipTipsRemovesErrorBranch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := g.NumKmers()
+	before := len(g.counts)
 	removed := 0
 	for i := 0; i < 8; i++ {
 		n := g.ClipTips()
@@ -139,8 +139,8 @@ func TestClipTipsRemovesErrorBranch(t *testing.T) {
 	if removed == 0 {
 		t.Fatal("no tips clipped")
 	}
-	if g.NumKmers() != before-removed {
-		t.Errorf("kmer accounting: %d -> %d after removing %d", before, g.NumKmers(), removed)
+	if len(g.counts) != before-removed {
+		t.Errorf("kmer accounting: %d -> %d after removing %d", before, len(g.counts), removed)
 	}
 	// After clipping, the genome assembles into one unitig again.
 	unitigs := g.Unitigs()

@@ -2,6 +2,9 @@ package main
 
 import (
 	"errors"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"focus"
@@ -28,5 +31,44 @@ func TestErrorLine(t *testing.T) {
 		if got := errorLine(tc.err); got != tc.want {
 			t.Errorf("errorLine(%q) = %q, want %q", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestReadmeFlagsDefined: every -flag on a focus command line in
+// README.md's shell blocks is one the command defines, so the README
+// cannot keep advertising a flag that was removed.
+func TestReadmeFlagsDefined(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commands := 0
+	inShell := false
+	for _, line := range strings.Split(strings.ReplaceAll(string(readme), "\\\n", " "), "\n") {
+		if fence := strings.TrimSpace(line); strings.HasPrefix(fence, "```") {
+			inShell = !inShell && (fence == "```sh" || fence == "```bash")
+			continue
+		}
+		if !inShell || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		isFocus := false
+		for _, tok := range strings.Fields(line) {
+			switch {
+			case tok == "focus" || strings.HasSuffix(tok, "/focus"):
+				isFocus = true
+				commands++
+			case tok == "|" || tok == "&&" || tok == ";" || tok == "&" || tok == "#":
+				isFocus = false
+			case isFocus && len(tok) > 1 && tok[0] == '-':
+				name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+				if flag.Lookup(name) == nil {
+					t.Errorf("README.md runs focus with undefined flag %s: %s", tok, strings.TrimSpace(line))
+				}
+			}
+		}
+	}
+	if commands == 0 {
+		t.Fatal("no focus command line found in README.md's shell blocks")
 	}
 }

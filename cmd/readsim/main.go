@@ -22,9 +22,6 @@ func main() {
 		refOut   = flag.String("refs", "", "optional output FASTA path for reference genomes")
 		single   = flag.Int("single", 0, "instead of a community, simulate one genome of this length")
 		seed     = flag.Int64("seed", 42, "seed for -single mode")
-		paired   = flag.Bool("paired", false, "produce mate pairs (FR orientation, mates adjacent in the output)")
-		insMean  = flag.Int("insert-mean", 400, "paired-end insert size mean")
-		insSD    = flag.Int("insert-sd", 40, "paired-end insert size standard deviation")
 	)
 	flag.Parse()
 
@@ -42,14 +39,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := simulate.PaperReadConfig(*dataset, *coverage)
-	if *paired {
-		cfg.Paired = true
-		cfg.InsertMean = *insMean
-		cfg.InsertSD = *insSD
-		cfg.AdapterLen = 0 // mate geometry is exact without adapters
-	}
-	rs, err := simulate.SimulateReads(com, cfg)
+	rs, err := simulate.SimulateReads(com, simulate.PaperReadConfig(*dataset, *coverage))
 	if err != nil {
 		fatal(err)
 	}

@@ -252,15 +252,16 @@ func BuildStagesOnPool(raw []Read, cfg Config, pool *dist.Pool) (*Stages, error)
 }
 
 // BuildStagesFromRecords is BuildStages with the overlap-detection stage
-// (the pipeline's dominant cost) replaced by precomputed records, e.g.
-// loaded via graphio.ReadRecords. Preprocessing is deterministic, so the
-// records saved from one run apply to a later run over the same input and
-// config; numReads (from the record file) is validated against the
-// preprocessed read count (that check is all Timings["overlap"] covers).
+// (the pipeline's dominant cost) replaced by precomputed records, e.g. the
+// Records of an earlier Stages. Preprocessing is deterministic, so the
+// records of one run apply to a later run over the same input and config;
+// numReads (the read count the records were computed over) is validated
+// against the preprocessed read count (that check is all
+// Timings["overlap"] covers).
 func BuildStagesFromRecords(raw []Read, records []overlap.Record, numReads int, cfg Config) (*Stages, error) {
 	return buildStages(raw, cfg, func(_ context.Context, reads []Read) ([]overlap.Record, error) {
 		if len(reads) != numReads {
-			return nil, fmt.Errorf("record file was built for %d reads, preprocessing produced %d (input or config changed)", numReads, len(reads))
+			return nil, fmt.Errorf("records were built for %d reads, preprocessing produced %d (input or config changed)", numReads, len(reads))
 		}
 		return records, nil
 	})

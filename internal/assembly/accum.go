@@ -1,21 +1,19 @@
-// Package spmat holds the sparse-row accumulator of the masked sparse
-// product that assembly's transitive reduction is formulated as (Guidi et
-// al., "Parallel String Graph Construction and Transitive Reduction").
-package spmat
+package assembly
 
-// StampAccum is a generation-stamped int32→int32 map with a BELLA-style
+// stampAccum is a generation-stamped int32→int32 map with a BELLA-style
 // dense/hash accumulator switch: heavy rows over small key spaces use a
 // directly indexed stamp array with an O(1) generation clear, light rows
 // over wide spaces use open-addressing hashing sized to the row so the
-// working set stays O(row). It backs the assembly transitive-reduction
-// kernel's direct-successor index — the Diag(v,·) diagonal of Guidi et
-// al.'s masked product R = A·A.
+// working set stays O(row). It backs the transitive-reduction kernel's
+// direct-successor index — the Diag(v,·) diagonal of the masked sparse
+// product R = A·A that Guidi et al. ("Parallel String Graph Construction
+// and Transitive Reduction") formulate transitive reduction as.
 //
-// A StampAccum is owned by exactly one goroutine at a time; buffers grow
+// A stampAccum is owned by exactly one goroutine at a time; buffers grow
 // on demand and amortize across rows. Mode selection cannot change
 // results: Set/Get have identical last-write-wins semantics on both
 // paths.
-type StampAccum struct {
+type stampAccum struct {
 	gen   uint32
 	dense []stampSlot // dense path: indexed directly by key
 	htab  []stampSlot // hash path: open addressing on key
@@ -36,12 +34,12 @@ type stampSlot struct {
 // a row whose Set count is a sizable fraction of the key space (or a
 // small key space outright) amortizes the dense stamp array; sparse rows
 // over wide spaces keep the working set at O(sets) via hashing.
-func (a *StampAccum) Reset(numKeys, sets int) {
+func (a *stampAccum) Reset(numKeys, sets int) {
 	a.reset(numKeys, sets, numKeys <= 4096 || sets >= numKeys/8)
 }
 
 // reset is Reset with the mode forced (the tests drive both paths).
-func (a *StampAccum) reset(numKeys, sets int, dense bool) {
+func (a *stampAccum) reset(numKeys, sets int, dense bool) {
 	a.isDen = dense
 	if a.isDen {
 		// Fresh slots carry generation 0, which is never live (the wrap
@@ -72,7 +70,7 @@ func (a *StampAccum) reset(numKeys, sets int, dense bool) {
 }
 
 // Set binds key to val for the current row (last write wins).
-func (a *StampAccum) Set(key, val int32) {
+func (a *stampAccum) Set(key, val int32) {
 	if a.isDen {
 		a.dense[key] = stampSlot{gen: a.gen, key: key, val: val}
 		return
@@ -89,7 +87,7 @@ func (a *StampAccum) Set(key, val int32) {
 }
 
 // Get returns the value bound to key in the current row.
-func (a *StampAccum) Get(key int32) (int32, bool) {
+func (a *stampAccum) Get(key int32) (int32, bool) {
 	if a.isDen {
 		s := &a.dense[key]
 		if s.gen != a.gen {

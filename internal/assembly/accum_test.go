@@ -1,4 +1,4 @@
-package spmat
+package assembly
 
 import (
 	"math/rand"
@@ -10,7 +10,7 @@ import (
 // identical answers from all three (the mode switch must be invisible).
 func TestStampAccumModesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var dense, hash, auto StampAccum
+	var dense, hash, auto stampAccum
 	for row := 0; row < 400; row++ {
 		numKeys := 1 + rng.Intn(9000) // straddles the 4096 dense cutoff
 		sets := rng.Intn(64)
@@ -29,7 +29,7 @@ func TestStampAccumModesAgree(t *testing.T) {
 		for probe := 0; probe < 80; probe++ {
 			k := int32(rng.Intn(numKeys))
 			want, wantOK := ref[k]
-			for name, a := range map[string]*StampAccum{"dense": &dense, "hash": &hash, "auto": &auto} {
+			for name, a := range map[string]*stampAccum{"dense": &dense, "hash": &hash, "auto": &auto} {
 				got, ok := a.Get(k)
 				if ok != wantOK || (ok && got != want) {
 					t.Fatalf("row %d %s: Get(%d) = %d,%v want %d,%v", row, name, k, got, ok, want, wantOK)
@@ -43,7 +43,7 @@ func TestStampAccumModesAgree(t *testing.T) {
 // one row must be invisible in the next, including immediately after a
 // mode flip and after the uint32 generation wrap.
 func TestStampAccumRowIsolation(t *testing.T) {
-	var a StampAccum
+	var a stampAccum
 	a.reset(16, 4, true)
 	a.Set(3, 77)
 	a.reset(16, 4, true)

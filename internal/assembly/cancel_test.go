@@ -181,7 +181,7 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 	if n := pool.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d, want 1 (hung worker kicked and evicted)", n)
 	}
-	if d.Degraded() {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatal("driver degraded to local mode despite a surviving worker")
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"focus/internal/testutil"
 )
 
-// runOutcome captures everything a full Trim+Traverse+BuildContigs run
+// runOutcome captures everything a full Trim+TraverseTimed+BuildContigs run
 // produces that downstream stages consume.
 type runOutcome struct {
 	Transitive, Contained, False, DeadEnds int
@@ -23,7 +23,7 @@ func fullRun(t *testing.T, d *Driver) (runOutcome, error) {
 	if err != nil {
 		return runOutcome{}, err
 	}
-	paths, err := d.Traverse()
+	paths, _, err := d.TraverseTimed()
 	if err != nil {
 		return runOutcome{}, err
 	}
@@ -107,7 +107,7 @@ func TestChaosHungWorkerReschedules(t *testing.T) {
 	if n := pool.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d, want 1 (hung worker evicted, survivor alive)", n)
 	}
-	if d.Degraded() {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatal("driver degraded to local mode despite a surviving worker")
 	}
 }

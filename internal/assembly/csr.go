@@ -4,21 +4,20 @@ import (
 	"sync"
 
 	"focus/internal/align"
-	"focus/internal/spmat"
 )
 
-// This file is the cleaning scans' data layer (DESIGN.md §14): a flat
+// This file is the worker scans' data layer (DESIGN.md §14): a flat
 // compressed-sparse-row view of one Subgraph shared by the transitive,
-// containment and error scans. Arcs are packed 12-byte records over dense
-// local indices; within each node's arc range the live (non-containment)
-// arcs come first, so the live-neighbour subsets the scans hammer are
-// zero-cost subslices. All buffers live in pooled
-// scratch and amortize across phase calls — one subgraph scan performs
-// O(1) allocations regardless of size.
+// containment and error scans, path extraction and variant calling. Arcs
+// are packed 12-byte records over dense local indices; within each node's
+// arc range the live (non-containment) arcs come first, so the
+// live-neighbour subsets the scans hammer are zero-cost subslices. All
+// buffers live in pooled scratch and amortize across phase calls — one
+// subgraph scan performs O(1) allocations regardless of size.
 
 // csrArc is one adjacency entry: `to` is the local index of the neighbour
 // (the head for out-arcs, the tail for in-arcs), diag/alen mirror
-// Edge.Diag/Edge.Len — everything the three scans read.
+// Edge.Diag/Edge.Len — everything the scans read.
 type csrArc struct {
 	to   int32
 	diag int32
@@ -28,9 +27,10 @@ type csrArc struct {
 // edgeCSR is the indexed form of a Subgraph. Node attributes are dense
 // arrays over local indices; ids maps back to wire node ids. Ids that
 // appear only as edge endpoints (absent from sub.Nodes) get zero-valued
-// attributes, matching the map views' miss semantics.
+// attributes, matching the map oracle's miss semantics.
 type edgeCSR struct {
 	ids     []int32 // local index -> node id (first-encounter order)
+	part    []int32
 	weight  []int64
 	contig  [][]byte
 	isLocal []bool
@@ -93,6 +93,7 @@ func (x *idIndex) lookupOrAdd(c *edgeCSR, id int32) int32 {
 			idx := int32(len(c.ids))
 			*s = idSlot{gen: x.gen, id: id, idx: idx}
 			c.ids = append(c.ids, id)
+			c.part = append(c.part, 0)
 			c.weight = append(c.weight, 0)
 			c.contig = append(c.contig, nil)
 			c.isLocal = append(c.isLocal, false)
@@ -130,7 +131,7 @@ type blockStage struct {
 // containment scan, and the chain buffer of the dead-end walk. Owned by
 // exactly one goroutine at a time.
 type rowScratch struct {
-	acc   spmat.StampAccum
+	acc   stampAccum
 	al    align.Scratch
 	chain []int32
 }
@@ -152,6 +153,10 @@ type phaseScratch struct {
 	keys   []uint64
 	blocks []blockStage
 	row    []*rowScratch // per-worker slots, populated lazily under par.Run
+
+	// Path extraction's visited flags and walk buffers.
+	mark        []bool
+	right, left []int32
 }
 
 var phaseScratchPool = sync.Pool{New: func() any { return new(phaseScratch) }}
@@ -207,6 +212,16 @@ func (ps *phaseScratch) workerScratch(w int) *rowScratch {
 	return rs
 }
 
+// marks returns n cleared flags reusing ps.mark's storage.
+func (ps *phaseScratch) marks(n int) []bool {
+	if cap(ps.mark) < n {
+		ps.mark = make([]bool, n)
+	}
+	ps.mark = ps.mark[:n]
+	clear(ps.mark)
+	return ps.mark
+}
+
 // grow32 returns a zeroed int32 slice of length n reusing buf's storage.
 func grow32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
@@ -234,6 +249,7 @@ func growArcs(buf []csrArc, n int) []csrArc {
 func (ps *phaseScratch) buildCSR(sub *Subgraph, parts viewParts) *edgeCSR {
 	c := &ps.csr
 	c.ids = c.ids[:0]
+	c.part = c.part[:0]
 	c.weight = c.weight[:0]
 	c.contig = c.contig[:0]
 	c.isLocal = c.isLocal[:0]
@@ -249,10 +265,11 @@ func (ps *phaseScratch) buildCSR(sub *Subgraph, parts viewParts) *edgeCSR {
 		ps.idx.lookupOrAdd(c, sub.Edges[i].To)
 	}
 	// Attributes: later duplicates in sub.Nodes overwrite earlier ones,
-	// matching the map views' last-write-wins build.
+	// matching the map oracle's last-write-wins build.
 	for i := range sub.Nodes {
 		n := &sub.Nodes[i]
 		j := ps.idx.get(n.ID)
+		c.part[j] = n.Part
 		c.weight[j] = n.Weight
 		c.contig[j] = n.Contig
 	}
@@ -274,7 +291,7 @@ func (ps *phaseScratch) buildCSR(sub *Subgraph, parts viewParts) *edgeCSR {
 // scatter builds one adjacency direction with a stable two-pass counting
 // sort: pass one places live arcs, pass two containment arcs, so each
 // node's range is live-first with the original edge order preserved
-// within each class (the same order liveSubsets yields).
+// within each class (the same order the map oracle's live lists keep).
 func (ps *phaseScratch) scatter(sub *Subgraph, start, live []int32, arcs []csrArc, outDir bool) ([]int32, []int32, []csrArc) {
 	c := &ps.csr
 	n := len(c.ids)

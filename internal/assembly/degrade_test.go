@@ -13,8 +13,8 @@ import (
 // TestDegradedRehostThenRecover: losing a pinned worker mid-run (kick =
 // severed connection, in-process service state gone) forces a re-host,
 // but the pool still has a survivor — so the driver must stay
-// NON-degraded through the recovery, keep Degraded()/DegradeReason() at
-// their healthy values for the whole run, and finish byte-identical to
+// NON-degraded through the recovery, keep DegradeReason() at its
+// healthy value for the whole run, and finish byte-identical to
 // the no-fault baseline. The attached metrics registry must record the
 // fault path (a lost partition or a logged re-host), and the pool's
 // health snapshot the kick.
@@ -40,7 +40,7 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	if err := d.TrimTransitive(&st); err != nil {
 		t.Fatal(err)
 	}
-	if d.Degraded() || d.DegradeReason() != DegradeNone {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatalf("degraded before any fault: reason=%v", d.DegradeReason())
 	}
 
@@ -57,7 +57,7 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	if err := d.TrimErrors(&st); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := d.Traverse()
+	paths, _, err := d.TraverseTimed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered run diverged from baseline:\ngot  %+v\nwant %+v", got, want)
 	}
-	if d.Degraded() || d.DegradeReason() != DegradeNone {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatalf("driver degraded despite a surviving worker: reason=%v", d.DegradeReason())
 	}
 
@@ -92,10 +92,10 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 }
 
 // TestDegradedStickyAfterPoolLoss: once the pool is truly unusable the
-// fallback is sticky — Degraded() stays true and the reason stays
-// DegradeFailure for every later phase (worker-side state missed deltas
-// and can never be trusted again), the degradation counter moves exactly
-// once, and the output still matches the baseline.
+// fallback is sticky — the reason stays DegradeFailure for every later
+// phase (worker-side state missed deltas and can never be trusted again),
+// the degradation counter moves exactly once, and the output still
+// matches the baseline.
 func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	const k = 4
@@ -121,9 +121,8 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 	if err := d.TrimTransitive(&st); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Degraded() || d.DegradeReason() != DegradeFailure {
-		t.Fatalf("after losing every worker: Degraded=%v reason=%v, want failure fallback",
-			d.Degraded(), d.DegradeReason())
+	if d.DegradeReason() != DegradeFailure {
+		t.Fatalf("after losing every worker: reason=%v, want failure fallback", d.DegradeReason())
 	}
 	// Later phases must observe the SAME sticky state (no flap back to
 	// pool execution, no second degradation event).
@@ -133,12 +132,12 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 	if err := d.TrimErrors(&st); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := d.Traverse()
+	paths, _, err := d.TraverseTimed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Degraded() || d.DegradeReason() != DegradeFailure {
-		t.Fatalf("degradation did not stick: Degraded=%v reason=%v", d.Degraded(), d.DegradeReason())
+	if d.DegradeReason() != DegradeFailure {
+		t.Fatalf("degradation did not stick: reason=%v", d.DegradeReason())
 	}
 	if n := reg.Counter("assembly_degraded_total").Value(); n != 1 {
 		t.Fatalf("assembly_degraded_total = %d, want exactly 1", n)
@@ -162,8 +161,8 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 func TestDegradeByChoice(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	d := chaosPipeline(t, nil, 2, false)
-	if !d.Degraded() || d.DegradeReason() != DegradeNoPool {
-		t.Fatalf("pool-less driver: Degraded=%v reason=%v, want DegradeNoPool", d.Degraded(), d.DegradeReason())
+	if d.DegradeReason() != DegradeNoPool {
+		t.Fatalf("pool-less driver: reason=%v, want DegradeNoPool", d.DegradeReason())
 	}
 	if _, err := fullRun(t, d); err != nil {
 		t.Fatal(err)

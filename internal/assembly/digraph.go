@@ -45,17 +45,6 @@ type DiGraph struct {
 // NumNodes returns the node count including removed nodes.
 func (g *DiGraph) NumNodes() int { return len(g.Contigs) }
 
-// NumLive returns the number of non-removed nodes.
-func (g *DiGraph) NumLive() int {
-	n := 0
-	for _, r := range g.Removed {
-		if !r {
-			n++
-		}
-	}
-	return n
-}
-
 // NumEdges returns the number of live directed edges.
 func (g *DiGraph) NumEdges() int {
 	n := 0

@@ -72,7 +72,7 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 			b.ReportAllocs()
 			var subs []Subgraph
 			for i := 0; i < b.N; i++ {
-				subs = Subgraphs(g, labels, k, workers)
+				subs = subgraphsOf(g, labels, k, workers)
 			}
 			liveSink = len(subs)
 		})

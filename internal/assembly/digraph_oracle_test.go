@@ -166,7 +166,7 @@ func randomHybrid(t *testing.T, seed int64) (*hybrid.Hybrid, []overlap.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.G = graph.ContractWithWeights(g0, h.RepOf, nw, 1)
+	h.G, _ = graph.ContractWithWeightsCtx(nil, g0, h.RepOf, nw, 1)
 	return h, recs
 }
 
@@ -267,7 +267,7 @@ func TestBuildDiGraphRejectsInconsistentInput(t *testing.T) {
 	badNodes := append([]hybrid.Node(nil), h.Nodes...)
 	badNodes[0].Members = []int{len(h.RepOf)}
 	// A graph over the same nodes that joins nothing.
-	edgeless := graph.ContractWithWeights(graph.NewBuilder(len(h.RepOf)).Build(), h.RepOf, make([]int64, len(h.Nodes)), 1)
+	edgeless, _ := graph.ContractWithWeightsCtx(nil, graph.NewBuilder(len(h.RepOf)).Build(), h.RepOf, make([]int64, len(h.Nodes)), 1)
 	short := graph.NewBuilder(len(h.Nodes) - 1).Build()
 	for _, tc := range []struct {
 		name string

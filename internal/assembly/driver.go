@@ -155,13 +155,10 @@ func (r DegradeReason) String() string {
 // first phase.
 func (d *Driver) SetMetrics(reg *metrics.Registry) { d.reg = reg }
 
-// Degraded reports whether the driver runs phases locally (master-side)
-// instead of on the worker pool.
-func (d *Driver) Degraded() bool { return d.localOnly }
-
-// DegradeReason reports why: DegradeNone while the pool is in use,
-// DegradeNoPool when the driver was built without a pool, DegradeFailure
-// when the pool became unusable mid-run.
+// DegradeReason reports whether, and why, the driver runs phases locally
+// (master-side) instead of on the worker pool: DegradeNone while the pool
+// is in use, DegradeNoPool when the driver was built without a pool,
+// DegradeFailure when the pool became unusable mid-run.
 func (d *Driver) DegradeReason() DegradeReason { return d.degradeRsn }
 
 var runCounter int64
@@ -686,8 +683,8 @@ func (d *Driver) runPhaseLocal(ctx context.Context, phase string, vcfg VariantCo
 
 // NewDriver validates and assembles a driver. A nil pool is allowed and
 // means local execution by choice: every phase runs on the master and
-// Degraded() reports DegradeNoPool (as opposed to DegradeFailure, the
-// mid-run loss of a real pool).
+// DegradeReason() reports DegradeNoPool (as opposed to DegradeFailure,
+// the mid-run loss of a real pool).
 func NewDriver(pool *dist.Pool, g *DiGraph, labels []int32, k int, cfg Config) (*Driver, error) {
 	if len(labels) != g.NumNodes() {
 		return nil, fmt.Errorf("assembly: %d labels for %d nodes", len(labels), g.NumNodes())
@@ -868,16 +865,11 @@ func (d *Driver) TrimErrors(st *TrimStats) error {
 	return d.notePhase("Errors")
 }
 
-// Traverse extracts partition-local maximal paths on the workers and joins
-// them on the master (paper §V.D): sub-path p1 is joined to p2 when p1's
-// right endpoint has an out-edge to p2's left endpoint and that endpoint
-// has no other in-edges.
-func (d *Driver) Traverse() ([][]int32, error) {
-	paths, _, err := d.TraverseTimed()
-	return paths, err
-}
-
-// TraverseTimed is Traverse plus the per-partition task durations.
+// TraverseTimed extracts partition-local maximal paths on the workers and
+// joins them on the master (paper §V.D): sub-path p1 is joined to p2 when
+// p1's right endpoint has an out-edge to p2's left endpoint and that
+// endpoint has no other in-edges. It also returns the per-partition task
+// durations.
 func (d *Driver) TraverseTimed() ([][]int32, []time.Duration, error) {
 	results, taskTimes, err := d.runPhase("Paths", VariantConfig{})
 	if err != nil {

@@ -79,7 +79,7 @@ func TestBuildDiGraphOrientsChain(t *testing.T) {
 	if err := dg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if dg.NumLive() == 0 {
+	if numLive(dg) == 0 {
 		t.Fatal("empty digraph")
 	}
 	// All contigs tile one genome: the graph must be acyclic along
@@ -114,7 +114,7 @@ func TestDriverEndToEndSingleWorker(t *testing.T) {
 	if _, err := d.Trim(); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := d.Traverse()
+	paths, _, err := d.TraverseTimed()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestDriverDistributedMatchesSingle(t *testing.T) {
 		if _, err := d.Trim(); err != nil {
 			t.Fatal(err)
 		}
-		paths, err := d.Traverse()
+		paths, _, err := d.TraverseTimed()
 		if err != nil {
 			t.Fatal(err)
 		}

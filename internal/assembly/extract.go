@@ -1,7 +1,6 @@
 package assembly
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -166,34 +165,4 @@ func (x *extractor) subgraphsGate(parts [][]int32, workers int, gate *par.Gate) 
 	}
 	wg.Wait()
 	return out
-}
-
-// Subgraphs extracts the wire view of all k partitions of g under labels,
-// fanning the per-partition extractions over up to workers goroutines
-// (<= 0 means GOMAXPROCS). The result is deterministic — byte-identical
-// at any worker count — and matches what the Driver ships per phase.
-// Node contigs alias g's contig storage; callers must not mutate them.
-func Subgraphs(g *DiGraph, labels []int32, k, workers int) []Subgraph {
-	subs, _ := SubgraphsCtx(nil, g, labels, k, workers)
-	return subs
-}
-
-// SubgraphsCtx is Subgraphs bounded by ctx: extraction stops at the next
-// per-partition boundary once ctx cancels and the context's cause is
-// returned (the partial result must then be discarded). A nil ctx is the
-// uncancellable path.
-func SubgraphsCtx(ctx context.Context, g *DiGraph, labels []int32, k, workers int) ([]Subgraph, error) {
-	x := &extractor{g: g, labels: labels}
-	parts := make([][]int32, k)
-	for v := 0; v < g.NumNodes(); v++ {
-		if !g.Removed[v] {
-			p := labels[v]
-			parts[p] = append(parts[p], int32(v))
-		}
-	}
-	subs := x.subgraphsGate(parts, workers, par.GateFor(ctx))
-	if cerr := ctxErr(ctx); cerr != nil {
-		return nil, cerr
-	}
-	return subs, nil
 }

@@ -275,9 +275,9 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 		replies[i] = &EdgeReply{}
 	}
 	sub := chainSub(3)
-	_, err = pool.ParallelCalls(8, "Transitive", func(tk int) interface{} {
+	_, err = pool.ParallelCallsRetryCtx(nil, 8, "Transitive", func(tk int) interface{} {
 		return &PhaseArgs{Sub: *sub, Cfg: DefaultConfig()}
-	}, replies)
+	}, replies, 0)
 	if err == nil {
 		t.Fatal("expected at least one injected fault across 8 calls")
 	}

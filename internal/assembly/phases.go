@@ -68,105 +68,15 @@ type Subgraph struct {
 // EdgePair identifies a directed edge on the wire.
 type EdgePair struct{ From, To int32 }
 
-// viewParts selects which adjacency halves a view or CSR build
-// materialises (the transitive scan reads out-adjacency only — its
-// in-half would be pure wasted work).
+// viewParts selects which adjacency halves a CSR build materialises (the
+// transitive scan reads out-adjacency only — its in-half would be pure
+// wasted work).
 type viewParts uint8
 
 const (
 	viewOut viewParts = 1 << iota
 	viewIn
-	viewLive // precompute the non-containment subsets (liveOut/liveIn)
 )
-
-// view is a worker-local map-indexed form of a Subgraph: path extraction
-// and variant calling walk it; the cleaning scans use the edgeCSR.
-type view struct {
-	sub     *Subgraph
-	part    map[int32]int32
-	weight  map[int32]int64
-	contig  map[int32][]byte
-	isLocal map[int32]bool
-	out     map[int32][]Edge
-	in      map[int32][]Edge
-	// lout/lin are the precomputed non-containment subsets served by
-	// liveOut/liveIn (see liveSubsets).
-	lout map[int32][]Edge
-	lin  map[int32][]Edge
-}
-
-func newView(sub *Subgraph, parts viewParts) *view {
-	v := &view{
-		sub:     sub,
-		part:    make(map[int32]int32, len(sub.Nodes)),
-		weight:  make(map[int32]int64, len(sub.Nodes)),
-		contig:  make(map[int32][]byte, len(sub.Nodes)),
-		isLocal: make(map[int32]bool, len(sub.Local)),
-	}
-	for _, n := range sub.Nodes {
-		v.part[n.ID] = n.Part
-		v.weight[n.ID] = n.Weight
-		v.contig[n.ID] = n.Contig
-	}
-	for _, id := range sub.Local {
-		v.isLocal[id] = true
-	}
-	if parts&viewOut != 0 {
-		v.out = make(map[int32][]Edge)
-		for _, e := range sub.Edges {
-			v.out[e.From] = append(v.out[e.From], e)
-		}
-		if parts&viewLive != 0 {
-			v.lout = liveSubsets(v.out)
-		}
-	}
-	if parts&viewIn != 0 {
-		v.in = make(map[int32][]Edge)
-		for _, e := range sub.Edges {
-			v.in[e.To] = append(v.in[e.To], e)
-		}
-		if parts&viewLive != 0 {
-			v.lin = liveSubsets(v.in)
-		}
-	}
-	return v
-}
-
-// liveSubsets precomputes each node's non-containment edges. The scans
-// issue many live-neighbour queries per node (path walks, bubble probes),
-// so filtering once at view build replaces a per-query filtered
-// allocation. Lists without containment edges — the common case — share
-// the unfiltered slice.
-func liveSubsets(adj map[int32][]Edge) map[int32][]Edge {
-	live := make(map[int32][]Edge, len(adj))
-	for id, es := range adj {
-		contains := 0
-		for i := range es {
-			if es[i].Contain {
-				contains++
-			}
-		}
-		if contains == 0 {
-			live[id] = es
-			continue
-		}
-		if contains == len(es) {
-			continue // all containment: live list empty, map miss returns nil
-		}
-		r := make([]Edge, 0, len(es)-contains)
-		for _, e := range es {
-			if !e.Contain {
-				r = append(r, e)
-			}
-		}
-		live[id] = r
-	}
-	return live
-}
-
-func (v *view) liveOut(id int32) []Edge { return v.lout[id] }
-
-func (v *view) liveIn(id int32) []Edge { return v.lin[id] }
 
 // packPair folds an EdgePair into one uint64 whose unsigned order equals
 // the (From, To) signed lexicographic order (the sign bit is flipped into
@@ -233,52 +143,58 @@ type Removal struct {
 // by out-edges while the next node has a unique in-edge, lies in the same
 // partition and is unvisited, then symmetrically grown by in-edges.
 func ExtractPaths(sub *Subgraph, cfg Config) [][]int32 {
-	v := newView(sub, viewOut|viewIn|viewLive)
-	inPath := map[int32]bool{}
+	ps := getPhaseScratch()
+	defer putPhaseScratch(ps)
+	c := ps.buildCSR(sub, viewOut|viewIn)
+	inPath := ps.marks(len(c.ids))
+	// joins reports whether the walk may step onto node i.
+	joins := func(i int32) bool { return c.part[i] == sub.Part && c.isLocal[i] && !inPath[i] }
+	right, left := ps.right, ps.left
 	var paths [][]int32
-	for _, id := range sub.Local {
+	for _, id := range c.local {
 		if inPath[id] {
 			continue
 		}
-		path := []int32{id}
 		inPath[id] = true
-		// Extend right.
-		cur := id
-		for {
-			outs := v.liveOut(cur)
+		right = append(right[:0], id)
+		for cur := id; ; {
+			outs := c.liveOut(cur)
 			if len(outs) != 1 {
 				break
 			}
-			nxt := outs[0].To
-			if v.part[nxt] != sub.Part || !v.isLocal[nxt] || inPath[nxt] {
+			nxt := outs[0].to
+			if !joins(nxt) || len(c.liveIn(nxt)) != 1 {
 				break
 			}
-			if len(v.liveIn(nxt)) != 1 {
-				break
-			}
-			path = append(path, nxt)
+			right = append(right, nxt)
 			inPath[nxt] = true
 			cur = nxt
 		}
-		// Extend left.
-		cur = id
-		for {
-			ins := v.liveIn(cur)
+		// The left extension is collected nearest-first and reversed into
+		// place.
+		left = left[:0]
+		for cur := id; ; {
+			ins := c.liveIn(cur)
 			if len(ins) != 1 {
 				break
 			}
-			prv := ins[0].From
-			if v.part[prv] != sub.Part || !v.isLocal[prv] || inPath[prv] {
+			prv := ins[0].to
+			if !joins(prv) || len(c.liveOut(prv)) != 1 {
 				break
 			}
-			if len(v.liveOut(prv)) != 1 {
-				break
-			}
-			path = append([]int32{prv}, path...)
+			left = append(left, prv)
 			inPath[prv] = true
 			cur = prv
 		}
+		path := make([]int32, 0, len(left)+len(right))
+		for i := len(left) - 1; i >= 0; i-- {
+			path = append(path, c.ids[left[i]])
+		}
+		for _, i := range right {
+			path = append(path, c.ids[i])
+		}
 		paths = append(paths, path)
 	}
+	ps.right, ps.left = right, left
 	return paths
 }

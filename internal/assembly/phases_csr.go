@@ -10,14 +10,14 @@ import (
 // stages its emissions per fixed-grain block and assembles the blocks in
 // index order, and every scan's final output is sorted and deduplicated —
 // so results are identical at any worker count, and byte-identical to
-// the serial map-walking oracle kept in phases_equiv_test.go (pinned by
+// the serial map-walking oracle kept in phases_oracle_test.go (pinned by
 // the equivalence property suite and FuzzPhaseEngines).
 //
 // Transitive reduction follows Guidi et al.'s sparse-matrix formulation
 // (Parallel String Graph Construction and Transitive Reduction): for each
 // local row v the direct successors' diagonals — the sparse row Diag(v,·)
 // of A — are stamped into a generation-cleared dense/hash accumulator
-// (spmat.StampAccum, a BELLA-style switch), then the two-hop products
+// (stampAccum, a BELLA-style switch), then the two-hop products
 // Diag(v,w)+Diag(w,x) of A·A are compared against the mask A under
 // DiagTolerance.
 

@@ -11,7 +11,8 @@ import (
 // scans care about (genome-consistent overlap edges whose alignments
 // verify, plus tips and bubbles) with adversarial noise: containment
 // edges, garbage diagonals, duplicate edges, self-loops, ids that appear
-// only as edge endpoints, and non-local ghosts.
+// only as edge endpoints, non-local ghosts, duplicate ids (and so
+// duplicate Local entries) and nodes of another partition.
 func randomPhaseSubgraph(rng *rand.Rand) *Subgraph {
 	bases := []byte("ACGT")
 	n := 2 + rng.Intn(28)
@@ -32,9 +33,13 @@ func randomPhaseSubgraph(rng *rand.Rand) *Subgraph {
 			l := 30 + rng.Intn(180)
 			contig = genome[starts[i] : starts[i]+l]
 		}
+		part := sub.Part
+		if rng.Intn(6) == 0 {
+			part++ // shipped as a neighbour of another partition
+		}
 		sub.Nodes = append(sub.Nodes, WireNode{
 			ID:     ids[i],
-			Part:   sub.Part,
+			Part:   part,
 			Weight: int64(rng.Intn(20)),
 			Contig: contig,
 		})
@@ -96,8 +101,11 @@ func TestPhaseEnginesEquivalence(t *testing.T) {
 
 // TestPhaseEnginesDegenerate pins the scans on edge-case subgraphs the
 // randomized generator rarely hits exactly: empty everything, edges with
-// no nodes, all-containment adjacency.
+// no nodes, all-containment adjacency, a chain through ghost endpoints,
+// duplicate Local ids and a Local node of another partition, and a bubble
+// whose branches are reached from both sides.
 func TestPhaseEnginesDegenerate(t *testing.T) {
+	chain := []Edge{{From: 1, To: 2, Diag: 4, Len: 10}, {From: 2, To: 3, Diag: 4, Len: 10}, {From: 3, To: 4, Diag: 4, Len: 10}}
 	subs := []*Subgraph{
 		{},
 		{Local: []int32{1, 2, 3}},
@@ -108,6 +116,39 @@ func TestPhaseEnginesDegenerate(t *testing.T) {
 			Edges: []Edge{
 				{From: 0, To: 1, Diag: 0, Len: 8, Contain: true},
 				{From: 1, To: 0, Diag: 0, Len: 8, Contain: true},
+			},
+		},
+		// Ghost endpoints 0 and 4 frame a local chain no node ships; the
+		// walk from 3 grows it leftwards two steps.
+		{Local: []int32{3, 2, 1}, Edges: append([]Edge{{From: 0, To: 1, Diag: 4, Len: 10}}, chain...)},
+		// Duplicate Local ids; node 3 belongs to partition 1.
+		{
+			Part:  0,
+			Local: []int32{2, 2, 3, 1, 3},
+			Nodes: []WireNode{{ID: 1}, {ID: 2}, {ID: 3, Part: 1}, {ID: 4}},
+			Edges: chain,
+		},
+		// Every neighbourhood containment-only: no live arcs anywhere.
+		{
+			Local: []int32{1, 2, 3},
+			Nodes: []WireNode{{ID: 1, Weight: 5}, {ID: 2, Weight: 5}, {ID: 3, Weight: 5}},
+			Edges: []Edge{{From: 1, To: 2, Contain: true}, {From: 1, To: 3, Contain: true}, {From: 2, To: 3, Contain: true}},
+		},
+		// A bubble 0 -> {1, 2} -> 3 and a fork 0 -> 5, all branches
+		// local: each allele pair is reached from both of its branches.
+		{
+			Local: []int32{1, 5, 2, 0, 3},
+			Nodes: []WireNode{
+				{ID: 0, Weight: 4, Contig: []byte("ACGTACGTTTGACCAGT")},
+				{ID: 1, Weight: 4, Contig: []byte("TTGACCAGTACGGATCA")},
+				{ID: 2, Weight: 3, Contig: []byte("TTGACCAGTACGCATCA")},
+				{ID: 3, Weight: 4, Contig: []byte("ACGGATCAGGCTTAACG")},
+				{ID: 5, Weight: 2, Contig: []byte("TTGACCAGTACGGTTCA")},
+			},
+			Edges: []Edge{
+				{From: 0, To: 1, Diag: 8, Len: 9}, {From: 0, To: 2, Diag: 8, Len: 9},
+				{From: 0, To: 5, Diag: 8, Len: 9},
+				{From: 1, To: 3, Diag: 9, Len: 8}, {From: 2, To: 3, Diag: 9, Len: 8},
 			},
 		},
 	}

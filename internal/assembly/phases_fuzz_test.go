@@ -5,8 +5,9 @@ import "testing"
 // decodePhaseFuzzSub deterministically expands arbitrary bytes into a
 // bounded Subgraph plus scan config. The decoder is total (any input
 // yields some subgraph) so coverage-guided fuzzing explores graph shapes
-// — self-loops, duplicate edges, ghost endpoints, all-containment nodes —
-// rather than fighting a validator.
+// — self-loops, duplicate edges, ghost endpoints, all-containment nodes,
+// duplicate Local ids, nodes of another partition — rather than fighting
+// a validator.
 func decodePhaseFuzzSub(data []byte) (*Subgraph, Config) {
 	next := func() byte {
 		if len(data) == 0 {
@@ -46,11 +47,15 @@ func decodePhaseFuzzSub(data []byte) (*Subgraph, Config) {
 		}
 		sub.Nodes = append(sub.Nodes, WireNode{
 			ID:     int32(i),
+			Part:   int32(b1 >> 7),
 			Weight: int64(b1 % 16),
 			Contig: contig,
 		})
 		if b0&1 == 0 {
 			sub.Local = append(sub.Local, int32(i))
+			if b0&8 != 0 {
+				sub.Local = append(sub.Local, int32(i))
+			}
 		}
 	}
 	for len(data) >= 5 && len(sub.Edges) < 160 {

@@ -3,21 +3,34 @@ package assembly
 import (
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"focus/internal/align"
 )
 
 // The serial map-walking scans below are the original implementations of
-// the three cleaning phases. They are the reference the production CSR
-// scans (phases_csr.go) are pinned to, byte for byte, by the equivalence
-// property suite and FuzzPhaseEngines.
+// the three cleaning phases, path extraction and variant calling. They
+// are the reference the production CSR scans (phases_csr.go, phases.go,
+// variants.go) are pinned to, byte for byte, by the equivalence property
+// suite and FuzzPhaseEngines.
 
-// checkScansMatchOracle requires TransitiveEdges, ContainmentScan and
-// ErrorScan to return results deeply equal (including nil-vs-empty) to
-// the map oracle's on sub, at each of the given worker counts.
+// checkScansMatchOracle requires TransitiveEdges, ContainmentScan,
+// ErrorScan, ExtractPaths and ScanVariants to return results deeply equal
+// (including nil-vs-empty) to the map oracle's on sub; the cleaning scans
+// at each of the given worker counts.
 func checkScansMatchOracle(t *testing.T, sub *Subgraph, cfg Config, workers ...int) {
 	t.Helper()
+	if got, want := ExtractPaths(sub, cfg), extractPathsMap(sub); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ExtractPaths diverged\ncsr %v\nmap %v", got, want)
+	}
+	// The default config, and one that lets zero-weight branches through
+	// to the alignment.
+	for _, vcfg := range []VariantConfig{DefaultVariantConfig(), {MaxLenDiff: 3, Band: cfg.Band, MinIdentity: 0.6}} {
+		if got, want := ScanVariants(sub, vcfg), scanVariantsMap(sub, vcfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ScanVariants %+v diverged\ncsr %+v\nmap %+v", vcfg, got, want)
+		}
+	}
 	wantT := transitiveEdgesMap(sub, cfg)
 	wantC := containmentScanMap(sub, cfg)
 	wantE := errorScanMap(sub, cfg)
@@ -36,7 +49,7 @@ func checkScansMatchOracle(t *testing.T, sub *Subgraph, cfg Config, workers ...i
 }
 
 func transitiveEdgesMap(sub *Subgraph, cfg Config) []EdgePair {
-	v := newView(sub, viewOut|viewLive)
+	v := newView(sub)
 	var out []EdgePair
 	for _, id := range sub.Local {
 		outs := v.liveOut(id)
@@ -70,7 +83,7 @@ func transitiveEdgesMap(sub *Subgraph, cfg Config) []EdgePair {
 }
 
 func containmentScanMap(sub *Subgraph, cfg Config) Removal {
-	v := newView(sub, viewOut|viewIn)
+	v := newView(sub)
 	var rm Removal
 	nodeSet := map[int32]bool{}
 	check := func(e Edge) {
@@ -115,7 +128,7 @@ func containmentScanMap(sub *Subgraph, cfg Config) Removal {
 }
 
 func errorScanMap(sub *Subgraph, cfg Config) Removal {
-	v := newView(sub, viewOut|viewIn|viewLive)
+	v := newView(sub)
 	var rm Removal
 	mark := map[int32]bool{}
 
@@ -228,4 +241,240 @@ func errorScanMap(sub *Subgraph, cfg Config) Removal {
 	}
 	slices.Sort(rm.Nodes)
 	return rm
+}
+
+// view is the map-indexed form of a Subgraph the oracle scans walk.
+type view struct {
+	sub     *Subgraph
+	part    map[int32]int32
+	weight  map[int32]int64
+	contig  map[int32][]byte
+	isLocal map[int32]bool
+	out     map[int32][]Edge
+	in      map[int32][]Edge
+	// lout/lin are the precomputed non-containment subsets served by
+	// liveOut/liveIn (see liveSubsets).
+	lout map[int32][]Edge
+	lin  map[int32][]Edge
+}
+
+func newView(sub *Subgraph) *view {
+	v := &view{
+		sub:     sub,
+		part:    make(map[int32]int32, len(sub.Nodes)),
+		weight:  make(map[int32]int64, len(sub.Nodes)),
+		contig:  make(map[int32][]byte, len(sub.Nodes)),
+		isLocal: make(map[int32]bool, len(sub.Local)),
+		out:     make(map[int32][]Edge),
+		in:      make(map[int32][]Edge),
+	}
+	for _, n := range sub.Nodes {
+		v.part[n.ID] = n.Part
+		v.weight[n.ID] = n.Weight
+		v.contig[n.ID] = n.Contig
+	}
+	for _, id := range sub.Local {
+		v.isLocal[id] = true
+	}
+	for _, e := range sub.Edges {
+		v.out[e.From] = append(v.out[e.From], e)
+		v.in[e.To] = append(v.in[e.To], e)
+	}
+	v.lout = liveSubsets(v.out)
+	v.lin = liveSubsets(v.in)
+	return v
+}
+
+// liveSubsets precomputes each node's non-containment edges. Lists
+// without containment edges share the unfiltered slice.
+func liveSubsets(adj map[int32][]Edge) map[int32][]Edge {
+	live := make(map[int32][]Edge, len(adj))
+	for id, es := range adj {
+		contains := 0
+		for i := range es {
+			if es[i].Contain {
+				contains++
+			}
+		}
+		if contains == 0 {
+			live[id] = es
+			continue
+		}
+		if contains == len(es) {
+			continue // all containment: live list empty, map miss returns nil
+		}
+		r := make([]Edge, 0, len(es)-contains)
+		for _, e := range es {
+			if !e.Contain {
+				r = append(r, e)
+			}
+		}
+		live[id] = r
+	}
+	return live
+}
+
+func (v *view) liveOut(id int32) []Edge { return v.lout[id] }
+
+func (v *view) liveIn(id int32) []Edge { return v.lin[id] }
+
+func extractPathsMap(sub *Subgraph) [][]int32 {
+	v := newView(sub)
+	inPath := map[int32]bool{}
+	var paths [][]int32
+	for _, id := range sub.Local {
+		if inPath[id] {
+			continue
+		}
+		path := []int32{id}
+		inPath[id] = true
+		// Extend right.
+		cur := id
+		for {
+			outs := v.liveOut(cur)
+			if len(outs) != 1 {
+				break
+			}
+			nxt := outs[0].To
+			if v.part[nxt] != sub.Part || !v.isLocal[nxt] || inPath[nxt] {
+				break
+			}
+			if len(v.liveIn(nxt)) != 1 {
+				break
+			}
+			path = append(path, nxt)
+			inPath[nxt] = true
+			cur = nxt
+		}
+		// Extend left.
+		cur = id
+		for {
+			ins := v.liveIn(cur)
+			if len(ins) != 1 {
+				break
+			}
+			prv := ins[0].From
+			if v.part[prv] != sub.Part || !v.isLocal[prv] || inPath[prv] {
+				break
+			}
+			if len(v.liveOut(prv)) != 1 {
+				break
+			}
+			path = append([]int32{prv}, path...)
+			inPath[prv] = true
+			cur = prv
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
+func scanVariantsMap(sub *Subgraph, cfg VariantConfig) []Variant {
+	v := newView(sub)
+	seen := map[[2]int32]bool{}
+	var out []Variant
+
+	consider := func(u int32, ex, ey Edge, x, y int32, reconverges bool, w int32) {
+		a, b := x, y
+		ea, eb := ex, ey
+		if a > b {
+			a, b = b, a
+			ea, eb = eb, ea
+		}
+		if seen[[2]int32{a, b}] {
+			return
+		}
+		if v.weight[a] < cfg.MinBranchCov || v.weight[b] < cfg.MinBranchCov {
+			return // error branch, not a variant
+		}
+		va, ok := classifyBranchesMap(v, u, w, a, b, ea, eb, reconverges, cfg)
+		if !ok {
+			return
+		}
+		seen[[2]int32{a, b}] = true
+		out = append(out, va)
+	}
+
+	for _, id := range sub.Local {
+		ins, outs := v.liveIn(id), v.liveOut(id)
+		if len(ins) != 1 || len(outs) > 1 {
+			continue
+		}
+		u := ins[0].From
+		// The edge u->id and each sibling edge u->x.
+		var eID Edge
+		for _, e := range v.liveOut(u) {
+			if e.To == id {
+				eID = e
+				break
+			}
+		}
+		for _, sib := range v.liveOut(u) {
+			x := sib.To
+			if x == id {
+				continue
+			}
+			xi := v.liveIn(x)
+			if len(xi) != 1 {
+				continue
+			}
+			// Full bubble if both branches reconverge on the same node.
+			xo := v.liveOut(x)
+			if len(outs) == 1 && len(xo) == 1 && xo[0].To == outs[0].To {
+				consider(u, eID, sib, id, x, true, outs[0].To)
+				continue
+			}
+			consider(u, eID, sib, id, x, false, -1)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].AlleleA != out[j].AlleleA {
+			return out[i].AlleleA < out[j].AlleleA
+		}
+		return out[i].AlleleB < out[j].AlleleB
+	})
+	return out
+}
+
+func classifyBranchesMap(v *view, u, w, a, b int32, ea, eb Edge, reconverges bool, cfg VariantConfig) (Variant, bool) {
+	ca, cb := v.contig[a], v.contig[b]
+	out := Variant{
+		From: u, To: w,
+		AlleleA: a, AlleleB: b,
+		CovA: v.weight[a], CovB: v.weight[b],
+		LenA: int32(len(ca)), LenB: int32(len(cb)),
+		Reconverges: reconverges,
+	}
+	// Placement of b's contig in a's coordinates: both diags are relative
+	// to u's contig.
+	diag := int(eb.Diag) - int(ea.Diag)
+	acfg := align.Config{
+		MinLength:   1,
+		MinIdentity: 0,
+		Band:        cfg.Band,
+		Scoring:     align.DefaultScoring,
+	}
+	ov, okOv := align.OverlapOnDiagonal(ca, cb, diag, acfg)
+	if okOv {
+		out.Identity = ov.Identity
+		out.Mismatches = int32(ov.Length) - int32(float64(ov.Length)*ov.Identity+0.5)
+	}
+	lenDiff := len(ca) - len(cb)
+	if lenDiff < 0 {
+		lenDiff = -lenDiff
+	}
+	switch {
+	case !okOv || out.Identity < cfg.MinIdentity:
+		out.Kind = VariantDivergent
+		if !reconverges {
+			// Fork into unrelated sequence: a repeat or chimera
+			// boundary, not a variant.
+			return out, false
+		}
+	case lenDiff > cfg.MaxLenDiff:
+		out.Kind = VariantIndel
+	default:
+		out.Kind = VariantSubstitution
+	}
+	return out, true
 }

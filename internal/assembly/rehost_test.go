@@ -54,7 +54,7 @@ func TestRehostAfterPinnedWorkerLoss(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("re-hosted run diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
 			}
-			if d.Degraded() {
+			if d.DegradeReason() != DegradeNone {
 				t.Fatalf("driver fell back to local mode (reason: %v) despite a surviving worker", d.DegradeReason())
 			}
 			if r := d.DegradeReason(); r != DegradeNone {
@@ -99,8 +99,8 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("local fallback diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
 	}
-	if !d.Degraded() || d.DegradeReason() != DegradeFailure {
-		t.Fatalf("Degraded=%v reason=%v, want degraded by failure", d.Degraded(), d.DegradeReason())
+	if d.DegradeReason() != DegradeFailure {
+		t.Fatalf("reason=%v, want degraded by failure", d.DegradeReason())
 	}
 }
 
@@ -149,7 +149,7 @@ func TestRebalanceAfterReconnect(t *testing.T) {
 	if counts[0] != 2 || counts[1] != 2 {
 		t.Fatalf("placement after rebalance = %v (counts %v), want 2 partitions per worker", d.placement, counts)
 	}
-	if d.Degraded() {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatal("driver degraded during elective rebalance")
 	}
 }
@@ -185,7 +185,7 @@ func TestRehostRoundsExhausted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback run diverged:\ngot  %+v\nwant %+v", got, want)
 	}
-	if !d.Degraded() || d.DegradeReason() != DegradeFailure {
-		t.Fatalf("Degraded=%v reason=%v, want degraded by failure", d.Degraded(), d.DegradeReason())
+	if d.DegradeReason() != DegradeFailure {
+		t.Fatalf("reason=%v, want degraded by failure", d.DegradeReason())
 	}
 }

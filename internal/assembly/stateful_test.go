@@ -148,7 +148,7 @@ func TestStatefulMatchesStateless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		paths, err := d.Traverse()
+		paths, _, err := d.TraverseTimed()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package assembly
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"focus/internal/align"
@@ -81,87 +83,77 @@ func DefaultVariantConfig() VariantConfig {
 // placement (a repeat boundary, by contrast, has unrelated continuations
 // and is rejected by the identity filter).
 func ScanVariants(sub *Subgraph, cfg VariantConfig) []Variant {
-	v := newView(sub, viewOut|viewIn|viewLive)
-	seen := map[[2]int32]bool{}
+	ps := getPhaseScratch()
+	defer putPhaseScratch(ps)
+	c := ps.buildCSR(sub, viewOut|viewIn)
 	var out []Variant
-
-	consider := func(u int32, ex, ey Edge, x, y int32, reconverges bool, w int32) {
-		a, b := x, y
-		ea, eb := ex, ey
-		if a > b {
-			a, b = b, a
-			ea, eb = eb, ea
-		}
-		if seen[[2]int32{a, b}] {
-			return
-		}
-		if v.weight[a] < cfg.MinBranchCov || v.weight[b] < cfg.MinBranchCov {
-			return // error branch, not a variant
-		}
-		va, ok := classifyBranches(v, u, w, a, b, ea, eb, reconverges, cfg)
-		if !ok {
-			return
-		}
-		seen[[2]int32{a, b}] = true
-		out = append(out, va)
-	}
-
-	for _, id := range sub.Local {
-		ins, outs := v.liveIn(id), v.liveOut(id)
+	for _, id := range c.local {
+		ins, outs := c.liveIn(id), c.liveOut(id)
 		if len(ins) != 1 || len(outs) > 1 {
 			continue
 		}
-		u := ins[0].From
+		u := ins[0].to
 		// The edge u->id and each sibling edge u->x.
-		var eID Edge
-		for _, e := range v.liveOut(u) {
-			if e.To == id {
-				eID = e
+		var dID int32
+		for _, a := range c.liveOut(u) {
+			if a.to == id {
+				dID = a.diag
 				break
 			}
 		}
-		for _, sib := range v.liveOut(u) {
-			x := sib.To
-			if x == id {
-				continue
-			}
-			xi := v.liveIn(x)
-			if len(xi) != 1 {
+		for _, sib := range c.liveOut(u) {
+			x := sib.to
+			if x == id || len(c.liveIn(x)) != 1 {
 				continue
 			}
 			// Full bubble if both branches reconverge on the same node.
-			xo := v.liveOut(x)
-			if len(outs) == 1 && len(xo) == 1 && xo[0].To == outs[0].To {
-				consider(u, eID, sib, id, x, true, outs[0].To)
-				continue
+			w := int32(-1)
+			if xo := c.liveOut(x); len(outs) == 1 && len(xo) == 1 && xo[0].to == outs[0].to {
+				w = outs[0].to
 			}
-			consider(u, eID, sib, id, x, false, -1)
+			a, b, da, db := id, x, dID, sib.diag
+			if c.ids[a] > c.ids[b] {
+				a, b, da, db = b, a, db, da
+			}
+			if c.weight[a] < cfg.MinBranchCov || c.weight[b] < cfg.MinBranchCov {
+				continue // error branch, not a variant
+			}
+			if va, ok := classifyBranches(c, u, w, a, b, da, db, cfg); ok {
+				out = append(out, va)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AlleleA != out[j].AlleleA {
-			return out[i].AlleleA < out[j].AlleleA
-		}
-		return out[i].AlleleB < out[j].AlleleB
+	// A pair is reached from both branches and through parallel edges;
+	// the first call per allele pair stands.
+	slices.SortStableFunc(out, func(p, q Variant) int {
+		return cmp.Or(cmp.Compare(p.AlleleA, q.AlleleA), cmp.Compare(p.AlleleB, q.AlleleB))
 	})
-	return out
+	return slices.CompactFunc(out, func(p, q Variant) bool {
+		return p.AlleleA == q.AlleleA && p.AlleleB == q.AlleleB
+	})
 }
 
-// classifyBranches aligns two branch contigs on the placement implied by
-// their shared-anchor edges and classifies the pair. ok is false when the
-// pair does not look allelic (fork into unrelated sequence).
-func classifyBranches(v *view, u, w, a, b int32, ea, eb Edge, reconverges bool, cfg VariantConfig) (Variant, bool) {
-	ca, cb := v.contig[a], v.contig[b]
+// classifyBranches aligns the contigs of branches a and b (local indices
+// of c, placed at diagonals da and db from anchor u's contig) and
+// classifies the pair; w is the reconverging anchor, or -1 for a fork. ok
+// is false when the pair does not look allelic (fork into unrelated
+// sequence).
+func classifyBranches(c *edgeCSR, u, w, a, b, da, db int32, cfg VariantConfig) (Variant, bool) {
+	ca, cb := c.contig[a], c.contig[b]
+	reconverges := w >= 0
 	out := Variant{
-		From: u, To: w,
-		AlleleA: a, AlleleB: b,
-		CovA: v.weight[a], CovB: v.weight[b],
+		From: c.ids[u], To: -1,
+		AlleleA: c.ids[a], AlleleB: c.ids[b],
+		CovA: c.weight[a], CovB: c.weight[b],
 		LenA: int32(len(ca)), LenB: int32(len(cb)),
 		Reconverges: reconverges,
 	}
+	if reconverges {
+		out.To = c.ids[w]
+	}
 	// Placement of b's contig in a's coordinates: both diags are relative
 	// to u's contig.
-	diag := int(eb.Diag) - int(ea.Diag)
+	diag := int(db) - int(da)
 	acfg := align.Config{
 		MinLength:   1,
 		MinIdentity: 0,

@@ -276,7 +276,7 @@ func TestWireCodecEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d extract=%d: %v", workers, ew, err)
 			}
-			if d.Degraded() {
+			if d.DegradeReason() != DegradeNone {
 				t.Fatalf("workers=%d extract=%d ran locally, not over the wire", workers, ew)
 			}
 			if !reflect.DeepEqual(got, baseline) {
@@ -296,7 +296,7 @@ func TestWireCodecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stateful: %v", err)
 	}
-	if d.Degraded() {
+	if d.DegradeReason() != DegradeNone {
 		t.Fatal("stateful run degraded to local, not over the wire")
 	}
 	if !reflect.DeepEqual(got, baseline) {
@@ -304,7 +304,19 @@ func TestWireCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestWireSubgraphsSerialParallel: the exported parallel extractor is
+// subgraphsOf extracts the wire view of every partition of g under
+// labels, as the Driver ships them per phase.
+func subgraphsOf(g *DiGraph, labels []int32, k, workers int) []Subgraph {
+	parts := make([][]int32, k)
+	for v := 0; v < g.NumNodes(); v++ {
+		if !g.Removed[v] {
+			parts[labels[v]] = append(parts[labels[v]], int32(v))
+		}
+	}
+	return (&extractor{g: g, labels: labels}).subgraphs(parts, workers)
+}
+
+// TestWireSubgraphsSerialParallel: the parallel extractor is
 // deterministic — same Subgraphs, and byte-identical encodings, at any
 // worker count.
 func TestWireSubgraphsSerialParallel(t *testing.T) {
@@ -313,9 +325,9 @@ func TestWireSubgraphsSerialParallel(t *testing.T) {
 	const k = 8
 	dg, labels, _ := buildPipeline(t, reads, k)
 
-	serial := Subgraphs(dg, labels, k, 1)
+	serial := subgraphsOf(dg, labels, k, 1)
 	for _, workers := range []int{2, 8} {
-		par := Subgraphs(dg, labels, k, workers)
+		par := subgraphsOf(dg, labels, k, workers)
 		if !reflect.DeepEqual(par, serial) {
 			t.Fatalf("parallel extraction (workers=%d) diverged from serial", workers)
 		}

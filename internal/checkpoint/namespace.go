@@ -91,16 +91,3 @@ func Claim(dir, id string) error {
 	syncDir(dir)
 	return nil
 }
-
-// Owner returns the id owning dir, or "" when the directory has no
-// owner marker (unclaimed or pre-namespace).
-func Owner(dir string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ownerFile))
-	if os.IsNotExist(err) {
-		return "", nil
-	}
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: %w", err)
-	}
-	return strings.TrimSpace(string(data)), nil
-}

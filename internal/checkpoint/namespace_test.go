@@ -2,9 +2,21 @@ package checkpoint
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
+
+// readOwner returns the job id in dir's owner marker, or "" without one.
+func readOwner(t *testing.T, dir string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, ownerFile))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return strings.TrimSpace(string(data))
+}
 
 // TestClaimOwnership: a fresh claim creates and marks the namespace,
 // re-claiming under the same id is idempotent, and a different id is a
@@ -14,7 +26,7 @@ func TestClaimOwnership(t *testing.T) {
 	if err := Claim(dir, "job-000001"); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _ := Owner(dir); owner != "job-000001" {
+	if owner := readOwner(t, dir); owner != "job-000001" {
 		t.Fatalf("owner %q, want job-000001", owner)
 	}
 	if err := Claim(dir, "job-000001"); err != nil {
@@ -25,7 +37,7 @@ func TestClaimOwnership(t *testing.T) {
 		t.Fatalf("cross-job claim: got %v, want ErrNamespace", err)
 	}
 	// The collision must not steal ownership.
-	if owner, _ := Owner(dir); owner != "job-000001" {
+	if owner := readOwner(t, dir); owner != "job-000001" {
 		t.Fatalf("owner after rejected claim %q, want job-000001", owner)
 	}
 }
@@ -35,13 +47,13 @@ func TestClaimOwnership(t *testing.T) {
 // working after an upgrade.
 func TestClaimAdoptsLegacyDir(t *testing.T) {
 	dir := t.TempDir() // exists, no marker
-	if owner, _ := Owner(dir); owner != "" {
+	if owner := readOwner(t, dir); owner != "" {
 		t.Fatalf("legacy dir owner %q, want empty", owner)
 	}
 	if err := Claim(dir, "job-000009"); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _ := Owner(dir); owner != "job-000009" {
+	if owner := readOwner(t, dir); owner != "job-000009" {
 		t.Fatalf("adopted owner %q", owner)
 	}
 }

@@ -16,7 +16,6 @@ package coarsen
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -47,41 +46,6 @@ type Options struct {
 // DefaultOptions mirror the paper's setup.
 func DefaultOptions() Options {
 	return Options{MaxLevels: 10, MinNodes: 32, MinShrink: 0.05, Seed: 1}
-}
-
-// HeavyEdgeMatching computes a matching on g with the serial greedy
-// heuristic: nodes are visited in random order and each unmatched node is
-// matched to its unmatched neighbour with the heaviest connecting edge
-// (ties to the smaller id). match[v] is v's partner, or -1 if v is
-// unmatched. Retained as the order-dependent reference; the pipeline uses
-// HeavyEdgeMatchingPar, whose result is visit-order independent.
-func HeavyEdgeMatching(g *graph.Graph, rng *rand.Rand) []int {
-	n := g.NumNodes()
-	match := make([]int, n)
-	for i := range match {
-		match[i] = -1
-	}
-	order := rng.Perm(n)
-	for _, v := range order {
-		if match[v] != -1 {
-			continue
-		}
-		best := -1
-		var bestW int64
-		for _, a := range g.Adj(v) {
-			if match[a.To] != -1 {
-				continue
-			}
-			if a.W > bestW || (a.W == bestW && best != -1 && a.To < best) {
-				best, bestW = a.To, a.W
-			}
-		}
-		if best != -1 {
-			match[v] = best
-			match[best] = v
-		}
-	}
-	return match
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to derive per-node
@@ -124,18 +88,14 @@ func (k edgeKey) greater(o edgeKey) bool {
 	return k.hi < o.hi
 }
 
-// HeavyEdgeMatchingPar computes a maximal heavy-edge matching with the
+// heavyEdgeMatchingPar computes a maximal heavy-edge matching with the
 // sharded round-based algorithm. The result is a pure function of
-// (g, seed): identical at any worker count, including workers == 1
-// (the serial path, which runs the same rounds without goroutines).
-func HeavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int) []int {
-	return heavyEdgeMatchingPar(g, seed, workers, nil)
-}
-
-// heavyEdgeMatchingPar is the gate-aware core: the gate is polled at
-// round boundaries (a round is the natural grain — proposals snapshot the
-// matching, so abandoning mid-round would be wasted, not wrong). A
-// stopped gate returns nil; ctx-taking callers turn that into an error.
+// (g, seed): identical at any worker count, including workers == 1 (the
+// serial path, which runs the same rounds without goroutines). The gate
+// is polled at round boundaries (a round is the natural grain — proposals
+// snapshot the matching, so abandoning mid-round would be wasted, not
+// wrong). A stopped gate returns nil; ctx-taking callers turn that into
+// an error.
 func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gate) []int {
 	n := g.NumNodes()
 	// Matching rounds break even at ~2048 nodes per worker; below that the
@@ -241,23 +201,12 @@ func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gat
 	return out
 }
 
-// Contract merges matched node pairs into single nodes, producing the next
-// coarser graph and the up-map (up[v] = v's node in the coarse graph).
-// Merged node weights are summed; parallel edges are combined by summing;
-// edges internal to a merged pair disappear. Counting, arc emission and
-// the edge merge run on a GOMAXPROCS-sized pool; use ContractPar for an
-// explicit worker count. Identical output at any worker count.
-func Contract(g *graph.Graph, match []int) (*graph.Graph, []int) {
-	return ContractPar(g, match, 0)
-}
-
-// ContractPar is Contract with an explicit worker count (<= 0 means
-// GOMAXPROCS).
-func ContractPar(g *graph.Graph, match []int, workers int) (*graph.Graph, []int) {
-	coarse, up, _ := contractParCtx(nil, g, match, workers)
-	return coarse, up
-}
-
+// contractParCtx merges matched node pairs into single nodes, producing
+// the next coarser graph and the up-map (up[v] = v's node in the coarse
+// graph). Merged node weights are summed; parallel edges are combined by
+// summing; edges internal to a merged pair disappear. Counting, arc
+// emission and the edge merge run on a pool of workers (<= 0 means
+// GOMAXPROCS). Identical output at any worker count.
 func contractParCtx(ctx context.Context, g *graph.Graph, match []int, workers int) (*graph.Graph, []int, error) {
 	n := g.NumNodes()
 	// Coarse ids are assigned in fine-node order: deterministic and
@@ -322,43 +271,4 @@ func MultilevelCtx(ctx context.Context, g0 *graph.Graph, opt Options) (*graph.Se
 		cur = coarse
 	}
 	return set, nil
-}
-
-// Clusters returns, for each node of the coarsest level reachable through
-// the set, the list of level-0 nodes it represents.
-func Clusters(set *graph.Set) [][]int {
-	n0 := set.Levels[0].NumNodes()
-	assign := make([]int, n0)
-	for v := range assign {
-		assign[v] = v
-	}
-	for _, up := range set.Up {
-		for v := range assign {
-			assign[v] = up[assign[v]]
-		}
-	}
-	out := make([][]int, set.Coarsest().NumNodes())
-	for v, c := range assign {
-		out[c] = append(out[c], v)
-	}
-	return out
-}
-
-// ClustersAt returns the level-0 cluster of every node at the given level.
-func ClustersAt(set *graph.Set, level int) [][]int {
-	n0 := set.Levels[0].NumNodes()
-	assign := make([]int, n0)
-	for v := range assign {
-		assign[v] = v
-	}
-	for i := 0; i < level; i++ {
-		for v := range assign {
-			assign[v] = set.Up[i][assign[v]]
-		}
-	}
-	out := make([][]int, set.Levels[level].NumNodes())
-	for v, c := range assign {
-		out[c] = append(out[c], v)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package coarsen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"focus/internal/graph"
@@ -23,6 +24,17 @@ func randomGraph(seed int64, n, m int) *graph.Graph {
 		_ = b.AddEdge(rng.Intn(n), rng.Intn(n), int64(1+rng.Intn(100)))
 	}
 	return b.Build()
+}
+
+// matchPar and contractPar are the production matching and contraction
+// without a cancellation gate.
+func matchPar(g *graph.Graph, seed int64, workers int) []int {
+	return heavyEdgeMatchingPar(g, seed, workers, nil)
+}
+
+func contractPar(g *graph.Graph, match []int, workers int) (*graph.Graph, []int) {
+	coarse, up, _ := contractParCtx(nil, g, match, workers)
+	return coarse, up
 }
 
 func checkMatching(t *testing.T, g *graph.Graph, match []int) {
@@ -49,34 +61,27 @@ func checkMatching(t *testing.T, g *graph.Graph, match []int) {
 func TestHeavyEdgeMatchingValid(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed, 60, 200)
-		match := HeavyEdgeMatching(g, rand.New(rand.NewSource(seed)))
-		checkMatching(t, g, match)
+		for _, w := range []int{1, 4} {
+			checkMatching(t, g, matchPar(g, seed, w))
+		}
 	}
 }
 
 func TestHeavyEdgeMatchingPrefersHeavy(t *testing.T) {
-	// Star: center 0 with edges to 1 (w=1), 2 (w=100), 3 (w=5).
+	// Star: center 0 with edges to 1 (w=1), 2 (w=100), 3 (w=5). The heavy
+	// edge 0-2 is the global maximum under every seed's edge order, so both
+	// endpoints propose it in the first round and it is always claimed.
 	b := graph.NewBuilder(4)
 	_ = b.AddEdge(0, 1, 1)
 	_ = b.AddEdge(0, 2, 100)
 	_ = b.AddEdge(0, 3, 5)
 	g := b.Build()
-	// When the center (0) or the heavy leaf (2) is visited first — about
-	// half of random orders — the heavy edge 0-2 must be chosen. When a
-	// light leaf is visited first it claims the center; 2 must then stay
-	// unmatched (0 is its only neighbour).
-	matched02 := 0
 	for seed := int64(0); seed < 20; seed++ {
-		match := HeavyEdgeMatching(g, rand.New(rand.NewSource(seed)))
+		match := matchPar(g, seed, 1)
 		checkMatching(t, g, match)
-		if match[0] == 2 {
-			matched02++
-		} else if match[2] != -1 {
-			t.Fatalf("seed %d: node 2 matched to %d", seed, match[2])
+		if match[0] != 2 {
+			t.Fatalf("seed %d: center matched to %d, want 2", seed, match[0])
 		}
-	}
-	if matched02 < 5 {
-		t.Errorf("0-2 matched only %d/20 times, expected about half", matched02)
 	}
 }
 
@@ -84,7 +89,7 @@ func TestContractPath(t *testing.T) {
 	g := pathGraph([]int64{10, 1, 10, 1, 10}) // 6 nodes
 	// Force matching 0-1, 2-3, 4-5 (the heavy edges).
 	match := []int{1, 0, 3, 2, 5, 4}
-	coarse, up := Contract(g, match)
+	coarse, up := contractPar(g, match, 0)
 	if coarse.NumNodes() != 3 {
 		t.Fatalf("coarse nodes = %d", coarse.NumNodes())
 	}
@@ -114,7 +119,7 @@ func TestContractSumsParallelEdges(t *testing.T) {
 	_ = b.AddEdge(2, 3, 9)
 	_ = b.AddEdge(3, 0, 4)
 	g := b.Build()
-	coarse, _ := Contract(g, []int{1, 0, 3, 2})
+	coarse, _ := contractPar(g, []int{1, 0, 3, 2}, 0)
 	if coarse.NumNodes() != 2 || coarse.NumEdges() != 1 {
 		t.Fatalf("coarse: %d nodes %d edges", coarse.NumNodes(), coarse.NumEdges())
 	}
@@ -126,9 +131,8 @@ func TestContractSumsParallelEdges(t *testing.T) {
 func TestContractPreservesTotals(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed+100, 80, 300)
-		rng := rand.New(rand.NewSource(seed))
-		match := HeavyEdgeMatching(g, rng)
-		coarse, up := Contract(g, match)
+		match := matchPar(g, seed, 1)
+		coarse, up := contractPar(g, match, 0)
 		if coarse.TotalNodeWeight() != g.TotalNodeWeight() {
 			t.Fatalf("node weight changed: %d -> %d", g.TotalNodeWeight(), coarse.TotalNodeWeight())
 		}
@@ -195,42 +199,61 @@ func TestMultilevelSingleLevelForTinyGraph(t *testing.T) {
 	}
 }
 
+// TestClusters: composing the up-maps of a multilevel set partitions the
+// level-0 nodes at every level, and each cluster's member weights sum to
+// its coarse node's weight (level 0: singletons).
 func TestClusters(t *testing.T) {
 	g := randomGraph(9, 120, 500)
 	set := Multilevel(g, DefaultOptions())
-	clusters := Clusters(set)
-	if len(clusters) != set.Coarsest().NumNodes() {
-		t.Fatalf("%d clusters for %d coarse nodes", len(clusters), set.Coarsest().NumNodes())
+	assign := make([]int, g.NumNodes())
+	for v := range assign {
+		assign[v] = v
 	}
-	seen := make([]bool, g.NumNodes())
-	for c, members := range clusters {
-		if len(members) == 0 {
-			t.Fatalf("cluster %d empty", c)
-		}
-		var w int64
-		for _, v := range members {
-			if seen[v] {
-				t.Fatalf("node %d in two clusters", v)
+	for level, lg := range set.Levels {
+		if level > 0 {
+			for v := range assign {
+				assign[v] = set.Up[level-1][assign[v]]
 			}
-			seen[v] = true
-			w += g.NodeWeight(v)
 		}
-		if w != set.Coarsest().NodeWeight(c) {
-			t.Errorf("cluster %d weight %d != coarse node weight %d", c, w, set.Coarsest().NodeWeight(c))
+		w := make([]int64, lg.NumNodes())
+		for v, c := range assign {
+			w[c] += g.NodeWeight(v)
 		}
-	}
-	for v, s := range seen {
-		if !s {
-			t.Fatalf("node %d in no cluster", v)
+		for c := range w {
+			if w[c] == 0 || w[c] != lg.NodeWeight(c) {
+				t.Fatalf("level %d cluster %d weight %d, coarse node weight %d", level, c, w[c], lg.NodeWeight(c))
+			}
 		}
 	}
 }
 
+// clustersAt returns the level-0 members of every node at the given level
+// of set, in ascending order.
+func clustersAt(set *graph.Set, level int) [][]int {
+	assign := make([]int, set.Levels[0].NumNodes())
+	for v := range assign {
+		assign[v] = v
+	}
+	for i := 0; i < level; i++ {
+		for v := range assign {
+			assign[v] = set.Up[i][assign[v]]
+		}
+	}
+	out := make([][]int, set.Levels[level].NumNodes())
+	for v, c := range assign {
+		out[c] = append(out[c], v)
+	}
+	return out
+}
+
+// TestClustersAt: every level's clusters cover the level-0 nodes once,
+// level 0 is all singletons, and each cluster at level l+1 is exactly the
+// union of the level-l clusters its up-map merges into it (clusters nest).
 func TestClustersAt(t *testing.T) {
 	g := randomGraph(10, 100, 400)
 	set := Multilevel(g, DefaultOptions())
 	for level := 0; level < len(set.Levels); level++ {
-		clusters := ClustersAt(set, level)
+		clusters := clustersAt(set, level)
 		if len(clusters) != set.Levels[level].NumNodes() {
 			t.Fatalf("level %d: %d clusters", level, len(clusters))
 		}
@@ -242,10 +265,27 @@ func TestClustersAt(t *testing.T) {
 			t.Fatalf("level %d: clusters cover %d nodes", level, total)
 		}
 	}
-	// Level 0 clusters are singletons.
-	for v, m := range ClustersAt(set, 0) {
+	for v, m := range clustersAt(set, 0) {
 		if len(m) != 1 || m[0] != v {
 			t.Fatalf("level-0 cluster %d = %v", v, m)
+		}
+	}
+	for level := 0; level+1 < len(set.Levels); level++ {
+		fine, coarse := clustersAt(set, level), clustersAt(set, level+1)
+		size := make([]int, len(coarse))
+		for c, members := range fine {
+			up := set.Up[level][c]
+			size[up] += len(members)
+			for _, v := range members {
+				if !slices.Contains(coarse[up], v) {
+					t.Fatalf("level %d: node %d in cluster %d but not in its parent %d", level, v, c, up)
+				}
+			}
+		}
+		for c := range coarse {
+			if size[c] != len(coarse[c]) {
+				t.Fatalf("level %d: cluster %d has %d members, its children %d", level+1, c, len(coarse[c]), size[c])
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestHeavyEdgeMatchingParValidAndMaximal(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomGraph(seed, 150, 600)
-		match := HeavyEdgeMatchingPar(g, seed, 1)
+		match := matchPar(g, seed, 1)
 		checkMatching(t, g, match)
 		for v := 0; v < g.NumNodes(); v++ {
 			if match[v] != -1 {
@@ -31,9 +31,9 @@ func TestHeavyEdgeMatchingParValidAndMaximal(t *testing.T) {
 func TestHeavyEdgeMatchingParWorkerEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomGraph(100+seed, 200, 900)
-		ref := HeavyEdgeMatchingPar(g, seed, 1)
+		ref := matchPar(g, seed, 1)
 		for _, w := range []int{2, 8} {
-			got := HeavyEdgeMatchingPar(g, seed, w)
+			got := matchPar(g, seed, w)
 			for v := range ref {
 				if got[v] != ref[v] {
 					t.Fatalf("seed %d workers %d: match[%d] = %d, serial %d", seed, w, v, got[v], ref[v])
@@ -48,10 +48,10 @@ func TestHeavyEdgeMatchingParWorkerEquivalence(t *testing.T) {
 func TestContractParWorkerEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		g := randomGraph(200+seed, 200, 900)
-		match := HeavyEdgeMatchingPar(g, seed, 1)
-		refG, refUp := ContractPar(g, match, 1)
+		match := matchPar(g, seed, 1)
+		refG, refUp := contractPar(g, match, 1)
 		for _, w := range []int{2, 8} {
-			gotG, gotUp := ContractPar(g, match, w)
+			gotG, gotUp := contractPar(g, match, w)
 			if !gotG.Equal(refG) {
 				t.Fatalf("seed %d workers %d: contracted graph diverged", seed, w)
 			}
@@ -105,30 +105,30 @@ func BenchmarkHeavyEdgeMatching(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = HeavyEdgeMatchingPar(g, 1, 1)
+			_ = matchPar(g, 1, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = HeavyEdgeMatchingPar(g, 1, 0)
+			_ = matchPar(g, 1, 0)
 		}
 	})
 }
 
 func BenchmarkContract(b *testing.B) {
 	g := benchGraph(b)
-	match := HeavyEdgeMatchingPar(g, 1, 0)
+	match := matchPar(g, 1, 0)
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = ContractPar(g, match, 1)
+			_, _ = contractPar(g, match, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = ContractPar(g, match, 0)
+			_, _ = contractPar(g, match, 0)
 		}
 	})
 }

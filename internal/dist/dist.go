@@ -160,8 +160,8 @@ type Pool struct {
 
 	// Reconnect-hook registry (root-held, guarded by hookMu): every
 	// registered hook runs when a severed worker is reinstated. slotHook
-	// is the per-handle single-slot SetReconnectHook compatibility wrapper
-	// over the registry, so each view carries one independent slot.
+	// is this handle's SetReconnectHook entry in the registry, so each view
+	// carries one independent slot.
 	hookMu   sync.Mutex
 	hooks    map[int]func(worker int)
 	nextHook int
@@ -363,8 +363,8 @@ func (p *Pool) HealthyIDs() []int {
 // goroutine and a slow hook delays the worker's return to service.
 //
 // The slot is per handle: each View carries its own, so concurrent
-// drivers on views of one fleet do not clobber each other. AddReconnectHook
-// is the multi-listener registry underneath.
+// drivers on views of one fleet do not clobber each other; the root holds
+// the registry of every view's hook.
 func (p *Pool) SetReconnectHook(fn func(worker int)) {
 	s := p.shared()
 	s.hookMu.Lock()
@@ -377,24 +377,6 @@ func (p *Pool) SetReconnectHook(fn func(worker int)) {
 		p.slotHook = s.addHookLocked(fn)
 		p.slotSet = true
 	}
-}
-
-// AddReconnectHook registers fn alongside any other reconnect hooks and
-// returns a registration id for RemoveReconnectHook. Hooks run
-// sequentially on the reconnect goroutine and must not block.
-func (p *Pool) AddReconnectHook(fn func(worker int)) int {
-	s := p.shared()
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	return s.addHookLocked(fn)
-}
-
-// RemoveReconnectHook deregisters a hook by its AddReconnectHook id.
-func (p *Pool) RemoveReconnectHook(id int) {
-	s := p.shared()
-	s.hookMu.Lock()
-	delete(s.hooks, id)
-	s.hookMu.Unlock()
 }
 
 func (p *Pool) addHookLocked(fn func(worker int)) int {

@@ -94,9 +94,9 @@ func TestParallelCallsRoundRobin(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, err := p.ParallelCalls(tasks, "Echo", func(tk int) interface{} {
+	times, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies)
+	}, replies, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, err = p.ParallelCalls(3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	_, err = p.ParallelCallsRetryCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies, 0)
 	if err == nil {
 		t.Error("expected error from unknown method")
 	}

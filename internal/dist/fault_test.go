@@ -101,7 +101,9 @@ func TestWorkerReconnectsAfterOutage(t *testing.T) {
 // TestParallelCallsReschedulesAroundHungWorker is the dist-level
 // rescheduling proof: with one of two workers wedged, every task still
 // completes (through the survivor) and the result is correct. The old
-// static t%Size assignment hung half the tasks forever here.
+// static t%Size assignment hung half the tasks forever here. The wire
+// handshake sits in the fault window: FirstSafe lets the ack through, then
+// every response write on worker 0 wedges.
 func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
@@ -122,9 +124,9 @@ func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, err := p.ParallelCalls(tasks, "Echo", func(tk int) interface{} {
+	times, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies)
+	}, replies, 0)
 	if err != nil {
 		t.Fatalf("parallel calls with one hung worker: %v", err)
 	}
@@ -154,7 +156,7 @@ func TestApplicationErrorsDoNotEvict(t *testing.T) {
 	// Even with a generous retry budget every attempt fails at the
 	// application level; the error propagates and no worker is evicted —
 	// a worker that answers, even with an error, is alive.
-	_, err = p.ParallelCallsRetry(4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies, 5)
+	_, err = p.ParallelCallsRetryCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies, 5)
 	if err == nil {
 		t.Fatal("application failure not propagated")
 	}
@@ -188,12 +190,15 @@ func TestParallelCallsPinnedAssignment(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	if _, err := p.ParallelCallsPinned(tasks, "Who", func(tk int) interface{} { return &EchoArgs{} }, replies); err != nil {
-		t.Fatal(err)
+	_, errs := p.ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 3 }, "Who", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range replies {
 		if got := replies[i].(*EchoReply).X; got != i%3 {
-			t.Errorf("task %d served by worker %d, want %d (pinned t%%Size)", i, got, i%3)
+			t.Errorf("task %d served by worker %d, want %d (placed t%%3)", i, got, i%3)
 		}
 	}
 }

@@ -8,15 +8,15 @@ import (
 	"time"
 )
 
-// This file is the pool's task scheduler. ParallelCalls used to assign
-// task t to worker t % Size() statically, which re-hits dead workers and
-// lets one straggler stall the phase. It now drains a shared queue with
-// one runner goroutine per schedulable worker: tasks naturally reroute
-// around evicted or slow workers while preserving the one-in-flight-per-
-// worker invariant (a pool of w workers processes at most w tasks
-// concurrently — what makes runtime fall as the pool grows, Fig. 6).
-// ParallelCallsPinned keeps the static assignment for protocols that pin
-// state to a worker index (the stateful delta protocol of assembly).
+// This file is the pool's task scheduler. ParallelCallsRetryCtx drains a
+// shared queue with one runner goroutine per schedulable worker: tasks
+// naturally reroute around evicted or slow workers (a static t % Size()
+// assignment would re-hit dead workers and let one straggler stall the
+// phase) while preserving the one-in-flight-per-worker invariant (a pool
+// of w workers processes at most w tasks concurrently — what makes runtime
+// fall as the pool grows, Fig. 6). ParallelCallsPlacedCtx runs each task
+// on the worker an explicit placement table names, for protocols that pin
+// state to a worker (the stateful delta protocol of assembly).
 
 type callOptions struct {
 	// retries is the number of additional workers a task is retried on
@@ -27,72 +27,36 @@ type callOptions struct {
 	retries int
 }
 
-// ParallelCalls runs one call per task concurrently over the schedulable
-// workers. mkArgs and replies are indexed by task. It returns the per-task
-// durations (argument construction excluded), which the harness projects
-// onto larger worker counts; the first error (in task order) is returned
-// after all calls finish. When no schedulable worker exists the error
-// wraps ErrNoWorkers.
-func (p *Pool) ParallelCalls(tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, error) {
-	return p.parallelCalls(nil, tasks, method, mkArgs, replies, callOptions{})
-}
-
-// ParallelCallsCtx is ParallelCalls bounded by ctx. Cancellation severs
-// every in-flight call (like a per-call timeout) and drains the queue:
-// not-yet-started tasks fail fast without touching the network, and the
-// whole invocation returns promptly with an error wrapping the context's
-// cause. A nil ctx behaves exactly like ParallelCalls.
-func (p *Pool) ParallelCallsCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, error) {
-	return p.parallelCalls(ctx, tasks, method, mkArgs, replies, callOptions{})
-}
-
-// ParallelCallsRetry is ParallelCalls with failover: a task failed by the
-// service is retried on up to `retries` other workers before the error
-// counts. Stateless services (all of assembly's stateless phases) make
-// this safe.
-func (p *Pool) ParallelCallsRetry(tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, retries int) ([]time.Duration, error) {
-	return p.parallelCalls(nil, tasks, method, mkArgs, replies, callOptions{retries: retries})
-}
-
-// ParallelCallsRetryCtx is ParallelCallsRetry bounded by ctx (see
-// ParallelCallsCtx for the cancellation semantics).
+// ParallelCallsRetryCtx runs one call per task concurrently over the
+// schedulable workers. mkArgs and replies are indexed by task. It returns
+// the per-task durations (argument construction excluded), which the
+// harness projects onto larger worker counts; the first error (in task
+// order) is returned after all calls finish. When no schedulable worker
+// exists the error wraps ErrNoWorkers.
+//
+// A task failed by the service is retried on up to `retries` other
+// workers before the error counts. Stateless services (all of assembly's
+// stateless phases) make this safe.
+//
+// Cancellation of ctx severs every in-flight call (like a per-call
+// timeout) and drains the queue: not-yet-started tasks fail fast without
+// touching the network, and the whole invocation returns promptly with an
+// error wrapping the context's cause. A nil ctx never cancels.
 func (p *Pool) ParallelCallsRetryCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, retries int) ([]time.Duration, error) {
 	return p.parallelCalls(ctx, tasks, method, mkArgs, replies, callOptions{retries: retries})
 }
 
-// ParallelCallsPinned runs task t on worker t % Size(), the static
-// round-robin assignment, with per-call deadlines but no rescheduling.
-// Protocols that pin per-worker state to the task index need this:
-// rerouting a task would address state the target worker does not hold.
-// (The stateful assembly driver now uses ParallelCallsPlaced with an
-// explicit placement table so it can re-host partitions; this remains for
-// protocols whose placement really is the static modulo map.)
-func (p *Pool) ParallelCallsPinned(tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, error) {
-	times, errs := p.ParallelCallsPlaced(tasks, func(t int) int { return t % len(p.workers) }, method, mkArgs, replies)
-	for _, err := range errs {
-		if err != nil {
-			return times, err
-		}
-	}
-	return times, nil
-}
-
-// ParallelCallsPlaced runs task t on worker place(t) — an explicit
+// ParallelCallsPlacedCtx runs task t on worker place(t) — an explicit
 // placement table — with per-call deadlines, one in-flight call per
 // worker, and NO rescheduling: stateful protocols address state resident
 // on a specific worker, so only the caller (who owns the placement table)
-// can decide where a failed task may legally run next. Unlike the other
-// ParallelCalls variants it returns the error of every task, letting the
+// can decide where a failed task may legally run next. Unlike
+// ParallelCallsRetryCtx it returns the error of every task, letting the
 // caller re-host exactly the partitions that failed instead of abandoning
-// the phase on the first error.
-func (p *Pool) ParallelCallsPlaced(tasks int, place func(t int) int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, []error) {
-	return p.ParallelCallsPlacedCtx(nil, tasks, place, method, mkArgs, replies)
-}
-
-// ParallelCallsPlacedCtx is ParallelCallsPlaced bounded by ctx: canceled
-// tasks fail with an error wrapping the context's cause (a transport-class
-// error, but the caller checks its own ctx before classifying failures, so
-// a canceled run is never misdiagnosed as a lost worker).
+// the phase on the first error. Canceled tasks fail with an error wrapping
+// the context's cause (a transport-class error, but the caller checks its
+// own ctx before classifying failures, so a canceled run is never
+// misdiagnosed as a lost worker).
 func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func(t int) int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, []error) {
 	var wg sync.WaitGroup
 	errs := make([]error, tasks)

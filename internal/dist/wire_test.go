@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -577,8 +578,11 @@ func TestWireFrameOversizedHeader(t *testing.T) {
 }
 
 // TestWireChaosHungWorkerReschedules re-runs the rescheduling proof with
-// the handshake in the fault window: FirstSafe lets the ack through, then
-// every response write on worker 0 wedges.
+// the handshake in the fault window (FirstSafe lets the ack through, then
+// every response write on worker 0 wedges), this time under a live,
+// deadline-bearing context and a retry budget: a hung worker's call
+// timeout must still reschedule its task on the healthy worker, and must
+// not be mistaken for the caller's own cancellation.
 func TestWireChaosHungWorkerReschedules(t *testing.T) {
 	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
@@ -593,15 +597,20 @@ func TestWireChaosHungWorkerReschedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	const tasks = 6
 	replies := make([]interface{}, tasks)
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	if _, err := p.ParallelCalls(tasks, "Echo", func(tk int) interface{} {
+	if _, err := p.ParallelCallsRetryCtx(ctx, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies); err != nil {
+	}, replies, 1); err != nil {
 		t.Fatalf("parallel calls with one hung worker: %v", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("context expired before the calls finished: %v", ctx.Err())
 	}
 	for i := range replies {
 		if r := replies[i].(*EchoReply); r.X != 2*i {

@@ -144,15 +144,3 @@ func ForEachKmer(seq []byte, k int, fn func(km Kmer, offset int)) {
 		}
 	}
 }
-
-// CountKmers returns the number of k-mers (N-free windows) in seq.
-func CountKmers(seq []byte, k int) int {
-	it := NewKmerIter(seq, k)
-	n := 0
-	for {
-		if _, _, ok := it.Next(); !ok {
-			return n
-		}
-		n++
-	}
-}

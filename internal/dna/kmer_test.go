@@ -132,15 +132,17 @@ func TestKmerIterSkipsN(t *testing.T) {
 	}
 }
 
+// TestCountKmers: ForEachKmer visits exactly the N-free windows.
 func TestCountKmers(t *testing.T) {
-	if n := CountKmers([]byte("ACGTACGT"), 4); n != 5 {
-		t.Errorf("CountKmers = %d, want 5", n)
-	}
-	if n := CountKmers([]byte("ACNTA"), 2); n != 2 {
-		t.Errorf("CountKmers with N = %d, want 2", n)
-	}
-	if n := CountKmers([]byte("AC"), 4); n != 0 {
-		t.Errorf("CountKmers short = %d, want 0", n)
+	for _, c := range []struct {
+		seq     string
+		k, want int
+	}{{"ACGTACGT", 4, 5}, {"ACNTA", 2, 2}, {"AC", 4, 0}} {
+		n := 0
+		ForEachKmer([]byte(c.seq), c.k, func(Kmer, int) { n++ })
+		if n != c.want {
+			t.Errorf("%q k=%d: %d windows, want %d", c.seq, c.k, n, c.want)
+		}
 	}
 }
 

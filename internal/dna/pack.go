@@ -28,12 +28,6 @@ import (
 // only compact for mostly-ACGT content, which read and contig payloads
 // are.
 
-// PackedSize returns an upper bound on the packed size of an all-ACGT
-// sequence of n bases (escapes add to it).
-func PackedSize(n int) int {
-	return binary.MaxVarintLen64 + 1 + (n+3)/4
-}
-
 // packEsc folds escape detection into the payload lookup: bits 0-1 carry
 // the 2-bit code (0 for escaped bytes, per the layout), bit 8 flags an
 // escape. Shifting four entries into a uint16 keeps the flags in the high

@@ -2,6 +2,7 @@ package dna
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -79,8 +80,9 @@ func TestPackAppend(t *testing.T) {
 func TestPackSize(t *testing.T) {
 	seq := bytes.Repeat([]byte("ACGT"), 100)
 	packed := Pack(nil, seq)
-	if len(packed) > PackedSize(len(seq)) {
-		t.Fatalf("packed %d bases into %d bytes, bound %d", len(seq), len(packed), PackedSize(len(seq)))
+	// Header (two uvarints, no escapes) plus 2 bits per base.
+	if bound := binary.MaxVarintLen64 + 1 + (len(seq)+3)/4; len(packed) > bound {
+		t.Fatalf("packed %d bases into %d bytes, bound %d", len(seq), len(packed), bound)
 	}
 	// ~4x smaller than raw for clean sequence data.
 	if len(packed) >= len(seq)/3 {

@@ -290,18 +290,13 @@ func dedupeArcs(a []Arc) int {
 	return k + 1
 }
 
-// Contract builds the contraction of g by the node mapping group
+// ContractCtx builds the contraction of g by the node mapping group
 // (group[v] in [0,numGroups)): node weights sum within groups, edges
 // between groups merge by weight summation, intra-group edges vanish.
 // The result is identical at any worker count (<= 0 means GOMAXPROCS).
-func Contract(g *Graph, group []int, numGroups, workers int) *Graph {
-	c, _ := ContractCtx(nil, g, group, numGroups, workers)
-	return c
-}
-
-// ContractCtx is Contract bounded by ctx: a cancel abandons the
-// contraction at the next node-chunk boundary and returns the context's
-// cause (the partial result is discarded). A nil ctx never cancels.
+// A cancel of ctx abandons the contraction at the next node-chunk
+// boundary and returns the context's cause (the partial result is
+// discarded). A nil ctx never cancels.
 func ContractCtx(ctx context.Context, g *Graph, group []int, numGroups, workers int) (*Graph, error) {
 	gate := par.GateFor(ctx)
 	n := g.NumNodes()
@@ -332,8 +327,9 @@ func ContractCtx(ctx context.Context, g *Graph, group []int, numGroups, workers 
 	return contractWithWeights(g, group, nw, workers, gate)
 }
 
-// ContractWithWeights is Contract with the coarse node weights supplied by
-// the caller (len(nw) = numGroups) instead of summed from the fine graph.
+// ContractWithWeightsCtx is ContractCtx with the coarse node weights
+// supplied by the caller (len(nw) = numGroups) instead of summed from the
+// fine graph.
 //
 // Rather than emitting edge triples and re-running the full sort-based
 // build, contraction accumulates each coarse node's adjacency directly:
@@ -344,13 +340,6 @@ func ContractCtx(ctx context.Context, g *Graph, group []int, numGroups, workers 
 // sorted. Workers own contiguous coarse-id ranges, so concatenating their
 // output in worker order yields the final CSR arena; the result is
 // identical at any worker count.
-func ContractWithWeights(g *Graph, group []int, nw []int64, workers int) *Graph {
-	c, _ := contractWithWeights(g, group, nw, workers, nil)
-	return c
-}
-
-// ContractWithWeightsCtx is ContractWithWeights bounded by ctx (see
-// ContractCtx).
 func ContractWithWeightsCtx(ctx context.Context, g *Graph, group []int, nw []int64, workers int) (*Graph, error) {
 	return contractWithWeights(g, group, nw, workers, par.GateFor(ctx))
 }

@@ -126,9 +126,6 @@ func NewBuilder(n int) *Builder {
 	return b
 }
 
-// SetNodeWeight overrides the weight of node v.
-func (b *Builder) SetNodeWeight(v int, w int64) { b.nodeWeight[v] = w }
-
 // AddEdge records an undirected edge {u,v} with weight w. Multiple
 // additions of the same pair accumulate. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int, w int64) error {
@@ -139,18 +136,6 @@ func (b *Builder) AddEdge(u, v int, w int64) error {
 		return nil
 	}
 	b.edges = append(b.edges, Edge{U: int32(u), V: int32(v), W: w})
-	return nil
-}
-
-// AddEdges bulk-appends edges (self-loops are skipped, weights of repeated
-// pairs accumulate at Build).
-func (b *Builder) AddEdges(edges []Edge) error {
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= b.n || e.V < 0 || int(e.V) >= b.n {
-			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, b.n)
-		}
-	}
-	b.edges = append(b.edges, edges...)
 	return nil
 }
 
@@ -170,25 +155,6 @@ func (b *Builder) BuildPar(workers int) *Graph {
 func (b *Builder) BuildParCtx(ctx context.Context, workers int) (*Graph, error) {
 	gate := par.GateFor(ctx)
 	g := buildCSR(b.n, b.nodeWeight, [][]Edge{b.edges}, workers, gate)
-	if g == nil {
-		return nil, gate.Err()
-	}
-	return g, nil
-}
-
-// FromEdges builds a graph directly from pre-validated edge shards: every
-// edge's endpoints must lie in [0,n) (self-loops are dropped). nodeWeight
-// is adopted, not copied, and must have n entries. The shards may come
-// from concurrent emitters; the result depends only on the multiset of
-// edges, not on sharding or worker count.
-func FromEdges(n int, nodeWeight []int64, shards [][]Edge, workers int) *Graph {
-	return buildCSR(n, nodeWeight, shards, workers, nil)
-}
-
-// FromEdgesCtx is FromEdges bounded by ctx (see BuildParCtx).
-func FromEdgesCtx(ctx context.Context, n int, nodeWeight []int64, shards [][]Edge, workers int) (*Graph, error) {
-	gate := par.GateFor(ctx)
-	g := buildCSR(n, nodeWeight, shards, workers, gate)
 	if g == nil {
 		return nil, gate.Err()
 	}
@@ -228,35 +194,3 @@ func (s *Set) Validate() error {
 
 // Coarsest returns the most reduced graph in the set.
 func (s *Set) Coarsest() *Graph { return s.Levels[len(s.Levels)-1] }
-
-// ProjectToFinest maps an assignment on the coarsest level down to level 0:
-// each node inherits the value of its ancestor. A flip-flop buffer pair is
-// reused across levels, so the projection allocates at most two slices
-// regardless of depth.
-func (s *Set) ProjectToFinest(coarsest []int) []int {
-	if len(s.Up) == 0 {
-		return coarsest
-	}
-	maxN := 0
-	for _, up := range s.Up {
-		if len(up) > maxN {
-			maxN = len(up)
-		}
-	}
-	bufA := make([]int, maxN)
-	var bufB []int
-	if len(s.Up) > 1 {
-		bufB = make([]int, maxN)
-	}
-	cur := coarsest
-	for i := len(s.Up) - 1; i >= 0; i-- {
-		up := s.Up[i]
-		next := bufA[:len(up)]
-		bufA, bufB = bufB, bufA // cur's storage becomes the next spare
-		for v, p := range up {
-			next[v] = cur[p]
-		}
-		cur = next
-	}
-	return cur
-}

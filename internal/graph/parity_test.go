@@ -13,7 +13,7 @@ import (
 func randomBuilder(n, edges int, rng *rand.Rand) *Builder {
 	b := NewBuilder(n)
 	for v := 0; v < n; v++ {
-		b.SetNodeWeight(v, int64(1+rng.Intn(5)))
+		b.nodeWeight[v] = int64(1 + rng.Intn(5))
 	}
 	for i := 0; i < edges; i++ {
 		_ = b.AddEdge(rng.Intn(n), rng.Intn(n), int64(1+rng.Intn(100)))
@@ -84,8 +84,10 @@ func TestFromSortedEdgesMatchesBuilder(t *testing.T) {
 		n := 2 + rng.Intn(300)
 		es := sortedEdges(n, rng.Intn(10*n), rng)
 		b := NewBuilder(n)
-		if err := b.AddEdges(es); err != nil {
-			t.Fatal(err)
+		for _, e := range es {
+			if err := b.AddEdge(int(e.U), int(e.V), e.W); err != nil {
+				t.Fatal(err)
+			}
 		}
 		got, ordered := fromSorted(n, es)
 		if !ordered || !got.Equal(b.BuildPar(1)) {
@@ -126,9 +128,9 @@ func TestContractWorkerEquivalence(t *testing.T) {
 		for v := range group {
 			group[v] = rng.Intn(numGroups)
 		}
-		ref := Contract(g, group, numGroups, 1)
+		ref, _ := ContractCtx(nil, g, group, numGroups, 1)
 		for _, w := range []int{2, 8} {
-			if got := Contract(g, group, numGroups, w); !got.Equal(ref) {
+			if got, _ := ContractCtx(nil, g, group, numGroups, w); !got.Equal(ref) {
 				t.Fatalf("seed %d: Contract with %d workers diverged", seed, w)
 			}
 		}
@@ -144,7 +146,7 @@ func TestContractTotals(t *testing.T) {
 	for v := range group {
 		group[v] = v / 3
 	}
-	c := Contract(g, group, 40, 0)
+	c, _ := ContractCtx(nil, g, group, 40, 0)
 	if c.TotalNodeWeight() != g.TotalNodeWeight() {
 		t.Fatalf("node weight %d -> %d", g.TotalNodeWeight(), c.TotalNodeWeight())
 	}

@@ -1,4 +1,4 @@
-// Package metrics provides the timing, table and heat-map rendering
+// Package metrics provides the speedup, table and heat-map rendering
 // helpers the benchmark harness uses to print the paper's tables and
 // figures as text.
 package metrics
@@ -9,17 +9,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Timer measures wall-clock durations of named stages.
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer begins timing.
-func StartTimer() *Timer { return &Timer{start: time.Now()} }
-
-// Elapsed returns the time since the timer started.
-func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }
 
 // Speedup converts a series of durations into speedups relative to the
 // first entry: out[i] = times[0] / times[i].

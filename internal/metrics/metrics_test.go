@@ -20,13 +20,6 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	tm := StartTimer()
-	if tm.Elapsed() < 0 {
-		t.Error("negative elapsed")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := &Table{Title: "T", Headers: []string{"a", "bb"}}
 	tbl.AddRow("x", 1)

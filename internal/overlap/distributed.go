@@ -70,16 +70,10 @@ func AlignPair(args *AlignPairArgs) ([]Record, error) {
 	return alignQueries(readSet{args.QueryIDs, args.QuerySeqs}, readSet{args.RefIDs, args.RefSeqs}, ix, args.Cfg, sc), nil
 }
 
-// FindOverlapsDistributed is FindOverlaps with the subset-pair jobs
+// FindOverlapsDistributedCtx is FindOverlaps with the subset-pair jobs
 // round-robined over the worker pool. It produces exactly the records of
-// the local version for the same subset count.
-func FindOverlapsDistributed(pool *dist.Pool, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
-	return FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
-}
-
-// FindOverlapsDistributedCtx is FindOverlapsDistributed bounded by ctx:
-// a cancel severs the in-flight RPCs and returns the context's cause. A
-// nil ctx never cancels.
+// the local version for the same subset count. A cancel of ctx severs the
+// in-flight RPCs and returns the context's cause; a nil ctx never cancels.
 func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err

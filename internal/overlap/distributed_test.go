@@ -36,7 +36,7 @@ func TestFindOverlapsDistributedMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := FindOverlapsDistributed(pool, reads, subsets, cfg)
+		remote, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
 		pool.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -60,10 +60,10 @@ func TestFindOverlapsDistributedValidation(t *testing.T) {
 	defer pool.Close()
 	cfg := testConfig()
 	cfg.K = 0
-	if _, err := FindOverlapsDistributed(pool, nil, 2, cfg); err == nil {
+	if _, err := FindOverlapsDistributedCtx(nil, pool, nil, 2, cfg); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := FindOverlapsDistributed(pool, nil, 0, testConfig()); err == nil {
+	if _, err := FindOverlapsDistributedCtx(nil, pool, nil, 0, testConfig()); err == nil {
 		t.Error("0 subsets accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	remote, err := FindOverlapsDistributed(pool, reads, 2, cfg)
+	remote, err := FindOverlapsDistributedCtx(nil, pool, reads, 2, cfg)
 	if err != nil {
 		t.Fatalf("distributed mode did not fall back: %v", err)
 	}

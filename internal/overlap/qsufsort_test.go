@@ -1,47 +1,41 @@
-// Package suffixarray implements suffix-array construction with the
-// Larsson–Sadakane "qsufsort" prefix-doubling algorithm (Larsson &
-// Sadakane, Faster Suffix Sorting, TCS 387(3), 2007 — the paper's
-// reference [14]) plus substring lookup by binary search — the structure
-// the paper indexes reference read subsets with for k-mer seeded overlap
-// detection (§II.B).
-//
-// Production does not import this package: the overlap stage seeds from
-// the packed k-mer table, and this suffix array is that table's test
-// oracle (internal/overlap/saindex_test.go). scripts/race.sh checks that
-// no binary depends on it.
-package suffixarray
+package overlap
+
+// This file is a suffix array built with the Larsson–Sadakane "qsufsort"
+// prefix-doubling algorithm (Larsson & Sadakane, Faster Suffix Sorting,
+// TCS 387(3), 2007 — the paper's reference [14]) plus substring lookup by
+// binary search: the structure the paper indexes reference read subsets
+// with for k-mer seeded overlap detection (§II.B). Production seeds from
+// the packed k-mer table; this suffix array is that table's oracle
+// (saindex_test.go), so it lives only in the package's tests.
 
 import (
 	"bytes"
 	"sort"
 )
 
-// Array is a suffix array over a byte string.
-type Array struct {
+// suffixArray is a suffix array over a byte string.
+type suffixArray struct {
 	data []byte
 	sa   []int
 }
 
-// New builds the suffix array of data in O(n log n) expected time with the
-// Larsson–Sadakane prefix-doubling algorithm. The data slice is retained
-// (not copied); callers must not mutate it afterwards.
-func New(data []byte) *Array {
-	return &Array{data: data, sa: qsufsort(data)}
+// newSuffixArray builds the suffix array of data in O(n log n) expected
+// time with the Larsson–Sadakane prefix-doubling algorithm. The data slice
+// is retained (not copied); callers must not mutate it afterwards.
+func newSuffixArray(data []byte) *suffixArray {
+	return &suffixArray{data: data, sa: qsufsort(data)}
 }
 
-// Data returns the indexed text (shared, do not mutate).
-func (a *Array) Data() []byte { return a.data }
-
 // Len returns the number of suffixes (= len(data)).
-func (a *Array) Len() int { return len(a.sa) }
+func (a *suffixArray) Len() int { return len(a.sa) }
 
 // At returns the i-th smallest suffix's start position.
-func (a *Array) At(i int) int { return a.sa[i] }
+func (a *suffixArray) At(i int) int { return a.sa[i] }
 
 // Lookup returns the start positions of every occurrence of pattern, in
 // arbitrary order (suffix-array order). It returns nil when pattern is
 // empty or absent. If max >= 0, at most max positions are returned.
-func (a *Array) Lookup(pattern []byte, max int) []int {
+func (a *suffixArray) Lookup(pattern []byte, max int) []int {
 	if len(pattern) == 0 || max == 0 {
 		return nil
 	}
@@ -73,7 +67,7 @@ func (a *Array) Lookup(pattern []byte, max int) []int {
 	return out
 }
 
-func (a *Array) suffix(i int) []byte { return a.data[a.sa[i]:] }
+func (a *suffixArray) suffix(i int) []byte { return a.data[a.sa[i]:] }
 
 // qsufsort is the Larsson–Sadakane suffix sorting algorithm: suffixes are
 // first bucket-sorted by their leading byte, then repeatedly sorted within

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"focus/internal/dna"
-	"focus/internal/suffixarray"
 )
 
 // saIndex is the original suffix-array seed index (the paper's structure,
@@ -14,7 +13,7 @@ import (
 // batch, identical records through the production query loop. One
 // goroutine at a time (pat/ents are probe buffers).
 type saIndex struct {
-	sa *suffixarray.Array
+	sa *suffixArray
 	k  int
 	// starts[i] is the offset of read i (subset-local) in the text.
 	starts []int
@@ -34,7 +33,7 @@ func buildSAIndex(seqs [][]byte, k int) *saIndex {
 		text = append(text, s...)
 		text = append(text, '#')
 	}
-	ix.sa = suffixarray.New(text)
+	ix.sa = newSuffixArray(text)
 	return ix
 }
 

@@ -1,4 +1,4 @@
-package suffixarray
+package overlap
 
 import (
 	"bytes"
@@ -51,7 +51,7 @@ func TestQsufsortSmallCases(t *testing.T) {
 	}
 	for _, s := range cases {
 		data := []byte(s)
-		checkEqual(t, data, New(data).sa, bruteSA(data))
+		checkEqual(t, data, newSuffixArray(data).sa, bruteSA(data))
 	}
 }
 
@@ -64,7 +64,7 @@ func TestQsufsortRandomDNA(t *testing.T) {
 		for i := range data {
 			data[i] = alpha[rng.Intn(4)]
 		}
-		checkEqual(t, data, New(data).sa, bruteSA(data))
+		checkEqual(t, data, newSuffixArray(data).sa, bruteSA(data))
 	}
 }
 
@@ -77,13 +77,13 @@ func TestQsufsortRandomBinary(t *testing.T) {
 		for i := range data {
 			data[i] = byte('a' + rng.Intn(2))
 		}
-		checkEqual(t, data, New(data).sa, bruteSA(data))
+		checkEqual(t, data, newSuffixArray(data).sa, bruteSA(data))
 	}
 }
 
 func TestQsufsortQuick(t *testing.T) {
 	f := func(data []byte) bool {
-		got := New(append([]byte(nil), data...)).sa
+		got := newSuffixArray(append([]byte(nil), data...)).sa
 		want := bruteSA(data)
 		if len(got) != len(want) {
 			return false
@@ -106,7 +106,7 @@ func TestSuffixArrayIsPermutation(t *testing.T) {
 	for i := range data {
 		data[i] = byte("ACGT"[rng.Intn(4)])
 	}
-	a := New(data)
+	a := newSuffixArray(data)
 	seen := make([]bool, len(data))
 	for i := 0; i < a.Len(); i++ {
 		p := a.At(i)
@@ -119,7 +119,7 @@ func TestSuffixArrayIsPermutation(t *testing.T) {
 
 func TestLookup(t *testing.T) {
 	data := []byte("GATTACAGATTACA")
-	a := New(data)
+	a := newSuffixArray(data)
 	cases := []struct {
 		pattern string
 		want    []int
@@ -149,7 +149,7 @@ func TestLookup(t *testing.T) {
 
 func TestLookupMax(t *testing.T) {
 	data := bytes.Repeat([]byte("A"), 50)
-	a := New(data)
+	a := newSuffixArray(data)
 	if got := a.Lookup([]byte("AA"), 5); len(got) != 5 {
 		t.Errorf("max=5 returned %d hits", len(got))
 	}
@@ -171,7 +171,7 @@ func TestLookupMaxMatchesUncapped(t *testing.T) {
 	for i := range data {
 		data[i] = byte("ACGT"[rng.Intn(4)]) // small alphabet: many repeats
 	}
-	a := New(data)
+	a := newSuffixArray(data)
 	for trial := 0; trial < 300; trial++ {
 		plen := 1 + rng.Intn(6)
 		at := rng.Intn(len(data) - plen)
@@ -199,7 +199,7 @@ func TestLookupMaxMatchesUncapped(t *testing.T) {
 // high-frequency pattern no longer scan the full occurrence range.
 func BenchmarkLookupCapped(b *testing.B) {
 	data := bytes.Repeat([]byte("ACGT"), 25_000)
-	a := New(data)
+	a := newSuffixArray(data)
 	pattern := []byte("ACGTACGT")
 	for _, max := range []int{-1, 65} {
 		name := "uncapped"
@@ -223,7 +223,7 @@ func TestLookupMatchesNaiveScan(t *testing.T) {
 	for i := range data {
 		data[i] = byte("ACGT"[rng.Intn(4)])
 	}
-	a := New(data)
+	a := newSuffixArray(data)
 	for trial := 0; trial < 200; trial++ {
 		plen := 1 + rng.Intn(8)
 		at := rng.Intn(len(data) - plen)
@@ -256,6 +256,6 @@ func BenchmarkQsufsort100k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		New(data)
+		newSuffixArray(data)
 	}
 }

@@ -78,15 +78,6 @@ func (q *Dense) Update(id int, priority int64) {
 	}
 }
 
-// Peek returns the id with the greatest priority without removing it.
-func (q *Dense) Peek() (id int, priority int64, ok bool) {
-	if len(q.ids) == 0 {
-		return 0, 0, false
-	}
-	id = int(q.ids[0])
-	return id, q.prio[id], true
-}
-
 // Pop removes and returns the id with the greatest priority.
 func (q *Dense) Pop() (id int, priority int64, ok bool) {
 	if len(q.ids) == 0 {

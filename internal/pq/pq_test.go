@@ -12,9 +12,6 @@ func TestEmptyQueue(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("Len = %d", q.Len())
 	}
-	if _, _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue ok")
-	}
 	if _, _, ok := q.Pop(); ok {
 		t.Error("Pop on empty queue ok")
 	}
@@ -64,13 +61,15 @@ func TestUpdate(t *testing.T) {
 	q.Push(1, 10)
 	q.Push(2, 20)
 	q.Update(1, 30)
-	if id, p, _ := q.Peek(); id != 1 || p != 30 {
-		t.Errorf("after raising: peek = (%d,%d)", id, p)
+	if id, p, _ := q.Pop(); id != 1 || p != 30 {
+		t.Errorf("after raising: pop = (%d,%d)", id, p)
 	}
+	q.Push(1, 30)
 	q.Update(1, 5)
-	if id, _, _ := q.Peek(); id != 2 {
-		t.Errorf("after lowering: peek id = %d, want 2", id)
+	if id, _, _ := q.Pop(); id != 2 {
+		t.Errorf("after lowering: pop id = %d, want 2", id)
 	}
+	q.Push(2, 20)
 	q.Update(99, 1) // absent: no-op
 	if q.Len() != 2 {
 		t.Errorf("Len after no-op update = %d", q.Len())

@@ -21,15 +21,6 @@ var gutGenera = []struct {
 	{"Acinetobacter", "Proteobacteria"},
 }
 
-// GutGenera returns the simulated genus/phylum table in order.
-func GutGenera() (genera, phyla []string) {
-	for _, g := range gutGenera {
-		genera = append(genera, g.genus)
-		phyla = append(phyla, g.phylum)
-	}
-	return genera, phyla
-}
-
 // PaperDataSet returns the spec for one of the three synthetic analogues of
 // the paper's data sets (id 1..3, Table I). scale linearly multiplies all
 // genome lengths; scale=1 gives a per-genome length around 12 kb — small

@@ -193,13 +193,3 @@ func (c *Community) TotalBases() int {
 	}
 	return n
 }
-
-// GenusOf returns the genus of a genome id, or "" if unknown.
-func (c *Community) GenusOf(genomeID string) string {
-	for _, g := range c.Genomes {
-		if g.ID == genomeID {
-			return g.Genus
-		}
-	}
-	return ""
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"focus/internal/dna"
 )
@@ -30,14 +28,6 @@ type ReadConfig struct {
 	// bases (a fixed synthetic adapter), exercising the fixed-length
 	// 5' trimming step.
 	AdapterLen int
-	// Paired, when true, samples read pairs from fragments of length
-	// N(InsertMean, InsertSD): read 2i is the fragment's 5' end on the
-	// forward strand and read 2i+1 the 3' end reverse-complemented
-	// (standard Illumina FR orientation). Mates are adjacent in the
-	// output (ids suffixed /1 and /2).
-	Paired     bool
-	InsertMean int
-	InsertSD   int
 }
 
 // Origin is the ground-truth provenance of a simulated read.
@@ -52,16 +42,6 @@ type ReadSet struct {
 	Name    string
 	Reads   []dna.Read
 	Origins []Origin // parallel to Reads
-	// Paired marks mate-pair layout: reads 2i and 2i+1 are mates.
-	Paired bool
-}
-
-// Mate returns the index of read i's mate, or -1 for unpaired sets.
-func (rs *ReadSet) Mate(i int) int {
-	if !rs.Paired {
-		return -1
-	}
-	return i ^ 1
 }
 
 // adapter returns the fixed synthetic adapter sequence of length n.
@@ -123,12 +103,12 @@ func SimulateReads(com *Community, cfg ReadConfig) (*ReadSet, error) {
 	}
 
 	totalReads := int(float64(com.TotalBases()) * cfg.Coverage / float64(cfg.ReadLen))
-	rs := &ReadSet{Name: com.Spec.Name, Paired: cfg.Paired}
+	rs := &ReadSet{Name: com.Spec.Name}
 	ad := adapter(cfg.AdapterLen)
 
 	// emit appends one read sampled at pos (rev selects the strand),
 	// applying the error ramp, indels, quality model and adapter prefix.
-	emit := func(genome *Genome, pos int, rev bool, suffix string) {
+	emit := func(genome *Genome, pos int, rev bool) {
 		// Take extra template so 1bp deletions cannot run off the end.
 		span := cfg.ReadLen + 8
 		if pos+span > len(genome.Seq) {
@@ -181,20 +161,9 @@ func SimulateReads(com *Community, cfg ReadConfig) (*ReadSet, error) {
 		if rev {
 			strand = "-"
 		}
-		id := fmt.Sprintf("r%06d%s|%s|%d|%s", len(rs.Reads), suffix, genome.ID, pos, strand)
+		id := fmt.Sprintf("r%06d|%s|%d|%s", len(rs.Reads), genome.ID, pos, strand)
 		rs.Reads = append(rs.Reads, dna.Read{ID: id, Seq: seq, Qual: qual})
 		rs.Origins = append(rs.Origins, Origin{GenomeID: genome.ID, Pos: pos, Reverse: rev})
-	}
-
-	insertFor := func(genomeLen int) (int, bool) {
-		ins := cfg.InsertMean + int(rng.NormFloat64()*float64(cfg.InsertSD))
-		if ins < 2*cfg.ReadLen {
-			ins = 2 * cfg.ReadLen
-		}
-		return ins, ins <= genomeLen
-	}
-	if cfg.Paired && cfg.InsertMean < 2*cfg.ReadLen {
-		return nil, fmt.Errorf("simulate: insert mean %d below two read lengths", cfg.InsertMean)
 	}
 
 	for i := range com.Genomes {
@@ -204,41 +173,12 @@ func SimulateReads(com *Community, cfg ReadConfig) (*ReadSet, error) {
 		if len(genome.Seq) < cfg.ReadLen {
 			return nil, fmt.Errorf("simulate: genome %s shorter than read length", genome.ID)
 		}
-		if cfg.Paired {
-			for r := 0; r < n/2; r++ {
-				ins, ok := insertFor(len(genome.Seq))
-				if !ok {
-					return nil, fmt.Errorf("simulate: genome %s shorter than insert size", genome.ID)
-				}
-				start := rng.Intn(len(genome.Seq) - ins + 1)
-				// FR orientation: /1 forward at the fragment's 5' end,
-				// /2 reverse-complemented at its 3' end.
-				emit(genome, start, false, "/1")
-				emit(genome, start+ins-cfg.ReadLen, true, "/2")
-			}
-		} else {
-			for r := 0; r < n; r++ {
-				pos := rng.Intn(len(genome.Seq) - cfg.ReadLen + 1)
-				emit(genome, pos, rng.Intn(2) == 1, "")
-			}
+		for r := 0; r < n; r++ {
+			pos := rng.Intn(len(genome.Seq) - cfg.ReadLen + 1)
+			emit(genome, pos, rng.Intn(2) == 1)
 		}
 	}
 	return rs, nil
-}
-
-// ParseOrigin recovers the ground-truth origin encoded in a simulated read
-// ID. The boolean is false for ids that do not carry provenance (e.g. reads
-// parsed from external files).
-func ParseOrigin(readID string) (Origin, bool) {
-	parts := strings.Split(readID, "|")
-	if len(parts) != 4 {
-		return Origin{}, false
-	}
-	pos, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return Origin{}, false
-	}
-	return Origin{GenomeID: parts[1], Pos: pos, Reverse: parts[3] == "-"}, true
 }
 
 // TotalBases returns the summed read length of the set.

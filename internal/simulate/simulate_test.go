@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -177,19 +178,13 @@ func TestOriginRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rs.Reads {
-		o, ok := ParseOrigin(r.ID)
-		if !ok {
-			t.Fatalf("ParseOrigin(%q) failed", r.ID)
+		o, strand := rs.Origins[i], "+"
+		if o.Reverse {
+			strand = "-"
 		}
-		if o != rs.Origins[i] {
-			t.Fatalf("origin mismatch for %q: %+v vs %+v", r.ID, o, rs.Origins[i])
+		if want := fmt.Sprintf("r%06d|%s|%d|%s", i, o.GenomeID, o.Pos, strand); r.ID != want {
+			t.Fatalf("read %d id %q, want %q", i, r.ID, want)
 		}
-	}
-	if _, ok := ParseOrigin("plain-id"); ok {
-		t.Error("ParseOrigin accepted plain id")
-	}
-	if _, ok := ParseOrigin("a|b|notanint|+"); ok {
-		t.Error("ParseOrigin accepted bad position")
 	}
 }
 
@@ -295,47 +290,6 @@ func TestSimulateReadsErrors(t *testing.T) {
 	}
 }
 
-func TestSimulatePairedReads(t *testing.T) {
-	c, err := BuildCommunity(SingleGenome("p", 5000, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := ReadConfig{ReadLen: 100, Coverage: 6, Seed: 61, Paired: true, InsertMean: 400, InsertSD: 30}
-	rs, err := SimulateReads(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Paired || len(rs.Reads)%2 != 0 {
-		t.Fatalf("paired=%v reads=%d", rs.Paired, len(rs.Reads))
-	}
-	if rs.Mate(0) != 1 || rs.Mate(1) != 0 || rs.Mate(5) != 4 {
-		t.Errorf("mate indices wrong")
-	}
-	genome := c.Genomes[0].Seq
-	for i := 0; i < len(rs.Reads); i += 2 {
-		o1, o2 := rs.Origins[i], rs.Origins[i+1]
-		if o1.Reverse || !o2.Reverse {
-			t.Fatalf("pair %d orientations: %v %v", i/2, o1.Reverse, o2.Reverse)
-		}
-		ins := (o2.Pos + cfg.ReadLen) - o1.Pos
-		if ins < 2*cfg.ReadLen || ins > cfg.InsertMean+5*cfg.InsertSD {
-			t.Fatalf("pair %d insert %d out of range", i/2, ins)
-		}
-		// Error-free config: mates must match the genome.
-		if string(rs.Reads[i].Seq) != string(genome[o1.Pos:o1.Pos+100]) {
-			t.Fatalf("pair %d /1 mismatch", i/2)
-		}
-	}
-	// Unpaired Mate() returns -1.
-	rs2, err := SimulateReads(c, ReadConfig{ReadLen: 100, Coverage: 2, Seed: 62})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs2.Mate(0) != -1 {
-		t.Error("unpaired Mate != -1")
-	}
-}
-
 func TestSimulateIndelReads(t *testing.T) {
 	c, err := BuildCommunity(SingleGenome("i", 5000, 70))
 	if err != nil {
@@ -382,16 +336,6 @@ func TestSimulateIndelReads(t *testing.T) {
 	}
 }
 
-func TestSimulatePairedErrors(t *testing.T) {
-	c, _ := BuildCommunity(SingleGenome("p", 1000, 63))
-	if _, err := SimulateReads(c, ReadConfig{ReadLen: 100, Coverage: 2, Paired: true, InsertMean: 150}); err == nil {
-		t.Error("insert below 2 read lengths accepted")
-	}
-	if _, err := SimulateReads(c, ReadConfig{ReadLen: 100, Coverage: 2, Paired: true, InsertMean: 2000, InsertSD: 1}); err == nil {
-		t.Error("insert beyond genome accepted")
-	}
-}
-
 func TestSingleGenome(t *testing.T) {
 	c, err := BuildCommunity(SingleGenome("g", 5000, 7))
 	if err != nil {
@@ -400,22 +344,22 @@ func TestSingleGenome(t *testing.T) {
 	if len(c.Genomes) != 1 || len(c.Genomes[0].Seq) != 5000 {
 		t.Fatalf("unexpected community %+v", c.Spec)
 	}
-	if c.GenusOf(c.Genomes[0].ID) != "Testus" {
-		t.Errorf("GenusOf = %q", c.GenusOf(c.Genomes[0].ID))
-	}
-	if c.GenusOf("nope") != "" {
-		t.Error("GenusOf(unknown) nonempty")
+	if c.Genomes[0].Genus != "Testus" {
+		t.Errorf("genus = %q", c.Genomes[0].Genus)
 	}
 }
 
 func TestGutGenera(t *testing.T) {
-	genera, phyla := GutGenera()
-	if len(genera) != 10 || len(phyla) != 10 {
-		t.Fatalf("got %d genera, %d phyla", len(genera), len(phyla))
+	spec, err := PaperDataSet(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec.Genera) != 10 {
+		t.Fatalf("got %d genera", len(spec.Genera))
 	}
 	counts := map[string]int{}
-	for _, p := range phyla {
-		counts[p]++
+	for _, g := range spec.Genera {
+		counts[g.Phylum]++
 	}
 	if counts["Bacteroidetes"] != 4 || counts["Firmicutes"] != 4 || counts["Proteobacteria"] != 2 {
 		t.Errorf("phylum distribution %v", counts)

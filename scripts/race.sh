@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# One-command robustness gate: static guards (vet, gofmt, no gob, no baseline
-# package in a production binary, the benchmark module still compiles),
-# the tier-1 race sweep over the concurrency-heavy packages, the wire
-# suite under race, and a short native-fuzz smoke over every committed
-# fuzz target (seeds plus FUZZTIME of coverage-guided exploration per
-# target).
+# One-command robustness gate: static guards (vet, gofmt, no gob, the
+# benchmark module still compiles), the tier-1 race sweep over the
+# concurrency-heavy packages, the wire suite under race, and a short
+# native-fuzz smoke over every committed fuzz target (seeds plus FUZZTIME
+# of coverage-guided exploration per target).
 #
 #   scripts/race.sh              # full gate (~a few minutes)
 #   FUZZTIME=0 scripts/race.sh   # skip the fuzz smoke (seeds still run
@@ -39,15 +38,6 @@ if grep -rl '"encoding/gob"' --include='*.go' . | grep -v _test.go; then
     exit 1
 fi
 
-# The paper's baseline assemblers live under cmd/focus-bench/internal and
-# the suffix array is a test oracle; no shipped binary may link them.
-echo "== guard: baselines stay out of production =="
-if go list -deps . ./cmd/focus ./cmd/focus-worker ./cmd/focus-serve |
-    grep -E '^focus/.*(debruijn|greedyasm|suffixarray)$'; then
-    echo "race.sh: a production package depends on a baseline/oracle package" >&2
-    exit 1
-fi
-
 # bench/ is its own module, so root `go build ./...` never compiles it:
 # this is the only gate that catches an API change breaking the benchmark.
 echo "== guard: benchmark module =="
@@ -58,7 +48,7 @@ go test -race \
     ./internal/dist/... ./internal/assembly/... ./internal/overlap/... \
     ./internal/graph/... ./internal/coarsen/... ./internal/hybrid/... \
     ./internal/partition/... ./internal/checkpoint/... \
-    ./internal/align/... ./internal/par/... ./internal/spmat/... \
+    ./internal/align/... ./internal/par/... \
     ./internal/jobs/... ./internal/metrics/...
 
 # Wire sweep: version handshake both ways (typed mismatch, gob and silent

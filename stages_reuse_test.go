@@ -148,7 +148,7 @@ func TestStagesReuseSharedContraction(t *testing.T) {
 	if s.Hyb.G != s.Hyb.Set.Levels[0] {
 		t.Error("Hyb.G and Hyb.Set.Levels[0] are two graphs")
 	}
-	if want := graph.Contract(s.G0, s.Hyb.RepOf, len(s.Hyb.Nodes), 1); !s.Hyb.G.Equal(want) {
+	if want, _ := graph.ContractCtx(nil, s.G0, s.Hyb.RepOf, len(s.Hyb.Nodes), 1); !s.Hyb.G.Equal(want) {
 		t.Error("Hyb.G is not the contraction of G0 by RepOf")
 	}
 }
