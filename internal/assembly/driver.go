@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -391,22 +389,14 @@ func (d *Driver) Close() error {
 	return firstErr
 }
 
-// phaseResult is the protocol-agnostic result of one partition's phase.
-type phaseResult struct {
-	Edges    []EdgePair
-	Removal  Removal
-	Paths    [][]int32
-	Variants []Variant
-}
-
 // runPhase executes one named phase over all partitions, using whichever
-// protocol the config selects, and returns per-partition results plus
+// protocol the config selects, and returns per-partition replies plus
 // task times. Stateful mode pins partitions to workers, so RPCRetries
 // applies only to the stateless protocol. When the pool becomes unusable
 // (every worker evicted, or a stateful worker's pinned partition
 // unreachable) the phase degrades to local execution on the master with a
 // logged warning instead of failing the run.
-func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]phaseResult, []time.Duration, error) {
+func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
 	if cerr := ctxErr(d.runCtx); cerr != nil {
 		return nil, nil, cerr
 	}
@@ -436,25 +426,12 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]phaseResult, []ti
 		return nil, nil, cerr
 	}
 	replies := make([]interface{}, d.K)
-	mk := func(t int) interface{} {
-		if phase == "Variants" {
-			return &VariantArgs{Sub: subs[t], Cfg: vcfg}
-		}
-		return &PhaseArgs{Sub: subs[t], Cfg: d.Cfg}
-	}
 	for i := range replies {
-		switch phase {
-		case "Transitive":
-			replies[i] = &EdgeReply{}
-		case "Containment", "Errors":
-			replies[i] = &RemovalReply{}
-		case "Paths":
-			replies[i] = &PathsReply{}
-		case "Variants":
-			replies[i] = &VariantsReply{}
-		}
+		replies[i] = &PhaseReply{}
 	}
-	times, err := d.Pool.ParallelCallsRetryCtx(ctx, d.K, phase, mk, replies, d.Cfg.RPCRetries)
+	times, served, err := d.Pool.ParallelCallsRetryCtx(ctx, d.K, "Scan", func(t int) interface{} {
+		return &ScanArgs{Phase: phase, Sub: subs[t], Cfg: d.Cfg, VCfg: vcfg}
+	}, replies, d.Cfg.RPCRetries)
 	if err != nil {
 		// Cancellation is checked before any degradation decision: a cancel
 		// severs every in-flight call, which can empty the healthy set — and
@@ -473,20 +450,57 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]phaseResult, []ti
 		}
 		return nil, times, err
 	}
-	results := make([]phaseResult, d.K)
-	for i, r := range replies {
-		switch v := r.(type) {
-		case *EdgeReply:
-			results[i] = phaseResult{Edges: v.Edges}
-		case *RemovalReply:
-			results[i] = phaseResult{Removal: v.Removal}
-		case *PathsReply:
-			results[i] = phaseResult{Paths: v.Paths}
-		case *VariantsReply:
-			results[i] = phaseResult{Variants: v.Variants}
+	results := make([]PhaseReply, d.K)
+	for t, r := range replies {
+		results[t] = *r.(*PhaseReply)
+		if err := d.checkReply(phase, t, served[t], &results[t]); err != nil {
+			return nil, times, err
 		}
 	}
 	return results, times, nil
+}
+
+// checkReply rejects a worker's reply the master cannot apply: node or
+// edge ids outside [0, NumNodes), empty paths, and variant anchors or
+// alleles out of range (a fork's To is -1). Every reply of a phase is
+// checked before any is applied, so a bad one leaves the graph untouched.
+func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error {
+	n := int32(d.G.NumNodes())
+	var bad string
+	check := func(what string, v int32) {
+		if bad == "" && (v < 0 || v >= n) {
+			bad = fmt.Sprintf("%s %d outside [0,%d)", what, v, n)
+		}
+	}
+	for _, es := range [2][]EdgePair{r.Edges, r.Removal.Edges} {
+		for _, e := range es {
+			check("edge tail", e.From)
+			check("edge head", e.To)
+		}
+	}
+	for _, v := range r.Removal.Nodes {
+		check("node", v)
+	}
+	for _, p := range r.Paths {
+		if len(p) == 0 && bad == "" {
+			bad = "an empty path"
+		}
+		for _, v := range p {
+			check("path node", v)
+		}
+	}
+	for _, va := range r.Variants {
+		check("variant anchor", va.From)
+		if va.To != -1 {
+			check("variant anchor", va.To)
+		}
+		check("variant allele", va.AlleleA)
+		check("variant allele", va.AlleleB)
+	}
+	if bad == "" {
+		return nil
+	}
+	return fmt.Errorf("assembly: %s phase: worker %d answered partition %d with %s", phase, worker, part, bad)
 }
 
 // runPhaseStateful drives one phase of the stateful delta protocol with
@@ -500,7 +514,7 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]phaseResult, []ti
 // delta re-applied to it is an idempotent no-op: every partition computes
 // on identical graph state no matter how many times it was re-hosted,
 // keeping output byte-identical to a fault-free run.
-func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg VariantConfig) ([]phaseResult, []time.Duration, error) {
+func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
 	if err := d.ensureLoaded(ctx); err != nil {
 		if cerr := ctxErr(ctx); cerr != nil {
 			return nil, nil, cerr
@@ -514,7 +528,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 	d.maybeRebalance(ctx)
 	delta := Delta{RemovedNodes: d.pendingNodes, RemovedEdges: d.pendingEdges}
 	d.pendingNodes, d.pendingEdges = nil, nil
-	results := make([]phaseResult, d.K)
+	results := make([]PhaseReply, d.K)
 	times := make([]time.Duration, d.K)
 	pending := make([]int, d.K)
 	for t := range pending {
@@ -552,7 +566,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 		batch := pending
 		replies := make([]interface{}, len(batch))
 		for i := range replies {
-			replies[i] = &PhaseReplyStateful{}
+			replies[i] = &PhaseReply{}
 		}
 		// place/mkArgs read the placement and epoch tables from the
 		// scheduler's goroutines; the driver does not mutate them while the
@@ -560,7 +574,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 		ptimes, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(batch), func(t int) int { return d.placement[batch[t]] }, "Phase",
 			func(t int) interface{} {
 				p := batch[t]
-				return &PhaseArgsStateful{RunID: d.runID, Part: int32(p), Phase: phase, Epoch: d.partEpoch[p],
+				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase, Epoch: d.partEpoch[p],
 					Delta: delta, Cfg: d.Cfg, VCfg: vcfg}
 			}, replies)
 		var next []int
@@ -568,8 +582,10 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 			p := batch[i]
 			times[p] = ptimes[i]
 			if err == nil {
-				pr := replies[i].(*PhaseReplyStateful)
-				results[p] = phaseResult{Edges: pr.Edges, Removal: pr.Removal, Paths: pr.Paths, Variants: pr.Variants}
+				results[p] = *replies[i].(*PhaseReply)
+				if err := d.checkReply(phase, p, d.placement[p], &results[p]); err != nil {
+					return nil, times, err
+				}
 				continue
 			}
 			// Cancellation before classification: a severed-by-cancel call is
@@ -621,62 +637,23 @@ func (d *Driver) fallBackStateful(phase string, err error) bool {
 // partition — output is identical at any worker count). A cancel lands at
 // the next per-partition grain boundary; partial results are discarded
 // and the context's cause is returned.
-func (d *Driver) runPhaseLocal(ctx context.Context, phase string, vcfg VariantConfig) ([]phaseResult, error) {
+func (d *Driver) runPhaseLocal(ctx context.Context, phase string, vcfg VariantConfig) ([]PhaseReply, error) {
 	gate := par.GateFor(ctx)
 	subs := d.subgraphsCtx(ctx, d.partitionNodes())
+	results := make([]PhaseReply, d.K)
+	errs := make([]error, d.K)
+	par.Run(par.Limit(d.extractWorkers), d.K, func(_, t int) {
+		if !gate.Stopped() {
+			results[t], errs[t] = scanPhase(phase, &subs[t], d.Cfg, vcfg)
+		}
+	})
 	if gate.Stopped() {
 		return nil, ctxErr(ctx)
 	}
-	results := make([]phaseResult, d.K)
-	scan := func(t int) {
-		sub := &subs[t]
-		switch phase {
-		case "Transitive":
-			results[t] = phaseResult{Edges: TransitiveEdges(sub, d.Cfg)}
-		case "Containment":
-			results[t] = phaseResult{Removal: ContainmentScan(sub, d.Cfg)}
-		case "Errors":
-			results[t] = phaseResult{Removal: ErrorScan(sub, d.Cfg)}
-		case "Paths":
-			results[t] = phaseResult{Paths: ExtractPaths(sub, d.Cfg)}
-		case "Variants":
-			results[t] = phaseResult{Variants: ScanVariants(sub, vcfg)}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	}
-	workers := d.extractWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > d.K {
-		workers = d.K
-	}
-	if workers <= 1 {
-		for t := 0; t < d.K; t++ {
-			if gate.Stopped() {
-				return nil, ctxErr(ctx)
-			}
-			scan(t)
-		}
-		return results, nil
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(atomic.AddInt64(&next, 1))
-				if t >= d.K || gate.Stopped() {
-					return
-				}
-				scan(t)
-			}
-		}()
-	}
-	wg.Wait()
-	if gate.Stopped() {
-		return nil, ctxErr(ctx)
 	}
 	return results, nil
 }

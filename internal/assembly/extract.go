@@ -1,9 +1,7 @@
 package assembly
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"focus/internal/par"
 )
@@ -115,8 +113,9 @@ func (x *extractor) subgraph(sc *extractScratch, part int32, local []int32) Subg
 }
 
 // subgraphs extracts every partition's view over a bounded worker pool
-// (workers <= 0 means GOMAXPROCS). Each output index depends only on its
-// partition, so the result is identical at any worker count.
+// (sized by par.Limit: workers <= 0 means GOMAXPROCS). Each output index
+// depends only on its partition, so the result is identical at any worker
+// count.
 func (x *extractor) subgraphs(parts [][]int32, workers int) []Subgraph {
 	return x.subgraphsGate(parts, workers, nil)
 }
@@ -127,42 +126,21 @@ func (x *extractor) subgraphs(parts [][]int32, workers int) []Subgraph {
 // entries are zero Subgraphs), which the caller discards after checking
 // its context. A nil gate is the zero-cost uncancellable path.
 func (x *extractor) subgraphsGate(parts [][]int32, workers int, gate *par.Gate) []Subgraph {
-	k := len(parts)
-	out := make([]Subgraph, k)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	if workers <= 1 {
-		sc := x.get()
-		defer x.put(sc)
-		for t := range parts {
-			if gate.Stopped() {
-				return out
-			}
-			out[t] = x.subgraph(sc, int32(t), parts[t])
+	out := make([]Subgraph, len(parts))
+	scs := make([]*extractScratch, par.Limit(workers))
+	par.Run(len(scs), len(parts), func(w, t int) {
+		if gate.Stopped() {
+			return
 		}
-		return out
+		if scs[w] == nil {
+			scs[w] = x.get()
+		}
+		out[t] = x.subgraph(scs[w], int32(t), parts[t])
+	})
+	for _, sc := range scs {
+		if sc != nil {
+			x.put(sc)
+		}
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := x.get()
-			defer x.put(sc)
-			for {
-				t := int(atomic.AddInt64(&next, 1))
-				if t >= k || gate.Stopped() {
-					return
-				}
-				out[t] = x.subgraph(sc, int32(t), parts[t])
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }

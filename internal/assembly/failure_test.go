@@ -14,11 +14,11 @@ import (
 	"focus/internal/overlap"
 )
 
-// FlakyService fails a configurable subset of calls, simulating worker
-// faults. It embeds the real service so non-failing calls behave
-// normally. When Calls is set the counter is shared across workers,
-// making the fault pattern independent of how the scheduler interleaves
-// tasks over them.
+// FlakyService fails a configurable subset of Transitive scans,
+// simulating worker faults. It embeds the real service so non-failing
+// calls behave normally. When Calls is set the counter is shared across
+// workers, making the fault pattern independent of how the scheduler
+// interleaves tasks over them.
 type FlakyService struct {
 	Service
 	calls     int64
@@ -27,7 +27,10 @@ type FlakyService struct {
 	FailAt    int64  // exactly the n-th call fails (0 = disabled)
 }
 
-func (f *FlakyService) Transitive(args *PhaseArgs, reply *EdgeReply) error {
+func (f *FlakyService) Scan(args *ScanArgs, reply *PhaseReply) error {
+	if args.Phase != "Transitive" {
+		return f.Service.Scan(args, reply)
+	}
 	ctr := &f.calls
 	if f.Calls != nil {
 		ctr = f.Calls
@@ -36,7 +39,7 @@ func (f *FlakyService) Transitive(args *PhaseArgs, reply *EdgeReply) error {
 	if (f.FailEvery > 0 && n%f.FailEvery == 0) || (f.FailAt > 0 && n == f.FailAt) {
 		return errors.New("injected worker fault")
 	}
-	return f.Service.Transitive(args, reply)
+	return f.Service.Scan(args, reply)
 }
 
 func testDiGraph(k int) (*DiGraph, []int32) {
@@ -234,7 +237,7 @@ func TestWorkerDiesMidSession(t *testing.T) {
 	// (the old pool) this blocked forever; now it must fail within the
 	// deadline and evict the worker.
 	start := time.Now()
-	err = pool.Call(0, "Transitive", &PhaseArgs{Sub: *chainSub(3), Cfg: DefaultConfig()}, &EdgeReply{})
+	err = pool.Call(0, "Scan", &ScanArgs{Phase: "Transitive", Sub: *chainSub(3), Cfg: DefaultConfig()}, &PhaseReply{})
 	if err == nil {
 		t.Fatal("call on wedged worker connection succeeded")
 	}
@@ -272,13 +275,82 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 	defer pool.Close()
 	replies := make([]interface{}, 8)
 	for i := range replies {
-		replies[i] = &EdgeReply{}
+		replies[i] = &PhaseReply{}
 	}
 	sub := chainSub(3)
-	_, err = pool.ParallelCallsRetryCtx(nil, 8, "Transitive", func(tk int) interface{} {
-		return &PhaseArgs{Sub: *sub, Cfg: DefaultConfig()}
+	_, _, err = pool.ParallelCallsRetryCtx(nil, 8, "Scan", func(tk int) interface{} {
+		return &ScanArgs{Phase: "Transitive", Sub: *sub, Cfg: DefaultConfig()}
 	}, replies, 0)
 	if err == nil {
 		t.Fatal("expected at least one injected fault across 8 calls")
+	}
+}
+
+// liarService answers one phase, over either protocol, with a reply the
+// master cannot apply.
+type liarService struct {
+	Service
+	phase string
+	lie   PhaseReply
+}
+
+func (l *liarService) Scan(args *ScanArgs, reply *PhaseReply) error {
+	if args.Phase == l.phase {
+		*reply = l.lie
+		return nil
+	}
+	return l.Service.Scan(args, reply)
+}
+
+func (l *liarService) Phase(args *PhaseArgs, reply *PhaseReply) error {
+	if err := l.Service.Phase(args, reply); err != nil || args.Phase != l.phase {
+		return err
+	}
+	*reply = l.lie
+	return nil
+}
+
+// TestDriverRejectsBadWorkerReplies: a worker whose reply names nodes
+// outside the graph, or an empty path, gets an error naming the phase,
+// the partition and the worker — not an index panic in the master — and
+// the graph stays untouched. Both protocols go through the same check.
+func TestDriverRejectsBadWorkerReplies(t *testing.T) {
+	for _, tc := range []struct {
+		phase, want string
+		lie         PhaseReply
+		run         func(d *Driver) error
+	}{
+		{"Transitive", "edge head 99", PhaseReply{Edges: []EdgePair{{From: 0, To: 99}}},
+			func(d *Driver) error { return d.TrimTransitive(&TrimStats{}) }},
+		{"Containment", "edge tail -1", PhaseReply{Removal: Removal{Edges: []EdgePair{{From: -1, To: 0}}}},
+			func(d *Driver) error { return d.TrimContainment(&TrimStats{}) }},
+		{"Errors", "node 1048576", PhaseReply{Removal: Removal{Nodes: []int32{1 << 20}}},
+			func(d *Driver) error { return d.TrimErrors(&TrimStats{}) }},
+		{"Paths", "an empty path", PhaseReply{Paths: [][]int32{{}}},
+			func(d *Driver) error { _, _, err := d.TraverseTimed(); return err }},
+		{"Variants", "variant allele 6", PhaseReply{Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 6}}},
+			func(d *Driver) error { _, err := d.CallVariants(DefaultVariantConfig()); return err }},
+	} {
+		for _, stateful := range []bool{false, true} {
+			d, pool := flakyDriver(t, func() interface{} {
+				return &liarService{phase: tc.phase, lie: tc.lie}
+			}, 1, 2)
+			d.Cfg.Stateful = stateful
+			err := tc.run(d)
+			pool.Close()
+			if err == nil {
+				t.Fatalf("%s (stateful=%v): bad reply accepted", tc.phase, stateful)
+			}
+			for _, part := range []string{tc.phase + " phase", "worker 0", "partition ", tc.want} {
+				if !strings.Contains(err.Error(), part) {
+					t.Fatalf("%s (stateful=%v): error %q does not name %q", tc.phase, stateful, err, part)
+				}
+			}
+			for _, gone := range d.G.Removed {
+				if gone {
+					t.Fatalf("%s (stateful=%v): a rejected reply removed a node", tc.phase, stateful)
+				}
+			}
+		}
 	}
 }

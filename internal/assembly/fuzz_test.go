@@ -6,51 +6,48 @@ import (
 	"focus/internal/dist"
 )
 
-// fuzzWireTargets enumerates every dist.Wire payload type of the assembly
-// protocol plus the checkpoint payload; the selector byte picks one so a
-// single corpus covers them all.
+// fuzzWireTargets maps FuzzWireDecoders' selector byte (mod the table's
+// length) to the decoder it drives. The committed corpus names targets by
+// selector, so the table only ever grows at the end: a type keeps its
+// selector, and a retired type's selector passes to the message that
+// replaced it on the wire.
+var fuzzWireTargets = [...]func() dist.Wire{
+	0:  func() dist.Wire { return &ScanArgs{} },   // was the stateless PhaseArgs{Sub, Cfg}
+	1:  func() dist.Wire { return &ScanArgs{} },   // was VariantArgs
+	2:  func() dist.Wire { return &PhaseReply{} }, // was EdgeReply
+	3:  func() dist.Wire { return &PhaseReply{} }, // was RemovalReply
+	4:  func() dist.Wire { return &PhaseReply{} }, // was PathsReply
+	5:  func() dist.Wire { return &PhaseReply{} }, // was VariantsReply
+	6:  func() dist.Wire { return &LoadArgs{} },
+	7:  func() dist.Wire { return &LoadReply{} },
+	8:  func() dist.Wire { return &PhaseArgs{} },  // was PhaseArgsStateful (same bytes)
+	9:  func() dist.Wire { return &PhaseReply{} }, // was PhaseReplyStateful (same bytes)
+	10: func() dist.Wire { return &CheckpointState{} },
+}
+
 func fuzzWireTarget(sel byte) dist.Wire {
-	switch sel % 11 {
-	case 0:
-		return &PhaseArgs{}
-	case 1:
-		return &VariantArgs{}
-	case 2:
-		return &EdgeReply{}
-	case 3:
-		return &RemovalReply{}
-	case 4:
-		return &PathsReply{}
-	case 5:
-		return &VariantsReply{}
-	case 6:
-		return &LoadArgs{}
-	case 7:
-		return &LoadReply{}
-	case 8:
-		return &PhaseArgsStateful{}
-	case 9:
-		return &PhaseReplyStateful{}
-	default:
-		return &CheckpointState{}
-	}
+	return fuzzWireTargets[int(sel)%len(fuzzWireTargets)]()
 }
 
 // FuzzWireDecoders throws arbitrary bytes at every assembly Wire decoder:
 // whatever the input, DecodeFrom must return an error or a value — never
 // panic, never allocate beyond the input's implied size — and any value it
-// accepts must survive a re-encode/re-decode cycle.
+// accepts must survive a re-encode/re-decode cycle. Decoded ScanArgs are
+// then run through Service.Scan, as a worker would: it must answer a reply
+// or an error, never panic. (Subgraphs past a few thousand contig bases
+// are skipped: their alignments are legitimately large, and the fuzzer's
+// time is better spent elsewhere.)
 func FuzzWireDecoders(f *testing.F) {
 	// One valid encoding per payload type as seeds.
 	seed := func(sel byte, w dist.Wire) { f.Add(sel, w.AppendTo(nil)) }
-	seed(0, &PhaseArgs{Sub: Subgraph{Part: 1, Local: []int32{0, 1}}, Cfg: DefaultConfig()})
-	seed(2, &EdgeReply{Edges: []EdgePair{{From: 1, To: 2}}})
-	seed(3, &RemovalReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
-	seed(4, &PathsReply{Paths: [][]int32{{0, 1, 2}, {5}}})
-	seed(5, &VariantsReply{Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, Identity: 0.9}}})
+	seed(0, &ScanArgs{Phase: "Transitive", Sub: Subgraph{Part: 1, Local: []int32{0, 1}}, Cfg: DefaultConfig()})
+	seed(2, &PhaseReply{Edges: []EdgePair{{From: 1, To: 2}}})
+	seed(3, &PhaseReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
+	seed(4, &PhaseReply{Paths: [][]int32{{0, 1, 2}, {5}}})
+	seed(5, &PhaseReply{Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, Identity: 0.9}}})
 	seed(6, &LoadArgs{RunID: "run-1", Epoch: 7, Sub: Subgraph{Part: 0, Local: []int32{0}}})
 	seed(7, &LoadReply{})
-	seed(8, &PhaseArgsStateful{RunID: "run-1", Part: 2, Phase: "Errors", Epoch: 9})
+	seed(8, &PhaseArgs{RunID: "run-1", Part: 2, Phase: "Errors", Epoch: 9})
 	seed(10, &CheckpointState{
 		Done: []string{"Transitive"},
 		K:    2, Labels: []int32{0, 0},
@@ -62,6 +59,14 @@ func FuzzWireDecoders(f *testing.F) {
 			In:      [][]Edge{nil, {{From: 0, To: 1, Len: 2, Ident: 1}}},
 		},
 	})
+	// A scannable partition under every phase, so the fuzzer starts from
+	// inputs that reach each scan.
+	sub := *chainSub(4)
+	for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
+		seed(0, &ScanArgs{Phase: phase, Sub: sub, Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()})
+	}
+	seed(9, &PhaseReply{Edges: []EdgePair{{From: 0, To: 1}}, Removal: Removal{Nodes: []int32{2}},
+		Paths: [][]int32{{3}}, Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 2}}})
 	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
 		w := fuzzWireTarget(sel)
 		if err := w.DecodeFrom(data); err != nil {
@@ -73,5 +78,18 @@ func FuzzWireDecoders(f *testing.F) {
 		if err := again.DecodeFrom(w.AppendTo(nil)); err != nil {
 			t.Fatalf("re-decode of accepted %T failed: %v", w, err)
 		}
+		args, ok := w.(*ScanArgs)
+		if !ok {
+			return
+		}
+		bases := 0
+		for _, n := range args.Sub.Nodes {
+			bases += len(n.Contig)
+		}
+		if bases > 4096 {
+			return
+		}
+		var reply PhaseReply
+		_ = (&Service{}).Scan(args, &reply)
 	})
 }

@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"fmt"
 	"sync"
 
 	"focus/internal/dist"
@@ -8,53 +9,63 @@ import (
 )
 
 // Service is the RPC service workers host (registered under
-// dist.ServiceName). The per-phase methods (Transitive, Containment,
-// Errors, Paths, Variants) are stateless — each call carries the
-// partition subgraph. The Load/Phase/Unload trio implements the stateful
-// protocol of stateful.go, where workers retain their partition and
-// phases ship only removal deltas.
+// dist.ServiceName). Scan is the stateless protocol: each call carries
+// one partition's subgraph and names the phase to run on it. The
+// Load/Phase/Unload trio implements the stateful protocol of stateful.go,
+// where workers retain their partition and phases ship only removal
+// deltas. Both run the phase through scanPhase, as does the master's
+// local fallback.
 type Service struct {
 	once sync.Once
 	st   *state
 }
 
-// PhaseArgs carries one partition's subgraph and the trimming config.
-type PhaseArgs struct {
-	Sub Subgraph
-	Cfg Config
+// ScanArgs carries one partition's subgraph, the phase to run on it and
+// the configs the phases read (Cfg for the trimming phases and Paths, VCfg
+// for Variants).
+type ScanArgs struct {
+	Phase string // "Transitive" | "Containment" | "Errors" | "Paths" | "Variants"
+	Sub   Subgraph
+	Cfg   Config
+	VCfg  VariantConfig
 }
 
-// EdgeReply returns edges recorded for removal.
-type EdgeReply struct{ Edges []EdgePair }
-
-// RemovalReply returns nodes and edges recorded for removal.
-type RemovalReply struct{ Removal Removal }
-
-// PathsReply returns the partition-local maximal sub-paths.
-type PathsReply struct{ Paths [][]int32 }
-
-// Transitive runs transitive edge detection on the partition (paper §V.A).
-func (s *Service) Transitive(args *PhaseArgs, reply *EdgeReply) error {
-	reply.Edges = TransitiveEdges(&args.Sub, args.Cfg)
-	return nil
+// PhaseReply carries whichever result the phase produces: Edges for
+// Transitive, Removal for Containment and Errors, Paths for Paths,
+// Variants for Variants.
+type PhaseReply struct {
+	Edges    []EdgePair
+	Removal  Removal
+	Paths    [][]int32
+	Variants []Variant
 }
 
-// Containment runs containment and false-positive-edge detection (§V.B).
-func (s *Service) Containment(args *PhaseArgs, reply *RemovalReply) error {
-	reply.Removal = ContainmentScan(&args.Sub, args.Cfg)
-	return nil
+// scanPhase runs the named phase on one partition subgraph. It is the only
+// map from a phase name to its scan.
+func scanPhase(phase string, sub *Subgraph, cfg Config, vcfg VariantConfig) (PhaseReply, error) {
+	var r PhaseReply
+	switch phase {
+	case "Transitive": // §V.A
+		r.Edges = TransitiveEdges(sub, cfg)
+	case "Containment": // §V.B
+		r.Removal = ContainmentScan(sub, cfg)
+	case "Errors": // §V.C
+		r.Removal = ErrorScan(sub, cfg)
+	case "Paths": // §V.D
+		r.Paths = ExtractPaths(sub, cfg)
+	case "Variants": // §VI.D future work
+		r.Variants = ScanVariants(sub, vcfg)
+	default:
+		return r, fmt.Errorf("assembly: unknown phase %q", phase)
+	}
+	return r, nil
 }
 
-// Errors runs dead-end and bubble detection (§V.C).
-func (s *Service) Errors(args *PhaseArgs, reply *RemovalReply) error {
-	reply.Removal = ErrorScan(&args.Sub, args.Cfg)
-	return nil
-}
-
-// Paths extracts partition-local maximal paths (§V.D).
-func (s *Service) Paths(args *PhaseArgs, reply *PathsReply) error {
-	reply.Paths = ExtractPaths(&args.Sub, args.Cfg)
-	return nil
+// Scan runs one phase on the partition the call carries.
+func (s *Service) Scan(args *ScanArgs, reply *PhaseReply) error {
+	var err error
+	*reply, err = scanPhase(args.Phase, &args.Sub, args.Cfg, args.VCfg)
+	return err
 }
 
 // Ping verifies worker liveness: the pool's reconnect loop and the

@@ -116,26 +116,18 @@ type Delta struct {
 	RemovedEdges []EdgePair
 }
 
-// PhaseArgsStateful drives one phase against a stored partition. Epoch
-// must equal the epoch of the stored copy the master believes this worker
-// holds; a mismatch in either direction means master and worker disagree
-// about the partition's generation and the call is rejected.
-type PhaseArgsStateful struct {
+// PhaseArgs drives one phase against a stored partition. Epoch must equal
+// the epoch of the stored copy the master believes this worker holds; a
+// mismatch in either direction means master and worker disagree about the
+// partition's generation and the call is rejected.
+type PhaseArgs struct {
 	RunID string
 	Part  int32
-	Phase string // "Transitive" | "Containment" | "Errors" | "Paths" | "Variants"
+	Phase string // as ScanArgs.Phase
 	Epoch int64
 	Delta Delta
 	Cfg   Config
 	VCfg  VariantConfig
-}
-
-// PhaseReplyStateful carries whichever result the phase produces.
-type PhaseReplyStateful struct {
-	Edges    []EdgePair
-	Removal  Removal
-	Paths    [][]int32
-	Variants []Variant
 }
 
 // applyDelta removes nodes/edges from a stored subgraph in place.
@@ -177,7 +169,7 @@ func applyDelta(sub *Subgraph, d Delta) {
 
 // Phase applies the delta to the stored partition and runs the requested
 // phase on it.
-func (s *Service) Phase(args *PhaseArgsStateful, reply *PhaseReplyStateful) error {
+func (s *Service) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	st := s.ensureState()
 	st.mu.Lock()
 	p, ok := st.parts[partKey(args.RunID, args.Part)]
@@ -195,21 +187,9 @@ func (s *Service) Phase(args *PhaseArgsStateful, reply *PhaseReplyStateful) erro
 		return fmt.Errorf("%s: partition %d of run %q", notLoadedMsg, args.Part, args.RunID)
 	}
 	applyDelta(&p.sub, args.Delta)
-	switch args.Phase {
-	case "Transitive":
-		reply.Edges = TransitiveEdges(&p.sub, args.Cfg)
-	case "Containment":
-		reply.Removal = ContainmentScan(&p.sub, args.Cfg)
-	case "Errors":
-		reply.Removal = ErrorScan(&p.sub, args.Cfg)
-	case "Paths":
-		reply.Paths = ExtractPaths(&p.sub, args.Cfg)
-	case "Variants":
-		reply.Variants = ScanVariants(&p.sub, args.VCfg)
-	default:
-		return fmt.Errorf("assembly: unknown phase %q", args.Phase)
-	}
-	return nil
+	var err error
+	*reply, err = scanPhase(args.Phase, &p.sub, args.Cfg, args.VCfg)
+	return err
 }
 
 // UnloadArgs releases a run's partitions on a worker.

@@ -43,18 +43,18 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 	if lr.Nodes != 3 {
 		t.Fatalf("load reply %+v", lr)
 	}
-	var pr PhaseReplyStateful
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "r1", Part: 0, Phase: "Paths", Epoch: 1, Cfg: DefaultConfig()}, &pr); err != nil {
+	var pr PhaseReply
+	if err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Paths", Epoch: 1, Cfg: DefaultConfig()}, &pr); err != nil {
 		t.Fatal(err)
 	}
 	if len(pr.Paths) != 1 || len(pr.Paths[0]) != 3 {
 		t.Fatalf("paths = %v", pr.Paths)
 	}
 	// Unknown phase and unknown partition error.
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "r1", Part: 0, Phase: "Nope", Epoch: 1}, &pr); err == nil {
+	if err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Nope", Epoch: 1}, &pr); err == nil {
 		t.Error("unknown phase accepted")
 	}
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "rX", Part: 0, Phase: "Paths", Epoch: 1}, &pr); err == nil {
+	if err := svc.Phase(&PhaseArgs{RunID: "rX", Part: 0, Phase: "Paths", Epoch: 1}, &pr); err == nil {
 		t.Error("unloaded run accepted")
 	}
 	// Unload forgets the run.
@@ -62,7 +62,7 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 	if err := svc.Unload(&UnloadArgs{RunID: "r1"}, &ok); err != nil || !ok {
 		t.Fatal(err)
 	}
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "r1", Part: 0, Phase: "Paths", Epoch: 1}, &pr); err == nil {
+	if err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Paths", Epoch: 1}, &pr); err == nil {
 		t.Error("unloaded partition still served")
 	}
 }
@@ -88,9 +88,9 @@ func TestEpochFencing(t *testing.T) {
 	}
 	// Phases at mismatched epochs — older (late request from before a
 	// re-host) or newer (worker restarted with an older copy) — are fenced.
-	var pr PhaseReplyStateful
+	var pr PhaseReply
 	for _, e := range []int64{1, 3} {
-		err := svc.Phase(&PhaseArgsStateful{RunID: "r", Part: 0, Phase: "Paths", Epoch: e, Cfg: DefaultConfig()}, &pr)
+		err := svc.Phase(&PhaseArgs{RunID: "r", Part: 0, Phase: "Paths", Epoch: e, Cfg: DefaultConfig()}, &pr)
 		if err == nil {
 			t.Fatalf("Phase at epoch %d accepted over stored epoch 2", e)
 		}
@@ -99,7 +99,7 @@ func TestEpochFencing(t *testing.T) {
 		}
 	}
 	// The matching epoch still works.
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "r", Part: 0, Phase: "Paths", Epoch: 2, Cfg: DefaultConfig()}, &pr); err != nil {
+	if err := svc.Phase(&PhaseArgs{RunID: "r", Part: 0, Phase: "Paths", Epoch: 2, Cfg: DefaultConfig()}, &pr); err != nil {
 		t.Fatal(err)
 	}
 	// A Load at a newer epoch (re-host onto this worker) is accepted, and
@@ -107,11 +107,11 @@ func TestEpochFencing(t *testing.T) {
 	if err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Cfg: DefaultConfig(), Epoch: 5}, &lr); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Phase(&PhaseArgsStateful{RunID: "r", Part: 0, Phase: "Paths", Epoch: 2, Cfg: DefaultConfig()}, &pr); err == nil {
+	if err := svc.Phase(&PhaseArgs{RunID: "r", Part: 0, Phase: "Paths", Epoch: 2, Cfg: DefaultConfig()}, &pr); err == nil {
 		t.Fatal("pre-rehost Phase accepted after epoch advance")
 	}
 	// Not-loaded is rehostable too (worker restart lost the state table).
-	err := svc.Phase(&PhaseArgsStateful{RunID: "gone", Part: 0, Phase: "Paths", Epoch: 1}, &pr)
+	err := svc.Phase(&PhaseArgs{RunID: "gone", Part: 0, Phase: "Paths", Epoch: 1}, &pr)
 	if !IsRehostable(err) {
 		t.Fatalf("not-loaded error not rehostable: %v", err)
 	}

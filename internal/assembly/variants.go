@@ -185,21 +185,6 @@ func classifyBranches(c *edgeCSR, u, w, a, b, da, db int32, cfg VariantConfig) (
 	return out, true
 }
 
-// VariantsReply is the RPC reply for the variant phase.
-type VariantsReply struct{ Variants []Variant }
-
-// VariantArgs carries the subgraph and variant config over RPC.
-type VariantArgs struct {
-	Sub Subgraph
-	Cfg VariantConfig
-}
-
-// Variants is the worker RPC method for distributed variant calling.
-func (s *Service) Variants(args *VariantArgs, reply *VariantsReply) error {
-	reply.Variants = ScanVariants(&args.Sub, args.Cfg)
-	return nil
-}
-
 // CallVariants runs distributed variant detection: each worker scans its
 // partition, the master deduplicates (a bubble whose branches live in
 // different partitions is reported by both) and returns the calls sorted

@@ -25,16 +25,11 @@ import (
 // Compile-time interface checks: every RPC body of the service is a Wire
 // implementer (the pool refuses to send one that is not).
 var (
-	_ dist.Wire = (*PhaseArgs)(nil)
-	_ dist.Wire = (*VariantArgs)(nil)
-	_ dist.Wire = (*EdgeReply)(nil)
-	_ dist.Wire = (*RemovalReply)(nil)
-	_ dist.Wire = (*PathsReply)(nil)
-	_ dist.Wire = (*VariantsReply)(nil)
+	_ dist.Wire = (*ScanArgs)(nil)
+	_ dist.Wire = (*PhaseReply)(nil)
 	_ dist.Wire = (*LoadArgs)(nil)
 	_ dist.Wire = (*LoadReply)(nil)
-	_ dist.Wire = (*PhaseArgsStateful)(nil)
-	_ dist.Wire = (*PhaseReplyStateful)(nil)
+	_ dist.Wire = (*PhaseArgs)(nil)
 	_ dist.Wire = (*UnloadArgs)(nil)
 )
 
@@ -317,78 +312,20 @@ func decodeDelta(rd *dist.WireReader, d *Delta) {
 }
 
 // AppendTo implements dist.Wire.
-func (a *PhaseArgs) AppendTo(dst []byte) []byte {
+func (a *ScanArgs) AppendTo(dst []byte) []byte {
+	dst = dist.AppendString(dst, a.Phase)
 	dst = appendSubgraph(dst, &a.Sub)
-	return appendConfig(dst, &a.Cfg)
+	dst = appendConfig(dst, &a.Cfg)
+	return appendVariantConfig(dst, &a.VCfg)
 }
 
 // DecodeFrom implements dist.Wire.
-func (a *PhaseArgs) DecodeFrom(src []byte) error {
+func (a *ScanArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
+	a.Phase = rd.String()
 	decodeSubgraph(&rd, &a.Sub)
 	decodeConfig(&rd, &a.Cfg)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (a *VariantArgs) AppendTo(dst []byte) []byte {
-	dst = appendSubgraph(dst, &a.Sub)
-	return appendVariantConfig(dst, &a.Cfg)
-}
-
-// DecodeFrom implements dist.Wire.
-func (a *VariantArgs) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	decodeSubgraph(&rd, &a.Sub)
-	decodeVariantConfig(&rd, &a.Cfg)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (r *EdgeReply) AppendTo(dst []byte) []byte {
-	return appendEdgePairs(dst, r.Edges)
-}
-
-// DecodeFrom implements dist.Wire.
-func (r *EdgeReply) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	r.Edges = decodeEdgePairs(&rd)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (r *RemovalReply) AppendTo(dst []byte) []byte {
-	return appendRemoval(dst, &r.Removal)
-}
-
-// DecodeFrom implements dist.Wire.
-func (r *RemovalReply) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	decodeRemoval(&rd, &r.Removal)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (r *PathsReply) AppendTo(dst []byte) []byte {
-	return appendPaths(dst, r.Paths)
-}
-
-// DecodeFrom implements dist.Wire.
-func (r *PathsReply) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	r.Paths = decodePaths(&rd)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (r *VariantsReply) AppendTo(dst []byte) []byte {
-	return appendVariants(dst, r.Variants)
-}
-
-// DecodeFrom implements dist.Wire.
-func (r *VariantsReply) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	r.Variants = decodeVariants(&rd)
+	decodeVariantConfig(&rd, &a.VCfg)
 	return rd.Finish()
 }
 
@@ -425,7 +362,7 @@ func (r *LoadReply) DecodeFrom(src []byte) error {
 }
 
 // AppendTo implements dist.Wire.
-func (a *PhaseArgsStateful) AppendTo(dst []byte) []byte {
+func (a *PhaseArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendString(dst, a.RunID)
 	dst = dist.AppendVarint(dst, int64(a.Part))
 	dst = dist.AppendString(dst, a.Phase)
@@ -436,7 +373,7 @@ func (a *PhaseArgsStateful) AppendTo(dst []byte) []byte {
 }
 
 // DecodeFrom implements dist.Wire.
-func (a *PhaseArgsStateful) DecodeFrom(src []byte) error {
+func (a *PhaseArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
 	a.RunID = rd.String()
 	a.Part = int32(rd.Varint())
@@ -449,7 +386,7 @@ func (a *PhaseArgsStateful) DecodeFrom(src []byte) error {
 }
 
 // AppendTo implements dist.Wire.
-func (r *PhaseReplyStateful) AppendTo(dst []byte) []byte {
+func (r *PhaseReply) AppendTo(dst []byte) []byte {
 	dst = appendEdgePairs(dst, r.Edges)
 	dst = appendRemoval(dst, &r.Removal)
 	dst = appendPaths(dst, r.Paths)
@@ -457,7 +394,7 @@ func (r *PhaseReplyStateful) AppendTo(dst []byte) []byte {
 }
 
 // DecodeFrom implements dist.Wire.
-func (r *PhaseReplyStateful) DecodeFrom(src []byte) error {
+func (r *PhaseReply) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
 	r.Edges = decodeEdgePairs(&rd)
 	decodeRemoval(&rd, &r.Removal)

@@ -195,39 +195,29 @@ func rtWire(t *testing.T, v, fresh dist.Wire) {
 func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	var (
-		pa  PhaseArgs
-		va  VariantArgs
-		er  EdgeReply
-		rr  RemovalReply
-		pr  PathsReply
-		vr  VariantsReply
-		la  LoadArgs
-		lr  LoadReply
-		pas PhaseArgsStateful
-		prs PhaseReplyStateful
-		ua  UnloadArgs
+		sa ScanArgs
+		la LoadArgs
+		lr LoadReply
+		pa PhaseArgs
+		pr PhaseReply
+		ua UnloadArgs
 	)
 	for i := 0; i < 100; i++ {
 		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
-		rtWire(t, &PhaseArgs{Sub: randSubgraph(rng), Cfg: randConfig(rng)}, &pa)
-		rtWire(t, &VariantArgs{Sub: randSubgraph(rng), Cfg: randVariantConfig(rng)}, &va)
-		rtWire(t, &EdgeReply{Edges: randEdgePairs(rng)}, &er)
-		rtWire(t, &RemovalReply{Removal: Removal{Nodes: randIDs(rng), Edges: randEdgePairs(rng)}}, &rr)
-		rtWire(t, &PathsReply{Paths: randPaths(rng)}, &pr)
-		rtWire(t, &VariantsReply{Variants: randVariants(rng)}, &vr)
+		rtWire(t, &ScanArgs{Phase: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}, &sa)
 		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), Epoch: rng.Int63()}, &la)
 		rtWire(t, &LoadReply{Nodes: rng.Intn(1000), Edges: rng.Intn(1000)}, &lr)
-		rtWire(t, &PhaseArgsStateful{
+		rtWire(t, &PhaseArgs{
 			RunID: randString(rng), Part: int32(rng.Uint32()), Phase: randString(rng),
 			Epoch: rng.Int63(),
 			Delta: Delta{RemovedNodes: randIDs(rng), RemovedEdges: randEdgePairs(rng)},
 			Cfg:   randConfig(rng), VCfg: randVariantConfig(rng),
-		}, &pas)
-		rtWire(t, &PhaseReplyStateful{
+		}, &pa)
+		rtWire(t, &PhaseReply{
 			Edges:   randEdgePairs(rng),
 			Removal: Removal{Nodes: randIDs(rng), Edges: randEdgePairs(rng)},
 			Paths:   randPaths(rng), Variants: randVariants(rng),
-		}, &prs)
+		}, &pr)
 	}
 }
 
@@ -236,9 +226,9 @@ func TestWireRoundTripProperty(t *testing.T) {
 // panicking or allocating absurdly — never trust the wire.
 func TestWireDecodeCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	args := &PhaseArgs{Sub: randSubgraph(rng), Cfg: randConfig(rng)}
+	args := &ScanArgs{Phase: "Containment", Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}
 	enc := args.AppendTo(nil)
-	var dst PhaseArgs
+	var dst ScanArgs
 	for cut := 0; cut < len(enc); cut += 3 {
 		if dst.DecodeFrom(enc[:cut]) == nil && cut < len(enc) {
 			t.Fatalf("truncated frame (%d/%d bytes) decoded cleanly", cut, len(enc))
@@ -301,6 +291,111 @@ func TestWireCodecEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, baseline) {
 		t.Fatalf("stateful diverged:\ngot  %+v\nwant %+v", got, baseline)
+	}
+
+	// fullRun never calls variants: a second pass puts CallVariants between
+	// transitive reduction and containment removal, on two haplotypes so
+	// that there are bubbles to call.
+	want, err := variantRun(variantPipeline(t, nil, 2, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Variants) == 0 {
+		t.Fatal("variant pipeline called no variants; the pass would compare nothing")
+	}
+	for _, stateful := range []bool{false, true} {
+		pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := variantPipeline(t, pool, 2, stateful)
+		got, err := variantRun(d)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("variants, stateful=%v: %v", stateful, err)
+		}
+		if d.DegradeReason() != DegradeNone {
+			t.Fatalf("variants, stateful=%v ran locally, not over the wire", stateful)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("variants, stateful=%v diverged:\ngot  %+v\nwant %+v", stateful, got, want)
+		}
+	}
+}
+
+// variantOutcome is what the variant-calling pass of variantRun produces.
+type variantOutcome struct {
+	runOutcome
+	Variants []Variant
+}
+
+// variantRun runs TrimTransitive → CallVariants → TrimContainment →
+// TrimErrors → traverse: error removal pops the bubbles variant calling
+// reads, so calling goes before it.
+func variantRun(d *Driver) (variantOutcome, error) {
+	var st TrimStats
+	if err := d.TrimTransitive(&st); err != nil {
+		return variantOutcome{}, err
+	}
+	vars, err := d.CallVariants(DefaultVariantConfig())
+	if err != nil {
+		return variantOutcome{}, err
+	}
+	if err := d.TrimContainment(&st); err != nil {
+		return variantOutcome{}, err
+	}
+	if err := d.TrimErrors(&st); err != nil {
+		return variantOutcome{}, err
+	}
+	paths, _, err := d.TraverseTimed()
+	if err != nil {
+		return variantOutcome{}, err
+	}
+	return variantOutcome{runOutcome{
+		Transitive: st.TransitiveEdges, Contained: st.ContainedNodes,
+		False: st.FalseEdges, DeadEnds: st.DeadEndNodes,
+		Paths: paths, Contigs: d.BuildContigs(paths),
+	}, vars}, nil
+}
+
+// variantPipeline is chaosPipeline over reads of two haplotypes: the
+// second differs in a 12-base block every 500 bases.
+func variantPipeline(t *testing.T, pool *dist.Pool, k int, stateful bool) *Driver {
+	t.Helper()
+	hapA := randGenome(91, 3000)
+	hapB := append([]byte(nil), hapA...)
+	for i := 250; i < len(hapB); i += 500 {
+		for j := i; j < i+12; j++ {
+			hapB[j] = "CGTA"[strings.IndexByte("ACGT", hapB[j])]
+		}
+	}
+	reads := append(tilingReads(hapA, 100, 10), tilingReads(hapB[5:], 100, 10)...)
+	dg, labels, _ := buildPipeline(t, reads, k)
+	cfg := DefaultConfig()
+	cfg.Stateful = stateful
+	d, err := NewDriver(pool, dg, labels, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestServiceRPCSurface pins the worker's RPC methods: a new per-phase
+// method is a wire change, to be made on purpose (phases go through Scan
+// and Phase).
+func TestServiceRPCSurface(t *testing.T) {
+	errType := reflect.TypeOf((*error)(nil)).Elem()
+	var got []string
+	st := reflect.TypeOf(&Service{})
+	for i := 0; i < st.NumMethod(); i++ {
+		m := st.Method(i).Type // receiver, args, reply → error: net/rpc's shape
+		if m.NumIn() == 3 && m.In(2).Kind() == reflect.Pointer && m.NumOut() == 1 && m.Out(0) == errType {
+			got = append(got, st.Method(i).Name)
+		}
+	}
+	want := []string{"AlignPair", "Load", "Phase", "Ping", "Scan", "Unload"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("worker RPC methods = %v, want %v", got, want)
 	}
 }
 
@@ -381,17 +476,12 @@ func wireSamples() []struct {
 		msg  dist.Wire
 	}{
 		{"Ack", &ack},
-		{"PhaseArgs", &PhaseArgs{Sub: sub, Cfg: cfg}},
-		{"VariantArgs", &VariantArgs{Sub: sub, Cfg: vcfg}},
-		{"EdgeReply", &EdgeReply{Edges: pairs}},
-		{"RemovalReply", &RemovalReply{Removal: removal}},
-		{"PathsReply", &PathsReply{Paths: paths}},
-		{"VariantsReply", &VariantsReply{Variants: variants}},
+		{"ScanArgs", &ScanArgs{Phase: "Variants", Sub: sub, Cfg: cfg, VCfg: vcfg}},
 		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Cfg: cfg, Epoch: 12}},
 		{"LoadReply", &LoadReply{Nodes: 4, Edges: 3}},
-		{"PhaseArgsStateful", &PhaseArgsStateful{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,
+		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},
-		{"PhaseReplyStateful", &PhaseReplyStateful{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
+		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
 		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
 		{"AlignPairArgs", &overlap.AlignPairArgs{
 			RefIDs: []int32{0, 1}, RefSeqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA")},

@@ -141,7 +141,7 @@ func TestParallelCallsCtxCancelUnwinds(t *testing.T) {
 		replies[i] = &EchoReply{}
 	}
 	start := time.Now()
-	_, err = p.ParallelCallsRetryCtx(ctx, len(replies), "Echo", func(t int) interface{} {
+	_, _, err = p.ParallelCallsRetryCtx(ctx, len(replies), "Echo", func(t int) interface{} {
 		return &EchoArgs{X: t}
 	}, replies, 0)
 	if !errors.Is(err, cause) {

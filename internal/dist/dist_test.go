@@ -94,7 +94,7 @@ func TestParallelCallsRoundRobin(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
+	times, _, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
 	}, replies, 0)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, err = p.ParallelCallsRetryCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies, 0)
+	_, _, err = p.ParallelCallsRetryCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies, 0)
 	if err == nil {
 		t.Error("expected error from unknown method")
 	}

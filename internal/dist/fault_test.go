@@ -124,7 +124,7 @@ func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
+	times, _, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
 	}, replies, 0)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestApplicationErrorsDoNotEvict(t *testing.T) {
 	// Even with a generous retry budget every attempt fails at the
 	// application level; the error propagates and no worker is evicted —
 	// a worker that answers, even with an error, is alive.
-	_, err = p.ParallelCallsRetryCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies, 5)
+	_, _, err = p.ParallelCallsRetryCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies, 5)
 	if err == nil {
 		t.Fatal("application failure not propagated")
 	}

@@ -30,9 +30,11 @@ type callOptions struct {
 // ParallelCallsRetryCtx runs one call per task concurrently over the
 // schedulable workers. mkArgs and replies are indexed by task. It returns
 // the per-task durations (argument construction excluded), which the
-// harness projects onto larger worker counts; the first error (in task
-// order) is returned after all calls finish. When no schedulable worker
-// exists the error wraps ErrNoWorkers.
+// harness projects onto larger worker counts, and the id of the worker
+// whose reply each task kept (-1 for a task that never succeeded), so a
+// caller that rejects a reply can name its sender; the first error (in
+// task order) is returned after all calls finish. When no schedulable
+// worker exists the error wraps ErrNoWorkers.
 //
 // A task failed by the service is retried on up to `retries` other
 // workers before the error counts. Stateless services (all of assembly's
@@ -42,7 +44,7 @@ type callOptions struct {
 // timeout) and drains the queue: not-yet-started tasks fail fast without
 // touching the network, and the whole invocation returns promptly with an
 // error wrapping the context's cause. A nil ctx never cancels.
-func (p *Pool) ParallelCallsRetryCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, retries int) ([]time.Duration, error) {
+func (p *Pool) ParallelCallsRetryCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, retries int) ([]time.Duration, []int, error) {
 	return p.parallelCalls(ctx, tasks, method, mkArgs, replies, callOptions{retries: retries})
 }
 
@@ -95,14 +97,18 @@ func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func
 	return times, errs
 }
 
-func (p *Pool) parallelCalls(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, opt callOptions) ([]time.Duration, error) {
+func (p *Pool) parallelCalls(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, opt callOptions) ([]time.Duration, []int, error) {
 	times := make([]time.Duration, tasks)
+	served := make([]int, tasks)
+	for t := range served {
+		served[t] = -1
+	}
 	if tasks == 0 {
-		return times, nil
+		return times, served, nil
 	}
 	runners := p.runnableWorkers()
 	if len(runners) == 0 {
-		return times, fmt.Errorf("dist: %s: %w", method, ErrNoWorkers)
+		return times, served, fmt.Errorf("dist: %s: %w", method, ErrNoWorkers)
 	}
 	maxAttempts := 1 + opt.retries
 	if maxAttempts > len(p.workers) {
@@ -112,7 +118,7 @@ func (p *Pool) parallelCalls(ctx context.Context, tasks int, method string, mkAr
 	for i, w := range runners {
 		ids[i] = w.id
 	}
-	s := newSched(tasks, len(p.workers), maxAttempts, times, ids)
+	s := newSched(tasks, len(p.workers), maxAttempts, times, served, ids)
 	var wg sync.WaitGroup
 	for _, w := range runners {
 		wg.Add(1)
@@ -124,10 +130,10 @@ func (p *Pool) parallelCalls(ctx context.Context, tasks int, method string, mkAr
 	wg.Wait()
 	for _, err := range s.errs {
 		if err != nil {
-			return times, err
+			return times, served, err
 		}
 	}
-	return times, nil
+	return times, served, nil
 }
 
 // runWorker is one worker's runner: it drains the queue one task at a
@@ -158,7 +164,7 @@ func (p *Pool) runWorker(ctx context.Context, w *worker, s *sched, method string
 		d := time.Since(t0)
 		if err == nil {
 			copyReply(replies[tk.idx], fresh)
-			s.finish(tk, d)
+			s.finish(tk, w.id, d)
 		} else {
 			s.fail(tk, w.id, err, d, IsTransportError(err))
 		}
@@ -196,15 +202,17 @@ type sched struct {
 	maxAttempts int
 	live        []bool // live runner per worker id
 	times       []time.Duration
+	served      []int // worker whose reply each finished task kept
 	errs        []error
 }
 
-func newSched(tasks, workers, maxAttempts int, times []time.Duration, runnerIDs []int) *sched {
+func newSched(tasks, workers, maxAttempts int, times []time.Duration, served, runnerIDs []int) *sched {
 	s := &sched{
 		total:       tasks,
 		maxAttempts: maxAttempts,
 		live:        make([]bool, workers),
 		times:       times,
+		served:      served,
 		errs:        make([]error, tasks),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -269,11 +277,12 @@ func (s *sched) reapUnservable() {
 	s.pending = kept
 }
 
-func (s *sched) finish(t *schedTask, d time.Duration) {
+func (s *sched) finish(t *schedTask, wid int, d time.Duration) {
 	s.mu.Lock()
 	s.inflight--
 	s.finalized++
 	s.times[t.idx] = d
+	s.served[t.idx] = wid
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

@@ -604,7 +604,7 @@ func TestWireChaosHungWorkerReschedules(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	if _, err := p.ParallelCallsRetryCtx(ctx, tasks, "Echo", func(tk int) interface{} {
+	if _, _, err := p.ParallelCallsRetryCtx(ctx, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
 	}, replies, 1); err != nil {
 		t.Fatalf("parallel calls with one hung worker: %v", err)

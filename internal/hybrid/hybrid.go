@@ -11,8 +11,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"focus/internal/dna"
 	"focus/internal/graph"
@@ -160,38 +158,20 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 		// A layout test touches a whole cluster; a handful per worker
 		// already pays for the fan-out, so the grain is small.
 		w := par.Workers(cfg.Workers, len(cands), 64)
-		if w <= 1 {
-			for i, members := range cands {
-				if gate.Stopped() {
-					return nil, gate.Err()
-				}
-				node, ok := scratches[0].tryLayout(members, level)
-				results[i] = layoutResult{node, ok}
+		for p := 1; p < w; p++ {
+			if scratches[p] == nil {
+				scratches[p] = newLayoutScratch(n0, reads, inc, cfg)
 			}
-		} else {
-			var next int64
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for p := 0; p < w; p++ {
-				if scratches[p] == nil {
-					scratches[p] = newLayoutScratch(n0, reads, inc, cfg)
-				}
-				go func(sc *layoutScratch) {
-					defer wg.Done()
-					for {
-						i := int(atomic.AddInt64(&next, 1)) - 1
-						if i >= len(cands) || gate.Stopped() {
-							return
-						}
-						node, ok := sc.tryLayout(cands[i], level)
-						results[i] = layoutResult{node, ok}
-					}
-				}(scratches[p])
-			}
-			wg.Wait()
+		}
+		par.Run(w, len(cands), func(p, i int) {
 			if gate.Stopped() {
-				return nil, gate.Err()
+				return
 			}
+			node, ok := scratches[p].tryLayout(cands[i], level)
+			results[i] = layoutResult{node, ok}
+		})
+		if gate.Stopped() {
+			return nil, gate.Err()
 		}
 		for i, members := range cands {
 			if !results[i].ok {

@@ -84,7 +84,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	for i := range replies {
 		replies[i] = &AlignPairReply{}
 	}
-	_, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
+	_, _, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
 		q, r := jobs[t].q, jobs[t].r
 		return &AlignPairArgs{RefIDs: subs[r].ids, RefSeqs: subs[r].seqs, QueryIDs: subs[q].ids, QuerySeqs: subs[q].seqs, Cfg: cfg}
 	}, replies, cfg.RPCRetries)

@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"focus/internal/align"
 	"focus/internal/dna"
@@ -224,21 +222,11 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	// Build one index per subset (reused across pair jobs).
 	indexes := make([]*kmerIndex, subsets)
 	errs := make([]error, subsets)
-	var iwg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for s := 0; s < subsets; s++ {
-		iwg.Add(1)
-		go func(s int) {
-			defer iwg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if gate.Stopped() {
-				return
-			}
+	par.Run(workers, subsets, func(_, s int) {
+		if !gate.Stopped() {
 			indexes[s], errs[s] = buildKmerIndex(subs[s].seqs, cfg.K)
-		}(s)
-	}
-	iwg.Wait()
+		}
+	})
 	// A skipped index build leaves a nil index the pair jobs would probe.
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
@@ -250,34 +238,26 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	}
 
 	jobs := subsetPairs(subsets)
-
-	var candTotal int64
 	results := make([][]Record, len(jobs))
-	var wg sync.WaitGroup
-	jobCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := new(scratch) // worker-owned; never shared
-			sc.countOnly = countOnly
-			for jid := range jobCh {
-				if gate.Stopped() {
-					continue // keep draining so the feeder never blocks
-				}
-				j := jobs[jid]
-				results[jid] = alignQueriesGate(subs[j.q], subs[j.r], indexes[j.r], cfg, sc, gate)
-			}
-			atomic.AddInt64(&candTotal, sc.candTotal)
-		}()
-	}
-	for jid := range jobs {
-		jobCh <- jid
-	}
-	close(jobCh)
-	wg.Wait()
+	scs := make([]*scratch, workers) // worker-owned; never shared
+	par.Run(workers, len(jobs), func(w, jid int) {
+		if gate.Stopped() {
+			return
+		}
+		if scs[w] == nil {
+			scs[w] = &scratch{countOnly: countOnly}
+		}
+		j := jobs[jid]
+		results[jid] = alignQueriesGate(subs[j.q], subs[j.r], indexes[j.r], cfg, scs[w], gate)
+	})
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
+	}
+	var candTotal int64
+	for _, sc := range scs {
+		if sc != nil {
+			candTotal += sc.candTotal
+		}
 	}
 
 	recs, err := mergeRecords(jobs, results)
