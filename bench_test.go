@@ -170,37 +170,6 @@ func BenchmarkAblationBand(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSeeding compares stepped k-mer sampling against
-// (w,k)-minimizer seeding in overlap detection.
-func BenchmarkAblationSeeding(b *testing.B) {
-	d := benchSet(b, 1)
-	reads := d.stages.Reads[:min(len(d.stages.Reads), 800)]
-	for _, mode := range []struct {
-		name string
-		cfg  func() overlap.Config
-	}{
-		{"step", func() overlap.Config { return overlap.DefaultConfig() }},
-		{"minimizer", func() overlap.Config {
-			c := overlap.DefaultConfig()
-			c.Seeding = overlap.SeedMinimizer
-			c.MinimizerW = 8
-			return c
-		}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var found int
-			for i := 0; i < b.N; i++ {
-				recs, err := overlap.FindOverlaps(reads, 2, mode.cfg())
-				if err != nil {
-					b.Fatal(err)
-				}
-				found = len(recs)
-			}
-			b.ReportMetric(float64(found), "overlaps")
-		})
-	}
-}
-
 // BenchmarkAblationTransport compares the two wire protocols: stateless
 // (each phase reships its partition subgraphs) vs stateful (partitions
 // shipped once, phases send removal deltas only).

@@ -174,7 +174,7 @@ func TestWatchdogThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	s.Cfg.Watchdog = assembly.WatchdogConfig{Window: 100 * time.Millisecond}
+	s.Cfg.Watchdog = 100 * time.Millisecond
 	res, err := s.Assemble(pool, 2, 2, 1)
 	if err != nil {
 		t.Fatalf("watchdog-guarded run failed: %v", err)

@@ -57,9 +57,7 @@ func main() {
 	cfg := focus.DefaultConfig()
 	cfg.Assembly.Stateful = *stateful
 	cfg.Dist = dist.Options{CallTimeout: *callTO, MaxFailures: *maxFails}
-	if *watchdog > 0 {
-		cfg.Watchdog = assembly.WatchdogConfig{Window: *watchdog}
-	}
+	cfg.Watchdog = *watchdog
 
 	var pool *dist.Pool
 	var err error

@@ -92,7 +92,7 @@ var (
 	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
 	stateful  = flag.Bool("stateful", false, "use the stateful worker protocol (ship partitions once, then removal deltas)")
 	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
-	retries   = flag.Int("rpc-retries", 0, "failover retries per task after application-level worker errors (stateless protocols only)")
+	retries   = flag.Int("rpc-retries", 0, "failover retries per task after an application-level worker error: assembly partition tasks under the stateless protocol, and -distributed-align alignment jobs under either protocol")
 	callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
@@ -147,7 +147,7 @@ func main() {
 	ctx, stopDeadline := cfg.RunContext()
 	defer stopDeadline()
 	cfg.Context = ctx
-	cfg.Watchdog = assembly.WatchdogConfig{Window: *watchdog}
+	cfg.Watchdog = *watchdog
 	if *ckptDir != "" {
 		resumeHint = fmt.Sprintf("focus: resume with -resume -checkpoint-dir %s", *ckptDir)
 	}

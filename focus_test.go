@@ -30,7 +30,6 @@ func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Preprocess.Trim5 = 6 // strip the simulated adapter
 	cfg.Subsets = 2
-	cfg.Overlap.Workers = 2
 	cfg.Coarsen.MinNodes = 8
 	return cfg
 }

@@ -93,7 +93,7 @@ func remainingPhases(phase string) []string {
 // releases the derived contexts. With no run context and no watchdog it
 // returns a nil context — the zero-cost path everywhere downstream.
 func (d *Driver) phaseContext(phase string) (context.Context, func()) {
-	watchdog := d.wd != nil && d.Pool != nil && !d.localOnly
+	watchdog := d.wdWindow > 0 && d.Pool != nil && !d.localOnly
 	if d.runCtx == nil && !watchdog {
 		return nil, func() {}
 	}

@@ -168,7 +168,7 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 
 	d := chaosPipeline(t, pool, k, false)
 	defer d.Close()
-	d.EnableWatchdog(WatchdogConfig{Window: 100 * time.Millisecond})
+	d.EnableWatchdog(100 * time.Millisecond)
 	got, err := fullRun(t, d)
 	if err != nil {
 		t.Fatalf("run with watchdog failed: %v", err)
@@ -204,7 +204,8 @@ func TestWatchdogEscalatesToCancel(t *testing.T) {
 
 	d := chaosPipeline(t, pool, 4, false)
 	defer d.Close()
-	d.EnableWatchdog(WatchdogConfig{Window: 100 * time.Millisecond, MaxKicks: -1})
+	d.EnableWatchdog(100 * time.Millisecond)
+	d.wdNoKicks = true
 	start := time.Now()
 	_, err = fullRun(t, d)
 	if !errors.Is(err, ErrStalled) {

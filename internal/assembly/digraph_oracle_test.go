@@ -173,9 +173,7 @@ func randomHybrid(t *testing.T, seed int64) (*hybrid.Hybrid, []overlap.Record) {
 // pipelineHybrid runs reads through overlap -> graph -> coarsen -> hybrid.
 func pipelineHybrid(tb testing.TB, reads []dna.Read, subsets int) (*hybrid.Hybrid, []overlap.Record) {
 	tb.Helper()
-	ocfg := overlap.DefaultConfig()
-	ocfg.Workers = 2
-	recs, err := overlap.FindOverlaps(reads, subsets, ocfg)
+	recs, err := overlap.FindOverlaps(reads, subsets, overlap.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}

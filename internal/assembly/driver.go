@@ -58,11 +58,14 @@ type Driver struct {
 	// Cancellation state (budget.go / watchdog.go). runCtx bounds the whole
 	// run (nil = unbounded); each phase runs under a derived context whose
 	// deadline is its share of the remaining run budget (costs) and which
-	// the watchdog may cancel on stall. All three are nil unless enabled, so
+	// the watchdog may cancel on stall. All three are zero unless enabled, so
 	// the default path costs one nil check per phase.
-	runCtx context.Context
-	costs  *metrics.CostModel
-	wd     *WatchdogConfig
+	runCtx   context.Context
+	costs    *metrics.CostModel
+	wdWindow time.Duration // 0: no watchdog
+	// wdNoKicks takes the kick rung out of the watchdog's ladder, so a
+	// stall goes straight from log to cancel (tests only).
+	wdNoKicks bool
 
 	// reg is the optional operational-metrics sink (DESIGN.md §15): fault
 	// counters and per-phase latency histograms. Nil (the default) costs a
@@ -275,7 +278,7 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 		}
 		_, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(parts), func(t int) int { return target[t] }, "Load",
 			func(t int) interface{} {
-				return &LoadArgs{RunID: d.runID, Sub: subs[t], Cfg: d.Cfg, Epoch: epochs[t]}
+				return &LoadArgs{RunID: d.runID, Sub: subs[t], Epoch: epochs[t]}
 			}, replies)
 		var remaining []int
 		for i, err := range errs {

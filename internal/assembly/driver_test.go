@@ -34,9 +34,7 @@ func tilingReads(genome []byte, l, s int) []dna.Read {
 // digraph and returns everything needed for a Driver.
 func buildPipeline(t *testing.T, reads []dna.Read, k int) (*DiGraph, []int32, *hybrid.Hybrid) {
 	t.Helper()
-	ocfg := overlap.DefaultConfig()
-	ocfg.Workers = 2
-	recs, err := overlap.FindOverlaps(reads, 2, ocfg)
+	recs, err := overlap.FindOverlaps(reads, 2, overlap.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,6 @@ type Config struct {
 	// their workers once and later phases send only the removals applied
 	// since (closer to the paper's MPI ranks, and cheaper on the wire).
 	Stateful bool
-	// Workers bounds the row-block fan-out of the CSR scans inside one
-	// subgraph (<= 0 auto: the par governor sizes the pool from the local
-	// node count and GOMAXPROCS). Purely a throughput knob — scan output
-	// is identical at any value.
-	Workers int
 }
 
 // DefaultConfig returns the paper-aligned trimming configuration.

@@ -37,17 +37,19 @@ const (
 	errGrainRows = 1024
 )
 
-// TransitiveEdges finds edges of local nodes that are transitive
+// transitiveEdges finds edges of local nodes that are transitive
 // (paper §V.A, after Myers' string graph construction): v->x is removable
 // when some v->w and w->x exist whose placements compose to v->x within
-// DiagTolerance.
-func TransitiveEdges(sub *Subgraph, cfg Config) []EdgePair {
+// DiagTolerance. Like every CSR scan it fans its row blocks out over at
+// most `workers` goroutines (<= 0 lets the par governor size the pool from
+// the local node count); the output is identical at any width.
+func transitiveEdges(sub *Subgraph, cfg Config, workers int) []EdgePair {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut)
 	nl := len(c.local)
 	nb := par.Blocks(nl, transBlockRows)
-	w := par.Workers(cfg.Workers, nl, transGrainRows)
+	w := par.Workers(workers, nl, transGrainRows)
 	stage := ps.stageBlocks(nb)
 	ps.workerSlots(w)
 	n := len(c.ids)
@@ -127,12 +129,12 @@ func mergeNodes(stage []blockStage) []int32 {
 	return dedupeNodes(out)
 }
 
-// ContainmentScan verifies every edge incident to a local node by aligning
+// containmentScan verifies every edge incident to a local node by aligning
 // the two contigs on the recorded placement (paper §V.B). Contigs
 // contained in a neighbour are recorded for removal; edges whose verified
 // overlap is shorter than MinEdgeOverlap or below MinEdgeIdentity are
 // false positives and recorded for removal.
-func ContainmentScan(sub *Subgraph, cfg Config) Removal {
+func containmentScan(sub *Subgraph, cfg Config, workers int) Removal {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut|viewIn)
@@ -144,7 +146,7 @@ func ContainmentScan(sub *Subgraph, cfg Config) Removal {
 	}
 	nl := len(c.local)
 	nb := par.Blocks(nl, containBlockRows)
-	w := par.Workers(cfg.Workers, nl, containGrainRows)
+	w := par.Workers(workers, nl, containGrainRows)
 	stage := ps.stageBlocks(nb)
 	ps.workerSlots(w)
 	par.Run(w, nb, func(worker, b int) {
@@ -183,15 +185,15 @@ func ContainmentScan(sub *Subgraph, cfg Config) Removal {
 	return Removal{Nodes: mergeNodes(stage), Edges: ps.mergePairs(stage)}
 }
 
-// ErrorScan finds short dead-end paths and bubbles among local nodes
+// errorScan finds short dead-end paths and bubbles among local nodes
 // (paper §V.C, following Velvet's tips-and-bubbles trimming).
-func ErrorScan(sub *Subgraph, cfg Config) Removal {
+func errorScan(sub *Subgraph, cfg Config, workers int) Removal {
 	ps := getPhaseScratch()
 	defer putPhaseScratch(ps)
 	c := ps.buildCSR(sub, viewOut|viewIn)
 	nl := len(c.local)
 	nb := par.Blocks(nl, errBlockRows)
-	w := par.Workers(cfg.Workers, nl, errGrainRows)
+	w := par.Workers(workers, nl, errGrainRows)
 	stage := ps.stageBlocks(nb)
 	ps.workerSlots(w)
 

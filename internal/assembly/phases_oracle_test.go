@@ -35,14 +35,13 @@ func checkScansMatchOracle(t *testing.T, sub *Subgraph, cfg Config, workers ...i
 	wantC := containmentScanMap(sub, cfg)
 	wantE := errorScanMap(sub, cfg)
 	for _, w := range workers {
-		cfg.Workers = w
-		if got := TransitiveEdges(sub, cfg); !reflect.DeepEqual(got, wantT) {
+		if got := transitiveEdges(sub, cfg, w); !reflect.DeepEqual(got, wantT) {
 			t.Fatalf("workers %d: TransitiveEdges diverged\ncsr %v\nmap %v", w, got, wantT)
 		}
-		if got := ContainmentScan(sub, cfg); !reflect.DeepEqual(got, wantC) {
+		if got := containmentScan(sub, cfg, w); !reflect.DeepEqual(got, wantC) {
 			t.Fatalf("workers %d: ContainmentScan diverged\ncsr %+v\nmap %+v", w, got, wantC)
 		}
-		if got := ErrorScan(sub, cfg); !reflect.DeepEqual(got, wantE) {
+		if got := errorScan(sub, cfg, w); !reflect.DeepEqual(got, wantE) {
 			t.Fatalf("workers %d: ErrorScan diverged\ncsr %+v\nmap %+v", w, got, wantE)
 		}
 	}

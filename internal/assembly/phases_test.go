@@ -23,7 +23,7 @@ func TestTransitiveEdges(t *testing.T) {
 	sub := chainSub(3)
 	// Add the transitive edge 0->2 (diag 120 = 60+60).
 	sub.Edges = append(sub.Edges, Edge{From: 0, To: 2, Diag: 120, Len: 10, Ident: 1})
-	got := TransitiveEdges(sub, DefaultConfig())
+	got := transitiveEdges(sub, DefaultConfig(), 0)
 	if len(got) != 1 || got[0] != (EdgePair{From: 0, To: 2}) {
 		t.Errorf("transitive edges = %v", got)
 	}
@@ -35,13 +35,13 @@ func TestTransitiveEdgesRespectsTolerance(t *testing.T) {
 	sub.Edges = append(sub.Edges, Edge{From: 0, To: 2, Diag: 90, Len: 10, Ident: 1})
 	cfg := DefaultConfig()
 	cfg.DiagTolerance = 5
-	if got := TransitiveEdges(sub, cfg); len(got) != 0 {
+	if got := transitiveEdges(sub, cfg, 0); len(got) != 0 {
 		t.Errorf("transitive edges = %v, want none", got)
 	}
 }
 
 func TestTransitiveEdgesNoFalsePositiveOnPlainChain(t *testing.T) {
-	if got := TransitiveEdges(chainSub(5), DefaultConfig()); len(got) != 0 {
+	if got := transitiveEdges(chainSub(5), DefaultConfig(), 0); len(got) != 0 {
 		t.Errorf("chain reported transitive edges: %v", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestContainmentScan(t *testing.T) {
 		},
 		Edges: []Edge{{From: 0, To: 1, Diag: 50, Len: 100, Ident: 1, Contain: true}},
 	}
-	rm := ContainmentScan(sub, DefaultConfig())
+	rm := containmentScan(sub, DefaultConfig(), 0)
 	if len(rm.Nodes) != 1 || rm.Nodes[0] != 1 {
 		t.Errorf("contained nodes = %v, want [1]", rm.Nodes)
 	}
@@ -82,7 +82,7 @@ func TestContainmentScanFalseEdge(t *testing.T) {
 		},
 		Edges: []Edge{{From: 0, To: 1, Diag: 90, Len: 30, Ident: 1}},
 	}
-	rm := ContainmentScan(sub, DefaultConfig())
+	rm := containmentScan(sub, DefaultConfig(), 0)
 	if len(rm.Edges) != 1 || rm.Edges[0] != (EdgePair{From: 0, To: 1}) {
 		t.Errorf("false edges = %v", rm.Edges)
 	}
@@ -101,7 +101,7 @@ func TestErrorScanDeadEnd(t *testing.T) {
 	// edge into node 1 (len 40), so the tip is the minority branch.
 	sub.Edges = append(sub.Edges, Edge{From: 4, To: 1, Diag: 50, Len: 30, Ident: 1})
 	cfg := DefaultConfig()
-	rm := ErrorScan(sub, cfg)
+	rm := errorScan(sub, cfg, 0)
 	if len(rm.Nodes) != 1 || rm.Nodes[0] != 4 {
 		t.Errorf("dead ends = %v, want [4]", rm.Nodes)
 	}
@@ -113,7 +113,7 @@ func TestErrorScanKeepsLongDeadEnd(t *testing.T) {
 	// Tip longer than MinTipLen: kept.
 	sub.Nodes = append(sub.Nodes, WireNode{ID: 4, Part: 0, Weight: 1, Contig: bytes.Repeat([]byte("C"), 2000)})
 	sub.Edges = append(sub.Edges, Edge{From: 4, To: 1, Diag: 1970, Len: 30, Ident: 1})
-	rm := ErrorScan(sub, DefaultConfig())
+	rm := errorScan(sub, DefaultConfig(), 0)
 	if len(rm.Nodes) != 0 {
 		t.Errorf("long dead end removed: %v", rm.Nodes)
 	}
@@ -128,7 +128,7 @@ func TestErrorScanBubble(t *testing.T) {
 		Edge{From: 0, To: 4, Diag: 60, Len: 40, Ident: 1},
 		Edge{From: 4, To: 2, Diag: 60, Len: 40, Ident: 1},
 	)
-	rm := ErrorScan(sub, DefaultConfig())
+	rm := errorScan(sub, DefaultConfig(), 0)
 	if len(rm.Nodes) != 1 || rm.Nodes[0] != 4 {
 		t.Errorf("bubble removal = %v, want [4]", rm.Nodes)
 	}
@@ -143,7 +143,7 @@ func TestErrorScanBubbleDeterministicVictim(t *testing.T) {
 		Edge{From: 0, To: 4, Diag: 60, Len: 40, Ident: 1},
 		Edge{From: 4, To: 2, Diag: 60, Len: 40, Ident: 1},
 	)
-	rm := ErrorScan(sub, DefaultConfig())
+	rm := errorScan(sub, DefaultConfig(), 0)
 	if len(rm.Nodes) != 1 || rm.Nodes[0] != 4 {
 		t.Errorf("victim = %v, want [4] (higher id)", rm.Nodes)
 	}

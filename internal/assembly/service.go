@@ -46,11 +46,11 @@ func scanPhase(phase string, sub *Subgraph, cfg Config, vcfg VariantConfig) (Pha
 	var r PhaseReply
 	switch phase {
 	case "Transitive": // §V.A
-		r.Edges = TransitiveEdges(sub, cfg)
+		r.Edges = transitiveEdges(sub, cfg, 0)
 	case "Containment": // §V.B
-		r.Removal = ContainmentScan(sub, cfg)
+		r.Removal = containmentScan(sub, cfg, 0)
 	case "Errors": // §V.C
-		r.Removal = ErrorScan(sub, cfg)
+		r.Removal = errorScan(sub, cfg, 0)
 	case "Paths": // §V.D
 		r.Paths = ExtractPaths(sub, cfg)
 	case "Variants": // §VI.D future work

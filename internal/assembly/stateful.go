@@ -85,15 +85,14 @@ func partKey(runID string, part int32) string {
 type LoadArgs struct {
 	RunID string
 	Sub   Subgraph
-	Cfg   Config
 	Epoch int64
 }
 
 // LoadReply acknowledges a Load.
 type LoadReply struct{ Nodes, Edges int }
 
-// Load stores a partition (and the trimming config) for later
-// delta-driven phases.
+// Load stores a partition for later delta-driven phases; each Phase call
+// carries the trimming config its scan runs with.
 func (s *Service) Load(args *LoadArgs, reply *LoadReply) error {
 	st := s.ensureState()
 	st.mu.Lock()

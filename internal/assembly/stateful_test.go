@@ -37,7 +37,7 @@ func TestApplyDelta(t *testing.T) {
 func TestStatefulServiceLifecycle(t *testing.T) {
 	svc := &Service{}
 	var lr LoadReply
-	if err := svc.Load(&LoadArgs{RunID: "r1", Sub: *chainSub(3), Cfg: DefaultConfig(), Epoch: 1}, &lr); err != nil {
+	if err := svc.Load(&LoadArgs{RunID: "r1", Sub: *chainSub(3), Epoch: 1}, &lr); err != nil {
 		t.Fatal(err)
 	}
 	if lr.Nodes != 3 {
@@ -73,12 +73,12 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 func TestEpochFencing(t *testing.T) {
 	svc := &Service{}
 	var lr LoadReply
-	if err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Cfg: DefaultConfig(), Epoch: 2}, &lr); err != nil {
+	if err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Epoch: 2}, &lr); err != nil {
 		t.Fatal(err)
 	}
 	// A late duplicate Load at the same or an older epoch is rejected.
 	for _, e := range []int64{2, 1} {
-		err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Cfg: DefaultConfig(), Epoch: e}, &lr)
+		err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Epoch: e}, &lr)
 		if err == nil {
 			t.Fatalf("Load at epoch %d accepted over stored epoch 2", e)
 		}
@@ -104,7 +104,7 @@ func TestEpochFencing(t *testing.T) {
 	}
 	// A Load at a newer epoch (re-host onto this worker) is accepted, and
 	// fences out the previous epoch's phases.
-	if err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Cfg: DefaultConfig(), Epoch: 5}, &lr); err != nil {
+	if err := svc.Load(&LoadArgs{RunID: "r", Sub: *chainSub(3), Epoch: 5}, &lr); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Phase(&PhaseArgs{RunID: "r", Part: 0, Phase: "Paths", Epoch: 2, Cfg: DefaultConfig()}, &pr); err == nil {

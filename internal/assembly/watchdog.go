@@ -24,62 +24,37 @@ import (
 //     unwinds the run through the normal cancellation path (checkpoint,
 //     resumable exit).
 //
-// Kicks are budgeted across the whole phase, not per stall: each kick
-// resets the stall clock (the rescheduled work gets a fresh window), so
-// an unbounded budget would let one poisoned task kick every worker
-// forever.
+// The watchdog samples the counter every window/4. Kicks are budgeted
+// across the whole phase, not per stall — one kick per pool worker — and
+// each kick resets the stall clock (the rescheduled work gets a fresh
+// window), so an unbounded budget would let one poisoned task kick every
+// worker forever.
 
 // ErrStalled is the cancellation cause when the watchdog gives up on a
 // phase that stopped completing tasks.
 var ErrStalled = errors.New("assembly: run stalled: no task completions within the watchdog window")
 
-// WatchdogConfig configures the per-phase no-progress watchdog.
-type WatchdogConfig struct {
-	// Window is the no-completions span that counts as a stall. <= 0
-	// disables the watchdog.
-	Window time.Duration
-	// Poll is the sampling interval; <= 0 selects Window/4.
-	Poll time.Duration
-	// MaxKicks bounds how many stuck workers the watchdog severs during
-	// one phase before escalating to cancellation. 0 selects the pool
-	// size (every worker may be kicked once); negative disables kicking —
-	// the ladder goes straight from log to cancel.
-	MaxKicks int
-}
-
-// EnableWatchdog arms the watchdog for every subsequent phase. Call
-// before the first phase; a Window <= 0 disarms it.
-func (d *Driver) EnableWatchdog(wc WatchdogConfig) {
-	if wc.Window <= 0 {
-		d.wd = nil
-		return
-	}
-	if wc.Poll <= 0 {
-		wc.Poll = wc.Window / 4
-	}
-	if wc.Poll <= 0 {
-		wc.Poll = time.Millisecond
-	}
-	d.wd = &wc
+// EnableWatchdog arms the watchdog for every subsequent phase: window is
+// the no-completions span that counts as a stall. Call before the first
+// phase; a window <= 0 disarms it.
+func (d *Driver) EnableWatchdog(window time.Duration) {
+	d.wdWindow = max(window, 0)
 }
 
 // startWatchdog spawns the monitor goroutine for one phase and returns a
 // stop func that is guaranteed to have reaped it on return (no leaked
 // goroutine for NoLeaks to find).
 func (d *Driver) startWatchdog(ctx context.Context, cancel context.CancelCauseFunc, phase string) func() {
-	wc := *d.wd
-	maxKicks := wc.MaxKicks
-	if maxKicks == 0 {
-		maxKicks = d.Pool.Size()
-	}
-	if maxKicks < 0 {
+	window := d.wdWindow
+	maxKicks := d.Pool.Size()
+	if d.wdNoKicks {
 		maxKicks = 0
 	}
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ticker := time.NewTicker(wc.Poll)
+		ticker := time.NewTicker(max(window/4, time.Millisecond))
 		defer ticker.Stop()
 		last := d.Pool.Completions()
 		stallStart := time.Now()
@@ -99,16 +74,16 @@ func (d *Driver) startWatchdog(ctx context.Context, cancel context.CancelCauseFu
 				warned = false
 				continue
 			}
-			if time.Since(stallStart) < wc.Window {
+			if time.Since(stallStart) < window {
 				continue
 			}
 			if !warned {
-				log.Printf("assembly: watchdog: %s phase made no progress for %v", phase, wc.Window)
+				log.Printf("assembly: watchdog: %s phase made no progress for %v", phase, window)
 				warned = true
 				continue
 			}
 			kicked := false
-			for _, w := range d.Pool.StuckWorkers(wc.Window) {
+			for _, w := range d.Pool.StuckWorkers(window) {
 				if kicks >= maxKicks {
 					break
 				}

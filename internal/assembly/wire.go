@@ -71,28 +71,26 @@ func decodeContig(rd *dist.WireReader, present bool) []byte {
 	return seq
 }
 
+// appendConfig encodes the six scan parameters a worker's answer depends
+// on. RPCRetries and Stateful steer the master's driver and stay home:
+// they decode as zero.
 func appendConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.MinEdgeOverlap))
 	dst = dist.AppendFloat64(dst, c.MinEdgeIdentity)
 	dst = dist.AppendVarint(dst, int64(c.Band))
 	dst = dist.AppendVarint(dst, int64(c.DiagTolerance))
 	dst = dist.AppendVarint(dst, int64(c.MaxTipNodes))
-	dst = dist.AppendVarint(dst, int64(c.MinTipLen))
-	dst = dist.AppendVarint(dst, int64(c.RPCRetries))
-	dst = dist.AppendBool(dst, c.Stateful)
-	return dist.AppendVarint(dst, int64(c.Workers))
+	return dist.AppendVarint(dst, int64(c.MinTipLen))
 }
 
 func decodeConfig(rd *dist.WireReader, c *Config) {
+	*c = Config{}
 	c.MinEdgeOverlap = int(rd.Varint())
 	c.MinEdgeIdentity = rd.Float64()
 	c.Band = int(rd.Varint())
 	c.DiagTolerance = int(rd.Varint())
 	c.MaxTipNodes = int(rd.Varint())
 	c.MinTipLen = int(rd.Varint())
-	c.RPCRetries = int(rd.Varint())
-	c.Stateful = rd.Bool()
-	c.Workers = int(rd.Varint())
 }
 
 func appendVariantConfig(dst []byte, c *VariantConfig) []byte {
@@ -333,8 +331,7 @@ func (a *ScanArgs) DecodeFrom(src []byte) error {
 func (a *LoadArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendString(dst, a.RunID)
 	dst = dist.AppendVarint(dst, a.Epoch)
-	dst = appendSubgraph(dst, &a.Sub)
-	return appendConfig(dst, &a.Cfg)
+	return appendSubgraph(dst, &a.Sub)
 }
 
 // DecodeFrom implements dist.Wire.
@@ -343,7 +340,6 @@ func (a *LoadArgs) DecodeFrom(src []byte) error {
 	a.RunID = rd.String()
 	a.Epoch = rd.Varint()
 	decodeSubgraph(&rd, &a.Sub)
-	decodeConfig(&rd, &a.Cfg)
 	return rd.Finish()
 }
 

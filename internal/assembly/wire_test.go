@@ -156,13 +156,12 @@ func randString(rng *rand.Rand) string {
 	return string(b)
 }
 
+// randConfig returns random scan parameters, the fields a Config ships.
 func randConfig(rng *rand.Rand) Config {
 	return Config{
 		MinEdgeOverlap: rng.Intn(1000) - 500, MinEdgeIdentity: rng.Float64(),
 		Band: rng.Intn(100), DiagTolerance: rng.Intn(100),
 		MaxTipNodes: rng.Intn(10), MinTipLen: rng.Intn(1000),
-		RPCRetries: rng.Intn(5), Stateful: rng.Intn(2) == 0,
-		Workers: rng.Intn(16),
 	}
 }
 
@@ -178,7 +177,25 @@ func randVariantConfig(rng *rand.Rand) VariantConfig {
 // reflect.DeepEqual equality.
 func rtWire(t *testing.T, v, fresh dist.Wire) {
 	t.Helper()
+	decodeEqual(t, v.AppendTo(nil), v, fresh)
+}
+
+// rtWireCfg is rtWire for a message carrying the scan config *sent: the
+// message is encoded with the master-side fields set, decoded into a
+// target whose config *got holds stale ones, and must arrive with them
+// zero — a worker's answer never depends on them.
+func rtWireCfg(t *testing.T, v, fresh dist.Wire, sent, got *Config) {
+	t.Helper()
+	sent.RPCRetries, sent.Stateful = 2, true
+	got.RPCRetries, got.Stateful = 9, true
 	enc := v.AppendTo(nil)
+	sent.RPCRetries, sent.Stateful = 0, false
+	decodeEqual(t, enc, v, fresh)
+}
+
+// decodeEqual decodes enc into fresh and requires it DeepEqual to v.
+func decodeEqual(t *testing.T, enc []byte, v, fresh dist.Wire) {
+	t.Helper()
 	if err := fresh.DecodeFrom(enc); err != nil {
 		t.Fatalf("%T decode: %v\nvalue: %+v", v, err, v)
 	}
@@ -204,15 +221,17 @@ func TestWireRoundTripProperty(t *testing.T) {
 	)
 	for i := 0; i < 100; i++ {
 		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
-		rtWire(t, &ScanArgs{Phase: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}, &sa)
-		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), Epoch: rng.Int63()}, &la)
+		scan := &ScanArgs{Phase: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}
+		rtWireCfg(t, scan, &sa, &scan.Cfg, &sa.Cfg)
+		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng), Epoch: rng.Int63()}, &la)
 		rtWire(t, &LoadReply{Nodes: rng.Intn(1000), Edges: rng.Intn(1000)}, &lr)
-		rtWire(t, &PhaseArgs{
+		phase := &PhaseArgs{
 			RunID: randString(rng), Part: int32(rng.Uint32()), Phase: randString(rng),
 			Epoch: rng.Int63(),
 			Delta: Delta{RemovedNodes: randIDs(rng), RemovedEdges: randEdgePairs(rng)},
 			Cfg:   randConfig(rng), VCfg: randVariantConfig(rng),
-		}, &pa)
+		}
+		rtWireCfg(t, phase, &pa, &phase.Cfg, &pa.Cfg)
 		rtWire(t, &PhaseReply{
 			Edges:   randEdgePairs(rng),
 			Removal: Removal{Nodes: randIDs(rng), Edges: randEdgePairs(rng)},
@@ -437,9 +456,10 @@ func TestWireSubgraphsSerialParallel(t *testing.T) {
 }
 
 // wireSamples returns one fixed, fully-populated value of every message
-// type that crosses the wire, in a fixed order. Every field is non-zero
-// and every slice non-empty, so a field added, dropped, reordered or
-// re-coded changes the bytes.
+// type that crosses the wire, in a fixed order. Every shipped field is
+// non-zero and every slice non-empty, so a field added, dropped, reordered
+// or re-coded changes the bytes; the configs' master-side fields, which
+// never ship, stay zero.
 func wireSamples() []struct {
 	name string
 	msg  dist.Wire
@@ -460,7 +480,7 @@ func wireSamples() []struct {
 		},
 	}
 	cfg := Config{MinEdgeOverlap: 50, MinEdgeIdentity: 0.9, Band: 16, DiagTolerance: 8,
-		MaxTipNodes: 3, MinTipLen: 400, RPCRetries: 2, Stateful: true, Workers: 5}
+		MaxTipNodes: 3, MinTipLen: 400}
 	vcfg := VariantConfig{MinBranchCov: 4, MaxLenDiff: 6, Band: 24, MinIdentity: 0.8}
 	pairs := []EdgePair{{From: 10, To: 11}, {From: 15, To: 10}, {From: 15, To: 2}}
 	removal := Removal{Nodes: []int32{11, 90, 4}, Edges: pairs[:2]}
@@ -468,8 +488,7 @@ func wireSamples() []struct {
 	variants := []Variant{{From: 10, To: -1, AlleleA: 11, AlleleB: 15, CovA: 9, CovB: 3,
 		LenA: 120, LenB: 118, Identity: 0.98, Mismatches: 2, Kind: 1, Reconverges: true}}
 	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, MaxOccur: 64,
-		Align:   align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}},
-		Workers: 3, Seeding: 1, MinimizerW: 8, RPCRetries: 1}
+		Align: align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}}}
 	ack := dist.Ack(true)
 	return []struct {
 		name string
@@ -477,7 +496,7 @@ func wireSamples() []struct {
 	}{
 		{"Ack", &ack},
 		{"ScanArgs", &ScanArgs{Phase: "Variants", Sub: sub, Cfg: cfg, VCfg: vcfg}},
-		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Cfg: cfg, Epoch: 12}},
+		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Epoch: 12}},
 		{"LoadReply", &LoadReply{Nodes: 4, Edges: 3}},
 		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},

@@ -36,11 +36,8 @@ type Options struct {
 	// least 5% of nodes).
 	MinShrink float64
 	// Seed drives the tie-break priorities of heavy-edge matching. For a
-	// fixed seed the multilevel set is identical at any Workers value.
+	// fixed seed the multilevel set is identical at any pool width.
 	Seed int64
-	// Workers bounds the matching/contraction worker pool; <= 0 means
-	// GOMAXPROCS. Purely a throughput knob — never changes results.
-	Workers int
 }
 
 // DefaultOptions mirror the paper's setup.
@@ -234,7 +231,7 @@ func contractParCtx(ctx context.Context, g *graph.Graph, match []int, workers in
 }
 
 // Multilevel coarsens g0 into a multilevel graph set. Levels[0] is g0.
-// For a fixed Options.Seed the set is identical at any Options.Workers.
+// For a fixed Options.Seed the set is identical at any pool width.
 func Multilevel(g0 *graph.Graph, opt Options) *graph.Set {
 	set, _ := MultilevelCtx(nil, g0, opt)
 	return set
@@ -244,6 +241,12 @@ func Multilevel(g0 *graph.Graph, opt Options) *graph.Set {
 // coarsening at the next matching round, contraction chunk, or level
 // boundary and returns the context's cause. A nil ctx never cancels.
 func MultilevelCtx(ctx context.Context, g0 *graph.Graph, opt Options) (*graph.Set, error) {
+	return multilevel(ctx, g0, opt, 0)
+}
+
+// multilevel is MultilevelCtx with the matching/contraction pools bounded
+// by workers (<= 0 lets the par governor size them).
+func multilevel(ctx context.Context, g0 *graph.Graph, opt Options, workers int) (*graph.Set, error) {
 	gate := par.GateFor(ctx)
 	if opt.MaxLevels <= 0 {
 		opt.MaxLevels = 1
@@ -254,11 +257,11 @@ func MultilevelCtx(ctx context.Context, g0 *graph.Graph, opt Options) (*graph.Se
 		if cur.NumNodes() <= opt.MinNodes {
 			break
 		}
-		match := heavyEdgeMatchingPar(cur, opt.Seed+int64(level)*1_000_003, opt.Workers, gate)
+		match := heavyEdgeMatchingPar(cur, opt.Seed+int64(level)*1_000_003, workers, gate)
 		if match == nil {
 			return nil, gate.Err()
 		}
-		coarse, up, err := contractParCtx(ctx, cur, match, opt.Workers)
+		coarse, up, err := contractParCtx(ctx, cur, match, workers)
 		if err != nil {
 			return nil, err
 		}

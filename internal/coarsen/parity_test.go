@@ -65,17 +65,15 @@ func TestContractParWorkerEquivalence(t *testing.T) {
 }
 
 // TestMultilevelWorkerEquivalence: the whole multilevel set is identical
-// at any Options.Workers for a fixed Options.Seed.
+// at pool widths 1, 2 and 8 for a fixed Options.Seed.
 func TestMultilevelWorkerEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(300+seed, 400, 2000)
 		opt := DefaultOptions()
 		opt.Seed = seed
-		opt.Workers = 1
-		ref := Multilevel(g, opt)
+		ref, _ := multilevel(nil, g, opt, 1)
 		for _, w := range []int{2, 8} {
-			opt.Workers = w
-			got := Multilevel(g, opt)
+			got, _ := multilevel(nil, g, opt, w)
 			if len(got.Levels) != len(ref.Levels) {
 				t.Fatalf("seed %d workers %d: %d levels vs %d", seed, w, len(got.Levels), len(ref.Levels))
 			}

@@ -151,7 +151,7 @@ func (r *WireReader) take(n int, what string) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off { // not r.off+n: a huge n would wrap
 		r.fail(what)
 		return nil
 	}
@@ -239,7 +239,7 @@ func (r *WireReader) Skip(n int) {
 	if r.err != nil {
 		return
 	}
-	if n < 0 || r.off+n > len(r.buf) {
+	if n < 0 || n > len(r.buf)-r.off {
 		r.fail("skip")
 		return
 	}

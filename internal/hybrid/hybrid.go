@@ -58,12 +58,6 @@ type Config struct {
 	// overlap acceptance threshold so sparse seed sampling does not cause
 	// spurious rejections.
 	RequireOverlap int
-	// Workers bounds the pool that fans the per-cluster layout tests out
-	// (each worker owns its own layoutScratch); <= 0 means GOMAXPROCS.
-	// Hybrid output is identical at any worker count: clusters at one
-	// level are disjoint, and representatives are committed serially in
-	// cluster order after the parallel tests.
-	Workers int
 }
 
 // DefaultConfig returns the default linearity tolerances.
@@ -80,6 +74,15 @@ func Build(mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config)
 // the next per-cluster boundary (and the contractions at their chunk
 // boundaries) and returns the context's cause. A nil ctx never cancels.
 func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config) (*Hybrid, error) {
+	return build(ctx, mset, reads, recs, cfg, 0)
+}
+
+// build is BuildCtx with the per-cluster layout pool (each worker owns its
+// own layoutScratch) and the contractions bounded by workers (<= 0 lets
+// the par governor size them). The output is identical at any width:
+// clusters at one level are disjoint, and representatives are committed
+// serially in cluster order after the parallel tests.
+func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config, workers int) (*Hybrid, error) {
 	gate := par.GateFor(ctx)
 	if err := mset.Validate(); err != nil {
 		return nil, err
@@ -127,8 +130,8 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	// per worker), then accepted representatives are committed serially
 	// in cluster order so node numbering — and therefore the whole hybrid
 	// graph — is identical at any worker count.
-	workers := par.Limit(cfg.Workers)
-	scratches := make([]*layoutScratch, workers)
+	width := par.Limit(workers)
+	scratches := make([]*layoutScratch, width)
 	scratches[0] = newLayoutScratch(n0, reads, inc, cfg)
 	type layoutResult struct {
 		node Node
@@ -157,7 +160,7 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 		results = results[:len(cands)]
 		// A layout test touches a whole cluster; a handful per worker
 		// already pays for the fan-out, so the grain is small.
-		w := par.Workers(cfg.Workers, len(cands), 64)
+		w := par.Workers(workers, len(cands), 64)
 		for p := 1; p < w; p++ {
 			if scratches[p] == nil {
 				scratches[p] = newLayoutScratch(n0, reads, inc, cfg)
@@ -197,7 +200,7 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	for i, n := range h.Nodes {
 		nw[i] = int64(len(n.Members))
 	}
-	h.G, err = graph.ContractWithWeightsCtx(ctx, g0, h.RepOf, nw, workers)
+	h.G, err = graph.ContractWithWeightsCtx(ctx, g0, h.RepOf, nw, width)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +208,7 @@ func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []ove
 	// Hybrid graph set: at level i, nodes of Gi whose cluster belongs to a
 	// representative chosen at level >= i collapse into that
 	// representative; the rest stay as themselves (paper Fig. 1B).
-	set, err := buildHybridSet(ctx, mset, assignAt, h, workers)
+	set, err := buildHybridSet(ctx, mset, assignAt, h, width)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,6 @@ func tilingReads(genome []byte, l, s int) []dna.Read {
 func pipeline(t *testing.T, reads []dna.Read) ([]overlap.Record, *graph.Set) {
 	t.Helper()
 	cfg := overlap.DefaultConfig()
-	cfg.Workers = 2
 	recs, err := overlap.FindOverlaps(reads, 2, cfg)
 	if err != nil {
 		t.Fatal(err)

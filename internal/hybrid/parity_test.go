@@ -29,9 +29,7 @@ func pipelineInput(tb testing.TB, seed int64, genomeLen, step int) ([]dna.Read, 
 	copt.Seed = seed
 	mset := coarsen.Multilevel(g0, copt)
 	build := func(workers int) *Hybrid {
-		hcfg := DefaultConfig()
-		hcfg.Workers = workers
-		h, err := Build(mset, reads, recs, hcfg)
+		h, err := build(nil, mset, reads, recs, DefaultConfig(), workers)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -22,7 +22,6 @@ func TestHybridInvariantsAcrossSeeds(t *testing.T) {
 		}
 		reads := tilingReads(genome, 100, 20+int(seed)*7)
 		cfg := overlap.DefaultConfig()
-		cfg.Workers = 2
 		recs, err := overlap.FindOverlaps(reads, 2, cfg)
 		if err != nil {
 			t.Fatal(err)

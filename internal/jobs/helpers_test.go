@@ -20,7 +20,6 @@ func testTemplate() focus.Config {
 	cfg := focus.DefaultConfig()
 	cfg.Preprocess.Trim5 = 6 // strip the simulated adapter
 	cfg.Subsets = 2
-	cfg.Overlap.Workers = 2
 	cfg.Coarsen.MinNodes = 8
 	cfg.Assembly.Stateful = true
 	return cfg

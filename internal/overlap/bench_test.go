@@ -38,9 +38,7 @@ func benchmarkFindOverlaps(b *testing.B, cfg Config) {
 // BenchmarkFindOverlaps measures the whole overlap stage on the tiling
 // read set.
 func BenchmarkFindOverlaps(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	benchmarkFindOverlaps(b, cfg)
+	benchmarkFindOverlaps(b, DefaultConfig())
 }
 
 // benchIndexes names the production seed index and its oracle for the

@@ -61,7 +61,7 @@ func TestBuildGraphOrderedMatchesBuilder(t *testing.T) {
 			recs []Record
 		}{{"sorted", recs}, {"shuffled", shuffled}, {"non-canonical", flipped}} {
 			for _, w := range []int{1, 2, 8} {
-				got, err := BuildGraphPar(numReads, in.recs, w)
+				got, err := BuildGraphParCtx(nil, numReads, in.recs, w)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,6 +34,31 @@ type probe struct {
 	lo, hi uint32
 }
 
+// sampleSeeds fills the scratch's probe batch with the query read's
+// k-mers at every Step-th offset — the paper's decomposition of a query
+// read into k-mers (§II.B), sampled on a fixed grid; the first k-mer past
+// an N-bearing stretch restarts the grid — and returns it. A cfg.Step <= 0
+// is treated as 1.
+func sampleSeeds(sc *scratch, seq []byte, cfg Config) []probe {
+	step := max(cfg.Step, 1)
+	ps := sc.probes[:0]
+	it := dna.NewKmerIter(seq, cfg.K)
+	next := 0
+	for {
+		km, off, ok := it.Next()
+		if !ok {
+			break
+		}
+		if off < next {
+			continue
+		}
+		next = off + step
+		ps = append(ps, probe{km: uint64(km), off: int32(off)})
+	}
+	sc.probes = ps
+	return ps
+}
+
 // refIndex resolves one query's seed batch against one reference subset.
 // Production code has one implementation, the packed k-mer table; the
 // interface exists so the tests can run the same query loop over the

@@ -46,14 +46,13 @@ func rcReadSet(seed int64, genomeLen int) []dna.Read {
 // byte-identical, sorted records to the same query loop over the
 // suffix-array index, on randomized read sets (including
 // reverse-complement pairs and containments), across subset counts,
-// seeding modes and seed lengths k = 4, 9, 16 and 32.
+// sampling steps, repeat masks and seed lengths k = 4, 9, 16 and 32.
 func TestIndexingEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 	}{
 		{"default", func(*Config) {}},
-		{"minimizer", func(c *Config) { c.Seeding = SeedMinimizer }},
 		{"maxoccur8", func(c *Config) { c.MaxOccur = 8 }},
 		{"step1", func(c *Config) { c.Step = 1 }},
 		{"k4", func(c *Config) { c.K = 4 }},
@@ -71,8 +70,7 @@ func TestIndexingEquivalence(t *testing.T) {
 						t.Fatalf("seed=%d: no overlaps found at all", seed)
 					}
 					for _, workers := range []int{1, 2, 8} {
-						cfg.Workers = workers
-						got, err := FindOverlaps(reads, subsets, cfg)
+						got, _, err := findOverlaps(nil, reads, subsets, cfg, workers, false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -109,7 +107,6 @@ func TestCountCandidatesMatchesOracle(t *testing.T) {
 			for _, mut := range []func(*Config){
 				func(*Config) {},
 				func(c *Config) { c.MaxOccur = 8 },
-				func(c *Config) { c.Seeding = SeedMinimizer },
 			} {
 				cfg := testConfig()
 				mut(&cfg)
@@ -117,15 +114,17 @@ func TestCountCandidatesMatchesOracle(t *testing.T) {
 				if want == 0 || len(recs) != 0 {
 					t.Fatalf("seed=%d subsets=%d: oracle counted %d candidates, %d records", seed, subsets, want, len(recs))
 				}
-				for _, workers := range []int{1, 8} {
-					cfg.Workers = workers
-					got, err := CountCandidates(reads, subsets, cfg)
+				for _, workers := range []int{1, 2, 8} {
+					_, got, err := findOverlaps(nil, reads, subsets, cfg, workers, true)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got != want {
 						t.Fatalf("seed=%d subsets=%d workers=%d: %d candidates vs %d (suffix array)", seed, subsets, workers, got, want)
 					}
+				}
+				if got, err := CountCandidates(reads, subsets, cfg); err != nil || got != want {
+					t.Fatalf("seed=%d subsets=%d: CountCandidates = %d, %v; want %d", seed, subsets, got, err, want)
 				}
 			}
 		}

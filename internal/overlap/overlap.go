@@ -41,11 +41,6 @@ type Config struct {
 	MinKmerHits int // hits a reference read needs before alignment is tried
 	MaxOccur    int // ignore k-mers occurring more often in a subset (repeat masking); <=0 = unlimited
 	Align       align.Config
-	Workers     int // concurrent subset-pair jobs; <=0 = GOMAXPROCS
-	// Seeding selects the query sampling strategy; SeedMinimizer uses
-	// (MinimizerW, K)-minimizers instead of every Step-th k-mer.
-	Seeding    Seeding
-	MinimizerW int // minimizer window in k-mers (default 8)
 	// RPCRetries is the per-job failover budget of the distributed mode:
 	// a job failed by a worker at the application level is retried on up
 	// to this many other workers before the error counts. Ignored by the
@@ -62,7 +57,6 @@ func DefaultConfig() Config {
 		MinKmerHits: 2,
 		MaxOccur:    64,
 		Align:       align.DefaultConfig(),
-		Workers:     0,
 	}
 }
 
@@ -79,9 +73,7 @@ type scratch struct {
 	cands   []candState
 	touched []int32 // local reads first-hit this query, in hit order
 
-	probes   []probe   // the current query's seed batch
-	minimKms []minimKm // minimizer seeding: per-read k-mer hash buffer
-	seedOffs []int     // minimizer seeding: selected offsets buffer
+	probes []probe // the current query's seed batch
 
 	// Per-job record staging: records whose A is their query, already in
 	// (A, B) order, and records whose A is another, earlier query (a
@@ -144,7 +136,7 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, false)
+	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, 0, false)
 	return recs, err
 }
 
@@ -159,7 +151,7 @@ func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return 0, err
 	}
-	_, n, err := findOverlaps(nil, reads, subsets, cfg, true)
+	_, n, err := findOverlaps(nil, reads, subsets, cfg, 0, true)
 	return n, err
 }
 
@@ -208,14 +200,15 @@ func subsetPairs(subsets int) []pairJob {
 }
 
 // findOverlaps builds one seed index per reference subset and probes it
-// per sampled query k-mer. countOnly skips alignment verification and
-// returns only the surviving-candidate total.
-func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64, error) {
+// per sampled query k-mer, on a pool of at most `workers` goroutines (<= 0
+// lets the par governor size it; the records are identical at any width).
+// countOnly skips alignment verification and returns only the
+// surviving-candidate total.
+func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
 	// Each subset-pair job indexes/scans a whole subset — heavy enough
-	// that any second job justifies a second worker (grain 1). The
-	// governor also caps explicit counts at GOMAXPROCS.
-	workers := par.Workers(cfg.Workers, subsets*(subsets+1)/2, 1)
+	// that any second job justifies a second worker (grain 1).
+	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
 
 	subs := splitSubsets(reads, subsets)
 
@@ -595,19 +588,14 @@ func (r Record) Flip() Record {
 // per read, one edge per overlap, weighted by alignment length
 // (paper §II.C).
 func BuildGraph(numReads int, records []Record) (*graph.Graph, error) {
-	return BuildGraphPar(numReads, records, 0)
+	return BuildGraphParCtx(nil, numReads, records, 0)
 }
 
-// BuildGraphPar is BuildGraph with an explicit worker count for the
-// Builder fallback's CSR edge merge (<= 0 means GOMAXPROCS). Output is
-// identical at any count.
-func BuildGraphPar(numReads int, records []Record, workers int) (*graph.Graph, error) {
-	return BuildGraphParCtx(nil, numReads, records, workers)
-}
-
-// BuildGraphParCtx is BuildGraphPar bounded by ctx: a cancel observed at a
-// scan, pipeline-stage or chunk boundary returns the context's cause. A nil
-// ctx never cancels.
+// BuildGraphParCtx is BuildGraph bounded by ctx, with an explicit worker
+// count for the Builder fallback's CSR edge merge (<= 0 lets the par
+// governor size it; output is identical at any count). A cancel observed
+// at a scan, pipeline-stage or chunk boundary returns the context's
+// cause. A nil ctx never cancels.
 //
 // Records as the overlap stage emits them — canonical (A < B) and sorted by
 // (A, B, Kind) — are already in CSR order, so G0 is written directly from

@@ -22,11 +22,7 @@ func tilingReads(genome []byte, l, s int) []dna.Read {
 	return reads
 }
 
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	return cfg
-}
+func testConfig() Config { return DefaultConfig() }
 
 func randGenome(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))

@@ -83,28 +83,24 @@ func decodeAlignConfig(rd *dist.WireReader, c *align.Config) {
 	c.Scoring.Gap = int(rd.Varint())
 }
 
+// appendOverlapConfig encodes the fields a worker's records depend on.
+// RPCRetries is the master's failover budget and stays home: it decodes
+// as zero.
 func appendOverlapConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.K))
 	dst = dist.AppendVarint(dst, int64(c.Step))
 	dst = dist.AppendVarint(dst, int64(c.MinKmerHits))
 	dst = dist.AppendVarint(dst, int64(c.MaxOccur))
-	dst = appendAlignConfig(dst, &c.Align)
-	dst = dist.AppendVarint(dst, int64(c.Workers))
-	dst = append(dst, byte(c.Seeding))
-	dst = dist.AppendVarint(dst, int64(c.MinimizerW))
-	return dist.AppendVarint(dst, int64(c.RPCRetries))
+	return appendAlignConfig(dst, &c.Align)
 }
 
 func decodeOverlapConfig(rd *dist.WireReader, c *Config) {
+	*c = Config{}
 	c.K = int(rd.Varint())
 	c.Step = int(rd.Varint())
 	c.MinKmerHits = int(rd.Varint())
 	c.MaxOccur = int(rd.Varint())
 	decodeAlignConfig(rd, &c.Align)
-	c.Workers = int(rd.Varint())
-	c.Seeding = Seeding(rd.Byte())
-	c.MinimizerW = int(rd.Varint())
-	c.RPCRetries = int(rd.Varint())
 }
 
 // AppendTo implements dist.Wire.

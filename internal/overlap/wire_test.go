@@ -63,7 +63,6 @@ func randWireConfig(rng *rand.Rand) Config {
 			MinLength: rng.Intn(500), MinIdentity: rng.Float64(), Band: rng.Intn(64),
 			Scoring: align.Scoring{Match: rng.Intn(10) - 5, Mismatch: rng.Intn(10) - 5, Gap: rng.Intn(10) - 5},
 		},
-		Workers: rng.Intn(16), Seeding: Seeding(rng.Intn(256)), MinimizerW: rng.Intn(32),
 		RPCRetries: rng.Intn(5),
 	}
 }
@@ -71,7 +70,8 @@ func randWireConfig(rng *rand.Rand) Config {
 // TestWireAlignPairRoundTrip: randomized DeepEqual property over the
 // distributed-alignment payloads, including nil vs empty sequence lists,
 // escape-plane bytes, and int32-extreme ids. Decode targets are reused so
-// stale state must be overwritten.
+// stale state must be overwritten. The config's answer fields round-trip;
+// the master-side RPCRetries is not shipped and decodes as zero.
 func TestWireAlignPairRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	var args AlignPairArgs
@@ -83,11 +83,14 @@ func TestWireAlignPairRoundTrip(t *testing.T) {
 			Cfg: randWireConfig(rng),
 		}
 		enc := a.AppendTo(nil)
+		args.Cfg.RPCRetries = 7 // stale: the decode must clear it
 		if err := args.DecodeFrom(enc); err != nil {
 			t.Fatalf("args decode: %v", err)
 		}
-		if !reflect.DeepEqual(a, &args) {
-			t.Fatalf("args round trip diverged:\nsent %+v\ngot  %+v", a, &args)
+		want := *a
+		want.Cfg.RPCRetries = 0
+		if !reflect.DeepEqual(&want, &args) {
+			t.Fatalf("args round trip diverged:\nsent %+v\ngot  %+v", &want, &args)
 		}
 
 		r := &AlignPairReply{}

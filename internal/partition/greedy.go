@@ -28,12 +28,6 @@ type Options struct {
 	// SkipKWay disables the final global k-way refinement (ablation).
 	SkipKWay bool
 	Seed     int64
-	// Workers bounds intra-task scan parallelism (KL gain initialization
-	// and k-way boundary scans) inside a single bisection or refinement
-	// task. <= 0 means 1. Purely a throughput knob: the output is
-	// identical at any value. PartitionSet overrides it per step so that
-	// regions-times-workers stays near Procs.
-	Workers int
 }
 
 // DefaultOptions returns the paper's configuration for k partitions.

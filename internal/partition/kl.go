@@ -6,7 +6,7 @@ import (
 )
 
 // gainParMin is the node count below which gain-initialization scans run
-// serially even when Options.Workers allows more.
+// serially even when the task's width allows more.
 const gainParMin = 2048
 
 // klScratch is the dense per-region scratch state of the refinement

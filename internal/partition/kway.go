@@ -5,7 +5,7 @@ import (
 	"focus/internal/pq"
 )
 
-// KWayRefine performs the global k-way Kernighan–Lin heuristic of paper
+// kWayRefine performs the global k-way Kernighan–Lin heuristic of paper
 // §IV.D on one graph level: boundary nodes are queued by gain (external
 // minus internal cost) and greedily moved to the neighbouring partition
 // with the maximal external cost, subject to the node-weight balance
@@ -13,12 +13,12 @@ import (
 // stops after EarlyStop consecutive moves without improving the maximal
 // partial gain sum; moves after the maximum are undone. Passes repeat
 // until no improvement. The boundary/gain scan that seeds each pass runs
-// on opt.Workers goroutines; the result is identical at any worker count.
-// Returns the total edge-cut improvement.
-func KWayRefine(g *graph.Graph, labels []int32, k int, opt Options) int64 {
+// on `workers` goroutines (<= 1: serial); the result is identical at any
+// worker count. Returns the total edge-cut improvement.
+func kWayRefine(g *graph.Graph, labels []int32, k int, opt Options, workers int) int64 {
 	var total int64
 	for {
-		improved := kwayPass(g, labels, k, opt)
+		improved := kwayPass(g, labels, k, opt, workers)
 		total += improved
 		if improved <= 0 {
 			return total
@@ -26,7 +26,7 @@ func KWayRefine(g *graph.Graph, labels []int32, k int, opt Options) int64 {
 	}
 }
 
-func kwayPass(g *graph.Graph, labels []int32, k int, opt Options) int64 {
+func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, workers int) int64 {
 	balance := opt.Balance
 	if balance <= 1 {
 		balance = 1.03
@@ -64,7 +64,7 @@ func kwayPass(g *graph.Graph, labels []int32, k int, opt Options) int64 {
 	// range over workers; shard results are pushed in shard order, so the
 	// queue is built by ascending node id at any worker count.
 	q := pq.NewDense(n)
-	w := opt.Workers
+	w := workers
 	if w < 1 || n < gainParMin {
 		w = 1
 	}

@@ -9,7 +9,7 @@ import (
 
 // TestPartitionSetProcsEquivalence: for a fixed seed the full multilevel
 // partitioning is byte-identical at Procs 1, 2 and 8 (which also varies
-// the derived intra-task Workers split).
+// the derived intra-task width split).
 func TestPartitionSetProcsEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		g := ringOfClusters(16, 12, 20+seed)
@@ -50,13 +50,11 @@ func TestKWayRefineWorkerEquivalence(t *testing.T) {
 			base[v] = int32(rng.Intn(k))
 		}
 		opt := DefaultOptions(k)
-		opt.Workers = 1
 		ref := append([]int32(nil), base...)
-		refGain := KWayRefine(g, ref, k, opt)
+		refGain := kWayRefine(g, ref, k, opt, 1)
 		for _, w := range []int{2, 8} {
-			opt.Workers = w
 			got := append([]int32(nil), base...)
-			gotGain := KWayRefine(g, got, k, opt)
+			gotGain := kWayRefine(g, got, k, opt, w)
 			if gotGain != refGain {
 				t.Fatalf("seed %d workers %d: gain %d vs %d", seed, w, gotGain, refGain)
 			}

@@ -106,11 +106,7 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 		regions := int32(1) << step
 		// Spare processors beyond the region count go to intra-task scan
 		// parallelism; the split never changes results.
-		stepOpt := opt
-		stepOpt.Workers = procs / int(regions)
-		if stepOpt.Workers < 1 {
-			stepOpt.Workers = 1
-		}
+		width := max(procs/int(regions), 1)
 		taskTimes := make([]time.Duration, regions)
 		var wg sync.WaitGroup
 		for r := int32(0); r < regions; r++ {
@@ -125,9 +121,9 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 				newLabel := r + regions
 				rng := rand.New(rand.NewSource(opt.Seed + int64(step)*1000 + int64(r)))
 				sc := scratches.Get().(*klScratch)
-				sc.workers = stepOpt.Workers
+				sc.workers = width
 				t0 := time.Now()
-				bisectRegion(set, res.LevelLabels, r, newLabel, stepOpt, rng, sc)
+				bisectRegion(set, res.LevelLabels, r, newLabel, opt, rng, sc)
 				taskTimes[r] = time.Since(t0)
 				scratches.Put(sc)
 			}(r)
@@ -142,11 +138,7 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 	}
 
 	if !opt.SkipKWay && k > 1 {
-		kwOpt := opt
-		kwOpt.Workers = procs / levels
-		if kwOpt.Workers < 1 {
-			kwOpt.Workers = 1
-		}
+		width := max(procs/levels, 1)
 		res.KWayTimes = make([]time.Duration, len(set.Levels))
 		var wg sync.WaitGroup
 		for i := range set.Levels {
@@ -159,7 +151,7 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 					return
 				}
 				t0 := time.Now()
-				KWayRefine(set.Levels[i], res.LevelLabels[i], k, kwOpt)
+				kWayRefine(set.Levels[i], res.LevelLabels[i], k, opt, width)
 				res.KWayTimes[i] = time.Since(t0)
 			}(i)
 		}

@@ -166,7 +166,7 @@ func TestKWayRefineImproves(t *testing.T) {
 		labels[v] = int32(rng.Intn(k))
 	}
 	before := EdgeCut(g, labels)
-	improved := KWayRefine(g, labels, k, DefaultOptions(k))
+	improved := kWayRefine(g, labels, k, DefaultOptions(k), 1)
 	after := EdgeCut(g, labels)
 	if after != before-improved {
 		t.Fatalf("accounting: %d -> %d claimed %d", before, after, improved)
@@ -192,7 +192,7 @@ func TestKWayRefineRespectsBalance(t *testing.T) {
 			labels[v] = int32(k - 1)
 		}
 	}
-	KWayRefine(g, labels, k, DefaultOptions(k))
+	kWayRefine(g, labels, k, DefaultOptions(k), 1)
 	w := PartWeights(g, labels, k)
 	var mn, mx int64 = w[0], w[0]
 	for _, x := range w {
