@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"focus/internal/align"
+	"focus/internal/preprocess"
 	"focus/internal/simulate"
 )
 
@@ -353,4 +354,73 @@ func TestFindOverlapsRecordDigest(t *testing.T) {
 			t.Fatalf("subsets=%d k=%d: %d records, digest %s, want %s", tc.subsets, tc.k, len(recs), got, tc.want)
 		}
 	}
+}
+
+// TestFindOverlapsPairedRecordDigest is TestFindOverlapsRecordDigest on the
+// input the pipeline actually feeds the stage: the D2 analogue after
+// preprocess.Run with AddReverse, so read 2i+1 is the reverse complement of
+// read 2i, with quality-trimmed lengths on and off the seed grid. Digests
+// were computed before the stage derived strand mirrors, at k = 9 and 16
+// and 1, 3, 4 and 7 subsets: the 2,400 reads split 3 and 4 ways on even
+// bounds, 7 ways on three odd ones (i·n/7), which a pair-aligned split
+// moves by one read.
+func TestFindOverlapsPairedRecordDigest(t *testing.T) {
+	spec, err := simulate.PaperDataSet(2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := simulate.BuildCommunity(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := simulate.PaperReadConfig(2, 8)
+	rcfg.AdapterLen = 0
+	rs, err := simulate.SimulateReads(com, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		subsets, k int
+		want       string
+	}{
+		{1, 9, "4276f50209cc620bc2b774a414f138be70f8c2d358a54b55628576c94c3e173d"},
+		{1, 16, "e0bd059e617d40c2d2eadef422eb1c0b1e467288387a6d020bb91b474b04cb96"},
+		{3, 9, "b4879baf3ec6a049edea8861707cacc09ea6f952ee5d80020ff59c44ec6bd3b7"},
+		{3, 16, "36a87aaeeaa95e716d7cf5b8c5eb06df8d03ef13760b8effe6dc018cb15e31fe"},
+		{4, 9, "b6521a3e73b51b4e3bff75a2bcdd6e07f268f3356782e851db7d3a84547f4907"},
+		{4, 16, "dc7d9f1e8198e3b76e4ed51cc90e69f3d962a9b3ae8a6f98e6aca42809afada9"},
+		{7, 9, "ba027125ba563e37ec3e0d1373f3f58bda4ee811533d3951d05f943975c8c5dd"},
+		{7, 16, "578fd8ac4f110ba9c44a279afef830431e1eb83e5c6ca47322b70b1256eb61ae"},
+	} {
+		cfg := testConfig()
+		cfg.K = tc.k
+		recs, err := FindOverlaps(reads, tc.subsets, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recordDigest(recs); got != tc.want {
+			t.Errorf("subsets=%d k=%d: %d records of %d reads, digest %s, want %s", tc.subsets, tc.k, len(recs), len(reads), got, tc.want)
+		}
+	}
+}
+
+// recordDigest hashes records field by field, the layout
+// TestFindOverlapsRecordDigest pins.
+func recordDigest(recs []Record) string {
+	h := sha256.New()
+	var buf [21]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(r.A))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(r.B))
+		buf[8] = byte(r.Kind)
+		binary.LittleEndian.PutUint32(buf[9:], uint32(r.Len))
+		binary.LittleEndian.PutUint32(buf[13:], math.Float32bits(r.Identity))
+		binary.LittleEndian.PutUint32(buf[17:], uint32(r.Diag))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
