@@ -79,6 +79,9 @@ type Scratch struct {
 	fastInfeasible int
 	fastRejected   int
 	dpCalls        int
+	// kernel records whether the current OverlapOnDiagonal verdict ran a
+	// DP kernel (StrandSymmetric).
+	kernel bool
 
 	// Furthest-reaching wavefronts of the ungapped-optimum certificate
 	// (ungappedOptimum): one row per penalty, one column per diagonal.
@@ -153,6 +156,7 @@ func (scr *Scratch) equalNW(a, b []byte, band int, sc Scoring, m int) Alignment 
 // kernelNW runs a DP kernel: bit-parallel where eligible, scalar otherwise.
 func (scr *Scratch) kernelNW(a, b []byte, band int, sc Scoring) Alignment {
 	scr.dpCalls++
+	scr.kernel = true
 	if bpEligible(band, sc) {
 		if aln, ok := scr.bandedNWBit(a, b, band, sc); ok {
 			return aln

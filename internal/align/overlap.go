@@ -78,6 +78,7 @@ func OverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overlap, bool) {
 // function: identical results, with the banded DP running in the Scratch's
 // borrowed buffers (zero steady-state allocations).
 func (scr *Scratch) OverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overlap, bool) {
+	scr.kernel = false
 	// The overlapping window in a is [aLo, aHi), in b it is [bLo, bHi).
 	aLo, bLo := diag, 0
 	if aLo < 0 {
@@ -139,6 +140,21 @@ func (scr *Scratch) OverlapOnDiagonal(a, b []byte, diag int, cfg Config) (Overla
 	}
 	return ov, true
 }
+
+// StrandSymmetric reports whether the last OverlapOnDiagonal verdict came
+// without a DP kernel: an empty or infeasible window, the identity bound,
+// or the ungapped-optimum certificate. Such a verdict is strand-symmetric.
+// On (rc(a), rc(b), len(a)-len(b)-diag) — the same pair read on the other
+// strand, where rc complements A<->T, C<->G and N<->N — the window is the
+// reverse complement of this one. Its length, mismatch count and banded
+// LCS are this window's. A path's reversal is a path with the same penalty,
+// so the certificate answers alike. The verdict there is therefore this
+// one's mirror: same acceptance, Length, Identity and Score, Diag
+// len(a)-len(b)-diag, suffix-prefix and prefix-suffix swapped, containments
+// kept. A kernel's traceback breaks ties toward the diagonal, then up, then
+// left, and reversing the strings reverses those preferences, so a kernel
+// verdict's Length and Identity can differ between the strands.
+func (scr *Scratch) StrandSymmetric() bool { return !scr.kernel }
 
 // lcsMaxBand bounds bandLCSBelow's band: the 2*band+1 in-band columns of a
 // row fit one word.

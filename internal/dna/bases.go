@@ -57,6 +57,21 @@ func ReverseComplement(seq []byte) []byte {
 	return rc
 }
 
+// IsReverseComplement reports whether b is the reverse complement of a,
+// every byte of both being a valid base. Complement is an involution on
+// the valid bases, so the relation is symmetric.
+func IsReverseComplement(a, b []byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, c := range a {
+		if x := complement[c]; x == 0 || x != b[len(b)-1-i] {
+			return false
+		}
+	}
+	return true
+}
+
 // ReverseComplementInPlace reverse-complements seq without allocating.
 func ReverseComplementInPlace(seq []byte) {
 	i, j := 0, len(seq)-1

@@ -54,6 +54,26 @@ func TestReverseComplement(t *testing.T) {
 	}
 }
 
+func TestIsReverseComplement(t *testing.T) {
+	for _, c := range []struct {
+		a, b string
+		want bool
+	}{
+		{"", "", true},
+		{"AACGTN", "NACGTT", true},
+		{"NACGTT", "AACGTN", true},
+		{"ACGT", "ACGT", true},
+		{"ACGT", "ACG", false},
+		{"AACGTN", "NACGTA", false},
+		{"A#", "#T", false}, // not a base, even where the bytes line up
+		{"a", "t", false},
+	} {
+		if got := IsReverseComplement([]byte(c.a), []byte(c.b)); got != c.want {
+			t.Errorf("IsReverseComplement(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestReverseComplementInPlaceMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {

@@ -67,7 +67,16 @@ func AlignPair(args *AlignPairArgs) ([]Record, error) {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return alignQueries(readSet{args.QueryIDs, args.QuerySeqs}, readSet{args.RefIDs, args.RefSeqs}, ix, args.Cfg, sc), nil
+	query := readSet{args.QueryIDs, args.QuerySeqs, pairedRun(args.QueryIDs, args.QuerySeqs)}
+	ref := readSet{args.RefIDs, args.RefSeqs, pairedRun(args.RefIDs, args.RefSeqs)}
+	return alignQueries(query, ref, ix, args.Cfg, sc), nil
+}
+
+// pairedRun reports whether a shipped run is strand-paired (readSet): the
+// worker decides it from the reads, as the master's splitSubsets does, so
+// the wire carries no flag and a job of either build gets one answer.
+func pairedRun(ids []int32, seqs [][]byte) bool {
+	return (len(ids) == 0 || ids[0]%2 == 0) && strandPaired(seqs)
 }
 
 // FindOverlapsDistributedCtx is FindOverlaps with the subset-pair jobs

@@ -70,7 +70,7 @@ func TestIndexingEquivalence(t *testing.T) {
 						t.Fatalf("seed=%d: no overlaps found at all", seed)
 					}
 					for _, workers := range []int{1, 2, 8} {
-						got, _, err := findOverlaps(nil, reads, subsets, cfg, workers, false)
+						got, _, err := findOverlaps(nil, reads, subsets, cfg, workers, false, true)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -115,7 +115,7 @@ func TestCountCandidatesMatchesOracle(t *testing.T) {
 					t.Fatalf("seed=%d subsets=%d: oracle counted %d candidates, %d records", seed, subsets, want, len(recs))
 				}
 				for _, workers := range []int{1, 2, 8} {
-					_, got, err := findOverlaps(nil, reads, subsets, cfg, workers, true)
+					_, got, err := findOverlaps(nil, reads, subsets, cfg, workers, true, true)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -12,6 +12,7 @@
 package overlap
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -78,10 +79,12 @@ type scratch struct {
 	// Per-job record staging: records whose A is their query, already in
 	// (A, B) order, and records whose A is another, earlier query (a
 	// same-subset job's flipped ones), sorted in place and merged by
-	// jobRecords with its run bounds.
-	records []Record
-	flipped []Record
-	counts  []int32
+	// jobRecords with its run bounds. mirrored holds an even query's
+	// strand-mirror records until its own are in order.
+	records  []Record
+	flipped  []Record
+	mirrored []Record
+	counts   []int32
 
 	// countOnly short-circuits the alignment: surviving candidates are
 	// tallied into candTotal instead of verified (CountCandidates).
@@ -100,6 +103,23 @@ type candState struct {
 }
 
 type diagVote struct{ d, n int32 }
+
+// modes returns the modal diagonal with ties broken toward the smaller
+// diagonal (lo), and with ties broken toward the larger one (hi). The
+// strand-mirror query casts the same votes on diagonals |A|-|B|-d, so its
+// modal diagonal, smallest first, is |A|-|B|-hi.
+func (c *candState) modes() (lo, hi int32) {
+	best := int32(-1)
+	for _, v := range c.diags {
+		switch {
+		case v.n > best:
+			best, lo, hi = v.n, v.d, v.d
+		case v.n == best:
+			lo, hi = min(lo, v.d), max(hi, v.d)
+		}
+	}
+	return lo, hi
+}
 
 // reset prepares the scratch for a reference subset of n reads.
 func (sc *scratch) reset(n int) {
@@ -136,7 +156,7 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, 0, false)
+	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, 0, false, true)
 	return recs, err
 }
 
@@ -144,41 +164,72 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 // stage — seed sampling, index build, repeat masking, hit accumulation
 // with modal-diagonal consensus, and the MinKmerHits filter; everything
 // up to but excluding alignment verification — and returns the number of
-// candidate pairs FindOverlaps would verify. The end-to-end benchmark
-// times this to split the overlap stage into candidate generation and
+// candidate pairs FindOverlaps attempts. A strand mirror FindOverlaps
+// derives from its even query's verdict counts as an attempt, so the count
+// is that of every query run on its own. The end-to-end benchmark times
+// this to split the overlap stage into candidate generation and
 // verification.
 func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return 0, err
 	}
-	_, n, err := findOverlaps(nil, reads, subsets, cfg, 0, true)
+	_, n, err := findOverlaps(nil, reads, subsets, cfg, 0, true, true)
 	return n, err
 }
 
 // readSet is one side of a subset-pair job: the reads' global ids, one
-// ascending run of consecutive ids, and their sequences.
+// ascending run of consecutive ids, and their sequences. paired marks a
+// strand-paired run: it starts on an even id, has even length, and each
+// odd read is the reverse complement of the read before it, so read id^1
+// is always id's other strand and sits at local index i^1.
 type readSet struct {
-	ids  []int32
-	seqs [][]byte
+	ids    []int32
+	seqs   [][]byte
+	paired bool
+}
+
+// strandPaired reports whether seqs, a run from an even id, is made of
+// (read, reverse complement) pairs — the read set preprocessing emits with
+// AddReverse (paper §II.A).
+func strandPaired(seqs [][]byte) bool {
+	if len(seqs)%2 != 0 {
+		return false
+	}
+	for i := 0; i < len(seqs); i += 2 {
+		if !dna.IsReverseComplement(seqs[i], seqs[i+1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // splitSubsets assigns reads to contiguous subsets (shared by the query
-// side of the pair jobs and by the index builders).
+// side of the pair jobs and by the index builders): subset s holds reads
+// [i·n/S, (i+1)·n/S) for i = s, except that a strand-paired read set is
+// split on pair boundaries, 2·⌊i·(n/2)/S⌋, so a read and its reverse
+// complement share every job and every subset is paired.
 func splitSubsets(reads []dna.Read, subsets int) []readSet {
+	seqs := make([][]byte, len(reads))
+	for i := range reads {
+		seqs[i] = reads[i].Seq
+	}
+	paired := strandPaired(seqs)
 	bounds := make([]int, subsets+1)
 	for i := 0; i <= subsets; i++ {
-		bounds[i] = i * len(reads) / subsets
+		if paired {
+			bounds[i] = 2 * (i * (len(reads) / 2) / subsets)
+		} else {
+			bounds[i] = i * len(reads) / subsets
+		}
 	}
 	subs := make([]readSet, subsets)
 	for s := range subs {
-		n := bounds[s+1] - bounds[s]
-		ids := make([]int32, n)
-		seqs := make([][]byte, n)
-		for i := 0; i < n; i++ {
-			ids[i] = int32(bounds[s] + i)
-			seqs[i] = reads[bounds[s]+i].Seq
+		lo, hi := bounds[s], bounds[s+1]
+		ids := make([]int32, hi-lo)
+		for i := range ids {
+			ids[i] = int32(lo + i)
 		}
-		subs[s] = readSet{ids, seqs}
+		subs[s] = readSet{ids, seqs[lo:hi:hi], paired}
 	}
 	return subs
 }
@@ -203,14 +254,20 @@ func subsetPairs(subsets int) []pairJob {
 // per sampled query k-mer, on a pool of at most `workers` goroutines (<= 0
 // lets the par governor size it; the records are identical at any width).
 // countOnly skips alignment verification and returns only the
-// surviving-candidate total.
-func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly bool) ([]Record, int64, error) {
+// surviving-candidate total. mirror lets a strand-paired read set's even
+// queries answer for their mirrors (alignQueriesGate); without it every
+// query runs on its own, with the same records — the all-queries oracle
+// the tests hold the production path to.
+func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly, mirror bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
 	// Each subset-pair job indexes/scans a whole subset — heavy enough
 	// that any second job justifies a second worker (grain 1).
 	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
 
 	subs := splitSubsets(reads, subsets)
+	for s := range subs {
+		subs[s].paired = subs[s].paired && mirror
+	}
 
 	// Build one index per subset (reused across pair jobs).
 	indexes := make([]*kmerIndex, subsets)
@@ -297,14 +354,26 @@ func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) []Re
 // the votes walk the resolved entries in probe order. That order cannot
 // show: the modal diagonal breaks ties toward the smaller diagonal, and
 // the record order is total.
+//
+// When both sides are strand-paired, an even query on the seed grid
+// (onGrid) also answers for its odd mirror qi^1 = rc(qi), which is then
+// skipped. Its seeds are the reverse complements of qi's, its candidates
+// are the mirrors local^1 with the same hit counts, and each vote for d is
+// a vote for |A|-|B|-d (DESIGN.md, "Strand mirrors"). So per candidate the
+// mirror attempt is (qi^1, local^1) on |A|-|B|-hi, hi the modal diagonal
+// with ties broken upward. Where hi is the forward diagonal and the
+// forward verdict came without a DP kernel (align's StrandSymmetric), the
+// mirror verdict is derived; otherwise it is verified on its own.
 func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, gate *par.Gate) []Record {
 	sc.reset(len(ref.seqs))
 	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
-	for qi2, qi := range query.ids {
+	mirror := query.paired && ref.paired
+	for qi2 := 0; qi2 < len(query.ids); qi2++ {
 		if gate.Stopped() {
 			return nil
 		}
-		qseq := query.seqs[qi2]
+		qi, qseq := query.ids[qi2], query.seqs[qi2]
+		derive := mirror && qi&1 == 0 && onGrid(qseq, cfg)
 		sc.nextQuery()
 		// In a same-subset job the query is a reference read too; its own
 		// k-mers are no evidence.
@@ -347,30 +416,49 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 			}
 		}
 		first := len(sc.records)
+		sc.mirrored = sc.mirrored[:0]
 		for _, local := range sc.touched {
 			c := &sc.cands[local]
 			if c.hits < int32(cfg.MinKmerHits) {
 				continue
 			}
-			// Modal diagonal, ties broken toward the smaller diagonal.
-			var diag int32
-			best := int32(-1)
-			for _, v := range c.diags {
-				if v.n > best || (v.n == best && v.d < diag) {
-					best, diag = v.n, v.d
-				}
-			}
+			diag, hi := c.modes()
 			if sc.countOnly {
 				sc.candTotal++
+				if derive {
+					sc.candTotal++
+				}
 				continue
 			}
-			ov, ok := sc.align.OverlapOnDiagonal(qseq, ref.seqs[local], int(diag), cfg.Align)
-			if !ok {
+			bseq := ref.seqs[local]
+			ov, ok := sc.align.OverlapOnDiagonal(qseq, bseq, int(diag), cfg.Align)
+			rec := Record{A: qi, B: ref.ids[local], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
+			if ok {
+				sc.stage(rec)
+			}
+			if !derive {
 				continue
 			}
-			sc.stage(Record{A: qi, B: ref.ids[local], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)})
+			if diag != hi || !sc.align.StrandSymmetric() {
+				md := len(qseq) - len(bseq) - int(hi)
+				ov, ok = sc.align.OverlapOnDiagonal(query.seqs[qi2+1], ref.seqs[local^1], md, cfg.Align)
+				rec = Record{A: qi ^ 1, B: ref.ids[local^1], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
+			} else {
+				rec = rec.mirror(len(qseq), len(bseq))
+			}
+			if ok {
+				sc.mirrored = append(sc.mirrored, rec)
+			}
 		}
 		sortByB(sc.records[first:]) // queries run in id order: records stays in (A, B) order
+		if derive {
+			first = len(sc.records)
+			for _, rec := range sc.mirrored {
+				sc.stage(rec)
+			}
+			sortByB(sc.records[first:])
+			qi2++ // qi^1 is answered
+		}
 	}
 	if len(query.ids) == 0 {
 		return nil
@@ -378,13 +466,21 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 	return sc.jobRecords(query.ids[0], len(query.ids))
 }
 
-// stage appends one verified overlap of a query in canonical direction
+// onGrid reports whether the query's seeds are the full Step grid and map
+// onto its reverse complement's: no N to restart the grid, and the last
+// k-mer on it, so that offset o and |A|-K-o are both grid offsets.
+func onGrid(seq []byte, cfg Config) bool {
+	return len(seq) >= cfg.K && (len(seq)-cfg.K)%max(cfg.Step, 1) == 0 && bytes.IndexByte(seq, 'N') < 0
+}
+
+// stage appends one accepted overlap of a query in canonical direction
 // (A < B): to records when the query is A, to flipped when the reference
 // read precedes it. Only a same-subset job flips: every read is both
-// query and reference there, so a pair is verified once from each side —
+// query and reference there, so a pair is attempted once from each side —
 // with seeds sampled from a different read each time, hence possibly
 // another modal diagonal and another verdict — and both attempts land on
-// the same canonical (A, B); jobRecords keeps the more credible one.
+// the same canonical (A, B); jobRecords keeps the more credible one. A
+// derived strand mirror counts as its odd query's attempt.
 func (sc *scratch) stage(rec Record) {
 	if rec.A > rec.B {
 		sc.flipped = append(sc.flipped, rec.Flip())
@@ -582,6 +678,21 @@ func (r Record) Flip() Record {
 		f.Kind = r.Kind
 	}
 	return f
+}
+
+// mirror returns the record of the same overlap read on the other strand,
+// between A^1 = rc(A) and B^1 = rc(B) of lengths lenA and lenB: B^1 starts
+// at lenA-lenB-Diag in A^1, a suffix-prefix overlap becomes a prefix-suffix
+// one and vice versa, and containment, Len and Identity are unchanged.
+func (r Record) mirror(lenA, lenB int) Record {
+	m := Record{A: r.A ^ 1, B: r.B ^ 1, Kind: r.Kind, Len: r.Len, Identity: r.Identity, Diag: int32(lenA-lenB) - r.Diag}
+	switch r.Kind {
+	case align.KindSuffixPrefix:
+		m.Kind = align.KindPrefixSuffix
+	case align.KindPrefixSuffix:
+		m.Kind = align.KindSuffixPrefix
+	}
+	return m
 }
 
 // BuildGraph constructs the overlap graph G0 from the records: one node
