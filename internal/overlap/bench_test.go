@@ -161,6 +161,41 @@ func BenchmarkQueryLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkStrandMirror explains the strand-mirror saving on one
+// same-subset job over a strand-paired subset of 3,000 reads (1,500
+// tiling reads, each followed by its reverse complement): "mirror" lets
+// every even query answer for its odd one, "all-queries" runs each query.
+// The records are identical.
+func BenchmarkStrandMirror(b *testing.B) {
+	var rs readSet
+	for _, r := range benchReads(b, 1500) {
+		rs.seqs = append(rs.seqs, r.Seq, dna.ReverseComplement(r.Seq))
+	}
+	for i := range rs.seqs {
+		rs.ids = append(rs.ids, int32(i))
+	}
+	cfg := DefaultConfig()
+	ix, err := buildKmerIndex(rs.seqs, cfg.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mirror := range []bool{true, false} {
+		name := map[bool]string{true: "mirror", false: "all-queries"}[mirror]
+		b.Run(name, func(b *testing.B) {
+			q := rs
+			q.paired = mirror
+			var sc scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			recs := 0
+			for i := 0; i < b.N; i++ {
+				recs = len(alignQueries(q, q, ix, cfg, &sc))
+			}
+			b.ReportMetric(float64(recs), "records/op")
+		})
+	}
+}
+
 // BenchmarkIndexBuild measures per-subset index construction, and the
 // k-mer table's on a low-complexity subset of the same size whose largest
 // bucket holds 20,000 entries (sorted, where the D2 subset's buckets

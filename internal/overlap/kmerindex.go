@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -57,6 +58,15 @@ func sampleSeeds(sc *scratch, seq []byte, cfg Config) []probe {
 	}
 	sc.probes = ps
 	return ps
+}
+
+// onGrid reports whether sampleSeeds takes the query's k-mers on one
+// unbroken Step grid that ends on its last k-mer: no N restarts it, and
+// |A|-K is a grid offset. Then the offsets o and |A|-K-o are grid offsets
+// alike, and the reverse complement's seeds are the reverse complements of
+// the read's.
+func onGrid(seq []byte, cfg Config) bool {
+	return len(seq) >= cfg.K && (len(seq)-cfg.K)%max(cfg.Step, 1) == 0 && bytes.IndexByte(seq, 'N') < 0
 }
 
 // refIndex resolves one query's seed batch against one reference subset.

@@ -12,7 +12,6 @@
 package overlap
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -188,9 +187,8 @@ type readSet struct {
 	paired bool
 }
 
-// strandPaired reports whether seqs, a run from an even id, is made of
-// (read, reverse complement) pairs — the read set preprocessing emits with
-// AddReverse (paper §II.A).
+// strandPaired reports whether seqs is made of (read, reverse complement)
+// pairs, the read set preprocessing emits with AddReverse (paper §II.A).
 func strandPaired(seqs [][]byte) bool {
 	if len(seqs)%2 != 0 {
 		return false
@@ -204,10 +202,10 @@ func strandPaired(seqs [][]byte) bool {
 }
 
 // splitSubsets assigns reads to contiguous subsets (shared by the query
-// side of the pair jobs and by the index builders): subset s holds reads
-// [i·n/S, (i+1)·n/S) for i = s, except that a strand-paired read set is
-// split on pair boundaries, 2·⌊i·(n/2)/S⌋, so a read and its reverse
-// complement share every job and every subset is paired.
+// side of the pair jobs and by the index builders): subset s of S starts
+// at read s·n/S, except that a strand-paired read set is split on pair
+// boundaries, 2·⌊s·(n/2)/S⌋, so that a read and its reverse complement
+// share every job and every subset is paired.
 func splitSubsets(reads []dna.Read, subsets int) []readSet {
 	seqs := make([][]byte, len(reads))
 	for i := range reads {
@@ -432,7 +430,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 			}
 			bseq := ref.seqs[local]
 			ov, ok := sc.align.OverlapOnDiagonal(qseq, bseq, int(diag), cfg.Align)
-			rec := Record{A: qi, B: ref.ids[local], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
+			rec := newRecord(qi, ref.ids[local], ov)
 			if ok {
 				sc.stage(rec)
 			}
@@ -442,7 +440,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 			if diag != hi || !sc.align.StrandSymmetric() {
 				md := len(qseq) - len(bseq) - int(hi)
 				ov, ok = sc.align.OverlapOnDiagonal(query.seqs[qi2+1], ref.seqs[local^1], md, cfg.Align)
-				rec = Record{A: qi ^ 1, B: ref.ids[local^1], Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
+				rec = newRecord(qi^1, ref.ids[local^1], ov)
 			} else {
 				rec = rec.mirror(len(qseq), len(bseq))
 			}
@@ -466,11 +464,9 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 	return sc.jobRecords(query.ids[0], len(query.ids))
 }
 
-// onGrid reports whether the query's seeds are the full Step grid and map
-// onto its reverse complement's: no N to restart the grid, and the last
-// k-mer on it, so that offset o and |A|-K-o are both grid offsets.
-func onGrid(seq []byte, cfg Config) bool {
-	return len(seq) >= cfg.K && (len(seq)-cfg.K)%max(cfg.Step, 1) == 0 && bytes.IndexByte(seq, 'N') < 0
+// newRecord is the record of an accepted verdict of query a against b.
+func newRecord(a, b int32, ov align.Overlap) Record {
+	return Record{A: a, B: b, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
 }
 
 // stage appends one accepted overlap of a query in canonical direction
