@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"focus/internal/dist"
+	"focus/internal/dna"
+	"focus/internal/preprocess"
+	"focus/internal/simulate"
 )
 
 // alignService exposes AlignPair for the distributed tests without
@@ -47,6 +50,65 @@ func TestFindOverlapsDistributedMatchesLocal(t *testing.T) {
 		for i := range local {
 			if remote[i] != local[i] {
 				t.Fatalf("subsets=%d record %d: %+v vs %+v", subsets, i, remote[i], local[i])
+			}
+		}
+	}
+}
+
+// pairedD2Reads is the D2 analogue as the pipeline feeds the overlap
+// stage: simulated reads through preprocess.Run with AddReverse, so read
+// 2i+1 is the reverse complement of read 2i.
+func pairedD2Reads(t *testing.T) []dna.Read {
+	t.Helper()
+	spec, err := simulate.PaperDataSet(2, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := simulate.BuildCommunity(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := simulate.PaperReadConfig(2, 8)
+	rcfg.AdapterLen = 0
+	rs, err := simulate.SimulateReads(com, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reads
+}
+
+// TestFindOverlapsDistributedMatchesLocalPaired is the distributed stage
+// on the strand-paired input the pipeline produces: byte-identical records
+// to FindOverlapsCtx at 1, 3, 4 and 7 subsets (7 splits on odd i·n/S
+// bounds) on pools of 1, 2, 4 and 8 workers.
+func TestFindOverlapsDistributedMatchesLocalPaired(t *testing.T) {
+	reads := pairedD2Reads(t)
+	cfg := testConfig()
+	for _, subsets := range []int{1, 3, 4, 7} {
+		local, err := FindOverlapsCtx(nil, reads, subsets, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(local) == 0 {
+			t.Fatalf("subsets=%d: no records", subsets)
+		}
+		for _, width := range []int{1, 2, 4, 8} {
+			pool, err := dist.NewLocalPool(width, newAlignService)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
+			pool.Close()
+			if err != nil {
+				t.Fatalf("subsets=%d width=%d: %v", subsets, width, err)
+			}
+			if !slices.Equal(remote, local) {
+				t.Fatalf("subsets=%d width=%d: distributed %d records, local %d; %v",
+					subsets, width, len(remote), len(local), firstDiff(remote, local))
 			}
 		}
 	}
