@@ -144,11 +144,11 @@ func TestDriverHealthyFlakyServicePasses(t *testing.T) {
 }
 
 // TestAlignPairBadRequestKeepsWorker: a TCP-served worker sent
-// well-formed AlignPair requests it cannot run — k = 0 (which used to panic
+// well-formed AlignRef requests it cannot run — k = 0 (which used to panic
 // inside the k-mer enumerator, and net/rpc does not recover a handler:
-// the whole worker process died), k = 33, ids and sequences of different
-// counts — answers each with an error, still answers Ping after each, and
-// then runs a good request.
+// the whole worker process died), k = 33, bounds and sequences of
+// different counts, a paired job on odd bounds — answers each with an
+// error, still answers Ping after each, and then runs a good request.
 func TestAlignPairBadRequestKeepsWorker(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -166,35 +166,36 @@ func TestAlignPairBadRequestKeepsWorker(t *testing.T) {
 	for i := range seq {
 		seq[i] = "ACGT"[rng.Intn(4)]
 	}
-	job := func(mut func(*overlap.AlignPairArgs)) *overlap.AlignPairArgs {
-		a := &overlap.AlignPairArgs{
-			RefIDs: []int32{0, 1}, RefSeqs: [][]byte{seq, seq[40:]},
-			QueryIDs: []int32{0, 1}, QuerySeqs: [][]byte{seq, seq[40:]},
-			Cfg: overlap.DefaultConfig(),
+	job := func(mut func(*overlap.AlignRefArgs)) *overlap.AlignRefArgs {
+		a := &overlap.AlignRefArgs{
+			Queries: []int32{0, 2}, RefLo: 0, RefHi: 2,
+			Seqs: [][]byte{seq, seq[40:]},
+			Cfg:  overlap.DefaultConfig(),
 		}
 		mut(a)
 		return a
 	}
 	for _, bad := range []struct {
 		name string
-		mut  func(*overlap.AlignPairArgs)
+		mut  func(*overlap.AlignRefArgs)
 	}{
-		{"k=0", func(a *overlap.AlignPairArgs) { a.Cfg.K = 0 }},
-		{"k=33", func(a *overlap.AlignPairArgs) { a.Cfg.K = 33 }},
-		{"ids/sequences", func(a *overlap.AlignPairArgs) { a.QuerySeqs = a.QuerySeqs[:1] }},
+		{"k=0", func(a *overlap.AlignRefArgs) { a.Cfg.K = 0 }},
+		{"k=33", func(a *overlap.AlignRefArgs) { a.Cfg.K = 33 }},
+		{"bounds/sequences", func(a *overlap.AlignRefArgs) { a.Seqs = a.Seqs[:1] }},
+		{"paired odd bounds", func(a *overlap.AlignRefArgs) { a.Queries, a.RefHi, a.Paired = []int32{0, 1}, 1, true }},
 	} {
-		var reply overlap.AlignPairReply
-		if err := pool.Call(0, "AlignPair", job(bad.mut), &reply); err == nil {
-			t.Fatalf("%s: no error, %d records", bad.name, len(reply.Records))
+		var reply overlap.AlignRefReply
+		if err := pool.Call(0, "AlignRef", job(bad.mut), &reply); err == nil {
+			t.Fatalf("%s: no error, %d lists", bad.name, len(reply.Lists))
 		}
 		var ack dist.Ack
 		if err := pool.Call(0, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
 			t.Fatalf("after %s: Ping %v %v", bad.name, ack, err)
 		}
 	}
-	var reply overlap.AlignPairReply
-	if err := pool.Call(0, "AlignPair", job(func(*overlap.AlignPairArgs) {}), &reply); err != nil || len(reply.Records) == 0 {
-		t.Fatalf("good request after the bad ones: %d records, %v", len(reply.Records), err)
+	var reply overlap.AlignRefReply
+	if err := pool.Call(0, "AlignRef", job(func(*overlap.AlignRefArgs) {}), &reply); err != nil || len(reply.Lists) != 1 || len(reply.Lists[0]) == 0 {
+		t.Fatalf("good request after the bad ones: %v lists, %v", reply.Lists, err)
 	}
 }
 

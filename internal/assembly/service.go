@@ -75,13 +75,14 @@ func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 	return nil
 }
 
-// AlignPair runs one distributed read-alignment job (paper §II.B: subset
-// pairs are sent to different processors). The overlap package provides
-// both the wire types and the computation; this method just exposes them
-// on the worker service.
-func (s *Service) AlignPair(args *overlap.AlignPairArgs, reply *overlap.AlignPairReply) error {
+// AlignRef runs one distributed read-alignment job (paper §II.B: subset
+// pairs are sent to different processors): one reference subset indexed
+// once and queried by a run of subsets. The overlap package provides both
+// the wire types and the computation; this method just exposes them on
+// the worker service.
+func (s *Service) AlignRef(args *overlap.AlignRefArgs, reply *overlap.AlignRefReply) error {
 	var err error
-	reply.Records, err = overlap.AlignPair(args)
+	reply.Lists, err = overlap.AlignRef(args)
 	return err
 }
 

@@ -412,7 +412,7 @@ func TestServiceRPCSurface(t *testing.T) {
 			got = append(got, st.Method(i).Name)
 		}
 	}
-	want := []string{"AlignPair", "Load", "Phase", "Ping", "Scan", "Unload"}
+	want := []string{"AlignRef", "Load", "Phase", "Ping", "Scan", "Unload"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker RPC methods = %v, want %v", got, want)
 	}
@@ -502,12 +502,12 @@ func wireSamples() []struct {
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},
 		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
 		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
-		{"AlignPairArgs", &overlap.AlignPairArgs{
-			RefIDs: []int32{0, 1}, RefSeqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA")},
-			QueryIDs: []int32{5}, QuerySeqs: [][]byte{[]byte("GTACGTACGG")}, Cfg: ocfg}},
-		{"AlignPairReply", &overlap.AlignPairReply{Records: []overlap.Record{
-			{A: 5, B: 0, Kind: 1, Len: 58, Identity: 0.9375, Diag: 42},
-			{A: 5, B: 1, Kind: 2, Len: 50, Identity: 1, Diag: -7},
+		{"AlignRefArgs", &overlap.AlignRefArgs{
+			Queries: []int32{0, 2, 4}, RefLo: 6, RefHi: 8, Paired: true,
+			Seqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA"), []byte("GTACGTACGG")}, Cfg: ocfg}},
+		{"AlignRefReply", &overlap.AlignRefReply{Lists: [][]overlap.Record{
+			{{A: 0, B: 6, Kind: 0x81, Len: 58, Identity: 0.9375, Diag: 42}, {A: 1, B: 7, Kind: 2, Len: 50, Identity: 1, Diag: -7}},
+			{{A: 2, B: 6, Kind: 3, Len: 61, Identity: 0.5, Diag: 3}},
 		}}},
 	}
 }

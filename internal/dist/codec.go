@@ -40,11 +40,11 @@ import (
 
 // wireVersion is the version both handshake messages carry. Bump it when
 // any Wire layout changes OR when a worker's answer to the same request
-// changes (a worker that orders AlignPair records differently is as
-// incompatible as one that shifts a field). internal/assembly pins every
+// changes (a worker that orders or elides AlignRef records differently is
+// as incompatible as one that shifts a field). internal/assembly pins every
 // message's bytes to testdata/wire_v<wireVersion>.golden, so changed
 // bytes cannot be re-blessed without touching this constant.
-const wireVersion = 5
+const wireVersion = 6
 
 // ErrWireVersion marks a connect that reached a peer speaking another
 // wire version; the wrapping error's text carries both versions.

@@ -1,101 +1,376 @@
 package overlap
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
+	"focus/internal/align"
 	"focus/internal/dist"
 	"focus/internal/dna"
 )
 
 // The paper distributes read alignment itself: "each pair of read subsets
 // can be sent to a different processor for independent analysis" (§II.B).
-// This file provides that mode: subset-pair jobs are executed by RPC
+// This file provides that mode: the subset pairs are executed by RPC
 // workers (the same pool that later runs the distributed graph
-// algorithms) instead of local goroutines.
+// algorithms) instead of local goroutines. A job is one reference subset
+// and a run of the query subsets paired with it, so the worker indexes the
+// reference once for all of them (DESIGN.md §7.5).
 
-// AlignPairArgs ships one subset-pair job to a worker: the reference
-// subset to index and the query subset to decompose into k-mers. IDs are
-// the reads' global indices so returned records need no translation.
-type AlignPairArgs struct {
-	RefIDs    []int32
-	RefSeqs   [][]byte
-	QueryIDs  []int32
-	QuerySeqs [][]byte
-	Cfg       Config
+// AlignRefArgs ships one job: a reference subset r to index and a run of
+// query subsets q <= r to query against it. Subsets are given by their
+// bounds in global read ids, so returned records need no translation.
+type AlignRefArgs struct {
+	// Queries bounds the query subsets: subset i holds the ids
+	// [Queries[i], Queries[i+1]).
+	Queries []int32
+	// RefLo and RefHi bound the reference subset. It is the run's last
+	// query subset (a same-subset pair) or lies wholly after the run.
+	RefLo, RefHi int32
+	// Paired marks a strand-paired job: every bound is even and Seqs holds
+	// the even reads only; read 2i+1 is the reverse complement of read 2i.
+	Paired bool
+	// Seqs holds the reads of the query run, then those of the reference
+	// unless it is the run's last query subset.
+	Seqs [][]byte
+	Cfg  Config
 }
 
-// AlignPairReply returns the accepted overlap records of one job.
-type AlignPairReply struct{ Records []Record }
+// AlignRefReply returns the job's records, one list per query subset in
+// the order of Queries. In a paired job's lists a record whose Kind
+// carries mirrorDerived stands for itself and for its strand mirror,
+// which is not listed (elideMirrors).
+type AlignRefReply struct{ Lists [][]Record }
 
-// scratchPool recycles worker scratches across AlignPair RPC calls:
+// mirrorDerived marks, on the wire, a record whose strand mirror was
+// elided from its list; no defined align.Kind has this bit.
+const mirrorDerived align.Kind = 0x80
+
+// scratchPool recycles worker scratches across AlignRef RPC calls:
 // net/rpc may serve requests concurrently, so the pool (rather than a
 // per-service field) keeps scratch ownership single-goroutine while still
 // amortizing buffers across jobs.
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
-// AlignPair executes one job (the worker half; assembly.Service exposes
-// it over RPC). A request the job cannot be run on — a configuration
-// validate refuses, ids and sequences of different counts, or ids that do
-// not form the two runs of a (q <= r) job: each side one ascending run of
-// consecutive ids, the reference run not starting before the query run —
-// is an error, not a worker crash.
-func AlignPair(args *AlignPairArgs) ([]Record, error) {
+// AlignRef executes one job (the worker half; assembly.Service exposes it
+// over RPC): it indexes the reference once and aligns each query subset
+// against it, returning the lists as they ship — in a paired job, with
+// every strand mirror the master can re-derive elided. A request the job
+// cannot be run on — a configuration validate refuses, or bounds that do
+// not form a (q <= r) job or do not match the reads shipped — is an
+// error, not a worker crash.
+func AlignRef(args *AlignRefArgs) ([][]Record, error) {
 	if err := validate(args.Cfg, 1); err != nil {
 		return nil, err
 	}
-	if len(args.RefIDs) != len(args.RefSeqs) || len(args.QueryIDs) != len(args.QuerySeqs) {
-		return nil, fmt.Errorf("overlap: %d reference ids for %d sequences, %d query ids for %d",
-			len(args.RefIDs), len(args.RefSeqs), len(args.QueryIDs), len(args.QuerySeqs))
+	queries, ref, err := args.readSets()
+	if err != nil {
+		return nil, err
 	}
-	for _, ids := range [][]int32{args.RefIDs, args.QueryIDs} {
-		for i, id := range ids {
-			if int64(id) != int64(ids[0])+int64(i) {
-				return nil, fmt.Errorf("overlap: id %d at position %d of a run from %d", id, i, ids[0])
-			}
-		}
-	}
-	if len(args.RefIDs) > 0 && len(args.QueryIDs) > 0 && args.RefIDs[0] < args.QueryIDs[0] {
-		return nil, fmt.Errorf("overlap: reference ids from %d precede the query ids from %d", args.RefIDs[0], args.QueryIDs[0])
-	}
-	ix, err := buildKmerIndex(args.RefSeqs, args.Cfg.K)
+	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K)
 	if err != nil {
 		return nil, err
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	query := readSet{args.QueryIDs, args.QuerySeqs, pairedRun(args.QueryIDs, args.QuerySeqs)}
-	ref := readSet{args.RefIDs, args.RefSeqs, pairedRun(args.RefIDs, args.RefSeqs)}
-	return alignQueries(query, ref, ix, args.Cfg, sc), nil
+	lists := make([][]Record, len(queries))
+	for i, query := range queries {
+		lists[i] = alignQueries(query, ref, ix, args.Cfg, sc)
+		if args.Paired {
+			lists[i] = elideMirrors(lists[i], query, ref)
+		}
+	}
+	return lists, nil
 }
 
-// pairedRun reports whether a shipped run is strand-paired (readSet): the
-// worker decides it from the reads, as the master's splitSubsets does, so
-// the wire carries no flag and a job of either build gets one answer.
-func pairedRun(ids []int32, seqs [][]byte) bool {
-	return (len(ids) == 0 || ids[0]%2 == 0) && strandPaired(seqs)
+// readSets checks the job's bounds against its reads and returns its query
+// subsets and its reference as read sets, rebuilding a paired job's odd
+// reads from the even ones.
+func (a *AlignRefArgs) readSets() ([]readSet, readSet, error) {
+	n := len(a.Queries)
+	if n < 2 {
+		return nil, readSet{}, fmt.Errorf("overlap: a job of %d query bounds", n)
+	}
+	bounds := append(slices.Clone(a.Queries), a.RefLo, a.RefHi)
+	for i, b := range bounds {
+		if b < 0 || (a.Paired && b%2 != 0) {
+			return nil, readSet{}, fmt.Errorf("overlap: bound %d of a job (paired %v)", b, a.Paired)
+		}
+		if i > 0 && i != n && b < bounds[i-1] {
+			return nil, readSet{}, fmt.Errorf("overlap: bounds %v not ascending", bounds)
+		}
+	}
+	qlo, qhi := a.Queries[0], a.Queries[n-1]
+	shared := a.RefLo == a.Queries[n-2] && a.RefHi == qhi
+	if !shared && a.RefLo < qhi {
+		return nil, readSet{}, fmt.Errorf("overlap: reference [%d,%d) overlaps the query run [%d,%d)", a.RefLo, a.RefHi, qlo, qhi)
+	}
+	total := int(qhi - qlo)
+	if !shared {
+		total += int(a.RefHi - a.RefLo)
+	}
+	seqs := a.Seqs
+	if a.Paired {
+		if len(seqs) != total/2 {
+			return nil, readSet{}, fmt.Errorf("overlap: %d even reads for a paired job of %d", len(seqs), total)
+		}
+		bases := 0
+		for _, s := range a.Seqs {
+			bases += len(s)
+		}
+		seqs = make([][]byte, total)
+		rc := make([]byte, 0, bases)
+		for i, s := range a.Seqs {
+			lo := len(rc)
+			rc = append(rc, s...)
+			dna.ReverseComplementInPlace(rc[lo:])
+			seqs[2*i], seqs[2*i+1] = s, rc[lo:len(rc):len(rc)]
+		}
+	} else if len(seqs) != total {
+		return nil, readSet{}, fmt.Errorf("overlap: %d reads for a job of %d", len(seqs), total)
+	}
+	ids := make([]int32, total)
+	for i := range ids {
+		ids[i] = qlo + int32(i)
+	}
+	nq := int(qhi - qlo)
+	if !shared {
+		for i := nq; i < total; i++ {
+			ids[i] = a.RefLo + int32(i-nq)
+		}
+	}
+	queries := make([]readSet, n-1)
+	for i := range queries {
+		lo, hi := int(a.Queries[i]-qlo), int(a.Queries[i+1]-qlo)
+		queries[i] = readSet{ids[lo:hi:hi], seqs[lo:hi:hi], a.Paired}
+	}
+	ref := readSet{ids[nq:], seqs[nq:], a.Paired}
+	if shared {
+		ref = queries[n-2]
+	}
+	return queries, ref, nil
 }
 
-// FindOverlapsDistributedCtx is FindOverlaps with the subset-pair jobs
-// round-robined over the worker pool. It produces exactly the records of
-// the local version for the same subset count. A cancel of ctx severs the
+// elideMirrors drops from a paired job's list, sorted by (A, B, Kind),
+// every odd-A record that equals the strand mirror of its partner — the
+// record of (A^1, B^1) with the mirrored kind — and marks the partner
+// mirrorDerived instead. Equality is tested on the finished list, so it
+// does not matter whether the mirror's verdict was derived or verified.
+// The partner of an odd A is canonical (A^1 < B^1) and never a
+// self-mirror (B == A^1); expandMirrors reverses this exactly. The list
+// is compacted in place.
+func elideMirrors(recs []Record, query, ref readSet) []Record {
+	w := 0
+	evenA, evenLo, evenHi := int32(-1), 0, 0
+	for i := 0; i < len(recs); {
+		a := recs[i].A
+		j := i + 1
+		for j < len(recs) && recs[j].A == a {
+			j++
+		}
+		if a&1 == 0 {
+			evenA, evenLo, evenHi = a, w, w+j-i
+			w += copy(recs[w:], recs[i:j])
+			i = j
+			continue
+		}
+		for ; i < j; i++ {
+			r := recs[i]
+			if a^1 == evenA {
+				evens := recs[evenLo:evenHi]
+				k, found := slices.BinarySearchFunc(evens, Record{B: r.B ^ 1, Kind: strandKind(r.Kind)}, func(x, y Record) int {
+					return cmp.Or(cmp.Compare(x.B, y.B), cmp.Compare(x.Kind&^mirrorDerived, y.Kind))
+				})
+				if found {
+					p := &evens[k]
+					lenA, lenB := len(query.seqs[p.A-query.ids[0]]), len(ref.seqs[p.B-ref.ids[0]])
+					if p.B != p.A^1 && p.mirror(lenA, lenB) == r {
+						p.Kind |= mirrorDerived
+						continue
+					}
+				}
+			}
+			recs[w] = r
+			w++
+		}
+	}
+	return recs[:w]
+}
+
+// expandMirrors restores the strand mirrors elideMirrors dropped from a
+// list, with length(id) the length of read id: each mirrorDerived record
+// loses the bit and its mirror joins its odd partner read's run, in
+// (A, B, Kind) order. A list without the bit is returned as is.
+func expandMirrors(recs []Record, length func(int32) int) []Record {
+	n := len(recs)
+	for i := range recs {
+		if recs[i].Kind&mirrorDerived != 0 {
+			n++
+		}
+	}
+	if n == len(recs) {
+		return recs
+	}
+	out := make([]Record, 0, n)
+	for i := 0; i < len(recs); {
+		a := recs[i].A
+		j := i + 1
+		for j < len(recs) && recs[j].A == a {
+			j++
+		}
+		lo := len(out)
+		out = append(out, recs[i:j]...)
+		i = j
+		if a&1 != 0 {
+			continue
+		}
+		mirrors := len(out)
+		for k := lo; k < mirrors; k++ {
+			if r := &out[k]; r.Kind&mirrorDerived != 0 {
+				r.Kind &^= mirrorDerived
+				out = append(out, r.mirror(length(r.A), length(r.B)))
+			}
+		}
+		if len(out) == mirrors {
+			continue
+		}
+		for j < len(recs) && recs[j].A == a^1 {
+			j++
+		}
+		out = append(out, recs[i:j]...)
+		i = j
+		slices.SortFunc(out[mirrors:], compareKey)
+	}
+	return out
+}
+
+// ReplyError is a worker's alignment reply the master refuses to merge:
+// its job fails with it, as a phase fails on a reply the driver cannot
+// apply.
+type ReplyError struct {
+	Worker int // the worker whose reply was refused
+	Q, R   int // the subset pair, or Q = -1 for the job as a whole
+	Reason string
+}
+
+func (e *ReplyError) Error() string {
+	if e.Q < 0 {
+		return fmt.Sprintf("overlap: worker %d answered the job of reference subset %d with %s", e.Worker, e.R, e.Reason)
+	}
+	return fmt.Sprintf("overlap: worker %d answered subset pair (%d,%d) with %s", e.Worker, e.Q, e.R, e.Reason)
+}
+
+// checkList validates one reply list of subset pair (q, r), whose ids are
+// [qlo, qhi) and [rlo, rhi), and returns it with its elided mirrors
+// restored, or the reason it cannot be merged: a record outside the pair,
+// not canonical (A < B), of an undefined kind, a non-positive length or an
+// identity outside [0, 1]; a mirrorDerived bit anywhere but on an even-A,
+// non-self-mirror record of a paired job; or a list that is not strictly
+// in (A, B, Kind) order once restored.
+func checkList(recs []Record, qlo, qhi, rlo, rhi int32, paired bool, length func(int32) int) ([]Record, string) {
+	for _, r := range recs {
+		switch kind := r.Kind &^ mirrorDerived; {
+		case r.A < qlo || r.A >= qhi || r.B < rlo || r.B >= rhi:
+			return nil, fmt.Sprintf("record %+v outside [%d,%d)x[%d,%d)", r, qlo, qhi, rlo, rhi)
+		case r.A >= r.B:
+			return nil, fmt.Sprintf("record %+v not canonical", r)
+		case kind < align.KindSuffixPrefix || kind > align.KindBContainsA:
+			return nil, fmt.Sprintf("record %+v of kind %d", r, r.Kind)
+		case r.Len <= 0 || !(r.Identity >= 0 && r.Identity <= 1):
+			return nil, fmt.Sprintf("record %+v of length or identity out of range", r)
+		case r.Kind != kind && (!paired || r.A&1 != 0 || r.B == r.A^1):
+			return nil, fmt.Sprintf("record %+v marked mirror-derived", r)
+		}
+	}
+	recs = expandMirrors(recs, length)
+	for i := 1; i < len(recs); i++ {
+		if compareKey(recs[i-1], recs[i]) >= 0 {
+			return nil, fmt.Sprintf("records %+v, %+v out of order", recs[i-1], recs[i])
+		}
+	}
+	return recs, ""
+}
+
+// refJob is one distributed job: the query subsets q0..q1-1 against the
+// index of subset r (q1-1 <= r).
+type refJob struct{ q0, q1, r int }
+
+func (j refJob) units() int { return j.q1 - j.q0 }
+
+// refJobs cuts the S(S+1)/2 subset pairs into jobs for a pool of workers:
+// one per reference subset, then, while the largest holds more than
+// ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run split in two. Jobs come
+// largest first, the order the pool's queue hands them out. A split only
+// adds an index build, so there are never more builds than pairs.
+func refJobs(subsets, workers int) []refJob {
+	jobs := make([]refJob, subsets)
+	for r := range jobs {
+		jobs[r] = refJob{0, r + 1, r}
+	}
+	limit := (subsets*(subsets+1)/2 + workers - 1) / workers
+	for {
+		slices.SortFunc(jobs, func(x, y refJob) int {
+			return cmp.Or(cmp.Compare(y.units(), x.units()), cmp.Compare(y.r, x.r), cmp.Compare(x.q0, y.q0))
+		})
+		j := jobs[0]
+		if j.units() <= limit {
+			return jobs
+		}
+		mid := j.q0 + j.units()/2
+		jobs[0] = refJob{j.q0, mid, j.r}
+		jobs = append(jobs, refJob{mid, j.q1, j.r})
+	}
+}
+
+// args builds job j's request over subsets whose ids start at bounds[s].
+func (j refJob) args(subs []readSet, bounds []int32, paired bool, cfg Config) *AlignRefArgs {
+	a := &AlignRefArgs{Queries: bounds[j.q0 : j.q1+1], RefLo: bounds[j.r], RefHi: bounds[j.r+1], Paired: paired, Cfg: cfg}
+	ship := func(s int) {
+		seqs := subs[s].seqs
+		if !paired {
+			a.Seqs = append(a.Seqs, seqs...)
+			return
+		}
+		for i := 0; i < len(seqs); i += 2 {
+			a.Seqs = append(a.Seqs, seqs[i])
+		}
+	}
+	for q := j.q0; q < j.q1; q++ {
+		ship(q)
+	}
+	if j.r >= j.q1 {
+		ship(j.r)
+	}
+	return a
+}
+
+// FindOverlapsDistributedCtx is FindOverlaps with the subset pairs run as
+// refJobs over the worker pool. It produces exactly the records of the
+// local version for the same subset count. A cancel of ctx severs the
 // in-flight RPCs and returns the context's cause; a nil ctx never cancels.
+// A reply that fails checkList fails the stage with a *ReplyError.
 func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
 	subs := splitSubsets(reads, subsets)
-	jobs := subsetPairs(subsets)
+	paired := subs[0].paired
+	bounds := make([]int32, subsets+1)
+	for s, sub := range subs {
+		bounds[s+1] = bounds[s] + int32(len(sub.ids))
+	}
+	jobs := refJobs(subsets, max(pool.NumHealthy(), 1))
 	replies := make([]interface{}, len(jobs))
 	for i := range replies {
-		replies[i] = &AlignPairReply{}
+		replies[i] = &AlignRefReply{}
 	}
-	_, _, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignPair", func(t int) interface{} {
-		q, r := jobs[t].q, jobs[t].r
-		return &AlignPairArgs{RefIDs: subs[r].ids, RefSeqs: subs[r].seqs, QueryIDs: subs[q].ids, QuerySeqs: subs[q].seqs, Cfg: cfg}
+	_, served, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
+		return jobs[t].args(subs, bounds, paired, cfg)
 	}, replies, cfg.RPCRetries)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the
@@ -113,9 +388,27 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		}
 		return nil, err
 	}
-	lists := make([][]Record, len(replies))
-	for t, r := range replies {
-		lists[t] = r.(*AlignPairReply).Records
+	length := func(id int32) int { return len(reads[id].Seq) }
+	pairs := subsetPairs(subsets)
+	lists := make([][]Record, len(pairs))
+	for t, j := range jobs {
+		// Each reply list is dropped once restored, so the compact and the
+		// restored records of the whole stage are never held at once.
+		reply := replies[t].(*AlignRefReply)
+		replies[t] = nil
+		if len(reply.Lists) != j.units() {
+			return nil, &ReplyError{Worker: served[t], Q: -1, R: j.r, Reason: fmt.Sprintf("%d lists for %d query subsets", len(reply.Lists), j.units())}
+		}
+		for i, l := range reply.Lists {
+			q := j.q0 + i
+			recs, bad := checkList(l, bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, length)
+			if bad != "" {
+				return nil, &ReplyError{Worker: served[t], Q: q, R: j.r, Reason: bad}
+			}
+			// Pair (q, r)'s place in subsetPairs order.
+			lists[q*subsets-q*(q-1)/2+j.r-q] = recs
+			reply.Lists[i] = nil
+		}
 	}
-	return mergeRecords(jobs, lists)
+	return mergeRecords(pairs, lists)
 }

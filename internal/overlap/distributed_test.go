@@ -1,25 +1,39 @@
 package overlap
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"focus/internal/align"
 	"focus/internal/dist"
 	"focus/internal/dna"
 	"focus/internal/preprocess"
 	"focus/internal/simulate"
 )
 
-// alignService exposes AlignPair for the distributed tests without
-// importing the assembly package (which would cycle).
-type alignService struct{}
+// alignService exposes AlignRef for the distributed tests without
+// importing the assembly package (which would cycle). calls, when set,
+// counts the jobs served — one reference index built per job; forge, when
+// set, rewrites every reply as a faulty or hostile worker would.
+type alignService struct {
+	calls *atomic.Int64
+	forge func(args *AlignRefArgs, lists [][]Record) [][]Record
+}
 
-func (s *alignService) AlignPair(args *AlignPairArgs, reply *AlignPairReply) error {
+func (s *alignService) AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
+	if s.calls != nil {
+		s.calls.Add(1)
+	}
 	var err error
-	reply.Records, err = AlignPair(args)
+	reply.Lists, err = AlignRef(args)
+	if err == nil && s.forge != nil {
+		reply.Lists = s.forge(args, reply.Lists)
+	}
 	return err
 }
 
@@ -84,7 +98,9 @@ func pairedD2Reads(t *testing.T) []dna.Read {
 // TestFindOverlapsDistributedMatchesLocalPaired is the distributed stage
 // on the strand-paired input the pipeline produces: byte-identical records
 // to FindOverlapsCtx at 1, 3, 4 and 7 subsets (7 splits on odd i·n/S
-// bounds) on pools of 1, 2, 4 and 8 workers.
+// bounds) on pools of 1, 2, 4 and 8 workers, with one reference index
+// built per refJobs job and never more than one per subset pair, pools
+// wider than the subset count included.
 func TestFindOverlapsDistributedMatchesLocalPaired(t *testing.T) {
 	reads := pairedD2Reads(t)
 	cfg := testConfig()
@@ -97,7 +113,8 @@ func TestFindOverlapsDistributedMatchesLocalPaired(t *testing.T) {
 			t.Fatalf("subsets=%d: no records", subsets)
 		}
 		for _, width := range []int{1, 2, 4, 8} {
-			pool, err := dist.NewLocalPool(width, newAlignService)
+			var calls atomic.Int64
+			pool, err := dist.NewLocalPool(width, func() interface{} { return &alignService{calls: &calls} })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +127,212 @@ func TestFindOverlapsDistributedMatchesLocalPaired(t *testing.T) {
 				t.Fatalf("subsets=%d width=%d: distributed %d records, local %d; %v",
 					subsets, width, len(remote), len(local), firstDiff(remote, local))
 			}
+			pairs := int64(subsets * (subsets + 1) / 2)
+			if n := calls.Load(); n != int64(len(refJobs(subsets, width))) || n > pairs {
+				t.Fatalf("subsets=%d width=%d: %d index builds for %d subset pairs", subsets, width, n, pairs)
+			}
 		}
+	}
+}
+
+// TestRefJobs: the jobs cover every subset pair (q <= r) exactly once, one
+// reference per job with a run of query subsets; they come largest first;
+// none holds more than ⌈S(S+1)/2 ÷ W⌉ pairs; and there are never more jobs
+// (index builds) than pairs. At S = 4, W = 2 that is one job per subset.
+func TestRefJobs(t *testing.T) {
+	for subsets := 1; subsets <= 9; subsets++ {
+		pairs := subsets * (subsets + 1) / 2
+		for workers := 1; workers <= 12; workers++ {
+			jobs := refJobs(subsets, workers)
+			limit := (pairs + workers - 1) / workers
+			seen := map[pairJob]bool{}
+			for i, j := range jobs {
+				if j.q0 >= j.q1 || j.q1-1 > j.r || j.units() > limit || (i > 0 && j.units() > jobs[i-1].units()) {
+					t.Fatalf("S=%d W=%d: job %d of %v", subsets, workers, i, jobs)
+				}
+				for q := j.q0; q < j.q1; q++ {
+					if seen[pairJob{q, j.r}] {
+						t.Fatalf("S=%d W=%d: pair (%d,%d) twice in %v", subsets, workers, q, j.r, jobs)
+					}
+					seen[pairJob{q, j.r}] = true
+				}
+			}
+			if len(seen) != pairs || len(jobs) > pairs || len(jobs) < subsets {
+				t.Fatalf("S=%d W=%d: %d jobs cover %d of %d pairs", subsets, workers, len(jobs), len(seen), pairs)
+			}
+		}
+	}
+	if jobs := refJobs(4, 2); !slices.Equal(jobs, []refJob{{0, 4, 3}, {0, 3, 2}, {0, 2, 1}, {0, 1, 0}}) {
+		t.Fatalf("S=4 W=2: %v", jobs)
+	}
+}
+
+// TestFindOverlapsDistributedRejectsForgedReplies: a worker whose reply
+// the master cannot merge — a record outside its subset pair, not
+// canonical, of an undefined kind, length or identity, a mirror-derived
+// mark where no mirror can be derived, a duplicate, a list missing — fails
+// the stage with a *ReplyError naming the worker, never merges. On an odd
+// (unpaired) 69-read set and on a strand-paired one.
+func TestFindOverlapsDistributedRejectsForgedReplies(t *testing.T) {
+	unpaired := tilingReads(randGenome(154, 100+68*20), 100, 20)
+	// A read equal to its own reverse complement overlaps its mirror: a
+	// self-mirror record (2i, 2i+1).
+	half := randGenome(155, 40)
+	palindrome := append(slices.Clone(half), dna.ReverseComplement(half)...)
+	paired := append(pairedReadSet(72), dna.Read{Seq: palindrome}, dna.Read{Seq: slices.Clone(palindrome)})
+	if len(unpaired) != 69 {
+		t.Fatalf("%d unpaired reads", len(unpaired))
+	}
+	type forgery func(args *AlignRefArgs, lists [][]Record) [][]Record
+	// edit rewrites the first non-empty list's first record.
+	edit := func(f func(r *Record)) forgery {
+		return func(_ *AlignRefArgs, lists [][]Record) [][]Record {
+			for _, l := range lists {
+				if len(l) > 0 {
+					f(&l[0])
+					break
+				}
+			}
+			return lists
+		}
+	}
+	// editWhere rewrites the first record of any list that pred selects.
+	editWhere := func(pred func(Record) bool, f func(r *Record)) forgery {
+		return func(_ *AlignRefArgs, lists [][]Record) [][]Record {
+			for _, l := range lists {
+				for i := range l {
+					if pred(l[i]) {
+						f(&l[i])
+						return lists
+					}
+				}
+			}
+			return lists
+		}
+	}
+	common := map[string]forgery{
+		"the reported record": edit(func(r *Record) { *r = Record{A: 21, B: 1 << 30, Kind: 77, Len: -5, Identity: 7} }),
+		"B outside":           edit(func(r *Record) { r.B = 1 << 30 }),
+		"A outside":           edit(func(r *Record) { r.A = -1 }),
+		"A not below B":       edit(func(r *Record) { r.A, r.B = r.B, r.A }),
+		"kind none":           edit(func(r *Record) { r.Kind = align.KindNone }),
+		"kind 77":             edit(func(r *Record) { r.Kind = 77 }),
+		"length 0":            edit(func(r *Record) { r.Len = 0 }),
+		"length -5":           edit(func(r *Record) { r.Len = -5 }),
+		"identity 7":          edit(func(r *Record) { r.Identity = 7 }),
+		"identity NaN":        edit(func(r *Record) { r.Identity = float32(math.NaN()) }),
+		"identity negative":   edit(func(r *Record) { r.Identity = -0.5 }),
+		"duplicate": func(_ *AlignRefArgs, lists [][]Record) [][]Record {
+			for i, l := range lists {
+				if len(l) > 0 {
+					lists[i] = append([]Record{l[0]}, l...)
+					break
+				}
+			}
+			return lists
+		},
+		"a list missing": func(_ *AlignRefArgs, lists [][]Record) [][]Record { return append(lists, nil)[1:] },
+		"a list extra":   func(_ *AlignRefArgs, lists [][]Record) [][]Record { return append(lists, nil) },
+	}
+	pairedOnly := map[string]forgery{
+		"derived on odd A":       editWhere(func(r Record) bool { return r.A&1 == 1 }, func(r *Record) { r.Kind |= mirrorDerived }),
+		"derived on self-mirror": editWhere(func(r Record) bool { return r.B == r.A^1 }, func(r *Record) { r.Kind |= mirrorDerived }),
+		"derived and listed": func(args *AlignRefArgs, lists [][]Record) [][]Record {
+			// The mirror a marked record stands for, listed as well.
+			queries, ref, _ := args.readSets()
+			for i, l := range lists {
+				for _, p := range l {
+					if p.Kind&mirrorDerived != 0 {
+						p.Kind &^= mirrorDerived
+						q := queries[i]
+						m := p.mirror(len(q.seqs[p.A-q.ids[0]]), len(ref.seqs[p.B-ref.ids[0]]))
+						k, _ := slices.BinarySearchFunc(l, m, compareKey)
+						lists[i] = slices.Insert(l, k, m)
+						return lists
+					}
+				}
+			}
+			return lists
+		},
+	}
+	unpairedOnly := map[string]forgery{
+		"derived when unpaired": editWhere(func(r Record) bool { return r.A&1 == 0 && r.B != r.A^1 }, func(r *Record) { r.Kind |= mirrorDerived }),
+	}
+	for _, tc := range []struct {
+		name  string
+		reads []dna.Read
+		extra map[string]forgery
+	}{{"unpaired", unpaired, unpairedOnly}, {"paired", paired, pairedOnly}} {
+		cfg := testConfig()
+		want, err := FindOverlaps(tc.reads, 3, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each forgery must have a record to forge.
+		for _, need := range []func(Record) bool{
+			func(r Record) bool { return r.A&1 == 0 && r.B != r.A^1 },
+			func(r Record) bool { return tc.name == "unpaired" || r.B == r.A^1 },
+		} {
+			if !slices.ContainsFunc(want, need) {
+				t.Fatalf("%s: no record to forge", tc.name)
+			}
+		}
+		forgeries := map[string]forgery{}
+		for name, f := range common {
+			forgeries[name] = f
+		}
+		for name, f := range tc.extra {
+			forgeries[name] = f
+		}
+		for name, f := range forgeries {
+			pool, err := dist.NewLocalPool(2, func() interface{} { return &alignService{forge: f} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := FindOverlapsDistributedCtx(nil, pool, tc.reads, 3, cfg)
+			pool.Close()
+			var re *ReplyError
+			if !errors.As(err, &re) || re.Worker < 0 || re.Worker > 1 {
+				t.Errorf("%s %s: %d records, error %v", tc.name, name, len(recs), err)
+			}
+		}
+	}
+}
+
+// TestFindOverlapsDistributedRetriesHungWorker: a worker that hangs in the
+// middle of its first job is timed out and evicted, its job is retried on
+// the other worker, and the records equal the local stage's.
+func TestFindOverlapsDistributedRetriesHungWorker(t *testing.T) {
+	reads := pairedReadSet(73)
+	cfg := testConfig()
+	local, err := FindOverlaps(reads, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hang := dist.ChaosConfig{Seed: 3, FirstSafe: 1, HangProb: 1, HangFor: 5 * time.Second}
+	pool, err := dist.NewLocalChaosPool(2, newAlignService, dist.Options{
+		CallTimeout: time.Second,
+		MaxFailures: 1,
+		Logf:        t.Logf,
+	}, func(w int) *dist.ChaosConfig {
+		if w == 0 {
+			return &hang
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	remote, err := FindOverlapsDistributedCtx(nil, pool, reads, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(remote, local) {
+		t.Fatalf("distributed %d records, local %d; %v", len(remote), len(local), firstDiff(remote, local))
+	}
+	if h := pool.Health(); h.Evictions == 0 || pool.Healthy(0) {
+		t.Fatalf("the hung worker was not evicted: %+v", h)
 	}
 }
 
@@ -161,51 +383,62 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	}
 }
 
-// TestAlignPairRejectsMalformedJobs: requests no (q <= r) job produces —
-// k out of range, a scoring past maxScore, ids and sequences of different
-// counts, ids that are not one ascending run, a reference run starting
-// before the query run — are errors; the job shapes the drivers do send
-// (one subset against itself or a later one, an empty side) are not.
+// TestAlignPairRejectsMalformedJobs: AlignRef requests no refJobs job
+// produces — k out of range, a scoring past maxScore, fewer than two query
+// bounds, bounds out of order or negative, a reference overlapping or
+// preceding the query run, sequences of another count than the bounds
+// give, a paired job on odd bounds or shipping its odd reads — are errors;
+// the job shapes the master does send (a later reference, a same-subset
+// pair, several query subsets, an empty side, a paired job) are not.
 func TestAlignPairRejectsMalformedJobs(t *testing.T) {
 	genome := randGenome(153, 400)
 	// The second read drops a base, so its overlaps reach the DP kernel.
 	seqs := [][]byte{genome[:100], append(slices.Clone(genome[50:90]), genome[91:151]...), genome[100:200], genome[150:250]}
-	job := func(mut func(*AlignPairArgs)) *AlignPairArgs {
-		a := &AlignPairArgs{
-			RefIDs: []int32{12, 13}, RefSeqs: seqs[2:],
-			QueryIDs: []int32{10, 11}, QuerySeqs: seqs[:2],
-			Cfg: testConfig(),
-		}
+	job := func(mut func(*AlignRefArgs)) *AlignRefArgs {
+		a := &AlignRefArgs{Queries: []int32{10, 12}, RefLo: 12, RefHi: 14, Seqs: seqs, Cfg: testConfig()}
 		mut(a)
 		return a
 	}
-	for name, mut := range map[string]func(*AlignPairArgs){
-		"k=0":              func(a *AlignPairArgs) { a.Cfg.K = 0 },
-		"k=33":             func(a *AlignPairArgs) { a.Cfg.K = 33 },
-		"huge match":       func(a *AlignPairArgs) { a.Cfg.Align.Scoring.Match = 1 << 40 },
-		"huge gap":         func(a *AlignPairArgs) { a.Cfg.Align.Scoring.Gap = -(1 << 40) },
-		"ref ids short":    func(a *AlignPairArgs) { a.RefIDs = a.RefIDs[:1] },
-		"query seqs short": func(a *AlignPairArgs) { a.QuerySeqs = a.QuerySeqs[:1] },
-		"gap in ids":       func(a *AlignPairArgs) { a.RefIDs = []int32{12, 14} },
-		"descending ids":   func(a *AlignPairArgs) { a.QueryIDs = []int32{11, 10} },
-		"wrapping ids":     func(a *AlignPairArgs) { a.QueryIDs = []int32{math.MaxInt32, math.MinInt32} },
-		"refs first":       func(a *AlignPairArgs) { a.RefIDs, a.QueryIDs = a.QueryIDs, a.RefIDs },
+	for name, mut := range map[string]func(*AlignRefArgs){
+		"k=0":                func(a *AlignRefArgs) { a.Cfg.K = 0 },
+		"k=33":               func(a *AlignRefArgs) { a.Cfg.K = 33 },
+		"huge match":         func(a *AlignRefArgs) { a.Cfg.Align.Scoring.Match = 1 << 40 },
+		"huge gap":           func(a *AlignRefArgs) { a.Cfg.Align.Scoring.Gap = -(1 << 40) },
+		"one bound":          func(a *AlignRefArgs) { a.Queries = a.Queries[:1] },
+		"no bounds":          func(a *AlignRefArgs) { a.Queries = nil },
+		"seqs short":         func(a *AlignRefArgs) { a.Seqs = a.Seqs[:3] },
+		"descending bounds":  func(a *AlignRefArgs) { a.Queries = []int32{12, 10} },
+		"wrapping bounds":    func(a *AlignRefArgs) { a.Queries = []int32{math.MaxInt32, math.MinInt32} },
+		"negative bounds":    func(a *AlignRefArgs) { a.Queries, a.RefLo, a.RefHi = []int32{-2, 0}, 0, 2 },
+		"ref descending":     func(a *AlignRefArgs) { a.RefLo, a.RefHi = 14, 12 },
+		"ref overlaps":       func(a *AlignRefArgs) { a.RefLo, a.RefHi = 11, 13 },
+		"refs first":         func(a *AlignRefArgs) { a.RefLo, a.RefHi = 8, 10 },
+		"paired odd bounds":  func(a *AlignRefArgs) { a.Queries, a.RefLo, a.RefHi, a.Paired = []int32{11, 13}, 13, 15, true },
+		"paired every read":  func(a *AlignRefArgs) { a.Paired = true },
+		"paired no queries":  func(a *AlignRefArgs) { a.Paired, a.Seqs = true, seqs[:1] },
+		"unpaired even only": func(a *AlignRefArgs) { a.Seqs = [][]byte{seqs[0], seqs[2]} },
 	} {
-		if recs, err := AlignPair(job(mut)); err == nil {
-			t.Errorf("%s: accepted, %d records", name, len(recs))
+		if lists, err := AlignRef(job(mut)); err == nil {
+			t.Errorf("%s: accepted, %d lists", name, len(lists))
 		}
 	}
-	for name, mut := range map[string]func(*AlignPairArgs){
-		"later subset": func(*AlignPairArgs) {},
-		"same subset":  func(a *AlignPairArgs) { a.RefIDs, a.RefSeqs = a.QueryIDs, a.QuerySeqs },
-		"no queries":   func(a *AlignPairArgs) { a.QueryIDs, a.QuerySeqs = nil, nil },
-		"no refs":      func(a *AlignPairArgs) { a.RefIDs, a.RefSeqs = nil, nil },
-		"huge band": func(a *AlignPairArgs) {
-			a.RefIDs, a.RefSeqs, a.Cfg.Align.Band = a.QueryIDs, a.QuerySeqs, 1<<40
+	for name, mut := range map[string]func(*AlignRefArgs){
+		"later subset":  func(*AlignRefArgs) {},
+		"same subset":   func(a *AlignRefArgs) { a.RefLo, a.RefHi, a.Seqs = 10, 12, seqs[:2] },
+		"two queries":   func(a *AlignRefArgs) { a.Queries, a.RefLo, a.RefHi, a.Seqs = []int32{10, 11, 12}, 11, 12, seqs[:2] },
+		"gap to ref":    func(a *AlignRefArgs) { a.RefLo, a.RefHi = 20, 22 },
+		"no queries":    func(a *AlignRefArgs) { a.Queries, a.Seqs = []int32{10, 10}, seqs[2:] },
+		"no refs":       func(a *AlignRefArgs) { a.RefLo, a.RefHi, a.Seqs = 12, 12, seqs[:2] },
+		"paired":        func(a *AlignRefArgs) { a.Paired, a.Seqs = true, [][]byte{seqs[0], seqs[2]} },
+		"paired shared": func(a *AlignRefArgs) { a.Paired, a.RefLo, a.RefHi, a.Seqs = true, 10, 12, seqs[:1] },
+		"huge band": func(a *AlignRefArgs) {
+			a.RefLo, a.RefHi, a.Seqs, a.Cfg.Align.Band = 10, 12, seqs[:2], 1<<40
 		},
 	} {
-		if _, err := AlignPair(job(mut)); err != nil {
-			t.Errorf("%s: %v", name, err)
+		a := job(mut)
+		lists, err := AlignRef(a)
+		if err != nil || len(lists) != len(a.Queries)-1 {
+			t.Errorf("%s: %d lists, %v", name, len(lists), err)
 		}
 	}
 }
@@ -213,23 +446,18 @@ func TestAlignPairRejectsMalformedJobs(t *testing.T) {
 func TestAlignPairDirect(t *testing.T) {
 	genome := randGenome(151, 600)
 	reads := tilingReads(genome, 100, 50)
-	var ids []int32
 	var seqs [][]byte
-	for i, r := range reads {
-		ids = append(ids, int32(i))
+	for _, r := range reads {
 		seqs = append(seqs, r.Seq)
 	}
-	recs, err := AlignPair(&AlignPairArgs{
-		RefIDs: ids, RefSeqs: seqs,
-		QueryIDs: ids, QuerySeqs: seqs,
-		Cfg: testConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	n := int32(len(seqs))
+	lists, err := AlignRef(&AlignRefArgs{Queries: []int32{0, n}, RefLo: 0, RefHi: n, Seqs: seqs, Cfg: testConfig()})
+	if err != nil || len(lists) != 1 {
+		t.Fatalf("%d lists, %v", len(lists), err)
 	}
 	// Consecutive reads overlap by 50 bp: all must be found.
 	found := map[[2]int32]bool{}
-	for _, r := range recs {
+	for _, r := range lists[0] {
 		found[[2]int32{r.A, r.B}] = true
 	}
 	for i := 0; i+1 < len(reads); i++ {

@@ -200,12 +200,13 @@ func TestSplitSubsetsPairBoundaries(t *testing.T) {
 	}
 }
 
-// TestAlignPairStrandMirror: a worker applies the mirror rule to the runs
-// it is shipped and answers every job as the all-queries core does —
-// pair-aligned runs of a paired read set (mirrored), runs cut on the odd
-// i·n/S bounds an older master ships (not paired: all queries run), paired
-// runs shipped under ids from an odd one (id^1 is not the other strand
-// there: all queries run), and the whole distributed stage on a local pool.
+// TestAlignPairStrandMirror: a worker applies the mirror rule to the jobs
+// it is shipped, elides the mirrors the master can re-derive, and, once
+// checkList restores them, answers every subset pair as the all-queries
+// core does — paired jobs on pair-aligned bounds (even reads shipped,
+// mirrors elided), unpaired jobs on the odd i·n/S bounds and on ids
+// shifted to start odd (every read shipped, nothing elided) — and the
+// whole distributed stage on a local pool does too.
 func TestAlignPairStrandMirror(t *testing.T) {
 	reads := pairedReadSet(71)
 	cfg := testConfig()
@@ -213,45 +214,59 @@ func TestAlignPairStrandMirror(t *testing.T) {
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
-	n, total := len(reads), 0
+	n, total, elided := len(reads), 0, 0
 	for _, tc := range []struct {
-		bounds []int
+		bounds []int32
 		shift  int32
 	}{
-		{[]int{0, 2 * (n / 2 / 3), 2 * (2 * (n / 2) / 3), n}, 0},
-		{[]int{0, n / 3, 2 * n / 3, n}, 0},
-		{[]int{0, 2 * (n / 2 / 3), 2 * (2 * (n / 2) / 3), n}, 1},
+		{[]int32{0, int32(2 * (n / 2 / 3)), int32(2 * (2 * (n / 2) / 3)), int32(n)}, 0},
+		{[]int32{0, int32(n / 3), int32(2 * n / 3), int32(n)}, 0},
+		{[]int32{0, int32(2 * (n / 2 / 3)), int32(2 * (2 * (n / 2) / 3)), int32(n)}, 1},
 	} {
-		run := func(s int) ([]int32, [][]byte) {
-			lo, hi := tc.bounds[s], tc.bounds[s+1]
-			ids := make([]int32, hi-lo)
-			for i := range ids {
-				ids[i] = int32(lo+i) + tc.shift
-			}
-			return ids, seqs[lo:hi]
+		paired := tc.shift == 0 && tc.bounds[1]%2 == 0
+		subs := make([]readSet, len(tc.bounds)-1)
+		bounds := make([]int32, len(tc.bounds))
+		for s := range bounds {
+			bounds[s] = tc.bounds[s] + tc.shift
 		}
-		for q := 0; q+1 < len(tc.bounds); q++ {
-			for r := q; r+1 < len(tc.bounds); r++ {
-				qids, qseqs := run(q)
-				rids, rseqs := run(r)
-				got, err := AlignPair(&AlignPairArgs{RefIDs: rids, RefSeqs: rseqs, QueryIDs: qids, QuerySeqs: qseqs, Cfg: cfg})
-				if err != nil {
-					t.Fatal(err)
+		for s := range subs {
+			lo, hi := tc.bounds[s], tc.bounds[s+1]
+			subs[s] = readSet{ids: localIDs(int(hi - lo)), seqs: seqs[lo:hi]}
+			for i := range subs[s].ids {
+				subs[s].ids[i] += bounds[s]
+			}
+		}
+		length := func(id int32) int { return len(seqs[id-tc.shift]) }
+		for _, j := range refJobs(len(subs), 2) {
+			a := j.args(subs, bounds, paired, cfg)
+			lists, err := AlignRef(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range lists {
+				q := j.q0 + i
+				got, bad := checkList(slices.Clone(l), bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, length)
+				if bad != "" {
+					t.Fatalf("bounds %v ids +%d pair (%d,%d): %s", tc.bounds, tc.shift, q, j.r, bad)
 				}
-				ix, err := buildKmerIndex(rseqs, cfg.K)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := alignQueries(readSet{ids: qids, seqs: qseqs}, readSet{ids: rids, seqs: rseqs}, ix, cfg, &scratch{})
+				want := alignQueries(subs[q], subs[j.r], ix, cfg, &scratch{})
 				total += len(want)
+				elided += len(want) - len(l)
 				if !slices.Equal(got, want) {
-					t.Fatalf("bounds %v ids +%d job (%d,%d): AlignPair %d records, all queries %d; %v", tc.bounds, tc.shift, q, r, len(got), len(want), firstDiff(got, want))
+					t.Fatalf("bounds %v ids +%d pair (%d,%d): AlignRef %d records, all queries %d; %v", tc.bounds, tc.shift, q, j.r, len(got), len(want), firstDiff(got, want))
+				}
+				if !paired && len(l) != len(want) {
+					t.Fatalf("bounds %v ids +%d pair (%d,%d): %d records elided from an unpaired job", tc.bounds, tc.shift, q, j.r, len(want)-len(l))
 				}
 			}
 		}
 	}
-	if total == 0 {
-		t.Fatal("no job found an overlap")
+	if total == 0 || elided == 0 {
+		t.Fatalf("%d records, %d mirrors elided", total, elided)
 	}
 	for _, subsets := range []int{1, 3, 5} {
 		want, _, err := findOverlaps(nil, reads, subsets, cfg, 1, false, false)

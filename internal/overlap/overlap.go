@@ -681,14 +681,19 @@ func (r Record) Flip() Record {
 // at lenA-lenB-Diag in A^1, a suffix-prefix overlap becomes a prefix-suffix
 // one and vice versa, and containment, Len and Identity are unchanged.
 func (r Record) mirror(lenA, lenB int) Record {
-	m := Record{A: r.A ^ 1, B: r.B ^ 1, Kind: r.Kind, Len: r.Len, Identity: r.Identity, Diag: int32(lenA-lenB) - r.Diag}
-	switch r.Kind {
+	return Record{A: r.A ^ 1, B: r.B ^ 1, Kind: strandKind(r.Kind), Len: r.Len, Identity: r.Identity, Diag: int32(lenA-lenB) - r.Diag}
+}
+
+// strandKind is the kind of an overlap read on the other strand: the
+// suffix-prefix and prefix-suffix kinds trade places.
+func strandKind(k align.Kind) align.Kind {
+	switch k {
 	case align.KindSuffixPrefix:
-		m.Kind = align.KindPrefixSuffix
+		return align.KindPrefixSuffix
 	case align.KindPrefixSuffix:
-		m.Kind = align.KindSuffixPrefix
+		return align.KindSuffixPrefix
 	}
-	return m
+	return k
 }
 
 // BuildGraph constructs the overlap graph G0 from the records: one node

@@ -9,13 +9,14 @@ import (
 )
 
 // Binary wire encodings (dist.Wire) for the distributed alignment
-// protocol. Read sequences — the bulk of an AlignPair job — ship 2-bit
-// packed (dna.Pack), ids delta-coded; see DESIGN.md §10 and the aliasing
-// contract on dist.Wire (decoders copy, the frame buffer is reused).
+// protocol. Read sequences — the bulk of an AlignRef job — ship 2-bit
+// packed (dna.Pack), subsets as their bounds; see DESIGN.md §10 and the
+// aliasing contract on dist.Wire (decoders copy, the frame buffer is
+// reused).
 
 var (
-	_ dist.Wire = (*AlignPairArgs)(nil)
-	_ dist.Wire = (*AlignPairReply)(nil)
+	_ dist.Wire = (*AlignRefArgs)(nil)
+	_ dist.Wire = (*AlignRefReply)(nil)
 )
 
 // boundLen rejects element counts larger than the bytes left in the frame
@@ -104,62 +105,75 @@ func decodeOverlapConfig(rd *dist.WireReader, c *Config) {
 }
 
 // AppendTo implements dist.Wire.
-func (a *AlignPairArgs) AppendTo(dst []byte) []byte {
-	dst = dist.AppendInt32sDelta(dst, a.RefIDs)
-	dst = appendSeqs(dst, a.RefSeqs)
-	dst = dist.AppendInt32sDelta(dst, a.QueryIDs)
-	dst = appendSeqs(dst, a.QuerySeqs)
+func (a *AlignRefArgs) AppendTo(dst []byte) []byte {
+	dst = dist.AppendInt32sDelta(dst, a.Queries)
+	dst = dist.AppendVarint(dst, int64(a.RefLo))
+	dst = dist.AppendVarint(dst, int64(a.RefHi))
+	dst = dist.AppendBool(dst, a.Paired)
+	dst = appendSeqs(dst, a.Seqs)
 	return appendOverlapConfig(dst, &a.Cfg)
 }
 
 // DecodeFrom implements dist.Wire.
-func (a *AlignPairArgs) DecodeFrom(src []byte) error {
+func (a *AlignRefArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
-	a.RefIDs = rd.Int32sDelta()
-	a.RefSeqs = decodeSeqs(&rd)
-	a.QueryIDs = rd.Int32sDelta()
-	a.QuerySeqs = decodeSeqs(&rd)
+	a.Queries = rd.Int32sDelta()
+	a.RefLo = int32(rd.Varint())
+	a.RefHi = int32(rd.Varint())
+	a.Paired = rd.Bool()
+	a.Seqs = decodeSeqs(&rd)
 	decodeOverlapConfig(&rd, &a.Cfg)
 	return rd.Finish()
 }
 
-// AppendTo implements dist.Wire. Records are delta-coded on A (the
-// produced lists are sorted by query read) and B against A.
-func (r *AlignPairReply) AppendTo(dst []byte) []byte {
-	dst = dist.AppendLen(dst, len(r.Records), r.Records != nil)
-	prevA := int64(0)
-	for i := range r.Records {
-		rec := &r.Records[i]
-		dst = dist.AppendVarint(dst, int64(rec.A)-prevA)
-		prevA = int64(rec.A)
-		dst = dist.AppendVarint(dst, int64(rec.B)-int64(rec.A))
-		dst = append(dst, byte(rec.Kind))
-		dst = dist.AppendVarint(dst, int64(rec.Len))
-		dst = dist.AppendFloat32(dst, rec.Identity)
-		dst = dist.AppendVarint(dst, int64(rec.Diag))
+// AppendTo implements dist.Wire. Each list's records are delta-coded on A
+// (the lists are sorted by query read) and B against A; Kind is one byte,
+// mirrorDerived included.
+func (r *AlignRefReply) AppendTo(dst []byte) []byte {
+	dst = dist.AppendLen(dst, len(r.Lists), r.Lists != nil)
+	for _, recs := range r.Lists {
+		dst = dist.AppendLen(dst, len(recs), recs != nil)
+		prevA := int64(0)
+		for i := range recs {
+			rec := &recs[i]
+			dst = dist.AppendVarint(dst, int64(rec.A)-prevA)
+			prevA = int64(rec.A)
+			dst = dist.AppendVarint(dst, int64(rec.B)-int64(rec.A))
+			dst = append(dst, byte(rec.Kind))
+			dst = dist.AppendVarint(dst, int64(rec.Len))
+			dst = dist.AppendFloat32(dst, rec.Identity)
+			dst = dist.AppendVarint(dst, int64(rec.Diag))
+		}
 	}
 	return dst
 }
 
 // DecodeFrom implements dist.Wire.
-func (r *AlignPairReply) DecodeFrom(src []byte) error {
+func (r *AlignRefReply) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
 	n, present := rd.Len()
-	if !present {
-		r.Records = nil
-		return rd.Finish()
+	r.Lists = nil
+	if present {
+		r.Lists = make([][]Record, boundLen(&rd, n))
 	}
-	r.Records = make([]Record, boundLen(&rd, n))
-	prevA := int64(0)
-	for i := range r.Records {
-		rec := &r.Records[i]
-		prevA += rd.Varint()
-		rec.A = int32(prevA)
-		rec.B = int32(prevA + rd.Varint())
-		rec.Kind = align.Kind(rd.Byte())
-		rec.Len = int32(rd.Varint())
-		rec.Identity = rd.Float32()
-		rec.Diag = int32(rd.Varint())
+	for l := range r.Lists {
+		n, present := rd.Len()
+		if !present {
+			continue
+		}
+		recs := make([]Record, boundLen(&rd, n))
+		prevA := int64(0)
+		for i := range recs {
+			rec := &recs[i]
+			prevA += rd.Varint()
+			rec.A = int32(prevA)
+			rec.B = int32(prevA + rd.Varint())
+			rec.Kind = align.Kind(rd.Byte())
+			rec.Len = int32(rd.Varint())
+			rec.Identity = rd.Float32()
+			rec.Diag = int32(rd.Varint())
+		}
+		r.Lists[l] = recs
 	}
 	return rd.Finish()
 }

@@ -67,20 +67,39 @@ func randWireConfig(rng *rand.Rand) Config {
 	}
 }
 
+func randWireRecords(rng *rand.Rand) []Record {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return []Record{}
+	}
+	recs := make([]Record, rng.Intn(20))
+	for j := range recs {
+		recs[j] = Record{
+			A: int32(rng.Uint32()), B: int32(rng.Uint32()),
+			Kind: align.Kind(rng.Intn(256)), Len: int32(rng.Uint32()),
+			Identity: rng.Float32(), Diag: int32(rng.Uint32()),
+		}
+	}
+	return recs
+}
+
 // TestWireAlignPairRoundTrip: randomized DeepEqual property over the
-// distributed-alignment payloads, including nil vs empty sequence lists,
-// escape-plane bytes, and int32-extreme ids. Decode targets are reused so
-// stale state must be overwritten. The config's answer fields round-trip;
-// the master-side RPCRetries is not shipped and decodes as zero.
+// distributed-alignment payloads, AlignRefArgs and AlignRefReply,
+// including nil vs empty sequence and record lists, escape-plane bytes,
+// int32-extreme bounds and ids, and every Kind byte (mirrorDerived
+// included). Decode targets are reused so stale state must be
+// overwritten. The config's answer fields round-trip; the master-side
+// RPCRetries is not shipped and decodes as zero.
 func TestWireAlignPairRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
-	var args AlignPairArgs
-	var reply AlignPairReply
+	var args AlignRefArgs
+	var reply AlignRefReply
 	for i := 0; i < 500; i++ {
-		a := &AlignPairArgs{
-			RefIDs: randWireIDs(rng), RefSeqs: randWireSeqs(rng),
-			QueryIDs: randWireIDs(rng), QuerySeqs: randWireSeqs(rng),
-			Cfg: randWireConfig(rng),
+		a := &AlignRefArgs{
+			Queries: randWireIDs(rng), RefLo: int32(rng.Uint32()), RefHi: int32(rng.Uint32()),
+			Paired: rng.Intn(2) == 0, Seqs: randWireSeqs(rng), Cfg: randWireConfig(rng),
 		}
 		enc := a.AppendTo(nil)
 		args.Cfg.RPCRetries = 7 // stale: the decode must clear it
@@ -93,19 +112,15 @@ func TestWireAlignPairRoundTrip(t *testing.T) {
 			t.Fatalf("args round trip diverged:\nsent %+v\ngot  %+v", &want, &args)
 		}
 
-		r := &AlignPairReply{}
+		r := &AlignRefReply{}
 		switch rng.Intn(8) {
-		case 0: // nil Records
+		case 0: // nil Lists
 		case 1:
-			r.Records = []Record{}
+			r.Lists = [][]Record{}
 		default:
-			r.Records = make([]Record, rng.Intn(20))
-			for j := range r.Records {
-				r.Records[j] = Record{
-					A: int32(rng.Uint32()), B: int32(rng.Uint32()),
-					Kind: align.Kind(rng.Intn(256)), Len: int32(rng.Uint32()),
-					Identity: rng.Float32(), Diag: int32(rng.Uint32()),
-				}
+			r.Lists = make([][]Record, rng.Intn(5))
+			for j := range r.Lists {
+				r.Lists[j] = randWireRecords(rng)
 			}
 		}
 		enc = r.AppendTo(nil)
@@ -118,31 +133,52 @@ func TestWireAlignPairRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireAlignPairCorrupt: truncations must error, bit flips must never
-// panic, and corrupt length prefixes must not cause huge allocations.
+// TestWireAlignPairCorrupt: truncations of either message must error, bit
+// flips must never panic, and corrupt length prefixes — of the sequences,
+// of the lists, of one list's records — must not cause huge allocations.
 func TestWireAlignPairCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := &AlignPairArgs{
-		RefIDs: []int32{1, 2, 3}, RefSeqs: [][]byte{[]byte("ACGTN"), []byte("GG")},
-		QueryIDs: []int32{7}, QuerySeqs: [][]byte{[]byte("TTTT")},
-		Cfg: randWireConfig(rng),
+	a := &AlignRefArgs{
+		Queries: []int32{2, 4, 6}, RefLo: 8, RefHi: 10, Paired: true,
+		Seqs: [][]byte{[]byte("ACGTN"), []byte("GG"), []byte("TTTT")},
+		Cfg:  randWireConfig(rng),
 	}
-	enc := a.AppendTo(nil)
-	var dst AlignPairArgs
-	for cut := 0; cut < len(enc); cut++ {
-		if dst.DecodeFrom(enc[:cut]) == nil {
-			t.Fatalf("truncated frame (%d/%d bytes) decoded cleanly", cut, len(enc))
+	r := &AlignRefReply{Lists: [][]Record{
+		{{A: 2, B: 8, Kind: align.KindSuffixPrefix | mirrorDerived, Len: 40, Identity: 0.95, Diag: 9}},
+		nil,
+		{},
+	}}
+	var dst AlignRefArgs
+	var reply AlignRefReply
+	for _, msg := range []dist.Wire{a, r} {
+		enc := msg.AppendTo(nil)
+		dec := dist.Wire(&dst)
+		if msg == dist.Wire(r) {
+			dec = &reply
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if dec.DecodeFrom(enc[:cut]) == nil {
+				t.Fatalf("%T: truncated frame (%d/%d bytes) decoded cleanly", msg, cut, len(enc))
+			}
+		}
+		for trial := 0; trial < 200; trial++ {
+			mut := append([]byte(nil), enc...)
+			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+			_ = dec.DecodeFrom(mut)
 		}
 	}
-	for trial := 0; trial < 200; trial++ {
-		mut := append([]byte(nil), enc...)
-		mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
-		_ = dst.DecodeFrom(mut)
+	// Frames claiming 2^40 lists, or one list of 2^40 records, or 2^40
+	// sequences must fail fast, not allocate.
+	for _, bad := range [][]byte{
+		dist.AppendUvarint(nil, 1<<40),
+		dist.AppendUvarint(dist.AppendLen(nil, 1, true), 1<<40),
+	} {
+		if reply.DecodeFrom(bad) == nil {
+			t.Fatalf("corrupt count %x decoded cleanly", bad)
+		}
 	}
-	// A frame claiming 2^40 records must fail fast, not allocate.
-	bad := dist.AppendUvarint(nil, 1<<40)
-	var reply AlignPairReply
-	if reply.DecodeFrom(bad) == nil {
-		t.Fatal("corrupt record count decoded cleanly")
+	bad := dist.AppendUvarint(append(dist.AppendVarint(dist.AppendVarint(dist.AppendInt32sDelta(nil, []int32{0, 2}), 2), 4), 0), 1<<40)
+	if dst.DecodeFrom(bad) == nil {
+		t.Fatal("corrupt sequence count decoded cleanly")
 	}
 }
