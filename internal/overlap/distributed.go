@@ -205,46 +205,65 @@ func elideMirrors(recs []Record, query, ref readSet) []Record {
 // expandMirrors restores the strand mirrors elideMirrors dropped from a
 // list, with length(id) the length of read id: each mirrorDerived record
 // loses the bit and its mirror joins its odd partner read's run, in
-// (A, B, Kind) order. A list without the bit is returned as is.
+// (A, B, Kind) order. A list without the bit is returned as is. The list
+// grows in place when it has the capacity, which the reply decoder
+// reserves, so restoring a reply leaves no second copy of its records for
+// the collector: the runs are rewritten from the back, each odd run merged
+// with the sorted mirrors of the even run before it, and no write
+// overtakes a record not yet read (the gap is the number of mirrors still
+// to come).
 func expandMirrors(recs []Record, length func(int32) int) []Record {
-	n := len(recs)
+	n, m := len(recs), 0
 	for i := range recs {
 		if recs[i].Kind&mirrorDerived != 0 {
-			n++
+			m++
 		}
 	}
-	if n == len(recs) {
+	if m == 0 {
 		return recs
 	}
-	out := make([]Record, 0, n)
-	for i := 0; i < len(recs); {
-		a := recs[i].A
-		j := i + 1
-		for j < len(recs) && recs[j].A == a {
-			j++
-		}
-		lo := len(out)
-		out = append(out, recs[i:j]...)
-		i = j
+	out := slices.Grow(recs, m)[:n+m]
+	var mirrors []Record
+	w := n + m
+	for i := n; i > 0; {
+		// [oddLo, i) is an odd read's run, [k, oddLo) the even run before
+		// it, its partner read's; either may be empty.
+		a := out[i-1].A
+		oddLo := i
 		if a&1 != 0 {
-			continue
-		}
-		mirrors := len(out)
-		for k := lo; k < mirrors; k++ {
-			if r := &out[k]; r.Kind&mirrorDerived != 0 {
-				r.Kind &^= mirrorDerived
-				out = append(out, r.mirror(length(r.A), length(r.B)))
+			for oddLo > 0 && out[oddLo-1].A == a {
+				oddLo--
 			}
 		}
-		if len(out) == mirrors {
-			continue
+		k := oddLo
+		for k > 0 && out[k-1].A == a&^1 {
+			k--
 		}
-		for j < len(recs) && recs[j].A == a^1 {
-			j++
+		mirrors = mirrors[:0]
+		for _, r := range out[k:oddLo] {
+			if r.Kind&mirrorDerived != 0 {
+				r.Kind &^= mirrorDerived
+				mirrors = append(mirrors, r.mirror(length(r.A), length(r.B)))
+			}
 		}
-		out = append(out, recs[i:j]...)
-		i = j
-		slices.SortFunc(out[mirrors:], compareKey)
+		slices.SortFunc(mirrors, compareKey)
+		x := i
+		for y := len(mirrors); y > 0; {
+			w--
+			if x > oddLo && compareKey(out[x-1], mirrors[y-1]) > 0 {
+				x--
+				out[w] = out[x]
+			} else {
+				y--
+				out[w] = mirrors[y]
+			}
+		}
+		w -= x - k
+		copy(out[w:], out[k:x])
+		for j := w; j < w+oddLo-k; j++ {
+			out[j].Kind &^= mirrorDerived
+		}
+		i = k
 	}
 	return out
 }

@@ -126,13 +126,25 @@ func (a *AlignRefArgs) DecodeFrom(src []byte) error {
 	return rd.Finish()
 }
 
-// AppendTo implements dist.Wire. Each list's records are delta-coded on A
-// (the lists are sorted by query read) and B against A; Kind is one byte,
-// mirrorDerived included.
+// AppendTo implements dist.Wire. Each list leads with its length and the
+// number of its records marked mirrorDerived, so that the decoder can
+// reserve the room expandMirrors restores the mirrors into; its records
+// are delta-coded on A (the lists are sorted by query read) and B against
+// A, and Kind is one byte, mirrorDerived included.
 func (r *AlignRefReply) AppendTo(dst []byte) []byte {
 	dst = dist.AppendLen(dst, len(r.Lists), r.Lists != nil)
 	for _, recs := range r.Lists {
 		dst = dist.AppendLen(dst, len(recs), recs != nil)
+		if recs == nil {
+			continue
+		}
+		derived := 0
+		for i := range recs {
+			if recs[i].Kind&mirrorDerived != 0 {
+				derived++
+			}
+		}
+		dst = dist.AppendUvarint(dst, uint64(derived))
 		prevA := int64(0)
 		for i := range recs {
 			rec := &recs[i]
@@ -161,7 +173,13 @@ func (r *AlignRefReply) DecodeFrom(src []byte) error {
 		if !present {
 			continue
 		}
-		recs := make([]Record, boundLen(&rd, n))
+		n = boundLen(&rd, n)
+		derived := rd.Uvarint()
+		if derived > uint64(n) {
+			rd.Fail(fmt.Errorf("overlap: wire: %d of %d records mirror-derived", derived, n))
+			return rd.Finish()
+		}
+		recs := make([]Record, n, n+int(derived))
 		prevA := int64(0)
 		for i := range recs {
 			rec := &recs[i]
@@ -172,6 +190,12 @@ func (r *AlignRefReply) DecodeFrom(src []byte) error {
 			rec.Len = int32(rd.Varint())
 			rec.Identity = rd.Float32()
 			rec.Diag = int32(rd.Varint())
+			if rec.Kind&mirrorDerived != 0 {
+				derived--
+			}
+		}
+		if derived != 0 {
+			rd.Fail(fmt.Errorf("overlap: wire: mirror-derived count off by %d", int64(derived)))
 		}
 		r.Lists[l] = recs
 	}
