@@ -231,8 +231,9 @@ func TestFindOverlapsDistributedRejectsForgedReplies(t *testing.T) {
 			}
 			return lists
 		},
-		"a list missing": func(_ *AlignRefArgs, lists [][]Record) [][]Record { return append(lists, nil)[1:] },
+		"a list missing": func(_ *AlignRefArgs, lists [][]Record) [][]Record { return lists[:len(lists)-1] },
 		"a list extra":   func(_ *AlignRefArgs, lists [][]Record) [][]Record { return append(lists, nil) },
+		"lists shifted":  func(_ *AlignRefArgs, lists [][]Record) [][]Record { return append(lists, nil)[1:] },
 	}
 	pairedOnly := map[string]forgery{
 		"derived on odd A":       editWhere(func(r Record) bool { return r.A&1 == 1 }, func(r *Record) { r.Kind |= mirrorDerived }),
