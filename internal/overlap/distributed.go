@@ -189,7 +189,7 @@ func elideMirrors(recs []Record, query, ref readSet) []Record {
 				if found {
 					p := &evens[k]
 					lenA, lenB := len(query.seqs[p.A-query.ids[0]]), len(ref.seqs[p.B-ref.ids[0]])
-					if p.B != p.A^1 && p.mirror(lenA, lenB) == r {
+					if p.mirror(lenA, lenB) == r {
 						p.Kind |= mirrorDerived
 						continue
 					}
