@@ -134,15 +134,13 @@ func (a *AlignRefArgs) readSets() ([]readSet, readSet, error) {
 	} else if len(seqs) != total {
 		return nil, readSet{}, fmt.Errorf("overlap: %d reads for a job of %d", len(seqs), total)
 	}
-	ids := make([]int32, total)
-	for i := range ids {
-		ids[i] = qlo + int32(i)
+	ids := make([]int32, 0, total)
+	for id := qlo; id < qhi; id++ {
+		ids = append(ids, id)
 	}
-	nq := int(qhi - qlo)
-	if !shared {
-		for i := nq; i < total; i++ {
-			ids[i] = a.RefLo + int32(i-nq)
-		}
+	nq := len(ids)
+	for id := a.RefLo; !shared && id < a.RefHi; id++ {
+		ids = append(ids, id)
 	}
 	queries := make([]readSet, n-1)
 	for i := range queries {
@@ -411,8 +409,8 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	pairs := subsetPairs(subsets)
 	lists := make([][]Record, len(pairs))
 	for t, j := range jobs {
-		// Each reply list is dropped once restored, so the compact and the
-		// restored records of the whole stage are never held at once.
+		// Each list is restored in place and let go of by its reply, so
+		// the stage holds one copy of its records until the merge.
 		reply := replies[t].(*AlignRefReply)
 		replies[t] = nil
 		if len(reply.Lists) != j.units() {
