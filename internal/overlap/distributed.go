@@ -267,8 +267,8 @@ func expandMirrors(recs []Record, length func(int32) int) []Record {
 }
 
 // ReplyError is a worker's alignment reply the master refuses to merge:
-// its job fails with it, as a phase fails on a reply the driver cannot
-// apply.
+// its job fails with it, as a partition phase fails on a reply the master
+// cannot apply.
 type ReplyError struct {
 	Worker int // the worker whose reply was refused
 	Q, R   int // the subset pair, or Q = -1 for the job as a whole
