@@ -170,28 +170,27 @@ func BenchmarkAblationBand(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTransport compares the two wire protocols: stateless
-// (each phase reships its partition subgraphs) vs stateful (partitions
-// shipped once, phases send removal deltas only).
+// BenchmarkAblationTransport compares the assembly phases on the master
+// alone (no transport) with the delta protocol on two in-process workers
+// (partitions shipped once, phases send each partition its removals).
 func BenchmarkAblationTransport(b *testing.B) {
 	d := benchSet(b, 1)
-	for _, stateful := range []bool{false, true} {
-		name := "stateless"
-		if stateful {
+	for _, pooled := range []bool{false, true} {
+		name := "local"
+		if pooled {
 			name = "stateful-delta"
 		}
 		b.Run(name, func(b *testing.B) {
-			pool, err := dist.NewLocalPool(2, assembly.NewService)
-			if err != nil {
-				b.Fatal(err)
+			var pool *dist.Pool
+			if pooled {
+				var err error
+				if pool, err = dist.NewLocalPool(2, assembly.NewService); err != nil {
+					b.Fatal(err)
+				}
+				defer pool.Close()
 			}
-			defer pool.Close()
-			cfg := d.stages.Cfg
-			cfg.Assembly.Stateful = stateful
-			stages := *d.stages
-			stages.Cfg = cfg
 			for i := 0; i < b.N; i++ {
-				if _, err := stages.Assemble(pool, 4, 2, 1); err != nil {
+				if _, err := d.stages.Assemble(pool, 4, 2, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

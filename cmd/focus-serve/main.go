@@ -47,7 +47,6 @@ func main() {
 		maxRunning = flag.Int("max-running", 4, "maximum concurrently running jobs")
 		memBudget  = flag.Int("memory-budget-mb", 0, "total declared-memory budget across running jobs (0 = unaccounted)")
 		grace      = flag.Duration("grace", 15*time.Second, "drain grace for running jobs on SIGINT/SIGTERM")
-		stateful   = flag.Bool("stateful", true, "use the stateful worker protocol (partitions shipped once, then deltas)")
 		callTO     = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = none)")
 		maxFails   = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is evicted (0 = default 3)")
 		watchdog   = flag.Duration("watchdog", 0, "per-job stall watchdog window (0 = disarmed)")
@@ -55,7 +54,6 @@ func main() {
 	flag.Parse()
 
 	cfg := focus.DefaultConfig()
-	cfg.Assembly.Stateful = *stateful
 	cfg.Dist = dist.Options{CallTimeout: *callTO, MaxFailures: *maxFails}
 	cfg.Watchdog = *watchdog
 

@@ -90,9 +90,8 @@ var (
 	minIdent  = flag.Float64("min-identity", 0.90, "minimum overlap identity")
 	quietFlag = flag.Bool("quiet", false, "suppress progress output")
 	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
-	stateful  = flag.Bool("stateful", false, "use the stateful worker protocol (ship partitions once, then removal deltas)")
 	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
-	retries   = flag.Int("rpc-retries", 0, "failover retries per task after an application-level worker error: assembly partition tasks under the stateless protocol, and -distributed-align alignment jobs under either protocol")
+	retries   = flag.Int("rpc-retries", 0, "failover retries per -distributed-align alignment job after an application-level worker error")
 	callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
@@ -127,8 +126,6 @@ func main() {
 	cfg.Overlap.Align.MinIdentity = *minIdent
 	cfg.Assembly.MinEdgeOverlap = *minOvl
 	cfg.Assembly.MinEdgeIdentity = *minIdent
-	cfg.Assembly.Stateful = *stateful
-	cfg.Assembly.RPCRetries = *retries
 	cfg.Overlap.RPCRetries = *retries
 	cfg.CallVariants = *variants
 	cfg.Dist.CallTimeout = *callTO

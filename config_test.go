@@ -38,7 +38,7 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{
 		"Assembly.Band", "Assembly.DiagTolerance", "Assembly.MaxTipNodes",
 		"Assembly.MinEdgeIdentity", "Assembly.MinEdgeOverlap", "Assembly.MinTipLen",
-		"Assembly.RPCRetries", "Assembly.Stateful",
+		"Assembly.Stateful",
 		"CallVariants",
 		"Checkpoint.Dir", "Checkpoint.Every", "Checkpoint.Job", "Checkpoint.Resume",
 		"Coarsen.MaxLevels", "Coarsen.MinNodes", "Coarsen.MinShrink", "Coarsen.Seed",

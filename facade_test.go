@@ -63,26 +63,25 @@ func TestBuildStagesOnPoolMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestStatefulProtocolThroughFacade: stateful config yields identical
-// contigs to stateless through the public API.
+// TestStatefulProtocolThroughFacade: the delta protocol on in-process
+// workers yields the contigs the master alone (nil pool) yields, through
+// the public API.
 func TestStatefulProtocolThroughFacade(t *testing.T) {
 	reads, _ := simReads(t, 3500, 7, 302)
-	run := func(stateful bool) *AssemblyResult {
-		cfg := testConfig()
-		cfg.Assembly.Stateful = stateful
-		res, _, err := Assemble(reads, cfg, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	a, s, err := Assemble(reads, testConfig(), 2, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(false), run(true)
+	b, err := s.Assemble(nil, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(a.Contigs) != len(b.Contigs) {
 		t.Fatalf("contigs: %d vs %d", len(a.Contigs), len(b.Contigs))
 	}
 	for i := range a.Contigs {
 		if !bytes.Equal(a.Contigs[i], b.Contigs[i]) {
-			t.Fatalf("contig %d differs between protocols", i)
+			t.Fatalf("contig %d differs between the workers and the master", i)
 		}
 	}
 }

@@ -42,31 +42,39 @@ func cancelAtCompletions(pool *dist.Pool, n int64, cancel context.CancelCauseFun
 }
 
 // TestCancelSweep is the cancellation acceptance sweep: runs are canceled
-// at increasing completion counts, in both protocols. Every canceled run
-// must unwind promptly with the injected cause (never deadlock, never
-// return silently corrupt output), leak no goroutines, and — when a phase
-// boundary was reached — leave a checkpoint from which a resumed run
-// reproduces the healthy baseline byte-for-byte.
+// at increasing completion counts, on a healthy pool ("stateful") and on
+// one whose second worker wedges after its first Load and Phase answers,
+// so that the cancel meets partitions being re-hosted ("rehost"). Every
+// canceled run must unwind promptly with the injected cause (never
+// deadlock, never return silently corrupt output), leak no goroutines,
+// and — when a phase boundary was reached — leave a checkpoint from which
+// a resumed run reproduces the healthy baseline byte-for-byte.
 func TestCancelSweep(t *testing.T) {
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	for _, stateful := range []bool{false, true} {
-		name := "stateless"
-		if stateful {
-			name = "stateful"
+	for _, name := range []string{"stateful", "rehost"} {
+		opt := dist.DefaultOptions()
+		var chaos func(w int) *dist.ChaosConfig
+		if name == "rehost" {
+			opt.CallTimeout, opt.MaxFailures = 200*time.Millisecond, 1
+			chaos = func(w int) *dist.ChaosConfig {
+				if w == 1 {
+					return &dist.ChaosConfig{Seed: 19, FirstSafe: 4, HangProb: 1, HangFor: 2 * time.Second}
+				}
+				return nil
+			}
 		}
 		for _, after := range []int64{0, 1, 2, 4, 8, 16, 32} {
-			stateful, after := stateful, after
 			t.Run(fmt.Sprintf("%s/after%d", name, after), func(t *testing.T) {
 				defer testutil.NoLeaks(t)
 				dir := t.TempDir()
-				pool, err := dist.NewLocalPool(2, NewService)
+				pool, err := dist.NewLocalChaosPool(2, NewService, opt, chaos)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer pool.Close()
-				d := chaosPipeline(t, pool, k, stateful)
+				d := chaosPipeline(t, pool, k)
 				defer d.Close()
 				d.EnableCheckpoint(CheckpointConfig{Dir: dir})
 
@@ -122,9 +130,7 @@ func TestCancelSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer pool2.Close()
-				cfg := DefaultConfig()
-				cfg.Stateful = stateful
-				d2, err := ResumeDriver(pool2, cs, cfg)
+				d2, err := ResumeDriver(pool2, cs, DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +172,7 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, false)
+	d := chaosPipeline(t, pool, k)
 	defer d.Close()
 	d.EnableWatchdog(100 * time.Millisecond)
 	got, err := fullRun(t, d)
@@ -202,7 +208,7 @@ func TestWatchdogEscalatesToCancel(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, 4, false)
+	d := chaosPipeline(t, pool, 4)
 	defer d.Close()
 	d.EnableWatchdog(100 * time.Millisecond)
 	d.wdNoKicks = true
@@ -231,7 +237,7 @@ func TestPhaseBudgetExpiry(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, 4, false)
+	d := chaosPipeline(t, pool, 4)
 	defer d.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(10*time.Second))
 	defer cancel()

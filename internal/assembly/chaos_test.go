@@ -40,14 +40,12 @@ func fullRun(t *testing.T, d *Driver) (runOutcome, error) {
 // chaosPipeline returns a fresh driver over the given pool for the shared
 // test genome. Every caller gets an identical starting graph, so outcomes
 // are directly comparable.
-func chaosPipeline(t *testing.T, pool *dist.Pool, k int, stateful bool) *Driver {
+func chaosPipeline(t *testing.T, pool *dist.Pool, k int) *Driver {
 	t.Helper()
 	genome := randGenome(91, 3000)
 	reads := tilingReads(genome, 100, 30)
 	dg, labels, _ := buildPipeline(t, reads, k)
-	cfg := DefaultConfig()
-	cfg.Stateful = stateful
-	d, err := NewDriver(pool, dg, labels, k, cfg)
+	d, err := NewDriver(pool, dg, labels, k, DefaultConfig())
 	if err != nil {
 		pool.Close()
 		t.Fatal(err)
@@ -62,7 +60,7 @@ func healthyBaseline(t *testing.T, k int) runOutcome {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	out, err := fullRun(t, chaosPipeline(t, pool, k, false))
+	out, err := fullRun(t, chaosPipeline(t, pool, k))
 	if err != nil {
 		t.Fatalf("healthy baseline failed: %v", err)
 	}
@@ -96,7 +94,7 @@ func TestChaosHungWorkerReschedules(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, false)
+	d := chaosPipeline(t, pool, k)
 	got, err := fullRun(t, d)
 	if err != nil {
 		t.Fatalf("run with hung worker failed: %v", err)
@@ -131,7 +129,7 @@ func TestChaosAllWorkersDownFallsBackLocal(t *testing.T) {
 	}
 	defer pool.Close()
 
-	got, err := fullRun(t, chaosPipeline(t, pool, k, false))
+	got, err := fullRun(t, chaosPipeline(t, pool, k))
 	if err != nil {
 		t.Fatalf("run with all workers hung failed (fallback broken): %v", err)
 	}
@@ -155,61 +153,54 @@ func TestChaosSweep(t *testing.T) {
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	for _, stateful := range []bool{false, true} {
-		for seed := int64(1); seed <= 8; seed++ {
-			seed, stateful := seed, stateful
-			name := "stateless"
-			if stateful {
-				name = "stateful"
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run("stateful/seed", func(t *testing.T) {
+			defer testutil.NoLeaks(t)
+			cfg := dist.ChaosConfig{
+				Seed:        seed,
+				FirstSafe:   1, // the handshake ack: a worker that cannot connect is not in the pool
+				HangProb:    0.05,
+				HangFor:     2 * time.Second,
+				ResetProb:   0.05,
+				LatencyProb: 0.3,
+				MaxLatency:  10 * time.Millisecond,
 			}
-			t.Run(name+"/seed", func(t *testing.T) {
-				defer testutil.NoLeaks(t)
-				cfg := dist.ChaosConfig{
-					Seed:        seed,
-					FirstSafe:   1, // the handshake ack: a worker that cannot connect is not in the pool
-					HangProb:    0.05,
-					HangFor:     2 * time.Second,
-					ResetProb:   0.05,
-					LatencyProb: 0.3,
-					MaxLatency:  10 * time.Millisecond,
-				}
-				pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
-					CallTimeout:   300 * time.Millisecond,
-					MaxFailures:   2,
-					ReconnectMin:  5 * time.Millisecond,
-					ReconnectMax:  50 * time.Millisecond,
-					MaxReconnects: 2,
-					Seed:          seed,
-					Logf:          t.Logf,
-				}, func(w int) *dist.ChaosConfig { c := cfg; c.Seed += int64(w) * 7919; return &c })
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer pool.Close()
+			pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
+				CallTimeout:   300 * time.Millisecond,
+				MaxFailures:   2,
+				ReconnectMin:  5 * time.Millisecond,
+				ReconnectMax:  50 * time.Millisecond,
+				MaxReconnects: 2,
+				Seed:          seed,
+				Logf:          t.Logf,
+			}, func(w int) *dist.ChaosConfig { c := cfg; c.Seed += int64(w) * 7919; return &c })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
 
-				d := chaosPipeline(t, pool, k, stateful)
-				type result struct {
-					out runOutcome
-					err error
+			d := chaosPipeline(t, pool, k)
+			type result struct {
+				out runOutcome
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				out, err := fullRun(t, d)
+				done <- result{out, err}
+			}()
+			select {
+			case r := <-done:
+				if r.err != nil {
+					t.Logf("seed %d: clean error: %v", seed, r.err)
+					return
 				}
-				done := make(chan result, 1)
-				go func() {
-					out, err := fullRun(t, d)
-					done <- result{out, err}
-				}()
-				select {
-				case r := <-done:
-					if r.err != nil {
-						t.Logf("seed %d: clean error: %v", seed, r.err)
-						return
-					}
-					if !reflect.DeepEqual(r.out, want) {
-						t.Fatalf("seed %d: silent corruption:\ngot  %+v\nwant %+v", seed, r.out, want)
-					}
-				case <-time.After(30 * time.Second):
-					t.Fatalf("seed %d: run deadlocked", seed)
+				if !reflect.DeepEqual(r.out, want) {
+					t.Fatalf("seed %d: silent corruption:\ngot  %+v\nwant %+v", seed, r.out, want)
 				}
-			})
-		}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("seed %d: run deadlocked", seed)
+			}
+		})
 	}
 }

@@ -77,96 +77,93 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	genome := randGenome(17, 4000)
 	reads := tilingReads(genome, 100, 25)
-	for _, stateful := range []bool{false, true} {
-		dir := t.TempDir()
-		cfg := DefaultConfig()
-		cfg.Stateful = stateful
+	dir := t.TempDir()
+	cfg := DefaultConfig()
 
-		fullRun := func(d *Driver) ([][]byte, TrimStats) {
-			t.Helper()
-			var st TrimStats
-			if err := d.TrimTransitive(&st); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.TrimContainment(&st); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.TrimErrors(&st); err != nil {
-				t.Fatal(err)
-			}
-			paths, _, err := d.TraverseTimed()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d.BuildContigs(paths), st
+	fullRun := func(d *Driver) ([][]byte, TrimStats) {
+		t.Helper()
+		var st TrimStats
+		if err := d.TrimTransitive(&st); err != nil {
+			t.Fatal(err)
 		}
+		if err := d.TrimContainment(&st); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.TrimErrors(&st); err != nil {
+			t.Fatal(err)
+		}
+		paths, _, err := d.TraverseTimed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.BuildContigs(paths), st
+	}
 
-		// Baseline: uninterrupted run.
-		dgA, labelsA, _ := buildPipeline(t, reads, 4)
-		poolA, err := dist.NewLocalPool(2, NewService)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dA, err := NewDriver(poolA, dgA, labelsA, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantContigs, wantStats := fullRun(dA)
-		dA.Close()
-		poolA.Close()
+	// Baseline: uninterrupted run.
+	dgA, labelsA, _ := buildPipeline(t, reads, 4)
+	poolA, err := dist.NewLocalPool(2, NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dA, err := NewDriver(poolA, dgA, labelsA, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantContigs, wantStats := fullRun(dA)
+	dA.Close()
+	poolA.Close()
 
-		// Checkpointed run, killed after two phases: the driver (and its
-		// pool — the whole master process) simply stops being used.
-		dgB, labelsB, _ := buildPipeline(t, reads, 4)
-		poolB, err := dist.NewLocalPool(2, NewService)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dB, err := NewDriver(poolB, dgB, labelsB, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dB.EnableCheckpoint(CheckpointConfig{Dir: dir})
-		var stB TrimStats
-		if err := dB.TrimTransitive(&stB); err != nil {
-			t.Fatal(err)
-		}
-		if err := dB.TrimContainment(&stB); err != nil {
-			t.Fatal(err)
-		}
-		poolB.Close() // "kill" — no Unload, workers gone
+	// Checkpointed run, killed after two phases: the driver (and its
+	// pool — the whole master process) simply stops being used.
+	dgB, labelsB, _ := buildPipeline(t, reads, 4)
+	poolB, err := dist.NewLocalPool(2, NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dB, err := NewDriver(poolB, dgB, labelsB, 4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dB.EnableCheckpoint(CheckpointConfig{Dir: dir})
+	var stB TrimStats
+	if err := dB.TrimTransitive(&stB); err != nil {
+		t.Fatal(err)
+	}
+	if err := dB.TrimContainment(&stB); err != nil {
+		t.Fatal(err)
+	}
+	poolB.Close() // "kill" — no Unload, workers gone
 
-		// Resume on a fresh pool from the newest checkpoint.
-		cs, err := LoadLatestCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := []string{"Transitive", "Containment"}; !reflect.DeepEqual(cs.Done, want) {
-			t.Fatalf("checkpoint done = %v, want %v", cs.Done, want)
-		}
-		poolC, err := dist.NewLocalPool(2, NewService)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer poolC.Close()
-		dC, err := ResumeDriver(poolC, cs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dC.Close()
-		gotContigs, gotStats := fullRun(dC)
+	// Resume on a fresh pool from the newest checkpoint.
+	cs, err := LoadLatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"Transitive", "Containment"}; !reflect.DeepEqual(cs.Done, want) {
+		t.Fatalf("checkpoint done = %v, want %v", cs.Done, want)
+	}
+	poolC, err := dist.NewLocalPool(2, NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer poolC.Close()
+	dC, err := ResumeDriver(poolC, cs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dC.Close()
+	gotContigs, gotStats := fullRun(dC)
 
-		if wantStats.TransitiveEdges != gotStats.TransitiveEdges || wantStats.ContainedNodes != gotStats.ContainedNodes ||
-			wantStats.FalseEdges != gotStats.FalseEdges || wantStats.DeadEndNodes != gotStats.DeadEndNodes {
-			t.Fatalf("stateful=%v: resumed stats %+v, want %+v", stateful, gotStats, wantStats)
-		}
-		if len(gotContigs) != len(wantContigs) {
-			t.Fatalf("stateful=%v: %d contigs after resume, want %d", stateful, len(gotContigs), len(wantContigs))
-		}
-		for i := range wantContigs {
-			if !bytes.Equal(gotContigs[i], wantContigs[i]) {
-				t.Fatalf("stateful=%v: contig %d differs after resume", stateful, i)
-			}
+	if wantStats.TransitiveEdges != gotStats.TransitiveEdges || wantStats.ContainedNodes != gotStats.ContainedNodes ||
+		wantStats.FalseEdges != gotStats.FalseEdges || wantStats.DeadEndNodes != gotStats.DeadEndNodes {
+		t.Fatalf("resumed stats %+v, want %+v", gotStats, wantStats)
+	}
+	if len(gotContigs) != len(wantContigs) {
+		t.Fatalf("%d contigs after resume, want %d", len(gotContigs), len(wantContigs))
+	}
+	for i := range wantContigs {
+		if !bytes.Equal(gotContigs[i], wantContigs[i]) {
+			t.Fatalf("contig %d differs after resume", i)
 		}
 	}
 }

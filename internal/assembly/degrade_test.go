@@ -32,7 +32,7 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, true)
+	d := chaosPipeline(t, pool, k)
 	reg := metrics.NewRegistry()
 	d.SetMetrics(reg)
 
@@ -113,7 +113,7 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, true)
+	d := chaosPipeline(t, pool, k)
 	reg := metrics.NewRegistry()
 	d.SetMetrics(reg)
 
@@ -160,7 +160,7 @@ func TestDegradedStickyAfterPoolLoss(t *testing.T) {
 // surface relies on.
 func TestDegradeByChoice(t *testing.T) {
 	defer testutil.NoLeaks(t)
-	d := chaosPipeline(t, nil, 2, false)
+	d := chaosPipeline(t, nil, 2)
 	if d.DegradeReason() != DegradeNoPool {
 		t.Fatalf("pool-less driver: reason=%v, want DegradeNoPool", d.DegradeReason())
 	}

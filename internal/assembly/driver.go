@@ -2,7 +2,6 @@ package assembly
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"sort"
@@ -17,9 +16,10 @@ import (
 
 // Driver is the master process: it owns the hybrid graph, ships each
 // partition to a worker, applies the removals the workers record, and
-// joins the sub-paths they extract (paper §V). With Config.Stateful set,
-// partitions are shipped once and phases send only removal deltas
-// (stateful.go); otherwise every phase reships its subgraphs.
+// joins the sub-paths they extract (paper §V). Each partition is shipped
+// to its worker once (Load), and every phase sends it only the removals
+// it stores (stateful.go); without a usable pool the phases run on the
+// master (runPhaseLocal).
 type Driver struct {
 	Pool   *dist.Pool
 	G      *DiGraph
@@ -44,6 +44,9 @@ type Driver struct {
 	partEpoch     []int64
 	epochGen      int64
 	rebalanceFlag int32 // set by the pool's reconnect hook, drained at phase start
+	// stored[t] lists the node ids of partition t's subgraph as last
+	// Loaded: the only removals its worker can act on (phaseDeltas).
+	stored [][]int32
 
 	// Checkpoint/resume state (ckpt.go). donePhases lists completed
 	// graph-mutating phases; statsMirror/variantsMirror mirror the
@@ -97,12 +100,7 @@ func (d *Driver) extractor() *extractor {
 	return d.ext
 }
 
-// subgraphs builds every partition's wire view in parallel.
-func (d *Driver) subgraphs(parts [][]int32) []Subgraph {
-	return d.extractor().subgraphs(parts, d.extractWorkers)
-}
-
-// subgraphsCtx is subgraphs bounded by ctx: extraction abandons remaining
+// subgraphsCtx builds every partition's view in parallel, bounded by ctx: extraction abandons remaining
 // partitions once the context cancels. The caller must check ctx before
 // using the (partial) result.
 func (d *Driver) subgraphsCtx(ctx context.Context, parts [][]int32) []Subgraph {
@@ -164,33 +162,37 @@ func (d *Driver) DegradeReason() DegradeReason { return d.degradeRsn }
 
 var runCounter int64
 
-// removeEdge deletes an edge and records it for the next stateful delta.
+// removeEdge deletes an edge and records it for the next phase's delta.
 func (d *Driver) removeEdge(e EdgePair) {
 	d.G.RemoveEdge(e.From, e.To)
-	if d.Cfg.Stateful && !d.localOnly {
+	if !d.localOnly {
 		d.pendingEdges = append(d.pendingEdges, e)
 	}
 }
 
-// removeNode deletes a node and records it for the next stateful delta.
+// removeNode deletes a node and records it for the next phase's delta.
 func (d *Driver) removeNode(v int32) {
 	d.G.RemoveNode(v)
-	if d.Cfg.Stateful && !d.localOnly {
+	if !d.localOnly {
 		d.pendingNodes = append(d.pendingNodes, v)
 	}
 }
 
-// ensureLoaded ships every partition to a worker once (stateful mode),
-// establishing the initial placement table. Placement goes through the
-// same least-loaded assignment re-hosting uses; with all workers healthy
-// it reduces to the classic round-robin t % Size() map.
+// ensureLoaded ships every partition to a worker once, establishing the
+// initial placement table. Placement goes through the same least-loaded
+// assignment re-hosting uses; with all workers healthy it reduces to the
+// classic round-robin t % Size() map. The run id is drawn once, at the
+// first attempt, so Close can unload whatever any attempt stored.
 func (d *Driver) ensureLoaded(ctx context.Context) error {
 	if d.loaded {
 		return nil
 	}
-	d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
+	if d.runID == "" {
+		d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
+	}
 	d.placement = make([]int, d.K)
 	d.partEpoch = make([]int64, d.K)
+	d.stored = make([][]int32, d.K)
 	all := make([]int, d.K)
 	for t := 0; t < d.K; t++ {
 		d.placement[t] = -1
@@ -217,9 +219,11 @@ func (d *Driver) maxRounds() int { return 2*d.Pool.Size() + 3 }
 // freshly drawn epoch. Assignment is least-loaded-first over the healthy
 // workers, counting only partitions that keep their current home, so a
 // freshly reconnected (empty) worker naturally absorbs the moves.
-// Placement and epoch are committed per partition only on Load success;
-// a failed Load leaves the previous placement intact (still valid when
-// the move was elective, retried when the home was lost).
+// Placement, epoch and stored node ids are committed per partition only
+// on Load success, for every partition that succeeded, even when another
+// failed for good; a failed Load leaves the previous placement intact
+// (still valid when the move was elective, retried when the home was
+// lost).
 func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) error {
 	moving := make(map[int]bool, len(parts))
 	for _, p := range parts {
@@ -281,21 +285,27 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 				return &LoadArgs{RunID: d.runID, Sub: subs[t], Epoch: epochs[t]}
 			}, replies)
 		var remaining []int
+		var fatal error
 		for i, err := range errs {
 			p := parts[i]
 			if err == nil {
 				d.placement[p] = target[i]
 				d.partEpoch[p] = epochs[i]
+				d.stored[p] = nodeIDs(subs[i].Nodes)
 				if logMoves {
 					d.reg.Counter("assembly_rehost_total").Inc()
 					log.Printf("assembly: partition %d re-hosted onto worker %d (epoch %d)", p, target[i], epochs[i])
 				}
 				continue
 			}
+			if fatal != nil {
+				continue
+			}
 			// Cancellation first: a canceled Load is transport-shaped but
 			// must stop the loop, not elect another target.
 			if cerr := ctxErr(ctx); cerr != nil {
-				return fmt.Errorf("assembly: loading partition %d: %w", p, cerr)
+				fatal = fmt.Errorf("assembly: loading partition %d: %w", p, cerr)
+				continue
 			}
 			if dist.IsTransportError(err) || IsRehostable(err) {
 				d.reg.Counter("assembly_rehost_failed_total").Inc()
@@ -303,11 +313,61 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 				remaining = append(remaining, p)
 				continue
 			}
-			return fmt.Errorf("assembly: loading partition %d onto worker %d: %w", p, target[i], err)
+			fatal = fmt.Errorf("assembly: loading partition %d onto worker %d: %w", p, target[i], err)
+		}
+		if fatal != nil {
+			return fatal
 		}
 		parts = remaining
 	}
 	return nil
+}
+
+// nodeIDs returns the ids of a shipped subgraph's nodes, in its order.
+func nodeIDs(nodes []WireNode) []int32 {
+	ids := make([]int32, len(nodes))
+	for i := range nodes {
+		ids[i] = nodes[i].ID
+	}
+	return ids
+}
+
+// phaseDeltas hands out the removals applied since the last phase, one
+// delta per partition: partition t gets the removed nodes in stored[t]
+// and the removed edges with both endpoints in stored[t], in the order
+// they were removed. The split is exact. A Loaded subgraph holds only
+// edges between its stored nodes, and applyDelta ignores any removal
+// outside them, so every worker's copy ends where the whole delta would
+// have left it.
+func (d *Driver) phaseDeltas() []Delta {
+	nodes, edges := d.pendingNodes, d.pendingEdges
+	d.pendingNodes, d.pendingEdges = nil, nil
+	deltas := make([]Delta, d.K)
+	if len(nodes) == 0 && len(edges) == 0 {
+		return deltas
+	}
+	x := d.extractor()
+	sc := x.get()
+	defer x.put(sc)
+	mark := sc.mark
+	for t, ids := range d.stored {
+		epoch := sc.next()
+		for _, v := range ids {
+			mark[v] = epoch
+		}
+		dt := &deltas[t]
+		for _, v := range nodes {
+			if mark[v] == epoch {
+				dt.RemovedNodes = append(dt.RemovedNodes, v)
+			}
+		}
+		for _, e := range edges {
+			if mark[e.From] == epoch && mark[e.To] == epoch {
+				dt.RemovedEdges = append(dt.RemovedEdges, e)
+			}
+		}
+	}
+	return deltas
 }
 
 // maybeRebalance drains the reconnect flag and, when a worker has come
@@ -370,13 +430,14 @@ func (d *Driver) maybeRebalance(ctx context.Context) {
 	}
 }
 
-// Close releases worker-side state of a stateful run (no-op otherwise)
-// and detaches the driver from the pool's reconnect notifications.
+// Close releases the run's worker-side state and detaches the driver from
+// the pool's reconnect notifications. It unloads whenever a Load was
+// attempted: a failed initial Load may still have stored some partitions.
 func (d *Driver) Close() error {
-	if d.Pool != nil && d.Cfg.Stateful {
+	if d.Pool != nil {
 		d.Pool.SetReconnectHook(nil)
 	}
-	if !d.loaded {
+	if d.runID == "" {
 		return nil
 	}
 	var firstErr error
@@ -388,17 +449,15 @@ func (d *Driver) Close() error {
 			firstErr = err
 		}
 	}
-	d.loaded = false
+	d.loaded, d.runID = false, ""
 	return firstErr
 }
 
-// runPhase executes one named phase over all partitions, using whichever
-// protocol the config selects, and returns per-partition replies plus
-// task times. Stateful mode pins partitions to workers, so RPCRetries
-// applies only to the stateless protocol. When the pool becomes unusable
-// (every worker evicted, or a stateful worker's pinned partition
-// unreachable) the phase degrades to local execution on the master with a
-// logged warning instead of failing the run.
+// runPhase executes one named phase over all partitions and returns
+// per-partition replies plus task times. When the pool becomes unusable
+// (every worker lost, or re-hosting cannot converge) the phase degrades to
+// local execution on the master with a logged warning instead of failing
+// the run.
 func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
 	if cerr := ctxErr(d.runCtx); cerr != nil {
 		return nil, nil, cerr
@@ -417,50 +476,7 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []tim
 		res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
 		return res, nil, lerr
 	}
-	if d.Cfg.Stateful {
-		return d.runPhaseStateful(ctx, phase, vcfg)
-	}
-
-	// Extract every partition's subgraph up front (parallel fan-out): the
-	// scheduler invokes mkArgs from its per-worker runner goroutines, so
-	// extraction state must not be shared lazily through them.
-	subs := d.subgraphsCtx(ctx, d.partitionNodes())
-	if cerr := ctxErr(ctx); cerr != nil {
-		return nil, nil, cerr
-	}
-	replies := make([]interface{}, d.K)
-	for i := range replies {
-		replies[i] = &PhaseReply{}
-	}
-	times, served, err := d.Pool.ParallelCallsRetryCtx(ctx, d.K, "Scan", func(t int) interface{} {
-		return &ScanArgs{Phase: phase, Sub: subs[t], Cfg: d.Cfg, VCfg: vcfg}
-	}, replies, d.Cfg.RPCRetries)
-	if err != nil {
-		// Cancellation is checked before any degradation decision: a cancel
-		// severs every in-flight call, which can empty the healthy set — and
-		// a canceled run must stop, not complete locally.
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, times, cerr
-		}
-		// Graceful degradation: if the pool has no healthy workers left,
-		// the work still fits on the master — subgraph extraction and the
-		// phase scans are the same code the workers run.
-		if errors.Is(err, dist.ErrNoWorkers) || d.Pool.NumHealthy() == 0 {
-			d.reg.Counter("assembly_degraded_total").Inc()
-			log.Printf("assembly: %s phase: no healthy workers (%v); falling back to local execution", phase, err)
-			res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
-			return res, times, lerr
-		}
-		return nil, times, err
-	}
-	results := make([]PhaseReply, d.K)
-	for t, r := range replies {
-		results[t] = *r.(*PhaseReply)
-		if err := d.checkReply(phase, t, served[t], &results[t]); err != nil {
-			return nil, times, err
-		}
-	}
-	return results, times, nil
+	return d.runPhaseStateful(ctx, phase, vcfg)
 }
 
 // checkReply rejects a worker's reply the master cannot apply: node or
@@ -506,14 +522,14 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 	return fmt.Errorf("assembly: %s phase: worker %d answered partition %d with %s", phase, worker, part, bad)
 }
 
-// runPhaseStateful drives one phase of the stateful delta protocol with
-// partition re-hosting: partitions whose worker was lost mid-phase (or
+// runPhaseStateful drives one phase of the delta protocol with partition
+// re-hosting: partitions whose worker was lost mid-phase (or
 // whose stored state was epoch-fenced) are rebuilt from the master's
 // authoritative graph, re-Loaded onto a surviving worker, and retried —
 // the run only degrades to local execution when no workers survive or
 // re-hosting cannot converge. The master's graph does not mutate during
 // a phase (removals are applied by the Trim* callers afterwards), so a
-// re-hosted copy equals the stored copy plus this phase's delta, and the
+// re-hosted copy equals the stored copy plus this phase's delta, and its
 // delta re-applied to it is an idempotent no-op: every partition computes
 // on identical graph state no matter how many times it was re-hosted,
 // keeping output byte-identical to a fault-free run.
@@ -529,8 +545,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 		return nil, nil, err
 	}
 	d.maybeRebalance(ctx)
-	delta := Delta{RemovedNodes: d.pendingNodes, RemovedEdges: d.pendingEdges}
-	d.pendingNodes, d.pendingEdges = nil, nil
+	deltas := d.phaseDeltas()
 	results := make([]PhaseReply, d.K)
 	times := make([]time.Duration, d.K)
 	pending := make([]int, d.K)
@@ -578,7 +593,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 			func(t int) interface{} {
 				p := batch[t]
 				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase, Epoch: d.partEpoch[p],
-					Delta: delta, Cfg: d.Cfg, VCfg: vcfg}
+					Delta: deltas[p], Cfg: d.Cfg, VCfg: vcfg}
 			}, replies)
 		var next []int
 		for i, err := range errs {
@@ -627,7 +642,7 @@ func (d *Driver) fallBackStateful(phase string, err error) bool {
 	d.pendingNodes, d.pendingEdges = nil, nil
 	// The cause names the partition/worker that triggered the degradation
 	// (rehostParts and the phase loop build it that way).
-	log.Printf("assembly: %s phase (stateful): pool unusable, %d/%d workers healthy; cause: %v; falling back to local execution for the rest of the run",
+	log.Printf("assembly: %s phase: pool unusable, %d/%d workers healthy; cause: %v; falling back to local execution for the rest of the run",
 		phase, d.Pool.NumHealthy(), d.Pool.Size(), err)
 	return true
 }
@@ -681,7 +696,7 @@ func NewDriver(pool *dist.Pool, g *DiGraph, labels []int32, k int, cfg Config) (
 	if pool == nil {
 		d.localOnly = true
 		d.degradeRsn = DegradeNoPool
-	} else if cfg.Stateful {
+	} else {
 		// A reconnected worker is an empty rebalance target; the flag is
 		// drained at the next phase boundary (mid-phase the placement
 		// table must not move under in-flight calls).

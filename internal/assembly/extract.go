@@ -7,7 +7,8 @@ import (
 )
 
 // This file is the master's subgraph send path: building each partition's
-// wire view (Subgraph) from the current graph. PR 4 replaced the per-call
+// wire view (Subgraph) from the current graph, for Load, re-hosting and
+// the master's local fallback. PR 4 replaced the per-call
 // map[int32]bool + append-grown slices with per-worker epoch-stamped
 // dense mark arrays and counted presizing, and fans the per-partition
 // extractions over a bounded pool. Node order is the same first-encounter
@@ -17,9 +18,19 @@ import (
 
 // extractScratch is one extractor worker's reusable state.
 type extractScratch struct {
-	mark  []int32 // mark[id] == epoch ⇔ id is in the current subgraph
+	mark  []int32 // mark[id] == epoch ⇔ id is in the current subgraph (or stored set)
 	epoch int32
 	ids   []int32 // first-encounter order of the current subgraph
+}
+
+// next starts a fresh mark epoch: no id is marked under it yet.
+func (sc *extractScratch) next() int32 {
+	sc.epoch++
+	if sc.epoch <= 0 { // int32 wrap: re-zero and restart epochs
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	return sc.epoch
 }
 
 // extractor builds partition subgraphs against a fixed graph, recycling
@@ -54,14 +65,7 @@ func (x *extractor) put(sc *extractScratch) {
 // proportional to the partition's closed neighbourhood, not the graph.
 func (x *extractor) subgraph(sc *extractScratch, part int32, local []int32) Subgraph {
 	g := x.g
-	sc.epoch++
-	if sc.epoch <= 0 { // int32 wrap: re-zero and restart epochs
-		for i := range sc.mark {
-			sc.mark[i] = 0
-		}
-		sc.epoch = 1
-	}
-	epoch := sc.epoch
+	epoch := sc.next()
 	mark := sc.mark
 	ids := sc.ids[:0]
 	add := func(id int32) {

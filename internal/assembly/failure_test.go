@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -14,22 +15,25 @@ import (
 	"focus/internal/overlap"
 )
 
-// FlakyService fails a configurable subset of Transitive scans,
+// FlakyService fails a configurable subset of Transitive phase calls,
 // simulating worker faults. It embeds the real service so non-failing
 // calls behave normally. When Calls is set the counter is shared across
 // workers, making the fault pattern independent of how the scheduler
-// interleaves tasks over them.
+// interleaves tasks over them. A fault is an application-level error,
+// or with LoseState the worker's state table losing the partition (the
+// not-loaded answer of a restarted worker, which the master re-hosts).
 type FlakyService struct {
 	Service
 	calls     int64
 	Calls     *int64 // shared counter; nil = per-worker
 	FailEvery int64  // every n-th call fails (1 = always)
 	FailAt    int64  // exactly the n-th call fails (0 = disabled)
+	LoseState bool
 }
 
-func (f *FlakyService) Scan(args *ScanArgs, reply *PhaseReply) error {
+func (f *FlakyService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	if args.Phase != "Transitive" {
-		return f.Service.Scan(args, reply)
+		return f.Service.Phase(args, reply)
 	}
 	ctr := &f.calls
 	if f.Calls != nil {
@@ -37,9 +41,16 @@ func (f *FlakyService) Scan(args *ScanArgs, reply *PhaseReply) error {
 	}
 	n := atomic.AddInt64(ctr, 1)
 	if (f.FailEvery > 0 && n%f.FailEvery == 0) || (f.FailAt > 0 && n == f.FailAt) {
+		if f.LoseState {
+			st := f.ensureState()
+			st.mu.Lock()
+			delete(st.parts, partKey(args.RunID, args.Part))
+			st.mu.Unlock()
+			return f.Service.Phase(args, reply)
+		}
 		return errors.New("injected worker fault")
 	}
-	return f.Service.Scan(args, reply)
+	return f.Service.Phase(args, reply)
 }
 
 func testDiGraph(k int) (*DiGraph, []int32) {
@@ -92,10 +103,11 @@ func TestDriverPropagatesWorkerFault(t *testing.T) {
 }
 
 func TestDriverPartialFaultStillFails(t *testing.T) {
-	// Exactly one call (the second across the whole pool) fails; without
-	// retries the phase must still error rather than silently proceed
-	// with partial results. These are application-level errors — the
-	// answering worker is alive — so no fallback or eviction applies.
+	// Exactly one call (the second across the whole pool) fails; the
+	// phase must still error rather than silently proceed with partial
+	// results. These are application-level errors — the answering worker
+	// is alive and re-hosting cannot fix a bug — so no re-host, fallback
+	// or eviction applies.
 	var calls int64
 	d, pool := flakyDriver(t, func() interface{} {
 		return &FlakyService{Calls: &calls, FailAt: 2}
@@ -107,29 +119,43 @@ func TestDriverPartialFaultStillFails(t *testing.T) {
 }
 
 func TestDriverRetriesRecoverFromPartialFault(t *testing.T) {
-	// Same single fault as above, but with one retry: the failed task is
-	// rescheduled on the other worker (a task runs at most once per
-	// worker), whose call number can no longer be 2, so the phase
-	// recovers deterministically.
+	// The same single fault as above, but the worker answers that it lost
+	// the partition: the master re-hosts it at a fresh epoch and retries
+	// the call, whose number can no longer be 2, so the phase recovers
+	// deterministically without degrading.
 	var calls int64
 	d, pool := flakyDriver(t, func() interface{} {
-		return &FlakyService{Calls: &calls, FailAt: 2}
+		return &FlakyService{Calls: &calls, FailAt: 2, LoseState: true}
 	}, 2, 4)
 	defer pool.Close()
-	d.Cfg.RPCRetries = 1
 	if _, err := d.Trim(); err != nil {
-		t.Fatalf("retry did not recover: %v", err)
+		t.Fatalf("re-host did not recover: %v", err)
+	}
+	if slices.Max(d.partEpoch) <= int64(d.K) {
+		t.Fatalf("partition epochs %v: the faulted partition was not re-Loaded", d.partEpoch)
+	}
+	if d.DegradeReason() != DegradeNone {
+		t.Fatalf("degraded (%v) with every worker alive", d.DegradeReason())
 	}
 }
 
 func TestDriverRetriesStillFailWhenAllWorkersFail(t *testing.T) {
+	// Every call on every worker fails with an application-level error:
+	// no re-host can fix a service bug, so none is tried, the phase fails
+	// with the worker's error, and the run neither retries nor degrades.
 	d, pool := flakyDriver(t, func() interface{} {
-		return &FlakyService{FailEvery: 1} // every call on every worker fails
+		return &FlakyService{FailEvery: 1}
 	}, 2, 4)
 	defer pool.Close()
-	d.Cfg.RPCRetries = 3
-	if _, err := d.Trim(); err == nil {
-		t.Fatal("all-workers fault not propagated despite retries")
+	_, err := d.Trim()
+	if err == nil || !strings.Contains(err.Error(), "injected worker fault") {
+		t.Fatalf("all-workers fault not propagated: %v", err)
+	}
+	if slices.Max(d.partEpoch) != int64(d.K) {
+		t.Fatalf("partition epochs %v: a service error was answered with a re-host", d.partEpoch)
+	}
+	if d.DegradeReason() != DegradeNone {
+		t.Fatalf("degraded (%v) with every worker alive", d.DegradeReason())
 	}
 }
 
@@ -209,11 +235,11 @@ func TestWorkerDiesMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	// The worker answers one phase, then wedges: the first two server
-	// writes (the wire-handshake ack and one phase response) are safe,
-	// every later response write hangs.
+	// The worker answers one phase, then wedges: the first three server
+	// writes (the wire-handshake ack, the Load and one phase response)
+	// are safe, every later response write hangs.
 	chaos := dist.NewChaosListener(lis, dist.ChaosConfig{
-		Seed: 7, FirstSafe: 2, HangProb: 1, HangFor: 30 * time.Second,
+		Seed: 7, FirstSafe: 3, HangProb: 1, HangFor: 30 * time.Second,
 	})
 	go func() { _ = dist.Serve(chaos, &Service{}) }()
 
@@ -238,7 +264,7 @@ func TestWorkerDiesMidSession(t *testing.T) {
 	// (the old pool) this blocked forever; now it must fail within the
 	// deadline and evict the worker.
 	start := time.Now()
-	err = pool.Call(0, "Scan", &ScanArgs{Phase: "Transitive", Sub: *chainSub(3), Cfg: DefaultConfig()}, &PhaseReply{})
+	err = pool.Call(0, "Phase", &PhaseArgs{RunID: d.runID, Part: 0, Phase: "Paths", Epoch: d.partEpoch[0], Cfg: DefaultConfig()}, &PhaseReply{})
 	if err == nil {
 		t.Fatal("call on wedged worker connection succeeded")
 	}
@@ -265,8 +291,9 @@ func TestWorkerDiesMidSession(t *testing.T) {
 }
 
 func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
-	// 8 tasks over 2 flaky workers, each failing its 3rd call: the error
-	// must be reported even though most tasks succeed.
+	// 8 Phase calls against partitions Loaded on 2 flaky workers, each
+	// failing its 3rd call: the fault must be reported for exactly the
+	// calls it hit, and every other call must answer.
 	pool, err := dist.NewLocalPool(2, func() interface{} {
 		return &FlakyService{FailEvery: 3}
 	})
@@ -274,33 +301,43 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	replies := make([]interface{}, 8)
+	const tasks = 8
+	place := func(tk int) int { return tk % 2 }
+	for p := 0; p < tasks; p++ {
+		sub := *chainSub(3)
+		sub.Part = int32(p)
+		if err := pool.Call(place(p), "Load", &LoadArgs{RunID: "mixed", Sub: sub, Epoch: 1}, &LoadReply{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies := make([]interface{}, tasks)
 	for i := range replies {
 		replies[i] = &PhaseReply{}
 	}
-	sub := chainSub(3)
-	_, _, err = pool.ParallelCallsRetryCtx(nil, 8, "Scan", func(tk int) interface{} {
-		return &ScanArgs{Phase: "Transitive", Sub: *sub, Cfg: DefaultConfig()}
-	}, replies, 0)
-	if err == nil {
-		t.Fatal("expected at least one injected fault across 8 calls")
+	_, errs := pool.ParallelCallsPlacedCtx(nil, tasks, place, "Phase", func(tk int) interface{} {
+		return &PhaseArgs{RunID: "mixed", Part: int32(tk), Phase: "Transitive", Epoch: 1, Cfg: DefaultConfig()}
+	}, replies)
+	failed := 0
+	for tk, err := range errs {
+		switch {
+		case err == nil:
+		case strings.Contains(err.Error(), "injected worker fault"):
+			failed++
+		default:
+			t.Fatalf("task %d: %v", tk, err)
+		}
+	}
+	// Each worker serves 4 calls, so each fails exactly one: its 3rd.
+	if failed != 2 {
+		t.Fatalf("%d of %d calls failed, want 2", failed, tasks)
 	}
 }
 
-// liarService answers one phase, over either protocol, with a reply the
-// master cannot apply.
+// liarService answers one phase with a reply the master cannot apply.
 type liarService struct {
 	Service
 	phase string
 	lie   PhaseReply
-}
-
-func (l *liarService) Scan(args *ScanArgs, reply *PhaseReply) error {
-	if args.Phase == l.phase {
-		*reply = l.lie
-		return nil
-	}
-	return l.Service.Scan(args, reply)
 }
 
 func (l *liarService) Phase(args *PhaseArgs, reply *PhaseReply) error {
@@ -314,7 +351,7 @@ func (l *liarService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 // TestDriverRejectsBadWorkerReplies: a worker whose reply names nodes
 // outside the graph, or an empty path, gets an error naming the phase,
 // the partition and the worker — not an index panic in the master — and
-// the graph stays untouched. Both protocols go through the same check.
+// the graph stays untouched.
 func TestDriverRejectsBadWorkerReplies(t *testing.T) {
 	for _, tc := range []struct {
 		phase, want string
@@ -332,25 +369,22 @@ func TestDriverRejectsBadWorkerReplies(t *testing.T) {
 		{"Variants", "variant allele 6", PhaseReply{Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 6}}},
 			func(d *Driver) error { _, err := d.CallVariants(DefaultVariantConfig()); return err }},
 	} {
-		for _, stateful := range []bool{false, true} {
-			d, pool := flakyDriver(t, func() interface{} {
-				return &liarService{phase: tc.phase, lie: tc.lie}
-			}, 1, 2)
-			d.Cfg.Stateful = stateful
-			err := tc.run(d)
-			pool.Close()
-			if err == nil {
-				t.Fatalf("%s (stateful=%v): bad reply accepted", tc.phase, stateful)
+		d, pool := flakyDriver(t, func() interface{} {
+			return &liarService{phase: tc.phase, lie: tc.lie}
+		}, 1, 2)
+		err := tc.run(d)
+		pool.Close()
+		if err == nil {
+			t.Fatalf("%s: bad reply accepted", tc.phase)
+		}
+		for _, part := range []string{tc.phase + " phase", "worker 0", "partition ", tc.want} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%s: error %q does not name %q", tc.phase, err, part)
 			}
-			for _, part := range []string{tc.phase + " phase", "worker 0", "partition ", tc.want} {
-				if !strings.Contains(err.Error(), part) {
-					t.Fatalf("%s (stateful=%v): error %q does not name %q", tc.phase, stateful, err, part)
-				}
-			}
-			for _, gone := range d.G.Removed {
-				if gone {
-					t.Fatalf("%s (stateful=%v): a rejected reply removed a node", tc.phase, stateful)
-				}
+		}
+		for _, gone := range d.G.Removed {
+			if gone {
+				t.Fatalf("%s: a rejected reply removed a node", tc.phase)
 			}
 		}
 	}

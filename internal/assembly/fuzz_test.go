@@ -10,10 +10,12 @@ import (
 // length) to the decoder it drives. The committed corpus names targets by
 // selector, so the table only ever grows at the end: a type keeps its
 // selector, and a retired type's selector passes to the message that
-// replaced it on the wire.
+// replaced it on the wire. Selectors 0 and 1 drove ScanArgs, the
+// stateless protocol's subgraph-plus-phase message: its subgraph now
+// ships in LoadArgs (0) and its phase and configs in PhaseArgs (1).
 var fuzzWireTargets = [...]func() dist.Wire{
-	0:  func() dist.Wire { return &ScanArgs{} },   // was the stateless PhaseArgs{Sub, Cfg}
-	1:  func() dist.Wire { return &ScanArgs{} },   // was VariantArgs
+	0:  func() dist.Wire { return &LoadArgs{} },   // was ScanArgs, before that the stateless PhaseArgs{Sub, Cfg}
+	1:  func() dist.Wire { return &PhaseArgs{} },  // was ScanArgs, before that VariantArgs
 	2:  func() dist.Wire { return &PhaseReply{} }, // was EdgeReply
 	3:  func() dist.Wire { return &PhaseReply{} }, // was RemovalReply
 	4:  func() dist.Wire { return &PhaseReply{} }, // was PathsReply
@@ -32,15 +34,16 @@ func fuzzWireTarget(sel byte) dist.Wire {
 // FuzzWireDecoders throws arbitrary bytes at every assembly Wire decoder:
 // whatever the input, DecodeFrom must return an error or a value — never
 // panic, never allocate beyond the input's implied size — and any value it
-// accepts must survive a re-encode/re-decode cycle. Decoded ScanArgs are
-// then run through Service.Scan, as a worker would: it must answer a reply
-// or an error, never panic. (Subgraphs past a few thousand contig bases
-// are skipped: their alignments are legitimately large, and the fuzzer's
-// time is better spent elsewhere.)
+// accepts must survive a re-encode/re-decode cycle. Decoded messages are
+// then served as a worker would: a LoadArgs is stored and every phase run
+// on it, a PhaseArgs is run against a stored chain partition. Either must
+// answer a reply or an error, never panic. (Subgraphs past a few thousand
+// contig bases are skipped: their alignments are legitimately large, and
+// the fuzzer's time is better spent elsewhere.)
 func FuzzWireDecoders(f *testing.F) {
 	// One valid encoding per payload type as seeds.
 	seed := func(sel byte, w dist.Wire) { f.Add(sel, w.AppendTo(nil)) }
-	seed(0, &ScanArgs{Phase: "Transitive", Sub: Subgraph{Part: 1, Local: []int32{0, 1}}, Cfg: DefaultConfig()})
+	seed(0, &LoadArgs{RunID: "run-1", Epoch: 1, Sub: Subgraph{Part: 1, Local: []int32{0, 1}}})
 	seed(2, &PhaseReply{Edges: []EdgePair{{From: 1, To: 2}}})
 	seed(3, &PhaseReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
 	seed(4, &PhaseReply{Paths: [][]int32{{0, 1, 2}, {5}}})
@@ -59,11 +62,11 @@ func FuzzWireDecoders(f *testing.F) {
 			In:      [][]Edge{nil, {{From: 0, To: 1, Len: 2, Ident: 1}}},
 		},
 	})
-	// A scannable partition under every phase, so the fuzzer starts from
-	// inputs that reach each scan.
-	sub := *chainSub(4)
+	// Every phase against the stored chain partition, so the fuzzer
+	// starts from inputs that reach each scan.
 	for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
-		seed(0, &ScanArgs{Phase: phase, Sub: sub, Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()})
+		seed(1, &PhaseArgs{RunID: "run-1", Phase: phase, Epoch: 1,
+			Delta: Delta{RemovedEdges: []EdgePair{{From: 2, To: 3}}}, Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()})
 	}
 	seed(9, &PhaseReply{Edges: []EdgePair{{From: 0, To: 1}}, Removal: Removal{Nodes: []int32{2}},
 		Paths: [][]int32{{3}}, Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 2}}})
@@ -78,18 +81,27 @@ func FuzzWireDecoders(f *testing.F) {
 		if err := again.DecodeFrom(w.AppendTo(nil)); err != nil {
 			t.Fatalf("re-decode of accepted %T failed: %v", w, err)
 		}
-		args, ok := w.(*ScanArgs)
-		if !ok {
-			return
-		}
-		bases := 0
-		for _, n := range args.Sub.Nodes {
-			bases += len(n.Contig)
-		}
-		if bases > 4096 {
-			return
-		}
+		svc := &Service{}
 		var reply PhaseReply
-		_ = (&Service{}).Scan(args, &reply)
+		switch args := w.(type) {
+		case *LoadArgs:
+			bases := 0
+			for _, n := range args.Sub.Nodes {
+				bases += len(n.Contig)
+			}
+			if bases > 4096 || svc.Load(args, &LoadReply{}) != nil {
+				return
+			}
+			for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
+				_ = svc.Phase(&PhaseArgs{RunID: args.RunID, Part: args.Sub.Part, Phase: phase, Epoch: args.Epoch,
+					Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()}, &reply)
+			}
+		case *PhaseArgs:
+			sub := *chainSub(4)
+			sub.Part = args.Part
+			if svc.Load(&LoadArgs{RunID: args.RunID, Sub: sub, Epoch: args.Epoch}, &LoadReply{}) == nil {
+				_ = svc.Phase(args, &reply)
+			}
+		}
 	})
 }

@@ -20,13 +20,10 @@ type Config struct {
 	// at most MaxTipNodes whose total contig span is under MinTipLen.
 	MaxTipNodes int
 	MinTipLen   int
-	// RPCRetries is the number of other workers a failed partition task
-	// is retried on before the phase errors (0 = fail fast, like an MPI
-	// job). Applies to the stateless protocol only.
-	RPCRetries int
-	// Stateful selects the delta protocol: partitions are shipped to
-	// their workers once and later phases send only the removals applied
-	// since (closer to the paper's MPI ranks, and cheaper on the wire).
+	// Stateful is ignored. The delta protocol, where partitions are
+	// shipped to their workers once and each phase sends only the
+	// removals they store, is the only assembly protocol; the field
+	// stays so that callers which set it still compile.
 	Stateful bool
 }
 

@@ -46,7 +46,7 @@ func TestRehostAfterPinnedWorkerLoss(t *testing.T) {
 			}
 			defer pool.Close()
 
-			d := chaosPipeline(t, pool, k, true)
+			d := chaosPipeline(t, pool, k)
 			got, err := fullRun(t, d)
 			if err != nil {
 				t.Fatalf("stateful run with dying pinned worker failed: %v", err)
@@ -91,7 +91,7 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, true)
+	d := chaosPipeline(t, pool, k)
 	got, err := fullRun(t, d)
 	if err != nil {
 		t.Fatalf("stateful run with all workers dead failed (terminal fallback broken): %v", err)
@@ -120,7 +120,7 @@ func TestRebalanceAfterReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	d := chaosPipeline(t, pool, k, true)
+	d := chaosPipeline(t, pool, k)
 	if err := d.ensureLoaded(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRehostRoundsExhausted(t *testing.T) {
 	}
 	defer pool.Close()
 
-	d := chaosPipeline(t, pool, k, true)
+	d := chaosPipeline(t, pool, k)
 	got, err := fullRun(t, d)
 	if err != nil {
 		t.Fatalf("run failed instead of falling back: %v", err)

@@ -9,25 +9,13 @@ import (
 )
 
 // Service is the RPC service workers host (registered under
-// dist.ServiceName). Scan is the stateless protocol: each call carries
-// one partition's subgraph and names the phase to run on it. The
-// Load/Phase/Unload trio implements the stateful protocol of stateful.go,
-// where workers retain their partition and phases ship only removal
-// deltas. Both run the phase through scanPhase, as does the master's
-// local fallback.
+// dist.ServiceName). The Load/Phase/Unload trio is the assembly protocol
+// of stateful.go: a worker retains its partitions and each phase ships
+// only the removals they store. Phase runs its scan through scanPhase, as
+// does the master's local fallback.
 type Service struct {
 	once sync.Once
 	st   *state
-}
-
-// ScanArgs carries one partition's subgraph, the phase to run on it and
-// the configs the phases read (Cfg for the trimming phases and Paths, VCfg
-// for Variants).
-type ScanArgs struct {
-	Phase string // "Transitive" | "Containment" | "Errors" | "Paths" | "Variants"
-	Sub   Subgraph
-	Cfg   Config
-	VCfg  VariantConfig
 }
 
 // PhaseReply carries whichever result the phase produces: Edges for
@@ -59,13 +47,6 @@ func scanPhase(phase string, sub *Subgraph, cfg Config, vcfg VariantConfig) (Pha
 		return r, fmt.Errorf("assembly: unknown phase %q", phase)
 	}
 	return r, nil
-}
-
-// Scan runs one phase on the partition the call carries.
-func (s *Service) Scan(args *ScanArgs, reply *PhaseReply) error {
-	var err error
-	*reply, err = scanPhase(args.Phase, &args.Sub, args.Cfg, args.VCfg)
-	return err
 }
 
 // Ping verifies worker liveness: the pool's reconnect loop and the

@@ -9,13 +9,13 @@ import (
 	"focus/internal/dist"
 )
 
-// The stateless protocol reships each partition's subgraph every phase.
-// This file adds the stateful protocol, which matches the paper's MPI
-// model more closely: each worker receives its partition once (Load) and
-// subsequent phases send only the removal delta (graph mutations are
-// monotone — trimming only deletes nodes and edges — so ghosts never need
-// additions). The Driver picks the protocol via Config.Stateful; the
-// transport ablation bench compares the two.
+// This file is the worker side of the assembly protocol, the paper's MPI
+// model of ranks that own their partitions (§V): each worker receives its
+// partition once (Load) and every later phase sends only the removals
+// that partition stores (graph mutations are monotone — trimming only
+// deletes nodes and edges — so ghosts never need additions). The master
+// side is Driver.runPhaseStateful; Driver.phaseDeltas splits the removals
+// by partition.
 //
 // Epoch fencing (DESIGN.md §11): every Load carries a master-assigned,
 // per-partition monotonically increasing epoch, and every Phase names the
@@ -109,20 +109,22 @@ func (s *Service) Load(args *LoadArgs, reply *LoadReply) error {
 }
 
 // Delta is the set of removals applied to the global graph since the
-// worker last saw its partition.
+// worker last saw its partition, restricted to the ones it stores.
 type Delta struct {
 	RemovedNodes []int32
 	RemovedEdges []EdgePair
 }
 
-// PhaseArgs drives one phase against a stored partition. Epoch must equal
+// PhaseArgs drives one phase against a stored partition, with the configs
+// the phases read (Cfg for the trimming phases and Paths, VCfg for
+// Variants). Epoch must equal
 // the epoch of the stored copy the master believes this worker holds; a
 // mismatch in either direction means master and worker disagree about the
 // partition's generation and the call is rejected.
 type PhaseArgs struct {
 	RunID string
 	Part  int32
-	Phase string // as ScanArgs.Phase
+	Phase string // "Transitive" | "Containment" | "Errors" | "Paths" | "Variants"
 	Epoch int64
 	Delta Delta
 	Cfg   Config

@@ -2,7 +2,13 @@ package assembly
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"focus/internal/dist"
@@ -124,22 +130,24 @@ func TestEpochFencing(t *testing.T) {
 	}
 }
 
-// TestStatefulMatchesStateless runs the full trim+traverse+contigs flow
-// under both protocols and demands identical output.
-func TestStatefulMatchesStateless(t *testing.T) {
+// TestStatefulMatchesLocal runs the full trim+traverse+contigs flow over
+// the delta protocol and on the master alone (nil pool), and demands
+// identical output.
+func TestStatefulMatchesLocal(t *testing.T) {
 	genome := randGenome(80, 4000)
 	reads := tilingReads(genome, 100, 25)
 
-	run := func(stateful bool) ([][]byte, TrimStats) {
+	run := func(pooled bool) ([][]byte, TrimStats) {
 		dg, labels, _ := buildPipeline(t, reads, 4)
-		pool, err := dist.NewLocalPool(2, NewService)
-		if err != nil {
-			t.Fatal(err)
+		var pool *dist.Pool
+		if pooled {
+			var err error
+			if pool, err = dist.NewLocalPool(2, NewService); err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
 		}
-		defer pool.Close()
-		cfg := DefaultConfig()
-		cfg.Stateful = stateful
-		d, err := NewDriver(pool, dg, labels, 4, cfg)
+		d, err := NewDriver(pool, dg, labels, 4, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,6 +159,9 @@ func TestStatefulMatchesStateless(t *testing.T) {
 		paths, _, err := d.TraverseTimed()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pooled && d.DegradeReason() != DegradeNone {
+			t.Fatal("pooled run degraded to local execution")
 		}
 		return d.BuildContigs(paths), st
 	}
@@ -166,8 +177,182 @@ func TestStatefulMatchesStateless(t *testing.T) {
 	}
 	for i := range cA {
 		if !bytes.Equal(cA[i], cB[i]) {
-			t.Fatalf("contig %d differs between protocols", i)
+			t.Fatalf("contig %d differs between the pool and the master", i)
 		}
+	}
+}
+
+// cloneSub deep-copies a subgraph's id and edge lists (contigs are shared:
+// nothing mutates them).
+func cloneSub(s Subgraph) Subgraph {
+	s.Local = slices.Clone(s.Local)
+	s.Nodes = slices.Clone(s.Nodes)
+	s.Edges = slices.Clone(s.Edges)
+	return s
+}
+
+// isSubsequence reports whether sub lists elements of all in all's order.
+func isSubsequence[T comparable](sub, all []T) bool {
+	i := 0
+	for _, x := range all {
+		if i < len(sub) && sub[i] == x {
+			i++
+		}
+	}
+	return i == len(sub)
+}
+
+// TestPhaseDeltaExact checks Driver.phaseDeltas on random graphs, labels
+// and removal sequences, with partitions re-hosted between phases and in
+// the middle of one. For every partition and phase, the delta it gets
+// applied to the copy its worker holds must give exactly what the whole
+// delta gives (the copy every worker computed on before deltas were
+// split); and the delta must be minimal and ordered: only removals of
+// nodes and edges the Loaded subgraph holds, in the global order.
+func TestPhaseDeltaExact(t *testing.T) {
+	for iter := 0; iter < 300; iter++ {
+		rng := rand.New(rand.NewSource(int64(iter)))
+		n, k := 4+rng.Intn(40), 1+rng.Intn(6)
+		g := &DiGraph{
+			Contigs: make([][]byte, n), Weight: make([]int64, n), Removed: make([]bool, n),
+			Out: make([][]Edge, n), In: make([][]Edge, n),
+		}
+		labels := make([]int32, n)
+		for v := range labels {
+			g.Contigs[v] = []byte("ACGT")
+			labels[v] = int32(rng.Intn(k))
+		}
+		seen := map[EdgePair]bool{}
+		for m := rng.Intn(3 * n); m > 0; m-- {
+			e := EdgePair{From: int32(rng.Intn(n)), To: int32(rng.Intn(n))}
+			if e.From == e.To || seen[e] {
+				continue
+			}
+			seen[e] = true
+			edge := Edge{From: e.From, To: e.To, Diag: 10, Len: 50, Ident: 1}
+			g.Out[e.From] = append(g.Out[e.From], edge)
+			g.In[e.To] = append(g.In[e.To], edge)
+		}
+		d, err := NewDriver(nil, g, labels, k, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.localOnly = false // record removals as a pooled run does
+		d.stored = make([][]int32, k)
+		split := make([]Subgraph, k)  // each worker's copy under split deltas
+		whole := make([]Subgraph, k)  // the same copy under the whole delta
+		loaded := make([]Subgraph, k) // the copy as Loaded
+		load := func(p int) {
+			loaded[p] = subgraphsOf(g, labels, k, 1)[p]
+			d.stored[p] = nodeIDs(loaded[p].Nodes)
+			split[p], whole[p] = cloneSub(loaded[p]), cloneSub(loaded[p])
+		}
+		for p := 0; p < k; p++ {
+			load(p)
+		}
+		for phase := 0; phase < 4; phase++ {
+			for r := rng.Intn(n/2 + 1); r > 0; r-- {
+				if v := int32(rng.Intn(n)); rng.Intn(3) == 0 && !g.Removed[v] {
+					d.removeNode(v)
+				} else if len(g.Out[v]) > 0 {
+					e := g.Out[v][rng.Intn(len(g.Out[v]))]
+					d.removeEdge(EdgePair{From: e.From, To: e.To})
+				}
+			}
+			all := Delta{RemovedNodes: slices.Clone(d.pendingNodes), RemovedEdges: slices.Clone(d.pendingEdges)}
+			deltas := d.phaseDeltas()
+			for p := 0; p < k; p++ {
+				prev := loaded[p]
+				if rng.Intn(4) == 0 { // re-hosted mid-phase: the delta meets a fresh copy
+					load(p)
+				}
+				dt := deltas[p]
+				if !isSubsequence(dt.RemovedNodes, all.RemovedNodes) || !isSubsequence(dt.RemovedEdges, all.RemovedEdges) {
+					t.Fatalf("iter %d phase %d partition %d: delta %+v is not in the order of %+v", iter, phase, p, dt, all)
+				}
+				for _, v := range dt.RemovedNodes {
+					if !slices.ContainsFunc(prev.Nodes, func(w WireNode) bool { return w.ID == v }) {
+						t.Fatalf("iter %d phase %d partition %d: delta removes node %d it never stored", iter, phase, p, v)
+					}
+				}
+				for _, e := range dt.RemovedEdges {
+					if !slices.ContainsFunc(prev.Edges, func(x Edge) bool { return x.From == e.From && x.To == e.To }) {
+						t.Fatalf("iter %d phase %d partition %d: delta removes edge %v it never stored", iter, phase, p, e)
+					}
+				}
+				applyDelta(&split[p], dt)
+				applyDelta(&whole[p], all)
+				if !reflect.DeepEqual(split[p], whole[p]) {
+					t.Fatalf("iter %d phase %d partition %d: split delta left\n%+v\nthe whole delta\n%+v", iter, phase, p, split[p], whole[p])
+				}
+			}
+			if rng.Intn(3) == 0 { // re-hosted between phases
+				load(rng.Intn(k))
+			}
+		}
+	}
+}
+
+// loadRefuser is a worker that refuses to store partition 1.
+type loadRefuser struct{ Service }
+
+func (l *loadRefuser) Load(args *LoadArgs, reply *LoadReply) error {
+	if args.Sub.Part == 1 {
+		return errors.New("injected Load refusal")
+	}
+	return l.Service.Load(args, reply)
+}
+
+// TestCloseUnloadsAfterFailedLoad: when the initial Load fails for one
+// partition, the run fails, but Close still unloads the partitions the
+// other Loads stored — a worker without -run-ttl would keep them forever.
+func TestCloseUnloadsAfterFailedLoad(t *testing.T) {
+	var mu sync.Mutex
+	var svcs []*loadRefuser
+	pool, err := dist.NewLocalPool(2, func() interface{} {
+		s := &loadRefuser{}
+		mu.Lock()
+		svcs = append(svcs, s)
+		mu.Unlock()
+		return s
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	d := chaosPipeline(t, pool, 4)
+	if _, err := d.Trim(); err == nil || !strings.Contains(err.Error(), "injected Load refusal") {
+		t.Fatalf("Trim with a refused Load: %v", err)
+	}
+	stored := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		var keys []string
+		for _, s := range svcs {
+			st := s.ensureState()
+			st.mu.Lock()
+			for key := range st.parts {
+				keys = append(keys, key)
+			}
+			st.mu.Unlock()
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	want := []string{d.runID + "/0", d.runID + "/2", d.runID + "/3"}
+	if got := stored(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("before Close the workers store %v, want %v", got, want)
+	}
+	for _, p := range []int{0, 2, 3} {
+		if d.placement[p] < 0 || d.stored[p] == nil {
+			t.Fatalf("partition %d: Load succeeded but placement %d, stored ids %v", p, d.placement[p], d.stored[p])
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stored(); len(got) != 0 {
+		t.Fatalf("after Close the workers still store %v", got)
 	}
 }
 
@@ -199,9 +384,7 @@ func TestStatefulVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	cfg := DefaultConfig()
-	cfg.Stateful = true
-	d, err := NewDriver(pool, dg, []int32{0, 0, 1, 1, 1}, 2, cfg)
+	d, err := NewDriver(pool, dg, []int32{0, 0, 1, 1, 1}, 2, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 // Compile-time interface checks: every RPC body of the service is a Wire
 // implementer (the pool refuses to send one that is not).
 var (
-	_ dist.Wire = (*ScanArgs)(nil)
 	_ dist.Wire = (*PhaseReply)(nil)
 	_ dist.Wire = (*LoadArgs)(nil)
 	_ dist.Wire = (*LoadReply)(nil)
@@ -72,8 +71,7 @@ func decodeContig(rd *dist.WireReader, present bool) []byte {
 }
 
 // appendConfig encodes the six scan parameters a worker's answer depends
-// on. RPCRetries and Stateful steer the master's driver and stay home:
-// they decode as zero.
+// on. Stateful never ships: it decodes as false.
 func appendConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.MinEdgeOverlap))
 	dst = dist.AppendFloat64(dst, c.MinEdgeIdentity)
@@ -307,24 +305,6 @@ func appendDelta(dst []byte, d *Delta) []byte {
 func decodeDelta(rd *dist.WireReader, d *Delta) {
 	d.RemovedNodes = rd.Int32sDelta()
 	d.RemovedEdges = decodeEdgePairs(rd)
-}
-
-// AppendTo implements dist.Wire.
-func (a *ScanArgs) AppendTo(dst []byte) []byte {
-	dst = dist.AppendString(dst, a.Phase)
-	dst = appendSubgraph(dst, &a.Sub)
-	dst = appendConfig(dst, &a.Cfg)
-	return appendVariantConfig(dst, &a.VCfg)
-}
-
-// DecodeFrom implements dist.Wire.
-func (a *ScanArgs) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	a.Phase = rd.String()
-	decodeSubgraph(&rd, &a.Sub)
-	decodeConfig(&rd, &a.Cfg)
-	decodeVariantConfig(&rd, &a.VCfg)
-	return rd.Finish()
 }
 
 // AppendTo implements dist.Wire.

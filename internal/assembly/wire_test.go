@@ -181,15 +181,14 @@ func rtWire(t *testing.T, v, fresh dist.Wire) {
 }
 
 // rtWireCfg is rtWire for a message carrying the scan config *sent: the
-// message is encoded with the master-side fields set, decoded into a
-// target whose config *got holds stale ones, and must arrive with them
-// zero — a worker's answer never depends on them.
+// message is encoded with the master-side field set, decoded into a
+// target whose config *got holds a stale one, and must arrive with it
+// zero — a worker's answer never depends on it.
 func rtWireCfg(t *testing.T, v, fresh dist.Wire, sent, got *Config) {
 	t.Helper()
-	sent.RPCRetries, sent.Stateful = 2, true
-	got.RPCRetries, got.Stateful = 9, true
+	sent.Stateful, got.Stateful = true, true
 	enc := v.AppendTo(nil)
-	sent.RPCRetries, sent.Stateful = 0, false
+	sent.Stateful = false
 	decodeEqual(t, enc, v, fresh)
 }
 
@@ -212,7 +211,6 @@ func decodeEqual(t *testing.T, enc []byte, v, fresh dist.Wire) {
 func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	var (
-		sa ScanArgs
 		la LoadArgs
 		lr LoadReply
 		pa PhaseArgs
@@ -221,8 +219,6 @@ func TestWireRoundTripProperty(t *testing.T) {
 	)
 	for i := 0; i < 100; i++ {
 		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
-		scan := &ScanArgs{Phase: randString(rng), Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}
-		rtWireCfg(t, scan, &sa, &scan.Cfg, &sa.Cfg)
 		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng), Epoch: rng.Int63()}, &la)
 		rtWire(t, &LoadReply{Nodes: rng.Intn(1000), Edges: rng.Intn(1000)}, &lr)
 		phase := &PhaseArgs{
@@ -245,9 +241,9 @@ func TestWireRoundTripProperty(t *testing.T) {
 // panicking or allocating absurdly — never trust the wire.
 func TestWireDecodeCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	args := &ScanArgs{Phase: "Containment", Sub: randSubgraph(rng), Cfg: randConfig(rng), VCfg: randVariantConfig(rng)}
+	args := &LoadArgs{RunID: "run-3", Sub: randSubgraph(rng), Epoch: 4}
 	enc := args.AppendTo(nil)
-	var dst ScanArgs
+	var dst LoadArgs
 	for cut := 0; cut < len(enc); cut += 3 {
 		if dst.DecodeFrom(enc[:cut]) == nil && cut < len(enc) {
 			t.Fatalf("truncated frame (%d/%d bytes) decoded cleanly", cut, len(enc))
@@ -262,83 +258,64 @@ func TestWireDecodeCorruptFrames(t *testing.T) {
 
 // TestWireCodecEquivalence is the acceptance check for the codec and the
 // parallel extractor: the full trim+traverse+contigs outcome over the
-// wire must equal the pool-less local run — where no byte is encoded —
-// across pool sizes 1/2/8, serial vs parallel subgraph extraction, and
-// both protocols.
+// wire, at pool sizes 1/2/8, must equal the pool-less local run — where
+// no byte is encoded — with serial and parallel subgraph extraction.
 func TestWireCodecEquivalence(t *testing.T) {
 	const k = 8
-	baseline, err := fullRun(t, chaosPipeline(t, nil, k, false))
+	baseline, err := fullRun(t, chaosPipeline(t, nil, k))
 	if err != nil {
 		t.Fatal(err)
+	}
+	d := chaosPipeline(t, nil, k)
+	d.extractWorkers = 1
+	if got, err := fullRun(t, d); err != nil || !reflect.DeepEqual(got, baseline) {
+		t.Fatalf("serial extraction diverged (%v):\ngot  %+v\nwant %+v", err, got, baseline)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
-		for _, ew := range []int{1, 8} {
-			pool, err := dist.NewLocalPoolOpts(workers, NewService, dist.Options{Logf: t.Logf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := chaosPipeline(t, pool, k, false)
-			d.extractWorkers = ew
-			got, err := fullRun(t, d)
-			pool.Close()
-			if err != nil {
-				t.Fatalf("workers=%d extract=%d: %v", workers, ew, err)
-			}
-			if d.DegradeReason() != DegradeNone {
-				t.Fatalf("workers=%d extract=%d ran locally, not over the wire", workers, ew)
-			}
-			if !reflect.DeepEqual(got, baseline) {
-				t.Fatalf("workers=%d extract=%d diverged:\ngot  %+v\nwant %+v", workers, ew, got, baseline)
-			}
+		pool, err := dist.NewLocalPoolOpts(workers, NewService, dist.Options{Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// The stateful delta protocol must agree too.
-	pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := chaosPipeline(t, pool, k, true)
-	got, err := fullRun(t, d)
-	pool.Close()
-	if err != nil {
-		t.Fatalf("stateful: %v", err)
-	}
-	if d.DegradeReason() != DegradeNone {
-		t.Fatal("stateful run degraded to local, not over the wire")
-	}
-	if !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("stateful diverged:\ngot  %+v\nwant %+v", got, baseline)
+		d := chaosPipeline(t, pool, k)
+		got, err := fullRun(t, d)
+		pool.Close()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if d.DegradeReason() != DegradeNone {
+			t.Fatalf("workers=%d ran locally, not over the wire", workers)
+		}
+		if !reflect.DeepEqual(got, baseline) {
+			t.Fatalf("workers=%d diverged:\ngot  %+v\nwant %+v", workers, got, baseline)
+		}
 	}
 
 	// fullRun never calls variants: a second pass puts CallVariants between
 	// transitive reduction and containment removal, on two haplotypes so
 	// that there are bubbles to call.
-	want, err := variantRun(variantPipeline(t, nil, 2, false))
+	want, err := variantRun(variantPipeline(t, nil, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want.Variants) == 0 {
 		t.Fatal("variant pipeline called no variants; the pass would compare nothing")
 	}
-	for _, stateful := range []bool{false, true} {
-		pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := variantPipeline(t, pool, 2, stateful)
-		got, err := variantRun(d)
-		pool.Close()
-		if err != nil {
-			t.Fatalf("variants, stateful=%v: %v", stateful, err)
-		}
-		if d.DegradeReason() != DegradeNone {
-			t.Fatalf("variants, stateful=%v ran locally, not over the wire", stateful)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("variants, stateful=%v diverged:\ngot  %+v\nwant %+v", stateful, got, want)
-		}
+	pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = variantPipeline(t, pool, 2)
+	got, err := variantRun(d)
+	pool.Close()
+	if err != nil {
+		t.Fatalf("variants: %v", err)
+	}
+	if d.DegradeReason() != DegradeNone {
+		t.Fatal("variants ran locally, not over the wire")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("variants diverged:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -379,7 +356,7 @@ func variantRun(d *Driver) (variantOutcome, error) {
 
 // variantPipeline is chaosPipeline over reads of two haplotypes: the
 // second differs in a 12-base block every 500 bases.
-func variantPipeline(t *testing.T, pool *dist.Pool, k int, stateful bool) *Driver {
+func variantPipeline(t *testing.T, pool *dist.Pool, k int) *Driver {
 	t.Helper()
 	hapA := randGenome(91, 3000)
 	hapB := append([]byte(nil), hapA...)
@@ -390,9 +367,7 @@ func variantPipeline(t *testing.T, pool *dist.Pool, k int, stateful bool) *Drive
 	}
 	reads := append(tilingReads(hapA, 100, 10), tilingReads(hapB[5:], 100, 10)...)
 	dg, labels, _ := buildPipeline(t, reads, k)
-	cfg := DefaultConfig()
-	cfg.Stateful = stateful
-	d, err := NewDriver(pool, dg, labels, k, cfg)
+	d, err := NewDriver(pool, dg, labels, k, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +375,8 @@ func variantPipeline(t *testing.T, pool *dist.Pool, k int, stateful bool) *Drive
 }
 
 // TestServiceRPCSurface pins the worker's RPC methods: a new per-phase
-// method is a wire change, to be made on purpose (phases go through Scan
-// and Phase).
+// method is a wire change, to be made on purpose (every phase goes
+// through Phase).
 func TestServiceRPCSurface(t *testing.T) {
 	errType := reflect.TypeOf((*error)(nil)).Elem()
 	var got []string
@@ -412,14 +387,14 @@ func TestServiceRPCSurface(t *testing.T) {
 			got = append(got, st.Method(i).Name)
 		}
 	}
-	want := []string{"AlignRef", "Load", "Phase", "Ping", "Scan", "Unload"}
+	want := []string{"AlignRef", "Load", "Phase", "Ping", "Unload"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker RPC methods = %v, want %v", got, want)
 	}
 }
 
 // subgraphsOf extracts the wire view of every partition of g under
-// labels, as the Driver ships them per phase.
+// labels, as the Driver ships them in Load.
 func subgraphsOf(g *DiGraph, labels []int32, k, workers int) []Subgraph {
 	parts := make([][]int32, k)
 	for v := 0; v < g.NumNodes(); v++ {
@@ -495,7 +470,6 @@ func wireSamples() []struct {
 		msg  dist.Wire
 	}{
 		{"Ack", &ack},
-		{"ScanArgs", &ScanArgs{Phase: "Variants", Sub: sub, Cfg: cfg, VCfg: vcfg}},
 		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Epoch: 12}},
 		{"LoadReply", &LoadReply{Nodes: 4, Edges: 3}},
 		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,

@@ -37,8 +37,8 @@ type callOptions struct {
 // worker exists the error wraps ErrNoWorkers.
 //
 // A task failed by the service is retried on up to `retries` other
-// workers before the error counts. Stateless services (all of assembly's
-// stateless phases) make this safe.
+// workers before the error counts. Services that keep no state between
+// calls (overlap's AlignRef jobs) make this safe.
 //
 // Cancellation of ctx severs every in-flight call (like a per-call
 // timeout) and drains the queue: not-yet-started tasks fail fast without

@@ -14,14 +14,12 @@ import (
 	"focus/internal/simulate"
 )
 
-// testTemplate mirrors the facade tests' small-input configuration, with
-// the stateful protocol on (the mode the resident master ships with).
+// testTemplate mirrors the facade tests' small-input configuration.
 func testTemplate() focus.Config {
 	cfg := focus.DefaultConfig()
 	cfg.Preprocess.Trim5 = 6 // strip the simulated adapter
 	cfg.Subsets = 2
 	cfg.Coarsen.MinNodes = 8
-	cfg.Assembly.Stateful = true
 	return cfg
 }
 

@@ -14,11 +14,11 @@ import (
 
 // TestProtocolsAgree guards the assembly phases' execution paths on the
 // D2 analogue at the benchmark's meta_tcp shape (scale 0.7, 8x coverage):
-// at 4 and 16 partitions the master-only driver (nil pool), the stateless
-// protocol, the stateful protocol, the stateful protocol with one worker
-// lost mid-phase (its partitions re-hosted) and with every worker lost
-// (the local fallback) give byte-identical contigs. The fault arms check
-// from the metrics that the path they name was the one taken.
+// at 4 and 16 partitions the master-only driver (nil pool), the delta
+// protocol, the delta protocol with one worker lost mid-phase (its
+// partitions re-hosted) and with every worker lost (the local fallback)
+// give byte-identical contigs. The fault arms check from the metrics that
+// the path they name was the one taken.
 func TestProtocolsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the D2 analogue; skipped with -short")
@@ -55,15 +55,13 @@ func TestProtocolsAgree(t *testing.T) {
 		// few phase calls: the loss lands inside the transitive phase.
 		safe := 1 + k/2 + 1
 		arms := []struct {
-			name     string
-			stateful bool
-			pool     func() (*dist.Pool, error)
-			check    func(c map[string]int64) error
+			name  string
+			pool  func() (*dist.Pool, error)
+			check func(c map[string]int64) error
 		}{
-			{"local", true, func() (*dist.Pool, error) { return nil, nil }, nil},
-			{"stateless", false, func() (*dist.Pool, error) { return dist.NewLocalPool(2, assembly.NewService) }, nil},
-			{"stateful", true, func() (*dist.Pool, error) { return dist.NewLocalPool(2, assembly.NewService) }, nil},
-			{"rehost", true, func() (*dist.Pool, error) {
+			{"local", func() (*dist.Pool, error) { return nil, nil }, nil},
+			{"stateful", func() (*dist.Pool, error) { return dist.NewLocalPool(2, assembly.NewService) }, nil},
+			{"rehost", func() (*dist.Pool, error) {
 				return dist.NewLocalChaosPool(2, assembly.NewService, faulty, func(w int) *dist.ChaosConfig {
 					if w == 1 {
 						return hang(11, safe)
@@ -76,7 +74,7 @@ func TestProtocolsAgree(t *testing.T) {
 				}
 				return nil
 			}},
-			{"fallback", true, func() (*dist.Pool, error) {
+			{"fallback", func() (*dist.Pool, error) {
 				return dist.NewLocalChaosPool(2, assembly.NewService, faulty, func(w int) *dist.ChaosConfig {
 					return hang(13+int64(w), safe)
 				})
@@ -94,7 +92,6 @@ func TestProtocolsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := *base
-			s.Cfg.Assembly.Stateful = arm.stateful
 			reg := metrics.NewRegistry()
 			s.Cfg.Metrics = reg
 			res, err := s.Assemble(pool, k, 2, 1)

@@ -59,9 +59,9 @@ go test -race \
 echo "== race: wire sweep =="
 go test -race -run Wire ./internal/dist/ ./internal/assembly/ ./internal/overlap/
 
-# Cancellation sweep: cancel-at-arbitrary-points across both protocols,
-# watchdog kick/escalate, phase budgets, pool Close/Kick lifecycles and
-# the facade signal/deadline paths (the root package is not part of the
+# Cancellation sweep: cancel-at-arbitrary-points on a healthy and on a
+# re-hosting pool, watchdog kick/escalate, phase budgets, pool Close/Kick
+# lifecycles and the facade signal/deadline paths (the root package is not part of the
 # tier-1 race list above, so the facade tests run here).
 echo "== race: cancellation chaos sweep =="
 go test -race -run 'Cancel|Watchdog|Budget|Kick|Gate|Close|Deadline' \

@@ -12,10 +12,9 @@ import (
 )
 
 // reuseConfig keeps enough coarsest-level nodes for a 16-way partition.
-func reuseConfig(stateful bool) Config {
+func reuseConfig() Config {
 	cfg := testConfig()
 	cfg.Coarsen.MinNodes = 64
-	cfg.Assembly.Stateful = stateful
 	return cfg
 }
 
@@ -25,36 +24,34 @@ func sameContigs(a, b [][]byte) bool {
 
 // TestStagesReuseSweepMatchesFreshStages: a k-sweep on one Stages — one
 // directed graph build, one clone per k — yields the contigs a fresh Stages
-// per k yields, under both worker protocols.
+// per k yields.
 func TestStagesReuseSweepMatchesFreshStages(t *testing.T) {
 	reads, _ := simReads(t, 12000, 15, 310)
-	for _, stateful := range []bool{false, true} {
-		pool, err := dist.NewLocalPool(2, assembly.NewService)
+	pool, err := dist.NewLocalPool(2, assembly.NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	shared, err := BuildStages(reads, reuseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4, 16} {
+		got, err := shared.Assemble(pool, k, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer pool.Close()
-		shared, err := BuildStages(reads, reuseConfig(stateful))
+		fresh, err := BuildStages(reads, reuseConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 4, 16} {
-			got, err := shared.Assemble(pool, k, 2, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh, err := BuildStages(reads, reuseConfig(stateful))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Assemble(pool, k, 2, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Contigs) == 0 || !sameContigs(got.Contigs, want.Contigs) {
-				t.Fatalf("stateful=%v k=%d: reused Stages gave %d contigs, a fresh one %d, or they differ",
-					stateful, k, len(got.Contigs), len(want.Contigs))
-			}
+		want, err := fresh.Assemble(pool, k, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Contigs) == 0 || !sameContigs(got.Contigs, want.Contigs) {
+			t.Fatalf("k=%d: reused Stages gave %d contigs, a fresh one %d, or they differ",
+				k, len(got.Contigs), len(want.Contigs))
 		}
 	}
 }
@@ -64,7 +61,7 @@ func TestStagesReuseSweepMatchesFreshStages(t *testing.T) {
 // graph as built.
 func TestStagesReuseTemplateUntouched(t *testing.T) {
 	reads, _ := simReads(t, 12000, 15, 311)
-	s, err := BuildStages(reads, reuseConfig(false))
+	s, err := BuildStages(reads, reuseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,41 +93,39 @@ func TestStagesReuseTemplateUntouched(t *testing.T) {
 // each returns what it returns alone.
 func TestStagesReuseConcurrentAssemble(t *testing.T) {
 	reads, _ := simReads(t, 12000, 15, 312)
-	for _, stateful := range []bool{false, true} {
-		s, err := BuildStages(reads, reuseConfig(stateful))
-		if err != nil {
+	s, err := BuildStages(reads, reuseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := dist.NewLocalPool(2, assembly.NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	ks := []int{2, 4}
+	alone := make([]*AssemblyResult, len(ks))
+	for i, k := range ks {
+		if alone[i], err = s.Assemble(pool, k, 2, 1); err != nil {
 			t.Fatal(err)
 		}
-		pool, err := dist.NewLocalPool(2, assembly.NewService)
-		if err != nil {
-			t.Fatal(err)
+	}
+	together := make([]*AssemblyResult, len(ks))
+	errs := make([]error, len(ks))
+	var wg sync.WaitGroup
+	for i, k := range ks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = s.Assemble(pool, k, 2, 1)
+		}()
+	}
+	wg.Wait()
+	for i, k := range ks {
+		if errs[i] != nil {
+			t.Fatalf("k=%d: %v", k, errs[i])
 		}
-		defer pool.Close()
-		ks := []int{2, 4}
-		alone := make([]*AssemblyResult, len(ks))
-		for i, k := range ks {
-			if alone[i], err = s.Assemble(pool, k, 2, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		together := make([]*AssemblyResult, len(ks))
-		errs := make([]error, len(ks))
-		var wg sync.WaitGroup
-		for i, k := range ks {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				together[i], errs[i] = s.Assemble(pool, k, 2, 1)
-			}()
-		}
-		wg.Wait()
-		for i, k := range ks {
-			if errs[i] != nil {
-				t.Fatalf("stateful=%v k=%d: %v", stateful, k, errs[i])
-			}
-			if !sameContigs(together[i].Contigs, alone[i].Contigs) {
-				t.Errorf("stateful=%v k=%d: concurrent run differs from the run alone", stateful, k)
-			}
+		if !sameContigs(together[i].Contigs, alone[i].Contigs) {
+			t.Errorf("k=%d: concurrent run differs from the run alone", k)
 		}
 	}
 }
