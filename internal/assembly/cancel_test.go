@@ -43,8 +43,8 @@ func cancelAtCompletions(pool *dist.Pool, n int64, cancel context.CancelCauseFun
 
 // TestCancelSweep is the cancellation acceptance sweep: runs are canceled
 // at increasing completion counts, on a healthy pool ("stateful") and on
-// one whose second worker wedges after its first Load and Phase answers,
-// so that the cancel meets partitions being re-hosted ("rehost"). Every
+// one whose second worker wedges after answering its two Loads and one
+// Phase, so that the cancel meets partitions being re-hosted ("rehost"). Every
 // canceled run must unwind promptly with the injected cause (never
 // deadlock, never return silently corrupt output), leak no goroutines,
 // and — when a phase boundary was reached — leave a checkpoint from which

@@ -100,11 +100,11 @@ func (d *Driver) extractor() *extractor {
 	return d.ext
 }
 
-// subgraphsCtx builds every partition's view in parallel, bounded by ctx: extraction abandons remaining
-// partitions once the context cancels. The caller must check ctx before
-// using the (partial) result.
+// subgraphsCtx builds every partition's view in parallel, bounded by
+// ctx: extraction abandons remaining partitions once the context cancels.
+// The caller must check ctx before using the (partial) result.
 func (d *Driver) subgraphsCtx(ctx context.Context, parts [][]int32) []Subgraph {
-	return d.extractor().subgraphsGate(parts, d.extractWorkers, par.GateFor(ctx))
+	return d.extractor().subgraphs(parts, d.extractWorkers, par.GateFor(ctx))
 }
 
 // ctxErr returns ctx's cancellation cause, or nil while it is live (or

@@ -119,17 +119,12 @@ func (x *extractor) subgraph(sc *extractScratch, part int32, local []int32) Subg
 // subgraphs extracts every partition's view over a bounded worker pool
 // (sized by par.Limit: workers <= 0 means GOMAXPROCS). Each output index
 // depends only on its partition, so the result is identical at any worker
-// count.
-func (x *extractor) subgraphs(parts [][]int32, workers int) []Subgraph {
-	return x.subgraphsGate(parts, workers, nil)
-}
-
-// subgraphsGate is subgraphs with a cancellation gate polled at the
-// per-partition grain boundary: a stopped gate abandons the remaining
-// partitions and returns a partial result (memory-safe — untouched
-// entries are zero Subgraphs), which the caller discards after checking
-// its context. A nil gate is the zero-cost uncancellable path.
-func (x *extractor) subgraphsGate(parts [][]int32, workers int, gate *par.Gate) []Subgraph {
+// count. The cancellation gate is polled at the per-partition grain
+// boundary: a stopped gate abandons the remaining partitions and returns
+// a partial result (memory-safe — untouched entries are zero Subgraphs),
+// which the caller discards after checking its context. A nil gate is the
+// zero-cost uncancellable path.
+func (x *extractor) subgraphs(parts [][]int32, workers int, gate *par.Gate) []Subgraph {
 	out := make([]Subgraph, len(parts))
 	scs := make([]*extractScratch, par.Limit(workers))
 	par.Run(len(scs), len(parts), func(w, t int) {

@@ -402,7 +402,7 @@ func subgraphsOf(g *DiGraph, labels []int32, k, workers int) []Subgraph {
 			parts[labels[v]] = append(parts[labels[v]], int32(v))
 		}
 	}
-	return (&extractor{g: g, labels: labels}).subgraphs(parts, workers)
+	return (&extractor{g: g, labels: labels}).subgraphs(parts, workers, nil)
 }
 
 // TestWireSubgraphsSerialParallel: the parallel extractor is

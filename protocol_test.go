@@ -49,7 +49,7 @@ func TestProtocolsAgree(t *testing.T) {
 	hang := func(seed int64, safe int) *dist.ChaosConfig {
 		return &dist.ChaosConfig{Seed: seed, FirstSafe: safe, HangProb: 1, HangFor: 2 * time.Second}
 	}
-	faulty := dist.Options{CallTimeout: 200 * time.Millisecond, MaxFailures: 1, Logf: t.Logf}
+	faulty := dist.Options{CallTimeout: 500 * time.Millisecond, MaxFailures: 1, Logf: t.Logf}
 	for _, k := range []int{4, 16} {
 		// Each of two workers answers the ack and its k/2 Loads, then a
 		// few phase calls: the loss lands inside the transitive phase.
