@@ -8,13 +8,12 @@ import (
 
 // This file is the master's subgraph send path: building each partition's
 // wire view (Subgraph) from the current graph, for Load, re-hosting and
-// the master's local fallback. PR 4 replaced the per-call
-// map[int32]bool + append-grown slices with per-worker epoch-stamped
-// dense mark arrays and counted presizing, and fans the per-partition
-// extractions over a bounded pool. Node order is the same first-encounter
-// order the map version produced (local ids, then each local id's out-
-// then in-neighbours), so the output — and therefore the bytes on the
-// wire — is identical at any worker count.
+// the master's local fallback. Membership is a per-worker epoch-stamped
+// dense mark array, slices are presized by counting, and the
+// per-partition extractions fan out over a bounded pool. Node order is
+// first-encounter order (local ids, then each local id's out- then
+// in-neighbours), so the output — and therefore the bytes on the wire —
+// is identical at any worker count.
 
 // extractScratch is one extractor worker's reusable state.
 type extractScratch struct {
