@@ -12,6 +12,7 @@ import (
 	"focus/internal/graph"
 	"focus/internal/hybrid"
 	"focus/internal/overlap"
+	"focus/internal/par"
 )
 
 // Edge is a directed overlap between two hybrid-graph contigs: To's contig
@@ -136,12 +137,24 @@ func (g *DiGraph) liveIn(v int32) []Edge {
 // contig placement, and the median placement orients the edge.
 //
 // h.G already names every pair that can receive a vote, so the votes are
-// bucketed by h.G's CSR arc slot with a counting sort (identities summed in
-// record order) and Out/In are carved from one arena, each list ascending by
-// neighbour. recs must be the records h was built from: a record that names
-// a read outside h.RepOf, or whose ends lie in hybrid nodes h.G does not
-// join, is an error.
+// bucketed by h.G's CSR arc slot with a counting sort that runs on chunks
+// of records in parallel (each slot's votes, and so its median and its
+// identity sum, in record order) and Out/In are carved from one arena,
+// each list ascending by neighbour. recs must be the records h was built
+// from: a record that names a read outside h.RepOf, or whose ends lie in
+// hybrid nodes h.G does not join, is an error.
 func BuildDiGraph(h *hybrid.Hybrid, recs []overlap.Record) (*DiGraph, error) {
+	return buildDiGraph(h, recs, 0)
+}
+
+// voteGrain is the record count below which one more vote-pass worker does
+// not pay for its slot-sized count array.
+const voteGrain = 1 << 15
+
+// buildDiGraph is BuildDiGraph with the record vote pass on at most workers
+// goroutines (<= 0 lets the par governor size it). The graph is identical
+// at any width.
+func buildDiGraph(h *hybrid.Hybrid, recs []overlap.Record, workers int) (*DiGraph, error) {
 	n := len(h.Nodes)
 	if h.G == nil {
 		return nil, fmt.Errorf("assembly: digraph: hybrid has no graph")
@@ -177,47 +190,104 @@ func BuildDiGraph(h *hybrid.Hybrid, recs []overlap.Record) (*DiGraph, error) {
 		slotOff[v+1] = slotOff[v] + int32(h.G.Degree(v))
 	}
 	numSlots := slotOff[n]
-	type vote struct{ slot, diag int32 }
-	var votes []vote
-	voteOff := make([]int32, numSlots+1)
-	idents := make([]float64, numSlots)
-	for ri, r := range recs {
+
+	// slotOf places record ri: the slot of the pair its ends' hybrid nodes
+	// form, or -1 for a record inside one hybrid node. Records come sorted
+	// by read pair, so runs of them join the same two hybrid nodes: last
+	// remembers the previous pair's slot.
+	type pairSlot struct {
+		lo, hi int
+		slot   int32
+	}
+	slotOf := func(ri int, last *pairSlot) (int32, error) {
+		r := recs[ri]
 		if r.A < 0 || int(r.A) >= numReads || r.B < 0 || int(r.B) >= numReads {
-			return nil, fmt.Errorf("assembly: digraph: record %d (%d,%d) names a read outside [0,%d)", ri, r.A, r.B, numReads)
+			return 0, fmt.Errorf("assembly: digraph: record %d (%d,%d) names a read outside [0,%d)", ri, r.A, r.B, numReads)
 		}
-		ra, rb := h.RepOf[r.A], h.RepOf[r.B]
-		if ra == rb {
-			continue
+		lo, hi := h.RepOf[r.A], h.RepOf[r.B]
+		if lo == hi {
+			return -1, nil
 		}
-		if ra < 0 || ra >= n || rb < 0 || rb >= n {
-			return nil, fmt.Errorf("assembly: digraph: record %d maps to hybrid nodes (%d,%d), outside [0,%d)", ri, ra, rb, n)
+		if lo < 0 || lo >= n || hi < 0 || hi >= n {
+			return 0, fmt.Errorf("assembly: digraph: record %d maps to hybrid nodes (%d,%d), outside [0,%d)", ri, lo, hi, n)
 		}
-		lo, hi := ra, rb
-		// Position of hi's contig start in lo's contig coordinates.
-		d := readOff[r.A] + r.Diag - readOff[r.B]
 		if lo > hi {
 			lo, hi = hi, lo
-			d = -d
 		}
-		adj := h.G.Adj(lo)
-		i, found := slices.BinarySearchFunc(adj, hi, func(a graph.Arc, to int) int { return a.To - to })
-		if !found {
-			return nil, fmt.Errorf("assembly: digraph: record %d crosses hybrid nodes %d and %d, which the hybrid graph does not join", ri, lo, hi)
+		if lo != last.lo || hi != last.hi {
+			i, found := slices.BinarySearchFunc(h.G.Adj(lo), hi, func(a graph.Arc, to int) int { return a.To - to })
+			if !found {
+				return 0, fmt.Errorf("assembly: digraph: record %d crosses hybrid nodes %d and %d, which the hybrid graph does not join", ri, lo, hi)
+			}
+			*last = pairSlot{lo, hi, slotOff[lo] + int32(i)}
 		}
-		slot := slotOff[lo] + int32(i)
-		votes = append(votes, vote{slot, d})
-		voteOff[slot+1]++
-		idents[slot] += float64(r.Identity)
+		return last.slot, nil
 	}
+
+	// The vote pass runs on contiguous record chunks, one per worker. The
+	// first sweep notes every record's slot and counts each chunk's votes
+	// per slot; a chunk stops at its first bad record, and the lowest
+	// chunk's is reported. A prefix over (slot, chunk) then gives every
+	// chunk its write cursors, and the second sweep puts each vote's
+	// diagonal and identity there, so each slot's votes lie in record order
+	// at any width.
+	slots := make([]int32, len(recs))
+	w := par.Workers(workers, len(recs), voteGrain)
+	chunk := func(c int) (lo, hi int) { return len(recs) * c / w, len(recs) * (c + 1) / w }
+	counts := make([][]int32, w)
+	errs := make([]error, w)
+	par.Run(w, w, func(_, c int) {
+		count := make([]int32, numSlots)
+		last := pairSlot{lo: -1}
+		lo, hi := chunk(c)
+		for ri := lo; ri < hi; ri++ {
+			slot, err := slotOf(ri, &last)
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			slots[ri] = slot
+			if slot >= 0 {
+				count[slot]++
+			}
+		}
+		counts[c] = count
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	voteOff := make([]int32, numSlots+1)
 	for s := int32(0); s < numSlots; s++ {
-		voteOff[s+1] += voteOff[s]
+		at := voteOff[s]
+		for _, count := range counts {
+			count[s], at = at, at+count[s]
+		}
+		voteOff[s+1] = at
 	}
-	diags := make([]int32, len(votes))
-	fill := make([]int32, numSlots)
-	for _, v := range votes {
-		diags[voteOff[v.slot]+fill[v.slot]] = v.diag
-		fill[v.slot]++
-	}
+	diags := make([]int32, voteOff[numSlots])
+	voteIdents := make([]float32, voteOff[numSlots])
+	par.Run(w, w, func(_, c int) {
+		at := counts[c]
+		lo, hi := chunk(c)
+		for ri := lo; ri < hi; ri++ {
+			slot := slots[ri]
+			if slot < 0 {
+				continue
+			}
+			// Position of the higher node's contig start in the lower
+			// node's contig coordinates.
+			r := recs[ri]
+			d := readOff[r.A] + r.Diag - readOff[r.B]
+			if h.RepOf[r.A] > h.RepOf[r.B] {
+				d = -d
+			}
+			diags[at[slot]] = d
+			voteIdents[at[slot]] = r.Identity
+			at[slot]++
+		}
+	})
 
 	// One edge per voted pair, in (lo, hi) order: every list of Out and In
 	// then fills in ascending neighbour order, lower neighbours first.
@@ -232,7 +302,12 @@ func BuildDiGraph(h *hybrid.Hybrid, recs []overlap.Record) (*DiGraph, error) {
 			}
 			slices.Sort(ds)
 			d := int(ds[len(ds)/2]) // median placement
-			ident := float32(idents[slot] / float64(len(ds)))
+			// Identities are summed in record order, as the votes lie.
+			var identSum float64
+			for _, x := range voteIdents[voteOff[slot]:voteOff[slot+1]] {
+				identSum += float64(x)
+			}
+			ident := float32(identSum / float64(len(ds)))
 			e := placeEdge(int32(lo), int32(a.To), d, len(g.Contigs[lo]), len(g.Contigs[a.To]), ident)
 			if e.Len <= 0 {
 				continue // crossing records imply no usable contig overlap

@@ -82,20 +82,27 @@ func BenchmarkSubgraphExtract(b *testing.B) {
 // BenchmarkBuildDiGraph builds the directed graph of one genome sampled at
 // 30x with sequencing errors (the shape of the benchmark's k-sweep: many
 // records, most inside a cluster, hundreds of hybrid nodes) by the
-// production counting sort and by the map oracle it replaced.
+// production counting sort, with its vote pass serial and on the governor's
+// pool, and by the map oracle it replaced.
 func BenchmarkBuildDiGraph(b *testing.B) {
 	h, recs := pipelineHybrid(b, sampleReads(b, simulate.SingleGenome("bench", 20000, 1), 1, 30), 2)
 	b.Logf("%d records, %d hybrid nodes", len(recs), len(h.Nodes))
-	b.Run("slots", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g, err := BuildDiGraph(h, recs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			liveSink = len(g.Out)
+	for _, w := range []int{1, 0} {
+		name := "slots_serial"
+		if w == 0 {
+			name = "slots"
 		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := buildDiGraph(h, recs, w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				liveSink = len(g.Out)
+			}
+		})
+	}
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

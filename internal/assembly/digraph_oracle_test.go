@@ -1,6 +1,7 @@
 package assembly
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -98,15 +99,30 @@ func buildDiGraphMap(h *hybrid.Hybrid, recs []overlap.Record) *DiGraph {
 	return g
 }
 
-// requireMatchesMap builds the digraph both ways and requires every field
-// deeply equal: Ident bits, Diag, Len, Contain, list order and nil-vs-empty.
+// digraphWidths are the vote-pass widths the oracle tests build at.
+var digraphWidths = []int{1, 2, 8}
+
+// requireMatchesMap builds the digraph both ways, the counting-sort build at
+// every width of digraphWidths, and requires every field deeply equal: Ident
+// bits, Diag, Len, Contain, list order and nil-vs-empty.
 func requireMatchesMap(t *testing.T, name string, h *hybrid.Hybrid, recs []overlap.Record) *DiGraph {
 	t.Helper()
-	got, err := BuildDiGraph(h, recs)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
 	want := buildDiGraphMap(h, recs)
+	var got *DiGraph
+	for _, w := range digraphWidths {
+		var err error
+		got, err = buildDiGraph(h, recs, w)
+		if err != nil {
+			t.Fatalf("%s at width %d: %v", name, w, err)
+		}
+		requireSameDiGraph(t, fmt.Sprintf("%s at width %d", name, w), got, want)
+	}
+	return got
+}
+
+// requireSameDiGraph requires got deeply equal to the map oracle's want.
+func requireSameDiGraph(t *testing.T, name string, got, want *DiGraph) {
+	t.Helper()
 	for _, f := range []struct {
 		field     string
 		got, want any
@@ -122,7 +138,6 @@ func requireMatchesMap(t *testing.T, name string, h *hybrid.Hybrid, recs []overl
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return got
 }
 
 // randomHybrid draws a hybrid directly — random clusters, layout offsets,
@@ -242,7 +257,8 @@ func TestBuildDiGraphMatchesMapOracle(t *testing.T) {
 
 // TestBuildDiGraphRejectsInconsistentInput: each input the map build
 // answered with an index panic or a silently mis-bucketed edge is an error
-// naming what is wrong.
+// naming what is wrong, at every vote-pass width; with two bad records in
+// different chunks, the lower index is the one named.
 func TestBuildDiGraphRejectsInconsistentInput(t *testing.T) {
 	h, recs := randomHybrid(t, 1)
 	crossing := -1
@@ -264,6 +280,10 @@ func TestBuildDiGraphRejectsInconsistentInput(t *testing.T) {
 	badRep[recs[crossing].A] = len(h.Nodes)
 	badNodes := append([]hybrid.Node(nil), h.Nodes...)
 	badNodes[0].Members = []int{len(h.RepOf)}
+	// Records 1 and last lie in different chunks at every width above 1.
+	last := len(recs) - 1
+	twoBad := with(1, overlap.Record{A: 0, B: int32(len(h.RepOf))})
+	twoBad[last] = overlap.Record{A: -1, B: 0}
 	// A graph over the same nodes that joins nothing.
 	edgeless, _ := graph.ContractWithWeightsCtx(nil, graph.NewBuilder(len(h.RepOf)).Build(), h.RepOf, make([]int64, len(h.Nodes)), 1)
 	short := graph.NewBuilder(len(h.Nodes) - 1).Build()
@@ -281,14 +301,18 @@ func TestBuildDiGraphRejectsInconsistentInput(t *testing.T) {
 		{"nil graph", hybrid.Hybrid{Nodes: h.Nodes, RepOf: h.RepOf}, recs, "no graph"},
 		{"node count mismatch", hybrid.Hybrid{Nodes: h.Nodes, RepOf: h.RepOf, G: short}, recs, "hybrid nodes"},
 		{"pair absent from G", hybrid.Hybrid{Nodes: h.Nodes, RepOf: h.RepOf, G: edgeless}, recs, "record " + strconv.Itoa(crossing) + " "},
+		{"bad last record", *h, with(last, overlap.Record{A: -1, B: 0}), "record " + strconv.Itoa(last) + " "},
+		{"bad records 1 and last", *h, twoBad, "record 1 "},
 	} {
-		g, err := BuildDiGraph(&tc.h, tc.recs)
-		if err == nil || g != nil {
-			t.Errorf("%s: accepted (err %v)", tc.name, err)
-			continue
-		}
-		if !strings.HasPrefix(err.Error(), "assembly: digraph: ") || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %q, want an assembly: digraph: error containing %q", tc.name, err, tc.want)
+		for _, w := range digraphWidths {
+			g, err := buildDiGraph(&tc.h, tc.recs, w)
+			if err == nil || g != nil {
+				t.Errorf("%s at width %d: accepted (err %v)", tc.name, w, err)
+				continue
+			}
+			if !strings.HasPrefix(err.Error(), "assembly: digraph: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s at width %d: err = %q, want an assembly: digraph: error containing %q", tc.name, w, err, tc.want)
+			}
 		}
 	}
 }

@@ -74,22 +74,25 @@ func Build(mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config)
 // the next per-cluster boundary (and the contractions at their chunk
 // boundaries) and returns the context's cause. A nil ctx never cancels.
 func BuildCtx(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config) (*Hybrid, error) {
-	return build(ctx, mset, reads, recs, cfg, 0)
+	h, _, err := build(ctx, mset, reads, recs, cfg, 0)
+	return h, err
 }
 
 // build is BuildCtx with the per-cluster layout pool (each worker owns its
-// own layoutScratch) and the contractions bounded by workers (<= 0 lets
-// the par governor size them). The output is identical at any width:
-// clusters at one level are disjoint, and representatives are committed
-// serially in cluster order after the parallel tests.
-func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config, workers int) (*Hybrid, error) {
+// own layoutScratch), the incidence fill and the contractions bounded by
+// workers (<= 0 lets the par governor size them). The output is identical
+// at any width: clusters at one level are disjoint, and representatives
+// are committed serially in cluster order after the parallel tests. skipped
+// counts the clusters not tested because they hold the same reads as their
+// parent, which failed.
+func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overlap.Record, cfg Config, workers int) (h *Hybrid, skipped int, err error) {
 	gate := par.GateFor(ctx)
 	if err := mset.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	g0 := mset.Levels[0]
 	if g0.NumNodes() != len(reads) {
-		return nil, fmt.Errorf("hybrid: %d reads for %d graph nodes", len(reads), g0.NumNodes())
+		return nil, 0, fmt.Errorf("hybrid: %d reads for %d graph nodes", len(reads), g0.NumNodes())
 	}
 	if cfg.PosTolerance <= 0 {
 		cfg.PosTolerance = DefaultConfig().PosTolerance
@@ -98,28 +101,18 @@ func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overla
 		cfg.RequireOverlap = DefaultConfig().RequireOverlap
 	}
 
-	inc, err := buildIncidence(len(reads), recs)
+	rk, err := rankClusters(mset)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	inc, err := buildIncidence(rk.start[0], recs, workers)
+	if err != nil {
+		return nil, 0, err
 	}
 
-	// assign[v] = current node of level L containing G0 node v.
 	n0 := g0.NumNodes()
 	levels := len(mset.Levels)
-	// Cumulative assignment per level.
-	assignAt := make([][]int, levels)
-	assignAt[0] = make([]int, n0)
-	for v := range assignAt[0] {
-		assignAt[0][v] = v
-	}
-	for i := 1; i < levels; i++ {
-		assignAt[i] = make([]int, n0)
-		for v := 0; v < n0; v++ {
-			assignAt[i][v] = mset.Up[i-1][assignAt[i-1][v]]
-		}
-	}
-
-	h := &Hybrid{RepOf: make([]int, n0)}
+	h = &Hybrid{RepOf: make([]int, n0)}
 	for v := range h.RepOf {
 		h.RepOf[v] = -1
 	}
@@ -132,27 +125,26 @@ func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overla
 	// graph — is identical at any worker count.
 	width := par.Limit(workers)
 	scratches := make([]*layoutScratch, width)
-	scratches[0] = newLayoutScratch(n0, reads, inc, cfg)
 	type layoutResult struct {
 		node Node
 		ok   bool
 	}
-	var cands [][]int
+	var cands []int32
 	var results []layoutResult
-	var clusters clustering
 	for level := levels - 1; level >= 0; level-- {
-		numClusters := mset.Levels[level].NumNodes()
-		clusters.group(assignAt[level], numClusters)
+		start, size := rk.start[level], rk.size[level]
 		cands = cands[:0]
-		for c := 0; c < numClusters; c++ {
-			members := clusters.of(c)
-			if len(members) == 0 {
-				continue
-			}
-			if h.RepOf[members[0]] != -1 {
+		for c := range start {
+			if h.RepOf[rk.perm[start[c]]] != -1 {
 				continue // already covered by a higher-level representative
 			}
-			cands = append(cands, members)
+			// An uncovered cluster with as many reads as its parent holds
+			// exactly the parent's reads, and the parent failed the test.
+			if level+1 < levels && size[c] == rk.size[level+1][mset.Up[level][c]] {
+				skipped++
+				continue
+			}
+			cands = append(cands, int32(c))
 		}
 		if cap(results) < len(cands) {
 			results = make([]layoutResult, len(cands))
@@ -161,28 +153,29 @@ func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overla
 		// A layout test touches a whole cluster; a handful per worker
 		// already pays for the fan-out, so the grain is small.
 		w := par.Workers(workers, len(cands), 64)
-		for p := 1; p < w; p++ {
+		for p := 0; p < w; p++ {
 			if scratches[p] == nil {
-				scratches[p] = newLayoutScratch(n0, reads, inc, cfg)
+				scratches[p] = &layoutScratch{reads: reads, perm: rk.perm, inc: inc, cfg: cfg}
 			}
 		}
 		par.Run(w, len(cands), func(p, i int) {
 			if gate.Stopped() {
 				return
 			}
-			node, ok := scratches[p].tryLayout(cands[i], level)
+			lo := int(start[cands[i]])
+			node, ok := scratches[p].tryLayout(lo, lo+int(size[cands[i]]), level)
 			results[i] = layoutResult{node, ok}
 		})
 		if gate.Stopped() {
-			return nil, gate.Err()
+			return nil, 0, gate.Err()
 		}
-		for i, members := range cands {
+		for i := range cands {
 			if !results[i].ok {
 				continue // not linear; descend to children
 			}
 			id := len(h.Nodes)
 			h.Nodes = append(h.Nodes, results[i].node)
-			for _, m := range members {
+			for _, m := range results[i].node.Members {
 				h.RepOf[m] = id
 			}
 		}
@@ -190,7 +183,7 @@ func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overla
 	// Level-0 singletons are always linear, so everything is covered.
 	for v, r := range h.RepOf {
 		if r == -1 {
-			return nil, fmt.Errorf("hybrid: node %d uncovered (internal error)", v)
+			return nil, 0, fmt.Errorf("hybrid: node %d uncovered (internal error)", v)
 		}
 	}
 
@@ -202,187 +195,215 @@ func build(ctx context.Context, mset *graph.Set, reads []dna.Read, recs []overla
 	}
 	h.G, err = graph.ContractWithWeightsCtx(ctx, g0, h.RepOf, nw, width)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 
 	// Hybrid graph set: at level i, nodes of Gi whose cluster belongs to a
 	// representative chosen at level >= i collapse into that
 	// representative; the rest stay as themselves (paper Fig. 1B).
-	set, err := buildHybridSet(ctx, mset, assignAt, h, width)
+	h.Set, err = buildHybridSet(ctx, mset, rk, h, width)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	h.Set = set
-	return h, nil
+	return h, skipped, nil
 }
 
-// incident is one end of an overlap record seen from a G0 node: the read at
-// the other end and the signed diagonal, pos(other) = pos(node) + diag.
+// ranks orders the G0 nodes so that every node of every multilevel level
+// is one contiguous range of ranks: the coarsest level's nodes in id
+// order, and within each node its children in id order, recursively.
+// A cluster test then names its reads by a range, and membership is a
+// range test instead of an n0-sized bitmap.
+type ranks struct {
+	perm  []int32   // perm[r] = G0 node at rank r
+	start [][]int32 // start[i][c] = first rank of level-i node c; start[0] ranks G0
+	size  [][]int32 // size[i][c] = G0 nodes under level-i node c
+}
+
+// rankClusters sizes every level's nodes bottom-up through mset.Up, then
+// places them top-down: one stable counting sort per level, each node
+// taking the next free ranks of its parent's range in child id order.
+func rankClusters(mset *graph.Set) (*ranks, error) {
+	levels := len(mset.Levels)
+	rk := &ranks{start: make([][]int32, levels), size: make([][]int32, levels)}
+	for i, g := range mset.Levels {
+		rk.size[i] = make([]int32, g.NumNodes())
+	}
+	for v := range rk.size[0] {
+		rk.size[0][v] = 1
+	}
+	for i, up := range mset.Up {
+		for v, p := range up {
+			rk.size[i+1][p] += rk.size[i][v]
+		}
+	}
+	for i, size := range rk.size {
+		for v, s := range size {
+			if s == 0 {
+				return nil, fmt.Errorf("hybrid: level %d node %d has no members", i, v)
+			}
+		}
+	}
+	top := levels - 1
+	rk.start[top] = make([]int32, len(rk.size[top]))
+	var next int32
+	for c, s := range rk.size[top] {
+		rk.start[top][c] = next
+		next += s
+	}
+	for i := top - 1; i >= 0; i-- {
+		cursor := slices.Clone(rk.start[i+1])
+		start := make([]int32, len(rk.size[i]))
+		for v, p := range mset.Up[i] {
+			start[v] = cursor[p]
+			cursor[p] += rk.size[i][v]
+		}
+		rk.start[i] = start
+	}
+	rk.perm = make([]int32, len(rk.start[0]))
+	for v, r := range rk.start[0] {
+		rk.perm[r] = int32(v)
+	}
+	return rk, nil
+}
+
+// incident is one end of an overlap record seen from a G0 node: the rank of
+// the read at the other end and the signed diagonal,
+// pos(other) = pos(node) + diag.
 type incident struct{ other, diag int32 }
 
-// incidence is the per-node record incidence in one flat array:
-// arcs[off[v]:off[v+1]] are v's incidents in record order, so the layout
+// incidence is the per-node record incidence in one flat array, by rank:
+// arcs[off[r]:off[r+1]] are the incidents of the read at rank r in record
+// order, so a cluster's incidents are one contiguous run and the layout
 // BFS reads a node's neighbours sequentially.
 type incidence struct {
 	off  []int32
 	arcs []incident
 }
 
-func (inc *incidence) of(v int) []incident { return inc.arcs[inc.off[v]:inc.off[v+1]] }
+func (inc *incidence) of(r int) []incident { return inc.arcs[inc.off[r]:inc.off[r+1]] }
 
-// buildIncidence counting-sorts both ends of every record by node. The fill
-// runs in record order, which fixes the order of each node's incidents and
-// with it the BFS order of every layout test.
-func buildIncidence(n int, recs []overlap.Record) (*incidence, error) {
-	off := make([]int32, n+1)
-	for ri, r := range recs {
-		if r.A < 0 || int(r.A) >= n || r.B < 0 || int(r.B) >= n {
+// incidenceGrain is the record count below which one more worker does not
+// pay for its n-sized count array.
+const incidenceGrain = 1 << 16
+
+// buildIncidence counting-sorts both ends of every record by rank (rank[v]
+// is G0 node v's rank). Records split into contiguous chunks, one per
+// worker: each chunk counts its ends per rank, a prefix over (rank, chunk)
+// gives every chunk its write cursors, and each chunk fills in record
+// order. A node's incidents therefore stay in record order at any width,
+// which fixes the BFS order of every layout test. An invalid record is
+// reported by its lowest index.
+func buildIncidence(rank []int32, recs []overlap.Record, workers int) (*incidence, error) {
+	n := len(rank)
+	w := par.Workers(workers, len(recs), incidenceGrain)
+	cursor := make([][]int32, w)
+	bad := make([]int, w)
+	par.Run(w, w, func(_, c int) {
+		count := make([]int32, n)
+		bad[c] = -1
+		lo, hi := len(recs)*c/w, len(recs)*(c+1)/w
+		for ri := lo; ri < hi; ri++ {
+			r := recs[ri]
+			if r.A < 0 || int(r.A) >= n || r.B < 0 || int(r.B) >= n {
+				bad[c] = ri
+				return
+			}
+			count[rank[r.A]]++
+			count[rank[r.B]]++
+		}
+		cursor[c] = count
+	})
+	for _, ri := range bad {
+		if ri >= 0 {
+			r := recs[ri]
 			return nil, fmt.Errorf("hybrid: record %d (%d,%d) out of range [0,%d)", ri, r.A, r.B, n)
 		}
-		off[r.A+1]++
-		off[r.B+1]++
 	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
+	off := make([]int32, n+1)
+	for r := 0; r < n; r++ {
+		at := off[r]
+		for c := range cursor {
+			cursor[c][r], at = at, at+cursor[c][r]
+		}
+		off[r+1] = at
 	}
 	arcs := make([]incident, off[n])
-	cursor := make([]int32, n)
-	copy(cursor, off[:n])
-	for _, r := range recs {
-		arcs[cursor[r.A]] = incident{r.B, r.Diag}
-		cursor[r.A]++
-		arcs[cursor[r.B]] = incident{r.A, -r.Diag}
-		cursor[r.B]++
-	}
+	par.Run(w, w, func(_, c int) {
+		at := cursor[c]
+		for _, r := range recs[len(recs)*c/w : len(recs)*(c+1)/w] {
+			a, b := rank[r.A], rank[r.B]
+			arcs[at[a]] = incident{b, r.Diag}
+			at[a]++
+			arcs[at[b]] = incident{a, -r.Diag}
+			at[b]++
+		}
+	})
 	return &incidence{off: off, arcs: arcs}, nil
 }
 
-// clustering groups G0 node ids by their node at one level, in one flat
-// array whose buffers are reused from level to level.
-type clustering struct {
-	off     []int32
-	members []int
-}
-
-// group counting-sorts the G0 nodes by assign (values in [0,numClusters));
-// each cluster lists its members in ascending id.
-func (cl *clustering) group(assign []int, numClusters int) {
-	cl.off = slices.Grow(cl.off[:0], numClusters+2)[:numClusters+2]
-	clear(cl.off)
-	// off[c+2] counts cluster c, so that after the prefix sum off[c+1] is
-	// c's write cursor and, once filled, c's end.
-	for _, c := range assign {
-		cl.off[c+2]++
-	}
-	for c := 0; c < numClusters; c++ {
-		cl.off[c+2] += cl.off[c+1]
-	}
-	cl.members = slices.Grow(cl.members[:0], len(assign))[:len(assign)]
-	for v, c := range assign {
-		cl.members[cl.off[c+1]] = v
-		cl.off[c+1]++
-	}
-}
-
-// of returns cluster c's members; the view is valid until the next group.
-func (cl *clustering) of(c int) []int { return cl.members[cl.off[c]:cl.off[c+1]] }
-
-// buildHybridSet contracts every multilevel level by the representative
-// assignment to produce the hybrid set and its up-maps.
-func buildHybridSet(ctx context.Context, mset *graph.Set, assignAt [][]int, h *Hybrid, workers int) (*graph.Set, error) {
-	levels := len(mset.Levels)
-	set := &graph.Set{}
-	// groupOf[i][v] = hybrid-set node of level-i node v; sizes[i] = count.
-	groupOf := make([][]int, levels)
-	for i := 0; i < levels; i++ {
+// buildHybridSet builds the hybrid set level by level, each level
+// contracted from the one below it rather than from the multilevel graph:
+// hybrid-set level i is G_i contracted by group_i, and since G_i is G_{i-1}
+// contracted by mset.Up[i-1] and every group is a union of whole clusters
+// of the level below, that is exactly hybrid-set level i-1 contracted by
+// Set.Up[i-1]. Node weights are summed from G_i.
+func buildHybridSet(ctx context.Context, mset *graph.Set, rk *ranks, h *Hybrid, workers int) (*graph.Set, error) {
+	set := &graph.Set{Levels: []*graph.Graph{h.G}}
+	// below[v] = hybrid-set node of level-(i-1) node v; at level 0 every
+	// node's representative qualifies, so it is RepOf and set level 0 is
+	// G'0 itself (G0's nodes weigh 1, so the summed weights are the
+	// cluster sizes): h.G is shared, not rebuilt.
+	below := h.RepOf
+	repSlot := make([]int, len(h.Nodes))
+	for i := 1; i < len(mset.Levels); i++ {
 		gi := mset.Levels[i]
-		// First member of each level-i node.
-		first := make([]int, gi.NumNodes())
-		for v := range first {
-			first[v] = -1
-		}
-		for v0, c := range assignAt[i] {
-			if first[c] == -1 {
-				first[c] = v0
-			}
-		}
+		// Slot layout: representatives chosen at level >= i first, in
+		// rep-id order, then the surviving plain level-i nodes in id order.
+		// group[v] holds v's representative as -1-r until the slots are
+		// known.
 		group := make([]int, gi.NumNodes())
-		// Slot layout: representatives first (in rep-id order, so that
-		// level 0 of the hybrid set uses exactly the hybrid node ids),
-		// then the surviving plain level-i nodes in id order.
-		// repSlot[r] = dense slot of representative r, or -1. Slots are
-		// assigned in ascending rep-id order, so level 0 of the hybrid
-		// set uses exactly the hybrid node ids.
-		repSlot := make([]int, len(h.Nodes))
 		for r := range repSlot {
 			repSlot[r] = -1
 		}
-		repFor := make([]int, gi.NumNodes()) // rep id, or -1 for plain
-		for v := 0; v < gi.NumNodes(); v++ {
-			m := first[v]
-			if m == -1 {
-				return nil, fmt.Errorf("hybrid: level %d node %d has no members", i, v)
-			}
-			r := h.RepOf[m]
+		for v, lo := range rk.start[i] {
+			r := h.RepOf[rk.perm[lo]]
 			if h.Nodes[r].Level >= i {
-				repFor[v] = r
+				group[v] = -1 - r
 				repSlot[r] = 0
-			} else {
-				repFor[v] = -1
 			}
 		}
 		next := 0
-		for r := range repSlot {
-			if repSlot[r] == 0 {
+		for r, s := range repSlot {
+			if s == 0 {
 				repSlot[r] = next
 				next++
 			}
 		}
-		for v := 0; v < gi.NumNodes(); v++ {
-			if r := repFor[v]; r != -1 {
-				group[v] = repSlot[r]
+		for v, x := range group {
+			if x < 0 {
+				group[v] = repSlot[-1-x]
 			} else {
 				group[v] = next
 				next++
 			}
 		}
-		groupOf[i] = group
-		// Contract level i by group: weights sum within groups, crossing
-		// edges merge, all on the bounded worker pool. At level 0 every
-		// node's representative qualifies, so group is RepOf and the
-		// contraction is G'0 itself (G0's nodes weigh 1, so the summed
-		// weights are the cluster sizes): h.G is shared, not rebuilt.
-		ci := h.G
-		if i > 0 {
-			var err error
-			ci, err = graph.ContractCtx(ctx, gi, group, next, workers)
-			if err != nil {
-				return nil, err
-			}
+		nw := make([]int64, next)
+		for v, x := range group {
+			nw[x] += gi.NodeWeight(v)
+		}
+		// Up-map: every level-(i-1) node's hybrid-set node moves to the
+		// set node of its multilevel parent (one value per set node).
+		up := make([]int, set.Levels[i-1].NumNodes())
+		for v, x := range below {
+			up[x] = group[mset.Up[i-1][v]]
+		}
+		ci, err := graph.ContractWithWeightsCtx(ctx, set.Levels[i-1], up, nw, workers)
+		if err != nil {
+			return nil, err
 		}
 		set.Levels = append(set.Levels, ci)
-	}
-	// Up-maps: follow any G0 member through the next level's grouping.
-	for i := 0; i+1 < levels; i++ {
-		// memberOf[x] = some G0 node inside hybrid-set node x at level i.
-		member := make([]int, set.Levels[i].NumNodes())
-		for x := range member {
-			member[x] = -1
-		}
-		for v0 := range assignAt[i] {
-			x := groupOf[i][assignAt[i][v0]]
-			if member[x] == -1 {
-				member[x] = v0
-			}
-		}
-		up := make([]int, set.Levels[i].NumNodes())
-		for x, m := range member {
-			if m == -1 {
-				return nil, fmt.Errorf("hybrid: set level %d node %d empty", i, x)
-			}
-			up[x] = groupOf[i+1][assignAt[i+1][m]]
-		}
 		set.Up = append(set.Up, up)
+		below = group
 	}
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("hybrid: invalid set: %w", err)
@@ -391,41 +412,39 @@ func buildHybridSet(ctx context.Context, mset *graph.Set, assignAt [][]int, h *H
 }
 
 // layoutScratch holds reusable state for cluster layout tests. Each
-// worker owns exactly one scratch: the dense n-sized bitmaps are reset
-// on exit from every tryLayout call, and the variable-size buffers
-// (queue, order, pairs, counts) are truncated and reused so steady-state
-// layout tests allocate only their accepted Node results.
+// worker owns exactly one scratch. Its state is cluster-local, indexed by
+// rank minus the cluster's first rank: pos, visited and mark grow to the
+// largest cluster seen and are reset per test (mark by bumping epoch),
+// and the variable-size buffers (queue, order, counts) are truncated and
+// reused, so steady-state layout tests allocate only their accepted Node
+// results.
 type layoutScratch struct {
 	reads   []dna.Read
+	perm    []int32 // rank -> G0 node
 	inc     *incidence
 	cfg     Config
-	inSet   []bool // membership bitmap, reset after each use
 	pos     []int
 	visited []bool
-	queue   []int      // BFS worklist
+	queue   []int32    // BFS worklist
 	order   []placed   // members sorted by (offset, id)
 	mark    []int64    // record-backed partner stamps (epoch-keyed)
 	epoch   int64      // current stamp; bumped instead of clearing mark
 	counts  [][4]int32 // consensus vote columns
 }
 
-// placed is a cluster member at its normalized layout offset.
-type placed struct{ v, off int }
+// placed is a cluster member (G0 node v, at local rank k) at its normalized
+// layout offset.
+type placed struct{ v, k, off int }
 
-func newLayoutScratch(n int, reads []dna.Read, inc *incidence, cfg Config) *layoutScratch {
-	return &layoutScratch{
-		reads: reads, inc: inc, cfg: cfg,
-		inSet: make([]bool, n), pos: make([]int, n), visited: make([]bool, n),
-		mark: make([]int64, n),
-	}
-}
-
-// tryLayout tests whether the cluster is linear (every overlap-implied
-// position is consistent and the cluster is one connected block) and, if
-// so, assembles its consensus contig.
-func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
-	if len(members) == 1 {
-		v := members[0]
+// tryLayout tests whether the cluster of ranks [lo, hi) is linear (every
+// overlap-implied position is consistent and the cluster is one connected
+// block) and, if so, assembles its consensus contig. The BFS starts at the
+// member with the smallest G0 id and walks each member's incidents in
+// record order.
+func (s *layoutScratch) tryLayout(lo, hi, level int) (Node, bool) {
+	size := hi - lo
+	if size == 1 {
+		v := int(s.perm[lo])
 		return Node{
 			Level:   level,
 			Members: []int{v},
@@ -433,33 +452,35 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 			Offsets: []int{0},
 		}, true
 	}
-	for _, m := range members {
-		s.inSet[m] = true
+	members := s.perm[lo:hi]
+	s.pos = slices.Grow(s.pos[:0], size)[:size]
+	s.visited = slices.Grow(s.visited[:0], size)[:size]
+	clear(s.visited)
+	if len(s.mark) < size {
+		s.mark = append(s.mark, make([]int64, size-len(s.mark))...)
 	}
-	defer func() {
-		for _, m := range members {
-			s.inSet[m] = false
-			s.visited[m] = false
-		}
-	}()
 
-	// BFS position propagation from members[0].
-	start := members[0]
+	// BFS position propagation from the smallest G0 id, in local ranks.
+	start := 0
+	for k, v := range members {
+		if v < members[start] {
+			start = k
+		}
+	}
 	s.pos[start] = 0
 	s.visited[start] = true
-	queue := append(s.queue[:0], start)
+	queue := append(s.queue[:0], int32(start))
 	head := 0
-	count := 1
 	ok := true
 	for head < len(queue) && ok {
-		v := queue[head]
+		k := int(queue[head])
 		head++
-		for _, e := range s.inc.of(v) {
-			u := int(e.other)
-			if !s.inSet[u] {
-				continue
+		for _, e := range s.inc.of(lo + k) {
+			u := int(e.other) - lo
+			if uint(u) >= uint(size) {
+				continue // outside the cluster
 			}
-			p := s.pos[v] + int(e.diag)
+			p := s.pos[k] + int(e.diag)
 			if s.visited[u] {
 				d := s.pos[u] - p
 				if d < 0 {
@@ -473,25 +494,20 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 			}
 			s.visited[u] = true
 			s.pos[u] = p
-			queue = append(queue, u)
-			count++
+			queue = append(queue, int32(u))
 		}
 	}
+	count := len(queue)
 	s.queue = queue[:0]
-	if !ok || count != len(members) {
+	if !ok || count != size {
 		return Node{}, false // inconsistent or disconnected
 	}
 
 	// Normalize offsets and check the layout tiles one contiguous block.
-	minPos := s.pos[members[0]]
-	for _, m := range members {
-		if s.pos[m] < minPos {
-			minPos = s.pos[m]
-		}
-	}
+	minPos := slices.Min(s.pos)
 	order := s.order[:0]
-	for _, m := range members {
-		order = append(order, placed{m, s.pos[m] - minPos})
+	for k, v := range members {
+		order = append(order, placed{int(v), k, s.pos[k] - minPos})
 	}
 	s.order = order
 	slices.SortFunc(order, func(a, b placed) int {
@@ -515,16 +531,18 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 	// jumps between copies of an exact repeat places divergent reads on
 	// top of each other without evidence; reject it.
 	// For each read in layout order, stamp its record-backed partners
-	// with a fresh epoch and demand every close pair carry a stamp. The
-	// mark array persists across calls; bumping the epoch invalidates
-	// old stamps without clearing.
+	// inside the cluster with a fresh epoch and demand every close pair
+	// carry a stamp. The mark array persists across calls; bumping the
+	// epoch invalidates old stamps without clearing.
 	for i := 0; i < len(order); i++ {
 		v := order[i].v
 		endI := order[i].off + len(s.reads[v].Seq)
 		if i+1 < len(order) && order[i+1].off <= endI-s.cfg.RequireOverlap {
 			s.epoch++
-			for _, e := range s.inc.of(v) {
-				s.mark[e.other] = s.epoch
+			for _, e := range s.inc.of(lo + order[i].k) {
+				if u := int(e.other) - lo; uint(u) < uint(size) {
+					s.mark[u] = s.epoch
+				}
 			}
 		}
 		for j := i + 1; j < len(order); j++ {
@@ -540,12 +558,11 @@ func (s *layoutScratch) tryLayout(members []int, level int) (Node, bool) {
 			if implied < s.cfg.RequireOverlap {
 				continue
 			}
-			if s.mark[order[j].v] != s.epoch {
+			if s.mark[order[j].k] != s.epoch {
 				return Node{}, false
 			}
 		}
 	}
-
 	// Consensus by per-column majority vote.
 	if cap(s.counts) < end {
 		s.counts = make([][4]int32, end)

@@ -148,14 +148,16 @@ func TestBuildDetectsRepeatConflicts(t *testing.T) {
 	}
 }
 
-// scratchFor is a layout scratch over the incidence of recs.
+// scratchFor is a layout scratch over the incidence of recs, with every
+// read ranked at its own id, so reads 0..m-1 are the rank range [0, m).
 func scratchFor(t *testing.T, reads []dna.Read, recs []overlap.Record) *layoutScratch {
 	t.Helper()
-	inc, err := buildIncidence(len(reads), recs)
+	rank := identityRanks(len(reads))
+	inc, err := buildIncidence(rank, recs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newLayoutScratch(len(reads), reads, inc, DefaultConfig())
+	return &layoutScratch{reads: reads, perm: rank, inc: inc, cfg: DefaultConfig()}
 }
 
 func TestTryLayoutRejectsInconsistentPositions(t *testing.T) {
@@ -171,13 +173,13 @@ func TestTryLayoutRejectsInconsistentPositions(t *testing.T) {
 		{A: 0, B: 2, Len: 90, Identity: 1, Diag: 10}, // conflicts: should be 80
 	}
 	s := scratchFor(t, reads, recs)
-	if _, ok := s.tryLayout([]int{0, 1, 2}, 1); ok {
+	if _, ok := s.tryLayout(0, 3, 1); ok {
 		t.Error("inconsistent cluster accepted as linear")
 	}
 	// Consistent version must pass.
 	recs[2].Diag = 80
 	s = scratchFor(t, reads, recs)
-	if _, ok := s.tryLayout([]int{0, 1, 2}, 1); !ok {
+	if _, ok := s.tryLayout(0, 3, 1); !ok {
 		t.Error("consistent cluster rejected")
 	}
 }
@@ -188,7 +190,7 @@ func TestTryLayoutRejectsDisconnected(t *testing.T) {
 		{ID: "b", Seq: bytes.Repeat([]byte("C"), 100)},
 	}
 	s := scratchFor(t, reads, nil)
-	if _, ok := s.tryLayout([]int{0, 1}, 1); ok {
+	if _, ok := s.tryLayout(0, 2, 1); ok {
 		t.Error("disconnected cluster accepted")
 	}
 }
@@ -196,7 +198,7 @@ func TestTryLayoutRejectsDisconnected(t *testing.T) {
 func TestTryLayoutSingleton(t *testing.T) {
 	reads := []dna.Read{{ID: "a", Seq: []byte("ACGT")}}
 	s := scratchFor(t, reads, nil)
-	n, ok := s.tryLayout([]int{0}, 0)
+	n, ok := s.tryLayout(0, 1, 0)
 	if !ok || string(n.Contig) != "ACGT" || n.Level != 0 {
 		t.Errorf("singleton layout = %+v ok=%v", n, ok)
 	}
@@ -224,7 +226,7 @@ func TestTryLayoutConsensusFixesErrors(t *testing.T) {
 		{A: 0, B: 2, Len: 40, Identity: 1, Diag: 60},
 	}
 	s := scratchFor(t, reads, recs)
-	n, ok := s.tryLayout([]int{0, 1, 2}, 1)
+	n, ok := s.tryLayout(0, 3, 1)
 	if !ok {
 		t.Fatal("cluster rejected")
 	}

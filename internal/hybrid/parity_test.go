@@ -29,7 +29,7 @@ func pipelineInput(tb testing.TB, seed int64, genomeLen, step int) ([]dna.Read, 
 	copt.Seed = seed
 	mset := coarsen.Multilevel(g0, copt)
 	build := func(workers int) *Hybrid {
-		h, err := build(nil, mset, reads, recs, DefaultConfig(), workers)
+		h, _, err := build(nil, mset, reads, recs, DefaultConfig(), workers)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -83,18 +83,38 @@ func TestBuildWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// BenchmarkHybridBuild measures one hybrid build on a clean tiling and on
+// the genome_ksweep-shaped input (one 80 kb genome at 30x), serial and on
+// the governor's pool.
 func BenchmarkHybridBuild(b *testing.B) {
-	_, _, _, build := pipelineInput(b, 77, 6000, 12)
+	_, _, _, tiling := pipelineInput(b, 77, 6000, 12)
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = build(1)
+			_ = tiling(1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = build(0)
+			_ = tiling(0)
+		}
+	})
+	in := genomeInput(b)
+	b.Run("genome_80kb_30x", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := build(nil, in.mset, in.reads, in.recs, DefaultConfig(), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("genome_80kb_30x_topdown", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := buildTopDown(nil, in.mset, in.reads, in.recs, DefaultConfig(), 0); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

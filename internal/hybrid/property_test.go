@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"focus/internal/coarsen"
+	"focus/internal/graph"
 	"focus/internal/overlap"
 )
 
@@ -85,6 +86,52 @@ func TestHybridInvariantsAcrossSeeds(t *testing.T) {
 		for i, lvl := range h.Set.Levels {
 			if lvl.TotalNodeWeight() != int64(len(reads)) {
 				t.Fatalf("seed %d: level %d weight %d != %d reads", seed, i, lvl.TotalNodeWeight(), len(reads))
+			}
+		}
+	}
+}
+
+// TestHybridSetIsContractedG0 holds the hybrid set to its definition, not
+// to any construction: level i is G0 contracted by RepOf followed by the
+// up-maps Set.Up[0..i-1], node weights and edge weights summed.
+func TestHybridSetIsContractedG0(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		genome := randGenome(800+seed, 2500+int(seed)*500)
+		if seed%2 == 1 {
+			copy(genome[len(genome)-400:], genome[200:600]) // an exact repeat
+		}
+		reads := tilingReads(genome, 100, 12+int(seed)*5)
+		recs, err := overlap.FindOverlaps(reads, 2, overlap.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		g0, err := overlap.BuildGraph(len(reads), recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copt := coarsen.DefaultOptions()
+		copt.MinNodes = 4
+		copt.Seed = seed
+		h, err := Build(coarsen.Multilevel(g0, copt), reads, recs, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(h.Set.Levels) < 3 {
+			t.Fatalf("seed %d: %d hybrid set levels, too few to chain", seed, len(h.Set.Levels))
+		}
+		group := append([]int(nil), h.RepOf...)
+		for i, lvl := range h.Set.Levels {
+			if i > 0 {
+				for v, x := range group {
+					group[v] = h.Set.Up[i-1][x]
+				}
+			}
+			want, err := graph.ContractCtx(nil, g0, group, lvl.NumNodes(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !lvl.Equal(want) {
+				t.Fatalf("seed %d: hybrid set level %d is not G0 contracted by its up-map chain", seed, i)
 			}
 		}
 	}

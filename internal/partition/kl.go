@@ -9,6 +9,10 @@ import (
 // serially even when the task's width allows more.
 const gainParMin = 2048
 
+// swapSelector is the pair selection klPass runs: selectSwap, which tests
+// swap for the pop-and-push-back oracle it replaced.
+var swapSelector = selectSwap
+
 // klScratch is the dense per-region scratch state of the refinement
 // machinery: D values, membership bitmaps and the two priority queues are
 // flat arrays indexed by node id (allocated once per bisection region at
@@ -22,7 +26,8 @@ type klScratch struct {
 	side    []int8    // greedyGrow: -1 outside region, 0 unassigned, 1, 2
 	members []int     // nodes of the current universe, ascending ids
 	qa, qb  *pq.Dense // gain queues (Dense: array-backed, map-free)
-	listA   []int     // diagonal-scan drain buffers
+	wa, wb  pq.Walker // read-only pop-order walks of qa, qb
+	listA   []int     // diagonal-scan prefixes of qa, qb in pop order
 	listB   []int
 	pairH   []pairItem
 	seen    map[[2]int]bool
@@ -198,7 +203,7 @@ func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScr
 	}
 
 	for qa.Len() > 0 && qb.Len() > 0 {
-		a, b, gain, ok := selectSwap(g, sc)
+		a, b, gain, ok := swapSelector(g, sc)
 		if !ok {
 			break
 		}
@@ -266,14 +271,17 @@ func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScr
 // selectSwap picks the unlocked pair (a in qa, b in qb) with the maximal
 // swap gain D_a + D_b - 2w(a,b), using the diagonal scan over pairs in
 // decreasing D_a + D_b; the scan stops once D_a + D_b <= gmax, which
-// bounds every remaining pair's gain. Drained queue entries are pushed
-// back before returning.
+// bounds every remaining pair's gain. listA and listB are the queues'
+// prefixes in pop order, read by walkers that leave the queues as they
+// are.
 func selectSwap(g *graph.Graph, sc *klScratch) (a, b int, gain int64, ok bool) {
-	qa, qb := sc.qa, sc.qb
+	sc.wa.Reset(sc.qa)
+	sc.wb.Reset(sc.qb)
 	listA, listB := sc.listA[:0], sc.listB[:0]
-	ensure := func(q *pq.Dense, list *[]int, n int) bool {
+	defer func() { sc.listA, sc.listB = listA, listB }()
+	ensure := func(w *pq.Walker, list *[]int, n int) bool {
 		for len(*list) <= n {
-			id, _, ok := q.Pop()
+			id, _, ok := w.Next()
 			if !ok {
 				return false
 			}
@@ -281,19 +289,8 @@ func selectSwap(g *graph.Graph, sc *klScratch) (a, b int, gain int64, ok bool) {
 		}
 		return true
 	}
-	defer func() {
-		// Push drained entries back (the caller removes the selected pair
-		// afterwards).
-		for _, v := range listA {
-			qa.Push(v, sc.d[v])
-		}
-		for _, v := range listB {
-			qb.Push(v, sc.d[v])
-		}
-		sc.listA, sc.listB = listA, listB
-	}()
 
-	if !ensure(qa, &listA, 0) || !ensure(qb, &listB, 0) {
+	if !ensure(&sc.wa, &listA, 0) || !ensure(&sc.wb, &listB, 0) {
 		return 0, 0, 0, false
 	}
 	h := sc.pairH[:0]
@@ -314,11 +311,11 @@ func selectSwap(g *graph.Graph, sc *klScratch) (a, b int, gain int64, ok bool) {
 			found, bestGain, a, b = true, gnow, va, vb
 		}
 		// Expand the frontier.
-		if ensure(qa, &listA, top.i+1) && !seen[[2]int{top.i + 1, top.j}] {
+		if ensure(&sc.wa, &listA, top.i+1) && !seen[[2]int{top.i + 1, top.j}] {
 			seen[[2]int{top.i + 1, top.j}] = true
 			pairPush(&h, pairItem{top.i + 1, top.j, sc.d[listA[top.i+1]] + sc.d[listB[top.j]]})
 		}
-		if ensure(qb, &listB, top.j+1) && !seen[[2]int{top.i, top.j + 1}] {
+		if ensure(&sc.wb, &listB, top.j+1) && !seen[[2]int{top.i, top.j + 1}] {
 			seen[[2]int{top.i, top.j + 1}] = true
 			pairPush(&h, pairItem{top.i, top.j + 1, sc.d[listA[top.i]] + sc.d[listB[top.j+1]]})
 		}

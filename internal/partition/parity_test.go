@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"focus/internal/coarsen"
+	"focus/internal/graph"
 )
 
 // TestPartitionSetProcsEquivalence: for a fixed seed the full multilevel
@@ -97,7 +98,8 @@ func TestKLBisectWorkerEquivalence(t *testing.T) {
 }
 
 // BenchmarkBisect measures one full KL bisection (gain init + passes)
-// on a clustered graph, serial vs sharded gain initialization.
+// on a clustered graph, serial vs sharded gain initialization, and the
+// full partitioner on a hybrid set.
 func BenchmarkBisect(b *testing.B) {
 	g := ringOfClusters(64, 64, 50)
 	n := g.NumNodes()
@@ -118,4 +120,24 @@ func BenchmarkBisect(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })
 	b.Run("parallel", func(b *testing.B) { run(b, 8) })
+
+	// The whole partitioner on the genome_ksweep-shaped hybrid set (one
+	// 80 kb genome at 30x), at the sweep's k = 16, with the walking pair
+	// selection and with the pop-and-push-back oracle.
+	set := genomeHybridSet(b)
+	for _, sel := range []struct {
+		name string
+		f    func(*graph.Graph, *klScratch) (int, int, int64, bool)
+	}{{"genome_80kb_30x_k16", selectSwap}, {"genome_80kb_30x_k16_pop", selectSwapPop}} {
+		b.Run(sel.name, func(b *testing.B) {
+			swapSelector = sel.f
+			defer func() { swapSelector = selectSwap }()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PartitionSet(set, DefaultOptions(16)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

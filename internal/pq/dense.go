@@ -156,3 +156,84 @@ func (q *Dense) down(i int) {
 		i = best
 	}
 }
+
+// Walker yields the ids of a Dense queue in the order successive Pop calls
+// would, without modifying the queue. Its frontier is a heap of the
+// queue's heap slots under the queue's own order: it starts at the root,
+// and each yielded slot is replaced by its children. less is a total order
+// (priority, then id), so the walk is exactly the pop sequence whatever
+// the heap's shape. The queue must not change during a walk; a Walker is
+// reused across walks and queues and allocates only when its frontier
+// outgrows the largest one it has held.
+type Walker struct {
+	q     *Dense
+	front []int32 // heap of slots of q.ids, best slot first
+}
+
+// Reset starts a walk over q from its greatest id.
+func (w *Walker) Reset(q *Dense) {
+	w.q = q
+	w.front = w.front[:0]
+	if q.Len() > 0 {
+		w.front = append(w.front, 0)
+	}
+}
+
+// Next returns the next id of the walk and its priority; ok is false once
+// every queued id has been returned.
+func (w *Walker) Next() (id int, priority int64, ok bool) {
+	if len(w.front) == 0 {
+		return 0, 0, false
+	}
+	q := w.q
+	s := w.front[0]
+	// The first child takes the yielded slot's place (or the last frontier
+	// slot does, at a leaf), the second child is pushed.
+	l, r := 2*s+1, 2*s+2
+	n := int32(len(q.ids))
+	if l < n {
+		w.front[0] = l
+	} else {
+		last := len(w.front) - 1
+		w.front[0] = w.front[last]
+		w.front = w.front[:last]
+	}
+	w.down(0)
+	if r < n {
+		w.push(r)
+	}
+	id = int(q.ids[s])
+	return id, q.prio[id], true
+}
+
+func (w *Walker) push(s int32) {
+	w.front = append(w.front, s)
+	i := len(w.front) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !w.q.less(int(w.front[i]), int(w.front[parent])) {
+			return
+		}
+		w.front[i], w.front[parent] = w.front[parent], w.front[i]
+		i = parent
+	}
+}
+
+func (w *Walker) down(i int) {
+	f := w.front
+	for {
+		l, r := 2*i+1, 2*i+2
+		best := i
+		if l < len(f) && w.q.less(int(f[l]), int(f[best])) {
+			best = l
+		}
+		if r < len(f) && w.q.less(int(f[r]), int(f[best])) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		f[i], f[best] = f[best], f[i]
+		i = best
+	}
+}

@@ -81,3 +81,90 @@ func TestDenseReset(t *testing.T) {
 		t.Fatalf("Pop after Reset = (%d,%d,%v)", id, p, ok)
 	}
 }
+
+// TestWalkerMatchesPop: on random queues with many equal priorities, after
+// mixed Push/Update/Remove calls, a walk yields exactly the ids and
+// priorities successive Pops would, and leaves Len, Contains, Priority and
+// the later Pop order untouched (walks that stop early included).
+func TestWalkerMatchesPop(t *testing.T) {
+	var w Walker
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		d := NewDense(n)
+		for round := 0; round < 10; round++ {
+			for op := rng.Intn(3 * n); op > 0; op-- {
+				id := rng.Intn(n)
+				p := int64(rng.Intn(8) - 4) // few distinct priorities: many ties
+				switch rng.Intn(4) {
+				case 0, 1:
+					d.Push(id, p)
+				case 2:
+					d.Update(id, p)
+				case 3:
+					d.Remove(id)
+				}
+			}
+			type state struct {
+				prio int64
+				in   bool
+			}
+			before := make([]state, n)
+			for id := range before {
+				before[id].prio, before[id].in = d.Priority(id)
+			}
+			length := d.Len()
+
+			// A walk stopped part way, then a full one.
+			w.Reset(d)
+			for i := rng.Intn(length + 1); i > 0; i-- {
+				if _, _, ok := w.Next(); !ok {
+					t.Fatalf("seed %d round %d: walk ended early", seed, round)
+				}
+			}
+			w.Reset(d)
+			var walkIDs []int
+			var walkPrios []int64
+			for {
+				id, p, ok := w.Next()
+				if !ok {
+					break
+				}
+				walkIDs = append(walkIDs, id)
+				walkPrios = append(walkPrios, p)
+			}
+			if d.Len() != length || len(walkIDs) != length {
+				t.Fatalf("seed %d round %d: Len %d, walked %d, want %d", seed, round, d.Len(), len(walkIDs), length)
+			}
+			for id, s := range before {
+				p, in := d.Priority(id)
+				if p != s.prio || in != s.in || d.Contains(id) != s.in {
+					t.Fatalf("seed %d round %d: id %d changed by the walk", seed, round, id)
+				}
+			}
+
+			// The pops of a copy give the same sequence; then the walked
+			// queue itself pops it too.
+			c := NewDense(n)
+			for id, s := range before {
+				if s.in {
+					c.Push(id, s.prio)
+				}
+			}
+			for _, q := range []*Dense{c, d} {
+				for i := 0; i < length; i++ {
+					id, p, ok := q.Pop()
+					if !ok || id != walkIDs[i] || p != walkPrios[i] {
+						t.Fatalf("seed %d round %d: pop %d = (%d,%d,%v), walk gave (%d,%d)", seed, round, i, id, p, ok, walkIDs[i], walkPrios[i])
+					}
+				}
+			}
+			// Refill for the next round's mixed operations.
+			for id, s := range before {
+				if s.in {
+					d.Push(id, s.prio)
+				}
+			}
+		}
+	}
+}

@@ -48,7 +48,7 @@ go test -race \
     ./internal/dist/... ./internal/assembly/... ./internal/overlap/... \
     ./internal/graph/... ./internal/coarsen/... ./internal/hybrid/... \
     ./internal/partition/... ./internal/checkpoint/... \
-    ./internal/align/... ./internal/par/... \
+    ./internal/align/... ./internal/par/... ./internal/pq/... \
     ./internal/jobs/... ./internal/metrics/...
 
 # Wire sweep: version handshake both ways (typed mismatch, gob and silent
