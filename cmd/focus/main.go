@@ -91,7 +91,6 @@ var (
 	quietFlag = flag.Bool("quiet", false, "suppress progress output")
 	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
 	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
-	retries   = flag.Int("rpc-retries", 0, "failover retries per -distributed-align alignment job after an application-level worker error")
 	callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
@@ -126,7 +125,6 @@ func main() {
 	cfg.Overlap.Align.MinIdentity = *minIdent
 	cfg.Assembly.MinEdgeOverlap = *minOvl
 	cfg.Assembly.MinEdgeIdentity = *minIdent
-	cfg.Overlap.RPCRetries = *retries
 	cfg.CallVariants = *variants
 	cfg.Dist.CallTimeout = *callTO
 	cfg.Dist.MaxFailures = *maxFails

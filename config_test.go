@@ -50,7 +50,7 @@ func TestConfigSurface(t *testing.T) {
 		"Metrics",
 		"Overlap.Align.Band", "Overlap.Align.MinIdentity", "Overlap.Align.MinLength",
 		"Overlap.Align.Scoring.Gap", "Overlap.Align.Scoring.Match", "Overlap.Align.Scoring.Mismatch",
-		"Overlap.K", "Overlap.MaxOccur", "Overlap.MinKmerHits", "Overlap.RPCRetries", "Overlap.Step",
+		"Overlap.K", "Overlap.MaxOccur", "Overlap.MinKmerHits", "Overlap.Step",
 		"PhaseCosts",
 		"Preprocess.AddReverse", "Preprocess.MinLen", "Preprocess.MinQuality", "Preprocess.Step",
 		"Preprocess.Trim3", "Preprocess.Trim5", "Preprocess.Window",

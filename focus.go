@@ -56,11 +56,9 @@ type Config struct {
 	Coarsen  coarsen.Options
 	Hybrid   hybrid.Config
 	Assembly assembly.Config
-	// GraphWorkers bounds the pool of the overlap-graph CSR edge merge
-	// (<= 0: the internal/par governor sizes it, as it sizes every other
-	// stage pool). The graph is identical at any value. It stays only
-	// because the frozen benchmark harness reads it; the next benchmark
-	// change removes it.
+	// GraphWorkers has no effect: the overlap graph has one serial
+	// writer. It stays only because the frozen benchmark harness reads
+	// it; the next benchmark change removes it.
 	GraphWorkers int
 	// CallVariants enables distributed variant detection (the paper's
 	// §VI.D future-work extension): bubbles are classified and reported

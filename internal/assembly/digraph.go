@@ -233,13 +233,12 @@ func buildDiGraph(h *hybrid.Hybrid, recs []overlap.Record, workers int) (*DiGrap
 	// at any width.
 	slots := make([]int32, len(recs))
 	w := par.Workers(workers, len(recs), voteGrain)
-	chunk := func(c int) (lo, hi int) { return len(recs) * c / w, len(recs) * (c + 1) / w }
 	counts := make([][]int32, w)
 	errs := make([]error, w)
 	par.Run(w, w, func(_, c int) {
 		count := make([]int32, numSlots)
 		last := pairSlot{lo: -1}
-		lo, hi := chunk(c)
+		lo, hi := par.Split(len(recs), w, c)
 		for ri := lo; ri < hi; ri++ {
 			slot, err := slotOf(ri, &last)
 			if err != nil {
@@ -270,7 +269,7 @@ func buildDiGraph(h *hybrid.Hybrid, recs []overlap.Record, workers int) (*DiGrap
 	voteIdents := make([]float32, voteOff[numSlots])
 	par.Run(w, w, func(_, c int) {
 		at := counts[c]
-		lo, hi := chunk(c)
+		lo, hi := par.Split(len(recs), w, c)
 		for ri := lo; ri < hi; ri++ {
 			slot := slots[ri]
 			if slot < 0 {

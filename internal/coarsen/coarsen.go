@@ -16,7 +16,6 @@ package coarsen
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"focus/internal/graph"
@@ -87,12 +86,11 @@ func (k edgeKey) greater(o edgeKey) bool {
 
 // heavyEdgeMatchingPar computes a maximal heavy-edge matching with the
 // sharded round-based algorithm. The result is a pure function of
-// (g, seed): identical at any worker count, including workers == 1 (the
-// serial path, which runs the same rounds without goroutines). The gate
-// is polled at round boundaries (a round is the natural grain — proposals
-// snapshot the matching, so abandoning mid-round would be wasted, not
-// wrong). A stopped gate returns nil; ctx-taking callers turn that into
-// an error.
+// (g, seed): identical at any worker count (width 1 runs the same rounds
+// inline through par.Run). The gate is polled at round boundaries (a round
+// is the natural grain — proposals snapshot the matching, so abandoning
+// mid-round would be wasted, not wrong). A stopped gate returns nil;
+// ctx-taking callers turn that into an error.
 func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gate) []int {
 	n := g.NumNodes()
 	// Matching rounds break even at ~2048 nodes per worker; below that the
@@ -151,40 +149,20 @@ func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gat
 		return claimed
 	}
 
+	counts := make([]int, w)
 	for {
 		if gate.Stopped() {
 			return nil
 		}
+		par.Run(w, w, func(_, p int) {
+			propose(par.Split(n, w, p))
+		})
+		par.Run(w, w, func(_, p int) {
+			counts[p] = resolve(par.Split(n, w, p))
+		})
 		claimed := 0
-		if w <= 1 {
-			propose(0, n)
-			claimed = resolve(0, n)
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(w)
-			for p := 0; p < w; p++ {
-				go func(p int) {
-					defer wg.Done()
-					lo := n * p / w
-					hi := n * (p + 1) / w
-					propose(lo, hi)
-				}(p)
-			}
-			wg.Wait()
-			counts := make([]int, w)
-			wg.Add(w)
-			for p := 0; p < w; p++ {
-				go func(p int) {
-					defer wg.Done()
-					lo := n * p / w
-					hi := n * (p + 1) / w
-					counts[p] = resolve(lo, hi)
-				}(p)
-			}
-			wg.Wait()
-			for _, c := range counts {
-				claimed += c
-			}
+		for _, c := range counts {
+			claimed += c
 		}
 		if claimed == 0 {
 			break
@@ -201,9 +179,9 @@ func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gat
 // contractParCtx merges matched node pairs into single nodes, producing
 // the next coarser graph and the up-map (up[v] = v's node in the coarse
 // graph). Merged node weights are summed; parallel edges are combined by
-// summing; edges internal to a merged pair disappear. Counting, arc
-// emission and the edge merge run on a pool of workers (<= 0 means
-// GOMAXPROCS). Identical output at any worker count.
+// summing; edges internal to a merged pair disappear. The per-coarse-node
+// merge runs on a pool of workers (<= 0 lets the par governor size it).
+// Identical output at any worker count.
 func contractParCtx(ctx context.Context, g *graph.Graph, match []int, workers int) (*graph.Graph, []int, error) {
 	n := g.NumNodes()
 	// Coarse ids are assigned in fine-node order: deterministic and

@@ -141,11 +141,11 @@ func TestParallelCallsCtxCancelUnwinds(t *testing.T) {
 		replies[i] = &EchoReply{}
 	}
 	start := time.Now()
-	_, _, err = p.ParallelCallsRetryCtx(ctx, len(replies), "Echo", func(t int) interface{} {
+	_, _, err = p.ParallelCallsCtx(ctx, len(replies), "Echo", func(t int) interface{} {
 		return &EchoArgs{X: t}
-	}, replies, 0)
+	}, replies)
 	if !errors.Is(err, cause) {
-		t.Fatalf("canceled ParallelCallsRetryCtx = %v, want cause %v", err, cause)
+		t.Fatalf("canceled ParallelCallsCtx = %v, want cause %v", err, cause)
 	}
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("canceled scheduler run took %v to unwind", el)

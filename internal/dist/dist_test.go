@@ -94,9 +94,9 @@ func TestParallelCallsRoundRobin(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, _, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
+	times, _, err := p.ParallelCallsCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies, 0)
+	}, replies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, _, err = p.ParallelCallsRetryCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies, 0)
+	_, _, err = p.ParallelCallsCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	if err == nil {
 		t.Error("expected error from unknown method")
 	}

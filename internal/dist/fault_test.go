@@ -124,9 +124,9 @@ func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, _, err := p.ParallelCallsRetryCtx(nil, tasks, "Echo", func(tk int) interface{} {
+	times, _, err := p.ParallelCallsCtx(nil, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies, 0)
+	}, replies)
 	if err != nil {
 		t.Fatalf("parallel calls with one hung worker: %v", err)
 	}
@@ -153,10 +153,10 @@ func TestApplicationErrorsDoNotEvict(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	// Even with a generous retry budget every attempt fails at the
-	// application level; the error propagates and no worker is evicted —
-	// a worker that answers, even with an error, is alive.
-	_, _, err = p.ParallelCallsRetryCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies, 5)
+	// Every task fails at the application level; the error propagates and
+	// no worker is evicted — a worker that answers, even with an error, is
+	// alive.
+	_, _, err = p.ParallelCallsCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	if err == nil {
 		t.Fatal("application failure not propagated")
 	}

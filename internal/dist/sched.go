@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// This file is the pool's task scheduler. ParallelCallsRetryCtx drains a
+// This file is the pool's task scheduler. ParallelCallsCtx drains a
 // shared queue with one runner goroutine per schedulable worker: tasks
 // naturally reroute around evicted or slow workers (a static t % Size()
 // assignment would re-hit dead workers and let one straggler stall the
@@ -18,16 +18,7 @@ import (
 // on the worker an explicit placement table names, for protocols that pin
 // state to a worker (the stateful delta protocol of assembly).
 
-type callOptions struct {
-	// retries is the number of additional workers a task is retried on
-	// after an application-level failure. 0 — the default — fails fast on
-	// service errors, as an MPI job would. Transport failures (timeouts,
-	// broken connections) do not consume this budget: the worker failed,
-	// not the task, so the task reroutes to another worker for free.
-	retries int
-}
-
-// ParallelCallsRetryCtx runs one call per task concurrently over the
+// ParallelCallsCtx runs one call per task concurrently over the
 // schedulable workers. mkArgs and replies are indexed by task. It returns
 // the per-task durations (argument construction excluded), which the
 // harness projects onto larger worker counts, and the id of the worker
@@ -36,16 +27,49 @@ type callOptions struct {
 // task order) is returned after all calls finish. When no schedulable
 // worker exists the error wraps ErrNoWorkers.
 //
-// A task failed by the service is retried on up to `retries` other
-// workers before the error counts. Services that keep no state between
-// calls (overlap's AlignRef jobs) make this safe.
+// A task failed by the service fails at once, as in an MPI job: the
+// services run deterministic functions of their arguments, so another
+// worker would fail it the same way. A transport failure (timeout, broken
+// connection) fails the worker, not the task, which reroutes to another
+// worker.
 //
 // Cancellation of ctx severs every in-flight call (like a per-call
 // timeout) and drains the queue: not-yet-started tasks fail fast without
 // touching the network, and the whole invocation returns promptly with an
 // error wrapping the context's cause. A nil ctx never cancels.
-func (p *Pool) ParallelCallsRetryCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, retries int) ([]time.Duration, []int, error) {
-	return p.parallelCalls(ctx, tasks, method, mkArgs, replies, callOptions{retries: retries})
+func (p *Pool) ParallelCallsCtx(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, []int, error) {
+	times := make([]time.Duration, tasks)
+	served := make([]int, tasks)
+	for t := range served {
+		served[t] = -1
+	}
+	if tasks == 0 {
+		return times, served, nil
+	}
+	runners := p.runnableWorkers()
+	if len(runners) == 0 {
+		return times, served, fmt.Errorf("dist: %s: %w", method, ErrNoWorkers)
+	}
+	ids := make([]int, len(runners))
+	for i, w := range runners {
+		ids[i] = w.id
+	}
+	s := newSched(tasks, len(p.workers), times, served, ids)
+	var wg sync.WaitGroup
+	for _, w := range runners {
+		wg.Add(1)
+		go func(w *worker) {
+			defer wg.Done()
+			p.runWorker(ctx, w, s, method, mkArgs, replies)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range s.errs {
+		if err != nil {
+			return times, served, err
+		}
+	}
+	return times, served, nil
 }
 
 // ParallelCallsPlacedCtx runs task t on worker place(t) — an explicit
@@ -53,7 +77,7 @@ func (p *Pool) ParallelCallsRetryCtx(ctx context.Context, tasks int, method stri
 // worker, and NO rescheduling: stateful protocols address state resident
 // on a specific worker, so only the caller (who owns the placement table)
 // can decide where a failed task may legally run next. Unlike
-// ParallelCallsRetryCtx it returns the error of every task, letting the
+// ParallelCallsCtx it returns the error of every task, letting the
 // caller re-host exactly the partitions that failed instead of abandoning
 // the phase on the first error. Canceled tasks fail with an error wrapping
 // the context's cause (a transport-class error, but the caller checks its
@@ -97,50 +121,11 @@ func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func
 	return times, errs
 }
 
-func (p *Pool) parallelCalls(ctx context.Context, tasks int, method string, mkArgs func(t int) interface{}, replies []interface{}, opt callOptions) ([]time.Duration, []int, error) {
-	times := make([]time.Duration, tasks)
-	served := make([]int, tasks)
-	for t := range served {
-		served[t] = -1
-	}
-	if tasks == 0 {
-		return times, served, nil
-	}
-	runners := p.runnableWorkers()
-	if len(runners) == 0 {
-		return times, served, fmt.Errorf("dist: %s: %w", method, ErrNoWorkers)
-	}
-	maxAttempts := 1 + opt.retries
-	if maxAttempts > len(p.workers) {
-		maxAttempts = len(p.workers)
-	}
-	ids := make([]int, len(runners))
-	for i, w := range runners {
-		ids[i] = w.id
-	}
-	s := newSched(tasks, len(p.workers), maxAttempts, times, served, ids)
-	var wg sync.WaitGroup
-	for _, w := range runners {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			p.runWorker(ctx, w, s, method, mkArgs, replies)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range s.errs {
-		if err != nil {
-			return times, served, err
-		}
-	}
-	return times, served, nil
-}
-
 // runWorker is one worker's runner: it drains the queue one task at a
 // time until the queue is empty or the worker's connection dies. No
 // dedicated cancellation watcher is needed: after ctx cancels, every
 // callWorkerCtx fails instantly on its pre-check (a transport-class
-// failure that requeues the task without consuming its retry budget), so
+// failure that requeues the task), so
 // the pending queue churns through the runners until every live runner
 // has tried every task and reapUnservable finalizes them with the
 // context's cause — a fast, allocation-light convergence with no
@@ -184,36 +169,33 @@ func copyReply(dst, src interface{}) {
 
 // schedTask is one queued task plus its attempt history.
 type schedTask struct {
-	idx      int
-	args     interface{}
-	tried    []bool // per worker id; a task runs at most once per worker
-	attempts int    // application-level failures so far
-	lastErr  error
+	idx     int
+	args    interface{}
+	tried   []bool // per worker id; a task runs at most once per worker
+	lastErr error
 }
 
 // sched is the shared state of one parallelCalls invocation.
 type sched struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     []*schedTask
-	inflight    int
-	finalized   int
-	total       int
-	maxAttempts int
-	live        []bool // live runner per worker id
-	times       []time.Duration
-	served      []int // worker whose reply each finished task kept
-	errs        []error
+	mu        sync.Mutex
+	cond      *sync.Cond
+	pending   []*schedTask
+	inflight  int
+	finalized int
+	total     int
+	live      []bool // live runner per worker id
+	times     []time.Duration
+	served    []int // worker whose reply each finished task kept
+	errs      []error
 }
 
-func newSched(tasks, workers, maxAttempts int, times []time.Duration, served, runnerIDs []int) *sched {
+func newSched(tasks, workers int, times []time.Duration, served, runnerIDs []int) *sched {
 	s := &sched{
-		total:       tasks,
-		maxAttempts: maxAttempts,
-		live:        make([]bool, workers),
-		times:       times,
-		served:      served,
-		errs:        make([]error, tasks),
+		total:  tasks,
+		live:   make([]bool, workers),
+		times:  times,
+		served: served,
+		errs:   make([]error, tasks),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for t := 0; t < tasks; t++ {
@@ -287,8 +269,8 @@ func (s *sched) finish(t *schedTask, wid int, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// fail records a failed attempt. Application failures consume the retry
-// budget; transport failures only mark the worker as tried (the task gets
+// fail records a failed attempt. An application failure finalizes the
+// task; a transport failure only marks the worker as tried (the task gets
 // rerouted, bounded by each transport failure also severing that worker).
 func (s *sched) fail(t *schedTask, wid int, err error, d time.Duration, transport bool) {
 	s.mu.Lock()
@@ -297,9 +279,6 @@ func (s *sched) fail(t *schedTask, wid int, err error, d time.Duration, transpor
 	t.lastErr = err
 	s.times[t.idx] = d
 	if !transport {
-		t.attempts++
-	}
-	if t.attempts >= s.maxAttempts {
 		s.errs[t.idx] = err
 		s.finalized++
 	} else {

@@ -604,9 +604,9 @@ func TestWireChaosHungWorkerReschedules(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	if _, _, err := p.ParallelCallsRetryCtx(ctx, tasks, "Echo", func(tk int) interface{} {
+	if _, _, err := p.ParallelCallsCtx(ctx, tasks, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
-	}, replies, 1); err != nil {
+	}, replies); err != nil {
 		t.Fatalf("parallel calls with one hung worker: %v", err)
 	}
 	if ctx.Err() != nil {

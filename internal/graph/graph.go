@@ -5,16 +5,17 @@
 //
 // Graphs are stored in CSR (compressed sparse row) form: one offsets
 // array plus one packed arcs array, adjacency sorted by neighbour id
-// within each node. Construction merges parallel edges with a sort-based
-// counting pipeline (see csr.go) that runs on a bounded worker pool and
-// produces an identical graph at any worker count.
+// within each node. One writer builds them from edges: FromSortedEdgesCtx
+// scatters edges given in sorted canonical order and sums parallel edges;
+// the Builder sorts edges given in any order and calls it (see csr.go).
+// Contraction merges a graph's nodes into groups on a worker pool and is
+// identical at any worker count.
 package graph
 
 import (
-	"context"
+	"cmp"
 	"fmt"
-
-	"focus/internal/par"
+	"slices"
 )
 
 // Arc is one directed half of an undirected weighted edge.
@@ -112,14 +113,13 @@ func (g *Graph) Equal(o *Graph) bool {
 
 // Builder accumulates edges for a Graph.
 type Builder struct {
-	n          int
 	nodeWeight []int64
 	edges      []Edge
 }
 
 // NewBuilder creates a builder for n nodes, all with weight 1.
 func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, nodeWeight: make([]int64, n)}
+	b := &Builder{nodeWeight: make([]int64, n)}
 	for i := range b.nodeWeight {
 		b.nodeWeight[i] = 1
 	}
@@ -129,8 +129,8 @@ func NewBuilder(n int) *Builder {
 // AddEdge records an undirected edge {u,v} with weight w. Multiple
 // additions of the same pair accumulate. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int, w int64) error {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
+	if n := len(b.nodeWeight); u < 0 || u >= n || v < 0 || v >= n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)
 	}
 	if u == v {
 		return nil
@@ -139,26 +139,22 @@ func (b *Builder) AddEdge(u, v int, w int64) error {
 	return nil
 }
 
-// Build assembles the graph, merging parallel edges, on a worker pool
-// sized by GOMAXPROCS. The result is identical at any worker count.
-func (b *Builder) Build() *Graph { return b.BuildPar(0) }
-
-// BuildPar is Build with an explicit worker count (<= 0 means
-// GOMAXPROCS). The output is byte-identical for every worker count.
-func (b *Builder) BuildPar(workers int) *Graph {
-	return buildCSR(b.n, b.nodeWeight, [][]Edge{b.edges}, workers, nil)
-}
-
-// BuildParCtx is BuildPar bounded by ctx: a cancel abandons the build at
-// the next pipeline-stage or node-chunk boundary and returns the
-// context's cause. A nil ctx never cancels.
-func (b *Builder) BuildParCtx(ctx context.Context, workers int) (*Graph, error) {
-	gate := par.GateFor(ctx)
-	g := buildCSR(b.n, b.nodeWeight, [][]Edge{b.edges}, workers, gate)
-	if g == nil {
-		return nil, gate.Err()
+// Build assembles the graph: the edges, each put as u < v, are sorted into
+// CSR order and written by FromSortedEdgesCtx, which merges parallel edges
+// by summing their weights. The builder is left unchanged.
+func (b *Builder) Build() *Graph {
+	edges := make([]Edge, len(b.edges))
+	for i, e := range b.edges {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		edges[i] = e
 	}
-	return g, nil
+	slices.SortFunc(edges, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V)) })
+	g, _, _ := FromSortedEdgesCtx(nil, b.nodeWeight, len(edges), func(i int) (u, v int32, w int64) {
+		return edges[i].U, edges[i].V, edges[i].W
+	})
+	return g
 }
 
 // Set is a coarsening hierarchy: Levels[0] is the finest graph and

@@ -22,34 +22,36 @@ func randomBuilder(n, edges int, rng *rand.Rand) *Builder {
 }
 
 // TestBuildMatchesMapMerge: the sort-based CSR build and the legacy
-// map-based merge produce identical graphs on random multigraphs.
+// map-based merge produce identical graphs on random multigraphs, on
+// edges given only reversed (u > v), on self-loops alone, on heavy node
+// weights and on graphs with no edges.
 func TestBuildMatchesMapMerge(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(200)
-		b := randomBuilder(n, rng.Intn(8*n), rng)
-		sorted := b.Build()
-		legacy := b.BuildMapMerge()
-		if !sorted.Equal(legacy) {
-			t.Fatalf("seed %d: sort-based build diverged from map merge", seed)
+		reversed, loops, heavy := NewBuilder(n), NewBuilder(n), NewBuilder(n)
+		for i, m := 0, rng.Intn(4*n); i < m; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			_ = reversed.AddEdge(max(u, v), min(u, v), int64(1+rng.Intn(100)))
+			_ = loops.AddEdge(u, u, int64(1+rng.Intn(100)))
 		}
-		if sorted.TotalNodeWeight() != legacy.TotalNodeWeight() {
-			t.Fatalf("seed %d: node weight totals differ", seed)
+		for v := range heavy.nodeWeight {
+			heavy.nodeWeight[v] = rng.Int63n(1 << 40)
 		}
-	}
-}
-
-// TestBuildParWorkerEquivalence: the parallel build is byte-identical at
-// worker counts 1, 2 and 8.
-func TestBuildParWorkerEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(100 + seed))
-		n := 2 + rng.Intn(300)
-		b := randomBuilder(n, rng.Intn(10*n), rng)
-		ref := b.BuildPar(1)
-		for _, w := range []int{2, 8} {
-			if got := b.BuildPar(w); !got.Equal(ref) {
-				t.Fatalf("seed %d: BuildPar(%d) != BuildPar(1)", seed, w)
+		for i, m := 0, rng.Intn(4*n); i < m; i++ {
+			_ = heavy.AddEdge(rng.Intn(n), rng.Intn(n), rng.Int63n(1<<40))
+		}
+		for name, b := range map[string]*Builder{
+			"random": randomBuilder(n, rng.Intn(8*n), rng), "reversed": reversed,
+			"self-loops": loops, "heavy": heavy, "no edges": randomBuilder(n, 0, rng),
+		} {
+			sorted := b.Build()
+			legacy := b.BuildMapMerge()
+			if !sorted.Equal(legacy) {
+				t.Fatalf("seed %d, %s: sort-based build diverged from map merge", seed, name)
+			}
+			if sorted.TotalNodeWeight() != legacy.TotalNodeWeight() {
+				t.Fatalf("seed %d, %s: node weight totals differ", seed, name)
 			}
 		}
 	}
@@ -71,7 +73,7 @@ func sortedEdges(n, edges int, rng *rand.Rand) []Edge {
 }
 
 func fromSorted(n int, es []Edge) (*Graph, bool) {
-	g, ordered, _ := FromSortedEdgesCtx(nil, n, len(es), func(i int) (int32, int32, int64) { return es[i].U, es[i].V, es[i].W })
+	g, ordered, _ := FromSortedEdgesCtx(nil, NewBuilder(n).nodeWeight, len(es), func(i int) (int32, int32, int64) { return es[i].U, es[i].V, es[i].W })
 	return g, ordered
 }
 
@@ -90,7 +92,7 @@ func TestFromSortedEdgesMatchesBuilder(t *testing.T) {
 			}
 		}
 		got, ordered := fromSorted(n, es)
-		if !ordered || !got.Equal(b.BuildPar(1)) {
+		if !ordered || !got.Equal(b.Build()) {
 			t.Fatalf("seed %d: ordered=%v, or the graph differs from the Builder's", seed, ordered)
 		}
 		if len(es) < 2 {
@@ -137,8 +139,9 @@ func TestContractWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestContractTotals: contraction preserves node-weight totals and never
-// increases edge weight (intra-group edges vanish).
+// TestContractTotals: contraction preserves node-weight totals, never
+// increases edge weight (intra-group edges vanish), and sums the node
+// weights ContractWithWeightsCtx is given by hand.
 func TestContractTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomBuilder(120, 600, rng).Build()
@@ -153,6 +156,15 @@ func TestContractTotals(t *testing.T) {
 	if c.TotalEdgeWeight() > g.TotalEdgeWeight() {
 		t.Fatalf("edge weight grew: %d -> %d", g.TotalEdgeWeight(), c.TotalEdgeWeight())
 	}
+	nw := make([]int64, 40)
+	for v, grp := range group {
+		nw[grp] += g.NodeWeight(v)
+	}
+	for _, w := range []int{1, 2, 8} {
+		if cw, _ := ContractWithWeightsCtx(nil, g, group, nw, w); !cw.Equal(c) {
+			t.Fatalf("ContractWithWeightsCtx at %d workers differs from ContractCtx", w)
+		}
+	}
 }
 
 func benchBuilder(n, deg int) *Builder {
@@ -165,7 +177,7 @@ func benchBuilder(n, deg int) *Builder {
 }
 
 // BenchmarkGraphBuild compares the legacy map-based edge merge against the
-// sort-based CSR build, serial and parallel.
+// Builder's sort and CSR write.
 func BenchmarkGraphBuild(b *testing.B) {
 	bld := benchBuilder(20000, 16)
 	b.Run("map", func(b *testing.B) {
@@ -174,16 +186,10 @@ func BenchmarkGraphBuild(b *testing.B) {
 			_ = bld.BuildMapMerge()
 		}
 	})
-	b.Run("sorted-serial", func(b *testing.B) {
+	b.Run("sorted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = bld.BuildPar(1)
-		}
-	})
-	b.Run("sorted-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = bld.BuildPar(0)
+			_ = bld.Build()
 		}
 	})
 }
@@ -202,18 +208,16 @@ func BenchmarkBuildGraphSorted(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 0} {
-		b.Run(map[int]string{1: "builder-serial", 0: "builder-parallel"}[workers], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bld := NewBuilder(n)
-				for _, e := range es {
-					_ = bld.AddEdge(int(e.U), int(e.V), e.W)
-				}
-				_ = bld.BuildPar(workers)
+	b.Run("builder", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bld := NewBuilder(n)
+			for _, e := range es {
+				_ = bld.AddEdge(int(e.U), int(e.V), e.W)
 			}
-		})
-	}
+			_ = bld.Build()
+		}
+	})
 }
 
 // BuildMapMerge is the pre-CSR reference implementation of Build: a
@@ -232,8 +236,9 @@ func (b *Builder) BuildMapMerge() *Graph {
 		}
 		merged[key{u, v}] += e.W
 	}
-	adj := make([][]Arc, b.n)
-	deg := make([]int, b.n)
+	n := len(b.nodeWeight)
+	adj := make([][]Arc, n)
+	deg := make([]int, n)
 	for k := range merged {
 		deg[k.u]++
 		deg[k.v]++
@@ -251,7 +256,7 @@ func (b *Builder) BuildMapMerge() *Graph {
 	for _, w := range b.nodeWeight {
 		g.totalNodeW += w
 	}
-	g.offsets = make([]int32, b.n+1)
+	g.offsets = make([]int32, n+1)
 	total := 0
 	for v, arcs := range adj {
 		sort.Slice(arcs, func(i, j int) bool { return arcs[i].To < arcs[j].To })

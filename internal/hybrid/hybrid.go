@@ -301,7 +301,7 @@ func buildIncidence(rank []int32, recs []overlap.Record, workers int) (*incidenc
 	par.Run(w, w, func(_, c int) {
 		count := make([]int32, n)
 		bad[c] = -1
-		lo, hi := len(recs)*c/w, len(recs)*(c+1)/w
+		lo, hi := par.Split(len(recs), w, c)
 		for ri := lo; ri < hi; ri++ {
 			r := recs[ri]
 			if r.A < 0 || int(r.A) >= n || r.B < 0 || int(r.B) >= n {
@@ -330,7 +330,8 @@ func buildIncidence(rank []int32, recs []overlap.Record, workers int) (*incidenc
 	arcs := make([]incident, off[n])
 	par.Run(w, w, func(_, c int) {
 		at := cursor[c]
-		for _, r := range recs[len(recs)*c/w : len(recs)*(c+1)/w] {
+		lo, hi := par.Split(len(recs), w, c)
+		for _, r := range recs[lo:hi] {
 			a, b := rank[r.A], rank[r.B]
 			arcs[at[a]] = incident{b, r.Diag}
 			at[a]++

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +23,9 @@ import (
 // /status and /metrics documents must agree with the injected fault.
 // Then a fourth job is killed and resumed independently, and a fifth is
 // cut by a mid-flight server drain and finished by a successor server
-// over the same root — both byte-identical to their baselines.
+// over the same root — both byte-identical to their baselines. The fifth
+// is held inside a phase until the drain has cut it, so the drain always
+// finds it running.
 func TestMultiTenantChaos(t *testing.T) {
 	t.Cleanup(func() { testutil.NoLeaks(t) })
 	const k = 4
@@ -40,7 +43,10 @@ func TestMultiTenantChaos(t *testing.T) {
 
 	// Worker 3 hangs on every response; CallTimeout 1s + MaxFailures 1
 	// evicts it at first contact. Workers 0-2 are clean.
-	pool, err := dist.NewLocalChaosPool(4, assembly.NewService, dist.Options{
+	hold := &phaseHold{held: make(chan struct{}, 1)}
+	pool, err := dist.NewLocalChaosPool(4, func() interface{} {
+		return holdService{Service: &assembly.Service{}, hold: hold}
+	}, dist.Options{
 		CallTimeout: time.Second,
 		MaxFailures: 1,
 		Logf:        t.Logf,
@@ -166,14 +172,19 @@ func TestMultiTenantChaos(t *testing.T) {
 	// Mid-flight drain: a fifth tenant is cut while running. The drain
 	// checkpoints it (Killed, resumable), the server stays queryable, and
 	// a successor server over the same root requeues and finishes it.
+	hold.arm()
 	id5, err := s.Submit(Spec{Name: "drained", InputPath: bigInput, K: k, MaxWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, id5, Running, 10*time.Second)
-	// The grace must stay well under the job's ~50 ms runtime, or the job
-	// finishes inside it and there is nothing left to cut.
+	select {
+	case <-hold.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("drained tenant never reached a phase")
+	}
 	s.Drain(time.Millisecond)
+	hold.release()
 	if st, _ := s.Status(id5); st.State != Killed || !st.Resumable {
 		t.Fatalf("drained tenant: %+v, want Killed and resumable", st)
 	}
@@ -202,6 +213,48 @@ func TestMultiTenantChaos(t *testing.T) {
 			t.Fatalf("job %d history on successor: %+v err %v", i, st, err)
 		}
 	}
+}
+
+// phaseHold holds the Phase calls of holdService: between arm and release
+// every call blocks, signalling held once it does.
+type phaseHold struct {
+	mu   sync.Mutex
+	open chan struct{} // non-nil while armed; closed by release
+	held chan struct{}
+}
+
+func (h *phaseHold) arm() {
+	h.mu.Lock()
+	h.open = make(chan struct{})
+	h.mu.Unlock()
+}
+
+func (h *phaseHold) release() {
+	h.mu.Lock()
+	close(h.open)
+	h.open = nil
+	h.mu.Unlock()
+}
+
+// holdService is the assembly worker service with its Phase calls behind
+// a phaseHold.
+type holdService struct {
+	*assembly.Service
+	hold *phaseHold
+}
+
+func (s holdService) Phase(args *assembly.PhaseArgs, reply *assembly.PhaseReply) error {
+	s.hold.mu.Lock()
+	open := s.hold.open
+	s.hold.mu.Unlock()
+	if open != nil {
+		select {
+		case s.hold.held <- struct{}{}:
+		default:
+		}
+		<-open
+	}
+	return s.Service.Phase(args, reply)
 }
 
 func getJSON(t *testing.T, url string, v interface{}) {

@@ -386,9 +386,9 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	for i := range replies {
 		replies[i] = &AlignRefReply{}
 	}
-	_, served, err := pool.ParallelCallsRetryCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
+	_, served, err := pool.ParallelCallsCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
 		return jobs[t].args(subs, bounds, paired, cfg)
-	}, replies, cfg.RPCRetries)
+	}, replies)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the
 		// severed RPCs classify as transport errors and would otherwise

@@ -44,7 +44,7 @@ func TestBuildGraphOrderedMatchesBuilder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		numReads := 2 + rng.Intn(400)
 		recs := sortedRecords(rng, numReads, rng.Intn(8*numReads))
-		want, err := buildGraphBuilder(nil, numReads, recs, 1)
+		want, err := buildGraphBuilder(numReads, recs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,8 +85,6 @@ func decodeAlignConfig(rd *dist.WireReader, c *align.Config) {
 }
 
 // appendOverlapConfig encodes the fields a worker's records depend on.
-// RPCRetries is the master's failover budget and stays home: it decodes
-// as zero.
 func appendOverlapConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.K))
 	dst = dist.AppendVarint(dst, int64(c.Step))

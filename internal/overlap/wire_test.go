@@ -63,7 +63,6 @@ func randWireConfig(rng *rand.Rand) Config {
 			MinLength: rng.Intn(500), MinIdentity: rng.Float64(), Band: rng.Intn(64),
 			Scoring: align.Scoring{Match: rng.Intn(10) - 5, Mismatch: rng.Intn(10) - 5, Gap: rng.Intn(10) - 5},
 		},
-		RPCRetries: rng.Intn(5),
 	}
 }
 
@@ -90,8 +89,7 @@ func randWireRecords(rng *rand.Rand) []Record {
 // including nil vs empty sequence and record lists, escape-plane bytes,
 // int32-extreme bounds and ids, and every Kind byte (mirrorDerived
 // included). Decode targets are reused so stale state must be
-// overwritten. The config's answer fields round-trip; the master-side
-// RPCRetries is not shipped and decodes as zero.
+// overwritten.
 func TestWireAlignPairRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	var args AlignRefArgs
@@ -102,14 +100,11 @@ func TestWireAlignPairRoundTrip(t *testing.T) {
 			Paired: rng.Intn(2) == 0, Seqs: randWireSeqs(rng), Cfg: randWireConfig(rng),
 		}
 		enc := a.AppendTo(nil)
-		args.Cfg.RPCRetries = 7 // stale: the decode must clear it
 		if err := args.DecodeFrom(enc); err != nil {
 			t.Fatalf("args decode: %v", err)
 		}
-		want := *a
-		want.Cfg.RPCRetries = 0
-		if !reflect.DeepEqual(&want, &args) {
-			t.Fatalf("args round trip diverged:\nsent %+v\ngot  %+v", &want, &args)
+		if !reflect.DeepEqual(a, &args) {
+			t.Fatalf("args round trip diverged:\nsent %+v\ngot  %+v", a, &args)
 		}
 
 		r := &AlignRefReply{}

@@ -4,8 +4,8 @@ import "context"
 
 // Gate is the cancellation primitive of the stage pools: a nil-safe,
 // allocation-free view of a context's done channel, polled at grain
-// boundaries (per cluster, per matching round, per query, per parDo
-// phase). The contract, shared by every par-governed pool:
+// boundaries (per cluster, per matching round, per query, per pipeline
+// scan). The contract, shared by every par-governed pool:
 //
 //   - Stopped() is a non-blocking poll: a single select with a default
 //     arm over a pre-fetched channel. On the hot path it costs two

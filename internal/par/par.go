@@ -1,5 +1,5 @@
 // Package par is the adaptive parallelism governor shared by the
-// graph-construction stages (overlap worker pool, CSR build, coarsening,
+// graph-construction stages (overlap worker pool, contraction, coarsening,
 // hybrid layout, partitioning). It makes one decision, in one place:
 // given the input size and the host's GOMAXPROCS, is a parallel worker
 // pool worth its fan-out cost, and if so how wide should it be?
@@ -15,9 +15,13 @@
 //
 //   - Never fan out below the grain. In auto mode a stage runs serially
 //     unless every worker would receive at least `grain` items, where
-//     grain is the stage's own measured break-even size (e.g. 4096 edges
-//     for the CSR build, 2048 nodes for matching rounds). GOMAXPROCS==1
+//     grain is the stage's own measured break-even size (e.g. 4096 arcs
+//     for contraction, 2048 nodes for matching rounds). GOMAXPROCS==1
 //     is always serial: there is no second core for the pool to win on.
+//
+// The pools themselves all run on Run, with Split cutting a range into
+// contiguous shards; width 1 runs the same code inline, so no stage keeps
+// a serial twin of its parallel path.
 //
 // Stages that must never change results by worker count (all of them —
 // the determinism contract) remain free to honor an explicit request on
@@ -59,6 +63,14 @@ func Blocks(size, grain int) int {
 		grain = 1
 	}
 	return (size + grain - 1) / grain
+}
+
+// Split returns the half-open range [lo, hi) of n items that part p of
+// parts owns: contiguous, in part order, sizes differing by at most one.
+// Stages that shard a range with Run(w, w, …) and concatenate the shards'
+// output in part order stay identical at any width.
+func Split(n, parts, p int) (lo, hi int) {
+	return n * p / parts, n * (p + 1) / parts
 }
 
 // Run executes fn(worker, item) for every item in [0, n), fanned out

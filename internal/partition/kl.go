@@ -2,6 +2,7 @@ package partition
 
 import (
 	"focus/internal/graph"
+	"focus/internal/par"
 	"focus/internal/pq"
 )
 
@@ -61,7 +62,17 @@ func newKLScratch(n, workers int) *klScratch {
 func (sc *klScratch) initD(g *graph.Graph, labels []int32, la, lb int32) {
 	n := g.NumNodes()
 	sc.members = sc.members[:0]
-	scan := func(lo, hi int, members []int) []int {
+	w := sc.workers
+	if n < gainParMin {
+		w = 1
+	}
+	if len(sc.shards) < w {
+		sc.shards = make([][]int, w)
+	}
+	sc.shards[0] = sc.members // shard 0 fills members in place
+	par.Run(w, w, func(_, p int) {
+		lo, hi := par.Split(n, w, p)
+		members := sc.shards[p][:0]
 		for v := lo; v < hi; v++ {
 			lv := loadLabel(&labels[v])
 			if lv != la && lv != lb {
@@ -80,22 +91,11 @@ func (sc *klScratch) initD(g *graph.Graph, labels []int32, la, lb int32) {
 			sc.in[v] = true
 			members = append(members, v)
 		}
-		return members
-	}
-	w := sc.workers
-	if w > 1 && n >= gainParMin {
-		if len(sc.shards) < w {
-			sc.shards = make([][]int, w)
-		}
-		parDo(w, func(p int) {
-			lo, hi := splitRange(n, w, p)
-			sc.shards[p] = scan(lo, hi, sc.shards[p][:0])
-		})
-		for p := 0; p < w; p++ {
-			sc.members = append(sc.members, sc.shards[p]...)
-		}
-	} else {
-		sc.members = scan(0, n, sc.members)
+		sc.shards[p] = members
+	})
+	sc.members = sc.shards[0]
+	for _, sh := range sc.shards[1:w] {
+		sc.members = append(sc.members, sh...)
 	}
 }
 

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"focus/internal/graph"
+	"focus/internal/par"
 	"focus/internal/pq"
 )
 
@@ -16,9 +17,14 @@ import (
 // on `workers` goroutines (<= 1: serial); the result is identical at any
 // worker count. Returns the total edge-cut improvement.
 func kWayRefine(g *graph.Graph, labels []int32, k int, opt Options, workers int) int64 {
+	w := workers
+	if w < 1 || g.NumNodes() < gainParMin {
+		w = 1
+	}
+	shards := make([][]boundaryNode, w) // reused by every pass
 	var total int64
 	for {
-		improved := kwayPass(g, labels, k, opt, workers)
+		improved := kwayPass(g, labels, k, opt, shards)
 		total += improved
 		if improved <= 0 {
 			return total
@@ -26,7 +32,16 @@ func kWayRefine(g *graph.Graph, labels []int32, k int, opt Options, workers int)
 	}
 }
 
-func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, workers int) int64 {
+// boundaryNode is a node the k-way seed scan found on a partition
+// boundary, with its gain.
+type boundaryNode struct {
+	v    int
+	gain int64
+}
+
+// kwayPass runs one pass; the seed scan has one shard per entry of shards
+// and stages its boundary nodes there.
+func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, shards [][]boundaryNode) int64 {
 	balance := opt.Balance
 	if balance <= 1 {
 		balance = 1.03
@@ -64,50 +79,23 @@ func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, workers int) i
 	// range over workers; shard results are pushed in shard order, so the
 	// queue is built by ascending node id at any worker count.
 	q := pq.NewDense(n)
-	w := workers
-	if w < 1 || n < gainParMin {
-		w = 1
-	}
-	if w == 1 {
-		for v := range labels {
-			isBoundary := false
+	w := len(shards)
+	par.Run(w, w, func(_, p int) {
+		lo, hi := par.Split(n, w, p)
+		local := shards[p][:0]
+		for v := lo; v < hi; v++ {
 			for _, a := range g.Adj(v) {
 				if labels[a.To] != labels[v] {
-					isBoundary = true
+					local = append(local, boundaryNode{v, gainOf(v)})
 					break
 				}
 			}
-			if isBoundary {
-				q.Push(v, gainOf(v))
-			}
 		}
-	} else {
-		type cand struct {
-			v    int
-			gain int64
-		}
-		shards := make([][]cand, w)
-		parDo(w, func(p int) {
-			lo, hi := splitRange(n, w, p)
-			var local []cand
-			for v := lo; v < hi; v++ {
-				isBoundary := false
-				for _, a := range g.Adj(v) {
-					if labels[a.To] != labels[v] {
-						isBoundary = true
-						break
-					}
-				}
-				if isBoundary {
-					local = append(local, cand{v, gainOf(v)})
-				}
-			}
-			shards[p] = local
-		})
-		for _, sh := range shards {
-			for _, c := range sh {
-				q.Push(c.v, c.gain)
-			}
+		shards[p] = local
+	})
+	for _, sh := range shards {
+		for _, c := range sh {
+			q.Push(c.v, c.gain)
 		}
 	}
 

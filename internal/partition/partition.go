@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,38 +96,29 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 		}
 	}
 
-	// One dense scratch per in-flight region, sized for the finest level
-	// and recycled across regions and steps.
-	scratches := sync.Pool{New: func() any { return newKLScratch(maxN, 1) }}
-
-	sem := make(chan struct{}, procs)
+	// One dense scratch per pool worker, sized for the finest level and
+	// recycled across the regions and steps that worker runs.
+	scratches := make([]*klScratch, procs)
 	for step := 0; step < steps; step++ {
-		regions := int32(1) << step
+		regions := 1 << step
 		// Spare processors beyond the region count go to intra-task scan
 		// parallelism; the split never changes results.
-		width := max(procs/int(regions), 1)
+		width := max(procs/regions, 1)
 		taskTimes := make([]time.Duration, regions)
-		var wg sync.WaitGroup
-		for r := int32(0); r < regions; r++ {
-			wg.Add(1)
-			go func(r int32) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if gate.Stopped() {
-					return
-				}
-				newLabel := r + regions
-				rng := rand.New(rand.NewSource(opt.Seed + int64(step)*1000 + int64(r)))
-				sc := scratches.Get().(*klScratch)
-				sc.workers = width
-				t0 := time.Now()
-				bisectRegion(set, res.LevelLabels, r, newLabel, opt, rng, sc)
-				taskTimes[r] = time.Since(t0)
-				scratches.Put(sc)
-			}(r)
-		}
-		wg.Wait()
+		par.Run(procs, regions, func(wk, r int) {
+			if gate.Stopped() {
+				return
+			}
+			if scratches[wk] == nil {
+				scratches[wk] = newKLScratch(maxN, 1)
+			}
+			sc := scratches[wk]
+			sc.workers = width
+			rng := rand.New(rand.NewSource(opt.Seed + int64(step)*1000 + int64(r)))
+			t0 := time.Now()
+			bisectRegion(set, res.LevelLabels, int32(r), int32(r+regions), opt, rng, sc)
+			taskTimes[r] = time.Since(t0)
+		})
 		// Steps are barriers: later steps bisect the regions earlier steps
 		// created, so a cancel must not proceed with a half-split step.
 		if gate.Stopped() {
@@ -139,23 +129,15 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 
 	if !opt.SkipKWay && k > 1 {
 		width := max(procs/levels, 1)
-		res.KWayTimes = make([]time.Duration, len(set.Levels))
-		var wg sync.WaitGroup
-		for i := range set.Levels {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				if gate.Stopped() {
-					return
-				}
-				t0 := time.Now()
-				kWayRefine(set.Levels[i], res.LevelLabels[i], k, opt, width)
-				res.KWayTimes[i] = time.Since(t0)
-			}(i)
-		}
-		wg.Wait()
+		res.KWayTimes = make([]time.Duration, levels)
+		par.Run(procs, levels, func(_, i int) {
+			if gate.Stopped() {
+				return
+			}
+			t0 := time.Now()
+			kWayRefine(set.Levels[i], res.LevelLabels[i], k, opt, width)
+			res.KWayTimes[i] = time.Since(t0)
+		})
 		if gate.Stopped() {
 			return nil, gate.Err()
 		}
