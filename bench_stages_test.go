@@ -4,12 +4,14 @@ package focus
 // mode, rounding out the per-stage harness.
 
 import (
+	"runtime"
 	"testing"
 
 	"focus/internal/assembly"
 	"focus/internal/dist"
 	"focus/internal/eval"
 	"focus/internal/overlap"
+	"focus/internal/simulate"
 	"focus/internal/taxonomy"
 )
 
@@ -83,6 +85,53 @@ func BenchmarkDistributedAlignment(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := overlap.FindOverlapsDistributedCtx(nil, pool, reads, 4, cfg); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkHybridSweep explains the partition share of the genome_ksweep
+// workload: one Stages of its input shape (one 80 kb genome at 30x)
+// partitioned at k = 2 … 64, fresh per k (PartitionHybrid, what the
+// benchmark's frozen replay times) against the shared bisection prefix
+// Assemble uses, which runs each bisection step once per sweep.
+func BenchmarkHybridSweep(b *testing.B) {
+	com, err := simulate.BuildCommunity(simulate.SingleGenome("ksweep", 80000, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := simulate.PaperReadConfig(1, 30)
+	rc.Seed = 1
+	rs, err := simulate.SimulateReads(com, rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Preprocess.Trim5 = rc.AdapterLen
+	s, err := BuildStages(rs.Reads, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for k := 2; k <= 64; k *= 2 {
+				if _, _, err := s.PartitionHybrid(k, procs, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sweep := *s
+			sweep.bisection = &bisectionSlot{}
+			for k := 2; k <= 64; k *= 2 {
+				if _, err := sweep.partitionShared(k, procs, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"strings"
+	"sync"
 	"time"
 
 	"focus/internal/assembly"
@@ -206,6 +207,33 @@ type Stages struct {
 	// any number of calls, concurrent ones included.
 	DiGraph *assembly.DiGraph
 	Timings map[string]time.Duration
+	// bisection is the recursive-bisection prefix Assemble shares across
+	// k. BuildStages sets it; a Stages built by hand has none and
+	// partitions fresh.
+	bisection *bisectionSlot
+}
+
+// bisectionSlot holds the one partition.Bisection Assemble reuses. A
+// Stages copied by value shares the slot, and the slot replaces a
+// bisection of another set or seed, so every Stages that shares it
+// partitions its own set.
+type bisectionSlot struct {
+	mu sync.Mutex
+	b  *partition.Bisection
+}
+
+// get returns the bisection of set under opt: the slot's if it is one,
+// else a new one that the slot keeps. A nil slot returns a throwaway.
+func (slot *bisectionSlot) get(set *graph.Set, opt partition.Options) *partition.Bisection {
+	if slot == nil {
+		return partition.NewBisection(set, opt)
+	}
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if slot.b == nil || !slot.b.For(set, opt) {
+		slot.b = partition.NewBisection(set, opt)
+	}
+	return slot.b
 }
 
 // BuildStages runs the pipeline through directed hybrid graph construction.
@@ -259,7 +287,7 @@ func (cfg Config) subsets() int {
 // stops the build at the next boundary.
 func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, reads []Read) ([]overlap.Record, error)) (*Stages, error) {
 	ctx := cfg.Context
-	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}}
+	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}, bisection: &bisectionSlot{}}
 	for _, st := range []struct {
 		name string
 		run  func() error
@@ -315,27 +343,38 @@ func stageError(stage string, err error) error {
 	return fmt.Errorf("focus: %s: %w", stage, err)
 }
 
-// PartitionHybrid partitions the hybrid graph set (the paper's
-// knowledge-enriched scheme, §III) into k parts and returns the result
-// with its wall-clock time.
-func (s *Stages) PartitionHybrid(k, procs int, seed int64) (*partition.Result, time.Duration, error) {
+// partitionOptions are the paper's partitioner options for k parts.
+func partitionOptions(k, procs int, seed int64) partition.Options {
 	opt := partition.DefaultOptions(k)
 	opt.Procs = procs
 	opt.Seed = seed
+	return opt
+}
+
+// PartitionHybrid partitions the hybrid graph set (the paper's
+// knowledge-enriched scheme, §III) into k parts and returns the result
+// with its wall-clock time. It bisects from scratch, so its time is the
+// whole partitioner's at k.
+func (s *Stages) PartitionHybrid(k, procs int, seed int64) (*partition.Result, time.Duration, error) {
 	t0 := time.Now()
-	res, err := partition.PartitionSetCtx(s.Cfg.Context, s.Hyb.Set, opt)
+	res, err := partition.PartitionSetCtx(s.Cfg.Context, s.Hyb.Set, partitionOptions(k, procs, seed))
 	return res, time.Since(t0), err
 }
 
 // PartitionMultilevel partitions the full multilevel graph set (the
-// paper's naive baseline) into k parts.
+// paper's naive baseline) into k parts, bisecting from scratch.
 func (s *Stages) PartitionMultilevel(k, procs int, seed int64) (*partition.Result, time.Duration, error) {
-	opt := partition.DefaultOptions(k)
-	opt.Procs = procs
-	opt.Seed = seed
 	t0 := time.Now()
-	res, err := partition.PartitionSetCtx(s.Cfg.Context, s.MSet, opt)
+	res, err := partition.PartitionSetCtx(s.Cfg.Context, s.MSet, partitionOptions(k, procs, seed))
 	return res, time.Since(t0), err
+}
+
+// partitionShared is PartitionHybrid on the Stages' shared bisection
+// prefix: the bisection steps an earlier call at any k completed are not
+// run again. Labels are those of PartitionHybrid.
+func (s *Stages) partitionShared(k, procs int, seed int64) (*partition.Result, error) {
+	opt := partitionOptions(k, procs, seed)
+	return s.bisection.get(s.Hyb.Set, opt).Partition(s.Cfg.Context, opt)
 }
 
 // HybridCuts returns the edge cut of a hybrid partitioning measured on the
@@ -389,7 +428,9 @@ func (r *AssemblyResult) SimTraverseTime(w int) time.Duration {
 // Assemble runs distributed trimming and traversal of the hybrid graph on
 // the given worker pool with k partitions, and constructs contigs.
 // The driver trims a clone of Stages.DiGraph, so Assemble can be called
-// repeatedly with different k on the same Stages, also concurrently.
+// repeatedly with different k on the same Stages, also concurrently; the
+// calls share one recursive-bisection prefix, so a k-sweep bisects each
+// step once.
 //
 // With Config.Checkpoint.Resume set, the assembly graph, partitioning and
 // already-completed phases are restored from the newest valid checkpoint
@@ -429,7 +470,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		if k == 1 {
 			labels = make([]int32, dg.NumNodes())
 		} else {
-			res, _, err := s.PartitionHybrid(k, procs, seed)
+			res, err := s.partitionShared(k, procs, seed)
 			if err != nil {
 				return nil, stageError("partition", err)
 			}

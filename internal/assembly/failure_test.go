@@ -169,13 +169,13 @@ func TestDriverHealthyFlakyServicePasses(t *testing.T) {
 	}
 }
 
-// TestAlignPairBadRequestKeepsWorker: a TCP-served worker sent
+// TestAlignRefBadRequestKeepsWorker: a TCP-served worker sent
 // well-formed AlignRef requests it cannot run — k = 0 (which used to panic
 // inside the k-mer enumerator, and net/rpc does not recover a handler:
 // the whole worker process died), k = 33, bounds and sequences of
 // different counts, a paired job on odd bounds — answers each with an
 // error, still answers Ping after each, and then runs a good request.
-func TestAlignPairBadRequestKeepsWorker(t *testing.T) {
+func TestAlignRefBadRequestKeepsWorker(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -117,6 +117,46 @@ func TestCallCtxCancelSeversInFlight(t *testing.T) {
 	}
 }
 
+// TestCallCtxCancelIsNotAWorkerFailure: a call its caller cancels severs
+// the connection but does not count toward MaxFailures, so even at
+// MaxFailures 1 the worker is reconnected, not evicted, and serves the
+// next call.
+func TestCallCtxCancelIsNotAWorkerFailure(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var blocked int32 = 1
+	defer atomic.StoreInt32(&blocked, 0)
+	p, err := NewLocalPoolOpts(1, func() interface{} { return &BlockService{blocked: &blocked} },
+		Options{MaxFailures: 1, ReconnectMin: time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cause := errors.New("run canceled by test")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		cancel(cause)
+	}()
+	var reply EchoReply
+	if err := p.CallCtx(ctx, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, cause) {
+		t.Fatalf("canceled CallCtx = %v, want cause %v", err, cause)
+	}
+	atomic.StoreInt32(&blocked, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for !p.Healthy(0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker not back after the cancel: %+v", p.Health())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h := p.Health(); h.Evictions != 0 || h.Reconnects != 1 {
+		t.Fatalf("after a canceled call: %d evictions and %d reconnects, want 0 and 1", h.Evictions, h.Reconnects)
+	}
+	if err := p.Call(0, "Echo", &EchoArgs{X: 3}, &reply); err != nil || reply.X != 6 {
+		t.Fatalf("call after the cancel = (%v, %d), want (nil, 6)", err, reply.X)
+	}
+}
+
 // TestParallelCallsCtxCancelUnwinds: a canceled scheduler run finishes all
 // runners, returns the cancellation cause, and does not burn the retry
 // budget churning through pre-canceled tasks.

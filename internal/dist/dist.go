@@ -61,7 +61,8 @@ type Options struct {
 	// MaxFailures is the number of consecutive transport failures
 	// (timeouts, broken connections) after which a worker is permanently
 	// evicted instead of reconnected. Successful calls reset the count;
-	// application-level errors returned by the service do not touch it.
+	// application-level errors returned by the service and calls their
+	// caller canceled do not touch it.
 	MaxFailures int
 	// ReconnectMin/ReconnectMax bound the exponential reconnect backoff.
 	ReconnectMin time.Duration
@@ -559,7 +560,7 @@ func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args
 		return err
 	case <-cdone:
 		err := fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
-		p.record(w, c, err)
+		p.sever(w, c, err, false)
 		return err
 	}
 }
@@ -600,22 +601,36 @@ func IsTransportError(err error) bool {
 }
 
 // record updates w's health from a call outcome on client c. Transport
-// failures sever the connection: net/rpc clients are not reusable after an
-// I/O error, and a timed-out call could still write into its abandoned
-// reply if the connection were kept.
+// failures sever the connection and count toward MaxFailures: net/rpc
+// clients are not reusable after an I/O error, and a timed-out call could
+// still write into its abandoned reply if the connection were kept.
 func (p *Pool) record(w *worker, c *rpc.Client, err error) {
+	if IsTransportError(err) {
+		p.sever(w, c, err, true)
+		return
+	}
+	w.mu.Lock()
+	if w.client == c { // else stale generation: an already-severed conn
+		w.fails = 0
+	}
+	w.mu.Unlock()
+}
+
+// sever closes w's connection c and reconnects in the background, or
+// evicts w after MaxFailures consecutive counted failures or when nothing
+// can revive it. A call its caller canceled is severed uncounted: the
+// abandoned call could still write its reply, so the connection cannot be
+// kept, but the worker did nothing wrong.
+func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
 	p = p.shared() // reconnect spawning and lifecycle state live on the root
 	w.mu.Lock()
 	if w.client != c { // stale generation: outcome of an already-severed conn
 		w.mu.Unlock()
 		return
 	}
-	if !IsTransportError(err) {
-		w.fails = 0
-		w.mu.Unlock()
-		return
+	if counted {
+		w.fails++
 	}
-	w.fails++
 	w.client = nil
 	canRevive := (w.addr != "" || w.newService != nil) && !p.isClosed()
 	dead := w.fails >= p.opt.MaxFailures || !canRevive

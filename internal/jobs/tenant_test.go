@@ -25,7 +25,7 @@ import (
 // cut by a mid-flight server drain and finished by a successor server
 // over the same root — both byte-identical to their baselines. The fifth
 // is held inside a phase until the drain has cut it, so the drain always
-// finds it running.
+// finds it running; cutting its calls evicts no worker.
 func TestMultiTenantChaos(t *testing.T) {
 	t.Cleanup(func() { testutil.NoLeaks(t) })
 	const k = 4
@@ -173,6 +173,7 @@ func TestMultiTenantChaos(t *testing.T) {
 	// checkpoints it (Killed, resumable), the server stays queryable, and
 	// a successor server over the same root requeues and finishes it.
 	hold.arm()
+	evictedBefore := pool.Health().Evictions
 	id5, err := s.Submit(Spec{Name: "drained", InputPath: bigInput, K: k, MaxWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +207,11 @@ func TestMultiTenantChaos(t *testing.T) {
 	}
 	if got, _ := successor.Result(id5); !sameContigs(got, bigBaseline) {
 		t.Fatal("drain/restart tenant diverged from solo baseline")
+	}
+	// The calls the drain cut were the caller's cancel, not worker
+	// failures: at MaxFailures 1 they still evict no one.
+	if n := pool.Health().Evictions; n != evictedBefore {
+		t.Fatalf("the drain evicted %d worker(s)", n-evictedBefore)
 	}
 	// The finished jobs reloaded as terminal history, not as new work.
 	for i, id := range ids {

@@ -384,14 +384,14 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	}
 }
 
-// TestAlignPairRejectsMalformedJobs: AlignRef requests no refJobs job
+// TestAlignRefRejectsMalformedJobs: AlignRef requests no refJobs job
 // produces — k out of range, a scoring past maxScore, fewer than two query
 // bounds, bounds out of order or negative, a reference overlapping or
 // preceding the query run, sequences of another count than the bounds
 // give, a paired job on odd bounds or shipping its odd reads — are errors;
 // the job shapes the master does send (a later reference, a same-subset
 // pair, several query subsets, an empty side, a paired job) are not.
-func TestAlignPairRejectsMalformedJobs(t *testing.T) {
+func TestAlignRefRejectsMalformedJobs(t *testing.T) {
 	genome := randGenome(153, 400)
 	// The second read drops a base, so its overlaps reach the DP kernel.
 	seqs := [][]byte{genome[:100], append(slices.Clone(genome[50:90]), genome[91:151]...), genome[100:200], genome[150:250]}
@@ -444,7 +444,7 @@ func TestAlignPairRejectsMalformedJobs(t *testing.T) {
 	}
 }
 
-func TestAlignPairDirect(t *testing.T) {
+func TestAlignRefDirect(t *testing.T) {
 	genome := randGenome(151, 600)
 	reads := tilingReads(genome, 100, 50)
 	var seqs [][]byte

@@ -200,14 +200,14 @@ func TestSplitSubsetsPairBoundaries(t *testing.T) {
 	}
 }
 
-// TestAlignPairStrandMirror: a worker applies the mirror rule to the jobs
+// TestAlignRefStrandMirror: a worker applies the mirror rule to the jobs
 // it is shipped, elides the mirrors the master can re-derive, and, once
 // checkList restores them, answers every subset pair as the all-queries
 // core does — paired jobs on pair-aligned bounds (even reads shipped,
 // mirrors elided), unpaired jobs on the odd i·n/S bounds and on ids
 // shifted to start odd (every read shipped, nothing elided) — and the
 // whole distributed stage on a local pool does too.
-func TestAlignPairStrandMirror(t *testing.T) {
+func TestAlignRefStrandMirror(t *testing.T) {
 	reads := pairedReadSet(71)
 	cfg := testConfig()
 	seqs := make([][]byte, len(reads))

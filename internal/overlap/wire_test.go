@@ -84,13 +84,13 @@ func randWireRecords(rng *rand.Rand) []Record {
 	return recs
 }
 
-// TestWireAlignPairRoundTrip: randomized DeepEqual property over the
+// TestWireAlignRefRoundTrip: randomized DeepEqual property over the
 // distributed-alignment payloads, AlignRefArgs and AlignRefReply,
 // including nil vs empty sequence and record lists, escape-plane bytes,
 // int32-extreme bounds and ids, and every Kind byte (mirrorDerived
 // included). Decode targets are reused so stale state must be
 // overwritten.
-func TestWireAlignPairRoundTrip(t *testing.T) {
+func TestWireAlignRefRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	var args AlignRefArgs
 	var reply AlignRefReply
@@ -128,10 +128,10 @@ func TestWireAlignPairRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireAlignPairCorrupt: truncations of either message must error, bit
+// TestWireAlignRefCorrupt: truncations of either message must error, bit
 // flips must never panic, and corrupt length prefixes — of the sequences,
 // of the lists, of one list's records — must not cause huge allocations.
-func TestWireAlignPairCorrupt(t *testing.T) {
+func TestWireAlignRefCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := &AlignRefArgs{
 		Queries: []int32{2, 4, 6}, RefLo: 8, RefHi: 10, Paired: true,

@@ -35,18 +35,18 @@ func DefaultOptions(k int) Options {
 	return Options{K: k, Balance: 1.03, EarlyStop: 50, Seed: 1}
 }
 
-// greedyGrow bisects the nodes of g currently labeled `region` at the
-// given level: roughly half (by node weight) keep `region`, the rest are
-// relabeled `newLabel`. Partition growth alternates between the two sides
-// whenever the growing side's internal edge weight exceeds Balance times
-// the other's, per paper §IV.A. Side assignments and the two gain queues
-// live in the region's scratch (sc.side, sc.qa, sc.qb) and are restored
-// to their idle state before returning.
-func greedyGrow(g *graph.Graph, labels []int32, region, newLabel int32, opt Options, rng *rand.Rand, sc *klScratch) {
+// greedyGrow bisects the nodes of universe (ascending ids) currently
+// labeled `region`: roughly half (by node weight) keep `region`, the rest
+// are relabeled `newLabel`. Partition growth alternates between the two
+// sides whenever the growing side's internal edge weight exceeds Balance
+// times the other's, per paper §IV.A. Side assignments and the two gain
+// queues live in the region's scratch (sc.side, sc.qa, sc.qb) and are
+// restored to their idle state before returning.
+func greedyGrow(g *graph.Graph, labels []int32, universe []int32, region, newLabel int32, opt Options, rng *rand.Rand, sc *klScratch) {
 	nodes := sc.members[:0]
-	for v := range labels {
+	for _, v := range universe {
 		if loadLabel(&labels[v]) == region {
-			nodes = append(nodes, v)
+			nodes = append(nodes, int(v))
 		}
 	}
 	sc.members = nodes[:0]

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/rand"
+
 	"focus/internal/graph"
 	"focus/internal/par"
 	"focus/internal/pq"
@@ -32,8 +34,13 @@ type klScratch struct {
 	listB   []int
 	pairH   []pairItem
 	seen    map[[2]int]bool
-	shards  [][]int // per-worker member lists for parallel gain init
+	shards  [][]int    // per-worker member lists for parallel gain init
+	moves   []klMove   // one KL pass's swaps, in order
+	rng     *rand.Rand // greedy growing's draws, reseeded per region
 }
+
+// klMove is one swap of a KL pass: a moved from la to lb, b the reverse.
+type klMove struct{ a, b int }
 
 func newKLScratch(n, workers int) *klScratch {
 	if workers < 1 {
@@ -48,6 +55,7 @@ func newKLScratch(n, workers int) *klScratch {
 		qb:      pq.NewDense(n),
 		seen:    make(map[[2]int]bool),
 		shards:  make([][]int, workers),
+		rng:     rand.New(rand.NewSource(0)),
 	}
 	for i := range sc.side {
 		sc.side[i] = -1
@@ -55,12 +63,13 @@ func newKLScratch(n, workers int) *klScratch {
 	return sc
 }
 
-// initD fills d/in/members for every node labeled la or lb. The scan over
-// nodes (the partitioner's gain initialization) fans out over worker
-// shards: shard results concatenate in shard order, so members stays
-// ascending and the result is identical at any worker count.
-func (sc *klScratch) initD(g *graph.Graph, labels []int32, la, lb int32) {
-	n := g.NumNodes()
+// initD fills d/in/members for every node of universe (ascending ids)
+// labeled la or lb. The scan (the partitioner's gain initialization) fans
+// out over worker shards: shard results concatenate in shard order, so
+// members stays ascending and the result is identical at any worker
+// count.
+func (sc *klScratch) initD(g *graph.Graph, labels []int32, universe []int32, la, lb int32) {
+	n := len(universe)
 	sc.members = sc.members[:0]
 	w := sc.workers
 	if n < gainParMin {
@@ -73,7 +82,8 @@ func (sc *klScratch) initD(g *graph.Graph, labels []int32, la, lb int32) {
 	par.Run(w, w, func(_, p int) {
 		lo, hi := par.Split(n, w, p)
 		members := sc.shards[p][:0]
-		for v := lo; v < hi; v++ {
+		for _, u := range universe[lo:hi] {
+			v := int(u)
 			lv := loadLabel(&labels[v])
 			if lv != la && lv != lb {
 				continue
@@ -110,18 +120,19 @@ func (sc *klScratch) release() {
 }
 
 // klBisect refines the bisection {la, lb} of g with the Kernighan–Lin
-// pair-swap algorithm of paper §IV.B: nodes are kept in two priority
-// queues ordered by D value (external minus internal cost), candidate
-// pairs are enumerated by diagonal scanning in decreasing D_a + D_b until
-// the bound D_a + D_b <= gmax proves no better pair exists, the best pair
-// is swapped and locked, and the move sequence is truncated at its maximal
+// pair-swap algorithm of paper §IV.B, over the nodes of universe
+// (ascending ids) labeled la or lb: nodes are kept in two priority queues
+// ordered by D value (external minus internal cost), candidate pairs are
+// enumerated by diagonal scanning in decreasing D_a + D_b until the bound
+// D_a + D_b <= gmax proves no better pair exists, the best pair is
+// swapped and locked, and the move sequence is truncated at its maximal
 // partial gain sum. Passes repeat until no positive improvement remains.
 // Edges to nodes labeled neither la nor lb are cut regardless of the
 // refinement and are ignored. Returns the total edge-cut improvement.
-func klBisect(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScratch) int64 {
+func klBisect(g *graph.Graph, labels []int32, universe []int32, la, lb int32, opt Options, sc *klScratch) int64 {
 	var total int64
 	for {
-		improved := klPass(g, labels, la, lb, opt, sc)
+		improved := klPass(g, labels, universe, la, lb, opt, sc)
 		total += improved
 		if improved <= 0 {
 			return total
@@ -177,8 +188,8 @@ func pairPop(h *[]pairItem) pairItem {
 }
 
 // klPass performs one KL pass and returns the realized improvement.
-func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScratch) int64 {
-	sc.initD(g, labels, la, lb)
+func klPass(g *graph.Graph, labels []int32, universe []int32, la, lb int32, opt Options, sc *klScratch) int64 {
+	sc.initD(g, labels, universe, la, lb)
 	defer sc.release()
 	for _, v := range sc.members {
 		if loadLabel(&labels[v]) == la {
@@ -192,8 +203,7 @@ func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScr
 		return 0
 	}
 
-	type move struct{ a, b int }
-	var moves []move
+	moves := sc.moves[:0]
 	var cum, smax int64
 	bestPrefix := 0
 	sinceImprove := 0
@@ -242,7 +252,7 @@ func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScr
 		update(a, la)
 		update(b, lb)
 
-		moves = append(moves, move{a, b})
+		moves = append(moves, klMove{a, b})
 		cum += gain
 		if cum > smax {
 			smax = cum
@@ -256,6 +266,7 @@ func klPass(g *graph.Graph, labels []int32, la, lb int32, opt Options, sc *klScr
 		}
 	}
 
+	sc.moves = moves
 	// Undo moves after the maximal partial sum (all of them if smax <= 0).
 	if smax <= 0 {
 		bestPrefix = 0

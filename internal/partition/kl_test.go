@@ -45,7 +45,7 @@ func TestSelectSwapMatchesBruteForce(t *testing.T) {
 			labels[v] = 1
 		}
 		sc := newKLScratch(2*n, 1)
-		sc.initD(g, labels, 0, 1)
+		sc.initD(g, labels, allNodes(g), 0, 1)
 		for _, v := range sc.members {
 			if labels[v] == 0 {
 				sc.qa.Push(v, sc.d[v])
@@ -82,7 +82,7 @@ func TestInitD(t *testing.T) {
 	g := b.Build()
 	labels := []int32{0, 0, 1, 9}
 	sc := newKLScratch(4, 1)
-	sc.initD(g, labels, 0, 1)
+	sc.initD(g, labels, allNodes(g), 0, 1)
 	if len(sc.members) != 3 {
 		t.Fatalf("d values for %d nodes", len(sc.members))
 	}
@@ -119,7 +119,7 @@ func TestKLPassEarlyStopBounded(t *testing.T) {
 	before := EdgeCut(g, labels)
 	opt := DefaultOptions(2)
 	opt.EarlyStop = 1
-	improved := klBisect(g, labels, 0, 1, opt, newKLScratch(60, 1))
+	improved := klBisect(g, labels, allNodes(g), 0, 1, opt, newKLScratch(60, 1))
 	after := EdgeCut(g, labels)
 	if after != before-improved || improved < 0 {
 		t.Fatalf("before=%d after=%d improved=%d", before, after, improved)

@@ -81,6 +81,14 @@ func selectSwapPop(g *graph.Graph, sc *klScratch) (a, b int, gain int64, ok bool
 // subsets, coarsening down to 128 nodes) and returns the hybrid graph set.
 func hybridSet(tb testing.TB, spec simulate.CommunitySpec, id int, coverage float64) *graph.Set {
 	tb.Helper()
+	hyb, _ := pipelineSets(tb, spec, id, coverage)
+	return hyb
+}
+
+// pipelineSets is hybridSet that also returns the multilevel set the
+// hybrid set was built from.
+func pipelineSets(tb testing.TB, spec simulate.CommunitySpec, id int, coverage float64) (hyb, multilevel *graph.Set) {
+	tb.Helper()
 	com, err := simulate.BuildCommunity(spec)
 	if err != nil {
 		tb.Fatal(err)
@@ -105,11 +113,12 @@ func hybridSet(tb testing.TB, spec simulate.CommunitySpec, id int, coverage floa
 	}
 	copt := coarsen.DefaultOptions()
 	copt.MinNodes = 128
-	h, err := hybrid.Build(coarsen.Multilevel(g0, copt), reads, recs, hybrid.DefaultConfig())
+	multilevel = coarsen.Multilevel(g0, copt)
+	h, err := hybrid.Build(multilevel, reads, recs, hybrid.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return h.Set
+	return h.Set, multilevel
 }
 
 // genomeHybridSet is the hybrid set of the genome_ksweep-shaped input: one

@@ -81,10 +81,10 @@ func TestKLBisectWorkerEquivalence(t *testing.T) {
 		base[0], base[1] = 0, 1
 		opt := DefaultOptions(2)
 		ref := append([]int32(nil), base...)
-		refGain := klBisect(g, ref, 0, 1, opt, newKLScratch(g.NumNodes(), 1))
+		refGain := klBisect(g, ref, allNodes(g), 0, 1, opt, newKLScratch(g.NumNodes(), 1))
 		for _, w := range []int{2, 8} {
 			got := append([]int32(nil), base...)
-			gotGain := klBisect(g, got, 0, 1, opt, newKLScratch(g.NumNodes(), w))
+			gotGain := klBisect(g, got, allNodes(g), 0, 1, opt, newKLScratch(g.NumNodes(), w))
 			if gotGain != refGain {
 				t.Fatalf("seed %d workers %d: gain %d vs %d", seed, w, gotGain, refGain)
 			}
@@ -110,12 +110,13 @@ func BenchmarkBisect(b *testing.B) {
 	}
 	opt := DefaultOptions(2)
 	labels := make([]int32, n)
+	universe := allNodes(g)
 	run := func(b *testing.B, workers int) {
 		b.ReportAllocs()
 		sc := newKLScratch(n, workers)
 		for i := 0; i < b.N; i++ {
 			copy(labels, base)
-			_ = klBisect(g, labels, 0, 1, opt, sc)
+			_ = klBisect(g, labels, universe, 0, 1, opt, sc)
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, 1) })

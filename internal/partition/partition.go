@@ -3,7 +3,9 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,9 +60,81 @@ func PartitionSet(set *graph.Set, opt Options) (*Result, error) {
 // PartitionSetCtx is PartitionSet bounded by ctx: a cancel abandons the
 // bisection at the next region or step boundary (regions already running
 // finish their current region — a region is the task grain) and returns
-// the context's cause. A nil ctx never cancels.
+// the context's cause. A nil ctx never cancels. It bisects on a throwaway
+// Bisection; a caller partitioning one set at several k keeps one
+// Bisection and calls its Partition instead.
 func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result, error) {
-	gate := par.GateFor(ctx)
+	return NewBisection(set, opt).Partition(ctx, opt)
+}
+
+// Bisection is the recursive-bisection prefix of one graph set: every
+// level's labels after the steps completed so far, and each step's task
+// times. Step s bisects each of the 2^s regions of step s-1 on its own,
+// and k reaches the bisection only through the step count, so the first
+// s steps of any k-way partitioning are the bisection for k = 2^s. A
+// Bisection computes each step once and serves every k of a sweep;
+// Partition is safe for concurrent use.
+type Bisection struct {
+	set *graph.Set
+	key bisectKey
+
+	mu sync.Mutex
+	// labels[i][v] is node v's level-i label after len(stepTimes) steps.
+	// Step t only relabels region r's nodes between r and r+2^t, so the
+	// labels after step s < len(stepTimes) are labels mod 2^s.
+	labels    [][]int32
+	stepTimes [][]time.Duration
+	members   []regionIndex // per level, rebuilt at each step
+}
+
+// bisectKey is what a bisection step depends on besides the set: the
+// per-region RNG seed, greedy growing's balance bound and KL's early stop.
+type bisectKey struct {
+	seed      int64
+	balance   float64
+	earlyStop int
+}
+
+func keyOf(opt Options) bisectKey {
+	k := bisectKey{seed: opt.Seed, balance: opt.Balance, earlyStop: opt.EarlyStop}
+	if k.balance <= 1 {
+		k.balance = 1.03
+	}
+	if k.earlyStop <= 0 {
+		k.earlyStop = 50
+	}
+	return k
+}
+
+// NewBisection returns the empty bisection prefix of set under opt's
+// Seed, Balance and EarlyStop; its K, Procs and SkipKWay are per call of
+// Partition.
+func NewBisection(set *graph.Set, opt Options) *Bisection {
+	return &Bisection{set: set, key: keyOf(opt)}
+}
+
+// For reports whether b is the bisection prefix Partition(ctx, opt) on
+// set would compute.
+func (b *Bisection) For(set *graph.Set, opt Options) bool {
+	return b.set == set && b.key == keyOf(opt)
+}
+
+// Steps returns the number of bisection steps b has completed.
+func (b *Bisection) Steps() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.stepTimes)
+}
+
+// Partition partitions every level of b's set into opt.K parts as
+// PartitionSetCtx does, computing only the bisection steps no earlier
+// call completed; opt must match b (For). Reused steps report their
+// recorded task times. A cancel keeps the steps completed before it.
+func (b *Bisection) Partition(ctx context.Context, opt Options) (*Result, error) {
+	set := b.set
+	if keyOf(opt) != b.key {
+		return nil, fmt.Errorf("partition: options %+v do not match the bisection's %+v", keyOf(opt), b.key)
+	}
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
@@ -68,10 +142,7 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 	if k < 1 || k&(k-1) != 0 {
 		return nil, fmt.Errorf("partition: k=%d is not a power of two", k)
 	}
-	steps := 0
-	for 1<<steps < k {
-		steps++
-	}
+	steps := bits.TrailingZeros(uint(k))
 	if set.Coarsest().NumNodes() < k {
 		return nil, fmt.Errorf("partition: coarsest level has %d nodes for k=%d", set.Coarsest().NumNodes(), k)
 	}
@@ -86,48 +157,29 @@ func PartitionSetCtx(ctx context.Context, set *graph.Set, opt Options) (*Result,
 		opt.Balance = 1.03
 	}
 
-	levels := len(set.Levels)
-	res := &Result{K: k, LevelLabels: make([][]int32, levels)}
-	maxN := 0
-	for i, g := range set.Levels {
-		res.LevelLabels[i] = make([]int32, g.NumNodes())
-		if g.NumNodes() > maxN {
-			maxN = g.NumNodes()
+	gate := par.GateFor(ctx)
+	res := &Result{K: k, LevelLabels: make([][]int32, len(set.Levels))}
+	b.mu.Lock()
+	err := b.extend(gate, steps, procs, opt)
+	if err == nil {
+		// Labels after `steps` steps are the deeper prefix's mod k.
+		mask := int32(k - 1)
+		for i, labels := range b.labels {
+			out := make([]int32, len(labels))
+			for v, l := range labels {
+				out[v] = l & mask
+			}
+			res.LevelLabels[i] = out
 		}
+		res.StepTaskTimes = slices.Clone(b.stepTimes[:steps])
 	}
-
-	// One dense scratch per pool worker, sized for the finest level and
-	// recycled across the regions and steps that worker runs.
-	scratches := make([]*klScratch, procs)
-	for step := 0; step < steps; step++ {
-		regions := 1 << step
-		// Spare processors beyond the region count go to intra-task scan
-		// parallelism; the split never changes results.
-		width := max(procs/regions, 1)
-		taskTimes := make([]time.Duration, regions)
-		par.Run(procs, regions, func(wk, r int) {
-			if gate.Stopped() {
-				return
-			}
-			if scratches[wk] == nil {
-				scratches[wk] = newKLScratch(maxN, 1)
-			}
-			sc := scratches[wk]
-			sc.workers = width
-			rng := rand.New(rand.NewSource(opt.Seed + int64(step)*1000 + int64(r)))
-			t0 := time.Now()
-			bisectRegion(set, res.LevelLabels, int32(r), int32(r+regions), opt, rng, sc)
-			taskTimes[r] = time.Since(t0)
-		})
-		// Steps are barriers: later steps bisect the regions earlier steps
-		// created, so a cancel must not proceed with a half-split step.
-		if gate.Stopped() {
-			return nil, gate.Err()
-		}
-		res.StepTaskTimes = append(res.StepTaskTimes, taskTimes)
+	b.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 
 	if !opt.SkipKWay && k > 1 {
+		levels := len(set.Levels)
 		width := max(procs/levels, 1)
 		res.KWayTimes = make([]time.Duration, levels)
 		par.Run(procs, levels, func(_, i int) {
@@ -159,33 +211,131 @@ func loadLabel(l *int32) int32 { return atomic.LoadInt32(l) }
 
 func storeLabel(l *int32, v int32) { atomic.StoreInt32(l, v) }
 
+// extend runs bisection steps len(b.stepTimes) .. steps-1 on b.labels;
+// the caller holds b.mu. A cancel abandons the step it lands in and rolls
+// that step back, so b keeps only completed steps.
+func (b *Bisection) extend(gate *par.Gate, steps, procs int, opt Options) error {
+	set := b.set
+	if b.labels == nil {
+		b.labels = make([][]int32, len(set.Levels))
+		b.members = make([]regionIndex, len(set.Levels))
+		for i, g := range set.Levels {
+			b.labels[i] = make([]int32, g.NumNodes())
+			b.members[i].nodes = make([]int32, g.NumNodes())
+		}
+	}
+	if len(b.stepTimes) >= steps {
+		return nil
+	}
+	maxN := 0
+	for _, g := range set.Levels {
+		maxN = max(maxN, g.NumNodes())
+	}
+	members := b.members
+	// One dense scratch per pool worker, sized for the finest level and
+	// recycled across the regions and steps that worker runs.
+	scratches := make([]*klScratch, procs)
+	for step := len(b.stepTimes); step < steps; step++ {
+		regions := 1 << step
+		for i := range members {
+			members[i].sort(b.labels[i], regions)
+		}
+		// Spare processors beyond the region count go to intra-task scan
+		// parallelism; the split never changes results.
+		width := max(procs/regions, 1)
+		taskTimes := make([]time.Duration, regions)
+		par.Run(procs, regions, func(wk, r int) {
+			if gate.Stopped() {
+				return
+			}
+			if scratches[wk] == nil {
+				scratches[wk] = newKLScratch(maxN, 1)
+			}
+			sc := scratches[wk]
+			sc.workers = width
+			sc.rng.Seed(opt.Seed + int64(step)*1000 + int64(r))
+			t0 := time.Now()
+			bisectRegion(set, b.labels, members, int32(r), int32(r+regions), opt, sc)
+			taskTimes[r] = time.Since(t0)
+		})
+		// Steps are barriers: later steps bisect the regions earlier steps
+		// created, so a half-split step must not be kept. It only moved
+		// region r's nodes to r+regions, so labels mod regions undo it.
+		if gate.Stopped() {
+			mask := int32(regions - 1)
+			for _, labels := range b.labels {
+				for v := range labels {
+					labels[v] &= mask
+				}
+			}
+			return gate.Err()
+		}
+		b.stepTimes = append(b.stepTimes, taskTimes)
+	}
+	return nil
+}
+
+// regionIndex lists one level's nodes by region at the start of a
+// bisection step: nodes[off[r]:off[r+1]] are the nodes labelled r, in
+// ascending order.
+type regionIndex struct {
+	nodes []int32
+	off   []int
+}
+
+// sort is a stable counting sort of the level's nodes by their labels,
+// all of which are below regions.
+func (x *regionIndex) sort(labels []int32, regions int) {
+	if cap(x.off) < regions+1 {
+		x.off = make([]int, regions+1)
+	}
+	off := x.off[:regions+1]
+	clear(off)
+	for _, l := range labels {
+		off[l+1]++
+	}
+	for r := 1; r <= regions; r++ {
+		off[r] += off[r-1]
+	}
+	for v, l := range labels {
+		x.nodes[off[l]] = int32(v)
+		off[l]++
+	}
+	// off[r] now ends region r; shift the ends into starts.
+	copy(off[1:], off[:regions])
+	off[0] = 0
+	x.off = off
+}
+
+func (x *regionIndex) of(r int32) []int32 { return x.nodes[x.off[r]:x.off[r+1]] }
+
 // bisectRegion splits region r into labels {r, newLabel} on the coarsest
-// level and projects + refines the split down to level 0. Labels outside
-// the region are never touched, so disjoint regions can run concurrently;
-// sc is owned by this region for the duration of the call.
-func bisectRegion(set *graph.Set, levelLabels [][]int32, r, newLabel int32, opt Options, rng *rand.Rand, sc *klScratch) {
+// level and projects + refines the split down to level 0. members[i]
+// lists the level-i nodes of every region as the step began; the region's
+// work only visits its own. Labels outside the region are never touched,
+// so disjoint regions can run concurrently; sc, its RNG seeded for this
+// region, is owned by this region for the duration of the call.
+func bisectRegion(set *graph.Set, levelLabels [][]int32, members []regionIndex, r, newLabel int32, opt Options, sc *klScratch) {
 	top := len(set.Levels) - 1
 	for i := top; i >= 0; i-- {
 		labels := levelLabels[i]
+		nodes := members[i].of(r)
 		if i < top {
-			// Project the parent level's split into this level.
+			// Project the parent level's split into this level. A parent
+			// labelled r (or, after earlier refinements, some other
+			// region) leaves the node at r.
 			up := set.Up[i]
 			parentLabels := levelLabels[i+1]
-			for v := range labels {
-				if loadLabel(&labels[v]) != r {
-					continue
-				}
+			for _, v := range nodes {
 				if loadLabel(&parentLabels[up[v]]) == newLabel {
 					storeLabel(&labels[v], newLabel)
 				}
-				// Parent labeled r (or, after earlier refinements, some
-				// other region): node keeps r.
 			}
 		}
 		// If the split has not materialized yet (region too small at
 		// coarser levels), start it here.
 		countR, countNew := 0, 0
-		for v := range labels {
+		for _, v := range nodes {
 			switch loadLabel(&labels[v]) {
 			case r:
 				countR++
@@ -197,9 +347,9 @@ func bisectRegion(set *graph.Set, levelLabels [][]int32, r, newLabel int32, opt 
 			if countR < 2 {
 				continue // not splittable at this level yet
 			}
-			greedyGrow(set.Levels[i], labels, r, newLabel, opt, rng, sc)
+			greedyGrow(set.Levels[i], labels, nodes, r, newLabel, opt, sc.rng, sc)
 		}
-		klBisect(set.Levels[i], labels, r, newLabel, opt, sc)
+		klBisect(set.Levels[i], labels, nodes, r, newLabel, opt, sc)
 	}
 }
 

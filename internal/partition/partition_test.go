@@ -44,6 +44,16 @@ func ringOfClusters(m, n int, seed int64) *graph.Graph {
 	return b.Build()
 }
 
+// allNodes is the universe of every node of g, for the bisection
+// primitives run on whole graphs.
+func allNodes(g *graph.Graph) []int32 {
+	nodes := make([]int32, g.NumNodes())
+	for v := range nodes {
+		nodes[v] = int32(v)
+	}
+	return nodes
+}
+
 func singleLevelSet(g *graph.Graph) *graph.Set {
 	return &graph.Set{Levels: []*graph.Graph{g}}
 }
@@ -52,7 +62,7 @@ func TestGreedyGrowBalances(t *testing.T) {
 	g := ringOfClusters(8, 10, 1)
 	labels := make([]int32, g.NumNodes())
 	rng := rand.New(rand.NewSource(2))
-	greedyGrow(g, labels, 0, 1, DefaultOptions(2), rng, newKLScratch(g.NumNodes(), 1))
+	greedyGrow(g, labels, allNodes(g), 0, 1, DefaultOptions(2), rng, newKLScratch(g.NumNodes(), 1))
 	w := PartWeights(g, labels, 2)
 	if w[0] == 0 || w[1] == 0 {
 		t.Fatalf("empty side: %v", w)
@@ -71,13 +81,13 @@ func TestGreedyGrowTinyRegions(t *testing.T) {
 	g := b.Build()
 	// Region with one node: no-op.
 	labels := []int32{0, 5, 5}
-	greedyGrow(g, labels, 0, 1, DefaultOptions(2), rand.New(rand.NewSource(1)), newKLScratch(g.NumNodes(), 1))
+	greedyGrow(g, labels, allNodes(g), 0, 1, DefaultOptions(2), rand.New(rand.NewSource(1)), newKLScratch(g.NumNodes(), 1))
 	if labels[0] != 0 {
 		t.Errorf("singleton region changed: %v", labels)
 	}
 	// Region with two nodes: must split.
 	labels = []int32{0, 0, 5}
-	greedyGrow(g, labels, 0, 1, DefaultOptions(2), rand.New(rand.NewSource(1)), newKLScratch(g.NumNodes(), 1))
+	greedyGrow(g, labels, allNodes(g), 0, 1, DefaultOptions(2), rand.New(rand.NewSource(1)), newKLScratch(g.NumNodes(), 1))
 	if labels[0] == labels[1] {
 		t.Errorf("two-node region not split: %v", labels)
 	}
@@ -93,7 +103,7 @@ func TestKLBisectFindsBridge(t *testing.T) {
 		}
 	}
 	before := EdgeCut(g, labels)
-	improved := klBisect(g, labels, 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
+	improved := klBisect(g, labels, allNodes(g), 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
 	after := EdgeCut(g, labels)
 	if after != before-improved {
 		t.Fatalf("improvement accounting: before=%d after=%d claimed=%d", before, after, improved)
@@ -124,7 +134,7 @@ func TestKLBisectNeverWorsens(t *testing.T) {
 		// Both sides must be non-empty for KL.
 		labels[0], labels[1] = 0, 1
 		before := EdgeCut(g, labels)
-		improved := klBisect(g, labels, 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
+		improved := klBisect(g, labels, allNodes(g), 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
 		after := EdgeCut(g, labels)
 		if improved < 0 {
 			t.Fatalf("negative improvement %d", improved)
@@ -149,7 +159,7 @@ func TestKLBisectIgnoresOtherRegions(t *testing.T) {
 			labels[v] = 7
 		}
 	}
-	klBisect(g, labels, 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
+	klBisect(g, labels, allNodes(g), 0, 1, DefaultOptions(2), newKLScratch(g.NumNodes(), 1))
 	for v := 12; v < g.NumNodes(); v++ {
 		if labels[v] != 7 {
 			t.Fatalf("foreign node %d relabeled to %d", v, labels[v])

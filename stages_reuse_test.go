@@ -2,13 +2,18 @@ package focus
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"focus/internal/assembly"
 	"focus/internal/dist"
 	"focus/internal/graph"
+	"focus/internal/partition"
 )
 
 // reuseConfig keeps enough coarsest-level nodes for a 16-way partition.
@@ -146,4 +151,119 @@ func TestStagesReuseSharedContraction(t *testing.T) {
 	if want, _ := graph.ContractCtx(nil, s.G0, s.Hyb.RepOf, len(s.Hyb.Nodes), 1); !s.Hyb.G.Equal(want) {
 		t.Error("Hyb.G is not the contraction of G0 by RepOf")
 	}
+}
+
+// samePartition reports how got differs from want: labels on any level of
+// the hybrid set, or the number of step and k-way task times.
+func samePartition(got, want *partition.Result) error {
+	for i := range want.LevelLabels {
+		if !slices.Equal(got.LevelLabels[i], want.LevelLabels[i]) {
+			return fmt.Errorf("level %d labels differ", i)
+		}
+	}
+	if len(got.StepTaskTimes) != len(want.StepTaskTimes) || len(got.KWayTimes) != len(want.KWayTimes) {
+		return fmt.Errorf("%d steps and %d k-way times, want %d and %d",
+			len(got.StepTaskTimes), len(got.KWayTimes), len(want.StepTaskTimes), len(want.KWayTimes))
+	}
+	return nil
+}
+
+// TestStagesReuseSharedBisection: Assemble partitions on one bisection
+// prefix per Stages. Ascending, descending and concurrent sweeps, a Stages
+// copied by value (of the same set or with another set) and a Stages
+// built by hand all partition as a fresh PartitionSetCtx does; a cancel
+// keeps only the steps completed before it.
+func TestStagesReuseSharedBisection(t *testing.T) {
+	reads, _ := simReads(t, 12000, 15, 314)
+	s, err := BuildStages(reads, reuseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []int{2, 4, 8, 16}
+	freshOf := func(s *Stages) map[int]*partition.Result {
+		t.Helper()
+		fresh := map[int]*partition.Result{}
+		for _, k := range ks {
+			res, err := partition.PartitionSetCtx(nil, s.Hyb.Set, partitionOptions(k, 2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[k] = res
+		}
+		return fresh
+	}
+	fresh := freshOf(s)
+	sweep := func(name string, s *Stages, fresh map[int]*partition.Result, order []int) {
+		t.Helper()
+		for _, k := range order {
+			res, err := s.partitionShared(k, 2, 1)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+			if err := samePartition(res, fresh[k]); err != nil {
+				t.Fatalf("%s k=%d: %v", name, k, err)
+			}
+		}
+	}
+	withSlot := func() *Stages {
+		c := *s
+		c.bisection = &bisectionSlot{}
+		return &c
+	}
+
+	sweep("ascending", withSlot(), fresh, ks)
+	sweep("descending", withSlot(), fresh, []int{16, 8, 4, 2})
+
+	conc := withSlot()
+	var wg sync.WaitGroup
+	errs := make([]error, 2*len(ks))
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := ks[i%len(ks)]
+			res, err := conc.partitionShared(k, 2, 1)
+			if err == nil {
+				err = samePartition(res, fresh[k])
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent: %v", err)
+		}
+	}
+
+	// A value copy shares the prefix of the set it partitions; one given
+	// another set partitions that set.
+	sweep("value copy", func() *Stages { c := *conc; return &c }(), fresh, ks)
+	otherReads, _ := simReads(t, 12000, 15, 315)
+	other, err := BuildStages(otherReads, reuseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := *conc
+	moved.Hyb = other.Hyb
+	sweep("copy with another set", &moved, freshOf(other), ks)
+	sweep("copy back on its set", conc, fresh, ks)
+
+	sweep("built by hand", &Stages{Hyb: s.Hyb}, fresh, ks)
+
+	// A canceled call stores no step: the copy shares the slot, whose
+	// bisection holds two steps, and cannot add the third.
+	canceled := withSlot()
+	sweep("before the cancel", canceled, fresh, ks[:2])
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := *canceled
+	c.Cfg.Context = ctx
+	if _, err := c.partitionShared(16, 2, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled partition returned %v", err)
+	}
+	if got := canceled.bisection.b.Steps(); got != 2 {
+		t.Fatalf("%d bisection steps stored after the canceled call, want 2", got)
+	}
+	sweep("after the cancel", canceled, fresh, ks)
 }
