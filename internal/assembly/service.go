@@ -62,9 +62,7 @@ func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 // the wire types and the computation; this method just exposes them on
 // the worker service.
 func (s *Service) AlignRef(args *overlap.AlignRefArgs, reply *overlap.AlignRefReply) error {
-	var err error
-	reply.Lists, err = overlap.AlignRef(args)
-	return err
+	return overlap.AlignRef(args, reply)
 }
 
 // NewService is the factory handed to dist.NewLocalPool.

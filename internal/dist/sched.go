@@ -25,7 +25,10 @@ import (
 // whose reply each task kept (-1 for a task that never succeeded), so a
 // caller that rejects a reply can name its sender; the first error (in
 // task order) is returned after all calls finish. When no schedulable
-// worker exists the error wraps ErrNoWorkers.
+// worker exists the error wraps ErrNoWorkers. Each attempt decodes into a
+// copy of the task's reply as the caller passed it, so what the caller set
+// beforehand (a decode context, such as overlap.AlignRefReply's read
+// lengths) reaches the decoder; the copy replaces the reply on success.
 //
 // A task failed by the service fails at once, as in an MPI job: the
 // services run deterministic functions of their arguments, so another
@@ -159,8 +162,12 @@ func (p *Pool) runWorker(ctx context.Context, w *worker, s *sched, method string
 	}
 }
 
+// newReply is one attempt's reply: a shallow copy of proto, which callers
+// pass holding nothing a decoder writes into.
 func newReply(proto interface{}) interface{} {
-	return reflect.New(reflect.TypeOf(proto).Elem()).Interface()
+	v := reflect.New(reflect.TypeOf(proto).Elem())
+	v.Elem().Set(reflect.ValueOf(proto).Elem())
+	return v.Interface()
 }
 
 func copyReply(dst, src interface{}) {

@@ -45,7 +45,17 @@ type AlignRefArgs struct {
 // the order of Queries. In a paired job's lists a record whose Kind
 // carries mirrorDerived stands for itself and for its strand mirror,
 // which is not listed (elideMirrors).
-type AlignRefReply struct{ Lists [][]Record }
+type AlignRefReply struct {
+	Lists [][]Record
+	// Lengths is set at both ends and never shipped: the worker and the
+	// master both hold the job's reads, and the records are coded against
+	// their lengths (wire.go). Without it every record ships escaped.
+	Lengths ReadLengths
+}
+
+// ReadLengths gives the length of each read an AlignRefReply's records
+// name, 0 for a read it does not hold.
+type ReadLengths interface{ ReadLen(id int32) int }
 
 // mirrorDerived marks, on the wire, a record whose strand mirror was
 // elided from its list; no defined align.Kind has this bit.
@@ -58,23 +68,23 @@ const mirrorDerived align.Kind = 0x80
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
 // AlignRef executes one job (the worker half; assembly.Service exposes it
-// over RPC): it indexes the reference once and aligns each query subset
-// against it, returning the lists as they ship — in a paired job, with
-// every strand mirror the master can re-derive elided. A request the job
-// cannot be run on — a configuration validate refuses, or bounds that do
-// not form a (q <= r) job or do not match the reads shipped — is an
-// error, not a worker crash.
-func AlignRef(args *AlignRefArgs) ([][]Record, error) {
+// over RPC): it indexes the reference once, aligns each query subset
+// against it and fills reply with the lists as they ship — in a paired
+// job, with every strand mirror the master can re-derive elided — and with
+// the job's read lengths. A request the job cannot be run on — a
+// configuration validate refuses, or bounds that do not form a (q <= r)
+// job or do not match the reads shipped — is an error, not a worker crash.
+func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	if err := validate(args.Cfg, 1); err != nil {
-		return nil, err
+		return err
 	}
 	queries, ref, err := args.readSets()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -85,7 +95,43 @@ func AlignRef(args *AlignRefArgs) ([][]Record, error) {
 			lists[i] = elideMirrors(lists[i], query, ref)
 		}
 	}
-	return lists, nil
+	reply.Lists, reply.Lengths = lists, jobLengths{args}
+	return nil
+}
+
+// jobLengths gives the lengths of the reads a job ships, once readSets
+// has checked them against its bounds: the query run's, then the
+// reference's unless the run holds it; a paired job ships each pair's even
+// read, whose mirror has its length.
+type jobLengths struct{ *AlignRefArgs }
+
+// ReadLen implements ReadLengths.
+func (j jobLengths) ReadLen(id int32) int {
+	qlo, qhi := j.Queries[0], j.Queries[len(j.Queries)-1]
+	var i int
+	switch {
+	case id >= qlo && id < qhi:
+		i = int(id - qlo)
+	case id >= j.RefLo && id < j.RefHi:
+		i = int(qhi-qlo) + int(id-j.RefLo)
+	default:
+		return 0
+	}
+	if j.Paired {
+		i /= 2
+	}
+	return len(j.Seqs[i])
+}
+
+// readLengths holds the reads of a whole stage.
+type readLengths []dna.Read
+
+// ReadLen implements ReadLengths.
+func (r readLengths) ReadLen(id int32) int {
+	if id < 0 || int(id) >= len(r) {
+		return 0
+	}
+	return len(r[id].Seq)
 }
 
 // readSets checks the job's bounds against its reads and returns its query
@@ -285,10 +331,11 @@ func (e *ReplyError) Error() string {
 // checkList validates one reply list of subset pair (q, r), whose ids are
 // [qlo, qhi) and [rlo, rhi), and returns it with its elided mirrors
 // restored, or the reason it cannot be merged: a record outside the pair,
-// not canonical (A < B), of an undefined kind, a non-positive length or an
-// identity outside [0, 1]; a mirrorDerived bit anywhere but on an even-A,
-// non-self-mirror record of a paired job; or a list that is not strictly
-// in (A, B, Kind) order once restored.
+// not canonical (A < B), of an undefined kind, a non-positive length, an
+// identity outside [0, 1] or a diagonal on which its reads do not meet; a
+// mirrorDerived bit anywhere but on an even-A, non-self-mirror record of a
+// paired job; or a list that is not strictly in (A, B, Kind) order once
+// restored.
 func checkList(recs []Record, qlo, qhi, rlo, rhi int32, paired bool, length func(int32) int) ([]Record, string) {
 	for _, r := range recs {
 		switch kind := r.Kind &^ mirrorDerived; {
@@ -300,6 +347,8 @@ func checkList(recs []Record, qlo, qhi, rlo, rhi int32, paired bool, length func
 			return nil, fmt.Sprintf("record %+v of kind %d", r, r.Kind)
 		case r.Len <= 0 || !(r.Identity >= 0 && r.Identity <= 1):
 			return nil, fmt.Sprintf("record %+v of length or identity out of range", r)
+		case window(int64(r.Diag), length(r.A), length(r.B)) <= 0:
+			return nil, fmt.Sprintf("record %+v on a diagonal its reads do not meet", r)
 		case r.Kind != kind && (!paired || r.A&1 != 0 || r.B == r.A^1):
 			return nil, fmt.Sprintf("record %+v marked mirror-derived", r)
 		}
@@ -382,9 +431,10 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		bounds[s+1] = bounds[s] + int32(len(sub.ids))
 	}
 	jobs := refJobs(subsets, max(pool.NumHealthy(), 1))
+	lengths := readLengths(reads)
 	replies := make([]interface{}, len(jobs))
 	for i := range replies {
-		replies[i] = &AlignRefReply{}
+		replies[i] = &AlignRefReply{Lengths: lengths}
 	}
 	_, served, err := pool.ParallelCallsCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
 		return jobs[t].args(subs, bounds, paired, cfg)
@@ -405,7 +455,6 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		}
 		return nil, err
 	}
-	length := func(id int32) int { return len(reads[id].Seq) }
 	pairs := subsetPairs(subsets)
 	lists := make([][]Record, len(pairs))
 	for t, j := range jobs {
@@ -418,7 +467,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		}
 		for i, l := range reply.Lists {
 			q := j.q0 + i
-			recs, bad := checkList(l, bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, length)
+			recs, bad := checkList(l, bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, lengths.ReadLen)
 			if bad != "" {
 				return nil, &ReplyError{Worker: served[t], Q: q, R: j.r, Reason: bad}
 			}

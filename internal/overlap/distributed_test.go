@@ -2,9 +2,11 @@ package overlap
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,15 +31,58 @@ func (s *alignService) AlignRef(args *AlignRefArgs, reply *AlignRefReply) error 
 	if s.calls != nil {
 		s.calls.Add(1)
 	}
-	var err error
-	reply.Lists, err = AlignRef(args)
+	err := AlignRef(args, reply)
 	if err == nil && s.forge != nil {
 		reply.Lists = s.forge(args, reply.Lists)
 	}
 	return err
 }
 
+// alignLists runs one job and returns its lists.
+func alignLists(args *AlignRefArgs) ([][]Record, error) {
+	var reply AlignRefReply
+	err := AlignRef(args, &reply)
+	return reply.Lists, err
+}
+
 func newAlignService() interface{} { return &alignService{} }
+
+// ForgedReply is a reply a forging worker writes byte by byte (exported,
+// as net/rpc requires of a reply type).
+type ForgedReply []byte
+
+func (f *ForgedReply) AppendTo(dst []byte) []byte { return append(dst, *f...) }
+
+func (f *ForgedReply) DecodeFrom(src []byte) error {
+	*f = append((*f)[:0], src...)
+	return nil
+}
+
+// wireForger answers AlignRef with the true reply, except that its first
+// non-empty list ships as the one record forge writes in place of the
+// list's first record, r.
+type wireForger struct {
+	forge func(r Record, lengths ReadLengths) []byte
+}
+
+func (s *wireForger) AlignRef(args *AlignRefArgs, reply *ForgedReply) error {
+	var r AlignRefReply
+	if err := AlignRef(args, &r); err != nil {
+		return err
+	}
+	dst, forged := dist.AppendLen(nil, len(r.Lists), true), false
+	for _, l := range r.Lists {
+		if forged || len(l) == 0 {
+			dst, _ = appendList(dst, l, r.Lengths)
+			continue
+		}
+		dst = dist.AppendVarint(dist.AppendUvarint(dist.AppendLen(dst, 1, true), 0), int64(l[0].B))
+		dst = append(dst, s.forge(l[0], r.Lengths)...)
+		forged = true
+	}
+	*reply = dst
+	return nil
+}
 
 func TestFindOverlapsDistributedMatchesLocal(t *testing.T) {
 	genome := randGenome(150, 2500)
@@ -69,12 +114,13 @@ func TestFindOverlapsDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
-// pairedD2Reads is the D2 analogue as the pipeline feeds the overlap
-// stage: simulated reads through preprocess.Run with AddReverse, so read
-// 2i+1 is the reverse complement of read 2i.
-func pairedD2Reads(t *testing.T) []dna.Read {
+// paperReads is the analogue of paper data set d at scale 0.1 as the
+// pipeline feeds the overlap stage: simulated reads through preprocess.Run,
+// with AddReverse when paired, so that read 2i+1 is the reverse complement
+// of read 2i.
+func paperReads(t *testing.T, d int, paired bool) []dna.Read {
 	t.Helper()
-	spec, err := simulate.PaperDataSet(2, 0.1)
+	spec, err := simulate.PaperDataSet(d, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +128,13 @@ func pairedD2Reads(t *testing.T) []dna.Read {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := simulate.PaperReadConfig(2, 8)
+	rcfg := simulate.PaperReadConfig(d, 8)
 	rcfg.AdapterLen = 0
 	rs, err := simulate.SimulateReads(com, rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: true})
+	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: paired})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,42 +142,46 @@ func pairedD2Reads(t *testing.T) []dna.Read {
 }
 
 // TestFindOverlapsDistributedMatchesLocalPaired is the distributed stage
-// on the strand-paired input the pipeline produces: byte-identical records
-// to FindOverlapsCtx at 1, 3, 4 and 7 subsets (7 splits on odd i·n/S
-// bounds) on pools of 1, 2, 4 and 8 workers, with one reference index
-// built per refJobs job and never more than one per subset pair, pools
-// wider than the subset count included.
+// on the strand-paired input the pipeline produces, the D1–D3 analogues:
+// byte-identical records to FindOverlapsCtx at 1, 3, 4 and 7 subsets (7
+// splits on odd i·n/S bounds) on pools of 1, 2, 4 and 8 workers, with one
+// reference index built per refJobs job and never more than one per subset
+// pair, pools wider than the subset count included.
 func TestFindOverlapsDistributedMatchesLocalPaired(t *testing.T) {
-	reads := pairedD2Reads(t)
 	cfg := testConfig()
-	for _, subsets := range []int{1, 3, 4, 7} {
-		local, err := FindOverlapsCtx(nil, reads, subsets, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(local) == 0 {
-			t.Fatalf("subsets=%d: no records", subsets)
-		}
-		for _, width := range []int{1, 2, 4, 8} {
-			var calls atomic.Int64
-			pool, err := dist.NewLocalPool(width, func() interface{} { return &alignService{calls: &calls} })
-			if err != nil {
-				t.Fatal(err)
+	for d := 1; d <= 3; d++ {
+		t.Run(fmt.Sprintf("D%d", d), func(t *testing.T) {
+			reads := paperReads(t, d, true)
+			for _, subsets := range []int{1, 3, 4, 7} {
+				local, err := FindOverlapsCtx(nil, reads, subsets, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(local) == 0 {
+					t.Fatalf("subsets=%d: no records", subsets)
+				}
+				for _, width := range []int{1, 2, 4, 8} {
+					var calls atomic.Int64
+					pool, err := dist.NewLocalPool(width, func() interface{} { return &alignService{calls: &calls} })
+					if err != nil {
+						t.Fatal(err)
+					}
+					remote, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
+					pool.Close()
+					if err != nil {
+						t.Fatalf("subsets=%d width=%d: %v", subsets, width, err)
+					}
+					if !slices.Equal(remote, local) {
+						t.Fatalf("subsets=%d width=%d: distributed %d records, local %d; %v",
+							subsets, width, len(remote), len(local), firstDiff(remote, local))
+					}
+					pairs := int64(subsets * (subsets + 1) / 2)
+					if n := calls.Load(); n != int64(len(refJobs(subsets, width))) || n > pairs {
+						t.Fatalf("subsets=%d width=%d: %d index builds for %d subset pairs", subsets, width, n, pairs)
+					}
+				}
 			}
-			remote, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
-			pool.Close()
-			if err != nil {
-				t.Fatalf("subsets=%d width=%d: %v", subsets, width, err)
-			}
-			if !slices.Equal(remote, local) {
-				t.Fatalf("subsets=%d width=%d: distributed %d records, local %d; %v",
-					subsets, width, len(remote), len(local), firstDiff(remote, local))
-			}
-			pairs := int64(subsets * (subsets + 1) / 2)
-			if n := calls.Load(); n != int64(len(refJobs(subsets, width))) || n > pairs {
-				t.Fatalf("subsets=%d width=%d: %d index builds for %d subset pairs", subsets, width, n, pairs)
-			}
-		}
+		})
 	}
 }
 
@@ -171,8 +221,11 @@ func TestRefJobs(t *testing.T) {
 // the master cannot merge — a record outside its subset pair, not
 // canonical, of an undefined kind, length or identity, a mirror-derived
 // mark where no mirror can be derived, a duplicate, a list missing — fails
-// the stage with a *ReplyError naming the worker, never merges. On an odd
-// (unpaired) 69-read set and on a strand-paired one.
+// the stage with a *ReplyError naming the worker, never merges. So do
+// forged bytes: a compact record with more non-matching columns than Len
+// or on a diagonal whose window is empty, and an escaped record of an
+// undefined kind. On an odd (unpaired) 69-read set and on a strand-paired
+// one.
 func TestFindOverlapsDistributedRejectsForgedReplies(t *testing.T) {
 	unpaired := tilingReads(randGenome(154, 100+68*20), 100, 20)
 	// A read equal to its own reverse complement overlaps its mirror: a
@@ -259,6 +312,34 @@ func TestFindOverlapsDistributedRejectsForgedReplies(t *testing.T) {
 	unpairedOnly := map[string]forgery{
 		"derived when unpaired": editWhere(func(r Record) bool { return r.A&1 == 0 && r.B != r.A^1 }, func(r *Record) { r.Kind |= mirrorDerived }),
 	}
+	// compact writes r as a compact suffix-prefix record on diag with x
+	// non-matching and g gap columns, whether or not they can hold (r.B
+	// is its list's base).
+	compact := func(r Record, diag int32, x, g uint64) []byte {
+		dst := dist.AppendUvarint(nil, uint64(r.A)<<4|uint64(align.KindSuffixPrefix-1)<<1)
+		dst = dist.AppendVarint(dist.AppendUvarint(dst, 0), int64(diag))
+		if g == 0 {
+			return dist.AppendUvarint(dst, x<<1)
+		}
+		return dist.AppendUvarint(dist.AppendUvarint(dst, x<<1|1), g-1)
+	}
+	wireForgeries := map[string]struct {
+		forge  func(r Record, lengths ReadLengths) []byte
+		reason string
+	}{
+		"compact x above Len": {func(r Record, lengths ReadLengths) []byte {
+			w := window(int64(r.Diag), lengths.ReadLen(r.A), lengths.ReadLen(r.B))
+			return compact(r, r.Diag, uint64(w)+1, 0)
+		}, "identity out of range"},
+		"compact empty window": {func(r Record, lengths ReadLengths) []byte {
+			return compact(r, int32(lengths.ReadLen(r.A)), 0, 60)
+		}, "do not meet"},
+		"escaped kind 77": {func(r Record, _ ReadLengths) []byte {
+			r.Kind = 77
+			dst, _ := (&recordCoder{}).appendRecord(nil, &r)
+			return dst
+		}, "of kind"},
+	}
 	for _, tc := range []struct {
 		name  string
 		reads []dna.Read
@@ -294,6 +375,18 @@ func TestFindOverlapsDistributedRejectsForgedReplies(t *testing.T) {
 			pool.Close()
 			var re *ReplyError
 			if !errors.As(err, &re) || re.Worker < 0 || re.Worker > 1 {
+				t.Errorf("%s %s: %d records, error %v", tc.name, name, len(recs), err)
+			}
+		}
+		for name, f := range wireForgeries {
+			pool, err := dist.NewLocalPool(2, func() interface{} { return &wireForger{forge: f.forge} })
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := FindOverlapsDistributedCtx(nil, pool, tc.reads, 3, cfg)
+			pool.Close()
+			var re *ReplyError
+			if !errors.As(err, &re) || !strings.Contains(re.Reason, f.reason) {
 				t.Errorf("%s %s: %d records, error %v", tc.name, name, len(recs), err)
 			}
 		}
@@ -419,7 +512,7 @@ func TestAlignRefRejectsMalformedJobs(t *testing.T) {
 		"paired no queries":  func(a *AlignRefArgs) { a.Paired, a.Seqs = true, seqs[:1] },
 		"unpaired even only": func(a *AlignRefArgs) { a.Seqs = [][]byte{seqs[0], seqs[2]} },
 	} {
-		if lists, err := AlignRef(job(mut)); err == nil {
+		if lists, err := alignLists(job(mut)); err == nil {
 			t.Errorf("%s: accepted, %d lists", name, len(lists))
 		}
 	}
@@ -437,7 +530,7 @@ func TestAlignRefRejectsMalformedJobs(t *testing.T) {
 		},
 	} {
 		a := job(mut)
-		lists, err := AlignRef(a)
+		lists, err := alignLists(a)
 		if err != nil || len(lists) != len(a.Queries)-1 {
 			t.Errorf("%s: %d lists, %v", name, len(lists), err)
 		}
@@ -452,7 +545,7 @@ func TestAlignRefDirect(t *testing.T) {
 		seqs = append(seqs, r.Seq)
 	}
 	n := int32(len(seqs))
-	lists, err := AlignRef(&AlignRefArgs{Queries: []int32{0, n}, RefLo: 0, RefHi: n, Seqs: seqs, Cfg: testConfig()})
+	lists, err := alignLists(&AlignRefArgs{Queries: []int32{0, n}, RefLo: 0, RefHi: n, Seqs: seqs, Cfg: testConfig()})
 	if err != nil || len(lists) != 1 {
 		t.Fatalf("%d lists, %v", len(lists), err)
 	}

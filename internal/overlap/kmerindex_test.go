@@ -359,7 +359,7 @@ func TestIndexKmerBound(t *testing.T) {
 		t.Fatalf("FindOverlaps: err %v", err)
 	}
 	args := &AlignRefArgs{Queries: []int32{0, 1}, RefLo: 1, RefHi: int32(1 + len(over)), Seqs: append([][]byte{buf[:100]}, over...), Cfg: cfg}
-	if _, err := AlignRef(args); err == nil || !strings.Contains(err.Error(), "k-mers") {
+	if _, err := alignLists(args); err == nil || !strings.Contains(err.Error(), "k-mers") {
 		t.Fatalf("AlignRef: err %v", err)
 	}
 }

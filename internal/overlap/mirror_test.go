@@ -239,7 +239,7 @@ func TestAlignRefStrandMirror(t *testing.T) {
 		length := func(id int32) int { return len(seqs[id-tc.shift]) }
 		for _, j := range refJobs(len(subs), 2) {
 			a := j.args(subs, bounds, paired, cfg)
-			lists, err := AlignRef(a)
+			lists, err := alignLists(a)
 			if err != nil {
 				t.Fatal(err)
 			}

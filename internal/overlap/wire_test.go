@@ -177,3 +177,53 @@ func TestWireAlignRefCorrupt(t *testing.T) {
 		t.Fatal("corrupt sequence count decoded cleanly")
 	}
 }
+
+// TestAlignRefReplyCompact: every list AlignRef answers, on the D1–D3
+// analogues paired (preprocessing's AddReverse) and unpaired at 1, 4 and 7
+// subsets, ships with no record escaped and decodes against the master's
+// read lengths to the records sent; on the paired input a reply costs at
+// most 5 bytes a shipped record, headers included.
+func TestAlignRefReplyCompact(t *testing.T) {
+	cfg := testConfig()
+	for d := 1; d <= 3; d++ {
+		for _, paired := range []bool{true, false} {
+			reads := paperReads(t, d, paired)
+			for _, subsets := range []int{1, 4, 7} {
+				subs := splitSubsets(reads, subsets)
+				bounds := make([]int32, subsets+1)
+				for s, sub := range subs {
+					bounds[s+1] = bounds[s] + int32(len(sub.ids))
+				}
+				records, size := 0, 0
+				for _, j := range refJobs(subsets, 1) {
+					var sent AlignRefReply
+					if err := AlignRef(j.args(subs, bounds, subs[0].paired, cfg), &sent); err != nil {
+						t.Fatal(err)
+					}
+					for i, l := range sent.Lists {
+						if _, escapes := appendList(nil, l, sent.Lengths); escapes != 0 {
+							t.Fatalf("D%d paired %v subsets %d pair (%d,%d): %d of %d records escaped", d, paired, subsets, j.q0+i, j.r, escapes, len(l))
+						}
+						records += len(l)
+					}
+					enc := sent.AppendTo(nil)
+					size += len(enc)
+					got := AlignRefReply{Lengths: readLengths(reads)}
+					if err := got.DecodeFrom(enc); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Lists, sent.Lists) {
+						t.Fatalf("D%d paired %v subsets %d job %+v: the lists did not round-trip", d, paired, subsets, j)
+					}
+				}
+				if records == 0 {
+					t.Fatalf("D%d paired %v subsets %d: no records", d, paired, subsets)
+				}
+				t.Logf("D%d paired %v subsets %d: %d records, %.2f B/record", d, paired, subsets, records, float64(size)/float64(records))
+				if paired && size > 5*records {
+					t.Fatalf("D%d subsets %d: %d bytes for %d records", d, subsets, size, records)
+				}
+			}
+		}
+	}
+}
