@@ -43,22 +43,37 @@ func BenchmarkFindOverlaps(b *testing.B) {
 	benchmarkFindOverlaps(b, DefaultConfig())
 }
 
-// benchIndexes names the production seed index and its oracle for the
-// micro-benchmarks below (the k-mer table's build and probe costs are
-// explained against the suffix array's).
-var benchIndexes = []struct {
+// benchIndex names one seed index build for the micro-benchmarks below.
+type benchIndex struct {
 	name  string
 	build func(seqs [][]byte, k int) refIndex
-}{
-	{"kmer-table", func(seqs [][]byte, k int) refIndex {
-		ix, err := buildKmerIndex(seqs, k)
+}
+
+// kmerTable builds the k-mer table, strand-canonical when paired.
+func kmerTable(paired bool) func(seqs [][]byte, k int) refIndex {
+	return func(seqs [][]byte, k int) refIndex {
+		ix, err := buildKmerIndex(seqs, k, paired)
 		if err != nil {
 			panic(err)
 		}
 		return ix
-	}},
-	{"suffix-array", func(seqs [][]byte, k int) refIndex { return buildSAIndex(seqs, k) }},
+	}
 }
+
+// benchIndexes names the production seed index and its oracle (the k-mer
+// table's build and probe costs are explained against the suffix
+// array's); pairedIndexes the k-mer table's two layouts on a
+// strand-paired subset (the canonical one's against the full one's).
+var (
+	benchIndexes = []benchIndex{
+		{"kmer-table", kmerTable(false)},
+		{"suffix-array", func(seqs [][]byte, k int) refIndex { return buildSAIndex(seqs, k) }},
+	}
+	pairedIndexes = []benchIndex{
+		{"paired/full", kmerTable(false)},
+		{"paired/canonical", kmerTable(true)},
+	}
+)
 
 // benchSubset is one reference subset the size the D2 benchmark input
 // builds (12,000 reads over four subsets): 3,000 reads, ~120 k distinct
@@ -72,13 +87,31 @@ func benchSubset(b *testing.B) [][]byte {
 	return seqs
 }
 
+// pairedBenchSubset is benchSubset's size strand-paired, as preprocessing
+// with AddReverse makes every subset: 1,500 tiling reads, each followed by
+// its reverse complement.
+func pairedBenchSubset(b *testing.B) [][]byte {
+	var seqs [][]byte
+	for _, r := range benchReads(b, 1500) {
+		seqs = append(seqs, r.Seq, dna.ReverseComplement(r.Seq))
+	}
+	return seqs
+}
+
 // BenchmarkSeedLookup measures seed resolution alone, one query's batch
 // per op (steady-state), for each index over the same subset: "hit"
 // batches every fourth k-mer of one read, as the query loop does at Step
 // 4, reads in an order that revisits no key soon; "miss" batches as many
-// k-mers of an unrelated genome.
+// k-mers of an unrelated genome. The "paired/" runs take the strand-paired
+// subset and walk each range as the vote loop does, skipping other keys
+// and mapping each hit through probe.hit, so the strand-canonical table's
+// flips show in its time.
 func BenchmarkSeedLookup(b *testing.B) {
-	seqs := benchSubset(b)
+	benchmarkSeedLookup(b, benchSubset(b), benchIndexes, false)
+	benchmarkSeedLookup(b, pairedBenchSubset(b), pairedIndexes, true)
+}
+
+func benchmarkSeedLookup(b *testing.B, seqs [][]byte, indexes []benchIndex, walk bool) {
 	cfg := DefaultConfig()
 	var sc scratch
 	sample := func(seqs [][]byte) (batches [][]probe) {
@@ -98,8 +131,9 @@ func BenchmarkSeedLookup(b *testing.B) {
 		{"hit", sample(seqs)},
 		{"miss", sample(unrelated)},
 	}
-	for _, mode := range benchIndexes {
+	for _, mode := range indexes {
 		ix := mode.build(seqs, cfg.K)
+		last := ix.pairLast()
 		for _, ps := range probeSets {
 			b.Run(mode.name+"/"+ps.name, func(b *testing.B) {
 				total, probes := 0, 0
@@ -109,7 +143,15 @@ func BenchmarkSeedLookup(b *testing.B) {
 					batch := ps.batches[i%len(ps.batches)]
 					ents := ix.resolve(batch, cfg.MaxOccur)
 					for _, p := range batch {
-						total += len(ents[p.lo:p.hi])
+						if !walk {
+							total += len(ents[p.lo:p.hi])
+							continue
+						}
+						for _, e := range ents[p.lo:p.hi] {
+							if e.key == p.key {
+								total += int(p.hit(e, last).off&1) + 1
+							}
+						}
 					}
 					probes += len(batch)
 				}
@@ -139,7 +181,7 @@ func BenchmarkQueryLoop(b *testing.B) {
 	}
 	ref := tiling(0, 3000)
 	cfg := DefaultConfig()
-	ix, err := buildKmerIndex(ref.seqs, cfg.K)
+	ix, err := buildKmerIndex(ref.seqs, cfg.K, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,23 +211,20 @@ func BenchmarkQueryLoop(b *testing.B) {
 // every even query answer for its odd one, "all-queries" runs each query.
 // The records are identical.
 func BenchmarkStrandMirror(b *testing.B) {
-	var rs readSet
-	for _, r := range benchReads(b, 1500) {
-		rs.seqs = append(rs.seqs, r.Seq, dna.ReverseComplement(r.Seq))
-	}
+	rs := readSet{seqs: pairedBenchSubset(b)}
 	for i := range rs.seqs {
 		rs.ids = append(rs.ids, int32(i))
 	}
 	cfg := DefaultConfig()
-	ix, err := buildKmerIndex(rs.seqs, cfg.K)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, mirror := range []bool{true, false} {
 		name := map[bool]string{true: "mirror", false: "all-queries"}[mirror]
 		b.Run(name, func(b *testing.B) {
 			q := rs
 			q.paired = mirror
+			ix, err := buildKmerIndex(q.seqs, cfg.K, mirror)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var sc scratch
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -198,12 +237,14 @@ func BenchmarkStrandMirror(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild measures per-subset index construction, and the
-// k-mer table's on a low-complexity subset of the same size whose largest
-// bucket holds 20,000 entries (sorted, where the D2 subset's buckets
-// nearly all stay in scatter order).
+// BenchmarkIndexBuild measures per-subset index construction, the k-mer
+// table's two layouts on the strand-paired subset of the same size (with
+// their entry counts), and the k-mer table's on a low-complexity subset
+// of the same size whose one non-empty bucket holds 20,000 entries
+// (sorted, where the D2 subset's buckets nearly all stay in scatter
+// order).
 func BenchmarkIndexBuild(b *testing.B) {
-	seqs := benchSubset(b)
+	seqs, paired := benchSubset(b), pairedBenchSubset(b)
 	cfg := DefaultConfig()
 	for _, mode := range benchIndexes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -214,12 +255,23 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		})
 	}
+	for _, mode := range pairedIndexes {
+		b.Run(mode.name, func(b *testing.B) {
+			var ix refIndex
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix = mode.build(paired, cfg.K)
+			}
+			b.ReportMetric(float64(len(ix.(*kmerIndex).ents)), "entries")
+		})
+	}
 	b.Run("low-complexity", func(b *testing.B) {
-		seqs := lowComplexitySubset(4000, 5)
+		seqs := collidingSubset(4000, 5)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := buildKmerIndex(seqs, cfg.K); err != nil {
+			if _, err := buildKmerIndex(seqs, cfg.K, false); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -82,7 +82,7 @@ func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	if err != nil {
 		return err
 	}
-	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K)
+	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K, ref.paired)
 	if err != nil {
 		return err
 	}

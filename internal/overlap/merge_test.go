@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"focus/internal/align"
 	"focus/internal/preprocess"
@@ -207,6 +209,29 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 		if got := emitJob(&sc, ems, lo, n); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (ids %d..%d, same subset %v):\n got %+v\nwant %+v\n raw %+v", trial, lo, lo+int32(n)-1, same, got, want, ems)
 		}
+	}
+}
+
+// TestStageGrowthBounded: staging n records one at a time, unflipped and
+// flipped alike, allocates at most 2.5× the bytes of the final buffers
+// (push doubles them; append's ~1.25× growth of a large slice would
+// allocate about five times), and keeps every record in order.
+func TestStageGrowthBounded(t *testing.T) {
+	const n = 200_000
+	sc := new(scratch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range int32(n) {
+		sc.stage(Record{A: i, B: i + 1, Len: i})
+		sc.stage(Record{A: i + 1, B: i, Len: i})
+	}
+	runtime.ReadMemStats(&after)
+	if len(sc.records) != n || len(sc.flipped) != n || sc.records[n-1].Len != n-1 || sc.flipped[n-1].A != n-1 {
+		t.Fatalf("staged %d + %d records, last %+v %+v", len(sc.records), len(sc.flipped), sc.records[len(sc.records)-1], sc.flipped[len(sc.flipped)-1])
+	}
+	final := uint64(cap(sc.records)+cap(sc.flipped)) * uint64(unsafe.Sizeof(Record{}))
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 2.5*float64(final) {
+		t.Fatalf("staging %d records allocated %d bytes for final buffers of %d (%.2f×)", 2*n, got, final, float64(got)/float64(final))
 	}
 }
 

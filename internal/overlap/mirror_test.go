@@ -243,7 +243,7 @@ func TestAlignRefStrandMirror(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K)
+			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -267,7 +267,7 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	errs := make([]error, subsets)
 	par.Run(workers, subsets, func(_, s int) {
 		if !gate.Stopped() {
-			indexes[s], errs[s] = buildKmerIndex(subs[s].seqs, cfg.K)
+			indexes[s], errs[s] = buildKmerIndex(subs[s].seqs, cfg.K, subs[s].paired)
 		}
 	})
 	// A skipped index build leaves a nil index the pair jobs would probe.
@@ -361,6 +361,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 	sc.reset(len(ref.seqs))
 	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
 	mirror := query.paired && ref.paired
+	last := ix.pairLast()
 	for qi2 := 0; qi2 < len(query.ids); qi2++ {
 		if gate.Stopped() {
 			return nil
@@ -380,9 +381,12 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 		ents := ix.resolve(ps, cfg.MaxOccur)
 		for _, p := range ps {
 			for _, e := range ents[p.lo:p.hi] {
-				h := e.hit
 				// A small bucket's other k-mers share the range.
-				if e.key != p.km || h.read == self {
+				if e.key != p.key {
+					continue
+				}
+				h := p.hit(e, last)
+				if h.read == self {
 					continue
 				}
 				c := &sc.cands[h.read]
@@ -474,10 +478,21 @@ func newRecord(a, b int32, ov align.Overlap) Record {
 // derived strand mirror counts as its odd query's attempt.
 func (sc *scratch) stage(rec Record) {
 	if rec.A > rec.B {
-		sc.flipped = append(sc.flipped, rec.Flip())
+		sc.flipped = push(sc.flipped, rec.Flip())
 		return
 	}
-	sc.records = append(sc.records, rec)
+	sc.records = push(sc.records, rec)
+}
+
+// push appends rec to a staging list, doubling a full one's capacity:
+// append grows a slice past 256 elements by about 1.25×, which allocates
+// about five times a list's final size on the way there; doubling
+// allocates at most twice it.
+func push(recs []Record, rec Record) []Record {
+	if len(recs) == cap(recs) {
+		recs = slices.Grow(recs, max(len(recs), 64))
+	}
+	return append(recs, rec)
 }
 
 // sortByB orders records that share their A and have distinct Bs — one

@@ -53,6 +53,7 @@ func (ix *saIndex) resolve(ps []probe, maxOccur int) []kentry {
 	ix.ents = ix.ents[:0]
 	for i := range ps {
 		p := &ps[i]
+		p.key, p.flip = p.km, false
 		ix.pat = dna.Kmer(p.km).AppendBytes(ix.pat[:0], ix.k)
 		positions := ix.sa.Lookup(ix.pat, maxHits)
 		p.lo = uint32(len(ix.ents))
@@ -66,6 +67,8 @@ func (ix *saIndex) resolve(ps []probe, maxOccur int) []kentry {
 	}
 	return ix.ents
 }
+
+func (*saIndex) pairLast() []int32 { return nil }
 
 // oracleOverlaps is FindOverlaps/CountCandidates over the suffix-array
 // oracle: the production query loop and record merge, run serially with
