@@ -180,3 +180,74 @@ func TestReadClone(t *testing.T) {
 		t.Error("Clone shares storage with original")
 	}
 }
+
+// sameReads reports whether two read lists hold the same IDs, sequences
+// and qualities.
+func sameReads(x, y []Read) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if x[i].ID != y[i].ID || !bytes.Equal(x[i].Seq, y[i].Seq) || !bytes.Equal(x[i].Qual, y[i].Qual) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzReadFASTQ: no input may panic the FASTQ parser, and the reads of
+// any input it accepts must come back unchanged from WriteFASTQ and a
+// second ReadFASTQ.
+func FuzzReadFASTQ(f *testing.F) {
+	f.Add([]byte("@r1 desc\nACGT\n+\nIIII\n@r2\nnacg\n+r2\n!~#5\n"))
+	f.Add([]byte("@r1 desc\r\nACGT\r\n+\r\nIIII\r\n\n\n@r2\r\nNA\r\n+\r\n!~\r\n"))
+	f.Add([]byte("@r1\nACGT\n+\nIII\n"))
+	f.Add([]byte("@r1\nACGX\n+\nIIII\n"))
+	f.Add([]byte("@r1\nACGT\n"))
+	f.Add([]byte(">r1\nACGT\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reads, err := ReadFASTQ(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTQ(&buf, reads); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadFASTQ(&buf)
+		if err != nil {
+			t.Fatalf("re-read of written reads: %v\n%q", err, buf.Bytes())
+		}
+		if !sameReads(again, reads) {
+			t.Fatalf("round trip changed the reads:\n got %q\nwant %q", again, reads)
+		}
+	})
+}
+
+// FuzzReadFASTA: no input may panic the FASTA parser, and the reads of
+// any input it accepts must come back unchanged from WriteFASTA, at the
+// wrap width the fuzzer picks (0 for none), and a second ReadFASTA.
+func FuzzReadFASTA(f *testing.F) {
+	f.Add([]byte(">r1 some description\nACGT\nacgt\n\n>r2\nNNNA\n"), uint8(0))
+	f.Add([]byte(">r1\r\nAC GT\r\n"), uint8(3))
+	f.Add([]byte(">r1\n>r2\nACGTN\t \n"), uint8(2))
+	f.Add([]byte("ACGT\n>r1\n"), uint8(60))
+	f.Add([]byte("> \nACGT\n"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		reads, err := ReadFASTA(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFASTA(&buf, reads, int(width)); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadFASTA(&buf)
+		if err != nil {
+			t.Fatalf("re-read of written reads: %v\n%q", err, buf.Bytes())
+		}
+		if !sameReads(again, reads) {
+			t.Fatalf("round trip changed the reads:\n got %q\nwant %q", again, reads)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -22,23 +23,40 @@ func benchReads(b *testing.B, n int) []dna.Read {
 	return reads[:n]
 }
 
+// bytesPerRecord starts counting a benchmark's allocations; the function
+// it returns reports them per output record, given one iteration's count.
+func bytesPerRecord(b *testing.B) func(records int) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.TotalAlloc
+	return func(records int) {
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.TotalAlloc-start)/float64(b.N)/float64(records), "B/record")
+	}
+}
+
 func benchmarkFindOverlaps(b *testing.B, cfg Config) {
 	reads := benchReads(b, 400)
 	b.ReportAllocs()
 	b.ResetTimer()
+	report := bytesPerRecord(b)
+	recs := 0
 	for i := 0; i < b.N; i++ {
-		recs, err := FindOverlaps(reads, 4, cfg)
+		out, err := FindOverlaps(reads, 4, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(recs) == 0 {
-			b.Fatal("no overlaps found")
-		}
+		recs = len(out)
 	}
+	if recs == 0 {
+		b.Fatal("no overlaps found")
+	}
+	report(recs)
 }
 
 // BenchmarkFindOverlaps measures the whole overlap stage on the tiling
-// read set.
+// read set, and its allocations per output record.
 func BenchmarkFindOverlaps(b *testing.B) {
 	benchmarkFindOverlaps(b, DefaultConfig())
 }
@@ -165,7 +183,9 @@ func benchmarkSeedLookup(b *testing.B, seqs [][]byte, indexes []benchIndex, walk
 }
 
 // BenchmarkQueryLoop measures the whole per-job loop — sampling, batch
-// resolve, votes, verification and in-order emission — for one 3,000-read
+// resolve, votes, verification and in-order emission, and the copy out of
+// the job's pieces a worker makes, with its allocations per output
+// record — for one 3,000-read
 // query subset against one index over 3,000 tiling reads: "same" queries
 // the index's own subset (a same-subset job: every pair verified from both
 // sides, half the records flipped), "cross" queries a second tiling of the
@@ -193,13 +213,19 @@ func BenchmarkQueryLoop(b *testing.B) {
 			var sc scratch
 			b.ReportAllocs()
 			b.ResetTimer()
+			report := bytesPerRecord(b)
 			recs := 0
 			for i := 0; i < b.N; i++ {
-				recs = len(alignQueries(job.query, ref, ix, cfg, &sc))
+				out, err := alignQueries(job.query, ref, ix, cfg, &sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs = len(out)
 			}
 			if recs == 0 {
 				b.Fatal("no overlaps found")
 			}
+			report(recs)
 			b.ReportMetric(float64(recs), "records/op")
 		})
 	}
@@ -230,7 +256,11 @@ func BenchmarkStrandMirror(b *testing.B) {
 			b.ResetTimer()
 			recs := 0
 			for i := 0; i < b.N; i++ {
-				recs = len(alignQueries(q, q, ix, cfg, &sc))
+				out, err := alignQueries(q, q, ix, cfg, &sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				recs = len(out)
 			}
 			b.ReportMetric(float64(recs), "records/op")
 		})

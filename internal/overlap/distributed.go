@@ -90,7 +90,9 @@ func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	defer scratchPool.Put(sc)
 	lists := make([][]Record, len(queries))
 	for i, query := range queries {
-		lists[i] = alignQueries(query, ref, ix, args.Cfg, sc)
+		if lists[i], err = alignQueries(query, ref, ix, args.Cfg, sc); err != nil {
+			return err
+		}
 		if args.Paired {
 			lists[i] = elideMirrors(lists[i], query, ref)
 		}
@@ -456,7 +458,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		return nil, err
 	}
 	pairs := subsetPairs(subsets)
-	lists := make([][]Record, len(pairs))
+	lists := make([]jobRecords, len(pairs))
 	for t, j := range jobs {
 		// Each list is restored in place and let go of by its reply, so
 		// the stage holds one copy of its records until the merge.
@@ -471,8 +473,9 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 			if bad != "" {
 				return nil, &ReplyError{Worker: served[t], Q: q, R: j.r, Reason: bad}
 			}
-			// Pair (q, r)'s place in subsetPairs order.
-			lists[q*subsets-q*(q-1)/2+j.r-q] = recs
+			// Pair (q, r)'s place in subsetPairs order; a decoded list is a
+			// job of one piece.
+			lists[q*subsets-q*(q-1)/2+j.r-q] = jobRecords{pieces: [][]Record{recs}}
 			reply.Lists[i] = nil
 		}
 	}

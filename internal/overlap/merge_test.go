@@ -81,29 +81,77 @@ func sortDedupe(recs []Record) []Record {
 	return slices.CompactFunc(recs, func(x, y Record) bool { return compareKey(x, y) == 0 })
 }
 
-// emitJob runs a job's emissions through the production path (stage,
-// sortByB per query, jobRecords) on sc. An emission is a verified overlap
-// as the query loop produces it: from the query's point of view (A is the
-// query, B the reference read), not yet canonical. The emissions must come
-// in ascending query order, one per (query, reference read), with query
-// ids among the n consecutive ids from lo: what the loop guarantees.
-func emitJob(sc *scratch, ems []Record, lo int32, n int) []Record {
-	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
-	first := 0
+// emitJob runs a job's emissions through the production staging on sc —
+// stage each, endRun as the query changes, takeJob — and returns the job's
+// staging. An emission is a verified overlap as the query loop produces
+// it: from the query's point of view (A is the query, B the reference
+// read), not yet canonical. The emissions must come in ascending query
+// order, one per (query, reference read), with no reference read preceding
+// the job's first query: what the loop guarantees (a derived strand mirror
+// is its odd query's emission, right after its even one's).
+func emitJob(sc *scratch, ems []Record) jobRecords {
+	var lo, hi int32 // the queries that emit: the job's, as far as they show
+	if len(ems) > 0 {
+		lo, hi = ems[0].A, ems[len(ems)-1].A+1
+	}
+	sc.startJob(lo, int(hi-lo))
 	for i, em := range ems {
 		if i > 0 && em.A != ems[i-1].A {
-			sortByB(sc.records[first:])
-			first = len(sc.records)
+			sc.endRun()
 		}
 		sc.stage(em)
 	}
-	sortByB(sc.records[first:])
-	return sc.jobRecords(lo, n)
+	sc.endRun()
+	return sc.takeJob()
+}
+
+// flatJob is emitJob's job as one list, merged alone as alignQueries
+// does, with its staging checked first and recycled after.
+func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
+	t.Helper()
+	job := emitJob(sc, ems)
+	checkPieces(t, job)
+	recs, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.recycle(job)
+	return recs
+}
+
+// checkPieces checks a job's staging against what mergeRecords relies on:
+// no empty piece, the pieces' records strictly in (A, B, Kind) order with
+// no read's run in two pieces, and extra strictly in order with none of
+// the pieces' keys.
+func checkPieces(t testing.TB, job jobRecords) {
+	t.Helper()
+	var all []Record
+	for i, p := range job.pieces {
+		if len(p) == 0 {
+			t.Fatalf("piece %d of %d is empty", i, len(job.pieces))
+		}
+		if i > 0 && p[0].A == all[len(all)-1].A {
+			t.Fatalf("read %d's run straddles pieces %d and %d", p[0].A, i-1, i)
+		}
+		all = append(all, p...)
+	}
+	for _, l := range [][]Record{all, job.extra} {
+		for i := 1; i < len(l); i++ {
+			if compareKey(l[i-1], l[i]) >= 0 {
+				t.Fatalf("records %+v, %+v out of order", l[i-1], l[i])
+			}
+		}
+	}
+	for _, x := range job.extra {
+		if _, found := slices.BinarySearchFunc(all, x, compareKey); found {
+			t.Fatalf("extra record %+v has a key a piece holds", x)
+		}
+	}
 }
 
 // sortJob runs the production per-job emission on a fresh scratch.
-func sortJob(ems []Record, lo int32, n int) []Record {
-	return emitJob(new(scratch), ems, lo, n)
+func sortJob(t testing.TB, ems []Record) []Record {
+	return flatJob(t, new(scratch), ems)
 }
 
 // TestSortDedupeKeepsDistinctKinds: a pair reported with both a
@@ -114,7 +162,7 @@ func TestSortDedupeKeepsDistinctKinds(t *testing.T) {
 	sp := Record{A: 1, B: 2, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95, Diag: 40}
 	ct := Record{A: 1, B: 2, Kind: align.KindAContainsB, Len: 80, Identity: 0.92, Diag: 10}
 	for _, ems := range [][]Record{{sp, ct.Flip()}, {ct, sp.Flip()}} {
-		if got := sortJob(ems, 0, 3); !slices.Equal(got, []Record{sp, ct}) {
+		if got := sortJob(t, ems); !slices.Equal(got, []Record{sp, ct}) {
 			t.Fatalf("got %+v, want both Kinds in Kind order", got)
 		}
 	}
@@ -132,7 +180,7 @@ func TestSortDedupePicksMostCredibleDuplicate(t *testing.T) {
 	weak := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 55, Identity: 0.91, Diag: 45}
 	strong := Record{A: 3, B: 7, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.97, Diag: 40}
 	for _, ems := range [][]Record{{weak, strong.Flip()}, {strong, weak.Flip()}} {
-		if got := sortJob(ems, 2, 6); !slices.Equal(got, []Record{strong}) {
+		if got := sortJob(t, ems); !slices.Equal(got, []Record{strong}) {
 			t.Fatalf("kept %+v, want only the higher-identity %+v", got, strong)
 		}
 	}
@@ -196,7 +244,8 @@ func canonical(ems []Record) []Record {
 // whichever read is smaller), query runs from empty to longer than the
 // insertion-sort cutoff, and duplicates that tie on identity, on identity
 // and length, or on every field — and on empty and one-record jobs, one
-// scratch serving every job.
+// scratch serving every job, on pieces of the default size and of one to
+// eight records.
 func TestSortRecordsMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var sc scratch
@@ -204,34 +253,121 @@ func TestSortRecordsMatchesOracle(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		lo := int32(rng.Intn(50))
 		same := rng.Intn(2) == 0
+		sc.pieceLen = []int{0, 1 + rng.Intn(8)}[rng.Intn(2)]
 		ems := randomEmissions(rng, lo, n, same)
 		want := sortDedupe(canonical(ems))
-		if got := emitJob(&sc, ems, lo, n); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (ids %d..%d, same subset %v):\n got %+v\nwant %+v\n raw %+v", trial, lo, lo+int32(n)-1, same, got, want, ems)
+		if got := flatJob(t, &sc, ems); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (ids %d..%d, same subset %v, pieces of %d):\n got %+v\nwant %+v\n raw %+v", trial, lo, lo+int32(n)-1, same, sc.pieceLen, got, want, ems)
 		}
 	}
 }
 
-// TestStageGrowthBounded: staging n records one at a time, unflipped and
-// flipped alike, allocates at most 2.5× the bytes of the final buffers
-// (push doubles them; append's ~1.25× growth of a large slice would
-// allocate about five times), and keeps every record in order.
-func TestStageGrowthBounded(t *testing.T) {
-	const n = 200_000
+// emission is one verified overlap of query a against reference read b
+// with the fields the tests below vary.
+func emission(a, b int32, kind align.Kind, identity float32, diag int32) Record {
+	return Record{A: a, B: b, Kind: kind, Len: 60, Identity: identity, Diag: diag}
+}
+
+// run returns query a's emissions against reference reads from..to-1.
+func run(a, from, to int32) []Record {
+	var ems []Record
+	for b := from; b < to; b++ {
+		ems = append(ems, emission(a, b, align.KindSuffixPrefix, 0.95, 10))
+	}
+	return ems
+}
+
+// TestStagePieces walks the staging through each of its cases on pieces
+// of four records, checking where the records land and that the job still
+// equals the comparison-sort oracle: a run that would straddle two pieces
+// moves whole to the next; a run longer than a piece gets one of its own;
+// a reverse attempt settles on its key in a sealed piece, the more
+// credible record winning there; one of another Kind goes to extra; and a
+// self-mirror pair (qi, qi^1), whose mirror is a reverse attempt on qi's
+// run, sealed a moment before.
+func TestStagePieces(t *testing.T) {
+	sp, ps := align.KindSuffixPrefix, align.KindPrefixSuffix
+	mirror := emission(2, 3, sp, 0.95, 40).mirror(100, 90)
+	for _, tc := range []struct {
+		name       string
+		ems        []Record
+		pieces     []int // records in each piece
+		extra      int
+		wantRecord Record // a record the output must hold
+	}{
+		{"straddle", slices.Concat(run(0, 10, 13), run(1, 10, 13)), []int{3, 3}, 0, emission(1, 12, sp, 0.95, 10)},
+		{"long run", slices.Concat(run(0, 10, 12), run(1, 10, 21), run(2, 10, 11)), []int{2, 12}, 0, emission(1, 20, sp, 0.95, 10)},
+		{"sealed", slices.Concat(run(0, 1, 4), run(1, 5, 8), []Record{emission(3, 0, ps, 0.99, -10)}), []int{3, 3}, 0, emission(0, 3, sp, 0.99, 10)},
+		{"less credible", slices.Concat(run(0, 1, 4), run(1, 5, 8), []Record{emission(3, 0, ps, 0.91, -10)}), []int{3, 3}, 0, emission(0, 3, sp, 0.95, 10)},
+		{"other kind", slices.Concat(run(0, 1, 5), []Record{emission(3, 0, align.KindBContainsA, 0.99, -10)}), []int{4}, 1, emission(0, 3, align.KindAContainsB, 0.99, 10)},
+		{"self mirror", []Record{emission(2, 3, sp, 0.95, 40), mirror}, []int{1}, 0, mirror.Flip()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := &scratch{pieceLen: 4}
+			job := emitJob(sc, tc.ems)
+			checkPieces(t, job)
+			var lens []int
+			for _, p := range job.pieces {
+				lens = append(lens, len(p))
+			}
+			if !slices.Equal(lens, tc.pieces) || len(job.extra) != tc.extra {
+				t.Fatalf("pieces of %v records and %d extra, want %v and %d", lens, len(job.extra), tc.pieces, tc.extra)
+			}
+			got, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sortDedupe(canonical(tc.ems)); !slices.Equal(got, want) {
+				t.Fatalf("got %+v\nwant %+v", got, want)
+			}
+			if !slices.Contains(got, tc.wantRecord) {
+				t.Fatalf("%+v not among %+v", tc.wantRecord, got)
+			}
+		})
+	}
+}
+
+// TestStageAllocBounded: staging one same-subset job of 200,000 records,
+// every pair verified from both sides and one reverse attempt in fifty of
+// another Kind, allocates at most the bytes of the records it keeps plus
+// two pieces: a piece is never grown or copied, the reverse attempts
+// settle in place, and the job's output is its staging. (Growing a list
+// by doubling allocates up to twice its records.) The scratch's run table,
+// like its candidate table, is sized before: it serves every job.
+func TestStageAllocBounded(t *testing.T) {
+	const n = 50_000
+	var ems []Record
+	for q := int32(0); q < n; q++ {
+		for b := max(q-4, 0); b < min(q+5, n); b++ {
+			switch {
+			case b < q:
+				ems = append(ems, emission(q, b, align.KindPrefixSuffix, 0.95, -10))
+			case b > q:
+				ems = append(ems, emission(q, b, align.KindSuffixPrefix, 0.95, 10))
+			}
+		}
+		if q%50 == 49 {
+			ems = append(ems, emission(q, q-1, align.KindBContainsA, 0.9, -10))
+		}
+	}
 	sc := new(scratch)
+	sc.startJob(0, n) // the run table is the scratch's, kept across jobs
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := range int32(n) {
-		sc.stage(Record{A: i, B: i + 1, Len: i})
-		sc.stage(Record{A: i + 1, B: i, Len: i})
-	}
+	job := emitJob(sc, ems)
 	runtime.ReadMemStats(&after)
-	if len(sc.records) != n || len(sc.flipped) != n || sc.records[n-1].Len != n-1 || sc.flipped[n-1].A != n-1 {
-		t.Fatalf("staged %d + %d records, last %+v %+v", len(sc.records), len(sc.flipped), sc.records[len(sc.records)-1], sc.flipped[len(sc.flipped)-1])
+	checkPieces(t, job)
+	kept := len(job.extra)
+	for _, p := range job.pieces {
+		kept += len(p)
 	}
-	final := uint64(cap(sc.records)+cap(sc.flipped)) * uint64(unsafe.Sizeof(Record{}))
-	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 2.5*float64(final) {
-		t.Fatalf("staging %d records allocated %d bytes for final buffers of %d (%.2f×)", 2*n, got, final, float64(got)/float64(final))
+	size := uint64(unsafe.Sizeof(Record{}))
+	if kept != 4*n-10+n/50 {
+		t.Fatalf("kept %d records (%d extra)", kept, len(job.extra))
+	}
+	bound := uint64(kept+2*defaultPieceLen) * size
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("staging %d records allocated %d bytes, bound %d (the records' %d plus two pieces)", kept, got, bound, uint64(kept)*size)
 	}
 }
 
@@ -277,9 +413,9 @@ func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 		subsets := 1 + rng.Intn(5)
 		numReads := rng.Intn(12)
 		jobs, raw := randomJobLists(rng, numReads, subsets)
-		lists := make([][]Record, len(raw))
+		lists := make([]jobRecords, len(raw))
 		for t := range jobs {
-			lists[t] = sortDedupe(slices.Clone(raw[t]))
+			lists[t] = jobRecords{pieces: [][]Record{sortDedupe(slices.Clone(raw[t]))}}
 		}
 		got, err := mergeRecords(jobs, lists)
 		if err != nil {
@@ -298,8 +434,9 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 	rec := func(a, b int32) Record {
 		return Record{A: a, B: b, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95}
 	}
+	one := func(recs ...Record) jobRecords { return jobRecords{pieces: [][]Record{recs}} }
 	jobs := subsetPairs(2) // reads 0..3 in two subsets: (0,0) (0,1) (1,1)
-	good := [][]Record{{rec(0, 1)}, {rec(0, 2), rec(0, 3), rec(1, 2)}, {rec(2, 3)}}
+	good := []jobRecords{one(rec(0, 1)), one(rec(0, 2), rec(0, 3), rec(1, 2)), one(rec(2, 3))}
 	if got, err := mergeRecords(jobs, good); err != nil || len(got) != 5 {
 		t.Fatalf("sorted lists: %d records, err %v", len(got), err)
 	}
@@ -309,7 +446,7 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 		"not deduped":  {rec(0, 2), rec(0, 2), rec(1, 2)},
 		"foreign pair": {rec(0, 1), rec(0, 2)}, // (0,1) belongs to job (0,0)
 	} {
-		_, err := mergeRecords(jobs, [][]Record{good[0], bad, good[2]})
+		_, err := mergeRecords(jobs, []jobRecords{good[0], one(bad...), good[2]})
 		if err == nil || !strings.Contains(err.Error(), "overlap: job (0,1): records out of order") {
 			t.Errorf("%s: err = %v, want the job (0,1) order error", name, err)
 		}
@@ -448,4 +585,78 @@ func recordDigest(recs []Record) string {
 		h.Write(buf[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// FuzzJobRecords feeds loop-order emissions drawn from data through the
+// production staging of the three jobs of two subsets of size reads each
+// (stage, endRun, takeJob on one scratch, pieces of one to eight records
+// or the default), then the jobs' pieces through mergeRecords, which must
+// equal mergeRecordsOracle on the canonical emissions. The jobs are then
+// recycled into the scratch and staged again from its spare pieces, as a
+// worker's next job is, to the same records. An emission takes three
+// bytes: its job (mod 3) and whether its query advances (bit 2), its
+// reference read (mod size), and its Kind, length, identity and diagonal.
+// A second emission of a (query, reference read) pair is dropped, as the
+// loop makes none.
+func FuzzJobRecords(f *testing.F) {
+	f.Add(uint8(4), uint8(0), []byte{})
+	// Job (0,0) on pieces of two: read 0's run of three, longer than a
+	// piece; read 1's, which moves to a piece of its own; then read 3's
+	// reverse attempts, one more credible than the record it settles on in
+	// a sealed piece, one of another Kind, which merges into read 1's run.
+	f.Add(uint8(4), uint8(2), []byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 6, 2, 0, 0, 3, 0, 0, 4, 0, 6, 4, 0, 6, 0, 0x09, 0, 1, 0x0b})
+	// Job (0,1): read 0's run of nine, out of order, on pieces of three.
+	f.Add(uint8(9), uint8(3), []byte{1, 5, 0, 1, 2, 1, 1, 8, 2, 1, 0, 3, 1, 7, 0, 1, 3, 1, 1, 6, 2, 1, 1, 3, 1, 4, 0})
+	// Every job; in job (1,1) the self-mirror pair (8, 9), whose reverse
+	// attempt wins on read 8's run, sealed a moment before.
+	f.Add(uint8(6), uint8(1), []byte{0, 3, 0x21, 4, 2, 0, 5, 2, 0x20, 5, 1, 0x11})
+	f.Fuzz(func(t *testing.T, size, piece uint8, data []byte) {
+		n := 1 + int32(size%12)
+		jobs := subsetPairs(2)
+		ems := make([][]Record, len(jobs))
+		query := make([]int32, len(jobs))
+		for j, job := range jobs {
+			query[j] = int32(job.q) * n
+		}
+		seen := map[[2]int32]bool{}
+		for ; len(data) >= 3; data = data[3:] {
+			j := int(data[0]) % len(jobs)
+			job := jobs[j]
+			if data[0]&4 != 0 && query[j] < int32(job.q+1)*n-1 {
+				query[j]++
+			}
+			a, b := query[j], int32(job.r)*n+int32(data[1])%n
+			if a == b || seen[[2]int32{a, b}] {
+				continue
+			}
+			seen[[2]int32{a, b}] = true
+			x := data[2]
+			ems[j] = append(ems[j], Record{
+				A: a, B: b,
+				Kind:     align.Kind(1 + x&3),
+				Len:      int32(50 + x>>2&1),
+				Identity: []float32{0.9, 0.95}[x>>3&1],
+				Diag:     int32(x>>4%3) - 1,
+			})
+		}
+		want := mergeRecordsOracle([][]Record{canonical(slices.Concat(ems...))})
+		sc := &scratch{pieceLen: int(piece % 9)}
+		lists := make([]jobRecords, len(jobs))
+		for pass := 0; pass < 2; pass++ {
+			for j := range jobs {
+				lists[j] = emitJob(sc, ems[j])
+				checkPieces(t, lists[j])
+			}
+			got, err := mergeRecords(jobs, lists)
+			if err != nil {
+				t.Fatalf("pass %d: %v", pass, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("pass %d, pieces of %d:\n got %+v\nwant %+v\n raw %+v", pass, sc.pieceLen, got, want, ems)
+			}
+			for _, l := range lists {
+				sc.recycle(l)
+			}
+		}
+	})
 }

@@ -253,7 +253,10 @@ func TestAlignRefStrandMirror(t *testing.T) {
 				if bad != "" {
 					t.Fatalf("bounds %v ids +%d pair (%d,%d): %s", tc.bounds, tc.shift, q, j.r, bad)
 				}
-				want := alignQueries(subs[q], subs[j.r], ix, cfg, &scratch{})
+				want, err := alignQueries(subs[q], subs[j.r], ix, cfg, &scratch{})
+				if err != nil {
+					t.Fatal(err)
+				}
 				total += len(want)
 				elided += len(want) - len(l)
 				if !slices.Equal(got, want) {

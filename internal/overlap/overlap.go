@@ -5,9 +5,10 @@
 // aligned with banded Needleman–Wunsch, and accepted overlaps are recorded
 // as the edge list of the overlap graph G0.
 //
-// The hot path is allocation-free steady-state: each worker owns a scratch
-// (candidate table, diagonal votes, alignment DP buffers) reused across
-// every query of every subset-pair job it processes. See DESIGN.md
+// The hot path allocates nothing in steady state but the pieces a job's
+// records are staged in, which its output keeps: each worker owns a
+// scratch (candidate table, diagonal votes, alignment DP buffers) reused
+// across every query of every subset-pair job it processes. See DESIGN.md
 // ("Seed index & scratch reuse") for the layout and the ownership rules.
 package overlap
 
@@ -70,15 +71,23 @@ type scratch struct {
 
 	probes []probe // the current query's seed batch
 
-	// Per-job record staging: records whose A is their query, already in
-	// (A, B) order, and records whose A is another, earlier query (a
-	// same-subset job's flipped ones), sorted in place and merged by
-	// jobRecords with its run bounds. mirrored holds an even query's
-	// strand-mirror records until its own are in order.
-	records  []Record
-	flipped  []Record
+	// Per-job record staging (stage): the job's records in (A, B, Kind)
+	// order, in pieces that are handed to the job's output as they are,
+	// never grown or copied out; a query's run never straddles two pieces,
+	// and open is where the current query's run starts in the last one.
+	// runs[a] locates the ended run of query lo+a. extra holds the reverse
+	// attempts no run had a record of the key for (settle). spare holds
+	// empty pieces for reuse: the ones alignQueries hands back once it has
+	// copied its job out. mirrored holds an even query's strand-mirror
+	// records until its own are in order.
+	pieces   [][]Record
+	open     int
+	lo       int32
+	runs     []runLoc
+	extra    []Record
+	spare    [][]Record
 	mirrored []Record
-	counts   []int32
+	pieceLen int // records a piece holds; 0 means defaultPieceLen
 
 	// countOnly short-circuits the alignment: surviving candidates are
 	// tallied into candTotal instead of verified (CountCandidates).
@@ -136,8 +145,9 @@ func (sc *scratch) nextQuery() {
 }
 
 // FindOverlaps detects all pairwise overlaps in reads, processing
-// subset pairs in parallel. Records are canonicalized (A < B) and
-// deduplicated, and returned sorted by (A, B).
+// subset pairs in parallel. Records are canonical (A < B) and returned
+// sorted by (A, B, Kind), with one record per key: the most credible of a
+// pair's attempts (moreCredible).
 func FindOverlaps(reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 	return FindOverlapsCtx(nil, reads, subsets, cfg)
 }
@@ -281,7 +291,7 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	}
 
 	jobs := subsetPairs(subsets)
-	results := make([][]Record, len(jobs))
+	results := make([]jobRecords, len(jobs))
 	scs := make([]*scratch, workers) // worker-owned; never shared
 	par.Run(workers, len(jobs), func(w, jid int) {
 		if gate.Stopped() {
@@ -330,18 +340,24 @@ func validate(cfg Config, subsets int) error {
 }
 
 // alignQueries aligns the query reads against the reference index,
-// returning the job's canonicalized records sorted by (A, B, Kind) with
-// one record per key. Each side's ids must be one ascending run of
-// consecutive ids and no reference id may precede the query ids — the
-// geometry of a (q <= r) subset-pair job — so that every record's A is a
-// query id. The returned slice is the caller's.
-func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) []Record {
-	return alignQueriesGate(query, ref, ix, cfg, sc, nil)
+// returning the job's canonical records sorted by (A, B, Kind) with one
+// record per key, in one slice of their exact size that is the caller's.
+// The job's pieces go back to sc. Each side's ids must be one ascending
+// run of consecutive ids and no reference id may precede the query ids —
+// the geometry of a (q <= r) subset-pair job — so that every record's A is
+// a query id. The error is a staging that broke that order, which
+// mergeRecords refuses.
+func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
+	job := alignQueriesGate(query, ref, ix, cfg, sc, nil)
+	recs, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
+	sc.recycle(job)
+	return recs, err
 }
 
-// alignQueriesGate is the gate-aware core: the gate is polled once per
+// alignQueriesGate is the gate-aware core, which returns the job's staging
+// as it stands (jobRecords), for mergeRecords: the gate is polled once per
 // query (a query's seed scan + alignments is the natural grain). A stopped
-// gate returns nil, which the ctx-taking caller discards.
+// gate returns no records, which the ctx-taking caller discards.
 //
 // A query's seeds are resolved as one batch before any vote is cast, and
 // the votes walk the resolved entries in probe order. That order cannot
@@ -357,14 +373,18 @@ func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) []Re
 // with ties broken upward. Where hi is the forward diagonal and the
 // forward verdict came without a DP kernel (align's StrandSymmetric), the
 // mirror verdict is derived; otherwise it is verified on its own.
-func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, gate *par.Gate) []Record {
+func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, gate *par.Gate) jobRecords {
 	sc.reset(len(ref.seqs))
-	sc.records, sc.flipped = sc.records[:0], sc.flipped[:0]
+	var lo int32
+	if len(query.ids) > 0 {
+		lo = query.ids[0]
+	}
+	sc.startJob(lo, len(query.ids))
 	mirror := query.paired && ref.paired
 	last := ix.pairLast()
 	for qi2 := 0; qi2 < len(query.ids); qi2++ {
 		if gate.Stopped() {
-			return nil
+			return jobRecords{}
 		}
 		qi, qseq := query.ids[qi2], query.seqs[qi2]
 		derive := mirror && qi&1 == 0 && onGrid(qseq, cfg)
@@ -412,7 +432,6 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 				}
 			}
 		}
-		first := len(sc.records)
 		sc.mirrored = sc.mirrored[:0]
 		for _, local := range sc.touched {
 			c := &sc.cands[local]
@@ -447,20 +466,16 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 				sc.mirrored = append(sc.mirrored, rec)
 			}
 		}
-		sortByB(sc.records[first:]) // queries run in id order: records stays in (A, B) order
+		sc.endRun()
 		if derive {
-			first = len(sc.records)
 			for _, rec := range sc.mirrored {
 				sc.stage(rec)
 			}
-			sortByB(sc.records[first:])
+			sc.endRun()
 			qi2++ // qi^1 is answered
 		}
 	}
-	if len(query.ids) == 0 {
-		return nil
-	}
-	return sc.jobRecords(query.ids[0], len(query.ids))
+	return sc.takeJob()
 }
 
 // newRecord is the record of an accepted verdict of query a against b.
@@ -468,37 +483,165 @@ func newRecord(a, b int32, ov align.Overlap) Record {
 	return Record{A: a, B: b, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
 }
 
-// stage appends one accepted overlap of a query in canonical direction
-// (A < B): to records when the query is A, to flipped when the reference
-// read precedes it. Only a same-subset job flips: every read is both
-// query and reference there, so a pair is attempted once from each side —
-// with seeds sampled from a different read each time, hence possibly
-// another modal diagonal and another verdict — and both attempts land on
-// the same canonical (A, B); jobRecords keeps the more credible one. A
-// derived strand mirror counts as its odd query's attempt.
-func (sc *scratch) stage(rec Record) {
-	if rec.A > rec.B {
-		sc.flipped = push(sc.flipped, rec.Flip())
-		return
-	}
-	sc.records = push(sc.records, rec)
+// A job's first staging piece holds firstPieceLen records, and each next
+// one twice the last, up to defaultPieceLen (96 KiB, about a tenth of a
+// meta_reads job's records): a small job does not take a large piece.
+const (
+	firstPieceLen   = 64
+	defaultPieceLen = 4096
+)
+
+// runLoc locates one query's run: pieces[piece][off:off+n].
+type runLoc struct{ piece, off, n int32 }
+
+// jobRecords is one job's records as its staging leaves them: pieces whose
+// concatenation is in (A, B, Kind) order with one record per key, and
+// extra, the same order, whose keys no piece holds. mergeRecords
+// interleaves the two.
+type jobRecords struct {
+	pieces [][]Record
+	extra  []Record
 }
 
-// push appends rec to a staging list, doubling a full one's capacity:
-// append grows a slice past 256 elements by about 1.25×, which allocates
-// about five times a list's final size on the way there; doubling
-// allocates at most twice it.
-func push(recs []Record, rec Record) []Record {
-	if len(recs) == cap(recs) {
-		recs = slices.Grow(recs, max(len(recs), 64))
+// startJob empties the staging for a job of the n queries from id lo.
+func (sc *scratch) startJob(lo int32, n int) {
+	sc.pieces, sc.extra, sc.open, sc.lo = sc.pieces[:0], sc.extra[:0], 0, lo
+	if cap(sc.runs) < n {
+		sc.runs = make([]runLoc, n)
 	}
-	return append(recs, rec)
+	sc.runs = sc.runs[:n]
+	clear(sc.runs)
+}
+
+// takeJob hands the job's staging over, extra sorted; the scratch keeps
+// none of it.
+func (sc *scratch) takeJob() jobRecords {
+	slices.SortFunc(sc.extra, compareKey)
+	job := jobRecords{sc.pieces, sc.extra}
+	sc.pieces, sc.extra, sc.open = nil, nil, 0
+	return job
+}
+
+// recycle takes a job's staging back once its records are copied out.
+func (sc *scratch) recycle(job jobRecords) {
+	for _, p := range job.pieces {
+		sc.spare = append(sc.spare, p[:0])
+	}
+	sc.pieces, sc.extra = job.pieces[:0], job.extra[:0]
+}
+
+// stage records one accepted overlap of a query in canonical direction
+// (A < B). Queries run in id order, so a record whose A is the query
+// extends the current query's run (push); one whose reference read
+// precedes the query is a reverse attempt (settle). Only a same-subset job
+// has those: every read is both query and reference there, so a pair is
+// attempted once from each side — with seeds sampled from a different read
+// each time, hence possibly another modal diagonal and another verdict —
+// and both attempts land on the same canonical (A, B). A derived strand
+// mirror counts as its odd query's attempt.
+func (sc *scratch) stage(rec Record) {
+	if rec.A > rec.B {
+		sc.settle(rec.Flip())
+		return
+	}
+	sc.push(rec)
+}
+
+// push appends rec to the current query's run, in a new piece when the
+// last one is full (grow).
+func (sc *scratch) push(rec Record) {
+	n := len(sc.pieces)
+	if n == 0 || len(sc.pieces[n-1]) == cap(sc.pieces[n-1]) {
+		sc.grow()
+		n = len(sc.pieces)
+	}
+	sc.pieces[n-1] = append(sc.pieces[n-1], rec)
+}
+
+// grow starts a piece and moves the current query's run, which may not be
+// sorted yet, into it from the full last piece: nothing else is copied. A
+// run that fills a piece on its own moves to one twice its length (only
+// repeats make such runs), and its old piece is spare.
+func (sc *scratch) grow() {
+	limit := cmp.Or(sc.pieceLen, defaultPieceLen)
+	n := len(sc.pieces)
+	if n == 0 {
+		sc.pieces = append(sc.pieces, sc.piece(min(limit, firstPieceLen)))
+		return
+	}
+	last := sc.pieces[n-1]
+	run := last[sc.open:]
+	p := append(sc.piece(max(min(limit, 2*cap(last)), 2*len(run))), run...)
+	if sc.open == 0 {
+		sc.pieces[n-1] = p
+		sc.spare = append(sc.spare, last[:0])
+	} else {
+		sc.pieces[n-1] = last[:sc.open]
+		sc.pieces = append(sc.pieces, p)
+	}
+	sc.open = 0
+}
+
+// piece returns an empty piece of at least n records, the last spare one
+// if it is large enough.
+func (sc *scratch) piece(n int) []Record {
+	if k := len(sc.spare) - 1; k >= 0 && cap(sc.spare[k]) >= n {
+		p := sc.spare[k]
+		sc.spare = sc.spare[:k]
+		return p
+	}
+	return make([]Record, 0, n)
+}
+
+// endRun ends the current query's run: its records, one A with distinct
+// Bs, are sorted by B, located in runs, and the next query's run starts
+// after them. An ended run never moves again.
+func (sc *scratch) endRun() {
+	n := len(sc.pieces)
+	if n == 0 || sc.open == len(sc.pieces[n-1]) {
+		return
+	}
+	last := sc.pieces[n-1]
+	run := last[sc.open:]
+	sortByB(run)
+	if a := int64(run[0].A) - int64(sc.lo); a >= 0 && a < int64(len(sc.runs)) {
+		sc.runs[a] = runLoc{int32(n - 1), int32(sc.open), int32(len(run))}
+	}
+	sc.open = len(last)
+}
+
+// settle resolves a reverse attempt, flipped to canonical: its A is a
+// reference read that precedes the query, so in a same-subset job its run
+// has ended, sorted by B with distinct Bs. Where that run holds the
+// attempt's key, the record there becomes moreCredible's winner of the two
+// (identity, then length, then lower diagonal — a total order, so the side
+// that came first does not matter). Otherwise — the other side found no
+// overlap, or one of another Kind — the attempt goes to extra.
+func (sc *scratch) settle(rec Record) {
+	if a := int64(rec.A) - int64(sc.lo); a >= 0 && a < int64(len(sc.runs)) && sc.runs[a].n > 0 {
+		loc := sc.runs[a]
+		run := sc.pieces[loc.piece][loc.off : loc.off+loc.n]
+		i, j := 0, len(run)
+		for i < j {
+			if h := int(uint(i+j) >> 1); run[h].B < rec.B {
+				i = h + 1
+			} else {
+				j = h
+			}
+		}
+		if i < len(run) && run[i].B == rec.B && run[i].Kind == rec.Kind {
+			if moreCredible(rec, run[i]) {
+				run[i] = rec
+			}
+			return
+		}
+	}
+	sc.extra = append(sc.extra, rec)
 }
 
 // sortByB orders records that share their A and have distinct Bs — one
-// query's unflipped records, or one read's run of flipped ones — by B: an
-// insertion sort over a read's own overlaps, a few dozen (a longer run,
-// which repeats can make, takes slices.SortFunc).
+// query's run — by B: an insertion sort over a read's own overlaps, a few
+// dozen (a longer run, which repeats can make, takes slices.SortFunc).
 func sortByB(recs []Record) {
 	if len(recs) > 32 {
 		slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.B, y.B) })
@@ -512,81 +655,6 @@ func sortByB(recs []Record) {
 		}
 		recs[j] = r
 	}
-}
-
-// jobRecords returns the job's staged records in (A, B, Kind) order with
-// one record per key, the most credible, in a new slice. records is in
-// (A, B) order with distinct keys already, so a job without flipped
-// records — every cross-subset job — returns a copy of it. Every flipped
-// A is one of the n consecutive query ids from lo (it is a reference read
-// preceding its query, and no reference id precedes the query ids), so a
-// counting sort on A — swapping each record into its read's run, in place
-// (American flag sort) — and a sort of each run by B put the flipped
-// records in (A, B) order, and a merge interleaves the two lists.
-func (sc *scratch) jobRecords(lo int32, n int) []Record {
-	recs, fl := sc.records, sc.flipped
-	if len(fl) == 0 {
-		return slices.Clone(recs)
-	}
-	if cap(sc.counts) < 2*n+1 {
-		sc.counts = make([]int32, 2*n+1)
-	}
-	// start[a] is where read lo+a's run begins, next[a] its first slot not
-	// yet holding a record of that read.
-	start, next := sc.counts[:n+1], sc.counts[n+1:2*n+1]
-	clear(start)
-	for _, r := range fl {
-		start[r.A-lo+1]++
-	}
-	for a := range n {
-		start[a+1] += start[a]
-	}
-	copy(next, start)
-	for a := range int32(n) {
-		for i := next[a]; i < start[a+1]; i = next[a] {
-			b := fl[i].A - lo
-			if b != a {
-				fl[i], fl[next[b]] = fl[next[b]], fl[i]
-			}
-			next[b]++
-		}
-		sortByB(fl[start[a]:start[a+1]])
-	}
-	out := make([]Record, mergeRuns(nil, recs, fl))
-	mergeRuns(out, recs, fl)
-	return out
-}
-
-// mergeRuns merges two lists in (A, B, Kind) order, with distinct keys
-// each, into out, keeping moreCredible's winner where both hold a key — a
-// pair verified from both sides — and returns the merged length. A nil
-// out only counts.
-func mergeRuns(out, x, y []Record) int {
-	i, j, w := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		r := x[i]
-		switch c := compareKey(x[i], y[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			r = y[j]
-			j++
-		default:
-			if moreCredible(y[j], r) {
-				r = y[j]
-			}
-			i, j = i+1, j+1
-		}
-		if out != nil {
-			out[w] = r
-		}
-		w++
-	}
-	if out != nil {
-		copy(out[w:], x[i:])
-		copy(out[w+len(x)-i:], y[j:])
-	}
-	return w + len(x) - i + len(y) - j
 }
 
 // compareKey orders records by the identity of an overlap relation: a
@@ -615,56 +683,102 @@ func moreCredible(r, cur Record) bool {
 	return r.Diag < cur.Diag
 }
 
-// mergeRecords interleaves the per-job record lists (lists[t] belongs to
-// jobs[t], in subsetPairs order) into the stage's output, sorted by
-// (A, B, Kind) with one record per key. No map and no sort are needed:
-// subsets are contiguous id ranges and jobs are (q <= r), so job (q, r)
-// alone produces the pairs with A in subset q and B in subset r — two jobs
-// never share an (A, B), duplicates exist only inside a same-subset job,
-// and alignQueries already sorted and deduplicated every list where the
-// job ran. The jobs of one q therefore hold, for each A of subset q, runs
-// of ascending B in r order, and the groups of ascending q follow each
-// other. Every appended record must extend the output strictly; a list
+// mergeRecords interleaves the jobs' records (lists[t] belongs to jobs[t],
+// in subsetPairs order) into the stage's output, sorted by (A, B, Kind)
+// with one record per key. No map and no sort are needed: subsets are
+// contiguous id ranges and jobs are (q <= r), so job (q, r) alone produces
+// the pairs with A in subset q and B in subset r — two jobs never share an
+// (A, B), duplicates exist only inside a same-subset job, and its staging
+// already settled them. The jobs of one q therefore hold, for each A of
+// subset q, runs of ascending B in r order, and the groups of ascending q
+// follow each other; within a job, a run's extra records are merged into
+// it by key. Every appended record must extend the output strictly; a list
 // that breaks this (a peer that predates the per-job sort) is an error.
-func mergeRecords(jobs []pairJob, lists [][]Record) ([]Record, error) {
+func mergeRecords(jobs []pairJob, lists []jobRecords) ([]Record, error) {
 	total := 0
-	for _, l := range lists {
-		total += len(l)
+	cur := make([]cursor, len(lists))
+	for t, l := range lists {
+		cur[t].jobRecords = l
+		total += len(l.extra)
+		for _, p := range l.pieces {
+			total += len(p)
+		}
 	}
 	out := make([]Record, 0, total)
-	rest := slices.Clone(lists) // unconsumed tail of every list
 	for lo := 0; lo < len(jobs); {
 		hi := lo + 1
 		for hi < len(jobs) && jobs[hi].q == jobs[lo].q {
 			hi++
 		}
 		for {
-			// The smallest A any list of the group still holds.
+			// The smallest A any job of the group still holds.
 			var minA int32
 			found := false
-			for _, l := range rest[lo:hi] {
-				if len(l) > 0 && (!found || l[0].A < minA) {
-					minA, found = l[0].A, true
+			for t := lo; t < hi; t++ {
+				if r, ok := cur[t].peek(); ok && (!found || r.A < minA) {
+					minA, found = r.A, true
 				}
 			}
 			if !found {
 				break
 			}
 			for t := lo; t < hi; t++ {
-				l := rest[t]
-				for len(l) > 0 && l[0].A == minA {
-					if n := len(out); n > 0 && compareKey(out[n-1], l[0]) >= 0 {
-						return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", jobs[t].q, jobs[t].r)
-					}
-					out = append(out, l[0])
-					l = l[1:]
+				var ok bool
+				if out, ok = cur[t].take(out, minA); !ok {
+					return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", jobs[t].q, jobs[t].r)
 				}
-				rest[t] = l
 			}
 		}
 		lo = hi
 	}
 	return out, nil
+}
+
+// cursor walks one job's records in (A, B, Kind) order: its pieces in
+// turn, with its extra records merged in by key.
+type cursor struct {
+	jobRecords
+	p, i, x int // the next records: pieces[p][i] and extra[x]
+}
+
+// peek returns the cursor's next record; ok is false at the end.
+func (c *cursor) peek() (r Record, ok bool) {
+	for c.p < len(c.pieces) && c.i == len(c.pieces[c.p]) {
+		c.p, c.i = c.p+1, 0
+	}
+	switch {
+	case c.x < len(c.extra) && (c.p == len(c.pieces) || compareKey(c.extra[c.x], c.pieces[c.p][c.i]) < 0):
+		return c.extra[c.x], true
+	case c.p < len(c.pieces):
+		return c.pieces[c.p][c.i], true
+	}
+	return Record{}, false
+}
+
+// take appends the cursor's next records whose A is a to out, each of
+// which must extend out strictly; ok is false at the first that does not.
+// It makes peek's choice itself: this loop runs once a record.
+func (c *cursor) take(out []Record, a int32) (_ []Record, ok bool) {
+	for {
+		for c.p < len(c.pieces) && c.i == len(c.pieces[c.p]) {
+			c.p, c.i = c.p+1, 0
+		}
+		var r Record
+		switch {
+		case c.x < len(c.extra) && c.extra[c.x].A == a && (c.p == len(c.pieces) || compareKey(c.extra[c.x], c.pieces[c.p][c.i]) < 0):
+			r = c.extra[c.x]
+			c.x++
+		case c.p < len(c.pieces) && c.pieces[c.p][c.i].A == a:
+			r = c.pieces[c.p][c.i]
+			c.i++
+		default:
+			return out, true
+		}
+		if n := len(out); n > 0 && compareKey(out[n-1], r) >= 0 {
+			return out, false
+		}
+		out = append(out, r)
+	}
 }
 
 // Flip returns the record with A and B exchanged and the geometry

@@ -81,13 +81,13 @@ func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) (
 		refs[r] = buildSAIndex(subs[r].seqs, cfg.K)
 	}
 	jobs := subsetPairs(subsets)
-	lists := make([][]Record, len(jobs))
+	lists := make([]jobRecords, len(jobs))
 	for t, j := range jobs {
-		lists[t] = alignQueries(subs[j.q], subs[j.r], refs[j.r], cfg, sc)
+		lists[t] = alignQueriesGate(subs[j.q], subs[j.r], refs[j.r], cfg, sc, nil)
 	}
 	recs, err := mergeRecords(jobs, lists)
 	if err != nil {
-		panic(err) // lists come straight from alignQueries
+		panic(err) // lists come straight from the staging
 	}
 	return recs, sc.candTotal
 }

@@ -94,6 +94,9 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/assembly/ FuzzPhaseEngines
     fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/overlap/ FuzzSeedIndex
+    fuzz ./internal/overlap/ FuzzJobRecords
+    fuzz ./internal/dna/ FuzzReadFASTQ
+    fuzz ./internal/dna/ FuzzReadFASTA
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/align/ FuzzBitParallelNW
     fuzz ./internal/align/ FuzzOverlapVerdict
