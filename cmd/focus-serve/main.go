@@ -47,15 +47,13 @@ func main() {
 		maxRunning = flag.Int("max-running", 4, "maximum concurrently running jobs")
 		memBudget  = flag.Int("memory-budget-mb", 0, "total declared-memory budget across running jobs (0 = unaccounted)")
 		grace      = flag.Duration("grace", 15*time.Second, "drain grace for running jobs on SIGINT/SIGTERM")
-		callTO     = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = none)")
+		callTO     = flag.Duration("call-timeout", 0, "fixed per-RPC deadline overriding the liveness rule; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline: a call is cut only when its worker leaves a liveness ping unanswered for 2s)")
 		maxFails   = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is evicted (0 = default 3)")
-		watchdog   = flag.Duration("watchdog", 0, "per-job stall watchdog window (0 = disarmed)")
 	)
 	flag.Parse()
 
 	cfg := focus.DefaultConfig()
 	cfg.Dist = dist.Options{CallTimeout: *callTO, MaxFailures: *maxFails}
-	cfg.Watchdog = *watchdog
 
 	var pool *dist.Pool
 	var err error

@@ -29,8 +29,8 @@ import (
 	"focus/internal/dna"
 )
 
-// exitResumable is the exit code of a run interrupted by signal, deadline
-// or watchdog: incomplete, but resumable via -resume when checkpointing
+// exitResumable is the exit code of a run interrupted by signal or
+// deadline: incomplete, but resumable via -resume when checkpointing
 // is enabled. Distinct from 1 (failure) and 130 (forced kill).
 const exitResumable = 3
 
@@ -91,14 +91,13 @@ var (
 	quietFlag = flag.Bool("quiet", false, "suppress progress output")
 	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
 	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
-	callTO    = flag.Duration("call-timeout", 0, "per-RPC deadline; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline)")
+	callTO    = flag.Duration("call-timeout", 0, "fixed per-RPC deadline overriding the liveness rule; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline: a call is cut only when its worker leaves a liveness ping unanswered for 2s)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
 	ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every Nth phase boundary (with -checkpoint-dir)")
 	resume    = flag.Bool("resume", false, "resume the assembly phases from the newest valid checkpoint in -checkpoint-dir")
 	jobID     = flag.String("job", "", "job id owning -checkpoint-dir; a mismatched owner fails the run instead of mixing two jobs' checkpoints (empty = no ownership check)")
 	deadline  = flag.Duration("deadline", 0, "wall-clock budget for the whole run; on expiry the run is canceled like SIGINT (0 = unbounded)")
-	watchdog  = flag.Duration("watchdog", 0, "cancel-or-kick window of the assembly progress watchdog: with no task completions for this long, stuck workers are kicked, then the run is canceled (0 = disarmed)")
 	grace     = flag.Duration("grace", 10*time.Second, "unwind budget after SIGINT/SIGTERM before the exit is forced")
 )
 
@@ -142,7 +141,6 @@ func main() {
 	ctx, stopDeadline := cfg.RunContext()
 	defer stopDeadline()
 	cfg.Context = ctx
-	cfg.Watchdog = *watchdog
 	if *ckptDir != "" {
 		resumeHint = fmt.Sprintf("focus: resume with -resume -checkpoint-dir %s", *ckptDir)
 	}

@@ -51,12 +51,10 @@ func TestConfigSurface(t *testing.T) {
 		"Overlap.Align.Band", "Overlap.Align.MinIdentity", "Overlap.Align.MinLength",
 		"Overlap.Align.Scoring.Gap", "Overlap.Align.Scoring.Match", "Overlap.Align.Scoring.Mismatch",
 		"Overlap.K", "Overlap.MaxOccur", "Overlap.MinKmerHits", "Overlap.Step",
-		"PhaseCosts",
 		"Preprocess.AddReverse", "Preprocess.MinLen", "Preprocess.MinQuality", "Preprocess.Step",
 		"Preprocess.Trim3", "Preprocess.Trim5", "Preprocess.Window",
 		"Subsets",
 		"Variants.Band", "Variants.MaxLenDiff", "Variants.MinBranchCov", "Variants.MinIdentity",
-		"Watchdog",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Config settings (%d) = %q\nwant (%d) %q", len(got), got, len(want), want)

@@ -66,10 +66,11 @@ type Config struct {
 	// before the error-removal phase pops them.
 	CallVariants bool
 	Variants     assembly.VariantConfig
-	// Dist configures the worker pool's fault tolerance (per-call
-	// deadlines, eviction thresholds, reconnect backoff) for pools the
-	// pipeline creates itself (Assemble). The zero value disables
-	// deadlines.
+	// Dist configures the worker pool's fault tolerance (the per-call
+	// deadline override, eviction thresholds, reconnect backoff) for pools
+	// the pipeline creates itself (Assemble). The zero value watches every
+	// call by the liveness rule: a call is cut when its worker falls
+	// silent, however long it runs.
 	Dist dist.Options
 	// Checkpoint configures crash-safe phase-boundary checkpointing of
 	// the distributed assembly phases. The zero value disables it.
@@ -81,26 +82,14 @@ type Config struct {
 	Context context.Context
 	// Deadline, when positive, is the run's wall-clock budget. The
 	// one-call entry points (Assemble, AssembleOnPool) derive a deadline
-	// context from Context at start; the assembly driver further splits
-	// the remaining time into per-phase budgets weighted by measured
-	// phase cost. Callers driving Stages manually apply it with
-	// RunContext.
+	// context from Context at start, and every stage and phase runs under
+	// it. Callers driving Stages manually apply it with RunContext.
 	Deadline time.Duration
-	// Watchdog arms the assembly-phase progress watchdog: if no task
-	// completions are observed for this long, stuck workers are kicked
-	// (connection severed, tasks rescheduled; at most one kick per pool
-	// worker per phase) and, when kicking is exhausted, the run is
-	// canceled with assembly.ErrStalled. The zero value disarms it.
-	Watchdog time.Duration
 	// Metrics, when set, receives the run's operational metrics (re-host /
 	// degradation counters, per-phase latency histograms). A resident
 	// master shares one registry across every job it hosts. Nil disables
 	// instrumentation.
 	Metrics *metrics.Registry
-	// PhaseCosts, when set, replaces the driver's private per-phase cost
-	// model for deadline budgeting, letting a resident master pool phase-
-	// duration observations across jobs. Nil keeps the per-run default.
-	PhaseCosts *metrics.CostModel
 }
 
 // ErrDeadline is the cancellation cause installed when Config.Deadline
@@ -123,15 +112,12 @@ func (cfg Config) RunContext() (context.Context, context.CancelFunc) {
 }
 
 // IsInterrupted reports whether err is a cancellation outcome — user
-// cancel, run deadline, phase-budget exhaustion, or a watchdog stall —
-// rather than a pipeline failure. An interrupted run with checkpointing
-// enabled leaves a resumable checkpoint behind.
+// cancel or run deadline — rather than a pipeline failure. An interrupted
+// run with checkpointing enabled leaves a resumable checkpoint behind.
 func IsInterrupted(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrDeadline) ||
-		errors.Is(err, assembly.ErrPhaseBudget) ||
-		errors.Is(err, assembly.ErrStalled)
+		errors.Is(err, ErrDeadline)
 }
 
 // ctxErr returns nil while ctx is live and the cancellation cause once it
@@ -488,11 +474,9 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	}
 	driver.SetContext(s.Cfg.Context)
 	driver.SetMetrics(s.Cfg.Metrics)
-	driver.SetCostModel(s.Cfg.PhaseCosts)
-	driver.EnableWatchdog(s.Cfg.Watchdog)
-	// fail finalizes an aborted run: an interrupted run (cancel, deadline,
-	// stall) writes a best-effort checkpoint at the last completed phase
-	// boundary so -resume can pick up where it stopped.
+	// fail finalizes an aborted run: an interrupted run (cancel or
+	// deadline) writes a best-effort checkpoint at the last completed
+	// phase boundary so -resume can pick up where it stopped.
 	fail := func(err error) (*AssemblyResult, error) {
 		if IsInterrupted(err) {
 			if cerr := driver.CheckpointNow(); cerr != nil {

@@ -147,26 +147,25 @@ func TestCancelSweep(t *testing.T) {
 	}
 }
 
-// TestWatchdogRehostsHungWorker is the watchdog demo: one of two workers
-// hangs on every response and no per-call timeout is armed — the
-// configuration the watchdog exists for. The stall is detected, the stuck
-// worker kicked (its task reschedules onto the survivor), and the run
-// completes with baseline output.
-func TestWatchdogRehostsHungWorker(t *testing.T) {
+// livenessRun runs the shared pipeline on a two-worker pool whose worker
+// 1 wedges (chaos hang for an hour) after `safe` responses, with no
+// CallTimeout and MaxFailures 1: only the liveness rule can cut the
+// wedged call. The run must finish within the bound with the healthy
+// baseline's output, the wedged worker evicted and the driver not
+// degraded.
+func livenessRun(t *testing.T, safe int) {
 	const k = 4
 	want := healthyBaseline(t, k)
 	defer testutil.NoLeaks(t)
 
-	hang := dist.ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
-	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
-		MaxFailures: 1, // no CallTimeout: only the watchdog can unstick the run
-		Logf:        t.Logf,
-	}, func(w int) *dist.ChaosConfig {
-		if w == 1 {
-			return &hang
-		}
-		return nil
-	})
+	hang := dist.ChaosConfig{Seed: 11, FirstSafe: safe, HangProb: 1, HangFor: time.Hour}
+	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{MaxFailures: 1, Logf: t.Logf},
+		func(w int) *dist.ChaosConfig {
+			if w == 1 {
+				return &hang
+			}
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,84 +173,33 @@ func TestWatchdogRehostsHungWorker(t *testing.T) {
 
 	d := chaosPipeline(t, pool, k)
 	defer d.Close()
-	d.EnableWatchdog(100 * time.Millisecond)
+	start := time.Now()
 	got, err := fullRun(t, d)
 	if err != nil {
-		t.Fatalf("run with watchdog failed: %v", err)
+		t.Fatalf("run with a wedged worker failed: %v", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("run with a wedged worker took %v", el)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("watchdog-rescued run diverged from baseline:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("run with a wedged worker diverged from baseline:\ngot  %+v\nwant %+v", got, want)
 	}
-	// Without the kick the hung worker would still be connected (nothing
-	// else severs it when CallTimeout is off).
 	if n := pool.NumHealthy(); n != 1 {
-		t.Fatalf("NumHealthy = %d, want 1 (hung worker kicked and evicted)", n)
+		t.Fatalf("NumHealthy = %d, want 1 (wedged worker cut and evicted)", n)
 	}
 	if d.DegradeReason() != DegradeNone {
 		t.Fatal("driver degraded to local mode despite a surviving worker")
 	}
 }
 
-// TestWatchdogEscalatesToCancel: with every worker hung and kicking
-// disabled, the ladder must end in cancellation with ErrStalled — not in
-// the silent local fallback (a stalled run is a fault to surface, the
-// fallback is for worker-pool exhaustion).
-func TestWatchdogEscalatesToCancel(t *testing.T) {
-	defer testutil.NoLeaks(t)
-	hang := dist.ChaosConfig{Seed: 13, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
-	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
-		MaxFailures: 1,
-		Logf:        t.Logf,
-	}, func(w int) *dist.ChaosConfig { c := hang; c.Seed += int64(w); return &c })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+// TestLivenessRehostsHungWorker: one of two workers hangs on every
+// response and no per-call timeout is set. Its first Load is cut when
+// its liveness probe goes unanswered, and its partitions are hosted on
+// the survivor.
+func TestLivenessRehostsHungWorker(t *testing.T) { livenessRun(t, 1) }
 
-	d := chaosPipeline(t, pool, 4)
-	defer d.Close()
-	d.EnableWatchdog(100 * time.Millisecond)
-	d.wdNoKicks = true
-	start := time.Now()
-	_, err = fullRun(t, d)
-	if !errors.Is(err, ErrStalled) {
-		t.Fatalf("stalled run error = %v, want ErrStalled", err)
-	}
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("stalled run took %v to cancel", el)
-	}
-}
-
-// TestPhaseBudgetExpiry: a run deadline is split into per-phase budgets;
-// a phase that cannot finish within its share is canceled with
-// ErrPhaseBudget well before the full run deadline.
-func TestPhaseBudgetExpiry(t *testing.T) {
-	defer testutil.NoLeaks(t)
-	hang := dist.ChaosConfig{Seed: 17, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
-	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
-		MaxFailures: 1,
-		Logf:        t.Logf,
-	}, func(w int) *dist.ChaosConfig { c := hang; c.Seed += int64(w); return &c })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	d := chaosPipeline(t, pool, 4)
-	defer d.Close()
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(10*time.Second))
-	defer cancel()
-	d.SetContext(ctx)
-	start := time.Now()
-	_, err = fullRun(t, d)
-	el := time.Since(start)
-	if !errors.Is(err, ErrPhaseBudget) {
-		t.Fatalf("budget-expired run error = %v, want ErrPhaseBudget", err)
-	}
-	// The first phase's weighted share of a 10 s deadline is far below the
-	// deadline itself; hitting ErrPhaseBudget (not the run deadline) early
-	// is the point of the split.
-	if el >= 10*time.Second {
-		t.Fatalf("phase budget fired only after the whole run deadline (%v)", el)
-	}
-}
+// TestLivenessPinnedWedge: worker 1 answers the handshake and the Loads
+// of its two partitions, then wedges inside the first phase while
+// holding them. The wedged call is cut when its liveness probe goes
+// unanswered, and its partitions are re-hosted mid-phase.
+func TestLivenessPinnedWedge(t *testing.T) { livenessRun(t, 3) }

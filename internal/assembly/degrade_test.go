@@ -1,7 +1,9 @@
 package assembly
 
 import (
+	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,23 +12,60 @@ import (
 	"focus/internal/testutil"
 )
 
-// TestDegradedRehostThenRecover: losing a pinned worker mid-run (kick =
-// severed connection, in-process service state gone) forces a re-host,
-// but the pool still has a survivor — so the driver must stay
-// NON-degraded through the recovery, keep DegradeReason() at its
-// healthy value for the whole run, and finish byte-identical to
-// the no-fault baseline. The attached metrics registry must record the
-// fault path (a lost partition or a logged re-host), and the pool's
-// health snapshot the kick.
+// countWrites is a dist.Options.WrapConn that counts worker 1's writes.
+type countWrites struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countWrites) Write(b []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestDegradedRehostThenRecover: losing a pinned worker mid-run (a chaos
+// reset on its first response after the transitive phase, in-process
+// service state gone) forces a re-host, but the pool still has a
+// survivor — so the driver must stay NON-degraded through the recovery,
+// keep DegradeReason() at its healthy value for the whole run, and finish
+// byte-identical to the no-fault baseline. The attached metrics registry
+// must record the fault path (a lost partition or a logged re-host), and
+// the pool's health snapshot the eviction.
 func TestDegradedRehostThenRecover(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{
-		CallTimeout: 2 * time.Second,
-		Logf:        t.Logf,
+	// A healthy probe run counts worker 1's writes (the handshake ack,
+	// its Loads and its transitive Phase replies), so the reset lands on
+	// its first write after the transitive phase.
+	var writes atomic.Int64
+	probe, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{
+		WrapConn: func(w int, c net.Conn) net.Conn {
+			if w == 1 {
+				return countWrites{c, &writes}
+			}
+			return c
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd := chaosPipeline(t, probe, k)
+	var pst TrimStats
+	if err := pd.TrimTransitive(&pst); err != nil {
+		t.Fatal(err)
+	}
+	pd.Close()
+	probe.Close()
+
+	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{MaxFailures: 1, Logf: t.Logf},
+		func(w int) *dist.ChaosConfig {
+			if w == 1 {
+				return &dist.ChaosConfig{Seed: 1, FirstSafe: int(writes.Load()), ResetProb: 1}
+			}
+			return nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +83,8 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 		t.Fatalf("degraded before any fault: reason=%v", d.DegradeReason())
 	}
 
-	// Sever the pinned worker between phases: its partitions are lost
-	// (the local transport rebuilds a fresh service on reconnect) and the
-	// next phase must re-host them onto the survivor.
-	if !pool.Kick(1) {
-		t.Fatal("Kick(1) refused")
-	}
-
+	// The next phase's first reply from worker 1 resets its connection:
+	// its partitions are lost and must be re-hosted onto the survivor.
 	if err := d.TrimContainment(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +115,13 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 		snap.Counters["assembly_rehost_total"] +
 		snap.Counters["assembly_rehost_failed_total"]
 	if faults == 0 {
-		t.Fatalf("metrics recorded no fault path after a kicked worker: %v", snap.Counters)
+		t.Fatalf("metrics recorded no fault path after a reset worker: %v", snap.Counters)
 	}
 	if snap.Counters["assembly_degraded_total"] != 0 {
 		t.Fatalf("degradation counter moved on a non-degraded run: %v", snap.Counters)
 	}
-	if h := pool.Health(); h.Kicks != 1 {
-		t.Fatalf("pool health Kicks = %d, want 1", h.Kicks)
+	if h := pool.Health(); h.Evictions != 1 {
+		t.Fatalf("pool health Evictions = %d, want 1", h.Evictions)
 	}
 }
 

@@ -58,17 +58,9 @@ type Driver struct {
 	statsMirror    TrimStats
 	variantsMirror []Variant
 
-	// Cancellation state (budget.go / watchdog.go). runCtx bounds the whole
-	// run (nil = unbounded); each phase runs under a derived context whose
-	// deadline is its share of the remaining run budget (costs) and which
-	// the watchdog may cancel on stall. All three are zero unless enabled, so
-	// the default path costs one nil check per phase.
-	runCtx   context.Context
-	costs    *metrics.CostModel
-	wdWindow time.Duration // 0: no watchdog
-	// wdNoKicks takes the kick rung out of the watchdog's ladder, so a
-	// stall goes straight from log to cancel (tests only).
-	wdNoKicks bool
+	// runCtx bounds the whole run (nil = unbounded): every phase runs
+	// under it, so the default path costs one nil check per phase.
+	runCtx context.Context
 
 	// reg is the optional operational-metrics sink (DESIGN.md §15): fault
 	// counters and per-phase latency histograms. Nil (the default) costs a
@@ -106,6 +98,12 @@ func (d *Driver) extractor() *extractor {
 func (d *Driver) subgraphsCtx(ctx context.Context, parts [][]int32) []Subgraph {
 	return d.extractor().subgraphs(parts, d.extractWorkers, par.GateFor(ctx))
 }
+
+// SetContext bounds the whole run by ctx: cancellation (explicit, signal,
+// or deadline) stops every subsequent — and the currently running — phase
+// at the next grain boundary. Call before the first phase; a nil ctx (the
+// default) means unbounded.
+func (d *Driver) SetContext(ctx context.Context) { d.runCtx = ctx }
 
 // ctxErr returns ctx's cancellation cause, or nil while it is live (or
 // nil). Driver loops consult it BEFORE classifying a call error: a
@@ -468,15 +466,11 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []tim
 			d.reg.Histogram("assembly_phase_seconds_" + strings.ToLower(phase)).Observe(time.Since(start))
 		}()
 	}
-	// Derive this phase's context (its slice of the run deadline, plus the
-	// watchdog's cancel authority) and retire it when the phase ends.
-	ctx, finish := d.phaseContext(phase)
-	defer finish()
 	if d.localOnly {
-		res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
+		res, lerr := d.runPhaseLocal(d.runCtx, phase, vcfg)
 		return res, nil, lerr
 	}
-	return d.runPhaseStateful(ctx, phase, vcfg)
+	return d.runPhaseStateful(d.runCtx, phase, vcfg)
 }
 
 // checkReply rejects a worker's reply the master cannot apply: node or

@@ -191,47 +191,3 @@ func TestParallelCallsCtxCancelUnwinds(t *testing.T) {
 		t.Fatalf("canceled scheduler run took %v to unwind", el)
 	}
 }
-
-// TestKickSeversInFlightCall: Kick (the watchdog escalation) unblocks a
-// wedged call with ErrKicked and reports false once there is no live
-// connection left to sever.
-func TestKickSeversInFlightCall(t *testing.T) {
-	defer testutil.NoLeaks(t)
-	var blocked int32 = 1
-	defer atomic.StoreInt32(&blocked, 0)
-	p, err := NewLocalPoolOpts(1, func() interface{} { return &BlockService{blocked: &blocked} },
-		Options{MaxFailures: 1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	type outcome struct{ err error }
-	done := make(chan outcome, 1)
-	go func() {
-		var reply EchoReply
-		done <- outcome{p.Call(0, "Echo", &EchoArgs{X: 1}, &reply)}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.StuckWorkers(10*time.Millisecond)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight call never showed up in StuckWorkers")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !p.Kick(0) {
-		t.Fatal("Kick(0) = false with a live wedged connection")
-	}
-	select {
-	case o := <-done:
-		// The kick closes the connection under the wedged call, which
-		// surfaces as a transport error (rpc shutdown) to the caller.
-		if o.err == nil || !IsTransportError(o.err) {
-			t.Fatalf("kicked call = %v, want a transport error", o.err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("kicked call did not unblock")
-	}
-	if p.Kick(0) {
-		t.Fatal("Kick(0) = true after the connection was already severed")
-	}
-}

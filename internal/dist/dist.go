@@ -8,12 +8,13 @@
 // their per-partition work on these workers.
 //
 // Unlike an MPI job — which aborts when any rank dies — the pool is fault
-// tolerant: calls carry an optional deadline (Options.CallTimeout), a
-// worker whose connection hangs or breaks is evicted from the schedulable
-// set and reconnected in the background with exponential backoff, and the
-// dynamic scheduler of sched.go reroutes queued tasks around evicted
-// workers. chaos.go provides a deterministic fault-injecting transport for
-// testing all of this below the service layer.
+// tolerant: a call whose worker falls silent is cut (the liveness rule of
+// liveness.go), a worker whose connection hangs or breaks is evicted from
+// the schedulable set and reconnected in the background with exponential
+// backoff, and the dynamic scheduler of sched.go reroutes queued tasks
+// around evicted workers. chaos.go provides a deterministic
+// fault-injecting transport for testing all of this below the service
+// layer.
 package dist
 
 import (
@@ -36,9 +37,10 @@ const ServiceName = "FocusWorker"
 const dialTimeout = 2 * time.Second
 
 var (
-	// ErrCallTimeout marks a call that exceeded Options.CallTimeout. The
-	// worker's connection is severed when this happens (the reply of an
-	// abandoned call must never be written concurrently with a retry).
+	// ErrCallTimeout marks a call that ran past its deadline: the liveness
+	// rule's bound, or Options.CallTimeout when that is set. The worker's
+	// connection is severed when this happens (the reply of an abandoned
+	// call must never be written concurrently with a retry).
 	ErrCallTimeout = errors.New("dist: call timeout")
 	// ErrWorkerDown marks a call addressed to a worker with no live
 	// connection (evicted, reconnecting, or closed).
@@ -47,16 +49,15 @@ var (
 	// with) no schedulable workers. Callers use it to fall back to local
 	// execution.
 	ErrNoWorkers = errors.New("dist: no healthy workers")
-	// ErrKicked marks a call severed because a supervisor (the assembly
-	// watchdog) forcibly disconnected the worker mid-call via Pool.Kick.
-	ErrKicked = errors.New("dist: worker kicked")
 )
 
-// Options configure the pool's fault tolerance. The zero value disables
-// deadlines and uses the default health thresholds.
+// Options configure the pool's fault tolerance. The zero value watches
+// every call by the liveness rule and uses the default health
+// thresholds.
 type Options struct {
-	// CallTimeout is the per-call deadline; 0 disables deadlines
-	// (net/rpc's native behaviour: a hung worker blocks forever).
+	// CallTimeout, when positive, is a fixed per-call deadline that
+	// overrides the liveness rule. 0 cuts a call only when its worker
+	// falls silent (liveness.go), however long the call runs.
 	CallTimeout time.Duration
 	// MaxFailures is the number of consecutive transport failures
 	// (timeouts, broken connections) after which a worker is permanently
@@ -82,9 +83,9 @@ type Options struct {
 	WrapConn func(worker int, conn net.Conn) net.Conn
 }
 
-// DefaultOptions returns the default fault-tolerance parameters. Deadlines
-// are off by default: legitimate partition tasks have no a-priori bound,
-// so hanging-worker detection is opt-in (cmd/focus exposes -call-timeout).
+// DefaultOptions returns the default fault-tolerance parameters: the
+// liveness rule watches every call, so a worker that hangs with its
+// connection open is cut without any setting.
 func DefaultOptions() Options { return Options{} }
 
 func (o Options) withDefaults() Options {
@@ -132,12 +133,16 @@ type worker struct {
 	fails   int  // consecutive transport failures
 	evicted bool // permanently out of the schedulable set
 
-	// In-flight call tracking for the watchdog's stuck-worker detection:
-	// callStart holds the UnixNano start time of the oldest in-flight call
-	// (0 when idle). The pool's one-in-flight-per-worker scheduling makes
-	// the single timestamp exact for phase traffic.
+	// In-flight call tracking for Health: callStart holds the UnixNano
+	// start time of the oldest in-flight call (0 when idle). The pool's
+	// one-in-flight-per-worker scheduling makes the single timestamp exact
+	// for phase traffic.
 	inflight  atomic.Int32
 	callStart atomic.Int64
+
+	// The liveness rule's signs of life (liveness.go): UnixNano of the
+	// last byte read from the worker and of the last byte written to it.
+	heard, wrote atomic.Int64
 }
 
 // Pool is a set of workers addressed by index. Worker slots are fixed at
@@ -169,17 +174,14 @@ type Pool struct {
 	slotHook int
 	slotSet  bool
 
-	// completions counts finished worker calls (any outcome). Watchdogs
-	// read it as the pool's progress signal: a stuck phase is one whose
-	// counter stops moving. Views keep their own counter (a per-job
-	// watchdog must not read another job's traffic as progress); the root
-	// counter aggregates the whole fleet.
+	// completions counts finished worker calls (any outcome). Views keep
+	// their own counter (a job's traffic only); the root counter
+	// aggregates the whole fleet.
 	completions atomic.Int64
 
 	// Fleet-wide fault counters (root-held), surfaced by Health().
 	evictions  atomic.Int64
 	reconnects atomic.Int64
-	kicks      atomic.Int64
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -287,7 +289,7 @@ func (p *Pool) connectWorker(w *worker) (*rpc.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc, err := newWireClientCodec(conn, p.opt.handshakeTimeout())
+	cc, err := newWireClientCodec(liveConn{Conn: conn, w: w}, p.opt.handshakeTimeout())
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("dist: worker %d: %w", w.id, err)
@@ -419,8 +421,8 @@ func (p *Pool) runnableWorkers() []*worker {
 	return out
 }
 
-// Call invokes method (without the service prefix) on worker i, honouring
-// Options.CallTimeout.
+// Call invokes method (without the service prefix) on worker i under the
+// liveness rule, or under Options.CallTimeout when set.
 func (p *Pool) Call(i int, method string, args, reply interface{}) error {
 	return p.CallCtx(nil, i, method, args, reply)
 }
@@ -429,7 +431,7 @@ func (p *Pool) Call(i int, method string, args, reply interface{}) error {
 // the in-flight call exactly like ErrCallTimeout does — the connection is
 // closed so the abandoned reply can never be written concurrently with a
 // retry — and the returned error wraps the context's cause. A nil ctx
-// means no bound beyond Options.CallTimeout.
+// means no bound beyond the call's deadline.
 func (p *Pool) CallCtx(ctx context.Context, i int, method string, args, reply interface{}) error {
 	if i < 0 || i >= len(p.workers) {
 		return fmt.Errorf("dist: worker %d out of range [0,%d)", i, len(p.workers))
@@ -441,71 +443,16 @@ func (p *Pool) CallCtx(ctx context.Context, i int, method string, args, reply in
 }
 
 // Completions returns the total number of finished worker calls (any
-// outcome, including timeouts and severed calls). Watchdogs use it as the
-// pool's progress signal.
+// outcome, including timeouts and severed calls).
 func (p *Pool) Completions() int64 { return p.completions.Load() }
 
-// StuckWorkers returns the ids of workers whose current in-flight call
-// has been running for at least window. The snapshot is advisory — a call
-// can finish between the read and the caller's reaction.
-func (p *Pool) StuckWorkers(window time.Duration) []int {
-	now := time.Now().UnixNano()
-	var ids []int
-	for _, w := range p.workers {
-		if !p.allowed(w.id) {
-			continue
-		}
-		if start := w.callStart.Load(); start != 0 && now-start >= int64(window) {
-			ids = append(ids, w.id)
-		}
-	}
-	return ids
-}
-
-// Kick forcibly severs worker i's connection, failing its in-flight call
-// like any transport error: the call unblocks with ErrKicked, the task
-// reschedules (or is re-hosted by a stateful driver), and the worker goes
-// through the usual reconnect/eviction machinery. It is the watchdog's
-// evict-and-rehost escalation. Returns false if the worker had no live
-// connection to sever.
-func (p *Pool) Kick(i int) bool {
-	if i < 0 || i >= len(p.workers) || !p.allowed(i) {
-		return false
-	}
-	w := p.workers[i]
-	w.mu.Lock()
-	c := w.client
-	w.mu.Unlock()
-	if c == nil {
-		return false
-	}
-	p.shared().kicks.Add(1)
-	p.record(w, c, fmt.Errorf("dist: worker %d: %w", i, ErrKicked))
-	return true
-}
-
-// Go invokes method on worker i asynchronously (no deadline; callers that
-// need one should use Call from a goroutine).
-func (p *Pool) Go(i int, method string, args, reply interface{}) *rpc.Call {
-	w := p.workers[i]
-	w.mu.Lock()
-	c := w.client
-	w.mu.Unlock()
-	if c == nil {
-		call := &rpc.Call{ServiceMethod: ServiceName + "." + method, Args: args, Reply: reply,
-			Error: fmt.Errorf("dist: worker %d: %w", i, ErrWorkerDown), Done: make(chan *rpc.Call, 1)}
-		call.Done <- call
-		return call
-	}
-	return c.Go(ServiceName+"."+method, args, reply, nil)
-}
-
-// callWorkerCtx runs one call on w with the configured deadline and feeds
-// the outcome into the worker's health state. The optional context bounds
-// it further: a canceled (or deadline-expired) ctx severs the in-flight
-// call exactly like a timeout, because a kept connection could still
-// write into the abandoned reply. A nil ctx — or one that can never
-// cancel — costs nothing beyond a nil check on the hot path.
+// callWorkerCtx runs one call on w under its deadline and feeds the
+// outcome into the worker's health state. The deadline is
+// Options.CallTimeout when set; else the call runs until its worker falls
+// silent while owing a liveness probe an answer (liveness.go). The
+// optional context bounds the call further: a canceled (or
+// deadline-expired) ctx severs the in-flight call exactly like a timeout,
+// because a kept connection could still write into the abandoned reply.
 func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args, reply interface{}) error {
 	var cdone <-chan struct{}
 	if ctx != nil {
@@ -529,45 +476,64 @@ func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args
 	if c == nil {
 		return fmt.Errorf("dist: worker %d: %w", w.id, ErrWorkerDown)
 	}
-	svcMethod := ServiceName + "." + method
 	p.noteCallStart(w)
 	defer p.noteCallEnd(w)
-	if p.opt.CallTimeout <= 0 && cdone == nil {
-		err := c.Call(svcMethod, args, reply)
-		p.record(w, c, err)
-		return err
-	}
 	// client.Go's send runs in the calling goroutine and can itself block
 	// on a wedged connection, so the whole round-trip goes in a goroutine.
 	done := make(chan error, 1)
 	go func() {
-		call := c.Go(svcMethod, args, reply, make(chan *rpc.Call, 1))
+		call := c.Go(ServiceName+"."+method, args, reply, make(chan *rpc.Call, 1))
 		done <- (<-call.Done).Error
 	}()
-	var timeC <-chan time.Time
+	bound := livenessFloor
 	if p.opt.CallTimeout > 0 {
-		timer := time.NewTimer(p.opt.CallTimeout)
-		defer timer.Stop()
-		timeC = timer.C
+		bound = p.opt.CallTimeout
 	}
-	select {
-	case err := <-done:
-		p.record(w, c, err)
-		return err
-	case <-timeC:
-		err := fmt.Errorf("dist: %s on worker %d after %v: %w", method, w.id, p.opt.CallTimeout, ErrCallTimeout)
-		p.record(w, c, err)
-		return err
-	case <-cdone:
-		err := fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
-		p.sever(w, c, err, false)
-		return err
+	timer := time.NewTimer(bound)
+	defer timer.Stop()
+	var pr *probe
+	var answer <-chan error
+	for {
+		select {
+		case err := <-done:
+			p.record(w, c, err)
+			return err
+		case err := <-answer:
+			if IsTransportError(err) {
+				p.record(w, c, err)
+				return err
+			}
+			// The worker is alive; the running timer sends the next probe.
+			pr, answer = nil, nil
+		case <-timer.C:
+			if p.opt.CallTimeout <= 0 {
+				if pr == nil {
+					pr = startProbe(c)
+					answer = pr.answer
+					timer.Reset(livenessFloor)
+					continue
+				}
+				if left := livenessFloor - pr.silence(w); left > 0 {
+					timer.Reset(left)
+					continue
+				}
+			}
+			err := fmt.Errorf("dist: %s on worker %d after %v: %w", method, w.id, p.opt.CallTimeout, ErrCallTimeout)
+			if pr != nil {
+				err = fmt.Errorf("dist: %s on worker %d: silent for %v: %w", method, w.id, livenessFloor, ErrCallTimeout)
+			}
+			p.record(w, c, err)
+			return err
+		case <-cdone:
+			err := fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
+			p.sever(w, c, err, false)
+			return err
+		}
 	}
 }
 
 // noteCallStart/noteCallEnd maintain the per-worker in-flight timestamp
-// (stuck detection) and the pool-wide completion counter (progress
-// detection).
+// and the completion counters Health reports.
 func (p *Pool) noteCallStart(w *worker) {
 	if w.inflight.Add(1) == 1 {
 		w.callStart.Store(time.Now().UnixNano())
@@ -716,15 +682,10 @@ func (p *Pool) reconnect(w *worker) (*rpc.Client, error) {
 // ping verifies a connection answers within timeout. A service without a
 // Ping method still proves liveness by answering with a ServerError.
 func ping(c *rpc.Client, timeout time.Duration) error {
-	done := make(chan error, 1)
-	go func() {
-		var args, ok Ack
-		done <- c.Call(ServiceName+".Ping", &args, &ok)
-	}()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case err := <-done:
+	case err := <-startProbe(c).answer:
 		if IsTransportError(err) {
 			return err
 		}

@@ -45,6 +45,9 @@ func (e *EchoService) Echo(args *EchoArgs, reply *EchoReply) error {
 	return nil
 }
 
+// Ping answers the liveness probe, as the assembly service does.
+func (e *EchoService) Ping(args, reply *Ack) error { return nil }
+
 func TestLocalPoolBasics(t *testing.T) {
 	p, err := NewLocalPool(3, func() interface{} { return &EchoService{} })
 	if err != nil {
@@ -129,25 +132,6 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	_, _, err = p.ParallelCallsCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	if err == nil {
 		t.Error("expected error from unknown method")
-	}
-}
-
-func TestGoAsync(t *testing.T) {
-	p, err := NewLocalPool(1, func() interface{} { return &EchoService{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	var r1, r2 EchoReply
-	c1 := p.Go(0, "Echo", &EchoArgs{X: 1, S: "a"}, &r1)
-	c2 := p.Go(0, "Echo", &EchoArgs{X: 2, S: "b"}, &r2)
-	<-c1.Done
-	<-c2.Done
-	if c1.Error != nil || c2.Error != nil {
-		t.Fatal(c1.Error, c2.Error)
-	}
-	if r1.X != 2 || r2.X != 4 {
-		t.Errorf("replies: %+v %+v", r1, r2)
 	}
 }
 

@@ -265,7 +265,8 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	}
 	defer p.Close()
 	var reply EchoReply
-	call := p.Go(0, "Echo", &EchoArgs{X: 5}, &reply)
+	called := make(chan error, 1)
+	go func() { called <- p.Call(0, "Echo", &EchoArgs{X: 5}, &reply) }()
 	// Wait until the server has read the request.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ActiveCalls() == 0 && time.Now().Before(deadline) {
@@ -276,9 +277,8 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	}
 	srv.Shutdown(2 * time.Second)
 	// The in-flight call drained to completion before connections closed.
-	<-call.Done
-	if call.Error != nil {
-		t.Fatalf("in-flight call killed by graceful shutdown: %v", call.Error)
+	if err := <-called; err != nil {
+		t.Fatalf("in-flight call killed by graceful shutdown: %v", err)
 	}
 	if reply.X != 10 {
 		t.Fatalf("reply after drain: %+v", reply)

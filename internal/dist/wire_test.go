@@ -235,9 +235,9 @@ func TestWireCodecRoundTrip(t *testing.T) {
 type plainArgs struct{ X int }
 
 // TestWireBodyMustImplementWire: a body that is not a Wire is refused
-// where it is sent, with an error naming its type — in either position,
-// synchronously or through Go — and the refusal is the caller's bug, so
-// it must not cost the worker its connection.
+// where it is sent, with an error naming its type — in either position —
+// and the refusal is the caller's bug, so it must not cost the worker its
+// connection.
 func TestWireBodyMustImplementWire(t *testing.T) {
 	p, err := NewLocalPoolOpts(1, func() interface{} { return MixedService{} }, Options{MaxFailures: 1, Logf: t.Logf})
 	if err != nil {
@@ -248,9 +248,8 @@ func TestWireBodyMustImplementWire(t *testing.T) {
 	var er EchoReply
 	var plain plainArgs
 	for name, err := range map[string]error{
-		"args":    p.Call(0, "Echo", &plainArgs{X: 1}, &er),
-		"reply":   p.Call(0, "Echo", &EchoArgs{X: 1}, &plain),
-		"go args": (<-p.Go(0, "Echo", &plainArgs{X: 1}, &er).Done).Error,
+		"args":  p.Call(0, "Echo", &plainArgs{X: 1}, &er),
+		"reply": p.Call(0, "Echo", &EchoArgs{X: 1}, &plain),
 	} {
 		if err == nil || !strings.Contains(err.Error(), "*dist.plainArgs does not implement Wire") {
 			t.Errorf("non-Wire %s: error = %v, want one naming *dist.plainArgs", name, err)
@@ -346,7 +345,8 @@ func TestWireShutdownDrain(t *testing.T) {
 	}
 	defer p.Close()
 	var reply EchoReply
-	call := p.Go(0, "Echo", &EchoArgs{X: 5}, &reply)
+	called := make(chan error, 1)
+	go func() { called <- p.Call(0, "Echo", &EchoArgs{X: 5}, &reply) }()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ActiveCalls() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -355,9 +355,8 @@ func TestWireShutdownDrain(t *testing.T) {
 		t.Fatal("call never became active on the server")
 	}
 	srv.Shutdown(2 * time.Second)
-	<-call.Done
-	if call.Error != nil {
-		t.Fatalf("in-flight call killed by graceful shutdown: %v", call.Error)
+	if err := <-called; err != nil {
+		t.Fatalf("in-flight call killed by graceful shutdown: %v", err)
 	}
 	if reply.X != 10 {
 		t.Fatalf("reply after drain: %+v", reply)

@@ -74,8 +74,9 @@ type Spec struct {
 	// job while running jobs' estimates would exceed the budget. 0 means
 	// unaccounted.
 	MemoryMB int `json:"memory_mb"`
-	// Deadline bounds the job's wall clock (0: unbounded); the assembly
-	// driver splits it into per-phase budgets.
+	// Deadline bounds the job's wall clock (0: unbounded) as a plain run
+	// deadline: every stage and phase runs under it, and on expiry the
+	// job ends Killed (resumable when it has a namespace).
 	Deadline time.Duration `json:"deadline_ns"`
 	// Seed fixes the partitioner seed (0 is a valid seed; jobs default
 	// to 1 for parity with the CLI).

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	focus "focus"
-	"focus/internal/assembly"
 	"focus/internal/checkpoint"
 	"focus/internal/dist"
 	"focus/internal/dna"
@@ -41,8 +40,8 @@ type Options struct {
 	// Grace is the default drain grace period (0: 5s).
 	Grace time.Duration
 	// Template is the per-job pipeline configuration; per-job fields
-	// (Context, Deadline, Checkpoint, Metrics, PhaseCosts) are overwritten
-	// per run. A zero template means focus.DefaultConfig().
+	// (Context, Deadline, Checkpoint, Metrics) are overwritten per run. A
+	// zero template means focus.DefaultConfig().
 	Template focus.Config
 	// Logf receives server logs (nil: discard).
 	Logf func(format string, args ...interface{})
@@ -51,10 +50,9 @@ type Options struct {
 // Server is the resident master: it owns one shared worker fleet and
 // multiplexes admitted jobs onto per-job views of it.
 type Server struct {
-	pool  *dist.Pool
-	opt   Options
-	reg   *metrics.Registry
-	costs *metrics.CostModel
+	pool *dist.Pool
+	opt  Options
+	reg  *metrics.Registry
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -116,7 +114,6 @@ func NewServer(pool *dist.Pool, opt Options) (*Server, error) {
 		pool:       pool,
 		opt:        opt,
 		reg:        metrics.NewRegistry(),
-		costs:      metrics.NewCostModel(assembly.PhasePriors(), 0),
 		jobs:       map[string]*job{},
 		assigned:   make([]int, pool.Size()),
 		nextSeq:    1,
@@ -405,7 +402,6 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 	cfg.Context = ctx
 	cfg.Deadline = spec.Deadline
 	cfg.Metrics = s.reg
-	cfg.PhaseCosts = s.costs
 	if dir != "" {
 		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Job: id, Every: 1, Resume: true}
 	}
@@ -414,9 +410,8 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 }
 
 // finishLocked maps an attempt outcome onto the terminal state machine:
-// nil → Done; a cancellation outcome (kill, drain, deadline, stall) →
-// Killed, resumable when a durable namespace exists; anything else →
-// Failed.
+// nil → Done; a cancellation outcome (kill, drain, deadline) → Killed,
+// resumable when a durable namespace exists; anything else → Failed.
 func (s *Server) finishLocked(j *job, res *focus.AssemblyResult, err error) {
 	j.status.FinishedAt = time.Now().UnixNano()
 	switch {

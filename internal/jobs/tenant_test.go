@@ -41,18 +41,18 @@ func TestMultiTenantChaos(t *testing.T) {
 	bigInput := writeInput(t, 12000, 8, 404)
 	bigBaseline := soloBaseline(t, bigInput, k)
 
-	// Worker 3 hangs on every response; CallTimeout 1s + MaxFailures 1
-	// evicts it at first contact. Workers 0-2 are clean.
+	// Worker 3 hangs on every response. No CallTimeout is set: the
+	// liveness rule cuts its first call when its probe goes unanswered,
+	// and MaxFailures 1 evicts it at first contact. Workers 0-2 are clean.
 	hold := &phaseHold{held: make(chan struct{}, 1)}
 	pool, err := dist.NewLocalChaosPool(4, func() interface{} {
 		return holdService{Service: &assembly.Service{}, hold: hold}
 	}, dist.Options{
-		CallTimeout: time.Second,
 		MaxFailures: 1,
 		Logf:        t.Logf,
 	}, func(w int) *dist.ChaosConfig {
 		if w == 3 {
-			return &dist.ChaosConfig{Seed: 7, FirstSafe: 1, HangProb: 1, HangFor: 5 * time.Second}
+			return &dist.ChaosConfig{Seed: 7, FirstSafe: 1, HangProb: 1, HangFor: time.Hour}
 		}
 		return nil
 	})

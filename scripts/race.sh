@@ -60,11 +60,14 @@ echo "== race: wire sweep =="
 go test -race -run Wire ./internal/dist/ ./internal/assembly/ ./internal/overlap/
 
 # Cancellation sweep: cancel-at-arbitrary-points on a healthy and on a
-# re-hosting pool, watchdog kick/escalate, phase budgets, pool Close/Kick
-# lifecycles and the facade signal/deadline paths (the root package is not part of the
-# tier-1 race list above, so the facade tests run here).
+# re-hosting pool, the liveness rule (hung and wedged workers cut without
+# a CallTimeout, slow calls and slow transfers never cut, an all-hung
+# fleet finishing without a run deadline and ended by a shorter one),
+# pool Close lifecycles and the facade signal/deadline paths
+# (the root package is not part of the tier-1 race list above, so the
+# facade tests run here).
 echo "== race: cancellation chaos sweep =="
-go test -race -run 'Cancel|Watchdog|Budget|Kick|Gate|Close|Deadline' \
+go test -race -run 'Cancel|Liveness|Gate|Close|Deadline' \
     ./ ./internal/dist/ ./internal/assembly/ ./internal/par/
 
 # Stage reuse: one Stages swept over k, its directed graph cloned per
