@@ -61,12 +61,13 @@ func TestConfigSurface(t *testing.T) {
 	}
 }
 
-// TestAssembleWidthInvariant: the pool widths are not settings because
-// they never change the answer. Assemble on a small simulated community
-// yields byte-identical records and contigs at GOMAXPROCS 1 and 4 (which
-// resizes every governor-sized stage pool) crossed with in-process worker
-// pools of 1 and 3 (which moves the partition tasks and the partitioner's
-// processor count).
+// TestAssembleWidthInvariant: the pool widths and the subset count never
+// change the answer. Assemble on a small simulated community yields
+// byte-identical records and contigs at GOMAXPROCS 1 and 4 (which resizes
+// every governor-sized stage pool) crossed with in-process worker pools of
+// 1 and 3 (which moves the partition tasks and the partitioner's processor
+// count) and with 1, 2, 4 and 7 read subsets (which only cut the overlap
+// stage into jobs).
 func TestAssembleWidthInvariant(t *testing.T) {
 	com, err := simulate.BuildCommunity(simulate.CommunitySpec{
 		Name: "width", Seed: 41,
@@ -86,31 +87,33 @@ func TestAssembleWidthInvariant(t *testing.T) {
 	}
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	cfg := testConfig()
-	cfg.Subsets = 4
 	var ref *AssemblyResult
 	var refStages *Stages
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, workers := range []int{1, 3} {
-			setting := fmt.Sprintf("GOMAXPROCS=%d workers=%d", procs, workers)
-			res, s, err := Assemble(rs.Reads, cfg, 4, workers)
-			if err != nil {
-				t.Fatalf("%s: %v", setting, err)
-			}
-			if ref == nil {
-				if len(s.Records) == 0 || len(res.Contigs) == 0 {
-					t.Fatalf("%s: %d records, %d contigs", setting, len(s.Records), len(res.Contigs))
+			for _, subsets := range []int{1, 2, 4, 7} {
+				setting := fmt.Sprintf("GOMAXPROCS=%d workers=%d subsets=%d", procs, workers, subsets)
+				cfg := testConfig()
+				cfg.Subsets = subsets
+				res, s, err := Assemble(rs.Reads, cfg, 4, workers)
+				if err != nil {
+					t.Fatalf("%s: %v", setting, err)
 				}
-				t.Logf("%d reads, %d records, %d contigs", len(s.Reads), len(s.Records), len(res.Contigs))
-				ref, refStages = res, s
-				continue
-			}
-			if !slices.Equal(s.Records, refStages.Records) {
-				t.Fatalf("%s: overlap records differ from GOMAXPROCS=1 workers=1", setting)
-			}
-			if !slices.EqualFunc(res.Contigs, ref.Contigs, bytes.Equal) {
-				t.Fatalf("%s: contigs differ from GOMAXPROCS=1 workers=1", setting)
+				if ref == nil {
+					if len(s.Records) == 0 || len(res.Contigs) == 0 {
+						t.Fatalf("%s: %d records, %d contigs", setting, len(s.Records), len(res.Contigs))
+					}
+					t.Logf("%d reads, %d records, %d contigs", len(s.Reads), len(s.Records), len(res.Contigs))
+					ref, refStages = res, s
+					continue
+				}
+				if !slices.Equal(s.Records, refStages.Records) {
+					t.Fatalf("%s: overlap records differ from GOMAXPROCS=1 workers=1 subsets=1", setting)
+				}
+				if !slices.EqualFunc(res.Contigs, ref.Contigs, bytes.Equal) {
+					t.Fatalf("%s: contigs differ from GOMAXPROCS=1 workers=1 subsets=1", setting)
+				}
 			}
 		}
 	}

@@ -51,7 +51,8 @@ type TrimStats = assembly.TrimStats
 type Config struct {
 	Preprocess preprocess.Config
 	// Subsets is the number of read subsets for parallel alignment
-	// (paper §II.A-B).
+	// (paper §II.A-B). It sets the parallelism only: the overlap records,
+	// and so the contigs, are the same at any count.
 	Subsets  int
 	Overlap  overlap.Config
 	Coarsen  coarsen.Options

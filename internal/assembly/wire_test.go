@@ -462,7 +462,7 @@ func wireSamples() []struct {
 	paths := [][]int32{{10, 11, 90}, {}, {15}}
 	variants := []Variant{{From: 10, To: -1, AlleleA: 11, AlleleB: 15, CovA: 9, CovB: 3,
 		LenA: 120, LenB: 118, Identity: 0.98, Mismatches: 2, Kind: 1, Reconverges: true}}
-	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, MaxOccur: 64,
+	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, // MaxOccur ships as Masked
 		Align: align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}}}
 	ack := dist.Ack(true)
 	return []struct {
@@ -478,7 +478,8 @@ func wireSamples() []struct {
 		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
 		{"AlignRefArgs", &overlap.AlignRefArgs{
 			Queries: []int32{0, 2, 4}, RefLo: 6, RefHi: 8, Paired: true,
-			Seqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA"), []byte("GTACGTACGG")}, Cfg: ocfg}},
+			Seqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA"), []byte("GTACGTACGG")}, Cfg: ocfg,
+			Masked: []uint64{0, 0x1b, 0x1b1b1b1b, 0xffffffff}}},
 		// An escaped record (Identity is not m/58), a compact one on its
 		// window and a compact one with two gap columns.
 		{"AlignRefReply", &overlap.AlignRefReply{Lists: [][]overlap.Record{

@@ -44,7 +44,7 @@ import (
 // as incompatible as one that shifts a field). internal/assembly pins every
 // message's bytes to testdata/wire_v<wireVersion>.golden, so changed
 // bytes cannot be re-blessed without touching this constant.
-const wireVersion = 8
+const wireVersion = 9
 
 // ErrWireVersion marks a connect that reached a peer speaking another
 // wire version; the wrapping error's text carries both versions.

@@ -25,12 +25,19 @@ func (b *BlockService) Echo(args *EchoArgs, reply *EchoReply) error {
 	return nil
 }
 
+// Ping answers the liveness probe. Every test service has one: net/rpc
+// answers a probe for a missing method from its read loop, which a chaos
+// hang then wedges behind the hung write (TestLivenessChaosHangNoLeak).
+func (b *BlockService) Ping(args, reply *Ack) error { return nil }
+
 // FailService always returns an application-level error.
 type FailService struct{}
 
 func (FailService) Echo(args *EchoArgs, reply *EchoReply) error {
 	return errors.New("application failure")
 }
+
+func (FailService) Ping(args, reply *Ack) error { return nil }
 
 func TestCallTimeoutEvicts(t *testing.T) {
 	defer testutil.NoLeaks(t)

@@ -57,6 +57,27 @@ func TestLivenessHungCallCut(t *testing.T) {
 	}
 }
 
+// TestLivenessChaosHangNoLeak: a call on a BlockService worker whose
+// every response write hangs for an hour is cut by the liveness rule, and
+// once the pool is closed none of the worker's goroutines is left. The
+// probe's Ping is served off net/rpc's read loop, so the loop reads the
+// close and releases the hang; a service without Ping would have the loop
+// answer the probe itself, wedged behind the hung write, for the hour.
+func TestLivenessChaosHangNoLeak(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var blocked int32
+	p, err := NewLocalChaosPool(1, func() interface{} { return &BlockService{blocked: &blocked} }, Options{MaxFailures: 1, Logf: t.Logf},
+		func(int) *ChaosConfig { return &ChaosConfig{Seed: 5, FirstSafe: 1, HangProb: 1, HangFor: time.Hour} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var reply EchoReply
+	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("hung call = %v, want ErrCallTimeout", err)
+	}
+}
+
 // TestLivenessSlowCallNotCut: a job of 10 ms calls runs first, then a
 // second job's calls sleep 5 s — 500× the first job's and 2.5 floors.
 // Their workers answer every probe, so nothing is cut or severed.

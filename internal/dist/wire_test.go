@@ -197,6 +197,8 @@ func (MixedService) Fail(args *EchoArgs, reply *EchoReply) error {
 	return errors.New("deliberate failure")
 }
 
+func (MixedService) Ping(args, reply *Ack) error { return nil }
+
 func TestWireCodecRoundTrip(t *testing.T) {
 	p, err := NewLocalPoolOpts(1, func() interface{} { return MixedService{} }, Options{Logf: t.Logf})
 	if err != nil {

@@ -67,10 +67,11 @@ type benchIndex struct {
 	build func(seqs [][]byte, k int) refIndex
 }
 
-// kmerTable builds the k-mer table, strand-canonical when paired.
+// kmerTable builds the k-mer table, strand-canonical when paired, without
+// the k-mers past the default repeat mask.
 func kmerTable(paired bool) func(seqs [][]byte, k int) refIndex {
 	return func(seqs [][]byte, k int) refIndex {
-		ix, err := buildKmerIndex(seqs, k, paired)
+		ix, err := buildKmerIndex(seqs, k, paired, repeatKeys(seqs, k, paired, DefaultConfig().MaxOccur, 0))
 		if err != nil {
 			panic(err)
 		}
@@ -85,7 +86,7 @@ func kmerTable(paired bool) func(seqs [][]byte, k int) refIndex {
 var (
 	benchIndexes = []benchIndex{
 		{"kmer-table", kmerTable(false)},
-		{"suffix-array", func(seqs [][]byte, k int) refIndex { return buildSAIndex(seqs, k) }},
+		{"suffix-array", func(seqs [][]byte, k int) refIndex { return buildSAIndex(seqs, k, DefaultConfig().MaxOccur) }},
 	}
 	pairedIndexes = []benchIndex{
 		{"paired/full", kmerTable(false)},
@@ -159,7 +160,7 @@ func benchmarkSeedLookup(b *testing.B, seqs [][]byte, indexes []benchIndex, walk
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					batch := ps.batches[i%len(ps.batches)]
-					ents := ix.resolve(batch, cfg.MaxOccur)
+					ents := ix.resolve(batch)
 					for _, p := range batch {
 						if !walk {
 							total += len(ents[p.lo:p.hi])
@@ -201,10 +202,7 @@ func BenchmarkQueryLoop(b *testing.B) {
 	}
 	ref := tiling(0, 3000)
 	cfg := DefaultConfig()
-	ix, err := buildKmerIndex(ref.seqs, cfg.K, false)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := kmerTable(false)(ref.seqs, cfg.K)
 	for _, job := range []struct {
 		name  string
 		query readSet
@@ -247,10 +245,7 @@ func BenchmarkStrandMirror(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			q := rs
 			q.paired = mirror
-			ix, err := buildKmerIndex(q.seqs, cfg.K, mirror)
-			if err != nil {
-				b.Fatal(err)
-			}
+			ix := kmerTable(mirror)(q.seqs, cfg.K)
 			var sc scratch
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -301,7 +296,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := buildKmerIndex(seqs, cfg.K, false); err != nil {
+			if _, err := buildKmerIndex(seqs, cfg.K, false, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -333,6 +328,7 @@ func BenchmarkAlignRefReplyWire(b *testing.B) {
 		b.Fatal(err)
 	}
 	subs := splitSubsets(reads, 4)
+	masked := repeatKeys(readSeqs(reads), DefaultConfig().K, subs[0].paired, DefaultConfig().MaxOccur, 0)
 	bounds := make([]int32, len(subs)+1)
 	for s, sub := range subs {
 		bounds[s+1] = bounds[s] + int32(len(sub.ids))
@@ -341,7 +337,7 @@ func BenchmarkAlignRefReplyWire(b *testing.B) {
 	records, size := 0, 0
 	for _, j := range refJobs(4, 2) {
 		r := &AlignRefReply{}
-		if err := AlignRef(j.args(subs, bounds, subs[0].paired, DefaultConfig()), r); err != nil {
+		if err := AlignRef(j.args(subs, bounds, subs[0].paired, DefaultConfig(), masked), r); err != nil {
 			b.Fatal(err)
 		}
 		for _, l := range r.Lists {

@@ -38,7 +38,10 @@ type AlignRefArgs struct {
 	// Seqs holds the reads of the query run, then those of the reference
 	// unless it is the run's last query subset.
 	Seqs [][]byte
-	Cfg  Config
+	// Cfg ships without MaxOccur: Masked holds, ascending, the read set's
+	// repeat-masked keys (repeatKeys), which the reference is indexed without.
+	Cfg    Config
+	Masked []uint64
 }
 
 // AlignRefReply returns the job's records, one list per query subset in
@@ -82,7 +85,7 @@ func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	if err != nil {
 		return err
 	}
-	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K, ref.paired)
+	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K, ref.paired, args.Masked)
 	if err != nil {
 		return err
 	}
@@ -395,9 +398,10 @@ func refJobs(subsets, workers int) []refJob {
 	}
 }
 
-// args builds job j's request over subsets whose ids start at bounds[s].
-func (j refJob) args(subs []readSet, bounds []int32, paired bool, cfg Config) *AlignRefArgs {
-	a := &AlignRefArgs{Queries: bounds[j.q0 : j.q1+1], RefLo: bounds[j.r], RefHi: bounds[j.r+1], Paired: paired, Cfg: cfg}
+// args builds job j's request over subsets whose ids start at bounds[s],
+// with the read set's repeat mask.
+func (j refJob) args(subs []readSet, bounds []int32, paired bool, cfg Config, masked []uint64) *AlignRefArgs {
+	a := &AlignRefArgs{Queries: bounds[j.q0 : j.q1+1], RefLo: bounds[j.r], RefHi: bounds[j.r+1], Paired: paired, Cfg: cfg, Masked: masked}
 	ship := func(s int) {
 		seqs := subs[s].seqs
 		if !paired {
@@ -426,8 +430,10 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	subs := splitSubsets(reads, subsets)
+	seqs := readSeqs(reads)
+	subs := splitSeqs(seqs, subsets)
 	paired := subs[0].paired
+	masked := repeatKeys(seqs, cfg.K, paired, cfg.MaxOccur, 0)
 	bounds := make([]int32, subsets+1)
 	for s, sub := range subs {
 		bounds[s+1] = bounds[s] + int32(len(sub.ids))
@@ -439,7 +445,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		replies[i] = &AlignRefReply{Lengths: lengths}
 	}
 	_, served, err := pool.ParallelCallsCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
-		return jobs[t].args(subs, bounds, paired, cfg)
+		return jobs[t].args(subs, bounds, paired, cfg, masked)
 	}, replies)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the
@@ -475,7 +481,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 			}
 			// Pair (q, r)'s place in subsetPairs order; a decoded list is a
 			// job of one piece.
-			lists[q*subsets-q*(q-1)/2+j.r-q] = jobRecords{pieces: [][]Record{recs}}
+			lists[q*subsets-q*(q-1)/2+j.r-q] = jobRecords{recs}
 			reply.Lists[i] = nil
 		}
 	}

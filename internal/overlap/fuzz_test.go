@@ -67,6 +67,22 @@ func FuzzWireDecoders(f *testing.F) {
 	f.Add(true, []byte{})
 	f.Add(false, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Add(true, paired.AppendTo(nil))
+	// The masked-key list: empty, then lists the decoder refuses — a
+	// count past the bytes left, a key equal to the one before, a key past
+	// 4^K (K = 4) — as TestWireMaskedKeys pins.
+	enc := args.AppendTo(nil)
+	head := enc[:len(enc)-len(dist.AppendLen(nil, 0, false))]
+	two := func(first, gap uint64) []byte {
+		return dist.AppendUvarint(dist.AppendUvarint(dist.AppendLen(nil, 2, true), first), gap)
+	}
+	for _, tail := range [][]byte{
+		dist.AppendLen(nil, 0, true),
+		dist.AppendUvarint(dist.AppendLen(nil, 1000, true), 1),
+		two(5, 0),
+		two(3, 253),
+	} {
+		f.Add(true, append(bytes.Clone(head), tail...))
+	}
 	fresh := func(wantArgs bool) dist.Wire {
 		if wantArgs {
 			return &AlignRefArgs{}

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"focus/internal/dna"
+	"focus/internal/par"
 )
 
 // seedHit is one occurrence of a seed k-mer in a reference subset:
@@ -90,11 +91,10 @@ func onGrid(seq []byte, cfg Config) bool {
 // once per query, never per probe, and pairLast once per job.
 type refIndex interface {
 	// resolve sets every probe's key, flip and range over the returned
-	// entries (see probe); the occurrences may come in any order. When
-	// maxOccur > 0 and the k-mer occurs more often than that, the range is
-	// empty (repeat masking). The returned slice is only valid until the
-	// next resolve call on the same index.
-	resolve(ps []probe, maxOccur int) []kentry
+	// entries (see probe); the occurrences may come in any order, and a
+	// repeat-masked k-mer has none. The returned slice is only valid until
+	// the next resolve call on the same index.
+	resolve(ps []probe) []kentry
 	// pairLast is the offset of the last k-mer, |B|−K, of each strand
 	// pair's reads (pair i: reads 2i and 2i+1), which maps a flipped
 	// probe's entries (probe.hit); nil for an index that flips none.
@@ -113,20 +113,18 @@ func revComp(km uint64, k int) uint64 {
 }
 
 // kmerIndex is a packed k-mer table: every k-mer occurrence of the subset
-// is one entry, grouped into buckets by a hash of the 2-bit packed k-mer
-// value (bucket). A bucket of up to sortedBucket entries — nearly all of
-// them — stays in scatter order and a probe filter-scans it; a larger one
-// is sorted by (key, read, off) and a probe binary-searches its key's run.
-// Either way the repeat mask is the key's entry count, and lookups
-// allocate nothing.
+// but the repeat-masked ones is one entry, grouped into buckets by a hash
+// of the 2-bit packed k-mer value (bucket). A bucket of up to sortedBucket
+// entries — nearly all of them — stays in scatter order and a probe
+// filter-scans it; a larger one is sorted by (key, read, off) and a probe
+// binary-searches its key's run. Lookups allocate nothing.
 //
 // A strand-paired subset (readSet.paired: read 2i+1 = rc(read 2i)) is
 // indexed strand-canonically: only the occurrences of canonical k-mers,
 // km <= rc(km), are entries, about half of them, and a probe of a
 // non-canonical km looks up rc(km) and maps the entries to the other
-// strand (probe.hit). Every k-mer occurs in such a subset as often as its
-// reverse complement, so the entry count is still the occurrence count.
-// Any other subset is indexed in full, every occurrence its own entry.
+// strand (probe.hit). Any other subset is indexed in full, every
+// occurrence its own entry (eachKey).
 type kmerIndex struct {
 	k    int
 	ents []kentry
@@ -179,12 +177,137 @@ func indexKmers(seqs [][]byte, k int) (int, error) {
 	return n, nil
 }
 
+// eachKey calls add with batches of entries: the index key and posting of
+// every k-mer occurrence of seqs, in (read, off) order, each k-mer its own
+// key. A strand-canonical enumeration (canon, seqs strand-paired) takes
+// the even reads only and at (2i, o) the canonical one of the k-mer f and
+// rc(f) at (2i+1, |B|−K−o) — both, for a palindrome: a key still comes up
+// once per occurrence of its k-mer.
+func eachKey(seqs [][]byte, k int, canon bool, add func([]kentry)) {
+	mask, top := uint64(1)<<(2*k)-1, 2*uint(k-1) // k = 32: every bit
+	batch := make([]kentry, 0, 256)
+	step := 1
+	if canon {
+		step = 2
+	}
+	for r := 0; r < len(seqs); r += step {
+		last := int32(len(seqs[r]) - k)
+		var f, rc uint64 // the last k bases and their reverse complement
+		valid := 0
+		for i, b := range seqs[r] {
+			c, ok := dna.BaseCode(b)
+			if !ok {
+				valid = 0
+				continue
+			}
+			f, rc = (f<<2|uint64(c))&mask, rc>>2|uint64(3-c)<<top
+			if valid++; valid < k {
+				continue
+			}
+			key, read, off := f, int32(r), int32(i+1-k)
+			if canon && f == rc { // a palindrome: both strands' occurrences
+				batch = append(batch, kentry{key, seedHit{read, off}})
+			}
+			other := canon && rc <= f // selects without a branch
+			if other {
+				key = rc
+			}
+			if other {
+				read++
+			}
+			if other {
+				off = last - off
+			}
+			if batch = append(batch, kentry{key, seedHit{read, off}}); len(batch) >= cap(batch)-1 {
+				add(batch)
+				batch = batch[:0]
+			}
+		}
+	}
+	add(batch)
+}
+
+// repeatKeys returns, ascending, the keys (eachKey's) whose k-mers occur
+// more than maxOccur times in seqs, the whole read set: the repeat mask
+// every index of the stage is built without; maxOccur <= 0 masks nothing.
+// workers requests the passes' width (<= 0: the par governor's). The
+// first pass counts keys into hash buckets (about eight keys a bucket,
+// saturating); only a bucket past maxOccur can hold a masked key, so the
+// second counts just those buckets' keys, in a map per part of the reads.
+func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint64 {
+	if maxOccur <= 0 {
+		return nil
+	}
+	step := 1
+	if paired {
+		step = 2 // about one key per k-mer and its reverse complement
+	}
+	n := 0
+	for r := 0; r < len(seqs); r += step {
+		n += max(len(seqs[r])-k+1, 0)
+	}
+	ix := kmerIndex{k: k, dirShift: uint(64 - min(bits.Len(uint(n)/8), 2*k))}
+	parts := par.Workers(workers, len(seqs)/step, 2048)
+	part := func(p int) [][]byte { // whole strand pairs
+		lo, hi := par.Split(len(seqs)/step, parts, p)
+		return seqs[step*lo : step*hi]
+	}
+	counts := make([][]uint16, parts)
+	par.Run(parts, parts, func(_, p int) {
+		c := make([]uint16, 1<<(64-ix.dirShift))
+		eachKey(part(p), k, paired, func(es []kentry) {
+			for _, e := range es {
+				if b := ix.bucket(e.key); c[b] < math.MaxUint16 {
+					c[b]++
+				}
+			}
+		})
+		counts[p] = c
+	})
+	heavy := make([]uint64, (len(counts[0])+63)/64)
+	for b := range counts[0] {
+		sum := 0
+		for _, c := range counts {
+			sum += int(c[b])
+		}
+		if dna.RepeatMasked(sum, maxOccur) {
+			heavy[b/64] |= 1 << (b % 64)
+		}
+	}
+	occ := make([]map[uint64]int, parts)
+	par.Run(parts, parts, func(_, p int) {
+		m := map[uint64]int{}
+		eachKey(part(p), k, paired, func(es []kentry) {
+			for _, e := range es {
+				if b := ix.bucket(e.key); heavy[b/64]&(1<<(b%64)) != 0 {
+					m[e.key]++
+				}
+			}
+		})
+		occ[p] = m
+	})
+	for _, m := range occ[1:] {
+		for key, c := range m {
+			occ[0][key] += c
+		}
+	}
+	var masked []uint64
+	for key, c := range occ[0] {
+		if dna.RepeatMasked(c, maxOccur) {
+			masked = append(masked, key)
+		}
+	}
+	slices.Sort(masked)
+	return masked
+}
+
 // buildKmerIndex groups the subset's entries by bucket scatter: one
 // enumeration (scan) counts the entries of every directory bucket, a
 // second scatters them to their bucket's slots in enumeration order, and
 // the buckets past sortedBucket entries are then sorted. paired builds the
-// strand-canonical index, and requires a strand-paired subset.
-func buildKmerIndex(seqs [][]byte, k int, paired bool) (*kmerIndex, error) {
+// strand-canonical index, and requires a strand-paired subset. The keys
+// of masked, ascending (repeatKeys), never enter.
+func buildKmerIndex(seqs [][]byte, k int, paired bool, masked []uint64) (*kmerIndex, error) {
 	bound, err := indexKmers(seqs, k)
 	if err != nil {
 		return nil, err
@@ -201,13 +324,21 @@ func buildKmerIndex(seqs [][]byte, k int, paired bool) (*kmerIndex, error) {
 			ix.last[i] = int32(len(seqs[2*i]) - k)
 		}
 	}
-	ix.scan(seqs, nil)
+	var dirty []uint64 // the buckets a masked key falls in
+	if len(masked) > 0 {
+		dirty = make([]uint64, (nb+63)/64)
+		for _, key := range masked {
+			b := ix.bucket(key)
+			dirty[b/64] |= 1 << (b % 64)
+		}
+	}
+	ix.scan(seqs, masked, dirty, nil)
 	total := uint32(0)
 	for b := range nb { // bucket sizes into bucket starts
 		ix.dir[b], total = total, total+ix.dir[b]
 	}
 	ix.ents = make([]kentry, total)
-	ix.scan(seqs, ix.ents)
+	ix.scan(seqs, masked, dirty, ix.ents)
 	dir, ents := ix.dir, ix.ents
 	lo := uint32(0)
 	for b := range nb {
@@ -230,47 +361,26 @@ func buildKmerIndex(seqs [][]byte, k int, paired bool) (*kmerIndex, error) {
 	return ix, nil
 }
 
-// scan enumerates the index's entries and bumps each one's bucket slot
-// dir[b]: with ents nil that counts the buckets' entries; otherwise the
-// slots hold the buckets' starts, and each entry is placed at its bucket's
-// next slot, so dir[b] ends as the next bucket's start. A full index
-// enumerates every read in (read, off) order; a strand-canonical one
-// enumerates the even reads only, taking at (2i, o) the forward k-mer f
-// and its reverse complement r, which occurs at (2i+1, |B|−K−o), and
-// enters whichever of them is canonical — both, for a palindrome.
-func (ix *kmerIndex) scan(seqs [][]byte, ents []kentry) {
+// scan enumerates the index's entries (eachKey, the masked ones skipped)
+// and bumps each one's bucket slot dir[b]: with ents nil that counts the
+// buckets' entries; otherwise the slots hold the buckets' starts, and each
+// entry goes to its bucket's next slot, ending as the next bucket's start.
+func (ix *kmerIndex) scan(seqs [][]byte, masked, dirty []uint64, ents []kentry) {
 	dir := ix.dir
-	add := func(key uint64, read, off int32) {
-		b := ix.bucket(key)
-		if ents != nil {
-			ents[dir[b]] = kentry{key: key, hit: seedHit{read: read, off: off}}
+	eachKey(seqs, ix.k, ix.canon, func(es []kentry) {
+		for _, e := range es {
+			b := ix.bucket(e.key)
+			if dirty != nil && dirty[b/64]&(1<<(b%64)) != 0 {
+				if _, found := slices.BinarySearch(masked, e.key); found {
+					continue
+				}
+			}
+			if ents != nil {
+				ents[dir[b]] = e
+			}
+			dir[b]++
 		}
-		dir[b]++
-	}
-	step := 1
-	if ix.canon {
-		step = 2
-	}
-	for r := 0; r < len(seqs); r += step {
-		for it := dna.NewKmerIter(seqs[r], ix.k); ; {
-			km, off, ok := it.Next()
-			if !ok {
-				break
-			}
-			f := uint64(km)
-			if !ix.canon {
-				add(f, int32(r), int32(off))
-				continue
-			}
-			rc := revComp(f, ix.k)
-			if f <= rc {
-				add(f, int32(r), int32(off))
-			}
-			if rc <= f {
-				add(rc, int32(r+1), ix.last[r/2]-int32(off))
-			}
-		}
-	}
+	})
 }
 
 func (ix *kmerIndex) pairLast() []int32 { return ix.last }
@@ -279,8 +389,8 @@ func (ix *kmerIndex) pairLast() []int32 { return ix.last }
 // different probes overlap instead of queueing behind each other's votes:
 // first every probe's key and bucket bounds (one directory line each),
 // then the key's entries inside the bucket (the entry lines, postings
-// included) and the repeat-mask decision.
-func (ix *kmerIndex) resolve(ps []probe, maxOccur int) []kentry {
+// included).
+func (ix *kmerIndex) resolve(ps []probe) []kentry {
 	dir, ents := ix.dir, ix.ents
 	for i := range ps {
 		p := &ps[i]
@@ -297,34 +407,25 @@ func (ix *kmerIndex) resolve(ps []probe, maxOccur int) []kentry {
 		p := &ps[i]
 		key := p.key
 		lo, hi := p.lo, p.hi
-		n := 0 // entries of key; a sorted bucket's counted to one past maxOccur
 		if hi-lo <= sortedBucket {
+			found := false
 			for _, e := range ents[lo:hi] {
-				if e.key == key {
-					n++
-				}
+				found = found || e.key == key
 			}
-		} else {
-			for lo < hi { // the key's first entry
-				mid := (lo + hi) >> 1
-				if ents[mid].key < key {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+			if !found {
+				p.hi = lo
 			}
-			limit := p.hi
-			if maxOccur > 0 && maxOccur < int(limit-lo) {
-				limit = lo + uint32(maxOccur) + 1
-			}
-			hi = lo
-			for hi < limit && ents[hi].key == key {
-				hi++
-			}
-			n = int(hi - lo)
+			continue
 		}
-		if n == 0 || dna.RepeatMasked(n, maxOccur) {
-			hi = lo
+		for lo < hi { // the key's first entry
+			mid := (lo + hi) >> 1
+			if ents[mid].key < key {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for hi = lo; hi < p.hi && ents[hi].key == key; hi++ {
 		}
 		p.lo, p.hi = lo, hi
 	}

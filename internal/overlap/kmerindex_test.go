@@ -159,23 +159,31 @@ func hitsOf(ix refIndex, ents []kentry, p probe) []seedHit {
 }
 
 // resolveOne resolves a one-probe batch.
-func resolveOne(ix refIndex, km dna.Kmer, maxOccur int) []seedHit {
+func resolveOne(ix refIndex, km dna.Kmer) []seedHit {
 	ps := []probe{{km: uint64(km)}}
-	return hitsOf(ix, ix.resolve(ps, maxOccur), ps[0])
+	return hitsOf(ix, ix.resolve(ps), ps[0])
 }
 
 // plainRun is the k-mer table's answer for km by a scan of all its
-// entries, masked by dna.RepeatMasked: no directory, no search, no batch.
-func plainRun(ix *kmerIndex, km dna.Kmer, maxOccur int) []seedHit {
+// entries: no directory, no search, no batch.
+func plainRun(ix *kmerIndex, km dna.Kmer) []seedHit {
 	p := probe{km: uint64(km), key: uint64(km), hi: uint32(len(ix.ents))}
 	if rc := revComp(p.km, ix.k); ix.canon && rc < p.km {
 		p.key, p.flip = rc, true
 	}
-	hs := hitsOf(ix, ix.ents, p)
-	if dna.RepeatMasked(len(hs), maxOccur) {
-		return []seedHit{}
+	return hitsOf(ix, ix.ents, p)
+}
+
+// maskedTable is the k-mer table of seqs, strand-canonical when paired,
+// built without the k-mers that occur more than maxOccur times in seqs
+// (repeatKeys).
+func maskedTable(t testing.TB, seqs [][]byte, k int, paired bool, maxOccur int) *kmerIndex {
+	t.Helper()
+	ix, err := buildKmerIndex(seqs, k, paired, repeatKeys(seqs, k, paired, maxOccur, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return hs
+	return ix
 }
 
 func byReadOff(x, y seedHit) int {
@@ -183,13 +191,14 @@ func byReadOff(x, y seedHit) int {
 }
 
 // checkBatch resolves one batch of probes on the k-mer table and on an
-// oracle — the suffix-array index, or the full table for a
-// strand-canonical one — and holds them to each other probe by probe: the
-// same occurrence set, hence the same repeat-mask decision. It holds the
-// table to a scan of its own entries too: the same postings in the same
-// order, from a range inside the bucket of the probe's key, which is km
-// or, on a strand-canonical table, min(km, rc(km)), flipped when rc(km)
-// is the smaller. A full table's postings come in (read, off) order.
+// oracle masked at the same bound — the suffix-array index, or the full
+// table for a strand-canonical one — and holds them to each other probe by
+// probe: the same occurrence set, hence the same repeat-mask decision. It
+// holds the table to a scan of its own entries too: the same postings in
+// the same order, from a range inside the bucket of the probe's key, which
+// is km or, on a strand-canonical table, min(km, rc(km)), flipped when
+// rc(km) is the smaller. A full table's postings come in (read, off)
+// order.
 func checkBatch(t testing.TB, kix *kmerIndex, oracle refIndex, kms []dna.Kmer, maxOccur int) {
 	t.Helper()
 	k := kix.k
@@ -198,7 +207,7 @@ func checkBatch(t testing.TB, kix *kmerIndex, oracle refIndex, kms []dna.Kmer, m
 		ps[i] = probe{km: uint64(km), off: int32(i)}
 	}
 	ps2 := slices.Clone(ps)
-	e1, e2 := kix.resolve(ps, maxOccur), oracle.resolve(ps2, maxOccur)
+	e1, e2 := kix.resolve(ps), oracle.resolve(ps2)
 	for i, km := range kms {
 		p := ps[i]
 		if p.km != uint64(km) || p.off != int32(i) {
@@ -212,7 +221,7 @@ func checkBatch(t testing.TB, kix *kmerIndex, oracle refIndex, kms []dna.Kmer, m
 			t.Fatalf("k=%d km=%s: range [%d,%d) outside its bucket [%d,%d)", k, km.String(k), p.lo, p.hi, kix.dir[b], kix.dir[b+1])
 		}
 		h1, h2 := hitsOf(kix, e1, p), hitsOf(oracle, e2, ps2[i])
-		if plain := plainRun(kix, km, maxOccur); !slices.Equal(h1, plain) {
+		if plain := plainRun(kix, km); !slices.Equal(h1, plain) {
 			t.Fatalf("k=%d km=%s maxOccur=%d: batch resolve %v, plain scan %v", k, km.String(k), maxOccur, h1, plain)
 		}
 		if kix.canon {
@@ -230,23 +239,17 @@ func checkBatch(t testing.TB, kix *kmerIndex, oracle refIndex, kms []dna.Kmer, m
 // repeated seeds share the batch), then the extra probes, then the first
 // probe once more, resolved on the full k-mer table and the suffix-array
 // oracle with repeat masking off, at maxOccur, and at count−1, count and
-// count+1 of every occurrence count the batch sees. On a strand-paired
-// subset the strand-canonical table is held to both at every threshold
-// as well, and must hold half the full table's entries plus one for each
-// palindromic occurrence (canonicalEntries).
+// count+1 of every occurrence count the batch sees, each table built
+// without its masked keys. On a strand-paired subset the strand-canonical
+// table is held to both at every threshold as well, and must hold half
+// the full table's entries plus one for each palindromic occurrence
+// (canonicalEntries).
 func checkSubset(t testing.TB, seqs [][]byte, k, maxOccur int, extra []dna.Kmer, paired bool) {
 	t.Helper()
-	kix, err := buildKmerIndex(seqs, k, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kix := maskedTable(t, seqs, k, false, 0)
 	checkDirectory(t, kix)
-	six := buildSAIndex(seqs, k)
-	var cix *kmerIndex
 	if paired {
-		if cix, err = buildKmerIndex(seqs, k, true); err != nil {
-			t.Fatal(err)
-		}
+		cix := maskedTable(t, seqs, k, true, 0)
 		checkDirectory(t, cix)
 		if got, want := len(cix.ents), canonicalEntries(kix); got != want {
 			t.Fatalf("k=%d: %d strand-canonical entries, want %d (%d full)", k, got, want, len(kix.ents))
@@ -270,14 +273,18 @@ func checkSubset(t testing.TB, seqs [][]byte, k, maxOccur int, extra []dna.Kmer,
 	}
 	caps := map[int]bool{0: true, maxOccur: true}
 	for _, km := range kms {
-		c := len(resolveOne(kix, km, 0))
+		c := len(resolveOne(kix, km))
 		caps[c-1], caps[c], caps[c+1] = true, true, true
 	}
 	for mo := range caps {
-		checkBatch(t, kix, six, kms, mo)
-		if cix != nil {
+		full, six := maskedTable(t, seqs, k, false, mo), buildSAIndex(seqs, k, mo)
+		checkDirectory(t, full)
+		checkBatch(t, full, six, kms, mo)
+		if paired {
+			cix := maskedTable(t, seqs, k, true, mo)
+			checkDirectory(t, cix)
 			checkBatch(t, cix, six, kms, mo)
-			checkBatch(t, cix, kix, kms, mo)
+			checkBatch(t, cix, full, kms, mo)
 		}
 	}
 }
@@ -311,14 +318,7 @@ func TestCanonicalIndexHalvesEntries(t *testing.T) {
 	if !sub.paired {
 		t.Fatal("the preprocessed subset is not strand-paired")
 	}
-	full, err := buildKmerIndex(sub.seqs, cfg.K, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canon, err := buildKmerIndex(sub.seqs, cfg.K, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, canon := maskedTable(t, sub.seqs, cfg.K, false, 0), maskedTable(t, sub.seqs, cfg.K, true, 0)
 	if n := len(canon.ents); float64(n) > 0.51*float64(len(full.ents)) || n != canonicalEntries(full) {
 		t.Fatalf("%d strand-canonical entries of %d full ones (%.3f×), want %d", n, len(full.ents), float64(n)/float64(len(full.ents)), canonicalEntries(full))
 	}
@@ -326,6 +326,8 @@ func TestCanonicalIndexHalvesEntries(t *testing.T) {
 	for _, s := range sub.seqs[:2] {
 		dna.ForEachKmer(s, cfg.K, func(km dna.Kmer, _ int) { kms = append(kms, km) })
 	}
+	checkBatch(t, canon, full, kms, 0)
+	full, canon = maskedTable(t, sub.seqs, cfg.K, false, cfg.MaxOccur), maskedTable(t, sub.seqs, cfg.K, true, cfg.MaxOccur)
 	checkBatch(t, canon, full, kms, cfg.MaxOccur)
 	t.Logf("%d reads: %d full entries, %d strand-canonical", len(sub.seqs), len(full.ents), len(canon.ents))
 }
@@ -443,10 +445,7 @@ func TestCanonicalIndexMatchesFull(t *testing.T) {
 			low = append(low, s)
 		}
 		low = strandPairs(low)
-		full, err := buildKmerIndex(low, k, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		full := maskedTable(t, low, k, false, 0)
 		palindromes += 2*canonicalEntries(full) - len(full.ents)
 		checkSubset(t, low, k, 1+rng.Intn(8), absent, true)
 		checkSubset(t, nil, k, 1, absent, true)
@@ -519,7 +518,7 @@ func TestIndexKmerBound(t *testing.T) {
 	if _, err := indexKmers(over, 1); err == nil {
 		t.Fatal("subset one k-mer past the bound accepted")
 	}
-	if _, err := buildKmerIndex(over, 1, false); err == nil || !strings.Contains(err.Error(), "overlap: reference subset") {
+	if _, err := buildKmerIndex(over, 1, false, nil); err == nil || !strings.Contains(err.Error(), "overlap: reference subset") {
 		t.Fatalf("buildKmerIndex: err %v", err)
 	}
 	reads := make([]dna.Read, len(over))
@@ -559,24 +558,20 @@ func TestRepeatThresholdBoundary(t *testing.T) {
 		}
 		aaaa, _ := dna.PackKmer(polyA, k)
 		cccc, _ := dna.PackKmer(polyC, k)
-		kix, err := buildKmerIndex(seqs, k, false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, tc := range []struct {
-			name string
-			ix   refIndex
+			name        string
+			capped, off refIndex
 		}{
-			{"kmer-table", kix},
-			{"suffix-array", buildSAIndex(seqs, k)},
+			{"kmer-table", maskedTable(t, seqs, k, false, cap), maskedTable(t, seqs, k, false, 0)},
+			{"suffix-array", buildSAIndex(seqs, k, cap), buildSAIndex(seqs, k, 0)},
 		} {
-			if n := len(resolveOne(tc.ix, aaaa, cap)); n != cap {
+			if n := len(resolveOne(tc.capped, aaaa)); n != cap {
 				t.Errorf("k=%d %s: exactly-at-threshold k-mer dropped (hits=%d)", k, tc.name, n)
 			}
-			if n := len(resolveOne(tc.ix, cccc, cap)); n != 0 {
+			if n := len(resolveOne(tc.capped, cccc)); n != 0 {
 				t.Errorf("k=%d %s: over-threshold k-mer kept (hits=%d)", k, tc.name, n)
 			}
-			if n := len(resolveOne(tc.ix, cccc, 0)); n != cap+1 {
+			if n := len(resolveOne(tc.off, cccc)); n != cap+1 {
 				t.Errorf("k=%d %s: cap=0 masked (hits=%d)", k, tc.name, n)
 			}
 		}
@@ -674,11 +669,7 @@ func TestIndexDirectory(t *testing.T) {
 			if paired {
 				seqs = strandPairs(seqs)
 			}
-			kix, err := buildKmerIndex(seqs, k, paired)
-			if err != nil {
-				t.Fatal(err)
-			}
-			six := buildSAIndex(seqs, k)
+			kix := maskedTable(t, seqs, k, paired, 0)
 			checkDirectory(t, kix)
 			if k == 4 && int(kix.dirShift) != 64-2*k {
 				t.Fatalf("k=4 with %d distinct keys (paired %v): shift %d, want a bucket per 4-mer", distinctKeys(kix), paired, kix.dirShift)
@@ -693,12 +684,12 @@ func TestIndexDirectory(t *testing.T) {
 				kms = append(kms, dna.Kmer(rng.Uint64())&last)
 			}
 			for _, maxOccur := range []int{0, 1, 3} {
-				checkBatch(t, kix, six, kms, maxOccur)
+				checkBatch(t, maskedTable(t, seqs, k, paired, maxOccur), buildSAIndex(seqs, k, maxOccur), kms, maxOccur)
 			}
-			if h := resolveOne(kix, 0, 0); len(h) < 4 {
+			if h := resolveOne(kix, 0); len(h) < 4 {
 				t.Fatalf("k=%d paired %v: poly-A (bucket 0) has %d hits, want the read's 4", k, paired, len(h))
 			}
-			if h := resolveOne(kix, last, 0); len(h) < 4 {
+			if h := resolveOne(kix, last); len(h) < 4 {
 				t.Fatalf("k=%d paired %v: poly-T (the largest key) has %d hits, want the read's 4", k, paired, len(h))
 			}
 		}
@@ -714,16 +705,13 @@ func TestIndexDirectory(t *testing.T) {
 func TestIndexDirectoryDegenerate(t *testing.T) {
 	for _, paired := range []bool{false, true} {
 		for _, k := range []int{4, 16, dna.MaxK} {
-			empty, err := buildKmerIndex(nil, k, paired)
-			if err != nil {
-				t.Fatal(err)
-			}
+			empty := maskedTable(t, nil, k, paired, 1)
 			checkDirectory(t, empty)
 			if len(empty.dir) != 2 {
 				t.Fatalf("k=%d paired %v: empty subset has %d directory entries", k, paired, len(empty.dir))
 			}
 			for _, km := range []dna.Kmer{0, 1, polyT(k)} {
-				if h := resolveOne(empty, km, 1); len(h) != 0 {
+				if h := resolveOne(empty, km); len(h) != 0 {
 					t.Fatalf("k=%d paired %v: empty subset answered %v", k, paired, h)
 				}
 			}
@@ -742,11 +730,7 @@ func TestIndexDirectoryDegenerate(t *testing.T) {
 		if paired {
 			seqs = strandPairs(seqs)
 		}
-		kix, err := buildKmerIndex(seqs, k, paired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		six := buildSAIndex(seqs, k)
+		kix := maskedTable(t, seqs, k, paired, 0)
 		checkDirectory(t, kix)
 		full := 0
 		for b := 0; b+1 < len(kix.dir); b++ {
@@ -766,7 +750,7 @@ func TestIndexDirectoryDegenerate(t *testing.T) {
 			kms = append(kms, dna.Kmer(rng.Uint64()>>32))
 		}
 		for _, maxOccur := range []int{0, 1} {
-			checkBatch(t, kix, six, kms, maxOccur)
+			checkBatch(t, maskedTable(t, seqs, k, paired, maxOccur), buildSAIndex(seqs, k, maxOccur), kms, maxOccur)
 		}
 	}
 }
@@ -839,11 +823,7 @@ func TestIndexLowComplexityBucket(t *testing.T) {
 		if paired {
 			seqs = strandPairs(seqs)
 		}
-		kix, err := buildKmerIndex(seqs, k, paired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		six := buildSAIndex(seqs, k)
+		kix := maskedTable(t, seqs, k, paired, 0)
 		checkDirectory(t, kix)
 		largest := 0
 		for b := 0; b+1 < len(kix.dir); b++ {
@@ -857,7 +837,7 @@ func TestIndexLowComplexityBucket(t *testing.T) {
 			dna.ForEachKmer(s, k, func(km dna.Kmer, _ int) { kms = append(kms, km) })
 		}
 		for _, maxOccur := range []int{0, 64} {
-			checkBatch(t, kix, six, kms, maxOccur)
+			checkBatch(t, maskedTable(t, seqs, k, paired, maxOccur), buildSAIndex(seqs, k, maxOccur), kms, maxOccur)
 		}
 	}
 }

@@ -237,13 +237,17 @@ func TestAlignRefStrandMirror(t *testing.T) {
 			}
 		}
 		length := func(id int32) int { return len(seqs[id-tc.shift]) }
+		// The job's mask in its index's key space; the full tables below
+		// mask every k-mer of it.
+		masked := repeatKeys(seqs, cfg.K, paired, cfg.MaxOccur, 0)
+		fullMask := repeatKeys(seqs, cfg.K, false, cfg.MaxOccur, 0)
 		for _, j := range refJobs(len(subs), 2) {
-			a := j.args(subs, bounds, paired, cfg)
+			a := j.args(subs, bounds, paired, cfg, masked)
 			lists, err := alignLists(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K, false)
+			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K, false, fullMask)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,4 +293,9 @@ func TestAlignRefStrandMirror(t *testing.T) {
 			t.Fatalf("subsets=%d: distributed %d records, all queries %d; %v", subsets, len(got), len(want), firstDiff(got, want))
 		}
 	}
+}
+
+// splitSubsets is splitSeqs over the reads' sequences.
+func splitSubsets(reads []dna.Read, subsets int) []readSet {
+	return splitSeqs(readSeqs(reads), subsets)
 }

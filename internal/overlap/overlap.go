@@ -40,7 +40,7 @@ type Config struct {
 	K           int // seed k-mer length
 	Step        int // distance between sampled query k-mers (1 = every k-mer)
 	MinKmerHits int // hits a reference read needs before alignment is tried
-	MaxOccur    int // ignore k-mers occurring more often in a subset (repeat masking); <=0 = unlimited
+	MaxOccur    int // ignore k-mers occurring more often in the read set (repeat masking); <=0 = unlimited
 	Align       align.Config
 }
 
@@ -75,16 +75,11 @@ type scratch struct {
 	// order, in pieces that are handed to the job's output as they are,
 	// never grown or copied out; a query's run never straddles two pieces,
 	// and open is where the current query's run starts in the last one.
-	// runs[a] locates the ended run of query lo+a. extra holds the reverse
-	// attempts no run had a record of the key for (settle). spare holds
-	// empty pieces for reuse: the ones alignQueries hands back once it has
-	// copied its job out. mirrored holds an even query's strand-mirror
-	// records until its own are in order.
+	// spare holds empty pieces for reuse: the ones alignQueries hands back
+	// once it has copied its job out. mirrored holds an even query's
+	// strand-mirror records until its own are in order.
 	pieces   [][]Record
 	open     int
-	lo       int32
-	runs     []runLoc
-	extra    []Record
 	spare    [][]Record
 	mirrored []Record
 	pieceLen int // records a piece holds; 0 means defaultPieceLen
@@ -146,8 +141,9 @@ func (sc *scratch) nextQuery() {
 
 // FindOverlaps detects all pairwise overlaps in reads, processing
 // subset pairs in parallel. Records are canonical (A < B) and returned
-// sorted by (A, B, Kind), with one record per key: the most credible of a
-// pair's attempts (moreCredible).
+// sorted by (A, B, Kind), one per read pair at most: each pair is
+// attempted once, from its lower id. The subset count only sets the
+// parallelism: the records are the same at any count.
 func FindOverlaps(reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 	return FindOverlapsCtx(nil, reads, subsets, cfg)
 }
@@ -164,14 +160,10 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 	return recs, err
 }
 
-// CountCandidates runs only the candidate-generation half of the overlap
-// stage — seed sampling, index build, repeat masking, hit accumulation
-// with modal-diagonal consensus, and the MinKmerHits filter; everything
-// up to but excluding alignment verification — and returns the number of
-// candidate pairs FindOverlaps attempts. A strand mirror FindOverlaps
-// derives from its even query's verdict counts as an attempt, so the count
-// is that of every query run on its own. The end-to-end benchmark times
-// this to split the overlap stage into candidate generation and
+// CountCandidates runs the overlap stage up to but excluding alignment
+// verification and returns the number of candidate pairs FindOverlaps
+// attempts, a derived strand mirror counted as one. The end-to-end
+// benchmark times it to split the stage into candidate generation and
 // verification.
 func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	if err := validate(cfg, subsets); err != nil {
@@ -206,23 +198,28 @@ func strandPaired(seqs [][]byte) bool {
 	return true
 }
 
-// splitSubsets assigns reads to contiguous subsets (shared by the query
-// side of the pair jobs and by the index builders): subset s of S starts
-// at read s·n/S, except that a strand-paired read set is split on pair
-// boundaries, 2·⌊s·(n/2)/S⌋, so that a read and its reverse complement
-// share every job and every subset is paired.
-func splitSubsets(reads []dna.Read, subsets int) []readSet {
+// readSeqs returns the reads' sequences.
+func readSeqs(reads []dna.Read) [][]byte {
 	seqs := make([][]byte, len(reads))
 	for i := range reads {
 		seqs[i] = reads[i].Seq
 	}
+	return seqs
+}
+
+// splitSeqs assigns the reads to contiguous subsets (shared by the query
+// side of the pair jobs and by the index builders): subset s of S starts
+// at read s·n/S, except that a strand-paired read set is split on pair
+// boundaries, 2·⌊s·(n/2)/S⌋, so that a read and its reverse complement
+// share every job and every subset is paired.
+func splitSeqs(seqs [][]byte, subsets int) []readSet {
 	paired := strandPaired(seqs)
 	bounds := make([]int, subsets+1)
 	for i := 0; i <= subsets; i++ {
 		if paired {
-			bounds[i] = 2 * (i * (len(reads) / 2) / subsets)
+			bounds[i] = 2 * (i * (len(seqs) / 2) / subsets)
 		} else {
-			bounds[i] = i * len(reads) / subsets
+			bounds[i] = i * len(seqs) / subsets
 		}
 	}
 	subs := make([]readSet, subsets)
@@ -253,9 +250,10 @@ func subsetPairs(subsets int) []pairJob {
 	return jobs
 }
 
-// findOverlaps builds one seed index per reference subset and probes it
-// per sampled query k-mer, on a pool of at most `workers` goroutines (<= 0
-// lets the par governor size it; the records are identical at any width).
+// findOverlaps counts the read set's repeat mask (repeatKeys), builds one
+// seed index per reference subset without it and probes it per sampled
+// query k-mer, on a pool of at most `workers` goroutines (<= 0 lets the
+// par governor size it; the records are identical at any width).
 // countOnly skips alignment verification and returns only the
 // surviving-candidate total. mirror lets a strand-paired read set's even
 // queries answer for their mirrors (alignQueriesGate); without it every
@@ -267,27 +265,29 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	// that any second job justifies a second worker (grain 1).
 	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
 
-	subs := splitSubsets(reads, subsets)
+	seqs := readSeqs(reads)
+	subs := splitSeqs(seqs, subsets)
 	for s := range subs {
 		subs[s].paired = subs[s].paired && mirror
 	}
+	for _, sub := range subs { // refuse a subset no index can hold before counting
+		if _, err := indexKmers(sub.seqs, cfg.K); err != nil {
+			return nil, 0, err
+		}
+	}
+	masked := repeatKeys(seqs, cfg.K, subs[0].paired, cfg.MaxOccur, workers)
 
-	// Build one index per subset (reused across pair jobs).
+	// Build one index per subset (reused across pair jobs); each fits, as
+	// checked above.
 	indexes := make([]*kmerIndex, subsets)
-	errs := make([]error, subsets)
 	par.Run(workers, subsets, func(_, s int) {
 		if !gate.Stopped() {
-			indexes[s], errs[s] = buildKmerIndex(subs[s].seqs, cfg.K, subs[s].paired)
+			indexes[s], _ = buildKmerIndex(subs[s].seqs, cfg.K, subs[s].paired, masked)
 		}
 	})
 	// A skipped index build leaves a nil index the pair jobs would probe.
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
 	}
 
 	jobs := subsetPairs(subsets)
@@ -340,13 +340,12 @@ func validate(cfg Config, subsets int) error {
 }
 
 // alignQueries aligns the query reads against the reference index,
-// returning the job's canonical records sorted by (A, B, Kind) with one
-// record per key, in one slice of their exact size that is the caller's.
-// The job's pieces go back to sc. Each side's ids must be one ascending
-// run of consecutive ids and no reference id may precede the query ids —
-// the geometry of a (q <= r) subset-pair job — so that every record's A is
-// a query id. The error is a staging that broke that order, which
-// mergeRecords refuses.
+// returning the job's canonical records sorted by (A, B, Kind), in one
+// slice of their exact size that is the caller's. The job's pieces go back
+// to sc. Each side's ids must be one ascending run of consecutive ids and
+// no reference id may precede the query ids — the geometry of a (q <= r)
+// subset-pair job — so that every record's A is a query id. The error is
+// a staging that broke that order, which mergeRecords refuses.
 func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
 	job := alignQueriesGate(query, ref, ix, cfg, sc, nil)
 	recs, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
@@ -359,27 +358,24 @@ func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]R
 // query (a query's seed scan + alignments is the natural grain). A stopped
 // gate returns no records, which the ctx-taking caller discards.
 //
-// A query's seeds are resolved as one batch before any vote is cast, and
-// the votes walk the resolved entries in probe order. That order cannot
-// show: the modal diagonal breaks ties toward the smaller diagonal, and
-// the record order is total.
+// A query's seeds are resolved as one batch before any vote is cast; vote
+// order cannot show, as the modal diagonal breaks ties toward the smaller
+// diagonal and the record order is total. Each read pair is attempted
+// once, from its lower id: in a same-subset job a query skips every
+// reference read up to itself, so every record is canonical as found.
 //
 // When both sides are strand-paired, an even query on the seed grid
 // (onGrid) also answers for its odd mirror qi^1 = rc(qi), which is then
-// skipped. Its seeds are the reverse complements of qi's, its candidates
-// are the mirrors local^1 with the same hit counts, and each vote for d is
-// a vote for |A|-|B|-d (DESIGN.md, "Strand mirrors"). So per candidate the
-// mirror attempt is (qi^1, local^1) on |A|-|B|-hi, hi the modal diagonal
-// with ties broken upward. Where hi is the forward diagonal and the
-// forward verdict came without a DP kernel (align's StrandSymmetric), the
-// mirror verdict is derived; otherwise it is verified on its own.
+// skipped: its candidates are the local^1, with the same hit counts, and
+// each vote for d is a vote for |A|-|B|-d (DESIGN.md §7.4). Per candidate
+// the mirror attempt is (qi^1, local^1) on |A|-|B|-hi, hi the modal
+// diagonal with ties broken upward, derived from the forward verdict where
+// hi is its diagonal and it came without a DP kernel (StrandSymmetric),
+// verified otherwise. The pair (qi, qi^1) is its own mirror: attempted
+// once.
 func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, gate *par.Gate) jobRecords {
 	sc.reset(len(ref.seqs))
-	var lo int32
-	if len(query.ids) > 0 {
-		lo = query.ids[0]
-	}
-	sc.startJob(lo, len(query.ids))
+	sc.pieces, sc.open = sc.pieces[:0], 0
 	mirror := query.paired && ref.paired
 	last := ix.pairLast()
 	for qi2 := 0; qi2 < len(query.ids); qi2++ {
@@ -389,8 +385,8 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 		qi, qseq := query.ids[qi2], query.seqs[qi2]
 		derive := mirror && qi&1 == 0 && onGrid(qseq, cfg)
 		sc.nextQuery()
-		// In a same-subset job the query is a reference read too; its own
-		// k-mers are no evidence.
+		// In a same-subset job the query is a reference read too: it and
+		// the reads before it are not its candidates.
 		self := int32(-1)
 		if len(ref.ids) > 0 {
 			if d := int64(qi) - int64(ref.ids[0]); d >= 0 && d < int64(len(ref.ids)) {
@@ -398,7 +394,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 			}
 		}
 		ps := sampleSeeds(sc, qseq, cfg)
-		ents := ix.resolve(ps, cfg.MaxOccur)
+		ents := ix.resolve(ps)
 		for _, p := range ps {
 			for _, e := range ents[p.lo:p.hi] {
 				// A small bucket's other k-mers share the range.
@@ -406,7 +402,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 					continue
 				}
 				h := p.hit(e, last)
-				if h.read == self {
+				if h.read <= self {
 					continue
 				}
 				c := &sc.cands[h.read]
@@ -439,9 +435,10 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 				continue
 			}
 			diag, hi := c.modes()
+			both := derive && local != self^1 // the mirror attempt too
 			if sc.countOnly {
 				sc.candTotal++
-				if derive {
+				if both {
 					sc.candTotal++
 				}
 				continue
@@ -452,7 +449,7 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 			if ok {
 				sc.stage(rec)
 			}
-			if !derive {
+			if !both {
 				continue
 			}
 			if diag != hi || !sc.align.StrandSymmetric() {
@@ -491,65 +488,29 @@ const (
 	defaultPieceLen = 4096
 )
 
-// runLoc locates one query's run: pieces[piece][off:off+n].
-type runLoc struct{ piece, off, n int32 }
-
 // jobRecords is one job's records as its staging leaves them: pieces whose
-// concatenation is in (A, B, Kind) order with one record per key, and
-// extra, the same order, whose keys no piece holds. mergeRecords
-// interleaves the two.
-type jobRecords struct {
-	pieces [][]Record
-	extra  []Record
-}
+// concatenation is in (A, B, Kind) order with one record per key.
+type jobRecords [][]Record
 
-// startJob empties the staging for a job of the n queries from id lo.
-func (sc *scratch) startJob(lo int32, n int) {
-	sc.pieces, sc.extra, sc.open, sc.lo = sc.pieces[:0], sc.extra[:0], 0, lo
-	if cap(sc.runs) < n {
-		sc.runs = make([]runLoc, n)
-	}
-	sc.runs = sc.runs[:n]
-	clear(sc.runs)
-}
-
-// takeJob hands the job's staging over, extra sorted; the scratch keeps
-// none of it.
+// takeJob hands the job's staging over; the scratch keeps none of it.
 func (sc *scratch) takeJob() jobRecords {
-	slices.SortFunc(sc.extra, compareKey)
-	job := jobRecords{sc.pieces, sc.extra}
-	sc.pieces, sc.extra, sc.open = nil, nil, 0
+	job := jobRecords(sc.pieces)
+	sc.pieces, sc.open = nil, 0
 	return job
 }
 
 // recycle takes a job's staging back once its records are copied out.
 func (sc *scratch) recycle(job jobRecords) {
-	for _, p := range job.pieces {
+	for _, p := range job {
 		sc.spare = append(sc.spare, p[:0])
 	}
-	sc.pieces, sc.extra = job.pieces[:0], job.extra[:0]
+	sc.pieces = job[:0]
 }
 
-// stage records one accepted overlap of a query in canonical direction
-// (A < B). Queries run in id order, so a record whose A is the query
-// extends the current query's run (push); one whose reference read
-// precedes the query is a reverse attempt (settle). Only a same-subset job
-// has those: every read is both query and reference there, so a pair is
-// attempted once from each side — with seeds sampled from a different read
-// each time, hence possibly another modal diagonal and another verdict —
-// and both attempts land on the same canonical (A, B). A derived strand
-// mirror counts as its odd query's attempt.
+// stage appends one accepted overlap, canonical (A < B), to the current
+// query's run, in a new piece when the last one is full (grow). A derived
+// strand mirror is its odd query's record.
 func (sc *scratch) stage(rec Record) {
-	if rec.A > rec.B {
-		sc.settle(rec.Flip())
-		return
-	}
-	sc.push(rec)
-}
-
-// push appends rec to the current query's run, in a new piece when the
-// last one is full (grow).
-func (sc *scratch) push(rec Record) {
 	n := len(sc.pieces)
 	if n == 0 || len(sc.pieces[n-1]) == cap(sc.pieces[n-1]) {
 		sc.grow()
@@ -594,72 +555,20 @@ func (sc *scratch) piece(n int) []Record {
 }
 
 // endRun ends the current query's run: its records, one A with distinct
-// Bs, are sorted by B, located in runs, and the next query's run starts
-// after them. An ended run never moves again.
+// Bs, are sorted by B, and the next query's run starts after them. An
+// ended run never moves again.
 func (sc *scratch) endRun() {
 	n := len(sc.pieces)
 	if n == 0 || sc.open == len(sc.pieces[n-1]) {
 		return
 	}
 	last := sc.pieces[n-1]
-	run := last[sc.open:]
-	sortByB(run)
-	if a := int64(run[0].A) - int64(sc.lo); a >= 0 && a < int64(len(sc.runs)) {
-		sc.runs[a] = runLoc{int32(n - 1), int32(sc.open), int32(len(run))}
-	}
+	slices.SortFunc(last[sc.open:], func(x, y Record) int { return cmp.Compare(x.B, y.B) })
 	sc.open = len(last)
 }
 
-// settle resolves a reverse attempt, flipped to canonical: its A is a
-// reference read that precedes the query, so in a same-subset job its run
-// has ended, sorted by B with distinct Bs. Where that run holds the
-// attempt's key, the record there becomes moreCredible's winner of the two
-// (identity, then length, then lower diagonal — a total order, so the side
-// that came first does not matter). Otherwise — the other side found no
-// overlap, or one of another Kind — the attempt goes to extra.
-func (sc *scratch) settle(rec Record) {
-	if a := int64(rec.A) - int64(sc.lo); a >= 0 && a < int64(len(sc.runs)) && sc.runs[a].n > 0 {
-		loc := sc.runs[a]
-		run := sc.pieces[loc.piece][loc.off : loc.off+loc.n]
-		i, j := 0, len(run)
-		for i < j {
-			if h := int(uint(i+j) >> 1); run[h].B < rec.B {
-				i = h + 1
-			} else {
-				j = h
-			}
-		}
-		if i < len(run) && run[i].B == rec.B && run[i].Kind == rec.Kind {
-			if moreCredible(rec, run[i]) {
-				run[i] = rec
-			}
-			return
-		}
-	}
-	sc.extra = append(sc.extra, rec)
-}
-
-// sortByB orders records that share their A and have distinct Bs — one
-// query's run — by B: an insertion sort over a read's own overlaps, a few
-// dozen (a longer run, which repeats can make, takes slices.SortFunc).
-func sortByB(recs []Record) {
-	if len(recs) > 32 {
-		slices.SortFunc(recs, func(x, y Record) int { return cmp.Compare(x.B, y.B) })
-		return
-	}
-	for i := 1; i < len(recs); i++ {
-		r := recs[i]
-		j := i
-		for ; j > 0 && recs[j-1].B > r.B; j-- {
-			recs[j] = recs[j-1]
-		}
-		recs[j] = r
-	}
-}
-
-// compareKey orders records by the identity of an overlap relation: a
-// read pair can legitimately carry several records of different Kind
-// (e.g. a suffix-prefix overlap and a containment), so Kind is part of it.
+// compareKey orders records by the identity of an overlap relation, (A, B,
+// Kind): the order of the stage's output and of every reply list.
 func compareKey(x, y Record) int {
 	if c := cmp.Compare(x.A, y.A); c != 0 {
 		return c
@@ -670,37 +579,21 @@ func compareKey(x, y Record) int {
 	return cmp.Compare(x.Kind, y.Kind)
 }
 
-// moreCredible reports whether r should replace cur among records of the
-// same (A, B, Kind): higher identity wins, then longer overlap, then lower
-// diagonal — a deterministic total order independent of arrival order.
-func moreCredible(r, cur Record) bool {
-	if r.Identity != cur.Identity {
-		return r.Identity > cur.Identity
-	}
-	if r.Len != cur.Len {
-		return r.Len > cur.Len
-	}
-	return r.Diag < cur.Diag
-}
-
 // mergeRecords interleaves the jobs' records (lists[t] belongs to jobs[t],
 // in subsetPairs order) into the stage's output, sorted by (A, B, Kind)
 // with one record per key. No map and no sort are needed: subsets are
 // contiguous id ranges and jobs are (q <= r), so job (q, r) alone produces
-// the pairs with A in subset q and B in subset r — two jobs never share an
-// (A, B), duplicates exist only inside a same-subset job, and its staging
-// already settled them. The jobs of one q therefore hold, for each A of
-// subset q, runs of ascending B in r order, and the groups of ascending q
-// follow each other; within a job, a run's extra records are merged into
-// it by key. Every appended record must extend the output strictly; a list
-// that breaks this (a peer that predates the per-job sort) is an error.
+// the pairs with A in subset q and B in subset r, and it attempts each
+// once. The jobs of one q therefore hold, for each A of subset q, runs of
+// ascending B in r order, and the groups of ascending q follow each other.
+// Every appended record must extend the output strictly; a list that
+// breaks this (a peer that predates the per-job sort) is an error.
 func mergeRecords(jobs []pairJob, lists []jobRecords) ([]Record, error) {
 	total := 0
 	cur := make([]cursor, len(lists))
 	for t, l := range lists {
-		cur[t].jobRecords = l
-		total += len(l.extra)
-		for _, p := range l.pieces {
+		cur[t].pieces = l
+		for _, p := range l {
 			total += len(p)
 		}
 	}
@@ -734,11 +627,11 @@ func mergeRecords(jobs []pairJob, lists []jobRecords) ([]Record, error) {
 	return out, nil
 }
 
-// cursor walks one job's records in (A, B, Kind) order: its pieces in
-// turn, with its extra records merged in by key.
+// cursor walks one job's records in (A, B, Kind) order, its pieces in
+// turn.
 type cursor struct {
-	jobRecords
-	p, i, x int // the next records: pieces[p][i] and extra[x]
+	pieces jobRecords
+	p, i   int // the next record: pieces[p][i]
 }
 
 // peek returns the cursor's next record; ok is false at the end.
@@ -746,58 +639,23 @@ func (c *cursor) peek() (r Record, ok bool) {
 	for c.p < len(c.pieces) && c.i == len(c.pieces[c.p]) {
 		c.p, c.i = c.p+1, 0
 	}
-	switch {
-	case c.x < len(c.extra) && (c.p == len(c.pieces) || compareKey(c.extra[c.x], c.pieces[c.p][c.i]) < 0):
-		return c.extra[c.x], true
-	case c.p < len(c.pieces):
-		return c.pieces[c.p][c.i], true
+	if c.p == len(c.pieces) {
+		return Record{}, false
 	}
-	return Record{}, false
+	return c.pieces[c.p][c.i], true
 }
 
 // take appends the cursor's next records whose A is a to out, each of
 // which must extend out strictly; ok is false at the first that does not.
-// It makes peek's choice itself: this loop runs once a record.
 func (c *cursor) take(out []Record, a int32) (_ []Record, ok bool) {
-	for {
-		for c.p < len(c.pieces) && c.i == len(c.pieces[c.p]) {
-			c.p, c.i = c.p+1, 0
-		}
-		var r Record
-		switch {
-		case c.x < len(c.extra) && c.extra[c.x].A == a && (c.p == len(c.pieces) || compareKey(c.extra[c.x], c.pieces[c.p][c.i]) < 0):
-			r = c.extra[c.x]
-			c.x++
-		case c.p < len(c.pieces) && c.pieces[c.p][c.i].A == a:
-			r = c.pieces[c.p][c.i]
-			c.i++
-		default:
-			return out, true
-		}
+	for r, more := c.peek(); more && r.A == a; r, more = c.peek() {
 		if n := len(out); n > 0 && compareKey(out[n-1], r) >= 0 {
 			return out, false
 		}
 		out = append(out, r)
+		c.i++
 	}
-}
-
-// Flip returns the record with A and B exchanged and the geometry
-// re-expressed from the new A's point of view.
-func (r Record) Flip() Record {
-	f := Record{A: r.B, B: r.A, Len: r.Len, Identity: r.Identity, Diag: -r.Diag}
-	switch r.Kind {
-	case align.KindSuffixPrefix:
-		f.Kind = align.KindPrefixSuffix
-	case align.KindPrefixSuffix:
-		f.Kind = align.KindSuffixPrefix
-	case align.KindAContainsB:
-		f.Kind = align.KindBContainsA
-	case align.KindBContainsA:
-		f.Kind = align.KindAContainsB
-	default:
-		f.Kind = r.Kind
-	}
-	return f
+	return out, true
 }
 
 // mirror returns the record of the same overlap read on the other strand,

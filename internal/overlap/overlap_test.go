@@ -160,6 +160,27 @@ func TestFindOverlapsToleratesErrors(t *testing.T) {
 	}
 }
 
+// Flip returns the record with A and B exchanged and the geometry
+// re-expressed from the new A's point of view: a record as the other
+// read's query would have found it, which the stage never makes (each
+// pair is attempted from its lower id) but the graph tests feed in.
+func (r Record) Flip() Record {
+	f := Record{A: r.B, B: r.A, Len: r.Len, Identity: r.Identity, Diag: -r.Diag}
+	switch r.Kind {
+	case align.KindSuffixPrefix:
+		f.Kind = align.KindPrefixSuffix
+	case align.KindPrefixSuffix:
+		f.Kind = align.KindSuffixPrefix
+	case align.KindAContainsB:
+		f.Kind = align.KindBContainsA
+	case align.KindBContainsA:
+		f.Kind = align.KindAContainsB
+	default:
+		f.Kind = r.Kind
+	}
+	return f
+}
+
 func TestRecordFlip(t *testing.T) {
 	r := Record{A: 1, B: 2, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95, Diag: 40}
 	f := r.Flip()

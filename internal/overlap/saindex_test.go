@@ -1,6 +1,7 @@
 package overlap
 
 import (
+	"cmp"
 	"sort"
 
 	"focus/internal/dna"
@@ -15,19 +16,23 @@ import (
 type saIndex struct {
 	sa *suffixArray
 	k  int
+	// A k-mer occurring more than maxOccur times (dna.RepeatMasked) in
+	// whole, the read set — the subset itself when nil — has no hits.
+	maxOccur int
+	whole    *saIndex
 	// starts[i] is the offset of read i (subset-local) in the text.
 	starts []int
 	pat    []byte   // unpacked probe pattern
 	ents   []kentry // located (read, offset) hits of the batch
 }
 
-func buildSAIndex(seqs [][]byte, k int) *saIndex {
+func buildSAIndex(seqs [][]byte, k, maxOccur int) *saIndex {
 	total := 0
 	for _, s := range seqs {
 		total += len(s) + 1
 	}
 	text := make([]byte, 0, total)
-	ix := &saIndex{k: k, starts: make([]int, 0, len(seqs))}
+	ix := &saIndex{k: k, maxOccur: maxOccur, starts: make([]int, 0, len(seqs))}
 	for _, s := range seqs {
 		ix.starts = append(ix.starts, len(text))
 		text = append(text, s...)
@@ -45,20 +50,19 @@ func (ix *saIndex) locate(pos int) (read, off int) {
 
 // resolve looks every probe up on its own, in suffix order: no batching,
 // no directory, no run.
-func (ix *saIndex) resolve(ps []probe, maxOccur int) []kentry {
-	maxHits := -1
-	if maxOccur > 0 {
-		maxHits = maxOccur + 1
+func (ix *saIndex) resolve(ps []probe) []kentry {
+	whole, limit := cmp.Or(ix.whole, ix), -1
+	if ix.maxOccur > 0 {
+		limit = ix.maxOccur + 1 // enough to decide the mask
 	}
 	ix.ents = ix.ents[:0]
 	for i := range ps {
 		p := &ps[i]
 		p.key, p.flip = p.km, false
 		ix.pat = dna.Kmer(p.km).AppendBytes(ix.pat[:0], ix.k)
-		positions := ix.sa.Lookup(ix.pat, maxHits)
 		p.lo = uint32(len(ix.ents))
-		if !dna.RepeatMasked(len(positions), maxOccur) {
-			for _, pos := range positions {
+		if !dna.RepeatMasked(len(whole.sa.Lookup(ix.pat, limit)), ix.maxOccur) {
+			for _, pos := range ix.sa.Lookup(ix.pat, -1) {
 				r, off := ix.locate(pos)
 				ix.ents = append(ix.ents, kentry{key: p.km, hit: seedHit{read: int32(r), off: int32(off)}})
 			}
@@ -72,13 +76,16 @@ func (*saIndex) pairLast() []int32 { return nil }
 
 // oracleOverlaps is FindOverlaps/CountCandidates over the suffix-array
 // oracle: the production query loop and record merge, run serially with
-// one saIndex per reference subset.
+// one saIndex per reference subset, each masking by the occurrences in a
+// suffix array of the whole read set.
 func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64) {
 	subs := splitSubsets(reads, subsets)
 	sc := &scratch{countOnly: countOnly}
+	whole := buildSAIndex(readSeqs(reads), cfg.K, cfg.MaxOccur)
 	refs := make([]*saIndex, subsets)
 	for r := range refs {
-		refs[r] = buildSAIndex(subs[r].seqs, cfg.K)
+		refs[r] = buildSAIndex(subs[r].seqs, cfg.K, cfg.MaxOccur)
+		refs[r].whole = whole
 	}
 	jobs := subsetPairs(subsets)
 	lists := make([]jobRecords, len(jobs))

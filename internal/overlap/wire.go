@@ -85,12 +85,12 @@ func decodeAlignConfig(rd *dist.WireReader, c *align.Config) {
 	c.Scoring.Gap = int(rd.Varint())
 }
 
-// appendOverlapConfig encodes the fields a worker's records depend on.
+// appendOverlapConfig encodes the fields a worker's records depend on:
+// all but MaxOccur, whose mask ships as AlignRefArgs.Masked.
 func appendOverlapConfig(dst []byte, c *Config) []byte {
 	dst = dist.AppendVarint(dst, int64(c.K))
 	dst = dist.AppendVarint(dst, int64(c.Step))
 	dst = dist.AppendVarint(dst, int64(c.MinKmerHits))
-	dst = dist.AppendVarint(dst, int64(c.MaxOccur))
 	return appendAlignConfig(dst, &c.Align)
 }
 
@@ -99,8 +99,39 @@ func decodeOverlapConfig(rd *dist.WireReader, c *Config) {
 	c.K = int(rd.Varint())
 	c.Step = int(rd.Varint())
 	c.MinKmerHits = int(rd.Varint())
-	c.MaxOccur = int(rd.Varint())
 	decodeAlignConfig(rd, &c.Align)
+}
+
+// appendKeys encodes an ascending key list as its length, its first key
+// and the gaps to each next one.
+func appendKeys(dst []byte, keys []uint64) []byte {
+	dst = dist.AppendLen(dst, len(keys), keys != nil)
+	prev := uint64(0)
+	for _, key := range keys {
+		dst = dist.AppendUvarint(dst, key-prev)
+		prev = key
+	}
+	return dst
+}
+
+// decodeKeys reads an appendKeys list of k-mer keys, refusing one that is
+// not strictly ascending or holds a key past 4^k − 1.
+func decodeKeys(rd *dist.WireReader, k int) []uint64 {
+	n, present := rd.Len()
+	if !present {
+		return nil
+	}
+	keys := make([]uint64, boundLen(rd, n))
+	prev := uint64(0)
+	for i := range keys {
+		keys[i] = prev + rd.Uvarint()
+		if (i > 0 && keys[i] <= prev) || (k < dna.MaxK && keys[i]>>(2*uint(k)) != 0) {
+			rd.Fail(fmt.Errorf("overlap: wire: masked key %d (%#x) not ascending or past k=%d", i, keys[i], k))
+			return nil
+		}
+		prev = keys[i]
+	}
+	return keys
 }
 
 // AppendTo implements dist.Wire.
@@ -110,7 +141,8 @@ func (a *AlignRefArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendVarint(dst, int64(a.RefHi))
 	dst = dist.AppendBool(dst, a.Paired)
 	dst = appendSeqs(dst, a.Seqs)
-	return appendOverlapConfig(dst, &a.Cfg)
+	dst = appendOverlapConfig(dst, &a.Cfg)
+	return appendKeys(dst, a.Masked)
 }
 
 // DecodeFrom implements dist.Wire.
@@ -122,6 +154,7 @@ func (a *AlignRefArgs) DecodeFrom(src []byte) error {
 	a.Paired = rd.Bool()
 	a.Seqs = decodeSeqs(&rd)
 	decodeOverlapConfig(&rd, &a.Cfg)
+	a.Masked = decodeKeys(&rd, a.Cfg.K)
 	return rd.Finish()
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"focus/internal/align"
@@ -56,14 +57,34 @@ func randWireSeqs(rng *rand.Rand) [][]byte {
 	return seqs
 }
 
+// randWireConfig draws a configuration as it ships: MaxOccur does not
+// (AlignRefArgs.Masked does).
 func randWireConfig(rng *rand.Rand) Config {
 	return Config{
-		K: rng.Intn(32), Step: rng.Intn(8), MinKmerHits: rng.Intn(10), MaxOccur: rng.Intn(100) - 50,
+		K: 1 + rng.Intn(32), Step: rng.Intn(8), MinKmerHits: rng.Intn(10),
 		Align: align.Config{
 			MinLength: rng.Intn(500), MinIdentity: rng.Float64(), Band: rng.Intn(64),
 			Scoring: align.Scoring{Match: rng.Intn(10) - 5, Mismatch: rng.Intn(10) - 5, Gap: rng.Intn(10) - 5},
 		},
 	}
+}
+
+// randWireKeys draws an ascending list of k-mer keys, nil or empty at
+// times, the largest key among them now and then.
+func randWireKeys(rng *rand.Rand, k int) []uint64 {
+	switch rng.Intn(8) {
+	case 0:
+		return nil
+	case 1:
+		return []uint64{}
+	}
+	top := uint64(polyT(k))
+	keys := []uint64{top}
+	for range rng.Intn(20) {
+		keys = append(keys, rng.Uint64()&top)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 func randWireRecords(rng *rand.Rand) []Record {
@@ -99,6 +120,7 @@ func TestWireAlignRefRoundTrip(t *testing.T) {
 			Queries: randWireIDs(rng), RefLo: int32(rng.Uint32()), RefHi: int32(rng.Uint32()),
 			Paired: rng.Intn(2) == 0, Seqs: randWireSeqs(rng), Cfg: randWireConfig(rng),
 		}
+		a.Masked = randWireKeys(rng, a.Cfg.K)
 		enc := a.AppendTo(nil)
 		if err := args.DecodeFrom(enc); err != nil {
 			t.Fatalf("args decode: %v", err)
@@ -136,7 +158,7 @@ func TestWireAlignRefCorrupt(t *testing.T) {
 	a := &AlignRefArgs{
 		Queries: []int32{2, 4, 6}, RefLo: 8, RefHi: 10, Paired: true,
 		Seqs: [][]byte{[]byte("ACGTN"), []byte("GG"), []byte("TTTT")},
-		Cfg:  randWireConfig(rng),
+		Cfg:  randWireConfig(rng), Masked: []uint64{0, 1},
 	}
 	r := &AlignRefReply{Lists: [][]Record{
 		{{A: 2, B: 8, Kind: align.KindSuffixPrefix | mirrorDerived, Len: 40, Identity: 0.95, Diag: 9}},
@@ -178,6 +200,43 @@ func TestWireAlignRefCorrupt(t *testing.T) {
 	}
 }
 
+// TestWireMaskedKeys: the masked-key list of an AlignRef job decodes when
+// it is absent, empty or ascending up to 4^K − 1, and is refused — an
+// error, never a panic or a huge allocation — when its count passes the
+// bytes left, when a key does not exceed the one before it (a zero gap, or
+// one that wraps) and when a key is 4^K or more.
+func TestWireMaskedKeys(t *testing.T) {
+	a := &AlignRefArgs{Queries: []int32{0, 2}, RefLo: 2, RefHi: 4, Seqs: [][]byte{[]byte("ACGT"), []byte("GG"), []byte("TTA"), []byte("C")},
+		Cfg: Config{K: 4, Step: 1, MinKmerHits: 2}}
+	enc := a.AppendTo(nil)
+	head := enc[:len(enc)-len(dist.AppendLen(nil, 0, false))] // everything before the list
+	list := func(n int, gaps ...uint64) []byte {
+		b := dist.AppendLen(slices.Clone(head), n, true)
+		for _, g := range gaps {
+			b = dist.AppendUvarint(b, g)
+		}
+		return b
+	}
+	for name, tc := range map[string]struct {
+		frame []byte
+		ok    bool
+	}{
+		"absent":          {enc, true},
+		"empty":           {list(0), true},
+		"ascending":       {list(3, 0, 7, 248), true},
+		"count past data": {list(1000, 1), false},
+		"huge count":      {list(1<<40, 1), false},
+		"equal keys":      {list(2, 5, 0), false},
+		"wrapping gap":    {list(2, 5, math.MaxUint64), false},
+		"key past 4^K":    {list(2, 3, 253), false},
+	} {
+		var got AlignRefArgs
+		if err := got.DecodeFrom(tc.frame); (err == nil) != tc.ok {
+			t.Errorf("%s: decode err %v, want ok %v", name, err, tc.ok)
+		}
+	}
+}
+
 // TestAlignRefReplyCompact: every list AlignRef answers, on the D1–D3
 // analogues paired (preprocessing's AddReverse) and unpaired at 1, 4 and 7
 // subsets, ships with no record escaped and decodes against the master's
@@ -190,6 +249,7 @@ func TestAlignRefReplyCompact(t *testing.T) {
 			reads := paperReads(t, d, paired)
 			for _, subsets := range []int{1, 4, 7} {
 				subs := splitSubsets(reads, subsets)
+				masked := repeatKeys(readSeqs(reads), cfg.K, subs[0].paired, cfg.MaxOccur, 0)
 				bounds := make([]int32, subsets+1)
 				for s, sub := range subs {
 					bounds[s+1] = bounds[s] + int32(len(sub.ids))
@@ -197,7 +257,7 @@ func TestAlignRefReplyCompact(t *testing.T) {
 				records, size := 0, 0
 				for _, j := range refJobs(subsets, 1) {
 					var sent AlignRefReply
-					if err := AlignRef(j.args(subs, bounds, subs[0].paired, cfg), &sent); err != nil {
+					if err := AlignRef(j.args(subs, bounds, subs[0].paired, cfg, masked), &sent); err != nil {
 						t.Fatal(err)
 					}
 					for i, l := range sent.Lists {

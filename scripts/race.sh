@@ -98,6 +98,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/overlap/ FuzzSeedIndex
     fuzz ./internal/overlap/ FuzzJobRecords
+    fuzz ./internal/overlap/ FuzzSubsetInvariant
     fuzz ./internal/dna/ FuzzReadFASTQ
     fuzz ./internal/dna/ FuzzReadFASTA
     fuzz ./internal/checkpoint/ FuzzDecode
