@@ -4,10 +4,10 @@
 // traversal) and writes contigs as FASTA.
 //
 // On SIGINT/SIGTERM the run is canceled gracefully: every stage unwinds
-// at its next grain boundary, in-flight RPCs are severed, and — with
-// -checkpoint-dir set — a best-effort checkpoint of the last completed
-// assembly phase is written so -resume can continue the run. The process
-// then exits with code 3 (interrupted but resumable). A second signal, or
+// at its next grain boundary and in-flight RPCs are severed. With
+// -checkpoint-dir set, every completed assembly phase is already on disk,
+// so -resume continues the run. The process then exits with code 3
+// (interrupted but resumable). A second signal, or
 // a cancel that fails to unwind within -grace, forces an immediate exit
 // with code 130.
 package main
@@ -93,9 +93,8 @@ var (
 	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
 	callTO    = flag.Duration("call-timeout", 0, "fixed per-RPC deadline overriding the liveness rule; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline: a call is cut only when its worker leaves a liveness ping unanswered for 2s)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
-	ckptDir   = flag.String("checkpoint-dir", "", "write crash-recovery checkpoints of the assembly phases to this directory")
-	ckptEvery = flag.Int("checkpoint-every", 1, "checkpoint every Nth phase boundary (with -checkpoint-dir)")
-	resume    = flag.Bool("resume", false, "resume the assembly phases from the newest valid checkpoint in -checkpoint-dir")
+	ckptDir   = flag.String("checkpoint-dir", "", "write a crash-recovery checkpoint at every assembly phase boundary to this directory")
+	resume    = flag.Bool("resume", false, "resume the assembly phases from the newest valid checkpoint in -checkpoint-dir; without it, a -checkpoint-dir that already holds checkpoints fails the run before its first phase (resume them, or use an empty directory)")
 	jobID     = flag.String("job", "", "job id owning -checkpoint-dir; a mismatched owner fails the run instead of mixing two jobs' checkpoints (empty = no ownership check)")
 	deadline  = flag.Duration("deadline", 0, "wall-clock budget for the whole run; on expiry the run is canceled like SIGINT (0 = unbounded)")
 	grace     = flag.Duration("grace", 10*time.Second, "unwind budget after SIGINT/SIGTERM before the exit is forced")
@@ -127,7 +126,7 @@ func main() {
 	cfg.CallVariants = *variants
 	cfg.Dist.CallTimeout = *callTO
 	cfg.Dist.MaxFailures = *maxFails
-	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Every: *ckptEvery, Resume: *resume, Job: *jobID}
+	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Resume: *resume, Job: *jobID}
 	if *resume && *ckptDir == "" {
 		fatal(errors.New("-resume requires -checkpoint-dir"))
 	}

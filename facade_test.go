@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -162,6 +164,64 @@ func TestCheckpointResumeThroughFacade(t *testing.T) {
 	}
 	if res := runPool(fresh, 2); len(res.Contigs) != len(want.Contigs) {
 		t.Fatalf("fresh -resume run: %d contigs, want %d", len(res.Contigs), len(want.Contigs))
+	}
+}
+
+// TestCheckpointFreshRunRefusesFrames: a fresh run (Resume off) into a
+// directory that already holds another run's frames fails before its
+// first phase with ErrCheckpointFrames and leaves those frames as they
+// were. Were it to run, its ckpt-1 would land beside the other run's
+// ckpt-2 and ckpt-3, and a resume after a cut in its second phase would
+// assemble the other run's graph.
+func TestCheckpointFreshRunRefusesFrames(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Checkpoint = Checkpoint{Dir: dir}
+	frames := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(data)
+		}
+		return out
+	}
+
+	readsX, _ := simReads(t, 3500, 7, 304)
+	x, err := BuildStages(readsX, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Assemble(nil, 2, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := frames()
+	if len(before) != 3 {
+		t.Fatalf("checkpointed run left %d files, want a frame per phase boundary (3)", len(before))
+	}
+
+	readsY, _ := simReads(t, 3500, 7, 305)
+	y, err := BuildStages(readsY, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = y.Assemble(nil, 2, 2, 1)
+	if !errors.Is(err, ErrCheckpointFrames) {
+		t.Fatalf("fresh run into a directory of frames: err = %v, want ErrCheckpointFrames", err)
+	}
+	for _, want := range []string{dir, "-resume", "empty directory"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if after := frames(); !maps.Equal(after, before) {
+		t.Fatalf("refused run touched the directory: %d files before, %d after", len(before), len(after))
 	}
 }
 

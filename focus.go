@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"strings"
 	"sync"
 	"time"
@@ -97,6 +96,12 @@ type Config struct {
 // expires.
 var ErrDeadline = errors.New("focus: run deadline exceeded")
 
+// ErrCheckpointFrames refuses a fresh run (Checkpoint.Resume off) whose
+// Checkpoint.Dir already holds checkpoint frames: the run would write its
+// own frames beside them, and a later resume would load whichever frame
+// is newest, possibly another run's graph.
+var ErrCheckpointFrames = errors.New("focus: checkpoint directory holds another run's frames")
+
 // RunContext derives the run's root context from cfg: Config.Context (or
 // context.Background) with Config.Deadline applied as an absolute
 // deadline whose cause is ErrDeadline. The returned stop func releases
@@ -131,16 +136,15 @@ func ctxErr(ctx context.Context) error {
 }
 
 // Checkpoint configures durable assembly state: with Dir set, the master
-// serializes its graph, removal journal and phase counters into an
-// atomic, CRC-framed checkpoint file after phase boundaries; with Resume
-// also set, Stages.Assemble restarts from the newest valid checkpoint in
-// Dir (skipping the phases it records) instead of rebuilding the
-// assembly graph, and produces output identical to an uninterrupted run.
+// serializes its graph, labels and phase counters into an atomic,
+// CRC-framed checkpoint file at every phase boundary; with Resume also
+// set, Stages.Assemble restarts from the newest valid checkpoint in Dir
+// (skipping the phases it records) instead of rebuilding the assembly
+// graph, and produces output identical to an uninterrupted run.
 type Checkpoint struct {
-	// Dir receives checkpoint files; empty disables checkpointing.
+	// Dir receives checkpoint files; empty disables checkpointing. With
+	// Resume off, Dir must hold no checkpoint frames (ErrCheckpointFrames).
 	Dir string
-	// Every writes a checkpoint at every Nth phase boundary (<= 1: all).
-	Every int
 	// Resume restarts from the newest valid checkpoint in Dir. When Dir
 	// holds no checkpoint at all the run starts fresh; when it holds only
 	// corrupt ones the run fails loudly rather than silently restarting.
@@ -423,6 +427,8 @@ func (r *AssemblyResult) SimTraverseTime(w int) time.Duration {
 // already-completed phases are restored from the newest valid checkpoint
 // in Config.Checkpoint.Dir instead of being recomputed; the remaining
 // phases run normally and the final output matches an uninterrupted run.
+// Without it, a Dir that already holds frames fails the call with
+// ErrCheckpointFrames before any phase runs.
 func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyResult, error) {
 	var driver *assembly.Driver
 	var labels []int32
@@ -433,6 +439,14 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		// (checkpoint.ErrNamespace), never produce a silently mixed graph.
 		if err := checkpoint.Claim(ck.Dir, ck.Job); err != nil {
 			return nil, fmt.Errorf("focus: checkpoint namespace: %w", err)
+		}
+	}
+	if !ck.Resume && ck.Dir != "" {
+		switch _, _, _, err := checkpoint.Latest(ck.Dir, assembly.CheckpointVersion); {
+		case err == nil || errors.Is(err, checkpoint.ErrCorrupt):
+			return nil, fmt.Errorf("%w: %s (continue them with -resume, or checkpoint into an empty directory)", ErrCheckpointFrames, ck.Dir)
+		case !errors.Is(err, checkpoint.ErrNone):
+			return nil, fmt.Errorf("focus: checkpoint: %w", err)
 		}
 	}
 	if ck.Resume && ck.Dir != "" {
@@ -471,21 +485,10 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	}
 	defer driver.Close() // releases worker-side state in stateful mode
 	if ck.Dir != "" {
-		driver.EnableCheckpoint(assembly.CheckpointConfig{Dir: ck.Dir, Every: ck.Every})
+		driver.EnableCheckpoint(ck.Dir)
 	}
 	driver.SetContext(s.Cfg.Context)
 	driver.SetMetrics(s.Cfg.Metrics)
-	// fail finalizes an aborted run: an interrupted run (cancel or
-	// deadline) writes a best-effort checkpoint at the last completed
-	// phase boundary so -resume can pick up where it stopped.
-	fail := func(err error) (*AssemblyResult, error) {
-		if IsInterrupted(err) {
-			if cerr := driver.CheckpointNow(); cerr != nil {
-				log.Printf("focus: %v", cerr)
-			}
-		}
-		return nil, err
-	}
 	out := &AssemblyResult{Labels: labels}
 	var err error
 	t0 := time.Now()
@@ -495,14 +498,14 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		// allelic branches (their verification alignments fail at the
 		// divergence) and error removal pops the surviving bubbles.
 		if err := driver.TrimTransitive(&out.Trim); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		out.Variants, err = driver.CallVariants(s.Cfg.Variants)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if err := driver.TrimContainment(&out.Trim); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		err = driver.TrimErrors(&out.Trim)
 	} else {
@@ -510,13 +513,13 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	}
 	out.TrimTime = time.Since(t0)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	t0 = time.Now()
 	out.Paths, out.TraverseTaskTimes, err = driver.TraverseTimed()
 	out.TraverseTime = time.Since(t0)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	out.Contigs = driver.BuildContigs(out.Paths)
 	out.Stats = assembly.ComputeStats(out.Contigs)

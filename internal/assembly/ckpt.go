@@ -9,34 +9,28 @@ import (
 )
 
 // Phase-boundary checkpointing (DESIGN.md §11): after each graph-mutating
-// phase is applied to the master's authoritative DiGraph, the driver can
-// serialize the full master state — graph, partition labels, the removal
-// journal not yet shipped as a stateful delta, the completed-phase list,
-// and the accumulated trim counters/variants — into an atomic, CRC-framed
-// checkpoint file (internal/checkpoint). A killed master restarts with
-// -resume: the newest valid checkpoint is loaded, completed phases are
-// skipped (their counters replayed from the checkpoint), and the run
-// continues with identical final output. The payload uses the same
-// hand-written Wire encodings as the RPC protocol.
+// phase is applied to the master's authoritative DiGraph, the driver
+// serializes what a resume reads — graph, partition labels, the
+// completed-phase list, and the accumulated trim counters/variants — into
+// an atomic, CRC-framed checkpoint file (internal/checkpoint). A killed
+// master restarts with -resume: the newest valid checkpoint is loaded,
+// completed phases are skipped (their counters replayed from the
+// checkpoint), and the run continues with identical final output. The
+// payload uses the same hand-written Wire encodings as the RPC protocol.
 
 // CheckpointVersion is the payload schema version; bump on any encoding
-// change so old files fail loudly instead of decoding garbage.
-const CheckpointVersion = 1
+// change so old files fail loudly instead of decoding garbage. Version 2
+// dropped the removal journal, which no resume read.
+const CheckpointVersion = 2
 
 // CheckpointState is the master's durable state at one phase boundary.
 type CheckpointState struct {
 	Done     []string  // completed graph-mutating phases, in order
 	Stats    TrimStats // accumulated counters (task times are not persisted)
 	Variants []Variant // accumulated variant calls, if any
-	// The removal journal: removals applied to the master graph but not
-	// yet shipped to stateful workers as a delta. (Resume reloads full
-	// partitions, so the journal is informational there, but it keeps the
-	// checkpoint a complete image of the driver state.)
-	JournalNodes []int32
-	JournalEdges []EdgePair
-	K            int
-	Labels       []int32
-	Graph        *DiGraph
+	K        int
+	Labels   []int32
+	Graph    *DiGraph
 }
 
 var _ dist.Wire = (*CheckpointState)(nil)
@@ -53,12 +47,10 @@ func (cs *CheckpointState) AppendTo(dst []byte) []byte {
 	dst = dist.AppendVarint(dst, int64(cs.Stats.FalseEdges))
 	dst = dist.AppendVarint(dst, int64(cs.Stats.DeadEndNodes))
 	dst = appendVariants(dst, cs.Variants)
-	dst = dist.AppendInt32sDelta(dst, cs.JournalNodes)
-	dst = appendEdgePairs(dst, cs.JournalEdges)
 	dst = dist.AppendInt32sDelta(dst, cs.Labels)
 	g := cs.Graph
 	n := g.NumNodes()
-	dst = dist.AppendVarint(dst, int64(n))
+	dst = dist.AppendLen(dst, n, true)
 	// Removed flags as a bitset.
 	for i := 0; i < n; i += 8 {
 		var b byte
@@ -88,7 +80,7 @@ func (cs *CheckpointState) DecodeFrom(src []byte) error {
 	nd, present := rd.Len()
 	cs.Done = nil
 	if present {
-		cs.Done = make([]string, 0, boundLen(&rd, nd))
+		cs.Done = make([]string, 0, nd)
 		for i := 0; i < nd && rd.Err() == nil; i++ {
 			cs.Done = append(cs.Done, rd.String())
 		}
@@ -100,10 +92,8 @@ func (cs *CheckpointState) DecodeFrom(src []byte) error {
 		DeadEndNodes:    int(rd.Varint()),
 	}
 	cs.Variants = decodeVariants(&rd)
-	cs.JournalNodes = rd.Int32sDelta()
-	cs.JournalEdges = decodeEdgePairs(&rd)
 	cs.Labels = rd.Int32sDelta()
-	n := boundLen(&rd, int(rd.Varint()))
+	n, _ := rd.Len()
 	g := &DiGraph{
 		Contigs: make([][]byte, n),
 		Weight:  make([]int64, n),
@@ -137,74 +127,37 @@ func (cs *CheckpointState) DecodeFrom(src []byte) error {
 	return nil
 }
 
-// CheckpointConfig configures the driver's phase-boundary checkpointing.
-type CheckpointConfig struct {
-	// Dir receives the checkpoint files (created if missing).
-	Dir string
-	// Every writes a checkpoint at every Nth completed phase boundary;
-	// <= 1 means every boundary.
-	Every int
+// EnableCheckpoint turns on checkpointing into dir (created if missing):
+// a frame at every graph-mutating phase boundary. Call before the first
+// Trim phase.
+func (d *Driver) EnableCheckpoint(dir string) {
+	d.ckptDir = dir
 }
 
-// EnableCheckpoint turns on checkpointing at phase boundaries. Call
-// before the first Trim phase.
-func (d *Driver) EnableCheckpoint(cc CheckpointConfig) {
-	if cc.Every <= 1 {
-		cc.Every = 1
-	}
-	d.ckpt = &cc
-}
-
-// notePhase records a completed graph-mutating phase and writes a
-// checkpoint when one is due. A checkpoint that cannot be written is an
-// error — the caller asked for durability; silently dropping it would
-// turn a crash into a full re-run.
+// notePhase records a completed graph-mutating phase and, with
+// checkpointing on, writes it as checkpoint seq len(donePhases). The
+// master graph mutates only between a phase's return and its notePhase,
+// so every completed phase is on disk before the next one starts, and an
+// interrupted run needs no checkpoint of its own on the way out. A
+// checkpoint that cannot be written is an error — the caller asked for
+// durability; silently dropping it would turn a crash into a full re-run.
 func (d *Driver) notePhase(name string) error {
 	d.donePhases = append(d.donePhases, name)
-	if d.ckpt == nil || len(d.donePhases)%d.ckpt.Every != 0 {
+	if d.ckptDir == "" {
 		return nil
 	}
-	if err := d.writeCheckpoint(); err != nil {
+	cs := &CheckpointState{
+		Done:     d.donePhases,
+		Stats:    d.statsMirror,
+		Variants: d.variantsMirror,
+		K:        d.K,
+		Labels:   d.Labels,
+		Graph:    d.G,
+	}
+	if err := checkpoint.Write(d.ckptDir, len(d.donePhases), CheckpointVersion, cs.AppendTo(nil)); err != nil {
 		return fmt.Errorf("assembly: checkpoint after %s: %w", name, err)
 	}
 	return nil
-}
-
-// CheckpointNow writes a best-effort checkpoint of the current
-// phase-boundary state. The master graph only mutates between a phase's
-// return and its notePhase, so whenever the driver is not inside a Trim*
-// call — in particular after a cancellation unwound one — its state IS a
-// phase boundary and is safe to persist. Used by the cancel path so a
-// SIGINT or deadline expiry keeps every completed phase resumable even
-// when CheckpointConfig.Every skipped the latest boundary. A no-op when
-// checkpointing is disabled or no phase has completed (a fresh run
-// resumes as a fresh run).
-func (d *Driver) CheckpointNow() error {
-	if d.ckpt == nil || len(d.donePhases) == 0 {
-		return nil
-	}
-	if err := d.writeCheckpoint(); err != nil {
-		return fmt.Errorf("assembly: checkpoint on cancel: %w", err)
-	}
-	return nil
-}
-
-// writeCheckpoint serializes the driver's phase-boundary state as
-// checkpoint seq len(donePhases). Writing the same seq twice (notePhase
-// already wrote this boundary, then CheckpointNow fired) atomically
-// replaces it with identical content.
-func (d *Driver) writeCheckpoint() error {
-	cs := &CheckpointState{
-		Done:         d.donePhases,
-		Stats:        d.statsMirror,
-		Variants:     d.variantsMirror,
-		JournalNodes: d.pendingNodes,
-		JournalEdges: d.pendingEdges,
-		K:            d.K,
-		Labels:       d.Labels,
-		Graph:        d.G,
-	}
-	return checkpoint.Write(d.ckpt.Dir, len(d.donePhases), CheckpointVersion, cs.AppendTo(nil))
 }
 
 // skipDone consumes a resume marker: true means the named phase completed
@@ -257,8 +210,5 @@ func ResumeDriver(pool *dist.Pool, cs *CheckpointState, cfg Config) (*Driver, er
 	}
 	d.statsMirror = cs.Stats
 	d.variantsMirror = append([]Variant(nil), cs.Variants...)
-	// The journal is only meaningful against worker state that died with
-	// the old master; a resumed run reloads full partitions, which clears
-	// pending deltas in ensureLoaded.
 	return d, nil
 }

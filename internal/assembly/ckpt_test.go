@@ -27,14 +27,12 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		}
 	}
 	cs := &CheckpointState{
-		Done:         []string{"Transitive", "Containment"},
-		Stats:        TrimStats{TransitiveEdges: 7, ContainedNodes: 3, FalseEdges: 2, DeadEndNodes: 11},
-		Variants:     []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, CovA: 5, CovB: 6, LenA: 7, LenB: 8, Identity: 0.97, Kind: VariantIndel, Reconverges: true}},
-		JournalNodes: []int32{4, 9},
-		JournalEdges: []EdgePair{{From: 1, To: 2}},
-		K:            3,
-		Labels:       labels,
-		Graph:        dg,
+		Done:     []string{"Transitive", "Containment"},
+		Stats:    TrimStats{TransitiveEdges: 7, ContainedNodes: 3, FalseEdges: 2, DeadEndNodes: 11},
+		Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, CovA: 5, CovB: 6, LenA: 7, LenB: 8, Identity: 0.97, Kind: VariantIndel, Reconverges: true}},
+		K:        3,
+		Labels:   labels,
+		Graph:    dg,
 	}
 	var got CheckpointState
 	if err := got.DecodeFrom(cs.AppendTo(nil)); err != nil {
@@ -43,7 +41,6 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Done, cs.Done) || got.Stats.TransitiveEdges != cs.Stats.TransitiveEdges ||
 		got.Stats.ContainedNodes != cs.Stats.ContainedNodes || got.Stats.FalseEdges != cs.Stats.FalseEdges ||
 		got.Stats.DeadEndNodes != cs.Stats.DeadEndNodes || !reflect.DeepEqual(got.Variants, cs.Variants) ||
-		!reflect.DeepEqual(got.JournalNodes, cs.JournalNodes) || !reflect.DeepEqual(got.JournalEdges, cs.JournalEdges) ||
 		got.K != cs.K || !reflect.DeepEqual(got.Labels, cs.Labels) {
 		t.Fatal("metadata mismatch after round trip")
 	}
@@ -124,7 +121,7 @@ func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dB.EnableCheckpoint(CheckpointConfig{Dir: dir})
+	dB.EnableCheckpoint(dir)
 	var stB TrimStats
 	if err := dB.TrimTransitive(&stB); err != nil {
 		t.Fatal(err)
@@ -183,7 +180,7 @@ func TestCheckpointResumeSkipsCorrupt(t *testing.T) {
 	if d.DegradeReason() != DegradeNoPool {
 		t.Fatalf("nil-pool driver: reason=%v", d.DegradeReason())
 	}
-	d.EnableCheckpoint(CheckpointConfig{Dir: dir})
+	d.EnableCheckpoint(dir)
 	var st TrimStats
 	if err := d.TrimTransitive(&st); err != nil {
 		t.Fatal(err)
@@ -219,5 +216,18 @@ func TestCheckpointResumeSkipsCorrupt(t *testing.T) {
 	// Empty dir: ErrNone (fresh start), not corruption.
 	if _, err := LoadLatestCheckpoint(t.TempDir()); !errors.Is(err, checkpoint.ErrNone) {
 		t.Fatalf("empty dir: err = %v, want ErrNone", err)
+	}
+}
+
+// TestCheckpointRefusesOldVersion: a frame of the previous payload
+// version (version 1 carried the removal journal) fails the load loudly
+// with ErrVersion; it is never decoded as the current version.
+func TestCheckpointRefusesOldVersion(t *testing.T) {
+	dir := t.TempDir()
+	if err := checkpoint.Write(dir, 1, CheckpointVersion-1, []byte("old payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLatestCheckpoint(dir); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("version %d frame: err = %v, want ErrVersion", CheckpointVersion-1, err)
 	}
 }

@@ -48,11 +48,12 @@ type Driver struct {
 	// Loaded: the only removals its worker can act on (phaseDeltas).
 	stored [][]int32
 
-	// Checkpoint/resume state (ckpt.go). donePhases lists completed
+	// Checkpoint/resume state (ckpt.go). ckptDir receives a frame per
+	// phase boundary ("" = off); donePhases lists completed
 	// graph-mutating phases; statsMirror/variantsMirror mirror the
 	// caller-owned accumulators so checkpoints are self-contained;
 	// resumeDone marks phases to skip after ResumeDriver.
-	ckpt           *CheckpointConfig
+	ckptDir        string
 	donePhases     []string
 	resumeDone     map[string]bool
 	statsMirror    TrimStats

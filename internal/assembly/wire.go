@@ -1,8 +1,6 @@
 package assembly
 
 import (
-	"fmt"
-
 	"focus/internal/dist"
 	"focus/internal/dna"
 )
@@ -31,17 +29,6 @@ var (
 	_ dist.Wire = (*PhaseArgs)(nil)
 	_ dist.Wire = (*UnloadArgs)(nil)
 )
-
-// boundLen rejects decoded element counts larger than the bytes left in
-// the frame (every element encodes to ≥1 byte), so a corrupt length makes
-// a decode error instead of a huge allocation.
-func boundLen(rd *dist.WireReader, n int) int {
-	if n < 0 || n > rd.Remaining() {
-		rd.Fail(fmt.Errorf("assembly: wire: %d elements with %d bytes left", n, rd.Remaining()))
-		return 0
-	}
-	return n
-}
 
 // appendContig appends the 2-bit packed sequence; the presence bit rides
 // in the node's Part varint (see appendSubgraph), so absent contigs cost
@@ -137,7 +124,7 @@ func decodeEdges(rd *dist.WireReader) []Edge {
 	if !present {
 		return nil
 	}
-	es := make([]Edge, boundLen(rd, n))
+	es := make([]Edge, n)
 	prevFrom, prevLen := int64(0), int64(0)
 	for i := range es {
 		e := &es[i]
@@ -171,7 +158,7 @@ func decodeEdgePairs(rd *dist.WireReader) []EdgePair {
 	if !present {
 		return nil
 	}
-	ps := make([]EdgePair, boundLen(rd, n))
+	ps := make([]EdgePair, n)
 	prevFrom := int64(0)
 	for i := range ps {
 		prevFrom += rd.Varint()
@@ -194,7 +181,7 @@ func decodePaths(rd *dist.WireReader) [][]int32 {
 	if !present {
 		return nil
 	}
-	paths := make([][]int32, boundLen(rd, n))
+	paths := make([][]int32, n)
 	for i := range paths {
 		paths[i] = rd.Int32sDelta()
 	}
@@ -236,7 +223,7 @@ func decodeVariants(rd *dist.WireReader) []Variant {
 	if !present {
 		return nil
 	}
-	vs := make([]Variant, boundLen(rd, n))
+	vs := make([]Variant, n)
 	for i := range vs {
 		v := &vs[i]
 		v.From = int32(rd.Varint())
@@ -282,7 +269,7 @@ func decodeSubgraph(rd *dist.WireReader, s *Subgraph) {
 	if !present {
 		s.Nodes = nil
 	} else {
-		s.Nodes = make([]WireNode, boundLen(rd, n))
+		s.Nodes = make([]WireNode, n)
 		prev := int64(0)
 		for i := range s.Nodes {
 			wn := &s.Nodes[i]

@@ -106,33 +106,38 @@ func Decode(data []byte, wantVersion uint32) ([]byte, error) {
 	return body[headerSize:], nil
 }
 
-// WriteFile atomically writes a framed checkpoint to path: temp file in
-// the same directory, fsync, rename, directory fsync.
+// WriteFile atomically writes a framed checkpoint to path.
 func WriteFile(path string, version uint32, payload []byte) error {
+	if err := writeAtomic(path, Encode(version, payload)); err != nil {
+		return fmt.Errorf("checkpoint: write %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeAtomic is the package's one durable write, behind both the frames
+// and the OWNER marker: temp file in the target's directory, fsync,
+// rename over the target, directory fsync. A crash at any point leaves
+// either the old file or the new one under the name, never a torn one.
+func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
+		return err
 	}
 	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
+	if err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: write %s: %w", path, err)
-	}
-	if _, err := tmp.Write(Encode(version, payload)); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: write %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: write %s: %w", path, err)
+		return err
 	}
 	syncDir(dir)
 	return nil
@@ -175,7 +180,8 @@ func Write(dir string, seq int, version uint32, payload []byte) error {
 // surface them — a corrupt checkpoint is never silently loaded, and never
 // silently terminal when an older valid one exists. Returns ErrNone when
 // dir holds no checkpoint files at all, and an ErrCorrupt-wrapping error
-// when files exist but none validate.
+// when files exist but none validate; it also wraps the newest file's own
+// reason, so a directory of another schema version is an ErrVersion too.
 func Latest(dir string, wantVersion uint32) (payload []byte, seq int, skipped []error, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -205,6 +211,6 @@ func Latest(dir string, wantVersion uint32) (payload []byte, seq int, skipped []
 		}
 		return p, n, skipped, nil
 	}
-	return nil, 0, skipped, fmt.Errorf("%w: %d checkpoint file(s) in %s, none valid (first: %v)",
+	return nil, 0, skipped, fmt.Errorf("%w: %d checkpoint file(s) in %s, none valid (first: %w)",
 		ErrCorrupt, len(seqs), dir, skipped[0])
 }

@@ -68,26 +68,10 @@ func Claim(dir, id string) error {
 	default:
 		return fmt.Errorf("checkpoint: claim %s: %w", dir, err)
 	}
-	// Atomic marker write (temp + rename), same discipline as the frames:
-	// a crash mid-claim must not leave a truncated owner id behind.
-	tmp, err := os.CreateTemp(dir, ownerFile+".tmp*")
-	if err != nil {
+	// The marker is written like a frame: a crash mid-claim must not leave
+	// a truncated owner id behind.
+	if err := writeAtomic(path, []byte(id+"\n")); err != nil {
 		return fmt.Errorf("checkpoint: claim %s: %w", dir, err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.WriteString(id + "\n"); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: claim %s: %w", dir, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: claim %s: %w", dir, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: claim %s: %w", dir, err)
-	}
-	syncDir(dir)
 	return nil
 }

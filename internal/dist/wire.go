@@ -290,10 +290,6 @@ func (r *WireReader) Int32sDelta() []int32 {
 	if !present {
 		return nil
 	}
-	if n > r.Remaining() { // each element is at least one byte
-		r.fail("int32 list length")
-		return nil
-	}
 	out := make([]int32, n)
 	prev := int64(0)
 	for i := range out {

@@ -2,52 +2,47 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
-	"focus/internal/dist"
+	"focus/internal/checkpoint"
 )
 
-// FuzzJobWire decodes arbitrary bytes as both wire records. These bytes
-// come off disk after a crash, so the decoder must never panic, and any
-// payload it does accept must re-encode to an equivalent record
-// (decode∘encode is the identity on the accepted set).
-func FuzzJobWire(f *testing.F) {
-	f.Add([]byte{})
-	f.Add((&Spec{Name: "seed", InputPath: "r.fastq", K: 2}).AppendTo(nil))
+// FuzzJobStatus puts arbitrary bytes through the status record's framed
+// JSON decode, both as a whole file and as the payload of a valid frame.
+// These bytes come off disk after a crash, so the decode must never
+// panic, and a record it accepts must re-encode stably (encode∘decode is
+// the identity on the encodings of accepted records).
+func FuzzJobStatus(f *testing.F) {
 	st := sampleStatus()
-	f.Add(st.AppendTo(nil))
-	st.Workers = nil
-	f.Add(st.AppendTo(nil))
+	full, err := json.Marshal(&st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add([]byte(`{"id":"job-000001","spec":{"name":"seed","input_path":"r.fastq","k":2},"state":"queued"}`))
+	f.Add([]byte(`{"state":"State(17)"}`))
+	f.Add(checkpoint.Encode(statusVersion, full))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var sp Spec
-		r := dist.NewWireReader(data)
-		sp.DecodeFrom(&r)
-		if r.Finish() == nil {
-			re := sp.AppendTo(nil)
-			var sp2 Spec
-			r2 := dist.NewWireReader(re)
-			sp2.DecodeFrom(&r2)
-			if err := r2.Finish(); err != nil {
-				t.Fatalf("re-encoded spec unreadable: %v", err)
+		for _, frame := range [][]byte{data, checkpoint.Encode(statusVersion, data)} {
+			payload, err := checkpoint.Decode(frame, statusVersion)
+			if err != nil {
+				continue
 			}
-			if !bytes.Equal(re, sp2.AppendTo(nil)) {
-				t.Fatalf("spec re-encode not stable: %x vs %x", re, sp2.AppendTo(nil))
+			st, err := decodeStatus(payload)
+			if err != nil {
+				continue
 			}
-		}
-
-		var status Status
-		rs := dist.NewWireReader(data)
-		status.DecodeFrom(&rs)
-		if rs.Finish() == nil {
-			re := status.AppendTo(nil)
-			var status2 Status
-			rs2 := dist.NewWireReader(re)
-			status2.DecodeFrom(&rs2)
-			if err := rs2.Finish(); err != nil {
-				t.Fatalf("re-encoded status unreadable: %v", err)
+			re, err := json.Marshal(st)
+			if err != nil {
+				t.Fatalf("accepted record does not re-encode: %v", err)
 			}
-			if !bytes.Equal(re, status2.AppendTo(nil)) {
-				t.Fatalf("status re-encode not stable: %x vs %x", re, status2.AppendTo(nil))
+			st2, err := decodeStatus(re)
+			if err != nil {
+				t.Fatalf("re-encoded record unreadable: %v\n%s", err, re)
+			}
+			if re2, _ := json.Marshal(st2); !bytes.Equal(re, re2) {
+				t.Fatalf("record re-encode not stable:\n%s\n%s", re, re2)
 			}
 		}
 	})

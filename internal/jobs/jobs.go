@@ -35,8 +35,8 @@ var (
 
 // Lifecycle errors. ErrKilled and ErrDrained are installed as the job
 // context's cancellation cause; both wrap context.Canceled so the
-// pipeline treats them as an interruption (checkpoint-then-stop), not a
-// failure.
+// pipeline treats them as an interruption (resumable from its last
+// checkpoint), not a failure.
 var (
 	// ErrKilled is the cancellation cause of an explicit per-job Kill.
 	ErrKilled = fmt.Errorf("jobs: job killed: %w", context.Canceled)

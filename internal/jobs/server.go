@@ -245,9 +245,6 @@ func (s *Server) Submit(spec Spec) (string, error) {
 		if err := checkpoint.Claim(j.dir, id); err != nil {
 			return "", err
 		}
-		if err := writeSpec(j.dir, &spec); err != nil {
-			return "", err
-		}
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -403,7 +400,7 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 	cfg.Deadline = spec.Deadline
 	cfg.Metrics = s.reg
 	if dir != "" {
-		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Job: id, Every: 1, Resume: true}
+		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Job: id, Resume: true}
 	}
 	res, _, err := focus.AssembleOnPool(reads, cfg, spec.K, view)
 	return res, err
@@ -575,9 +572,9 @@ func (s *Server) Watch(id string) (<-chan Status, error) {
 
 // Kill terminates one job without touching any other: a queued job is
 // removed and finalized, a running job's context is canceled with
-// ErrKilled (the pipeline checkpoints and unwinds; the job finalizes as
-// Killed and resumable when durable). Killing a terminal job is
-// ErrTerminal.
+// ErrKilled (the pipeline unwinds, its completed phases already on disk;
+// the job finalizes as Killed and resumable when durable). Killing a
+// terminal job is ErrTerminal.
 func (s *Server) Kill(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -655,8 +652,8 @@ func (s *Server) Resume(id string) error {
 // Drain stops admission and winds down: queued jobs are finalized
 // immediately (Killed with cause ErrDrained, resumable when durable),
 // running jobs get up to grace to finish on their own, and leftovers are
-// canceled with ErrDrained — which checkpoints them at their last phase
-// boundary, so a successor server requeues and resumes them. The server
+// canceled with ErrDrained, each keeping the frame of its last completed
+// phase boundary, so a successor server requeues and resumes them. The server
 // stays queryable after the drain.
 func (s *Server) Drain(grace time.Duration) {
 	s.mu.Lock()

@@ -1,145 +1,56 @@
 package jobs
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"focus/internal/checkpoint"
-	"focus/internal/dist"
 )
 
 // Job-record persistence. Each job's checkpoint namespace holds, next to
-// the assembly frames, a spec record (written once at admission) and a
-// status record (rewritten at every state change). Both use the compact
-// dist wire encoding inside the checkpoint package's CRC framing, so a
-// torn write is detected, not half-loaded — a restarted server requeues
-// exactly the durable jobs that had not finished. The codec is fuzzed
-// (FuzzJobWire) since it decodes disk bytes that survived a crash.
+// the assembly frames, one status record, rewritten at every state change.
+// It is the JSON the HTTP API serves, inside the checkpoint package's CRC
+// framing, so a torn write is detected, not half-loaded — a restarted
+// server requeues exactly the durable jobs that had not finished. The
+// decode is fuzzed (FuzzJobStatus) since it reads disk bytes that
+// survived a crash.
 
-// specVersion/statusVersion are the framed-payload versions; bump on any
-// wire change.
-const (
-	specVersion   = 1
-	statusVersion = 1
-)
+// statusVersion is the framed payload's version; bump on any change to
+// the record's JSON. Version 2 replaced a hand-written binary encoding.
+const statusVersion = 2
 
-// specFile/statusFile are the record names inside a job's namespace
-// directory (checkpoint.Latest only scans ckpt-*.fckp, so they coexist
-// with the assembly frames).
-const (
-	specFile   = "spec.fjob"
-	statusFile = "status.fjob"
-)
-
-// AppendTo encodes the spec in dist wire format.
-func (sp *Spec) AppendTo(dst []byte) []byte {
-	dst = dist.AppendString(dst, sp.Name)
-	dst = dist.AppendString(dst, sp.InputPath)
-	dst = dist.AppendVarint(dst, int64(sp.K))
-	dst = dist.AppendVarint(dst, int64(sp.Priority))
-	dst = dist.AppendVarint(dst, int64(sp.MaxWorkers))
-	dst = dist.AppendVarint(dst, int64(sp.MemoryMB))
-	dst = dist.AppendVarint(dst, int64(sp.Deadline))
-	dst = dist.AppendVarint(dst, sp.Seed)
-	return dst
-}
-
-// DecodeFrom decodes a spec written by AppendTo.
-func (sp *Spec) DecodeFrom(r *dist.WireReader) {
-	sp.Name = r.String()
-	sp.InputPath = r.String()
-	sp.K = int(r.Varint())
-	sp.Priority = int(r.Varint())
-	sp.MaxWorkers = int(r.Varint())
-	sp.MemoryMB = int(r.Varint())
-	sp.Deadline = time.Duration(r.Varint())
-	sp.Seed = r.Varint()
-}
-
-// AppendTo encodes the status in dist wire format.
-func (st *Status) AppendTo(dst []byte) []byte {
-	dst = dist.AppendString(dst, st.ID)
-	dst = st.Spec.AppendTo(dst)
-	dst = dist.AppendVarint(dst, int64(st.State))
-	dst = dist.AppendString(dst, st.Error)
-	dst = dist.AppendBool(dst, st.Resumable)
-	dst = dist.AppendLen(dst, len(st.Workers), st.Workers != nil)
-	for _, w := range st.Workers {
-		dst = dist.AppendVarint(dst, int64(w))
-	}
-	dst = dist.AppendVarint(dst, int64(st.Attempts))
-	dst = dist.AppendVarint(dst, st.SubmittedAt)
-	dst = dist.AppendVarint(dst, st.StartedAt)
-	dst = dist.AppendVarint(dst, st.FinishedAt)
-	dst = dist.AppendVarint(dst, int64(st.Contigs))
-	dst = dist.AppendVarint(dst, int64(st.N50))
-	return dst
-}
-
-// DecodeFrom decodes a status written by AppendTo.
-func (st *Status) DecodeFrom(r *dist.WireReader) {
-	st.ID = r.String()
-	st.Spec.DecodeFrom(r)
-	st.State = State(r.Varint())
-	if st.State < Queued || st.State > Killed {
-		r.Fail(fmt.Errorf("jobs: unknown state %d", int(st.State)))
-		return
-	}
-	st.Error = r.String()
-	st.Resumable = r.Bool()
-	if n, present := r.Len(); present {
-		st.Workers = make([]int, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			st.Workers = append(st.Workers, int(r.Varint()))
-		}
-	} else {
-		st.Workers = nil
-	}
-	st.Attempts = int(r.Varint())
-	st.SubmittedAt = r.Varint()
-	st.StartedAt = r.Varint()
-	st.FinishedAt = r.Varint()
-	st.Contigs = int(r.Varint())
-	st.N50 = int(r.Varint())
-}
-
-// writeSpec persists the spec record into the job's namespace dir.
-func writeSpec(dir string, sp *Spec) error {
-	return checkpoint.WriteFile(filepath.Join(dir, specFile), specVersion, sp.AppendTo(nil))
-}
-
-// readSpec loads a spec record (os.IsNotExist(err) when absent).
-func readSpec(dir string) (*Spec, error) {
-	payload, err := checkpoint.ReadFile(filepath.Join(dir, specFile), specVersion)
-	if err != nil {
-		return nil, err
-	}
-	var sp Spec
-	r := dist.NewWireReader(payload)
-	sp.DecodeFrom(&r)
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("jobs: spec record: %w", err)
-	}
-	return &sp, nil
-}
+// statusFile is the record's name inside a job's namespace directory
+// (checkpoint.Latest only scans ckpt-*.fckp, so it coexists with the
+// assembly frames).
+const statusFile = "status.fjob"
 
 // writeStatus persists the status record into the job's namespace dir.
 func writeStatus(dir string, st *Status) error {
-	return checkpoint.WriteFile(filepath.Join(dir, statusFile), statusVersion, st.AppendTo(nil))
+	payload, err := json.Marshal(st)
+	if err != nil {
+		return fmt.Errorf("jobs: status record: %w", err)
+	}
+	return checkpoint.WriteFile(filepath.Join(dir, statusFile), statusVersion, payload)
 }
 
-// readStatus loads a status record (os.IsNotExist(err) when absent).
+// readStatus loads a status record (errors.Is(err, fs.ErrNotExist) when
+// absent).
 func readStatus(dir string) (*Status, error) {
 	payload, err := checkpoint.ReadFile(filepath.Join(dir, statusFile), statusVersion)
 	if err != nil {
 		return nil, err
 	}
+	return decodeStatus(payload)
+}
+
+// decodeStatus parses a status record's payload. An unknown state name
+// fails the decode (State.UnmarshalJSON), so no impossible status is
+// materialized.
+func decodeStatus(payload []byte) (*Status, error) {
 	var st Status
-	r := dist.NewWireReader(payload)
-	st.DecodeFrom(&r)
-	if err := r.Finish(); err != nil {
+	if err := json.Unmarshal(payload, &st); err != nil {
 		return nil, fmt.Errorf("jobs: status record: %w", err)
 	}
 	return &st, nil

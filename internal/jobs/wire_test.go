@@ -1,13 +1,15 @@
 package jobs
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
-	"focus/internal/dist"
+	"focus/internal/checkpoint"
 )
 
 func sampleStatus() Status {
@@ -23,57 +25,62 @@ func sampleStatus() Status {
 	}
 }
 
-// TestWireRoundTrip: Spec and Status survive encode→decode exactly,
-// including nil-vs-empty Workers.
+// TestWireRoundTrip: a status survives the record's JSON exactly. Every
+// field of the sample is set, so a field the record drops fails here. An
+// empty Workers list is omitted like a nil one and reads back nil.
 func TestWireRoundTrip(t *testing.T) {
 	in := sampleStatus()
-	r := dist.NewWireReader(in.AppendTo(nil))
-	var out Status
-	out.DecodeFrom(&r)
-	if err := r.Finish(); err != nil {
+	for _, v := range []reflect.Value{reflect.ValueOf(in), reflect.ValueOf(in.Spec)} {
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).IsZero() {
+				t.Fatalf("sampleStatus leaves %s.%s zero", v.Type().Name(), v.Type().Field(i).Name)
+			}
+		}
+	}
+	payload, err := json.Marshal(&in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("status round trip:\nin  %+v\nout %+v", in, out)
-	}
-
-	spec := in.Spec
-	sr := dist.NewWireReader(spec.AppendTo(nil))
-	var specOut Spec
-	specOut.DecodeFrom(&sr)
-	if err := sr.Finish(); err != nil {
+	out, err := decodeStatus(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(spec, specOut) {
-		t.Fatalf("spec round trip:\nin  %+v\nout %+v", spec, specOut)
+	if !reflect.DeepEqual(in, *out) {
+		t.Fatalf("status round trip:\nin  %+v\nout %+v", in, *out)
 	}
 
-	// nil Workers stays nil (present-bit), empty stays empty.
-	for _, workers := range [][]int{nil, {}} {
-		st := sampleStatus()
-		st.Workers = workers
-		rr := dist.NewWireReader(st.AppendTo(nil))
-		var got Status
-		got.DecodeFrom(&rr)
-		if err := rr.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(st.Workers, got.Workers) {
-			t.Fatalf("workers %#v decoded as %#v", st.Workers, got.Workers)
-		}
+	in.Workers = []int{}
+	payload, err = json.Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = decodeStatus(payload); err != nil {
+		t.Fatal(err)
+	}
+	if out.Workers != nil {
+		t.Fatalf("empty workers decoded as %#v, want nil", out.Workers)
 	}
 }
 
-// TestWireRejectsBadState: a state ordinal outside the lifecycle fails
-// the read instead of materializing an impossible status.
+// TestWireRejectsBadState: a state outside the lifecycle fails the read
+// instead of materializing an impossible status — whether the server
+// wrote it (State(17) renders as "State(17)") or the record was edited
+// to an unknown name or a bare ordinal.
 func TestWireRejectsBadState(t *testing.T) {
+	dir := t.TempDir()
 	st := sampleStatus()
 	st.State = State(17)
-	r := dist.NewWireReader(st.AppendTo(nil))
-	var out Status
-	out.DecodeFrom(&r)
-	if err := r.Finish(); err == nil {
-		t.Fatal("state 17 decoded without error")
+	if err := writeStatus(dir, &st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readStatus(dir); err == nil {
+		t.Fatal("state 17 read back without error")
+	}
+	for _, state := range []string{`"paused"`, `4`, `null`} {
+		payload := []byte(`{"id":"job-000001","spec":{"name":"x"},"state":` + state + `}`)
+		if out, err := decodeStatus(payload); err == nil {
+			t.Fatalf("state %s decoded as %v", state, out.State)
+		}
 	}
 }
 
@@ -116,15 +123,11 @@ func TestStatusRecordDurability(t *testing.T) {
 		t.Fatal("corrupted status record loaded")
 	}
 
-	// Spec record alongside it.
-	if err := writeSpec(dir, &in.Spec); err != nil {
+	// A record of another version fails loudly, never decodes as this one.
+	if err := checkpoint.WriteFile(path, statusVersion-1, raw); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := readSpec(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Spec, *sp) {
-		t.Fatalf("durable spec:\nin  %+v\nout %+v", in.Spec, *sp)
+	if _, err := readStatus(dir); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("version %d record: err = %v, want ErrVersion", statusVersion-1, err)
 	}
 }

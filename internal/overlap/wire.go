@@ -20,17 +20,6 @@ var (
 	_ dist.Wire = (*AlignRefReply)(nil)
 )
 
-// boundLen rejects element counts larger than the bytes left in the frame
-// (each element encodes to ≥1 byte): corrupt lengths become decode errors
-// rather than huge allocations.
-func boundLen(rd *dist.WireReader, n int) int {
-	if n < 0 || n > rd.Remaining() {
-		rd.Fail(fmt.Errorf("overlap: wire: %d elements with %d bytes left", n, rd.Remaining()))
-		return 0
-	}
-	return n
-}
-
 func appendSeqs(dst []byte, seqs [][]byte) []byte {
 	dst = dist.AppendLen(dst, len(seqs), seqs != nil)
 	for _, s := range seqs {
@@ -47,7 +36,7 @@ func decodeSeqs(rd *dist.WireReader) [][]byte {
 	if !present {
 		return nil
 	}
-	seqs := make([][]byte, boundLen(rd, n))
+	seqs := make([][]byte, n)
 	for i := range seqs {
 		if !rd.Bool() {
 			continue
@@ -121,7 +110,7 @@ func decodeKeys(rd *dist.WireReader, k int) []uint64 {
 	if !present {
 		return nil
 	}
-	keys := make([]uint64, boundLen(rd, n))
+	keys := make([]uint64, n)
 	prev := uint64(0)
 	for i := range keys {
 		keys[i] = prev + rd.Uvarint()
@@ -338,14 +327,13 @@ func (r *AlignRefReply) DecodeFrom(src []byte) error {
 	n, present := rd.Len()
 	r.Lists = nil
 	if present {
-		r.Lists = make([][]Record, boundLen(&rd, n))
+		r.Lists = make([][]Record, n)
 	}
 	for l := range r.Lists {
 		n, present := rd.Len()
 		if !present {
 			continue
 		}
-		n = boundLen(&rd, n)
 		derived := rd.Uvarint()
 		if derived > uint64(n) {
 			rd.Fail(fmt.Errorf("overlap: wire: %d of %d records mirror-derived", derived, n))

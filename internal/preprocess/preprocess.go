@@ -1,7 +1,7 @@
 // Package preprocess implements the Focus read preprocessing stage
 // (paper §II.A): fixed-length 5'/3' end trimming, sliding-window quality
-// trimming from the 3' end, reverse-complement augmentation of the read
-// set, and splitting into subsets for parallel alignment.
+// trimming from the 3' end and reverse-complement augmentation of the
+// read set. The overlap stage cuts the result into subsets itself.
 package preprocess
 
 import (
@@ -134,25 +134,4 @@ func Run(reads []dna.Read, cfg Config) ([]dna.Read, Stats, error) {
 	}
 	st.Output = len(out)
 	return out, st, nil
-}
-
-// Split partitions reads into n contiguous subsets of near-equal size.
-// Subsets may be empty when n exceeds the read count.
-func Split(reads []dna.Read, n int) ([][]dna.Read, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("preprocess: cannot split into %d subsets", n)
-	}
-	out := make([][]dna.Read, n)
-	base := len(reads) / n
-	rem := len(reads) % n
-	at := 0
-	for i := 0; i < n; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = reads[at : at+size]
-		at += size
-	}
-	return out, nil
 }

@@ -258,44 +258,6 @@ func TestRunQuick(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	reads := make([]dna.Read, 10)
-	subsets, err := Split(reads, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := []int{len(subsets[0]), len(subsets[1]), len(subsets[2])}
-	if sizes[0] != 4 || sizes[1] != 3 || sizes[2] != 3 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	total := 0
-	for _, s := range subsets {
-		total += len(s)
-	}
-	if total != 10 {
-		t.Errorf("total = %d", total)
-	}
-}
-
-func TestSplitMoreSubsetsThanReads(t *testing.T) {
-	subsets, err := Split(make([]dna.Read, 2), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subsets) != 5 {
-		t.Fatalf("got %d subsets", len(subsets))
-	}
-	if len(subsets[0]) != 1 || len(subsets[1]) != 1 || len(subsets[4]) != 0 {
-		t.Errorf("sizes = %d %d %d", len(subsets[0]), len(subsets[1]), len(subsets[4]))
-	}
-}
-
-func TestSplitErrors(t *testing.T) {
-	if _, err := Split(nil, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-}
-
 // TestRunValidatesInput: Run is the ingestion gate for programmatic input —
 // malformed reads fail loudly with the read index and ID, before any
 // trimming can mask them.

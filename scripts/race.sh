@@ -77,6 +77,12 @@ go test -race -run 'Cancel|Liveness|Gate|Close|Deadline' \
 echo "== race: stage reuse sweep =="
 go test -race -count=5 -run 'StagesReuse' ./
 
+# Checkpoint sweep: the facade's checkpoint/resume tests (resume after a
+# cut, the fresh-run refusal), which the cancellation sweep above only
+# partly covers.
+echo "== race: checkpoint sweep =="
+go test -race -run 'Checkpoint' ./
+
 # Multi-tenant sweep: the resident master's admission, lifecycle and
 # fault-isolation scenarios (including the headline multi-worker chaos
 # run) under race, alongside the dist/assembly tests they lean on.
@@ -106,7 +112,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/align/ FuzzOverlapVerdict
     fuzz ./internal/align/ FuzzBandLCS
     fuzz ./internal/align/ FuzzStrandMirror
-    fuzz ./internal/jobs/ FuzzJobWire
+    fuzz ./internal/jobs/ FuzzJobStatus
 fi
 
 echo "ok"

@@ -10,8 +10,10 @@ import (
 
 // paperAssembly assembles the analogue of paper data set d at scale 0.1
 // and 8× coverage, its reads error-free and adapter-free when clean, and
-// scores the contigs against the community's genomes.
-func paperAssembly(t *testing.T, d int, clean bool) *eval.Report {
+// scores the contigs against the community's genomes. It also returns the
+// reads that keep no overlap record (degree 0 in G0) and the contigs of at
+// most 100 bp.
+func paperAssembly(t *testing.T, d int, clean bool) (rep *eval.Report, isolated, short int) {
 	t.Helper()
 	spec, err := simulate.PaperDataSet(d, 0.1)
 	if err != nil {
@@ -31,7 +33,7 @@ func paperAssembly(t *testing.T, d int, clean bool) *eval.Report {
 	}
 	cfg := DefaultConfig()
 	cfg.Preprocess.Trim5 = rc.AdapterLen
-	res, _, err := Assemble(rs.Reads, cfg, 16, 0)
+	res, stages, err := Assemble(rs.Reads, cfg, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +41,21 @@ func paperAssembly(t *testing.T, d int, clean bool) *eval.Report {
 	for _, g := range com.Genomes {
 		refs = append(refs, eval.Reference{Name: g.ID, Seq: g.Seq})
 	}
-	rep, err := eval.Evaluate(res.Contigs, refs, eval.DefaultConfig())
+	rep, err = eval.Evaluate(res.Contigs, refs, eval.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	for v := range stages.G0.NumNodes() {
+		if stages.G0.Degree(v) == 0 {
+			isolated++
+		}
+	}
+	for _, c := range res.Contigs {
+		if len(c) <= 100 {
+			short++
+		}
+	}
+	return rep, isolated, short
 }
 
 // TestGroundTruth scores the assembly against the genomes the reads were
@@ -55,22 +67,35 @@ func paperAssembly(t *testing.T, d int, clean bool) *eval.Report {
 // misassemble D1 and D2: their genera share loci within the 90 % identity
 // the overlaps accept, so reads of two genomes overlap there and a contig
 // can cross over. D3's error-free assembly has none.
+//
+// Each case also holds ceilings on the reads that keep no overlap record
+// and on the contigs of at most 100 bp (one read's length): under the
+// global repeat mask a read whose every sampled seed is masked keeps no
+// record and becomes a contig of its own. The ceilings are the counts
+// measured when the mask landed; a change that moves them argues the
+// move (ROADMAP item 15(b)).
 func TestGroundTruth(t *testing.T) {
 	for _, tc := range []struct {
 		d             int
 		clean         bool
 		floor         float64
 		misassemblies int
+		isolated      int
+		short         int
 	}{
-		{1, true, 0.86, 3},
-		{2, true, 0.96, 6},
-		{3, true, 0.90, 0},
-		{2, false, 0.97, 4},
+		{1, true, 0.86, 3, 4, 4},
+		{2, true, 0.96, 6, 2, 2},
+		{3, true, 0.90, 0, 6, 6},
+		{2, false, 0.97, 4, 0, 0},
 	} {
 		t.Run(fmt.Sprintf("D%d/clean=%v", tc.d, tc.clean), func(t *testing.T) {
-			rep := paperAssembly(t, tc.d, tc.clean)
+			rep, isolated, short := paperAssembly(t, tc.d, tc.clean)
 			if rep.GenomeFraction < tc.floor || rep.Misassemblies > tc.misassemblies {
 				t.Fatalf("%s; want genome fraction >= %.2f and at most %d misassemblies", rep.Summary(), tc.floor, tc.misassemblies)
+			}
+			if isolated > tc.isolated || short > tc.short {
+				t.Fatalf("%d reads with no overlap record and %d contigs <= 100 bp; want at most %d and %d",
+					isolated, short, tc.isolated, tc.short)
 			}
 		})
 	}
