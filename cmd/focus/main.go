@@ -90,7 +90,6 @@ var (
 	minIdent  = flag.Float64("min-identity", 0.90, "minimum overlap identity")
 	quietFlag = flag.Bool("quiet", false, "suppress progress output")
 	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
-	distAlign = flag.Bool("distributed-align", false, "run read alignment on the worker pool instead of local goroutines")
 	callTO    = flag.Duration("call-timeout", 0, "fixed per-RPC deadline overriding the liveness rule; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline: a call is cut only when its worker leaves a liveness ping unanswered for 2s)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write a crash-recovery checkpoint at every assembly phase boundary to this directory")
@@ -158,12 +157,7 @@ func main() {
 	}
 	defer pool.Close()
 
-	var stages *focus.Stages
-	if *distAlign {
-		stages, err = focus.BuildStagesOnPool(reads, cfg, pool)
-	} else {
-		stages, err = focus.BuildStages(reads, cfg)
-	}
+	stages, err := focus.BuildStages(reads, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -34,41 +34,44 @@ func TestErrorLine(t *testing.T) {
 	}
 }
 
-// TestReadmeFlagsDefined: every -flag on a focus command line in
-// README.md's shell blocks is one the command defines, so the README
-// cannot keep advertising a flag that was removed.
+// TestReadmeFlagsDefined: every -flag on a focus command line in the
+// shell blocks of README.md and of the verify skill's build-and-run
+// recipe is one the command defines, so neither can keep advertising a
+// flag that was removed.
 func TestReadmeFlagsDefined(t *testing.T) {
-	readme, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	commands := 0
-	inShell := false
-	for _, line := range strings.Split(strings.ReplaceAll(string(readme), "\\\n", " "), "\n") {
-		if fence := strings.TrimSpace(line); strings.HasPrefix(fence, "```") {
-			inShell = !inShell && (fence == "```sh" || fence == "```bash")
-			continue
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !inShell || strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
-		}
-		isFocus := false
-		for _, tok := range strings.Fields(line) {
-			switch {
-			case tok == "focus" || strings.HasSuffix(tok, "/focus"):
-				isFocus = true
-				commands++
-			case tok == "|" || tok == "&&" || tok == ";" || tok == "&" || tok == "#":
-				isFocus = false
-			case isFocus && len(tok) > 1 && tok[0] == '-':
-				name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
-				if flag.Lookup(name) == nil {
-					t.Errorf("README.md runs focus with undefined flag %s: %s", tok, strings.TrimSpace(line))
+		commands := 0
+		inShell := false
+		for _, line := range strings.Split(strings.ReplaceAll(string(text), "\\\n", " "), "\n") {
+			if fence := strings.TrimSpace(line); strings.HasPrefix(fence, "```") {
+				inShell = !inShell && (fence == "```sh" || fence == "```bash")
+				continue
+			}
+			if !inShell || strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue
+			}
+			isFocus := false
+			for _, tok := range strings.Fields(line) {
+				switch {
+				case tok == "focus" || strings.HasSuffix(tok, "/focus"):
+					isFocus = true
+					commands++
+				case tok == "|" || tok == "&&" || tok == ";" || tok == "&" || tok == "#":
+					isFocus = false
+				case isFocus && len(tok) > 1 && tok[0] == '-':
+					name, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+					if flag.Lookup(name) == nil {
+						t.Errorf("%s runs focus with undefined flag %s: %s", doc, tok, strings.TrimSpace(line))
+					}
 				}
 			}
 		}
-	}
-	if commands == 0 {
-		t.Fatal("no focus command line found in README.md's shell blocks")
+		if commands == 0 {
+			t.Fatalf("no focus command line found in %s's shell blocks", doc)
+		}
 	}
 }

@@ -177,21 +177,7 @@ func TestCheckpointFreshRunRefusesFrames(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()
 	cfg.Checkpoint = Checkpoint{Dir: dir}
-	frames := func() map[string]string {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]string{}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Name()] = string(data)
-		}
-		return out
-	}
+	frames := func() map[string]string { return dirFiles(t, dir) }
 
 	readsX, _ := simReads(t, 3500, 7, 304)
 	x, err := BuildStages(readsX, cfg)
@@ -222,6 +208,93 @@ func TestCheckpointFreshRunRefusesFrames(t *testing.T) {
 	}
 	if after := frames(); !maps.Equal(after, before) {
 		t.Fatalf("refused run touched the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// dirFiles returns the contents of dir's files by name.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestCheckpointResumeRefusesOtherInput: every frame carries the
+// fingerprint of the input it was written for. A run cut after its second
+// phase, resumed against another read set (two simulated data sets, as
+// `readsim -dataset 1` frames resumed by a `-dataset 3` run) or against
+// its own reads under another overlap identity, fails before its first
+// phase with a *CheckpointInputError and leaves the frames as they were;
+// resumed with only the subset count changed it is the same input and
+// finishes with the uninterrupted run's contigs.
+func TestCheckpointResumeRefusesOtherInput(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.Checkpoint = Checkpoint{Dir: dir}
+	readsX, _ := simReads(t, 3500, 7, 304)
+	x, err := BuildStages(readsX, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := x.Assemble(nil, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, checkpoint.Name(3))); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+
+	cfg.Checkpoint.Resume = true
+	readsY, _ := simReads(t, 3500, 7, 305)
+	stricter := cfg
+	stricter.Overlap.Align.MinIdentity = 0.92
+	for _, tc := range []struct {
+		name  string
+		reads []Read
+		cfg   Config
+	}{{"other reads", readsY, cfg}, {"other identity", readsX, stricter}} {
+		s, err := BuildStages(tc.reads, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Assemble(nil, 2, 2, 1)
+		var ie *CheckpointInputError
+		if !errors.As(err, &ie) || ie.Dir != dir || ie.Frames == ie.Run {
+			t.Fatalf("%s: resume err = %v, want a *CheckpointInputError", tc.name, err)
+		}
+		if after := dirFiles(t, dir); !maps.Equal(after, before) {
+			t.Fatalf("%s: refused resume touched the directory", tc.name)
+		}
+	}
+
+	same := cfg
+	same.Subsets = 3
+	s, err := BuildStages(readsX, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Assemble(nil, 2, 2, 1)
+	if err != nil {
+		t.Fatalf("resume at another subset count: %v", err)
+	}
+	if len(got.Contigs) != len(want.Contigs) {
+		t.Fatalf("contigs after resume: %d, want %d", len(got.Contigs), len(want.Contigs))
+	}
+	for i := range want.Contigs {
+		if !bytes.Equal(got.Contigs[i], want.Contigs[i]) {
+			t.Fatalf("contig %d differs after resume", i)
+		}
 	}
 }
 

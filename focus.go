@@ -18,8 +18,10 @@ package focus
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc64"
 	"strings"
 	"sync"
 	"time"
@@ -101,6 +103,19 @@ var ErrDeadline = errors.New("focus: run deadline exceeded")
 // own frames beside them, and a later resume would load whichever frame
 // is newest, possibly another run's graph.
 var ErrCheckpointFrames = errors.New("focus: checkpoint directory holds another run's frames")
+
+// CheckpointInputError refuses a resume (Checkpoint.Resume) whose frames
+// in Dir were written for other reads or another configuration: resuming
+// them would assemble the other input's graph. Frames and Run are the
+// frames' input fingerprint and this run's.
+type CheckpointInputError struct {
+	Dir         string
+	Frames, Run uint64
+}
+
+func (e *CheckpointInputError) Error() string {
+	return fmt.Sprintf("focus: checkpoint %s holds frames of another input (fingerprint %016x, this run %016x): resume them with the reads and configuration that wrote them, or checkpoint into an empty directory", e.Dir, e.Frames, e.Run)
+}
 
 // RunContext derives the run's root context from cfg: Config.Context (or
 // context.Background) with Config.Deadline applied as an absolute
@@ -427,12 +442,18 @@ func (r *AssemblyResult) SimTraverseTime(w int) time.Duration {
 // already-completed phases are restored from the newest valid checkpoint
 // in Config.Checkpoint.Dir instead of being recomputed; the remaining
 // phases run normally and the final output matches an uninterrupted run.
-// Without it, a Dir that already holds frames fails the call with
-// ErrCheckpointFrames before any phase runs.
+// Frames written for other reads or another configuration fail the call
+// with a *CheckpointInputError before any phase runs. Without Resume, a
+// Dir that already holds frames fails the call with ErrCheckpointFrames
+// before any phase runs.
 func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyResult, error) {
 	var driver *assembly.Driver
 	var labels []int32
 	ck := s.Cfg.Checkpoint
+	var input uint64 // the fingerprint every frame of this run carries
+	if ck.Dir != "" {
+		input = s.fingerprint()
+	}
 	if ck.Dir != "" && ck.Job != "" {
 		// Namespace ownership is checked before any checkpoint is read or
 		// written: resuming another job's frames must fail loudly
@@ -453,6 +474,9 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 		cs, err := assembly.LoadLatestCheckpoint(ck.Dir)
 		switch {
 		case err == nil:
+			if cs.Fingerprint != input {
+				return nil, &CheckpointInputError{Dir: ck.Dir, Frames: cs.Fingerprint, Run: input}
+			}
 			driver, err = assembly.ResumeDriver(pool, cs, s.Cfg.Assembly)
 			if err != nil {
 				return nil, err
@@ -485,7 +509,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	}
 	defer driver.Close() // releases worker-side state in stateful mode
 	if ck.Dir != "" {
-		driver.EnableCheckpoint(ck.Dir)
+		driver.EnableCheckpoint(ck.Dir, input)
 	}
 	driver.SetContext(s.Cfg.Context)
 	driver.SetMetrics(s.Cfg.Metrics)
@@ -524,6 +548,26 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	out.Contigs = driver.BuildContigs(out.Paths)
 	out.Stats = assembly.ComputeStats(out.Contigs)
 	return out, nil
+}
+
+// fingerprint identifies the assembly's input in its checkpoint frames:
+// the preprocessed reads and every setting that shapes the contigs.
+// Subsets (parallelism only), the ignored Assembly.Stateful and the
+// worker, distribution, checkpoint and run settings are left out, so a
+// resume may change them.
+func (s *Stages) fingerprint() uint64 {
+	h := crc64.New(crc64.MakeTable(crc64.ECMA))
+	cfg := s.Cfg
+	asm := cfg.Assembly
+	asm.Stateful = false
+	fmt.Fprintf(h, "%+v|%+v|%+v|%+v|%+v|%v|%+v|", cfg.Preprocess, cfg.Overlap, cfg.Coarsen, cfg.Hybrid, asm, cfg.CallVariants, cfg.Variants)
+	var n []byte
+	for _, r := range s.Reads {
+		n = binary.AppendUvarint(n[:0], uint64(len(r.Seq)))
+		h.Write(n)
+		h.Write(r.Seq)
+	}
+	return h.Sum64()
 }
 
 // Assemble is the one-call pipeline: preprocess, align, build graphs,

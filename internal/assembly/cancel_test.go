@@ -76,7 +76,7 @@ func TestCancelSweep(t *testing.T) {
 				defer pool.Close()
 				d := chaosPipeline(t, pool, k)
 				defer d.Close()
-				d.EnableCheckpoint(dir)
+				d.EnableCheckpoint(dir, 0)
 
 				cause := fmt.Errorf("test cancel at %d completions", after)
 				ctx, cancel := context.WithCancelCause(context.Background())

@@ -20,23 +20,29 @@ import (
 
 // CheckpointVersion is the payload schema version; bump on any encoding
 // change so old files fail loudly instead of decoding garbage. Version 2
-// dropped the removal journal, which no resume read.
-const CheckpointVersion = 2
+// dropped the removal journal, which no resume read; version 3 leads with
+// the input's fingerprint.
+const CheckpointVersion = 3
 
 // CheckpointState is the master's durable state at one phase boundary.
 type CheckpointState struct {
-	Done     []string  // completed graph-mutating phases, in order
-	Stats    TrimStats // accumulated counters (task times are not persisted)
-	Variants []Variant // accumulated variant calls, if any
-	K        int
-	Labels   []int32
-	Graph    *DiGraph
+	// Fingerprint identifies the input the frame was written for (the
+	// caller's hash of its reads and configuration, EnableCheckpoint), so
+	// that a resume can refuse another input's frames.
+	Fingerprint uint64
+	Done        []string  // completed graph-mutating phases, in order
+	Stats       TrimStats // accumulated counters (task times are not persisted)
+	Variants    []Variant // accumulated variant calls, if any
+	K           int
+	Labels      []int32
+	Graph       *DiGraph
 }
 
 var _ dist.Wire = (*CheckpointState)(nil)
 
 // AppendTo implements dist.Wire for the checkpoint payload.
 func (cs *CheckpointState) AppendTo(dst []byte) []byte {
+	dst = dist.AppendUvarint(dst, cs.Fingerprint)
 	dst = dist.AppendVarint(dst, int64(cs.K))
 	dst = dist.AppendLen(dst, len(cs.Done), cs.Done != nil)
 	for _, s := range cs.Done {
@@ -76,6 +82,7 @@ func (cs *CheckpointState) AppendTo(dst []byte) []byte {
 // reproduces the pre-checkpoint In lists exactly.
 func (cs *CheckpointState) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
+	cs.Fingerprint = rd.Uvarint()
 	cs.K = int(rd.Varint())
 	nd, present := rd.Len()
 	cs.Done = nil
@@ -128,10 +135,10 @@ func (cs *CheckpointState) DecodeFrom(src []byte) error {
 }
 
 // EnableCheckpoint turns on checkpointing into dir (created if missing):
-// a frame at every graph-mutating phase boundary. Call before the first
-// Trim phase.
-func (d *Driver) EnableCheckpoint(dir string) {
-	d.ckptDir = dir
+// a frame at every graph-mutating phase boundary, stamped with the
+// input's fingerprint. Call before the first Trim phase.
+func (d *Driver) EnableCheckpoint(dir string, fingerprint uint64) {
+	d.ckptDir, d.ckptFingerprint = dir, fingerprint
 }
 
 // notePhase records a completed graph-mutating phase and, with
@@ -147,12 +154,13 @@ func (d *Driver) notePhase(name string) error {
 		return nil
 	}
 	cs := &CheckpointState{
-		Done:     d.donePhases,
-		Stats:    d.statsMirror,
-		Variants: d.variantsMirror,
-		K:        d.K,
-		Labels:   d.Labels,
-		Graph:    d.G,
+		Fingerprint: d.ckptFingerprint,
+		Done:        d.donePhases,
+		Stats:       d.statsMirror,
+		Variants:    d.variantsMirror,
+		K:           d.K,
+		Labels:      d.Labels,
+		Graph:       d.G,
 	}
 	if err := checkpoint.Write(d.ckptDir, len(d.donePhases), CheckpointVersion, cs.AppendTo(nil)); err != nil {
 		return fmt.Errorf("assembly: checkpoint after %s: %w", name, err)
@@ -186,7 +194,6 @@ func LoadLatestCheckpoint(dir string) (*CheckpointState, error) {
 	if derr := cs.DecodeFrom(payload); derr != nil {
 		return nil, fmt.Errorf("assembly: checkpoint %s (seq %d): payload decode: %w", dir, seq, derr)
 	}
-	log.Printf("assembly: resuming from checkpoint seq %d (%d phase(s) done: %v)", seq, len(cs.Done), cs.Done)
 	return &cs, nil
 }
 
@@ -210,5 +217,6 @@ func ResumeDriver(pool *dist.Pool, cs *CheckpointState, cfg Config) (*Driver, er
 	}
 	d.statsMirror = cs.Stats
 	d.variantsMirror = append([]Variant(nil), cs.Variants...)
+	log.Printf("assembly: resuming from checkpoint seq %d (phases done: %v)", len(cs.Done), cs.Done)
 	return d, nil
 }

@@ -27,12 +27,13 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		}
 	}
 	cs := &CheckpointState{
-		Done:     []string{"Transitive", "Containment"},
-		Stats:    TrimStats{TransitiveEdges: 7, ContainedNodes: 3, FalseEdges: 2, DeadEndNodes: 11},
-		Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, CovA: 5, CovB: 6, LenA: 7, LenB: 8, Identity: 0.97, Kind: VariantIndel, Reconverges: true}},
-		K:        3,
-		Labels:   labels,
-		Graph:    dg,
+		Fingerprint: 0xfedcba9876543210,
+		Done:        []string{"Transitive", "Containment"},
+		Stats:       TrimStats{TransitiveEdges: 7, ContainedNodes: 3, FalseEdges: 2, DeadEndNodes: 11},
+		Variants:    []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, CovA: 5, CovB: 6, LenA: 7, LenB: 8, Identity: 0.97, Kind: VariantIndel, Reconverges: true}},
+		K:           3,
+		Labels:      labels,
+		Graph:       dg,
 	}
 	var got CheckpointState
 	if err := got.DecodeFrom(cs.AppendTo(nil)); err != nil {
@@ -41,7 +42,7 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Done, cs.Done) || got.Stats.TransitiveEdges != cs.Stats.TransitiveEdges ||
 		got.Stats.ContainedNodes != cs.Stats.ContainedNodes || got.Stats.FalseEdges != cs.Stats.FalseEdges ||
 		got.Stats.DeadEndNodes != cs.Stats.DeadEndNodes || !reflect.DeepEqual(got.Variants, cs.Variants) ||
-		got.K != cs.K || !reflect.DeepEqual(got.Labels, cs.Labels) {
+		got.K != cs.K || !reflect.DeepEqual(got.Labels, cs.Labels) || got.Fingerprint != cs.Fingerprint {
 		t.Fatal("metadata mismatch after round trip")
 	}
 	g2 := got.Graph
@@ -121,7 +122,7 @@ func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dB.EnableCheckpoint(dir)
+	dB.EnableCheckpoint(dir, 0x5eed)
 	var stB TrimStats
 	if err := dB.TrimTransitive(&stB); err != nil {
 		t.Fatal(err)
@@ -136,8 +137,8 @@ func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"Transitive", "Containment"}; !reflect.DeepEqual(cs.Done, want) {
-		t.Fatalf("checkpoint done = %v, want %v", cs.Done, want)
+	if want := []string{"Transitive", "Containment"}; !reflect.DeepEqual(cs.Done, want) || cs.Fingerprint != 0x5eed {
+		t.Fatalf("checkpoint done = %v, fingerprint %#x; want %v, 0x5eed", cs.Done, cs.Fingerprint, want)
 	}
 	poolC, err := dist.NewLocalPool(2, NewService)
 	if err != nil {
@@ -180,7 +181,7 @@ func TestCheckpointResumeSkipsCorrupt(t *testing.T) {
 	if d.DegradeReason() != DegradeNoPool {
 		t.Fatalf("nil-pool driver: reason=%v", d.DegradeReason())
 	}
-	d.EnableCheckpoint(dir)
+	d.EnableCheckpoint(dir, 0)
 	var st TrimStats
 	if err := d.TrimTransitive(&st); err != nil {
 		t.Fatal(err)
@@ -220,8 +221,8 @@ func TestCheckpointResumeSkipsCorrupt(t *testing.T) {
 }
 
 // TestCheckpointRefusesOldVersion: a frame of the previous payload
-// version (version 1 carried the removal journal) fails the load loudly
-// with ErrVersion; it is never decoded as the current version.
+// version (version 2 had no input fingerprint) fails the load loudly with
+// ErrVersion; it is never decoded as the current version.
 func TestCheckpointRefusesOldVersion(t *testing.T) {
 	dir := t.TempDir()
 	if err := checkpoint.Write(dir, 1, CheckpointVersion-1, []byte("old payload")); err != nil {

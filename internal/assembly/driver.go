@@ -49,15 +49,17 @@ type Driver struct {
 	stored [][]int32
 
 	// Checkpoint/resume state (ckpt.go). ckptDir receives a frame per
-	// phase boundary ("" = off); donePhases lists completed
-	// graph-mutating phases; statsMirror/variantsMirror mirror the
-	// caller-owned accumulators so checkpoints are self-contained;
-	// resumeDone marks phases to skip after ResumeDriver.
-	ckptDir        string
-	donePhases     []string
-	resumeDone     map[string]bool
-	statsMirror    TrimStats
-	variantsMirror []Variant
+	// phase boundary ("" = off), each stamped with ckptFingerprint;
+	// donePhases lists completed graph-mutating phases;
+	// statsMirror/variantsMirror mirror the caller-owned accumulators so
+	// checkpoints are self-contained; resumeDone marks phases to skip
+	// after ResumeDriver.
+	ckptDir         string
+	ckptFingerprint uint64
+	donePhases      []string
+	resumeDone      map[string]bool
+	statsMirror     TrimStats
+	variantsMirror  []Variant
 
 	// runCtx bounds the whole run (nil = unbounded): every phase runs
 	// under it, so the default path costs one nil check per phase.

@@ -174,11 +174,7 @@ func (s *Server) reload() error {
 			continue
 		}
 		// Interrupted (resumable) or torn mid-run: back to the queue.
-		j.status.State = Queued
-		j.status.Error = ""
-		j.status.Resumable = false
-		j.status.Workers = nil
-		j.status.StartedAt, j.status.FinishedAt = 0, 0
+		j.resetQueued()
 		requeue = append(requeue, j)
 	}
 	// Requeue in original submission order, then by priority.
@@ -584,13 +580,7 @@ func (s *Server) Kill(id string) error {
 	}
 	switch j.status.State {
 	case Queued:
-		s.dequeueLocked(j)
-		j.status.FinishedAt = time.Now().UnixNano()
-		j.status.State = Killed
-		j.status.Error = ErrKilled.Error()
-		j.status.Resumable = j.dir != ""
-		s.reg.Counter("jobs_killed_total").Inc()
-		s.noteLocked(j)
+		s.killQueuedLocked(j, ErrKilled)
 		s.cond.Broadcast()
 		return nil
 	case Running:
@@ -601,6 +591,28 @@ func (s *Server) Kill(id string) error {
 	default:
 		return fmt.Errorf("%w: %s is %s", ErrTerminal, id, j.status.State)
 	}
+}
+
+// killQueuedLocked finalizes a queued job with cause err: it leaves the
+// queue and ends Killed, resumable when it has a durable namespace.
+func (s *Server) killQueuedLocked(j *job, err error) {
+	s.dequeueLocked(j)
+	j.status.FinishedAt = time.Now().UnixNano()
+	j.status.State = Killed
+	j.status.Error = err.Error()
+	j.status.Resumable = j.dir != ""
+	s.reg.Counter("jobs_killed_total").Inc()
+	s.noteLocked(j)
+}
+
+// resetQueued clears a job's last attempt from its status so that it
+// re-enters the queue as Queued.
+func (j *job) resetQueued() {
+	j.status.State = Queued
+	j.status.Error = ""
+	j.status.Resumable = false
+	j.status.Workers = nil
+	j.status.StartedAt, j.status.FinishedAt = 0, 0
 }
 
 // dequeueLocked removes j from the pending queue (no-op if absent).
@@ -635,11 +647,7 @@ func (s *Server) Resume(id string) error {
 		s.reg.Counter("jobs_rejected_total").Inc()
 		return fmt.Errorf("%w (depth %d)", ErrQueueFull, s.opt.QueueDepth)
 	}
-	j.status.State = Queued
-	j.status.Error = ""
-	j.status.Resumable = false
-	j.status.Workers = nil
-	j.status.StartedAt, j.status.FinishedAt = 0, 0
+	j.resetQueued()
 	j.done = make(chan struct{})
 	j.result = nil
 	s.enqueueLocked(j)
@@ -660,13 +668,7 @@ func (s *Server) Drain(grace time.Duration) {
 	s.draining = true
 	s.reg.Gauge("server_draining").Set(1)
 	for _, j := range append([]*job(nil), s.queue...) {
-		s.dequeueLocked(j)
-		j.status.FinishedAt = time.Now().UnixNano()
-		j.status.State = Killed
-		j.status.Error = ErrDrained.Error()
-		j.status.Resumable = j.dir != ""
-		s.reg.Counter("jobs_killed_total").Inc()
-		s.noteLocked(j)
+		s.killQueuedLocked(j, ErrDrained)
 	}
 	deadline := time.Now().Add(grace)
 	var timer *time.Timer

@@ -327,17 +327,15 @@ func BenchmarkAlignRefReplyWire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	subs := splitSubsets(reads, 4)
-	masked := repeatKeys(readSeqs(reads), DefaultConfig().K, subs[0].paired, DefaultConfig().MaxOccur, 0)
-	bounds := make([]int32, len(subs)+1)
-	for s, sub := range subs {
-		bounds[s+1] = bounds[s] + int32(len(sub.ids))
+	p, err := newPlan(reads, 4, DefaultConfig(), true, 0)
+	if err != nil {
+		b.Fatal(err)
 	}
 	var replies []*AlignRefReply
 	records, size := 0, 0
 	for _, j := range refJobs(4, 2) {
 		r := &AlignRefReply{}
-		if err := AlignRef(j.args(subs, bounds, subs[0].paired, DefaultConfig(), masked), r); err != nil {
+		if err := AlignRef(p.args(j), r); err != nil {
 			b.Fatal(err)
 		}
 		for _, l := range r.Lists {

@@ -12,11 +12,12 @@ import (
 	"focus/internal/align"
 	"focus/internal/dist"
 	"focus/internal/dna"
+	"focus/internal/par"
 )
 
 // The paper distributes read alignment itself: "each pair of read subsets
 // can be sent to a different processor for independent analysis" (§II.B).
-// This file provides that mode: the subset pairs are executed by RPC
+// This file provides that transport: the plan's jobs are executed by RPC
 // workers (the same pool that later runs the distributed graph
 // algorithms) instead of local goroutines. A job is one reference subset
 // and a run of the query subsets paired with it, so the worker indexes the
@@ -71,12 +72,12 @@ const mirrorDerived align.Kind = 0x80
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
 // AlignRef executes one job (the worker half; assembly.Service exposes it
-// over RPC): it indexes the reference once, aligns each query subset
-// against it and fills reply with the lists as they ship — in a paired
-// job, with every strand mirror the master can re-derive elided — and with
-// the job's read lengths. A request the job cannot be run on — a
-// configuration validate refuses, or bounds that do not form a (q <= r)
-// job or do not match the reads shipped — is an error, not a worker crash.
+// over RPC): it runs the job's body (alignJob) and fills reply with the
+// lists as they ship — in a paired job, with every strand mirror the
+// master can re-derive elided — and with the job's read lengths. A
+// request the job cannot be run on — a configuration validate refuses, or
+// bounds that do not form a (q <= r) job or do not match the reads
+// shipped — is an error, not a worker crash.
 func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	if err := validate(args.Cfg, 1); err != nil {
 		return err
@@ -85,20 +86,22 @@ func AlignRef(args *AlignRefArgs, reply *AlignRefReply) error {
 	if err != nil {
 		return err
 	}
-	ix, err := buildKmerIndex(ref.seqs, args.Cfg.K, ref.paired, args.Masked)
-	if err != nil {
-		return err
-	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	lists := make([][]Record, len(queries))
-	for i, query := range queries {
-		if lists[i], err = alignQueries(query, ref, ix, args.Cfg, sc); err != nil {
+	err = alignJob(queries, ref, args.Cfg, args.Masked, sc, nil, func(i int, job jobRecords) error {
+		recs, err := sc.copyOut(job)
+		if err != nil {
 			return err
 		}
 		if args.Paired {
-			lists[i] = elideMirrors(lists[i], query, ref)
+			recs = elideMirrors(recs, queries[i], ref)
 		}
+		lists[i] = recs
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	reply.Lists, reply.Lengths = lists, jobLengths{args}
 	return nil
@@ -367,44 +370,12 @@ func checkList(recs []Record, qlo, qhi, rlo, rhi int32, paired bool, length func
 	return recs, ""
 }
 
-// refJob is one distributed job: the query subsets q0..q1-1 against the
-// index of subset r (q1-1 <= r).
-type refJob struct{ q0, q1, r int }
-
-func (j refJob) units() int { return j.q1 - j.q0 }
-
-// refJobs cuts the S(S+1)/2 subset pairs into jobs for a pool of workers:
-// one per reference subset, then, while the largest holds more than
-// ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run split in two. Jobs come
-// largest first, the order the pool's queue hands them out. A split only
-// adds an index build, so there are never more builds than pairs.
-func refJobs(subsets, workers int) []refJob {
-	jobs := make([]refJob, subsets)
-	for r := range jobs {
-		jobs[r] = refJob{0, r + 1, r}
-	}
-	limit := (subsets*(subsets+1)/2 + workers - 1) / workers
-	for {
-		slices.SortFunc(jobs, func(x, y refJob) int {
-			return cmp.Or(cmp.Compare(y.units(), x.units()), cmp.Compare(y.r, x.r), cmp.Compare(x.q0, y.q0))
-		})
-		j := jobs[0]
-		if j.units() <= limit {
-			return jobs
-		}
-		mid := j.q0 + j.units()/2
-		jobs[0] = refJob{j.q0, mid, j.r}
-		jobs = append(jobs, refJob{mid, j.q1, j.r})
-	}
-}
-
-// args builds job j's request over subsets whose ids start at bounds[s],
-// with the read set's repeat mask.
-func (j refJob) args(subs []readSet, bounds []int32, paired bool, cfg Config, masked []uint64) *AlignRefArgs {
-	a := &AlignRefArgs{Queries: bounds[j.q0 : j.q1+1], RefLo: bounds[j.r], RefHi: bounds[j.r+1], Paired: paired, Cfg: cfg, Masked: masked}
+// args builds job j's request.
+func (p *plan) args(j refJob) *AlignRefArgs {
+	a := &AlignRefArgs{Queries: p.bounds[j.q0 : j.q1+1], RefLo: p.bounds[j.r], RefHi: p.bounds[j.r+1], Paired: p.subs[0].paired, Cfg: p.cfg, Masked: p.masked}
 	ship := func(s int) {
-		seqs := subs[s].seqs
-		if !paired {
+		seqs := p.subs[s].seqs
+		if !a.Paired {
 			a.Seqs = append(a.Seqs, seqs...)
 			return
 		}
@@ -421,22 +392,15 @@ func (j refJob) args(subs []readSet, bounds []int32, paired bool, cfg Config, ma
 	return a
 }
 
-// FindOverlapsDistributedCtx is FindOverlaps with the subset pairs run as
-// refJobs over the worker pool. It produces exactly the records of the
-// local version for the same subset count. A cancel of ctx severs the
-// in-flight RPCs and returns the context's cause; a nil ctx never cancels.
-// A reply that fails checkList fails the stage with a *ReplyError.
+// FindOverlapsDistributedCtx is FindOverlaps with the plan's refJobs run
+// over the worker pool, cut for its healthy workers. It produces exactly
+// the records of the local version. A cancel of ctx severs the in-flight
+// RPCs and returns the context's cause; a nil ctx never cancels. A reply
+// that fails checkList fails the stage with a *ReplyError.
 func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
-	if err := validate(cfg, subsets); err != nil {
+	p, err := newPlan(reads, subsets, cfg, true, 0)
+	if err != nil {
 		return nil, err
-	}
-	seqs := readSeqs(reads)
-	subs := splitSeqs(seqs, subsets)
-	paired := subs[0].paired
-	masked := repeatKeys(seqs, cfg.K, paired, cfg.MaxOccur, 0)
-	bounds := make([]int32, subsets+1)
-	for s, sub := range subs {
-		bounds[s+1] = bounds[s] + int32(len(sub.ids))
 	}
 	jobs := refJobs(subsets, max(pool.NumHealthy(), 1))
 	lengths := readLengths(reads)
@@ -445,7 +409,7 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		replies[i] = &AlignRefReply{Lengths: lengths}
 	}
 	_, served, err := pool.ParallelCallsCtx(ctx, len(jobs), "AlignRef", func(t int) interface{} {
-		return jobs[t].args(subs, bounds, paired, cfg, masked)
+		return p.args(jobs[t])
 	}, replies)
 	if err != nil {
 		// A canceled run must surface the cancellation, not degrade: the
@@ -454,17 +418,16 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		if ctx != nil && ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
-		// Graceful degradation: with no healthy workers left the jobs
-		// still fit on the master, which runs the identical alignment
-		// code with local goroutines.
+		// Graceful degradation: with no healthy workers left the master
+		// runs the same jobs on local goroutines.
 		if errors.Is(err, dist.ErrNoWorkers) || pool.NumHealthy() == 0 {
 			log.Printf("overlap: distributed alignment: no healthy workers (%v); falling back to local execution", err)
-			return FindOverlapsCtx(ctx, reads, subsets, cfg)
+			recs, _, err := p.runLocal(ctx, jobs, par.Workers(0, len(jobs), 1), false)
+			return recs, err
 		}
 		return nil, err
 	}
-	pairs := subsetPairs(subsets)
-	lists := make([]jobRecords, len(pairs))
+	lists := p.pairLists()
 	for t, j := range jobs {
 		// Each list is restored in place and let go of by its reply, so
 		// the stage holds one copy of its records until the merge.
@@ -475,15 +438,13 @@ func FindOverlapsDistributedCtx(ctx context.Context, pool *dist.Pool, reads []dn
 		}
 		for i, l := range reply.Lists {
 			q := j.q0 + i
-			recs, bad := checkList(l, bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, lengths.ReadLen)
+			recs, bad := checkList(l, p.bounds[q], p.bounds[q+1], p.bounds[j.r], p.bounds[j.r+1], p.subs[0].paired, lengths.ReadLen)
 			if bad != "" {
 				return nil, &ReplyError{Worker: served[t], Q: q, R: j.r, Reason: bad}
 			}
-			// Pair (q, r)'s place in subsetPairs order; a decoded list is a
-			// job of one piece.
-			lists[q*subsets-q*(q-1)/2+j.r-q] = jobRecords{recs}
+			lists[q][j.r] = jobRecords{recs} // a decoded list is a job of one piece
 			reply.Lists[i] = nil
 		}
 	}
-	return mergeRecords(pairs, lists)
+	return mergeRecords(lists)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -195,16 +194,16 @@ func TestRefJobs(t *testing.T) {
 		for workers := 1; workers <= 12; workers++ {
 			jobs := refJobs(subsets, workers)
 			limit := (pairs + workers - 1) / workers
-			seen := map[pairJob]bool{}
+			seen := map[[2]int]bool{}
 			for i, j := range jobs {
 				if j.q0 >= j.q1 || j.q1-1 > j.r || j.units() > limit || (i > 0 && j.units() > jobs[i-1].units()) {
 					t.Fatalf("S=%d W=%d: job %d of %v", subsets, workers, i, jobs)
 				}
 				for q := j.q0; q < j.q1; q++ {
-					if seen[pairJob{q, j.r}] {
+					if seen[[2]int{q, j.r}] {
 						t.Fatalf("S=%d W=%d: pair (%d,%d) twice in %v", subsets, workers, q, j.r, jobs)
 					}
-					seen[pairJob{q, j.r}] = true
+					seen[[2]int{q, j.r}] = true
 				}
 			}
 			if len(seen) != pairs || len(jobs) > pairs || len(jobs) < subsets {
@@ -448,13 +447,13 @@ func TestFindOverlapsDistributedValidation(t *testing.T) {
 
 // TestFindOverlapsDistributedFallsBackWhenPoolDead checks graceful
 // degradation: with every worker hung and evicted, the distributed mode
-// completes locally and matches the local result.
+// runs its plan's jobs locally, to FindOverlapsCtx's records.
 func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	genome := randGenome(152, 1200)
 	reads := tilingReads(genome, 100, 40)
 	cfg := testConfig()
 
-	local, err := FindOverlaps(reads, 2, cfg)
+	local, err := FindOverlapsCtx(nil, reads, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,8 +471,11 @@ func TestFindOverlapsDistributedFallsBackWhenPoolDead(t *testing.T) {
 	if err != nil {
 		t.Fatalf("distributed mode did not fall back: %v", err)
 	}
-	if !reflect.DeepEqual(remote, local) {
-		t.Fatalf("fallback records diverge from local: %d vs %d records", len(remote), len(local))
+	if pool.NumHealthy() != 0 {
+		t.Fatalf("%d workers still healthy: the stage did not fall back", pool.NumHealthy())
+	}
+	if len(local) == 0 || !slices.Equal(remote, local) {
+		t.Fatalf("fallback %d records, FindOverlapsCtx %d; %v", len(remote), len(local), firstDiff(remote, local))
 	}
 }
 

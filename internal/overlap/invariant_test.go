@@ -3,6 +3,7 @@ package overlap
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -13,18 +14,24 @@ import (
 // TestOverlapSubsetInvariant: the overlap stage is a function of the reads
 // and the configuration alone. On the D1–D3 analogues, strand-paired as
 // the pipeline feeds them, the records are SHA-identical at 1, 2, 3, 4, 7
-// and 16 subsets on the mirror path, on the all-queries core and through
-// FindOverlapsDistributedCtx on a pool of two.
+// and 16 subsets on the mirror path at local widths 1, 2, 4 and 8 (with
+// GOMAXPROCS raised so that refJobs splits the references' query runs),
+// on the all-queries core and through FindOverlapsDistributedCtx on a
+// pool of two.
 func TestOverlapSubsetInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cfg := testConfig()
 	for d := 1; d <= 3; d++ {
 		t.Run(fmt.Sprintf("D%d", d), func(t *testing.T) {
 			reads := paperReads(t, d, true)
 			want := ""
 			for _, subsets := range []int{1, 2, 3, 4, 7, 16} {
-				mirror, _, err := findOverlaps(nil, reads, subsets, cfg, 0, false, true)
-				if err != nil {
-					t.Fatal(err)
+				var widths [4][]Record
+				for i, w := range []int{1, 2, 4, 8} {
+					var err error
+					if widths[i], _, err = findOverlaps(nil, reads, subsets, cfg, w, false, true); err != nil {
+						t.Fatal(err)
+					}
 				}
 				all, _, err := findOverlaps(nil, reads, subsets, cfg, 0, false, false)
 				if err != nil {
@@ -40,15 +47,18 @@ func TestOverlapSubsetInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want == "" {
-					if len(mirror) == 0 {
+					if len(widths[0]) == 0 {
 						t.Fatal("no records at one subset")
 					}
-					want = recordDigest(mirror)
+					want = recordDigest(widths[0])
 				}
 				for _, path := range []struct {
 					name string
 					recs []Record
-				}{{"mirror path", mirror}, {"all queries", all}, {"distributed", remote}} {
+				}{
+					{"width 1", widths[0]}, {"width 2", widths[1]}, {"width 4", widths[2]}, {"width 8", widths[3]},
+					{"all queries", all}, {"distributed", remote},
+				} {
 					if got := recordDigest(path.recs); got != want {
 						t.Fatalf("subsets=%d %s: %d records, digest %s, want the one-subset %s", subsets, path.name, len(path.recs), got, want)
 					}

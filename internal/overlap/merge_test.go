@@ -114,18 +114,24 @@ func emitJob(sc *scratch, ems []Record) jobRecords {
 	return sc.takeJob()
 }
 
-// flatJob is emitJob's job as one list, merged alone as alignQueries
-// does, with its staging checked first and recycled after.
+// flatJob is emitJob's job as one list, copied out as AlignRef does, with
+// its staging checked first and recycled after.
 func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
 	t.Helper()
 	job := emitJob(sc, ems)
 	checkPieces(t, job)
-	recs, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
+	recs, err := sc.copyOut(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.recycle(job)
 	return recs
+}
+
+// alignQueries runs one query subset against a reference index and
+// returns its records as AlignRef copies them out, before any mirror is
+// elided.
+func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
+	return sc.copyOut(alignQueriesGate(query, ref, ix, cfg, sc, nil))
 }
 
 // checkPieces checks a job's staging against what mergeRecords relies on:
@@ -271,7 +277,7 @@ func TestStagePieces(t *testing.T) {
 			if !slices.Equal(lens, tc.pieces) {
 				t.Fatalf("pieces of %v records, want %v", lens, tc.pieces)
 			}
-			got, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
+			got, err := mergeRecords([][]jobRecords{{job}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,37 +323,72 @@ func TestStageAllocBounded(t *testing.T) {
 	}
 }
 
+// TestAlignJobReusesPieces: a sink that copies each list out, as AlignRef's
+// does, gets every list before the next query subset is staged, so the
+// next list is staged into the pieces the last one handed back and a
+// worker never holds a whole job's staging at once.
+func TestAlignJobReusesPieces(t *testing.T) {
+	reads := tilingReads(randGenome(298, 20000), 100, 20)
+	p, err := newPlan(reads, 2, testConfig(), true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(scratch)
+	seen := map[*Record]bool{}
+	reused := false
+	err = alignJob(p.subs, p.subs[1], p.cfg, p.masked, sc, nil, func(i int, job jobRecords) error {
+		if len(job) == 0 {
+			t.Fatalf("query subset %d staged no records", i)
+		}
+		for _, piece := range job {
+			base := unsafe.SliceData(piece)
+			reused = reused || seen[base]
+			seen[base] = true
+		}
+		_, err := sc.copyOut(job)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Fatal("the second query subset was staged into new pieces, none of the first's")
+	}
+}
+
 // randomJobLists draws raw per-job record lists with the geometry the
 // stage produces — job (q, r) only holds pairs with A in subset q and B in
 // subset r, A < B — from value ranges small enough that duplicate keys,
 // several Kinds per pair and equal-credibility ties are all common.
-func randomJobLists(rng *rand.Rand, numReads, subsets int) ([]pairJob, [][]Record) {
+func randomJobLists(rng *rand.Rand, numReads, subsets int) [][][]Record {
 	lo := func(s int) int { return s * numReads / subsets }
-	jobs := subsetPairs(subsets)
-	raw := make([][]Record, len(jobs))
-	for t, j := range jobs {
-		nq, nr := lo(j.q+1)-lo(j.q), lo(j.r+1)-lo(j.r)
-		if nq == 0 || nr == 0 || (j.q == j.r && nq < 2) {
-			continue
-		}
-		for n := []int{0, 1, 5, 40}[rng.Intn(4)]; n > 0; n-- {
-			a, b := lo(j.q)+rng.Intn(nq), lo(j.r)+rng.Intn(nr)
-			if a == b {
+	raw := make([][][]Record, subsets) // raw[q][r]: pair (q, r)'s list
+	for q := range raw {
+		raw[q] = make([][]Record, subsets)
+		for r := q; r < subsets; r++ {
+			nq, nr := lo(q+1)-lo(q), lo(r+1)-lo(r)
+			if nq == 0 || nr == 0 || (q == r && nq < 2) {
 				continue
 			}
-			if a > b {
-				a, b = b, a
+			for n := []int{0, 1, 5, 40}[rng.Intn(4)]; n > 0; n-- {
+				a, b := lo(q)+rng.Intn(nq), lo(r)+rng.Intn(nr)
+				if a == b {
+					continue
+				}
+				if a > b {
+					a, b = b, a
+				}
+				raw[q][r] = append(raw[q][r], Record{
+					A: int32(a), B: int32(b),
+					Kind:     align.Kind(1 + rng.Intn(4)),
+					Len:      int32(50 + rng.Intn(2)),
+					Identity: []float32{0.9, 0.95}[rng.Intn(2)],
+					Diag:     int32(rng.Intn(3) - 1),
+				})
 			}
-			raw[t] = append(raw[t], Record{
-				A: int32(a), B: int32(b),
-				Kind:     align.Kind(1 + rng.Intn(4)),
-				Len:      int32(50 + rng.Intn(2)),
-				Identity: []float32{0.9, 0.95}[rng.Intn(2)],
-				Diag:     int32(rng.Intn(3) - 1),
-			})
 		}
 	}
-	return jobs, raw
+	return raw
 }
 
 // TestMergeRecordsMatchesMapOracle: the linear interleave of per-job lists
@@ -358,16 +399,19 @@ func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		subsets := 1 + rng.Intn(5)
 		numReads := rng.Intn(12)
-		jobs, raw := randomJobLists(rng, numReads, subsets)
-		lists := make([]jobRecords, len(raw))
-		for t := range jobs {
-			lists[t] = jobRecords{sortDedupe(slices.Clone(raw[t]))}
+		raw := randomJobLists(rng, numReads, subsets)
+		lists := make([][]jobRecords, subsets)
+		for q := range raw {
+			lists[q] = make([]jobRecords, subsets)
+			for r := range raw[q] {
+				lists[q][r] = jobRecords{sortDedupe(slices.Clone(raw[q][r]))}
+			}
 		}
-		got, err := mergeRecords(jobs, lists)
+		got, err := mergeRecords(lists)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if want := mergeRecordsOracle(raw); !slices.Equal(got, want) {
+		if want := mergeRecordsOracle(slices.Concat(raw...)); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (subsets=%d):\n got %+v\nwant %+v\n raw %+v", trial, subsets, got, want, raw)
 		}
 	}
@@ -381,9 +425,9 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 		return Record{A: a, B: b, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95}
 	}
 	one := func(recs ...Record) jobRecords { return jobRecords{recs} }
-	jobs := subsetPairs(2) // reads 0..3 in two subsets: (0,0) (0,1) (1,1)
-	good := []jobRecords{one(rec(0, 1)), one(rec(0, 2), rec(0, 3), rec(1, 2)), one(rec(2, 3))}
-	if got, err := mergeRecords(jobs, good); err != nil || len(got) != 5 {
+	// Reads 0..3 in two subsets: pairs (0,0) (0,1) and (1,1).
+	good := [][]jobRecords{{one(rec(0, 1)), one(rec(0, 2), rec(0, 3), rec(1, 2))}, {nil, one(rec(2, 3))}}
+	if got, err := mergeRecords(good); err != nil || len(got) != 5 {
 		t.Fatalf("sorted lists: %d records, err %v", len(got), err)
 	}
 	for name, bad := range map[string][]Record{
@@ -392,7 +436,7 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 		"not deduped":  {rec(0, 2), rec(0, 2), rec(1, 2)},
 		"foreign pair": {rec(0, 1), rec(0, 2)}, // (0,1) belongs to job (0,0)
 	} {
-		_, err := mergeRecords(jobs, []jobRecords{good[0], one(bad...), good[2]})
+		_, err := mergeRecords([][]jobRecords{{good[0][0], one(bad...)}, good[1]})
 		if err == nil || !strings.Contains(err.Error(), "overlap: job (0,1): records out of order") {
 			t.Errorf("%s: err = %v, want the job (0,1) order error", name, err)
 		}
@@ -552,17 +596,17 @@ func FuzzJobRecords(f *testing.F) {
 	f.Add(uint8(6), uint8(1), []byte{0, 3, 0x21, 4, 2, 0, 5, 2, 0x20, 5, 1, 0x11})
 	f.Fuzz(func(t *testing.T, size, piece uint8, data []byte) {
 		n := 1 + int32(size%12)
-		jobs := subsetPairs(2)
+		jobs := []refJob{{0, 1, 0}, {0, 1, 1}, {1, 2, 1}} // the pairs (0,0) (0,1) (1,1)
 		ems := make([][]Record, len(jobs))
 		query := make([]int32, len(jobs))
 		for j, job := range jobs {
-			query[j] = int32(job.q) * n
+			query[j] = int32(job.q0) * n
 		}
 		seen := map[[2]int32]bool{}
 		for ; len(data) >= 3; data = data[3:] {
 			j := int(data[0]) % len(jobs)
 			job := jobs[j]
-			if data[0]&4 != 0 && query[j] < int32(job.q+1)*n-1 {
+			if data[0]&4 != 0 && query[j] < int32(job.q1)*n-1 {
 				query[j]++
 			}
 			a, b := query[j], int32(job.r)*n+int32(data[1])%n
@@ -581,21 +625,21 @@ func FuzzJobRecords(f *testing.F) {
 		}
 		want := mergeRecordsOracle([][]Record{slices.Concat(ems...)})
 		sc := &scratch{pieceLen: int(piece % 9)}
-		lists := make([]jobRecords, len(jobs))
+		lists := [][]jobRecords{make([]jobRecords, 2), make([]jobRecords, 2)}
 		for pass := 0; pass < 2; pass++ {
-			for j := range jobs {
-				lists[j] = emitJob(sc, ems[j])
-				checkPieces(t, lists[j])
+			for j, job := range jobs {
+				lists[job.q0][job.r] = emitJob(sc, ems[j])
+				checkPieces(t, lists[job.q0][job.r])
 			}
-			got, err := mergeRecords(jobs, lists)
+			got, err := mergeRecords(lists)
 			if err != nil {
 				t.Fatalf("pass %d: %v", pass, err)
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("pass %d, pieces of %d:\n got %+v\nwant %+v\n raw %+v", pass, sc.pieceLen, got, want, ems)
 			}
-			for _, l := range lists {
-				sc.recycle(l)
+			for _, job := range jobs {
+				sc.recycle(lists[job.q0][job.r])
 			}
 		}
 	})

@@ -241,8 +241,15 @@ func TestAlignRefStrandMirror(t *testing.T) {
 		// mask every k-mer of it.
 		masked := repeatKeys(seqs, cfg.K, paired, cfg.MaxOccur, 0)
 		fullMask := repeatKeys(seqs, cfg.K, false, cfg.MaxOccur, 0)
+		// The plan ships subsets marked as the master marks them; subs
+		// stay unmarked for the all-queries core.
+		shipped := slices.Clone(subs)
+		for s := range shipped {
+			shipped[s].paired = paired
+		}
+		p := &plan{cfg: cfg, subs: shipped, bounds: bounds, masked: masked}
 		for _, j := range refJobs(len(subs), 2) {
-			a := j.args(subs, bounds, paired, cfg, masked)
+			a := p.args(j)
 			lists, err := alignLists(a)
 			if err != nil {
 				t.Fatal(err)
@@ -297,5 +304,6 @@ func TestAlignRefStrandMirror(t *testing.T) {
 
 // splitSubsets is splitSeqs over the reads' sequences.
 func splitSubsets(reads []dna.Read, subsets int) []readSet {
-	return splitSeqs(readSeqs(reads), subsets)
+	subs, _ := splitSeqs(readSeqs(reads), subsets)
+	return subs
 }

@@ -8,7 +8,7 @@
 // The hot path allocates nothing in steady state but the pieces a job's
 // records are staged in, which its output keeps: each worker owns a
 // scratch (candidate table, diagonal votes, alignment DP buffers) reused
-// across every query of every subset-pair job it processes. See DESIGN.md
+// across every query of every job it processes. See DESIGN.md
 // ("Seed index & scratch reuse") for the layout and the ownership rules.
 package overlap
 
@@ -75,8 +75,8 @@ type scratch struct {
 	// order, in pieces that are handed to the job's output as they are,
 	// never grown or copied out; a query's run never straddles two pieces,
 	// and open is where the current query's run starts in the last one.
-	// spare holds empty pieces for reuse: the ones alignQueries hands back
-	// once it has copied its job out. mirrored holds an even query's
+	// spare holds empty pieces for reuse: the ones copyOut takes back once
+	// it has copied a list out. mirrored holds an even query's
 	// strand-mirror records until its own are in order.
 	pieces   [][]Record
 	open     int
@@ -139,9 +139,9 @@ func (sc *scratch) nextQuery() {
 	sc.touched = sc.touched[:0]
 }
 
-// FindOverlaps detects all pairwise overlaps in reads, processing
-// subset pairs in parallel. Records are canonical (A < B) and returned
-// sorted by (A, B, Kind), one per read pair at most: each pair is
+// FindOverlaps detects all pairwise overlaps in reads, running the
+// stage's reference jobs in parallel. Records are canonical (A < B) and
+// returned sorted by (A, B, Kind), one per read pair at most: each pair is
 // attempted once, from its lower id. The subset count only sets the
 // parallelism: the records are the same at any count.
 func FindOverlaps(reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
@@ -149,13 +149,9 @@ func FindOverlaps(reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 }
 
 // FindOverlapsCtx is FindOverlaps bounded by ctx: a cancel abandons the
-// sweep at the next query boundary in every worker (the workers keep
-// draining the job channel so the feeder never blocks) and returns the
+// sweep at the next query boundary in every worker and returns the
 // context's cause. A nil ctx never cancels.
 func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
-	if err := validate(cfg, subsets); err != nil {
-		return nil, err
-	}
 	recs, _, err := findOverlaps(ctx, reads, subsets, cfg, 0, false, true)
 	return recs, err
 }
@@ -166,18 +162,15 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 // benchmark times it to split the stage into candidate generation and
 // verification.
 func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
-	if err := validate(cfg, subsets); err != nil {
-		return 0, err
-	}
 	_, n, err := findOverlaps(nil, reads, subsets, cfg, 0, true, true)
 	return n, err
 }
 
-// readSet is one side of a subset-pair job: the reads' global ids, one
-// ascending run of consecutive ids, and their sequences. paired marks a
-// strand-paired run: it starts on an even id, has even length, and each
-// odd read is the reverse complement of the read before it, so read id^1
-// is always id's other strand and sits at local index i^1.
+// readSet is one side of a job: the reads' global ids, one ascending run
+// of consecutive ids, and their sequences. paired marks a strand-paired
+// run: it starts on an even id, has even length, and each odd read is the
+// reverse complement of the read before it, so read id^1 is always id's
+// other strand and sits at local index i^1.
 type readSet struct {
 	ids    []int32
 	seqs   [][]byte
@@ -207,101 +200,135 @@ func readSeqs(reads []dna.Read) [][]byte {
 	return seqs
 }
 
-// splitSeqs assigns the reads to contiguous subsets (shared by the query
-// side of the pair jobs and by the index builders): subset s of S starts
-// at read s·n/S, except that a strand-paired read set is split on pair
-// boundaries, 2·⌊s·(n/2)/S⌋, so that a read and its reverse complement
-// share every job and every subset is paired.
-func splitSeqs(seqs [][]byte, subsets int) []readSet {
+// splitSeqs assigns the reads to contiguous subsets and returns them with
+// their bounds: subset s of S starts at read s·n/S, except that a
+// strand-paired read set is split on pair boundaries, 2·⌊s·(n/2)/S⌋, so
+// that a read and its reverse complement share every job and every subset
+// is paired.
+func splitSeqs(seqs [][]byte, subsets int) ([]readSet, []int32) {
 	paired := strandPaired(seqs)
-	bounds := make([]int, subsets+1)
+	bounds := make([]int32, subsets+1)
 	for i := 0; i <= subsets; i++ {
 		if paired {
-			bounds[i] = 2 * (i * (len(seqs) / 2) / subsets)
+			bounds[i] = int32(2 * (i * (len(seqs) / 2) / subsets))
 		} else {
-			bounds[i] = i * len(seqs) / subsets
+			bounds[i] = int32(i * len(seqs) / subsets)
 		}
 	}
 	subs := make([]readSet, subsets)
 	for s := range subs {
-		lo, hi := bounds[s], bounds[s+1]
+		lo, hi := int(bounds[s]), int(bounds[s+1])
 		ids := make([]int32, hi-lo)
 		for i := range ids {
 			ids[i] = int32(lo + i)
 		}
 		subs[s] = readSet{ids, seqs[lo:hi:hi], paired}
 	}
-	return subs
+	return subs, bounds
 }
 
-// pairJob is one subset-pair alignment job: the reads of subset q queried
-// against the index of subset r, q <= r.
-type pairJob struct{ q, r int }
+// plan is the overlap stage of one read set, whichever transport runs its
+// refJobs: the subsets, their id bounds and the read set's repeat mask.
+type plan struct {
+	cfg    Config
+	subs   []readSet
+	bounds []int32 // subset s holds the ids [bounds[s], bounds[s+1])
+	masked []uint64
+}
 
-// subsetPairs enumerates the jobs in (q, r) order — the order mergeRecords
-// relies on.
-func subsetPairs(subsets int) []pairJob {
-	jobs := make([]pairJob, 0, subsets*(subsets+1)/2)
-	for q := 0; q < subsets; q++ {
-		for r := q; r < subsets; r++ {
-			jobs = append(jobs, pairJob{q, r})
-		}
+// newPlan validates cfg, splits the reads, refuses a subset no index can
+// hold and counts the repeat mask on `workers` goroutines. Without mirror
+// every query runs on its own (alignQueriesGate), to the same records: the
+// all-queries oracle the tests hold the production path to.
+func newPlan(reads []dna.Read, subsets int, cfg Config, mirror bool, workers int) (*plan, error) {
+	if err := validate(cfg, subsets); err != nil {
+		return nil, err
 	}
-	return jobs
-}
-
-// findOverlaps counts the read set's repeat mask (repeatKeys), builds one
-// seed index per reference subset without it and probes it per sampled
-// query k-mer, on a pool of at most `workers` goroutines (<= 0 lets the
-// par governor size it; the records are identical at any width).
-// countOnly skips alignment verification and returns only the
-// surviving-candidate total. mirror lets a strand-paired read set's even
-// queries answer for their mirrors (alignQueriesGate); without it every
-// query runs on its own, with the same records — the all-queries oracle
-// the tests hold the production path to.
-func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly, mirror bool) ([]Record, int64, error) {
-	gate := par.GateFor(ctx)
-	// Each subset-pair job indexes/scans a whole subset — heavy enough
-	// that any second job justifies a second worker (grain 1).
-	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
-
 	seqs := readSeqs(reads)
-	subs := splitSeqs(seqs, subsets)
+	subs, bounds := splitSeqs(seqs, subsets)
 	for s := range subs {
+		if _, err := indexKmers(subs[s].seqs, cfg.K); err != nil {
+			return nil, err
+		}
 		subs[s].paired = subs[s].paired && mirror
 	}
-	for _, sub := range subs { // refuse a subset no index can hold before counting
-		if _, err := indexKmers(sub.seqs, cfg.K); err != nil {
-			return nil, 0, err
-		}
-	}
 	masked := repeatKeys(seqs, cfg.K, subs[0].paired, cfg.MaxOccur, workers)
+	return &plan{cfg, subs, bounds, masked}, nil
+}
 
-	// Build one index per subset (reused across pair jobs); each fits, as
-	// checked above.
-	indexes := make([]*kmerIndex, subsets)
-	par.Run(workers, subsets, func(_, s int) {
-		if !gate.Stopped() {
-			indexes[s], _ = buildKmerIndex(subs[s].seqs, cfg.K, subs[s].paired, masked)
-		}
-	})
-	// A skipped index build leaves a nil index the pair jobs would probe.
-	if gate.Stopped() {
-		return nil, 0, gate.Err()
+// pairLists returns mergeRecords' room: lists[q][r] for each pair q <= r.
+func (p *plan) pairLists() [][]jobRecords {
+	lists := make([][]jobRecords, len(p.subs))
+	for q := range lists {
+		lists[q] = make([]jobRecords, len(p.subs))
 	}
+	return lists
+}
 
-	jobs := subsetPairs(subsets)
-	results := make([]jobRecords, len(jobs))
+// refJob is one job of the stage on either transport: the query subsets
+// q0..q1-1 against the index of subset r (q1-1 <= r).
+type refJob struct{ q0, q1, r int }
+
+func (j refJob) units() int { return j.q1 - j.q0 }
+
+// refJobs cuts the S(S+1)/2 subset pairs into jobs for `workers`
+// goroutines or pool workers: one per reference subset, then, while the
+// largest holds more than ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run
+// split in two. Jobs come largest first, the order they are taken in. A
+// split only adds an index build: never more builds than pairs.
+func refJobs(subsets, workers int) []refJob {
+	jobs := make([]refJob, subsets)
+	for r := range jobs {
+		jobs[r] = refJob{0, r + 1, r}
+	}
+	limit := (subsets*(subsets+1)/2 + workers - 1) / workers
+	for {
+		slices.SortFunc(jobs, func(x, y refJob) int {
+			return cmp.Or(cmp.Compare(y.units(), x.units()), cmp.Compare(y.r, x.r), cmp.Compare(x.q0, y.q0))
+		})
+		j := jobs[0]
+		if j.units() <= limit {
+			return jobs
+		}
+		mid := j.q0 + j.units()/2
+		jobs[0] = refJob{j.q0, mid, j.r}
+		jobs = append(jobs, refJob{mid, j.q1, j.r})
+	}
+}
+
+// findOverlaps runs the plan's refJobs on at most `workers` goroutines (<=
+// 0: the par governor's count; the records are the same at any width).
+// countOnly returns only the candidate total, verifying nothing.
+func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly, mirror bool) ([]Record, int64, error) {
+	// Each job indexes/scans a whole subset — heavy enough that any
+	// second subset pair justifies a second worker (grain 1).
+	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
+	p, err := newPlan(reads, subsets, cfg, mirror, workers)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.runLocal(ctx, refJobs(subsets, workers), workers, countOnly)
+}
+
+// runLocal is the in-process transport: `workers` goroutines, each with one
+// scratch and one reference index at a time, run the jobs.
+func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOnly bool) ([]Record, int64, error) {
+	gate := par.GateFor(ctx)
+	lists := p.pairLists()
 	scs := make([]*scratch, workers) // worker-owned; never shared
-	par.Run(workers, len(jobs), func(w, jid int) {
+	par.Run(workers, len(jobs), func(w, t int) {
 		if gate.Stopped() {
 			return
 		}
 		if scs[w] == nil {
 			scs[w] = &scratch{countOnly: countOnly}
 		}
-		j := jobs[jid]
-		results[jid] = alignQueriesGate(subs[j.q], subs[j.r], indexes[j.r], cfg, scs[w], gate)
+		j := jobs[t]
+		// Every subset fits an index: newPlan checked.
+		alignJob(p.subs[j.q0:j.q1], p.subs[j.r], p.cfg, p.masked, scs[w], gate, func(i int, l jobRecords) error {
+			lists[j.q0+i][j.r] = l
+			return nil
+		})
 	})
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
@@ -312,9 +339,25 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 			candTotal += sc.candTotal
 		}
 	}
-
-	recs, err := mergeRecords(jobs, results)
+	recs, err := mergeRecords(lists)
 	return recs, candTotal, err
+}
+
+// alignJob is one job's body on either transport: it indexes the reference
+// without the masked keys and hands each query subset's list to sink as
+// soon as it is staged, so that a sink that copies the list out lets the
+// next query subset reuse its pieces. It returns the first error.
+func alignJob(queries []readSet, ref readSet, cfg Config, masked []uint64, sc *scratch, gate *par.Gate, sink func(i int, l jobRecords) error) error {
+	ix, err := buildKmerIndex(ref.seqs, cfg.K, ref.paired, masked)
+	if err != nil {
+		return err
+	}
+	for i, query := range queries {
+		if err := sink(i, alignQueriesGate(query, ref, ix, cfg, sc, gate)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // maxScore bounds |Match|, |Mismatch| and |Gap|: far past any useful
@@ -339,23 +382,10 @@ func validate(cfg Config, subsets int) error {
 	return nil
 }
 
-// alignQueries aligns the query reads against the reference index,
-// returning the job's canonical records sorted by (A, B, Kind), in one
-// slice of their exact size that is the caller's. The job's pieces go back
-// to sc. Each side's ids must be one ascending run of consecutive ids and
-// no reference id may precede the query ids — the geometry of a (q <= r)
-// subset-pair job — so that every record's A is a query id. The error is
-// a staging that broke that order, which mergeRecords refuses.
-func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
-	job := alignQueriesGate(query, ref, ix, cfg, sc, nil)
-	recs, err := mergeRecords([]pairJob{{}}, []jobRecords{job})
-	sc.recycle(job)
-	return recs, err
-}
-
-// alignQueriesGate is the gate-aware core, which returns the job's staging
-// as it stands (jobRecords), for mergeRecords: the gate is polled once per
-// query (a query's seed scan + alignments is the natural grain). A stopped
+// alignQueriesGate aligns the queries of a (q <= r) subset pair against
+// the reference index, so that every record's A is a query id, and returns
+// the staging (jobRecords) for mergeRecords. The gate is polled once per
+// query (a query's seed scan + alignments is the natural grain); a stopped
 // gate returns no records, which the ctx-taking caller discards.
 //
 // A query's seeds are resolved as one batch before any vote is cast; vote
@@ -499,6 +529,14 @@ func (sc *scratch) takeJob() jobRecords {
 	return job
 }
 
+// copyOut returns a job's records in one slice of their exact size and
+// takes its pieces back; mergeRecords refuses a staging out of order.
+func (sc *scratch) copyOut(job jobRecords) ([]Record, error) {
+	recs, err := mergeRecords([][]jobRecords{{job}})
+	sc.recycle(job)
+	return recs, err
+}
+
 // recycle takes a job's staging back once its records are copied out.
 func (sc *scratch) recycle(job jobRecords) {
 	for _, p := range job {
@@ -579,50 +617,49 @@ func compareKey(x, y Record) int {
 	return cmp.Compare(x.Kind, y.Kind)
 }
 
-// mergeRecords interleaves the jobs' records (lists[t] belongs to jobs[t],
-// in subsetPairs order) into the stage's output, sorted by (A, B, Kind)
-// with one record per key. No map and no sort are needed: subsets are
-// contiguous id ranges and jobs are (q <= r), so job (q, r) alone produces
-// the pairs with A in subset q and B in subset r, and it attempts each
-// once. The jobs of one q therefore hold, for each A of subset q, runs of
-// ascending B in r order, and the groups of ascending q follow each other.
-// Every appended record must extend the output strictly; a list that
-// breaks this (a peer that predates the per-job sort) is an error.
-func mergeRecords(jobs []pairJob, lists []jobRecords) ([]Record, error) {
+// mergeRecords interleaves the jobs' records into the stage's output,
+// sorted by (A, B, Kind) with one record per key: lists[q][r] holds the
+// records of subset pair (q, r), and a pair r < q holds none. No map and
+// no sort are needed: subsets are contiguous id ranges, pair (q, r) alone
+// produces the pairs with A in subset q and B in subset r, and it attempts
+// each once. The lists of one q therefore hold, for each A of subset q,
+// runs of ascending B in r order, and the rows of ascending q follow each
+// other. Every appended record must extend the output strictly; a list
+// that breaks this (a peer that predates the per-job sort) is an error.
+func mergeRecords(lists [][]jobRecords) ([]Record, error) {
 	total := 0
-	cur := make([]cursor, len(lists))
-	for t, l := range lists {
-		cur[t].pieces = l
-		for _, p := range l {
-			total += len(p)
+	for _, row := range lists {
+		for _, l := range row {
+			for _, p := range l {
+				total += len(p)
+			}
 		}
 	}
 	out := make([]Record, 0, total)
-	for lo := 0; lo < len(jobs); {
-		hi := lo + 1
-		for hi < len(jobs) && jobs[hi].q == jobs[lo].q {
-			hi++
+	for q, row := range lists {
+		cur := make([]cursor, len(row))
+		for r, l := range row {
+			cur[r].pieces = l
 		}
 		for {
-			// The smallest A any job of the group still holds.
+			// The smallest A any list of the row still holds.
 			var minA int32
 			found := false
-			for t := lo; t < hi; t++ {
-				if r, ok := cur[t].peek(); ok && (!found || r.A < minA) {
-					minA, found = r.A, true
+			for r := range cur {
+				if rec, ok := cur[r].peek(); ok && (!found || rec.A < minA) {
+					minA, found = rec.A, true
 				}
 			}
 			if !found {
 				break
 			}
-			for t := lo; t < hi; t++ {
+			for r := range cur {
 				var ok bool
-				if out, ok = cur[t].take(out, minA); !ok {
-					return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", jobs[t].q, jobs[t].r)
+				if out, ok = cur[r].take(out, minA); !ok {
+					return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", q, r)
 				}
 			}
 		}
-		lo = hi
 	}
 	return out, nil
 }

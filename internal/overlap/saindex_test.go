@@ -87,12 +87,14 @@ func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) (
 		refs[r] = buildSAIndex(subs[r].seqs, cfg.K, cfg.MaxOccur)
 		refs[r].whole = whole
 	}
-	jobs := subsetPairs(subsets)
-	lists := make([]jobRecords, len(jobs))
-	for t, j := range jobs {
-		lists[t] = alignQueriesGate(subs[j.q], subs[j.r], refs[j.r], cfg, sc, nil)
+	lists := make([][]jobRecords, subsets)
+	for q := range lists {
+		lists[q] = make([]jobRecords, subsets)
+		for r := q; r < subsets; r++ {
+			lists[q][r] = alignQueriesGate(subs[q], subs[r], refs[r], cfg, sc, nil)
+		}
 	}
-	recs, err := mergeRecords(jobs, lists)
+	recs, err := mergeRecords(lists)
 	if err != nil {
 		panic(err) // lists come straight from the staging
 	}

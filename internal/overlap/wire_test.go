@@ -248,16 +248,14 @@ func TestAlignRefReplyCompact(t *testing.T) {
 		for _, paired := range []bool{true, false} {
 			reads := paperReads(t, d, paired)
 			for _, subsets := range []int{1, 4, 7} {
-				subs := splitSubsets(reads, subsets)
-				masked := repeatKeys(readSeqs(reads), cfg.K, subs[0].paired, cfg.MaxOccur, 0)
-				bounds := make([]int32, subsets+1)
-				for s, sub := range subs {
-					bounds[s+1] = bounds[s] + int32(len(sub.ids))
+				p, err := newPlan(reads, subsets, cfg, true, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
 				records, size := 0, 0
 				for _, j := range refJobs(subsets, 1) {
 					var sent AlignRefReply
-					if err := AlignRef(j.args(subs, bounds, subs[0].paired, cfg, masked), &sent); err != nil {
+					if err := AlignRef(p.args(j), &sent); err != nil {
 						t.Fatal(err)
 					}
 					for i, l := range sent.Lists {
