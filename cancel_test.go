@@ -220,7 +220,7 @@ func TestLivenessAllHung(t *testing.T) {
 	reads, _ := simReads(t, 3000, 5, 308)
 	cfg := testConfig()
 	healthy := twoWorkerPool(t, cfg)
-	want, _, err := AssembleOnPool(reads, cfg, 2, healthy)
+	want, _, err := AssembleOnPool(reads, cfg, 2, healthy, 1)
 	healthy.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestLivenessAllHung(t *testing.T) {
 	pool := twoWorkerPool(t, cfg, 0, 1)
 	defer pool.Close()
 	start := time.Now()
-	got, _, err := AssembleOnPool(reads, cfg, 2, pool)
+	got, _, err := AssembleOnPool(reads, cfg, 2, pool, 1)
 	if err != nil {
 		t.Fatalf("run on a hung fleet: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestLivenessRunDeadline(t *testing.T) {
 	pool := twoWorkerPool(t, cfg, 0, 1)
 	defer pool.Close()
 	start := time.Now()
-	_, _, err := AssembleOnPool(reads, cfg, 2, pool)
+	_, _, err := AssembleOnPool(reads, cfg, 2, pool, 1)
 	el := time.Since(start)
 	if !errors.Is(err, ErrDeadline) || !IsInterrupted(err) {
 		t.Fatalf("run on a hung fleet = %v, want an interrupted ErrDeadline", err)

@@ -31,7 +31,6 @@ func main() {
 		listen = flag.String("listen", "127.0.0.1:7465", "address to listen on")
 		grace  = flag.Duration("grace", 10*time.Second, "in-flight call drain budget on SIGINT/SIGTERM")
 		health = flag.Bool("healthcheck", false, "probe the worker at -listen (wire handshake + Ping RPC) and exit 0 (healthy, same wire version) or 1")
-		runTTL = flag.Duration("run-ttl", 0, "drop stored stateful partitions not touched for this long (a crashed master's state; 0 = keep forever)")
 	)
 	flag.Parse()
 
@@ -44,18 +43,12 @@ func main() {
 		return
 	}
 
-	svc := &assembly.Service{}
-	srv, err := dist.NewServer(svc)
+	// Each master connection gets its own service: the partitions a
+	// master Loads go when its connection closes.
+	srv, err := dist.NewServer(&assembly.Service{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "focus-worker:", err)
 		os.Exit(1)
-	}
-	if *runTTL > 0 {
-		// Reclaim partitions orphaned by a master that died and resumed
-		// under a new run id (or never came back at all).
-		ttlStop := make(chan struct{})
-		defer close(ttlStop)
-		svc.StartRunTTL(*runTTL, ttlStop)
 	}
 	lis, err := net.Listen("tcp", *listen)
 	if err != nil {

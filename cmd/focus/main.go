@@ -73,8 +73,8 @@ func watchSignals(ctx context.Context, grace time.Duration) (context.Context, fu
 	}
 }
 
-// The command line; README.md's focus examples may use only these flags
-// (TestReadmeFlagsDefined).
+// The command line; the docs' focus examples may use only these flags
+// (TestDocsCiteWhatExists).
 var (
 	in        = flag.String("in", "", "input reads (.fastq or .fasta)")
 	out       = flag.String("out", "contigs.fasta", "output contig FASTA")
@@ -94,7 +94,6 @@ var (
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write a crash-recovery checkpoint at every assembly phase boundary to this directory")
 	resume    = flag.Bool("resume", false, "resume the assembly phases from the newest valid checkpoint in -checkpoint-dir; without it, a -checkpoint-dir that already holds checkpoints fails the run before its first phase (resume them, or use an empty directory)")
-	jobID     = flag.String("job", "", "job id owning -checkpoint-dir; a mismatched owner fails the run instead of mixing two jobs' checkpoints (empty = no ownership check)")
 	deadline  = flag.Duration("deadline", 0, "wall-clock budget for the whole run; on expiry the run is canceled like SIGINT (0 = unbounded)")
 	grace     = flag.Duration("grace", 10*time.Second, "unwind budget after SIGINT/SIGTERM before the exit is forced")
 )
@@ -125,12 +124,9 @@ func main() {
 	cfg.CallVariants = *variants
 	cfg.Dist.CallTimeout = *callTO
 	cfg.Dist.MaxFailures = *maxFails
-	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Resume: *resume, Job: *jobID}
+	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Resume: *resume}
 	if *resume && *ckptDir == "" {
 		fatal(errors.New("-resume requires -checkpoint-dir"))
-	}
-	if *jobID != "" && *ckptDir == "" {
-		fatal(errors.New("-job requires -checkpoint-dir"))
 	}
 	sigCtx, stopSignals := watchSignals(context.Background(), *grace)
 	defer stopSignals()

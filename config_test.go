@@ -40,7 +40,7 @@ func TestConfigSurface(t *testing.T) {
 		"Assembly.MinEdgeIdentity", "Assembly.MinEdgeOverlap", "Assembly.MinTipLen",
 		"Assembly.Stateful",
 		"CallVariants",
-		"Checkpoint.Dir", "Checkpoint.Job", "Checkpoint.Resume",
+		"Checkpoint.Dir", "Checkpoint.Resume",
 		"Coarsen.MaxLevels", "Coarsen.MinNodes", "Coarsen.MinShrink", "Coarsen.Seed",
 		"Context", "Deadline",
 		"Dist.CallTimeout", "Dist.Logf", "Dist.MaxFailures", "Dist.MaxReconnects",

@@ -27,7 +27,11 @@ func main() {
 			log.Fatal(err)
 		}
 		defer lis.Close()
-		go func() { _ = dist.Serve(lis, &assembly.Service{}) }()
+		srv, err := dist.NewServer(&assembly.Service{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		go func() { _ = srv.Serve(lis) }()
 		addrs = append(addrs, lis.Addr().String())
 	}
 	fmt.Printf("started %d TCP workers: %v\n", len(addrs), addrs)

@@ -25,7 +25,7 @@ func TestAssembleOnPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	res, stages, err := AssembleOnPool(reads, testConfig(), 2, pool)
+	res, stages, err := AssembleOnPool(reads, testConfig(), 2, pool, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

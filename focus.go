@@ -164,12 +164,6 @@ type Checkpoint struct {
 	// holds no checkpoint at all the run starts fresh; when it holds only
 	// corrupt ones the run fails loudly rather than silently restarting.
 	Resume bool
-	// Job, when non-empty, claims Dir as this job's checkpoint namespace:
-	// the first run stamps Dir with the job id, and any later run claiming
-	// it under a different id fails with checkpoint.ErrNamespace instead
-	// of silently interleaving two jobs' checkpoint frames. Empty skips
-	// the ownership check (single-tenant compatibility).
-	Job string
 }
 
 // Variant is a distributed variant call (re-exported).
@@ -454,14 +448,6 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	if ck.Dir != "" {
 		input = s.fingerprint()
 	}
-	if ck.Dir != "" && ck.Job != "" {
-		// Namespace ownership is checked before any checkpoint is read or
-		// written: resuming another job's frames must fail loudly
-		// (checkpoint.ErrNamespace), never produce a silently mixed graph.
-		if err := checkpoint.Claim(ck.Dir, ck.Job); err != nil {
-			return nil, fmt.Errorf("focus: checkpoint namespace: %w", err)
-		}
-	}
 	if !ck.Resume && ck.Dir != "" {
 		switch _, _, _, err := checkpoint.Latest(ck.Dir, assembly.CheckpointVersion); {
 		case err == nil || errors.Is(err, checkpoint.ErrCorrupt):
@@ -597,8 +583,8 @@ func Assemble(raw []Read, cfg Config, k, workers int) (*AssemblyResult, *Stages,
 }
 
 // AssembleOnPool is Assemble against an externally managed pool (e.g. TCP
-// workers started with cmd/focus-worker).
-func AssembleOnPool(raw []Read, cfg Config, k int, pool *dist.Pool) (*AssemblyResult, *Stages, error) {
+// workers started with cmd/focus-worker), partitioning with seed.
+func AssembleOnPool(raw []Read, cfg Config, k int, pool *dist.Pool, seed int64) (*AssemblyResult, *Stages, error) {
 	ctx, stop := cfg.RunContext()
 	defer stop()
 	cfg.Context = ctx
@@ -606,7 +592,7 @@ func AssembleOnPool(raw []Read, cfg Config, k int, pool *dist.Pool) (*AssemblyRe
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := s.Assemble(pool, k, pool.Size(), 1)
+	res, err := s.Assemble(pool, k, pool.Size(), seed)
 	if err != nil {
 		return nil, nil, err
 	}

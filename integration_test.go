@@ -52,7 +52,11 @@ func TestAssembleOverTCPMatchesInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer lis.Close()
-		go func() { _ = dist.Serve(lis, &assembly.Service{}) }()
+		srv, err := dist.NewServer(&assembly.Service{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(lis) }()
 		addrs = append(addrs, lis.Addr().String())
 	}
 	tcpPool, err := dist.DialPool(addrs)

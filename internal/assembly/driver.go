@@ -36,13 +36,10 @@ type Driver struct {
 
 	// Stateful placement state (DESIGN.md §11). placement[t] is the worker
 	// currently hosting partition t (-1 = homeless, needs a re-host before
-	// the next phase); partEpoch[t] is the generation stamp of that copy.
-	// epochGen is a driver-global counter: every Load *attempt* draws a
-	// strictly larger epoch, so state stored by an abandoned (timed-out)
-	// Load can never collide with a later legitimate generation.
+	// the next phase). It is set only after a Load of t succeeded on that
+	// worker's current connection, so the copy it names is the one a
+	// Phase finds there, or the worker answers "not loaded".
 	placement     []int
-	partEpoch     []int64
-	epochGen      int64
 	rebalanceFlag int32 // set by the pool's reconnect hook, drained at phase start
 	// stored[t] lists the node ids of partition t's subgraph as last
 	// Loaded: the only removals its worker can act on (phaseDeltas).
@@ -192,7 +189,6 @@ func (d *Driver) ensureLoaded(ctx context.Context) error {
 		d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
 	}
 	d.placement = make([]int, d.K)
-	d.partEpoch = make([]int64, d.K)
 	d.stored = make([][]int32, d.K)
 	all := make([]int, d.K)
 	for t := 0; t < d.K; t++ {
@@ -216,11 +212,10 @@ func (d *Driver) maxRounds() int { return 2*d.Pool.Size() + 3 }
 // rehostParts places every listed partition on a healthy worker: the
 // partition's subgraph is rebuilt from the master's authoritative graph
 // (which already reflects every applied removal, so the rebuilt copy
-// equals the lost copy plus any outstanding delta) and Loaded at a
-// freshly drawn epoch. Assignment is least-loaded-first over the healthy
+// equals the lost copy plus any outstanding delta) and Loaded. Assignment is least-loaded-first over the healthy
 // workers, counting only partitions that keep their current home, so a
 // freshly reconnected (empty) worker naturally absorbs the moves.
-// Placement, epoch and stored node ids are committed per partition only
+// Placement and stored node ids are committed per partition only
 // on Load success, for every partition that succeeded, even when another
 // failed for good; a failed Load leaves the previous placement intact
 // (still valid when the move was elective, retried when the home was
@@ -252,7 +247,6 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 			}
 		}
 		target := make([]int, len(parts))
-		epochs := make([]int64, len(parts))
 		for i := range parts {
 			best := healthy[0]
 			for _, w := range healthy[1:] {
@@ -262,8 +256,6 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 			}
 			target[i] = best
 			load[best]++
-			d.epochGen++
-			epochs[i] = d.epochGen
 		}
 		// Fresh extraction per round: the subgraphs (including the Local
 		// views of partitionNodes) ship inside RPC args, and an abandoned
@@ -279,11 +271,11 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 		x.put(sc)
 		replies := make([]interface{}, len(parts))
 		for i := range replies {
-			replies[i] = &LoadReply{}
+			replies[i] = new(dist.Ack)
 		}
 		_, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(parts), func(t int) int { return target[t] }, "Load",
 			func(t int) interface{} {
-				return &LoadArgs{RunID: d.runID, Sub: subs[t], Epoch: epochs[t]}
+				return &LoadArgs{RunID: d.runID, Sub: subs[t]}
 			}, replies)
 		var remaining []int
 		var fatal error
@@ -291,11 +283,10 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 			p := parts[i]
 			if err == nil {
 				d.placement[p] = target[i]
-				d.partEpoch[p] = epochs[i]
 				d.stored[p] = nodeIDs(subs[i].Nodes)
 				if logMoves {
 					d.reg.Counter("assembly_rehost_total").Inc()
-					log.Printf("assembly: partition %d re-hosted onto worker %d (epoch %d)", p, target[i], epochs[i])
+					log.Printf("assembly: partition %d re-hosted onto worker %d", p, target[i])
 				}
 				continue
 			}
@@ -308,7 +299,7 @@ func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) er
 				fatal = fmt.Errorf("assembly: loading partition %d: %w", p, cerr)
 				continue
 			}
-			if dist.IsTransportError(err) || IsRehostable(err) {
+			if dist.IsTransportError(err) {
 				d.reg.Counter("assembly_rehost_failed_total").Inc()
 				log.Printf("assembly: re-hosting partition %d onto worker %d failed (%v); retrying elsewhere", p, target[i], err)
 				remaining = append(remaining, p)
@@ -521,7 +512,7 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 
 // runPhaseStateful drives one phase of the delta protocol with partition
 // re-hosting: partitions whose worker was lost mid-phase (or
-// whose stored state was epoch-fenced) are rebuilt from the master's
+// answers that it does not hold them) are rebuilt from the master's
 // authoritative graph, re-Loaded onto a surviving worker, and retried —
 // the run only degrades to local execution when no workers survive or
 // re-hosting cannot converge. The master's graph does not mutate during
@@ -583,13 +574,13 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 		for i := range replies {
 			replies[i] = &PhaseReply{}
 		}
-		// place/mkArgs read the placement and epoch tables from the
-		// scheduler's goroutines; the driver does not mutate them while the
-		// call is in flight.
+		// place/mkArgs read the placement table from the scheduler's
+		// goroutines; the driver does not mutate it while the call is in
+		// flight.
 		ptimes, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(batch), func(t int) int { return d.placement[batch[t]] }, "Phase",
 			func(t int) interface{} {
 				p := batch[t]
-				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase, Epoch: d.partEpoch[p],
+				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase,
 					Delta: deltas[p], Cfg: d.Cfg, VCfg: vcfg}
 			}, replies)
 		var next []int

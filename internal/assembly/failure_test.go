@@ -5,13 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"focus/internal/dist"
+	"focus/internal/metrics"
 	"focus/internal/overlap"
 )
 
@@ -42,10 +42,9 @@ func (f *FlakyService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	n := atomic.AddInt64(ctr, 1)
 	if (f.FailEvery > 0 && n%f.FailEvery == 0) || (f.FailAt > 0 && n == f.FailAt) {
 		if f.LoseState {
-			st := f.ensureState()
-			st.mu.Lock()
-			delete(st.parts, partKey(args.RunID, args.Part))
-			st.mu.Unlock()
+			f.mu.Lock()
+			delete(f.parts, partKey(args.RunID, args.Part))
+			f.mu.Unlock()
 			return f.Service.Phase(args, reply)
 		}
 		return errors.New("injected worker fault")
@@ -120,19 +119,21 @@ func TestDriverPartialFaultStillFails(t *testing.T) {
 
 func TestDriverRetriesRecoverFromPartialFault(t *testing.T) {
 	// The same single fault as above, but the worker answers that it lost
-	// the partition: the master re-hosts it at a fresh epoch and retries
-	// the call, whose number can no longer be 2, so the phase recovers
-	// deterministically without degrading.
+	// the partition: the master re-hosts it and retries the call, whose
+	// number can no longer be 2, so the phase recovers deterministically
+	// without degrading.
 	var calls int64
 	d, pool := flakyDriver(t, func() interface{} {
 		return &FlakyService{Calls: &calls, FailAt: 2, LoseState: true}
 	}, 2, 4)
 	defer pool.Close()
+	reg := metrics.NewRegistry()
+	d.SetMetrics(reg)
 	if _, err := d.Trim(); err != nil {
 		t.Fatalf("re-host did not recover: %v", err)
 	}
-	if slices.Max(d.partEpoch) <= int64(d.K) {
-		t.Fatalf("partition epochs %v: the faulted partition was not re-Loaded", d.partEpoch)
+	if n := reg.Counter("assembly_rehost_total").Value(); n != 1 {
+		t.Fatalf("%d re-hosts, want the faulted partition re-Loaded once", n)
 	}
 	if d.DegradeReason() != DegradeNone {
 		t.Fatalf("degraded (%v) with every worker alive", d.DegradeReason())
@@ -147,12 +148,14 @@ func TestDriverRetriesStillFailWhenAllWorkersFail(t *testing.T) {
 		return &FlakyService{FailEvery: 1}
 	}, 2, 4)
 	defer pool.Close()
+	reg := metrics.NewRegistry()
+	d.SetMetrics(reg)
 	_, err := d.Trim()
 	if err == nil || !strings.Contains(err.Error(), "injected worker fault") {
 		t.Fatalf("all-workers fault not propagated: %v", err)
 	}
-	if slices.Max(d.partEpoch) != int64(d.K) {
-		t.Fatalf("partition epochs %v: a service error was answered with a re-host", d.partEpoch)
+	if n := reg.Counter("assembly_rehost_total").Value(); n != 0 {
+		t.Fatalf("a service error was answered with %d re-host(s)", n)
 	}
 	if d.DegradeReason() != DegradeNone {
 		t.Fatalf("degraded (%v) with every worker alive", d.DegradeReason())
@@ -181,7 +184,11 @@ func TestAlignRefBadRequestKeepsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() { _ = dist.Serve(lis, &Service{}) }()
+	srv, err := dist.NewServer(&Service{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(lis) }()
 	pool, err := dist.DialPoolOpts([]string{lis.Addr().String()}, dist.Options{CallTimeout: 10 * time.Second, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +249,11 @@ func TestWorkerDiesMidSession(t *testing.T) {
 	chaos := dist.NewChaosListener(lis, dist.ChaosConfig{
 		Seed: 7, FirstSafe: 3, HangProb: 1, HangFor: 30 * time.Second,
 	})
-	go func() { _ = dist.Serve(chaos, &Service{}) }()
+	srv, err := dist.NewServer(&Service{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(chaos) }()
 
 	const timeout = 200 * time.Millisecond
 	pool, err := dist.DialPoolOpts([]string{lis.Addr().String()}, dist.Options{
@@ -265,7 +276,7 @@ func TestWorkerDiesMidSession(t *testing.T) {
 	// (the old pool) this blocked forever; now it must fail within the
 	// deadline and evict the worker.
 	start := time.Now()
-	err = pool.Call(0, "Phase", &PhaseArgs{RunID: d.runID, Part: 0, Phase: "Paths", Epoch: d.partEpoch[0], Cfg: DefaultConfig()}, &PhaseReply{})
+	err = pool.Call(0, "Phase", &PhaseArgs{RunID: d.runID, Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
 	if err == nil {
 		t.Fatal("call on wedged worker connection succeeded")
 	}
@@ -307,7 +318,7 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 	for p := 0; p < tasks; p++ {
 		sub := *chainSub(3)
 		sub.Part = int32(p)
-		if err := pool.Call(place(p), "Load", &LoadArgs{RunID: "mixed", Sub: sub, Epoch: 1}, &LoadReply{}); err != nil {
+		if err := pool.Call(place(p), "Load", &LoadArgs{RunID: "mixed", Sub: sub}, new(dist.Ack)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +327,7 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 		replies[i] = &PhaseReply{}
 	}
 	_, errs := pool.ParallelCallsPlacedCtx(nil, tasks, place, "Phase", func(tk int) interface{} {
-		return &PhaseArgs{RunID: "mixed", Part: int32(tk), Phase: "Transitive", Epoch: 1, Cfg: DefaultConfig()}
+		return &PhaseArgs{RunID: "mixed", Part: int32(tk), Phase: "Transitive", Cfg: DefaultConfig()}
 	}, replies)
 	failed := 0
 	for tk, err := range errs {

@@ -21,7 +21,7 @@ var fuzzWireTargets = [...]func() dist.Wire{
 	4:  func() dist.Wire { return &PhaseReply{} }, // was PathsReply
 	5:  func() dist.Wire { return &PhaseReply{} }, // was VariantsReply
 	6:  func() dist.Wire { return &LoadArgs{} },
-	7:  func() dist.Wire { return &LoadReply{} },
+	7:  func() dist.Wire { return new(dist.Ack) }, // was LoadReply: Load answers an Ack
 	8:  func() dist.Wire { return &PhaseArgs{} },  // was PhaseArgsStateful (same bytes)
 	9:  func() dist.Wire { return &PhaseReply{} }, // was PhaseReplyStateful (same bytes)
 	10: func() dist.Wire { return &CheckpointState{} },
@@ -43,14 +43,14 @@ func fuzzWireTarget(sel byte) dist.Wire {
 func FuzzWireDecoders(f *testing.F) {
 	// One valid encoding per payload type as seeds.
 	seed := func(sel byte, w dist.Wire) { f.Add(sel, w.AppendTo(nil)) }
-	seed(0, &LoadArgs{RunID: "run-1", Epoch: 1, Sub: Subgraph{Part: 1, Local: []int32{0, 1}}})
+	seed(0, &LoadArgs{RunID: "run-1", Sub: Subgraph{Part: 1, Local: []int32{0, 1}}})
 	seed(2, &PhaseReply{Edges: []EdgePair{{From: 1, To: 2}}})
 	seed(3, &PhaseReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
 	seed(4, &PhaseReply{Paths: [][]int32{{0, 1, 2}, {5}}})
 	seed(5, &PhaseReply{Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, Identity: 0.9}}})
-	seed(6, &LoadArgs{RunID: "run-1", Epoch: 7, Sub: Subgraph{Part: 0, Local: []int32{0}}})
-	seed(7, &LoadReply{})
-	seed(8, &PhaseArgs{RunID: "run-1", Part: 2, Phase: "Errors", Epoch: 9})
+	seed(6, &LoadArgs{RunID: "run-1", Sub: Subgraph{Part: 0, Local: []int32{0}}})
+	seed(7, new(dist.Ack))
+	seed(8, &PhaseArgs{RunID: "run-1", Part: 2, Phase: "Errors"})
 	seed(10, &CheckpointState{
 		Done: []string{"Transitive"},
 		K:    2, Labels: []int32{0, 0},
@@ -65,7 +65,7 @@ func FuzzWireDecoders(f *testing.F) {
 	// Every phase against the stored chain partition, so the fuzzer
 	// starts from inputs that reach each scan.
 	for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
-		seed(1, &PhaseArgs{RunID: "run-1", Phase: phase, Epoch: 1,
+		seed(1, &PhaseArgs{RunID: "run-1", Phase: phase,
 			Delta: Delta{RemovedEdges: []EdgePair{{From: 2, To: 3}}}, Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()})
 	}
 	seed(9, &PhaseReply{Edges: []EdgePair{{From: 0, To: 1}}, Removal: Removal{Nodes: []int32{2}},
@@ -89,17 +89,17 @@ func FuzzWireDecoders(f *testing.F) {
 			for _, n := range args.Sub.Nodes {
 				bases += len(n.Contig)
 			}
-			if bases > 4096 || svc.Load(args, &LoadReply{}) != nil {
+			if bases > 4096 || svc.Load(args, new(dist.Ack)) != nil {
 				return
 			}
 			for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
-				_ = svc.Phase(&PhaseArgs{RunID: args.RunID, Part: args.Sub.Part, Phase: phase, Epoch: args.Epoch,
+				_ = svc.Phase(&PhaseArgs{RunID: args.RunID, Part: args.Sub.Part, Phase: phase,
 					Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()}, &reply)
 			}
 		case *PhaseArgs:
 			sub := *chainSub(4)
 			sub.Part = args.Part
-			if svc.Load(&LoadArgs{RunID: args.RunID, Sub: sub, Epoch: args.Epoch}, &LoadReply{}) == nil {
+			if svc.Load(&LoadArgs{RunID: args.RunID, Sub: sub}, new(dist.Ack)) == nil {
 				_ = svc.Phase(args, &reply)
 			}
 		}

@@ -2,12 +2,15 @@ package assembly
 
 import (
 	"fmt"
+	"net"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"focus/internal/dist"
+	"focus/internal/metrics"
 	"focus/internal/testutil"
 )
 
@@ -108,8 +111,8 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 // table must trigger an elective rebalance at the next phase boundary, and
 // the rebalanced run must still produce baseline output. The skew is
 // injected by corrupting the placement table directly — which also proves
-// the self-healing property: stale placement entries are repaired through
-// the epoch-fenced re-host path, never trusted blindly.
+// the self-healing property: a placement naming a worker that never
+// loaded the partition draws "not loaded" and is repaired by a re-host.
 func TestRebalanceAfterReconnect(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	const k = 4
@@ -187,5 +190,159 @@ func TestRehostRoundsExhausted(t *testing.T) {
 	}
 	if d.DegradeReason() != DegradeFailure {
 		t.Fatalf("reason=%v, want degraded by failure", d.DegradeReason())
+	}
+}
+
+// serveTCP starts a long-lived TCP worker for service, as focus-worker
+// does, and returns its address and server (the caller shuts it down).
+func serveTCP(t *testing.T, service interface{}) (string, *dist.Server) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := dist.NewServer(service)
+	if err != nil {
+		lis.Close()
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(lis) }()
+	return lis.Addr().String(), srv
+}
+
+// TestRehostTCPWorkerServesMastersInTurn: one long-lived TCP worker serves
+// two masters in turn, both under run id run1 (the id every master process
+// draws first, a -resume included). The first dies without Driver.Close,
+// so nothing unloads its partitions. They went with its connection: the
+// second master's Loads all land, and its run is the clean run.
+func TestRehostTCPWorkerServesMastersInTurn(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	const k = 4
+	want := healthyBaseline(t, k)
+	addr, srv := serveTCP(t, &Service{})
+	defer srv.Shutdown(0)
+
+	for master := 1; master <= 2; master++ {
+		pool, err := dist.DialPoolOpts([]string{addr}, dist.Options{Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := chaosPipeline(t, pool, k)
+		d.runID = "run1"
+		reg := metrics.NewRegistry()
+		d.SetMetrics(reg)
+		got, err := fullRun(t, d)
+		pool.Close() // no d.Close: the master dies with its partitions loaded
+		if err != nil {
+			t.Fatalf("master %d: %v", master, err)
+		}
+		if n := reg.Counter("assembly_rehost_failed_total").Value(); n != 0 {
+			t.Fatalf("master %d: %d failed re-host(s)", master, n)
+		}
+		if r := d.DegradeReason(); r != DegradeNone {
+			t.Fatalf("master %d: DegradeReason = %v, want DegradeNone", master, r)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("master %d diverged from the clean run:\ngot  %+v\nwant %+v", master, got, want)
+		}
+	}
+}
+
+// lateLoad holds the first Load of one partition until its call has been
+// cut and a Phase has applied a delta to the copy re-hosted in its place;
+// then the held Load lands, and the Phase returns only after it has.
+type lateLoad struct {
+	part    int32
+	held    atomic.Bool
+	release chan struct{}
+	once    sync.Once
+	landed  chan struct{}
+}
+
+func (l *lateLoad) let() { l.once.Do(func() { close(l.release) }) }
+
+// lateLoadService is a worker whose Loads and Phases report to a lateLoad
+// shared by all its connections.
+type lateLoadService struct {
+	Service
+	late *lateLoad
+}
+
+func (s *lateLoadService) Load(args *LoadArgs, reply *dist.Ack) error {
+	if args.Sub.Part == s.late.part && s.late.held.CompareAndSwap(false, true) {
+		<-s.late.release
+		defer close(s.late.landed)
+	}
+	return s.Service.Load(args, reply)
+}
+
+func (s *lateLoadService) Phase(args *PhaseArgs, reply *PhaseReply) error {
+	err := s.Service.Phase(args, reply)
+	if args.Part == s.late.part && s.late.held.Load() && len(args.Delta.RemovedNodes)+len(args.Delta.RemovedEdges) > 0 {
+		s.late.let()
+		<-s.late.landed
+	}
+	return err
+}
+
+// TestRehostTCPLateLoad: a Load answers only after its call was cut, and
+// lands after the re-hosted copy of its partition has taken a phase delta,
+// on the same TCP worker (the pool's two slots dial one address). The late
+// copy lands in the severed connection's table, so no later phase reads
+// it, and the run is the clean run.
+func TestRehostTCPLateLoad(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	const k = 4
+	// The D2 analogue: partition 0 takes a delta in the Containment phase.
+	dg, labels, _ := buildPipeline(t, paperReads(t, 2), k)
+	run := func(pool *dist.Pool) (*Driver, runOutcome) {
+		t.Helper()
+		d, err := NewDriver(pool, dg.Clone(), labels, k, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fullRun(t, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, got
+	}
+	clean, err := dist.NewLocalPool(2, NewService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := run(clean)
+	clean.Close()
+
+	late := &lateLoad{part: 0, release: make(chan struct{}), landed: make(chan struct{})}
+	addr, srv := serveTCP(t, &lateLoadService{late: late})
+	defer srv.Shutdown(0)
+	defer late.let() // a held Load must not outlive the test
+	// Partition 0 is placed on slot 0. Its Load is cut after CallTimeout,
+	// and MaxFailures 1 evicts slot 0, so the partition moves to slot 1
+	// and stays there.
+	pool, err := dist.DialPoolOpts([]string{addr, addr}, dist.Options{
+		CallTimeout: 500 * time.Millisecond,
+		MaxFailures: 1,
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	d, got := run(pool)
+	select {
+	case <-late.landed:
+	default:
+		t.Fatal("the held Load never landed: no phase carried a delta to the re-hosted partition")
+	}
+	if d.placement[late.part] != 1 {
+		t.Fatalf("partition %d ended on worker %d, want the survivor 1", late.part, d.placement[late.part])
+	}
+	if r := d.DegradeReason(); r != DegradeNone {
+		t.Fatalf("DegradeReason = %v, want DegradeNone", r)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run with a late Load diverged from the clean run:\ngot  %+v\nwant %+v", got, want)
 	}
 }

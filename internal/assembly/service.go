@@ -12,10 +12,12 @@ import (
 // dist.ServiceName). The Load/Phase/Unload trio is the assembly protocol
 // of stateful.go: a worker retains its partitions and each phase ships
 // only the removals they store. Phase runs its scan through scanPhase, as
-// does the master's local fallback.
+// does the master's local fallback. One Service serves one connection
+// (dist.NewServer copies a zero prototype per connection), so its
+// partitions are that connection's.
 type Service struct {
-	once sync.Once
-	st   *state
+	mu    sync.Mutex
+	parts map[string]*Subgraph // by partKey
 }
 
 // PhaseReply carries whichever result the phase produces: Edges for

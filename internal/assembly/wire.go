@@ -25,7 +25,6 @@ import (
 var (
 	_ dist.Wire = (*PhaseReply)(nil)
 	_ dist.Wire = (*LoadArgs)(nil)
-	_ dist.Wire = (*LoadReply)(nil)
 	_ dist.Wire = (*PhaseArgs)(nil)
 	_ dist.Wire = (*UnloadArgs)(nil)
 )
@@ -297,7 +296,6 @@ func decodeDelta(rd *dist.WireReader, d *Delta) {
 // AppendTo implements dist.Wire.
 func (a *LoadArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendString(dst, a.RunID)
-	dst = dist.AppendVarint(dst, a.Epoch)
 	return appendSubgraph(dst, &a.Sub)
 }
 
@@ -305,22 +303,7 @@ func (a *LoadArgs) AppendTo(dst []byte) []byte {
 func (a *LoadArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
 	a.RunID = rd.String()
-	a.Epoch = rd.Varint()
 	decodeSubgraph(&rd, &a.Sub)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (r *LoadReply) AppendTo(dst []byte) []byte {
-	dst = dist.AppendVarint(dst, int64(r.Nodes))
-	return dist.AppendVarint(dst, int64(r.Edges))
-}
-
-// DecodeFrom implements dist.Wire.
-func (r *LoadReply) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	r.Nodes = int(rd.Varint())
-	r.Edges = int(rd.Varint())
 	return rd.Finish()
 }
 
@@ -329,7 +312,6 @@ func (a *PhaseArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendString(dst, a.RunID)
 	dst = dist.AppendVarint(dst, int64(a.Part))
 	dst = dist.AppendString(dst, a.Phase)
-	dst = dist.AppendVarint(dst, a.Epoch)
 	dst = appendDelta(dst, &a.Delta)
 	dst = appendConfig(dst, &a.Cfg)
 	return appendVariantConfig(dst, &a.VCfg)
@@ -341,7 +323,6 @@ func (a *PhaseArgs) DecodeFrom(src []byte) error {
 	a.RunID = rd.String()
 	a.Part = int32(rd.Varint())
 	a.Phase = rd.String()
-	a.Epoch = rd.Varint()
 	decodeDelta(&rd, &a.Delta)
 	decodeConfig(&rd, &a.Cfg)
 	decodeVariantConfig(&rd, &a.VCfg)

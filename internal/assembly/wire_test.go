@@ -212,18 +212,15 @@ func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	var (
 		la LoadArgs
-		lr LoadReply
 		pa PhaseArgs
 		pr PhaseReply
 		ua UnloadArgs
 	)
 	for i := 0; i < 100; i++ {
 		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
-		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng), Epoch: rng.Int63()}, &la)
-		rtWire(t, &LoadReply{Nodes: rng.Intn(1000), Edges: rng.Intn(1000)}, &lr)
+		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng)}, &la)
 		phase := &PhaseArgs{
 			RunID: randString(rng), Part: int32(rng.Uint32()), Phase: randString(rng),
-			Epoch: rng.Int63(),
 			Delta: Delta{RemovedNodes: randIDs(rng), RemovedEdges: randEdgePairs(rng)},
 			Cfg:   randConfig(rng), VCfg: randVariantConfig(rng),
 		}
@@ -241,7 +238,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 // panicking or allocating absurdly — never trust the wire.
 func TestWireDecodeCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	args := &LoadArgs{RunID: "run-3", Sub: randSubgraph(rng), Epoch: 4}
+	args := &LoadArgs{RunID: "run-3", Sub: randSubgraph(rng)}
 	enc := args.AppendTo(nil)
 	var dst LoadArgs
 	for cut := 0; cut < len(enc); cut += 3 {
@@ -470,9 +467,8 @@ func wireSamples() []struct {
 		msg  dist.Wire
 	}{
 		{"Ack", &ack},
-		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub, Epoch: 12}},
-		{"LoadReply", &LoadReply{Nodes: 4, Edges: 3}},
-		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment", Epoch: 12,
+		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub}},
+		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment",
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},
 		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
 		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
@@ -508,7 +504,11 @@ func servedWireVersion(t *testing.T) int {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	go func() { _ = dist.Serve(lis, &Service{}) }()
+	srv, err := dist.NewServer(&Service{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(lis) }()
 	conn, err := net.Dial("tcp", lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -114,8 +114,7 @@ func WriteFile(path string, version uint32, payload []byte) error {
 	return nil
 }
 
-// writeAtomic is the package's one durable write, behind both the frames
-// and the OWNER marker: temp file in the target's directory, fsync,
+// writeAtomic is the package's one durable write: temp file in the target's directory, fsync,
 // rename over the target, directory fsync. A crash at any point leaves
 // either the old file or the new one under the name, never a torn one.
 func writeAtomic(path string, data []byte) error {

@@ -267,9 +267,9 @@ func (p *Pool) dialConn(w *worker) (net.Conn, error) {
 	if w.addr != "" {
 		return net.DialTimeout("tcp", w.addr, dialTimeout)
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(ServiceName, w.newService()); err != nil {
-		return nil, fmt.Errorf("dist: register: %w", err)
+	srv, err := register(w.newService())
+	if err != nil {
+		return nil, err
 	}
 	cliConn, srvConn := net.Pipe()
 	var sc net.Conn = srvConn

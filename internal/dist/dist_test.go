@@ -140,7 +140,11 @@ func TestTCPServeAndDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = Serve(lis, &EchoService{}) }()
+	srv, err := NewServer(&EchoService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(lis) }()
 	defer lis.Close()
 
 	p, err := DialPool([]string{lis.Addr().String()})

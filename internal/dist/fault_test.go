@@ -306,7 +306,11 @@ func TestHealthCheck(t *testing.T) {
 	defer lis.Close()
 	// EchoService has no Ping method: the resulting ServerError still
 	// proves the worker answers, which is what liveness means here.
-	go func() { _ = Serve(lis, &EchoService{}) }()
+	srv, err := NewServer(&EchoService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(lis) }()
 	if err := HealthCheck(lis.Addr().String(), time.Second); err != nil {
 		t.Fatalf("healthcheck against live worker: %v", err)
 	}

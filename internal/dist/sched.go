@@ -109,7 +109,7 @@ func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func
 			// Argument construction happens on the master and is not
 			// part of the worker's task time.
 			args := mkArgs(t)
-			fresh := newReply(replies[t])
+			fresh := shallowCopy(replies[t])
 			locks[w.id].Lock()
 			t0 := time.Now()
 			errs[t] = p.callWorkerCtx(ctx, w, method, args, fresh)
@@ -146,7 +146,7 @@ func (p *Pool) runWorker(ctx context.Context, w *worker, s *sched, method string
 		// Every attempt gets a fresh reply: a late write by an abandoned
 		// (timed-out) call, or a retry decoding over a partially-filled
 		// value, must never touch the caller's reply.
-		fresh := newReply(replies[tk.idx])
+		fresh := shallowCopy(replies[tk.idx])
 		t0 := time.Now()
 		err := p.callWorkerCtx(ctx, w, method, tk.args, fresh)
 		d := time.Since(t0)
@@ -162,12 +162,18 @@ func (p *Pool) runWorker(ctx context.Context, w *worker, s *sched, method string
 	}
 }
 
-// newReply is one attempt's reply: a shallow copy of proto, which callers
-// pass holding nothing a decoder writes into.
-func newReply(proto interface{}) interface{} {
-	v := reflect.New(reflect.TypeOf(proto).Elem())
-	v.Elem().Set(reflect.ValueOf(proto).Elem())
-	return v.Interface()
+// shallowCopy returns a fresh copy of the value proto points to: one
+// attempt's reply, or one connection's service (Server). Callers pass a
+// proto holding nothing a decoder or a call writes into. A proto that is
+// not a pointer is returned as is: its methods copy it at every call.
+func shallowCopy(proto interface{}) interface{} {
+	v := reflect.ValueOf(proto)
+	if v.Kind() != reflect.Pointer {
+		return proto
+	}
+	c := reflect.New(v.Type().Elem())
+	c.Elem().Set(v.Elem())
+	return c.Interface()
 }
 
 func copyReply(dst, src interface{}) {

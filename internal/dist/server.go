@@ -18,8 +18,13 @@ var ErrServerClosed = errors.New("dist: server closed")
 // accepting, drains in-flight calls for a bounded grace period, then
 // closes the remaining connections. It is the body of the focus-worker
 // daemon.
+//
+// Each accepted connection is served by its own shallow copy of the
+// service, as each (re)connect of an in-process pool worker gets a fresh
+// service: whatever a master stores on a worker lives exactly as long as
+// that master's connection.
 type Server struct {
-	rpcSrv *rpc.Server
+	service interface{} // the prototype each connection copies
 
 	mu     sync.Mutex
 	lis    net.Listener
@@ -29,13 +34,23 @@ type Server struct {
 	active int64 // in-flight RPC calls (read but not yet answered)
 }
 
-// NewServer registers service under ServiceName.
+// NewServer checks that service registers under ServiceName. The
+// service is a prototype: it must hold no state its calls write, since
+// every connection gets a shallow copy of it.
 func NewServer(service interface{}) (*Server, error) {
+	if _, err := register(service); err != nil {
+		return nil, err
+	}
+	return &Server{service: service, conns: map[io.ReadWriteCloser]struct{}{}}, nil
+}
+
+// register returns an rpc server hosting service under ServiceName.
+func register(service interface{}) (*rpc.Server, error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(ServiceName, service); err != nil {
 		return nil, fmt.Errorf("dist: register: %w", err)
 	}
-	return &Server{rpcSrv: srv, conns: map[io.ReadWriteCloser]struct{}{}}, nil
+	return srv, nil
 }
 
 // Serve accepts RPC connections on lis until lis fails or Shutdown is
@@ -67,7 +82,9 @@ func (s *Server) Serve(lis net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		go serveConn(s.rpcSrv, conn, dialTimeout, s)
+		// NewServer registered the prototype's type, so its copy registers.
+		rpcSrv, _ := register(shallowCopy(s.service))
+		go serveConn(rpcSrv, conn, dialTimeout, s)
 	}
 }
 
@@ -100,15 +117,4 @@ func (s *Server) dropConn(c io.ReadWriteCloser) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-}
-
-// Serve accepts RPC connections on lis and serves service until lis is
-// closed (no graceful drain; use Server for that). Kept for in-test and
-// example servers.
-func Serve(lis net.Listener, service interface{}) error {
-	srv, err := NewServer(service)
-	if err != nil {
-		return err
-	}
-	return srv.Serve(lis)
 }

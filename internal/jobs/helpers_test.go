@@ -39,12 +39,18 @@ func writeInput(t *testing.T, genomeLen int, coverage float64, seed int64) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), fmt.Sprintf("reads-%d.fastq", seed))
+	return writeReads(t, rs.Reads, fmt.Sprintf("reads-%d.fastq", seed))
+}
+
+// writeReads persists reads as FASTQ under name in a test directory.
+func writeReads(t *testing.T, reads []dna.Read, name string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dna.WriteFASTQ(f, rs.Reads); err != nil {
+	if err := dna.WriteFASTQ(f, reads); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

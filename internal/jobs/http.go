@@ -13,7 +13,7 @@ import (
 // error classes map onto status codes a client can branch on without
 // parsing text:
 //
-//	POST   /jobs               submit a Spec        201 | 429 queue full | 422 quota | 503 draining
+//	POST   /jobs               submit a Spec        201 | 429 queue full | 422 quota | 503 draining | 413 body over maxSpecBytes
 //	GET    /jobs               list job statuses
 //	GET    /jobs/{id}          one job's status     404 unknown id
 //	DELETE /jobs/{id}          kill                 409 already terminal
@@ -23,6 +23,10 @@ import (
 //	GET    /metrics            metrics registry snapshot
 //
 // The chaos tests scrape /status and /metrics as assertions.
+
+// maxSpecBytes caps a POST /jobs body, far above any Spec: the decoder
+// buffers what it reads, so an unbounded body is unbounded memory.
+const maxSpecBytes = 1 << 20
 
 // StatusPage is the GET /status document.
 type StatusPage struct {
@@ -62,8 +66,13 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, code, err)
 			return
 		}
 		id, err := s.Submit(spec)

@@ -54,6 +54,10 @@ func TestHTTPAdmissionCodes(t *testing.T) {
 	if resp := post(t, srv.URL+"/jobs", `{"not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: %d, want 400", resp.StatusCode)
 	}
+	huge := `{"input_path":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	if resp := post(t, srv.URL+"/jobs", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over %d bytes: %d, want 413", maxSpecBytes, resp.StatusCode)
+	}
 
 	// By-id surface: status, kill, double-kill, resume, unknown id.
 	if resp, err := http.Get(srv.URL + "/jobs/" + created.ID); err != nil || resp.StatusCode != http.StatusOK {

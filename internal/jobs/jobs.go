@@ -78,8 +78,8 @@ type Spec struct {
 	// deadline: every stage and phase runs under it, and on expiry the
 	// job ends Killed (resumable when it has a namespace).
 	Deadline time.Duration `json:"deadline_ns"`
-	// Seed fixes the partitioner seed (0 is a valid seed; jobs default
-	// to 1 for parity with the CLI).
+	// Seed is the partitioner seed the job's assembly runs with (0: 1,
+	// the seed of the CLI and of focus.Assemble).
 	Seed int64 `json:"seed"`
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	focus "focus"
-	"focus/internal/checkpoint"
 	"focus/internal/dist"
 	"focus/internal/dna"
 	"focus/internal/metrics"
@@ -207,6 +206,9 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	if spec.K <= 0 {
 		spec.K = 1
 	}
+	if spec.Seed == 0 {
+		spec.Seed = 1
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
@@ -236,10 +238,8 @@ func (s *Server) Submit(spec Spec) (string, error) {
 	}
 	if s.opt.Root != "" {
 		j.dir = filepath.Join(s.opt.Root, id)
-		// Claim the namespace at admission: a collision (stale dir owned
-		// by another id) must fail the submit, not corrupt a later resume.
-		if err := checkpoint.Claim(j.dir, id); err != nil {
-			return "", err
+		if err := os.MkdirAll(j.dir, 0o755); err != nil {
+			return "", fmt.Errorf("jobs: %s: %w", id, err)
 		}
 	}
 	s.jobs[id] = j
@@ -396,9 +396,9 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 	cfg.Deadline = spec.Deadline
 	cfg.Metrics = s.reg
 	if dir != "" {
-		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Job: id, Resume: true}
+		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Resume: true}
 	}
-	res, _, err := focus.AssembleOnPool(reads, cfg, spec.K, view)
+	res, _, err := focus.AssembleOnPool(reads, cfg, spec.K, view, spec.Seed)
 	return res, err
 }
 

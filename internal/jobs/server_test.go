@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	focus "focus"
 	"focus/internal/dist"
+	"focus/internal/dna"
+	"focus/internal/simulate"
 	"focus/internal/testutil"
 )
 
@@ -239,5 +242,79 @@ func TestWatchDeliversTransitions(t *testing.T) {
 	}
 	if _, ok := <-late; ok {
 		t.Fatal("late watch channel not closed after its snapshot")
+	}
+}
+
+// TestJobSeedPartitions: each job partitions with its own Spec.Seed. On
+// the D1 analogue at k = 16, seeds 1 and 3 cut partitions that give
+// different contigs: each job's result is the direct run at its seed, and
+// Seed 0 runs as seed 1.
+func TestJobSeedPartitions(t *testing.T) {
+	t.Cleanup(func() { testutil.NoLeaks(t) })
+	const k = 16
+	spec, err := simulate.PaperDataSet(1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := simulate.BuildCommunity(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := simulate.PaperReadConfig(1, 8)
+	rs, err := simulate.SimulateReads(com, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := writeReads(t, rs.Reads, "d1.fastq")
+	reads, err := dna.ReadsFromFile(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	template := testTemplate()
+	template.Preprocess.Trim5 = rcfg.AdapterLen
+	fleet := newFleet(t, 2, dist.Options{})
+	stages, err := focus.BuildStages(reads, template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := map[int64][][]byte{}
+	for _, seed := range []int64{1, 3} {
+		res, err := stages.Assemble(fleet, k, fleet.Size(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct[seed] = res.Contigs
+	}
+	if sameContigs(direct[1], direct[3]) {
+		t.Fatal("seeds 1 and 3 give the same contigs: the input cannot tell them apart")
+	}
+
+	s, err := NewServer(fleet, Options{MaxRunning: 1, Template: template, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for _, tc := range []struct{ seed, runs int64 }{{0, 1}, {1, 1}, {3, 3}} {
+		id, err := s.Submit(Spec{Name: "seed", InputPath: input, K: k, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Wait(id); err != nil {
+			t.Fatalf("Seed %d: %v", tc.seed, err)
+		}
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Spec.Seed != tc.runs {
+			t.Fatalf("Seed %d recorded as %d, want %d", tc.seed, st.Spec.Seed, tc.runs)
+		}
+		got, err := s.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameContigs(got, direct[tc.runs]) {
+			t.Fatalf("job at Seed %d: contigs differ from the direct run at seed %d", tc.seed, tc.runs)
+		}
 	}
 }
