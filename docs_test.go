@@ -1,6 +1,9 @@
 package focus
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,10 +18,11 @@ import (
 // checks, relative to the repository root.
 var citingDocs = []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", ".claude/skills/verify/SKILL.md"}
 
-// flagDocs are the documents whose command lines must cite only flags
-// the commands define. EXPERIMENTS.md is a dated log of past runs, so it
-// keeps the flags it ran with.
-var flagDocs = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"}
+// currentDocs are the documents whose command lines must cite only flags
+// the commands define and whose backticked Go identifiers must be
+// declared. EXPERIMENTS.md is a dated log of past runs, so it keeps the
+// flags and names it ran with.
+var currentDocs = []string{"DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"}
 
 // commands are the binaries under cmd/ whose cited flags are checked.
 var commands = []string{"focus", "focus-bench", "focus-serve", "focus-worker", "readsim"}
@@ -39,6 +43,11 @@ var (
 	definedFlag = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
 	// inlineCode matches a backticked span, which may wrap one line.
 	inlineCode = regexp.MustCompile("`([^`\n]+(?:\n[^`\n]+)?)`")
+	// citedIdent matches a backticked Go identifier: pkg.Name,
+	// pkg.Type.Member, or Type.Member, optionally called with ().
+	citedIdent = regexp.MustCompile("`([A-Za-z_]\\w*)\\.([A-Za-z_]\\w*)(?:\\.([A-Za-z_]\\w*))?(?:\\(\\))?`")
+	// fuzzLine matches a fuzz target run by scripts/race.sh.
+	fuzzLine = regexp.MustCompile(`(?m)^\s*fuzz \./(\S+?)/? (Fuzz\w+)$`)
 )
 
 // TestDocsCiteWhatExists: every Test*, Benchmark* and Fuzz* name the
@@ -50,7 +59,12 @@ var (
 // .golden file name, which must name a file somewhere in the repository.
 // Paths outside the repository (net/rpc, /metrics) are not checked. In
 // flagDocs, every -flag that follows one of the commands on a line of a
-// sh or bash block, or in a backticked span, is defined by that command.
+// sh or bash block, or in a backticked span, is defined by that command,
+// and every backticked Go identifier they cite is declared in the
+// module's non-test code: pkg.Name, pkg.Type.Member and Type.Member (or
+// Type.Member()), where pkg is a package of the module and Type an
+// exported type declared in it. Spans with any other head, and nested
+// field paths (Config.Dist.CallTimeout), are not checked.
 func TestDocsCiteWhatExists(t *testing.T) {
 	funcs := map[string]bool{}
 	bases := map[string]bool{}
@@ -91,10 +105,16 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			flags[cmd][string(m[1])] = true
 		}
 	}
-	for _, doc := range flagDocs {
+	decls := parseDecls(t)
+	for _, doc := range currentDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range citedIdent.FindAllStringSubmatch(string(text), -1) {
+			if ok, checked := decls.resolve(m[1], m[2], m[3]); checked && !ok && !bases[m[1]+"."+m[2]] {
+				t.Errorf("%s cites %s, which is not declared", doc, m[0])
+			}
 		}
 		cited := 0
 		for _, line := range commandLines(string(text)) {
@@ -152,6 +172,236 @@ func TestDocsCiteWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRaceScriptFuzzesEveryTarget: scripts/race.sh's fuzz smoke runs
+// every fuzz target of the module, and only those.
+func TestRaceScriptFuzzesEveryTarget(t *testing.T) {
+	declared := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || isModule(path)) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); strings.HasPrefix(name, "Fuzz") {
+				declared[filepath.ToSlash(filepath.Dir(path))+" "+name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := os.ReadFile(filepath.Join("scripts", "race.sh"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := map[string]bool{}
+	for _, m := range fuzzLine.FindAllStringSubmatch(string(script), -1) {
+		run[m[1]+" "+m[2]] = true
+	}
+	for target := range declared {
+		if !run[target] {
+			t.Errorf("scripts/race.sh does not fuzz %s", target)
+		}
+	}
+	for target := range run {
+		if !declared[target] {
+			t.Errorf("scripts/race.sh fuzzes %s, which is not a fuzz target", target)
+		}
+	}
+	if len(declared) == 0 {
+		t.Error("found no fuzz target")
+	}
+}
+
+// isModule reports whether dir is the root of a module of its own (bench/).
+func isModule(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
+}
+
+// decls indexes the module's non-test Go declarations by package name
+// (several directories may share one), skipping package main.
+type decls struct {
+	// idents[pkg] holds the package-level names; members[pkg.Type] the
+	// methods, fields and interface methods of a type, and embeds[pkg.Type]
+	// the pkg.Type names its struct embeds.
+	idents  map[string]map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+	// typePkgs[Type] lists the packages declaring an exported type Type.
+	typePkgs map[string][]string
+}
+
+// parseDecls parses every non-test Go file of the module outside
+// testdata directories and nested modules.
+func parseDecls(t *testing.T) *decls {
+	t.Helper()
+	g := &decls{idents: map[string]map[string]bool{}, members: map[string]map[string]bool{},
+		embeds: map[string][]string{}, typePkgs: map[string][]string{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || isModule(path)) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if f.Name.Name != "main" {
+			g.addFile(f)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func (g *decls) addFile(f *ast.File) {
+	pkg := f.Name.Name
+	if g.idents[pkg] == nil {
+		g.idents[pkg] = map[string]bool{}
+	}
+	member := func(typ, name string) {
+		key := pkg + "." + typ
+		if g.members[key] == nil {
+			g.members[key] = map[string]bool{}
+		}
+		g.members[key][name] = true
+	}
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv == nil {
+				g.idents[pkg][decl.Name.Name] = true
+			} else if typ := baseTypeName(decl.Recv.List[0].Type); typ != "" {
+				member(typ, decl.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						g.idents[pkg][n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := spec.Name.Name
+					g.idents[pkg][typ] = true
+					if ast.IsExported(typ) && !slices.Contains(g.typePkgs[typ], pkg) {
+						g.typePkgs[typ] = append(g.typePkgs[typ], pkg)
+					}
+					var fields []*ast.Field
+					switch st := spec.Type.(type) {
+					case *ast.StructType:
+						fields = st.Fields.List
+					case *ast.InterfaceType:
+						fields = st.Methods.List
+					}
+					for _, field := range fields {
+						for _, n := range field.Names {
+							member(typ, n.Name)
+						}
+						if len(field.Names) > 0 {
+							continue
+						}
+						// An embedded type: its members are promoted.
+						switch e := unstar(field.Type).(type) {
+						case *ast.Ident:
+							member(typ, e.Name)
+							g.embeds[pkg+"."+typ] = append(g.embeds[pkg+"."+typ], pkg+"."+e.Name)
+						case *ast.SelectorExpr:
+							member(typ, e.Sel.Name)
+							if x, ok := e.X.(*ast.Ident); ok {
+								g.embeds[pkg+"."+typ] = append(g.embeds[pkg+"."+typ], x.Name+"."+e.Sel.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func unstar(e ast.Expr) ast.Expr {
+	if s, ok := e.(*ast.StarExpr); ok {
+		return s.X
+	}
+	return e
+}
+
+// baseTypeName returns the type name of a method receiver (T, *T, T[K]).
+func baseTypeName(e ast.Expr) string {
+	switch e := unstar(e).(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.IndexExpr:
+		return baseTypeName(e.X)
+	case *ast.IndexListExpr:
+		return baseTypeName(e.X)
+	}
+	return ""
+}
+
+// hasMember reports whether pkg.Type (or a type it embeds) declares name.
+func (g *decls) hasMember(typ, name string) bool {
+	if g.members[typ][name] {
+		return true
+	}
+	for _, e := range g.embeds[typ] {
+		if g.hasMember(e, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// resolve checks the cited span a.b or a.b.c: checked is false when the
+// span is outside the checked forms. After a package name only an exported
+// name is checked: pkg.lower is a metric (overlap.records), not Go.
+func (g *decls) resolve(a, b, c string) (ok, checked bool) {
+	if idents := g.idents[a]; idents != nil {
+		if !ast.IsExported(b) {
+			return false, false
+		}
+		if c != "" && g.members[a+"."+b] != nil {
+			return g.hasMember(a+"."+b, c), true
+		}
+		return idents[b], true
+	}
+	if pkgs := g.typePkgs[a]; pkgs != nil && c == "" {
+		for _, pkg := range pkgs {
+			if g.hasMember(pkg+"."+a, b) {
+				return true, true
+			}
+		}
+		return false, true
+	}
+	return false, false
 }
 
 // commandLines returns the lines of text's sh and bash blocks (with

@@ -184,7 +184,7 @@ func livenessRun(t *testing.T, safe int) {
 	if n := pool.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d, want 1 (wedged worker cut and evicted)", n)
 	}
-	if d.DegradeReason() != DegradeNone {
+	if d.localOnly {
 		t.Fatal("driver degraded to local mode despite a surviving worker")
 	}
 }

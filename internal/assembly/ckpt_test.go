@@ -178,8 +178,8 @@ func TestCheckpointResumeSkipsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.DegradeReason() != DegradeNoPool {
-		t.Fatalf("nil-pool driver: reason=%v", d.DegradeReason())
+	if !d.localOnly || d.Pool != nil {
+		t.Fatalf("nil-pool driver: localOnly=%v, Pool=%v", d.localOnly, d.Pool)
 	}
 	d.EnableCheckpoint(dir, 0)
 	var st TrimStats

@@ -27,22 +27,23 @@ type Driver struct {
 	K      int
 	Cfg    Config
 
-	runID        string
-	loaded       bool
-	localOnly    bool // degraded mode: pool unusable, phases run on the master
-	degradeRsn   DegradeReason
+	runID string
+	// localOnly: phases run on the master, because the driver has no pool
+	// or because the pool became unusable mid-run (sticky).
+	localOnly    bool
 	pendingNodes []int32
 	pendingEdges []EdgePair
 
-	// Stateful placement state (DESIGN.md §11). placement[t] is the worker
-	// currently hosting partition t (-1 = homeless, needs a re-host before
-	// the next phase). It is set only after a Load of t succeeded on that
-	// worker's current connection, so the copy it names is the one a
-	// Phase finds there, or the worker answers "not loaded".
-	placement     []int
-	rebalanceFlag int32 // set by the pool's reconnect hook, drained at phase start
+	// Stateful placement state (DESIGN.md §11), nil until the first
+	// pooled phase. placement[t] is the worker currently hosting partition
+	// t (-1 = homeless: Loaded at the next round of a phase). It is set
+	// only after a Load of t succeeded on that worker's current
+	// connection, so the copy it names is the one a Phase finds there, or
+	// the worker answers "not loaded".
+	placement []int
 	// stored[t] lists the node ids of partition t's subgraph as last
-	// Loaded: the only removals its worker can act on (phaseDeltas).
+	// Loaded (nil = never Loaded): the only removals its worker can act on
+	// (phaseDeltas).
 	stored [][]int32
 
 	// Checkpoint/resume state (ckpt.go). ckptDir receives a frame per
@@ -117,46 +118,11 @@ func ctxErr(ctx context.Context) error {
 	return context.Cause(ctx)
 }
 
-// DegradeReason explains why a driver is running phases locally instead
-// of on the worker pool.
-type DegradeReason int
-
-const (
-	// DegradeNone: not degraded — phases run on the worker pool.
-	DegradeNone DegradeReason = iota
-	// DegradeNoPool: degraded by choice — the driver was constructed
-	// without a pool, so local execution is the configuration, not a
-	// failure.
-	DegradeNoPool
-	// DegradeFailure: degraded by failure — the pool became unusable
-	// mid-run (every worker lost, or re-hosting could not converge) and
-	// the driver fell back to the master as the terminal safety net.
-	DegradeFailure
-)
-
-func (r DegradeReason) String() string {
-	switch r {
-	case DegradeNone:
-		return "not degraded"
-	case DegradeNoPool:
-		return "degraded by choice (no pool)"
-	case DegradeFailure:
-		return "degraded by failure (pool unusable)"
-	}
-	return fmt.Sprintf("DegradeReason(%d)", int(r))
-}
-
 // SetMetrics attaches an operational-metrics registry: re-host, lost-
 // partition and degradation counters plus per-phase latency histograms
 // land in it. Nil (the default) disables instrumentation. Call before the
 // first phase.
 func (d *Driver) SetMetrics(reg *metrics.Registry) { d.reg = reg }
-
-// DegradeReason reports whether, and why, the driver runs phases locally
-// (master-side) instead of on the worker pool: DegradeNone while the pool
-// is in use, DegradeNoPool when the driver was built without a pool,
-// DegradeFailure when the pool became unusable mid-run.
-func (d *Driver) DegradeReason() DegradeReason { return d.degradeRsn }
 
 var runCounter int64
 
@@ -176,143 +142,95 @@ func (d *Driver) removeNode(v int32) {
 	}
 }
 
-// ensureLoaded ships every partition to a worker once, establishing the
-// initial placement table. Placement goes through the same least-loaded
-// assignment re-hosting uses; with all workers healthy it reduces to the
-// classic round-robin t % Size() map. The run id is drawn once, at the
-// first attempt, so Close can unload whatever any attempt stored.
-func (d *Driver) ensureLoaded(ctx context.Context) error {
-	if d.loaded {
-		return nil
-	}
-	if d.runID == "" {
-		d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
-	}
-	d.placement = make([]int, d.K)
-	d.stored = make([][]int32, d.K)
-	all := make([]int, d.K)
-	for t := 0; t < d.K; t++ {
-		d.placement[t] = -1
-		all[t] = t
-	}
-	if err := d.rehostParts(ctx, all, false); err != nil {
-		return fmt.Errorf("assembly: loading partitions: %w", err)
-	}
-	// The shipped subgraphs reflect the current graph: nothing pending.
-	d.pendingNodes, d.pendingEdges = nil, nil
-	d.loaded = true
-	return nil
-}
-
-// maxRounds bounds the re-host retry loops: each round either makes
-// progress or evicts a worker (the pool's MaxFailures), so a bound
-// proportional to the pool size is enough for any reachable schedule.
+// maxRounds bounds a phase's round loop: each round either makes
+// progress or fails a worker (evicted after the pool's MaxFailures), so a
+// bound proportional to the pool size is enough for any reachable schedule.
 func (d *Driver) maxRounds() int { return 2*d.Pool.Size() + 3 }
 
-// rehostParts places every listed partition on a healthy worker: the
-// partition's subgraph is rebuilt from the master's authoritative graph
-// (which already reflects every applied removal, so the rebuilt copy
-// equals the lost copy plus any outstanding delta) and Loaded. Assignment is least-loaded-first over the healthy
-// workers, counting only partitions that keep their current home, so a
-// freshly reconnected (empty) worker naturally absorbs the moves.
-// Placement and stored node ids are committed per partition only
-// on Load success, for every partition that succeeded, even when another
-// failed for good; a failed Load leaves the previous placement intact
-// (still valid when the move was elective, retried when the home was
-// lost).
-func (d *Driver) rehostParts(ctx context.Context, parts []int, logMoves bool) error {
-	moving := make(map[int]bool, len(parts))
+// loadHomeless Loads every homeless partition in parts onto the
+// least-loaded healthy worker, one attempt each. The subgraph is built from
+// the master's authoritative graph, which already reflects every applied
+// removal, so it equals the lost copy plus any outstanding delta. A
+// reconnected worker is empty, so it is the least loaded and takes the
+// lost partitions. Placement and stored node ids are committed per
+// partition on Load success; a partition whose Load failed stays homeless
+// for the next round. It returns an error only for a Load failure no
+// other worker can fix (a service error) or when no worker is healthy.
+func (d *Driver) loadHomeless(ctx context.Context, parts []int) error {
+	var homeless []int
 	for _, p := range parts {
-		moving[p] = true
+		if w := d.placement[p]; w < 0 || !d.Pool.Healthy(w) {
+			d.placement[p] = -1
+			homeless = append(homeless, p)
+		}
 	}
-	for round := 0; len(parts) > 0; round++ {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return fmt.Errorf("assembly: re-hosting %d partition(s): %w", len(parts), cerr)
+	if len(homeless) == 0 {
+		return nil
+	}
+	healthy := d.Pool.HealthyIDs()
+	if len(healthy) == 0 {
+		return fmt.Errorf("assembly: loading %d partition(s): %w", len(homeless), dist.ErrNoWorkers)
+	}
+	load := make(map[int]int, len(healthy))
+	for _, w := range healthy {
+		load[w] = 0
+	}
+	for _, w := range d.placement {
+		if _, ok := load[w]; ok {
+			load[w]++
 		}
-		if round >= d.maxRounds() {
-			return fmt.Errorf("assembly: %d partition(s) still homeless after %d re-host rounds (last partition %d)",
-				len(parts), round, parts[0])
-		}
-		healthy := d.Pool.HealthyIDs()
-		if len(healthy) == 0 {
-			return fmt.Errorf("assembly: re-hosting %d partition(s): %w", len(parts), dist.ErrNoWorkers)
-		}
-		load := make(map[int]int, len(healthy))
-		for _, w := range healthy {
-			load[w] = 0
-		}
-		for p, w := range d.placement {
-			if _, ok := load[w]; ok && !moving[p] {
-				load[w]++
+	}
+	target := make([]int, len(homeless))
+	for i := range homeless {
+		best := healthy[0]
+		for _, w := range healthy[1:] {
+			if load[w] < load[best] {
+				best = w
 			}
 		}
-		target := make([]int, len(parts))
-		for i := range parts {
-			best := healthy[0]
-			for _, w := range healthy[1:] {
-				if load[w] < load[best] {
-					best = w
-				}
+		target[i] = best
+		load[best]++
+	}
+	// Fresh extraction per round: the subgraphs (including the Local views
+	// of partitionNodes) ship inside RPC args, and an abandoned Load's
+	// encoder may outlive this call, so none of this memory is recycled.
+	allParts := d.partitionNodes()
+	x := d.extractor()
+	sc := x.get()
+	subs := make([]Subgraph, len(homeless))
+	for i, p := range homeless {
+		subs[i] = x.subgraph(sc, int32(p), allParts[p])
+	}
+	x.put(sc)
+	replies := make([]interface{}, len(homeless))
+	for i := range replies {
+		replies[i] = new(dist.Ack)
+	}
+	_, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(homeless), func(t int) int { return target[t] }, "Load",
+		func(t int) interface{} {
+			return &LoadArgs{RunID: d.runID, Sub: subs[t]}
+		}, replies)
+	var fatal error
+	for i, err := range errs {
+		p := homeless[i]
+		switch {
+		case err == nil:
+			if d.stored[p] != nil {
+				d.reg.Counter("assembly_rehost_total").Inc()
+				log.Printf("assembly: partition %d re-hosted onto worker %d", p, target[i])
 			}
-			target[i] = best
-			load[best]++
-		}
-		// Fresh extraction per round: the subgraphs (including the Local
-		// views of partitionNodes) ship inside RPC args, and an abandoned
-		// timed-out Load's encoder may outlive this call, so none of this
-		// memory is recycled.
-		allParts := d.partitionNodes()
-		x := d.extractor()
-		sc := x.get()
-		subs := make([]Subgraph, len(parts))
-		for i, p := range parts {
-			subs[i] = x.subgraph(sc, int32(p), allParts[p])
-		}
-		x.put(sc)
-		replies := make([]interface{}, len(parts))
-		for i := range replies {
-			replies[i] = new(dist.Ack)
-		}
-		_, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(parts), func(t int) int { return target[t] }, "Load",
-			func(t int) interface{} {
-				return &LoadArgs{RunID: d.runID, Sub: subs[t]}
-			}, replies)
-		var remaining []int
-		var fatal error
-		for i, err := range errs {
-			p := parts[i]
-			if err == nil {
-				d.placement[p] = target[i]
-				d.stored[p] = nodeIDs(subs[i].Nodes)
-				if logMoves {
-					d.reg.Counter("assembly_rehost_total").Inc()
-					log.Printf("assembly: partition %d re-hosted onto worker %d", p, target[i])
-				}
-				continue
-			}
-			if fatal != nil {
-				continue
-			}
-			// Cancellation first: a canceled Load is transport-shaped but
-			// must stop the loop, not elect another target.
-			if cerr := ctxErr(ctx); cerr != nil {
-				fatal = fmt.Errorf("assembly: loading partition %d: %w", p, cerr)
-				continue
-			}
-			if dist.IsTransportError(err) {
-				d.reg.Counter("assembly_rehost_failed_total").Inc()
-				log.Printf("assembly: re-hosting partition %d onto worker %d failed (%v); retrying elsewhere", p, target[i], err)
-				remaining = append(remaining, p)
-				continue
-			}
+			d.placement[p] = target[i]
+			d.stored[p] = nodeIDs(subs[i].Nodes)
+		case fatal != nil || ctxErr(ctx) != nil:
+			// One service error is enough; the caller reports a cancel.
+		case dist.IsTransportError(err):
+			d.reg.Counter("assembly_rehost_failed_total").Inc()
+			log.Printf("assembly: loading partition %d onto worker %d failed (%v); retrying next round", p, target[i], err)
+		default:
 			fatal = fmt.Errorf("assembly: loading partition %d onto worker %d: %w", p, target[i], err)
 		}
-		if fatal != nil {
-			return fatal
-		}
-		parts = remaining
 	}
-	return nil
+	return fatal
 }
 
 // nodeIDs returns the ids of a shipped subgraph's nodes, in its order.
@@ -362,73 +280,9 @@ func (d *Driver) phaseDeltas() []Delta {
 	return deltas
 }
 
-// maybeRebalance drains the reconnect flag and, when a worker has come
-// back, elects partitions to move from the most- to the least-loaded
-// healthy workers (spread < 2 is already balanced). Elective moves keep
-// their old placement until the new Load succeeds, so a failed move
-// costs nothing. Called at phase boundaries only — mid-phase the
-// placement table must stay stable under the in-flight calls.
-func (d *Driver) maybeRebalance(ctx context.Context) {
-	if atomic.SwapInt32(&d.rebalanceFlag, 0) == 0 || !d.loaded {
-		return
-	}
-	healthy := d.Pool.HealthyIDs()
-	if len(healthy) < 2 {
-		return
-	}
-	load := make(map[int]int, len(healthy))
-	for _, w := range healthy {
-		load[w] = 0
-	}
-	// Partitions per healthy worker, and each worker's highest partition
-	// (moving the highest-numbered partition first is arbitrary but
-	// deterministic for a given placement).
-	partsOf := make(map[int][]int, len(healthy))
-	for p, w := range d.placement {
-		if _, ok := load[w]; ok {
-			load[w]++
-			partsOf[w] = append(partsOf[w], p)
-		}
-	}
-	var moves []int
-	for {
-		maxW, minW := healthy[0], healthy[0]
-		for _, w := range healthy[1:] {
-			if load[w] > load[maxW] {
-				maxW = w
-			}
-			if load[w] < load[minW] {
-				minW = w
-			}
-		}
-		if load[maxW]-load[minW] < 2 {
-			break
-		}
-		ps := partsOf[maxW]
-		p := ps[len(ps)-1]
-		partsOf[maxW] = ps[:len(ps)-1]
-		load[maxW]--
-		load[minW]++ // tentative: rehostParts re-derives the real target
-		moves = append(moves, p)
-	}
-	if len(moves) == 0 {
-		return
-	}
-	log.Printf("assembly: rebalancing %d partition(s) after worker reconnect", len(moves))
-	if err := d.rehostParts(ctx, moves, true); err != nil {
-		// Elective moves that failed keep their old (valid) placement;
-		// truly homeless partitions get re-hosted by the phase loop.
-		log.Printf("assembly: rebalance incomplete (%v); continuing with current placement", err)
-	}
-}
-
-// Close releases the run's worker-side state and detaches the driver from
-// the pool's reconnect notifications. It unloads whenever a Load was
-// attempted: a failed initial Load may still have stored some partitions.
+// Close releases the run's worker-side state. It unloads whenever a Load
+// was attempted: a failed Load may still have stored some partitions.
 func (d *Driver) Close() error {
-	if d.Pool != nil {
-		d.Pool.SetReconnectHook(nil)
-	}
 	if d.runID == "" {
 		return nil
 	}
@@ -441,7 +295,7 @@ func (d *Driver) Close() error {
 			firstErr = err
 		}
 	}
-	d.loaded, d.runID = false, ""
+	d.runID, d.placement, d.stored = "", nil, nil
 	return firstErr
 }
 
@@ -510,29 +364,32 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 	return fmt.Errorf("assembly: %s phase: worker %d answered partition %d with %s", phase, worker, part, bad)
 }
 
-// runPhaseStateful drives one phase of the delta protocol with partition
-// re-hosting: partitions whose worker was lost mid-phase (or
-// answers that it does not hold them) are rebuilt from the master's
-// authoritative graph, re-Loaded onto a surviving worker, and retried —
-// the run only degrades to local execution when no workers survive or
-// re-hosting cannot converge. The master's graph does not mutate during
-// a phase (removals are applied by the Trim* callers afterwards), so a
-// re-hosted copy equals the stored copy plus this phase's delta, and its
-// delta re-applied to it is an idempotent no-op: every partition computes
-// on identical graph state no matter how many times it was re-hosted,
-// keeping output byte-identical to a fault-free run.
+// runPhaseStateful drives one phase of the delta protocol in rounds. Each
+// round Loads every homeless partition (loadHomeless), runs the phase on
+// every partition that has a home, and marks those whose worker was lost
+// or answered that it does not hold them homeless for the next round. A
+// new driver starts with every partition homeless, so the first round of
+// the first phase is the initial load. The run degrades to local
+// execution only when no worker is healthy or the rounds run out. The
+// master's graph does not mutate during a phase (removals are applied by
+// the Trim* callers afterwards), so a re-hosted copy equals the stored
+// copy plus this phase's delta, and its delta re-applied to it is an
+// idempotent no-op: every partition computes on identical graph state no
+// matter how many times it was re-hosted, keeping output byte-identical
+// to a fault-free run.
 func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
-	if err := d.ensureLoaded(ctx); err != nil {
-		if cerr := ctxErr(ctx); cerr != nil {
-			return nil, nil, cerr
+	if d.placement == nil {
+		// The run id is drawn once, before the first Load, so Close can
+		// unload whatever any attempt stored.
+		if d.runID == "" {
+			d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
 		}
-		if d.fallBackStateful(phase, err) {
-			res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
-			return res, nil, lerr
+		d.placement = make([]int, d.K)
+		d.stored = make([][]int32, d.K)
+		for t := range d.placement {
+			d.placement[t] = -1
 		}
-		return nil, nil, err
 	}
-	d.maybeRebalance(ctx)
 	deltas := d.phaseDeltas()
 	results := make([]PhaseReply, d.K)
 	times := make([]time.Duration, d.K)
@@ -540,36 +397,26 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 	for t := range pending {
 		pending[t] = t
 	}
+	var err error
 	for round := 0; len(pending) > 0; round++ {
+		if round >= d.maxRounds() {
+			err = fmt.Errorf("assembly: %s phase: partition(s) %v still failing after %d rounds", phase, pending, round)
+			break
+		}
+		if err = d.loadHomeless(ctx, pending); err != nil {
+			break
+		}
 		if cerr := ctxErr(ctx); cerr != nil {
 			return nil, times, cerr
 		}
-		if round >= d.maxRounds() {
-			err := fmt.Errorf("assembly: %s phase: partition(s) %v still failing after %d re-host rounds", phase, pending, round)
-			if d.fallBackStateful(phase, err) {
-				res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
-				return res, times, lerr
-			}
-			return nil, times, err
-		}
-		// Re-home partitions that lost their worker in an earlier round.
-		var homeless []int
+		var batch, next []int
 		for _, p := range pending {
-			if w := d.placement[p]; w < 0 || !d.Pool.Healthy(w) {
-				homeless = append(homeless, p)
+			if d.placement[p] < 0 {
+				next = append(next, p)
+			} else {
+				batch = append(batch, p)
 			}
 		}
-		if err := d.rehostParts(ctx, homeless, true); err != nil {
-			if cerr := ctxErr(ctx); cerr != nil {
-				return nil, times, cerr
-			}
-			if d.fallBackStateful(phase, err) {
-				res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
-				return res, times, lerr
-			}
-			return nil, times, err
-		}
-		batch := pending
 		replies := make([]interface{}, len(batch))
 		for i := range replies {
 			replies[i] = &PhaseReply{}
@@ -583,7 +430,6 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase,
 					Delta: deltas[p], Cfg: d.Cfg, VCfg: vcfg}
 			}, replies)
-		var next []int
 		for i, err := range errs {
 			p := batch[i]
 			times[p] = ptimes[i]
@@ -612,7 +458,17 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 		}
 		pending = next
 	}
-	return results, times, nil
+	if err == nil {
+		return results, times, nil
+	}
+	if cerr := ctxErr(ctx); cerr != nil {
+		return nil, times, cerr
+	}
+	if !d.fallBackStateful(phase, err) {
+		return nil, times, err
+	}
+	res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
+	return res, times, lerr
 }
 
 // fallBackStateful decides whether a failed stateful phase should degrade
@@ -625,11 +481,10 @@ func (d *Driver) fallBackStateful(phase string, err error) bool {
 		return false
 	}
 	d.localOnly = true
-	d.degradeRsn = DegradeFailure
 	d.reg.Counter("assembly_degraded_total").Inc()
 	d.pendingNodes, d.pendingEdges = nil, nil
-	// The cause names the partition/worker that triggered the degradation
-	// (rehostParts and the phase loop build it that way).
+	// The cause names the partition or worker that triggered the
+	// degradation (loadHomeless and the round loop build it that way).
 	log.Printf("assembly: %s phase: pool unusable, %d/%d workers healthy; cause: %v; falling back to local execution for the rest of the run",
 		phase, d.Pool.NumHealthy(), d.Pool.Size(), err)
 	return true
@@ -665,9 +520,7 @@ func (d *Driver) runPhaseLocal(ctx context.Context, phase string, vcfg VariantCo
 }
 
 // NewDriver validates and assembles a driver. A nil pool is allowed and
-// means local execution by choice: every phase runs on the master and
-// DegradeReason() reports DegradeNoPool (as opposed to DegradeFailure,
-// the mid-run loss of a real pool).
+// means local execution by choice: every phase runs on the master.
 func NewDriver(pool *dist.Pool, g *DiGraph, labels []int32, k int, cfg Config) (*Driver, error) {
 	if len(labels) != g.NumNodes() {
 		return nil, fmt.Errorf("assembly: %d labels for %d nodes", len(labels), g.NumNodes())
@@ -680,19 +533,7 @@ func NewDriver(pool *dist.Pool, g *DiGraph, labels []int32, k int, cfg Config) (
 	if cfg.MinEdgeOverlap == 0 {
 		cfg = DefaultConfig()
 	}
-	d := &Driver{Pool: pool, G: g, Labels: labels, K: k, Cfg: cfg}
-	if pool == nil {
-		d.localOnly = true
-		d.degradeRsn = DegradeNoPool
-	} else {
-		// A reconnected worker is an empty rebalance target; the flag is
-		// drained at the next phase boundary (mid-phase the placement
-		// table must not move under in-flight calls).
-		pool.SetReconnectHook(func(worker int) {
-			atomic.StoreInt32(&d.rebalanceFlag, 1)
-		})
-	}
-	return d, nil
+	return &Driver{Pool: pool, G: g, Labels: labels, K: k, Cfg: cfg, localOnly: pool == nil}, nil
 }
 
 // partitionNodes returns the live node ids of each partition (one O(n)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,11 +58,8 @@ func TestRehostAfterPinnedWorkerLoss(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("re-hosted run diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
 			}
-			if d.DegradeReason() != DegradeNone {
-				t.Fatalf("driver fell back to local mode (reason: %v) despite a surviving worker", d.DegradeReason())
-			}
-			if r := d.DegradeReason(); r != DegradeNone {
-				t.Fatalf("DegradeReason = %v, want DegradeNone", r)
+			if d.localOnly {
+				t.Fatal("driver fell back to local mode despite a surviving worker")
 			}
 			// Every partition must have ended up placed on a healthy worker.
 			for p, w := range d.placement {
@@ -102,58 +100,146 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("local fallback diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
 	}
-	if d.DegradeReason() != DegradeFailure {
-		t.Fatalf("reason=%v, want degraded by failure", d.DegradeReason())
+	if !d.localOnly {
+		t.Fatal("driver still on the pool, want degraded by failure")
 	}
 }
 
-// TestRebalanceAfterReconnect: a reconnect signal plus a skewed placement
-// table must trigger an elective rebalance at the next phase boundary, and
-// the rebalanced run must still produce baseline output. The skew is
-// injected by corrupting the placement table directly — which also proves
-// the self-healing property: a placement naming a worker that never
-// loaded the partition draws "not loaded" and is repaired by a re-host.
-func TestRebalanceAfterReconnect(t *testing.T) {
+// reconnectTrap is shared by every connection of the pool of
+// TestRehostOntoReconnectedWorker: conns counts the services made (one
+// per connection: worker 0, worker 1, then worker 1's reconnect), gate
+// holds the reconnect until the test opens it, release frees the Phase
+// that hung on worker 1, and loads lists the partitions Loaded on worker
+// 1's second connection.
+type reconnectTrap struct {
+	conns   atomic.Int32
+	gate    chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	loads   []int32
+}
+
+// reconnectTrapService is one connection's service: conn 1 hangs its
+// first Containment Phase (the other waits behind it), conn 0 answers its
+// Errors Phases of partitions 0 and 2 "not loaded", and conn 2 records
+// its Loads.
+type reconnectTrapService struct {
+	Service
+	conn int32
+	trap *reconnectTrap
+	hung atomic.Bool
+}
+
+func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
+	if s.conn == 2 {
+		s.trap.mu.Lock()
+		s.trap.loads = append(s.trap.loads, args.Sub.Part)
+		s.trap.mu.Unlock()
+	}
+	return s.Service.Load(args, reply)
+}
+
+func (s *reconnectTrapService) Phase(args *PhaseArgs, reply *PhaseReply) error {
+	switch {
+	case s.conn == 1 && args.Phase == "Containment" && s.hung.CompareAndSwap(false, true):
+		<-s.trap.release
+	case s.conn == 0 && args.Phase == "Errors" && args.Part%2 == 0:
+		s.mu.Lock()
+		delete(s.parts, partKey(args.RunID, args.Part))
+		s.mu.Unlock()
+	}
+	return s.Service.Phase(args, reply)
+}
+
+// TestRehostOntoReconnectedWorker: a reconnected worker gets partitions
+// only by re-host. Worker 1's connection is cut mid-run (a hung Phase) and
+// its partitions move to worker 0 while it reconnects; it comes back
+// empty and keeps nothing. Later worker 0 loses partitions 0 and 2 while
+// holding all four, and the least-loaded rule re-Loads exactly those two
+// onto worker 1. The run ends byte-identical to the healthy baseline.
+func TestRehostOntoReconnectedWorker(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	pool, err := dist.NewLocalPool(2, NewService)
+	trap := &reconnectTrap{gate: make(chan struct{}), release: make(chan struct{})}
+	defer close(trap.release)
+	pool, err := dist.NewLocalPoolOpts(2, func() interface{} {
+		n := trap.conns.Add(1) - 1
+		if n >= 2 {
+			<-trap.gate
+		}
+		return &reconnectTrapService{conn: n, trap: trap}
+	}, dist.Options{CallTimeout: 300 * time.Millisecond, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	// A reconnect waiting at the gate would hold pool.Close.
+	var openGate sync.Once
+	defer openGate.Do(func() { close(trap.gate) })
 	d := chaosPipeline(t, pool, k)
-	if err := d.ensureLoaded(nil); err != nil {
+	reg := metrics.NewRegistry()
+	d.SetMetrics(reg)
+
+	var st TrimStats
+	if err := d.TrimTransitive(&st); err != nil {
 		t.Fatal(err)
 	}
-
-	// Pretend a past failure crowded everything onto worker 0 (entries for
-	// partitions really held by worker 1 are now stale lies), then deliver
-	// the reconnect signal the pool hook would send.
-	for p := range d.placement {
-		d.placement[p] = 0
+	if !reflect.DeepEqual(d.placement, []int{0, 1, 0, 1}) {
+		t.Fatalf("initial placement %v, want round robin", d.placement)
 	}
-	atomic.StoreInt32(&d.rebalanceFlag, 1)
-
-	got, err := fullRun(t, d)
+	// Worker 1's hung Phase is cut; its reconnect waits at the gate, so
+	// partitions 1 and 3 move to worker 0.
+	if err := d.TrimContainment(&st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.placement, []int{0, 0, 0, 0}) {
+		t.Fatalf("placement after worker 1's outage %v, want all on worker 0", d.placement)
+	}
+	openGate.Do(func() { close(trap.gate) })
+	for deadline := time.Now().Add(5 * time.Second); !pool.Healthy(1); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker 1 never reconnected")
+		}
+	}
+	if err := d.TrimErrors(&st); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d.placement, []int{1, 0, 1, 0}) {
+		t.Fatalf("placement after worker 0's loss %v, want partitions 0 and 2 on worker 1", d.placement)
+	}
+	paths, _, err := d.TraverseTimed()
 	if err != nil {
-		t.Fatalf("run after forced rebalance failed: %v", err)
+		t.Fatal(err)
+	}
+	got := runOutcome{
+		Transitive: st.TransitiveEdges,
+		Contained:  st.ContainedNodes,
+		False:      st.FalseEdges,
+		DeadEnds:   st.DeadEndNodes,
+		Paths:      paths,
+		Contigs:    d.BuildContigs(paths),
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("rebalanced run diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("run diverged from the healthy baseline:\ngot  %+v\nwant %+v", got, want)
 	}
-	// The elective rebalance must have spread partitions back across both
-	// workers (max-min spread < 2 on 4 partitions / 2 workers = 2+2).
-	counts := map[int]int{}
-	for _, w := range d.placement {
-		counts[w]++
+	trap.mu.Lock()
+	loads := slices.Sorted(slices.Values(trap.loads))
+	trap.mu.Unlock()
+	if !reflect.DeepEqual(loads, []int32{0, 2}) {
+		t.Fatalf("reconnected worker 1 was Loaded %v, want only the re-hosted partitions [0 2]", loads)
 	}
-	if counts[0] != 2 || counts[1] != 2 {
-		t.Fatalf("placement after rebalance = %v (counts %v), want 2 partitions per worker", d.placement, counts)
+	for p, w := range d.placement {
+		if !pool.Healthy(w) {
+			t.Fatalf("partition %d left placed on unhealthy worker %d", p, w)
+		}
 	}
-	if d.DegradeReason() != DegradeNone {
-		t.Fatal("driver degraded during elective rebalance")
+	if d.localOnly {
+		t.Fatal("degraded to local execution")
+	}
+	if n := reg.Counter("assembly_rehost_total").Value(); n != 4 {
+		t.Fatalf("%d re-hosts, want 4 (partitions 1 and 3, then 0 and 2)", n)
 	}
 }
 
@@ -188,8 +274,8 @@ func TestRehostRoundsExhausted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("fallback run diverged:\ngot  %+v\nwant %+v", got, want)
 	}
-	if d.DegradeReason() != DegradeFailure {
-		t.Fatalf("reason=%v, want degraded by failure", d.DegradeReason())
+	if !d.localOnly {
+		t.Fatal("driver still on the pool, want degraded by failure")
 	}
 }
 
@@ -239,8 +325,8 @@ func TestRehostTCPWorkerServesMastersInTurn(t *testing.T) {
 		if n := reg.Counter("assembly_rehost_failed_total").Value(); n != 0 {
 			t.Fatalf("master %d: %d failed re-host(s)", master, n)
 		}
-		if r := d.DegradeReason(); r != DegradeNone {
-			t.Fatalf("master %d: DegradeReason = %v, want DegradeNone", master, r)
+		if d.localOnly {
+			t.Fatalf("master %d: degraded to local execution", master)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("master %d diverged from the clean run:\ngot  %+v\nwant %+v", master, got, want)
@@ -339,8 +425,8 @@ func TestRehostTCPLateLoad(t *testing.T) {
 	if d.placement[late.part] != 1 {
 		t.Fatalf("partition %d ended on worker %d, want the survivor 1", late.part, d.placement[late.part])
 	}
-	if r := d.DegradeReason(); r != DegradeNone {
-		t.Fatalf("DegradeReason = %v, want DegradeNone", r)
+	if d.localOnly {
+		t.Fatal("degraded to local execution")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("run with a late Load diverged from the clean run:\ngot  %+v\nwant %+v", got, want)

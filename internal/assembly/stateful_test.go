@@ -103,7 +103,7 @@ func TestStatefulMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled && d.DegradeReason() != DegradeNone {
+		if pooled && d.localOnly {
 			t.Fatal("pooled run degraded to local execution")
 		}
 		return d.BuildContigs(paths), st

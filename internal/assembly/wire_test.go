@@ -280,7 +280,7 @@ func TestWireCodecEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if d.DegradeReason() != DegradeNone {
+		if d.localOnly {
 			t.Fatalf("workers=%d ran locally, not over the wire", workers)
 		}
 		if !reflect.DeepEqual(got, baseline) {
@@ -308,7 +308,7 @@ func TestWireCodecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("variants: %v", err)
 	}
-	if d.DegradeReason() != DegradeNone {
+	if d.localOnly {
 		t.Fatal("variants ran locally, not over the wire")
 	}
 	if !reflect.DeepEqual(got, want) {

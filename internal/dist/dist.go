@@ -164,16 +164,6 @@ type Pool struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Reconnect-hook registry (root-held, guarded by hookMu): every
-	// registered hook runs when a severed worker is reinstated. slotHook
-	// is this handle's SetReconnectHook entry in the registry, so each view
-	// carries one independent slot.
-	hookMu   sync.Mutex
-	hooks    map[int]func(worker int)
-	nextHook int
-	slotHook int
-	slotSet  bool
-
 	// completions counts finished worker calls (any outcome). Views keep
 	// their own counter (a job's traffic only); the root counter
 	// aggregates the whole fleet.
@@ -199,14 +189,13 @@ func newPool(opt Options) *Pool {
 	return &Pool{
 		opt:    opt,
 		rng:    rand.New(rand.NewSource(opt.Seed)),
-		hooks:  make(map[int]func(int)),
 		closed: make(chan struct{}),
 	}
 }
 
 // shared returns the root pool that owns the fleet's shared state
-// (reconnect loops, hook registry, counters, lifecycle); for a root pool
-// that is the pool itself.
+// (reconnect loops, counters, lifecycle); for a root pool that is the pool
+// itself.
 func (p *Pool) shared() *Pool {
 	if p.root != nil {
 		return p.root
@@ -357,49 +346,6 @@ func (p *Pool) HealthyIDs() []int {
 		}
 	}
 	return ids
-}
-
-// SetReconnectHook registers fn to be called (from the reconnect
-// goroutine) each time a severed worker is reinstated. Stateful callers
-// use it to schedule rebalancing onto the recovered worker. Pass nil to
-// clear. The hook must not block: it runs on the reconnect loop's
-// goroutine and a slow hook delays the worker's return to service.
-//
-// The slot is per handle: each View carries its own, so concurrent
-// drivers on views of one fleet do not clobber each other; the root holds
-// the registry of every view's hook.
-func (p *Pool) SetReconnectHook(fn func(worker int)) {
-	s := p.shared()
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	if p.slotSet {
-		delete(s.hooks, p.slotHook)
-		p.slotSet = false
-	}
-	if fn != nil {
-		p.slotHook = s.addHookLocked(fn)
-		p.slotSet = true
-	}
-}
-
-func (p *Pool) addHookLocked(fn func(worker int)) int {
-	p.nextHook++
-	p.hooks[p.nextHook] = fn
-	return p.nextHook
-}
-
-// runReconnectHooks snapshots and invokes every registered hook (called
-// from the reconnect loop on the root pool).
-func (p *Pool) runReconnectHooks(worker int) {
-	p.hookMu.Lock()
-	fns := make([]func(int), 0, len(p.hooks))
-	for _, fn := range p.hooks {
-		fns = append(fns, fn)
-	}
-	p.hookMu.Unlock()
-	for _, fn := range fns {
-		fn(worker)
-	}
 }
 
 func (p *Pool) workerRunnable(w *worker) bool {
@@ -653,7 +599,6 @@ func (p *Pool) reconnectLoop(w *worker) {
 		w.mu.Unlock()
 		p.reconnects.Add(1)
 		p.opt.Logf("dist: worker %d reconnected", w.id)
-		p.runReconnectHooks(w.id)
 		return
 	}
 	w.mu.Lock()
@@ -742,11 +687,10 @@ func (p *Pool) isClosed() bool {
 // background goroutine to exit; later (or concurrent) calls wait for
 // that teardown to finish and return the same error.
 //
-// Closing a view releases only the view (its reconnect-hook slot); the
-// fleet stays up for the other views and the root.
+// Closing a view does nothing: the fleet stays up for the other views and
+// the root.
 func (p *Pool) Close() error {
 	if p.root != nil {
-		p.SetReconnectHook(nil)
 		return nil
 	}
 	p.closeOnce.Do(func() {

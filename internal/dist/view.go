@@ -8,12 +8,11 @@ import (
 
 // Fleet sharing (DESIGN.md §15): a resident master multiplexes many
 // concurrent assembly jobs onto one worker fleet. Each job gets a View —
-// a restricted Pool handle that schedules only onto its member workers,
-// keeps its own completion counter and its own reconnect-hook slot (so
-// concurrent stateful drivers do not clobber each other's rebalance
-// signal) — while connection health, eviction, reconnection and the
-// liveness rule's signs of life remain fleet state owned by the root pool.
-// Health() is the fleet's scrapeable health snapshot.
+// a member mask over the fleet: a Pool handle that schedules only onto its
+// member workers and keeps its own completion counter — while connection
+// health, eviction, reconnection and the liveness rule's signs of life
+// remain fleet state owned by the root pool. Health() is the fleet's
+// scrapeable health snapshot.
 
 // View returns a restricted handle onto the same fleet that schedules
 // only onto the given member worker ids. Worker ids stay root-global:

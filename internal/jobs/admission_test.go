@@ -3,6 +3,7 @@ package jobs
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"focus/internal/dist"
 	"focus/internal/testutil"
@@ -69,6 +70,41 @@ func TestAdmissionQueueFullAndQuota(t *testing.T) {
 	}
 	if got := len(s.List()); got != 2 {
 		t.Fatalf("List has %d jobs, want the 2 admitted", got)
+	}
+}
+
+// TestAdmissionNegativeMemory: a negative memory estimate is a quota
+// rejection, so it cannot lower the memory in use and let two jobs whose
+// estimates each fill the budget run at once.
+func TestAdmissionNegativeMemory(t *testing.T) {
+	t.Cleanup(func() { testutil.NoLeaks(t) })
+	input := writeInput(t, 3000, 6, 41)
+	s, err := NewServer(newFleet(t, 2, dist.Options{}), Options{
+		MemoryBudgetMB: 100, Template: testTemplate(), Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if _, err := s.Submit(Spec{Name: "negative", InputPath: input, K: 2, MemoryMB: -1000}); !errors.Is(err, ErrQuota) {
+		t.Errorf("-1000 MB: got %v, want ErrQuota", err)
+	}
+	var ids []string
+	for _, name := range []string{"a", "b"} {
+		id, err := s.Submit(Spec{Name: name, InputPath: input, K: 2, MemoryMB: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		waitState(t, s, id, Done, time.Minute)
+	}
+	a, _ := s.Status(ids[0])
+	b, _ := s.Status(ids[1])
+	if a.StartedAt < b.FinishedAt && b.StartedAt < a.FinishedAt {
+		t.Fatalf("two 100 MB jobs ran at once on a 100 MB budget: [%d,%d] and [%d,%d]",
+			a.StartedAt, a.FinishedAt, b.StartedAt, b.FinishedAt)
 	}
 }
 

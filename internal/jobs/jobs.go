@@ -3,8 +3,11 @@
 // assembly jobs onto one shared dist worker fleet. Each admitted job runs
 // under its own quota (worker-view width, memory estimate, deadline), its
 // own checkpoint namespace (independently killable and resumable) and its
-// own cancellation cause; worker loss re-hosts only the affected jobs'
-// partitions. The Server's metrics registry and health snapshot are the
+// own cancellation cause. A job's view is a member mask over the fleet's
+// shared connections: a worker loss re-hosts only the affected jobs'
+// partitions, but a killed or drained job severs the connections it
+// shares, so its co-tenants' partitions on those workers re-host too. The
+// Server's metrics registry and health snapshot are the
 // operational surface, exposed over HTTP by Handler and scraped by the
 // chaos tests as assertions.
 package jobs
@@ -70,9 +73,9 @@ type Spec struct {
 	// could never be granted.
 	MaxWorkers int `json:"max_workers"`
 	// MemoryMB is the job's declared memory estimate. Admission rejects
-	// (ErrQuota) estimates above the server budget; the scheduler holds a
-	// job while running jobs' estimates would exceed the budget. 0 means
-	// unaccounted.
+	// (ErrQuota) negative estimates and estimates above the server budget;
+	// the scheduler holds a job while running jobs' estimates would exceed
+	// the budget. 0 means unaccounted.
 	MemoryMB int `json:"memory_mb"`
 	// Deadline bounds the job's wall clock (0: unbounded) as a plain run
 	// deadline: every stage and phase runs under it, and on expiry the

@@ -198,7 +198,8 @@ func (s *Server) Health() dist.HealthSnapshot { return s.pool.Health() }
 // Submit admits a job. Rejections wrap ErrAdmission: ErrDraining once a
 // drain began, ErrQueueFull at QueueDepth, ErrQuota when the spec could
 // never be granted (more workers than the fleet, more memory than the
-// budget). The returned id is stable across server restarts.
+// budget, a negative memory estimate). The returned id is stable across
+// server restarts.
 func (s *Server) Submit(spec Spec) (string, error) {
 	if strings.TrimSpace(spec.InputPath) == "" {
 		return "", fmt.Errorf("jobs: spec: InputPath required")
@@ -221,7 +222,7 @@ func (s *Server) Submit(spec Spec) (string, error) {
 		s.reg.Counter("jobs_rejected_total").Inc()
 		return "", fmt.Errorf("%w: %d workers requested, fleet has %d", ErrQuota, spec.MaxWorkers, s.pool.Size())
 	}
-	if s.opt.MemoryBudgetMB > 0 && spec.MemoryMB > s.opt.MemoryBudgetMB {
+	if spec.MemoryMB < 0 || (s.opt.MemoryBudgetMB > 0 && spec.MemoryMB > s.opt.MemoryBudgetMB) {
 		s.reg.Counter("jobs_rejected_total").Inc()
 		return "", fmt.Errorf("%w: %d MB requested, budget is %d MB", ErrQuota, spec.MemoryMB, s.opt.MemoryBudgetMB)
 	}
@@ -382,7 +383,6 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 	if err != nil {
 		return nil, err
 	}
-	defer view.Close() // releases the view's reconnect-hook slot
 	s.mu.Lock()
 	spec := j.status.Spec
 	dir, id := j.dir, j.id
