@@ -1,8 +1,8 @@
 package focus
 
 // Ablation benches for the design constants DESIGN.md calls out, plus the
-// whole-pipeline and variant-calling benches. The paper's tables and
-// figures (§VI) have one runner, cmd/focus-bench.
+// whole-pipeline benches. The paper's tables and figures (§VI) have one
+// runner, cmd/focus-bench.
 
 import (
 	"fmt"
@@ -196,39 +196,6 @@ func BenchmarkAblationTransport(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkVariantCalling measures the distributed variant scan (the
-// paper's future-work extension).
-func BenchmarkVariantCalling(b *testing.B) {
-	d := benchSet(b, 2)
-	dg, err := assembly.BuildDiGraph(d.stages.Hyb, d.stages.Records)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool, err := dist.NewLocalPool(2, assembly.NewService)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pool.Close()
-	labels := make([]int32, dg.NumNodes())
-	for v := range labels {
-		labels[v] = int32(v % 4)
-	}
-	drv, err := assembly.NewDriver(pool, dg, labels, 4, assembly.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var calls int
-	for i := 0; i < b.N; i++ {
-		vars, err := drv.CallVariants(assembly.DefaultVariantConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		calls = len(vars)
-	}
-	b.ReportMetric(float64(calls), "calls")
 }
 
 // BenchmarkPipeline measures the whole pipeline end to end.

@@ -89,7 +89,6 @@ var (
 	minOvl    = flag.Int("min-overlap", 50, "minimum overlap length (bp)")
 	minIdent  = flag.Float64("min-identity", 0.90, "minimum overlap identity")
 	quietFlag = flag.Bool("quiet", false, "suppress progress output")
-	variants  = flag.Bool("variants", false, "call variants from hybrid-graph bubbles (before bubble popping)")
 	callTO    = flag.Duration("call-timeout", 0, "fixed per-RPC deadline overriding the liveness rule; a worker exceeding it is disconnected and its task rescheduled (0 = no deadline: a call is cut only when its worker leaves a liveness ping unanswered for 2s)")
 	maxFails  = flag.Int("max-worker-failures", 0, "consecutive transport failures before a worker is permanently evicted (0 = default 3)")
 	ckptDir   = flag.String("checkpoint-dir", "", "write a crash-recovery checkpoint at every assembly phase boundary to this directory")
@@ -121,7 +120,6 @@ func main() {
 	cfg.Overlap.Align.MinIdentity = *minIdent
 	cfg.Assembly.MinEdgeOverlap = *minOvl
 	cfg.Assembly.MinEdgeIdentity = *minIdent
-	cfg.CallVariants = *variants
 	cfg.Dist.CallTimeout = *callTO
 	cfg.Dist.MaxFailures = *maxFails
 	cfg.Checkpoint = focus.Checkpoint{Dir: *ckptDir, Resume: *resume}
@@ -187,13 +185,6 @@ func main() {
 			res.Trim.TransitiveEdges, res.Trim.ContainedNodes, res.Trim.FalseEdges, res.Trim.DeadEndNodes)
 		fmt.Printf("contigs:          %d (N50 %d bp, max %d bp, %d bases)\n",
 			res.Stats.NumContigs, res.Stats.N50, res.Stats.MaxContig, res.Stats.TotalBases)
-		if *variants {
-			fmt.Printf("variants:         %d called\n", len(res.Variants))
-			for _, va := range res.Variants {
-				fmt.Printf("  %s between nodes %d/%d (cov %d/%d, identity %.3f, %d mismatches)\n",
-					va.Kind, va.AlleleA, va.AlleleB, va.CovA, va.CovB, va.Identity, va.Mismatches)
-			}
-		}
 		fmt.Printf("wrote %s\n", *out)
 	}
 }

@@ -39,7 +39,6 @@ func TestConfigSurface(t *testing.T) {
 		"Assembly.Band", "Assembly.DiagTolerance", "Assembly.MaxTipNodes",
 		"Assembly.MinEdgeIdentity", "Assembly.MinEdgeOverlap", "Assembly.MinTipLen",
 		"Assembly.Stateful",
-		"CallVariants",
 		"Checkpoint.Dir", "Checkpoint.Resume",
 		"Coarsen.MaxLevels", "Coarsen.MinNodes", "Coarsen.MinShrink", "Coarsen.Seed",
 		"Context", "Deadline",
@@ -54,7 +53,6 @@ func TestConfigSurface(t *testing.T) {
 		"Preprocess.AddReverse", "Preprocess.MinLen", "Preprocess.MinQuality", "Preprocess.Step",
 		"Preprocess.Trim3", "Preprocess.Trim5", "Preprocess.Window",
 		"Subsets",
-		"Variants.Band", "Variants.MaxLenDiff", "Variants.MinBranchCov", "Variants.MinIdentity",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Config settings (%d) = %q\nwant (%d) %q", len(got), got, len(want), want)

@@ -63,11 +63,6 @@ type Config struct {
 	// writer. It stays only because the frozen benchmark harness reads
 	// it; the next benchmark change removes it.
 	GraphWorkers int
-	// CallVariants enables distributed variant detection (the paper's
-	// §VI.D future-work extension): bubbles are classified and reported
-	// before the error-removal phase pops them.
-	CallVariants bool
-	Variants     assembly.VariantConfig
 	// Dist configures the worker pool's fault tolerance (the per-call
 	// deadline override, eviction thresholds, reconnect backoff) for pools
 	// the pipeline creates itself (Assemble). The zero value watches every
@@ -166,9 +161,6 @@ type Checkpoint struct {
 	Resume bool
 }
 
-// Variant is a distributed variant call (re-exported).
-type Variant = assembly.Variant
-
 // DefaultConfig mirrors the paper's published parameters: 50 bp minimum
 // overlap at 90% identity, 1.03 balance, 50-move KL early stop, ~10 graph
 // levels.
@@ -189,7 +181,6 @@ func DefaultConfig() Config {
 	}
 	// Keep enough coarsest-level nodes for up to 64-way partitioning.
 	cfg.Coarsen.MinNodes = 128
-	cfg.Variants = assembly.DefaultVariantConfig()
 	return cfg
 }
 
@@ -398,8 +389,7 @@ type AssemblyResult struct {
 	Stats        Stats
 	Trim         TrimStats
 	Paths        [][]int32
-	Labels       []int32   // hybrid-node partition labels used
-	Variants     []Variant // non-nil only when Config.CallVariants is set
+	Labels       []int32 // hybrid-node partition labels used
 	TrimTime     time.Duration
 	TraverseTime time.Duration
 	// TraverseTaskTimes are the measured per-partition traversal task
@@ -502,25 +492,7 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 	out := &AssemblyResult{Labels: labels}
 	var err error
 	t0 := time.Now()
-	if s.Cfg.CallVariants {
-		// Variants are read off the graph right after transitive
-		// reduction: containment's false-positive-edge removal severs
-		// allelic branches (their verification alignments fail at the
-		// divergence) and error removal pops the surviving bubbles.
-		if err := driver.TrimTransitive(&out.Trim); err != nil {
-			return nil, err
-		}
-		out.Variants, err = driver.CallVariants(s.Cfg.Variants)
-		if err != nil {
-			return nil, err
-		}
-		if err := driver.TrimContainment(&out.Trim); err != nil {
-			return nil, err
-		}
-		err = driver.TrimErrors(&out.Trim)
-	} else {
-		out.Trim, err = driver.Trim()
-	}
+	out.Trim, err = driver.Trim()
 	out.TrimTime = time.Since(t0)
 	if err != nil {
 		return nil, err
@@ -546,7 +518,7 @@ func (s *Stages) fingerprint() uint64 {
 	cfg := s.Cfg
 	asm := cfg.Assembly
 	asm.Stateful = false
-	fmt.Fprintf(h, "%+v|%+v|%+v|%+v|%+v|%v|%+v|", cfg.Preprocess, cfg.Overlap, cfg.Coarsen, cfg.Hybrid, asm, cfg.CallVariants, cfg.Variants)
+	fmt.Fprintf(h, "%+v|%+v|%+v|%+v|%+v|", cfg.Preprocess, cfg.Overlap, cfg.Coarsen, cfg.Hybrid, asm)
 	var n []byte
 	for _, r := range s.Reads {
 		n = binary.AppendUvarint(n[:0], uint64(len(r.Seq)))

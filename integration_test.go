@@ -2,14 +2,11 @@ package focus
 
 import (
 	"bytes"
-	"fmt"
-	"math/rand"
 	"net"
 	"testing"
 
 	"focus/internal/assembly"
 	"focus/internal/dist"
-	"focus/internal/dna"
 )
 
 // TestBuildStagesFromRecords: the records of one run reproduce the same
@@ -94,65 +91,5 @@ func TestAssembleOverTCPMatchesInProcess(t *testing.T) {
 		if !bytes.Equal(a.Contigs[i], b.Contigs[i]) {
 			t.Fatalf("contig %d differs between transports", i)
 		}
-	}
-}
-
-// TestVariantCallingThroughFacade: two strains with a divergent segment
-// produce at least one variant call via the public API.
-func TestVariantCallingThroughFacade(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const genomeLen, site, segLen = 9000, 4500, 120
-	strainA := make([]byte, genomeLen)
-	for i := range strainA {
-		strainA[i] = "ACGT"[rng.Intn(4)]
-	}
-	strainB := append([]byte(nil), strainA...)
-	for i := site; i < site+segLen; i++ {
-		strainA[i] = "ACGT"[rng.Intn(4)]
-		strainB[i] = "ACGT"[rng.Intn(4)]
-	}
-	var reads []Read
-	sample := func(strain []byte, tag string, seed int64) {
-		r := rand.New(rand.NewSource(seed))
-		for i := 0; i < 10*len(strain)/100; i++ {
-			pos := r.Intn(len(strain) - 100)
-			seq := append([]byte(nil), strain[pos:pos+100]...)
-			if r.Intn(2) == 1 {
-				dna.ReverseComplementInPlace(seq)
-			}
-			reads = append(reads, Read{ID: fmt.Sprintf("%s_%d", tag, i), Seq: seq})
-		}
-	}
-	sample(strainA, "A", 11)
-	sample(strainB, "B", 12)
-
-	cfg := DefaultConfig()
-	cfg.CallVariants = true
-	res, _, err := Assemble(reads, cfg, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Variants) == 0 {
-		t.Fatal("no variants called for a two-strain mixture")
-	}
-	// The call must reflect the planted segment: alleles supported by
-	// multiple reads on both branches.
-	found := false
-	for _, v := range res.Variants {
-		if v.CovA >= 2 && v.CovB >= 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no well-supported variant: %+v", res.Variants)
-	}
-	// Without the flag, no variants are reported.
-	cfg.CallVariants = false
-	res2, _, err := Assemble(reads, cfg, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Variants != nil {
-		t.Error("variants reported without CallVariants")
 	}
 }

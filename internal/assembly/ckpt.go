@@ -11,7 +11,7 @@ import (
 // Phase-boundary checkpointing (DESIGN.md §11): after each graph-mutating
 // phase is applied to the master's authoritative DiGraph, the driver
 // serializes what a resume reads — graph, partition labels, the
-// completed-phase list, and the accumulated trim counters/variants — into
+// completed-phase list, and the accumulated trim counters — into
 // an atomic, CRC-framed checkpoint file (internal/checkpoint). A killed
 // master restarts with -resume: the newest valid checkpoint is loaded,
 // completed phases are skipped (their counters replayed from the
@@ -19,10 +19,8 @@ import (
 // payload uses the same hand-written Wire encodings as the RPC protocol.
 
 // CheckpointVersion is the payload schema version; bump on any encoding
-// change so old files fail loudly instead of decoding garbage. Version 2
-// dropped the removal journal, which no resume read; version 3 leads with
-// the input's fingerprint.
-const CheckpointVersion = 3
+// change so old files fail loudly instead of decoding garbage.
+const CheckpointVersion = 4
 
 // CheckpointState is the master's durable state at one phase boundary.
 type CheckpointState struct {
@@ -32,7 +30,6 @@ type CheckpointState struct {
 	Fingerprint uint64
 	Done        []string  // completed graph-mutating phases, in order
 	Stats       TrimStats // accumulated counters (task times are not persisted)
-	Variants    []Variant // accumulated variant calls, if any
 	K           int
 	Labels      []int32
 	Graph       *DiGraph
@@ -52,7 +49,6 @@ func (cs *CheckpointState) AppendTo(dst []byte) []byte {
 	dst = dist.AppendVarint(dst, int64(cs.Stats.ContainedNodes))
 	dst = dist.AppendVarint(dst, int64(cs.Stats.FalseEdges))
 	dst = dist.AppendVarint(dst, int64(cs.Stats.DeadEndNodes))
-	dst = appendVariants(dst, cs.Variants)
 	dst = dist.AppendInt32sDelta(dst, cs.Labels)
 	g := cs.Graph
 	n := g.NumNodes()
@@ -98,7 +94,6 @@ func (cs *CheckpointState) DecodeFrom(src []byte) error {
 		FalseEdges:      int(rd.Varint()),
 		DeadEndNodes:    int(rd.Varint()),
 	}
-	cs.Variants = decodeVariants(&rd)
 	cs.Labels = rd.Int32sDelta()
 	n, _ := rd.Len()
 	g := &DiGraph{
@@ -157,7 +152,6 @@ func (d *Driver) notePhase(name string) error {
 		Fingerprint: d.ckptFingerprint,
 		Done:        d.donePhases,
 		Stats:       d.statsMirror,
-		Variants:    d.variantsMirror,
 		K:           d.K,
 		Labels:      d.Labels,
 		Graph:       d.G,
@@ -216,7 +210,6 @@ func ResumeDriver(pool *dist.Pool, cs *CheckpointState, cfg Config) (*Driver, er
 		d.resumeDone[name] = true
 	}
 	d.statsMirror = cs.Stats
-	d.variantsMirror = append([]Variant(nil), cs.Variants...)
 	log.Printf("assembly: resuming from checkpoint seq %d (phases done: %v)", len(cs.Done), cs.Done)
 	return d, nil
 }

@@ -8,7 +8,7 @@ import (
 
 // This file is the worker scans' data layer (DESIGN.md §14): a flat
 // compressed-sparse-row view of one Subgraph shared by the transitive,
-// containment and error scans, path extraction and variant calling. Arcs
+// containment and error scans and path extraction. Arcs
 // are packed 12-byte records over dense local indices; within each node's
 // arc range the live (non-containment) arcs come first, so the
 // live-neighbour subsets the scans hammer are zero-cost subslices. All

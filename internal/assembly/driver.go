@@ -49,15 +49,14 @@ type Driver struct {
 	// Checkpoint/resume state (ckpt.go). ckptDir receives a frame per
 	// phase boundary ("" = off), each stamped with ckptFingerprint;
 	// donePhases lists completed graph-mutating phases;
-	// statsMirror/variantsMirror mirror the caller-owned accumulators so
-	// checkpoints are self-contained; resumeDone marks phases to skip
-	// after ResumeDriver.
+	// statsMirror mirrors the caller-owned trim counters so checkpoints
+	// are self-contained; resumeDone marks phases to skip after
+	// ResumeDriver.
 	ckptDir         string
 	ckptFingerprint uint64
 	donePhases      []string
 	resumeDone      map[string]bool
 	statsMirror     TrimStats
-	variantsMirror  []Variant
 
 	// runCtx bounds the whole run (nil = unbounded): every phase runs
 	// under it, so the default path costs one nil check per phase.
@@ -224,7 +223,9 @@ func (d *Driver) loadHomeless(ctx context.Context, parts []int) error {
 		case fatal != nil || ctxErr(ctx) != nil:
 			// One service error is enough; the caller reports a cancel.
 		case dist.IsTransportError(err):
-			d.reg.Counter("assembly_rehost_failed_total").Inc()
+			if d.stored[p] != nil { // a re-host, not the partition's first Load
+				d.reg.Counter("assembly_rehost_failed_total").Inc()
+			}
 			log.Printf("assembly: loading partition %d onto worker %d failed (%v); retrying next round", p, target[i], err)
 		default:
 			fatal = fmt.Errorf("assembly: loading partition %d onto worker %d: %w", p, target[i], err)
@@ -304,7 +305,7 @@ func (d *Driver) Close() error {
 // (every worker lost, or re-hosting cannot converge) the phase degrades to
 // local execution on the master with a logged warning instead of failing
 // the run.
-func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
+func (d *Driver) runPhase(phase string) ([]PhaseReply, []time.Duration, error) {
 	if cerr := ctxErr(d.runCtx); cerr != nil {
 		return nil, nil, cerr
 	}
@@ -315,16 +316,16 @@ func (d *Driver) runPhase(phase string, vcfg VariantConfig) ([]PhaseReply, []tim
 		}()
 	}
 	if d.localOnly {
-		res, lerr := d.runPhaseLocal(d.runCtx, phase, vcfg)
+		res, lerr := d.runPhaseLocal(d.runCtx, phase)
 		return res, nil, lerr
 	}
-	return d.runPhaseStateful(d.runCtx, phase, vcfg)
+	return d.runPhaseStateful(d.runCtx, phase)
 }
 
 // checkReply rejects a worker's reply the master cannot apply: node or
-// edge ids outside [0, NumNodes), empty paths, and variant anchors or
-// alleles out of range (a fork's To is -1). Every reply of a phase is
-// checked before any is applied, so a bad one leaves the graph untouched.
+// edge ids outside [0, NumNodes) and empty paths. Every reply of a phase
+// is checked before any is applied, so a bad one leaves the graph
+// untouched.
 func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error {
 	n := int32(d.G.NumNodes())
 	var bad string
@@ -350,14 +351,6 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 			check("path node", v)
 		}
 	}
-	for _, va := range r.Variants {
-		check("variant anchor", va.From)
-		if va.To != -1 {
-			check("variant anchor", va.To)
-		}
-		check("variant allele", va.AlleleA)
-		check("variant allele", va.AlleleB)
-	}
 	if bad == "" {
 		return nil
 	}
@@ -377,7 +370,7 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 // idempotent no-op: every partition computes on identical graph state no
 // matter how many times it was re-hosted, keeping output byte-identical
 // to a fault-free run.
-func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg VariantConfig) ([]PhaseReply, []time.Duration, error) {
+func (d *Driver) runPhaseStateful(ctx context.Context, phase string) ([]PhaseReply, []time.Duration, error) {
 	if d.placement == nil {
 		// The run id is drawn once, before the first Load, so Close can
 		// unload whatever any attempt stored.
@@ -428,7 +421,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 			func(t int) interface{} {
 				p := batch[t]
 				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase,
-					Delta: deltas[p], Cfg: d.Cfg, VCfg: vcfg}
+					Delta: deltas[p], Cfg: d.Cfg}
 			}, replies)
 		for i, err := range errs {
 			p := batch[i]
@@ -467,7 +460,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string, vcfg Varian
 	if !d.fallBackStateful(phase, err) {
 		return nil, times, err
 	}
-	res, lerr := d.runPhaseLocal(ctx, phase, vcfg)
+	res, lerr := d.runPhaseLocal(ctx, phase)
 	return res, times, lerr
 }
 
@@ -498,14 +491,14 @@ func (d *Driver) fallBackStateful(phase string, err error) bool {
 // partition — output is identical at any worker count). A cancel lands at
 // the next per-partition grain boundary; partial results are discarded
 // and the context's cause is returned.
-func (d *Driver) runPhaseLocal(ctx context.Context, phase string, vcfg VariantConfig) ([]PhaseReply, error) {
+func (d *Driver) runPhaseLocal(ctx context.Context, phase string) ([]PhaseReply, error) {
 	gate := par.GateFor(ctx)
 	subs := d.subgraphsCtx(ctx, d.partitionNodes())
 	results := make([]PhaseReply, d.K)
 	errs := make([]error, d.K)
 	par.Run(par.Limit(d.extractWorkers), d.K, func(_, t int) {
 		if !gate.Stopped() {
-			results[t], errs[t] = scanPhase(phase, &subs[t], d.Cfg, vcfg)
+			results[t], errs[t] = scanPhase(phase, &subs[t], d.Cfg)
 		}
 	})
 	if gate.Stopped() {
@@ -591,9 +584,7 @@ type TrimStats struct {
 // Trim runs the three distributed trimming phases in order: transitive
 // reduction, containment removal, error removal. After each phase the
 // master applies the recorded removals to the hybrid graph before
-// shipping the next phase's subgraphs. To call variants, run the phases
-// individually and insert CallVariants before TrimErrors (which pops the
-// bubbles variant calling reads).
+// shipping the next phase's subgraphs.
 func (d *Driver) Trim() (TrimStats, error) {
 	var st TrimStats
 	if err := d.TrimTransitive(&st); err != nil {
@@ -614,7 +605,7 @@ func (d *Driver) TrimTransitive(st *TrimStats) error {
 		st.TransitiveEdges = d.statsMirror.TransitiveEdges
 		return nil
 	}
-	results, taskTimes, err := d.runPhase("Transitive", VariantConfig{})
+	results, taskTimes, err := d.runPhase("Transitive")
 	st.PhaseTaskTimes[0] = taskTimes
 	if err != nil {
 		return fmt.Errorf("assembly: transitive phase: %w", err)
@@ -640,7 +631,7 @@ func (d *Driver) TrimContainment(st *TrimStats) error {
 		st.FalseEdges = d.statsMirror.FalseEdges
 		return nil
 	}
-	results, taskTimes, err := d.runPhase("Containment", VariantConfig{})
+	results, taskTimes, err := d.runPhase("Containment")
 	st.PhaseTaskTimes[1] = taskTimes
 	if err != nil {
 		return fmt.Errorf("assembly: containment phase: %w", err)
@@ -672,7 +663,7 @@ func (d *Driver) TrimErrors(st *TrimStats) error {
 		st.DeadEndNodes = d.statsMirror.DeadEndNodes
 		return nil
 	}
-	results, taskTimes, err := d.runPhase("Errors", VariantConfig{})
+	results, taskTimes, err := d.runPhase("Errors")
 	st.PhaseTaskTimes[2] = taskTimes
 	if err != nil {
 		return fmt.Errorf("assembly: error phase: %w", err)
@@ -695,7 +686,7 @@ func (d *Driver) TrimErrors(st *TrimStats) error {
 // endpoint has no other in-edges. It also returns the per-partition task
 // durations.
 func (d *Driver) TraverseTimed() ([][]int32, []time.Duration, error) {
-	results, taskTimes, err := d.runPhase("Paths", VariantConfig{})
+	results, taskTimes, err := d.runPhase("Paths")
 	if err != nil {
 		return nil, taskTimes, fmt.Errorf("assembly: traversal phase: %w", err)
 	}

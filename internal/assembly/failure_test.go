@@ -378,8 +378,6 @@ func TestDriverRejectsBadWorkerReplies(t *testing.T) {
 			func(d *Driver) error { return d.TrimErrors(&TrimStats{}) }},
 		{"Paths", "an empty path", PhaseReply{Paths: [][]int32{{}}},
 			func(d *Driver) error { _, _, err := d.TraverseTimed(); return err }},
-		{"Variants", "variant allele 6", PhaseReply{Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 6}}},
-			func(d *Driver) error { _, err := d.CallVariants(DefaultVariantConfig()); return err }},
 	} {
 		d, pool := flakyDriver(t, func() interface{} {
 			return &liarService{phase: tc.phase, lie: tc.lie}

@@ -47,7 +47,7 @@ func FuzzWireDecoders(f *testing.F) {
 	seed(2, &PhaseReply{Edges: []EdgePair{{From: 1, To: 2}}})
 	seed(3, &PhaseReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
 	seed(4, &PhaseReply{Paths: [][]int32{{0, 1, 2}, {5}}})
-	seed(5, &PhaseReply{Variants: []Variant{{From: 1, To: 2, AlleleA: 3, AlleleB: 4, Identity: 0.9}}})
+	seed(5, &PhaseReply{Edges: []EdgePair{}, Paths: [][]int32{}}) // empty, not nil
 	seed(6, &LoadArgs{RunID: "run-1", Sub: Subgraph{Part: 0, Local: []int32{0}}})
 	seed(7, new(dist.Ack))
 	seed(8, &PhaseArgs{RunID: "run-1", Part: 2, Phase: "Errors"})
@@ -63,13 +63,14 @@ func FuzzWireDecoders(f *testing.F) {
 		},
 	})
 	// Every phase against the stored chain partition, so the fuzzer
-	// starts from inputs that reach each scan.
+	// starts from inputs that reach each scan, and a deleted phase's name
+	// that the worker refuses.
 	for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
 		seed(1, &PhaseArgs{RunID: "run-1", Phase: phase,
-			Delta: Delta{RemovedEdges: []EdgePair{{From: 2, To: 3}}}, Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()})
+			Delta: Delta{RemovedEdges: []EdgePair{{From: 2, To: 3}}}, Cfg: DefaultConfig()})
 	}
 	seed(9, &PhaseReply{Edges: []EdgePair{{From: 0, To: 1}}, Removal: Removal{Nodes: []int32{2}},
-		Paths: [][]int32{{3}}, Variants: []Variant{{From: 0, To: -1, AlleleA: 1, AlleleB: 2}}})
+		Paths: [][]int32{{3}}})
 	f.Fuzz(func(t *testing.T, sel byte, data []byte) {
 		w := fuzzWireTarget(sel)
 		if err := w.DecodeFrom(data); err != nil {
@@ -92,9 +93,9 @@ func FuzzWireDecoders(f *testing.F) {
 			if bases > 4096 || svc.Load(args, new(dist.Ack)) != nil {
 				return
 			}
-			for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
+			for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths"} {
 				_ = svc.Phase(&PhaseArgs{RunID: args.RunID, Part: args.Sub.Part, Phase: phase,
-					Cfg: DefaultConfig(), VCfg: DefaultVariantConfig()}, &reply)
+					Cfg: DefaultConfig()}, &reply)
 			}
 		case *PhaseArgs:
 			sub := *chainSub(4)

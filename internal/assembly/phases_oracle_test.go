@@ -3,33 +3,24 @@ package assembly
 import (
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"focus/internal/align"
 )
 
 // The serial map-walking scans below are the original implementations of
-// the three cleaning phases, path extraction and variant calling. They
-// are the reference the production CSR scans (phases_csr.go, phases.go,
-// variants.go) are pinned to, byte for byte, by the equivalence property
-// suite and FuzzPhaseEngines.
+// the three cleaning phases and path extraction. They are the reference
+// the production CSR scans (phases_csr.go, phases.go) are pinned to, byte
+// for byte, by the equivalence property suite and FuzzPhaseEngines.
 
 // checkScansMatchOracle requires TransitiveEdges, ContainmentScan,
-// ErrorScan, ExtractPaths and ScanVariants to return results deeply equal
+// ErrorScan and ExtractPaths to return results deeply equal
 // (including nil-vs-empty) to the map oracle's on sub; the cleaning scans
 // at each of the given worker counts.
 func checkScansMatchOracle(t *testing.T, sub *Subgraph, cfg Config, workers ...int) {
 	t.Helper()
 	if got, want := ExtractPaths(sub, cfg), extractPathsMap(sub); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExtractPaths diverged\ncsr %v\nmap %v", got, want)
-	}
-	// The default config, and one that lets zero-weight branches through
-	// to the alignment.
-	for _, vcfg := range []VariantConfig{DefaultVariantConfig(), {MaxLenDiff: 3, Band: cfg.Band, MinIdentity: 0.6}} {
-		if got, want := ScanVariants(sub, vcfg), scanVariantsMap(sub, vcfg); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ScanVariants %+v diverged\ncsr %+v\nmap %+v", vcfg, got, want)
-		}
 	}
 	wantT := transitiveEdgesMap(sub, cfg)
 	wantC := containmentScanMap(sub, cfg)
@@ -366,114 +357,4 @@ func extractPathsMap(sub *Subgraph) [][]int32 {
 		paths = append(paths, path)
 	}
 	return paths
-}
-
-func scanVariantsMap(sub *Subgraph, cfg VariantConfig) []Variant {
-	v := newView(sub)
-	seen := map[[2]int32]bool{}
-	var out []Variant
-
-	consider := func(u int32, ex, ey Edge, x, y int32, reconverges bool, w int32) {
-		a, b := x, y
-		ea, eb := ex, ey
-		if a > b {
-			a, b = b, a
-			ea, eb = eb, ea
-		}
-		if seen[[2]int32{a, b}] {
-			return
-		}
-		if v.weight[a] < cfg.MinBranchCov || v.weight[b] < cfg.MinBranchCov {
-			return // error branch, not a variant
-		}
-		va, ok := classifyBranchesMap(v, u, w, a, b, ea, eb, reconverges, cfg)
-		if !ok {
-			return
-		}
-		seen[[2]int32{a, b}] = true
-		out = append(out, va)
-	}
-
-	for _, id := range sub.Local {
-		ins, outs := v.liveIn(id), v.liveOut(id)
-		if len(ins) != 1 || len(outs) > 1 {
-			continue
-		}
-		u := ins[0].From
-		// The edge u->id and each sibling edge u->x.
-		var eID Edge
-		for _, e := range v.liveOut(u) {
-			if e.To == id {
-				eID = e
-				break
-			}
-		}
-		for _, sib := range v.liveOut(u) {
-			x := sib.To
-			if x == id {
-				continue
-			}
-			xi := v.liveIn(x)
-			if len(xi) != 1 {
-				continue
-			}
-			// Full bubble if both branches reconverge on the same node.
-			xo := v.liveOut(x)
-			if len(outs) == 1 && len(xo) == 1 && xo[0].To == outs[0].To {
-				consider(u, eID, sib, id, x, true, outs[0].To)
-				continue
-			}
-			consider(u, eID, sib, id, x, false, -1)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AlleleA != out[j].AlleleA {
-			return out[i].AlleleA < out[j].AlleleA
-		}
-		return out[i].AlleleB < out[j].AlleleB
-	})
-	return out
-}
-
-func classifyBranchesMap(v *view, u, w, a, b int32, ea, eb Edge, reconverges bool, cfg VariantConfig) (Variant, bool) {
-	ca, cb := v.contig[a], v.contig[b]
-	out := Variant{
-		From: u, To: w,
-		AlleleA: a, AlleleB: b,
-		CovA: v.weight[a], CovB: v.weight[b],
-		LenA: int32(len(ca)), LenB: int32(len(cb)),
-		Reconverges: reconverges,
-	}
-	// Placement of b's contig in a's coordinates: both diags are relative
-	// to u's contig.
-	diag := int(eb.Diag) - int(ea.Diag)
-	acfg := align.Config{
-		MinLength:   1,
-		MinIdentity: 0,
-		Band:        cfg.Band,
-		Scoring:     align.DefaultScoring,
-	}
-	ov, okOv := align.OverlapOnDiagonal(ca, cb, diag, acfg)
-	if okOv {
-		out.Identity = ov.Identity
-		out.Mismatches = int32(ov.Length) - int32(float64(ov.Length)*ov.Identity+0.5)
-	}
-	lenDiff := len(ca) - len(cb)
-	if lenDiff < 0 {
-		lenDiff = -lenDiff
-	}
-	switch {
-	case !okOv || out.Identity < cfg.MinIdentity:
-		out.Kind = VariantDivergent
-		if !reconverges {
-			// Fork into unrelated sequence: a repeat or chimera
-			// boundary, not a variant.
-			return out, false
-		}
-	case lenDiff > cfg.MaxLenDiff:
-		out.Kind = VariantIndel
-	default:
-		out.Kind = VariantSubstitution
-	}
-	return out, true
 }

@@ -279,6 +279,53 @@ func TestRehostRoundsExhausted(t *testing.T) {
 	}
 }
 
+// TestRehostCountersSkipFirstLoad: a partition whose first Load fails
+// never had a home, so moving it to another worker is no re-host. Worker
+// 1's connection breaks on the reply to its first Load and it is evicted;
+// worker 0 takes all four partitions. Neither re-host counter moves, and
+// the run ends byte-identical to the healthy baseline.
+func TestRehostCountersSkipFirstLoad(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	const k = 4
+	want := healthyBaseline(t, k)
+
+	pool, err := dist.NewLocalChaosPool(2, NewService, dist.Options{
+		MaxFailures: 1,
+		Logf:        t.Logf,
+	}, func(w int) *dist.ChaosConfig {
+		if w == 1 {
+			return &dist.ChaosConfig{Seed: 5, FirstSafe: 1, ResetProb: 1}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	d := chaosPipeline(t, pool, k)
+	reg := metrics.NewRegistry()
+	d.SetMetrics(reg)
+	got, err := fullRun(t, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
+	}
+	if d.localOnly {
+		t.Fatal("driver fell back to local mode despite a surviving worker")
+	}
+	if pool.Healthy(1) {
+		t.Fatal("worker 1 still healthy: its Load never failed")
+	}
+	for _, name := range []string{"assembly_rehost_total", "assembly_rehost_failed_total"} {
+		if n := reg.Counter(name).Value(); n != 0 {
+			t.Errorf("%s = %d after failed first Loads, want 0", name, n)
+		}
+	}
+}
+
 // serveTCP starts a long-lived TCP worker for service, as focus-worker
 // does, and returns its address and server (the caller shuts it down).
 func serveTCP(t *testing.T, service interface{}) (string, *dist.Server) {

@@ -21,18 +21,16 @@ type Service struct {
 }
 
 // PhaseReply carries whichever result the phase produces: Edges for
-// Transitive, Removal for Containment and Errors, Paths for Paths,
-// Variants for Variants.
+// Transitive, Removal for Containment and Errors, Paths for Paths.
 type PhaseReply struct {
-	Edges    []EdgePair
-	Removal  Removal
-	Paths    [][]int32
-	Variants []Variant
+	Edges   []EdgePair
+	Removal Removal
+	Paths   [][]int32
 }
 
 // scanPhase runs the named phase on one partition subgraph. It is the only
 // map from a phase name to its scan.
-func scanPhase(phase string, sub *Subgraph, cfg Config, vcfg VariantConfig) (PhaseReply, error) {
+func scanPhase(phase string, sub *Subgraph, cfg Config) (PhaseReply, error) {
 	var r PhaseReply
 	switch phase {
 	case "Transitive": // §V.A
@@ -43,8 +41,6 @@ func scanPhase(phase string, sub *Subgraph, cfg Config, vcfg VariantConfig) (Pha
 		r.Removal = errorScan(sub, cfg, 0)
 	case "Paths": // §V.D
 		r.Paths = ExtractPaths(sub, cfg)
-	case "Variants": // §VI.D future work
-		r.Variants = ScanVariants(sub, vcfg)
 	default:
 		return r, fmt.Errorf("assembly: unknown phase %q", phase)
 	}

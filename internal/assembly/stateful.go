@@ -68,16 +68,14 @@ type Delta struct {
 	RemovedEdges []EdgePair
 }
 
-// PhaseArgs drives one phase against a stored partition, with the configs
-// the phases read (Cfg for the trimming phases and Paths, VCfg for
-// Variants).
+// PhaseArgs drives one phase against a stored partition, with the config
+// the phases read.
 type PhaseArgs struct {
 	RunID string
 	Part  int32
-	Phase string // "Transitive" | "Containment" | "Errors" | "Paths" | "Variants"
+	Phase string // "Transitive" | "Containment" | "Errors" | "Paths"
 	Delta Delta
 	Cfg   Config
-	VCfg  VariantConfig
 }
 
 // applyDelta removes nodes/edges from a stored subgraph in place.
@@ -128,7 +126,7 @@ func (s *Service) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	}
 	applyDelta(sub, args.Delta)
 	var err error
-	*reply, err = scanPhase(args.Phase, sub, args.Cfg, args.VCfg)
+	*reply, err = scanPhase(args.Phase, sub, args.Cfg)
 	return err
 }
 

@@ -53,9 +53,12 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 		t.Fatalf("paths = %v", pr.Paths)
 	}
 	// An unknown phase is a service error, which re-hosting cannot fix.
-	err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Nope"}, &pr)
-	if err == nil || IsRehostable(err) {
-		t.Errorf("unknown phase: %v", err)
+	// "Variants" is no phase of this protocol: the worker refuses it too.
+	for _, phase := range []string{"Nope", "Variants"} {
+		err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: phase}, &pr)
+		if err == nil || IsRehostable(err) {
+			t.Errorf("unknown phase %q: %v", phase, err)
+		}
 	}
 	// A partition this service never stored is rehostable.
 	if err := svc.Phase(&PhaseArgs{RunID: "rX", Part: 0, Phase: "Paths"}, &pr); !IsRehostable(err) {
@@ -296,47 +299,5 @@ func TestCloseUnloadsAfterFailedLoad(t *testing.T) {
 	}
 	if got := stored(); len(got) != 0 {
 		t.Fatalf("after Close the workers still store %v", got)
-	}
-}
-
-// TestStatefulVariants: variant calling also works over the delta
-// protocol.
-func TestStatefulVariants(t *testing.T) {
-	a := bytes.Repeat([]byte("ACGT"), 25)
-	b := append([]byte(nil), a...)
-	b[40] = 'G'
-	dg := &DiGraph{
-		Contigs: [][]byte{bytes.Repeat([]byte("A"), 100), a, bytes.Repeat([]byte("C"), 100), bytes.Repeat([]byte("G"), 100), b},
-		Weight:  []int64{8, 5, 8, 8, 4},
-		Removed: make([]bool, 5),
-		Out:     make([][]Edge, 5),
-		In:      make([][]Edge, 5),
-	}
-	add := func(f, to int32) {
-		e := Edge{From: f, To: to, Diag: 60, Len: 40, Ident: 1}
-		dg.Out[f] = append(dg.Out[f], e)
-		dg.In[to] = append(dg.In[to], e)
-	}
-	add(0, 1)
-	add(0, 4)
-	add(1, 2)
-	add(4, 2)
-	add(2, 3)
-	pool, err := dist.NewLocalPool(2, NewService)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	d, err := NewDriver(pool, dg, []int32{0, 0, 1, 1, 1}, 2, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	vars, err := d.CallVariants(DefaultVariantConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vars) != 1 || vars[0].Kind != VariantSubstitution {
-		t.Fatalf("variants = %+v", vars)
 	}
 }

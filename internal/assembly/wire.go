@@ -77,20 +77,6 @@ func decodeConfig(rd *dist.WireReader, c *Config) {
 	c.MinTipLen = int(rd.Varint())
 }
 
-func appendVariantConfig(dst []byte, c *VariantConfig) []byte {
-	dst = dist.AppendVarint(dst, c.MinBranchCov)
-	dst = dist.AppendVarint(dst, int64(c.MaxLenDiff))
-	dst = dist.AppendVarint(dst, int64(c.Band))
-	return dist.AppendFloat64(dst, c.MinIdentity)
-}
-
-func decodeVariantConfig(rd *dist.WireReader, c *VariantConfig) {
-	c.MinBranchCov = rd.Varint()
-	c.MaxLenDiff = int(rd.Varint())
-	c.Band = int(rd.Varint())
-	c.MinIdentity = rd.Float64()
-}
-
 // appendEdges encodes an edge list: From delta-coded against the previous
 // edge's From (edge lists are emitted grouped by source node) with the
 // Contain flag folded into the delta varint's low bit, To against its own
@@ -197,50 +183,6 @@ func decodeRemoval(rd *dist.WireReader, r *Removal) {
 	r.Edges = decodeEdgePairs(rd)
 }
 
-func appendVariants(dst []byte, vs []Variant) []byte {
-	dst = dist.AppendLen(dst, len(vs), vs != nil)
-	for i := range vs {
-		v := &vs[i]
-		dst = dist.AppendVarint(dst, int64(v.From))
-		dst = dist.AppendVarint(dst, int64(v.To))
-		dst = dist.AppendVarint(dst, int64(v.AlleleA))
-		dst = dist.AppendVarint(dst, int64(v.AlleleB)-int64(v.AlleleA))
-		dst = dist.AppendVarint(dst, v.CovA)
-		dst = dist.AppendVarint(dst, v.CovB)
-		dst = dist.AppendVarint(dst, int64(v.LenA))
-		dst = dist.AppendVarint(dst, int64(v.LenB))
-		dst = dist.AppendFloat64(dst, v.Identity)
-		dst = dist.AppendVarint(dst, int64(v.Mismatches))
-		dst = append(dst, byte(v.Kind))
-		dst = dist.AppendBool(dst, v.Reconverges)
-	}
-	return dst
-}
-
-func decodeVariants(rd *dist.WireReader) []Variant {
-	n, present := rd.Len()
-	if !present {
-		return nil
-	}
-	vs := make([]Variant, n)
-	for i := range vs {
-		v := &vs[i]
-		v.From = int32(rd.Varint())
-		v.To = int32(rd.Varint())
-		v.AlleleA = int32(rd.Varint())
-		v.AlleleB = int32(int64(v.AlleleA) + rd.Varint())
-		v.CovA = rd.Varint()
-		v.CovB = rd.Varint()
-		v.LenA = int32(rd.Varint())
-		v.LenB = int32(rd.Varint())
-		v.Identity = rd.Float64()
-		v.Mismatches = int32(rd.Varint())
-		v.Kind = VariantKind(rd.Byte())
-		v.Reconverges = rd.Bool()
-	}
-	return vs
-}
-
 func appendSubgraph(dst []byte, s *Subgraph) []byte {
 	dst = dist.AppendVarint(dst, int64(s.Part))
 	dst = dist.AppendInt32sDelta(dst, s.Local)
@@ -313,8 +255,7 @@ func (a *PhaseArgs) AppendTo(dst []byte) []byte {
 	dst = dist.AppendVarint(dst, int64(a.Part))
 	dst = dist.AppendString(dst, a.Phase)
 	dst = appendDelta(dst, &a.Delta)
-	dst = appendConfig(dst, &a.Cfg)
-	return appendVariantConfig(dst, &a.VCfg)
+	return appendConfig(dst, &a.Cfg)
 }
 
 // DecodeFrom implements dist.Wire.
@@ -325,7 +266,6 @@ func (a *PhaseArgs) DecodeFrom(src []byte) error {
 	a.Phase = rd.String()
 	decodeDelta(&rd, &a.Delta)
 	decodeConfig(&rd, &a.Cfg)
-	decodeVariantConfig(&rd, &a.VCfg)
 	return rd.Finish()
 }
 
@@ -333,8 +273,7 @@ func (a *PhaseArgs) DecodeFrom(src []byte) error {
 func (r *PhaseReply) AppendTo(dst []byte) []byte {
 	dst = appendEdgePairs(dst, r.Edges)
 	dst = appendRemoval(dst, &r.Removal)
-	dst = appendPaths(dst, r.Paths)
-	return appendVariants(dst, r.Variants)
+	return appendPaths(dst, r.Paths)
 }
 
 // DecodeFrom implements dist.Wire.
@@ -343,7 +282,6 @@ func (r *PhaseReply) DecodeFrom(src []byte) error {
 	r.Edges = decodeEdgePairs(&rd)
 	decodeRemoval(&rd, &r.Removal)
 	r.Paths = decodePaths(&rd)
-	r.Variants = decodeVariants(&rd)
 	return rd.Finish()
 }
 

@@ -108,27 +108,6 @@ func randPaths(rng *rand.Rand) [][]int32 {
 	return paths
 }
 
-func randVariants(rng *rand.Rand) []Variant {
-	switch rng.Intn(8) {
-	case 0:
-		return nil
-	case 1:
-		return []Variant{}
-	}
-	vs := make([]Variant, rng.Intn(6))
-	for i := range vs {
-		vs[i] = Variant{
-			From: int32(rng.Uint32()), To: int32(rng.Uint32()),
-			AlleleA: int32(rng.Uint32()), AlleleB: int32(rng.Uint32()),
-			CovA: rng.Int63() - rng.Int63(), CovB: rng.Int63(),
-			LenA: int32(rng.Uint32()), LenB: int32(rng.Uint32()),
-			Identity: rng.Float64(), Mismatches: int32(rng.Uint32()),
-			Kind: VariantKind(rng.Intn(256)), Reconverges: rng.Intn(2) == 0,
-		}
-	}
-	return vs
-}
-
 func randSubgraph(rng *rand.Rand) Subgraph {
 	s := Subgraph{Part: int32(rng.Uint32()), Local: randIDs(rng), Edges: randEdges(rng)}
 	switch rng.Intn(8) {
@@ -162,13 +141,6 @@ func randConfig(rng *rand.Rand) Config {
 		MinEdgeOverlap: rng.Intn(1000) - 500, MinEdgeIdentity: rng.Float64(),
 		Band: rng.Intn(100), DiagTolerance: rng.Intn(100),
 		MaxTipNodes: rng.Intn(10), MinTipLen: rng.Intn(1000),
-	}
-}
-
-func randVariantConfig(rng *rand.Rand) VariantConfig {
-	return VariantConfig{
-		MinBranchCov: rng.Int63n(100), MaxLenDiff: rng.Intn(20),
-		Band: rng.Intn(64), MinIdentity: rng.Float64(),
 	}
 }
 
@@ -222,13 +194,13 @@ func TestWireRoundTripProperty(t *testing.T) {
 		phase := &PhaseArgs{
 			RunID: randString(rng), Part: int32(rng.Uint32()), Phase: randString(rng),
 			Delta: Delta{RemovedNodes: randIDs(rng), RemovedEdges: randEdgePairs(rng)},
-			Cfg:   randConfig(rng), VCfg: randVariantConfig(rng),
+			Cfg:   randConfig(rng),
 		}
 		rtWireCfg(t, phase, &pa, &phase.Cfg, &pa.Cfg)
 		rtWire(t, &PhaseReply{
 			Edges:   randEdgePairs(rng),
 			Removal: Removal{Nodes: randIDs(rng), Edges: randEdgePairs(rng)},
-			Paths:   randPaths(rng), Variants: randVariants(rng),
+			Paths:   randPaths(rng),
 		}, &pr)
 	}
 }
@@ -287,88 +259,6 @@ func TestWireCodecEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d diverged:\ngot  %+v\nwant %+v", workers, got, baseline)
 		}
 	}
-
-	// fullRun never calls variants: a second pass puts CallVariants between
-	// transitive reduction and containment removal, on two haplotypes so
-	// that there are bubbles to call.
-	want, err := variantRun(variantPipeline(t, nil, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Variants) == 0 {
-		t.Fatal("variant pipeline called no variants; the pass would compare nothing")
-	}
-	pool, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d = variantPipeline(t, pool, 2)
-	got, err := variantRun(d)
-	pool.Close()
-	if err != nil {
-		t.Fatalf("variants: %v", err)
-	}
-	if d.localOnly {
-		t.Fatal("variants ran locally, not over the wire")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("variants diverged:\ngot  %+v\nwant %+v", got, want)
-	}
-}
-
-// variantOutcome is what the variant-calling pass of variantRun produces.
-type variantOutcome struct {
-	runOutcome
-	Variants []Variant
-}
-
-// variantRun runs TrimTransitive → CallVariants → TrimContainment →
-// TrimErrors → traverse: error removal pops the bubbles variant calling
-// reads, so calling goes before it.
-func variantRun(d *Driver) (variantOutcome, error) {
-	var st TrimStats
-	if err := d.TrimTransitive(&st); err != nil {
-		return variantOutcome{}, err
-	}
-	vars, err := d.CallVariants(DefaultVariantConfig())
-	if err != nil {
-		return variantOutcome{}, err
-	}
-	if err := d.TrimContainment(&st); err != nil {
-		return variantOutcome{}, err
-	}
-	if err := d.TrimErrors(&st); err != nil {
-		return variantOutcome{}, err
-	}
-	paths, _, err := d.TraverseTimed()
-	if err != nil {
-		return variantOutcome{}, err
-	}
-	return variantOutcome{runOutcome{
-		Transitive: st.TransitiveEdges, Contained: st.ContainedNodes,
-		False: st.FalseEdges, DeadEnds: st.DeadEndNodes,
-		Paths: paths, Contigs: d.BuildContigs(paths),
-	}, vars}, nil
-}
-
-// variantPipeline is chaosPipeline over reads of two haplotypes: the
-// second differs in a 12-base block every 500 bases.
-func variantPipeline(t *testing.T, pool *dist.Pool, k int) *Driver {
-	t.Helper()
-	hapA := randGenome(91, 3000)
-	hapB := append([]byte(nil), hapA...)
-	for i := 250; i < len(hapB); i += 500 {
-		for j := i; j < i+12; j++ {
-			hapB[j] = "CGTA"[strings.IndexByte("ACGT", hapB[j])]
-		}
-	}
-	reads := append(tilingReads(hapA, 100, 10), tilingReads(hapB[5:], 100, 10)...)
-	dg, labels, _ := buildPipeline(t, reads, k)
-	d, err := NewDriver(pool, dg, labels, k, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
 }
 
 // TestServiceRPCSurface pins the worker's RPC methods: a new per-phase
@@ -453,12 +343,9 @@ func wireSamples() []struct {
 	}
 	cfg := Config{MinEdgeOverlap: 50, MinEdgeIdentity: 0.9, Band: 16, DiagTolerance: 8,
 		MaxTipNodes: 3, MinTipLen: 400}
-	vcfg := VariantConfig{MinBranchCov: 4, MaxLenDiff: 6, Band: 24, MinIdentity: 0.8}
 	pairs := []EdgePair{{From: 10, To: 11}, {From: 15, To: 10}, {From: 15, To: 2}}
 	removal := Removal{Nodes: []int32{11, 90, 4}, Edges: pairs[:2]}
 	paths := [][]int32{{10, 11, 90}, {}, {15}}
-	variants := []Variant{{From: 10, To: -1, AlleleA: 11, AlleleB: 15, CovA: 9, CovB: 3,
-		LenA: 120, LenB: 118, Identity: 0.98, Mismatches: 2, Kind: 1, Reconverges: true}}
 	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, // MaxOccur ships as Masked
 		Align: align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}}}
 	ack := dist.Ack(true)
@@ -469,8 +356,8 @@ func wireSamples() []struct {
 		{"Ack", &ack},
 		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub}},
 		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment",
-			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg, VCfg: vcfg}},
-		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths, Variants: variants}},
+			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg}},
+		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths}},
 		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
 		{"AlignRefArgs", &overlap.AlignRefArgs{
 			Queries: []int32{0, 2, 4}, RefLo: 6, RefHi: 8, Paired: true,

@@ -15,7 +15,8 @@ import (
 
 // TestMultiTenantChaos is the headline robustness scenario: three
 // concurrent jobs multiplexed onto one shared 4-worker fleet whose
-// worker 3 hangs on every call (evicted at first contact). The worker
+// worker 3 takes its first Loads and then hangs on every call (evicted at
+// its first Phase, its partitions re-hosted). The worker
 // choice is deterministic — job 1 gets view {0,1}, job 2 {2,3}, job 3
 // {0,1} — so exactly one job collides with the fault. Every job must
 // still finish byte-identical to its solo single-tenant baseline, the
@@ -41,9 +42,13 @@ func TestMultiTenantChaos(t *testing.T) {
 	bigInput := writeInput(t, 12000, 8, 404)
 	bigBaseline := soloBaseline(t, bigInput, k)
 
-	// Worker 3 hangs on every response. No CallTimeout is set: the
-	// liveness rule cuts its first call when its probe goes unanswered,
-	// and MaxFailures 1 evicts it at first contact. Workers 0-2 are clean.
+	// Worker 3 answers its two Loads (job 2's partitions 1 and 3), then
+	// hangs on every response. No CallTimeout is set: the liveness rule
+	// cuts its first Phase when its probe goes unanswered, MaxFailures 1
+	// evicts it, and its partitions are re-hosted onto worker 2. (A Load
+	// that fails is a re-host only for a partition Loaded before, so a
+	// worker that hung at first contact would leave no re-host to see.)
+	// Workers 0-2 are clean.
 	hold := &phaseHold{held: make(chan struct{}, 1)}
 	pool, err := dist.NewLocalChaosPool(4, func() interface{} {
 		return holdService{Service: &assembly.Service{}, hold: hold}
@@ -52,7 +57,7 @@ func TestMultiTenantChaos(t *testing.T) {
 		Logf:        t.Logf,
 	}, func(w int) *dist.ChaosConfig {
 		if w == 3 {
-			return &dist.ChaosConfig{Seed: 7, FirstSafe: 1, HangProb: 1, HangFor: time.Hour}
+			return &dist.ChaosConfig{Seed: 7, FirstSafe: 3, HangProb: 1, HangFor: time.Hour}
 		}
 		return nil
 	})
@@ -127,7 +132,7 @@ func TestMultiTenantChaos(t *testing.T) {
 	faults := snap.Counters["assembly_partition_lost_total"] +
 		snap.Counters["assembly_rehost_total"] +
 		snap.Counters["assembly_rehost_failed_total"]
-	if faults < 1 {
+	if faults < 1 || snap.Counters["assembly_rehost_total"] < 1 {
 		t.Fatalf("no rehost path recorded after an eviction: %v", snap.Counters)
 	}
 	if snap.Counters["assembly_degraded_total"] != 0 {

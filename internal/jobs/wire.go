@@ -18,7 +18,7 @@ import (
 // survived a crash.
 
 // statusVersion is the framed payload's version; bump on any change to
-// the record's JSON. Version 2 replaced a hand-written binary encoding.
+// the record's JSON.
 const statusVersion = 2
 
 // statusFile is the record's name inside a job's namespace directory

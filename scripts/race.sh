@@ -83,6 +83,13 @@ go test -race -count=5 -run 'StagesReuse' ./
 echo "== race: checkpoint sweep =="
 go test -race -run 'Checkpoint' ./
 
+# Pool-backed facade sweep: the facade over in-process and loopback-TCP
+# worker pools (both protocols agreeing, TCP against in-process, the
+# stages built on a pool against local ones). No filter above matches
+# these root tests.
+echo "== race: pool-backed facade sweep =="
+go test -race -run 'Protocol|OverTCP|OnPool' ./
+
 # Multi-tenant sweep: the resident master's admission, lifecycle and
 # fault-isolation scenarios (including the headline multi-worker chaos
 # run) under race, alongside the dist/assembly tests they lean on.
