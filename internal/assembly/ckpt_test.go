@@ -129,7 +129,7 @@ func TestCheckpointResumeIdenticalOutput(t *testing.T) {
 	if err := dB.TrimContainment(&stB); err != nil {
 		t.Fatal(err)
 	}
-	poolB.Close() // "kill" — no Unload, workers gone
+	poolB.Close() // "kill": the run's connections close with the pool
 
 	// Resume on a fresh pool from the newest checkpoint.
 	cs, err := LoadLatestCheckpoint(dir)

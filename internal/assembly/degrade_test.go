@@ -12,7 +12,7 @@ import (
 	"focus/internal/testutil"
 )
 
-// countWrites is a dist.Options.WrapConn that counts worker 1's writes.
+// countWrites counts the writes on a worker's end of a connection.
 type countWrites struct {
 	net.Conn
 	n *atomic.Int64
@@ -36,13 +36,15 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	const k = 4
 	want := healthyBaseline(t, k)
 
-	// A healthy probe run counts worker 1's writes (the handshake ack,
-	// its Loads and its transitive Phase replies), so the reset lands on
-	// its first write after the transitive phase.
+	// A healthy probe run counts worker 1's writes on the run's own
+	// connection (the handshake ack, its Loads and its transitive Phase
+	// replies), so the reset lands on its first write after the
+	// transitive phase. Worker 1's first connection is the fleet's.
 	var writes atomic.Int64
+	var conns1 atomic.Int32
 	probe, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{
 		WrapConn: func(w int, c net.Conn) net.Conn {
-			if w == 1 {
+			if w == 1 && conns1.Add(1) == 2 {
 				return countWrites{c, &writes}
 			}
 			return c

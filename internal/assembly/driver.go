@@ -6,7 +6,6 @@ import (
 	"log"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"focus/internal/dist"
@@ -21,13 +20,16 @@ import (
 // it stores (stateful.go); without a usable pool the phases run on the
 // master (runPhaseLocal).
 type Driver struct {
-	Pool   *dist.Pool
+	Pool   *dist.Pool // the workers the run may use
 	G      *DiGraph
 	Labels []int32 // partition of each hybrid node
 	K      int
 	Cfg    Config
 
-	runID string
+	// sess holds the run's own connections to Pool's members (nil until
+	// the first pooled phase). Every Load and Phase goes over them, and
+	// the workers keep the run's partitions exactly as long as they last.
+	sess *dist.Pool
 	// localOnly: phases run on the master, because the driver has no pool
 	// or because the pool became unusable mid-run (sticky).
 	localOnly    bool
@@ -123,8 +125,6 @@ func ctxErr(ctx context.Context) error {
 // first phase.
 func (d *Driver) SetMetrics(reg *metrics.Registry) { d.reg = reg }
 
-var runCounter int64
-
 // removeEdge deletes an edge and records it for the next phase's delta.
 func (d *Driver) removeEdge(e EdgePair) {
 	d.G.RemoveEdge(e.From, e.To)
@@ -158,7 +158,7 @@ func (d *Driver) maxRounds() int { return 2*d.Pool.Size() + 3 }
 func (d *Driver) loadHomeless(ctx context.Context, parts []int) error {
 	var homeless []int
 	for _, p := range parts {
-		if w := d.placement[p]; w < 0 || !d.Pool.Healthy(w) {
+		if w := d.placement[p]; w < 0 || !d.sess.Healthy(w) {
 			d.placement[p] = -1
 			homeless = append(homeless, p)
 		}
@@ -166,7 +166,7 @@ func (d *Driver) loadHomeless(ctx context.Context, parts []int) error {
 	if len(homeless) == 0 {
 		return nil
 	}
-	healthy := d.Pool.HealthyIDs()
+	healthy := d.sess.HealthyIDs()
 	if len(healthy) == 0 {
 		return fmt.Errorf("assembly: loading %d partition(s): %w", len(homeless), dist.ErrNoWorkers)
 	}
@@ -205,9 +205,9 @@ func (d *Driver) loadHomeless(ctx context.Context, parts []int) error {
 	for i := range replies {
 		replies[i] = new(dist.Ack)
 	}
-	_, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(homeless), func(t int) int { return target[t] }, "Load",
+	_, errs := d.sess.ParallelCallsPlacedCtx(ctx, len(homeless), func(t int) int { return target[t] }, "Load",
 		func(t int) interface{} {
-			return &LoadArgs{RunID: d.runID, Sub: subs[t]}
+			return &LoadArgs{Sub: subs[t]}
 		}, replies)
 	var fatal error
 	for i, err := range errs {
@@ -281,23 +281,16 @@ func (d *Driver) phaseDeltas() []Delta {
 	return deltas
 }
 
-// Close releases the run's worker-side state. It unloads whenever a Load
-// was attempted: a failed Load may still have stored some partitions.
+// Close releases the run's worker-side state: it closes the run's own
+// connections, and with them every partition its workers store, whether
+// or not their Loads answered. It sends no RPC.
 func (d *Driver) Close() error {
-	if d.runID == "" {
+	if d.sess == nil {
 		return nil
 	}
-	var firstErr error
-	// Members, not 0..Size(): on a view only member workers are reachable
-	// (and only they can hold this run's state).
-	for _, w := range d.Pool.Members() {
-		var ok dist.Ack
-		if err := d.Pool.Call(w, "Unload", &UnloadArgs{RunID: d.runID}, &ok); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	d.runID, d.placement, d.stored = "", nil, nil
-	return firstErr
+	err := d.sess.Close()
+	d.sess, d.placement, d.stored = nil, nil, nil
+	return err
 }
 
 // runPhase executes one named phase over all partitions and returns
@@ -372,11 +365,7 @@ func (d *Driver) checkReply(phase string, part, worker int, r *PhaseReply) error
 // to a fault-free run.
 func (d *Driver) runPhaseStateful(ctx context.Context, phase string) ([]PhaseReply, []time.Duration, error) {
 	if d.placement == nil {
-		// The run id is drawn once, before the first Load, so Close can
-		// unload whatever any attempt stored.
-		if d.runID == "" {
-			d.runID = fmt.Sprintf("run%d", atomic.AddInt64(&runCounter, 1))
-		}
+		d.sess = d.Pool.Session()
 		d.placement = make([]int, d.K)
 		d.stored = make([][]int32, d.K)
 		for t := range d.placement {
@@ -417,11 +406,10 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string) ([]PhaseRep
 		// place/mkArgs read the placement table from the scheduler's
 		// goroutines; the driver does not mutate it while the call is in
 		// flight.
-		ptimes, errs := d.Pool.ParallelCallsPlacedCtx(ctx, len(batch), func(t int) int { return d.placement[batch[t]] }, "Phase",
+		ptimes, errs := d.sess.ParallelCallsPlacedCtx(ctx, len(batch), func(t int) int { return d.placement[batch[t]] }, "Phase",
 			func(t int) interface{} {
 				p := batch[t]
-				return &PhaseArgs{RunID: d.runID, Part: int32(p), Phase: phase,
-					Delta: deltas[p], Cfg: d.Cfg}
+				return &PhaseArgs{Part: int32(p), Phase: phase, Delta: deltas[p], Cfg: d.Cfg}
 			}, replies)
 		for i, err := range errs {
 			p := batch[i]
@@ -470,7 +458,7 @@ func (d *Driver) runPhaseStateful(ctx context.Context, phase string) ([]PhaseRep
 // stale for the rest of the run. Application-level errors (a service bug,
 // an unknown phase) still propagate.
 func (d *Driver) fallBackStateful(phase string, err error) bool {
-	if !dist.IsTransportError(err) && d.Pool.NumHealthy() > 0 {
+	if !dist.IsTransportError(err) && d.sess.NumHealthy() > 0 {
 		return false
 	}
 	d.localOnly = true
@@ -479,7 +467,7 @@ func (d *Driver) fallBackStateful(phase string, err error) bool {
 	// The cause names the partition or worker that triggered the
 	// degradation (loadHomeless and the round loop build it that way).
 	log.Printf("assembly: %s phase: pool unusable, %d/%d workers healthy; cause: %v; falling back to local execution for the rest of the run",
-		phase, d.Pool.NumHealthy(), d.Pool.Size(), err)
+		phase, d.sess.NumHealthy(), d.Pool.Size(), err)
 	return true
 }
 

@@ -43,7 +43,7 @@ func (f *FlakyService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	if (f.FailEvery > 0 && n%f.FailEvery == 0) || (f.FailAt > 0 && n == f.FailAt) {
 		if f.LoseState {
 			f.mu.Lock()
-			delete(f.parts, partKey(args.RunID, args.Part))
+			delete(f.parts, args.Part)
 			f.mu.Unlock()
 			return f.Service.Phase(args, reply)
 		}
@@ -243,9 +243,10 @@ func TestWorkerDiesMidSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	// The worker answers one phase, then wedges: the first three server
-	// writes (the wire-handshake ack, the Load and one phase response)
-	// are safe, every later response write hangs.
+	// The worker answers one phase, then wedges: on each connection the
+	// first three server writes (the wire-handshake ack, then on the run's
+	// own connection the Load and one phase response) are safe, every
+	// later response write hangs.
 	chaos := dist.NewChaosListener(lis, dist.ChaosConfig{
 		Seed: 7, FirstSafe: 3, HangProb: 1, HangFor: 30 * time.Second,
 	})
@@ -272,11 +273,11 @@ func TestWorkerDiesMidSession(t *testing.T) {
 		t.Fatalf("healthy phase failed: %v", err)
 	}
 
-	// The next call lands on the now-wedged connection. Without deadlines
-	// (the old pool) this blocked forever; now it must fail within the
-	// deadline and evict the worker.
+	// The next call lands on the run's now-wedged connection. Without
+	// deadlines (the old pool) this blocked forever; now it must fail
+	// within the deadline and evict the worker.
 	start := time.Now()
-	err = pool.Call(0, "Phase", &PhaseArgs{RunID: d.runID, Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
+	err = d.sess.Call(0, "Phase", &PhaseArgs{Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
 	if err == nil {
 		t.Fatal("call on wedged worker connection succeeded")
 	}
@@ -318,7 +319,7 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 	for p := 0; p < tasks; p++ {
 		sub := *chainSub(3)
 		sub.Part = int32(p)
-		if err := pool.Call(place(p), "Load", &LoadArgs{RunID: "mixed", Sub: sub}, new(dist.Ack)); err != nil {
+		if err := pool.Call(place(p), "Load", &LoadArgs{Sub: sub}, new(dist.Ack)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 		replies[i] = &PhaseReply{}
 	}
 	_, errs := pool.ParallelCallsPlacedCtx(nil, tasks, place, "Phase", func(tk int) interface{} {
-		return &PhaseArgs{RunID: "mixed", Part: int32(tk), Phase: "Transitive", Cfg: DefaultConfig()}
+		return &PhaseArgs{Part: int32(tk), Phase: "Transitive", Cfg: DefaultConfig()}
 	}, replies)
 	failed := 0
 	for tk, err := range errs {

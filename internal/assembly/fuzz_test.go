@@ -43,14 +43,14 @@ func fuzzWireTarget(sel byte) dist.Wire {
 func FuzzWireDecoders(f *testing.F) {
 	// One valid encoding per payload type as seeds.
 	seed := func(sel byte, w dist.Wire) { f.Add(sel, w.AppendTo(nil)) }
-	seed(0, &LoadArgs{RunID: "run-1", Sub: Subgraph{Part: 1, Local: []int32{0, 1}}})
+	seed(0, &LoadArgs{Sub: Subgraph{Part: 1, Local: []int32{0, 1}}})
 	seed(2, &PhaseReply{Edges: []EdgePair{{From: 1, To: 2}}})
 	seed(3, &PhaseReply{Removal: Removal{Nodes: []int32{3}, Edges: []EdgePair{{From: 0, To: 3}}}})
 	seed(4, &PhaseReply{Paths: [][]int32{{0, 1, 2}, {5}}})
 	seed(5, &PhaseReply{Edges: []EdgePair{}, Paths: [][]int32{}}) // empty, not nil
-	seed(6, &LoadArgs{RunID: "run-1", Sub: Subgraph{Part: 0, Local: []int32{0}}})
+	seed(6, &LoadArgs{Sub: Subgraph{Part: 0, Local: []int32{0}}})
 	seed(7, new(dist.Ack))
-	seed(8, &PhaseArgs{RunID: "run-1", Part: 2, Phase: "Errors"})
+	seed(8, &PhaseArgs{Part: 2, Phase: "Errors"})
 	seed(10, &CheckpointState{
 		Done: []string{"Transitive"},
 		K:    2, Labels: []int32{0, 0},
@@ -66,7 +66,7 @@ func FuzzWireDecoders(f *testing.F) {
 	// starts from inputs that reach each scan, and a deleted phase's name
 	// that the worker refuses.
 	for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths", "Variants"} {
-		seed(1, &PhaseArgs{RunID: "run-1", Phase: phase,
+		seed(1, &PhaseArgs{Phase: phase,
 			Delta: Delta{RemovedEdges: []EdgePair{{From: 2, To: 3}}}, Cfg: DefaultConfig()})
 	}
 	seed(9, &PhaseReply{Edges: []EdgePair{{From: 0, To: 1}}, Removal: Removal{Nodes: []int32{2}},
@@ -94,13 +94,13 @@ func FuzzWireDecoders(f *testing.F) {
 				return
 			}
 			for _, phase := range []string{"Transitive", "Containment", "Errors", "Paths"} {
-				_ = svc.Phase(&PhaseArgs{RunID: args.RunID, Part: args.Sub.Part, Phase: phase,
+				_ = svc.Phase(&PhaseArgs{Part: args.Sub.Part, Phase: phase,
 					Cfg: DefaultConfig()}, &reply)
 			}
 		case *PhaseArgs:
 			sub := *chainSub(4)
 			sub.Part = args.Part
-			if svc.Load(&LoadArgs{RunID: args.RunID, Sub: sub}, new(dist.Ack)) == nil {
+			if svc.Load(&LoadArgs{Sub: sub}, new(dist.Ack)) == nil {
 				_ = svc.Phase(args, &reply)
 			}
 		}

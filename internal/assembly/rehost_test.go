@@ -55,6 +55,11 @@ func TestRehostAfterPinnedWorkerLoss(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stateful run with dying pinned worker failed: %v", err)
 			}
+			// Closing the run closes its connections; it sends no RPC,
+			// so the lost worker cannot fail it.
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close after a survived eviction: %v", err)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("re-hosted run diverged from healthy baseline:\ngot  %+v\nwant %+v", got, want)
 			}
@@ -107,10 +112,11 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 
 // reconnectTrap is shared by every connection of the pool of
 // TestRehostOntoReconnectedWorker: conns counts the services made (one
-// per connection: worker 0, worker 1, then worker 1's reconnect), gate
-// holds the reconnect until the test opens it, release frees the Phase
-// that hung on worker 1, and loads lists the partitions Loaded on worker
-// 1's second connection.
+// per connection: the fleet's to workers 0 and 1, the run's own to
+// workers 0 and 1, then the reconnect of the run's connection to worker
+// 1), gate holds the reconnect until the test opens it, release frees the
+// Phase that hung on worker 1, and loads lists the partitions Loaded on
+// the run's second connection to worker 1.
 type reconnectTrap struct {
 	conns   atomic.Int32
 	gate    chan struct{}
@@ -119,9 +125,9 @@ type reconnectTrap struct {
 	loads   []int32
 }
 
-// reconnectTrapService is one connection's service: conn 1 hangs its
-// first Containment Phase (the other waits behind it), conn 0 answers its
-// Errors Phases of partitions 0 and 2 "not loaded", and conn 2 records
+// reconnectTrapService is one connection's service: conn 3 hangs its
+// first Containment Phase (the other waits behind it), conn 2 answers its
+// Errors Phases of partitions 0 and 2 "not loaded", and conn 4 records
 // its Loads.
 type reconnectTrapService struct {
 	Service
@@ -131,7 +137,7 @@ type reconnectTrapService struct {
 }
 
 func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
-	if s.conn == 2 {
+	if s.conn == 4 {
 		s.trap.mu.Lock()
 		s.trap.loads = append(s.trap.loads, args.Sub.Part)
 		s.trap.mu.Unlock()
@@ -141,11 +147,11 @@ func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
 
 func (s *reconnectTrapService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	switch {
-	case s.conn == 1 && args.Phase == "Containment" && s.hung.CompareAndSwap(false, true):
+	case s.conn == 3 && args.Phase == "Containment" && s.hung.CompareAndSwap(false, true):
 		<-s.trap.release
-	case s.conn == 0 && args.Phase == "Errors" && args.Part%2 == 0:
+	case s.conn == 2 && args.Phase == "Errors" && args.Part%2 == 0:
 		s.mu.Lock()
-		delete(s.parts, partKey(args.RunID, args.Part))
+		delete(s.parts, args.Part)
 		s.mu.Unlock()
 	}
 	return s.Service.Phase(args, reply)
@@ -166,7 +172,7 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 	defer close(trap.release)
 	pool, err := dist.NewLocalPoolOpts(2, func() interface{} {
 		n := trap.conns.Add(1) - 1
-		if n >= 2 {
+		if n >= 4 {
 			<-trap.gate
 		}
 		return &reconnectTrapService{conn: n, trap: trap}
@@ -198,7 +204,7 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 		t.Fatalf("placement after worker 1's outage %v, want all on worker 0", d.placement)
 	}
 	openGate.Do(func() { close(trap.gate) })
-	for deadline := time.Now().Add(5 * time.Second); !pool.Healthy(1); time.Sleep(5 * time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); !d.sess.Healthy(1); time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("worker 1 never reconnected")
 		}
@@ -231,7 +237,7 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 		t.Fatalf("reconnected worker 1 was Loaded %v, want only the re-hosted partitions [0 2]", loads)
 	}
 	for p, w := range d.placement {
-		if !pool.Healthy(w) {
+		if !d.sess.Healthy(w) {
 			t.Fatalf("partition %d left placed on unhealthy worker %d", p, w)
 		}
 	}
@@ -344,10 +350,9 @@ func serveTCP(t *testing.T, service interface{}) (string, *dist.Server) {
 }
 
 // TestRehostTCPWorkerServesMastersInTurn: one long-lived TCP worker serves
-// two masters in turn, both under run id run1 (the id every master process
-// draws first, a -resume included). The first dies without Driver.Close,
-// so nothing unloads its partitions. They went with its connection: the
-// second master's Loads all land, and its run is the clean run.
+// two masters in turn. The first dies without Driver.Close: its pool's
+// Close closes the run's connections, and its partitions go with them.
+// The second master's Loads all land, and its run is the clean run.
 func TestRehostTCPWorkerServesMastersInTurn(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	const k = 4
@@ -361,7 +366,6 @@ func TestRehostTCPWorkerServesMastersInTurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := chaosPipeline(t, pool, k)
-		d.runID = "run1"
 		reg := metrics.NewRegistry()
 		d.SetMetrics(reg)
 		got, err := fullRun(t, d)

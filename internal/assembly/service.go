@@ -9,15 +9,16 @@ import (
 )
 
 // Service is the RPC service workers host (registered under
-// dist.ServiceName). The Load/Phase/Unload trio is the assembly protocol
-// of stateful.go: a worker retains its partitions and each phase ships
-// only the removals they store. Phase runs its scan through scanPhase, as
-// does the master's local fallback. One Service serves one connection
-// (dist.NewServer copies a zero prototype per connection), so its
-// partitions are that connection's.
+// dist.ServiceName). Load and Phase are the assembly protocol of
+// stateful.go: a worker retains its partitions and each phase ships only
+// the removals they store. Phase runs its scan through scanPhase, as does
+// the master's local fallback. One Service serves one connection
+// (dist.NewServer copies a zero prototype per connection, the in-process
+// pool makes one per dial), so its partitions are that connection's, and
+// closing the connection frees them.
 type Service struct {
 	mu    sync.Mutex
-	parts map[string]*Subgraph // by partKey
+	parts map[int32]*Subgraph // by partition
 }
 
 // PhaseReply carries whichever result the phase produces: Edges for

@@ -15,16 +15,19 @@ import (
 // side is Driver.runPhaseStateful; Driver.phaseDeltas splits the removals
 // by partition.
 //
-// A worker keeps a master's partitions exactly as long as that master's
-// connection (DESIGN.md §11.1): every connection is served by its own
-// Service, on a TCP focus-worker (dist.Server) as in process. The master
-// commits a placement only after a Load succeeded on the worker's current
-// connection, and a call it abandons severs that connection, so a Phase
-// finds the copy the master placed or nothing: a late Load lands in a
-// severed connection's table, and a revived worker answers "not loaded".
+// A worker keeps a run's partitions exactly as long as the run's own
+// connection to it (DESIGN.md §11.1): every connection is served by its
+// own Service, on a TCP focus-worker (dist.Server) as in process, and
+// every run opens connections of its own (dist.Pool.Session), which
+// Driver.Close closes. That is the only way worker state is freed. The
+// master commits a placement only after a Load succeeded on the worker's
+// current connection, and a call it abandons severs that connection, so a
+// Phase finds the copy the master placed or nothing: a late Load lands in
+// a severed connection's table, and a revived worker answers "not
+// loaded".
 
 // notLoadedMsg marks a Phase addressed to a partition the worker does not
-// hold (never loaded, unloaded, or loaded on an earlier connection).
+// hold on this connection (never loaded, or loaded on an earlier one).
 // Matched by substring: rpc.ServerError erases error types in transit.
 const notLoadedMsg = "assembly: partition not loaded"
 
@@ -37,14 +40,9 @@ func IsRehostable(err error) bool {
 	return err != nil && strings.Contains(err.Error(), notLoadedMsg)
 }
 
-func partKey(runID string, part int32) string {
-	return fmt.Sprintf("%s/%d", runID, part)
-}
-
 // LoadArgs ships a partition to be retained.
 type LoadArgs struct {
-	RunID string
-	Sub   Subgraph
+	Sub Subgraph
 }
 
 // Load stores a partition for later delta-driven phases; each Phase call
@@ -53,9 +51,9 @@ func (s *Service) Load(args *LoadArgs, reply *dist.Ack) error {
 	sub := args.Sub
 	s.mu.Lock()
 	if s.parts == nil {
-		s.parts = map[string]*Subgraph{}
+		s.parts = map[int32]*Subgraph{}
 	}
-	s.parts[partKey(args.RunID, sub.Part)] = &sub
+	s.parts[sub.Part] = &sub
 	s.mu.Unlock()
 	*reply = true
 	return nil
@@ -71,7 +69,6 @@ type Delta struct {
 // PhaseArgs drives one phase against a stored partition, with the config
 // the phases read.
 type PhaseArgs struct {
-	RunID string
 	Part  int32
 	Phase string // "Transitive" | "Containment" | "Errors" | "Paths"
 	Delta Delta
@@ -119,31 +116,13 @@ func applyDelta(sub *Subgraph, d Delta) {
 // phase on it.
 func (s *Service) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	s.mu.Lock()
-	sub, ok := s.parts[partKey(args.RunID, args.Part)]
+	sub, ok := s.parts[args.Part]
 	s.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%s: partition %d of run %q", notLoadedMsg, args.Part, args.RunID)
+		return fmt.Errorf("%s: partition %d", notLoadedMsg, args.Part)
 	}
 	applyDelta(sub, args.Delta)
 	var err error
 	*reply, err = scanPhase(args.Phase, sub, args.Cfg)
 	return err
-}
-
-// UnloadArgs releases a run's partitions on a worker.
-type UnloadArgs struct{ RunID string }
-
-// Unload drops every stored partition of a run (call when the master is
-// done, to free worker memory while the connection stays up).
-func (s *Service) Unload(args *UnloadArgs, reply *dist.Ack) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prefix := args.RunID + "/"
-	for k := range s.parts {
-		if strings.HasPrefix(k, prefix) {
-			delete(s.parts, k)
-		}
-	}
-	*reply = true
-	return nil
 }

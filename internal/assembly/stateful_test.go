@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"focus/internal/dist"
+	"focus/internal/testutil"
 )
 
 func TestApplyDelta(t *testing.T) {
@@ -42,11 +46,11 @@ func TestApplyDelta(t *testing.T) {
 func TestStatefulServiceLifecycle(t *testing.T) {
 	svc := &Service{}
 	var ack dist.Ack
-	if err := svc.Load(&LoadArgs{RunID: "r1", Sub: *chainSub(3)}, &ack); err != nil || !ack {
+	if err := svc.Load(&LoadArgs{Sub: *chainSub(3)}, &ack); err != nil || !ack {
 		t.Fatal(err)
 	}
 	var pr PhaseReply
-	if err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &pr); err != nil {
+	if err := svc.Phase(&PhaseArgs{Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &pr); err != nil {
 		t.Fatal(err)
 	}
 	if len(pr.Paths) != 1 || len(pr.Paths[0]) != 3 {
@@ -55,20 +59,13 @@ func TestStatefulServiceLifecycle(t *testing.T) {
 	// An unknown phase is a service error, which re-hosting cannot fix.
 	// "Variants" is no phase of this protocol: the worker refuses it too.
 	for _, phase := range []string{"Nope", "Variants"} {
-		err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: phase}, &pr)
+		err := svc.Phase(&PhaseArgs{Part: 0, Phase: phase}, &pr)
 		if err == nil || IsRehostable(err) {
 			t.Errorf("unknown phase %q: %v", phase, err)
 		}
 	}
 	// A partition this service never stored is rehostable.
-	if err := svc.Phase(&PhaseArgs{RunID: "rX", Part: 0, Phase: "Paths"}, &pr); !IsRehostable(err) {
-		t.Errorf("unloaded run: %v", err)
-	}
-	// Unload forgets the run.
-	if err := svc.Unload(&UnloadArgs{RunID: "r1"}, &ack); err != nil || !ack {
-		t.Fatal(err)
-	}
-	if err := svc.Phase(&PhaseArgs{RunID: "r1", Part: 0, Phase: "Paths"}, &pr); !IsRehostable(err) {
+	if err := svc.Phase(&PhaseArgs{Part: 1, Phase: "Paths"}, &pr); !IsRehostable(err) {
 		t.Errorf("unloaded partition: %v", err)
 	}
 	if IsRehostable(nil) {
@@ -249,55 +246,114 @@ func (l *loadRefuser) Load(args *LoadArgs, reply *dist.Ack) error {
 	return l.Service.Load(args, reply)
 }
 
-// TestCloseUnloadsAfterFailedLoad: when the initial Load fails for one
-// partition, the run fails, but Close still unloads the partitions the
-// other Loads stored — a long-lived connection would keep them until it
-// closes.
-func TestCloseUnloadsAfterFailedLoad(t *testing.T) {
-	var mu sync.Mutex
-	var svcs []*loadRefuser
-	pool, err := dist.NewLocalPool(2, func() interface{} {
-		s := &loadRefuser{}
-		mu.Lock()
-		svcs = append(svcs, s)
-		mu.Unlock()
-		return s
-	})
+// trackConn is a worker's end of a connection that counts itself in open
+// until it closes, which is the last thing the goroutine serving it does.
+type trackConn struct {
+	net.Conn
+	open *atomic.Int32
+	once sync.Once
+}
+
+func newTrackConn(c net.Conn, open *atomic.Int32) net.Conn {
+	open.Add(1)
+	return &trackConn{Conn: c, open: open}
+}
+
+func (c *trackConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// trackListener tracks every connection it accepts.
+type trackListener struct {
+	net.Listener
+	open *atomic.Int32
+}
+
+func (l trackListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return newTrackConn(c, l.open), nil
+}
+
+// TestCloseFreesRunState: Driver.Close frees the run's worker state, in
+// process and over TCP, while the fleet stays open. The run's Load of
+// partition 1 is refused, so the run fails with partitions 0, 2 and 3
+// stored on its connections. Close closes them: the workers' serving
+// goroutines drop back to the fleet's two, a fresh connection finds none
+// of the partitions, and the fleet still answers.
+func TestCloseFreesRunState(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var open atomic.Int32
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	d := chaosPipeline(t, pool, 4)
-	if _, err := d.Trim(); err == nil || !strings.Contains(err.Error(), "injected Load refusal") {
-		t.Fatalf("Trim with a refused Load: %v", err)
-	}
-	stored := func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		var keys []string
-		for _, s := range svcs {
-			s.mu.Lock()
-			for key := range s.parts {
-				keys = append(keys, key)
-			}
-			s.mu.Unlock()
-		}
-		slices.Sort(keys)
-		return keys
-	}
-	want := []string{d.runID + "/0", d.runID + "/2", d.runID + "/3"}
-	if got := stored(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("before Close the workers store %v, want %v", got, want)
-	}
-	for _, p := range []int{0, 2, 3} {
-		if d.placement[p] < 0 || d.stored[p] == nil {
-			t.Fatalf("partition %d: Load succeeded but placement %d, stored ids %v", p, d.placement[p], d.stored[p])
-		}
-	}
-	if err := d.Close(); err != nil {
+	srv, err := dist.NewServer(&loadRefuser{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stored(); len(got) != 0 {
-		t.Fatalf("after Close the workers still store %v", got)
+	go func() { _ = srv.Serve(trackListener{lis, &open}) }()
+	defer srv.Shutdown(0)
+	for _, tc := range []struct {
+		name string
+		dial func() (*dist.Pool, error)
+	}{
+		{"in-process", func() (*dist.Pool, error) {
+			return dist.NewLocalPoolOpts(2, func() interface{} { return &loadRefuser{} },
+				dist.Options{WrapConn: func(_ int, c net.Conn) net.Conn { return newTrackConn(c, &open) }})
+		}},
+		{"tcp", func() (*dist.Pool, error) {
+			addr := lis.Addr().String()
+			return dist.DialPool([]string{addr, addr})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := tc.dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			d := chaosPipeline(t, pool, 4)
+			if _, err := d.Trim(); err == nil || !strings.Contains(err.Error(), "injected Load refusal") {
+				t.Fatalf("Trim with a refused Load: %v", err)
+			}
+			for _, p := range []int{0, 2, 3} {
+				if d.placement[p] < 0 || d.stored[p] == nil {
+					t.Fatalf("partition %d: Load succeeded but placement %d, stored ids %v", p, d.placement[p], d.stored[p])
+				}
+				// The run's own connection holds it.
+				if err := d.sess.Call(d.placement[p], "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{}); err != nil {
+					t.Fatalf("partition %d before Close: %v", p, err)
+				}
+			}
+			if n := open.Load(); n != 4 {
+				t.Fatalf("%d connections served during the run, want the fleet's 2 and the run's 2", n)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); open.Load() != 2; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d connections served after Close, want the fleet's 2", open.Load())
+				}
+			}
+			fresh := pool.Session()
+			defer fresh.Close()
+			for w := 0; w < 2; w++ {
+				for p := 0; p < 4; p++ {
+					err := fresh.Call(w, "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
+					if !IsRehostable(err) {
+						t.Fatalf("a fresh connection to worker %d asked for partition %d: %v, want not loaded", w, p, err)
+					}
+				}
+				var ack dist.Ack
+				if err := pool.Call(w, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
+					t.Fatalf("fleet worker %d after the run's Close: %v %v", w, ack, err)
+				}
+			}
+		})
 	}
 }

@@ -26,7 +26,6 @@ var (
 	_ dist.Wire = (*PhaseReply)(nil)
 	_ dist.Wire = (*LoadArgs)(nil)
 	_ dist.Wire = (*PhaseArgs)(nil)
-	_ dist.Wire = (*UnloadArgs)(nil)
 )
 
 // appendContig appends the 2-bit packed sequence; the presence bit rides
@@ -237,21 +236,18 @@ func decodeDelta(rd *dist.WireReader, d *Delta) {
 
 // AppendTo implements dist.Wire.
 func (a *LoadArgs) AppendTo(dst []byte) []byte {
-	dst = dist.AppendString(dst, a.RunID)
 	return appendSubgraph(dst, &a.Sub)
 }
 
 // DecodeFrom implements dist.Wire.
 func (a *LoadArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
-	a.RunID = rd.String()
 	decodeSubgraph(&rd, &a.Sub)
 	return rd.Finish()
 }
 
 // AppendTo implements dist.Wire.
 func (a *PhaseArgs) AppendTo(dst []byte) []byte {
-	dst = dist.AppendString(dst, a.RunID)
 	dst = dist.AppendVarint(dst, int64(a.Part))
 	dst = dist.AppendString(dst, a.Phase)
 	dst = appendDelta(dst, &a.Delta)
@@ -261,7 +257,6 @@ func (a *PhaseArgs) AppendTo(dst []byte) []byte {
 // DecodeFrom implements dist.Wire.
 func (a *PhaseArgs) DecodeFrom(src []byte) error {
 	rd := dist.NewWireReader(src)
-	a.RunID = rd.String()
 	a.Part = int32(rd.Varint())
 	a.Phase = rd.String()
 	decodeDelta(&rd, &a.Delta)
@@ -282,17 +277,5 @@ func (r *PhaseReply) DecodeFrom(src []byte) error {
 	r.Edges = decodeEdgePairs(&rd)
 	decodeRemoval(&rd, &r.Removal)
 	r.Paths = decodePaths(&rd)
-	return rd.Finish()
-}
-
-// AppendTo implements dist.Wire.
-func (a *UnloadArgs) AppendTo(dst []byte) []byte {
-	return dist.AppendString(dst, a.RunID)
-}
-
-// DecodeFrom implements dist.Wire.
-func (a *UnloadArgs) DecodeFrom(src []byte) error {
-	rd := dist.NewWireReader(src)
-	a.RunID = rd.String()
 	return rd.Finish()
 }

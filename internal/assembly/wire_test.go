@@ -186,13 +186,11 @@ func TestWireRoundTripProperty(t *testing.T) {
 		la LoadArgs
 		pa PhaseArgs
 		pr PhaseReply
-		ua UnloadArgs
 	)
 	for i := 0; i < 100; i++ {
-		rtWire(t, &UnloadArgs{RunID: randString(rng)}, &ua)
-		rtWire(t, &LoadArgs{RunID: randString(rng), Sub: randSubgraph(rng)}, &la)
+		rtWire(t, &LoadArgs{Sub: randSubgraph(rng)}, &la)
 		phase := &PhaseArgs{
-			RunID: randString(rng), Part: int32(rng.Uint32()), Phase: randString(rng),
+			Part: int32(rng.Uint32()), Phase: randString(rng),
 			Delta: Delta{RemovedNodes: randIDs(rng), RemovedEdges: randEdgePairs(rng)},
 			Cfg:   randConfig(rng),
 		}
@@ -210,7 +208,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 // panicking or allocating absurdly — never trust the wire.
 func TestWireDecodeCorruptFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	args := &LoadArgs{RunID: "run-3", Sub: randSubgraph(rng)}
+	args := &LoadArgs{Sub: randSubgraph(rng)}
 	enc := args.AppendTo(nil)
 	var dst LoadArgs
 	for cut := 0; cut < len(enc); cut += 3 {
@@ -274,7 +272,7 @@ func TestServiceRPCSurface(t *testing.T) {
 			got = append(got, st.Method(i).Name)
 		}
 	}
-	want := []string{"AlignRef", "Load", "Phase", "Ping", "Unload"}
+	want := []string{"AlignRef", "Load", "Phase", "Ping"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker RPC methods = %v, want %v", got, want)
 	}
@@ -354,11 +352,10 @@ func wireSamples() []struct {
 		msg  dist.Wire
 	}{
 		{"Ack", &ack},
-		{"LoadArgs", &LoadArgs{RunID: "run-7", Sub: sub}},
-		{"PhaseArgs", &PhaseArgs{RunID: "run-7", Part: 3, Phase: "Containment",
+		{"LoadArgs", &LoadArgs{Sub: sub}},
+		{"PhaseArgs", &PhaseArgs{Part: 3, Phase: "Containment",
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg}},
 		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths}},
-		{"UnloadArgs", &UnloadArgs{RunID: "run-7"}},
 		{"AlignRefArgs", &overlap.AlignRefArgs{
 			Queries: []int32{0, 2, 4}, RefLo: 6, RefHi: 8, Paired: true,
 			Seqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA"), []byte("GTACGTACGG")}, Cfg: ocfg,

@@ -133,13 +133,6 @@ type worker struct {
 	fails   int  // consecutive transport failures
 	evicted bool // permanently out of the schedulable set
 
-	// In-flight call tracking for Health: callStart holds the UnixNano
-	// start time of the oldest in-flight call (0 when idle). The pool's
-	// one-in-flight-per-worker scheduling makes the single timestamp exact
-	// for phase traffic.
-	inflight  atomic.Int32
-	callStart atomic.Int64
-
 	// The liveness rule's signs of life (liveness.go): UnixNano of the
 	// last byte read from the worker and of the last byte written to it.
 	heard, wrote atomic.Int64
@@ -147,32 +140,34 @@ type worker struct {
 
 // Pool is a set of workers addressed by index. Worker slots are fixed at
 // construction; health state decides which are schedulable at any moment.
-// A Pool handle is either a root (owns the fleet and its lifecycle) or a
-// view created by View: a restricted handle that shares the fleet's
-// workers, reconnect machinery and health state but schedules only onto
-// its member subset and keeps its own completion counter. Worker ids are
-// always root-global, in views too.
+// A Pool handle is a root (owns the fleet and its connections), a view
+// (View: a member mask over its parent's connections) or a session
+// (Session: connections of its own to its parent's members). Worker ids
+// are always root-global.
 type Pool struct {
 	opt     Options
 	workers []*worker
 
-	// View state: root points at the owning pool (nil on the root
-	// itself); mask[id] marks this handle's member workers (nil = all).
-	root *Pool
-	mask []bool
+	// parent is the handle a view or session was opened from (nil on the
+	// root); mask[id] marks this handle's member workers (nil = all).
+	parent *Pool
+	mask   []bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// completions counts finished worker calls (any outcome). Views keep
-	// their own counter (a job's traffic only); the root counter
-	// aggregates the whole fleet.
+	// completions counts finished worker calls (any outcome) of this
+	// handle and of the handles opened from it.
 	completions atomic.Int64
 
 	// Fleet-wide fault counters (root-held), surfaced by Health().
 	evictions  atomic.Int64
 	reconnects atomic.Int64
 
+	// Connection lifecycle, on a root or a session; a view owns no
+	// connections and has none (closed is nil). A root's sessions close
+	// with it.
+	sessions  map[*Pool]bool
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -193,12 +188,20 @@ func newPool(opt Options) *Pool {
 	}
 }
 
-// shared returns the root pool that owns the fleet's shared state
-// (reconnect loops, counters, lifecycle); for a root pool that is the pool
-// itself.
+// shared returns the root pool, which holds the fleet's slots and
+// counters; for a root pool that is the pool itself.
 func (p *Pool) shared() *Pool {
-	if p.root != nil {
-		return p.root
+	for p.parent != nil {
+		p = p.parent
+	}
+	return p
+}
+
+// owner returns the handle whose connections p's calls use: p itself on
+// a root or a session, the nearest such parent of a view.
+func (p *Pool) owner() *Pool {
+	for p.closed == nil {
+		p = p.parent
 	}
 	return p
 }
@@ -383,7 +386,7 @@ func (p *Pool) CallCtx(ctx context.Context, i int, method string, args, reply in
 		return fmt.Errorf("dist: worker %d out of range [0,%d)", i, len(p.workers))
 	}
 	if !p.allowed(i) {
-		return fmt.Errorf("dist: worker %d not a member of this pool view: %w", i, ErrWorkerDown)
+		return fmt.Errorf("dist: worker %d not a member of this pool handle: %w", i, ErrWorkerDown)
 	}
 	return p.callWorkerCtx(ctx, p.workers[i], method, args, reply)
 }
@@ -422,8 +425,11 @@ func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args
 	if c == nil {
 		return fmt.Errorf("dist: worker %d: %w", w.id, ErrWorkerDown)
 	}
-	p.noteCallStart(w)
-	defer p.noteCallEnd(w)
+	defer func() {
+		for h := p; h != nil; h = h.parent {
+			h.completions.Add(1)
+		}
+	}()
 	// client.Go's send runs in the calling goroutine and can itself block
 	// on a wedged connection, so the whole round-trip goes in a goroutine.
 	done := make(chan error, 1)
@@ -478,25 +484,6 @@ func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args
 	}
 }
 
-// noteCallStart/noteCallEnd maintain the per-worker in-flight timestamp
-// and the completion counters Health reports.
-func (p *Pool) noteCallStart(w *worker) {
-	if w.inflight.Add(1) == 1 {
-		w.callStart.Store(time.Now().UnixNano())
-	}
-}
-
-func (p *Pool) noteCallEnd(w *worker) {
-	if w.inflight.Add(-1) == 0 {
-		w.callStart.Store(0)
-	}
-	p.completions.Add(1)
-	// A view's traffic also counts as fleet progress on the root.
-	if s := p.shared(); s != p {
-		s.completions.Add(1)
-	}
-}
-
 // IsTransportError reports whether err indicates the worker (or the
 // connection to it) is unusable, as opposed to an application-level error
 // returned by the service — a service that answers, even with an error, is
@@ -528,32 +515,35 @@ func (p *Pool) record(w *worker, c *rpc.Client, err error) {
 	w.mu.Unlock()
 }
 
-// sever closes w's connection c and reconnects in the background, or
-// evicts w after MaxFailures consecutive counted failures or when nothing
-// can revive it. A call its caller canceled is severed uncounted: the
-// abandoned call could still write its reply, so the connection cannot be
-// kept, but the worker did nothing wrong.
+// sever closes w's connection c (nil: a connect that failed) and
+// reconnects in the background, or evicts w after MaxFailures
+// consecutive counted failures. A call its caller canceled is severed
+// uncounted: the abandoned call could still write its reply, so the
+// connection cannot be kept, but the worker did nothing wrong. Once the
+// connection's owner is closed it only drops the connection.
 func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
-	p = p.shared() // reconnect spawning and lifecycle state live on the root
+	p = p.owner() // reconnect spawning and lifecycle state live with the connections
 	w.mu.Lock()
 	if w.client != c { // stale generation: outcome of an already-severed conn
 		w.mu.Unlock()
 		return
 	}
-	if counted {
+	w.client = nil
+	closed := p.isClosed()
+	if counted && !closed {
 		w.fails++
 	}
-	w.client = nil
-	canRevive := (w.addr != "" || w.newService != nil) && !p.isClosed()
-	dead := w.fails >= p.opt.MaxFailures || !canRevive
-	if dead {
-		w.evicted = true
-	}
+	dead := !closed && w.fails >= p.opt.MaxFailures
 	fails := w.fails
 	w.mu.Unlock()
-	c.Close()
+	if c != nil {
+		c.Close()
+	}
+	if closed {
+		return
+	}
 	if dead {
-		p.evictions.Add(1)
+		p.evict(w)
 		p.opt.Logf("dist: worker %d evicted after %d consecutive transport failure(s) (last: %v)", w.id, fails, err)
 		return
 	}
@@ -569,6 +559,19 @@ func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
 	p.wg.Add(1)
 	p.spawnMu.Unlock()
 	go p.reconnectLoop(w)
+}
+
+// evict takes w out of the schedulable set for good, with the fleet's
+// slot of the same worker (a session's eviction is the fleet's), and
+// counts it in the fleet.
+func (p *Pool) evict(w *worker) {
+	f := p.shared()
+	for _, s := range []*worker{w, f.workers[w.id]} {
+		s.mu.Lock()
+		s.evicted = true
+		s.mu.Unlock()
+	}
+	f.evictions.Add(1)
 }
 
 // reconnectLoop re-establishes w's connection with exponential backoff and
@@ -597,14 +600,11 @@ func (p *Pool) reconnectLoop(w *worker) {
 		}
 		w.client = client
 		w.mu.Unlock()
-		p.reconnects.Add(1)
+		p.shared().reconnects.Add(1)
 		p.opt.Logf("dist: worker %d reconnected", w.id)
 		return
 	}
-	w.mu.Lock()
-	w.evicted = true
-	w.mu.Unlock()
-	p.evictions.Add(1)
+	p.evict(w)
 	p.opt.Logf("dist: worker %d evicted after %d failed reconnect attempts", w.id, p.opt.MaxReconnects)
 }
 
@@ -674,31 +674,42 @@ func HealthCheck(addr string, timeout time.Duration) error {
 
 func (p *Pool) isClosed() bool {
 	select {
-	case <-p.shared().closed:
+	case <-p.owner().closed:
 		return true
 	default:
 		return false
 	}
 }
 
-// Close shuts down all worker connections (and, for local pools, the
-// worker goroutines with them) and stops background reconnects. It is
+// Close shuts down the handle's own worker connections (and, for local
+// pools, the worker goroutines with them) and stops their background
+// reconnects; closing a root closes its open sessions too. It is
 // idempotent: the first call performs the teardown and waits for every
 // background goroutine to exit; later (or concurrent) calls wait for
 // that teardown to finish and return the same error.
 //
-// Closing a view does nothing: the fleet stays up for the other views and
-// the root.
+// Closing a view does nothing: it owns no connections.
 func (p *Pool) Close() error {
-	if p.root != nil {
+	if p.closed == nil {
 		return nil
 	}
 	p.closeOnce.Do(func() {
 		// Holding spawnMu across the close orders us against record()'s
-		// reconnect-loop spawns: no wg.Add can land after wg.Wait starts.
+		// reconnect-loop spawns and Session's registration: no wg.Add
+		// can land after wg.Wait starts, and no session after the sweep.
 		p.spawnMu.Lock()
 		close(p.closed)
+		sessions := p.sessions
+		p.sessions = nil
 		p.spawnMu.Unlock()
+		for s := range sessions {
+			s.Close()
+		}
+		if f := p.shared(); f != p {
+			f.spawnMu.Lock()
+			delete(f.sessions, p)
+			f.spawnMu.Unlock()
+		}
 		for _, w := range p.workers {
 			w.mu.Lock()
 			c := w.client

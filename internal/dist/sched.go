@@ -102,7 +102,7 @@ func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func
 				return
 			}
 			if !p.allowed(wid) {
-				errs[t] = fmt.Errorf("dist: task %d placed on worker %d not a member of this pool view: %w", t, wid, ErrWorkerDown)
+				errs[t] = fmt.Errorf("dist: task %d placed on worker %d not a member of this pool handle: %w", t, wid, ErrWorkerDown)
 				return
 			}
 			w := p.workers[wid]

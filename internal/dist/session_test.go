@@ -1,0 +1,203 @@
+package dist
+
+import (
+	"errors"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"focus/internal/testutil"
+)
+
+// countBytes counts the bytes a worker's end of a connection moves.
+type countBytes struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countBytes) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c countBytes) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestSessionCountsInParent: a session opened from a one-member view
+// dials that member only, and its call counts in the session's, the
+// view's and the fleet's Completions and in the bytes WrapConn counts.
+func TestSessionCountsInParent(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var services atomic.Int32
+	var wire atomic.Int64
+	p, err := NewLocalPoolOpts(2, func() interface{} { services.Add(1); return &EchoService{} },
+		Options{WrapConn: func(_ int, c net.Conn) net.Conn { return countBytes{c, &wire} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	view, err := p.View([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := view.Session()
+	defer s.Close()
+	if n := services.Load(); n != 3 {
+		t.Fatalf("%d connections served, want the fleet's 2 and the session's 1", n)
+	}
+	before := wire.Load()
+	var reply EchoReply
+	if err := s.Call(1, "Echo", &EchoArgs{X: 21, S: "ab"}, &reply); err != nil || reply.X != 42 {
+		t.Fatalf("session call: %+v %v", reply, err)
+	}
+	if wire.Load() == before {
+		t.Fatal("the session's call moved no counted byte")
+	}
+	if s.Completions() != 1 || view.Completions() != 1 || p.Completions() != 1 {
+		t.Fatalf("completions session %d, view %d, fleet %d; want 1 each", s.Completions(), view.Completions(), p.Completions())
+	}
+	if err := s.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+		t.Fatalf("call to a non-member = %v, want ErrWorkerDown", err)
+	}
+	if s.Healthy(0) || !s.Healthy(1) {
+		t.Fatalf("session health %+v, want only member 1", s.Health())
+	}
+}
+
+// TestSessionEvictionShowsInFleet: worker 1 answers the fleet's
+// connection but hangs on the session's. Once the session's call is cut,
+// MaxFailures 1 evicts the worker in the session and in the fleet, and a
+// later session leaves it out.
+func TestSessionEvictionShowsInFleet(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
+		Options{CallTimeout: 300 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
+		func(w int) *ChaosConfig {
+			if w == 1 {
+				return &ChaosConfig{Seed: 3, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := p.Session()
+	defer s.Close()
+	var reply EchoReply
+	if err := s.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("hung session call = %v, want ErrCallTimeout", err)
+	}
+	h := p.Health()
+	if h.Workers[1].State != WorkerEvicted || h.Evictions != 1 || h.Healthy != 1 {
+		t.Fatalf("fleet health after the session's eviction: %+v", h)
+	}
+	if s.Healthy(1) || !s.Healthy(0) {
+		t.Fatalf("session health after the eviction: %+v", s.Health())
+	}
+	// A new session leaves the evicted worker out.
+	s2 := p.Session()
+	defer s2.Close()
+	if s2.Healthy(1) || !s2.Healthy(0) {
+		t.Fatalf("new session's health: %+v", s2.Health())
+	}
+}
+
+// TestSessionCloseLeavesOthers: closing one session, with its reconnect
+// loop in a long backoff, stops that loop and leaves the fleet and
+// another session working; closing the fleet closes the sessions still
+// open.
+func TestSessionCloseLeavesOthers(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var blocked int32 = 1
+	p, err := NewLocalPoolOpts(2, func() interface{} { return &BlockService{blocked: &blocked} },
+		Options{
+			CallTimeout:   50 * time.Millisecond,
+			MaxFailures:   100,
+			MaxReconnects: 100,
+			ReconnectMin:  10 * time.Second,
+			ReconnectMax:  10 * time.Second,
+			Logf:          t.Logf,
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	a, b := p.Session(), p.Session()
+	var reply EchoReply
+	if err := a.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("want ErrCallTimeout, got %v", err)
+	}
+	atomic.StoreInt32(&blocked, 0)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+		t.Fatalf("call on a closed session = %v, want ErrWorkerDown", err)
+	}
+	for _, h := range []*Pool{p, b} {
+		for w := 0; w < 2; w++ {
+			if err := h.Call(w, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
+				t.Fatalf("worker %d after another session's Close: %+v %v", w, reply, err)
+			}
+		}
+	}
+	if n := p.Health().Evictions; n != 0 {
+		t.Fatalf("%d evictions", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+		t.Fatalf("call on a session of a closed fleet = %v, want ErrWorkerDown", err)
+	}
+	if s := p.Session(); s.NumHealthy() != 0 {
+		t.Fatalf("a session of a closed fleet has %d healthy workers", s.NumHealthy())
+	}
+}
+
+// TestSessionsConcurrent: runs open, use and close sessions of one fleet
+// from several goroutines while the fleet closes under them. Every call
+// answers or fails on the transport, and no connection outlives the
+// fleet.
+func TestSessionsConcurrent(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	p, err := NewLocalPool(2, func() interface{} { return &EchoService{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < 20; i++ {
+				s := p.Session()
+				var reply EchoReply
+				if err := s.Call(g%2, "Echo", &EchoArgs{X: i}, &reply); err != nil && !IsTransportError(err) {
+					errs <- err
+					return
+				}
+				if i%2 == 0 {
+					s.Close()
+				}
+			}
+		}(g)
+	}
+	time.Sleep(time.Millisecond)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < 8; g++ {
+		<-done
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -3,31 +3,28 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 )
 
 // Fleet sharing (DESIGN.md §15): a resident master multiplexes many
-// concurrent assembly jobs onto one worker fleet. Each job gets a View —
-// a member mask over the fleet: a Pool handle that schedules only onto its
-// member workers and keeps its own completion counter — while connection
-// health, eviction, reconnection and the liveness rule's signs of life
-// remain fleet state owned by the root pool. Health() is the fleet's
-// scrapeable health snapshot.
+// concurrent assembly jobs onto one worker fleet. Each job gets a View, a
+// member mask over the fleet that says where the job may run, and each
+// run opens a Session of it: connections of its own, which hold the
+// run's worker state. Eviction and the fault counters stay fleet state
+// on the root. Health() is the fleet's scrapeable health snapshot.
 
-// View returns a restricted handle onto the same fleet that schedules
+// View returns a restricted handle onto p's connections that schedules
 // only onto the given member worker ids. Worker ids stay root-global:
 // view.Healthy(3) asks about fleet worker 3, whether or not it is a
 // member (non-members are simply never healthy from the view). Views of
 // views must narrow: every id must be a member of p.
 func (p *Pool) View(ids []int) (*Pool, error) {
-	s := p.shared()
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("dist: view needs at least one worker")
 	}
-	mask := make([]bool, len(s.workers))
+	mask := make([]bool, len(p.workers))
 	for _, id := range ids {
-		if id < 0 || id >= len(s.workers) {
-			return nil, fmt.Errorf("dist: view worker %d outside [0,%d)", id, len(s.workers))
+		if id < 0 || id >= len(p.workers) {
+			return nil, fmt.Errorf("dist: view worker %d outside [0,%d)", id, len(p.workers))
 		}
 		if mask[id] {
 			return nil, fmt.Errorf("dist: duplicate worker %d in view", id)
@@ -37,19 +34,52 @@ func (p *Pool) View(ids []int) (*Pool, error) {
 		}
 		mask[id] = true
 	}
-	return &Pool{opt: s.opt, workers: s.workers, root: s, mask: mask}, nil
+	return &Pool{opt: p.opt, workers: p.workers, parent: p, mask: mask}, nil
 }
 
-// Members returns this handle's member worker ids in ascending order
-// (every slot for a root pool), healthy or not.
-func (p *Pool) Members() []int {
-	ids := make([]int, 0, len(p.workers))
-	for _, w := range p.workers {
-		if p.allowed(w.id) {
-			ids = append(ids, w.id)
+// Session opens a handle with connections of its own to p's members,
+// dialed and handshaken as the pool's are, under the same Options. A
+// member whose fleet slot is evicted stays out; one that cannot be
+// reached now is reconnected in the background. What a worker stores for
+// the session's calls lives as long as these connections, so Close frees
+// it, and a call the session severs touches no other handle's. Worker
+// ids stay fleet-global, the session's calls count in p's and the
+// fleet's Completions, and an eviction in it evicts the fleet's slot.
+func (p *Pool) Session() *Pool {
+	f := p.shared()
+	s := newPool(f.opt)
+	s.parent, s.mask = p, p.mask
+	for i, fw := range f.workers {
+		w := &worker{id: i, addr: fw.addr, newService: fw.newService, wrap: fw.wrap}
+		s.workers = append(s.workers, w)
+		fw.mu.Lock()
+		w.evicted = fw.evicted
+		fw.mu.Unlock()
+		if w.evicted || !s.allowed(i) {
+			continue
 		}
+		client, err := s.connectWorker(w)
+		if err != nil {
+			s.sever(w, nil, err, false)
+			continue
+		}
+		w.client = client
 	}
-	return ids
+	// Registered only once whole, so the fleet's Close never races the
+	// dials; a session of a closed fleet closes at once.
+	f.spawnMu.Lock()
+	open := !f.isClosed()
+	if open {
+		if f.sessions == nil {
+			f.sessions = map[*Pool]bool{}
+		}
+		f.sessions[s] = true
+	}
+	f.spawnMu.Unlock()
+	if !open {
+		s.Close()
+	}
+	return s
 }
 
 // WorkerState is a worker's position in the health lifecycle.
@@ -106,14 +136,9 @@ type WorkerHealth struct {
 	// ConsecutiveFails is the current consecutive transport-failure count
 	// (reset by any successful call).
 	ConsecutiveFails int `json:"consecutive_fails"`
-	// InFlight is the number of calls currently outstanding on the worker.
-	InFlight int `json:"in_flight"`
-	// CallRunningFor is how long the oldest in-flight call has been
-	// running (0 when idle).
-	CallRunningFor time.Duration `json:"call_running_for_ns"`
 }
 
-// HealthSnapshot is a point-in-time view of the fleet (or of a view's
+// HealthSnapshot is a point-in-time view of the fleet (or of a handle's
 // member subset): per-worker state plus the fleet-wide fault counters.
 // It is advisory — workers change state concurrently — but that is all an
 // operational surface needs.
@@ -121,8 +146,8 @@ type HealthSnapshot struct {
 	Workers []WorkerHealth `json:"workers"`
 	Healthy int            `json:"healthy"`
 	// Evictions and Reconnects are fleet-lifetime totals (root counters,
-	// identical from any view). Completions is per handle: a view reports
-	// its own traffic, the root the whole fleet's.
+	// identical from any handle). Completions is per handle: its own
+	// traffic and its views' and sessions', the root's the whole fleet's.
 	Evictions  int64 `json:"evictions"`
 	Reconnects int64 `json:"reconnects"`
 	// Kicks always reads 0: nothing severs a worker on a supervisor's
@@ -142,15 +167,11 @@ func (p *Pool) Health() HealthSnapshot {
 		Reconnects:  s.reconnects.Load(),
 		Completions: p.completions.Load(),
 	}
-	now := time.Now().UnixNano()
 	for _, w := range p.workers {
 		if !p.allowed(w.id) {
 			continue
 		}
-		wh := WorkerHealth{ID: w.id, InFlight: int(w.inflight.Load())}
-		if start := w.callStart.Load(); start != 0 && now > start {
-			wh.CallRunningFor = time.Duration(now - start)
-		}
+		wh := WorkerHealth{ID: w.id}
 		w.mu.Lock()
 		wh.ConsecutiveFails = w.fails
 		switch {

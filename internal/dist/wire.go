@@ -22,7 +22,7 @@ type Wire interface {
 }
 
 // Ack is the one-byte body of the calls that carry no payload in one
-// direction or both: Ping's argument and reply, Unload's reply.
+// direction or both: Ping's argument and reply, Load's reply.
 type Ack bool
 
 // AppendTo implements Wire.

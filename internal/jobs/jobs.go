@@ -3,11 +3,13 @@
 // assembly jobs onto one shared dist worker fleet. Each admitted job runs
 // under its own quota (worker-view width, memory estimate, deadline), its
 // own checkpoint namespace (independently killable and resumable) and its
-// own cancellation cause. A job's view is a member mask over the fleet's
-// shared connections: a worker loss re-hosts only the affected jobs'
-// partitions, but a killed or drained job severs the connections it
-// shares, so its co-tenants' partitions on those workers re-host too. The
-// Server's metrics registry and health snapshot are the
+// own cancellation cause. A job's view is a member mask over the fleet:
+// it says where the job may run, and the job's run opens connections of
+// its own to those workers (dist.Pool.Session), which hold its
+// partitions. A worker loss re-hosts only the affected jobs' partitions,
+// and a killed or drained job severs only its own connections, so its
+// co-tenants lose nothing. The Server's metrics registry and health
+// snapshot are the
 // operational surface, exposed over HTTP by Handler and scraped by the
 // chaos tests as assertions.
 package jobs

@@ -2,9 +2,11 @@ package jobs
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,8 +44,9 @@ func TestMultiTenantChaos(t *testing.T) {
 	bigInput := writeInput(t, 12000, 8, 404)
 	bigBaseline := soloBaseline(t, bigInput, k)
 
-	// Worker 3 answers its two Loads (job 2's partitions 1 and 3), then
-	// hangs on every response. No CallTimeout is set: the liveness rule
+	// On each connection worker 3 answers the handshake, then on job 2's
+	// own connection its two Loads (partitions 1 and 3), then hangs on
+	// every response. No CallTimeout is set: the liveness rule
 	// cuts its first Phase when its probe goes unanswered, MaxFailures 1
 	// evicts it, and its partitions are re-hosted onto worker 2. (A Load
 	// that fails is a re-host only for a partition Loaded before, so a
@@ -51,7 +54,7 @@ func TestMultiTenantChaos(t *testing.T) {
 	// Workers 0-2 are clean.
 	hold := &phaseHold{held: make(chan struct{}, 1)}
 	pool, err := dist.NewLocalChaosPool(4, func() interface{} {
-		return holdService{Service: &assembly.Service{}, hold: hold}
+		return &holdService{hold: hold}
 	}, dist.Options{
 		MaxFailures: 1,
 		Logf:        t.Logf,
@@ -227,11 +230,12 @@ func TestMultiTenantChaos(t *testing.T) {
 }
 
 // phaseHold holds the Phase calls of holdService: between arm and release
-// every call blocks, signalling held once it does.
+// every call blocks, signalling held once it does and counting in calls.
 type phaseHold struct {
-	mu   sync.Mutex
-	open chan struct{} // non-nil while armed; closed by release
-	held chan struct{}
+	mu    sync.Mutex
+	open  chan struct{} // non-nil while armed; closed by release
+	held  chan struct{}
+	calls atomic.Int32
 }
 
 func (h *phaseHold) arm() {
@@ -248,17 +252,19 @@ func (h *phaseHold) release() {
 }
 
 // holdService is the assembly worker service with its Phase calls behind
-// a phaseHold.
+// a phaseHold. Each connection gets its own copy (a pointer prototype, as
+// dist.NewServer and the in-process factory want), sharing the hold.
 type holdService struct {
-	*assembly.Service
+	assembly.Service
 	hold *phaseHold
 }
 
-func (s holdService) Phase(args *assembly.PhaseArgs, reply *assembly.PhaseReply) error {
+func (s *holdService) Phase(args *assembly.PhaseArgs, reply *assembly.PhaseReply) error {
 	s.hold.mu.Lock()
 	open := s.hold.open
 	s.hold.mu.Unlock()
 	if open != nil {
+		s.hold.calls.Add(1)
 		select {
 		case s.hold.held <- struct{}{}:
 		default:
@@ -266,6 +272,102 @@ func (s holdService) Phase(args *assembly.PhaseArgs, reply *assembly.PhaseReply)
 		<-open
 	}
 	return s.Service.Phase(args, reply)
+}
+
+// TestTenantKillIsolation: two jobs share a 2-worker fleet, both on the
+// whole fleet. Each is held inside its first Phase (two calls each, one
+// per worker); job A is killed there, then job B is released. Killing A
+// severs only A's own connections, so B loses no partition, re-hosts
+// nothing, does not degrade, and ends byte-identical to its solo
+// baseline, in process and over loopback TCP.
+func TestTenantKillIsolation(t *testing.T) {
+	t.Cleanup(func() { testutil.NoLeaks(t) })
+	const k = 4
+	inputA, inputB := writeInput(t, 12000, 8, 505), writeInput(t, 4000, 6, 606)
+	want := soloBaseline(t, inputB, k)
+	for _, transport := range []string{"in-process", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			hold := &phaseHold{held: make(chan struct{}, 1)}
+			hold.arm()
+			released := false
+			release := func() {
+				if !released {
+					released = true
+					hold.release()
+				}
+			}
+			defer release() // held calls must not outlive the test
+			var pool *dist.Pool
+			var err error
+			if transport == "in-process" {
+				pool, err = dist.NewLocalPoolOpts(2, func() interface{} { return &holdService{hold: hold} }, dist.Options{Logf: t.Logf})
+			} else {
+				var addrs []string
+				for i := 0; i < 2; i++ {
+					lis, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, err := dist.NewServer(&holdService{hold: hold})
+					if err != nil {
+						t.Fatal(err)
+					}
+					go func() { _ = srv.Serve(lis) }()
+					defer srv.Shutdown(0)
+					addrs = append(addrs, lis.Addr().String())
+				}
+				pool, err = dist.DialPoolOpts(addrs, dist.Options{Logf: t.Logf})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			s, err := NewServer(pool, Options{MaxRunning: 2, Template: testTemplate(), Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			idA, err := s.Submit(Spec{Name: "a", InputPath: inputA, K: k, MaxWorkers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idB, err := s.Submit(Spec{Name: "b", InputPath: inputB, K: k, MaxWorkers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(20 * time.Second); hold.calls.Load() < 4; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d Phase calls held, want both jobs' first two", hold.calls.Load())
+				}
+			}
+			if err := s.Kill(idA); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Wait(idA); err == nil {
+				t.Fatal("killed job A reported success")
+			}
+			release()
+			if err := s.Wait(idB); err != nil {
+				t.Fatalf("job B failed after A's kill: %v", err)
+			}
+			got, err := s.Result(idB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameContigs(got, want) {
+				t.Fatalf("job B diverged from its solo baseline after A's kill (%d vs %d contigs)", len(got), len(want))
+			}
+			c := s.Metrics().Snapshot().Counters
+			for _, name := range []string{"assembly_partition_lost_total", "assembly_rehost_total", "assembly_rehost_failed_total", "assembly_degraded_total"} {
+				if c[name] != 0 {
+					t.Errorf("%s = %d after killing the other tenant, want 0", name, c[name])
+				}
+			}
+			if n := pool.Health().Evictions; n != 0 {
+				t.Errorf("killing a tenant evicted %d worker(s)", n)
+			}
+		})
+	}
 }
 
 func getJSON(t *testing.T, url string, v interface{}) {

@@ -97,6 +97,14 @@ echo "== race: multi-tenant sweep =="
 go test -race -run 'Job|Admission|Tenant' \
     ./internal/jobs/ ./internal/dist/ ./internal/assembly/
 
+# Kill isolation: two jobs on one fleet, one killed inside its first
+# phase, the other losing nothing; and sessions opened, used and closed
+# while their fleet closes. Repeated because only a racing schedule
+# exposes state that runs share.
+echo "== race: kill isolation sweep =="
+go test -race -count=5 -run 'TenantKillIsolation|SessionsConcurrent' \
+    ./internal/jobs/ ./internal/dist/
+
 if [ "$FUZZTIME" != "0" ]; then
     # -fuzz takes exactly one target per invocation.
     fuzz() {
