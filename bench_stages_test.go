@@ -10,7 +10,6 @@ import (
 	"focus/internal/assembly"
 	"focus/internal/dist"
 	"focus/internal/eval"
-	"focus/internal/overlap"
 	"focus/internal/simulate"
 	"focus/internal/taxonomy"
 )
@@ -61,33 +60,6 @@ func BenchmarkClassifier(b *testing.B) {
 			cls.Classify(r.Seq)
 		}
 	}
-}
-
-// BenchmarkDistributedAlignment contrasts local goroutine alignment with
-// the RPC-distributed mode on the same reads.
-func BenchmarkDistributedAlignment(b *testing.B) {
-	d := benchSet(b, 1)
-	cfg := overlap.DefaultConfig()
-	reads := d.stages.Reads
-	b.Run("local", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := overlap.FindOverlaps(reads, 4, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rpc", func(b *testing.B) {
-		pool, err := dist.NewLocalPool(2, assembly.NewService)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		for i := 0; i < b.N; i++ {
-			if _, err := overlap.FindOverlapsDistributedCtx(nil, pool, reads, 4, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkHybridSweep explains the partition share of the genome_ksweep

@@ -1,7 +1,9 @@
 // Distributed: start real TCP RPC workers (the same service that
 // cmd/focus-worker daemonizes), connect a pool to them, and run the
 // distributed trimming and traversal phases against them — the paper's
-// master/worker model over sockets instead of MPI ranks.
+// master/worker model over sockets instead of MPI ranks. Read alignment
+// runs on the master's cores, as in cmd/focus and focus-serve: its
+// subset pairs are spread over the master's goroutines, not the workers.
 //
 //	go run ./examples/distributed
 package main
@@ -53,13 +55,13 @@ func main() {
 	}
 	defer pool.Close()
 
-	// 3. Fully distributed: read alignment AND graph phases run on the
-	// TCP workers (paper §II.B sends subset pairs to processors too).
-	stages, err := focus.BuildStagesOnPool(rs.Reads, focus.DefaultConfig(), pool)
+	// 3. Alignment on the master's cores, then the graph phases on the
+	// TCP workers.
+	stages, err := focus.BuildStages(rs.Reads, focus.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("distributed alignment: %d overlaps in %s\n",
+	fmt.Printf("alignment: %d overlaps in %s\n",
 		len(stages.Records), stages.Timings["overlap"].Round(1e6))
 	res, err := stages.Assemble(pool, 8, pool.Size(), 1)
 	if err != nil {

@@ -34,8 +34,9 @@ func TestAssembleOnPool(t *testing.T) {
 	}
 }
 
-// TestBuildStagesOnPoolMatchesLocal: the distributed-alignment facade
-// yields the same stages as the local one.
+// TestBuildStagesOnPoolMatchesLocal: the deprecated pool builder yields
+// the stages BuildStages does and sends no call to the pool: alignment
+// runs on the master's cores.
 func TestBuildStagesOnPoolMatchesLocal(t *testing.T) {
 	reads, _ := simReads(t, 3500, 7, 301)
 	cfg := testConfig()
@@ -48,9 +49,13 @@ func TestBuildStagesOnPoolMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	calls := pool.Completions()
 	remote, err := BuildStagesOnPool(reads, cfg, pool)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := pool.Completions() - calls; n != 0 {
+		t.Fatalf("BuildStagesOnPool made %d calls on the pool, want none", n)
 	}
 	if len(remote.Records) != len(local.Records) {
 		t.Fatalf("records: %d vs %d", len(remote.Records), len(local.Records))
@@ -298,23 +303,17 @@ func TestCheckpointResumeRefusesOtherInput(t *testing.T) {
 	}
 }
 
-// stageBuilders returns the three exported stage builders over the same
-// reads, each reduced to a func of the config: local overlap, overlap on
-// a two-worker pool, and records precomputed with recCfg.
+// stageBuilders returns the two exported stage builders over the same
+// reads, each reduced to a func of the config: overlap computed, and
+// records precomputed with recCfg.
 func stageBuilders(t *testing.T, reads []Read, recCfg Config) map[string]func(Config) (*Stages, error) {
 	t.Helper()
-	pool, err := dist.NewLocalPool(2, assembly.NewService)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pool.Close() })
 	base := &Stages{} // stays empty when recCfg itself fails to build
 	if s, err := BuildStages(reads, recCfg); err == nil {
 		base = s
 	}
 	return map[string]func(Config) (*Stages, error){
-		"BuildStages":       func(cfg Config) (*Stages, error) { return BuildStages(reads, cfg) },
-		"BuildStagesOnPool": func(cfg Config) (*Stages, error) { return BuildStagesOnPool(reads, cfg, pool) },
+		"BuildStages": func(cfg Config) (*Stages, error) { return BuildStages(reads, cfg) },
 		"BuildStagesFromRecords": func(cfg Config) (*Stages, error) {
 			return BuildStagesFromRecords(reads, base.Records, len(base.Reads), cfg)
 		},
@@ -340,7 +339,7 @@ func (c *pollCancelCtx) Err() error {
 }
 
 // TestBuildStagesCancelBetweenStages: a cancel that lands between two
-// stages stops all three builders at the same boundary with the caller's
+// stages stops both builders at the same boundary with the caller's
 // typed cause.
 func TestBuildStagesCancelBetweenStages(t *testing.T) {
 	reads, _ := simReads(t, 3000, 4, 304)

@@ -236,14 +236,13 @@ func BuildStages(raw []Read, cfg Config) (*Stages, error) {
 	})
 }
 
-// BuildStagesOnPool is BuildStages with the read-alignment stage
-// distributed over the worker pool (paper §II.B: subset pairs are sent to
-// different processors), instead of local goroutines. Results are
-// identical to BuildStages for the same configuration.
-func BuildStagesOnPool(raw []Read, cfg Config, pool *dist.Pool) (*Stages, error) {
-	return buildStages(raw, cfg, func(ctx context.Context, reads []Read) ([]overlap.Record, error) {
-		return overlap.FindOverlapsDistributedCtx(ctx, pool, reads, cfg.subsets(), cfg.Overlap)
-	})
+// BuildStagesOnPool is BuildStages: the pool is not used, and alignment
+// runs on the master's cores.
+//
+// Deprecated: only the frozen benchmark harness calls it; use BuildStages
+// and pass the pool to Stages.Assemble.
+func BuildStagesOnPool(raw []Read, cfg Config, _ *dist.Pool) (*Stages, error) {
+	return BuildStages(raw, cfg)
 }
 
 // BuildStagesFromRecords is BuildStages with the overlap-detection stage

@@ -3,7 +3,6 @@ package assembly
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 
 	"focus/internal/dist"
 	"focus/internal/metrics"
-	"focus/internal/overlap"
 )
 
 // FlakyService fails a configurable subset of Transitive phase calls,
@@ -169,67 +167,6 @@ func TestDriverHealthyFlakyServicePasses(t *testing.T) {
 	defer pool.Close()
 	if _, err := d.Trim(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAlignRefBadRequestKeepsWorker: a TCP-served worker sent
-// well-formed AlignRef requests it cannot run — k = 0 (which used to panic
-// inside the k-mer enumerator, and net/rpc does not recover a handler:
-// the whole worker process died), k = 33, bounds and sequences of
-// different counts, a paired job on odd bounds — answers each with an
-// error, still answers Ping after each, and then runs a good request.
-func TestAlignRefBadRequestKeepsWorker(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	srv, err := dist.NewServer(&Service{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(lis) }()
-	pool, err := dist.DialPoolOpts([]string{lis.Addr().String()}, dist.Options{CallTimeout: 10 * time.Second, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	rng := rand.New(rand.NewSource(21))
-	seq := make([]byte, 120)
-	for i := range seq {
-		seq[i] = "ACGT"[rng.Intn(4)]
-	}
-	job := func(mut func(*overlap.AlignRefArgs)) *overlap.AlignRefArgs {
-		a := &overlap.AlignRefArgs{
-			Queries: []int32{0, 2}, RefLo: 0, RefHi: 2,
-			Seqs: [][]byte{seq, seq[40:]},
-			Cfg:  overlap.DefaultConfig(),
-		}
-		mut(a)
-		return a
-	}
-	for _, bad := range []struct {
-		name string
-		mut  func(*overlap.AlignRefArgs)
-	}{
-		{"k=0", func(a *overlap.AlignRefArgs) { a.Cfg.K = 0 }},
-		{"k=33", func(a *overlap.AlignRefArgs) { a.Cfg.K = 33 }},
-		{"bounds/sequences", func(a *overlap.AlignRefArgs) { a.Seqs = a.Seqs[:1] }},
-		{"paired odd bounds", func(a *overlap.AlignRefArgs) { a.Queries, a.RefHi, a.Paired = []int32{0, 1}, 1, true }},
-	} {
-		var reply overlap.AlignRefReply
-		if err := pool.Call(0, "AlignRef", job(bad.mut), &reply); err == nil {
-			t.Fatalf("%s: no error, %d lists", bad.name, len(reply.Lists))
-		}
-		var ack dist.Ack
-		if err := pool.Call(0, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
-			t.Fatalf("after %s: Ping %v %v", bad.name, ack, err)
-		}
-	}
-	// The master decodes the records against the lengths of its reads.
-	reply := overlap.AlignRefReply{Lengths: wireLens{len(seq), len(seq) - 40}}
-	if err := pool.Call(0, "AlignRef", job(func(*overlap.AlignRefArgs) {}), &reply); err != nil || len(reply.Lists) != 1 || len(reply.Lists[0]) == 0 {
-		t.Fatalf("good request after the bad ones: %v lists, %v", reply.Lists, err)
 	}
 }
 

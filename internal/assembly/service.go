@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"focus/internal/dist"
-	"focus/internal/overlap"
 )
 
 // Service is the RPC service workers host (registered under
@@ -53,15 +52,6 @@ func scanPhase(phase string, sub *Subgraph, cfg Config) (PhaseReply, error) {
 func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 	*reply = true
 	return nil
-}
-
-// AlignRef runs one distributed read-alignment job (paper §II.B: subset
-// pairs are sent to different processors): one reference subset indexed
-// once and queried by a run of subsets. The overlap package provides both
-// the wire types and the computation; this method just exposes them on
-// the worker service.
-func (s *Service) AlignRef(args *overlap.AlignRefArgs, reply *overlap.AlignRefReply) error {
-	return overlap.AlignRef(args, reply)
 }
 
 // NewService is the factory handed to dist.NewLocalPool.

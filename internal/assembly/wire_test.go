@@ -16,9 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"focus/internal/align"
 	"focus/internal/dist"
-	"focus/internal/overlap"
 )
 
 // Randomized value generators for the Wire property test. They cover the
@@ -261,7 +259,8 @@ func TestWireCodecEquivalence(t *testing.T) {
 
 // TestServiceRPCSurface pins the worker's RPC methods: a new per-phase
 // method is a wire change, to be made on purpose (every phase goes
-// through Phase).
+// through Phase), and a worker does not align reads: the overlap stage
+// runs on the master's cores.
 func TestServiceRPCSurface(t *testing.T) {
 	errType := reflect.TypeOf((*error)(nil)).Elem()
 	var got []string
@@ -272,7 +271,7 @@ func TestServiceRPCSurface(t *testing.T) {
 			got = append(got, st.Method(i).Name)
 		}
 	}
-	want := []string{"AlignRef", "Load", "Phase", "Ping"}
+	want := []string{"Load", "Phase", "Ping"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("worker RPC methods = %v, want %v", got, want)
 	}
@@ -344,8 +343,6 @@ func wireSamples() []struct {
 	pairs := []EdgePair{{From: 10, To: 11}, {From: 15, To: 10}, {From: 15, To: 2}}
 	removal := Removal{Nodes: []int32{11, 90, 4}, Edges: pairs[:2]}
 	paths := [][]int32{{10, 11, 90}, {}, {15}}
-	ocfg := overlap.Config{K: 16, Step: 4, MinKmerHits: 2, // MaxOccur ships as Masked
-		Align: align.Config{MinLength: 50, MinIdentity: 0.9, Band: 6, Scoring: align.Scoring{Match: 1, Mismatch: -1, Gap: -2}}}
 	ack := dist.Ack(true)
 	return []struct {
 		name string
@@ -356,27 +353,7 @@ func wireSamples() []struct {
 		{"PhaseArgs", &PhaseArgs{Part: 3, Phase: "Containment",
 			Delta: Delta{RemovedNodes: []int32{90}, RemovedEdges: pairs[1:]}, Cfg: cfg}},
 		{"PhaseReply", &PhaseReply{Edges: pairs, Removal: removal, Paths: paths}},
-		{"AlignRefArgs", &overlap.AlignRefArgs{
-			Queries: []int32{0, 2, 4}, RefLo: 6, RefHi: 8, Paired: true,
-			Seqs: [][]byte{[]byte("ACGTACGTAC"), []byte("TTGNCA"), []byte("GTACGTACGG")}, Cfg: ocfg,
-			Masked: []uint64{0, 0x1b, 0x1b1b1b1b, 0xffffffff}}},
-		// An escaped record (Identity is not m/58), a compact one on its
-		// window and a compact one with two gap columns.
-		{"AlignRefReply", &overlap.AlignRefReply{Lists: [][]overlap.Record{
-			{{A: 0, B: 6, Kind: 0x81, Len: 58, Identity: 0.9375, Diag: 42}, {A: 1, B: 7, Kind: 2, Len: 50, Identity: 1, Diag: -7}},
-			{{A: 2, B: 6, Kind: 3, Len: 64, Identity: 0.9375, Diag: 3}},
-		}, Lengths: wireLens{100, 50, 65, 0, 0, 0, 100, 60}}},
 	}
-}
-
-// wireLens gives read id the length wireLens[id].
-type wireLens []int
-
-func (l wireLens) ReadLen(id int32) int {
-	if id < 0 || int(id) >= len(l) {
-		return 0
-	}
-	return l[id]
 }
 
 // servedWireVersion learns the wire version the way a peer does: from the
@@ -425,10 +402,6 @@ func TestWireSchemaPinned(t *testing.T) {
 	for _, s := range wireSamples() {
 		enc := s.msg.AppendTo(nil)
 		fresh := reflect.New(reflect.TypeOf(s.msg).Elem()).Interface().(dist.Wire)
-		if r, ok := s.msg.(*overlap.AlignRefReply); ok {
-			// The decode context: held by both ends, never shipped.
-			fresh.(*overlap.AlignRefReply).Lengths = r.Lengths
-		}
 		if err := fresh.DecodeFrom(enc); err != nil || !reflect.DeepEqual(fresh, s.msg) {
 			t.Fatalf("%s sample does not round-trip (err %v)", s.name, err)
 		}

@@ -157,10 +157,11 @@ func TestCallCtxCancelIsNotAWorkerFailure(t *testing.T) {
 	}
 }
 
-// TestParallelCallsCtxCancelUnwinds: a canceled scheduler run finishes all
-// runners, returns the cancellation cause, and does not burn the retry
-// budget churning through pre-canceled tasks.
-func TestParallelCallsCtxCancelUnwinds(t *testing.T) {
+// TestParallelCallsPlacedCancelUnwinds: a canceled batch of placed calls
+// returns promptly with the cancellation cause on every task, the calls in
+// flight severed and those queued behind them failed before they touch the
+// network, and evicts no worker: a cancel is not a worker's fault.
+func TestParallelCallsPlacedCancelUnwinds(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
 	defer atomic.StoreInt32(&blocked, 0)
@@ -181,13 +182,18 @@ func TestParallelCallsCtxCancelUnwinds(t *testing.T) {
 		replies[i] = &EchoReply{}
 	}
 	start := time.Now()
-	_, _, err = p.ParallelCallsCtx(ctx, len(replies), "Echo", func(t int) interface{} {
+	_, errs := p.ParallelCallsPlacedCtx(ctx, len(replies), func(t int) int { return t % 2 }, "Echo", func(t int) interface{} {
 		return &EchoArgs{X: t}
 	}, replies)
-	if !errors.Is(err, cause) {
-		t.Fatalf("canceled ParallelCallsCtx = %v, want cause %v", err, cause)
+	for tk, err := range errs {
+		if !errors.Is(err, cause) {
+			t.Fatalf("task %d of a canceled batch = %v, want cause %v", tk, err, cause)
+		}
 	}
 	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("canceled scheduler run took %v to unwind", el)
+		t.Fatalf("canceled batch took %v to unwind", el)
+	}
+	if h := p.Health(); h.Evictions != 0 {
+		t.Fatalf("a canceled batch evicted %d workers", h.Evictions)
 	}
 }

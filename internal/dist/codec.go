@@ -39,12 +39,13 @@ import (
 // direction, never in the middle of a run.
 
 // wireVersion is the version both handshake messages carry. Bump it when
-// any Wire layout changes OR when a worker's answer to the same request
-// changes (a worker that orders or elides AlignRef records differently is
-// as incompatible as one that shifts a field). internal/assembly pins every
-// message's bytes to testdata/wire_v<wireVersion>.golden, so changed
-// bytes cannot be re-blessed without touching this constant.
-const wireVersion = 12
+// any Wire layout changes OR when a worker's set of answers changes (a
+// worker that answers a method another build does not, or answers it
+// differently, is as incompatible as one that shifts a field).
+// internal/assembly pins every message's bytes to
+// testdata/wire_v<wireVersion>.golden, so changed bytes cannot be
+// re-blessed without touching this constant.
+const wireVersion = 13
 
 // ErrWireVersion marks a connect that reached a peer speaking another
 // wire version; the wrapping error's text carries both versions.
@@ -57,8 +58,13 @@ func handshake(kind byte, version int) string {
 	return "FWB" + string([]byte{byte('0' + version), kind}) + "rpc"
 }
 
-// wireBufSize sizes the per-connection buffered reader and is the first
-// growth step of a frame buffer.
+// connBufSize sizes each connection's buffered reader and a fresh frame
+// buffer: acks, pings and most deltas fit, and a frame larger than the
+// reader's buffer is read straight into the frame buffer.
+const connBufSize = 4 << 10
+
+// wireBufSize is the first growth step of a frame buffer past its
+// capacity.
 const wireBufSize = 64 << 10
 
 // maxWireFrame bounds a frame payload (defense against corrupt length
@@ -73,7 +79,7 @@ const (
 // getWireBuf returns a fresh staging/frame buffer. A codec keeps its two
 // for the life of the connection (that reuse is what makes the steady
 // state allocation-free) and leaves them to the GC when it closes.
-func getWireBuf() []byte { return make([]byte, 0, 4096) }
+func getWireBuf() []byte { return make([]byte, 0, connBufSize) }
 
 // appendBody appends the flag byte and encoded body.
 func appendBody(dst []byte, body interface{}) ([]byte, error) {
@@ -117,7 +123,7 @@ func decodeBody(flag byte, src []byte, body interface{}) error {
 // so a peer that declares a huge frame and sends nothing costs one step.
 func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 	if cap(buf) < 4 {
-		buf = make([]byte, 0, 4096)
+		buf = getWireBuf()
 	}
 	hdr := buf[:4] // header scratch inside the frame buffer: no escape, no alloc
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -184,7 +190,7 @@ func newWireClientCodec(conn net.Conn, timeout time.Duration) (rpc.ClientCodec, 
 	}
 	return &wireClientCodec{
 		conn:    conn,
-		br:      bufio.NewReaderSize(conn, wireBufSize),
+		br:      bufio.NewReaderSize(conn, connBufSize),
 		wbuf:    getWireBuf(),
 		rbuf:    getWireBuf(),
 		methods: make(map[string]string, 8),
@@ -356,7 +362,7 @@ func (c *wireServerCodec) Close() error {
 // (nullable) receives in-flight accounting and connection-drop
 // notifications.
 func serveConn(rpcSrv *rpc.Server, conn net.Conn, timeout time.Duration, srv *Server) {
-	c := newWireServerCodec(conn, bufio.NewReaderSize(conn, wireBufSize), srv)
+	c := newWireServerCodec(conn, bufio.NewReaderSize(conn, connBufSize), srv)
 	if err := serverHandshake(conn, c.br, timeout, wireVersion); err != nil {
 		c.Close()
 		return

@@ -9,12 +9,12 @@
 //
 // Unlike an MPI job — which aborts when any rank dies — the pool is fault
 // tolerant: a call whose worker falls silent is cut (the liveness rule of
-// liveness.go), a worker whose connection hangs or breaks is evicted from
-// the schedulable set and reconnected in the background with exponential
-// backoff, and the dynamic scheduler of sched.go reroutes queued tasks
-// around evicted workers. chaos.go provides a deterministic
-// fault-injecting transport for testing all of this below the service
-// layer.
+// liveness.go), and a worker whose connection hangs or breaks is evicted
+// from the schedulable set and reconnected in the background with
+// exponential backoff. The pool never moves a call: the caller, who knows
+// where its state lives, decides where a failed task runs next (sched.go).
+// chaos.go provides a deterministic fault-injecting transport for testing
+// all of this below the service layer.
 package dist
 
 import (
@@ -45,9 +45,8 @@ var (
 	// ErrWorkerDown marks a call addressed to a worker with no live
 	// connection (evicted, reconnecting, or closed).
 	ErrWorkerDown = errors.New("dist: worker down")
-	// ErrNoWorkers marks a parallel invocation that found (or was left
-	// with) no schedulable workers. Callers use it to fall back to local
-	// execution.
+	// ErrNoWorkers marks work that found no schedulable worker to run on.
+	// Callers use it to fall back to local execution.
 	ErrNoWorkers = errors.New("dist: no healthy workers")
 )
 
@@ -358,16 +357,6 @@ func (p *Pool) workerRunnable(w *worker) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.client != nil && !w.evicted
-}
-
-func (p *Pool) runnableWorkers() []*worker {
-	var out []*worker
-	for _, w := range p.workers {
-		if p.workerRunnable(w) {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Call invokes method (without the service prefix) on worker i under the

@@ -97,11 +97,13 @@ func TestParallelCallsRoundRobin(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, _, err := p.ParallelCallsCtx(nil, tasks, "Echo", func(tk int) interface{} {
+	times, errs := p.ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
 	}, replies)
-	if err != nil {
-		t.Fatal(err)
+	for tk, err := range errs {
+		if err != nil {
+			t.Fatalf("task %d: %v", tk, err)
+		}
 	}
 	if len(times) != tasks {
 		t.Fatalf("got %d task times", len(times))
@@ -129,9 +131,11 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, _, err = p.ParallelCallsCtx(nil, 3, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
-	if err == nil {
-		t.Error("expected error from unknown method")
+	_, errs := p.ParallelCallsPlacedCtx(nil, 3, func(tk int) int { return tk % 2 }, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	for tk, err := range errs {
+		if err == nil {
+			t.Errorf("task %d: expected error from unknown method", tk)
+		}
 	}
 }
 

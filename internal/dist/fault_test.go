@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -107,12 +108,25 @@ func TestWorkerReconnectsAfterOutage(t *testing.T) {
 
 // TestParallelCallsReschedulesAroundHungWorker is the dist-level
 // rescheduling proof: with one of two workers wedged, every task still
-// completes (through the survivor) and the result is correct. The old
-// static t%Size assignment hung half the tasks forever here. The wire
-// handshake sits in the fault window: FirstSafe lets the ack through, then
-// every response write on worker 0 wedges.
+// completes (through the survivor) and the result is correct. The pool
+// moves no task: a task placed on the hung worker fails with a transport
+// error (its first call is cut by the call timeout, which evicts the
+// worker under MaxFailures 1, and the calls queued behind it fail fast),
+// and the caller, who owns the placement, re-hosts it on a healthy worker.
+// The wire handshake sits in the fault window: FirstSafe lets the ack
+// through, then every response write on worker 0 wedges.
 func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	defer testutil.NoLeaks(t)
+	rescheduleAroundHungWorker(t, nil)
+}
+
+// rescheduleAroundHungWorker runs six tasks placed round-robin on a pool
+// whose worker 0 hangs, checks that exactly the tasks on worker 0 fail
+// with a transport error that is not the caller's own cancellation, that
+// worker 0 is evicted, and that re-placing the failed tasks on the
+// surviving worker completes every task correctly. ctx may be nil.
+func rescheduleAroundHungWorker(t *testing.T, ctx context.Context) {
+	t.Helper()
 	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
 		Options{CallTimeout: 150 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
@@ -131,22 +145,50 @@ func TestParallelCallsReschedulesAroundHungWorker(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, _, err := p.ParallelCallsCtx(nil, tasks, "Echo", func(tk int) interface{} {
-		return &EchoArgs{X: tk, S: "x"}
-	}, replies)
-	if err != nil {
-		t.Fatalf("parallel calls with one hung worker: %v", err)
-	}
+	mkArgs := func(tk int) interface{} { return &EchoArgs{X: tk, S: "x"} }
+	times, errs := p.ParallelCallsPlacedCtx(ctx, tasks, func(tk int) int { return tk % 2 }, "Echo", mkArgs, replies)
 	if len(times) != tasks {
 		t.Fatalf("got %d task times", len(times))
+	}
+	var failed []int
+	for i, err := range errs {
+		if i%2 == 1 {
+			if err != nil {
+				t.Errorf("task %d on the healthy worker: %v", i, err)
+			}
+			continue
+		}
+		if err == nil || !IsTransportError(err) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			t.Errorf("task %d on the hung worker: err %v, want a transport error", i, err)
+		}
+		failed = append(failed, i)
+	}
+	if n := p.NumHealthy(); n != 1 {
+		t.Fatalf("NumHealthy = %d, want 1", n)
+	}
+	live := p.HealthyIDs()
+	if len(live) != 1 || live[0] != 1 {
+		t.Fatalf("HealthyIDs = %v, want [1]", live)
+	}
+	// The caller re-hosts exactly the failed tasks on the survivor.
+	retry := make([]interface{}, len(failed))
+	for i := range retry {
+		retry[i] = replies[failed[i]]
+	}
+	_, errs = p.ParallelCallsPlacedCtx(ctx, len(failed), func(int) int { return live[0] }, "Echo",
+		func(k int) interface{} { return mkArgs(failed[k]) }, retry)
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("re-hosted task %d: %v", failed[k], err)
+		}
+	}
+	if ctx != nil && ctx.Err() != nil {
+		t.Fatalf("context expired before the calls finished: %v", ctx.Err())
 	}
 	for i := range replies {
 		if r := replies[i].(*EchoReply); r.X != 2*i {
 			t.Errorf("task %d: X = %d, want %d", i, r.X, 2*i)
 		}
-	}
-	if n := p.NumHealthy(); n != 1 {
-		t.Fatalf("NumHealthy = %d, want 1", n)
 	}
 }
 
@@ -163,12 +205,14 @@ func TestApplicationErrorsDoNotEvict(t *testing.T) {
 	// Every task fails at the application level; the error propagates and
 	// no worker is evicted — a worker that answers, even with an error, is
 	// alive.
-	_, _, err = p.ParallelCallsCtx(nil, 4, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies)
-	if err == nil {
-		t.Fatal("application failure not propagated")
-	}
-	if IsTransportError(err) {
-		t.Fatalf("application error classified as transport error: %v", err)
+	_, errs := p.ParallelCallsPlacedCtx(nil, 4, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	for tk, err := range errs {
+		if err == nil {
+			t.Fatalf("task %d: application failure not propagated", tk)
+		}
+		if IsTransportError(err) {
+			t.Fatalf("task %d: application error classified as transport error: %v", tk, err)
+		}
 	}
 	if n := p.NumHealthy(); n != 2 {
 		t.Fatalf("NumHealthy = %d after application errors, want 2", n)

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -199,5 +200,39 @@ func TestSessionsConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSessionCycleAlloc: a session of a 2-worker pool, opened, pinged once
+// per worker and closed, allocates under 128 KB a cycle on average. A
+// connection's buffers start at the size of the frames it usually carries
+// and grow only for a larger one, so a short-lived session (a k sweep
+// opens one per k) does not pay for the largest frame up front.
+func TestSessionCycleAlloc(t *testing.T) {
+	p, err := NewLocalPool(2, func() interface{} { return &EchoService{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	cycle := func() {
+		s := p.Session()
+		for w := 0; w < 2; w++ {
+			if err := s.Call(w, "Ping", new(Ack), new(Ack)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close()
+	}
+	cycle() // warm the pool's lazily built state
+	const cycles = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 128<<10 {
+		t.Fatalf("a session cycle allocates %d bytes on average, want < %d", per, 128<<10)
 	}
 }

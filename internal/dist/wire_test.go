@@ -581,46 +581,13 @@ func TestWireFrameOversizedHeader(t *testing.T) {
 // TestWireChaosHungWorkerReschedules re-runs the rescheduling proof with
 // the handshake in the fault window (FirstSafe lets the ack through, then
 // every response write on worker 0 wedges), this time under a live,
-// deadline-bearing context and a retry budget: a hung worker's call
-// timeout must still reschedule its task on the healthy worker, and must
-// not be mistaken for the caller's own cancellation.
+// deadline-bearing context: a hung worker's call timeout must fail its
+// tasks with a transport error the caller re-hosts on the healthy worker,
+// and must not be mistaken for the caller's own cancellation.
 func TestWireChaosHungWorkerReschedules(t *testing.T) {
-	hang := ChaosConfig{Seed: 11, FirstSafe: 1, HangProb: 1, HangFor: 2 * time.Second}
-	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
-		Options{CallTimeout: 150 * time.Millisecond, MaxFailures: 1, Logf: t.Logf},
-		func(w int) *ChaosConfig {
-			if w == 0 {
-				return &hang
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	const tasks = 6
-	replies := make([]interface{}, tasks)
-	for i := range replies {
-		replies[i] = &EchoReply{}
-	}
-	if _, _, err := p.ParallelCallsCtx(ctx, tasks, "Echo", func(tk int) interface{} {
-		return &EchoArgs{X: tk, S: "x"}
-	}, replies); err != nil {
-		t.Fatalf("parallel calls with one hung worker: %v", err)
-	}
-	if ctx.Err() != nil {
-		t.Fatalf("context expired before the calls finished: %v", ctx.Err())
-	}
-	for i := range replies {
-		if r := replies[i].(*EchoReply); r.X != 2*i {
-			t.Errorf("task %d: X = %d, want %d", i, r.X, 2*i)
-		}
-	}
-	if n := p.NumHealthy(); n != 1 {
-		t.Fatalf("NumHealthy = %d, want 1", n)
-	}
+	rescheduleAroundHungWorker(t, ctx)
 }
 
 // TestWireChaosLatencyJitter: random per-write delays must not corrupt

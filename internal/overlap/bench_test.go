@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"focus/internal/dna"
-	"focus/internal/preprocess"
-	"focus/internal/simulate"
 )
 
 // benchReads builds a deterministic read set with genuine overlap
@@ -301,61 +299,4 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAlignRefReplyWire explains meta_tcp's wire_mb: it encodes and
-// decodes, as they ship, the four AlignRef replies of the meta_tcp-shaped
-// input (the D2 analogue at 0.7, coverage 8, seed 1, the pipeline's
-// preprocessing with Trim5 = 8, 4 subsets on a pool of 2), and reports the
-// bytes and the encode + decode time per shipped record.
-func BenchmarkAlignRefReplyWire(b *testing.B) {
-	spec, err := simulate.PaperDataSet(2, 0.7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	com, err := simulate.BuildCommunity(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rcfg := simulate.PaperReadConfig(2, 8)
-	rcfg.Seed = 1
-	rs, err := simulate.SimulateReads(com, rcfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: true, Trim5: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := newPlan(reads, 4, DefaultConfig(), true, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var replies []*AlignRefReply
-	records, size := 0, 0
-	for _, j := range refJobs(4, 2) {
-		r := &AlignRefReply{}
-		if err := AlignRef(p.args(j), r); err != nil {
-			b.Fatal(err)
-		}
-		for _, l := range r.Lists {
-			records += len(l)
-		}
-		size += len(r.AppendTo(nil))
-		replies = append(replies, r)
-	}
-	got := AlignRefReply{Lengths: readLengths(reads)}
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range replies {
-			buf = r.AppendTo(buf[:0])
-			if err := got.DecodeFrom(buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(size)/float64(records), "B/record")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
-	b.ReportMetric(float64(records), "records")
 }

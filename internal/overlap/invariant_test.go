@@ -7,17 +7,17 @@ import (
 	"slices"
 	"testing"
 
-	"focus/internal/dist"
 	"focus/internal/dna"
+	"focus/internal/preprocess"
+	"focus/internal/simulate"
 )
 
 // TestOverlapSubsetInvariant: the overlap stage is a function of the reads
 // and the configuration alone. On the D1–D3 analogues, strand-paired as
 // the pipeline feeds them, the records are SHA-identical at 1, 2, 3, 4, 7
 // and 16 subsets on the mirror path at local widths 1, 2, 4 and 8 (with
-// GOMAXPROCS raised so that refJobs splits the references' query runs),
-// on the all-queries core and through FindOverlapsDistributedCtx on a
-// pool of two.
+// GOMAXPROCS raised so that refJobs splits the references' query runs)
+// and on the all-queries core.
 func TestOverlapSubsetInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cfg := testConfig()
@@ -37,15 +37,6 @@ func TestOverlapSubsetInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pool, err := dist.NewLocalPool(2, newAlignService)
-				if err != nil {
-					t.Fatal(err)
-				}
-				remote, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
-				pool.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
 				if want == "" {
 					if len(widths[0]) == 0 {
 						t.Fatal("no records at one subset")
@@ -57,7 +48,7 @@ func TestOverlapSubsetInvariant(t *testing.T) {
 					recs []Record
 				}{
 					{"width 1", widths[0]}, {"width 2", widths[1]}, {"width 4", widths[2]}, {"width 8", widths[3]},
-					{"all queries", all}, {"distributed", remote},
+					{"all queries", all},
 				} {
 					if got := recordDigest(path.recs); got != want {
 						t.Fatalf("subsets=%d %s: %d records, digest %s, want the one-subset %s", subsets, path.name, len(path.recs), got, want)
@@ -110,4 +101,31 @@ func FuzzSubsetInvariant(f *testing.F) {
 			t.Fatalf("subsets=%d: %d records, one subset %d; %v", subsets, len(got), len(want), firstDiff(got, want))
 		}
 	})
+}
+
+// paperReads is the analogue of paper data set d at scale 0.1 as the
+// pipeline feeds the overlap stage: simulated reads through preprocess.Run,
+// with AddReverse when paired, so that read 2i+1 is the reverse complement
+// of read 2i.
+func paperReads(t *testing.T, d int, paired bool) []dna.Read {
+	t.Helper()
+	spec, err := simulate.PaperDataSet(d, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	com, err := simulate.BuildCommunity(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := simulate.PaperReadConfig(d, 8)
+	rcfg.AdapterLen = 0
+	rs, err := simulate.SimulateReads(com, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, _, err := preprocess.Run(rs.Reads, preprocess.Config{Window: 10, Step: 1, MinQuality: 12, MinLen: 40, AddReverse: paired})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reads
 }

@@ -497,7 +497,7 @@ func FuzzSeedIndex(f *testing.F) {
 }
 
 // TestIndexKmerBound: a subset past 2^31−1 k-mers is refused — by the
-// bound check, by FindOverlaps and by AlignRef — before the table is
+// bound check and by FindOverlaps — before the table is
 // allocated, and one exactly at the bound passes the check. The reads all
 // share one 1 MiB buffer, so the test allocates no more than that.
 func TestIndexKmerBound(t *testing.T) {
@@ -529,10 +529,6 @@ func TestIndexKmerBound(t *testing.T) {
 	cfg.K = 1
 	if _, err := FindOverlaps(reads, 1, cfg); err == nil || !strings.Contains(err.Error(), "k-mers") {
 		t.Fatalf("FindOverlaps: err %v", err)
-	}
-	args := &AlignRefArgs{Queries: []int32{0, 1}, RefLo: 1, RefHi: int32(1 + len(over)), Seqs: append([][]byte{buf[:100]}, over...), Cfg: cfg}
-	if _, err := alignLists(args); err == nil || !strings.Contains(err.Error(), "k-mers") {
-		t.Fatalf("AlignRef: err %v", err)
 	}
 }
 

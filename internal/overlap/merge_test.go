@@ -114,13 +114,12 @@ func emitJob(sc *scratch, ems []Record) jobRecords {
 	return sc.takeJob()
 }
 
-// flatJob is emitJob's job as one list, copied out as AlignRef does, with
-// its staging checked first and recycled after.
+// flatJob is emitJob's job as one list, with its staging checked first.
 func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
 	t.Helper()
 	job := emitJob(sc, ems)
 	checkPieces(t, job)
-	recs, err := sc.copyOut(job)
+	recs, err := mergeRecords([][]jobRecords{{job}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +127,9 @@ func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
 }
 
 // alignQueries runs one query subset against a reference index and
-// returns its records as AlignRef copies them out, before any mirror is
-// elided.
+// returns its records as one list.
 func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
-	return sc.copyOut(alignQueriesGate(query, ref, ix, cfg, sc, nil))
+	return mergeRecords([][]jobRecords{{alignQueriesGate(query, ref, ix, cfg, sc, nil)}})
 }
 
 // checkPieces checks a job's staging against what mergeRecords relies on:
@@ -320,39 +318,6 @@ func TestStageAllocBounded(t *testing.T) {
 	bound := uint64(kept+2*defaultPieceLen) * size
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("staging %d records allocated %d bytes, bound %d (the records' %d plus two pieces)", kept, got, bound, uint64(kept)*size)
-	}
-}
-
-// TestAlignJobReusesPieces: a sink that copies each list out, as AlignRef's
-// does, gets every list before the next query subset is staged, so the
-// next list is staged into the pieces the last one handed back and a
-// worker never holds a whole job's staging at once.
-func TestAlignJobReusesPieces(t *testing.T) {
-	reads := tilingReads(randGenome(298, 20000), 100, 20)
-	p, err := newPlan(reads, 2, testConfig(), true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := new(scratch)
-	seen := map[*Record]bool{}
-	reused := false
-	err = alignJob(p.subs, p.subs[1], p.cfg, p.masked, sc, nil, func(i int, job jobRecords) error {
-		if len(job) == 0 {
-			t.Fatalf("query subset %d staged no records", i)
-		}
-		for _, piece := range job {
-			base := unsafe.SliceData(piece)
-			reused = reused || seen[base]
-			seen[base] = true
-		}
-		_, err := sc.copyOut(job)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reused {
-		t.Fatal("the second query subset was staged into new pieces, none of the first's")
 	}
 }
 
@@ -576,9 +541,7 @@ func recordDigest(recs []Record) string {
 // production staging of the three jobs of two subsets of size reads each
 // (stage, endRun, takeJob on one scratch, pieces of one to eight records
 // or the default), then the jobs' pieces through mergeRecords, which must
-// equal mergeRecordsOracle on the emissions. The jobs are then recycled
-// into the scratch and staged again from its spare pieces, as a worker's
-// next job is, to the same records. An emission takes three bytes: its job
+// equal mergeRecordsOracle on the emissions. An emission takes three bytes: its job
 // (mod 3) and whether its query advances (bit 2), its reference read (mod
 // size), and its Kind, length, identity and diagonal. An emission of a
 // reference read at or before its query, or a second one of a pair, is
@@ -626,21 +589,16 @@ func FuzzJobRecords(f *testing.F) {
 		want := mergeRecordsOracle([][]Record{slices.Concat(ems...)})
 		sc := &scratch{pieceLen: int(piece % 9)}
 		lists := [][]jobRecords{make([]jobRecords, 2), make([]jobRecords, 2)}
-		for pass := 0; pass < 2; pass++ {
-			for j, job := range jobs {
-				lists[job.q0][job.r] = emitJob(sc, ems[j])
-				checkPieces(t, lists[job.q0][job.r])
-			}
-			got, err := mergeRecords(lists)
-			if err != nil {
-				t.Fatalf("pass %d: %v", pass, err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("pass %d, pieces of %d:\n got %+v\nwant %+v\n raw %+v", pass, sc.pieceLen, got, want, ems)
-			}
-			for _, job := range jobs {
-				sc.recycle(lists[job.q0][job.r])
-			}
+		for j, job := range jobs {
+			lists[job.q0][job.r] = emitJob(sc, ems[j])
+			checkPieces(t, lists[job.q0][job.r])
+		}
+		got, err := mergeRecords(lists)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("pieces of %d:\n got %+v\nwant %+v\n raw %+v", sc.pieceLen, got, want, ems)
 		}
 	})
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"focus/internal/align"
-	"focus/internal/dist"
 	"focus/internal/dna"
 )
 
@@ -196,108 +195,6 @@ func TestSplitSubsetsPairBoundaries(t *testing.T) {
 				}
 				lo = hi
 			}
-		}
-	}
-}
-
-// TestAlignRefStrandMirror: a worker applies the mirror rule to the jobs
-// it is shipped, elides the mirrors the master can re-derive, and, once
-// checkList restores them, answers every subset pair as the all-queries
-// core does — paired jobs on pair-aligned bounds (even reads shipped,
-// mirrors elided), unpaired jobs on the odd i·n/S bounds and on ids
-// shifted to start odd (every read shipped, nothing elided) — and the
-// whole distributed stage on a local pool does too.
-func TestAlignRefStrandMirror(t *testing.T) {
-	reads := pairedReadSet(71)
-	cfg := testConfig()
-	seqs := make([][]byte, len(reads))
-	for i := range reads {
-		seqs[i] = reads[i].Seq
-	}
-	n, total, elided := len(reads), 0, 0
-	for _, tc := range []struct {
-		bounds []int32
-		shift  int32
-	}{
-		{[]int32{0, int32(2 * (n / 2 / 3)), int32(2 * (2 * (n / 2) / 3)), int32(n)}, 0},
-		{[]int32{0, int32(n / 3), int32(2 * n / 3), int32(n)}, 0},
-		{[]int32{0, int32(2 * (n / 2 / 3)), int32(2 * (2 * (n / 2) / 3)), int32(n)}, 1},
-	} {
-		paired := tc.shift == 0 && tc.bounds[1]%2 == 0
-		subs := make([]readSet, len(tc.bounds)-1)
-		bounds := make([]int32, len(tc.bounds))
-		for s := range bounds {
-			bounds[s] = tc.bounds[s] + tc.shift
-		}
-		for s := range subs {
-			lo, hi := tc.bounds[s], tc.bounds[s+1]
-			subs[s] = readSet{ids: localIDs(int(hi - lo)), seqs: seqs[lo:hi]}
-			for i := range subs[s].ids {
-				subs[s].ids[i] += bounds[s]
-			}
-		}
-		length := func(id int32) int { return len(seqs[id-tc.shift]) }
-		// The job's mask in its index's key space; the full tables below
-		// mask every k-mer of it.
-		masked := repeatKeys(seqs, cfg.K, paired, cfg.MaxOccur, 0)
-		fullMask := repeatKeys(seqs, cfg.K, false, cfg.MaxOccur, 0)
-		// The plan ships subsets marked as the master marks them; subs
-		// stay unmarked for the all-queries core.
-		shipped := slices.Clone(subs)
-		for s := range shipped {
-			shipped[s].paired = paired
-		}
-		p := &plan{cfg: cfg, subs: shipped, bounds: bounds, masked: masked}
-		for _, j := range refJobs(len(subs), 2) {
-			a := p.args(j)
-			lists, err := alignLists(a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, err := buildKmerIndex(subs[j.r].seqs, cfg.K, false, fullMask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, l := range lists {
-				q := j.q0 + i
-				got, bad := checkList(slices.Clone(l), bounds[q], bounds[q+1], bounds[j.r], bounds[j.r+1], paired, length)
-				if bad != "" {
-					t.Fatalf("bounds %v ids +%d pair (%d,%d): %s", tc.bounds, tc.shift, q, j.r, bad)
-				}
-				want, err := alignQueries(subs[q], subs[j.r], ix, cfg, &scratch{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += len(want)
-				elided += len(want) - len(l)
-				if !slices.Equal(got, want) {
-					t.Fatalf("bounds %v ids +%d pair (%d,%d): AlignRef %d records, all queries %d; %v", tc.bounds, tc.shift, q, j.r, len(got), len(want), firstDiff(got, want))
-				}
-				if !paired && len(l) != len(want) {
-					t.Fatalf("bounds %v ids +%d pair (%d,%d): %d records elided from an unpaired job", tc.bounds, tc.shift, q, j.r, len(want)-len(l))
-				}
-			}
-		}
-	}
-	if total == 0 || elided == 0 {
-		t.Fatalf("%d records, %d mirrors elided", total, elided)
-	}
-	for _, subsets := range []int{1, 3, 5} {
-		want, _, err := findOverlaps(nil, reads, subsets, cfg, 1, false, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool, err := dist.NewLocalPool(2, newAlignService)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FindOverlapsDistributedCtx(nil, pool, reads, subsets, cfg)
-		pool.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("subsets=%d: distributed %d records, all queries %d; %v", subsets, len(got), len(want), firstDiff(got, want))
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"focus/internal/align"
+	"focus/internal/dist"
 	"focus/internal/dna"
 	"focus/internal/graph"
 	"focus/internal/par"
@@ -75,8 +76,8 @@ type scratch struct {
 	// order, in pieces that are handed to the job's output as they are,
 	// never grown or copied out; a query's run never straddles two pieces,
 	// and open is where the current query's run starts in the last one.
-	// spare holds empty pieces for reuse: the ones copyOut takes back once
-	// it has copied a list out. mirrored holds an even query's
+	// spare holds empty pieces for reuse: the ones a run that filled a
+	// piece on its own moved out of (grow). mirrored holds an even query's
 	// strand-mirror records until its own are in order.
 	pieces   [][]Record
 	open     int
@@ -156,6 +157,15 @@ func FindOverlapsCtx(ctx context.Context, reads []dna.Read, subsets int, cfg Con
 	return recs, err
 }
 
+// FindOverlapsDistributedCtx is FindOverlapsCtx: the pool is not used,
+// and alignment runs on the master's cores.
+//
+// Deprecated: only the frozen benchmark harness calls it; use
+// FindOverlapsCtx.
+func FindOverlapsDistributedCtx(ctx context.Context, _ *dist.Pool, reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
+	return FindOverlapsCtx(ctx, reads, subsets, cfg)
+}
+
 // CountCandidates runs the overlap stage up to but excluding alignment
 // verification and returns the number of candidate pairs FindOverlaps
 // attempts, a derived strand mirror counted as one. The end-to-end
@@ -227,8 +237,8 @@ func splitSeqs(seqs [][]byte, subsets int) ([]readSet, []int32) {
 	return subs, bounds
 }
 
-// plan is the overlap stage of one read set, whichever transport runs its
-// refJobs: the subsets, their id bounds and the read set's repeat mask.
+// plan is the overlap stage of one read set, whose refJobs runLocal runs:
+// the subsets, their id bounds and the read set's repeat mask.
 type plan struct {
 	cfg    Config
 	subs   []readSet
@@ -265,17 +275,17 @@ func (p *plan) pairLists() [][]jobRecords {
 	return lists
 }
 
-// refJob is one job of the stage on either transport: the query subsets
-// q0..q1-1 against the index of subset r (q1-1 <= r).
+// refJob is one job of the stage: the query subsets q0..q1-1 against the
+// index of subset r (q1-1 <= r).
 type refJob struct{ q0, q1, r int }
 
 func (j refJob) units() int { return j.q1 - j.q0 }
 
 // refJobs cuts the S(S+1)/2 subset pairs into jobs for `workers`
-// goroutines or pool workers: one per reference subset, then, while the
-// largest holds more than ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run
-// split in two. Jobs come largest first, the order they are taken in. A
-// split only adds an index build: never more builds than pairs.
+// goroutines: one per reference subset, then, while the largest holds more
+// than ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run split in two. Jobs
+// come largest first, the order they are taken in. A split only adds an
+// index build: never more builds than pairs.
 func refJobs(subsets, workers int) []refJob {
 	jobs := make([]refJob, subsets)
 	for r := range jobs {
@@ -310,8 +320,10 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	return p.runLocal(ctx, refJobs(subsets, workers), workers, countOnly)
 }
 
-// runLocal is the in-process transport: `workers` goroutines, each with one
-// scratch and one reference index at a time, run the jobs.
+// runLocal runs the jobs on `workers` goroutines, each with one scratch
+// and one reference index at a time. This is where §II.B's "each pair of
+// read subsets can be sent to a different processor" happens: a job is a
+// run of subset pairs, and the goroutines are the processors.
 func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOnly bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
 	lists := p.pairLists()
@@ -325,9 +337,8 @@ func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOn
 		}
 		j := jobs[t]
 		// Every subset fits an index: newPlan checked.
-		alignJob(p.subs[j.q0:j.q1], p.subs[j.r], p.cfg, p.masked, scs[w], gate, func(i int, l jobRecords) error {
+		alignJob(p.subs[j.q0:j.q1], p.subs[j.r], p.cfg, p.masked, scs[w], gate, func(i int, l jobRecords) {
 			lists[j.q0+i][j.r] = l
-			return nil
 		})
 	})
 	if gate.Stopped() {
@@ -343,19 +354,16 @@ func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOn
 	return recs, candTotal, err
 }
 
-// alignJob is one job's body on either transport: it indexes the reference
-// without the masked keys and hands each query subset's list to sink as
-// soon as it is staged, so that a sink that copies the list out lets the
-// next query subset reuse its pieces. It returns the first error.
-func alignJob(queries []readSet, ref readSet, cfg Config, masked []uint64, sc *scratch, gate *par.Gate, sink func(i int, l jobRecords) error) error {
+// alignJob is one job's body: it indexes the reference without the masked
+// keys and hands each query subset's list to sink as soon as it is staged.
+// It fails only on a reference no index can hold.
+func alignJob(queries []readSet, ref readSet, cfg Config, masked []uint64, sc *scratch, gate *par.Gate, sink func(i int, l jobRecords)) error {
 	ix, err := buildKmerIndex(ref.seqs, cfg.K, ref.paired, masked)
 	if err != nil {
 		return err
 	}
 	for i, query := range queries {
-		if err := sink(i, alignQueriesGate(query, ref, ix, cfg, sc, gate)); err != nil {
-			return err
-		}
+		sink(i, alignQueriesGate(query, ref, ix, cfg, sc, gate))
 	}
 	return nil
 }
@@ -365,8 +373,7 @@ func alignJob(queries []readSet, ref readSet, cfg Config, masked []uint64, sc *s
 // rules overflows.
 const maxScore = 1 << 20
 
-// validate checks the configuration shared by the local and distributed
-// drivers.
+// validate checks the stage's configuration and subset count.
 func validate(cfg Config, subsets int) error {
 	if cfg.K <= 0 || cfg.K > dna.MaxK {
 		return fmt.Errorf("overlap: k=%d out of range", cfg.K)
@@ -529,22 +536,6 @@ func (sc *scratch) takeJob() jobRecords {
 	return job
 }
 
-// copyOut returns a job's records in one slice of their exact size and
-// takes its pieces back; mergeRecords refuses a staging out of order.
-func (sc *scratch) copyOut(job jobRecords) ([]Record, error) {
-	recs, err := mergeRecords([][]jobRecords{{job}})
-	sc.recycle(job)
-	return recs, err
-}
-
-// recycle takes a job's staging back once its records are copied out.
-func (sc *scratch) recycle(job jobRecords) {
-	for _, p := range job {
-		sc.spare = append(sc.spare, p[:0])
-	}
-	sc.pieces = job[:0]
-}
-
 // stage appends one accepted overlap, canonical (A < B), to the current
 // query's run, in a new piece when the last one is full (grow). A derived
 // strand mirror is its odd query's record.
@@ -606,7 +597,7 @@ func (sc *scratch) endRun() {
 }
 
 // compareKey orders records by the identity of an overlap relation, (A, B,
-// Kind): the order of the stage's output and of every reply list.
+// Kind): the order of the stage's output.
 func compareKey(x, y Record) int {
 	if c := cmp.Compare(x.A, y.A); c != 0 {
 		return c
@@ -625,7 +616,7 @@ func compareKey(x, y Record) int {
 // each once. The lists of one q therefore hold, for each A of subset q,
 // runs of ascending B in r order, and the rows of ascending q follow each
 // other. Every appended record must extend the output strictly; a list
-// that breaks this (a peer that predates the per-job sort) is an error.
+// that breaks this is an error.
 func mergeRecords(lists [][]jobRecords) ([]Record, error) {
 	total := 0
 	for _, row := range lists {

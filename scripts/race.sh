@@ -57,7 +57,7 @@ go test -race \
 # schema pin, over-the-wire == local equivalence, and the chaos transport
 # under the handshake.
 echo "== race: wire sweep =="
-go test -race -run Wire ./internal/dist/ ./internal/assembly/ ./internal/overlap/
+go test -race -run Wire ./internal/dist/ ./internal/assembly/
 
 # Cancellation sweep: cancel-at-arbitrary-points on a healthy and on a
 # re-hosting pool, the liveness rule (hung and wedged workers cut without
@@ -116,7 +116,6 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/dist/ FuzzReadFrame
     fuzz ./internal/assembly/ FuzzWireDecoders
     fuzz ./internal/assembly/ FuzzPhaseEngines
-    fuzz ./internal/overlap/ FuzzWireDecoders
     fuzz ./internal/overlap/ FuzzSeedIndex
     fuzz ./internal/overlap/ FuzzJobRecords
     fuzz ./internal/overlap/ FuzzSubsetInvariant
