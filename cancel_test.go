@@ -200,9 +200,9 @@ func TestLivenessThroughFacade(t *testing.T) {
 	}
 
 	defer testutil.NoLeaks(t)
-	// The run's calls go over its own connections, so the cut shows in
-	// the pool's log, not in the fleet's health: a session's severed
-	// connection is its own.
+	// The run's calls go over its own connections; their cut shows in the
+	// pool's log and, through the fleet slot's dropped connection, in the
+	// fleet's health.
 	var cut atomic.Bool
 	cfg.Dist.Logf = func(format string, args ...interface{}) {
 		msg := fmt.Sprintf(format, args...)
@@ -223,6 +223,9 @@ func TestLivenessThroughFacade(t *testing.T) {
 	}
 	if !cut.Load() {
 		t.Fatal("the hung worker's calls were never cut for silence")
+	}
+	if pool.Healthy(1) || !pool.Healthy(0) {
+		t.Fatalf("fleet health after the run's cut of worker 1: %+v", pool.Health())
 	}
 }
 

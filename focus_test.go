@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"focus/internal/eval"
+	"focus/internal/partition"
 	"focus/internal/simulate"
 )
 
@@ -87,12 +88,7 @@ func TestPartitionBothSchemes(t *testing.T) {
 	if float64(oc) > 0.2*float64(s.G0.TotalEdgeWeight()) {
 		t.Errorf("overlap cut %d vs total %d", oc, s.G0.TotalEdgeWeight())
 	}
-	mc := int64(0)
-	for _, l := range mres.Labels() {
-		_ = l
-	}
-	mc = edgeCutOnG0(s, mres.Labels())
-	if mc < 0 {
+	if mc := partition.EdgeCut(s.G0, mres.Labels()); mc < 0 {
 		t.Fatal("negative cut")
 	}
 	// Read labels cover every read.
@@ -100,18 +96,6 @@ func TestPartitionBothSchemes(t *testing.T) {
 	if len(rl) != len(s.Reads) {
 		t.Fatalf("read labels %d for %d reads", len(rl), len(s.Reads))
 	}
-}
-
-func edgeCutOnG0(s *Stages, labels []int32) int64 {
-	var cut int64
-	for v := 0; v < s.G0.NumNodes(); v++ {
-		for _, a := range s.G0.Adj(v) {
-			if a.To > v && labels[v] != labels[a.To] {
-				cut += a.W
-			}
-		}
-	}
-	return cut
 }
 
 func TestAssembleEndToEnd(t *testing.T) {

@@ -215,7 +215,7 @@ func buildDiGraph(h *hybrid.Hybrid, recs []overlap.Record, workers int) (*DiGrap
 			lo, hi = hi, lo
 		}
 		if lo != last.lo || hi != last.hi {
-			i, found := slices.BinarySearchFunc(h.G.Adj(lo), hi, func(a graph.Arc, to int) int { return a.To - to })
+			i, found := slices.BinarySearchFunc(h.G.Adj(lo), hi, func(a graph.Arc, to int) int { return int(a.To) - to })
 			if !found {
 				return 0, fmt.Errorf("assembly: digraph: record %d crosses hybrid nodes %d and %d, which the hybrid graph does not join", ri, lo, hi)
 			}
@@ -307,7 +307,7 @@ func buildDiGraph(h *hybrid.Hybrid, recs []overlap.Record, workers int) (*DiGrap
 				identSum += float64(x)
 			}
 			ident := float32(identSum / float64(len(ds)))
-			e := placeEdge(int32(lo), int32(a.To), d, len(g.Contigs[lo]), len(g.Contigs[a.To]), ident)
+			e := placeEdge(int32(lo), a.To, d, len(g.Contigs[lo]), len(g.Contigs[a.To]), ident)
 			if e.Len <= 0 {
 				continue // crossing records imply no usable contig overlap
 			}

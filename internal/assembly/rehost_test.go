@@ -113,10 +113,11 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 // reconnectTrap is shared by every connection of the pool of
 // TestRehostOntoReconnectedWorker: conns counts the services made (one
 // per connection: the fleet's to workers 0 and 1, the run's own to
-// workers 0 and 1, then the reconnect of the run's connection to worker
-// 1), gate holds the reconnect until the test opens it, release frees the
-// Phase that hung on worker 1, and loads lists the partitions Loaded on
-// the run's second connection to worker 1.
+// workers 0 and 1, then the reconnects of the run's and the fleet's
+// connections to worker 1, in either order), gate holds the reconnects
+// until the test opens it, release frees the Phase that hung on worker 1,
+// and loads lists the partitions Loaded on a reconnected connection (only
+// the run's carries Loads).
 type reconnectTrap struct {
 	conns   atomic.Int32
 	gate    chan struct{}
@@ -127,8 +128,8 @@ type reconnectTrap struct {
 
 // reconnectTrapService is one connection's service: conn 3 hangs its
 // first Containment Phase (the other waits behind it), conn 2 answers its
-// Errors Phases of partitions 0 and 2 "not loaded", and conn 4 records
-// its Loads.
+// Errors Phases of partitions 0 and 2 "not loaded", and the reconnects
+// (conn 4 and later) record their Loads.
 type reconnectTrapService struct {
 	Service
 	conn int32
@@ -137,7 +138,7 @@ type reconnectTrapService struct {
 }
 
 func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
-	if s.conn == 4 {
+	if s.conn >= 4 {
 		s.trap.mu.Lock()
 		s.trap.loads = append(s.trap.loads, args.Sub.Part)
 		s.trap.mu.Unlock()

@@ -58,13 +58,12 @@ func splitmix64(x uint64) uint64 {
 // Both endpoints of an edge compute the same key, so the globally maximal
 // live edge is a mutual proposal every round (guaranteeing progress).
 type edgeKey struct {
-	w      int64
-	h      uint64
-	lo, hi int32
+	h         uint64
+	w, lo, hi int32
 }
 
-func makeEdgeKey(w int64, pv, pu uint64, v, u int) edgeKey {
-	lo, hi := int32(v), int32(u)
+func makeEdgeKey(w int32, pv, pu uint64, v, u int32) edgeKey {
+	lo, hi := v, u
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -119,9 +118,9 @@ func heavyEdgeMatchingPar(g *graph.Graph, seed int64, workers int, gate *par.Gat
 				if match[a.To] != -1 {
 					continue
 				}
-				k := makeEdgeKey(a.W, pri[v], pri[a.To], v, a.To)
+				k := makeEdgeKey(a.W, pri[v], pri[a.To], int32(v), a.To)
 				if best == -1 || k.greater(bestKey) {
-					best, bestKey = int32(a.To), k
+					best, bestKey = a.To, k
 				}
 			}
 			prop[v] = best

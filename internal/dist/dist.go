@@ -508,8 +508,10 @@ func (p *Pool) record(w *worker, c *rpc.Client, err error) {
 // reconnects in the background, or evicts w after MaxFailures
 // consecutive counted failures. A call its caller canceled is severed
 // uncounted: the abandoned call could still write its reply, so the
-// connection cannot be kept, but the worker did nothing wrong. Once the
-// connection's owner is closed it only drops the connection.
+// connection cannot be kept, but the worker did nothing wrong. A counted
+// sever in a session also severs the fleet slot's connection, uncounted,
+// so fleet health (Healthy, Health) shows the cut. Once the connection's
+// owner is closed it only drops the connection.
 func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
 	p = p.owner() // reconnect spawning and lifecycle state live with the connections
 	w.mu.Lock()
@@ -548,6 +550,19 @@ func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
 	p.wg.Add(1)
 	p.spawnMu.Unlock()
 	go p.reconnectLoop(w)
+	if counted && p.parent != nil {
+		// A session's transport failure is the fleet's news too: the
+		// fleet's slot drops its (idle) connection, uncounted, and reads
+		// live again only once its own reconnect's Ping is answered.
+		f := p.shared()
+		fw := f.workers[w.id]
+		fw.mu.Lock()
+		fc := fw.client
+		fw.mu.Unlock()
+		if fc != nil {
+			f.sever(fw, fc, fmt.Errorf("a session's connection failed: %w", err), false)
+		}
+	}
 }
 
 // evict takes w out of the schedulable set for good, with the fleet's

@@ -109,10 +109,52 @@ func TestSessionEvictionShowsInFleet(t *testing.T) {
 	}
 }
 
+// TestSessionCutShowsInFleet: a session's timeout cut of worker 1 makes
+// the fleet read worker 1 as reconnecting (uncounted, not evicted) right
+// after the cut, so a scheduler choosing by fleet health passes it over;
+// once the fleet's own reconnect Ping is answered it reads live again.
+func TestSessionCutShowsInFleet(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	var blocked int32 = 1
+	defer atomic.StoreInt32(&blocked, 0)
+	p, err := NewLocalPoolOpts(2, func() interface{} { return &BlockService{blocked: &blocked} },
+		Options{CallTimeout: 50 * time.Millisecond, ReconnectMin: 200 * time.Millisecond, ReconnectMax: 200 * time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	s := p.Session()
+	defer s.Close()
+	var reply EchoReply
+	if err := s.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("hung session call = %v, want ErrCallTimeout", err)
+	}
+	if p.Healthy(1) || !p.Healthy(0) {
+		t.Fatalf("fleet health right after a session's cut: %+v", p.Health())
+	}
+	if ids := p.HealthyIDs(); len(ids) != 1 || ids[0] != 0 {
+		t.Fatalf("fleet HealthyIDs after the cut = %v, want [0]", ids)
+	}
+	h := p.Health()
+	if w := h.Workers[1]; w.State != WorkerReconnecting || w.ConsecutiveFails != 0 || h.Evictions != 0 {
+		t.Fatalf("fleet health after the cut: %+v", h)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !p.Healthy(1); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet worker 1 never reconnected: %+v", p.Health())
+		}
+	}
+	var a, b Ack
+	if err := p.Call(0, "Ping", &a, &b); err != nil {
+		t.Fatalf("fleet worker 0 after the cut: %v", err)
+	}
+}
+
 // TestSessionCloseLeavesOthers: closing one session, with its reconnect
-// loop in a long backoff, stops that loop and leaves the fleet and
-// another session working; closing the fleet closes the sessions still
-// open.
+// loop in a long backoff, stops that loop and leaves another session
+// working on both workers and the fleet on the worker the cut did not
+// touch (the cut worker's fleet slot is in its own long backoff);
+// closing the fleet stops that loop and closes the sessions still open.
 func TestSessionCloseLeavesOthers(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -141,15 +183,16 @@ func TestSessionCloseLeavesOthers(t *testing.T) {
 	if err := a.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("call on a closed session = %v, want ErrWorkerDown", err)
 	}
-	for _, h := range []*Pool{p, b} {
-		for w := 0; w < 2; w++ {
-			if err := h.Call(w, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
-				t.Fatalf("worker %d after another session's Close: %+v %v", w, reply, err)
-			}
+	for w := 0; w < 2; w++ {
+		if err := b.Call(w, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
+			t.Fatalf("worker %d after another session's Close: %+v %v", w, reply, err)
 		}
 	}
-	if n := p.Health().Evictions; n != 0 {
-		t.Fatalf("%d evictions", n)
+	if err := p.Call(1, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
+		t.Fatalf("fleet worker 1 after a session's Close: %+v %v", reply, err)
+	}
+	if h := p.Health(); h.Evictions != 0 || h.Workers[0].State != WorkerReconnecting || h.Workers[0].ConsecutiveFails != 0 {
+		t.Fatalf("fleet after a session's cut of worker 0: %+v", h)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

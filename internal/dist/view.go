@@ -10,7 +10,9 @@ import (
 // member mask over the fleet that says where the job may run, and each
 // run opens a Session of it: connections of its own, which hold the
 // run's worker state. Eviction and the fault counters stay fleet state
-// on the root. Health() is the fleet's scrapeable health snapshot.
+// on the root, and a session's transport failure drops the fleet slot's
+// connection until the fleet reconnects. Health() is the fleet's
+// scrapeable health snapshot.
 
 // View returns a restricted handle onto p's connections that schedules
 // only onto the given member worker ids. Worker ids stay root-global:
@@ -42,9 +44,10 @@ func (p *Pool) View(ids []int) (*Pool, error) {
 // member whose fleet slot is evicted stays out; one that cannot be
 // reached now is reconnected in the background. What a worker stores for
 // the session's calls lives as long as these connections, so Close frees
-// it, and a call the session severs touches no other handle's. Worker
+// it, and a call the session severs touches no other session's. Worker
 // ids stay fleet-global, the session's calls count in p's and the
-// fleet's Completions, and an eviction in it evicts the fleet's slot.
+// fleet's Completions, an eviction in it evicts the fleet's slot, and a
+// transport failure in it severs the fleet slot's connection (see sever).
 func (p *Pool) Session() *Pool {
 	f := p.shared()
 	s := newPool(f.opt)

@@ -22,8 +22,9 @@ const contractMinArcs = 4096
 // neighbour of a node is written before its first higher one, each group
 // ascending — and parallel edges are adjacent, so the CSR is written
 // directly: one counting scan that doubles as the order check, a prefix
-// sum, one scatter that sums parallel edges' weights. No edge staging, no
-// per-node sort and no compaction; the scans are serial and memory-bound.
+// sum, one scatter that sums parallel edges' weights (stored saturated, see
+// storedWeight). No edge staging, no per-node sort and no compaction; the
+// scans are serial and memory-bound.
 //
 // ordered is false, and nothing is built, when the edges are not in that
 // order (self-loops and out-of-range endpoints included); the caller then
@@ -67,21 +68,27 @@ func FromSortedEdgesCtx(ctx context.Context, nodeWeight []int64, m int, edge fun
 	cursor := make([]int32, n)
 	copy(cursor, offsets[:n])
 	pu, pv = -1, -1
+	var sum int64 // the current edge's weight over its parallel copies so far
 	for i := 0; i < m; i++ {
 		u, v, w := edge(i)
 		if u == pu && v == pv {
 			// A parallel edge: its first copy holds the last slot of both ends.
-			arcs[cursor[u]-1].W += w
-			arcs[cursor[v]-1].W += w
+			at, back := cursor[u]-1, cursor[v]-1
+			sum += w
+			sw := storedWeight(sum)
+			g.totalEdgeW += int64(sw) - int64(arcs[at].W)
+			arcs[at].W, arcs[back].W = sw, sw
 		} else {
-			arcs[cursor[u]] = Arc{To: int(v), W: w}
+			sum = w
+			sw := storedWeight(w)
+			arcs[cursor[u]] = Arc{To: v, W: sw}
 			cursor[u]++
-			arcs[cursor[v]] = Arc{To: int(u), W: w}
+			arcs[cursor[v]] = Arc{To: u, W: sw}
 			cursor[v]++
 			g.numEdges++
+			g.totalEdgeW += int64(sw)
 			pu, pv = u, v
 		}
-		g.totalEdgeW += w
 	}
 	g.arcs = arcs
 	return g, true, nil
@@ -89,7 +96,8 @@ func FromSortedEdgesCtx(ctx context.Context, nodeWeight []int64, m int, edge fun
 
 // ContractCtx builds the contraction of g by the node mapping group
 // (group[v] in [0,numGroups)): node weights sum within groups, edges
-// between groups merge by weight summation, intra-group edges vanish.
+// between groups merge by weight summation (stored saturated, see
+// storedWeight), intra-group edges vanish.
 // The result is identical at any worker count (<= 0 means GOMAXPROCS).
 // A cancel of ctx abandons the contraction at the next node-chunk
 // boundary and returns the context's cause (the partial result is
@@ -200,20 +208,21 @@ func contractWithWeights(g *Graph, group []int, numGroups int, nw []int64, worke
 					}
 					if stamp[u] != int32(c) {
 						stamp[u] = int32(c)
-						acc[u] = a.W
+						acc[u] = int64(a.W)
 						touched = append(touched, int32(u))
 					} else {
-						acc[u] += a.W
+						acc[u] += int64(a.W)
 					}
 				}
 			}
 			sortInt32s(touched)
 			degree[c] = int32(len(touched))
 			for _, u := range touched {
-				buf = append(buf, Arc{To: int(u), W: acc[u]})
+				a := Arc{To: u, W: storedWeight(acc[u])}
+				buf = append(buf, a)
 				if int(u) > c {
 					ne++
-					wsum += acc[u]
+					wsum += int64(a.W)
 				}
 			}
 		}

@@ -15,14 +15,24 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
-// Arc is one directed half of an undirected weighted edge.
+// Arc is one directed half of an undirected weighted edge: 8 bytes, since
+// node ids are int32 throughout and a stored weight saturates at
+// math.MaxInt32 (see storedWeight). Sums of arc weights are taken in int64.
 type Arc struct {
-	To int
-	W  int64
+	To int32
+	W  int32
 }
+
+// storedWeight is the weight an arc stores for an edge whose parallel
+// copies sum to w (an alignment length or a sum of them, never negative):
+// w saturated at math.MaxInt32. Every writer stores through it, and
+// TotalEdgeWeight sums the stored weights, so the arc weights of a graph
+// always sum to 2·TotalEdgeWeight.
+func storedWeight(w int64) int32 { return int32(min(w, math.MaxInt32)) }
 
 // Edge is a weighted undirected edge in bulk-construction form.
 type Edge struct {
@@ -50,7 +60,7 @@ func (g *Graph) NumNodes() int { return len(g.nodeWeight) }
 // NumEdges returns |E| (undirected edges).
 func (g *Graph) NumEdges() int { return g.numEdges }
 
-// TotalEdgeWeight returns the sum of all edge weights.
+// TotalEdgeWeight returns the sum of all stored edge weights.
 func (g *Graph) TotalEdgeWeight() int64 { return g.totalEdgeW }
 
 // NodeWeight returns the weight of node v.
@@ -74,14 +84,14 @@ func (g *Graph) EdgeWeight(u, v int) int64 {
 	lo, hi := int(g.offsets[u]), int(g.offsets[u+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if g.arcs[mid].To < v {
+		if int(g.arcs[mid].To) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < int(g.offsets[u+1]) && g.arcs[lo].To == v {
-		return g.arcs[lo].W
+	if lo < int(g.offsets[u+1]) && int(g.arcs[lo].To) == v {
+		return int64(g.arcs[lo].W)
 	}
 	return 0
 }
@@ -127,7 +137,8 @@ func NewBuilder(n int) *Builder {
 }
 
 // AddEdge records an undirected edge {u,v} with weight w. Multiple
-// additions of the same pair accumulate. Self-loops are ignored.
+// additions of the same pair accumulate, and the sum is stored saturated
+// at math.MaxInt32. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int, w int64) error {
 	if n := len(b.nodeWeight); u < 0 || u >= n || v < 0 || v >= n {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, n)

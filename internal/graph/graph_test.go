@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func buildTriangle(t *testing.T) *Graph {
@@ -101,7 +103,7 @@ func TestAdjSorted(t *testing.T) {
 			}
 		}
 		for _, a := range arcs {
-			if g.EdgeWeight(a.To, v) != a.W {
+			if g.EdgeWeight(int(a.To), v) != int64(a.W) {
 				t.Fatalf("asymmetric edge %d-%d", v, a.To)
 			}
 		}
@@ -143,5 +145,71 @@ func TestSetValidateErrors(t *testing.T) {
 	s = &Set{Levels: []*Graph{g, g}, Up: [][]int{{0, 5}}}
 	if err := s.Validate(); err == nil {
 		t.Error("invalid parent validated")
+	}
+}
+
+// TestArcLayout pins the arc at 8 bytes: G0, every coarse level and the
+// hybrid set keep their adjacency as arcs for the whole run.
+func TestArcLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Arc{}); size != 8 {
+		t.Fatalf("Arc is %d bytes, want 8", size)
+	}
+}
+
+// checkArcSum fails unless g's stored arc weights sum to twice its
+// TotalEdgeWeight.
+func checkArcSum(t *testing.T, g *Graph) {
+	t.Helper()
+	var sum int64
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, a := range g.Adj(v) {
+			sum += int64(a.W)
+		}
+	}
+	if sum != 2*g.TotalEdgeWeight() {
+		t.Fatalf("arc weights sum to %d, TotalEdgeWeight is %d", sum, g.TotalEdgeWeight())
+	}
+}
+
+// TestBuilderSaturates: parallel edges whose weights sum past
+// math.MaxInt32 store math.MaxInt32, and TotalEdgeWeight counts the stored
+// weight.
+func TestBuilderSaturates(t *testing.T) {
+	b := NewBuilder(3)
+	_ = b.AddEdge(0, 1, math.MaxInt32-5)
+	_ = b.AddEdge(1, 0, 10)
+	_ = b.AddEdge(1, 2, 7)
+	g := b.Build()
+	if w := g.EdgeWeight(1, 0); w != math.MaxInt32 {
+		t.Fatalf("merged weight %d, want %d", w, math.MaxInt32)
+	}
+	if g.EdgeWeight(1, 2) != 7 || g.TotalEdgeWeight() != math.MaxInt32+7 {
+		t.Fatalf("weight(1,2) %d, total %d", g.EdgeWeight(1, 2), g.TotalEdgeWeight())
+	}
+	checkArcSum(t, g)
+}
+
+// TestContractSaturates: two edges that each fit in an arc but merge past
+// math.MaxInt32 under contraction store math.MaxInt32, at widths 1 and 2.
+func TestContractSaturates(t *testing.T) {
+	b := NewBuilder(5)
+	_ = b.AddEdge(0, 2, math.MaxInt32-1)
+	_ = b.AddEdge(1, 3, math.MaxInt32-1)
+	_ = b.AddEdge(3, 4, 9)
+	g := b.Build()
+	checkArcSum(t, g)
+	group := []int{0, 0, 1, 1, 2}
+	for _, w := range []int{1, 2} {
+		c, err := ContractCtx(nil, g, group, 3, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.EdgeWeight(0, 1); got != math.MaxInt32 {
+			t.Fatalf("width %d: merged weight %d, want %d", w, got, math.MaxInt32)
+		}
+		if c.EdgeWeight(1, 2) != 9 || c.TotalEdgeWeight() != math.MaxInt32+9 {
+			t.Fatalf("width %d: weight(1,2) %d, total %d", w, c.EdgeWeight(1, 2), c.TotalEdgeWeight())
+		}
+		checkArcSum(t, c)
 	}
 }

@@ -223,6 +223,7 @@ func BenchmarkBuildGraphSorted(b *testing.B) {
 // BuildMapMerge is the pre-CSR reference implementation of Build: a
 // map-based edge merge followed by per-node sorting — the oracle the
 // parity tests and allocation benchmarks compare the CSR pipeline against.
+// Each merged sum is stored saturated (saturate, fuzz_test.go).
 func (b *Builder) BuildMapMerge() *Graph {
 	type key struct{ u, v int32 }
 	merged := make(map[key]int64, len(b.edges))
@@ -247,10 +248,11 @@ func (b *Builder) BuildMapMerge() *Graph {
 		adj[v] = make([]Arc, 0, deg[v])
 	}
 	g := &Graph{nodeWeight: b.nodeWeight}
-	for k, w := range merged {
-		adj[k.u] = append(adj[k.u], Arc{To: int(k.v), W: w})
-		adj[k.v] = append(adj[k.v], Arc{To: int(k.u), W: w})
-		g.totalEdgeW += w
+	for k, sum := range merged {
+		w := saturate(sum)
+		adj[k.u] = append(adj[k.u], Arc{To: k.v, W: w})
+		adj[k.v] = append(adj[k.v], Arc{To: k.u, W: w})
+		g.totalEdgeW += int64(w)
 		g.numEdges++
 	}
 	for _, w := range b.nodeWeight {

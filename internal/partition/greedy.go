@@ -73,7 +73,7 @@ func greedyGrow(g *graph.Graph, labels []int32, universe []int32, region, newLab
 		var c int64
 		for _, a := range g.Adj(v) {
 			if side[a.To] == s {
-				c += a.W
+				c += int64(a.W)
 			}
 		}
 		return c
@@ -88,9 +88,9 @@ func greedyGrow(g *graph.Graph, labels []int32, universe []int32, region, newLab
 				continue
 			}
 			if sv == s {
-				in += a.W
+				in += int64(a.W)
 			} else {
-				out += a.W
+				out += int64(a.W)
 			}
 		}
 		return in - out
@@ -106,14 +106,14 @@ func greedyGrow(g *graph.Graph, labels []int32, universe []int32, region, newLab
 		queues[2].Remove(v)
 		// Refresh horizon gains of unassigned neighbours.
 		for _, a := range g.Adj(v) {
-			if side[a.To] == 0 {
+			if u := int(a.To); side[u] == 0 {
 				for _, qs := range [2]int8{1, 2} {
-					if queues[qs].Contains(a.To) {
-						queues[qs].Update(a.To, gain(a.To, qs))
+					if queues[qs].Contains(u) {
+						queues[qs].Update(u, gain(u, qs))
 					}
 				}
 				if s == 1 || s == 2 {
-					queues[s].Push(a.To, gain(a.To, s))
+					queues[s].Push(u, gain(u, s))
 				}
 			}
 		}

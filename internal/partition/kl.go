@@ -92,9 +92,9 @@ func (sc *klScratch) initD(g *graph.Graph, labels []int32, universe []int32, la,
 			for _, a := range g.Adj(v) {
 				switch loadLabel(&labels[a.To]) {
 				case lv:
-					i += a.W
+					i += int64(a.W)
 				case la, lb:
-					e += a.W
+					e += int64(a.W)
 				}
 			}
 			sc.d[v] = e - i
@@ -227,7 +227,7 @@ func klPass(g *graph.Graph, labels []int32, universe []int32, la, lb int32, opt 
 		// in lb: D_v -= 2w(v,a). Symmetrically for b.
 		update := func(moved int, from int32) {
 			for _, arc := range g.Adj(moved) {
-				v := arc.To
+				v := int(arc.To)
 				if !sc.in[v] {
 					continue
 				}
@@ -237,9 +237,9 @@ func klPass(g *graph.Graph, labels []int32, universe []int32, la, lb int32, opt 
 				}
 				var delta int64
 				if loadLabel(&labels[v]) == from {
-					delta = 2 * arc.W
+					delta = 2 * int64(arc.W)
 				} else {
-					delta = -2 * arc.W
+					delta = -2 * int64(arc.W)
 				}
 				sc.d[v] += delta
 				if inA {

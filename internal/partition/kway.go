@@ -67,9 +67,9 @@ func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, shards [][]bou
 		var e, i int64
 		for _, a := range g.Adj(v) {
 			if labels[a.To] == labels[v] {
-				i += a.W
+				i += int64(a.W)
 			} else {
-				e += a.W
+				e += int64(a.W)
 			}
 		}
 		return e - i
@@ -118,9 +118,9 @@ func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, shards [][]bou
 		var internal int64
 		for _, a := range g.Adj(v) {
 			if labels[a.To] == from {
-				internal += a.W
+				internal += int64(a.W)
 			} else {
-				extern[labels[a.To]] += a.W
+				extern[labels[a.To]] += int64(a.W)
 			}
 		}
 		// Best destination by external cost, subject to balance.
@@ -158,8 +158,8 @@ func kwayPass(g *graph.Graph, labels []int32, k int, opt Options, shards [][]bou
 		}
 		// Requeue unlocked boundary neighbours with refreshed gains.
 		for _, a := range g.Adj(v) {
-			if q.Contains(a.To) {
-				q.Update(a.To, gainOf(a.To))
+			if u := int(a.To); q.Contains(u) {
+				q.Update(u, gainOf(u))
 			}
 		}
 	}

@@ -359,8 +359,8 @@ func EdgeCut(g *graph.Graph, labels []int32) int64 {
 	var cut int64
 	for v := 0; v < g.NumNodes(); v++ {
 		for _, a := range g.Adj(v) {
-			if a.To > v && labels[v] != labels[a.To] {
-				cut += a.W
+			if int(a.To) > v && labels[v] != labels[a.To] {
+				cut += int64(a.W)
 			}
 		}
 	}

@@ -122,6 +122,7 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/dna/ FuzzReadFASTQ
     fuzz ./internal/dna/ FuzzReadFASTA
     fuzz ./internal/checkpoint/ FuzzDecode
+    fuzz ./internal/graph/ FuzzContract
     fuzz ./internal/align/ FuzzBitParallelNW
     fuzz ./internal/align/ FuzzOverlapVerdict
     fuzz ./internal/align/ FuzzBandLCS
