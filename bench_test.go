@@ -133,13 +133,17 @@ func BenchmarkAblationKWay(b *testing.B) {
 // sets had ten levels).
 func BenchmarkAblationCoarsenLevels(b *testing.B) {
 	d := benchSet(b, 1)
+	mset, err := d.stages.MultilevelSet()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, levels := range []int{3, 6, 10} {
 		b.Run(fmt.Sprintf("maxLevels=%d", levels), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opt := coarsen.DefaultOptions()
 				opt.MaxLevels = levels
 				opt.MinNodes = 32
-				set := coarsen.Multilevel(d.stages.G0, opt)
+				set := coarsen.Multilevel(mset.Levels[0], opt)
 				if set.Coarsest().NumNodes() == 0 {
 					b.Fatal("empty coarsest graph")
 				}

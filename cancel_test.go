@@ -330,3 +330,25 @@ func TestLivenessNoFalseCuts(t *testing.T) {
 		t.Fatalf("healthy calls were cut: %+v", h)
 	}
 }
+
+// TestPartitionMultilevelCancel: under an already cancelled Cfg.Context
+// the multilevel baseline's rebuild of G0 and the set stops at once with
+// the context's cause, and nothing is left running.
+func TestPartitionMultilevelCancel(t *testing.T) {
+	defer testutil.NoLeaks(t)
+	reads, _ := simReads(t, 4000, 6, 316)
+	s, err := BuildStages(reads, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("experiment cancelled")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	s.Cfg.Context = ctx
+	if res, _, err := s.PartitionMultilevel(4, 2, 1); res != nil || !errors.Is(err, cause) {
+		t.Fatalf("PartitionMultilevel = %v, %v; want no result and the cancel cause", res != nil, err)
+	}
+	if set, err := s.MultilevelSet(); set != nil || !errors.Is(err, cause) {
+		t.Fatalf("MultilevelSet = %v, %v; want no set and the cancel cause", set != nil, err)
+	}
+}

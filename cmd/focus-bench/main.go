@@ -330,14 +330,18 @@ func (h *harness) table2() error {
 			}
 			_, hybOnG0 := s.HybridCuts(hres)
 			ml := mres.Labels()
-			mCut := partition.EdgeCut(s.G0, ml)
+			mCut := s.OverlapCut(ml)
 			rounded := roundToClusters(s, ml)
-			rCut := partition.EdgeCut(s.G0, partition.MapLabels(rounded, s.Hyb.RepOf))
+			rCut := s.OverlapCut(partition.MapLabels(rounded, s.Hyb.RepOf))
 			better := "no"
 			if hybOnG0 <= rCut {
 				better = "yes"
 			}
-			pct := 100 * float64(hybOnG0) / float64(s.G0.TotalEdgeWeight())
+			var total int64 // G0's total edge weight: every record's Len
+			for _, r := range s.Records {
+				total += int64(r.Len)
+			}
+			pct := 100 * float64(hybOnG0) / float64(total)
 			t.AddRow(k, id, hybOnG0, mCut, rCut, better, fmt.Sprintf("%.3f%%", pct))
 		}
 	}

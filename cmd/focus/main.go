@@ -178,8 +178,8 @@ func main() {
 		fmt.Printf("reads in:         %d\n", len(reads))
 		fmt.Printf("reads kept (+rc): %d\n", len(stages.Reads))
 		fmt.Printf("overlaps:         %d\n", len(stages.Records))
-		fmt.Printf("overlap graph:    %d nodes, %d edges\n", stages.G0.NumNodes(), stages.G0.NumEdges())
-		fmt.Printf("graph levels:     %d\n", len(stages.MSet.Levels))
+		fmt.Printf("overlap graph:    %d nodes, %d edges\n", len(stages.Reads), overlapEdges(stages))
+		fmt.Printf("graph levels:     %d\n", len(stages.Hyb.Set.Levels))
 		fmt.Printf("hybrid graph:     %d nodes, %d edges\n", stages.Hyb.G.NumNodes(), stages.Hyb.G.NumEdges())
 		fmt.Printf("trim removed:     %d transitive, %d contained, %d false edges, %d tips/bubbles\n",
 			res.Trim.TransitiveEdges, res.Trim.ContainedNodes, res.Trim.FalseEdges, res.Trim.DeadEndNodes)
@@ -187,6 +187,19 @@ func main() {
 			res.Stats.NumContigs, res.Stats.N50, res.Stats.MaxContig, res.Stats.TotalBases)
 		fmt.Printf("wrote %s\n", *out)
 	}
+}
+
+// overlapEdges is the overlap graph's edge count, read off the records
+// (a run keeps no G0): its distinct read pairs. Records are sorted by
+// (A, B), so the records of one pair are adjacent.
+func overlapEdges(s *focus.Stages) int {
+	n := 0
+	for i, r := range s.Records {
+		if i == 0 || r.A != s.Records[i-1].A || r.B != s.Records[i-1].B {
+			n++
+		}
+	}
+	return n
 }
 
 // errorLine is err as the command reports it, under the program's name

@@ -24,7 +24,7 @@ func ExampleAssemble() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("graph levels:", len(stages.MSet.Levels) > 1)
+	fmt.Println("graph levels:", len(stages.Hyb.Set.Levels) > 1)
 	fmt.Println("contigs:", res.Stats.NumContigs > 0)
 	fmt.Println("assembled bases >= genome:", res.Stats.TotalBases >= 6000)
 	// Output:

@@ -13,7 +13,6 @@ import (
 
 	"focus"
 	"focus/internal/metrics"
-	"focus/internal/partition"
 	"focus/internal/simulate"
 )
 
@@ -37,10 +36,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// A run drops G0 and the multilevel set once the hybrid set is built;
+	// the multilevel baseline rebuilds them from the overlap records.
+	mset, err := stages.MultilevelSet()
+	if err != nil {
+		log.Fatal(err)
+	}
+	g0 := mset.Levels[0]
 	fmt.Printf("overlap graph G0: %d nodes, %d edges (total edge weight %d)\n",
-		stages.G0.NumNodes(), stages.G0.NumEdges(), stages.G0.TotalEdgeWeight())
+		g0.NumNodes(), g0.NumEdges(), g0.TotalEdgeWeight())
 	fmt.Printf("multilevel set: %d levels; hybrid graph G'0: %d nodes, %d edges\n\n",
-		len(stages.MSet.Levels), stages.Hyb.G.NumNodes(), stages.Hyb.G.NumEdges())
+		len(mset.Levels), stages.Hyb.G.NumNodes(), stages.Hyb.G.NumEdges())
 
 	t := &metrics.Table{Headers: []string{"k", "Hybrid time", "Multilevel time", "Ratio", "Cut (hyb->G0)", "Cut (multilevel)", "Cut % of total"}}
 	for _, k := range []int{8, 16, 32} {
@@ -53,8 +59,8 @@ func main() {
 			log.Fatal(err)
 		}
 		_, hybCut := stages.HybridCuts(hres)
-		mCut := partition.EdgeCut(stages.G0, mres.Labels())
-		pct := 100 * float64(hybCut) / float64(stages.G0.TotalEdgeWeight())
+		mCut := stages.OverlapCut(mres.Labels())
+		pct := 100 * float64(hybCut) / float64(g0.TotalEdgeWeight())
 		t.AddRow(k, ht, mt, float64(mt)/float64(ht), hybCut, mCut, fmt.Sprintf("%.3f%%", pct))
 	}
 	t.Render(os.Stdout)

@@ -37,9 +37,9 @@ func main() {
 	}
 
 	// 3. Report.
-	fmt.Printf("overlap graph: %d nodes, %d edges\n", stages.G0.NumNodes(), stages.G0.NumEdges())
-	fmt.Printf("multilevel set: %d levels; hybrid graph: %d nodes\n",
-		len(stages.MSet.Levels), stages.Hyb.G.NumNodes())
+	fmt.Printf("overlap graph: %d reads, %d overlap records\n", len(stages.Reads), len(stages.Records))
+	fmt.Printf("hybrid graph set: %d levels; hybrid graph: %d nodes\n",
+		len(stages.Hyb.Set.Levels), stages.Hyb.G.NumNodes())
 	fmt.Printf("trimming removed: %d transitive edges, %d contained nodes, %d false edges, %d tips/bubbles\n",
 		res.Trim.TransitiveEdges, res.Trim.ContainedNodes, res.Trim.FalseEdges, res.Trim.DeadEndNodes)
 	fmt.Printf("assembly: %d contigs, N50 %d bp, max contig %d bp (genome %d bp)\n",

@@ -12,8 +12,11 @@
 // trimming/traversal on an RPC master/worker pool, ending in contigs.
 //
 // The one-call entry point is Assemble; BuildStages exposes the
-// intermediate artifacts (overlap graph, multilevel set, hybrid graph,
-// directed hybrid graph) that the benchmark harness measures individually.
+// intermediate artifacts a run keeps (overlap records, hybrid graph set,
+// directed hybrid graph). The overlap graph and the multilevel set are
+// built only to choose the hybrid set's representatives and are dropped
+// once it is built; the paper's experiments rebuild them on demand
+// (Stages.MultilevelSet).
 package focus
 
 import (
@@ -184,15 +187,18 @@ func DefaultConfig() Config {
 	return cfg
 }
 
-// Stages holds every intermediate pipeline artifact.
+// Stages holds the pipeline artifacts a run keeps: what Assemble reads,
+// and the records the paper's experiments rebuild the overlap graph and
+// the multilevel set from (MultilevelSet). Neither graph is kept: both are
+// dropped once the hybrid set is built.
 type Stages struct {
 	Cfg      Config
 	Reads    []Read // preprocessed reads; index = overlap graph node id
 	PreStats preprocess.Stats
-	Records  []overlap.Record
-	G0       *graph.Graph // the overlap graph
-	MSet     *graph.Set   // multilevel graph set {G0…Gn}
-	Hyb      *hybrid.Hybrid
+	// Records are the overlap records in the overlap stage's order: each
+	// canonical (A < B), sorted by (A, B).
+	Records []overlap.Record
+	Hyb     *hybrid.Hybrid
 	// DiGraph is the directed hybrid graph as built, the template every
 	// Assemble call clones: Stages never trims it, so it stays valid for
 	// any number of calls, concurrent ones included.
@@ -251,7 +257,10 @@ func BuildStagesOnPool(raw []Read, cfg Config, _ *dist.Pool) (*Stages, error) {
 // records of one run apply to a later run over the same input and config;
 // numReads (the read count the records were computed over) is validated
 // against the preprocessed read count (that check is all
-// Timings["overlap"] covers).
+// Timings["overlap"] covers). Records in any order are accepted: the
+// Stages keeps them in the overlap stage's order, as a sorted copy if they
+// were not (the graph stage makes it, overlap.BuildGraphCanonical), and
+// the caller's slice is never changed.
 func BuildStagesFromRecords(raw []Read, records []overlap.Record, numReads int, cfg Config) (*Stages, error) {
 	return buildStages(raw, cfg, func(_ context.Context, reads []Read) ([]overlap.Record, error) {
 		if len(reads) != numReads {
@@ -274,10 +283,14 @@ func (cfg Config) subsets() int {
 // the preprocessed reads. Every stage is timed under its name in
 // Stages.Timings, and the context is checked before each stage, so a
 // cancel that lands inside a context-unaware stage (preprocess) still
-// stops the build at the next boundary.
+// stops the build at the next boundary. G0 and the multilevel set are
+// locals, dropped once the hybrid set is built: the digraph stage and
+// every Assemble run without them.
 func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, reads []Read) ([]overlap.Record, error)) (*Stages, error) {
 	ctx := cfg.Context
 	s := &Stages{Cfg: cfg, Timings: map[string]time.Duration{}, bisection: &bisectionSlot{}}
+	var g0 *graph.Graph
+	var mset *graph.Set
 	for _, st := range []struct {
 		name string
 		run  func() error
@@ -294,15 +307,16 @@ func buildStages(raw []Read, cfg Config, findOverlaps func(ctx context.Context, 
 			return err
 		}},
 		{"graph", func() (err error) {
-			s.G0, err = overlap.BuildGraphParCtx(ctx, len(s.Reads), s.Records, cfg.GraphWorkers)
+			g0, s.Records, err = overlap.BuildGraphCanonical(ctx, len(s.Reads), s.Records)
 			return err
 		}},
 		{"coarsen", func() (err error) {
-			s.MSet, err = coarsen.MultilevelCtx(ctx, s.G0, cfg.Coarsen)
+			mset, err = coarsen.MultilevelCtx(ctx, g0, cfg.Coarsen)
 			return err
 		}},
 		{"hybrid", func() (err error) {
-			s.Hyb, err = hybrid.BuildCtx(ctx, s.MSet, s.Reads, s.Records, cfg.Hybrid)
+			s.Hyb, err = hybrid.BuildCtx(ctx, mset, s.Reads, s.Records, cfg.Hybrid)
+			g0, mset = nil, nil // the hybrid set aliases neither
 			return err
 		}},
 		{"digraph", func() (err error) {
@@ -351,11 +365,31 @@ func (s *Stages) PartitionHybrid(k, procs int, seed int64) (*partition.Result, t
 	return res, time.Since(t0), err
 }
 
+// MultilevelSet rebuilds the overlap graph G0 and the multilevel set
+// {G0…Gn} (paper §II.C) from Records with Cfg.Coarsen, under Cfg.Context.
+// A run keeps neither once the hybrid set is built; only the paper's
+// experiments read them, and they pay for the rebuild. Construction and
+// coarsening are deterministic, so the set is the one the hybrid set was
+// chosen from.
+func (s *Stages) MultilevelSet() (*graph.Set, error) {
+	g0, err := overlap.BuildGraphParCtx(s.Cfg.Context, len(s.Reads), s.Records, 0)
+	if err != nil {
+		return nil, err
+	}
+	return coarsen.MultilevelCtx(s.Cfg.Context, g0, s.Cfg.Coarsen)
+}
+
 // PartitionMultilevel partitions the full multilevel graph set (the
-// paper's naive baseline) into k parts, bisecting from scratch.
+// paper's naive baseline) into k parts, bisecting from scratch. The set
+// is rebuilt first (MultilevelSet); the duration is the partitioner's
+// alone.
 func (s *Stages) PartitionMultilevel(k, procs int, seed int64) (*partition.Result, time.Duration, error) {
+	set, err := s.MultilevelSet()
+	if err != nil {
+		return nil, 0, err
+	}
 	t0 := time.Now()
-	res, err := partition.PartitionSetCtx(s.Cfg.Context, s.MSet, partitionOptions(k, procs, seed))
+	res, err := partition.PartitionSetCtx(s.Cfg.Context, set, partitionOptions(k, procs, seed))
 	return res, time.Since(t0), err
 }
 
@@ -371,9 +405,22 @@ func (s *Stages) partitionShared(k, procs int, seed int64) (*partition.Result, e
 // hybrid graph G'0 and, after projection through the representatives, on
 // the overlap graph G0 (Table II's two columns).
 func (s *Stages) HybridCuts(res *partition.Result) (hybridCut, overlapCut int64) {
-	hybridCut = partition.EdgeCut(s.Hyb.G, res.Labels())
-	overlapCut = partition.EdgeCut(s.G0, s.ReadLabels(res))
-	return hybridCut, overlapCut
+	return partition.EdgeCut(s.Hyb.G, res.Labels()), s.OverlapCut(s.ReadLabels(res))
+}
+
+// OverlapCut is the edge cut of a labelling of the reads on the overlap
+// graph G0, read off Records without building G0: an edge of G0 weighs its
+// records' summed Len, so the cut is that sum over the records whose reads
+// carry different labels. (G0 stores a weight saturated at math.MaxInt32;
+// a sum of alignment lengths of two reads never comes near it.)
+func (s *Stages) OverlapCut(readLabels []int32) int64 {
+	var cut int64
+	for _, r := range s.Records {
+		if readLabels[r.A] != readLabels[r.B] {
+			cut += int64(r.Len)
+		}
+	}
+	return cut
 }
 
 // ReadLabels projects a hybrid partitioning onto the overlap graph nodes

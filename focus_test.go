@@ -48,14 +48,19 @@ func TestBuildStages(t *testing.T) {
 	if len(s.Reads) < len(reads) {
 		t.Errorf("expected RC augmentation: %d -> %d", len(reads), len(s.Reads))
 	}
-	if s.G0.NumNodes() != len(s.Reads) {
-		t.Errorf("G0 has %d nodes for %d reads", s.G0.NumNodes(), len(s.Reads))
+	mset, err := s.MultilevelSet()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(s.MSet.Levels) < 2 {
-		t.Errorf("only %d multilevel levels", len(s.MSet.Levels))
+	g0 := mset.Levels[0]
+	if g0.NumNodes() != len(s.Reads) {
+		t.Errorf("G0 has %d nodes for %d reads", g0.NumNodes(), len(s.Reads))
 	}
-	if s.Hyb.G.NumNodes() >= s.G0.NumNodes() {
-		t.Errorf("hybrid graph not reduced: %d vs %d", s.Hyb.G.NumNodes(), s.G0.NumNodes())
+	if len(mset.Levels) < 2 || len(mset.Levels) != len(s.Hyb.Set.Levels) {
+		t.Errorf("%d multilevel levels, %d hybrid-set levels", len(mset.Levels), len(s.Hyb.Set.Levels))
+	}
+	if s.Hyb.G.NumNodes() >= g0.NumNodes() {
+		t.Errorf("hybrid graph not reduced: %d vs %d", s.Hyb.G.NumNodes(), g0.NumNodes())
 	}
 	for _, stage := range []string{"preprocess", "overlap", "graph", "coarsen", "hybrid", "digraph"} {
 		if _, ok := s.Timings[stage]; !ok {
@@ -83,13 +88,25 @@ func TestPartitionBothSchemes(t *testing.T) {
 	if hc < 0 || oc < 0 {
 		t.Fatalf("cuts %d %d", hc, oc)
 	}
+	mset, err := s.MultilevelSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g0 := mset.Levels[0]
 	// Edge cut sanity: small relative to total edge weight (paper:
 	// < 0.43% on real data; generous bound here).
-	if float64(oc) > 0.2*float64(s.G0.TotalEdgeWeight()) {
-		t.Errorf("overlap cut %d vs total %d", oc, s.G0.TotalEdgeWeight())
+	if float64(oc) > 0.2*float64(g0.TotalEdgeWeight()) {
+		t.Errorf("overlap cut %d vs total %d", oc, g0.TotalEdgeWeight())
 	}
-	if mc := partition.EdgeCut(s.G0, mres.Labels()); mc < 0 {
+	if mc := partition.EdgeCut(g0, mres.Labels()); mc < 0 {
 		t.Fatal("negative cut")
+	}
+	// The cuts read off the records are G0's.
+	if want := partition.EdgeCut(g0, s.ReadLabels(hres)); oc != want {
+		t.Errorf("overlap cut from records %d, on G0 %d", oc, want)
+	}
+	if got, want := s.OverlapCut(mres.Labels()), partition.EdgeCut(g0, mres.Labels()); got != want {
+		t.Errorf("multilevel cut from records %d, on G0 %d", got, want)
 	}
 	// Read labels cover every read.
 	rl := s.ReadLabels(hres)

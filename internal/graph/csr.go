@@ -1,8 +1,7 @@
 // CSR construction. FromSortedEdgesCtx is the one writer of a graph's
 // arcs from edges: it takes them in CSR order (canonical, sorted) and
-// scatters them straight into place. Builder.Build sorts arbitrary edges
-// into that order and calls it. Contraction (ContractCtx) accumulates each
-// coarse node's adjacency from the fine graph's CSR directly.
+// scatters them straight into place. Contraction (ContractCtx) accumulates
+// each coarse node's adjacency from the fine graph's CSR directly.
 package graph
 
 import (
@@ -27,10 +26,9 @@ const contractMinArcs = 4096
 // scans are serial and memory-bound.
 //
 // ordered is false, and nothing is built, when the edges are not in that
-// order (self-loops and out-of-range endpoints included); the caller then
-// takes the Builder, which accepts any order and reports range errors. A
-// nil ctx never cancels; a cancel observed between the scans returns the
-// context's cause.
+// order (self-loops and out-of-range endpoints included); the caller puts
+// them in order and calls again. A nil ctx never cancels; a cancel
+// observed between the scans returns the context's cause.
 func FromSortedEdgesCtx(ctx context.Context, nodeWeight []int64, m int, edge func(i int) (u, v int32, w int64)) (g *Graph, ordered bool, err error) {
 	gate := par.GateFor(ctx)
 	if gate.Stopped() {

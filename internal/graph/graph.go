@@ -6,8 +6,8 @@
 // Graphs are stored in CSR (compressed sparse row) form: one offsets
 // array plus one packed arcs array, adjacency sorted by neighbour id
 // within each node. One writer builds them from edges: FromSortedEdgesCtx
-// scatters edges given in sorted canonical order and sums parallel edges;
-// the Builder sorts edges given in any order and calls it (see csr.go).
+// scatters edges given in sorted canonical order and sums parallel edges
+// (see csr.go).
 // Contraction merges a graph's nodes into groups on a worker pool and is
 // identical at any worker count.
 package graph
@@ -121,7 +121,7 @@ func (g *Graph) Equal(o *Graph) bool {
 	return true
 }
 
-// Builder accumulates edges for a Graph.
+// Builder accumulates edges in any order for a Graph: the tests' oracle.
 type Builder struct {
 	nodeWeight []int64
 	edges      []Edge

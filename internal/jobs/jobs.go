@@ -98,7 +98,8 @@ const (
 	Queued State = iota
 	// Running: executing on its worker view.
 	Running
-	// Done: completed successfully; contigs retained until shutdown.
+	// Done: completed successfully; its contigs are kept in its namespace
+	// (in memory without one, until shutdown).
 	Done
 	// Failed: pipeline error (not an interruption).
 	Failed

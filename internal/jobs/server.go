@@ -78,7 +78,7 @@ type job struct {
 	dir      string // checkpoint namespace ("" = ephemeral)
 	status   Status
 	cancel   context.CancelCauseFunc // non-nil while running
-	result   *focus.AssemblyResult   // retained while the server lives (Done only)
+	contigs  [][]byte                // a Done job's contigs when it has no namespace
 	watchers []chan Status
 	done     chan struct{} // closed at terminal; replaced on Resume
 }
@@ -399,6 +399,13 @@ func (s *Server) execute(j *job, ctx context.Context, members []int) (*focus.Ass
 		cfg.Checkpoint = focus.Checkpoint{Dir: dir, Resume: true}
 	}
 	res, _, err := focus.AssembleOnPool(reads, cfg, spec.K, view, spec.Seed)
+	if err == nil && dir != "" {
+		// Stored before the Done record, so a Done job's contigs are
+		// always on disk.
+		if err = writeContigs(dir, res.Contigs); err != nil {
+			err = fmt.Errorf("jobs: %s: storing contigs: %w", id, err)
+		}
+	}
 	return res, err
 }
 
@@ -412,7 +419,9 @@ func (s *Server) finishLocked(j *job, res *focus.AssemblyResult, err error) {
 		j.status.State = Done
 		j.status.Error = ""
 		j.status.Resumable = false
-		j.result = res
+		if j.dir == "" {
+			j.contigs = res.Contigs
+		}
 		j.status.Contigs = res.Stats.NumContigs
 		j.status.N50 = res.Stats.N50
 		s.reg.Counter("jobs_done_total").Inc()
@@ -524,23 +533,26 @@ func (s *Server) Wait(id string) error {
 	return nil
 }
 
-// Result returns a Done job's contigs. Results live in server memory
-// only: after a restart the job is terminal history and the result is
-// gone (re-run or Resume to recompute).
+// Result returns a Done job's contigs. A job with a namespace (Root set)
+// reads them from the contigs file stored beside its status record, so
+// they survive a server restart; without one they are the contigs the
+// server kept in memory.
 func (s *Server) Result(id string) ([][]byte, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	if j.status.State != Done {
-		return nil, fmt.Errorf("jobs: %s is %s, not done", id, j.status.State)
+	state, dir, contigs := j.status.State, j.dir, j.contigs
+	s.mu.Unlock()
+	if state != Done {
+		return nil, fmt.Errorf("jobs: %s is %s, not done", id, state)
 	}
-	if j.result == nil {
-		return nil, fmt.Errorf("jobs: %s: result not retained across server restart", id)
+	if dir == "" {
+		return contigs, nil
 	}
-	return j.result.Contigs, nil
+	return readContigs(dir)
 }
 
 // Watch subscribes to a job's status changes. The channel receives a
@@ -649,7 +661,7 @@ func (s *Server) Resume(id string) error {
 	}
 	j.resetQueued()
 	j.done = make(chan struct{})
-	j.result = nil
+	j.contigs = nil
 	s.enqueueLocked(j)
 	s.reg.Counter("jobs_resumed_total").Inc()
 	s.noteLocked(j)

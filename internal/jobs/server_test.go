@@ -125,8 +125,8 @@ func TestJobKillResumeByteIdentical(t *testing.T) {
 
 // TestJobRestartRequeues: a drained server leaves durable records; a
 // successor over the same root requeues the unfinished job and completes
-// it baseline-identically; a third server sees only terminal history and
-// reports the in-memory result as gone.
+// it baseline-identically; a third server sees the job as terminal history
+// and still serves its contigs, from the job's namespace.
 func TestJobRestartRequeues(t *testing.T) {
 	t.Cleanup(func() { testutil.NoLeaks(t) })
 	const k = 4
@@ -167,7 +167,7 @@ func TestJobRestartRequeues(t *testing.T) {
 	}
 	b.Close()
 
-	// Server C: the job is terminal history; the result was not persisted.
+	// Server C: the job is terminal history; its contigs were persisted.
 	c, err := NewServer(fleet, Options{MaxRunning: 2, Root: root, Template: testTemplate(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,12 @@ func TestJobRestartRequeues(t *testing.T) {
 	if err := c.Wait(id); err != nil {
 		t.Fatalf("Wait on historical Done job: %v", err)
 	}
-	if _, err := c.Result(id); err == nil {
-		t.Fatal("Result survived a restart; results are in-memory only")
+	got, err = c.Result(id)
+	if err != nil {
+		t.Fatalf("Result after a restart: %v", err)
+	}
+	if !sameContigs(got, want) {
+		t.Fatal("contigs read back after a restart diverge from solo baseline")
 	}
 }
 

@@ -1,12 +1,15 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"focus/internal/checkpoint"
+	"focus/internal/dna"
 )
 
 // Job-record persistence. Each job's checkpoint namespace holds, next to
@@ -54,6 +57,45 @@ func decodeStatus(payload []byte) (*Status, error) {
 		return nil, fmt.Errorf("jobs: status record: %w", err)
 	}
 	return &st, nil
+}
+
+// contigsVersion is the contigs file's framed payload version; bump on any
+// change to its encoding.
+const contigsVersion = 1
+
+// contigsFile holds a Done job's contigs inside its namespace, beside the
+// status record: FASTA (contig i named i) in the same CRC framing and
+// atomic write.
+const contigsFile = "contigs.fjob"
+
+// writeContigs persists a Done job's contigs into its namespace dir.
+func writeContigs(dir string, contigs [][]byte) error {
+	recs := make([]dna.Read, len(contigs))
+	for i, c := range contigs {
+		recs[i] = dna.Read{ID: strconv.Itoa(i), Seq: c}
+	}
+	var fasta bytes.Buffer
+	if err := dna.WriteFASTA(&fasta, recs, 80); err != nil {
+		return err
+	}
+	return checkpoint.WriteFile(filepath.Join(dir, contigsFile), contigsVersion, fasta.Bytes())
+}
+
+// readContigs loads the contigs writeContigs stored in dir.
+func readContigs(dir string) ([][]byte, error) {
+	payload, err := checkpoint.ReadFile(filepath.Join(dir, contigsFile), contigsVersion)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := dna.ReadFASTA(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: contigs record: %w", err)
+	}
+	contigs := make([][]byte, len(recs))
+	for i, r := range recs {
+		contigs[i] = r.Seq
+	}
+	return contigs, nil
 }
 
 // statusExists reports whether dir holds a status record at all (used by

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,5 +130,44 @@ func TestStatusRecordDurability(t *testing.T) {
 	}
 	if _, err := readStatus(dir); !errors.Is(err, checkpoint.ErrVersion) {
 		t.Fatalf("version %d record: err = %v, want ErrVersion", statusVersion-1, err)
+	}
+}
+
+// TestContigsRoundTrip: contigs survive the contigs file exactly, an empty
+// contig and an empty set included, and a file whose bytes were changed
+// after the write is refused.
+func TestContigsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for _, in := range [][][]byte{
+		{[]byte("ACGTTGCA"), {}, []byte(strings.Repeat("NNACGT", 30))},
+		{},
+	} {
+		if err := writeContigs(dir, in); err != nil {
+			t.Fatal(err)
+		}
+		out, err := readContigs(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != len(in) {
+			t.Fatalf("%d contigs read back, %d written", len(out), len(in))
+		}
+		for i := range in {
+			if string(out[i]) != string(in[i]) {
+				t.Fatalf("contig %d: %q read back, %q written", i, out[i], in[i])
+			}
+		}
+	}
+	path := filepath.Join(dir, contigsFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readContigs(dir); err == nil {
+		t.Fatal("a changed contigs file was read")
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"focus/internal/align"
+	"focus/internal/graph"
 )
 
 // sortedRecords draws canonical records sorted by (A, B, Kind), one per
@@ -36,25 +38,34 @@ func sortedRecords(rng *rand.Rand, numReads, pairs int) []Record {
 	return slices.CompactFunc(recs, func(x, y Record) bool { return key(x, y) == 0 })
 }
 
+// builderGraph is G0 as the Builder oracle writes it from records in any
+// order.
+func builderGraph(t testing.TB, numReads int, recs []Record) *graph.Graph {
+	b := graph.NewBuilder(numReads)
+	for _, r := range recs {
+		if err := b.AddEdge(int(r.A), int(r.B), int64(r.Len)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
 // TestBuildGraphOrderedMatchesBuilder: the CSR written directly from sorted
-// records is Equal to the Builder's, and records in any other order (taking
-// the Builder fallback) give that same graph, at every worker count.
+// records is Equal to the Builder's, and records in any other order (copied
+// into canonical order first) give that same graph, at every worker count.
 func TestBuildGraphOrderedMatchesBuilder(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		numReads := 2 + rng.Intn(400)
 		recs := sortedRecords(rng, numReads, rng.Intn(8*numReads))
-		want, err := buildGraphBuilder(numReads, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := builderGraph(t, numReads, recs)
 
 		shuffled := slices.Clone(recs)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		flipped := slices.Clone(recs)
 		if len(flipped) > 0 {
 			i := rng.Intn(len(flipped))
-			flipped[i] = flipped[i].Flip() // sorted by key no longer, and A > B
+			flipped[i] = flipped[i].flip() // sorted by key no longer, and A > B
 		}
 		for _, in := range []struct {
 			name string
@@ -74,8 +85,8 @@ func TestBuildGraphOrderedMatchesBuilder(t *testing.T) {
 }
 
 // TestBuildGraphOutOfOrderErrors: what the ordered path declines, the
-// Builder still judges — a read out of range is an error in any order, a
-// self-overlap is dropped.
+// canonical copy still judges — a read out of range is an error in any
+// order, a self-overlap is dropped.
 func TestBuildGraphOutOfOrderErrors(t *testing.T) {
 	for _, recs := range [][]Record{
 		{{A: 0, B: 5, Len: 60}},
@@ -105,5 +116,44 @@ func TestBuildGraphParCtxCancelled(t *testing.T) {
 		if g != nil || !errors.Is(err, cause) {
 			t.Errorf("%s: graph %v, err %v; want no graph and the cancel cause", name, g != nil, err)
 		}
+	}
+}
+
+// TestBuildGraphCanonical: records in the stage's order come back as they
+// are (the same slice); a shuffled list with some records flipped and a
+// self-overlap added comes back as a sorted copy equal to the original,
+// with the same graph, and the caller's slice is left as it was.
+func TestBuildGraphCanonical(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		numReads := 2 + rng.Intn(300)
+		recs := sortedRecords(rng, numReads, rng.Intn(6*numReads))
+		want, got, err := BuildGraphCanonical(nil, numReads, recs)
+		if err != nil || len(got) != len(recs) || (len(recs) > 0 && &got[0] != &recs[0]) {
+			t.Fatalf("seed %d: ordered list not returned as is (err %v)", seed, err)
+		}
+		in := slices.Clone(recs)
+		for i := range in {
+			if rng.Intn(3) == 0 {
+				in[i] = in[i].flip()
+			}
+		}
+		in = append(in, Record{A: 1, B: 1, Len: 70})
+		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		before := slices.Clone(in)
+		g, got, err := BuildGraphCanonical(nil, numReads, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, recs) || !g.Equal(want) {
+			t.Fatalf("seed %d: canonical copy or its graph differs from the sorted list's", seed)
+		}
+		if !slices.Equal(in, before) {
+			t.Fatalf("seed %d: the caller's slice was changed", seed)
+		}
+	}
+	_, _, err := BuildGraphCanonical(nil, 4, []Record{{A: 0, B: 1}, {A: 3, B: 2}, {A: 2, B: 7}})
+	if err == nil || !strings.Contains(err.Error(), "record 2 (2,7)") {
+		t.Errorf("out-of-range record: err = %v, want it named", err)
 	}
 }

@@ -714,37 +714,64 @@ func BuildGraph(numReads int, records []Record) (*graph.Graph, error) {
 }
 
 // BuildGraphParCtx is BuildGraph bounded by ctx. workers has no effect:
-// the graph has one writer, serial and memory-bound, and the argument
-// stays only because the frozen benchmark harness passes it. A cancel
-// observed before or between the writer's scans returns the context's
-// cause. A nil ctx never cancels.
-//
-// Records as the overlap stage emits them — canonical (A < B) and sorted by
-// (A, B, Kind) — are already in CSR order, so G0 is written directly from
-// them (graph.FromSortedEdgesCtx). Records in any other order go through
-// graph.Builder, which sorts them and calls the same writer.
+// the graph has one writer, graph.FromSortedEdgesCtx, serial and
+// memory-bound, and the argument stays only because the frozen benchmark
+// harness passes it. A cancel observed before or between the writer's
+// scans returns the context's cause. A nil ctx never cancels.
 func BuildGraphParCtx(ctx context.Context, numReads int, records []Record, workers int) (*graph.Graph, error) {
+	g, _, err := BuildGraphCanonical(ctx, numReads, records)
+	return g, err
+}
+
+// BuildGraphCanonical builds G0 and returns it with the records it was
+// written from, in the overlap stage's order: canonical (A < B) and sorted
+// by (A, B). Records already in that order are written directly, and
+// returned as they are; the writer's counting scan is the order check.
+// Any other list is copied first, never changed: a record with A > B is
+// flipped, a self-overlap (A == B) is dropped, as G0 has no self-loops,
+// and the copy is sorted by (A, B, Kind). A record with a read outside
+// [0, numReads) is an error that names it.
+func BuildGraphCanonical(ctx context.Context, numReads int, records []Record) (*graph.Graph, []Record, error) {
 	unit := make([]int64, numReads)
 	for i := range unit {
 		unit[i] = 1
 	}
-	g, ordered, err := graph.FromSortedEdgesCtx(ctx, unit, len(records), func(i int) (u, v int32, w int64) {
-		r := &records[i]
-		return r.A, r.B, int64(r.Len)
-	})
-	if ordered || err != nil {
-		return g, err
+	write := func(recs []Record) (*graph.Graph, bool, error) {
+		return graph.FromSortedEdgesCtx(ctx, unit, len(recs), func(i int) (u, v int32, w int64) {
+			return recs[i].A, recs[i].B, int64(recs[i].Len)
+		})
 	}
-	return buildGraphBuilder(numReads, records)
-}
-
-// buildGraphBuilder builds G0 from records in any order.
-func buildGraphBuilder(numReads int, records []Record) (*graph.Graph, error) {
-	b := graph.NewBuilder(numReads)
-	for _, r := range records {
-		if err := b.AddEdge(int(r.A), int(r.B), int64(r.Len)); err != nil {
-			return nil, err
+	g, ordered, err := write(records)
+	if ordered || err != nil {
+		return g, records, err
+	}
+	sorted := make([]Record, 0, len(records))
+	for i, r := range records {
+		if r.A < 0 || int(r.A) >= numReads || r.B < 0 || int(r.B) >= numReads {
+			return nil, nil, fmt.Errorf("overlap: record %d (%d,%d) out of range [0,%d)", i, r.A, r.B, numReads)
+		}
+		if r.A > r.B {
+			r = r.flip()
+		}
+		if r.A != r.B {
+			sorted = append(sorted, r)
 		}
 	}
-	return b.Build(), nil
+	slices.SortStableFunc(sorted, compareKey)
+	g, _, err = write(sorted)
+	return g, sorted, err
+}
+
+// flip is the record with A and B exchanged and the geometry re-expressed
+// from the new A's point of view: Diag negated, the suffix-prefix and
+// prefix-suffix kinds and the two containments traded.
+func (r Record) flip() Record {
+	f := Record{A: r.B, B: r.A, Kind: strandKind(r.Kind), Len: r.Len, Identity: r.Identity, Diag: -r.Diag}
+	switch r.Kind {
+	case align.KindAContainsB:
+		f.Kind = align.KindBContainsA
+	case align.KindBContainsA:
+		f.Kind = align.KindAContainsB
+	}
+	return f
 }

@@ -161,39 +161,18 @@ func TestFindOverlapsToleratesErrors(t *testing.T) {
 	}
 }
 
-// Flip returns the record with A and B exchanged and the geometry
-// re-expressed from the new A's point of view: a record as the other
-// read's query would have found it, which the stage never makes (each
-// pair is attempted from its lower id) but the graph tests feed in.
-func (r Record) Flip() Record {
-	f := Record{A: r.B, B: r.A, Len: r.Len, Identity: r.Identity, Diag: -r.Diag}
-	switch r.Kind {
-	case align.KindSuffixPrefix:
-		f.Kind = align.KindPrefixSuffix
-	case align.KindPrefixSuffix:
-		f.Kind = align.KindSuffixPrefix
-	case align.KindAContainsB:
-		f.Kind = align.KindBContainsA
-	case align.KindBContainsA:
-		f.Kind = align.KindAContainsB
-	default:
-		f.Kind = r.Kind
-	}
-	return f
-}
-
 func TestRecordFlip(t *testing.T) {
 	r := Record{A: 1, B: 2, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95, Diag: 40}
-	f := r.Flip()
+	f := r.flip()
 	if f.A != 2 || f.B != 1 || f.Kind != align.KindPrefixSuffix || f.Diag != -40 {
 		t.Errorf("flip = %+v", f)
 	}
-	if ff := f.Flip(); ff != r {
+	if ff := f.flip(); ff != r {
 		t.Errorf("double flip = %+v, want %+v", ff, r)
 	}
 	c := Record{A: 3, B: 4, Kind: align.KindAContainsB, Diag: 10}
-	if c.Flip().Kind != align.KindBContainsA {
-		t.Errorf("containment flip = %v", c.Flip().Kind)
+	if c.flip().Kind != align.KindBContainsA {
+		t.Errorf("containment flip = %v", c.flip().Kind)
 	}
 }
 

@@ -49,8 +49,9 @@ func TestPipelineRobustnessAcrossSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Invariants.
-			if s.Hyb.G.NumNodes() == 0 || s.G0.NumNodes() != len(s.Reads) {
-				t.Fatalf("graph sizes: hyb=%d g0=%d reads=%d", s.Hyb.G.NumNodes(), s.G0.NumNodes(), len(s.Reads))
+			// RepOf maps every G0 node (= read) to its hybrid node.
+			if s.Hyb.G.NumNodes() == 0 || len(s.Hyb.RepOf) != len(s.Reads) {
+				t.Fatalf("graph sizes: hyb=%d g0=%d reads=%d", s.Hyb.G.NumNodes(), len(s.Hyb.RepOf), len(s.Reads))
 			}
 			seen := map[int32]bool{}
 			for _, p := range res.Paths {
@@ -79,7 +80,11 @@ func TestPipelineRobustnessAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := partition.Validate(s.G0, mres.Labels(), 4); err != nil {
+			mset, err := s.MultilevelSet()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := partition.Validate(mset.Levels[0], mres.Labels(), 4); err != nil {
 				t.Fatal(err)
 			}
 			hc, oc := s.HybridCuts(hres)

@@ -6,13 +6,18 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"focus/internal/assembly"
+	"focus/internal/coarsen"
 	"focus/internal/dist"
 	"focus/internal/graph"
+	"focus/internal/hybrid"
+	"focus/internal/overlap"
 	"focus/internal/partition"
 )
 
@@ -148,8 +153,94 @@ func TestStagesReuseSharedContraction(t *testing.T) {
 	if s.Hyb.G != s.Hyb.Set.Levels[0] {
 		t.Error("Hyb.G and Hyb.Set.Levels[0] are two graphs")
 	}
-	if want, _ := graph.ContractCtx(nil, s.G0, s.Hyb.RepOf, len(s.Hyb.Nodes), 1); !s.Hyb.G.Equal(want) {
+	mset, err := s.MultilevelSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := graph.ContractCtx(nil, mset.Levels[0], s.Hyb.RepOf, len(s.Hyb.Nodes), 1); !s.Hyb.G.Equal(want) {
 		t.Error("Hyb.G is not the contraction of G0 by RepOf")
+	}
+}
+
+// kept is what a run keeps past the hybrid stage: the hybrid set, the
+// directed graph and a shared bisection of the hybrid set.
+type kept struct {
+	hyb  *hybrid.Hybrid
+	dg   *assembly.DiGraph
+	slot *bisectionSlot
+}
+
+// buildAndDrop builds G0, the multilevel set, the hybrid set, the directed
+// graph and a bisection with the layer functions, as buildStages does, and
+// returns what a run keeps and weak pointers to every multilevel level and
+// to the arc arena of every level that has arcs. Its own references to the
+// levels end when it returns.
+func buildAndDrop(t *testing.T, reads []Read, recs []overlap.Record, cfg Config) (kept, []weak.Pointer[graph.Graph], []weak.Pointer[graph.Arc]) {
+	g0, err := overlap.BuildGraphParCtx(nil, len(reads), recs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mset, err := coarsen.MultilevelCtx(nil, g0, cfg.Coarsen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kept{slot: &bisectionSlot{}}
+	if k.hyb, err = hybrid.BuildCtx(nil, mset, reads, recs, cfg.Hybrid); err != nil {
+		t.Fatal(err)
+	}
+	if k.dg, err = assembly.BuildDiGraph(k.hyb, recs); err != nil {
+		t.Fatal(err)
+	}
+	opt := partitionOptions(4, 2, 1)
+	if _, err := k.slot.get(k.hyb.Set, opt).Partition(nil, opt); err != nil {
+		t.Fatal(err)
+	}
+	var levels []weak.Pointer[graph.Graph]
+	var arenas []weak.Pointer[graph.Arc]
+	for _, g := range mset.Levels {
+		levels = append(levels, weak.Make(g))
+		for v := range g.NumNodes() {
+			if adj := g.Adj(v); len(adj) > 0 {
+				arenas = append(arenas, weak.Make(&adj[0]))
+				break
+			}
+		}
+	}
+	return k, levels, arenas
+}
+
+// TestStagesKeepNoMultilevelGraph: nothing a run keeps past the hybrid
+// stage aliases G0 or a level of the multilevel set, so once buildStages
+// drops its references the collector frees them all.
+func TestStagesKeepNoMultilevelGraph(t *testing.T) {
+	reads, _ := simReads(t, 4000, 6, 315)
+	cfg := testConfig()
+	s, err := BuildStages(reads, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, levels, arenas := buildAndDrop(t, s.Reads, s.Records, cfg)
+	if len(levels) < 2 || len(arenas) == 0 {
+		t.Fatalf("%d levels, %d arc arenas", len(levels), len(arenas))
+	}
+	runtime.GC()
+	for i, p := range levels {
+		if p.Value() != nil {
+			t.Errorf("level %d of the multilevel set is still reachable", i)
+		}
+	}
+	for i, p := range arenas {
+		if p.Value() != nil {
+			t.Errorf("arc arena %d of the multilevel set is still reachable", i)
+		}
+	}
+	// What is kept still serves: the shared bisection partitions at a new k.
+	opt := partitionOptions(8, 2, 1)
+	if _, err := k.slot.get(k.hyb.Set, opt).Partition(nil, opt); err != nil {
+		t.Fatal(err)
+	}
+	if k.dg.NumNodes() != k.hyb.G.NumNodes() {
+		t.Errorf("directed graph has %d nodes, hybrid graph %d", k.dg.NumNodes(), k.hyb.G.NumNodes())
 	}
 }
 

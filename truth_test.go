@@ -45,8 +45,12 @@ func paperAssembly(t *testing.T, d int, clean bool) (rep *eval.Report, isolated,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range stages.G0.NumNodes() {
-		if stages.G0.Degree(v) == 0 {
+	overlapped := make([]bool, len(stages.Reads))
+	for _, r := range stages.Records {
+		overlapped[r.A], overlapped[r.B] = true, true
+	}
+	for _, ok := range overlapped {
+		if !ok {
 			isolated++
 		}
 	}
