@@ -201,8 +201,8 @@ func TestLivenessThroughFacade(t *testing.T) {
 
 	defer testutil.NoLeaks(t)
 	// The run's calls go over its own connections; their cut shows in the
-	// pool's log and, through the fleet slot's dropped connection, in the
-	// fleet's health.
+	// pool's log and, through the slot the run's session reports it to,
+	// in the fleet's health.
 	var cut atomic.Bool
 	cfg.Dist.Logf = func(format string, args ...interface{}) {
 		msg := fmt.Sprintf(format, args...)

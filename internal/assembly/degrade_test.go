@@ -39,12 +39,13 @@ func TestDegradedRehostThenRecover(t *testing.T) {
 	// A healthy probe run counts worker 1's writes on the run's own
 	// connection (the handshake ack, its Loads and its transitive Phase
 	// replies), so the reset lands on its first write after the
-	// transitive phase. Worker 1's first connection is the fleet's.
+	// transitive phase. The fleet holds none: worker 1's first connection
+	// is the run's.
 	var writes atomic.Int64
 	var conns1 atomic.Int32
 	probe, err := dist.NewLocalPoolOpts(2, NewService, dist.Options{
 		WrapConn: func(w int, c net.Conn) net.Conn {
-			if w == 1 && conns1.Add(1) == 2 {
+			if w == 1 && conns1.Add(1) == 1 {
 				return countWrites{c, &writes}
 			}
 			return c

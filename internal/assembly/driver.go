@@ -29,7 +29,7 @@ type Driver struct {
 	// sess holds the run's own connections to Pool's members (nil until
 	// the first pooled phase). Every Load and Phase goes over them, and
 	// the workers keep the run's partitions exactly as long as they last.
-	sess *dist.Pool
+	sess *dist.Session
 	// localOnly: phases run on the master, because the driver has no pool
 	// or because the pool became unusable mid-run (sticky).
 	localOnly    bool

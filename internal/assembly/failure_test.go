@@ -214,7 +214,7 @@ func TestWorkerDiesMidSession(t *testing.T) {
 	// deadlines (the old pool) this blocked forever; now it must fail
 	// within the deadline and evict the worker.
 	start := time.Now()
-	err = d.sess.Call(0, "Phase", &PhaseArgs{Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
+	err = d.sess.Call(nil, 0, "Phase", &PhaseArgs{Part: 0, Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
 	if err == nil {
 		t.Fatal("call on wedged worker connection succeeded")
 	}
@@ -251,12 +251,13 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
+	sess := pool.Session()
 	const tasks = 8
 	place := func(tk int) int { return tk % 2 }
 	for p := 0; p < tasks; p++ {
 		sub := *chainSub(3)
 		sub.Part = int32(p)
-		if err := pool.Call(place(p), "Load", &LoadArgs{Sub: sub}, new(dist.Ack)); err != nil {
+		if err := sess.Call(nil, place(p), "Load", &LoadArgs{Sub: sub}, new(dist.Ack)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +265,7 @@ func TestParallelCallsSurvivesMixedOutcomes(t *testing.T) {
 	for i := range replies {
 		replies[i] = &PhaseReply{}
 	}
-	_, errs := pool.ParallelCallsPlacedCtx(nil, tasks, place, "Phase", func(tk int) interface{} {
+	_, errs := sess.ParallelCallsPlacedCtx(nil, tasks, place, "Phase", func(tk int) interface{} {
 		return &PhaseArgs{Part: int32(tk), Phase: "Transitive", Cfg: DefaultConfig()}
 	}, replies)
 	failed := 0

@@ -110,13 +110,13 @@ func TestRehostAllWorkersLostFallsBack(t *testing.T) {
 	}
 }
 
-// reconnectTrap is shared by every connection of the pool of
-// TestRehostOntoReconnectedWorker: conns counts the services made (one
-// per connection: the fleet's to workers 0 and 1, the run's own to
-// workers 0 and 1, then the reconnects of the run's and the fleet's
-// connections to worker 1, in either order), gate holds the reconnects
-// until the test opens it, release frees the Phase that hung on worker 1,
-// and loads lists the partitions Loaded on a reconnected connection (only
+// reconnectTrap is shared by every service of the pool of
+// TestRehostOntoReconnectedWorker: conns counts the services made (the
+// pool's registration check, then one per connection: the run's own to
+// workers 0 and 1, then the fleet's probe of worker 1 and the run's
+// redial of it), gate holds the probe and the redial until the test
+// opens it, release frees the Phase that hung on worker 1, and loads
+// lists the partitions Loaded on a connection made after the cut (only
 // the run's carries Loads).
 type reconnectTrap struct {
 	conns   atomic.Int32
@@ -126,10 +126,10 @@ type reconnectTrap struct {
 	loads   []int32
 }
 
-// reconnectTrapService is one connection's service: conn 3 hangs its
-// first Containment Phase (the other waits behind it), conn 2 answers its
-// Errors Phases of partitions 0 and 2 "not loaded", and the reconnects
-// (conn 4 and later) record their Loads.
+// reconnectTrapService is one connection's service: conn 2 hangs its
+// first Containment Phase (the other waits behind it), conn 1 answers its
+// Errors Phases of partitions 0 and 2 "not loaded", and the connections
+// made after the cut (conn 3 and later) record their Loads.
 type reconnectTrapService struct {
 	Service
 	conn int32
@@ -138,7 +138,7 @@ type reconnectTrapService struct {
 }
 
 func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
-	if s.conn >= 4 {
+	if s.conn >= 3 {
 		s.trap.mu.Lock()
 		s.trap.loads = append(s.trap.loads, args.Sub.Part)
 		s.trap.mu.Unlock()
@@ -148,9 +148,9 @@ func (s *reconnectTrapService) Load(args *LoadArgs, reply *dist.Ack) error {
 
 func (s *reconnectTrapService) Phase(args *PhaseArgs, reply *PhaseReply) error {
 	switch {
-	case s.conn == 3 && args.Phase == "Containment" && s.hung.CompareAndSwap(false, true):
+	case s.conn == 2 && args.Phase == "Containment" && s.hung.CompareAndSwap(false, true):
 		<-s.trap.release
-	case s.conn == 2 && args.Phase == "Errors" && args.Part%2 == 0:
+	case s.conn == 1 && args.Phase == "Errors" && args.Part%2 == 0:
 		s.mu.Lock()
 		delete(s.parts, args.Part)
 		s.mu.Unlock()
@@ -173,7 +173,7 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 	defer close(trap.release)
 	pool, err := dist.NewLocalPoolOpts(2, func() interface{} {
 		n := trap.conns.Add(1) - 1
-		if n >= 4 {
+		if n >= 3 {
 			<-trap.gate
 		}
 		return &reconnectTrapService{conn: n, trap: trap}
@@ -182,7 +182,7 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	// A reconnect waiting at the gate would hold pool.Close.
+	// A probe waiting at the gate would hold pool.Close.
 	var openGate sync.Once
 	defer openGate.Do(func() { close(trap.gate) })
 	d := chaosPipeline(t, pool, k)
@@ -196,8 +196,8 @@ func TestRehostOntoReconnectedWorker(t *testing.T) {
 	if !reflect.DeepEqual(d.placement, []int{0, 1, 0, 1}) {
 		t.Fatalf("initial placement %v, want round robin", d.placement)
 	}
-	// Worker 1's hung Phase is cut; its reconnect waits at the gate, so
-	// partitions 1 and 3 move to worker 0.
+	// Worker 1's hung Phase is cut; the fleet's probe of it waits at the
+	// gate, so partitions 1 and 3 move to worker 0.
 	if err := d.TrimContainment(&st); err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ func scanPhase(phase string, sub *Subgraph, cfg Config) (PhaseReply, error) {
 	return r, nil
 }
 
-// Ping verifies worker liveness: the pool's reconnect loop and the
-// focus-worker -healthcheck probe call it (dist.HealthCheck).
+// Ping verifies worker liveness: the pool's probe of a down worker and
+// the focus-worker -healthcheck probe call it (dist.HealthCheck), and a
+// call in flight pings on its own connection (the liveness rule).
 func (s *Service) Ping(args *dist.Ack, reply *dist.Ack) error {
 	*reply = true
 	return nil

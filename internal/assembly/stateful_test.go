@@ -281,9 +281,10 @@ func (l trackListener) Accept() (net.Conn, error) {
 // TestCloseFreesRunState: Driver.Close frees the run's worker state, in
 // process and over TCP, while the fleet stays open. The run's Load of
 // partition 1 is refused, so the run fails with partitions 0, 2 and 3
-// stored on its connections. Close closes them: the workers' serving
-// goroutines drop back to the fleet's two, a fresh connection finds none
-// of the partitions, and the fleet still answers.
+// stored on its connections, the only two the workers serve (the fleet
+// holds none). Close closes them: the workers serve no connection, a
+// fresh session finds none of the partitions, and both workers answer
+// it.
 func TestCloseFreesRunState(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var open atomic.Int32
@@ -325,33 +326,33 @@ func TestCloseFreesRunState(t *testing.T) {
 					t.Fatalf("partition %d: Load succeeded but placement %d, stored ids %v", p, d.placement[p], d.stored[p])
 				}
 				// The run's own connection holds it.
-				if err := d.sess.Call(d.placement[p], "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{}); err != nil {
+				if err := d.sess.Call(nil, d.placement[p], "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{}); err != nil {
 					t.Fatalf("partition %d before Close: %v", p, err)
 				}
 			}
-			if n := open.Load(); n != 4 {
-				t.Fatalf("%d connections served during the run, want the fleet's 2 and the run's 2", n)
+			if n := open.Load(); n != 2 {
+				t.Fatalf("%d connections served during the run, want the run's 2", n)
 			}
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for deadline := time.Now().Add(5 * time.Second); open.Load() != 2; time.Sleep(5 * time.Millisecond) {
+			for deadline := time.Now().Add(5 * time.Second); open.Load() != 0; time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d connections served after Close, want the fleet's 2", open.Load())
+					t.Fatalf("%d connections served after Close, want 0", open.Load())
 				}
 			}
 			fresh := pool.Session()
 			defer fresh.Close()
 			for w := 0; w < 2; w++ {
 				for p := 0; p < 4; p++ {
-					err := fresh.Call(w, "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
+					err := fresh.Call(nil, w, "Phase", &PhaseArgs{Part: int32(p), Phase: "Paths", Cfg: DefaultConfig()}, &PhaseReply{})
 					if !IsRehostable(err) {
 						t.Fatalf("a fresh connection to worker %d asked for partition %d: %v, want not loaded", w, p, err)
 					}
 				}
 				var ack dist.Ack
-				if err := pool.Call(w, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
-					t.Fatalf("fleet worker %d after the run's Close: %v %v", w, ack, err)
+				if err := fresh.Call(nil, w, "Ping", new(dist.Ack), &ack); err != nil || !bool(ack) {
+					t.Fatalf("worker %d after the run's Close: %v %v", w, ack, err)
 				}
 			}
 		})

@@ -25,14 +25,15 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("Close twice: %v then %v", err1, err2)
 	}
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("Call after Close = %v, want ErrWorkerDown", err)
 	}
 }
 
-// TestCloseStopsReconnectLoop: a worker in reconnect backoff when the pool
-// closes must not leave its loop behind. MaxReconnects is set high and the
-// backoff long, so a leaked loop would outlive the NoLeaks settle window.
+// TestCloseStopsReconnectLoop: a worker whose probe loop is in backoff
+// when the pool closes must not leave its loop behind. MaxReconnects is
+// set high and the backoff long, so a leaked loop would outlive the
+// NoLeaks settle window.
 func TestCloseStopsReconnectLoop(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -49,11 +50,11 @@ func TestCloseStopsReconnectLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
 	}
-	// The worker is now in its 10 s reconnect backoff; Close must cut it
-	// short and wait for the loop to exit.
+	// The worker's probe loop is now in its 10 s backoff; Close must cut
+	// it short and wait for the loop to exit.
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +70,26 @@ func TestCallCtxPreCanceledFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	cause := errors.New("run canceled by test")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	var reply EchoReply
-	if err := p.CallCtx(ctx, 0, "Echo", &EchoArgs{X: 2}, &reply); !errors.Is(err, cause) {
-		t.Fatalf("pre-canceled CallCtx = %v, want cause %v", err, cause)
+	if err := s.Call(ctx, 0, "Echo", &EchoArgs{X: 2}, &reply); !errors.Is(err, cause) {
+		t.Fatalf("pre-canceled Call = %v, want cause %v", err, cause)
 	}
-	if n := p.NumHealthy(); n != 1 {
+	if n := s.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d after pre-canceled call, want 1 (no health event)", n)
 	}
-	if err := p.Call(0, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
 		t.Fatalf("follow-up call = (%v, %d), want (nil, 4)", err, reply.X)
 	}
 }
 
 // TestCallCtxCancelSeversInFlight: canceling mid-call unblocks the caller
 // promptly (no CallTimeout configured) and severs the connection like a
-// timeout would, so the abandoned reply can never race a retry.
+// timeout would, so the abandoned reply can never race a retry. A cancel
+// is not the worker's fault: its slot stays live, even at MaxFailures 1.
 func TestCallCtxCancelSeversInFlight(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -97,6 +100,7 @@ func TestCallCtxCancelSeversInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	cause := errors.New("run canceled by test")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	go func() {
@@ -105,22 +109,29 @@ func TestCallCtxCancelSeversInFlight(t *testing.T) {
 	}()
 	var reply EchoReply
 	start := time.Now()
-	err = p.CallCtx(ctx, 0, "Echo", &EchoArgs{X: 1}, &reply)
+	err = s.Call(ctx, 0, "Echo", &EchoArgs{X: 1}, &reply)
 	if !errors.Is(err, cause) {
-		t.Fatalf("canceled CallCtx = %v, want cause %v", err, cause)
+		t.Fatalf("canceled Call = %v, want cause %v", err, cause)
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("canceled call took %v to unblock", el)
 	}
-	if n := p.NumHealthy(); n != 0 {
-		t.Fatalf("NumHealthy = %d, want 0 (severed connection, MaxFailures=1)", n)
+	c := s.conns[0]
+	c.mu.Lock()
+	kept := c.client != nil
+	c.mu.Unlock()
+	if kept {
+		t.Fatal("the canceled call's connection was kept")
+	}
+	if h := p.Health(); h.Healthy != 1 || h.Evictions != 0 {
+		t.Fatalf("fleet after a canceled call: %+v, want worker 0 live", h)
 	}
 }
 
 // TestCallCtxCancelIsNotAWorkerFailure: a call its caller cancels severs
 // the connection but does not count toward MaxFailures, so even at
-// MaxFailures 1 the worker is reconnected, not evicted, and serves the
-// next call.
+// MaxFailures 1 the worker is not evicted: the session's next call
+// redials it, and that one reconnect is what the fleet counts.
 func TestCallCtxCancelIsNotAWorkerFailure(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -131,6 +142,7 @@ func TestCallCtxCancelIsNotAWorkerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	cause := errors.New("run canceled by test")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	go func() {
@@ -138,22 +150,19 @@ func TestCallCtxCancelIsNotAWorkerFailure(t *testing.T) {
 		cancel(cause)
 	}()
 	var reply EchoReply
-	if err := p.CallCtx(ctx, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, cause) {
-		t.Fatalf("canceled CallCtx = %v, want cause %v", err, cause)
+	if err := s.Call(ctx, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, cause) {
+		t.Fatalf("canceled Call = %v, want cause %v", err, cause)
 	}
 	atomic.StoreInt32(&blocked, 0)
-	deadline := time.Now().Add(5 * time.Second)
-	for !p.Healthy(0) {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker not back after the cancel: %+v", p.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !s.Healthy(0) || !p.Healthy(0) {
+		t.Fatalf("worker not schedulable after the cancel: %+v", p.Health())
+	}
+	// The next call redials the severed connection.
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 3}, &reply); err != nil || reply.X != 6 {
+		t.Fatalf("call after the cancel = (%v, %d), want (nil, 6)", err, reply.X)
 	}
 	if h := p.Health(); h.Evictions != 0 || h.Reconnects != 1 {
 		t.Fatalf("after a canceled call: %d evictions and %d reconnects, want 0 and 1", h.Evictions, h.Reconnects)
-	}
-	if err := p.Call(0, "Echo", &EchoArgs{X: 3}, &reply); err != nil || reply.X != 6 {
-		t.Fatalf("call after the cancel = (%v, %d), want (nil, 6)", err, reply.X)
 	}
 }
 
@@ -182,7 +191,7 @@ func TestParallelCallsPlacedCancelUnwinds(t *testing.T) {
 		replies[i] = &EchoReply{}
 	}
 	start := time.Now()
-	_, errs := p.ParallelCallsPlacedCtx(ctx, len(replies), func(t int) int { return t % 2 }, "Echo", func(t int) interface{} {
+	_, errs := p.Session().ParallelCallsPlacedCtx(ctx, len(replies), func(t int) int { return t % 2 }, "Echo", func(t int) interface{} {
 		return &EchoArgs{X: t}
 	}, replies)
 	for tk, err := range errs {

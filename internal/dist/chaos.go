@@ -25,7 +25,7 @@ type ChaosConfig struct {
 	Seed int64
 	// FirstSafe exempts the first n writes from injection, letting
 	// connection setup (the server's first write is its handshake ack;
-	// a pool cannot be built on a worker that never acks) and a
+	// no session connects to a worker that never acks) and a
 	// configurable healthy prefix complete.
 	FirstSafe int
 	// HangProb is the probability a write hangs for HangFor (default 10s),

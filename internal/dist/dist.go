@@ -7,18 +7,22 @@
 // (cmd/focus-worker). The distributed assembly algorithms of paper §V run
 // their per-partition work on these workers.
 //
+// A Pool is a table of worker slots and holds no connection: a run's
+// Session is the only thing that dials workers and calls them.
+//
 // Unlike an MPI job — which aborts when any rank dies — the pool is fault
 // tolerant: a call whose worker falls silent is cut (the liveness rule of
-// liveness.go), and a worker whose connection hangs or breaks is evicted
-// from the schedulable set and reconnected in the background with
-// exponential backoff. The pool never moves a call: the caller, who knows
-// where its state lives, decides where a failed task runs next (sched.go).
-// chaos.go provides a deterministic fault-injecting transport for testing
-// all of this below the service layer.
+// liveness.go), and a worker whose connection hangs or breaks is taken
+// out of the schedulable set and probed in the background with
+// exponential backoff until it answers again or is evicted. The pool
+// never moves a call: the caller, who knows where its state lives,
+// decides where a failed task runs next (sched.go). chaos.go provides a
+// deterministic fault-injecting transport for testing all of this below
+// the service layer.
 package dist
 
 import (
-	"context"
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
@@ -42,13 +46,29 @@ var (
 	// connection is severed when this happens (the reply of an abandoned
 	// call must never be written concurrently with a retry).
 	ErrCallTimeout = errors.New("dist: call timeout")
-	// ErrWorkerDown marks a call addressed to a worker with no live
-	// connection (evicted, reconnecting, or closed).
+	// ErrWorkerDown marks a call addressed to a worker the session cannot
+	// reach: a non-member, an evicted or reconnecting slot, or a closed
+	// session.
 	ErrWorkerDown = errors.New("dist: worker down")
 	// ErrNoWorkers marks work that found no schedulable worker to run on.
 	// Callers use it to fall back to local execution.
 	ErrNoWorkers = errors.New("dist: no healthy workers")
 )
+
+// IsTransportError reports whether err indicates the worker (or the
+// connection to it) is unusable, as opposed to an application-level error
+// returned by the service — a service that answers, even with an error, is
+// alive.
+func IsTransportError(err error) bool {
+	if err == nil {
+		return false
+	}
+	var se rpc.ServerError
+	if errors.As(err, &se) {
+		return false
+	}
+	return true
+}
 
 // Options configure the pool's fault tolerance. The zero value watches
 // every call by the liveness rule and uses the default health
@@ -64,15 +84,17 @@ type Options struct {
 	// application-level errors returned by the service and calls their
 	// caller canceled do not touch it.
 	MaxFailures int
-	// ReconnectMin/ReconnectMax bound the exponential reconnect backoff.
+	// ReconnectMin/ReconnectMax bound the exponential backoff between a
+	// down worker's probes.
 	ReconnectMin time.Duration
 	ReconnectMax time.Duration
-	// MaxReconnects is the number of failed reconnect attempts per outage
-	// before the worker is permanently evicted.
+	// MaxReconnects is the number of failed probes per outage before the
+	// worker is permanently evicted.
 	MaxReconnects int
 	// Seed seeds the backoff jitter PRNG (deterministic tests).
 	Seed int64
-	// Logf receives eviction/reconnect warnings; nil means log.Printf.
+	// Logf receives sever, probe, reconnect and eviction warnings; nil
+	// means log.Printf.
 	Logf func(format string, args ...interface{})
 
 	// WrapConn, if set, wraps the server side of every in-process worker
@@ -109,7 +131,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// handshakeTimeout bounds the wire handshake of a (re)connect:
+// handshakeTimeout bounds the wire handshake of a connect:
 // CallTimeout when that is set and shorter than the dial timeout, else
 // the dial timeout.
 func (o Options) handshakeTimeout() time.Duration {
@@ -119,90 +141,72 @@ func (o Options) handshakeTimeout() time.Duration {
 	return dialTimeout
 }
 
-// worker is one pool slot: its connection plus health state. The slot
-// survives connection loss — the client is replaced by the reconnect loop.
-type worker struct {
+// slot is one fleet worker: how to reach it and its health. It holds no
+// connection. Sessions report their failures into it, and a slot that is
+// down is probed (probeLoop) until it answers or is evicted.
+type slot struct {
 	id         int
-	addr       string                  // TCP address; "" for in-process workers
-	newService func() interface{}      // in-process service factory (revival)
-	wrap       func(net.Conn) net.Conn // optional chaos wrapper for the server conn
+	addr       string             // TCP address; "" for in-process workers
+	newService func() interface{} // in-process service factory
+	chaos      *ChaosConfig       // the server side's faults (nil = clean)
 
-	mu      sync.Mutex
-	client  *rpc.Client
-	fails   int  // consecutive transport failures
-	evicted bool // permanently out of the schedulable set
-
-	// The liveness rule's signs of life (liveness.go): UnixNano of the
-	// last byte read from the worker and of the last byte written to it.
-	heard, wrote atomic.Int64
+	mu    sync.Mutex
+	state WorkerState
+	fails int // failed probes in the current outage
 }
 
-// Pool is a set of workers addressed by index. Worker slots are fixed at
-// construction; health state decides which are schedulable at any moment.
-// A Pool handle is a root (owns the fleet and its connections), a view
-// (View: a member mask over its parent's connections) or a session
-// (Session: connections of its own to its parent's members). Worker ids
-// are always root-global.
-type Pool struct {
-	opt     Options
-	workers []*worker
+func (s *slot) health() WorkerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.state
+}
 
-	// parent is the handle a view or session was opened from (nil on the
-	// root); mask[id] marks this handle's member workers (nil = all).
-	parent *Pool
-	mask   []bool
+// fleet is what a root pool shares with its views: the slots, the fault
+// counters, the open sessions and the probe loops.
+type fleet struct {
+	opt   Options
+	slots []*slot
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// completions counts finished worker calls (any outcome) of this
-	// handle and of the handles opened from it.
-	completions atomic.Int64
-
-	// Fleet-wide fault counters (root-held), surfaced by Health().
+	// Fleet-lifetime fault counters, surfaced by Health().
 	evictions  atomic.Int64
 	reconnects atomic.Int64
 
-	// Connection lifecycle, on a root or a session; a view owns no
-	// connections and has none (closed is nil). A root's sessions close
-	// with it.
-	sessions  map[*Pool]bool
+	// mu guards sessions and orders probe spawns (wg.Add) and session
+	// registration before Close's wg.Wait and sweep, or after its close.
+	mu        sync.Mutex
+	sessions  map[*Session]bool
 	closed    chan struct{}
 	closeOnce sync.Once
-	closeErr  error
-	// spawnMu orders reconnect-loop spawns against Close: record must not
-	// wg.Add after Close's wg.Wait has begun (a WaitGroup reuse race).
-	// Holding it while closing `closed` gives record an atomic
-	// check-then-Add window.
-	spawnMu sync.Mutex
-	wg      sync.WaitGroup // reconnect loops
+	wg        sync.WaitGroup // probe loops
 }
 
-func newPool(opt Options) *Pool {
+// Pool is a set of worker slots addressed by index. Slots are fixed at
+// construction; health state decides which are schedulable at any moment.
+// A Pool handle is the fleet's root or a view of it (View: a member
+// mask). Neither holds a connection or makes a call: a run's Session
+// does. Worker ids are always fleet-global.
+type Pool struct {
+	*fleet
+	parent *Pool  // the handle a view was opened from; nil on the root
+	mask   []bool // member slots (nil = all)
+
+	// completions counts finished calls of the sessions opened from this
+	// handle and its views: on the root, of every session of the fleet.
+	completions atomic.Int64
+}
+
+func newPool(opt Options, slots []*slot) *Pool {
 	opt = opt.withDefaults()
-	return &Pool{
-		opt:    opt,
-		rng:    rand.New(rand.NewSource(opt.Seed)),
-		closed: make(chan struct{}),
-	}
-}
-
-// shared returns the root pool, which holds the fleet's slots and
-// counters; for a root pool that is the pool itself.
-func (p *Pool) shared() *Pool {
-	for p.parent != nil {
-		p = p.parent
-	}
-	return p
-}
-
-// owner returns the handle whose connections p's calls use: p itself on
-// a root or a session, the nearest such parent of a view.
-func (p *Pool) owner() *Pool {
-	for p.closed == nil {
-		p = p.parent
-	}
-	return p
+	return &Pool{fleet: &fleet{
+		opt:      opt,
+		slots:    slots,
+		rng:      rand.New(rand.NewSource(opt.Seed)),
+		sessions: map[*Session]bool{},
+		closed:   make(chan struct{}),
+	}}
 }
 
 // allowed reports whether worker id is a member of this handle.
@@ -210,10 +214,10 @@ func (p *Pool) allowed(id int) bool {
 	return p.mask == nil || (id >= 0 && id < len(p.mask) && p.mask[id])
 }
 
-// NewLocalPool starts n in-process workers, each hosting its own service
-// instance created by newService, connected through net.Pipe. RPC
-// round-trips go through the same handshake and wire frames a TCP
-// deployment uses.
+// NewLocalPool makes n in-process worker slots, each connection to which
+// is served by its own service instance created by newService over
+// net.Pipe, with the same handshake and wire frames a TCP deployment
+// uses. It dials nothing: it only checks that the service registers.
 func NewLocalPool(n int, newService func() interface{}) (*Pool, error) {
 	return NewLocalPoolOpts(n, newService, DefaultOptions())
 }
@@ -225,70 +229,31 @@ func NewLocalPoolOpts(n int, newService func() interface{}, opt Options) (*Pool,
 
 // NewLocalChaosPool is NewLocalPoolOpts with a deterministic
 // fault-injecting transport: chaos(i) returns the chaos configuration of
-// worker i's server-side connection (nil = clean). Passing chaos == nil
-// yields a plain local pool.
+// the server side of every connection to worker i (nil = clean). Passing
+// chaos == nil yields a plain local pool.
 func NewLocalChaosPool(n int, newService func() interface{}, opt Options, chaos func(worker int) *ChaosConfig) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dist: pool size %d", n)
 	}
-	p := newPool(opt)
-	for i := 0; i < n; i++ {
-		w := &worker{id: i, newService: newService}
+	if _, err := register(newService()); err != nil {
+		return nil, err
+	}
+	p := newPool(opt, make([]*slot, n))
+	for i := range p.slots {
+		p.slots[i] = &slot{id: i, newService: newService}
 		if chaos != nil {
 			if cfg := chaos(i); cfg != nil {
 				c := *cfg
-				w.wrap = func(conn net.Conn) net.Conn { return WrapChaos(conn, c) }
+				p.slots[i].chaos = &c
 			}
 		}
-		client, err := p.connectWorker(w)
-		if err != nil {
-			p.Close()
-			return nil, err
-		}
-		w.client = client
-		p.workers = append(p.workers, w)
 	}
 	return p, nil
 }
 
-// dialConn opens a raw transport to w: TCP for remote workers, a pipe to
-// a freshly served in-process service instance otherwise. The in-process
-// server runs the same handshake a TCP focus-worker does.
-func (p *Pool) dialConn(w *worker) (net.Conn, error) {
-	if w.addr != "" {
-		return net.DialTimeout("tcp", w.addr, dialTimeout)
-	}
-	srv, err := register(w.newService())
-	if err != nil {
-		return nil, err
-	}
-	cliConn, srvConn := net.Pipe()
-	var sc net.Conn = srvConn
-	if p.opt.WrapConn != nil {
-		sc = p.opt.WrapConn(w.id, sc)
-	}
-	if w.wrap != nil {
-		sc = w.wrap(sc)
-	}
-	go serveConn(srv, sc, p.opt.handshakeTimeout(), nil)
-	return cliConn, nil
-}
-
-// connectWorker dials w and completes the wire handshake.
-func (p *Pool) connectWorker(w *worker) (*rpc.Client, error) {
-	conn, err := p.dialConn(w)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := newWireClientCodec(liveConn{Conn: conn, w: w}, p.opt.handshakeTimeout())
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("dist: worker %d: %w", w.id, err)
-	}
-	return rpc.NewClientWithCodec(cc), nil
-}
-
-// DialPool connects to already-running TCP workers.
+// DialPool makes a slot for each already-running TCP worker and probes
+// each once (HealthCheck's dial, handshake and Ping), so a worker that is
+// unreachable or speaks another wire version fails it at start.
 func DialPool(addrs []string) (*Pool, error) {
 	return DialPoolOpts(addrs, DefaultOptions())
 }
@@ -298,435 +263,227 @@ func DialPoolOpts(addrs []string, opt Options) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("dist: no worker addresses")
 	}
-	p := newPool(opt)
+	p := newPool(opt, make([]*slot, len(addrs)))
 	for i, addr := range addrs {
-		w := &worker{id: i, addr: addr}
-		client, err := p.connectWorker(w)
-		if err != nil {
-			p.Close()
+		p.slots[i] = &slot{id: i, addr: addr}
+		if err := p.check(p.slots[i]); err != nil {
 			return nil, fmt.Errorf("dist: dial %s: %w", addr, err)
 		}
-		w.client = client
-		p.workers = append(p.workers, w)
 	}
 	return p, nil
 }
 
-// Size returns the number of worker slots (healthy or not).
-func (p *Pool) Size() int { return len(p.workers) }
-
-// NumHealthy returns the number of currently schedulable workers: slots
-// with a live connection that have not been evicted.
-func (p *Pool) NumHealthy() int {
-	n := 0
-	for _, w := range p.workers {
-		if p.workerRunnable(w) {
-			n++
+// dial connects to s and completes the wire handshake: over TCP to a
+// remote worker, else over a pipe to a freshly served in-process service
+// instance, whose server runs the same handshake a TCP focus-worker does.
+// c receives the connection's signs of life (liveness.go).
+func (f *fleet) dial(s *slot, c *conn) (*rpc.Client, error) {
+	var nc net.Conn
+	if s.addr != "" {
+		var err error
+		if nc, err = net.DialTimeout("tcp", s.addr, dialTimeout); err != nil {
+			return nil, err
 		}
-	}
-	return n
-}
-
-// Healthy reports whether worker i is currently schedulable (live
-// connection, not evicted). Out-of-range ids are unhealthy.
-func (p *Pool) Healthy(i int) bool {
-	if i < 0 || i >= len(p.workers) {
-		return false
-	}
-	return p.workerRunnable(p.workers[i])
-}
-
-// HealthyIDs returns the ids of the currently schedulable workers in
-// ascending order. The snapshot is advisory — a worker may die between the
-// call and its use — but stateful placement only needs a best-effort view:
-// a placement on a worker that just died fails its call and is re-placed.
-func (p *Pool) HealthyIDs() []int {
-	var ids []int
-	for _, w := range p.workers {
-		if p.workerRunnable(w) {
-			ids = append(ids, w.id)
-		}
-	}
-	return ids
-}
-
-func (p *Pool) workerRunnable(w *worker) bool {
-	if !p.allowed(w.id) {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.client != nil && !w.evicted
-}
-
-// Call invokes method (without the service prefix) on worker i under the
-// liveness rule, or under Options.CallTimeout when set.
-func (p *Pool) Call(i int, method string, args, reply interface{}) error {
-	return p.CallCtx(nil, i, method, args, reply)
-}
-
-// CallCtx is Call bounded by ctx: cancellation (or a ctx deadline) severs
-// the in-flight call exactly like ErrCallTimeout does — the connection is
-// closed so the abandoned reply can never be written concurrently with a
-// retry — and the returned error wraps the context's cause. A nil ctx
-// means no bound beyond the call's deadline.
-func (p *Pool) CallCtx(ctx context.Context, i int, method string, args, reply interface{}) error {
-	if i < 0 || i >= len(p.workers) {
-		return fmt.Errorf("dist: worker %d out of range [0,%d)", i, len(p.workers))
-	}
-	if !p.allowed(i) {
-		return fmt.Errorf("dist: worker %d not a member of this pool handle: %w", i, ErrWorkerDown)
-	}
-	return p.callWorkerCtx(ctx, p.workers[i], method, args, reply)
-}
-
-// Completions returns the total number of finished worker calls (any
-// outcome, including timeouts and severed calls).
-func (p *Pool) Completions() int64 { return p.completions.Load() }
-
-// callWorkerCtx runs one call on w under its deadline and feeds the
-// outcome into the worker's health state. The deadline is
-// Options.CallTimeout when set; else the call runs until its worker falls
-// silent while owing a liveness probe an answer (liveness.go). The
-// optional context bounds the call further: a canceled (or
-// deadline-expired) ctx severs the in-flight call exactly like a timeout,
-// because a kept connection could still write into the abandoned reply.
-func (p *Pool) callWorkerCtx(ctx context.Context, w *worker, method string, args, reply interface{}) error {
-	var cdone <-chan struct{}
-	if ctx != nil {
-		if ctx.Err() != nil {
-			// Fail fast without touching the (healthy) connection: no call
-			// went out, so there is nothing to sever and no health event.
-			return fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
-		}
-		cdone = ctx.Done()
-	}
-	// A body the codec cannot carry is the caller's bug, not the worker's:
-	// reject it here, before it can count against the connection's health.
-	for _, body := range [2]interface{}{args, reply} {
-		if _, ok := body.(Wire); !ok && body != nil {
-			return fmt.Errorf("dist: %s on worker %d: %w", method, w.id, notWireError(body))
-		}
-	}
-	w.mu.Lock()
-	c := w.client
-	w.mu.Unlock()
-	if c == nil {
-		return fmt.Errorf("dist: worker %d: %w", w.id, ErrWorkerDown)
-	}
-	defer func() {
-		for h := p; h != nil; h = h.parent {
-			h.completions.Add(1)
-		}
-	}()
-	// client.Go's send runs in the calling goroutine and can itself block
-	// on a wedged connection, so the whole round-trip goes in a goroutine.
-	done := make(chan error, 1)
-	go func() {
-		call := c.Go(ServiceName+"."+method, args, reply, make(chan *rpc.Call, 1))
-		done <- (<-call.Done).Error
-	}()
-	bound := livenessFloor
-	if p.opt.CallTimeout > 0 {
-		bound = p.opt.CallTimeout
-	}
-	timer := time.NewTimer(bound)
-	defer timer.Stop()
-	var pr *probe
-	var answer <-chan error
-	for {
-		select {
-		case err := <-done:
-			p.record(w, c, err)
-			return err
-		case err := <-answer:
-			if IsTransportError(err) {
-				p.record(w, c, err)
-				return err
-			}
-			// The worker is alive; the running timer sends the next probe.
-			pr, answer = nil, nil
-		case <-timer.C:
-			if p.opt.CallTimeout <= 0 {
-				if pr == nil {
-					pr = startProbe(c)
-					answer = pr.answer
-					timer.Reset(livenessFloor)
-					continue
-				}
-				if left := livenessFloor - pr.silence(w); left > 0 {
-					timer.Reset(left)
-					continue
-				}
-			}
-			err := fmt.Errorf("dist: %s on worker %d after %v: %w", method, w.id, p.opt.CallTimeout, ErrCallTimeout)
-			if pr != nil {
-				err = fmt.Errorf("dist: %s on worker %d: silent for %v: %w", method, w.id, livenessFloor, ErrCallTimeout)
-			}
-			p.record(w, c, err)
-			return err
-		case <-cdone:
-			err := fmt.Errorf("dist: %s on worker %d: %w", method, w.id, context.Cause(ctx))
-			p.sever(w, c, err, false)
-			return err
-		}
-	}
-}
-
-// IsTransportError reports whether err indicates the worker (or the
-// connection to it) is unusable, as opposed to an application-level error
-// returned by the service — a service that answers, even with an error, is
-// alive.
-func IsTransportError(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se rpc.ServerError
-	if errors.As(err, &se) {
-		return false
-	}
-	return true
-}
-
-// record updates w's health from a call outcome on client c. Transport
-// failures sever the connection and count toward MaxFailures: net/rpc
-// clients are not reusable after an I/O error, and a timed-out call could
-// still write into its abandoned reply if the connection were kept.
-func (p *Pool) record(w *worker, c *rpc.Client, err error) {
-	if IsTransportError(err) {
-		p.sever(w, c, err, true)
-		return
-	}
-	w.mu.Lock()
-	if w.client == c { // else stale generation: an already-severed conn
-		w.fails = 0
-	}
-	w.mu.Unlock()
-}
-
-// sever closes w's connection c (nil: a connect that failed) and
-// reconnects in the background, or evicts w after MaxFailures
-// consecutive counted failures. A call its caller canceled is severed
-// uncounted: the abandoned call could still write its reply, so the
-// connection cannot be kept, but the worker did nothing wrong. A counted
-// sever in a session also severs the fleet slot's connection, uncounted,
-// so fleet health (Healthy, Health) shows the cut. Once the connection's
-// owner is closed it only drops the connection.
-func (p *Pool) sever(w *worker, c *rpc.Client, err error, counted bool) {
-	p = p.owner() // reconnect spawning and lifecycle state live with the connections
-	w.mu.Lock()
-	if w.client != c { // stale generation: outcome of an already-severed conn
-		w.mu.Unlock()
-		return
-	}
-	w.client = nil
-	closed := p.isClosed()
-	if counted && !closed {
-		w.fails++
-	}
-	dead := !closed && w.fails >= p.opt.MaxFailures
-	fails := w.fails
-	w.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	if closed {
-		return
-	}
-	if dead {
-		p.evict(w)
-		p.opt.Logf("dist: worker %d evicted after %d consecutive transport failure(s) (last: %v)", w.id, fails, err)
-		return
-	}
-	p.opt.Logf("dist: worker %d connection severed (%v); reconnecting in background", w.id, err)
-	// spawnMu orders this spawn against Close: Close holds it while closing
-	// p.closed and only then waits on p.wg, so either we observe the pool
-	// closed here (no spawn), or our wg.Add lands before Close's wg.Wait.
-	p.spawnMu.Lock()
-	if p.isClosed() {
-		p.spawnMu.Unlock()
-		return
-	}
-	p.wg.Add(1)
-	p.spawnMu.Unlock()
-	go p.reconnectLoop(w)
-	if counted && p.parent != nil {
-		// A session's transport failure is the fleet's news too: the
-		// fleet's slot drops its (idle) connection, uncounted, and reads
-		// live again only once its own reconnect's Ping is answered.
-		f := p.shared()
-		fw := f.workers[w.id]
-		fw.mu.Lock()
-		fc := fw.client
-		fw.mu.Unlock()
-		if fc != nil {
-			f.sever(fw, fc, fmt.Errorf("a session's connection failed: %w", err), false)
-		}
-	}
-}
-
-// evict takes w out of the schedulable set for good, with the fleet's
-// slot of the same worker (a session's eviction is the fleet's), and
-// counts it in the fleet.
-func (p *Pool) evict(w *worker) {
-	f := p.shared()
-	for _, s := range []*worker{w, f.workers[w.id]} {
-		s.mu.Lock()
-		s.evicted = true
-		s.mu.Unlock()
-	}
-	f.evictions.Add(1)
-}
-
-// reconnectLoop re-establishes w's connection with exponential backoff and
-// jitter, verifying liveness with a Ping before reinstating the worker.
-// The consecutive-failure count is reset only by successful *work* calls,
-// so a worker that reconnects but keeps hanging is eventually evicted for
-// good by MaxFailures.
-func (p *Pool) reconnectLoop(w *worker) {
-	defer p.wg.Done()
-	for attempt := 0; attempt < p.opt.MaxReconnects; attempt++ {
-		select {
-		case <-p.closed:
-			return
-		case <-time.After(p.backoff(attempt)):
-		}
-		client, err := p.reconnect(w)
+	} else {
+		srv, err := register(s.newService())
 		if err != nil {
-			p.opt.Logf("dist: worker %d reconnect attempt %d/%d: %v", w.id, attempt+1, p.opt.MaxReconnects, err)
-			continue
+			return nil, err
 		}
-		w.mu.Lock()
-		if w.evicted || p.isClosed() {
-			w.mu.Unlock()
-			client.Close()
-			return
+		var sc net.Conn
+		nc, sc = net.Pipe()
+		if f.opt.WrapConn != nil {
+			sc = f.opt.WrapConn(s.id, sc)
 		}
-		w.client = client
-		w.mu.Unlock()
-		p.shared().reconnects.Add(1)
-		p.opt.Logf("dist: worker %d reconnected", w.id)
-		return
+		if s.chaos != nil {
+			sc = WrapChaos(sc, *s.chaos)
+		}
+		go serveConn(srv, sc, f.opt.handshakeTimeout(), nil)
 	}
-	p.evict(w)
-	p.opt.Logf("dist: worker %d evicted after %d failed reconnect attempts", w.id, p.opt.MaxReconnects)
-}
-
-func (p *Pool) reconnect(w *worker) (*rpc.Client, error) {
-	client, err := p.connectWorker(w)
+	cc, err := newWireClientCodec(liveConn{Conn: nc, c: c}, f.opt.handshakeTimeout())
 	if err != nil {
-		return nil, err
+		nc.Close()
+		return nil, fmt.Errorf("dist: worker %d: %w", s.id, err)
 	}
-	timeout := p.opt.CallTimeout
-	if timeout <= 0 {
-		timeout = dialTimeout
-	}
-	if err := ping(client, timeout); err != nil {
-		client.Close()
-		return nil, err
-	}
-	return client, nil
+	return rpc.NewClientWithCodec(cc), nil
 }
 
-// ping verifies a connection answers within timeout. A service without a
-// Ping method still proves liveness by answering with a ServerError.
-func ping(c *rpc.Client, timeout time.Duration) error {
-	timer := time.NewTimer(timeout)
+// check is the probe of a slot: dial, handshake, then a Ping answered
+// within CallTimeout (dialTimeout when unset), and close. A service
+// without a Ping method still proves liveness by answering with a
+// ServerError.
+func (f *fleet) check(s *slot) error {
+	c, err := f.dial(s, new(conn))
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	timer := time.NewTimer(cmp.Or(max(f.opt.CallTimeout, 0), dialTimeout))
 	defer timer.Stop()
 	select {
 	case err := <-startProbe(c).answer:
-		if IsTransportError(err) {
-			return err
+		if !IsTransportError(err) {
+			err = nil
 		}
-		return nil
+		return err
 	case <-timer.C:
 		return fmt.Errorf("dist: ping: %w", ErrCallTimeout)
 	}
 }
 
-// backoff returns the jittered exponential delay of the given attempt.
-func (p *Pool) backoff(attempt int) time.Duration {
-	d := p.opt.ReconnectMin << uint(attempt)
-	if d <= 0 || d > p.opt.ReconnectMax {
-		d = p.opt.ReconnectMax
-	}
-	p.rngMu.Lock()
-	jitter := time.Duration(p.rng.Int63n(int64(d)/2 + 1))
-	p.rngMu.Unlock()
-	return d/2 + jitter
-}
-
-// HealthCheck connects to addr exactly as a master does — a one-worker
-// pool's dial and wire handshake, under the pool's connect bounds — and
-// pings it within timeout. It is the probe behind focus-worker's
-// -healthcheck flag and is usable by external orchestrators; a worker of
-// another wire version fails it with ErrWireVersion.
+// HealthCheck probes the worker at addr as the pool probes a slot — the
+// pool's dial and wire handshake under its connect bounds, then a Ping
+// within timeout (dialTimeout when not positive), and close. It is the probe behind
+// focus-worker's -healthcheck flag and is usable by external
+// orchestrators; a worker of another wire version fails it with
+// ErrWireVersion.
 func HealthCheck(addr string, timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = dialTimeout
-	}
-	p, err := DialPoolOpts([]string{addr}, Options{CallTimeout: timeout})
-	if err != nil {
-		return fmt.Errorf("dist: healthcheck: %w", err)
-	}
-	defer p.Close()
-	if err := ping(p.workers[0].client, timeout); err != nil {
+	f := &fleet{opt: Options{CallTimeout: timeout}.withDefaults()}
+	if err := f.check(&slot{addr: addr}); err != nil {
 		return fmt.Errorf("dist: healthcheck %s: %w", addr, err)
 	}
 	return nil
 }
 
-func (p *Pool) isClosed() bool {
+// down marks s reconnecting, after a session's counted transport
+// failure or failed dial, and starts its probe loop. A slot already down
+// or evicted, or one of a closed fleet, is left as it is.
+func (f *fleet) down(s *slot) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s.mu.Lock()
+	live := s.state == WorkerLive && !isClosed(f.closed)
+	if live {
+		s.state = WorkerReconnecting
+	}
+	s.mu.Unlock()
+	if live {
+		f.wg.Add(1)
+		go f.probeLoop(s)
+	}
+}
+
+// probeLoop probes the down slot s with exponential backoff and jitter
+// until it answers (the slot reads live again) or MaxReconnects probes
+// have failed (it is evicted). The probes hold no connection, so nothing
+// here counts as a reconnect: sessions redial a live slot on their next
+// call to it (Session.client).
+func (f *fleet) probeLoop(s *slot) {
+	defer f.wg.Done()
+	for attempt := 0; attempt < f.opt.MaxReconnects; attempt++ {
+		select {
+		case <-f.closed:
+			return
+		case <-time.After(f.backoff(attempt)):
+		}
+		err := f.check(s)
+		s.mu.Lock()
+		if s.state != WorkerReconnecting { // evicted meanwhile
+			s.mu.Unlock()
+			return
+		}
+		if err == nil {
+			s.state, s.fails = WorkerLive, 0
+			s.mu.Unlock()
+			f.opt.Logf("dist: worker %d answers its probe; live again", s.id)
+			return
+		}
+		s.fails++
+		s.mu.Unlock()
+		f.opt.Logf("dist: worker %d probe %d/%d: %v", s.id, attempt+1, f.opt.MaxReconnects, err)
+	}
+	f.evict(s)
+	f.opt.Logf("dist: worker %d evicted after %d failed probes", s.id, f.opt.MaxReconnects)
+}
+
+// evict takes s out of the schedulable set for good and counts it.
+func (f *fleet) evict(s *slot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != WorkerEvicted {
+		s.state = WorkerEvicted
+		f.evictions.Add(1)
+	}
+}
+
+// backoff returns the jittered exponential delay of the given attempt.
+func (f *fleet) backoff(attempt int) time.Duration {
+	d := f.opt.ReconnectMin << uint(attempt)
+	if d <= 0 || d > f.opt.ReconnectMax {
+		d = f.opt.ReconnectMax
+	}
+	f.rngMu.Lock()
+	jitter := time.Duration(f.rng.Int63n(int64(d)/2 + 1))
+	f.rngMu.Unlock()
+	return d/2 + jitter
+}
+
+func isClosed(closed chan struct{}) bool {
 	select {
-	case <-p.owner().closed:
+	case <-closed:
 		return true
 	default:
 		return false
 	}
 }
 
-// Close shuts down the handle's own worker connections (and, for local
-// pools, the worker goroutines with them) and stops their background
-// reconnects; closing a root closes its open sessions too. It is
-// idempotent: the first call performs the teardown and waits for every
-// background goroutine to exit; later (or concurrent) calls wait for
-// that teardown to finish and return the same error.
-//
-// Closing a view does nothing: it owns no connections.
+// Size returns the number of worker slots (healthy or not).
+func (p *Pool) Size() int { return len(p.slots) }
+
+// NumHealthy returns the number of member slots that read live.
+func (p *Pool) NumHealthy() int { return len(p.HealthyIDs()) }
+
+// Healthy reports whether worker i is a member whose slot reads live.
+// Out-of-range ids are unhealthy.
+func (p *Pool) Healthy(i int) bool {
+	return i >= 0 && i < len(p.slots) && p.allowed(i) && p.slots[i].health() == WorkerLive
+}
+
+// HealthyIDs returns the ids of the member slots that read live, in
+// ascending order. The snapshot is advisory: a worker may die between
+// the call and its use.
+func (p *Pool) HealthyIDs() []int { return healthyIDs(len(p.slots), p.Healthy) }
+
+// healthyIDs returns the ids in [0,n) that healthy reports, ascending.
+func healthyIDs(n int, healthy func(int) bool) []int {
+	var ids []int
+	for i := range n {
+		if healthy(i) {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
+// Completions returns the number of finished calls (any outcome,
+// including timeouts and severed calls) of the sessions opened from this
+// handle and its views; on the root, of every session of the fleet.
+func (p *Pool) Completions() int64 { return p.completions.Load() }
+
+// Close closes the fleet's open sessions (and, for local pools, the
+// worker goroutines serving them), stops the probe loops and marks every
+// slot evicted. It is idempotent: the first call performs the teardown
+// and waits for every probe loop to exit; later (or concurrent) calls
+// wait for that teardown to finish. Closing a view does nothing: it owns
+// nothing.
 func (p *Pool) Close() error {
-	if p.closed == nil {
+	if p.parent != nil {
 		return nil
 	}
 	p.closeOnce.Do(func() {
-		// Holding spawnMu across the close orders us against record()'s
-		// reconnect-loop spawns and Session's registration: no wg.Add
-		// can land after wg.Wait starts, and no session after the sweep.
-		p.spawnMu.Lock()
+		p.mu.Lock()
 		close(p.closed)
 		sessions := p.sessions
 		p.sessions = nil
-		p.spawnMu.Unlock()
+		p.mu.Unlock()
 		for s := range sessions {
 			s.Close()
 		}
-		if f := p.shared(); f != p {
-			f.spawnMu.Lock()
-			delete(f.sessions, p)
-			f.spawnMu.Unlock()
-		}
-		for _, w := range p.workers {
-			w.mu.Lock()
-			c := w.client
-			w.client = nil
-			w.evicted = true
-			w.mu.Unlock()
-			if c != nil {
-				if err := c.Close(); err != nil && p.closeErr == nil {
-					p.closeErr = err
-				}
-			}
+		for _, s := range p.slots {
+			s.mu.Lock()
+			s.state = WorkerEvicted
+			s.mu.Unlock()
 		}
 		p.wg.Wait()
 	})
-	return p.closeErr
+	return nil
 }

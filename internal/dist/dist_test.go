@@ -57,9 +57,10 @@ func TestLocalPoolBasics(t *testing.T) {
 	if p.Size() != 3 {
 		t.Fatalf("Size = %d", p.Size())
 	}
+	s := p.Session()
 	for i := 0; i < 3; i++ {
 		var reply EchoReply
-		if err := p.Call(i, "Echo", &EchoArgs{X: 21, S: "ab"}, &reply); err != nil {
+		if err := s.Call(nil, i, "Echo", &EchoArgs{X: 21, S: "ab"}, &reply); err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 		if reply.X != 42 || reply.S != "abab" {
@@ -77,11 +78,12 @@ func TestLocalPoolErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	var reply EchoReply
-	if err := p.Call(5, "Echo", &EchoArgs{}, &reply); err == nil {
+	if err := s.Call(nil, 5, "Echo", &EchoArgs{}, &reply); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
-	if err := p.Call(0, "NoSuchMethod", &EchoArgs{}, &reply); err == nil {
+	if err := s.Call(nil, 0, "NoSuchMethod", &EchoArgs{}, &reply); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -97,7 +99,7 @@ func TestParallelCallsRoundRobin(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	times, errs := p.ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} {
+	times, errs := p.Session().ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} {
 		return &EchoArgs{X: tk, S: "x"}
 	}, replies)
 	for tk, err := range errs {
@@ -131,7 +133,7 @@ func TestParallelCallsPropagatesError(t *testing.T) {
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, errs := p.ParallelCallsPlacedCtx(nil, 3, func(tk int) int { return tk % 2 }, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	_, errs := p.Session().ParallelCallsPlacedCtx(nil, 3, func(tk int) int { return tk % 2 }, "Bogus", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	for tk, err := range errs {
 		if err == nil {
 			t.Errorf("task %d: expected error from unknown method", tk)
@@ -157,7 +159,7 @@ func TestTCPServeAndDial(t *testing.T) {
 	}
 	defer p.Close()
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 10, S: "tcp"}, &reply); err != nil {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{X: 10, S: "tcp"}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.X != 20 || reply.S != "tcptcp" {
@@ -183,7 +185,7 @@ func TestCallAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{}, &reply); err == nil {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{}, &reply); err == nil {
 		t.Error("call on closed pool succeeded")
 	}
 }

@@ -49,9 +49,10 @@ func TestCallTimeoutEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	var reply EchoReply
 	start := time.Now()
-	err = p.Call(0, "Echo", &EchoArgs{X: 1}, &reply)
+	err = s.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
 	}
@@ -62,7 +63,7 @@ func TestCallTimeoutEvicts(t *testing.T) {
 		t.Fatalf("NumHealthy = %d after eviction, want 0", n)
 	}
 	// The evicted worker's slot answers ErrWorkerDown, not a hang.
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("want ErrWorkerDown on evicted worker, got %v", err)
 	}
 	atomic.StoreInt32(&blocked, 0)
@@ -84,12 +85,14 @@ func TestWorkerReconnectsAfterOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
 	}
-	// End the outage: the background reconnect loop should reinstate the
-	// worker (fresh service instance, verified by Ping).
+	// End the outage: the background probe should reinstate the worker's
+	// slot (a fresh service instance answered its Ping), and the session's
+	// next call redials it.
 	atomic.StoreInt32(&blocked, 0)
 	deadline := time.Now().Add(3 * time.Second)
 	for p.NumHealthy() == 0 && time.Now().Before(deadline) {
@@ -98,7 +101,7 @@ func TestWorkerReconnectsAfterOutage(t *testing.T) {
 	if n := p.NumHealthy(); n != 1 {
 		t.Fatalf("worker not reinstated: NumHealthy = %d", n)
 	}
-	if err := p.Call(0, "Echo", &EchoArgs{X: 21, S: "a"}, &reply); err != nil {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 21, S: "a"}, &reply); err != nil {
 		t.Fatalf("call after reconnect: %v", err)
 	}
 	if reply.X != 42 {
@@ -140,13 +143,14 @@ func rescheduleAroundHungWorker(t *testing.T, ctx context.Context) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	const tasks = 6
 	replies := make([]interface{}, tasks)
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
 	mkArgs := func(tk int) interface{} { return &EchoArgs{X: tk, S: "x"} }
-	times, errs := p.ParallelCallsPlacedCtx(ctx, tasks, func(tk int) int { return tk % 2 }, "Echo", mkArgs, replies)
+	times, errs := s.ParallelCallsPlacedCtx(ctx, tasks, func(tk int) int { return tk % 2 }, "Echo", mkArgs, replies)
 	if len(times) != tasks {
 		t.Fatalf("got %d task times", len(times))
 	}
@@ -175,7 +179,7 @@ func rescheduleAroundHungWorker(t *testing.T, ctx context.Context) {
 	for i := range retry {
 		retry[i] = replies[failed[i]]
 	}
-	_, errs = p.ParallelCallsPlacedCtx(ctx, len(failed), func(int) int { return live[0] }, "Echo",
+	_, errs = s.ParallelCallsPlacedCtx(ctx, len(failed), func(int) int { return live[0] }, "Echo",
 		func(k int) interface{} { return mkArgs(failed[k]) }, retry)
 	for k, err := range errs {
 		if err != nil {
@@ -205,7 +209,7 @@ func TestApplicationErrorsDoNotEvict(t *testing.T) {
 	// Every task fails at the application level; the error propagates and
 	// no worker is evicted — a worker that answers, even with an error, is
 	// alive.
-	_, errs := p.ParallelCallsPlacedCtx(nil, 4, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	_, errs := p.Session().ParallelCallsPlacedCtx(nil, 4, func(tk int) int { return tk % 2 }, "Echo", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	for tk, err := range errs {
 		if err == nil {
 			t.Fatalf("task %d: application failure not propagated", tk)
@@ -236,12 +240,16 @@ func TestParallelCallsPinnedAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	// The pool's registration check made one instance; the session's
+	// connections, dialed in worker order, make the next three.
+	atomic.StoreInt32(&n, 0)
+	s := p.Session()
 	const tasks = 7
 	replies := make([]interface{}, tasks)
 	for i := range replies {
 		replies[i] = &EchoReply{}
 	}
-	_, errs := p.ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 3 }, "Who", func(tk int) interface{} { return &EchoArgs{} }, replies)
+	_, errs := s.ParallelCallsPlacedCtx(nil, tasks, func(tk int) int { return tk % 3 }, "Who", func(tk int) interface{} { return &EchoArgs{} }, replies)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -317,7 +325,8 @@ func TestServerGracefulShutdownDrains(t *testing.T) {
 	defer p.Close()
 	var reply EchoReply
 	called := make(chan error, 1)
-	go func() { called <- p.Call(0, "Echo", &EchoArgs{X: 5}, &reply) }()
+	s := p.Session()
+	go func() { called <- s.Call(nil, 0, "Echo", &EchoArgs{X: 5}, &reply) }()
 	// Wait until the server has read the request.
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ActiveCalls() == 0 && time.Now().Before(deadline) {

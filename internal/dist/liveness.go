@@ -34,16 +34,16 @@ const (
 )
 
 // liveConn is the master's end of a worker connection. It notes on the
-// worker when a byte last came back and last went out.
+// session's conn when a byte last came back and last went out.
 type liveConn struct {
 	net.Conn
-	w *worker
+	c *conn
 }
 
 func (c liveConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	if n > 0 {
-		c.w.heard.Store(time.Now().UnixNano())
+		c.c.heard.Store(time.Now().UnixNano())
 	}
 	return n, err
 }
@@ -54,7 +54,7 @@ func (c liveConn) Write(b []byte) (int, error) {
 		m, err := c.Conn.Write(b[n:min(len(b), n+liveChunk)])
 		n += m
 		if m > 0 {
-			c.w.wrote.Store(time.Now().UnixNano())
+			c.c.wrote.Store(time.Now().UnixNano())
 		}
 		if err != nil {
 			return n, err
@@ -83,11 +83,11 @@ func startProbe(c *rpc.Client) *probe {
 	return pr
 }
 
-// silence is how long w has owed pr an answer without a sign of life.
-func (pr *probe) silence(w *worker) time.Duration {
+// silence is how long c has owed pr an answer without a sign of life.
+func (pr *probe) silence(c *conn) time.Duration {
 	now := time.Now().UnixNano()
 	if sent := pr.sent.Load(); sent != 0 {
-		return time.Duration(now - max(sent, w.heard.Load()))
+		return time.Duration(now - max(sent, c.heard.Load()))
 	}
-	return time.Duration(now - max(pr.start, w.wrote.Load()))
+	return time.Duration(now - max(pr.start, c.wrote.Load()))
 }

@@ -22,9 +22,9 @@ func (NapService) Echo(args *EchoArgs, reply *EchoReply) error {
 func (NapService) Ping(args, reply *Ack) error { return nil }
 
 // TestLivenessHungCallCut: on a fresh fleet — no call of any method has
-// ever completed — a single-member view's call on a hung worker is cut
-// with ErrCallTimeout once its probe has gone a whole floor unanswered,
-// about 2 × the floor after the call started.
+// ever completed — the call of a single-member view's session on a hung
+// worker is cut with ErrCallTimeout once its probe has gone a whole
+// floor unanswered, about 2 × the floor after the call started.
 func TestLivenessHungCallCut(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} }, Options{MaxFailures: 1, Logf: t.Logf},
@@ -44,7 +44,7 @@ func TestLivenessHungCallCut(t *testing.T) {
 	}
 	start := time.Now()
 	var reply EchoReply
-	err = view.Call(1, "Echo", &EchoArgs{X: 1}, &reply)
+	err = view.Session().Call(nil, 1, "Echo", &EchoArgs{X: 1}, &reply)
 	el := time.Since(start)
 	if !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("hung call = %v, want ErrCallTimeout", err)
@@ -73,7 +73,7 @@ func TestLivenessChaosHangNoLeak(t *testing.T) {
 	}
 	defer p.Close()
 	var reply EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("hung call = %v, want ErrCallTimeout", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestLivenessSlowCallNotCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		replies := []interface{}{&EchoReply{}, &EchoReply{}}
-		_, errs := job.ParallelCallsPlacedCtx(nil, 2, func(t int) int { return t }, "Echo",
+		_, errs := job.Session().ParallelCallsPlacedCtx(nil, 2, func(t int) int { return t }, "Echo",
 			func(int) interface{} { return &EchoArgs{X: ms} }, replies)
 		for i, err := range errs {
 			if err != nil {
@@ -150,7 +150,7 @@ func TestLivenessSlowTransferNotCut(t *testing.T) {
 	s := strings.Repeat("ACGT", 128<<10)
 	var reply EchoReply
 	start := time.Now()
-	if err := p.Call(0, "Echo", &EchoArgs{X: 1, S: s}, &reply); err != nil {
+	if err := p.Session().Call(nil, 0, "Echo", &EchoArgs{X: 1, S: s}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.S != s+s {

@@ -9,9 +9,9 @@ import (
 )
 
 // This file runs a batch of calls on the workers an explicit placement
-// table names (ParallelCallsPlacedCtx): the protocols that pin state to a
-// worker (assembly's Load and Phase) decide themselves where a failed task
-// may run next, so the pool never moves a task.
+// table names (Session.ParallelCallsPlacedCtx): the protocols that pin
+// state to a worker (assembly's Load and Phase) decide themselves where a
+// failed task may run next, so the session never moves a task.
 
 // ParallelCallsPlacedCtx runs task t on worker place(t) — an explicit
 // placement table — with per-call deadlines, one in-flight call per
@@ -26,35 +26,30 @@ import (
 // the context's cause (a transport-class error, but the caller checks its
 // own ctx before classifying failures, so a canceled run is never
 // misdiagnosed as a lost worker).
-func (p *Pool) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func(t int) int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, []error) {
+func (s *Session) ParallelCallsPlacedCtx(ctx context.Context, tasks int, place func(t int) int, method string, mkArgs func(t int) interface{}, replies []interface{}) ([]time.Duration, []error) {
 	var wg sync.WaitGroup
 	errs := make([]error, tasks)
 	times := make([]time.Duration, tasks)
 	// One in-flight call per worker at a time.
-	locks := make([]sync.Mutex, p.Size())
+	locks := make([]sync.Mutex, len(s.conns))
 	for t := 0; t < tasks; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
 			wid := place(t)
-			if wid < 0 || wid >= len(p.workers) {
-				errs[t] = fmt.Errorf("dist: task %d placed on worker %d outside [0,%d)", t, wid, len(p.workers))
+			if wid < 0 || wid >= len(s.conns) {
+				errs[t] = fmt.Errorf("dist: task %d placed on worker %d outside [0,%d)", t, wid, len(s.conns))
 				return
 			}
-			if !p.allowed(wid) {
-				errs[t] = fmt.Errorf("dist: task %d placed on worker %d not a member of this pool handle: %w", t, wid, ErrWorkerDown)
-				return
-			}
-			w := p.workers[wid]
 			// Argument construction happens on the master and is not
 			// part of the worker's task time.
 			args := mkArgs(t)
 			fresh := shallowCopy(replies[t])
-			locks[w.id].Lock()
+			locks[wid].Lock()
 			t0 := time.Now()
-			errs[t] = p.callWorkerCtx(ctx, w, method, args, fresh)
+			errs[t] = s.Call(ctx, wid, method, args, fresh)
 			times[t] = time.Since(t0)
-			locks[w.id].Unlock()
+			locks[wid].Unlock()
 			if errs[t] == nil {
 				copyReply(replies[t], fresh)
 			}

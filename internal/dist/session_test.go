@@ -30,14 +30,14 @@ func (c countBytes) Write(b []byte) (int, error) {
 }
 
 // TestSessionCountsInParent: a session opened from a one-member view
-// dials that member only, and its call counts in the session's, the
-// view's and the fleet's Completions and in the bytes WrapConn counts.
+// dials that member only, and its call counts in the view's and the
+// fleet's Completions and in the bytes WrapConn counts.
 func TestSessionCountsInParent(t *testing.T) {
 	defer testutil.NoLeaks(t)
-	var services atomic.Int32
+	var conns atomic.Int32
 	var wire atomic.Int64
-	p, err := NewLocalPoolOpts(2, func() interface{} { services.Add(1); return &EchoService{} },
-		Options{WrapConn: func(_ int, c net.Conn) net.Conn { return countBytes{c, &wire} }})
+	p, err := NewLocalPoolOpts(2, func() interface{} { return &EchoService{} },
+		Options{WrapConn: func(_ int, c net.Conn) net.Conn { conns.Add(1); return countBytes{c, &wire} }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,32 +48,32 @@ func TestSessionCountsInParent(t *testing.T) {
 	}
 	s := view.Session()
 	defer s.Close()
-	if n := services.Load(); n != 3 {
-		t.Fatalf("%d connections served, want the fleet's 2 and the session's 1", n)
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections served, want the session's 1", n)
 	}
 	before := wire.Load()
 	var reply EchoReply
-	if err := s.Call(1, "Echo", &EchoArgs{X: 21, S: "ab"}, &reply); err != nil || reply.X != 42 {
+	if err := s.Call(nil, 1, "Echo", &EchoArgs{X: 21, S: "ab"}, &reply); err != nil || reply.X != 42 {
 		t.Fatalf("session call: %+v %v", reply, err)
 	}
 	if wire.Load() == before {
 		t.Fatal("the session's call moved no counted byte")
 	}
-	if s.Completions() != 1 || view.Completions() != 1 || p.Completions() != 1 {
-		t.Fatalf("completions session %d, view %d, fleet %d; want 1 each", s.Completions(), view.Completions(), p.Completions())
+	if view.Completions() != 1 || p.Completions() != 1 {
+		t.Fatalf("completions view %d, fleet %d; want 1 each", view.Completions(), p.Completions())
 	}
-	if err := s.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("call to a non-member = %v, want ErrWorkerDown", err)
 	}
-	if s.Healthy(0) || !s.Healthy(1) {
-		t.Fatalf("session health %+v, want only member 1", s.Health())
+	if ids := s.HealthyIDs(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("session HealthyIDs %v, want only member 1", ids)
 	}
 }
 
-// TestSessionEvictionShowsInFleet: worker 1 answers the fleet's
-// connection but hangs on the session's. Once the session's call is cut,
-// MaxFailures 1 evicts the worker in the session and in the fleet, and a
-// later session leaves it out.
+// TestSessionEvictionShowsInFleet: worker 1 hangs on the session's
+// connection. Once the session's call is cut, MaxFailures 1 evicts the
+// worker in the session and in the fleet, and a later session leaves it
+// out.
 func TestSessionEvictionShowsInFleet(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	p, err := NewLocalChaosPool(2, func() interface{} { return &EchoService{} },
@@ -91,7 +91,7 @@ func TestSessionEvictionShowsInFleet(t *testing.T) {
 	s := p.Session()
 	defer s.Close()
 	var reply EchoReply
-	if err := s.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := s.Call(nil, 1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("hung session call = %v, want ErrCallTimeout", err)
 	}
 	h := p.Health()
@@ -99,20 +99,20 @@ func TestSessionEvictionShowsInFleet(t *testing.T) {
 		t.Fatalf("fleet health after the session's eviction: %+v", h)
 	}
 	if s.Healthy(1) || !s.Healthy(0) {
-		t.Fatalf("session health after the eviction: %+v", s.Health())
+		t.Fatalf("session HealthyIDs after the eviction: %v", s.HealthyIDs())
 	}
 	// A new session leaves the evicted worker out.
 	s2 := p.Session()
 	defer s2.Close()
 	if s2.Healthy(1) || !s2.Healthy(0) {
-		t.Fatalf("new session's health: %+v", s2.Health())
+		t.Fatalf("new session's HealthyIDs: %v", s2.HealthyIDs())
 	}
 }
 
 // TestSessionCutShowsInFleet: a session's timeout cut of worker 1 makes
-// the fleet read worker 1 as reconnecting (uncounted, not evicted) right
-// after the cut, so a scheduler choosing by fleet health passes it over;
-// once the fleet's own reconnect Ping is answered it reads live again.
+// the fleet read worker 1 as reconnecting (no probe failed yet, not
+// evicted) right after the cut, so a scheduler choosing by fleet health
+// passes it over; once the fleet's probe is answered it reads live again.
 func TestSessionCutShowsInFleet(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -126,7 +126,7 @@ func TestSessionCutShowsInFleet(t *testing.T) {
 	s := p.Session()
 	defer s.Close()
 	var reply EchoReply
-	if err := s.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := s.Call(nil, 1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("hung session call = %v, want ErrCallTimeout", err)
 	}
 	if p.Healthy(1) || !p.Healthy(0) {
@@ -145,16 +145,17 @@ func TestSessionCutShowsInFleet(t *testing.T) {
 		}
 	}
 	var a, b Ack
-	if err := p.Call(0, "Ping", &a, &b); err != nil {
-		t.Fatalf("fleet worker 0 after the cut: %v", err)
+	if err := s.Call(nil, 0, "Ping", &a, &b); err != nil {
+		t.Fatalf("worker 0 after the cut: %v", err)
 	}
 }
 
-// TestSessionCloseLeavesOthers: closing one session, with its reconnect
-// loop in a long backoff, stops that loop and leaves another session
-// working on both workers and the fleet on the worker the cut did not
-// touch (the cut worker's fleet slot is in its own long backoff);
-// closing the fleet stops that loop and closes the sessions still open.
+// TestSessionCloseLeavesOthers: closing one session after its cut of
+// worker 0 leaves another session working on both workers (its own
+// connection to worker 0 stands) and the fleet reading the worker the
+// cut did not touch as live (the cut worker's slot is in a long probe
+// backoff); closing the fleet stops that probe loop and closes the
+// sessions still open.
 func TestSessionCloseLeavesOthers(t *testing.T) {
 	defer testutil.NoLeaks(t)
 	var blocked int32 = 1
@@ -173,23 +174,23 @@ func TestSessionCloseLeavesOthers(t *testing.T) {
 	defer p.Close()
 	a, b := p.Session(), p.Session()
 	var reply EchoReply
-	if err := a.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
+	if err := a.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrCallTimeout) {
 		t.Fatalf("want ErrCallTimeout, got %v", err)
 	}
 	atomic.StoreInt32(&blocked, 0)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Call(1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+	if err := a.Call(nil, 1, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("call on a closed session = %v, want ErrWorkerDown", err)
 	}
 	for w := 0; w < 2; w++ {
-		if err := b.Call(w, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
+		if err := b.Call(nil, w, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
 			t.Fatalf("worker %d after another session's Close: %+v %v", w, reply, err)
 		}
 	}
-	if err := p.Call(1, "Echo", &EchoArgs{X: 2}, &reply); err != nil || reply.X != 4 {
-		t.Fatalf("fleet worker 1 after a session's Close: %+v %v", reply, err)
+	if !p.Healthy(1) {
+		t.Fatalf("fleet worker 1 after a session's Close: %+v", p.Health())
 	}
 	if h := p.Health(); h.Evictions != 0 || h.Workers[0].State != WorkerReconnecting || h.Workers[0].ConsecutiveFails != 0 {
 		t.Fatalf("fleet after a session's cut of worker 0: %+v", h)
@@ -197,7 +198,7 @@ func TestSessionCloseLeavesOthers(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Call(0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
+	if err := b.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &reply); !errors.Is(err, ErrWorkerDown) {
 		t.Fatalf("call on a session of a closed fleet = %v, want ErrWorkerDown", err)
 	}
 	if s := p.Session(); s.NumHealthy() != 0 {
@@ -223,7 +224,7 @@ func TestSessionsConcurrent(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				s := p.Session()
 				var reply EchoReply
-				if err := s.Call(g%2, "Echo", &EchoArgs{X: i}, &reply); err != nil && !IsTransportError(err) {
+				if err := s.Call(nil, g%2, "Echo", &EchoArgs{X: i}, &reply); err != nil && !IsTransportError(err) {
 					errs <- err
 					return
 				}
@@ -260,7 +261,7 @@ func TestSessionCycleAlloc(t *testing.T) {
 	cycle := func() {
 		s := p.Session()
 		for w := 0; w < 2; w++ {
-			if err := s.Call(w, "Ping", new(Ack), new(Ack)); err != nil {
+			if err := s.Call(nil, w, "Ping", new(Ack), new(Ack)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -205,9 +205,10 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 
 	var wr WireEchoReply
-	if err := p.Call(0, "WireEcho", &WireEchoArgs{IDs: []int32{3, 1, 4}, Tag: "ab"}, &wr); err != nil {
+	if err := s.Call(nil, 0, "WireEcho", &WireEchoArgs{IDs: []int32{3, 1, 4}, Tag: "ab"}, &wr); err != nil {
 		t.Fatalf("WireEcho call: %v", err)
 	}
 	if wr.Sum != 8 || wr.Tag != "abab" {
@@ -215,7 +216,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 
 	var er EchoReply
-	if err := p.Call(0, "Echo", &EchoArgs{X: 21, S: "x"}, &er); err != nil {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 21, S: "x"}, &er); err != nil {
 		t.Fatalf("Echo call: %v", err)
 	}
 	if er.X != 42 || er.S != "xx" {
@@ -224,7 +225,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 
 	// Application errors ride the response error string with no body and
 	// must not evict the worker.
-	err = p.Call(0, "Fail", &EchoArgs{}, &er)
+	err = s.Call(nil, 0, "Fail", &EchoArgs{}, &er)
 	if err == nil || err.Error() != "deliberate failure" {
 		t.Fatalf("Fail call error = %v", err)
 	}
@@ -246,21 +247,22 @@ func TestWireBodyMustImplementWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 
 	var er EchoReply
 	var plain plainArgs
 	for name, err := range map[string]error{
-		"args":  p.Call(0, "Echo", &plainArgs{X: 1}, &er),
-		"reply": p.Call(0, "Echo", &EchoArgs{X: 1}, &plain),
+		"args":  s.Call(nil, 0, "Echo", &plainArgs{X: 1}, &er),
+		"reply": s.Call(nil, 0, "Echo", &EchoArgs{X: 1}, &plain),
 	} {
 		if err == nil || !strings.Contains(err.Error(), "*dist.plainArgs does not implement Wire") {
 			t.Errorf("non-Wire %s: error = %v, want one naming *dist.plainArgs", name, err)
 		}
 	}
-	if n := p.NumHealthy(); n != 1 {
+	if n := s.NumHealthy(); n != 1 {
 		t.Fatalf("NumHealthy = %d after refused bodies, want 1", n)
 	}
-	if err := p.Call(0, "Echo", &EchoArgs{X: 2}, &er); err != nil || er.X != 4 {
+	if err := s.Call(nil, 0, "Echo", &EchoArgs{X: 2}, &er); err != nil || er.X != 4 {
 		t.Fatalf("call after refused bodies: reply %+v, err %v", er, err)
 	}
 }
@@ -348,7 +350,8 @@ func TestWireShutdownDrain(t *testing.T) {
 	defer p.Close()
 	var reply EchoReply
 	called := make(chan error, 1)
-	go func() { called <- p.Call(0, "Echo", &EchoArgs{X: 5}, &reply) }()
+	s := p.Session()
+	go func() { called <- s.Call(nil, 0, "Echo", &EchoArgs{X: 5}, &reply) }()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ActiveCalls() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
@@ -601,9 +604,10 @@ func TestWireChaosLatencyJitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	s := p.Session()
 	for i := 0; i < 20; i++ {
 		var wr WireEchoReply
-		if err := p.Call(i%2, "WireEcho", &WireEchoArgs{IDs: []int32{int32(i), 1}, Tag: "j"}, &wr); err != nil {
+		if err := s.Call(nil, i%2, "WireEcho", &WireEchoArgs{IDs: []int32{int32(i), 1}, Tag: "j"}, &wr); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 		if wr.Sum != int64(i)+1 {

@@ -16,6 +16,7 @@ import (
 //	POST   /jobs               submit a Spec        201 | 429 queue full | 422 quota | 503 draining | 413 body over maxSpecBytes
 //	GET    /jobs               list job statuses
 //	GET    /jobs/{id}          one job's status     404 unknown id
+//	GET    /jobs/{id}/contigs  a Done job's FASTA   404 unknown id | 409 not done
 //	DELETE /jobs/{id}          kill                 409 already terminal
 //	POST   /jobs/{id}/resume   resume               409 not resumable
 //	GET    /jobs/{id}/events   NDJSON status stream until terminal
@@ -89,6 +90,20 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
+	})
+	mux.HandleFunc("GET /jobs/{id}/contigs", func(w http.ResponseWriter, r *http.Request) {
+		contigs, err := s.Result(r.PathValue("id"))
+		switch {
+		case err == nil:
+			w.Header().Set("Content-Type", "text/x-fasta")
+			writeContigsFASTA(w, contigs)
+		case errors.Is(err, ErrNotFound):
+			writeErr(w, http.StatusNotFound, err)
+		case errors.Is(err, ErrNotDone):
+			writeErr(w, http.StatusConflict, err)
+		default:
+			writeErr(w, http.StatusInternalServerError, err)
+		}
 	})
 	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		err := s.Kill(r.PathValue("id"))

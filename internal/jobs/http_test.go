@@ -74,6 +74,16 @@ func TestHTTPAdmissionCodes(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
+	for path, code := range map[string]int{
+		"/jobs/" + created.ID + "/contigs": http.StatusConflict, // queued, not done
+		"/jobs/job-999999/contigs":         http.StatusNotFound,
+	} {
+		if resp, err := http.Get(srv.URL + path); err != nil || resp.StatusCode != code {
+			t.Fatalf("GET %s: %v %v, want %d", path, err, resp.StatusCode, code)
+		} else {
+			resp.Body.Close()
+		}
+	}
 
 	del, err := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+created.ID, nil)
 	if err != nil {

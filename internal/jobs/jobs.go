@@ -5,7 +5,7 @@
 // own checkpoint namespace (independently killable and resumable) and its
 // own cancellation cause. A job's view is a member mask over the fleet:
 // it says where the job may run, and the job's run opens connections of
-// its own to those workers (dist.Pool.Session), which hold its
+// its own to those workers (a dist.Session), which hold its
 // partitions. A worker loss re-hosts only the affected jobs' partitions,
 // and a killed or drained job severs only its own connections, so its
 // co-tenants lose nothing. The Server's metrics registry and health
@@ -56,6 +56,8 @@ var (
 	// ErrNotResumable rejects Resume on a job that is not terminal, is not
 	// interrupt-shaped, or has no durable checkpoint namespace.
 	ErrNotResumable = errors.New("jobs: job not resumable")
+	// ErrNotDone rejects Result on a job that has not finished Done.
+	ErrNotDone = errors.New("jobs: job not done")
 )
 
 // Spec is a job submission: what to assemble and under which quotas.

@@ -547,7 +547,7 @@ func (s *Server) Result(id string) ([][]byte, error) {
 	state, dir, contigs := j.status.State, j.dir, j.contigs
 	s.mu.Unlock()
 	if state != Done {
-		return nil, fmt.Errorf("jobs: %s is %s, not done", id, state)
+		return nil, fmt.Errorf("%w: %s is %s", ErrNotDone, id, state)
 	}
 	if dir == "" {
 		return contigs, nil

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -186,6 +188,25 @@ func TestJobRestartRequeues(t *testing.T) {
 	}
 	if !sameContigs(got, want) {
 		t.Fatal("contigs read back after a restart diverge from solo baseline")
+	}
+	// The same contigs over HTTP.
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(srv.Close)
+	resp, err := http.Get(srv.URL + "/jobs/" + id + "/contigs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	recs, err := dna.ReadFASTA(resp.Body)
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("GET contigs after a restart: %d, %v", resp.StatusCode, err)
+	}
+	got = got[:0]
+	for _, r := range recs {
+		got = append(got, r.Seq)
+	}
+	if !sameContigs(got, want) {
+		t.Fatal("contigs fetched over HTTP after a restart diverge from solo baseline")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -68,14 +69,20 @@ const contigsVersion = 1
 // atomic write.
 const contigsFile = "contigs.fjob"
 
-// writeContigs persists a Done job's contigs into its namespace dir.
-func writeContigs(dir string, contigs [][]byte) error {
+// writeContigsFASTA writes contigs as FASTA, contig i named i: the
+// contigs file's payload and the body of GET /jobs/{id}/contigs.
+func writeContigsFASTA(w io.Writer, contigs [][]byte) error {
 	recs := make([]dna.Read, len(contigs))
 	for i, c := range contigs {
 		recs[i] = dna.Read{ID: strconv.Itoa(i), Seq: c}
 	}
+	return dna.WriteFASTA(w, recs, 80)
+}
+
+// writeContigs persists a Done job's contigs into its namespace dir.
+func writeContigs(dir string, contigs [][]byte) error {
 	var fasta bytes.Buffer
-	if err := dna.WriteFASTA(&fasta, recs, 80); err != nil {
+	if err := writeContigsFASTA(&fasta, contigs); err != nil {
 		return err
 	}
 	return checkpoint.WriteFile(filepath.Join(dir, contigsFile), contigsVersion, fasta.Bytes())

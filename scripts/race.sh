@@ -105,6 +105,13 @@ echo "== race: kill isolation sweep =="
 go test -race -count=5 -run 'TenantKillIsolation|SessionsConcurrent' \
     ./internal/jobs/ ./internal/dist/
 
+# Fleet lifecycle: the slot table's probe loop against Pool.Close and
+# session redials, sessions reporting cuts and evictions into the slots,
+# the connection count of an idle fleet, and HealthCheck. Repeated
+# because only a racing schedule shows a probe outliving its fleet.
+echo "== race: fleet lifecycle sweep =="
+go test -race -count=5 -run 'Session|Fleet|Probe|HealthCheck' ./internal/dist/
+
 if [ "$FUZZTIME" != "0" ]; then
     # -fuzz takes exactly one target per invocation.
     fuzz() {
