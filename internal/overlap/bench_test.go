@@ -34,8 +34,7 @@ func bytesPerRecord(b *testing.B) func(records int) {
 	}
 }
 
-func benchmarkFindOverlaps(b *testing.B, cfg Config) {
-	reads := benchReads(b, 400)
+func benchmarkFindOverlaps(b *testing.B, reads []dna.Read, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	report := bytesPerRecord(b)
@@ -56,7 +55,20 @@ func benchmarkFindOverlaps(b *testing.B, cfg Config) {
 // BenchmarkFindOverlaps measures the whole overlap stage on the tiling
 // read set, and its allocations per output record.
 func BenchmarkFindOverlaps(b *testing.B) {
-	benchmarkFindOverlaps(b, DefaultConfig())
+	benchmarkFindOverlaps(b, benchReads(b, 400), DefaultConfig())
+}
+
+// BenchmarkFindOverlapsPaired is BenchmarkFindOverlaps on the shape of
+// the pipeline's input, preprocessing with AddReverse: 1,500 tiling
+// reads, each followed by its reverse complement, at S = 4, so the stage
+// builds strand-canonical indexes, derives strand mirrors and, below four
+// workers, rebuilds a worker's index arena for its second job.
+func BenchmarkFindOverlapsPaired(b *testing.B) {
+	var reads []dna.Read
+	for _, r := range benchReads(b, 1500) {
+		reads = append(reads, r, dna.Read{ID: r.ID, Seq: dna.ReverseComplement(r.Seq)})
+	}
+	benchmarkFindOverlaps(b, reads, DefaultConfig())
 }
 
 // benchIndex names one seed index build for the micro-benchmarks below.
@@ -69,10 +81,12 @@ type benchIndex struct {
 // the k-mers past the default repeat mask.
 func kmerTable(paired bool) func(seqs [][]byte, k int) refIndex {
 	return func(seqs [][]byte, k int) refIndex {
-		ix, err := buildKmerIndex(seqs, k, paired, repeatKeys(seqs, k, paired, DefaultConfig().MaxOccur, 0))
+		n, err := indexKmers(seqs, k)
 		if err != nil {
 			panic(err)
 		}
+		ix := new(kmerIndex)
+		buildKmerIndex(ix, seqs, k, n, paired, repeatKeys(seqs, k, paired, DefaultConfig().MaxOccur, 0))
 		return ix
 	}
 }
@@ -294,9 +308,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := buildKmerIndex(seqs, cfg.K, false, nil); err != nil {
-				b.Fatal(err)
-			}
+			freshIndex(b, seqs, cfg.K, false, nil)
 		}
 	})
 }

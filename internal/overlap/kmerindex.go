@@ -97,7 +97,7 @@ type refIndex interface {
 	resolve(ps []probe) []kentry
 	// pairLast is the offset of the last k-mer, |B|−K, of each strand
 	// pair's reads (pair i: reads 2i and 2i+1), which maps a flipped
-	// probe's entries (probe.hit); nil for an index that flips none.
+	// probe's entries (probe.hit); empty for an index that flips none.
 	pairLast() []int32
 }
 
@@ -125,6 +125,11 @@ func revComp(km uint64, k int) uint64 {
 // non-canonical km looks up rc(km) and maps the entries to the other
 // strand (probe.hit). Any other subset is indexed in full, every
 // occurrence its own entry (eachKey).
+//
+// An overlap worker's index is an arena (scratch.index): each job
+// rebuilds it in place over the job's reference subset (buildKmerIndex),
+// in the storage the plan sized for its largest subset (reserve), and it
+// is read-only while that job's queries run.
 type kmerIndex struct {
 	k    int
 	ents []kentry
@@ -137,6 +142,46 @@ type kmerIndex struct {
 	// canon marks a strand-canonical index; last is its pairLast.
 	canon bool
 	last  []int32
+	// dirty marks the buckets a masked key falls in; only the build reads it.
+	dirty []uint64
+}
+
+// indexSize is the storage of one subset's index: its entries' capacity,
+// its directory's bits and its strand pairs (kmerIndex.last).
+type indexSize struct{ ents, dirBits, pairs int }
+
+// sizeIndex is the storage of the index of a subset of n reads with the
+// given k-mer bound (indexKmers) at seed length k. A strand-canonical
+// index holds one entry per k-mer and its reverse complement, so its
+// directory is sized for half the k-mers; but a palindrome (at even k) is
+// entered on both strands, so its entries get 1/2^palindromeRoom more
+// room. A subset with more palindromes than that grows them
+// (buildKmerIndex).
+func sizeIndex(kmers, n, k int, paired bool) indexSize {
+	sz := indexSize{ents: kmers}
+	if paired {
+		sz.ents, sz.pairs = kmers/2, n/2
+	}
+	sz.dirBits = min(bits.Len(uint(sz.ents)/2), dirMaxBits, 2*k)
+	if paired && k%2 == 0 {
+		sz.ents += sz.ents >> palindromeRoom
+	}
+	return sz
+}
+
+// palindromeRoom sets the room a strand-canonical index keeps for
+// palindromes: 1/64 of its entries, where a random sequence has one
+// palindromic 16-mer in 65,536.
+const palindromeRoom = 6
+
+// reserve gives the arena room for an index of up to sz, so that no
+// rebuild within it allocates.
+func (ix *kmerIndex) reserve(sz indexSize) {
+	nb := 1 << sz.dirBits
+	ix.ents = make([]kentry, 0, sz.ents)
+	ix.dir = make([]uint32, 0, nb+1)
+	ix.last = make([]int32, 0, sz.pairs)
+	ix.dirty = make([]uint64, 0, (nb+63)/64)
 }
 
 // bucket is key's directory bucket: the top bits of key·φ⁻¹·2⁶⁴
@@ -301,32 +346,31 @@ func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint
 	return masked
 }
 
-// buildKmerIndex groups the subset's entries by bucket scatter: one
-// enumeration (scan) counts the entries of every directory bucket, a
-// second scatters them to their bucket's slots in enumeration order, and
-// the buckets past sortedBucket entries are then sorted. paired builds the
-// strand-canonical index, and requires a strand-paired subset. The keys
-// of masked, ascending (repeatKeys), never enter.
-func buildKmerIndex(seqs [][]byte, k int, paired bool, masked []uint64) (*kmerIndex, error) {
-	bound, err := indexKmers(seqs, k)
-	if err != nil {
-		return nil, err
-	}
-	if paired {
-		bound /= 2 // one entry per k-mer and its reverse complement
-	}
-	dirBits := min(bits.Len(uint(bound)/2), dirMaxBits, 2*k)
-	nb := 1 << dirBits
-	ix := &kmerIndex{k: k, dir: make([]uint32, nb+1), dirShift: uint(64 - dirBits), canon: paired}
-	if paired {
-		ix.last = make([]int32, len(seqs)/2)
-		for i := range ix.last {
-			ix.last[i] = int32(len(seqs[2*i]) - k)
-		}
+// buildKmerIndex rebuilds ix in place as the index of the subset, of
+// kmers k-mers at most (indexKmers, which has refused a subset past
+// maxIndexKmers), reusing its storage: every field is reset, and nothing
+// of the index it held before survives. It groups the subset's entries by
+// bucket scatter: one enumeration (scan) counts the entries of every
+// directory bucket, a second scatters them to their bucket's slots in
+// enumeration order, and the buckets past sortedBucket entries are then
+// sorted. paired builds the strand-canonical index, and requires a
+// strand-paired subset. The keys of masked, ascending (repeatKeys), never
+// enter.
+func buildKmerIndex(ix *kmerIndex, seqs [][]byte, k, kmers int, paired bool, masked []uint64) {
+	sz := sizeIndex(kmers, len(seqs), k, paired)
+	nb := 1 << sz.dirBits
+	ix.k, ix.dirShift, ix.canon = k, uint(64-sz.dirBits), paired
+	ix.dir = slices.Grow(ix.dir[:0], nb+1)[:nb+1]
+	clear(ix.dir)
+	ix.last = slices.Grow(ix.last[:0], sz.pairs)[:sz.pairs]
+	for i := range ix.last {
+		ix.last[i] = int32(len(seqs[2*i]) - k)
 	}
 	var dirty []uint64 // the buckets a masked key falls in
 	if len(masked) > 0 {
-		dirty = make([]uint64, (nb+63)/64)
+		ix.dirty = slices.Grow(ix.dirty[:0], (nb+63)/64)[:(nb+63)/64]
+		clear(ix.dirty)
+		dirty = ix.dirty
 		for _, key := range masked {
 			b := ix.bucket(key)
 			dirty[b/64] |= 1 << (b % 64)
@@ -337,7 +381,7 @@ func buildKmerIndex(seqs [][]byte, k int, paired bool, masked []uint64) (*kmerIn
 	for b := range nb { // bucket sizes into bucket starts
 		ix.dir[b], total = total, total+ix.dir[b]
 	}
-	ix.ents = make([]kentry, total)
+	ix.ents = slices.Grow(ix.ents[:0], int(total))[:total] // the scatter writes every slot
 	ix.scan(seqs, masked, dirty, ix.ents)
 	dir, ents := ix.dir, ix.ents
 	lo := uint32(0)
@@ -358,7 +402,6 @@ func buildKmerIndex(seqs [][]byte, k int, paired bool, masked []uint64) (*kmerIn
 		dir[b], lo = lo, hi
 	}
 	dir[nb] = total
-	return ix, nil
 }
 
 // scan enumerates the index's entries (eachKey, the masked ones skipped)

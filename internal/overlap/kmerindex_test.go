@@ -179,10 +179,19 @@ func plainRun(ix *kmerIndex, km dna.Kmer) []seedHit {
 // (repeatKeys).
 func maskedTable(t testing.TB, seqs [][]byte, k int, paired bool, maxOccur int) *kmerIndex {
 	t.Helper()
-	ix, err := buildKmerIndex(seqs, k, paired, repeatKeys(seqs, k, paired, maxOccur, 0))
+	return freshIndex(t, seqs, k, paired, repeatKeys(seqs, k, paired, maxOccur, 0))
+}
+
+// freshIndex builds the k-mer table of seqs, strand-canonical when
+// paired, without the masked keys, into a new arena.
+func freshIndex(t testing.TB, seqs [][]byte, k int, paired bool, masked []uint64) *kmerIndex {
+	t.Helper()
+	n, err := indexKmers(seqs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := new(kmerIndex)
+	buildKmerIndex(ix, seqs, k, n, paired, masked)
 	return ix
 }
 
@@ -462,7 +471,9 @@ func TestCanonicalIndexMatchesFull(t *testing.T) {
 // is followed by its reverse complement, '#' read as N, and the
 // strand-canonical table is held to the full one and the oracle too.
 // checkSubset adds the count−1 / count / count+1 thresholds and a
-// repeated seed.
+// repeated seed. Then the subset's full table is rebuilt in place as its
+// first half's table, in the subset's layout, and back as the whole
+// subset's, each held to a fresh build (checkRebuild).
 func FuzzSeedIndex(f *testing.F) {
 	f.Add([]byte{}, uint8(15), int8(1), false)
 	f.Add(randGenome(81, 300), uint8(8), int8(0), false)
@@ -493,12 +504,97 @@ func FuzzSeedIndex(f *testing.F) {
 			seqs = strandPairs(seqs)
 		}
 		checkSubset(t, seqs, k, int(mo), []dna.Kmer{0, polyT(k)}, paired)
+		arena := maskedTable(t, seqs, k, false, int(mo))
+		for _, sub := range [][][]byte{seqs[:len(seqs)/2&^1], seqs} {
+			checkRebuild(t, arena, sub, k, paired, repeatKeys(sub, k, paired, int(mo), 0))
+		}
 	})
 }
 
+// checkRebuild rebuilds the arena in place as the index of seqs, without
+// the masked keys, and holds it to a fresh build field by field —
+// entries, directory, shift, layout and pair offsets — and to the
+// directory invariants, then resolves one batch, every k-mer of the
+// subset and the smallest and largest keys, to the same keys, flips and
+// ranges on both.
+func checkRebuild(t testing.TB, arena *kmerIndex, seqs [][]byte, k int, paired bool, masked []uint64) {
+	t.Helper()
+	n, err := indexKmers(seqs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildKmerIndex(arena, seqs, k, n, paired, masked)
+	fresh := freshIndex(t, seqs, k, paired, masked)
+	if arena.k != fresh.k || arena.dirShift != fresh.dirShift || arena.canon != fresh.canon ||
+		!slices.Equal(arena.ents, fresh.ents) || !slices.Equal(arena.dir, fresh.dir) || !slices.Equal(arena.last, fresh.last) {
+		t.Fatalf("k=%d paired %v, %d reads, %d masked keys: rebuilt index (%d entries, %d directory slots, shift %d, %d pairs) differs from a fresh build (%d, %d, %d, %d)",
+			k, paired, len(seqs), len(masked), len(arena.ents), len(arena.dir), arena.dirShift, len(arena.last), len(fresh.ents), len(fresh.dir), fresh.dirShift, len(fresh.last))
+	}
+	checkDirectory(t, arena)
+	ps := []probe{{km: 0}, {km: uint64(polyT(k))}}
+	for _, s := range seqs {
+		dna.ForEachKmer(s, k, func(km dna.Kmer, off int) { ps = append(ps, probe{km: uint64(km), off: int32(off)}) })
+	}
+	fps := slices.Clone(ps)
+	arena.resolve(ps)
+	fresh.resolve(fps)
+	for i := range ps {
+		if ps[i] != fps[i] {
+			t.Fatalf("k=%d paired %v: probe %d resolved to %+v on the rebuilt index, %+v on a fresh one", k, paired, i, ps[i], fps[i])
+		}
+	}
+}
+
+// TestIndexRebuildInPlace: one arena rebuilt through a sequence of
+// subsets equals a fresh build each time (checkRebuild): at k = 4, 16 and
+// 32 in turn, random reads with N among them and a few repeated, then a
+// third of them (smaller after larger), their strand pairs (the
+// strand-canonical layout after the full one), the whole set's strand
+// pairs, an empty subset, the full layout once more, an empty paired
+// subset and the third's pairs again; each at the repeat masks count−1,
+// count and count+1 of its most frequent key.
+func TestIndexRebuildInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	var arena kmerIndex
+	for _, k := range []int{4, 16, dna.MaxK} {
+		var large [][]byte
+		for len(large) < 24 {
+			large = append(large, randomSubset(rng, k, 24, 0.05)...)
+		}
+		for i := 0; i < 24; i += 4 { // repeated reads: keys past a small mask at every k
+			large[i] = append(randGenome(int64(i), k+8), 'N')
+			large[i+1] = large[i]
+		}
+		small := large[:len(large)/3]
+		for i, sub := range []struct {
+			seqs   [][]byte
+			paired bool
+		}{
+			{large, false}, {small, false}, {strandPairs(small), true}, {strandPairs(large), true},
+			{nil, false}, {large, false}, {nil, true}, {strandPairs(small), true},
+		} {
+			count := map[uint64]int{}
+			for _, e := range freshIndex(t, sub.seqs, k, sub.paired, nil).ents {
+				count[e.key]++
+			}
+			top := 0
+			for _, c := range count {
+				top = max(top, c)
+			}
+			if i < 4 && top < 2 {
+				t.Fatalf("k=%d subset %d: no key occurs twice", k, i)
+			}
+			for _, mo := range []int{top - 1, top, top + 1} {
+				checkRebuild(t, &arena, sub.seqs, k, sub.paired, repeatKeys(sub.seqs, k, sub.paired, mo, 0))
+			}
+		}
+	}
+}
+
 // TestIndexKmerBound: a subset past 2^31−1 k-mers is refused — by the
-// bound check and by FindOverlaps — before the table is
-// allocated, and one exactly at the bound passes the check. The reads all
+// bound check and by FindOverlaps, whose plan counts each subset's bound
+// — before any index is allocated, and one exactly at the bound passes
+// the check. The reads all
 // share one 1 MiB buffer, so the test allocates no more than that.
 func TestIndexKmerBound(t *testing.T) {
 	const mib = 1 << 20
@@ -518,16 +614,13 @@ func TestIndexKmerBound(t *testing.T) {
 	if _, err := indexKmers(over, 1); err == nil {
 		t.Fatal("subset one k-mer past the bound accepted")
 	}
-	if _, err := buildKmerIndex(over, 1, false, nil); err == nil || !strings.Contains(err.Error(), "overlap: reference subset") {
-		t.Fatalf("buildKmerIndex: err %v", err)
-	}
 	reads := make([]dna.Read, len(over))
 	for i, s := range over {
 		reads[i] = dna.Read{ID: "r", Seq: s}
 	}
 	cfg := testConfig()
 	cfg.K = 1
-	if _, err := FindOverlaps(reads, 1, cfg); err == nil || !strings.Contains(err.Error(), "k-mers") {
+	if _, err := FindOverlaps(reads, 1, cfg); err == nil || !strings.Contains(err.Error(), "overlap: reference subset of 2048 reads has more than 2147483647 k-mers") {
 		t.Fatalf("FindOverlaps: err %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,6 +15,8 @@ import (
 	"unsafe"
 
 	"focus/internal/align"
+	"focus/internal/dna"
+	"focus/internal/par"
 	"focus/internal/preprocess"
 	"focus/internal/simulate"
 )
@@ -318,6 +321,61 @@ func TestStageAllocBounded(t *testing.T) {
 	bound := uint64(kept+2*defaultPieceLen) * size
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("staging %d records allocated %d bytes, bound %d (the records' %d plus two pieces)", kept, got, bound, uint64(kept)*size)
+	}
+}
+
+// TestFindOverlapsAllocBounded: the stage on a strand-paired read set
+// (6,000 tiling reads, each followed by its reverse complement) at S = 4
+// allocates at most min(W, jobs) index arenas of the plan's size, W the
+// stage's width: each worker reserves one at its first job, and every job
+// rebuilds its index in it. The rest of the bound is what the stage
+// allocates besides indexes: TestStageAllocBounded's staging (the records
+// plus two pieces per subset pair), the merged output, the repeat count's
+// bucket table per part (two bytes a bucket, repeatKeys), each worker's
+// candidate table (a candState per reference read), the reads' headers
+// and ids, and 256 KiB for the DP buffers, probes, votes, key batches and
+// job lists. An index allocated per job, four at S = 4, is past it at
+// W <= 2.
+func TestFindOverlapsAllocBounded(t *testing.T) {
+	var reads []dna.Read
+	for _, r := range tilingReads(randGenome(1234, 40*6000+100), 100, 40)[:6000] {
+		reads = append(reads, r, dna.Read{ID: r.ID, Seq: dna.ReverseComplement(r.Seq)})
+	}
+	const subsets = 4
+	cfg := testConfig()
+	w := par.Workers(0, subsets*(subsets+1)/2, 1) // findOverlaps' width
+	jobs := len(refJobs(subsets, w))
+	p, err := newPlan(reads, subsets, cfg, true, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.subs[0].paired {
+		t.Fatal("the read set is not strand-paired")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	recs, err := FindOverlaps(reads, subsets, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := 1 << p.arena.dirBits
+	arena := p.arena.ents*int(unsafe.Sizeof(kentry{})) + (nb+1)*4 + p.arena.pairs*4 + (nb+63)/64*8
+	size := int(unsafe.Sizeof(Record{}))
+	staging := (len(recs) + 2*defaultPieceLen*subsets*(subsets+1)/2) * size
+	kmers, largest := 0, 0
+	for s, sub := range p.subs {
+		kmers, largest = kmers+p.kmers[s], max(largest, len(sub.seqs))
+	}
+	countTable := 2 << min(bits.Len(uint(kmers/2)/8), 2*cfg.K)
+	parts := par.Workers(w, len(reads)/2, 2048)
+	rest := parts*countTable + w*largest*int(unsafe.Sizeof(candState{})) + len(reads)*(int(unsafe.Sizeof([]byte(nil)))+4) + 256<<10
+	bound := min(w, jobs)*arena + staging + len(recs)*size + rest
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("W=%d, %d jobs, %d records: %d bytes allocated; bound %d (%d arenas of %d, staging %d, output %d, the rest %d)", w, jobs, len(recs), got, bound, min(w, jobs), arena, staging, len(recs)*size, rest)
+	if got > bound {
+		t.Fatalf("the stage allocated %d bytes, bound %d: more than %d index arenas (of %d bytes) at W=%d over %d jobs", got, bound, min(w, jobs), arena, w, jobs)
 	}
 }
 

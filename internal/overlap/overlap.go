@@ -7,9 +7,13 @@
 //
 // The hot path allocates nothing in steady state but the pieces a job's
 // records are staged in, which its output keeps: each worker owns a
-// scratch (candidate table, diagonal votes, alignment DP buffers) reused
-// across every query of every job it processes. See DESIGN.md
-// ("Seed index & scratch reuse") for the layout and the ownership rules.
+// scratch (reference-index arena, candidate table, diagonal votes,
+// alignment DP buffers) reused across every query of every job it
+// processes. Each job rebuilds its reference index in place in the
+// worker's arena, which the plan sizes once for the largest subset, so a
+// stage holds at most one index per worker and no job allocates one. See
+// DESIGN.md ("Seed index & scratch reuse") for the layout and the
+// ownership rules.
 package overlap
 
 import (
@@ -62,6 +66,10 @@ func DefaultConfig() Config {
 // across jobs keeps the steady-state loop free of heap allocations.
 type scratch struct {
 	align align.Scratch // DP score/trace buffers for banded NW
+
+	// The current job's reference index, rebuilt in place for each job
+	// (buildKmerIndex) and read-only while its queries run.
+	index kmerIndex
 
 	// Candidate accumulation, keyed by subset-local read index. gen is a
 	// generation counter bumped per query so the table is "cleared" in
@@ -238,32 +246,42 @@ func splitSeqs(seqs [][]byte, subsets int) ([]readSet, []int32) {
 }
 
 // plan is the overlap stage of one read set, whose refJobs runLocal runs:
-// the subsets, their id bounds and the read set's repeat mask.
+// the subsets, their id bounds and k-mer bounds, the read set's repeat
+// mask and the storage of a worker's index arena.
 type plan struct {
 	cfg    Config
 	subs   []readSet
 	bounds []int32 // subset s holds the ids [bounds[s], bounds[s+1])
+	kmers  []int   // subset s has at most kmers[s] k-mers (indexKmers)
 	masked []uint64
+	arena  indexSize // holds the index of any subset
 }
 
 // newPlan validates cfg, splits the reads, refuses a subset no index can
-// hold and counts the repeat mask on `workers` goroutines. Without mirror
-// every query runs on its own (alignQueriesGate), to the same records: the
-// all-queries oracle the tests hold the production path to.
+// hold, sizes the index arena for the largest subset and counts the
+// repeat mask on `workers` goroutines. Without mirror every query runs on
+// its own (alignQueriesGate), to the same records: the all-queries oracle
+// the tests hold the production path to.
 func newPlan(reads []dna.Read, subsets int, cfg Config, mirror bool, workers int) (*plan, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
 	seqs := readSeqs(reads)
 	subs, bounds := splitSeqs(seqs, subsets)
+	kmers := make([]int, subsets)
+	var arena indexSize
 	for s := range subs {
-		if _, err := indexKmers(subs[s].seqs, cfg.K); err != nil {
+		n, err := indexKmers(subs[s].seqs, cfg.K)
+		if err != nil {
 			return nil, err
 		}
 		subs[s].paired = subs[s].paired && mirror
+		kmers[s] = n
+		sz := sizeIndex(n, len(subs[s].seqs), cfg.K, subs[s].paired)
+		arena = indexSize{max(arena.ents, sz.ents), max(arena.dirBits, sz.dirBits), max(arena.pairs, sz.pairs)}
 	}
 	masked := repeatKeys(seqs, cfg.K, subs[0].paired, cfg.MaxOccur, workers)
-	return &plan{cfg, subs, bounds, masked}, nil
+	return &plan{cfg, subs, bounds, kmers, masked, arena}, nil
 }
 
 // pairLists returns mergeRecords' room: lists[q][r] for each pair q <= r.
@@ -320,10 +338,11 @@ func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config
 	return p.runLocal(ctx, refJobs(subsets, workers), workers, countOnly)
 }
 
-// runLocal runs the jobs on `workers` goroutines, each with one scratch
-// and one reference index at a time. This is where §II.B's "each pair of
-// read subsets can be sent to a different processor" happens: a job is a
-// run of subset pairs, and the goroutines are the processors.
+// runLocal runs the jobs on `workers` goroutines, each with one scratch,
+// whose index arena it reserves at its first job. This is where §II.B's
+// "each pair of read subsets can be sent to a different processor"
+// happens: a job is a run of subset pairs, and the goroutines are the
+// processors.
 func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOnly bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
 	lists := p.pairLists()
@@ -334,12 +353,9 @@ func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOn
 		}
 		if scs[w] == nil {
 			scs[w] = &scratch{countOnly: countOnly}
+			scs[w].index.reserve(p.arena)
 		}
-		j := jobs[t]
-		// Every subset fits an index: newPlan checked.
-		alignJob(p.subs[j.q0:j.q1], p.subs[j.r], p.cfg, p.masked, scs[w], gate, func(i int, l jobRecords) {
-			lists[j.q0+i][j.r] = l
-		})
+		p.alignJob(jobs[t], scs[w], gate, lists)
 	})
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
@@ -354,18 +370,15 @@ func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOn
 	return recs, candTotal, err
 }
 
-// alignJob is one job's body: it indexes the reference without the masked
-// keys and hands each query subset's list to sink as soon as it is staged.
-// It fails only on a reference no index can hold.
-func alignJob(queries []readSet, ref readSet, cfg Config, masked []uint64, sc *scratch, gate *par.Gate, sink func(i int, l jobRecords)) error {
-	ix, err := buildKmerIndex(ref.seqs, cfg.K, ref.paired, masked)
-	if err != nil {
-		return err
+// alignJob is one job's body: it rebuilds the worker's index arena over
+// the reference subset, without the masked keys, and stages each query
+// subset's records into its pair's list.
+func (p *plan) alignJob(j refJob, sc *scratch, gate *par.Gate, lists [][]jobRecords) {
+	ref := p.subs[j.r]
+	buildKmerIndex(&sc.index, ref.seqs, p.cfg.K, p.kmers[j.r], ref.paired, p.masked)
+	for q := j.q0; q < j.q1; q++ {
+		lists[q][j.r] = alignQueriesGate(p.subs[q], ref, &sc.index, p.cfg, sc, gate)
 	}
-	for i, query := range queries {
-		sink(i, alignQueriesGate(query, ref, ix, cfg, sc, gate))
-	}
-	return nil
 }
 
 // maxScore bounds |Match|, |Mismatch| and |Gap|: far past any useful
