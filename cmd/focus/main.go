@@ -84,7 +84,7 @@ var (
 	trim5     = flag.Int("trim5", 0, "fixed 5' trim length")
 	trim3     = flag.Int("trim3", 0, "fixed 3' trim length")
 	minQ      = flag.Float64("minq", 12, "sliding-window minimum mean quality")
-	subsets   = flag.Int("subsets", 4, "read subsets the alignment is cut into for parallelism only: the records and contigs are the same at any count")
+	subsets   = flag.Int("subsets", 4, "read subsets the alignment is cut into, each indexed once: the records and contigs are the same at any count")
 	seedK     = flag.Int("k", 16, "seed k-mer length for overlap detection")
 	minOvl    = flag.Int("min-overlap", 50, "minimum overlap length (bp)")
 	minIdent  = flag.Float64("min-identity", 0.90, "minimum overlap identity")

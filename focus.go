@@ -54,9 +54,9 @@ type TrimStats = assembly.TrimStats
 // Config bundles the per-stage configurations.
 type Config struct {
 	Preprocess preprocess.Config
-	// Subsets is the number of read subsets for parallel alignment
-	// (paper §II.A-B). It sets the parallelism only: the overlap records,
-	// and so the contigs, are the same at any count.
+	// Subsets is the number of read subsets the alignment is cut into
+	// (paper §II.A-B), each indexed once. The overlap records, and so the
+	// contigs, are the same at any count.
 	Subsets  int
 	Overlap  overlap.Config
 	Coarsen  coarsen.Options

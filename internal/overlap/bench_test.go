@@ -61,8 +61,8 @@ func BenchmarkFindOverlaps(b *testing.B) {
 // BenchmarkFindOverlapsPaired is BenchmarkFindOverlaps on the shape of
 // the pipeline's input, preprocessing with AddReverse: 1,500 tiling
 // reads, each followed by its reverse complement, at S = 4, so the stage
-// builds strand-canonical indexes, derives strand mirrors and, below four
-// workers, rebuilds a worker's index arena for its second job.
+// builds strand-canonical indexes, one per reference subset in the
+// stage's one arena, and derives strand mirrors.
 func BenchmarkFindOverlapsPaired(b *testing.B) {
 	var reads []dna.Read
 	for _, r := range benchReads(b, 1500) {
@@ -86,7 +86,7 @@ func kmerTable(paired bool) func(seqs [][]byte, k int) refIndex {
 			panic(err)
 		}
 		ix := new(kmerIndex)
-		buildKmerIndex(ix, seqs, k, n, paired, repeatKeys(seqs, k, paired, DefaultConfig().MaxOccur, 0))
+		buildKmerIndex(ix, seqs, k, n, paired, repeatKeys(seqs, k, paired, DefaultConfig().MaxOccur, 0), 1)
 		return ix
 	}
 }

@@ -16,8 +16,9 @@ import (
 // and the configuration alone. On the D1–D3 analogues, strand-paired as
 // the pipeline feeds them, the records are SHA-identical at 1, 2, 3, 4, 7
 // and 16 subsets on the mirror path at local widths 1, 2, 4 and 8 (with
-// GOMAXPROCS raised so that refJobs splits the references' query runs)
-// and on the all-queries core.
+// GOMAXPROCS raised so that each width is honoured: every index is built
+// in that many chunks, and each reference's queries are cut into four
+// chunks per worker) and on the all-queries core.
 func TestOverlapSubsetInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cfg := testConfig()

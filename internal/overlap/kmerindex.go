@@ -126,10 +126,10 @@ func revComp(km uint64, k int) uint64 {
 // strand (probe.hit). Any other subset is indexed in full, every
 // occurrence its own entry (eachKey).
 //
-// An overlap worker's index is an arena (scratch.index): each job
-// rebuilds it in place over the job's reference subset (buildKmerIndex),
-// in the storage the plan sized for its largest subset (reserve), and it
-// is read-only while that job's queries run.
+// The overlap stage's index is one arena: each reference phase rebuilds it
+// in place over the phase's reference subset (buildKmerIndex), in the
+// storage the plan sized for its largest subset (reserve), and it is
+// read-only, shared by every worker, while that phase's queries run.
 type kmerIndex struct {
 	k    int
 	ents []kentry
@@ -142,8 +142,10 @@ type kmerIndex struct {
 	// canon marks a strand-canonical index; last is its pairLast.
 	canon bool
 	last  []int32
-	// dirty marks the buckets a masked key falls in; only the build reads it.
+	// Build-only storage: dirty marks the buckets a masked key falls in;
+	// slots[c] is chunk c's bucket table (slots[0] is dir's).
 	dirty []uint64
+	slots [][]uint32
 }
 
 // indexSize is the storage of one subset's index: its entries' capacity,
@@ -174,14 +176,18 @@ func sizeIndex(kmers, n, k int, paired bool) indexSize {
 // palindromic 16-mer in 65,536.
 const palindromeRoom = 6
 
-// reserve gives the arena room for an index of up to sz, so that no
-// rebuild within it allocates.
-func (ix *kmerIndex) reserve(sz indexSize) {
+// reserve gives the arena room for an index of up to sz built in up to
+// `chunks` chunks, so that no rebuild within it allocates.
+func (ix *kmerIndex) reserve(sz indexSize, chunks int) {
 	nb := 1 << sz.dirBits
 	ix.ents = make([]kentry, 0, sz.ents)
 	ix.dir = make([]uint32, 0, nb+1)
 	ix.last = make([]int32, 0, sz.pairs)
 	ix.dirty = make([]uint64, 0, (nb+63)/64)
+	ix.slots = make([][]uint32, max(chunks, 1))
+	for c := 1; c < chunks; c++ {
+		ix.slots[c] = make([]uint32, 0, nb)
+	}
 }
 
 // bucket is key's directory bucket: the top bits of key·φ⁻¹·2⁶⁴
@@ -223,19 +229,21 @@ func indexKmers(seqs [][]byte, k int) (int, error) {
 }
 
 // eachKey calls add with batches of entries: the index key and posting of
-// every k-mer occurrence of seqs, in (read, off) order, each k-mer its own
-// key. A strand-canonical enumeration (canon, seqs strand-paired) takes
-// the even reads only and at (2i, o) the canonical one of the k-mer f and
-// rc(f) at (2i+1, |B|−K−o) — both, for a palindrome: a key still comes up
-// once per occurrence of its k-mer.
-func eachKey(seqs [][]byte, k int, canon bool, add func([]kentry)) {
+// every k-mer occurrence of part p of `parts` contiguous runs of seqs'
+// strand pairs (reads, in a full enumeration), in (read, off) order, each
+// k-mer its own key. A strand-canonical enumeration (canon, seqs
+// strand-paired) takes the even reads only and at (2i, o) the canonical
+// one of the k-mer f and rc(f) at (2i+1, |B|−K−o) — both, for a
+// palindrome: a key still comes up once per occurrence of its k-mer.
+func eachKey(seqs [][]byte, k int, canon bool, p, parts int, add func([]kentry)) {
 	mask, top := uint64(1)<<(2*k)-1, 2*uint(k-1) // k = 32: every bit
 	batch := make([]kentry, 0, 256)
 	step := 1
 	if canon {
 		step = 2
 	}
-	for r := 0; r < len(seqs); r += step {
+	lo, hi := par.Split(len(seqs)/step, parts, p)
+	for r := step * lo; r < step*hi; r += step {
 		last := int32(len(seqs[r]) - k)
 		var f, rc uint64 // the last k bases and their reverse complement
 		valid := 0
@@ -272,13 +280,18 @@ func eachKey(seqs [][]byte, k int, canon bool, add func([]kentry)) {
 	add(batch)
 }
 
+// repeatGrain is the strand pairs a part of repeatKeys' passes is worth:
+// each part allocates a bucket table.
+const repeatGrain = 2048
+
 // repeatKeys returns, ascending, the keys (eachKey's) whose k-mers occur
 // more than maxOccur times in seqs, the whole read set: the repeat mask
 // every index of the stage is built without; maxOccur <= 0 masks nothing.
-// workers requests the passes' width (<= 0: the par governor's). The
-// first pass counts keys into hash buckets (about eight keys a bucket,
-// saturating); only a bucket past maxOccur can hold a masked key, so the
-// second counts just those buckets' keys, in a map per part of the reads.
+// workers requests the passes' width (<= 0: the par governor's), capped
+// at ⌈pairs/repeatGrain⌉ parts (reads, unpaired). The first pass counts
+// keys into hash buckets (about eight keys a bucket, saturating), a table
+// per part; only a bucket past maxOccur can hold a masked key, so the
+// second counts just those buckets' keys, in a map per part.
 func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint64 {
 	if maxOccur <= 0 {
 		return nil
@@ -292,15 +305,12 @@ func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint
 		n += max(len(seqs[r])-k+1, 0)
 	}
 	ix := kmerIndex{k: k, dirShift: uint(64 - min(bits.Len(uint(n)/8), 2*k))}
-	parts := par.Workers(workers, len(seqs)/step, 2048)
-	part := func(p int) [][]byte { // whole strand pairs
-		lo, hi := par.Split(len(seqs)/step, parts, p)
-		return seqs[step*lo : step*hi]
-	}
+	units := len(seqs) / step
+	parts := max(min(par.Workers(workers, units, repeatGrain), (units+repeatGrain-1)/repeatGrain), 1)
 	counts := make([][]uint16, parts)
 	par.Run(parts, parts, func(_, p int) {
 		c := make([]uint16, 1<<(64-ix.dirShift))
-		eachKey(part(p), k, paired, func(es []kentry) {
+		eachKey(seqs, k, paired, p, parts, func(es []kentry) {
 			for _, e := range es {
 				if b := ix.bucket(e.key); c[b] < math.MaxUint16 {
 					c[b]++
@@ -322,7 +332,7 @@ func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint
 	occ := make([]map[uint64]int, parts)
 	par.Run(parts, parts, func(_, p int) {
 		m := map[uint64]int{}
-		eachKey(part(p), k, paired, func(es []kentry) {
+		eachKey(seqs, k, paired, p, parts, func(es []kentry) {
 			for _, e := range es {
 				if b := ix.bucket(e.key); heavy[b/64]&(1<<(b%64)) != 0 {
 					m[e.key]++
@@ -356,12 +366,17 @@ func repeatKeys(seqs [][]byte, k int, paired bool, maxOccur, workers int) []uint
 // sorted. paired builds the strand-canonical index, and requires a
 // strand-paired subset. The keys of masked, ascending (repeatKeys), never
 // enter.
-func buildKmerIndex(ix *kmerIndex, seqs [][]byte, k, kmers int, paired bool, masked []uint64) {
+//
+// Both scans run in `chunks` contiguous runs of the subset's strand pairs
+// (reads, in a full index) on up to as many goroutines: chunk c counts
+// into its own table (slots[c]; chunk 0's is dir), and a prefix over
+// (bucket, chunk) has the scatter fill each bucket chunk by chunk, in the
+// order of one serial scan: the index is the same at any chunk count.
+func buildKmerIndex(ix *kmerIndex, seqs [][]byte, k, kmers int, paired bool, masked []uint64, chunks int) {
 	sz := sizeIndex(kmers, len(seqs), k, paired)
 	nb := 1 << sz.dirBits
 	ix.k, ix.dirShift, ix.canon = k, uint(64-sz.dirBits), paired
 	ix.dir = slices.Grow(ix.dir[:0], nb+1)[:nb+1]
-	clear(ix.dir)
 	ix.last = slices.Grow(ix.last[:0], sz.pairs)[:sz.pairs]
 	for i := range ix.last {
 		ix.last[i] = int32(len(seqs[2*i]) - k)
@@ -376,17 +391,34 @@ func buildKmerIndex(ix *kmerIndex, seqs [][]byte, k, kmers int, paired bool, mas
 			dirty[b/64] |= 1 << (b % 64)
 		}
 	}
-	ix.scan(seqs, masked, dirty, nil)
+	chunks = max(chunks, 1)
+	for len(ix.slots) < chunks {
+		ix.slots = append(ix.slots, nil)
+	}
+	slots := ix.slots[:chunks]
+	slots[0] = ix.dir
+	for c := range slots {
+		slots[c] = slices.Grow(slots[c][:0], nb)[:nb]
+		clear(slots[c])
+	}
+	pass := func(ents []kentry) {
+		par.Run(par.Limit(chunks), chunks, func(_, c int) {
+			ix.scan(seqs, c, chunks, masked, dirty, slots[c], ents)
+		})
+	}
+	pass(nil)
 	total := uint32(0)
-	for b := range nb { // bucket sizes into bucket starts
-		ix.dir[b], total = total, total+ix.dir[b]
+	for b := range nb { // bucket and chunk sizes into their starts
+		for _, s := range slots {
+			s[b], total = total, total+s[b]
+		}
 	}
 	ix.ents = slices.Grow(ix.ents[:0], int(total))[:total] // the scatter writes every slot
-	ix.scan(seqs, masked, dirty, ix.ents)
-	dir, ents := ix.dir, ix.ents
+	pass(ix.ents)
+	dir, ents, ends := ix.dir, ix.ents, slots[chunks-1] // the last chunk's slots end the buckets
 	lo := uint32(0)
 	for b := range nb {
-		hi := dir[b]
+		hi := ends[b]
 		if hi-lo > sortedBucket {
 			// (key, read, off) order: a full index's scatter order within a key.
 			slices.SortFunc(ents[lo:hi], func(x, y kentry) int {
@@ -404,13 +436,12 @@ func buildKmerIndex(ix *kmerIndex, seqs [][]byte, k, kmers int, paired bool, mas
 	dir[nb] = total
 }
 
-// scan enumerates the index's entries (eachKey, the masked ones skipped)
-// and bumps each one's bucket slot dir[b]: with ents nil that counts the
-// buckets' entries; otherwise the slots hold the buckets' starts, and each
-// entry goes to its bucket's next slot, ending as the next bucket's start.
-func (ix *kmerIndex) scan(seqs [][]byte, masked, dirty []uint64, ents []kentry) {
-	dir := ix.dir
-	eachKey(seqs, ix.k, ix.canon, func(es []kentry) {
+// scan enumerates the entries of chunk c of `chunks` (eachKey, the masked
+// ones skipped) and bumps each one's bucket slot: with ents nil that
+// counts the buckets' entries; otherwise the slots start where the chunk's
+// entries of each bucket do, and each entry goes to its bucket's next one.
+func (ix *kmerIndex) scan(seqs [][]byte, c, chunks int, masked, dirty []uint64, slot []uint32, ents []kentry) {
+	eachKey(seqs, ix.k, ix.canon, c, chunks, func(es []kentry) {
 		for _, e := range es {
 			b := ix.bucket(e.key)
 			if dirty != nil && dirty[b/64]&(1<<(b%64)) != 0 {
@@ -419,9 +450,9 @@ func (ix *kmerIndex) scan(seqs [][]byte, masked, dirty []uint64, ents []kentry) 
 				}
 			}
 			if ents != nil {
-				ents[dir[b]] = e
+				ents[slot[b]] = e
 			}
-			dir[b]++
+			slot[b]++
 		}
 	})
 }

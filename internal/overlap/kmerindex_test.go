@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -191,7 +192,7 @@ func freshIndex(t testing.TB, seqs [][]byte, k int, paired bool, masked []uint64
 		t.Fatal(err)
 	}
 	ix := new(kmerIndex)
-	buildKmerIndex(ix, seqs, k, n, paired, masked)
+	buildKmerIndex(ix, seqs, k, n, paired, masked, 1)
 	return ix
 }
 
@@ -473,7 +474,8 @@ func TestCanonicalIndexMatchesFull(t *testing.T) {
 // checkSubset adds the count−1 / count / count+1 thresholds and a
 // repeated seed. Then the subset's full table is rebuilt in place as its
 // first half's table, in the subset's layout, and back as the whole
-// subset's, each held to a fresh build (checkRebuild).
+// subset's, each held to a fresh build (checkRebuild), the whole subset's
+// built in 1 to 8 chunks (chunks drawn from kb).
 func FuzzSeedIndex(f *testing.F) {
 	f.Add([]byte{}, uint8(15), int8(1), false)
 	f.Add(randGenome(81, 300), uint8(8), int8(0), false)
@@ -505,30 +507,30 @@ func FuzzSeedIndex(f *testing.F) {
 		}
 		checkSubset(t, seqs, k, int(mo), []dna.Kmer{0, polyT(k)}, paired)
 		arena := maskedTable(t, seqs, k, false, int(mo))
-		for _, sub := range [][][]byte{seqs[:len(seqs)/2&^1], seqs} {
-			checkRebuild(t, arena, sub, k, paired, repeatKeys(sub, k, paired, int(mo), 0))
-		}
+		half := seqs[:len(seqs)/2&^1]
+		checkRebuild(t, arena, half, k, paired, repeatKeys(half, k, paired, int(mo), 0), 1)
+		checkRebuild(t, arena, seqs, k, paired, repeatKeys(seqs, k, paired, int(mo), 0), 1+int(kb/4)%8)
 	})
 }
 
 // checkRebuild rebuilds the arena in place as the index of seqs, without
-// the masked keys, and holds it to a fresh build field by field —
-// entries, directory, shift, layout and pair offsets — and to the
-// directory invariants, then resolves one batch, every k-mer of the
-// subset and the smallest and largest keys, to the same keys, flips and
-// ranges on both.
-func checkRebuild(t testing.TB, arena *kmerIndex, seqs [][]byte, k int, paired bool, masked []uint64) {
+// the masked keys, in `chunks` chunks, and holds it to a fresh serial
+// build field by field — entries, directory, shift, layout and pair
+// offsets — and to the directory invariants, then resolves one batch,
+// every k-mer of the subset and the smallest and largest keys, to the
+// same keys, flips and ranges on both.
+func checkRebuild(t testing.TB, arena *kmerIndex, seqs [][]byte, k int, paired bool, masked []uint64, chunks int) {
 	t.Helper()
 	n, err := indexKmers(seqs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildKmerIndex(arena, seqs, k, n, paired, masked)
+	buildKmerIndex(arena, seqs, k, n, paired, masked, chunks)
 	fresh := freshIndex(t, seqs, k, paired, masked)
 	if arena.k != fresh.k || arena.dirShift != fresh.dirShift || arena.canon != fresh.canon ||
 		!slices.Equal(arena.ents, fresh.ents) || !slices.Equal(arena.dir, fresh.dir) || !slices.Equal(arena.last, fresh.last) {
-		t.Fatalf("k=%d paired %v, %d reads, %d masked keys: rebuilt index (%d entries, %d directory slots, shift %d, %d pairs) differs from a fresh build (%d, %d, %d, %d)",
-			k, paired, len(seqs), len(masked), len(arena.ents), len(arena.dir), arena.dirShift, len(arena.last), len(fresh.ents), len(fresh.dir), fresh.dirShift, len(fresh.last))
+		t.Fatalf("k=%d paired %v, %d reads, %d masked keys, %d chunks: rebuilt index (%d entries, %d directory slots, shift %d, %d pairs) differs from a fresh serial build (%d, %d, %d, %d)",
+			k, paired, len(seqs), len(masked), chunks, len(arena.ents), len(arena.dir), arena.dirShift, len(arena.last), len(fresh.ents), len(fresh.dir), fresh.dirShift, len(fresh.last))
 	}
 	checkDirectory(t, arena)
 	ps := []probe{{km: 0}, {km: uint64(polyT(k))}}
@@ -540,7 +542,7 @@ func checkRebuild(t testing.TB, arena *kmerIndex, seqs [][]byte, k int, paired b
 	fresh.resolve(fps)
 	for i := range ps {
 		if ps[i] != fps[i] {
-			t.Fatalf("k=%d paired %v: probe %d resolved to %+v on the rebuilt index, %+v on a fresh one", k, paired, i, ps[i], fps[i])
+			t.Fatalf("k=%d paired %v, %d chunks: probe %d resolved to %+v on the rebuilt index, %+v on a fresh one", k, paired, chunks, i, ps[i], fps[i])
 		}
 	}
 }
@@ -573,19 +575,96 @@ func TestIndexRebuildInPlace(t *testing.T) {
 			{large, false}, {small, false}, {strandPairs(small), true}, {strandPairs(large), true},
 			{nil, false}, {large, false}, {nil, true}, {strandPairs(small), true},
 		} {
-			count := map[uint64]int{}
-			for _, e := range freshIndex(t, sub.seqs, k, sub.paired, nil).ents {
-				count[e.key]++
-			}
-			top := 0
-			for _, c := range count {
-				top = max(top, c)
-			}
+			top := topCount(t, sub.seqs, k, sub.paired)
 			if i < 4 && top < 2 {
 				t.Fatalf("k=%d subset %d: no key occurs twice", k, i)
 			}
 			for _, mo := range []int{top - 1, top, top + 1} {
-				checkRebuild(t, &arena, sub.seqs, k, sub.paired, repeatKeys(sub.seqs, k, sub.paired, mo, 0))
+				checkRebuild(t, &arena, sub.seqs, k, sub.paired, repeatKeys(sub.seqs, k, sub.paired, mo, 0), 1)
+			}
+		}
+	}
+}
+
+// topCount is the occurrences of the most frequent key of seqs' index.
+func topCount(t testing.TB, seqs [][]byte, k int, paired bool) int {
+	count := map[uint64]int{}
+	for _, e := range freshIndex(t, seqs, k, paired, nil).ents {
+		count[e.key]++
+	}
+	top := 0
+	for _, c := range count {
+		top = max(top, c)
+	}
+	return top
+}
+
+// TestIndexBuildWidthInvariant: an index built in 1, 2, 3 and 8 chunks
+// equals the serial build field by field and probe by probe
+// (checkRebuild, one arena throughout), in the full and the
+// strand-canonical layout, at k = 4, 16 and 32: random reads with N among
+// them and a few repeated, their first two (two reads or two strand
+// pairs, so that 3 and 8 chunks leave some chunks without a pair) and an
+// empty subset, each at the repeat masks count−1, count and count+1 of its
+// most frequent key.
+func TestIndexBuildWidthInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	var arena kmerIndex
+	for _, k := range []int{4, 16, dna.MaxK} {
+		var reads [][]byte
+		for len(reads) < 24 {
+			reads = append(reads, randomSubset(rng, k, 24, 0.05)...)
+		}
+		for i := 0; i < 24; i += 4 { // repeated reads: keys past a small mask at every k
+			reads[i] = append(randGenome(int64(i), k+8), 'N')
+			reads[i+1] = reads[i]
+		}
+		for _, seqs := range [][][]byte{reads, reads[:2], nil} {
+			for _, paired := range []bool{false, true} {
+				sub := seqs
+				if paired {
+					sub = strandPairs(seqs)
+				}
+				top := topCount(t, sub, k, paired)
+				if len(seqs) == len(reads) && top < 2 {
+					t.Fatalf("k=%d paired %v: no key occurs twice", k, paired)
+				}
+				for _, mo := range []int{top - 1, top, top + 1} {
+					masked := repeatKeys(sub, k, paired, mo, 0)
+					for _, chunks := range []int{1, 2, 3, 8} {
+						checkRebuild(t, &arena, sub, k, paired, masked, chunks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRepeatKeysWidthInvariant: the repeat mask is the same at 1, 2 and 8
+// workers on a read set past two parts' grain, strand-paired or not, with
+// a repeat spread across the parts. GOMAXPROCS is raised to 8, so that
+// the width is not capped below the parts.
+func TestRepeatKeysWidthInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	var seqs [][]byte
+	for _, r := range tilingReads(randGenome(88, 40*5000+100), 100, 40)[:5000] {
+		seqs = append(seqs, r.Seq)
+	}
+	for i := 0; i < len(seqs); i += 100 { // a repeat spread over every part
+		seqs[i] = seqs[0]
+	}
+	for _, paired := range []bool{false, true} {
+		sub := seqs
+		if paired {
+			sub = strandPairs(seqs)
+		}
+		want := repeatKeys(sub, 16, paired, 20, 1)
+		if len(want) == 0 {
+			t.Fatalf("paired %v: no key masked", paired)
+		}
+		for _, w := range []int{2, 8} {
+			if got := repeatKeys(sub, 16, paired, 20, w); !slices.Equal(got, want) {
+				t.Fatalf("paired %v, %d workers: %d masked keys, %d at one worker", paired, w, len(got), len(want))
 			}
 		}
 	}

@@ -122,7 +122,7 @@ func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
 	t.Helper()
 	job := emitJob(sc, ems)
 	checkPieces(t, job)
-	recs, err := mergeRecords([][]jobRecords{{job}})
+	recs, err := mergeRecords([]jobRecords{job})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func flatJob(t testing.TB, sc *scratch, ems []Record) []Record {
 // alignQueries runs one query subset against a reference index and
 // returns its records as one list.
 func alignQueries(query, ref readSet, ix refIndex, cfg Config, sc *scratch) ([]Record, error) {
-	return mergeRecords([][]jobRecords{{alignQueriesGate(query, ref, ix, cfg, sc, nil)}})
+	return mergeRecords([]jobRecords{alignQueriesGate(query, ref, ix, cfg, sc, nil)})
 }
 
 // checkPieces checks a job's staging against what mergeRecords relies on:
@@ -278,7 +278,7 @@ func TestStagePieces(t *testing.T) {
 			if !slices.Equal(lens, tc.pieces) {
 				t.Fatalf("pieces of %v records, want %v", lens, tc.pieces)
 			}
-			got, err := mergeRecords([][]jobRecords{{job}})
+			got, err := mergeRecords([]jobRecords{job})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,30 +326,43 @@ func TestStageAllocBounded(t *testing.T) {
 
 // TestFindOverlapsAllocBounded: the stage on a strand-paired read set
 // (6,000 tiling reads, each followed by its reverse complement) at S = 4
-// allocates at most min(W, jobs) index arenas of the plan's size, W the
-// stage's width: each worker reserves one at its first job, and every job
-// rebuilds its index in it. The rest of the bound is what the stage
-// allocates besides indexes: TestStageAllocBounded's staging (the records
-// plus two pieces per subset pair), the merged output, the repeat count's
-// bucket table per part (two bytes a bucket, repeatKeys), each worker's
+// allocates one index arena of the plan's size, whatever its width W: the
+// stage reserves it once, every reference phase rebuilds its index in it,
+// and the W workers share it. The build's W−1 further count tables (a
+// directory's buckets each) are the arena's only W-fold part. The rest of
+// the bound is what the stage allocates besides the index: the staging
+// (each query chunk's pieces double from firstPieceLen, so they hold at
+// most twice the chunk's records plus one first piece), the merged
+// output, the repeat count's bucket table per part (two bytes a bucket,
+// one part per 2,048 strand pairs at most: repeatKeys), each worker's
 // candidate table (a candState per reference read), the reads' headers
 // and ids, and 256 KiB for the DP buffers, probes, votes, key batches and
-// job lists. An index allocated per job, four at S = 4, is past it at
-// W <= 2.
+// chunk lists. It is checked at the host's GOMAXPROCS and at 8, where a
+// second arena is past it.
 func TestFindOverlapsAllocBounded(t *testing.T) {
 	var reads []dna.Read
 	for _, r := range tilingReads(randGenome(1234, 40*6000+100), 100, 40)[:6000] {
 		reads = append(reads, r, dna.Read{ID: r.ID, Seq: dna.ReverseComplement(r.Seq)})
 	}
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			checkStageAlloc(t, reads, procs)
+		}()
+	}
+}
+
+// checkStageAlloc is TestFindOverlapsAllocBounded at one GOMAXPROCS.
+func checkStageAlloc(t *testing.T, reads []dna.Read, procs int) {
+	t.Helper()
 	const subsets = 4
 	cfg := testConfig()
-	w := par.Workers(0, subsets*(subsets+1)/2, 1) // findOverlaps' width
-	jobs := len(refJobs(subsets, w))
+	w := par.Workers(0, len(reads), 1) // findOverlaps' width
 	p, err := newPlan(reads, subsets, cfg, true, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.subs[0].paired {
+	if !p.reads.paired {
 		t.Fatal("the read set is not strand-paired")
 	}
 	var before, after runtime.MemStats
@@ -362,20 +375,25 @@ func TestFindOverlapsAllocBounded(t *testing.T) {
 	}
 	nb := 1 << p.arena.dirBits
 	arena := p.arena.ents*int(unsafe.Sizeof(kentry{})) + (nb+1)*4 + p.arena.pairs*4 + (nb+63)/64*8
+	counts := (w - 1) * nb * 4
 	size := int(unsafe.Sizeof(Record{}))
-	staging := (len(recs) + 2*defaultPieceLen*subsets*(subsets+1)/2) * size
-	kmers, largest := 0, 0
-	for s, sub := range p.subs {
-		kmers, largest = kmers+p.kmers[s], max(largest, len(sub.seqs))
+	chunks, kmers, largest := 0, 0, 0
+	for r := range subsets {
+		chunks += min(chunksPerWorker*w, int(p.bounds[r+1])/2)
+		kmers, largest = kmers+p.kmers[r], max(largest, len(p.sub(r).seqs))
 	}
+	staging := (2*len(recs) + chunks*firstPieceLen) * size
 	countTable := 2 << min(bits.Len(uint(kmers/2)/8), 2*cfg.K)
-	parts := par.Workers(w, len(reads)/2, 2048)
+	parts := min(w, (len(reads)/2+repeatGrain-1)/repeatGrain)
+	if procs == 8 && parts != 3 {
+		t.Fatalf("GOMAXPROCS 8: %d repeat count tables for %d strand pairs, want 3", parts, len(reads)/2)
+	}
 	rest := parts*countTable + w*largest*int(unsafe.Sizeof(candState{})) + len(reads)*(int(unsafe.Sizeof([]byte(nil)))+4) + 256<<10
-	bound := min(w, jobs)*arena + staging + len(recs)*size + rest
+	bound := arena + counts + staging + len(recs)*size + rest
 	got := int(after.TotalAlloc - before.TotalAlloc)
-	t.Logf("W=%d, %d jobs, %d records: %d bytes allocated; bound %d (%d arenas of %d, staging %d, output %d, the rest %d)", w, jobs, len(recs), got, bound, min(w, jobs), arena, staging, len(recs)*size, rest)
+	t.Logf("GOMAXPROCS %d, W=%d, %d chunks, %d records: %d bytes allocated; bound %d (an arena of %d, count tables %d, staging %d, output %d, the rest %d)", procs, w, chunks, len(recs), got, bound, arena, counts, staging, len(recs)*size, rest)
 	if got > bound {
-		t.Fatalf("the stage allocated %d bytes, bound %d: more than %d index arenas (of %d bytes) at W=%d over %d jobs", got, bound, min(w, jobs), arena, w, jobs)
+		t.Fatalf("GOMAXPROCS %d: the stage allocated %d bytes, bound %d: more than one index arena (of %d bytes) at W=%d", procs, got, bound, arena, w)
 	}
 }
 
@@ -414,20 +432,20 @@ func randomJobLists(rng *rand.Rand, numReads, subsets int) [][][]Record {
 	return raw
 }
 
-// TestMergeRecordsMatchesMapOracle: the linear interleave of per-job lists
-// sorted and deduplicated (the order TestSortRecordsMatchesOracle pins the
-// emission to) equals the map-and-sort merge of the raw lists.
+// TestMergeRecordsMatchesMapOracle: the linear interleave of the
+// references' lists — each subset pair's list sorted and deduplicated (the
+// order TestSortRecordsMatchesOracle pins the emission to), a reference's
+// in query order — equals the map-and-sort merge of the raw lists.
 func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 2000; trial++ {
 		subsets := 1 + rng.Intn(5)
 		numReads := rng.Intn(12)
 		raw := randomJobLists(rng, numReads, subsets)
-		lists := make([][]jobRecords, subsets)
+		lists := make([]jobRecords, subsets) // reference r: its pairs' lists in q order
 		for q := range raw {
-			lists[q] = make([]jobRecords, subsets)
 			for r := range raw[q] {
-				lists[q][r] = jobRecords{sortDedupe(slices.Clone(raw[q][r]))}
+				lists[r] = append(lists[r], sortDedupe(slices.Clone(raw[q][r])))
 			}
 		}
 		got, err := mergeRecords(lists)
@@ -442,14 +460,14 @@ func TestMergeRecordsMatchesMapOracle(t *testing.T) {
 
 // TestMergeRecordsRejectsUnsortedList: a list that is not sorted and
 // deduplicated (what a worker built before the per-job sort returns) is
-// an error naming the job, never a silently mis-merged result.
+// an error naming the reference, never a silently mis-merged result.
 func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 	rec := func(a, b int32) Record {
 		return Record{A: a, B: b, Kind: align.KindSuffixPrefix, Len: 60, Identity: 0.95}
 	}
-	one := func(recs ...Record) jobRecords { return jobRecords{recs} }
-	// Reads 0..3 in two subsets: pairs (0,0) (0,1) and (1,1).
-	good := [][]jobRecords{{one(rec(0, 1)), one(rec(0, 2), rec(0, 3), rec(1, 2))}, {nil, one(rec(2, 3))}}
+	// Reads 0..3 in two subsets: reference 0 holds the pair (0,1), and
+	// reference 1 (0,2) (0,3) (1,2) and (2,3), in two chunks.
+	good := []jobRecords{{{rec(0, 1)}}, {{rec(0, 2), rec(0, 3), rec(1, 2)}, {rec(2, 3)}}}
 	if got, err := mergeRecords(good); err != nil || len(got) != 5 {
 		t.Fatalf("sorted lists: %d records, err %v", len(got), err)
 	}
@@ -457,11 +475,11 @@ func TestMergeRecordsRejectsUnsortedList(t *testing.T) {
 		"unsorted":     {rec(0, 3), rec(0, 2), rec(1, 2)},
 		"unsorted A":   {rec(1, 2), rec(0, 2), rec(0, 3)},
 		"not deduped":  {rec(0, 2), rec(0, 2), rec(1, 2)},
-		"foreign pair": {rec(0, 1), rec(0, 2)}, // (0,1) belongs to job (0,0)
+		"foreign pair": {rec(0, 1), rec(0, 2)}, // (0,1) belongs to reference 0
 	} {
-		_, err := mergeRecords([][]jobRecords{{good[0][0], one(bad...)}, good[1]})
-		if err == nil || !strings.Contains(err.Error(), "overlap: job (0,1): records out of order") {
-			t.Errorf("%s: err = %v, want the job (0,1) order error", name, err)
+		_, err := mergeRecords([]jobRecords{good[0], {bad, good[1][1]}})
+		if err == nil || !strings.Contains(err.Error(), "overlap: reference 1: records out of order") {
+			t.Errorf("%s: err = %v, want the reference 1 order error", name, err)
 		}
 	}
 }
@@ -596,47 +614,52 @@ func recordDigest(recs []Record) string {
 }
 
 // FuzzJobRecords feeds loop-order emissions drawn from data through the
-// production staging of the three jobs of two subsets of size reads each
-// (stage, endRun, takeJob on one scratch, pieces of one to eight records
-// or the default), then the jobs' pieces through mergeRecords, which must
-// equal mergeRecordsOracle on the emissions. An emission takes three bytes: its job
-// (mod 3) and whether its query advances (bit 2), its reference read (mod
-// size), and its Kind, length, identity and diagonal. An emission of a
-// reference read at or before its query, or a second one of a pair, is
-// dropped, as the loop makes none.
+// production staging of the three query chunks of two subsets of size
+// reads each (stage, endRun, takeJob on one scratch, pieces of one to
+// eight records or the default) — subset 0's queries against reference 0,
+// and the queries [0, h) and [h, 2·size) against reference 1, h drawn
+// from piece (size at the seeds, another cut across the subsets or at
+// their ends otherwise) — then the references' lists, each its chunks'
+// pieces in id order, through mergeRecords, which must equal
+// mergeRecordsOracle on the emissions. An emission takes three bytes: its
+// chunk (mod 3) and whether its query advances (bit 2), its reference read
+// (mod size), and its Kind, length, identity and diagonal. An emission of
+// a reference read at or before its query, or a second one of a pair, or
+// in an empty chunk, is dropped, as the loop makes none.
 func FuzzJobRecords(f *testing.F) {
 	f.Add(uint8(4), uint8(0), []byte{})
-	// Job (0,0) on pieces of two: read 0's run of three, longer than a
+	// Chunk 0 on pieces of two: read 0's run of three, longer than a
 	// piece; read 1's, which moves to a piece of its own; read 2's and
 	// read 3's, and one of read 3 against read 1, dropped.
 	f.Add(uint8(4), uint8(2), []byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 6, 2, 0, 0, 3, 0, 0, 4, 0, 6, 4, 0, 6, 4, 0x09, 0, 1, 0x0b})
-	// Job (0,1): read 0's run of nine, out of order, on pieces of three.
+	// Chunk 1: read 0's run of nine, out of order, on pieces of three.
 	f.Add(uint8(9), uint8(3), []byte{1, 5, 0, 1, 2, 1, 1, 8, 2, 1, 0, 3, 1, 7, 0, 1, 3, 1, 1, 6, 2, 1, 1, 3, 1, 4, 0})
-	// Every job; in job (1,1) the pair (8, 9) from read 8, and again from
+	// Every chunk; in chunk 2 the pair (8, 9) from read 8, and again from
 	// read 9, dropped.
 	f.Add(uint8(6), uint8(1), []byte{0, 3, 0x21, 4, 2, 0, 5, 2, 0x20, 5, 1, 0x11})
 	f.Fuzz(func(t *testing.T, size, piece uint8, data []byte) {
 		n := 1 + int32(size%12)
-		jobs := []refJob{{0, 1, 0}, {0, 1, 1}, {1, 2, 1}} // the pairs (0,0) (0,1) (1,1)
-		ems := make([][]Record, len(jobs))
-		query := make([]int32, len(jobs))
-		for j, job := range jobs {
-			query[j] = int32(job.q0) * n
+		h := (n + int32(piece/9)) % (2*n + 1)
+		chunks := []struct{ lo, hi, r int32 }{{0, n, 0}, {0, h, 1}, {h, 2 * n, 1}}
+		ems := make([][]Record, len(chunks))
+		query := make([]int32, len(chunks))
+		for c, ch := range chunks {
+			query[c] = ch.lo
 		}
 		seen := map[[2]int32]bool{}
 		for ; len(data) >= 3; data = data[3:] {
-			j := int(data[0]) % len(jobs)
-			job := jobs[j]
-			if data[0]&4 != 0 && query[j] < int32(job.q1)*n-1 {
-				query[j]++
+			c := int(data[0]) % len(chunks)
+			ch := chunks[c]
+			if data[0]&4 != 0 && query[c] < ch.hi-1 {
+				query[c]++
 			}
-			a, b := query[j], int32(job.r)*n+int32(data[1])%n
-			if b <= a || seen[[2]int32{a, b}] {
+			a, b := query[c], ch.r*n+int32(data[1])%n
+			if a >= ch.hi || b <= a || seen[[2]int32{a, b}] {
 				continue
 			}
 			seen[[2]int32{a, b}] = true
 			x := data[2]
-			ems[j] = append(ems[j], Record{
+			ems[c] = append(ems[c], Record{
 				A: a, B: b,
 				Kind:     align.Kind(1 + x&3),
 				Len:      int32(50 + x>>2&1),
@@ -646,17 +669,18 @@ func FuzzJobRecords(f *testing.F) {
 		}
 		want := mergeRecordsOracle([][]Record{slices.Concat(ems...)})
 		sc := &scratch{pieceLen: int(piece % 9)}
-		lists := [][]jobRecords{make([]jobRecords, 2), make([]jobRecords, 2)}
-		for j, job := range jobs {
-			lists[job.q0][job.r] = emitJob(sc, ems[j])
-			checkPieces(t, lists[job.q0][job.r])
+		lists := make([]jobRecords, 2)
+		for c, ch := range chunks {
+			staged := emitJob(sc, ems[c])
+			checkPieces(t, staged)
+			lists[ch.r] = append(lists[ch.r], staged...)
 		}
 		got, err := mergeRecords(lists)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("pieces of %d:\n got %+v\nwant %+v\n raw %+v", sc.pieceLen, got, want, ems)
+			t.Fatalf("pieces of %d, cut at %d:\n got %+v\nwant %+v\n raw %+v", sc.pieceLen, h, got, want, ems)
 		}
 	})
 }

@@ -199,8 +199,13 @@ func TestSplitSubsetsPairBoundaries(t *testing.T) {
 	}
 }
 
-// splitSubsets is splitSeqs over the reads' sequences.
+// splitSubsets is splitSeqs over the reads' sequences, cut into its
+// subsets.
 func splitSubsets(reads []dna.Read, subsets int) []readSet {
-	subs, _ := splitSeqs(readSeqs(reads), subsets)
+	all, bounds := splitSeqs(readSeqs(reads), subsets)
+	subs := make([]readSet, subsets)
+	for s := range subs {
+		subs[s] = all.span(int(bounds[s]), int(bounds[s+1]))
+	}
 	return subs
 }

@@ -5,15 +5,14 @@
 // aligned with banded Needleman–Wunsch, and accepted overlaps are recorded
 // as the edge list of the overlap graph G0.
 //
-// The hot path allocates nothing in steady state but the pieces a job's
-// records are staged in, which its output keeps: each worker owns a
-// scratch (reference-index arena, candidate table, diagonal votes,
-// alignment DP buffers) reused across every query of every job it
-// processes. Each job rebuilds its reference index in place in the
-// worker's arena, which the plan sizes once for the largest subset, so a
-// stage holds at most one index per worker and no job allocates one. See
-// DESIGN.md ("Seed index & scratch reuse") for the layout and the
-// ownership rules.
+// The stage runs one reference subset at a time: its index is built once,
+// by every worker, into the stage's one arena, which the plan sizes for the
+// largest subset, and every worker then queries it, read-only, with its
+// chunks of the queries. The hot path allocates nothing in steady state
+// but the pieces the records are staged in, which the output keeps: each
+// worker owns a scratch (candidate table, diagonal votes, alignment DP
+// buffers) reused across every query it runs. See DESIGN.md ("Seed index &
+// scratch reuse") for the layout and the ownership rules.
 package overlap
 
 import (
@@ -63,13 +62,9 @@ func DefaultConfig() Config {
 
 // scratch is the reusable per-worker state of the alignment inner loop.
 // One scratch is owned by exactly one goroutine at a time; reusing it
-// across jobs keeps the steady-state loop free of heap allocations.
+// across chunks keeps the steady-state loop free of heap allocations.
 type scratch struct {
 	align align.Scratch // DP score/trace buffers for banded NW
-
-	// The current job's reference index, rebuilt in place for each job
-	// (buildKmerIndex) and read-only while its queries run.
-	index kmerIndex
 
 	// Candidate accumulation, keyed by subset-local read index. gen is a
 	// generation counter bumped per query so the table is "cleared" in
@@ -80,8 +75,8 @@ type scratch struct {
 
 	probes []probe // the current query's seed batch
 
-	// Per-job record staging (stage): the job's records in (A, B, Kind)
-	// order, in pieces that are handed to the job's output as they are,
+	// Per-chunk record staging (stage): the chunk's records in (A, B, Kind)
+	// order, in pieces that are handed to the output as they are,
 	// never grown or copied out; a query's run never straddles two pieces,
 	// and open is where the current query's run starts in the last one.
 	// spare holds empty pieces for reuse: the ones a run that filled a
@@ -148,8 +143,8 @@ func (sc *scratch) nextQuery() {
 	sc.touched = sc.touched[:0]
 }
 
-// FindOverlaps detects all pairwise overlaps in reads, running the
-// stage's reference jobs in parallel. Records are canonical (A < B) and
+// FindOverlaps detects all pairwise overlaps in reads, running each
+// reference subset's queries in parallel. Records are canonical (A < B) and
 // returned sorted by (A, B, Kind), one per read pair at most: each pair is
 // attempted once, from its lower id. The subset count only sets the
 // parallelism: the records are the same at any count.
@@ -184,15 +179,20 @@ func CountCandidates(reads []dna.Read, subsets int, cfg Config) (int64, error) {
 	return n, err
 }
 
-// readSet is one side of a job: the reads' global ids, one ascending run
-// of consecutive ids, and their sequences. paired marks a strand-paired
-// run: it starts on an even id, has even length, and each odd read is the
+// readSet is a run of reads: their global ids, one ascending run of
+// consecutive ids, and their sequences. paired marks a strand-paired run:
+// it starts on an even id, has even length, and each odd read is the
 // reverse complement of the read before it, so read id^1 is always id's
 // other strand and sits at local index i^1.
 type readSet struct {
 	ids    []int32
 	seqs   [][]byte
 	paired bool
+}
+
+// span is the reads [lo, hi) of the run.
+func (rs readSet) span(lo, hi int) readSet {
+	return readSet{rs.ids[lo:hi:hi], rs.seqs[lo:hi:hi], rs.paired}
 }
 
 // strandPaired reports whether seqs is made of (read, reverse complement)
@@ -218,12 +218,12 @@ func readSeqs(reads []dna.Read) [][]byte {
 	return seqs
 }
 
-// splitSeqs assigns the reads to contiguous subsets and returns them with
-// their bounds: subset s of S starts at read s·n/S, except that a
+// splitSeqs returns the reads as one run, and the bounds of their
+// contiguous subsets: subset s of S starts at read s·n/S, except that a
 // strand-paired read set is split on pair boundaries, 2·⌊s·(n/2)/S⌋, so
-// that a read and its reverse complement share every job and every subset
-// is paired.
-func splitSeqs(seqs [][]byte, subsets int) ([]readSet, []int32) {
+// that a read and its reverse complement share every subset and every
+// query chunk, and every subset is paired.
+func splitSeqs(seqs [][]byte, subsets int) (readSet, []int32) {
 	paired := strandPaired(seqs)
 	bounds := make([]int32, subsets+1)
 	for i := 0; i <= subsets; i++ {
@@ -233,29 +233,27 @@ func splitSeqs(seqs [][]byte, subsets int) ([]readSet, []int32) {
 			bounds[i] = int32(i * len(seqs) / subsets)
 		}
 	}
-	subs := make([]readSet, subsets)
-	for s := range subs {
-		lo, hi := int(bounds[s]), int(bounds[s+1])
-		ids := make([]int32, hi-lo)
-		for i := range ids {
-			ids[i] = int32(lo + i)
-		}
-		subs[s] = readSet{ids, seqs[lo:hi:hi], paired}
+	ids := make([]int32, len(seqs))
+	for i := range ids {
+		ids[i] = int32(i)
 	}
-	return subs, bounds
+	return readSet{ids, seqs, paired}, bounds
 }
 
-// plan is the overlap stage of one read set, whose refJobs runLocal runs:
-// the subsets, their id bounds and k-mer bounds, the read set's repeat
-// mask and the storage of a worker's index arena.
+// plan is the overlap stage of one read set, which run runs: the reads,
+// their subsets' id bounds and k-mer bounds, the read set's repeat mask
+// and the storage of the stage's index arena.
 type plan struct {
 	cfg    Config
-	subs   []readSet
+	reads  readSet
 	bounds []int32 // subset s holds the ids [bounds[s], bounds[s+1])
 	kmers  []int   // subset s has at most kmers[s] k-mers (indexKmers)
 	masked []uint64
 	arena  indexSize // holds the index of any subset
 }
+
+// sub is subset s.
+func (p *plan) sub(s int) readSet { return p.reads.span(int(p.bounds[s]), int(p.bounds[s+1])) }
 
 // newPlan validates cfg, splits the reads, refuses a subset no index can
 // hold, sizes the index arena for the largest subset and counts the
@@ -266,97 +264,75 @@ func newPlan(reads []dna.Read, subsets int, cfg Config, mirror bool, workers int
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	seqs := readSeqs(reads)
-	subs, bounds := splitSeqs(seqs, subsets)
-	kmers := make([]int, subsets)
-	var arena indexSize
-	for s := range subs {
-		n, err := indexKmers(subs[s].seqs, cfg.K)
+	p := &plan{cfg: cfg, kmers: make([]int, subsets)}
+	p.reads, p.bounds = splitSeqs(readSeqs(reads), subsets)
+	p.reads.paired = p.reads.paired && mirror
+	for s := range subsets {
+		sub := p.sub(s)
+		n, err := indexKmers(sub.seqs, cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		subs[s].paired = subs[s].paired && mirror
-		kmers[s] = n
-		sz := sizeIndex(n, len(subs[s].seqs), cfg.K, subs[s].paired)
-		arena = indexSize{max(arena.ents, sz.ents), max(arena.dirBits, sz.dirBits), max(arena.pairs, sz.pairs)}
+		p.kmers[s] = n
+		sz := sizeIndex(n, len(sub.seqs), cfg.K, sub.paired)
+		p.arena = indexSize{max(p.arena.ents, sz.ents), max(p.arena.dirBits, sz.dirBits), max(p.arena.pairs, sz.pairs)}
 	}
-	masked := repeatKeys(seqs, cfg.K, subs[0].paired, cfg.MaxOccur, workers)
-	return &plan{cfg, subs, bounds, kmers, masked, arena}, nil
+	p.masked = repeatKeys(p.reads.seqs, cfg.K, p.reads.paired, cfg.MaxOccur, workers)
+	return p, nil
 }
 
-// pairLists returns mergeRecords' room: lists[q][r] for each pair q <= r.
-func (p *plan) pairLists() [][]jobRecords {
-	lists := make([][]jobRecords, len(p.subs))
-	for q := range lists {
-		lists[q] = make([]jobRecords, len(p.subs))
-	}
-	return lists
-}
+// chunksPerWorker is the query chunks of a reference per worker: a worker
+// whose chunk ran long does not hold up the others.
+const chunksPerWorker = 4
 
-// refJob is one job of the stage: the query subsets q0..q1-1 against the
-// index of subset r (q1-1 <= r).
-type refJob struct{ q0, q1, r int }
-
-func (j refJob) units() int { return j.q1 - j.q0 }
-
-// refJobs cuts the S(S+1)/2 subset pairs into jobs for `workers`
-// goroutines: one per reference subset, then, while the largest holds more
-// than ⌈S(S+1)/2 ÷ workers⌉ pairs, that job's query run split in two. Jobs
-// come largest first, the order they are taken in. A split only adds an
-// index build: never more builds than pairs.
-func refJobs(subsets, workers int) []refJob {
-	jobs := make([]refJob, subsets)
-	for r := range jobs {
-		jobs[r] = refJob{0, r + 1, r}
-	}
-	limit := (subsets*(subsets+1)/2 + workers - 1) / workers
-	for {
-		slices.SortFunc(jobs, func(x, y refJob) int {
-			return cmp.Or(cmp.Compare(y.units(), x.units()), cmp.Compare(y.r, x.r), cmp.Compare(x.q0, y.q0))
-		})
-		j := jobs[0]
-		if j.units() <= limit {
-			return jobs
-		}
-		mid := j.q0 + j.units()/2
-		jobs[0] = refJob{j.q0, mid, j.r}
-		jobs = append(jobs, refJob{mid, j.q1, j.r})
-	}
-}
-
-// findOverlaps runs the plan's refJobs on at most `workers` goroutines (<=
-// 0: the par governor's count; the records are the same at any width).
-// countOnly returns only the candidate total, verifying nothing.
+// findOverlaps runs the plan on at most `workers` goroutines (<= 0: the
+// par governor's count; the records are the same at any width). countOnly
+// returns only the candidate total, verifying nothing.
 func findOverlaps(ctx context.Context, reads []dna.Read, subsets int, cfg Config, workers int, countOnly, mirror bool) ([]Record, int64, error) {
-	// Each job indexes/scans a whole subset — heavy enough that any
-	// second subset pair justifies a second worker (grain 1).
-	workers = par.Workers(workers, subsets*(subsets+1)/2, 1)
+	workers = par.Workers(workers, len(reads), 1)
 	p, err := newPlan(reads, subsets, cfg, mirror, workers)
 	if err != nil {
 		return nil, 0, err
 	}
-	return p.runLocal(ctx, refJobs(subsets, workers), workers, countOnly)
+	return p.run(ctx, workers, countOnly)
 }
 
-// runLocal runs the jobs on `workers` goroutines, each with one scratch,
-// whose index arena it reserves at its first job. This is where §II.B's
-// "each pair of read subsets can be sent to a different processor"
-// happens: a job is a run of subset pairs, and the goroutines are the
-// processors.
-func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOnly bool) ([]Record, int64, error) {
+// run runs the stage on `workers` goroutines, one reference subset r at a
+// time. First the workers build r's index into the stage's one arena,
+// reserved once at the plan's size; then the queries [0, bounds[r+1]),
+// every read up to r's last, are cut into pair-aligned chunks that the
+// workers take in turn, each with its own scratch, against the shared
+// index. This is where §II.B's "each pair of read subsets can be sent to a
+// different processor" happens: a subset pair's queries are spread over
+// the goroutines, the processors, and its reference is indexed once.
+func (p *plan) run(ctx context.Context, workers int, countOnly bool) ([]Record, int64, error) {
 	gate := par.GateFor(ctx)
-	lists := p.pairLists()
+	var ix kmerIndex
+	ix.reserve(p.arena, workers)
 	scs := make([]*scratch, workers) // worker-owned; never shared
-	par.Run(workers, len(jobs), func(w, t int) {
+	lists := make([]jobRecords, len(p.kmers))
+	unit := 1
+	if p.reads.paired {
+		unit = 2 // an even query answers for its odd mirror
+	}
+	for r := range lists {
 		if gate.Stopped() {
-			return
+			break
 		}
-		if scs[w] == nil {
-			scs[w] = &scratch{countOnly: countOnly}
-			scs[w].index.reserve(p.arena)
-		}
-		p.alignJob(jobs[t], scs[w], gate, lists)
-	})
+		ref := p.sub(r)
+		buildKmerIndex(&ix, ref.seqs, p.cfg.K, p.kmers[r], ref.paired, p.masked, workers)
+		n := int(p.bounds[r+1]) / unit
+		chunks := min(chunksPerWorker*workers, n)
+		out := make([]jobRecords, chunks)
+		par.Run(workers, chunks, func(w, c int) {
+			if scs[w] == nil {
+				scs[w] = &scratch{countOnly: countOnly}
+			}
+			lo, hi := par.Split(n, chunks, c)
+			out[c] = alignQueriesGate(p.reads.span(unit*lo, unit*hi), ref, &ix, p.cfg, scs[w], gate)
+		})
+		lists[r] = slices.Concat(out...)
+	}
 	if gate.Stopped() {
 		return nil, 0, gate.Err()
 	}
@@ -368,17 +344,6 @@ func (p *plan) runLocal(ctx context.Context, jobs []refJob, workers int, countOn
 	}
 	recs, err := mergeRecords(lists)
 	return recs, candTotal, err
-}
-
-// alignJob is one job's body: it rebuilds the worker's index arena over
-// the reference subset, without the masked keys, and stages each query
-// subset's records into its pair's list.
-func (p *plan) alignJob(j refJob, sc *scratch, gate *par.Gate, lists [][]jobRecords) {
-	ref := p.subs[j.r]
-	buildKmerIndex(&sc.index, ref.seqs, p.cfg.K, p.kmers[j.r], ref.paired, p.masked)
-	for q := j.q0; q < j.q1; q++ {
-		lists[q][j.r] = alignQueriesGate(p.subs[q], ref, &sc.index, p.cfg, sc, gate)
-	}
 }
 
 // maxScore bounds |Match|, |Mismatch| and |Gap|: far past any useful
@@ -402,17 +367,19 @@ func validate(cfg Config, subsets int) error {
 	return nil
 }
 
-// alignQueriesGate aligns the queries of a (q <= r) subset pair against
-// the reference index, so that every record's A is a query id, and returns
-// the staging (jobRecords) for mergeRecords. The gate is polled once per
-// query (a query's seed scan + alignments is the natural grain); a stopped
-// gate returns no records, which the ctx-taking caller discards.
+// alignQueriesGate aligns a chunk of queries, none after the reference's
+// last read, against the reference index, which it only reads, so that
+// every record's A is a query id, and returns the staging (jobRecords) for
+// mergeRecords. The gate is polled once per query (a query's seed scan +
+// alignments is the natural grain); a stopped gate returns no records,
+// which the ctx-taking caller discards.
 //
 // A query's seeds are resolved as one batch before any vote is cast; vote
 // order cannot show, as the modal diagonal breaks ties toward the smaller
 // diagonal and the record order is total. Each read pair is attempted
-// once, from its lower id: in a same-subset job a query skips every
-// reference read up to itself, so every record is canonical as found.
+// once, from its lower id: a query inside the reference subset skips
+// every reference read up to itself, so every record is canonical as
+// found.
 //
 // When both sides are strand-paired, an even query on the seed grid
 // (onGrid) also answers for its odd mirror qi^1 = rc(qi), which is then
@@ -435,8 +402,8 @@ func alignQueriesGate(query, ref readSet, ix refIndex, cfg Config, sc *scratch, 
 		qi, qseq := query.ids[qi2], query.seqs[qi2]
 		derive := mirror && qi&1 == 0 && onGrid(qseq, cfg)
 		sc.nextQuery()
-		// In a same-subset job the query is a reference read too: it and
-		// the reads before it are not its candidates.
+		// A query inside the reference subset is a reference read too: it
+		// and the reads before it are not its candidates.
 		self := int32(-1)
 		if len(ref.ids) > 0 {
 			if d := int64(qi) - int64(ref.ids[0]); d >= 0 && d < int64(len(ref.ids)) {
@@ -530,21 +497,30 @@ func newRecord(a, b int32, ov align.Overlap) Record {
 	return Record{A: a, B: b, Kind: ov.Kind, Len: int32(ov.Length), Identity: float32(ov.Identity), Diag: int32(ov.Diag)}
 }
 
-// A job's first staging piece holds firstPieceLen records, and each next
-// one twice the last, up to defaultPieceLen (96 KiB, about a tenth of a
-// meta_reads job's records): a small job does not take a large piece.
+// A chunk's first staging piece holds firstPieceLen records, and each
+// next one twice the last, up to defaultPieceLen (96 KiB): a small chunk
+// does not take a large piece.
 const (
 	firstPieceLen   = 64
 	defaultPieceLen = 4096
 )
 
-// jobRecords is one job's records as its staging leaves them: pieces whose
-// concatenation is in (A, B, Kind) order with one record per key.
+// jobRecords is one chunk's records as its staging leaves them, or a
+// reference's, its chunks' pieces in id order: pieces whose concatenation
+// is in (A, B, Kind) order with one record per key.
 type jobRecords [][]Record
 
-// takeJob hands the job's staging over; the scratch keeps none of it.
+// takeJob hands the chunk's staging over. The scratch keeps only the last
+// piece's unused room, as a spare piece for its next chunk when a first
+// piece fits in it.
 func (sc *scratch) takeJob() jobRecords {
 	job := jobRecords(sc.pieces)
+	if n := len(job) - 1; n >= 0 {
+		last := job[n]
+		if job[n] = last[:len(last):len(last)]; cap(last)-len(last) >= firstPieceLen {
+			sc.spare = append(sc.spare, last[len(last):])
+		}
+	}
 	sc.pieces, sc.open = nil, 0
 	return job
 }
@@ -621,54 +597,47 @@ func compareKey(x, y Record) int {
 	return cmp.Compare(x.Kind, y.Kind)
 }
 
-// mergeRecords interleaves the jobs' records into the stage's output,
-// sorted by (A, B, Kind) with one record per key: lists[q][r] holds the
-// records of subset pair (q, r), and a pair r < q holds none. No map and
-// no sort are needed: subsets are contiguous id ranges, pair (q, r) alone
-// produces the pairs with A in subset q and B in subset r, and it attempts
-// each once. The lists of one q therefore hold, for each A of subset q,
-// runs of ascending B in r order, and the rows of ascending q follow each
-// other. Every appended record must extend the output strictly; a list
+// mergeRecords interleaves the references' records into the stage's
+// output, sorted by (A, B, Kind) with one record per key: lists[r] holds
+// the records whose B is in subset r, in (A, B, Kind) order. No map and no
+// sort are needed: subsets are contiguous id ranges, and each read pair is
+// attempted once, so for each A the lists hold runs of ascending B in r
+// order. Every appended record must extend the output strictly; a list
 // that breaks this is an error.
-func mergeRecords(lists [][]jobRecords) ([]Record, error) {
+func mergeRecords(lists []jobRecords) ([]Record, error) {
 	total := 0
-	for _, row := range lists {
-		for _, l := range row {
-			for _, p := range l {
-				total += len(p)
-			}
+	for _, l := range lists {
+		for _, p := range l {
+			total += len(p)
 		}
 	}
 	out := make([]Record, 0, total)
-	for q, row := range lists {
-		cur := make([]cursor, len(row))
-		for r, l := range row {
-			cur[r].pieces = l
+	cur := make([]cursor, len(lists))
+	for r, l := range lists {
+		cur[r].pieces = l
+	}
+	for {
+		// The smallest A any list still holds.
+		var minA int32
+		found := false
+		for r := range cur {
+			if rec, ok := cur[r].peek(); ok && (!found || rec.A < minA) {
+				minA, found = rec.A, true
+			}
 		}
-		for {
-			// The smallest A any list of the row still holds.
-			var minA int32
-			found := false
-			for r := range cur {
-				if rec, ok := cur[r].peek(); ok && (!found || rec.A < minA) {
-					minA, found = rec.A, true
-				}
-			}
-			if !found {
-				break
-			}
-			for r := range cur {
-				var ok bool
-				if out, ok = cur[r].take(out, minA); !ok {
-					return nil, fmt.Errorf("overlap: job (%d,%d): records out of order", q, r)
-				}
+		if !found {
+			return out, nil
+		}
+		for r := range cur {
+			var ok bool
+			if out, ok = cur[r].take(out, minA); !ok {
+				return nil, fmt.Errorf("overlap: reference %d: records out of order", r)
 			}
 		}
 	}
-	return out, nil
 }
 
-// cursor walks one job's records in (A, B, Kind) order, its pieces in
+// cursor walks one list's records in (A, B, Kind) order, its pieces in
 // turn.
 type cursor struct {
 	pieces jobRecords

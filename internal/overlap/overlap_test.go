@@ -2,7 +2,6 @@ package overlap
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"focus/internal/align"
@@ -237,37 +236,5 @@ func TestFindOverlapsRepeatMasking(t *testing.T) {
 		if !found[[2]int32{int32(i), int32(i + 1)}] {
 			t.Fatalf("missing consecutive overlap %d-%d with repeat masking", i, i+1)
 		}
-	}
-}
-
-// TestRefJobs: the jobs cover every subset pair (q <= r) exactly once, one
-// reference per job with a run of query subsets; they come largest first;
-// none holds more than ⌈S(S+1)/2 ÷ W⌉ pairs; and there are never more jobs
-// (index builds) than pairs. At S = 4, W = 2 that is one job per subset.
-func TestRefJobs(t *testing.T) {
-	for subsets := 1; subsets <= 9; subsets++ {
-		pairs := subsets * (subsets + 1) / 2
-		for workers := 1; workers <= 12; workers++ {
-			jobs := refJobs(subsets, workers)
-			limit := (pairs + workers - 1) / workers
-			seen := map[[2]int]bool{}
-			for i, j := range jobs {
-				if j.q0 >= j.q1 || j.q1-1 > j.r || j.units() > limit || (i > 0 && j.units() > jobs[i-1].units()) {
-					t.Fatalf("S=%d W=%d: job %d of %v", subsets, workers, i, jobs)
-				}
-				for q := j.q0; q < j.q1; q++ {
-					if seen[[2]int{q, j.r}] {
-						t.Fatalf("S=%d W=%d: pair (%d,%d) twice in %v", subsets, workers, q, j.r, jobs)
-					}
-					seen[[2]int{q, j.r}] = true
-				}
-			}
-			if len(seen) != pairs || len(jobs) > pairs || len(jobs) < subsets {
-				t.Fatalf("S=%d W=%d: %d jobs cover %d of %d pairs", subsets, workers, len(jobs), len(seen), pairs)
-			}
-		}
-	}
-	if jobs := refJobs(4, 2); !slices.Equal(jobs, []refJob{{0, 4, 3}, {0, 3, 2}, {0, 2, 1}, {0, 1, 0}}) {
-		t.Fatalf("S=4 W=2: %v", jobs)
 	}
 }

@@ -77,7 +77,8 @@ func (*saIndex) pairLast() []int32 { return nil }
 // oracleOverlaps is FindOverlaps/CountCandidates over the suffix-array
 // oracle: the production query loop and record merge, run serially with
 // one saIndex per reference subset, each masking by the occurrences in a
-// suffix array of the whole read set.
+// suffix array of the whole read set. Each reference's list is its query
+// subsets' pieces in id order, one chunk per subset.
 func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) ([]Record, int64) {
 	subs := splitSubsets(reads, subsets)
 	sc := &scratch{countOnly: countOnly}
@@ -87,11 +88,10 @@ func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) (
 		refs[r] = buildSAIndex(subs[r].seqs, cfg.K, cfg.MaxOccur)
 		refs[r].whole = whole
 	}
-	lists := make([][]jobRecords, subsets)
-	for q := range lists {
-		lists[q] = make([]jobRecords, subsets)
-		for r := q; r < subsets; r++ {
-			lists[q][r] = alignQueriesGate(subs[q], subs[r], refs[r], cfg, sc, nil)
+	lists := make([]jobRecords, subsets)
+	for r := range lists {
+		for q := 0; q <= r; q++ {
+			lists[r] = append(lists[r], alignQueriesGate(subs[q], subs[r], refs[r], cfg, sc, nil)...)
 		}
 	}
 	recs, err := mergeRecords(lists)

@@ -70,12 +70,14 @@ echo "== race: cancellation chaos sweep =="
 go test -race -run 'Cancel|Liveness|Gate|Close|Deadline' \
     ./ ./internal/dist/ ./internal/assembly/ ./internal/par/
 
-# Arena sweep: every overlap worker rebuilds its reference index in place
-# for each of its jobs. Repeated, under the fan-out GOMAXPROCS above,
-# because an index leaking from one job into the next only shows when a
-# worker takes a second job under some schedule.
+# Arena sweep: the overlap stage rebuilds its one reference index in place
+# for each reference subset, on all its workers (the count and scatter
+# scans cut into chunks), and the workers then query it at once. Repeated,
+# under the fan-out GOMAXPROCS above, because a chunk writing another's
+# slots, or a query reading an index still being built, only shows under
+# some schedule.
 echo "== race: index arena sweep =="
-go test -race -count=3 -run 'Rebuild|SubsetInvariant|AllocBounded|StageAlloc' ./internal/overlap/
+go test -race -count=3 -run 'Rebuild|BuildWidthInvariant|RepeatKeysWidth|SubsetInvariant|AllocBounded|StageAlloc' ./internal/overlap/
 
 # Stage reuse: one Stages swept over k, its directed graph cloned per
 # Assemble and never trimmed, two Assemble calls on it at once (root
