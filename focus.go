@@ -556,9 +556,9 @@ func (s *Stages) Assemble(pool *dist.Pool, k, procs int, seed int64) (*AssemblyR
 
 // fingerprint identifies the assembly's input in its checkpoint frames:
 // the preprocessed reads and every setting that shapes the contigs.
-// Subsets (parallelism only), the ignored Assembly.Stateful and the
-// worker, distribution, checkpoint and run settings are left out, so a
-// resume may change them.
+// Subsets (the records are the same at any count), the ignored
+// Assembly.Stateful and the worker, distribution, checkpoint and run
+// settings are left out, so a resume may change them.
 func (s *Stages) fingerprint() uint64 {
 	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	cfg := s.Cfg

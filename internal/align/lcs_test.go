@@ -76,8 +76,8 @@ func checkBandLCS(t *testing.T, scr *Scratch, a, b []byte, band int, needs []int
 // TestBandLCSOracle: on windows of 1..70 bases and around the 64-bit word
 // edges of the Eq masks (63/64/65, 127..129, 255..257) up to 300, every
 // band of lcsBands, related and unrelated pairs, and one Scratch reused
-// throughout (the Eq arena grows, and past 256 bases clears by dirty
-// rows), bandLCSBelow answers every threshold from 0 to n+1 as the scalar
+// throughout (the Eq arena grows, and each call clears the words it set),
+// bandLCSBelow answers every threshold from 0 to n+1 as the scalar
 // DP's L does — which pins L itself. Besides the three base alphabets,
 // "ABCD" puts a neighbouring byte's Eq row right after each row's last
 // word, so the tail rows' unaligned reads pick up foreign bits.
@@ -95,7 +95,7 @@ func TestBandLCSOracle(t *testing.T) {
 			needs[i] = i
 		}
 		for _, band := range lcsBands {
-			for _, alpha := range append(bpAlphabets, []byte("ABCD")) {
+			for _, alpha := range append(alphabets, []byte("ABCD")) {
 				for trial := 0; trial < 3; trial++ {
 					a, b := lcsPair(rng, alpha, n)
 					checkBandLCS(t, &scr, a, b, band, needs)
@@ -177,7 +177,7 @@ func TestIdentityBoundVerdicts(t *testing.T) {
 	for _, sc := range verdictScorings {
 		var scr, ref Scratch
 		for trial := 0; trial < 300; trial++ {
-			alpha := bpAlphabets[rng.Intn(len(bpAlphabets))]
+			alpha := alphabets[rng.Intn(len(alphabets))]
 			cfg := Config{
 				MinLength:   []int{0, 20, 50}[rng.Intn(3)],
 				MinIdentity: []float64{0.5, 0.8, 0.9, 0.95, 1}[rng.Intn(5)],

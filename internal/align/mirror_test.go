@@ -62,7 +62,7 @@ func TestStrandMirrorRoutes(t *testing.T) {
 	var scr Scratch
 	free := 0
 	for trial := 0; trial < 4000; trial++ {
-		alpha := bpAlphabets[rng.Intn(2)]
+		alpha := alphabets[rng.Intn(2)]
 		a := randSeqFrom(rng, alpha, 40+rng.Intn(80))
 		b := mutate(rng, alpha, a[rng.Intn(len(a)/2):], []float64{0, 0.02, 0.06, 0.3}[rng.Intn(4)])
 		cfg := DefaultConfig()

@@ -44,43 +44,33 @@ const (
 	tbLeft // gap in a (consume b[j])
 )
 
-// Scratch holds reusable buffers for the banded DP kernels so the
-// alignment inner loop performs zero heap allocations steady-state: the
-// scalar kernel's score/trace arrays, and the bit-parallel kernel's
-// per-query Eq masks, per-scoring add table and per-row direction masks
-// (see bitnw.go). A Scratch is owned by exactly one goroutine at a time
-// (it is not internally synchronized); the buffers are borrowed by each
-// call and their contents are undefined between calls. The zero value is
-// ready to use and grows on demand.
+// Scratch holds reusable buffers for the banded DP and the DP-free rules
+// so the alignment inner loop performs zero heap allocations steady-state:
+// the DP's score/trace arrays, the identity bound's per-byte Eq masks and
+// the certificate's wavefronts. A Scratch is owned by exactly one goroutine
+// at a time (it is not internally synchronized); the buffers are borrowed
+// by each call and their contents are undefined between calls. The zero
+// value is ready to use and grows on demand.
 type Scratch struct {
 	score []int
 	trace []byte
 
-	// Bit-parallel kernel state (bitnw.go).
-	eqBits   []uint64 // 256 rows x eqStride words: per-byte match masks over b
+	// Per-byte match masks over b for bandLCSBelow (buildEq): 256 rows of
+	// eqStride words, all zero between calls.
+	eq       []uint64
 	eqStride int
-	eqSeen   [4]uint64   // byte-set of the previous b (Eq rows to clear)
-	adjTab   [256]uint64 // matchbit byte -> per-lane diagonal adjustment
-	adjDelta int         // Match-Mismatch the adjTab was built for
-	// Per-row packed traceback masks, 2 words per row: bit 7 of each lane
-	// is "up strictly beats diag", bit 6 "left strictly beats max(diag,up)".
-	bpTB []uint64
 
-	// bpFallbacks counts calls where the bit-parallel kernel bailed out
-	// mid-flight to the scalar path (range-guard trip). Test observability
-	// only; eligible default-scoring inputs never trip the guards.
-	bpFallbacks int
 	// Verdict traffic, test observability only: equal-length calls answered
 	// by the ungapped-optimum certificate (BandedNW), windows rejected as
 	// infeasible or by the identity bound before any alignment
-	// (OverlapOnDiagonal), and calls that ran a DP kernel (a declined
-	// certificate or bound counts here only).
+	// (OverlapOnDiagonal), and runs of the DP (a declined certificate or
+	// bound counts here only).
 	fastUngapped   int
 	fastInfeasible int
 	fastRejected   int
 	dpCalls        int
-	// kernel records whether the current OverlapOnDiagonal verdict ran a
-	// DP kernel (StrandSymmetric).
+	// kernel records whether the current OverlapOnDiagonal verdict ran the
+	// DP (StrandSymmetric).
 	kernel bool
 
 	// Furthest-reaching wavefronts of the ungapped-optimum certificate
@@ -113,12 +103,10 @@ func BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 
 // BandedNW is the buffer-reusing variant of the package-level BandedNW:
 // identical results, but the DP buffers are borrowed from the Scratch, so
-// steady-state calls allocate nothing. The kernel is chosen from the
-// input: none when the ungapped alignment is provably the one every kernel
-// would trace (ungappedOptimum), the bit-parallel kernel when the band and
-// scoring fit its 8-bit lanes (bpEligible), the scalar DP otherwise — all
-// three produce identical Alignments (score, matches, columns —
-// bit-for-bit).
+// steady-state calls allocate nothing. An equal-length pair is answered
+// without the DP when the ungapped alignment is provably the one the DP
+// would trace (ungappedOptimum), with the identical Alignment (score,
+// matches, columns — bit-for-bit).
 func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 	if band < 0 {
 		band = 0
@@ -137,31 +125,18 @@ func (scr *Scratch) BandedNW(a, b []byte, band int, sc Scoring) Alignment {
 	if n == m {
 		return scr.equalNW(a, b, band, sc, mismatchesUpTo(a, b, certLimit(n, sc)))
 	}
-	return scr.kernelNW(a, b, band, sc)
+	return scr.bandedNWScalar(a, b, band, sc)
 }
 
 // equalNW aligns an equal-length pair whose mismatch count m is known
 // exactly up to certLimit (past it, any larger value will do): by the
-// ungapped-optimum certificate where it answers, by a kernel otherwise.
+// ungapped-optimum certificate where it answers, by the DP otherwise.
 func (scr *Scratch) equalNW(a, b []byte, band int, sc Scoring, m int) Alignment {
 	if m <= certLimit(len(a), sc) {
 		if aln, ok := scr.ungappedOptimum(a, b, band, sc, m); ok {
 			scr.fastUngapped++
 			return aln
 		}
-	}
-	return scr.kernelNW(a, b, band, sc)
-}
-
-// kernelNW runs a DP kernel: bit-parallel where eligible, scalar otherwise.
-func (scr *Scratch) kernelNW(a, b []byte, band int, sc Scoring) Alignment {
-	scr.dpCalls++
-	scr.kernel = true
-	if bpEligible(band, sc) {
-		if aln, ok := scr.bandedNWBit(a, b, band, sc); ok {
-			return aln
-		}
-		scr.bpFallbacks++
 	}
 	return scr.bandedNWScalar(a, b, band, sc)
 }
@@ -177,9 +152,9 @@ func certLimit(n int, sc Scoring) int {
 	return max(n/(2*x), 2*g/x)
 }
 
-// ungappedOptimum answers an equal-length alignment without running a
-// kernel when the gap-free alignment is provably the one every kernel
-// traces (DESIGN.md §12.1). With n = len(a) = len(b), an alignment with X
+// ungappedOptimum answers an equal-length alignment without running the
+// DP when the gap-free alignment is provably the one the DP traces
+// (DESIGN.md §12). With n = len(a) = len(b), an alignment with X
 // mismatch columns and e gap columns (e/2 on each side) scores n*Match less
 // a penalty of X*(Match-Mismatch) + e*(Match-2*Gap)/2; given Match > 0 > Gap
 // and Mismatch < Match both prices are positive and matches are free. The
@@ -192,14 +167,14 @@ func certLimit(n int, sc Scoring) int {
 // the furthest of wf[s-1][k], a mismatch step along k and a gap step from
 // k-1 or k+1, extended through matches. (On one diagonal every row before a
 // reachable one is reachable for no more, so clamping a step at the
-// diagonal's end is exact.) If the corner is reached the kernel runs. If
-// not, no main-diagonal cell of any kernel beats the gap-free prefix score
+// diagonal's end is exact.) If the corner is reached the DP runs. If
+// not, no main-diagonal cell of the DP beats the gap-free prefix score
 // — a better path to (i, i) would continue to a better one to (n, n) — and
 // because the diagonal wins ties the traceback walks the main diagonal even
 // when a gapped alignment ties: Score, Matches = n-m, Columns = n are exact.
 // The attempt is made (certLimit) while the budget is at most n/4 in score
 // units (m <= n/8 under DefaultScoring), which keeps it well below one
-// kernel call, or too small for one gap pair; scorings outside the sign
+// DP run, or too small for one gap pair; scorings outside the sign
 // conditions switch the rule off. The caller counts m, exactly, and holds
 // it to that limit.
 func (scr *Scratch) ungappedOptimum(a, b []byte, band int, sc Scoring, m int) (Alignment, bool) {
@@ -277,6 +252,9 @@ func (scr *Scratch) ungappedOptimum(a, b []byte, band int, sc Scoring, m int) (A
 	return ungapped, true
 }
 
+// laneLSB has the low bit of every byte set.
+const laneLSB = 0x0101010101010101
+
 // mismatchesUpTo counts the positions where the equal-length a and b
 // differ, eight bytes per compare, giving up (with some count > lim) as
 // soon as the count exceeds lim.
@@ -291,7 +269,7 @@ func mismatchesUpTo(a, b []byte, lim int) int {
 		x |= x >> 4
 		x |= x >> 2
 		x |= x >> 1
-		if m += bits.OnesCount64(x & bpLaneLSB); m > lim {
+		if m += bits.OnesCount64(x & laneLSB); m > lim {
 			return m
 		}
 	}
@@ -303,12 +281,15 @@ func mismatchesUpTo(a, b []byte, lim int) int {
 	return m
 }
 
-// bandedNWScalar is the cell-by-cell scalar DP. band has already been
-// widened to cover the length difference and n, m >= 1. Its tie-break
+// bandedNWScalar is the cell-by-cell scalar DP, the one kernel; it counts
+// its run in dpCalls and marks the verdict a kernel one. band has already
+// been widened to cover the length difference and n, m >= 1. Its tie-break
 // order — diagonal wins ties, up displaces only when strictly greater,
 // left only when strictly greater than both — is the traceback contract
-// every kernel must reproduce (DESIGN.md §12).
+// the DP-free rules must reproduce (DESIGN.md §12).
 func (scr *Scratch) bandedNWScalar(a, b []byte, band int, sc Scoring) Alignment {
+	scr.dpCalls++
+	scr.kernel = true
 	n, m := len(a), len(b)
 	width := 2*band + 1
 	// score[i][c] with c = j - i + band, j in [i-band, i+band]. In this

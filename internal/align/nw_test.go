@@ -68,6 +68,63 @@ func randSeq(rng *rand.Rand, n int) []byte {
 	return s
 }
 
+// alphabets used by the randomized suites: plain bases, bases with the
+// ambiguity byte, and bases with the '#' subset-text separator that the
+// 2-bit wire packing escapes (the rules must treat both as ordinary bytes
+// that only match themselves).
+var alphabets = [][]byte{
+	[]byte("ACGT"),
+	[]byte("ACGTN"),
+	[]byte("ACGTN#"),
+}
+
+func randSeqFrom(rng *rand.Rand, alpha []byte, n int) []byte {
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = alpha[rng.Intn(len(alpha))]
+	}
+	return s
+}
+
+// mutate applies roughly rate substitutions/insertions/deletions to s, so
+// pairs look like real overlap windows (mostly matching, few gaps).
+func mutate(rng *rand.Rand, alpha, s []byte, rate float64) []byte {
+	out := make([]byte, 0, len(s)+8)
+	for _, ch := range s {
+		switch {
+		case rng.Float64() < rate/3: // deletion
+		case rng.Float64() < rate/3: // insertion
+			out = append(out, ch, alpha[rng.Intn(len(alpha))])
+		case rng.Float64() < rate/3: // substitution
+			out = append(out, alpha[rng.Intn(len(alpha))])
+		default:
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
+// widenBand establishes BandedNW's band precondition: non-negative and at
+// least the length difference.
+func widenBand(a, b []byte, band int) int {
+	d := len(a) - len(b)
+	if d < 0 {
+		d = -d
+	}
+	return max(band, d, 0)
+}
+
+// scalarNW is the oracle: bandedNWScalar called directly, with BandedNW's
+// preconditions (band widened to the length difference, both inputs
+// non-empty) established here so the ungapped-optimum certificate is
+// bypassed entirely.
+func (scr *Scratch) scalarNW(a, b []byte, band int, sc Scoring) Alignment {
+	if len(a) == 0 || len(b) == 0 {
+		return Alignment{Score: (len(a) + len(b)) * sc.Gap, Columns: len(a) + len(b)}
+	}
+	return scr.bandedNWScalar(a, b, widenBand(a, b, band), sc)
+}
+
 // A generous band must reproduce the unbanded optimum.
 func TestBandedMatchesUnbandedForWideBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

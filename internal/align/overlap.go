@@ -183,6 +183,31 @@ func minMatches(n int, minID float64) int {
 	return l
 }
 
+// buildEq sets the per-byte Eq masks over b in the zeroed arena: bit j of
+// row ch is set iff b[j] == ch. It returns the arena and its row stride;
+// clearEq zeroes the rows again. The arena carries one pad word past its
+// last row: bandLCSBelow's two-word read takes it in, and its bits only
+// reach columns past the window.
+func (scr *Scratch) buildEq(b []byte) ([]uint64, int) {
+	if st := (len(b) + 63) >> 6; st > scr.eqStride {
+		scr.eqStride = st
+		scr.eq = make([]uint64, 256*st+1)
+	}
+	st := scr.eqStride
+	for j, ch := range b {
+		scr.eq[int(ch)*st+j>>6] |= 1 << (j & 63)
+	}
+	return scr.eq, st
+}
+
+// clearEq zeroes the words buildEq(b) set, O(len(b)).
+func (scr *Scratch) clearEq(b []byte) {
+	st := scr.eqStride
+	for j, ch := range b {
+		scr.eq[int(ch)*st+j>>6] = 0
+	}
+}
+
 // bandLCSBelow reports whether L, the banded LCS of the equal-length a and
 // b, is below need; false means it is not, or that the band is too wide to
 // tell. L is the most matches a chain of in-band match cells can have, so no
@@ -191,12 +216,12 @@ func minMatches(n int, minID float64) int {
 // maximum of matches. It is computed with the Allison–Dix/Hyyrö bit-vector
 // recurrence V <- (V + (V&M)) | (V&^M) over one word holding row i's
 // columns i-band..i+band — bit set where the DP value does not rise from
-// the column to its left — and M the row's match bits from the Eq masks the
-// bit-parallel kernel builds. The window slides one column a row: the
-// column entering on the right has no in-band cell above it and enters as a
-// set bit, the column leaving on the left is frozen, its rise counted into
-// base (the DP value left of the window; a frozen cell can only feed the
-// first in-band cell from the left, where the cell above it is no smaller).
+// the column to its left — and M the row's match bits from b's Eq masks
+// (buildEq). The window slides one column a row: the column entering on
+// the right has no in-band cell above it and enters as a set bit, the
+// column leaving on the left is frozen, its rise counted into base (the
+// DP value left of the window; a frozen cell can only feed the first
+// in-band cell from the left, where the cell above it is no smaller).
 // Absent columns (j <= 0, j > n) have no match bits and stay set. After row
 // i, l = base + the window's rises is the row maximum: L >= l, since every
 // in-band cell reaches (n, n) in band, and L <= l + n - i, a match per row
@@ -206,8 +231,8 @@ func (scr *Scratch) bandLCSBelow(a, b []byte, band, need int) bool {
 		return false
 	}
 	n := len(a)
-	scr.bpBuildEq(b)
-	eq, st := scr.eqBits, scr.eqStride
+	eq, st := scr.buildEq(b)
+	defer scr.clearEq(b)
 	// The bits above the window are kept set: each row's shift then moves
 	// a set bit into the entering column, and the rises are the zero bits.
 	hi := ^uint64(0) << uint(2*band+1)

@@ -60,6 +60,55 @@ func TestOverlapSubsetInvariant(t *testing.T) {
 	}
 }
 
+// TestSubsetCountCapped: a subset count past the read count (the
+// strand-pair count on a paired read set) is capped there. At four times
+// that count the records are the four-subset ones, and the stage
+// allocates no more than at the cap itself, give or take a quarter: no
+// empty subset is indexed or queried.
+func TestSubsetCountCapped(t *testing.T) {
+	paired := pairedReadSet(71)
+	var single []dna.Read
+	for i := 0; i < len(paired); i += 2 {
+		single = append(single, paired[i])
+	}
+	cfg := testConfig()
+	for _, tc := range []struct {
+		name  string
+		reads []dna.Read
+		units int
+	}{
+		{"paired", paired, len(paired) / 2},
+		{"single", single, len(single)},
+	} {
+		want, err := FindOverlaps(tc.reads, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no records", tc.name)
+		}
+		var alloc [2]uint64
+		for i, subsets := range []int{tc.units, 4 * tc.units} {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			got, err := FindOverlaps(tc.reads, subsets, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s subsets=%d: %d records, four subsets %d; %v", tc.name, subsets, len(got), len(want), firstDiff(got, want))
+			}
+			alloc[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		t.Logf("%s: %d reads, %d bytes allocated at %d subsets, %d at %d", tc.name, len(tc.reads), alloc[0], tc.units, alloc[1], 4*tc.units)
+		if alloc[1] > alloc[0]+alloc[0]/4 {
+			t.Fatalf("%s: %d subsets allocated %d bytes, %d subsets %d: empty subsets were run", tc.name, 4*tc.units, alloc[1], tc.units, alloc[0])
+		}
+	}
+}
+
 // FuzzSubsetInvariant: a small read set the fuzzer draws — reads cut from
 // a random genome with a tandem repeat, substitutions among them, strand
 // paired or not — gives the same records at every subset count from 1 to

@@ -88,7 +88,7 @@ func onGrid(seq []byte, cfg Config) bool {
 // Production code has one implementation, the packed k-mer table; the
 // interface exists so the tests can run the same query loop over the
 // suffix-array oracle (TestIndexingEquivalence). The loop calls resolve
-// once per query, never per probe, and pairLast once per job.
+// once per query, never per probe, and pairLast once per query chunk.
 type refIndex interface {
 	// resolve sets every probe's key, flip and range over the returned
 	// entries (see probe); the occurrences may come in any order, and a

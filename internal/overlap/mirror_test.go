@@ -200,10 +200,10 @@ func TestSplitSubsetsPairBoundaries(t *testing.T) {
 }
 
 // splitSubsets is splitSeqs over the reads' sequences, cut into its
-// subsets.
+// subsets (no more than splitSeqs' cap).
 func splitSubsets(reads []dna.Read, subsets int) []readSet {
 	all, bounds := splitSeqs(readSeqs(reads), subsets)
-	subs := make([]readSet, subsets)
+	subs := make([]readSet, len(bounds)-1)
 	for s := range subs {
 		subs[s] = all.span(int(bounds[s]), int(bounds[s+1]))
 	}

@@ -146,8 +146,11 @@ func (sc *scratch) nextQuery() {
 // FindOverlaps detects all pairwise overlaps in reads, running each
 // reference subset's queries in parallel. Records are canonical (A < B) and
 // returned sorted by (A, B, Kind), one per read pair at most: each pair is
-// attempted once, from its lower id. The subset count only sets the
-// parallelism: the records are the same at any count.
+// attempted once, from its lower id. The subset count sets how many
+// reference indexes are built, one after another, and the size of the one
+// arena they are built in (the largest subset's), not the parallelism; it
+// is capped at the read count (the strand-pair count on a paired read set).
+// The records are the same at any count.
 func FindOverlaps(reads []dna.Read, subsets int, cfg Config) ([]Record, error) {
 	return FindOverlapsCtx(nil, reads, subsets, cfg)
 }
@@ -222,16 +225,20 @@ func readSeqs(reads []dna.Read) [][]byte {
 // contiguous subsets: subset s of S starts at read s·n/S, except that a
 // strand-paired read set is split on pair boundaries, 2·⌊s·(n/2)/S⌋, so
 // that a read and its reverse complement share every subset and every
-// query chunk, and every subset is paired.
+// query chunk, and every subset is paired. S is capped at the read count,
+// the strand-pair count on a paired set (and is at least 1): an empty
+// subset would index nothing and still be queried by every earlier read.
 func splitSeqs(seqs [][]byte, subsets int) (readSet, []int32) {
 	paired := strandPaired(seqs)
+	unit := 1
+	if paired {
+		unit = 2
+	}
+	units := len(seqs) / unit
+	subsets = min(subsets, max(units, 1))
 	bounds := make([]int32, subsets+1)
-	for i := 0; i <= subsets; i++ {
-		if paired {
-			bounds[i] = int32(2 * (i * (len(seqs) / 2) / subsets))
-		} else {
-			bounds[i] = int32(i * len(seqs) / subsets)
-		}
+	for i := range bounds {
+		bounds[i] = int32(unit * (i * units / subsets))
 	}
 	ids := make([]int32, len(seqs))
 	for i := range ids {
@@ -255,19 +262,20 @@ type plan struct {
 // sub is subset s.
 func (p *plan) sub(s int) readSet { return p.reads.span(int(p.bounds[s]), int(p.bounds[s+1])) }
 
-// newPlan validates cfg, splits the reads, refuses a subset no index can
-// hold, sizes the index arena for the largest subset and counts the
-// repeat mask on `workers` goroutines. Without mirror every query runs on
+// newPlan validates cfg, splits the reads (splitSeqs caps the subset
+// count), refuses a subset no index can hold, sizes the index arena for
+// the largest subset and counts the repeat mask on `workers` goroutines. Without mirror every query runs on
 // its own (alignQueriesGate), to the same records: the all-queries oracle
 // the tests hold the production path to.
 func newPlan(reads []dna.Read, subsets int, cfg Config, mirror bool, workers int) (*plan, error) {
 	if err := validate(cfg, subsets); err != nil {
 		return nil, err
 	}
-	p := &plan{cfg: cfg, kmers: make([]int, subsets)}
+	p := &plan{cfg: cfg}
 	p.reads, p.bounds = splitSeqs(readSeqs(reads), subsets)
 	p.reads.paired = p.reads.paired && mirror
-	for s := range subsets {
+	p.kmers = make([]int, len(p.bounds)-1)
+	for s := range p.kmers {
 		sub := p.sub(s)
 		n, err := indexKmers(sub.seqs, cfg.K)
 		if err != nil {

@@ -83,12 +83,12 @@ func oracleOverlaps(reads []dna.Read, subsets int, cfg Config, countOnly bool) (
 	subs := splitSubsets(reads, subsets)
 	sc := &scratch{countOnly: countOnly}
 	whole := buildSAIndex(readSeqs(reads), cfg.K, cfg.MaxOccur)
-	refs := make([]*saIndex, subsets)
+	refs := make([]*saIndex, len(subs))
 	for r := range refs {
 		refs[r] = buildSAIndex(subs[r].seqs, cfg.K, cfg.MaxOccur)
 		refs[r].whole = whole
 	}
-	lists := make([]jobRecords, subsets)
+	lists := make([]jobRecords, len(subs))
 	for r := range lists {
 		for q := 0; q <= r; q++ {
 			lists[r] = append(lists[r], alignQueriesGate(subs[q], subs[r], refs[r], cfg, sc, nil)...)

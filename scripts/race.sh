@@ -139,7 +139,6 @@ if [ "$FUZZTIME" != "0" ]; then
     fuzz ./internal/dna/ FuzzReadFASTA
     fuzz ./internal/checkpoint/ FuzzDecode
     fuzz ./internal/graph/ FuzzContract
-    fuzz ./internal/align/ FuzzBitParallelNW
     fuzz ./internal/align/ FuzzOverlapVerdict
     fuzz ./internal/align/ FuzzBandLCS
     fuzz ./internal/align/ FuzzStrandMirror
